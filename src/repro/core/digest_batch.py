@@ -21,10 +21,11 @@ extra) and not suppressed via ``REPRO_FORCE_NO_NUMPY=1``,
 :meth:`DigestBatch.hash_words_np` exposes the same word pairs as one
 ``(n, 2)`` ``uint64`` array derived from a single ``np.frombuffer`` view
 of the packed blob, and the fused node kernels switch to the columnar
-bloom/cuckoo kernels for buckets of at least ``REPRO_NUMPY_MIN_BATCH``
-keys (default 64).  Without numpy every path falls back to the packed
-pure-Python kernels above, byte-identically -- numpy is never required
-(see :mod:`repro.storage.npy` for the contract).  The buffer layout is
+bloom/cuckoo kernels for buckets that send at least
+``REPRO_NUMPY_MIN_BATCH`` keys (default 64) past the RAM tier.  Without
+numpy every path falls back to the packed pure-Python kernels above,
+byte-identically -- numpy is never required (see
+:mod:`repro.storage.npy` for the contract).  The buffer layout is
 also what the shared-memory trace cache stores, so a sweep worker can
 rehydrate a workload from a segment without re-running the generator.
 """
@@ -35,7 +36,12 @@ from typing import List, Optional, Sequence, Union
 
 from ..dedup.fingerprint import Fingerprint
 from ..storage.npy import HAVE_NUMPY
-from ..storage.packing import DIGEST_BYTES, digest_hash_words, digest_hash_words_np
+from ..storage.packing import (
+    DIGEST_BYTES,
+    digest_hash_words,
+    digest_hash_words_np,
+    split_digests,
+)
 
 __all__ = ["DigestBatch", "DIGEST_BYTES", "digest_hash_words"]
 
@@ -91,12 +97,7 @@ class DigestBatch:
     def from_blob(cls, blob: bytes,
                   chunk_sizes: Union[int, Sequence[int]]) -> "DigestBatch":
         """Wrap a wire blob of back-to-back 20-byte digests."""
-        if len(blob) % DIGEST_BYTES:
-            raise ValueError(
-                f"digest blob of {len(blob)} bytes is not a multiple of {DIGEST_BYTES}"
-            )
-        digests = [blob[start:start + DIGEST_BYTES]
-                   for start in range(0, len(blob), DIGEST_BYTES)]
+        digests = list(split_digests(blob))
         if not isinstance(chunk_sizes, int) and len(chunk_sizes) != len(digests):
             raise ValueError(
                 f"got {len(chunk_sizes)} chunk sizes for {len(digests)} digests"

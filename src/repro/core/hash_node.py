@@ -198,14 +198,13 @@ class HybridHashNode:
         ``batch.fingerprints()`` -- which is also the fallback for
         un-unrollable shapes or non-digest-keyed filters.
         """
-        kernels, columnar = self._select_kernels()
+        kernels, use_columnar = self._select_kernels(batch)
         if kernels is None:
             return self.serve_bucket(batch.fingerprints())
-        use_columnar = columnar is not None and len(batch) >= NUMPY_MIN_BATCH
         replies: List[LookupReply] = []
         service_times: List[float] = []
         new_entries = self._run_fused(
-            (columnar if use_columnar else kernels)[0], batch,
+            kernels[0], batch,
             batch.fingerprints(), replies.append,
             service_times.append, None, columnar=use_columnar,
         )
@@ -238,7 +237,7 @@ class HybridHashNode:
         ``new_pairs`` (input order) is what replica propagation needs.
         State transitions match :meth:`serve_bucket` exactly.
         """
-        kernels, columnar = self._select_kernels()
+        kernels, use_columnar = self._select_kernels(batch)
         if kernels is None:
             replies, service_times, _total_ssd_time, new_entries = self._lookup_batch_core(
                 batch.fingerprints()
@@ -253,10 +252,6 @@ class HybridHashNode:
                 if not reply.is_duplicate
             ]
             return verdicts, service_times, new_pairs
-        if columnar is not None and len(batch) >= NUMPY_MIN_BATCH:
-            kernels, use_columnar = columnar, True
-        else:
-            use_columnar = False
         verdicts: List[bool] = []
         service_times: List[float] = []
         new_pairs: List[Tuple[bytes, int]] = []
@@ -288,7 +283,7 @@ class HybridHashNode:
         the bucket's duplicate count is ``len(batch) - len(new_pairs)``.
         State transitions match :meth:`serve_bucket` exactly.
         """
-        kernels, columnar = self._select_kernels()
+        kernels, use_columnar = self._select_kernels(batch)
         if kernels is None:
             replies, service_times, _total_ssd_time, new_entries = self._lookup_batch_core(
                 batch.fingerprints()
@@ -313,11 +308,10 @@ class HybridHashNode:
                 fields["served_by"] = node_id
                 merged[position] = result
             return service_times, new_pairs
-        use_columnar = columnar is not None and len(batch) >= NUMPY_MIN_BATCH
         service_times: List[float] = []
         new_pairs: List[Tuple[bytes, int]] = []
         self._run_fused(
-            (columnar if use_columnar else kernels)[3], batch,
+            kernels[3], batch,
             batch._fingerprints, (positions, merged),
             service_times.append, new_pairs.append, columnar=use_columnar,
         )
@@ -326,14 +320,18 @@ class HybridHashNode:
             self._persist_new(new_pairs)
         return service_times, new_pairs
 
-    def _select_kernels(self) -> Tuple[Optional[Tuple], Optional[Tuple]]:
-        """``(scalar_kernels, columnar_kernels)`` for the current bloom filter.
+    def _select_kernels(self, batch: DigestBatch) -> Tuple[Optional[Tuple], bool]:
+        """``(kernel_family, is_columnar)`` for serving ``batch`` right now.
 
-        Memoized on bloom identity (kill/restart and recovery replace the
-        filter wholesale).  ``columnar_kernels`` is ``None`` unless the
-        numpy backend is active and the filter is columnar-eligible; the
-        serve methods then pick per batch by the ``REPRO_NUMPY_MIN_BATCH``
-        crossover.
+        The two families are memoized on bloom identity (kill/restart and
+        recovery replace the filter wholesale); the columnar one exists
+        only when the numpy backend is active and the filter is
+        columnar-eligible.  It is picked when at least
+        ``REPRO_NUMPY_MIN_BATCH`` keys will reach the bloom stage: its
+        prefetch probes the filter for every key of the batch, which only
+        pays off on the keys the RAM tier does not answer -- a mostly
+        RAM-hit batch stays on the packed family whatever its size.
+        ``(None, False)`` when the filter has no fused kernels at all.
         """
         bloom = self.bloom
         memo_bloom, kernels, columnar = self._kernel_memo
@@ -349,16 +347,24 @@ class HybridHashNode:
                 else None
             )
             self._kernel_memo = (bloom, kernels, columnar)
-        return kernels, columnar
+        digests = batch.digests
+        if (
+            columnar is not None
+            and len(digests) >= NUMPY_MIN_BATCH
+            and len(digests) - sum(map(self.cache.data.__contains__, digests))
+            >= NUMPY_MIN_BATCH
+        ):
+            return columnar, True
+        return kernels, False
 
     @property
     def kernel_backend(self) -> str:
         """The batch-kernel backend this node resolved: ``numpy`` or ``python-packed``.
 
         Reported by the serving worker's ``/stats`` and in
-        ``ScenarioResult`` metrics.  ``numpy`` means large batches
-        (``>= REPRO_NUMPY_MIN_BATCH`` keys) run the columnar bloom
-        prefetch; small buckets always keep the exec-generated scalar
+        ``ScenarioResult`` metrics.  ``numpy`` means batches sending at
+        least ``REPRO_NUMPY_MIN_BATCH`` keys past the RAM tier run the
+        columnar bloom prefetch; the rest keep the exec-generated scalar
         kernels, whose outputs are byte-identical either way.
         """
         if HAVE_NUMPY and self.bloom.columnar_eligible:

@@ -24,12 +24,18 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dedup.fingerprint import Fingerprint
+from ..storage.packing import DIGEST_BYTES
 
 __all__ = ["Partitioner", "RangePartitioner", "ConsistentHashRing", "key_of_digest"]
 
 #: Size of the partitioned key space: the top 64 bits of the SHA-1 digest.
 KEY_SPACE_BITS = 64
 KEY_SPACE_SIZE = 1 << KEY_SPACE_BITS
+
+
+#: In :meth:`RangePartitioner.owner_indexes`' byte table: a first-byte prefix
+#: that a range boundary cuts through, so the byte alone names no owner.
+_SPLIT_PREFIX = 0xFF
 
 
 def _key_of(fingerprint: Fingerprint) -> int:
@@ -113,6 +119,7 @@ class RangePartitioner(Partitioner):
         # (count, membership) and handed out as copies.
         self._cycles: Dict[int, List[Tuple[str, ...]]] = {}
         self._prefix_tables: Dict[int, List[Optional[Tuple[str, ...]]]] = {}
+        self._owner_bytes: Optional[bytes] = None
 
     def nodes(self) -> List[str]:
         return list(self._nodes)
@@ -192,12 +199,44 @@ class RangePartitioner(Partitioner):
             self._prefix_tables[count] = cached
         return cached
 
+    def owner_indexes(self, blob: bytes) -> bytes:
+        """Owning node index of every packed 20-byte digest in ``blob``, one byte each.
+
+        The batch form of ``owners_by_key(key, 1)`` for dispatchers that
+        hold a batch as one buffer (the serving gateway): the digests'
+        first bytes go through :meth:`prefix_table` in one
+        ``bytes.translate``, and only digests on a prefix a range boundary
+        cuts through are resolved from their full key.  Indexes follow
+        :meth:`nodes` order; needs fewer than 255 nodes.
+        """
+        table = self._owner_bytes
+        if table is None:
+            if len(self._nodes) >= _SPLIT_PREFIX:
+                raise ValueError(f"owner_indexes needs fewer than {_SPLIT_PREFIX} nodes")
+            index_of = {node: index for index, node in enumerate(self._nodes)}
+            table = self._owner_bytes = bytes(
+                _SPLIT_PREFIX if owners is None else index_of[owners[0]]
+                for owners in self.prefix_table(1)
+            )
+        owners = blob[::DIGEST_BYTES].translate(table)
+        position = owners.find(_SPLIT_PREFIX)
+        if position >= 0:
+            _cycles, width, last = self.route_table(1)
+            owners = bytearray(owners)
+            while position >= 0:
+                start = position * DIGEST_BYTES
+                owners[position] = min(key_of_digest(blob[start:start + 8]) // width, last)
+                position = owners.find(_SPLIT_PREFIX, position + 1)
+            owners = bytes(owners)
+        return owners
+
     def add_node(self, node: str) -> None:
         if node in self._nodes:
             raise ValueError(f"node {node!r} already present")
         self._nodes.append(node)
         self._cycles.clear()
         self._prefix_tables.clear()
+        self._owner_bytes = None
         self.bump_epoch()
 
     def remove_node(self, node: str) -> None:
@@ -208,6 +247,7 @@ class RangePartitioner(Partitioner):
         self._nodes.remove(node)
         self._cycles.clear()
         self._prefix_tables.clear()
+        self._owner_bytes = None
         self.bump_epoch()
 
     def range_of(self, node: str) -> Tuple[int, int]:

@@ -38,17 +38,21 @@ import json
 import multiprocessing
 import os
 import socket
+import struct
 import sys
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Any, Deque, Dict, List, Optional, Union
 
-from ..core.partition import KEY_SPACE_SIZE
+from ..core.partition import RangePartitioner
 from ..simulation.stats import LatencyRecorder
+from ..storage.packing import DIGEST_BYTES, split_digests
 from ..storage.shm import unlink_segment
-from .wire import WireError, encode_frame, get_codec, read_frame
-from .worker import DIGEST_HEX, WorkerSpec, worker_main
+from .wire import WireError, encode_batch_frame, encode_frame, get_codec, mask_bits, read_frame
+from .worker import WorkerSpec, worker_main
 
 __all__ = ["ServeConfig", "ServiceGateway", "ServingError"]
 
@@ -92,8 +96,8 @@ class ServeConfig:
     shared_bloom: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ValueError("num_nodes must be >= 1")
+        if not 1 <= self.num_nodes <= 254:
+            raise ValueError("num_nodes must be in 1..254 (routing names an owner in one byte)")
         if self.max_queue < 1 or self.max_inflight < 1:
             raise ValueError("max_queue and max_inflight must be >= 1")
 
@@ -199,7 +203,11 @@ class ServiceGateway:
         self.verbose = verbose
         self.codec = get_codec(config.codec)
         self._mp = multiprocessing.get_context("spawn")
-        self._range_width = KEY_SPACE_SIZE // config.num_nodes
+        # Same contiguous range sharding as the in-process cluster; its
+        # ``owner_indexes`` names each digest's worker in one byte, and
+        # ``_selects[i]`` maps those bytes to "is worker i's" for ``compress``.
+        self._partitioner = RangePartitioner([config.node_id(i) for i in range(config.num_nodes)])
+        self._selects = [bytes(o == i for o in range(256)) for i in range(config.num_nodes)]
         self.workers = [
             _Worker(i, config.node_id(i), config.max_queue)
             for i in range(config.num_nodes)
@@ -466,7 +474,13 @@ class ServiceGateway:
             # Batches run concurrently so a pipelining client actually gets
             # a pipeline; replies are id-matched, so completion order is
             # free to differ from arrival order.
-            reply = await self._handle_batch(message)
+            try:
+                reply = await self._handle_batch(message)
+            except Exception as error:  # noqa: BLE001 - every batch frame gets one reply
+                traceback.print_exc()
+                self.protocol_errors += 1
+                reply = {"t": "reply", "id": message.get("id"), "ok": False,
+                         "err": f"internal error: {type(error).__name__}", "retry": False}
             frame = encode_frame(reply, codec)
             async with write_lock:
                 writer.write(frame)
@@ -510,91 +524,89 @@ class ServiceGateway:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
 
-    def _route(self, blob_hex: str, count: int) -> Dict[int, Tuple[List[str], List[int]]]:
-        """Group a batch's digests by owning worker, remembering positions."""
-        width = self._range_width
-        last = self.config.num_nodes - 1
-        groups: Dict[int, Tuple[List[str], List[int]]] = {}
-        for position in range(count):
-            digest_hex = blob_hex[position * DIGEST_HEX:(position + 1) * DIGEST_HEX]
-            # Same math as RangePartitioner.owners_by_key: the top 64 bits
-            # of the digest are its first 16 hex characters.
-            index = int(digest_hex[:16], 16) // width
-            if index > last:
-                index = last
-            group = groups.get(index)
-            if group is None:
-                groups[index] = group = ([], [])
-            group[0].append(digest_hex)
-            group[1].append(position)
-        return groups
+    def _split(self, blob: bytes, owners: bytes,
+               sizes: Union[int, List[int]]) -> Dict[int, bytes]:
+        """One packed batch frame per touched worker, digest order kept."""
+        digests = split_digests(blob)
+        frames = {}
+        for index in sorted(set(owners)):
+            mine = owners.translate(self._selects[index])
+            frames[index] = encode_batch_frame(
+                b"".join(compress(digests, mine)),
+                sizes if isinstance(sizes, int) else tuple(compress(sizes, mine)),
+            )
+        return frames
+
+    def _malformed(self, message_id: Any, what: str) -> Dict[str, Any]:
+        self.protocol_errors += 1
+        return {"t": "reply", "id": message_id, "ok": False,
+                "err": f"malformed {what}", "retry": False}
 
     async def _handle_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         started = time.perf_counter()
         message_id = message.get("id")
-        blob_hex = message.get("d", "")
-        if not blob_hex or len(blob_hex) % DIGEST_HEX:
-            return {"t": "reply", "id": message_id, "ok": False,
-                    "err": "malformed digest blob", "retry": False}
-        count = len(blob_hex) // DIGEST_HEX
+        # Client text stops here: the hex is decoded (and thereby validated)
+        # once, and only bytes travel on to the workers.
+        blob_hex = message.get("d")
+        try:
+            blob = bytes.fromhex(blob_hex)
+        except (TypeError, ValueError):
+            return self._malformed(message_id, "digest blob")
+        # fromhex skips whitespace, hence the length comparison.
+        if not blob or len(blob_hex) != 2 * len(blob) or len(blob) % DIGEST_BYTES:
+            return self._malformed(message_id, "digest blob")
+        count = len(blob) // DIGEST_BYTES
+        sizes = message.get("s", 0)
+        if not (isinstance(sizes, int) or isinstance(sizes, list) and len(sizes) == count):
+            return self._malformed(message_id, "chunk sizes")
         if self._closing:
-            reply = dict(_SHUTTING_DOWN)
-            reply["id"] = message_id
-            return reply
-        groups = self._route(blob_hex, count)
+            return {**_SHUTTING_DOWN, "id": message_id}
+        owners = self._partitioner.owner_indexes(blob)
+        try:
+            frames = self._split(blob, owners, sizes)
+        except struct.error:  # a size that is not an integer in u32
+            return self._malformed(message_id, "chunk sizes")
 
         # -- admission: every touched worker must be up with queue room, and
         # the global in-flight cap must have space.  No await between the
         # checks and the put_nowait calls, so admission is atomic.
         if self.inflight >= self.config.max_inflight or any(
             not self.workers[index].ready.is_set() or self.workers[index].queue.full()
-            for index in groups
+            for index in frames
         ):
             self.shed_batches += 1
             self.shed_fingerprints += count
-            reply = dict(_OVERLOADED)
-            reply["id"] = message_id
-            return reply
+            return {**_OVERLOADED, "id": message_id}
 
-        sizes = message.get("s", 0)
         loop = asyncio.get_event_loop()
-        submitted: List[Tuple[asyncio.Future, List[int]]] = []
-        for index, (parts, positions) in groups.items():
-            if isinstance(sizes, list):
-                sub_sizes: Any = [sizes[position] for position in positions]
-            else:
-                sub_sizes = sizes
-            frame = encode_frame(
-                {"t": "batch", "id": message_id, "d": "".join(parts), "s": sub_sizes},
-                self.codec,
-            )
+        submitted = []
+        for index, frame in frames.items():
             future = loop.create_future()
             self.workers[index].queue.put_nowait((frame, future))
-            submitted.append((future, positions))
+            submitted.append(future)
         self.inflight += 1
         try:
-            replies = await asyncio.gather(*(future for future, _ in submitted))
+            replies = await asyncio.gather(*submitted)
         finally:
             self.inflight -= 1
 
-        mask = 0
+        verdicts = {}
         new_entries = 0
-        for (_, positions), sub_reply in zip(submitted, replies):
+        for index, sub_reply in zip(frames, replies):
             if not sub_reply.get("ok"):
                 # A worker died mid-batch.  Nothing was acknowledged, so the
                 # client may retry the whole batch against the respawned shard.
                 self.unavailable_batches += 1
-                reply = dict(sub_reply)
-                reply["id"] = message_id
-                return reply
-            sub_mask = int(sub_reply.get("v", "0"), 16)
-            new_entries += int(sub_reply.get("new", 0))
-            bit = 0
-            while sub_mask:
-                if sub_mask & 1:
-                    mask |= 1 << positions[bit]
-                sub_mask >>= 1
-                bit += 1
+                return {**sub_reply, "id": message_id}
+            if sub_reply.get("n") != owners.count(index):
+                self.protocol_errors += 1
+                self.unavailable_batches += 1
+                return {**_UNAVAILABLE, "id": message_id}
+            new_entries += sub_reply["new"]
+            verdicts[index] = iter(mask_bits(sub_reply["v"], sub_reply["n"]))
+        # Re-interleave: digest i's verdict is the next unread bit of its
+        # owner's sub-mask (sub-batches kept digest order).
+        bits = "".join(map(next, map(verdicts.__getitem__, owners)))
         duplicates = count - new_entries
         self.acked_batches += 1
         self.acked_fingerprints += count
@@ -603,7 +615,7 @@ class ServiceGateway:
         self.duplicate_fingerprints += duplicates
         self.batch_latency.record(time.perf_counter() - started)
         return {"t": "reply", "id": message_id, "ok": True,
-                "v": format(mask, "x"), "n": count, "new": new_entries}
+                "v": format(int(bits[::-1], 2), "x"), "n": count, "new": new_entries}
 
     def _handle_kill(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Admin fault injection: SIGKILL one worker (it will be respawned)."""

@@ -7,16 +7,16 @@ module is importable and JSON (UTF-8) otherwise -- the container image here
 has no msgpack, so JSON is the tested default and msgpack stays an
 optional fast path rather than a dependency.
 
-Digest batches are carried as one concatenated hex string (``bytes.hex`` /
-``bytes.fromhex`` are C-speed, and hex survives both codecs), and per-batch
-duplicate verdicts travel as a little-endian bitmask in hex -- bit *i* set
-means fingerprint *i* of the batch was a duplicate.
+Client <-> gateway (pinned): digest batches are carried as one concatenated
+hex string (hex survives both codecs), and per-batch duplicate verdicts
+travel as a little-endian bitmask in hex -- bit *i* set means fingerprint
+*i* of the batch was a duplicate.
 
 Message vocabulary (``t`` field):
 
 ======================  =======================================================
 ``batch``               ``id``, ``d`` (hex digests), ``s`` (chunk size, scalar
-                        or per-digest list) -- client -> gateway -> worker.
+                        or per-digest list) -- client -> gateway.
 ``reply``               ``id``, ``ok``; on success ``v`` (verdict mask hex),
                         ``n`` (batch size), ``new``; on failure ``err``
                         (``OVERLOADED``/``UNAVAILABLE``/``SHUTTING_DOWN``)
@@ -26,6 +26,15 @@ Message vocabulary (``t`` field):
 ``kill_worker``         ``node`` -- admin fault injection (SIGKILL).
 ``shutdown``            gateway -> worker: snapshot, ack, exit.
 ======================  =======================================================
+
+Gateway <-> worker (internal): ``stats``/``ping``/``shutdown`` are the same
+codec dicts, but a batch and its verdicts are *packed* payloads, told apart
+by a first byte no codec emits for a dict (layouts in ``docs/serving.md``):
+``0x01`` + ``!I`` chunk size + n raw 20-byte digests; ``0x02`` + n ``!I``
+chunk sizes + n digests; ``0x03`` + ``!I`` count + ``!I`` new + the
+duplicate mask as ``ceil(count / 8)`` little-endian bytes.  The frame
+readers decode a packed payload into the dict its codec twin would carry
+(``d`` as ``bytes``, ``v`` as an ``int``), so each end has one dispatch.
 """
 
 from __future__ import annotations
@@ -34,7 +43,9 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+from ..storage.packing import DIGEST_BYTES
 
 __all__ = [
     "WireError",
@@ -43,9 +54,14 @@ __all__ = [
     "get_codec",
     "codec_names",
     "encode_frame",
+    "encode_batch_frame",
+    "encode_verdict_frame",
+    "decode_payload",
     "read_frame",
     "recv_frame",
     "send_frame",
+    "verdict_mask",
+    "mask_bits",
     "pack_verdicts",
     "unpack_verdicts",
 ]
@@ -55,6 +71,16 @@ __all__ = [
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 LENGTH_PREFIX = struct.Struct("!I")
+
+# Packed-payload tags (gateway <-> worker hop).  A JSON dict starts with
+# ``{`` and a msgpack map with 0x80-0x8f/0xde/0xdf, so these never collide.
+_TAG_BATCH = b"\x01"
+_TAG_BATCH_SIZED = b"\x02"
+_TAG_VERDICTS = b"\x03"
+_U32 = LENGTH_PREFIX
+_VERDICT_HEAD = struct.Struct("!II")
+#: ``bytes(flags)`` holds 0/1 per verdict; map them to ASCII binary digits.
+_FLAG_DIGITS = b"01" + bytes(254)
 
 try:  # pragma: no cover - absent in the pinned environment
     import msgpack  # type: ignore
@@ -128,12 +154,60 @@ def get_codec(name: str = "auto"):
 
 
 # ---------------------------------------------------------------------- framing
-def encode_frame(message: Dict[str, Any], codec=JsonCodec) -> bytes:
-    """One wire frame: length prefix + encoded payload."""
-    payload = codec.encode(message)
+def _frame(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES")
     return LENGTH_PREFIX.pack(len(payload)) + payload
+
+
+def encode_frame(message: Dict[str, Any], codec=JsonCodec) -> bytes:
+    """One wire frame: length prefix + encoded payload."""
+    return _frame(codec.encode(message))
+
+
+def encode_batch_frame(blob: bytes, sizes: Union[int, Sequence[int]]) -> bytes:
+    """Packed gateway -> worker batch: raw digests plus ``!I`` chunk size(s).
+
+    Raises :class:`struct.error` for a size that is not an integer in u32.
+    """
+    if isinstance(sizes, int):
+        return _frame(_TAG_BATCH + _U32.pack(sizes) + blob)
+    return _frame(_TAG_BATCH_SIZED + struct.pack(f"!{len(sizes)}I", *sizes) + blob)
+
+
+def encode_verdict_frame(count: int, new_entries: int, mask: int) -> bytes:
+    """Packed worker -> gateway reply: count, new count, little-endian mask."""
+    return _frame(
+        _TAG_VERDICTS + _VERDICT_HEAD.pack(count, new_entries)
+        + mask.to_bytes((count + 7) // 8, "little")
+    )
+
+
+def decode_payload(payload: bytes, codec=JsonCodec) -> Dict[str, Any]:
+    """Decode one frame payload, packed or codec, into a message dict."""
+    tag = payload[:1]
+    body = len(payload) - 1
+    if tag == _TAG_BATCH:
+        if body < _U32.size or (body - _U32.size) % DIGEST_BYTES:
+            raise WireError(f"packed batch frame with a {body}-byte body")
+        return {"t": "batch", "d": payload[1 + _U32.size:],
+                "s": _U32.unpack_from(payload, 1)[0]}
+    if tag == _TAG_BATCH_SIZED:
+        count, rest = divmod(body, _U32.size + DIGEST_BYTES)
+        if rest:
+            raise WireError(f"packed sized-batch frame with a {body}-byte body")
+        return {"t": "batch", "d": payload[1 + _U32.size * count:],
+                "s": struct.unpack_from(f"!{count}I", payload, 1)}
+    if tag == _TAG_VERDICTS:
+        if body < _VERDICT_HEAD.size:
+            raise WireError("truncated packed verdict frame")
+        count, new_entries = _VERDICT_HEAD.unpack_from(payload, 1)
+        mask = int.from_bytes(payload[1 + _VERDICT_HEAD.size:], "little")
+        if (body - _VERDICT_HEAD.size != (count + 7) // 8 or new_entries > count
+                or mask >> count):
+            raise WireError("inconsistent packed verdict frame")
+        return {"t": "reply", "ok": True, "v": mask, "n": count, "new": new_entries}
+    return codec.decode(payload)
 
 
 def _payload_length(header: bytes) -> int:
@@ -156,7 +230,7 @@ async def read_frame(reader: asyncio.StreamReader, codec=JsonCodec) -> Optional[
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise WireError("connection closed mid-frame") from None
-    return codec.decode(payload)
+    return decode_payload(payload, codec)
 
 
 def _recv_exactly(conn: socket.socket, length: int) -> Optional[bytes]:
@@ -182,7 +256,7 @@ def recv_frame(conn: socket.socket, codec=JsonCodec) -> Optional[Dict[str, Any]]
     payload = _recv_exactly(conn, _payload_length(header))
     if payload is None:
         raise WireError("connection closed mid-frame")
-    return codec.decode(payload)
+    return decode_payload(payload, codec)
 
 
 def send_frame(conn: socket.socket, message: Dict[str, Any], codec=JsonCodec) -> None:
@@ -191,16 +265,22 @@ def send_frame(conn: socket.socket, message: Dict[str, Any], codec=JsonCodec) ->
 
 
 # ----------------------------------------------------------------- verdict masks
+def verdict_mask(duplicate_flags: Sequence[bool]) -> int:
+    """Per-fingerprint duplicate verdicts as an integer bitmask (bit i = fp i)."""
+    return int(b"0" + bytes(duplicate_flags)[::-1].translate(_FLAG_DIGITS), 2)
+
+
+def mask_bits(mask: int, count: int) -> str:
+    """The low ``count`` bits of ``mask`` as ``"0"``/``"1"`` characters, bit 0 first."""
+    return format(mask, f"0{count}b")[::-1][:count]
+
+
 def pack_verdicts(duplicate_flags: Sequence[bool]) -> str:
     """Pack per-fingerprint duplicate verdicts into a hex bitmask (bit i = fp i)."""
-    mask = 0
-    for index, flag in enumerate(duplicate_flags):
-        if flag:
-            mask |= 1 << index
-    return format(mask, "x")
+    return format(verdict_mask(duplicate_flags), "x")
+
 
 def unpack_verdicts(mask_hex: str, count: int) -> Tuple[int, List[bool]]:
     """Unpack a verdict mask; returns ``(duplicates, flags)`` for ``count`` fps."""
-    mask = int(mask_hex, 16) if mask_hex else 0
-    flags = [bool(mask >> i & 1) for i in range(count)]
-    return sum(flags), flags
+    bits = mask_bits(int(mask_hex, 16) if mask_hex else 0, count)
+    return bits.count("1"), list(map("1".__eq__, bits))

@@ -15,8 +15,8 @@ fingerprints after ``kill -9`` + respawn) leans on.
 
 The frame loop is single-threaded by design: the gateway is the only
 client, one connection at a time, and requests are answered in arrival
-order -- which lets the gateway match replies to requests FIFO without ids
-on this hop (ids still travel for debuggability).
+order -- which lets the gateway match replies to requests FIFO, so the
+packed batch frames on this hop (see :mod:`~repro.serving.wire`) carry no ids.
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ from ..core.hash_node import HybridHashNode
 from ..core.persistence import NodePersistence
 from ..storage.bloom import BloomFilter
 from ..storage.shm import disown_segment
-from .wire import WireError, get_codec, recv_frame, send_frame
+from .wire import WireError, encode_verdict_frame, get_codec, recv_frame, send_frame, verdict_mask
 
 __all__ = ["WorkerSpec", "worker_main"]
-
-DIGEST_BYTES = 20
-DIGEST_HEX = DIGEST_BYTES * 2
 
 
 @dataclass(frozen=True)
@@ -91,35 +88,20 @@ class WorkerSpec:
         )
 
 
-def _serve_batch(node: HybridHashNode, message: Dict[str, Any]) -> Dict[str, Any]:
-    """Answer one digest batch; the hot path of the whole serving stack.
+def _serve_batch(node: HybridHashNode, message: Dict[str, Any]) -> bytes:
+    """Answer one packed digest batch; the hot path of the whole serving stack.
 
     The wire blob goes straight into a :class:`DigestBatch` and through the
     node's verdict-only fused kernel: no ``Fingerprint`` or ``LookupReply``
     objects exist on this path at all -- per-key Python object construction
     is what capped the worker's throughput before.
     """
-    blob = bytes.fromhex(message["d"])
-    sizes = message.get("s", 0)
-    try:
-        batch = DigestBatch.from_blob(blob, sizes)
-    except ValueError as error:
-        raise WireError(str(error)) from None
+    blob = message.get("d")
+    if type(blob) is not bytes:
+        raise WireError("the worker hop carries batches as packed frames only")
+    batch = DigestBatch.from_blob(blob, message["s"])
     verdicts, new_entries = node.serve_digest_batch(batch)
-    mask = 0
-    bit = 1
-    for verdict in verdicts:
-        if verdict:
-            mask |= bit
-        bit <<= 1
-    return {
-        "t": "reply",
-        "id": message.get("id"),
-        "ok": True,
-        "v": format(mask, "x"),
-        "n": len(batch),
-        "new": new_entries,
-    }
+    return encode_verdict_frame(len(batch), new_entries, verdict_mask(verdicts))
 
 
 def _stats(node: HybridHashNode) -> Dict[str, Any]:
@@ -153,7 +135,7 @@ def _serve_connection(conn: socket.socket, node: HybridHashNode, codec) -> bool:
             return False  # gateway went away; go back to accept()
         kind = message.get("t")
         if kind == "batch":
-            send_frame(conn, _serve_batch(node, message), codec)
+            conn.sendall(_serve_batch(node, message))
         elif kind == "stats":
             send_frame(conn, {"t": "stats", "stats": _stats(node)}, codec)
         elif kind == "ping":

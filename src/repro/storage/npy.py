@@ -16,10 +16,16 @@ Environment knobs
     import time, so set it before the first ``repro`` import.
 
 ``REPRO_NUMPY_MIN_BATCH=<n>``
-    Batch-size crossover for the fused node kernels: buckets smaller
-    than ``n`` keep the exec-generated scalar kernels (per-key Python
-    arithmetic beats numpy's fixed per-call overhead on tiny buckets),
-    buckets of ``n`` or more keys run the columnar bloom prefetch.
+    Crossover for the columnar kernels, counted in the keys a kernel
+    will actually work on.  For the bloom/cuckoo whole-batch calls that
+    is the batch size.  For the fused node kernels it is the number of
+    keys that will reach the **bloom stage**, not the number in the
+    batch: the columnar family prefetches bloom probes for every key it
+    is handed, and keys the RAM tier answers never use theirs, so
+    ``HybridHashNode`` counts the batch's RAM misses first (one
+    C-level pass) and a 128-key bucket with six misses stays on the
+    exec-generated packed kernels.  Below ``n`` per-key Python
+    arithmetic beats numpy's fixed per-call overhead.
     Default 64: a batch-size sweep on the dev box (mixed 50%-duplicate
     traffic) has the columnar path losing ~10% at 32 keys and winning
     from 64 up, which also keeps the cluster dispatch's ~32-key

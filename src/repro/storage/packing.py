@@ -16,19 +16,33 @@ import struct
 
 from .npy import np as _np
 
-__all__ = ["DIGEST_BYTES", "digest_hash_words", "digest_hash_words_np"]
+__all__ = ["DIGEST_BYTES", "digest_hash_words", "digest_hash_words_np", "split_digests"]
 
 DIGEST_BYTES = 20
 
 _WORDS_ONE = "QQ4x"
+_DIGEST_ONE = f"{DIGEST_BYTES}s"
 _FORMAT_CACHE: dict = {}
 
 
-def _words_struct(count: int) -> struct.Struct:
-    cached = _FORMAT_CACHE.get(count)
+def _repeated_struct(one: str, count: int) -> struct.Struct:
+    cached = _FORMAT_CACHE.get((one, count))
     if cached is None:
-        cached = _FORMAT_CACHE[count] = struct.Struct(">" + _WORDS_ONE * count)
+        cached = _FORMAT_CACHE[one, count] = struct.Struct(">" + one * count)
     return cached
+
+
+def split_digests(blob) -> tuple:
+    """The 20-byte digests of a packed blob, sliced by one ``struct`` call.
+
+    Raises :class:`ValueError` when the blob is not a whole number of digests.
+    """
+    count, rest = divmod(len(blob), DIGEST_BYTES)
+    if rest:
+        raise ValueError(
+            f"digest blob of {len(blob)} bytes is not a multiple of {DIGEST_BYTES}"
+        )
+    return _repeated_struct(_DIGEST_ONE, count).unpack(blob)
 
 
 def digest_hash_words(blob, count: int) -> tuple:
@@ -38,7 +52,7 @@ def digest_hash_words(blob, count: int) -> tuple:
     "big"))`` per digest ``d`` -- i.e. exactly the words the scalar kernels
     derive -- but computed for the whole batch in one call.
     """
-    return _words_struct(count).unpack(blob)
+    return _repeated_struct(_WORDS_ONE, count).unpack(blob)
 
 
 def digest_hash_words_np(blob, count: int):

@@ -80,6 +80,25 @@ class TestRangePartitioner:
         with pytest.raises(ValueError):
             partitioner.remove_node("only")
 
+    def test_owner_indexes_follow_membership(self):
+        # The batch form of owner(): one index byte per packed digest (the
+        # boundary cases live in tests/test_serving.py's property test).
+        blob = b"".join(fingerprint.digest for fingerprint in FINGERPRINTS[:500])
+        partitioner = RangePartitioner(["n0", "n1", "n2"])
+        for joining in ("n3", "n4"):
+            nodes = partitioner.nodes()
+            owners = partitioner.owner_indexes(blob)
+            assert [nodes[index] for index in owners] == [
+                partitioner.owner(fingerprint) for fingerprint in FINGERPRINTS[:500]
+            ]
+            partitioner.add_node(joining)  # the cached byte table must not survive this
+        assert partitioner.owner_indexes(b"") == b""
+
+    def test_owner_indexes_need_a_free_byte_value(self):
+        assert RangePartitioner([f"n{i}" for i in range(254)]).owner_indexes(bytes(20)) == b"\x00"
+        with pytest.raises(ValueError):
+            RangePartitioner([f"n{i}" for i in range(255)]).owner_indexes(bytes(20))
+
 
 class TestConsistentHashRing:
     def test_construction_validation(self):

@@ -13,24 +13,37 @@ batches and leaves warm-startable state behind.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import os
+import random
+import struct
 import threading
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.partition import KEY_SPACE_SIZE, RangePartitioner, key_of_digest
 from repro.serving.gateway import ServeConfig, ServiceGateway, ServingError
 from repro.serving.loadgen import LoadtestConfig, run_loadtest_async
 from repro.serving.wire import (
     MAX_FRAME_BYTES,
     JsonCodec,
     WireError,
+    decode_payload,
+    encode_batch_frame,
     encode_frame,
+    encode_verdict_frame,
     get_codec,
+    mask_bits,
     pack_verdicts,
+    read_frame,
     recv_frame,
     send_frame,
     unpack_verdicts,
+    verdict_mask,
 )
 from repro.simulation.stats import LatencyRecorder, ReservoirSample
 
@@ -77,6 +90,195 @@ def test_verdict_mask_roundtrip():
     assert unpack_verdicts(pack_verdicts([]), 0) == (0, [])
     # An all-false mask encodes as "0" and must round-trip to all-false.
     assert unpack_verdicts(pack_verdicts([False] * 4), 4) == (0, [False] * 4)
+
+
+def _pack_oracle(flags):
+    """The per-bit loop the C-level mask codec replaced (kept as the oracle)."""
+    mask = 0
+    for index, flag in enumerate(flags):
+        if flag:
+            mask |= 1 << index
+    return mask
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 256, 4099])
+def test_mask_codec_matches_per_bit_oracle(size):
+    rng = random.Random(size)
+    for flags in (
+        [rng.random() < 0.5 for _ in range(size)],
+        [True] * size,
+        [False] * size,
+        [False] * max(size - 1, 0) + [True] * min(size, 1),  # only the top bit
+    ):
+        mask = _pack_oracle(flags)
+        assert verdict_mask(flags) == mask
+        assert pack_verdicts(flags) == format(mask, "x")
+        assert mask_bits(mask, size) == "".join("1" if flag else "0" for flag in flags)
+        assert unpack_verdicts(format(mask, "x"), size) == (sum(flags), flags)
+    # A mask wider than the batch is truncated to its low ``size`` bits.
+    wide = (1 << (size + 3)) - 1
+    assert unpack_verdicts(format(wide, "x"), size) == (size, [True] * size)
+
+
+# ------------------------------------------------------------- packed frames
+def _payload(frame: bytes) -> bytes:
+    (length,) = struct.unpack("!I", frame[:4])
+    assert length == len(frame) - 4
+    return frame[4:]
+
+
+def test_packed_frames_round_trip():
+    blob = os.urandom(20 * 5)
+    assert decode_payload(_payload(encode_batch_frame(blob, 8192))) == {
+        "t": "batch", "d": blob, "s": 8192}
+    sizes = [0, 1, 4096, 65536, 2**32 - 1]
+    assert decode_payload(_payload(encode_batch_frame(blob, sizes))) == {
+        "t": "batch", "d": blob, "s": tuple(sizes)}
+    assert decode_payload(_payload(encode_batch_frame(b"", 0))) == {
+        "t": "batch", "d": b"", "s": 0}
+    for count, new, mask in [(0, 0, 0), (1, 1, 0), (9, 3, 0b100111011), (256, 0, (1 << 256) - 1)]:
+        assert decode_payload(_payload(encode_verdict_frame(count, new, mask))) == {
+            "t": "reply", "ok": True, "v": mask, "n": count, "new": new}
+    # Chunk sizes are u32 on the packed hop; anything else fails to encode.
+    for bad in (-1, 2**32, [1, 2, 3, 4, 2**32], [1, 2, 3, 4, 1.5], [1, 2, 3, 4, "x"]):
+        with pytest.raises(struct.error):
+            encode_batch_frame(blob, bad)
+
+
+@pytest.mark.parametrize("payload", [
+    b"\x01",                                   # truncated header
+    b"\x01\x00\x00",                           # truncated chunk size
+    b"\x01" + bytes(4) + bytes(19),            # body not a multiple of 20
+    b"\x01" + bytes(4) + bytes(41),
+    b"\x02" + bytes(23),                       # sized body not a multiple of 24
+    b"\x02" + bytes(49),
+    b"\x03",                                   # truncated verdict header
+    b"\x03" + bytes(7),
+    b"\x03" + struct.pack("!II", 9, 0) + b"\x00",          # mask shorter than ceil(9/8)
+    b"\x03" + struct.pack("!II", 8, 0) + b"\x00\x00",      # mask longer than ceil(8/8)
+    b"\x03" + struct.pack("!II", 0, 0) + b"\x00",
+    b"\x03" + struct.pack("!II", 8, 9) + b"\x00",          # new > count
+    b"\x03" + struct.pack("!II", 3, 0) + b"\x08",          # a bit beyond count
+    b"\x04" + bytes(24),                       # unknown tag: not a codec dict either
+    b"",
+])
+def test_malformed_packed_payloads_raise_wire_error(payload):
+    with pytest.raises(WireError):
+        decode_payload(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([b"\x01", b"\x02", b"\x03"]), st.binary(max_size=120))
+def test_packed_payload_fuzz_never_crashes(tag, body):
+    try:
+        message = decode_payload(tag + body)
+    except WireError:
+        return
+    if message["t"] == "batch":
+        assert len(message["d"]) % 20 == 0
+        sizes = message["s"]
+        assert isinstance(sizes, int) or len(sizes) == len(message["d"]) // 20
+    else:
+        assert message["new"] <= message["n"] and message["v"] < 1 << message["n"]
+
+
+def test_mixed_packed_and_codec_frames_on_one_connection():
+    blob = os.urandom(40)
+    frames = [
+        encode_batch_frame(blob, 4096),
+        encode_frame({"t": "stats"}),
+        encode_verdict_frame(2, 1, 0b10),
+        encode_batch_frame(blob, [1, 2]),
+        encode_frame({"t": "shutdown"}),
+    ]
+    expected = [
+        {"t": "batch", "d": blob, "s": 4096},
+        {"t": "stats"},
+        {"t": "reply", "ok": True, "v": 2, "n": 2, "new": 1},
+        {"t": "batch", "d": blob, "s": (1, 2)},
+        {"t": "shutdown"},
+    ]
+    left, right = socket.socketpair()
+    try:
+        left.sendall(b"".join(frames))
+        left.close()
+        assert [recv_frame(right, JsonCodec) for _ in frames] == expected
+        assert recv_frame(right, JsonCodec) is None
+    finally:
+        right.close()
+
+    async def _stream():
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"".join(frames))
+        reader.feed_eof()
+        return [await read_frame(reader, JsonCodec) for _ in range(len(frames) + 1)]
+
+    assert asyncio.run(_stream()) == expected + [None]
+
+
+def test_worker_refuses_a_codec_batch():
+    from repro.core.config import HashNodeConfig
+    from repro.core.hash_node import HybridHashNode
+    from repro.serving.worker import _serve_batch
+
+    node = HybridHashNode("w", config=HashNodeConfig(bloom_expected_items=512, ssd_buckets=16))
+    with pytest.raises(WireError):
+        _serve_batch(node, {"t": "batch", "id": 1, "d": "ab" * 20, "s": 4096})
+    reply = decode_payload(_payload(_serve_batch(node, {"t": "batch", "d": b"k" * 20, "s": 1})))
+    assert reply == {"t": "reply", "ok": True, "v": 0, "n": 1, "new": 1}
+
+
+# ------------------------------------------------------------------- routing
+@functools.lru_cache(maxsize=None)
+def _gateway(num_nodes: int) -> ServiceGateway:
+    """An unstarted gateway: routing tables only, no processes or sockets."""
+    async def _build():  # asyncio primitives want a loop on older Pythons
+        return ServiceGateway(ServeConfig(port=0, num_nodes=num_nodes))
+
+    return asyncio.run(_build())
+
+
+def _boundary_digests(num_nodes: int):
+    """Digests one below, at and one above every range boundary."""
+    width = KEY_SPACE_SIZE // num_nodes
+    keys = {0, KEY_SPACE_SIZE - 1}
+    for index in range(1, num_nodes + 1):
+        keys.update(key for key in (index * width - 1, index * width, index * width + 1)
+                    if 0 <= key < KEY_SPACE_SIZE)
+    return [key.to_bytes(8, "big") + bytes(12) for key in sorted(keys)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.lists(st.binary(min_size=20, max_size=20), max_size=64),
+       st.randoms(use_true_random=False))
+def test_gateway_owner_bytes_match_the_range_partitioner(num_nodes, digests, rng):
+    gateway = _gateway(num_nodes)
+    digests = digests + _boundary_digests(num_nodes)
+    rng.shuffle(digests)
+    partitioner = RangePartitioner([gateway.config.node_id(i) for i in range(num_nodes)])
+    expected = [
+        int(partitioner.owners_by_key(key_of_digest(digest), 1)[0][len("node"):])
+        for digest in digests
+    ]
+    assert list(gateway._partitioner.owner_indexes(b"".join(digests))) == expected
+
+
+def test_ambiguous_prefixes_exist_where_expected():
+    # 3, 5, 6, 7 and 9 nodes cut first-byte prefixes; powers of two do not.
+    for num_nodes in range(1, 10):
+        partitioner = _gateway(num_nodes)._partitioner
+        partitioner.owner_indexes(b"")
+        ambiguous = partitioner._owner_bytes.count(0xFF)
+        assert ambiguous <= num_nodes - 1
+        assert (ambiguous > 0) == (num_nodes in (3, 5, 6, 7, 9))
+
+
+def test_num_nodes_must_fit_one_owner_byte():
+    with pytest.raises(ValueError):
+        ServeConfig(num_nodes=0)
+    with pytest.raises(ValueError):
+        ServeConfig(num_nodes=255)
+    assert ServeConfig(num_nodes=254).num_nodes == 254
 
 
 # ------------------------------------------------------------ gateway lifecycle
@@ -291,6 +493,101 @@ def test_unknown_frame_type_and_kill_of_unknown_worker():
         assert second["id"] == 10 and not second["ok"] and "node99" in second["err"]
 
     asyncio.run(_go())
+
+
+# ------------------------------------------------------------ malformed batches
+_GOOD = "".join(f"{i << 154:040x}" for i in range(64))
+
+_MALFORMED = [
+    # Routes fine on its first 16 hex chars, then used to kill the worker.
+    ({"d": "0" * 16 + "z" * 24, "s": 8192}, "malformed digest blob"),
+    # These three used to raise inside the batch task: no reply, ever.
+    ({"d": "z" * 40, "s": 8192}, "malformed digest blob"),
+    ({"d": 12345, "s": 8192}, "malformed digest blob"),
+    ({"d": _GOOD, "s": [4096] * 63}, "malformed chunk sizes"),
+    ({"d": _GOOD, "s": [4096] * 63 + [2**32]}, "malformed chunk sizes"),
+    ({"d": _GOOD, "s": [4096] * 63 + [-1]}, "malformed chunk sizes"),
+    ({"d": _GOOD, "s": [4096] * 63 + [1.5]}, "malformed chunk sizes"),
+    ({"d": _GOOD, "s": "4096"}, "malformed chunk sizes"),
+    ({"d": _GOOD, "s": -1}, "malformed chunk sizes"),
+    ({"d": ["ab" * 20], "s": 8192}, "malformed digest blob"),
+    ({"s": 8192}, "malformed digest blob"),
+    ({"d": "", "s": 8192}, "malformed digest blob"),
+    ({"d": "ab" * 19, "s": 8192}, "malformed digest blob"),
+    # fromhex skips whitespace: 20 bytes decode out of 80 characters.
+    ({"d": "ab" * 20 + " " * 40, "s": 8192}, "malformed digest blob"),
+]
+
+
+def test_malformed_batches_get_an_error_reply_and_kill_nothing(tmp_path):
+    async def _go():
+        gateway = ServiceGateway(_serve_config(tmp_path))
+        await gateway.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            replies = []
+            for number, (fields, _) in enumerate(_MALFORMED):
+                writer.write(encode_frame({"t": "batch", "id": number, **fields}))
+                await writer.drain()
+                replies.append(await asyncio.wait_for(read_frame(reader), timeout=2.0))
+            # The same connection still serves a well-formed batch, with
+            # per-digest sizes split across both workers.
+            good = {"t": "batch", "id": "good", "d": _GOOD, "s": list(range(64))}
+            writer.write(encode_frame(good))
+            writer.write(encode_frame(good))
+            await writer.drain()
+            first = await asyncio.wait_for(read_frame(reader), timeout=10.0)
+            second = await asyncio.wait_for(read_frame(reader), timeout=10.0)
+            writer.close()
+            return replies, first, second, gateway.stats()
+        finally:
+            await gateway.close()
+
+    replies, first, second, stats = asyncio.run(_go())
+    for number, ((_, error), reply) in enumerate(zip(_MALFORMED, replies)):
+        assert reply == {"t": "reply", "id": number, "ok": False,
+                         "err": error, "retry": False}, reply
+    assert first["ok"] and first["n"] == 64 and first["new"] == 64 and first["v"] == "0"
+    assert second["ok"] and second["new"] == 0 and second["v"] == format((1 << 64) - 1, "x")
+    assert stats["protocol_errors"] == len(_MALFORMED)
+    assert [worker["restarts"] for worker in stats["workers"]] == [0, 0]
+    assert [worker["sent"] for worker in stats["workers"]] == [2, 2]
+
+
+def test_every_batch_frame_gets_exactly_one_reply(capsys):
+    """An unexpected exception or a miscounted worker reply is answered too."""
+    async def _go():
+        gateway = ServiceGateway(_serve_config(num_nodes=1))
+        await gateway.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+
+            async def _ask(message_id):
+                writer.write(encode_frame({"t": "batch", "id": message_id, "d": _GOOD, "s": 1}))
+                await writer.drain()
+                return await asyncio.wait_for(read_frame(reader), timeout=5.0)
+
+            split = gateway._split
+            # The worker is sent (and answers for) one digest fewer than routed.
+            gateway._split = lambda blob, owners, sizes: split(blob[20:], owners[1:], sizes)
+            miscounted = await _ask(1)
+            gateway._split = lambda *_: 1 // 0
+            crashed = await _ask(2)
+            gateway._split = split
+            served = await _ask(3)
+            writer.close()
+            return miscounted, crashed, served, gateway.stats()
+        finally:
+            await gateway.close()
+
+    miscounted, crashed, served, stats = asyncio.run(_go())
+    assert miscounted == {"t": "reply", "id": 1, "ok": False, "err": "UNAVAILABLE", "retry": True}
+    assert crashed == {"t": "reply", "id": 2, "ok": False,
+                       "err": "internal error: ZeroDivisionError", "retry": False}
+    assert "ZeroDivisionError" in capsys.readouterr().err
+    assert served["ok"] and served["n"] == 64
+    assert stats["protocol_errors"] == 2
+    assert stats["workers"][0]["restarts"] == 0
 
 
 # -------------------------------------------------------- concurrent recording

@@ -718,6 +718,60 @@ class TestColumnarFusedKernelDifferential:
         assert [reply.is_duplicate for reply in replies] == [False] * 4
 
 
+@needs_numpy
+def test_crossover_counts_the_keys_that_reach_the_bloom_stage(monkeypatch):
+    """128 keys, 95% RAM hits -> packed family; 50% -> columnar family.
+
+    Only the family moves: a twin node forced the other way (crossover
+    pinned to 1 / to "never") ends in the same state with the same
+    verdicts, service times and new pairs.
+    """
+    import repro.core.hash_node as hash_node_mod
+
+    rng = random.Random(13)
+    known = [rng.randbytes(20) for _ in range(256)]
+    config = HashNodeConfig(
+        ram_cache_entries=512, bloom_expected_items=4096, ssd_buckets=64
+    )
+    batches = [  # (RAM hits, family expected at the default crossover)
+        (known[:122] + [rng.randbytes(20) for _ in range(6)], False),
+        (known[128:192] + [rng.randbytes(20) for _ in range(64)], True),
+    ]
+    for digests, _ in batches:
+        rng.shuffle(digests)
+
+    def _serve_all(crossovers):
+        node = HybridHashNode("crossover", config=config)
+        node.serve_digest_batch(DigestBatch.from_blob(b"".join(known), 4096))
+        run_fused, families, outputs = node._run_fused, [], []
+
+        def _spy(*args, columnar=False):
+            families.append(columnar)
+            return run_fused(*args, columnar=columnar)
+
+        node._run_fused = _spy
+        for (digests, _), crossover in zip(batches, crossovers):
+            monkeypatch.setattr(hash_node_mod, "NUMPY_MIN_BATCH", crossover)
+            outputs.append(
+                node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(digests), 4096))
+            )
+        assert node.kernel_backend == "numpy"
+        state = (
+            node.counters.as_dict(), node.store.stats(), sorted(node.store.items()),
+            bytes(node.bloom.raw_bits()), node.bloom.count, list(node.cache.data),
+            node.lookup_latency.as_dict(),
+        )
+        return families, outputs, state
+
+    families, outputs, state = _serve_all([64, 64])
+    assert families == [expected for _, expected in batches]
+    assert [len(new_pairs) for _, _, new_pairs in outputs] == [6, 64]
+    forced_families, forced_outputs, forced_state = _serve_all([1, 1 << 62])
+    assert forced_families == [not expected for _, expected in batches]
+    assert forced_outputs == outputs
+    assert forced_state == state
+
+
 def test_worker_stats_report_kernel_backend():
     # The /stats payload must carry the backend either way; which value it
     # is depends on whether numpy imported in this process.
