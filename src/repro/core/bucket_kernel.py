@@ -1,83 +1,81 @@
 """Fused per-batch lookup kernels for the hybrid hash node.
 
-:meth:`~repro.core.hash_node.HybridHashNode._lookup_batch_core` already
-hoists bound methods and settles counters per batch, but it still makes
-three Python calls per non-cached fingerprint (bloom probe, store probe,
-store insert) and re-derives the bloom hash words key by key.  This module
-exec-generates the *entire* loop per bloom shape ``(num_bits, num_hashes)``
--- the same technique as the storage kernels -- with:
+:meth:`~repro.core.hash_node.HybridHashNode.lookup` spells the paper's
+Figure-4 flow -- RAM LRU, bloom guard, SSD table, insert -- readably, one
+fingerprint at a time, with a handful of Python calls per tier.  This
+module exec-generates the same flow as one loop over a whole
+:class:`~repro.core.digest_batch.DigestBatch` per bloom shape
+``(num_bits, num_hashes)`` -- the same technique as the storage kernels --
+with:
 
-* the bloom probe unrolled inline over the packed batch hash words of a
-  :class:`~repro.core.digest_batch.DigestBatch` (one ``struct.unpack`` for
-  the whole batch, early exit on the first zero bit, the probe step only
-  derived once the first bit passes);
+* the bloom probe unrolled inline over the batch's hash words (one
+  ``struct.unpack`` for the whole batch, early exit on the first zero bit,
+  the probe step only derived once the first bit passes); shapes past
+  :data:`FUSED_MAX_HASHES` rounds get the same walk as a loop instead of
+  an unrolled ladder -- same template, same outputs;
 * the SSD store probe and known-new insert inlined against the store's
   bucket dicts with the exact page/write-buffer arithmetic of
-  :meth:`~repro.storage.hashstore.SSDHashStore.probe_pages` /
-  :meth:`~repro.storage.hashstore.SSDHashStore.insert_new_pages`
-  (the store hands its raw state to the kernel via
-  :meth:`~repro.storage.hashstore.SSDHashStore.batch_state` and takes the
-  deltas back via :meth:`~repro.storage.hashstore.SSDHashStore.settle_batch`);
+  ``lookup_io`` / ``put`` + ``insert_io`` (the store hands its raw state to
+  the kernel via :meth:`~repro.storage.hashstore.SSDHashStore.batch_state`
+  and takes the deltas back via
+  :meth:`~repro.storage.hashstore.SSDHashStore.settle_batch`);
 * service times accumulated in the same float association order as the
-  scalar loop, so replies stay byte-identical (pinned by
-  tests/test_routed_batch_equivalence.py and the differential suite).
+  per-fingerprint flow, so they stay bit-identical (pinned by the
+  differential suites in tests/test_vectorized_kernels.py and
+  tests/test_routed_batch_equivalence.py).
 
-Two variants are generated per shape: a **reply** kernel that builds
-:class:`~repro.core.protocol.LookupReply` objects (the cluster dispatch
-path) and a **verdict** kernel that only emits duplicate booleans and the
-new ``(digest, chunk_size)`` pairs (the serving worker's wire path, where
-no ``Fingerprint`` or reply objects need to exist at all).
+One contract, two families
+--------------------------
+Every kernel emits the same three per-batch outputs: a **tier code** per
+key (:data:`~repro.core.protocol.SERVED_FROM_TIER` index: ``0`` new, ``1``
+RAM, ``2`` SSD -- truthiness is the duplicate verdict), a service time per
+key, and the new ``(digest, chunk_size)`` pairs.  ``LookupReply`` /
+``LookupResult`` objects are views built outside the kernel by whoever
+needs them.  Exactly two kernels exist per shape, differing only in the
+bloom stage:
 
-Columnar (numpy) kernel family
-------------------------------
-:func:`fused_columnar_kernels` generates a third family for the numpy
-backend (see :mod:`repro.storage.npy`): instead of walking the bloom probe
-sequence per key, one ``(num_hashes, n)`` gather prefetches the whole
-batch's verdicts *and* the probe-index rows of the negative keys
-(:meth:`~repro.storage.bloom.BloomFilter._prefetch_probe_np`), so no
-hashing or modulo arithmetic survives in the per-key loop at all --
-positives cost one list index, negatives set their bits straight from
-the prefetched row.  Prefetched verdicts can go stale when an
-intra-batch insert sets bits a later key happens to probe -- which would
-silently flip its verdict, counters, and service time away from the
-scalar kernels'.  The family stays byte-identical through a monotonicity
-argument: bloom bits are only ever *set*, so a prefetched ``True`` can
-never become wrong; a prefetched ``False`` is trusted as long as no
-insert has happened yet (``dirty`` flag), and re-checked against the
-live bits via its own prefetched index row (early-exit, no re-hash)
-otherwise.  Negative keys OR in exactly the bits of their prefetched row
--- the same final bit state the scalar kernels' fused break-site insert
-produces.  The per-key fallback tail (SSD probe, inserts, reply
-construction) is shared verbatim with the scalar family.
+* the **packed** kernel walks the probe sequence per key;
+* the **columnar** kernel (numpy backend, see :mod:`repro.storage.npy`)
+  takes one ``(num_hashes, n)`` gather that prefetches the whole batch's
+  verdicts *and* the probe-index rows of the negative keys
+  (:meth:`~repro.storage.bloom.BloomFilter._prefetch_probe_np`), so no
+  hashing or modulo arithmetic survives in the per-key loop at all --
+  positives cost one list index, negatives set their bits straight from
+  the prefetched row.  Prefetched verdicts can go stale when an
+  intra-batch insert sets bits a later key happens to probe -- which would
+  silently flip its verdict, counters, and service time away from the
+  packed kernel's.  The family stays byte-identical through a monotonicity
+  argument: bloom bits are only ever *set*, so a prefetched ``True`` can
+  never become wrong; a prefetched ``False`` is trusted as long as no
+  insert has happened yet (``dirty`` flag), and re-checked against the
+  live bits via its own prefetched index row (early-exit, no re-hash)
+  otherwise.  Negative keys OR in exactly the bits of their prefetched row
+  -- the same final bit state the packed kernel's fused break-site insert
+  produces.
+
+The node picks the family per batch from the number of keys that will
+reach the bloom stage (see
+:meth:`~repro.core.hash_node.HybridHashNode._select_kernel`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Tuple
+from typing import Callable, Tuple
 
-from ..dedup.index import ChunkLocation, LookupResult
 from ..storage.hashstore import _HASH64_MEMO, _HASH64_MEMO_MAX
-from .protocol import LookupReply, ServedFrom
 
-__all__ = ["fused_kernels", "fused_columnar_kernels", "FUSED_MAX_HASHES",
-           "EMPTY_LOCATION"]
+__all__ = ["fused_kernels", "FUSED_MAX_HASHES"]
 
-#: Shared empty location for hot-path :class:`LookupResult` construction;
-#: :class:`ChunkLocation` is a frozen value object, so one instance serves
-#: every result.
-EMPTY_LOCATION = ChunkLocation()
-
-#: Shapes with more probe rounds than this fall back to the scalar loop
-#: (mirrors the storage kernels' unroll bound).
+#: Shapes with more probe rounds than this get a looped probe block instead
+#: of the unrolled ladder (mirrors the storage kernels' unroll bound).
 FUSED_MAX_HASHES = 16
 
 _FUSED_CACHE: dict = {}
-_COLUMNAR_CACHE: dict = {}
 
 
 def _probe_block(num_hashes: int, pad: str) -> list:
-    """Unrolled early-exit bloom probe fused with the negative-path insert.
+    """Early-exit bloom probe fused with the negative-path insert.
 
     ``while 1`` + ``break`` gives the per-key early exit without a helper
     function call; the probe step is only computed after the first bit
@@ -90,6 +88,26 @@ def _probe_block(num_hashes: int, pad: str) -> list:
     """
     inner = pad + "    "
     tail = inner + "    "
+    if num_hashes > FUSED_MAX_HASHES:
+        # Same walk as a loop: on the first zero bit, restart from the
+        # first index and set all rounds (re-setting a set bit is a no-op,
+        # so the final bit state matches the unrolled ladder's).
+        return [
+            f"{pad}index = first = words[wi] % nb",
+            f"{pad}step = (words[wi + 1] | 1) % nb",
+            f"{pad}in_bloom = True",
+            f"{pad}for _ in range({num_hashes}):",
+            f"{inner}if not bits[index >> 3] & (1 << (index & 7)):",
+            f"{tail}index = first",
+            f"{tail}for _ in range({num_hashes}):",
+            f"{tail}    bits[index >> 3] |= 1 << (index & 7)",
+            f"{tail}    index += step",
+            f"{tail}    if index >= nb: index -= nb",
+            f"{tail}in_bloom = False",
+            f"{tail}break",
+            f"{inner}index += step",
+            f"{inner}if index >= nb: index -= nb",
+        ]
     lines = [f"{pad}index = words[wi] % nb", f"{pad}while 1:"]
     for i in range(num_hashes):
         lines.append(f"{inner}if not bits[index >> 3] & (1 << (index & 7)):")
@@ -125,38 +143,8 @@ def _bucket_block(pad: str) -> list:
     ]
 
 
-def _reply_block(pad: str, index_expr: str, duplicate: str, served: str,
-                 time_expr: str) -> list:
-    return [
-        f"{pad}reply = new_reply(reply_cls)",
-        f"{pad}fields = reply.__dict__",
-        f"{pad}fields['fingerprint'] = fingerprints[{index_expr}]",
-        f"{pad}fields['is_duplicate'] = {duplicate}",
-        f"{pad}fields['served_from'] = {served}",
-        f"{pad}fields['node_id'] = node_id",
-        f"{pad}fields['service_time'] = {time_expr}",
-        f"{pad}out_append(reply)",
-        f"{pad}times_append({time_expr})",
-    ]
-
-
-def _result_block(pad: str, duplicate: str, time_expr: str) -> list:
-    """Build a :class:`LookupResult` and place it at its batch position."""
-    return [
-        f"{pad}result = new_result(result_cls)",
-        f"{pad}fields = result.__dict__",
-        f"{pad}fields['fingerprint'] = fingerprints[i]",
-        f"{pad}fields['is_duplicate'] = {duplicate}",
-        f"{pad}fields['location'] = empty_location",
-        f"{pad}fields['latency'] = {time_expr}",
-        f"{pad}fields['served_by'] = node_id",
-        f"{pad}merged[positions[i]] = result",
-        f"{pad}times_append({time_expr})",
-    ]
-
-
 def _cache_insert_block(pad: str) -> list:
-    """Inlined :meth:`~repro.storage.lru.LRUCache.put_new` (known-absent key).
+    """Inlined :meth:`~repro.storage.lru.LRUCache.put` for a known-absent key.
 
     Insertions/evictions are accumulated in locals and settled per batch by
     the caller; the eviction callback fires in order, exactly like the
@@ -173,32 +161,22 @@ def _cache_insert_block(pad: str) -> list:
     ]
 
 
-def _kernel_source(num_bits: int, num_hashes: int, variant: str,
-                   columnar: bool = False) -> str:
-    """Source of one fused kernel.
-
-    ``variant`` is one of ``reply`` (LookupReply objects), ``verdict``
-    (bools + new pairs, chunk sizes from a list/int), ``routed`` (bools +
-    new pairs, chunk sizes off routed fingerprints) or ``result``
-    (LookupResult objects written straight into the caller's merge slots;
-    ``out_append`` carries the ``(positions, merged)`` pair).
+def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> str:
+    """Source of one fused kernel (see the module docstring for the contract).
 
     With ``columnar=True`` the per-key bloom probe walk is replaced by the
-    prefetched-verdict protocol of the module docstring: one trailing
-    parameter (``bloom_prefetch``, a lazy callable returning the whole
-    batch's ``(verdicts, probe_rows)`` pair) and a ``dirty`` staleness
-    flag.  Everything outside the bloom stage is emitted identically.
+    prefetched-verdict protocol: one trailing parameter
+    (``bloom_prefetch``, a lazy callable returning the whole batch's
+    ``(verdicts, probe_rows)`` pair) and a ``dirty`` staleness flag.
+    Everything outside the bloom stage is emitted identically.
     """
-    reply = variant == "reply"
-    result = variant == "result"
-    per_key = "chunk_sizes" if variant == "verdict" else "fingerprints"
-    name = f"fused_{variant}_columnar_kernel" if columnar else f"fused_{variant}_kernel"
+    name = "fused_columnar_kernel" if columnar else "fused_packed_kernel"
     lines = [
         f"def {name}(",
-        f"    digests, hash_words, {per_key}, cached, move_to_end, cache_popitem,",
+        "    digests, hash_words, chunk_sizes, cached, move_to_end, cache_popitem,",
         "    on_evict, cache_capacity,",
         "    bits, store_buckets, store_num_buckets, entries_per_page,",
-        "    write_buffer_pages, buffered, node_id, base_time, page_read_cost,",
+        "    write_buffer_pages, buffered, base_time, page_read_cost,",
         "    page_write_rand_cost, page_write_seq_cost, out_append, times_append,",
         "    new_append," + (" bloom_prefetch," if columnar else ""),
         "):",
@@ -213,44 +191,25 @@ def _kernel_source(num_bits: int, num_hashes: int, variant: str,
         "    cache_insertions = cache_evictions = 0",
         "    total_ssd_time = 0.0",
         "    page_reads = page_writes = buffer_flushes = 0",
+        "    scalar_size = type(chunk_sizes) is int",
     ]
     if columnar:
         lines += ["    verdicts = None", "    dirty = 0"]
     else:
         lines.append("    words = None")
-    if reply:
-        lines += [
-            "    new_reply = _new_reply",
-            "    reply_cls = _reply_cls",
-            "    served_ram = _served_ram",
-            "    served_ssd = _served_ssd",
-            "    served_new = _served_new",
-        ]
-    elif result:
-        lines += [
-            "    positions, merged = out_append",
-            "    new_result = _new_result",
-            "    result_cls = _result_cls",
-            "    empty_location = _empty_location",
-        ]
-    elif variant == "verdict":
-        lines.append("    scalar_size = type(chunk_sizes) is int")
     lines.append("    for i, digest in enumerate(digests):")
     # 1. RAM LRU probe.
-    lines.append("        if digest in cached:")
-    lines.append("            move_to_end(digest)")
-    lines.append("            ram_hits += 1")
-    if reply:
-        lines += _reply_block("            ", "i", "True", "served_ram", "base_time")
-    elif result:
-        lines += _result_block("            ", "True", "base_time")
-    else:
-        lines.append("            out_append(True)")
-        lines.append("            times_append(base_time)")
-    lines.append("            continue")
-    # 2. Bloom guard: either the unrolled per-key probe walk over the
-    # packed batch words, or the columnar prefetched-verdict protocol
-    # (both lazily derived: buckets answered entirely from RAM pay nothing).
+    lines += [
+        "        if digest in cached:",
+        "            move_to_end(digest)",
+        "            ram_hits += 1",
+        "            out_append(1)",
+        "            times_append(base_time)",
+        "            continue",
+    ]
+    # 2. Bloom guard: either the per-key probe walk over the batch words,
+    # or the columnar prefetched-verdict protocol (both lazily derived:
+    # buckets answered entirely from RAM pay nothing).
     if columnar:
         lines.append("        if verdicts is None:")
         lines.append("            verdicts, probe_rows = bloom_prefetch()")
@@ -275,58 +234,52 @@ def _kernel_source(num_bits: int, num_hashes: int, variant: str,
         lines.append("        wi = i + i")
         lines += _probe_block(num_hashes, "        ")
     lines.append("        if in_bloom:")
-    # 3. SSD probe (probe_pages inlined; bucket reused by the FP insert).
+    # 3. SSD probe (lookup_io + membership inlined; the bucket is reused by
+    # the false-positive insert).
     lines += _bucket_block("            ")
-    lines.append("            entries = len(bucket)")
-    lines.append("            pages = -(-entries // entries_per_page) or 1")
-    lines.append("            page_reads += pages")
-    lines.append("            if pages == 1:")
-    lines.append("                ssd_time = 0.0 + page_read_cost")
-    lines.append("            else:")
-    lines.append("                ssd_time = 0.0")
-    lines.append("                for _ in range(pages):")
-    lines.append("                    ssd_time += page_read_cost")
-    lines.append("            if digest in bucket:")
-    lines.append("                ssd_hits += 1")
+    lines += [
+        "            entries = len(bucket)",
+        "            pages = -(-entries // entries_per_page) or 1",
+        "            page_reads += pages",
+        "            if pages == 1:",
+        "                ssd_time = 0.0 + page_read_cost",
+        "            else:",
+        "                ssd_time = 0.0",
+        "                for _ in range(pages):",
+        "                    ssd_time += page_read_cost",
+        "            if digest in bucket:",
+        "                ssd_hits += 1",
+    ]
     lines += _cache_insert_block("                ")
-    lines.append("                service_time = base_time + ssd_time")
-    if reply:
-        lines += _reply_block(
-            "                ", "i", "True", "served_ssd", "service_time"
-        )
-    elif result:
-        lines += _result_block("                ", "True", "service_time")
-    else:
-        lines.append("                out_append(True)")
-        lines.append("                times_append(service_time)")
-    lines.append("                total_ssd_time += ssd_time")
-    lines.append("                continue")
-    lines.append("            bloom_false_positives += 1")
-    lines.append("        else:")
-    lines.append("            bloom_negative_shortcuts += 1")
+    lines += [
+        "                out_append(2)",
+        "                times_append(base_time + ssd_time)",
+        "                total_ssd_time += ssd_time",
+        "                continue",
+        "            bloom_false_positives += 1",
+        "        else:",
+        "            bloom_negative_shortcuts += 1",
+    ]
     if columnar:
         # Definitely new: OR in exactly the bits of the prefetched probe
-        # row -- the same final bit state the scalar family's fused
+        # row -- the same final bit state the packed kernel's fused
         # break-site insert leaves -- and mark the verdicts stale.
         lines.append("            for index in probe_rows[i]:")
         lines.append("                bits[index >> 3] |= 1 << (index & 7)")
         lines.append("            dirty = 1")
     lines.append("            ssd_time = 0.0")
     lines += _bucket_block("            ")
-    # New fingerprint: cache + store insert (insert_new_pages inlined; the
-    # bucket was resolved by whichever branch ran above, and the bloom bits
-    # were already settled inside the probe block -- negatives set their
-    # missing bits at the break site, false positives have every bit set).
+    # New fingerprint: cache + store insert (put + insert_io inlined for a
+    # known-absent key; the bucket was resolved by whichever branch ran
+    # above, and the bloom bits were already settled inside the probe block
+    # -- negatives set their missing bits at the break site, false
+    # positives have every bit set).
     lines.append("        new_entries += 1")
     lines += _cache_insert_block("        ")
-    if variant == "verdict":
-        lines.append("        chunk_size = chunk_sizes if scalar_size else chunk_sizes[i]")
-    else:
-        lines.append("        chunk_size = fingerprints[i].chunk_size")
-    lines.append("        bucket[digest] = chunk_size")
-    if not reply:
-        lines.append("        new_append((digest, chunk_size))")
     lines += [
+        "        chunk_size = chunk_sizes if scalar_size else chunk_sizes[i]",
+        "        bucket[digest] = chunk_size",
+        "        new_append((digest, chunk_size))",
         "        if write_buffer_pages > 0:",
         "            buffered += 1",
         "            if buffered >= entries_per_page:",
@@ -347,17 +300,9 @@ def _kernel_source(num_bits: int, num_hashes: int, variant: str,
         "            page_writes += 1",
         "            insert_time = 0.0 + page_write_rand_cost",
         "            ssd_time += insert_time",
-        "        service_time = base_time + ssd_time",
-    ]
-    if reply:
-        lines += _reply_block("        ", "i", "False", "served_new", "service_time")
-    elif result:
-        lines += _result_block("        ", "False", "service_time")
-    else:
-        lines.append("        out_append(False)")
-        lines.append("        times_append(service_time)")
-    lines.append("        total_ssd_time += ssd_time")
-    lines += [
+        "        out_append(0)",
+        "        times_append(base_time + ssd_time)",
+        "        total_ssd_time += ssd_time",
         "    return (ram_hits, ssd_hits, new_entries, bloom_negative_shortcuts,",
         "            bloom_false_positives, total_ssd_time, page_reads,",
         "            page_writes, buffer_flushes, buffered,",
@@ -366,91 +311,28 @@ def _kernel_source(num_bits: int, num_hashes: int, variant: str,
     return "\n".join(lines)
 
 
-def fused_kernels(num_bits: int, num_hashes: int) -> Optional[Tuple]:
-    """``(reply, verdict, routed, result)`` kernels for a bloom shape.
+def fused_kernels(num_bits: int, num_hashes: int) -> Tuple[Callable, Callable]:
+    """``(packed, columnar)`` kernels for a bloom shape.
 
-    ``None`` means the shape cannot be unrolled (too many hash rounds) and
-    the caller must use the scalar batch loop.  The ``routed`` variant is
-    the verdict kernel over routed ``Fingerprint`` lists: chunk sizes are
-    read off the fingerprints, and only for new entries, so the cluster
-    path never materialises a chunk-size list.  The ``result`` variant
-    additionally builds the cluster's ``LookupResult`` objects in the loop
-    and writes them straight into the caller's merge slots.  Kernels are
-    cached per shape; cluster nodes share parameters, so each shape
-    compiles once.
+    The columnar kernel takes one extra trailing argument --
+    ``bloom_prefetch``, a lazy callable returning the batch's prefetched
+    ``(verdicts, probe_rows)`` pair -- and is only ever *called* for
+    columnar-eligible filters (numpy backend active); generating it needs
+    nothing from numpy.  Kernels are cached per shape; cluster nodes share
+    parameters, so each shape compiles once.
     """
-    if num_hashes > FUSED_MAX_HASHES or num_hashes < 1 or num_bits < 1:
-        return None
     shape = (num_bits, num_hashes)
     kernels = _FUSED_CACHE.get(shape)
-    if kernels is not None:
-        return kernels
-    namespace = {
-        "_MEMO": _HASH64_MEMO,
-        "_MEMO_MAX": _HASH64_MEMO_MAX,
-        "_blake2b": hashlib.blake2b,
-        "_new_reply": object.__new__,
-        "_reply_cls": LookupReply,
-        "_served_ram": ServedFrom.RAM,
-        "_served_ssd": ServedFrom.SSD,
-        "_served_new": ServedFrom.NEW,
-        "_new_result": object.__new__,
-        "_result_cls": LookupResult,
-        "_empty_location": EMPTY_LOCATION,
-    }
-    for variant in ("reply", "verdict", "routed", "result"):
-        exec(_kernel_source(num_bits, num_hashes, variant), namespace)  # noqa: S102 - static template
-    kernels = (
-        namespace["fused_reply_kernel"],
-        namespace["fused_verdict_kernel"],
-        namespace["fused_routed_kernel"],
-        namespace["fused_result_kernel"],
-    )
-    _FUSED_CACHE[shape] = kernels
-    return kernels
-
-
-def fused_columnar_kernels(num_bits: int, num_hashes: int) -> Optional[Tuple]:
-    """``(reply, verdict, routed, result)`` columnar kernels for a shape.
-
-    Same contract and return tuple as :func:`fused_kernels`, but each
-    kernel takes one extra trailing argument -- ``bloom_prefetch``, a lazy
-    callable returning the batch's prefetched ``(verdicts, probe_rows)``
-    pair (see :meth:`~repro.storage.bloom.BloomFilter._prefetch_probe_np`)
-    that feeds the dirty re-check and the negative-path bit insert.  The caller
-    (:class:`~repro.core.hash_node.HybridHashNode`) selects this family
-    only when the numpy backend is active and the batch is at least
-    ``REPRO_NUMPY_MIN_BATCH`` keys.  ``None`` for un-unrollable shapes,
-    mirroring :func:`fused_kernels`.
-    """
-    if num_hashes > FUSED_MAX_HASHES or num_hashes < 1 or num_bits < 1:
-        return None
-    shape = (num_bits, num_hashes)
-    kernels = _COLUMNAR_CACHE.get(shape)
-    if kernels is not None:
-        return kernels
-    namespace = {
-        "_MEMO": _HASH64_MEMO,
-        "_MEMO_MAX": _HASH64_MEMO_MAX,
-        "_blake2b": hashlib.blake2b,
-        "_new_reply": object.__new__,
-        "_reply_cls": LookupReply,
-        "_served_ram": ServedFrom.RAM,
-        "_served_ssd": ServedFrom.SSD,
-        "_served_new": ServedFrom.NEW,
-        "_new_result": object.__new__,
-        "_result_cls": LookupResult,
-        "_empty_location": EMPTY_LOCATION,
-    }
-    for variant in ("reply", "verdict", "routed", "result"):
-        exec(  # noqa: S102 - static template
-            _kernel_source(num_bits, num_hashes, variant, columnar=True), namespace
+    if kernels is None:
+        namespace = {
+            "_MEMO": _HASH64_MEMO,
+            "_MEMO_MAX": _HASH64_MEMO_MAX,
+            "_blake2b": hashlib.blake2b,
+        }
+        exec(_kernel_source(num_bits, num_hashes), namespace)  # noqa: S102 - static template
+        exec(_kernel_source(num_bits, num_hashes, columnar=True), namespace)  # noqa: S102
+        kernels = _FUSED_CACHE[shape] = (
+            namespace["fused_packed_kernel"],
+            namespace["fused_columnar_kernel"],
         )
-    kernels = (
-        namespace["fused_reply_columnar_kernel"],
-        namespace["fused_verdict_columnar_kernel"],
-        namespace["fused_routed_columnar_kernel"],
-        namespace["fused_result_columnar_kernel"],
-    )
-    _COLUMNAR_CACHE[shape] = kernels
     return kernels

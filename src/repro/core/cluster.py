@@ -11,6 +11,18 @@ offers the combined fingerprint store/lookup service of the paper:
   :class:`~repro.core.protocol.BatchLookupRequest` messages to individual
   nodes over the simulated fabric.
 
+Lookup paths
+------------
+:meth:`SHHCCluster.lookup` / :meth:`SHHCCluster.lookup_reply` serve one
+fingerprint at a time and are the readable reference of the replication
+semantics below (:meth:`SHHCCluster._resolve_reply`).  Batches have one
+routed core, :meth:`SHHCCluster._serve_routed` -- bucket by serving node,
+the node's batch contract, failover, ledger charge, batched replica
+propagation -- and two thin views over it:
+:meth:`SHHCCluster.lookup_batch` (``LookupResult``) and
+:meth:`SHHCCluster.lookup_batch_replies` (``LookupReply``).  The same code
+runs with and without a cost model; the model only adds charges.
+
 Replication and failover semantics
 ----------------------------------
 With ``ClusterConfig.replication_factor = k`` every fingerprint has a
@@ -19,17 +31,19 @@ distinct successors (Chord style, per partitioner).  The routing layer
 maintains three invariants, failures included:
 
 * **Serving**: a lookup (single or batched) is always answered by the first
-  *live* node of the fingerprint's own replica set.  Batches are split with
-  :func:`~repro.core.batching.split_batch_by_replica_set`, so each
+  *live* node of the fingerprint's own replica set.  Batches are grouped
+  per fingerprint (:meth:`SHHCCluster._bucket_routed`, grouping-identical
+  to :func:`~repro.core.batching.split_batch_by_replica_set`), so each
   fingerprint fails over independently -- crucial for consistent hashing,
   where two fingerprints sharing a primary generally have different
   successors.
 * **Write propagation**: a fingerprint judged new by its serving node is
-  copied to the remaining live replicas through
-  :meth:`~repro.core.hash_node.HybridHashNode.insert_replica`, a pure write
-  path that does not touch the replicas' lookup counters or latency
-  recorders, so per-node load statistics and ``duplicate_ratio`` reflect
-  client traffic only.
+  copied to the remaining live replicas through a pure write path
+  (:meth:`~repro.core.hash_node.HybridHashNode.insert_replica`; for
+  batches, one batched store write per destination in
+  :meth:`SHHCCluster._propagate_new_groups`) that does not touch the
+  replicas' lookup counters or latency recorders, so per-node load
+  statistics and ``duplicate_ratio`` reflect client traffic only.
 * **Read repair**: when a serving node misses but another live replica
   holds the fingerprint (typically a primary that was down when the write
   happened and has since recovered), the verdict is corrected to duplicate
@@ -62,7 +76,6 @@ from ..network.rpc import RpcLayer
 from ..simulation.costmodel import ControlPlaneLedger, CostModel
 from ..storage.npy import backend_name as npy_backend_name
 from ..simulation.engine import Simulator
-from .batching import reassemble_replies, split_batch_by_replica_set
 from .config import ClusterConfig
 from .digest_batch import DigestBatch
 from .fault_injection import NodeUnavailableError
@@ -70,7 +83,14 @@ from .hash_node import HybridHashNode
 from .persistence import PersistencePolicy, RecoveryReport
 from .metrics import ClusterMetrics, LoadBalanceReport
 from .partition import ConsistentHashRing, Partitioner, RangePartitioner, key_of_digest
-from .protocol import BatchLookupReply, BatchLookupRequest, LookupReply, ServedFrom
+from .protocol import (
+    SERVED_FROM_TIER,
+    BatchLookupReply,
+    BatchLookupRequest,
+    LookupReply,
+    ServedFrom,
+    replies_from_tiers,
+)
 
 __all__ = ["SHHCCluster"]
 
@@ -82,6 +102,10 @@ ROUTE_CACHE_MAX_ENTRIES = 1 << 20
 #: Shared empty location for lookup results; :class:`ChunkLocation` is a
 #: frozen dataclass, so one instance is safe to hand to every result.
 _EMPTY_LOCATION = ChunkLocation()
+
+#: Tier code the routed core writes over a node's ``0`` (new) when another
+#: replica already held the fingerprint.
+_REPAIR_TIER = SERVED_FROM_TIER.index(ServedFrom.REPAIR)
 
 
 class SHHCCluster(ChunkIndex):
@@ -290,7 +314,7 @@ class SHHCCluster(ChunkIndex):
         return LookupResult(
             fingerprint=fingerprint,
             is_duplicate=reply.is_duplicate,
-            location=ChunkLocation(),
+            location=_EMPTY_LOCATION,
             latency=reply.service_time,
             served_by=reply.node_id,
         )
@@ -368,141 +392,30 @@ class SHHCCluster(ChunkIndex):
     def lookup_batch(self, fingerprints: Iterable[Fingerprint]) -> List[LookupResult]:
         """Batch lookup preserving input order (immediate mode).
 
-        Without a cost model the batch takes the verdict-direct path: each
-        bucket is served by the node's verdict kernel
-        (:meth:`~repro.core.hash_node.HybridHashNode.serve_bucket_verdicts`)
-        and ``LookupResult`` objects are built straight from the parallel
-        verdict/service-time views -- no intermediate :class:`LookupReply`
-        is ever allocated.  Verdicts, latencies, counters and replica
-        writes are identical to the reply-based path (pinned by
-        tests/test_routed_batch_equivalence.py).  Cost-model clusters keep
-        the reply path, whose replies the ledger's bucket charging needs.
+        The :class:`~repro.dedup.index.LookupResult` view over
+        :meth:`_serve_routed`: one result per key, written straight into
+        its input position.  Verdicts, latencies, counters and replica
+        writes are those of :meth:`lookup_batch_replies` (and of looping
+        over :meth:`lookup`), with or without a cost model.
         """
         fingerprints = list(fingerprints)
-        if not fingerprints:
-            return []
-        if self.ledger is None and self.cost_model is None:
-            return self._lookup_batch_verdicts(fingerprints)
         merged: List[Optional[LookupResult]] = [None] * len(fingerprints)
         duplicates = 0
         new_result = object.__new__
-        for replies, positions in self._dispatch_routed(fingerprints):
-            for reply, position in zip(replies, positions):
-                is_duplicate = reply.is_duplicate
-                duplicates += is_duplicate
+        for positions, bucket, tiers, service_times, node_ids in self._serve_routed(fingerprints):
+            duplicates += len(tiers) - tiers.count(0)
+            for position, fingerprint, tier, service_time, node_id in zip(
+                positions, bucket, tiers, service_times, node_ids
+            ):
                 # Hot-path construction (see protocol.make_lookup_reply).
                 result = new_result(LookupResult)
                 fields = result.__dict__
-                fields["fingerprint"] = reply.fingerprint
-                fields["is_duplicate"] = is_duplicate
+                fields["fingerprint"] = fingerprint
+                fields["is_duplicate"] = tier != 0
                 fields["location"] = _EMPTY_LOCATION
-                fields["latency"] = reply.service_time
-                fields["served_by"] = reply.node_id
+                fields["latency"] = service_time
+                fields["served_by"] = node_id
                 merged[position] = result
-        self.lookups += len(fingerprints)
-        self.duplicates += duplicates
-        return merged
-
-    def _lookup_batch_verdicts(self, fingerprints: List[Fingerprint]) -> List[LookupResult]:
-        """Verdict-direct :meth:`lookup_batch` core (no cost model).
-
-        Each bucket is served by
-        :meth:`~repro.core.hash_node.HybridHashNode.serve_bucket_results`,
-        which writes one ``LookupResult`` per key -- the only per-key
-        object on this path -- straight into the merge slots.  Repairs
-        flip the verdict in place via the repaired-digest set that
-        :meth:`_propagate_new` returns (a repaired result keeps its
-        original service time, exactly like the ``replace`` on the reply
-        path; the ``__dict__`` write bypasses the frozen-dataclass guard
-        the same way the hot-path constructors do).
-        """
-        batch_id = next(self._batch_ids)
-        self.last_batch_id = batch_id
-        merged: List[Optional[LookupResult]] = [None] * len(fingerprints)
-        duplicates = 0
-        replication_on = self.config.replication_factor > 1
-        nodes = self.nodes
-        # Hoisted propagation preamble: on the clean range-partitioned path
-        # every bucket shares one replica cycle (see _propagate_new_groups),
-        # so replica writes are issued inline below without re-entering the
-        # general helper -- and its per-call preamble -- once per bucket.
-        table = routes_get = None
-        if replication_on and not self._down:
-            prefix_table = getattr(self.partitioner, "prefix_table", None)
-            if prefix_table is not None:
-                table = prefix_table(self.config.replication_factor)
-                routes_get = self._routes().get
-        for serving, (positions, batch, digests) in self._bucket_routed(fingerprints).items():
-            try:
-                _times, new_pairs = nodes[serving].serve_bucket_results(
-                    DigestBatch.from_fingerprints(batch, digests), positions, merged
-                )
-            except NodeUnavailableError:
-                # Whole sub-batch refused (flaky node): same per-fingerprint
-                # failover as the reply path.
-                self.failovers += 1
-                new_result = object.__new__
-                for fingerprint, position in zip(batch, positions):
-                    reply = self._lookup_with_failover(fingerprint, exclude=(serving,))
-                    is_duplicate = reply.is_duplicate
-                    duplicates += is_duplicate
-                    result = new_result(LookupResult)
-                    fields = result.__dict__
-                    fields["fingerprint"] = reply.fingerprint
-                    fields["is_duplicate"] = is_duplicate
-                    fields["location"] = _EMPTY_LOCATION
-                    fields["latency"] = reply.service_time
-                    fields["served_by"] = reply.node_id
-                    merged[position] = result
-                continue
-            duplicates += len(positions) - len(new_pairs)
-            if replication_on and new_pairs:
-                # Propagate per bucket, exactly like the reply path: replica
-                # store writes interleave with later buckets' serves in the
-                # same order as the reference implementation, which keeps
-                # write-buffer flush boundaries -- and therefore individual
-                # new-entry service times -- byte-identical.
-                if table is not None:
-                    # Single shared replica cycle: resolve it from any member
-                    # digest and write each non-serving target directly.
-                    digest = new_pairs[0][0]
-                    replicas = table[digest[0]]
-                    if replicas is None:
-                        replicas = routes_get(digest)
-                        if replicas is None:
-                            replicas = self._route_of(batch[digests.index(digest)])
-                    repaired = None
-                    for name in replicas:
-                        if name == serving:
-                            continue
-                        target = nodes[name]
-                        new_digests, existing = target.store.put_many_verdicts(new_pairs)
-                        if existing:
-                            if repaired is None:
-                                repaired = set(existing)
-                            else:
-                                repaired.update(existing)
-                        if new_digests:
-                            target.finish_replica_inserts(new_digests)
-                    if repaired:
-                        self.read_repairs += len(repaired)
-                else:
-                    repaired = self._propagate_new(
-                        new_pairs,
-                        serving,
-                        # Route-cache overflow mid-batch is the only way a
-                        # digest this bucket just routed can be missing again;
-                        # re-derive from the bucket's own fingerprints (rare,
-                        # O(bucket)).
-                        lambda digest: self._route_of(batch[digests.index(digest)]),
-                    )
-                if repaired:
-                    # One flip per repaired digest; later occurrences of the
-                    # same digest were already served as duplicates.
-                    duplicates += len(repaired)
-                    for digest, position in zip(digests, positions):
-                        if digest in repaired:
-                            merged[position].__dict__["is_duplicate"] = True
         self.lookups += len(fingerprints)
         self.duplicates += duplicates
         return merged
@@ -510,79 +423,102 @@ class SHHCCluster(ChunkIndex):
     def lookup_batch_replies(self, fingerprints: Sequence[Fingerprint]) -> List[LookupReply]:
         """Protocol-level batch lookup: bucket by serving node, query, merge.
 
-        Each fingerprint is grouped under the first live node of *its own*
-        replica set, so a downed node's share of the batch fans out to the
-        correct per-fingerprint successors instead of one blanket failover
-        target.  The per-fingerprint replication semantics are exactly those
-        of :meth:`lookup_reply`, which is what keeps batch verdicts identical
-        to the sequential path under failures.
-
-        This is the routed-batch fast path: replica sets come from the
-        membership-epoch-keyed routing cache (:meth:`_route_of`), the batch
-        is bucketed per destination node in one pass (no intermediate
-        request objects), whole buckets flow through the node's batched
-        lookup kernel, and replica propagation is applied per bucket via
-        :meth:`_resolve_replies`.  Verdicts, counters and replica-write
-        counts are byte-identical to the pre-cache reference path kept in
-        :meth:`lookup_batch_replies_reference` (pinned by
+        The :class:`LookupReply` view over :meth:`_serve_routed` (exposes
+        tier information).  Each fingerprint is grouped under the first
+        live node of *its own* replica set, so a downed node's share of
+        the batch fans out to the correct per-fingerprint successors
+        instead of one blanket failover target, and the per-fingerprint
+        replication semantics are exactly those of :meth:`lookup_reply` --
+        which is what keeps batch verdicts identical to the sequential
+        path under failures (pinned against the per-reply oracle in
         tests/test_routed_batch_equivalence.py).
         """
         fingerprints = list(fingerprints)
-        if not fingerprints:
-            return []
         merged: List[Optional[LookupReply]] = [None] * len(fingerprints)
-        for replies, positions in self._dispatch_routed(fingerprints):
-            for reply, position in zip(replies, positions):
+        for positions, bucket, tiers, service_times, node_ids in self._serve_routed(fingerprints):
+            replies = replies_from_tiers(bucket, tiers, service_times, node_ids)
+            for position, reply in zip(positions, replies):
                 merged[position] = reply
         return merged
 
-    def _dispatch_routed(self, fingerprints: Sequence[Fingerprint]):
-        """Bucket a batch by serving node, query, resolve; yield per bucket.
+    def _serve_routed(self, fingerprints: List[Fingerprint]):
+        """The one routed batch core: bucket, serve, fail over, charge, propagate.
 
-        Yields ``(replies, original_positions)`` pairs in first-occurrence
-        bucket order (matching split_batch_by_replica_set's grouping);
-        callers merge into their own result shape, so reply- and
-        result-producing paths walk the batch exactly once.
+        The batch is bucketed per serving node in one pass
+        (:meth:`_bucket_routed`), each bucket goes through the node's batch
+        contract
+        (:meth:`~repro.core.hash_node.HybridHashNode.serve_bucket_verdicts`),
+        and the bucket's new pairs are shipped to the other replicas
+        (:meth:`_propagate_new_groups`) before the next bucket is served --
+        replica store writes therefore interleave with later buckets'
+        serves exactly as in the per-reply flow, which keeps write-buffer
+        flush boundaries, and so individual service times, identical to it.
+
+        Yields one ``(positions, fingerprints, tiers, service_times,
+        node_ids)`` column group per bucket, in first-occurrence bucket
+        order; ``tiers`` index :data:`~repro.core.protocol.SERVED_FROM_TIER`
+        and already carry the read repairs.  Callers merge the columns into
+        their own result shape, so the batch is walked exactly once.
         """
-        batch_id = next(self._batch_ids)
-        self.last_batch_id = batch_id
-        buckets = self._bucket_routed(fingerprints)
+        if not fingerprints:
+            return
+        self.last_batch_id = next(self._batch_ids)
         replication_on = self.config.replication_factor > 1
         ledger = self.ledger
-        for serving, (positions, batch, digests) in buckets.items():
+        nodes = self.nodes
+        for serving, (positions, bucket, digests) in self._bucket_routed(fingerprints).items():
             try:
-                replies, new_entries = self.nodes[serving].serve_bucket_batch(
-                    DigestBatch.from_fingerprints(batch, digests)
+                tiers, service_times, new_pairs = nodes[serving].serve_bucket_verdicts(
+                    DigestBatch.from_fingerprints(bucket, digests)
                 )
             except NodeUnavailableError:
                 # The whole sub-batch was refused (flaky node): retry each
-                # fingerprint individually on its remaining replicas.
+                # fingerprint individually on its remaining replicas, which
+                # also applies the replication semantics per reply.
                 self.failovers += 1
-                replies = [self._lookup_with_failover(fp, exclude=(serving,)) for fp in batch]
+                replies = [self._lookup_with_failover(fp, exclude=(serving,)) for fp in bucket]
+                tiers = [SERVED_FROM_TIER.index(reply.served_from) for reply in replies]
+                service_times = [reply.service_time for reply in replies]
+                node_ids = [reply.node_id for reply in replies]
                 if ledger is not None:
                     # Failed-over replies were served by whichever replica
                     # answered; charge each to the node that did the work.
-                    for reply in replies:
-                        ledger.charge_bucket(reply.node_id, (reply,))
+                    for node_id, service_time in zip(node_ids, service_times):
+                        ledger.charge_bucket(node_id, (service_time,))
             else:
+                node_ids = itertools.repeat(serving)
                 if ledger is not None:
                     # Queue the bucket on the serving node's timeline first:
                     # replica propagation below leaves at the bucket's
                     # completion instant, not at dispatch.
-                    ledger.charge_bucket(serving, replies)
+                    ledger.charge_bucket(serving, service_times)
                 # A bucket that answered only duplicates has nothing to
-                # propagate or repair; skip the resolve pass outright.
-                if replication_on and new_entries:
-                    replies = self._resolve_replies(replies, serving)
-            yield replies, positions
+                # propagate or repair.
+                if replication_on and new_pairs:
+                    repaired = self._propagate_new_groups(
+                        new_pairs,
+                        serving,
+                        # Route-cache overflow mid-batch is the only way a
+                        # digest this bucket just routed can be missing
+                        # again; re-derive from the bucket's own
+                        # fingerprints (rare, O(bucket)).
+                        lambda digest: self._route_of(bucket[digests.index(digest)]),
+                    )
+                    if repaired:
+                        # One flip per repaired digest: its later occurrences
+                        # in the bucket were already served as duplicates.
+                        for index, digest in enumerate(digests):
+                            if digest in repaired and not tiers[index]:
+                                tiers[index] = _REPAIR_TIER
+            yield positions, bucket, tiers, service_times, node_ids
 
     def _bucket_routed(
         self, fingerprints: Sequence[Fingerprint]
     ) -> Dict[str, Tuple[List[int], List[Fingerprint], List[bytes]]]:
         """Group a batch by serving node: ``{node: (positions, fps, digests)}``.
 
-        Shared by the reply-producing dispatch and the verdict-direct
-        result path; buckets come back in first-occurrence order (matching
+        Shared by :meth:`_serve_routed` and :meth:`route_batch`; buckets
+        come back in first-occurrence order (matching
         split_batch_by_replica_set's grouping).
         """
         routes = self._routes()
@@ -664,67 +600,24 @@ class SHHCCluster(ChunkIndex):
                 bucket[2].append(digest)
         return buckets
 
-    def _resolve_replies(
-        self, replies: Sequence[LookupReply], serving: str
-    ) -> List[LookupReply]:
-        """Batched :meth:`_resolve_reply` for one serving node's bucket.
+    def _propagate_new_groups(self, new_pairs, serving: str, route_fallback) -> set:
+        """Ship one served bucket's new ``(digest, chunk_size)`` pairs to its replicas.
 
-        The new pairs flow through :meth:`_propagate_new` (one batched
-        store write per destination node) and the returned repaired-digest
-        set flips those replies' verdicts -- exactly the sequential
-        semantics, since a bucket's non-duplicate digests are distinct and
-        never interact.  Replica sets come from the routing cache, which
-        the dispatch loop has just populated for every digest here.
-        """
-        if self.config.replication_factor == 1:
-            return list(replies)
-        new_pairs: List[Tuple[bytes, int]] = []
-        by_digest: Dict[bytes, Fingerprint] = {}
-        for reply in replies:
-            if not reply.is_duplicate:
-                fingerprint = reply.fingerprint
-                new_pairs.append((fingerprint.digest, fingerprint.chunk_size))
-                by_digest[fingerprint.digest] = fingerprint
-        repaired = self._propagate_new(
-            new_pairs, serving, lambda digest: self._route_of(by_digest[digest])
-        )
-        if not repaired:
-            return list(replies)
-        return [
-            replace(reply, is_duplicate=True, served_from=ServedFrom.REPAIR)
-            if not reply.is_duplicate and reply.fingerprint.digest in repaired
-            else reply
-            for reply in replies
-        ]
-
-    def _propagate_new(self, new_pairs, serving: str, route_fallback) -> set:
-        """Ship one bucket's new ``(digest, chunk_size)`` pairs to replicas.
-
-        Thin wrapper over :meth:`_propagate_new_groups` for the reply
-        path, which resolves each bucket as it is served.
-        """
-        return self._propagate_new_groups(((new_pairs, serving, route_fallback),))
-
-    def _propagate_new_groups(self, groups) -> set:
-        """Ship new ``(digest, chunk_size)`` pairs from served buckets to replicas.
-
-        ``groups`` is an iterable of ``(new_pairs, serving, route_fallback)``
-        triples, one per served bucket.  Returns the set of digests some
-        other replica already held (the read repairs).  The store write
-        doubles as the holder check:
+        The one place batched replica propagation happens.  The pairs are
+        grouped per destination node and written with one batched store
+        call each; returns the set of digests some other replica already
+        held (the read repairs).  The store write doubles as the holder
+        check:
         :meth:`~repro.storage.hashstore.SSDHashStore.put_many_verdicts`
         returns which keys were absent, which *is* the propagation/repair
         verdict, and an already-present digest is overwritten with the
         identical value (a no-op, since a digest determines its chunk
-        size).  Writes are grouped per destination node across all groups
-        -- safe because a digest's every occurrence routes to the same
-        bucket, so no bucket's verdicts can depend on another bucket's
-        replica writes within one call; per-node store state is unaffected
-        by the cross-node interleaving the per-reply reference path uses,
-        and within one node the pairs stay in bucket order, so the
-        persistence log order matches too.  ``route_fallback`` maps a
-        digest back to its replica set in the (rare) case a cache overflow
-        evicted the route the dispatch loop just resolved.
+        size).  Per-node store state is unaffected by the cross-node
+        interleaving the per-reply flow (:meth:`_resolve_reply`) uses, and
+        within one node the pairs stay in bucket order, so the persistence
+        log order matches too.  ``route_fallback`` maps a digest back to
+        its replica set in the (rare) case a cache overflow evicted the
+        route the dispatch loop just resolved.
         """
         down = self._down
         nodes = self.nodes
@@ -736,39 +629,30 @@ class SHHCCluster(ChunkIndex):
             else None
         )
         per_node: Dict[str, List[Tuple[bytes, int]]] = {}
-        per_node_get = per_node.get
         if table is not None and not down:
             # Range-partitioned clean path: every resolution route (prefix
             # table, digest cache, exact owners) maps a key owned by node
             # ``i`` to the same replica cycle ``cycles[i]``, and with no
             # downed nodes a bucket's serving node *is* its owner -- so the
-            # whole group shares one replica set.  Resolve it once from any
+            # whole bucket shares one replica set.  Resolve it once from any
             # member digest and ship the pair list wholesale.  (A downed
             # node breaks the premise: buckets then group by first *live*
             # replica and can mix cycles, so they take the per-pair loop.)
-            for new_pairs, serving, route_fallback in groups:
-                if not new_pairs:
-                    continue
-                digest = new_pairs[0][0]
-                replicas = table[digest[0]]
+            digest = new_pairs[0][0]
+            replicas = table[digest[0]]
+            if replicas is None:
+                replicas = routes_get(digest)
                 if replicas is None:
-                    replicas = routes_get(digest)
-                    if replicas is None:
-                        replicas = route_fallback(digest)
-                for name in replicas:
-                    if name == serving:
-                        continue
-                    pairs = per_node_get(name)
-                    if pairs is None:
-                        per_node[name] = pairs = []
-                    pairs.extend(new_pairs)
-            groups = ()
-        for new_pairs, serving, route_fallback in groups:
-            # Per-group cache of live non-serving replicas, keyed by the
-            # (shared) replica-set tuple: a bucket sees few distinct replica
-            # sets, so the serving/liveness filter runs once per set instead
-            # of per pair -- and the serving node is fixed per group, so the
-            # tuple itself is the whole key.
+                    replicas = route_fallback(digest)
+            for name in replicas:
+                if name != serving:
+                    per_node[name] = new_pairs
+        else:
+            per_node_get = per_node.get
+            # Cache of live non-serving replicas, keyed by the (shared)
+            # replica-set tuple: a bucket sees few distinct replica sets, so
+            # the serving/liveness filter runs once per set instead of per
+            # pair.
             others_of: Dict[Tuple[str, ...], List[str]] = {}
             others_of_get = others_of.get
             for pair in new_pairs:
@@ -889,47 +773,6 @@ class SHHCCluster(ChunkIndex):
             if persistence is not None:
                 persistence.close()
 
-    def lookup_batch_replies_reference(
-        self, fingerprints: Sequence[Fingerprint]
-    ) -> List[LookupReply]:
-        """The pre-cache batch routing path, kept verbatim as an oracle.
-
-        Resolves every fingerprint's replica set through the partitioner
-        (:func:`~repro.core.batching.split_batch_by_replica_set`) and
-        applies replication semantics one reply at a time.  The routed
-        fast path must stay verdict-, counter- and replica-write-identical
-        to this implementation; the equivalence tests construct twin
-        clusters and drive one through each path.
-        """
-        fingerprints = list(fingerprints)
-        if not fingerprints:
-            return []
-        batch_id = next(self._batch_ids)
-        self.last_batch_id = batch_id
-        per_node = split_batch_by_replica_set(
-            fingerprints,
-            self.partitioner,
-            self.config.replication_factor,
-            is_down=self.is_down,
-            batch_id=batch_id,
-        )
-        gathered = []
-        for serving, (request, positions) in per_node.items():
-            batch = list(request.fingerprints)
-            try:
-                raw_replies = self.nodes[serving].lookup_batch(batch)
-            except NodeUnavailableError:
-                # The whole sub-batch was refused (flaky node): retry each
-                # fingerprint individually on its remaining replicas.
-                self.failovers += 1
-                replies = [self._lookup_with_failover(fp, exclude=(serving,)) for fp in batch]
-            else:
-                replies = [self._resolve_reply(reply, serving) for reply in raw_replies]
-            gathered.append(
-                (BatchLookupReply(replies=replies, node_id=serving, batch_id=batch_id), positions)
-            )
-        return reassemble_replies(len(fingerprints), gathered)
-
     def route_batch(
         self,
         fingerprints: Sequence[Fingerprint],
@@ -940,34 +783,17 @@ class SHHCCluster(ChunkIndex):
 
         Protocol-compatible with
         :func:`~repro.core.batching.split_batch_by_replica_set` (same
-        grouping, same request/position layout) but replica sets come from
-        the epoch-keyed cache, so web front-ends dispatching on the
+        grouping, same request/position layout) but grouped by
+        :meth:`_bucket_routed`, so web front-ends dispatching on the
         simulated fabric share the cluster's routing work.
         """
-        down = self._down
-        groups: Dict[str, List[int]] = {}
-        for position, fingerprint in enumerate(fingerprints):
-            replicas = self._route_of(fingerprint)
-            if not down:
-                serving = replicas[0]
-            else:
-                for serving in replicas:
-                    if serving not in down:
-                        break
-                else:
-                    raise RuntimeError(
-                        f"no live replica available for fingerprint at position {position}"
-                    )
-            groups.setdefault(serving, []).append(position)
-        result: Dict[str, Tuple[BatchLookupRequest, List[int]]] = {}
-        for node, positions in groups.items():
-            request = BatchLookupRequest(
-                fingerprints=[fingerprints[i] for i in positions],
-                client_id=client_id,
-                batch_id=batch_id,
+        return {
+            node: (
+                BatchLookupRequest(fingerprints=bucket, client_id=client_id, batch_id=batch_id),
+                positions,
             )
-            result[node] = (request, positions)
-        return result
+            for node, (positions, bucket, _digests) in self._bucket_routed(fingerprints).items()
+        }
 
     def __len__(self) -> int:
         """Distinct fingerprints stored in the cluster (replicas deduplicated)."""

@@ -49,8 +49,8 @@ __all__ = ["DigestBatch", "DIGEST_BYTES", "digest_hash_words"]
 class DigestBatch:
     """A batch of fingerprints as one contiguous digest buffer.
 
-    Construct via :meth:`from_fingerprints` (cluster dispatch: the
-    ``Fingerprint`` objects are kept for reply construction) or
+    Construct via :meth:`from_fingerprints` (cluster dispatch: chunk sizes
+    are read off the ``Fingerprint`` objects on first use) or
     :meth:`from_blob` (serving workers: digests arrive already packed on
     the wire and no ``Fingerprint`` objects are ever built).
 
@@ -83,9 +83,7 @@ class DigestBatch:
         """Wrap routed fingerprints; ``digests`` may be pre-extracted.
 
         Chunk sizes stay on the fingerprints until :attr:`chunk_sizes` is
-        actually read -- the routed verdict kernel reads them off the
-        fingerprints directly (new entries only), so the common cluster
-        path never builds the list.
+        first read (the node's batch core reads it once per served batch).
         """
         if type(fingerprints) is not list:
             fingerprints = list(fingerprints)
@@ -147,31 +145,6 @@ class DigestBatch:
                 self.packed(), len(self.digests)
             )
         return words
-
-    def chunk_size_of(self, index: int) -> int:
-        sizes = self.chunk_sizes
-        return sizes if isinstance(sizes, int) else sizes[index]
-
-    def fingerprints(self) -> List[Fingerprint]:
-        """Materialize ``Fingerprint`` objects (lazily, for fallback paths)."""
-        fingerprints = self._fingerprints
-        if fingerprints is None:
-            # Bypass __init__: the 20-byte invariant is enforced by the
-            # blob slicing, mirroring the serving worker's hot path.
-            sizes = self.chunk_sizes
-            scalar = isinstance(sizes, int)
-            new_fp = object.__new__
-            fp_cls = Fingerprint
-            fingerprints = []
-            append = fingerprints.append
-            for index, digest in enumerate(self.digests):
-                fingerprint = new_fp(fp_cls)
-                fields = fingerprint.__dict__
-                fields["digest"] = digest
-                fields["chunk_size"] = sizes if scalar else sizes[index]
-                append(fingerprint)
-            self._fingerprints = fingerprints
-        return fingerprints
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DigestBatch n={len(self.digests)}>"

@@ -495,13 +495,13 @@ class FlakyNode:
     """Wrap a hash node so individual lookups fail with a given probability.
 
     Only the serving entry points (:meth:`lookup`, :meth:`lookup_batch`,
-    :meth:`serve_bucket`, :meth:`serve_bucket_batch`,
-    :meth:`serve_digest_batch`, :meth:`serve_bucket_verdicts`,
-    :meth:`serve_batch`) are intercepted; state
-    inspection and maintenance
-    paths (``insert_replica``, ``export_entries``, ``__contains__``, ...)
-    pass straight through, because replication traffic in this codebase is
-    an internal bookkeeping call, not a network request.
+    :meth:`serve_bucket_verdicts`, :meth:`serve_batch`) are intercepted --
+    every public ``lookup*``/``serve*`` callable of the node, which
+    tests/test_fault_injection.py enumerates so a new one cannot slip past
+    the wrapper.  State inspection and maintenance paths
+    (``insert_replica``, ``export_entries``, ``__contains__``, ...) pass
+    straight through, because replication traffic in this codebase is an
+    internal bookkeeping call, not a network request.
 
     Failures are deterministic given ``seed``, so experiments are
     reproducible.
@@ -529,27 +529,11 @@ class FlakyNode:
         self._maybe_fail()
         return self._node.lookup_batch(fingerprints)
 
-    def serve_bucket(self, fingerprints):
+    def serve_bucket_verdicts(self, batch):
         # One failure draw per batch, exactly like lookup_batch -- the
         # routed dispatch path must see the same failure sequence.
         self._maybe_fail()
-        return self._node.serve_bucket(fingerprints)
-
-    def serve_bucket_batch(self, batch):
-        self._maybe_fail()
-        return self._node.serve_bucket_batch(batch)
-
-    def serve_digest_batch(self, batch):
-        self._maybe_fail()
-        return self._node.serve_digest_batch(batch)
-
-    def serve_bucket_verdicts(self, batch):
-        self._maybe_fail()
         return self._node.serve_bucket_verdicts(batch)
-
-    def serve_bucket_results(self, batch, positions, merged):
-        self._maybe_fail()
-        return self._node.serve_bucket_results(batch, positions, merged)
 
     def serve_batch(self, request):
         self._maybe_fail()

@@ -16,6 +16,17 @@ The node tracks where every answer came from (:class:`~repro.core.protocol.Serve
 and how much device time the answer cost, which is what the latency/throughput
 experiments consume.
 
+Entry points
+------------
+:meth:`HybridHashNode.lookup` is the readable per-fingerprint reference of
+that flow.  Batches have exactly one serve contract,
+:meth:`HybridHashNode.serve_bucket_verdicts` -- a
+:class:`~repro.core.digest_batch.DigestBatch` in, ``(tiers, service_times,
+new_pairs)`` out -- run by one private core over the exec-generated kernels
+of :mod:`repro.core.bucket_kernel`.  :meth:`HybridHashNode.lookup_batch`
+and the simulated :meth:`HybridHashNode.serve_batch` are
+:class:`~repro.core.protocol.LookupReply` views over that core.
+
 Two execution modes
 -------------------
 * **Immediate mode** (``sim is None``): lookups update the data structures and
@@ -29,7 +40,8 @@ Two execution modes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..dedup.fingerprint import Fingerprint
 from ..simulation.engine import Event, Simulator
@@ -40,13 +52,18 @@ from ..storage.bloom import BloomFilter
 from ..storage.devices import StorageDevice, make_ram, make_ssd
 from ..storage.hashstore import SSDHashStore
 from ..storage.lru import LRUCache
-from ..dedup.index import LookupResult
 from ..storage.npy import HAVE_NUMPY, NUMPY_MIN_BATCH
-from .bucket_kernel import EMPTY_LOCATION, fused_columnar_kernels, fused_kernels
+from .bucket_kernel import fused_kernels
 from .config import HashNodeConfig
 from .digest_batch import DigestBatch
 from .persistence import NodePersistence, RecoveryReport
-from .protocol import BatchLookupReply, BatchLookupRequest, LookupReply, ServedFrom
+from .protocol import (
+    BatchLookupReply,
+    BatchLookupRequest,
+    LookupReply,
+    ServedFrom,
+    replies_from_tiers,
+)
 
 __all__ = ["HybridHashNode", "NodeSnapshot"]
 
@@ -110,15 +127,16 @@ class HybridHashNode:
         )
         self.counters = Counter()
         self.lookup_latency = LatencyRecorder(f"{node_id}.lookup_latency")
-        # Reusable fused-kernel argument block (built lazily by _run_fused;
+        # Reusable fused-kernel argument block (built lazily by _serve_core;
         # identity-guarded against cache/bloom/store replacement).
         self._fused_args: Optional[list] = None
-        # (bloom_object, kernels, columnar_kernels) memo: the fused-kernel
-        # registry lookup is a tuple-keyed dict probe per bucket serve, this
-        # is one identity check.  Invalidated automatically when recovery
-        # swaps the filter.  ``columnar_kernels`` is ``None`` unless the
-        # numpy backend is active and the bloom shape is columnar-eligible.
-        self._kernel_memo: Tuple[Optional[BloomFilter], Optional[Tuple], Optional[Tuple]] = (
+        # (bloom_object, packed_kernel, columnar_kernel) memo: the
+        # fused-kernel registry lookup is a tuple-keyed dict probe per
+        # bucket serve, this is one identity check.  Invalidated
+        # automatically when recovery swaps the filter.  ``columnar_kernel``
+        # is ``None`` unless the numpy backend is active and the filter is
+        # columnar-eligible.
+        self._kernel_memo: Tuple[Optional[BloomFilter], Optional[Callable], Optional[Callable]] = (
             None, None, None,
         )
         self._cpu: Optional[Resource] = (
@@ -156,7 +174,13 @@ class HybridHashNode:
 
     # --------------------------------------------------------- immediate mode
     def lookup(self, fingerprint: Fingerprint) -> LookupReply:
-        """Process one fingerprint through the Figure-4 flow (immediate mode)."""
+        """Process one fingerprint through the Figure-4 flow (immediate mode).
+
+        This is the readable per-fingerprint reference: the batch contract
+        (:meth:`serve_bucket_verdicts`) must leave verdicts, tiers, service
+        times, counters and store/bloom/cache state identical to calling
+        this once per fingerprint (pinned by tests/test_vectorized_kernels.py).
+        """
         reply, _io_time = self._lookup_core(fingerprint)
         self.lookup_latency.record(reply.service_time)
         if not reply.is_duplicate and self.persistence is not None:
@@ -166,187 +190,58 @@ class HybridHashNode:
     def lookup_batch(self, fingerprints: Sequence[Fingerprint]) -> List[LookupReply]:
         """Process a batch of fingerprints in order (immediate mode).
 
-        Verdicts, counters and service times are identical to looping over
-        :meth:`lookup`; the batch path only amortises the bloom-filter probes
-        across the batch (see :meth:`_lookup_batch_core`).
+        The :class:`LookupReply` view over :meth:`serve_bucket_verdicts`:
+        replies are field-for-field those of looping over :meth:`lookup`.
         """
-        replies, _new_entries = self.serve_bucket(fingerprints)
-        return replies
-
-    def serve_bucket(self, fingerprints: Sequence[Fingerprint]) -> Tuple[List[LookupReply], int]:
-        """:meth:`lookup_batch` plus the batch's new-entry count.
-
-        The cluster's routed dispatch uses the count to skip replica
-        propagation entirely for buckets that answered only duplicates.
-        """
-        replies, service_times, _total_ssd_time, new_entries = self._lookup_batch_core(
-            fingerprints
+        fingerprints = list(fingerprints)
+        tiers, service_times, _new_pairs = self.serve_bucket_verdicts(
+            DigestBatch.from_fingerprints(fingerprints)
         )
-        self.lookup_latency.record_many(service_times)
-        if new_entries and self.persistence is not None:
-            self._persist_new_replies(replies)
-        return replies, new_entries
-
-    def serve_bucket_batch(self, batch: DigestBatch) -> Tuple[List[LookupReply], int]:
-        """:meth:`serve_bucket` over a :class:`~repro.core.digest_batch.DigestBatch`.
-
-        Takes the fused batch kernel (:mod:`repro.core.bucket_kernel`) when
-        the bloom shape supports it: the whole RAM/bloom/SSD flow runs as
-        one exec-generated loop over the batch's packed hash words, with
-        store and bloom state settled once per batch.  Replies, counters,
-        and service times are byte-identical to :meth:`serve_bucket` over
-        ``batch.fingerprints()`` -- which is also the fallback for
-        un-unrollable shapes or non-digest-keyed filters.
-        """
-        kernels, use_columnar = self._select_kernels(batch)
-        if kernels is None:
-            return self.serve_bucket(batch.fingerprints())
-        replies: List[LookupReply] = []
-        service_times: List[float] = []
-        new_entries = self._run_fused(
-            kernels[0], batch,
-            batch.fingerprints(), replies.append,
-            service_times.append, None, columnar=use_columnar,
-        )
-        self.lookup_latency.record_many(service_times)
-        if new_entries and self.persistence is not None:
-            self._persist_new_replies(replies)
-        return replies, new_entries
-
-    def serve_digest_batch(self, batch: DigestBatch) -> Tuple[List[bool], int]:
-        """Verdict-only serve for wire batches (the serving worker's path).
-
-        Same state transitions and counters as :meth:`serve_bucket`, but no
-        ``Fingerprint`` or :class:`LookupReply` objects are ever built:
-        returns the per-digest duplicate verdicts (input order) and the
-        batch's new-entry count.  New ``(digest, chunk_size)`` pairs are
-        persisted exactly as the reply path would.
-        """
-        verdicts, _service_times, new_pairs = self.serve_bucket_verdicts(batch)
-        return verdicts, len(new_pairs)
+        return replies_from_tiers(fingerprints, tiers, service_times, repeat(self.node_id))
 
     def serve_bucket_verdicts(
         self, batch: DigestBatch
-    ) -> Tuple[List[bool], List[float], List[Tuple[bytes, int]]]:
-        """Verdict serve with per-key service times and the new pairs.
+    ) -> Tuple[List[int], List[float], List[Tuple[bytes, int]]]:
+        """The batch serve contract: ``(tiers, service_times, new_pairs)``.
 
-        The cluster's result-producing batch path
-        (:meth:`~repro.core.cluster.SHHCCluster.lookup_batch`) builds its
-        ``LookupResult`` objects straight from these three parallel views,
-        skipping the intermediate :class:`LookupReply` allocation entirely;
-        ``new_pairs`` (input order) is what replica propagation needs.
-        State transitions match :meth:`serve_bucket` exactly.
+        ``tiers[i]`` is digest ``i``'s tier code -- an index into
+        :data:`~repro.core.protocol.SERVED_FROM_TIER` (``0`` new, ``1`` RAM,
+        ``2`` SSD), so its truthiness is the duplicate verdict and
+        ``bytes(tiers)`` feeds :func:`~repro.serving.wire.verdict_mask`
+        directly.  ``service_times`` is parallel to it; ``new_pairs`` holds
+        the ``(digest, chunk_size)`` of every key answered new, in input
+        order -- what replica propagation and the container log need.  The
+        pairs are durably logged before this returns, so a caller that
+        acknowledges the batch acknowledges nothing that a kill can lose.
+
+        No ``Fingerprint``, ``LookupReply`` or ``LookupResult`` exists on
+        this path; callers that want those build them as views
+        (:func:`~repro.core.protocol.replies_from_tiers`, the cluster's
+        result merge).
         """
-        kernels, use_columnar = self._select_kernels(batch)
-        if kernels is None:
-            replies, service_times, _total_ssd_time, new_entries = self._lookup_batch_core(
-                batch.fingerprints()
-            )
-            self.lookup_latency.record_many(service_times)
-            if new_entries and self.persistence is not None:
-                self._persist_new_replies(replies)
-            verdicts = [reply.is_duplicate for reply in replies]
-            new_pairs = [
-                (reply.fingerprint.digest, reply.fingerprint.chunk_size)
-                for reply in replies
-                if not reply.is_duplicate
-            ]
-            return verdicts, service_times, new_pairs
-        verdicts: List[bool] = []
-        service_times: List[float] = []
-        new_pairs: List[Tuple[bytes, int]] = []
-        # Routed buckets carry Fingerprint objects: the routed variant reads
-        # chunk sizes off them (new entries only), so no chunk-size list is
-        # ever materialised on the cluster path.
-        if batch._fingerprints is not None:
-            kernel, per_key = kernels[2], batch._fingerprints
-        else:
-            kernel, per_key = kernels[1], batch.chunk_sizes
-        self._run_fused(
-            kernel, batch, per_key, verdicts.append,
-            service_times.append, new_pairs.append, columnar=use_columnar,
-        )
+        tiers, service_times, new_pairs, _total_ssd_time = self._serve_core(batch)
         self.lookup_latency.record_many(service_times)
-        if new_pairs and self.persistence is not None:
-            self._persist_new(new_pairs)
-        return verdicts, service_times, new_pairs
+        return tiers, service_times, new_pairs
 
-    def serve_bucket_results(
-        self, batch: DigestBatch, positions: Sequence[int], merged: List
-    ) -> Tuple[List[float], List[Tuple[bytes, int]]]:
-        """Serve a routed bucket straight into the cluster's merge slots.
+    def _select_kernel(self, batch: DigestBatch) -> Tuple[Callable, bool]:
+        """``(kernel, is_columnar)`` for serving ``batch`` right now.
 
-        The fused ``result`` kernel builds one
-        :class:`~repro.dedup.index.LookupResult` per key -- the only
-        per-key object on this path -- and stores it at
-        ``merged[positions[i]]``.  Returns ``(service_times, new_pairs)``;
-        the bucket's duplicate count is ``len(batch) - len(new_pairs)``.
-        State transitions match :meth:`serve_bucket` exactly.
-        """
-        kernels, use_columnar = self._select_kernels(batch)
-        if kernels is None:
-            replies, service_times, _total_ssd_time, new_entries = self._lookup_batch_core(
-                batch.fingerprints()
-            )
-            self.lookup_latency.record_many(service_times)
-            if new_entries and self.persistence is not None:
-                self._persist_new_replies(replies)
-            new_pairs = [
-                (reply.fingerprint.digest, reply.fingerprint.chunk_size)
-                for reply in replies
-                if not reply.is_duplicate
-            ]
-            new_result = object.__new__
-            node_id = self.node_id
-            for reply, position in zip(replies, positions):
-                result = new_result(LookupResult)
-                fields = result.__dict__
-                fields["fingerprint"] = reply.fingerprint
-                fields["is_duplicate"] = reply.is_duplicate
-                fields["location"] = EMPTY_LOCATION
-                fields["latency"] = reply.service_time
-                fields["served_by"] = node_id
-                merged[position] = result
-            return service_times, new_pairs
-        service_times: List[float] = []
-        new_pairs: List[Tuple[bytes, int]] = []
-        self._run_fused(
-            kernels[3], batch,
-            batch._fingerprints, (positions, merged),
-            service_times.append, new_pairs.append, columnar=use_columnar,
-        )
-        self.lookup_latency.record_many(service_times)
-        if new_pairs and self.persistence is not None:
-            self._persist_new(new_pairs)
-        return service_times, new_pairs
-
-    def _select_kernels(self, batch: DigestBatch) -> Tuple[Optional[Tuple], bool]:
-        """``(kernel_family, is_columnar)`` for serving ``batch`` right now.
-
-        The two families are memoized on bloom identity (kill/restart and
-        recovery replace the filter wholesale); the columnar one exists
-        only when the numpy backend is active and the filter is
+        The shape's two kernels are memoized on bloom identity (kill/restart
+        and recovery replace the filter wholesale); the columnar one is
+        only considered when the numpy backend is active and the filter is
         columnar-eligible.  It is picked when at least
         ``REPRO_NUMPY_MIN_BATCH`` keys will reach the bloom stage: its
         prefetch probes the filter for every key of the batch, which only
         pays off on the keys the RAM tier does not answer -- a mostly
-        RAM-hit batch stays on the packed family whatever its size.
-        ``(None, False)`` when the filter has no fused kernels at all.
+        RAM-hit batch stays on the packed kernel whatever its size.
         """
         bloom = self.bloom
-        memo_bloom, kernels, columnar = self._kernel_memo
+        memo_bloom, packed, columnar = self._kernel_memo
         if memo_bloom is not bloom:
-            kernels = (
-                fused_kernels(bloom.num_bits, bloom.num_hashes)
-                if bloom.digest_keys
-                else None
-            )
-            columnar = (
-                fused_columnar_kernels(bloom.num_bits, bloom.num_hashes)
-                if kernels is not None and bloom.columnar_eligible
-                else None
-            )
-            self._kernel_memo = (bloom, kernels, columnar)
+            packed, columnar = fused_kernels(bloom.num_bits, bloom.num_hashes)
+            if not bloom.columnar_eligible:
+                columnar = None
+            self._kernel_memo = (bloom, packed, columnar)
         digests = batch.digests
         if (
             columnar is not None
@@ -355,7 +250,7 @@ class HybridHashNode:
             >= NUMPY_MIN_BATCH
         ):
             return columnar, True
-        return kernels, False
+        return packed, False
 
     @property
     def kernel_backend(self) -> str:
@@ -364,26 +259,34 @@ class HybridHashNode:
         Reported by the serving worker's ``/stats`` and in
         ``ScenarioResult`` metrics.  ``numpy`` means batches sending at
         least ``REPRO_NUMPY_MIN_BATCH`` keys past the RAM tier run the
-        columnar bloom prefetch; the rest keep the exec-generated scalar
-        kernels, whose outputs are byte-identical either way.
+        columnar bloom prefetch; the rest keep the packed kernel, whose
+        outputs are byte-identical either way.
         """
         if HAVE_NUMPY and self.bloom.columnar_eligible:
             return "numpy"
         return "python-packed"
 
-    def _run_fused(self, kernel, batch, per_key, out_append, times_append,
-                   new_append, columnar: bool = False) -> int:
-        """Invoke a fused kernel and settle store/cache/bloom/counter state."""
+    def _serve_core(
+        self, batch: DigestBatch
+    ) -> Tuple[List[int], List[float], List[Tuple[bytes, int]], float]:
+        """Run one batch through the fused kernel and settle every tier.
+
+        The single batch core behind immediate (:meth:`serve_bucket_verdicts`)
+        and simulated (:meth:`serve_batch`) mode.  Returns the contract's
+        three lists plus the batch's total SSD time, which the simulated
+        path replays against the SSD device to model queueing.
+        """
         cache = self.cache
         cached = cache.data
         store = self.store
+        bloom = self.bloom
         store_buckets, store_num_buckets, entries_per_page, write_buffer_pages, buffered = (
             store.batch_state()
         )
-        bits = self.bloom.raw_bits()
+        bits = bloom.raw_bits()
         args = self._fused_args
         if args is None or args[3] is not cached or args[8] is not bits or args[9] is not store_buckets:
-            # (Re)build the constant argument block.  Slots 0-2 and 19-21
+            # (Re)build the constant argument block.  Slots 0-2 and 18-20
             # are per-batch; everything else is fixed for the lifetime of
             # the node's cache/bloom/store objects (device costs are pure
             # functions of the spec), so the identity guard above is the
@@ -393,43 +296,50 @@ class HybridHashNode:
                 None, None, None, cached, cached.move_to_end, cached.popitem,
                 cache._on_evict, cache.capacity, bits, store_buckets,
                 store_num_buckets, entries_per_page, write_buffer_pages,
-                buffered, self.node_id,
+                buffered,
                 self.config.cpu_per_lookup + self.ram_device.read_cost(64),
                 self.ssd_device.read_cost(store.page_size),
                 self.ssd_device.write_cost(store.page_size),
                 self.ssd_device.write_cost(store.page_size, False),
                 None, None, None,
             ]
-        args[0] = batch.digests
-        args[1] = batch.hash_words
-        args[2] = per_key
+        tiers: List[int] = []
+        service_times: List[float] = []
+        new_pairs: List[Tuple[bytes, int]] = []
+        digests = batch.digests
+        kernel, columnar = self._select_kernel(batch)
+        args[0] = digests
+        # A digest-keyed filter hashes with the digest's own leading words,
+        # which the batch derives in one unpack; any other filter supplies
+        # its (h1, h2) pairs key by key, in the same flat layout.
+        args[1] = batch.hash_words if bloom.digest_keys else (
+            lambda: tuple(chain.from_iterable(map(bloom._hash_pair, digests)))
+        )
+        args[2] = batch.chunk_sizes
         args[13] = buffered
-        args[19] = out_append
-        args[20] = times_append
-        args[21] = new_append
+        args[18] = tiers.append
+        args[19] = service_times.append
+        args[20] = new_pairs.append
         if columnar:
             # Lazy whole-batch bloom prefetch (first RAM-miss pays it):
             # verdicts for every key plus the probe-index rows of the
             # negatives, which the kernel uses for dirty re-checks and the
             # negative-path bit inserts (see core/bucket_kernel.py).
             words_np = batch.hash_words_np
-            prefetch = self.bloom._prefetch_probe_np
-            (
-                ram_hits, ssd_hits, new_entries, bloom_negative_shortcuts,
-                bloom_false_positives, total_ssd_time, page_reads, page_writes,
-                buffer_flushes, buffered, cache_insertions, cache_evictions,
-            ) = kernel(*args, lambda: prefetch(words_np()))
+            prefetch = bloom._prefetch_probe_np
+            outcome = kernel(*args, lambda: prefetch(words_np()))
         else:
-            (
-                ram_hits, ssd_hits, new_entries, bloom_negative_shortcuts,
-                bloom_false_positives, total_ssd_time, page_reads, page_writes,
-                buffer_flushes, buffered, cache_insertions, cache_evictions,
-            ) = kernel(*args)
-        args[0] = args[1] = args[2] = args[19] = args[20] = args[21] = None
+            outcome = kernel(*args)
+        (
+            ram_hits, ssd_hits, new_entries, bloom_negative_shortcuts,
+            bloom_false_positives, total_ssd_time, page_reads, page_writes,
+            buffer_flushes, buffered, cache_insertions, cache_evictions,
+        ) = outcome
+        args[0] = args[1] = args[2] = args[18] = args[19] = args[20] = None
         store.settle_batch(page_reads, page_writes, buffer_flushes, buffered, new_entries)
         if new_entries:
-            self.bloom.count_inserts(new_entries)
-        total = len(batch.digests)
+            bloom.count_inserts(new_entries)
+        total = len(digests)
         if total:
             cache.hits += ram_hits
             cache.misses += total - ram_hits
@@ -457,172 +367,16 @@ class HybridHashNode:
             values["bloom_false_positives"] = (
                 values_get("bloom_false_positives", 0) + bloom_false_positives
             )
-        return new_entries
+        if new_pairs and self.persistence is not None:
+            self._persist_new(new_pairs)
+        return tiers, service_times, new_pairs, total_ssd_time
 
-    def _lookup_batch_core(
-        self, fingerprints: Sequence[Fingerprint]
-    ) -> Tuple[List[LookupReply], List[float], float, int]:
-        """Batch lookup core shared by immediate and simulated mode.
-
-        The loop body is :meth:`_lookup_core` unrolled with bound methods,
-        constant service-time components hoisted, counters aggregated per
-        batch (same totals), the RAM probe inlined against the LRU's raw
-        dict (hit/miss counters settled per batch), and the store's
-        page-count accessors
-        (:meth:`~repro.storage.hashstore.SSDHashStore.probe_pages` /
-        :meth:`~repro.storage.hashstore.SSDHashStore.insert_new_pages`)
-        in place of the ``IOOperation``-list cost model -- per-fingerprint
-        Python overhead is what caps cluster lookup throughput.  The bloom
-        filter is probed live per fingerprint through the unrolled
-        single-key kernel, which both sidesteps the staleness bookkeeping
-        a batch prefetch needs (inserts mutate the filter mid-batch) and
-        beats it on cost: negatives -- the common probe -- exit at the
-        first zero bit.  Device times are accumulated in the same
-        association order as ``_lookup_core``, so service times stay
-        bit-identical (pinned by tests/test_core_hash_node.py).
-        """
-        cache = self.cache
-        cached = cache.data
-        replies: List[LookupReply] = []
-        append = replies.append
-        service_times: List[float] = []
-        time_append = service_times.append
-        total_ssd_time = 0.0
-
-        node_id = self.node_id
-        store = self.store
-        bloom = self.bloom
-        cpu_time = self.config.cpu_per_lookup
-        ram_time = self.ram_device.read_cost(64)
-        base_time = cpu_time + ram_time
-        page_read_cost = self.ssd_device.read_cost(store.page_size)
-        page_write_rand_cost = self.ssd_device.write_cost(store.page_size)
-        page_write_seq_cost = self.ssd_device.write_cost(store.page_size, False)
-        move_to_end = cached.move_to_end
-        cache_put_new = cache.put_new
-        probe_pages = store.probe_pages
-        insert_new_pages = store.insert_new_pages
-        bloom_contains = bloom.contains_one
-        bloom_add_one = bloom.add_one
-        served_ram = ServedFrom.RAM
-        served_ssd = ServedFrom.SSD
-        served_new = ServedFrom.NEW
-        new_reply = object.__new__
-        reply_cls = LookupReply
-        ram_hits = ssd_hits = new_entries = 0
-        bloom_negative_shortcuts = bloom_false_positives = 0
-
-        for fingerprint in fingerprints:
-            digest = fingerprint.digest
-
-            # 1. RAM LRU probe (raw-dict hit test; hit/miss counters are
-            # settled on the cache after the loop, recency per hit here).
-            if digest in cached:
-                move_to_end(digest)
-                ram_hits += 1
-                reply = new_reply(reply_cls)
-                fields = reply.__dict__
-                fields["fingerprint"] = fingerprint
-                fields["is_duplicate"] = True
-                fields["served_from"] = served_ram
-                fields["node_id"] = node_id
-                fields["service_time"] = base_time
-                append(reply)
-                time_append(base_time)
-                continue
-
-            # 2. Bloom filter guard (live single-key kernel probe).
-            if bloom_contains(digest):
-                # 3. SSD hash-table probe (single page on a well-sized table).
-                pages, present = probe_pages(digest)
-                if pages == 1:
-                    ssd_time = 0.0 + page_read_cost
-                else:
-                    ssd_time = 0.0
-                    for _ in range(pages):
-                        ssd_time += page_read_cost
-                if present:
-                    ssd_hits += 1
-                    cache_put_new(digest, True)
-                    service_time = base_time + ssd_time
-                    reply = new_reply(reply_cls)
-                    fields = reply.__dict__
-                    fields["fingerprint"] = fingerprint
-                    fields["is_duplicate"] = True
-                    fields["served_from"] = served_ssd
-                    fields["node_id"] = node_id
-                    fields["service_time"] = service_time
-                    append(reply)
-                    time_append(service_time)
-                    total_ssd_time += ssd_time
-                    continue
-                bloom_false_positives += 1
-            else:
-                bloom_negative_shortcuts += 1
-                ssd_time = 0.0
-
-            # New fingerprint (bloom negative or false positive): insert.
-            # The key is known-absent everywhere (bloom filters have no
-            # false negatives; the SSD probe just missed), so the fused
-            # known-new store/cache primitives apply.
-            new_entries += 1
-            bloom_add_one(digest)
-            cache_put_new(digest, True)
-            pages, random_access = insert_new_pages(digest, fingerprint.chunk_size)
-            if pages:
-                page_cost = page_write_rand_cost if random_access else page_write_seq_cost
-                if pages == 1:
-                    insert_time = 0.0 + page_cost
-                else:
-                    insert_time = 0.0
-                    for _ in range(pages):
-                        insert_time += page_cost
-                ssd_time += insert_time
-            service_time = base_time + ssd_time
-            reply = new_reply(reply_cls)
-            fields = reply.__dict__
-            fields["fingerprint"] = fingerprint
-            fields["is_duplicate"] = False
-            fields["served_from"] = served_new
-            fields["node_id"] = node_id
-            fields["service_time"] = service_time
-            append(reply)
-            time_append(service_time)
-            total_ssd_time += ssd_time
-
-        if new_entries:
-            bloom.count_inserts(new_entries)
-        if fingerprints:
-            # Settle the raw-dict LRU probes (same totals as per-probe
-            # accounting: every fingerprint was exactly one hit or miss).
-            cache.hits += ram_hits
-            cache.misses += len(fingerprints) - ram_hits
-        counters = self.counters
-        if fingerprints:
-            counters.increment("lookups", len(fingerprints))
-        if ram_hits:
-            counters.increment("ram_hits", ram_hits)
-        if ssd_hits:
-            counters.increment("ssd_hits", ssd_hits)
-        if new_entries:
-            counters.increment("new_entries", new_entries)
-        if bloom_negative_shortcuts:
-            counters.increment("bloom_negative_shortcuts", bloom_negative_shortcuts)
-        if bloom_false_positives:
-            counters.increment("bloom_false_positives", bloom_false_positives)
-        return replies, service_times, total_ssd_time, new_entries
-
-    def _lookup_core(
-        self, fingerprint: Fingerprint, bloom_hint: Optional[bool] = None
-    ) -> Tuple[LookupReply, float]:
-        """Shared lookup logic: updates state, returns the reply and SSD time.
+    def _lookup_core(self, fingerprint: Fingerprint) -> Tuple[LookupReply, float]:
+        """Per-fingerprint lookup logic: updates state, returns the reply and SSD time.
 
         The returned ``service_time`` is the analytic (unloaded) cost:
         CPU + RAM + any SSD page accesses.  The second tuple element is the
-        SSD-only portion, which the simulated path replays against the SSD
-        device to model queueing.  ``bloom_hint``, when not ``None``, is a
-        still-valid pre-computed bloom verdict for this digest (batch path);
-        it must reflect every insert that happened before this call.
+        SSD-only portion.
         """
         digest = fingerprint.digest
         self.counters.increment("lookups")
@@ -643,8 +397,7 @@ class HybridHashNode:
             return reply, ssd_time
 
         # 2. Bloom filter guard.
-        in_bloom = (digest in self.bloom) if bloom_hint is None else bloom_hint
-        if not in_bloom:
+        if digest not in self.bloom:
             self.counters.increment("bloom_negative_shortcuts")
             ssd_time += self._insert_new(fingerprint)
             reply = LookupReply(
@@ -703,29 +456,6 @@ class HybridHashNode:
             self._persist_new([(digest, fingerprint.chunk_size)])
         return True
 
-    def insert_replica_many(self, fingerprints: Sequence[Fingerprint]) -> int:
-        """Batched :meth:`insert_replica`: one bloom kernel call per batch.
-
-        Store puts happen in input order and the bloom filter receives the
-        new digests through :meth:`~repro.storage.bloom.BloomFilter.add_many`,
-        so the final store/bloom state and the ``replica_inserts`` counter
-        are identical to looping over :meth:`insert_replica`.  Returns how
-        many fingerprints were new on this node.  The cluster's routed
-        dispatch uses the fused put-as-holder-check variant of this
-        (``_resolve_replies`` + :meth:`finish_replica_inserts`); this
-        method is the standalone batched replica-write API (rebalancing,
-        re-replication) and the reference the equivalence tests pin.
-        """
-        store_put = self.store.put
-        new_digests = []
-        append = new_digests.append
-        for fingerprint in fingerprints:
-            digest = fingerprint.digest
-            if store_put(digest, fingerprint.chunk_size):
-                append(digest)
-        self.finish_replica_inserts(new_digests)
-        return len(new_digests)
-
     def finish_replica_inserts(self, new_digests: Sequence[bytes]) -> None:
         """Complete replica writes whose store puts already happened.
 
@@ -746,14 +476,6 @@ class HybridHashNode:
                 self._persist_new((digest, store_get(digest)) for digest in new_digests)
 
     # ------------------------------------------------------------- persistence
-    def _persist_new_replies(self, replies: Sequence[LookupReply]) -> None:
-        """Durably log the new fingerprints a served batch acknowledged."""
-        self._persist_new(
-            (reply.fingerprint.digest, reply.fingerprint.chunk_size)
-            for reply in replies
-            if not reply.is_duplicate
-        )
-
     def _persist_new(self, pairs) -> None:
         """Append acknowledged inserts to the container; snapshot when due."""
         persistence = self.persistence
@@ -840,11 +562,10 @@ class HybridHashNode:
         grant = self._cpu.request()
         yield grant
         try:
-            replies, _service_times, total_ssd_time, new_entries = self._lookup_batch_core(
-                request.fingerprints
+            fingerprints = list(request.fingerprints)
+            tiers, service_times, _new_pairs, total_ssd_time = self._serve_core(
+                DigestBatch.from_fingerprints(fingerprints)
             )
-            if new_entries and self.persistence is not None:
-                self._persist_new_replies(replies)
             cpu_time = (
                 self.config.cpu_per_request
                 + self.config.cpu_per_lookup * len(request.fingerprints)
@@ -858,10 +579,10 @@ class HybridHashNode:
             # number of batches rather than fingerprints; the SSD device still
             # serialises concurrent batches, so contention is preserved.
             yield self.ssd_device.busy(total_ssd_time)
-        service_time = self.sim.now - arrival
-        per_reply_time = service_time / max(1, len(replies))
-        self.lookup_latency.record_many([per_reply_time] * len(replies))
+        per_reply_time = (self.sim.now - arrival) / max(1, len(tiers))
+        self.lookup_latency.record_many([per_reply_time] * len(tiers))
         self.counters.increment("batches_served")
+        replies = replies_from_tiers(fingerprints, tiers, service_times, repeat(self.node_id))
         return BatchLookupReply(replies=replies, node_id=self.node_id, batch_id=request.batch_id)
 
     def occupy_cpu(self, duration: float, delay: float = 0.0) -> Optional[Event]:

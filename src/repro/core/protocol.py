@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
 
@@ -21,6 +21,8 @@ __all__ = [
     "LookupRequest",
     "LookupReply",
     "make_lookup_reply",
+    "SERVED_FROM_TIER",
+    "replies_from_tiers",
     "BatchLookupRequest",
     "BatchLookupReply",
     "REQUEST_OVERHEAD_BYTES",
@@ -83,15 +85,10 @@ def make_lookup_reply(
     construction; at millions of replies that is a measurable share of the
     cluster lookup path.  This helper writes the instance ``__dict__``
     directly, producing an object field-, ``==``- and ``hash``-identical
-    to the regular constructor.  It is the *reference implementation* of
-    the construction pattern the hash node's batch loop and the cluster's
-    result merge inline (a call frame per reply matters there); the
-    helper-vs-constructor pin lives in
-    tests/test_routed_batch_equivalence.py and the inlined sites are
-    covered by the same file's field-equality assertions, so a new
-    :class:`LookupReply` field breaks tests rather than silently
-    desynchronizing.  Keep the field writes in sync with
-    :class:`LookupReply`.
+    to the regular constructor (pinned by
+    tests/test_routed_batch_equivalence.py, so a new :class:`LookupReply`
+    field breaks tests rather than silently desynchronizing).  Keep the
+    field writes in sync with :class:`LookupReply`.
     """
     reply = object.__new__(LookupReply)
     fields = reply.__dict__
@@ -101,6 +98,31 @@ def make_lookup_reply(
     fields["node_id"] = node_id
     fields["service_time"] = service_time
     return reply
+
+
+#: Tier codes of the batch serve contract
+#: (:meth:`~repro.core.hash_node.HybridHashNode.serve_bucket_verdicts`), as
+#: an index into :class:`ServedFrom`.  ``0`` is the only falsy code, so a
+#: tier's truthiness is its duplicate verdict.  Nodes emit ``0``-``2``; the
+#: cluster rewrites a ``0`` to ``3`` when another replica already held the
+#: fingerprint.
+SERVED_FROM_TIER = (ServedFrom.NEW, ServedFrom.RAM, ServedFrom.SSD, ServedFrom.REPAIR)
+
+
+def replies_from_tiers(
+    fingerprints: Iterable[Fingerprint],
+    tiers: Iterable[int],
+    service_times: Iterable[float],
+    node_ids: Iterable[str],
+) -> List[LookupReply]:
+    """The :class:`LookupReply` view over a served batch's parallel columns."""
+    served_from = SERVED_FROM_TIER
+    return [
+        make_lookup_reply(fingerprint, tier != 0, served_from[tier], node_id, service_time)
+        for fingerprint, tier, service_time, node_id in zip(
+            fingerprints, tiers, service_times, node_ids
+        )
+    ]
 
 
 @dataclass(frozen=True)

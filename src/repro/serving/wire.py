@@ -79,8 +79,10 @@ _TAG_BATCH_SIZED = b"\x02"
 _TAG_VERDICTS = b"\x03"
 _U32 = LENGTH_PREFIX
 _VERDICT_HEAD = struct.Struct("!II")
-#: ``bytes(flags)`` holds 0/1 per verdict; map them to ASCII binary digits.
-_FLAG_DIGITS = b"01" + bytes(254)
+#: ``bytes(flags)`` holds one small int per verdict: 0 (new) or a nonzero
+#: duplicate code -- ``True``, or a node tier code (1 RAM, 2 SSD, 3 repair,
+#: see ``core.protocol.SERVED_FROM_TIER``).  Map them to ASCII binary digits.
+_FLAG_DIGITS = b"0111" + bytes(252)
 
 try:  # pragma: no cover - absent in the pinned environment
     import msgpack  # type: ignore
@@ -265,8 +267,11 @@ def send_frame(conn: socket.socket, message: Dict[str, Any], codec=JsonCodec) ->
 
 
 # ----------------------------------------------------------------- verdict masks
-def verdict_mask(duplicate_flags: Sequence[bool]) -> int:
-    """Per-fingerprint duplicate verdicts as an integer bitmask (bit i = fp i)."""
+def verdict_mask(duplicate_flags: Sequence[int]) -> int:
+    """Per-fingerprint duplicate verdicts as an integer bitmask (bit i = fp i).
+
+    Accepts bools or tier codes: any nonzero flag sets its bit.
+    """
     return int(b"0" + bytes(duplicate_flags)[::-1].translate(_FLAG_DIGITS), 2)
 
 

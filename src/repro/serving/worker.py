@@ -7,8 +7,8 @@ which the worker reports back to the gateway through a ``multiprocessing``
 pipe once the node is ready to serve -- *after* any warm-start recovery, so
 a respawned worker never acknowledges a batch before its shard is restored.
 
-Durability contract: the node's ``serve_bucket`` persists new fingerprints
-to the PR-7 container log *before* returning, so a reply frame on the wire
+Durability contract: the node's ``serve_bucket_verdicts`` persists new
+fingerprints to the PR-7 container log *before* returning, so a reply frame on the wire
 implies the acknowledged fingerprints survive a process kill.  That
 ordering is what the loadgen's post-run audit (zero lost acknowledged
 fingerprints after ``kill -9`` + respawn) leans on.
@@ -92,16 +92,16 @@ def _serve_batch(node: HybridHashNode, message: Dict[str, Any]) -> bytes:
     """Answer one packed digest batch; the hot path of the whole serving stack.
 
     The wire blob goes straight into a :class:`DigestBatch` and through the
-    node's verdict-only fused kernel: no ``Fingerprint`` or ``LookupReply``
-    objects exist on this path at all -- per-key Python object construction
-    is what capped the worker's throughput before.
+    node's batch contract: no ``Fingerprint`` or ``LookupReply`` objects
+    exist on this path at all -- per-key Python object construction is
+    what capped the worker's throughput before.
     """
     blob = message.get("d")
     if type(blob) is not bytes:
         raise WireError("the worker hop carries batches as packed frames only")
     batch = DigestBatch.from_blob(blob, message["s"])
-    verdicts, new_entries = node.serve_digest_batch(batch)
-    return encode_verdict_frame(len(batch), new_entries, verdict_mask(verdicts))
+    tiers, _service_times, new_pairs = node.serve_bucket_verdicts(batch)
+    return encode_verdict_frame(len(batch), len(new_pairs), verdict_mask(tiers))
 
 
 def _stats(node: HybridHashNode) -> Dict[str, Any]:

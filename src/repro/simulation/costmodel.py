@@ -37,7 +37,7 @@ docs/control_plane.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..network.link import DEFAULT_LINK_LATENCY, GIGABIT_BANDWIDTH
 from .stats import Counter, LatencyRecorder
@@ -213,21 +213,21 @@ class ControlPlaneLedger:
         self.control_plane_cpu_seconds += cpu_time
         return end
 
-    def charge_bucket(self, node: str, replies) -> float:
+    def charge_bucket(self, node: str, service_times: Sequence[float]) -> float:
         """Charge one serving node's lookup bucket; records per-reply latency.
 
         The bucket's service demand is the sum of its analytic per-reply
-        service times; every reply completes when the bucket does, so the
-        recorded latency is queueing delay (arrival to service start) plus
-        the full bucket service -- the client-visible figure for a batched
-        request.
+        ``service_times``; every reply completes when the bucket does, so
+        the recorded latency is queueing delay (arrival to service start)
+        plus the full bucket service -- the client-visible figure for a
+        batched request.
         """
         service_time = 0.0
-        for reply in replies:
-            service_time += reply.service_time
+        for reply_time in service_times:
+            service_time += reply_time
         _start, end = self.begin_service(node, service_time)
         self.last_completion = end
-        count = len(replies)
+        count = len(service_times)
         if count:
             latency = end - self.now
             self.recorder().record_many([latency] * count)

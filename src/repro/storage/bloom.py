@@ -315,8 +315,8 @@ class BloomFilter:
         # too large to unroll (generic loop then).  The single-key variants
         # are pre-bound to this filter's state (the bit vector is mutated in
         # place and never reassigned, so binding it once is safe); they are
-        # the bodies of ``add``/``__contains__`` and what the hash node's
-        # batch loop calls directly for live probes.
+        # the bodies of ``add``/``__contains__`` and what recovery replay
+        # binds for its per-key inserts.
         self._kernels = _batch_kernels(self.num_bits, self.num_hashes)
         if self._kernels is not None:
             self._contains_one: Optional[Callable[[bytes], bool]] = partial(

@@ -17,17 +17,6 @@ Vectorized batch path
 verbatim as ``*_scalar`` methods -- the reference oracle the differential
 tests (tests/test_vectorized_kernels.py) drive the vectorized path against.
 
-With the optional numpy backend active (see :mod:`repro.storage.npy`) and
-the *packed* bucket store in use, batches of at least
-``REPRO_NUMPY_MIN_BATCH`` keys run a columnar kernel instead: both bucket
-indexes for the whole batch come from one ``(n, 2)`` ``uint64`` modulo,
-the candidate buckets are gathered as rows of a ``(num_buckets, stride)``
-``np.uint8`` view over the flat bucket buffer, and slot keys are compared
-20 bytes at a time with first-match masking
-(:meth:`CuckooHashTable.get_many_np` / ``contains_many_np``).  The view
-is rebuilt per call -- ``_grow()`` replaces the backing buffer -- and
-values come out byte-identical to the scalar ``int.from_bytes`` reads.
-
 Packed / shared-memory bucket store (opt-in)
 --------------------------------------------
 ``CuckooHashTable(..., shared=True)`` swaps the list-of-lists bucket store
@@ -48,15 +37,10 @@ import hashlib
 import struct
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .npy import HAVE_NUMPY, NUMPY_MIN_BATCH, np as _np
-from .packing import digest_hash_words, digest_hash_words_np
+from .packing import digest_hash_words
 from .shm import SharedBuffer
 
 __all__ = ["CuckooHashTable", "CuckooInsertError"]
-
-#: Columnar-kernel bucket-count bound (uint64 modulo stays exact; tables
-#: anywhere near this would not fit in memory).
-_NP_MAX_BUCKETS = 1 << 62
 
 #: Byte keys at least this long are treated as uniform digests by default.
 _DIGEST_KEY_MIN_BYTES = 16
@@ -358,92 +342,6 @@ class CuckooHashTable:
             return digest_hash_words(b"".join(keys), len(keys)), keys
         return None, keys
 
-    def _batch_words_np(self, keys):
-        """``((n, 2) uint64 words, key sequence)`` for the columnar path.
-
-        Eligibility mirrors :meth:`_batch_words` plus: the numpy backend
-        must be active and the table must be in packed mode (list buckets
-        have nothing to gather against).  ``(None, keys)`` means fall back.
-        """
-        if (
-            not HAVE_NUMPY
-            or not self.digest_keys
-            or self._packed is None
-            or self._num_buckets >= _NP_MAX_BUCKETS
-        ):
-            return None, keys
-        hash_words_np = getattr(keys, "hash_words_np", None)
-        if hash_words_np is not None:
-            return hash_words_np(), keys.digests
-        if type(keys) in (list, tuple) and keys:
-            for key in keys:
-                if type(key) is not bytes or len(key) != 20:
-                    return None, keys
-            return digest_hash_words_np(b"".join(keys), len(keys)), keys
-        return None, keys
-
-    def _get_many_np(self, words, key_list, default) -> List[Any]:
-        """Columnar packed-mode batch lookup (both buckets, slot compare).
-
-        One gather of each key's two candidate bucket rows from a fresh
-        ``(num_buckets, stride)`` ``uint8`` view, then per-slot 20-byte key
-        compares with first-match masking; bucket ``h1`` takes precedence
-        over ``h2`` exactly as the scalar probe order does.  Values are
-        re-read as big-endian ``u8`` -- identical Python ints to the scalar
-        ``int.from_bytes``.
-        """
-        packed = self._packed
-        num_buckets = _np.uint64(self._num_buckets)
-        h1 = words[:, 0] % num_buckets
-        h2 = words[:, 1] % num_buckets
-        collision = h2 == h1
-        if collision.any():
-            # Copy first: ``words``-derived columns may alias the batch's
-            # cached word array.
-            h2 = h2.copy()
-            h2[collision] = (h1[collision] + _np.uint64(1)) % num_buckets
-        count = len(key_list)
-        blob = key_list.packed() if hasattr(key_list, "packed") else b"".join(key_list)
-        keys_np = _np.frombuffer(blob, dtype=_np.uint8, count=count * _KEY_BYTES)
-        keys_np = keys_np.reshape(count, _KEY_BYTES)
-        table = _np.frombuffer(packed.data, dtype=_np.uint8)
-        table = table.reshape(packed.num_buckets, packed.stride)
-        found = _np.zeros(count, dtype=bool)
-        value_bytes = _np.zeros((count, _VALUE_BYTES), dtype=_np.uint8)
-        slots = packed.slots
-        for bucket_col in (h1, h2):
-            rows = table[bucket_col.astype(_np.intp)]
-            counts = rows[:, 0]
-            for slot in range(slots):
-                offset = 1 + slot * _SLOT_BYTES
-                match = (
-                    ~found
-                    & (counts > slot)
-                    & (rows[:, offset:offset + _KEY_BYTES] == keys_np).all(axis=1)
-                )
-                if match.any():
-                    value_bytes[match] = rows[match][:, offset + _KEY_BYTES:offset + _SLOT_BYTES]
-                    found[match] = True
-        values = value_bytes.view(">u8").ravel().tolist()
-        hits = found.tolist()
-        return [values[i] if hits[i] else default for i in range(count)]
-
-    def get_many_np(self, keys: Sequence[bytes], default: Any = None) -> List[Any]:
-        """Columnar batch lookup regardless of batch size (bench/test entry).
-
-        Value-identical to :meth:`get_many_scalar`; ineligible batches (or
-        a missing numpy backend / list-mode table) defer to :meth:`get_many`.
-        """
-        words, key_list = self._batch_words_np(keys)
-        if words is None:
-            return self.get_many(keys, default)
-        return self._get_many_np(words, keys if hasattr(keys, "packed") else key_list, default)
-
-    def contains_many_np(self, keys: Sequence[bytes]) -> List[bool]:
-        """Columnar membership verdicts (bench/test entry point)."""
-        sentinel = object()
-        return [value is not sentinel for value in self.get_many_np(keys, sentinel)]
-
     # -- public API -----------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
@@ -496,22 +394,8 @@ class CuckooHashTable:
 
         Vectorized: for a ``DigestBatch`` or an all-20-byte-digest batch the
         hash words of every key come from one ``struct.unpack`` over the
-        packed key buffer; other inputs use :meth:`get_many_scalar`.  With
-        the numpy backend active, packed-mode batches of at least
-        ``REPRO_NUMPY_MIN_BATCH`` keys take the columnar kernel instead
-        (same values).
+        packed key buffer; other inputs use :meth:`get_many_scalar`.
         """
-        if (
-            HAVE_NUMPY
-            and self._packed is not None
-            and getattr(keys, "__len__", None) is not None
-            and len(keys) >= NUMPY_MIN_BATCH
-        ):
-            words_np, key_list_np = self._batch_words_np(keys)
-            if words_np is not None:
-                return self._get_many_np(
-                    words_np, keys if hasattr(keys, "packed") else key_list_np, default
-                )
         words, key_list = self._batch_words(keys)
         if words is None:
             return self.get_many_scalar(key_list, default)

@@ -236,95 +236,25 @@ class SSDHashStore:
             return [IOOperation("write", self.page_size, random_access=False) for _ in range(pages)]
         return []
 
-    # -- hot-path variants ---------------------------------------------------------------
+    # -- fused-kernel hand-off -----------------------------------------------------------
     #
-    # The hash node's batched lookup loop calls these instead of
-    # ``lookup_io``/``key in store`` and ``insert_io``: same bucket maths,
-    # same ``page_reads``/``page_writes``/write-buffer accounting, but the
-    # bucket hash is computed once and no :class:`IOOperation` objects are
-    # built (the caller multiplies the page counts by its per-page device
-    # costs).  Equivalence with the list-returning methods is pinned by
+    # The hash node's batch kernel (core/bucket_kernel.py) inlines the
+    # ``lookup_io`` + membership probe and the known-new ``put`` +
+    # ``insert_io`` against the raw bucket dicts: same bucket maths, same
+    # ``page_reads``/``page_writes``/write-buffer accounting, but the bucket
+    # hash is computed once and no :class:`IOOperation` objects are built
+    # (the kernel multiplies page counts by its per-page device costs).
+    # Equivalence with the list-returning methods is pinned by
     # tests/test_storage_cuckoo_hashstore.py.
-
-    def probe_pages(self, key: bytes) -> Tuple[int, bool]:
-        """Charge a lookup's page reads and test membership in one pass.
-
-        Equivalent to ``lookup_io(key)`` followed by ``key in self``:
-        returns ``(pages_read, present)`` where every page is one
-        random-access ``page_size`` read.
-        """
-        if isinstance(key, str):
-            key = key.encode("utf-8")
-        hash64 = _HASH64_MEMO.get(key)
-        if hash64 is None:
-            hash64 = _hash64(key)
-        bucket = self._buckets[hash64 % self.num_buckets]
-        entries = len(bucket)
-        pages = max(1, -(-entries // self.entries_per_page))
-        self.page_reads += pages
-        return pages, key in bucket
-
-    def insert_flush_pages(self) -> Tuple[int, bool]:
-        """Charge an insert's buffered page writes; call right after ``put``.
-
-        Equivalent to ``insert_io(key)``: returns ``(pages_written,
-        random_access)`` -- a single random-access page write when the
-        write buffer is disabled, otherwise the (possibly zero) sequential
-        pages the buffer flushes.
-        """
-        if self.write_buffer_pages <= 0:
-            self.page_writes += 1
-            return 1, True
-        flush_threshold = max(1, self.entries_per_page)
-        if self._buffered_entries >= flush_threshold:
-            pages = self._buffered_entries // flush_threshold
-            pages = min(pages, self.write_buffer_pages)
-            self._buffered_entries -= pages * flush_threshold
-            self.page_writes += pages
-            self.buffer_flushes += 1
-            return pages, False
-        return 0, False
-
-    def insert_new_pages(self, key: bytes, value: Any = True) -> Tuple[int, bool]:
-        """Fused ``put`` + :meth:`insert_flush_pages` for a **known-new** key.
-
-        The hash node's insert path only runs after the bloom filter (no
-        false negatives) or the SSD probe has established the key is
-        absent, so the membership check inside :meth:`put` is pure
-        overhead there.  State and accounting are identical to
-        ``put(key, value)`` followed by ``insert_flush_pages()`` for an
-        absent key; calling it with a present key corrupts the size
-        accounting, hence the narrow contract.
-        """
-        hash64 = _HASH64_MEMO.get(key)
-        if hash64 is None:
-            hash64 = _hash64(key)
-        bucket = self._buckets[hash64 % self.num_buckets]
-        bucket[key] = value
-        self._size += 1
-        if self.write_buffer_pages <= 0:
-            self.page_writes += 1
-            return 1, True
-        buffered = self._buffered_entries + 1
-        flush_threshold = self.entries_per_page  # >= 1 by construction
-        if buffered >= flush_threshold:
-            pages = buffered // flush_threshold
-            if pages > self.write_buffer_pages:
-                pages = self.write_buffer_pages
-            self._buffered_entries = buffered - pages * flush_threshold
-            self.page_writes += pages
-            self.buffer_flushes += 1
-            return pages, False
-        self._buffered_entries = buffered
-        return 0, False
 
     def batch_state(self) -> Tuple[List[Dict[bytes, Any]], int, int, int, int]:
         """Raw state handed to a fused batch kernel (see bucket_kernel).
 
         Returns ``(buckets, num_buckets, entries_per_page,
         write_buffer_pages, buffered_entries)``.  The kernel mutates the
-        bucket dicts directly (known-new inserts only, mirroring
-        :meth:`insert_new_pages`), tracks page/flush counts and the write
+        bucket dicts directly (known-new inserts only: the bloom filter or
+        the SSD probe has established the key is absent, so :meth:`put`'s
+        membership check is skipped), tracks page/flush counts and the write
         buffer locally from these starting values, and the caller settles
         the deltas back with :meth:`settle_batch`.  Nothing else may touch
         the store between the two calls.
@@ -349,8 +279,8 @@ class SSDHashStore:
 
         ``buffered_entries`` is the kernel's final write-buffer fill (an
         absolute value, not a delta); everything else accumulates.  The
-        result is state-identical to having run :meth:`probe_pages` /
-        :meth:`insert_new_pages` per key.
+        result is state-identical to having run :meth:`lookup_io` and, for
+        new keys, :meth:`put` + :meth:`insert_io` per key.
         """
         self.page_reads += page_reads
         self.page_writes += page_writes

@@ -90,22 +90,6 @@ class LRUCache:
                     self._on_evict(*evicted)
         return evicted
 
-    def put_new(self, key: Hashable, value: Any = True) -> None:
-        """Insert a **known-absent** key (hot path).
-
-        Identical to :meth:`put` for a key that is not in the cache --
-        which the hash node guarantees, inserting only after a miss --
-        minus the membership check and the evicted-pair return.
-        """
-        self.insertions += 1
-        entries = self._entries
-        entries[key] = value
-        if len(entries) > self.capacity:
-            evicted = entries.popitem(last=False)
-            self.evictions += 1
-            if self._on_evict is not None:
-                self._on_evict(*evicted)
-
     def remove(self, key: Hashable) -> bool:
         """Delete ``key`` if present; returns whether it was there."""
         if key in self._entries:

@@ -1,0 +1,10 @@
+"""Reference models the differential suites compare the data plane against.
+
+These are oracles, not product code: they live under ``tests/`` so ``src/``
+carries one implementation per job.
+
+* :mod:`oracles.set_model` -- a dict-and-set model of what a hybrid hash
+  node (and a cluster) must answer, independent of how the kernels do it;
+* :mod:`oracles.cluster_reference` -- the per-reply batch routing path the
+  cluster's routed core replaced, kept verbatim.
+"""

@@ -103,6 +103,15 @@ def test_series_without_speedup_is_not_guarded():
     assert tool.check_floors(committed, fresh, floor_ratio=0.8) == []
 
 
+def test_dropped_sub_key_is_not_guarded():
+    # Only the headline ``speedup`` is a floor: a per-kernel ratio deleted
+    # together with the code it measured (numpy_kernels.cuckoo_get_speedup)
+    # must not fail the check against an older committed file.
+    committed = _payload({"numpy_kernels": {"speedup": 1.4, "cuckoo_get_speedup": 1.0}})
+    fresh = _payload({"numpy_kernels": {"speedup": 1.4}})
+    assert tool.check_floors(committed, fresh, floor_ratio=0.8) == []
+
+
 MISSING_MODULE = "definitely_not_an_installed_module_xyz"
 
 

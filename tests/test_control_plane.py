@@ -69,13 +69,6 @@ class TestCostModel:
             CostModel(replica_hops=-1)
 
 
-class _Reply:
-    """Minimal stand-in: the ledger only reads ``service_time``."""
-
-    def __init__(self, service_time: float) -> None:
-        self.service_time = service_time
-
-
 class TestControlPlaneLedger:
     def test_begin_service_queues_fifo_per_node(self):
         ledger = ControlPlaneLedger(CostModel())
@@ -101,9 +94,9 @@ class TestControlPlaneLedger:
 
     def test_charge_bucket_records_per_phase(self):
         ledger = ControlPlaneLedger(CostModel())
-        ledger.charge_bucket("a", [_Reply(1.0), _Reply(1.0)])
+        ledger.charge_bucket("a", [1.0, 1.0])
         ledger.set_phase(DEGRADED_PHASE)
-        ledger.charge_bucket("a", [_Reply(1.0)])
+        ledger.charge_bucket("a", [1.0])
         phases = ledger.phases
         assert phases[STEADY_PHASE].count == 2
         assert phases[DEGRADED_PHASE].count == 1
@@ -114,7 +107,7 @@ class TestControlPlaneLedger:
     def test_charge_replica_writes_defers_on_targets(self):
         model = CostModel()
         ledger = ControlPlaneLedger(model)
-        ledger.charge_bucket("a", [_Reply(1.0)])
+        ledger.charge_bucket("a", [1.0])
         ledger.charge_replica_writes({"b": 4})
         expected = 1.0 + model.replica_transfer_time(4) + model.replica_apply_cpu(4)
         assert ledger.busy_until["b"] == pytest.approx(expected)

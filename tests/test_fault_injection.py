@@ -177,6 +177,24 @@ class TestFlakyNode:
             flaky.lookup(synthetic_fingerprint(1))
         assert flaky.injected_failures == 1
 
+    def test_wrapper_intercepts_every_public_serving_entry_point(self):
+        """A serving method added to the node without a FlakyNode override
+        would be reached through ``__getattr__`` and never fail."""
+        from repro.core.hash_node import HybridHashNode
+
+        serving = sorted(
+            name
+            for name, member in vars(HybridHashNode).items()
+            if callable(member) and name.startswith(("lookup", "serve"))
+        )
+        assert "serve_bucket_verdicts" in serving
+        assert [name for name in serving if name not in vars(FlakyNode)] == []
+        flaky = make_flaky(make_cluster(), "hashnode-0", failure_rate=1.0)
+        for attempt, name in enumerate(serving, start=1):
+            with pytest.raises(NodeUnavailableError):
+                getattr(flaky, name)(None)
+            assert flaky.injected_failures == attempt
+
     def test_cluster_fails_over_around_flaky_node(self):
         cluster = make_cluster(num_nodes=3, replication=2)
         fingerprints = [synthetic_fingerprint(i) for i in range(60)]

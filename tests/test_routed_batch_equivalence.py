@@ -1,18 +1,24 @@
-"""Equivalence pins for the routed-batch fast path (PR 5).
+"""Equivalence pins for the cluster's routed batch core.
 
-The cluster's ``lookup_batch_replies`` was rebuilt around a
-membership-epoch-keyed routing cache, one-pass bucket dispatch and batched
-replica propagation.  The pre-change implementation is kept verbatim as
-``lookup_batch_replies_reference``; these tests drive **twin clusters** --
-identical config, identical workload, one through each path -- and require
-identical verdicts, ``ServedFrom`` tiers, per-node counters and
-replica-write counts, under clean runs, downed nodes, grey failures and
-membership churn.
+``SHHCCluster._serve_routed`` -- a membership-epoch-keyed routing cache,
+one-pass bucket dispatch through the node's batch contract, and batched
+replica propagation -- is the only batch path; ``lookup_batch_replies`` and
+``lookup_batch`` are views over it.  The per-reply implementation it
+replaced lives on as an oracle in ``tests/oracles/cluster_reference.py``;
+these tests drive **twin clusters** -- identical config, identical
+workload, one through each -- and require identical verdicts,
+``ServedFrom`` tiers, service times, per-node counters and replica-write
+counts, under clean runs, downed nodes, grey failures and membership
+churn, with and without a cost model.  Clean runs are additionally held to
+the plain set model (duplicate <=> seen before) and to sequential
+``lookup_reply``.
 """
 
 from __future__ import annotations
 
 import pytest
+from oracles.cluster_reference import lookup_batch_replies_reference
+from oracles.set_model import set_verdicts
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
@@ -20,9 +26,10 @@ from repro.core.fault_injection import make_flaky
 from repro.core.membership import MembershipManager
 from repro.core.protocol import LookupReply, ServedFrom, make_lookup_reply
 from repro.dedup.fingerprint import synthetic_fingerprint
+from repro.simulation.costmodel import CostModel
 
 
-def make_cluster(num_nodes=4, replication=2, virtual_nodes=0):
+def make_cluster(num_nodes=4, replication=2, virtual_nodes=0, cost_model=None):
     config = ClusterConfig(
         num_nodes=num_nodes,
         replication_factor=replication,
@@ -33,7 +40,7 @@ def make_cluster(num_nodes=4, replication=2, virtual_nodes=0):
             ssd_buckets=1 << 8,
         ),
     )
-    return SHHCCluster(config)
+    return SHHCCluster(config, cost_model=cost_model)
 
 
 def workload(count, distinct=None, salt=0):
@@ -42,7 +49,11 @@ def workload(count, distinct=None, salt=0):
 
 
 def drive(cluster, fingerprints, path, batch_size=64):
-    lookup = getattr(cluster, path)
+    if path == "lookup_batch_replies_reference":
+        def lookup(batch):
+            return lookup_batch_replies_reference(cluster, batch)
+    else:
+        lookup = getattr(cluster, path)
     replies = []
     for start in range(0, len(fingerprints), batch_size):
         replies.extend(lookup(fingerprints[start:start + batch_size]))
@@ -91,6 +102,9 @@ class TestRoutedBatchEquivalence:
         reference_replies = drive(reference, fingerprints, "lookup_batch_replies_reference")
         assert_equivalent(fast, fast_replies, reference, reference_replies)
         assert replica_writes(fast) == replica_writes(reference)
+        assert [r.is_duplicate for r in fast_replies] == set_verdicts(
+            [fp.digest for fp in fingerprints], set()
+        )
 
     def test_equivalent_under_downed_nodes_and_recovery(self):
         fast = make_cluster()
@@ -160,6 +174,19 @@ class TestRoutedBatchEquivalence:
         ]
         assert replica_writes(batched) == replica_writes(sequential)
         assert len(batched) == len(sequential)
+
+    @pytest.mark.parametrize("virtual_nodes", [0, 16])
+    def test_unreplicated_replies_equal_sequential_lookups_field_for_field(self, virtual_nodes):
+        """Without replica writes a node sees the same key order either way,
+        so batch replies equal sequential ones in every field (``served_from``,
+        ``service_time``, ``node_id``), not just the verdict."""
+        batched = make_cluster(replication=1, virtual_nodes=virtual_nodes)
+        sequential = make_cluster(replication=1, virtual_nodes=virtual_nodes)
+        fingerprints = workload(700, distinct=400)
+        batched_replies = drive(batched, fingerprints, "lookup_batch_replies")
+        sequential_replies = [sequential.lookup_reply(fp) for fp in fingerprints]
+        assert batched_replies == sequential_replies
+        assert_equivalent(batched, batched_replies, sequential, sequential_replies)
 
 
 class TestRoutingCacheInvalidation:
@@ -236,18 +263,35 @@ class TestHotPathConstructors:
             assert result.is_duplicate == reply.is_duplicate
             assert result.latency == reply.service_time
             assert result.served_by == reply.node_id
+            assert type(result.is_duplicate) is bool
         assert cluster.lookups == len(fingerprints)
         assert cluster.duplicates == sum(r.is_duplicate for r in replies)
 
+    def test_lookup_batch_is_one_path_with_and_without_a_cost_model(self):
+        """The ledger only adds charges: results, node state and replica
+        writes are those of a cost-free twin, and every lookup is charged."""
+        free = make_cluster()
+        charged = make_cluster(cost_model=CostModel())
+        fingerprints = workload(600)
+        free_results = drive(free, fingerprints, "lookup_batch")
+        charged_results = drive(charged, fingerprints, "lookup_batch")
+        assert charged_results == free_results
+        for name in free.nodes:
+            assert charged.nodes[name].counters.as_dict() == free.nodes[name].counters.as_dict()
+            assert charged.nodes[name].store.stats() == free.nodes[name].store.stats()
+        ledger = charged.ledger
+        assert ledger.counters.get("lookups") == len(fingerprints)
+        assert ledger.counters.get("replica_writes") == sum(replica_writes(charged).values())
+
 
 class TestVerdictDirectScenarioEquivalence:
-    """``lookup_batch`` (verdict-direct results) vs the reference reply path.
+    """``lookup_batch`` (the result view) vs the per-reply oracle.
 
     The clean run is pinned by
     :meth:`TestHotPathConstructors.test_lookup_batch_results_match_reply_fields`;
-    these cover the failure scenarios, where the verdict path's deferred
-    replica propagation, bucket-uniform routing shortcut and in-place
-    repair flips must still match the reference path byte for byte.
+    these cover the failure scenarios, where the routed core's batched
+    replica propagation, bucket-uniform routing shortcut and repair tier
+    flips must still match the oracle byte for byte.
     """
 
     @staticmethod

@@ -340,15 +340,27 @@ class TestLRUHotPaths:
         assert list(fast) == list(reference)
 
     def test_put_new_matches_put_for_absent_keys(self):
+        """The node kernel's inlined known-absent insert (against ``data``,
+        counters settled per batch) vs ``put``: same stats, same recency
+        order, same eviction callbacks in the same order."""
+        from repro.core.config import HashNodeConfig
+        from repro.core.digest_batch import DigestBatch
+        from repro.core.hash_node import HybridHashNode
+
+        node = HybridHashNode(
+            "lru", config=HashNodeConfig(ram_cache_entries=2, bloom_expected_items=512)
+        )
         evicted_fast, evicted_reference = [], []
+        node.cache._on_evict = lambda k, v: evicted_fast.append(k)
         reference = LRUCache(capacity=2, on_evict=lambda k, v: evicted_reference.append(k))
-        fast = LRUCache(capacity=2, on_evict=lambda k, v: evicted_fast.append(k))
-        for i in range(5):
-            reference.put(f"k{i}", i)
-            fast.put_new(f"k{i}", i)
-        assert fast.stats() == reference.stats()
-        assert list(fast) == list(reference)
-        assert evicted_fast == evicted_reference
+        keys = [bytes([i]) * 20 for i in range(5)]
+        node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(keys), 1))
+        for key in keys:
+            assert reference.get(key) is None
+            reference.put(key, True)
+        assert node.cache.stats() == reference.stats()
+        assert list(node.cache) == list(reference)
+        assert evicted_fast == evicted_reference == keys[:3]
 
     def test_data_exposes_backing_dict(self):
         cache = LRUCache(capacity=3)

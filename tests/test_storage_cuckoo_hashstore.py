@@ -363,55 +363,88 @@ class TestFileHashStore:
 
 
 class TestHotPathAccessors:
-    """probe_pages / insert_new_pages vs. the IOOperation-list cost model.
+    """The node kernel's inlined store access vs. the IOOperation-list cost model.
 
-    The hash node's batch loop charges device time from page counts; these
-    pins guarantee the fused accessors keep accounting and state identical
-    to ``lookup_io`` + ``in`` and ``put`` + ``insert_flush_pages``.
+    The fused batch kernel (core/bucket_kernel.py) charges device time
+    from page counts it derives itself from ``batch_state()`` and settles
+    with ``settle_batch()``; these pins guarantee that accounting and state
+    stay identical to ``lookup_io`` + ``in`` and ``put`` + ``insert_io`` on
+    a reference store driven key by key.
     """
 
-    def _stores(self, **kwargs):
+    def _node_and_reference(self, page_size=4096, entry_size=48, write_buffer_pages=64):
+        from repro.core.config import HashNodeConfig
+        from repro.core.hash_node import HybridHashNode
         from repro.storage.hashstore import SSDHashStore
 
-        return SSDHashStore(num_buckets=32, **kwargs), SSDHashStore(num_buckets=32, **kwargs)
+        config = HashNodeConfig(
+            ram_cache_entries=1,  # nearly every repeat reaches the store probe
+            bloom_expected_items=4096,
+            ssd_buckets=32,
+            ssd_page_size=page_size,
+            ssd_entry_size=entry_size,
+            ssd_write_buffer_pages=write_buffer_pages,
+        )
+        node = HybridHashNode("pages", config=config)
+        reference = SSDHashStore(
+            num_buckets=32,
+            page_size=page_size,
+            entry_size=entry_size,
+            write_buffer_pages=write_buffer_pages,
+        )
+        return node, reference
+
+    @staticmethod
+    def _serve(node, keys, value):
+        from repro.core.digest_batch import DigestBatch
+
+        return node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(keys), value))[0]
 
     def test_probe_pages_matches_lookup_io_and_contains(self):
         import random
 
-        fast, reference = self._stores()
+        node, reference = self._node_and_reference(page_size=256, entry_size=48)
         rng = random.Random(5)
         keys = [bytes([i]) * 20 for i in range(120)]
-        for key in keys[::2]:
-            fast.put(key, 1)
+        self._serve(node, keys, 1)
+        for key in keys:
             reference.put(key, 1)
-        for key in rng.sample(keys, len(keys)):
-            pages, present = fast.probe_pages(key)
+            reference.insert_io(key)
+        # Re-offer every key: each one misses the 1-entry LRU, passes the
+        # bloom filter and probes its bucket -- several pages deep here.
+        probes = rng.sample(keys, len(keys))
+        tiers = self._serve(node, probes, 1)
+        pages = 0
+        for key in probes:
             operations = reference.lookup_io(key)
-            assert pages == len(operations)
             assert all(op.kind == "read" and op.random_access for op in operations)
-            assert present == (key in reference)
-        assert fast.stats() == reference.stats()
+            pages += len(operations)
+            assert key in reference
+        assert tiers == [2] * len(probes)
+        assert pages > len(probes)  # multi-page buckets were exercised
+        assert node.store.stats() == reference.stats()
 
     def test_insert_new_pages_matches_put_plus_insert_io(self):
-        fast, reference = self._stores(page_size=256, entry_size=48, write_buffer_pages=2)
-        for i in range(40):
-            key = bytes([i, i]) * 10
-            pages, random_access = fast.insert_new_pages(key, i)
-            assert reference.put(key, i) is True
-            operations = reference.insert_io(key)
-            assert pages == len(operations)
-            if operations:
-                assert all(op.kind == "write" for op in operations)
-                assert random_access == operations[0].random_access
-        assert fast.stats() == reference.stats()
-        assert dict(fast.items()) == dict(reference.items())
+        node, reference = self._node_and_reference(
+            page_size=256, entry_size=48, write_buffer_pages=2
+        )
+        keys = [bytes([i, i]) * 10 for i in range(40)]
+        for start in (0, 13, 27):  # flush boundaries fall inside and across batches
+            batch = keys[start:start + 13] if start < 27 else keys[start:]
+            assert self._serve(node, batch, 7) == [0] * len(batch)
+            for key in batch:
+                assert reference.put(key, 7) is True
+                assert all(op.kind == "write" for op in reference.insert_io(key))
+        assert node.store.stats() == reference.stats()
+        assert node.store.buffer_flushes > 0
+        assert dict(node.store.items()) == dict(reference.items())
 
     def test_insert_new_pages_unbuffered_mode(self):
-        fast, reference = self._stores(write_buffer_pages=0)
+        node, reference = self._node_and_reference(write_buffer_pages=0)
         key = b"k" * 20
-        pages, random_access = fast.insert_new_pages(key, True)
-        reference.put(key, True)
+        assert self._serve(node, [key], 9) == [0]
+        reference.put(key, 9)
         operations = reference.insert_io(key)
-        assert (pages, random_access) == (1, True)
         assert len(operations) == 1 and operations[0].random_access
-        assert fast.stats() == reference.stats()
+        assert node.store.page_writes == 1
+        assert node.store.stats() == reference.stats()

@@ -1,27 +1,29 @@
-"""Differential suite for the vectorized data plane (PR 9).
+"""Differential suite for the vectorized data plane.
 
-Every packed/fused fast path must be byte-identical to the scalar oracle
-it replaced, which stays in the tree precisely so these tests can compare
-against it:
+Every packed/fused fast path must be byte-identical to the reference it
+replaced:
 
 * bloom ``add_many``/``contains_many`` over packed batch hash words vs
   ``add_many_scalar``/``contains_many_scalar``;
 * cuckoo ``get_many``/``put_many``/``contains_many`` vs their scalar twins,
   on both the list backing and the packed shared-memory backing;
-* the node's fused batch kernel (``serve_bucket_batch`` /
-  ``serve_digest_batch``) vs the scalar ``serve_bucket`` loop -- replies,
-  float service times, counters, store stats, and bloom bits;
+* the node's one batch contract (``serve_bucket_verdicts``) and its reply
+  view (``lookup_batch``) vs sequential ``lookup()`` on a twin node --
+  replies field for field, float service times, counters, store stats,
+  bloom bits, LRU order -- and vs the dict-and-set model in
+  ``tests/oracles/set_model.py`` (tiers, new pairs, per-tier counts), for
+  the packed and the columnar kernel, an unrolled, a looped-probe and a
+  non-digest-keyed bloom shape, scalar and per-digest chunk sizes, and
+  the persistence log across kill/restart;
 * shared-memory segment lifecycle (create/attach/close/unlink, geometry
   validation, leaked-segment cleanup);
 * the packed trace cache vs running the generator directly.
 
-Plus the PR's three named satellite regression tests (fill_ratio big-int
-materialization, restore_payload repeated growth, union double-counting).
-
-PR 10 adds the columnar (numpy) backend on top: every ``*_np`` kernel and
-the columnar fused node family are held to the same standard -- verdicts,
-counters, and bit state identical to the scalar oracles -- and the forced
-no-numpy leg (``REPRO_FORCE_NO_NUMPY=1``, subprocess) pins the fallback.
+Plus three named satellite regression tests (fill_ratio big-int
+materialization, restore_payload repeated growth, union double-counting),
+the columnar (numpy) bloom kernels held to the same standard, and the
+forced no-numpy leg (``REPRO_FORCE_NO_NUMPY=1``, subprocess) pinning the
+fallback.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.set_model import NodeModel
 
 from repro.core.config import HashNodeConfig
 from repro.core.digest_batch import DigestBatch
 from repro.core.hash_node import HybridHashNode
+from repro.core.persistence import NodePersistence
+from repro.core.protocol import SERVED_FROM_TIER, LookupReply
 from repro.dedup.fingerprint import Fingerprint
 from repro.storage import npy as npy_backend
 from repro.storage.bloom import BloomFilter
@@ -354,116 +359,211 @@ class TestSharedMemoryLifecycle:
 
 
 # ------------------------------------------------------------------- fused node kernel
-def _twin_nodes():
+#: Bloom shapes the one kernel template serves: the default unrolled ladder
+#: (derived from the config), a looped probe block (more than 16 rounds),
+#: and a filter that is not digest-keyed (hash words from ``_hash_pair``).
+BLOOM_SHAPES = {
+    "unrolled": None,
+    "looped": dict(num_bits=2048, num_hashes=20),
+    "non_digest": dict(num_bits=2048, num_hashes=3, digest_keys=False),
+}
+
+
+def _node(capacity=32, shape="unrolled", persistence=None):
     config = HashNodeConfig(
-        ram_cache_entries=32,
+        ram_cache_entries=capacity,
         bloom_expected_items=256,
         bloom_false_positive_rate=0.05,
         ssd_buckets=16,
         ssd_write_buffer_pages=2,
     )
-    return HybridHashNode("twin", config=config), HybridHashNode("twin", config=config)
+    geometry = BLOOM_SHAPES[shape]
+    bloom = BloomFilter(**geometry) if geometry is not None else None
+    return HybridHashNode("twin", config=config, bloom=bloom, persistence=persistence)
 
 
-def _reply_tuple(reply):
+def _twin_nodes(capacity=32, shape="unrolled"):
+    return _node(capacity, shape), _node(capacity, shape)
+
+
+def _node_state(node):
     return (
-        reply.fingerprint.digest,
-        reply.is_duplicate,
-        reply.served_from,
-        reply.node_id,
-        reply.service_time,
+        node.counters.as_dict(),
+        node.store.stats(),
+        sorted(node.store.items()),
+        bytes(node.bloom.raw_bits()),
+        node.bloom.count,
+        list(node.cache.data),
+        node.cache.stats(),
+        node.lookup_latency.as_dict(),
     )
 
 
+def _pairs_of(items):
+    """``(digest, chunk_size)`` pairs with guaranteed intra-batch duplicates."""
+    return [(digest, 1 + size) for digest, size in _with_duplicates(items)]
+
+
+def _assert_model_agrees(model, node):
+    counters = node.counters.as_dict()
+    for name, value in model.expected_counters().items():
+        assert counters.get(name) == value, name
+    assert dict(node.store.items()) == model.stored
+    assert list(node.cache.data) == list(model.lru)
+
+
 batch_lists = st.lists(
-    st.lists(st.tuples(digests, st.integers(1, 1 << 20)), min_size=1, max_size=40),
+    st.lists(st.tuples(digests, st.integers(0, 1 << 20)), min_size=1, max_size=40),
     min_size=1,
     max_size=4,
 )
+lru_capacities = st.integers(1, 8)
 
 
 class TestFusedNodeKernelDifferential:
-    @SLOWER
-    @given(batch_lists)
-    def test_serve_bucket_batch_matches_scalar_loop(self, batches):
-        scalar, fused = _twin_nodes()
-        for pairs in batches:
-            pairs = _with_duplicates(pairs)
-            fingerprints = [
-                Fingerprint(digest=digest, chunk_size=size) for digest, size in pairs
-            ]
-            scalar_replies, scalar_new = scalar.serve_bucket(fingerprints)
-            fused_replies, fused_new = fused.serve_bucket_batch(
-                DigestBatch.from_fingerprints(fingerprints)
-            )
-            assert scalar_new == fused_new
-            assert list(map(_reply_tuple, scalar_replies)) == list(
-                map(_reply_tuple, fused_replies)
-            )
-        assert scalar.counters.as_dict() == fused.counters.as_dict()
-        assert scalar.store.stats() == fused.store.stats()
-        assert bytes(scalar.bloom.raw_bits()) == bytes(fused.bloom.raw_bits())
-        assert scalar.bloom.count == fused.bloom.count
-        assert list(scalar.cache.data) == list(fused.cache.data)
-        assert (scalar.cache.hits, scalar.cache.misses) == (
-            fused.cache.hits,
-            fused.cache.misses,
-        )
+    """The packed kernel behind ``serve_bucket_verdicts`` vs sequential ``lookup()``."""
 
     @SLOWER
-    @given(batch_lists)
-    def test_serve_digest_batch_matches_scalar_loop(self, batches):
-        scalar, fused = _twin_nodes()
-        for pairs in batches:
-            fingerprints = [
-                Fingerprint(digest=digest, chunk_size=size) for digest, size in pairs
+    @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
+    def test_serve_bucket_batch_matches_scalar_loop(self, batches, capacity, shape):
+        """``lookup_batch`` replies equal ``lookup()`` replies, field for field."""
+        scalar, fused = _twin_nodes(capacity, shape)
+        model = NodeModel(capacity)
+        for items in batches:
+            pairs = _pairs_of(items)
+            fingerprints = [Fingerprint(digest=d, chunk_size=size) for d, size in pairs]
+            scalar_replies = [scalar.lookup(fingerprint) for fingerprint in fingerprints]
+            fused_replies = fused.lookup_batch(fingerprints)
+            # Dataclass equality covers fingerprint, is_duplicate,
+            # served_from, node_id and the float service_time.
+            assert fused_replies == scalar_replies
+            assert all(type(reply) is LookupReply for reply in fused_replies)
+            assert all(type(reply.is_duplicate) is bool for reply in fused_replies)
+            tiers, _new_pairs = model.serve(pairs)
+            assert [reply.served_from for reply in fused_replies] == [
+                SERVED_FROM_TIER[tier] for tier in tiers
             ]
-            scalar_replies, scalar_new = scalar.serve_bucket(fingerprints)
-            verdicts, fused_new = fused.serve_digest_batch(
+        assert _node_state(scalar) == _node_state(fused)
+        _assert_model_agrees(model, fused)
+
+    @SLOWER
+    @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
+    def test_serve_digest_batch_matches_scalar_loop(self, batches, capacity, shape):
+        """The contract over a wire blob with per-digest chunk sizes."""
+        scalar, fused = _twin_nodes(capacity, shape)
+        model = NodeModel(capacity)
+        for items in batches:
+            pairs = _pairs_of(items)
+            scalar_replies = [
+                scalar.lookup(Fingerprint(digest=d, chunk_size=size)) for d, size in pairs
+            ]
+            tiers, service_times, new_pairs = fused.serve_bucket_verdicts(
                 DigestBatch.from_blob(
-                    b"".join(digest for digest, _ in pairs),
-                    [size for _, size in pairs],
+                    b"".join(digest for digest, _ in pairs), [size for _, size in pairs]
                 )
             )
-            assert scalar_new == fused_new
-            assert [reply.is_duplicate for reply in scalar_replies] == verdicts
-        assert scalar.counters.as_dict() == fused.counters.as_dict()
-        assert scalar.store.stats() == fused.store.stats()
-        assert sorted(scalar.store.items()) == sorted(fused.store.items())
+            assert (tiers, new_pairs) == model.serve(pairs)
+            assert [bool(tier) for tier in tiers] == [r.is_duplicate for r in scalar_replies]
+            assert [SERVED_FROM_TIER[tier] for tier in tiers] == [
+                r.served_from for r in scalar_replies
+            ]
+            assert service_times == [r.service_time for r in scalar_replies]
+        assert _node_state(scalar) == _node_state(fused)
+        _assert_model_agrees(model, fused)
 
     def test_scalar_chunk_size_blob_matches(self):
-        scalar, fused = _twin_nodes()
+        """One ``int`` chunk size for the whole blob == the same size per digest."""
+        scalar_sized, listed, sequential = _node(), _node(), _node()
         rng = random.Random(7)
         digest_pool = [rng.randbytes(20) for _ in range(120)]
         for _ in range(6):
             chosen = [rng.choice(digest_pool) for _ in range(50)]
-            fingerprints = [Fingerprint(digest=d, chunk_size=4096) for d in chosen]
-            scalar_replies, scalar_new = scalar.serve_bucket(fingerprints)
-            verdicts, fused_new = fused.serve_digest_batch(
-                DigestBatch.from_blob(b"".join(chosen), 4096)
+            blob = b"".join(chosen)
+            served = scalar_sized.serve_bucket_verdicts(DigestBatch.from_blob(blob, 4096))
+            assert served == listed.serve_bucket_verdicts(
+                DigestBatch.from_blob(blob, [4096] * len(chosen))
             )
-            assert scalar_new == fused_new
-            assert [reply.is_duplicate for reply in scalar_replies] == verdicts
-        assert scalar.counters.as_dict() == fused.counters.as_dict()
+            replies = [sequential.lookup(Fingerprint(digest=d, chunk_size=4096)) for d in chosen]
+            assert [bool(tier) for tier in served[0]] == [r.is_duplicate for r in replies]
+            assert set(size for _digest, size in served[2]) <= {4096}
+        assert _node_state(scalar_sized) == _node_state(listed) == _node_state(sequential)
 
     def test_non_digest_bloom_falls_back_to_scalar_path(self):
-        config = HashNodeConfig(bloom_expected_items=256, ssd_buckets=16)
-        node = HybridHashNode("fallback", config=config)
-        node.bloom = BloomFilter(num_bits=2048, num_hashes=3, digest_keys=False)
+        """A filter that is not digest-keyed hashes through its own scalar
+        ``_hash_pair`` (SHA-256), not the batch's packed digest words -- same
+        kernel template, and the bits it sets are the ones ``bloom.add`` sets."""
+        node, reference = _twin_nodes(shape="non_digest")
+        assert not node.bloom.digest_keys
         fingerprints = [
             Fingerprint(digest=os.urandom(20), chunk_size=4096) for _ in range(20)
         ]
-        replies, new_entries = node.serve_bucket_batch(
+        tiers, _times, new_pairs = node.serve_bucket_verdicts(
             DigestBatch.from_fingerprints(fingerprints)
         )
-        assert new_entries == 20
-        assert all(not reply.is_duplicate for reply in replies)
-        verdicts, _ = node.serve_digest_batch(
-            DigestBatch.from_blob(
-                b"".join(fp.digest for fp in fingerprints), 4096
-            )
+        assert tiers == [0] * 20
+        assert new_pairs == [(fp.digest, 4096) for fp in fingerprints]
+        for fingerprint in fingerprints:
+            reference.bloom.add(fingerprint.digest)
+        assert bytes(node.bloom.raw_bits()) == bytes(reference.bloom.raw_bits())
+        again, _times, none_new = node.serve_bucket_verdicts(
+            DigestBatch.from_blob(b"".join(fp.digest for fp in fingerprints), 4096)
         )
-        assert verdicts == [True] * 20
+        assert again == [1] * 20 and none_new == []
+
+    @pytest.mark.parametrize("shape", sorted(BLOOM_SHAPES))
+    def test_exactly_one_kernel_pair_per_bloom_shape(self, shape):
+        from repro.core import bucket_kernel
+
+        node = _node(shape=shape)
+        kernels = bucket_kernel.fused_kernels(node.bloom.num_bits, node.bloom.num_hashes)
+        assert [kernel.__name__ for kernel in kernels] == [
+            "fused_packed_kernel",
+            "fused_columnar_kernel",
+        ]
+        assert bucket_kernel.fused_kernels(node.bloom.num_bits, node.bloom.num_hashes) is kernels
+        assert node._select_kernel(DigestBatch.from_blob(os.urandom(20), 1))[0] is kernels[0]
+
+    def test_new_pairs_are_logged_before_the_contract_returns(self, tmp_path):
+        """Persistence pairs across kill/restart: what the contract
+        acknowledged as new is exactly what recovery replays."""
+        rng = random.Random(3)
+        pool = [rng.randbytes(20) for _ in range(90)]
+        node = _node(capacity=4, persistence=NodePersistence(str(tmp_path / "node")))
+        model = NodeModel(4)
+        acknowledged = []
+        for round_index in range(5):
+            pairs = [(d, 100 + d[0]) for d in (rng.choice(pool) for _ in range(30))]
+            if round_index % 2:
+                served = node.serve_bucket_verdicts(
+                    DigestBatch.from_blob(
+                        b"".join(d for d, _ in pairs), [size for _, size in pairs]
+                    )
+                )
+                tiers, new_pairs = served[0], served[2]
+            else:
+                replies = node.lookup_batch(
+                    [Fingerprint(digest=d, chunk_size=size) for d, size in pairs]
+                )
+                tiers = [SERVED_FROM_TIER.index(reply.served_from) for reply in replies]
+                new_pairs = [
+                    (reply.fingerprint.digest, reply.fingerprint.chunk_size)
+                    for reply in replies
+                    if not reply.is_duplicate
+                ]
+            assert (tiers, new_pairs) == model.serve(pairs)
+            acknowledged.extend(new_pairs)
+            assert node.persistence.records == len(acknowledged)
+        node.kill()
+        assert len(node.store) == 0
+        report = node.restart()
+        assert report.entries == len(acknowledged)
+        assert dict(node.store.items()) == dict(acknowledged) == model.stored
+        # Everything acknowledged before the kill is a duplicate after it.
+        tiers, _times, new_pairs = node.serve_bucket_verdicts(
+            DigestBatch.from_blob(b"".join(d for d, _ in acknowledged), 4096)
+        )
+        assert all(tiers) and new_pairs == []
+        node.persistence.close()
 
 
 # --------------------------------------------------------------------- trace cache
@@ -592,176 +692,136 @@ class TestNumpyBloomDifferential:
 
 
 @needs_numpy
-class TestNumpyCuckooDifferential:
-    @needs_shm
-    @FAST
-    @given(kv_lists, digest_lists)
-    def test_get_and_contains_np_match_scalar(self, items, extra_probes):
-        items = _with_duplicates(items)
-        table = CuckooHashTable(initial_buckets=8, slots_per_bucket=2, shared=True)
-        try:
-            table.put_many(items)
-            probes = [key for key, _ in items] + extra_probes
-            assert table.get_many_np(probes, default=-1) == table.get_many_scalar(
-                probes, default=-1
-            )
-            assert table.contains_many_np(probes) == table.contains_many_scalar(probes)
-        finally:
-            table.unlink_shared()
-
-    @needs_shm
-    def test_digest_batch_probes_match_list_probes(self):
-        rng = random.Random(11)
-        table = CuckooHashTable(initial_buckets=8, slots_per_bucket=2, shared=True)
-        try:
-            entries = [(rng.randbytes(20), index) for index in range(200)]
-            table.put_many(entries)
-            probes = [key for key, _ in entries[::2]] + [rng.randbytes(20) for _ in range(40)]
-            batch = DigestBatch.from_blob(b"".join(probes), 4096)
-            assert table.get_many_np(batch) == table.get_many_scalar(probes)
-            assert table.contains_many_np(batch) == table.contains_many_scalar(probes)
-        finally:
-            table.unlink_shared()
-
-    def test_list_backing_falls_back_and_agrees(self):
-        # No packed buffer behind a private table: get_many_np must detect
-        # that and still answer (via the routed scalar path).
-        table = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-        entries = [(os.urandom(20), index) for index in range(64)]
-        table.put_many(entries)
-        probes = [key for key, _ in entries] + [os.urandom(20) for _ in range(8)]
-        assert table.get_many_np(probes, default=-7) == table.get_many_scalar(
-            probes, default=-7
-        )
-        assert table.contains_many_np(probes) == table.contains_many_scalar(probes)
-
-
-@needs_numpy
 class TestColumnarFusedKernelDifferential:
-    """The columnar fused family vs the scalar ``serve_bucket`` loop.
+    """The columnar kernel vs the packed kernel on twin nodes.
 
-    ``NUMPY_MIN_BATCH`` is pinned to 1 inside the test so every batch --
-    including single-key ones -- takes the columnar bloom-prefetch path;
-    the dirty-flag protocol must keep verdicts, counters, bloom bits, and
-    cache state byte-identical to the per-key loop.
+    ``NUMPY_MIN_BATCH`` is pinned to 1 for the columnar twin so every batch
+    with a key past the RAM tier -- single-key ones included -- takes the
+    bloom-prefetch path, and to
+    "never" for the packed twin; the dirty-flag protocol must keep tiers,
+    service times, new pairs, counters, bloom bits and cache state
+    byte-identical between them (and both equal to sequential ``lookup()``,
+    which :class:`TestFusedNodeKernelDifferential` pins for the packed one).
     """
 
-    def _force_columnar(self):
+    @staticmethod
+    def _serve(monkeypatch, node, crossover, batch):
         import repro.core.hash_node as hash_node_mod
 
-        original = hash_node_mod.NUMPY_MIN_BATCH
-        hash_node_mod.NUMPY_MIN_BATCH = 1
-        return hash_node_mod, original
+        monkeypatch.setattr(hash_node_mod, "NUMPY_MIN_BATCH", crossover)
+        selected = []
+        select = node._select_kernel
+
+        def _spy(served_batch):
+            selected.append(select(served_batch))
+            return selected[-1]
+
+        node._select_kernel = _spy
+        try:
+            return node.serve_bucket_verdicts(batch), selected[-1][1]
+        finally:
+            del node._select_kernel
 
     @SLOWER
-    @given(batch_lists)
-    def test_columnar_serve_bucket_batch_matches_scalar_loop(self, batches):
-        hash_node_mod, original = self._force_columnar()
-        try:
-            scalar, columnar = _twin_nodes()
+    @given(batch_lists, lru_capacities)
+    def test_columnar_serve_bucket_batch_matches_scalar_loop(self, batches, capacity):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            packed, columnar = _twin_nodes(capacity)
+            sequential = _node(capacity)
             assert columnar.kernel_backend == "numpy"
-            for pairs in batches:
-                pairs = _with_duplicates(pairs)
+            for items in batches:
                 fingerprints = [
-                    Fingerprint(digest=digest, chunk_size=size) for digest, size in pairs
+                    Fingerprint(digest=d, chunk_size=size) for d, size in _pairs_of(items)
                 ]
-                scalar_replies, scalar_new = scalar.serve_bucket(fingerprints)
-                columnar_replies, columnar_new = columnar.serve_bucket_batch(
-                    DigestBatch.from_fingerprints(fingerprints)
+                reaches_bloom = any(
+                    fp.digest not in columnar.cache.data for fp in fingerprints
                 )
-                assert scalar_new == columnar_new
-                assert list(map(_reply_tuple, scalar_replies)) == list(
-                    map(_reply_tuple, columnar_replies)
+                served, was_columnar = self._serve(
+                    monkeypatch, columnar, 1, DigestBatch.from_fingerprints(fingerprints)
                 )
-            assert scalar.counters.as_dict() == columnar.counters.as_dict()
-            assert scalar.store.stats() == columnar.store.stats()
-            assert bytes(scalar.bloom.raw_bits()) == bytes(columnar.bloom.raw_bits())
-            assert scalar.bloom.count == columnar.bloom.count
-            assert list(scalar.cache.data) == list(columnar.cache.data)
-        finally:
-            hash_node_mod.NUMPY_MIN_BATCH = original
+                reference, reference_columnar = self._serve(
+                    monkeypatch, packed, 1 << 62, DigestBatch.from_fingerprints(fingerprints)
+                )
+                # A batch the RAM tier answers whole never pays the prefetch.
+                assert was_columnar == reaches_bloom and not reference_columnar
+                assert served == reference
+                replies = [sequential.lookup(fingerprint) for fingerprint in fingerprints]
+                assert served[1] == [reply.service_time for reply in replies]
+            assert _node_state(packed) == _node_state(columnar) == _node_state(sequential)
 
     @SLOWER
-    @given(batch_lists)
-    def test_columnar_serve_digest_batch_matches_scalar_loop(self, batches):
-        hash_node_mod, original = self._force_columnar()
-        try:
-            scalar, columnar = _twin_nodes()
-            for pairs in batches:
-                fingerprints = [
-                    Fingerprint(digest=digest, chunk_size=size) for digest, size in pairs
-                ]
-                scalar_replies, scalar_new = scalar.serve_bucket(fingerprints)
-                verdicts, columnar_new = columnar.serve_digest_batch(
-                    DigestBatch.from_blob(
-                        b"".join(digest for digest, _ in pairs),
-                        [size for _, size in pairs],
-                    )
+    @given(batch_lists, lru_capacities)
+    def test_columnar_serve_digest_batch_matches_scalar_loop(self, batches, capacity):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            packed, columnar = _twin_nodes(capacity)
+            model = NodeModel(capacity)
+            for items in batches:
+                pairs = _pairs_of(items)
+                blob = b"".join(digest for digest, _ in pairs)
+                sizes = [size for _, size in pairs]
+                reaches_bloom = any(d not in columnar.cache.data for d, _ in pairs)
+                served, was_columnar = self._serve(
+                    monkeypatch, columnar, 1, DigestBatch.from_blob(blob, sizes)
                 )
-                assert scalar_new == columnar_new
-                assert [reply.is_duplicate for reply in scalar_replies] == verdicts
-            assert scalar.counters.as_dict() == columnar.counters.as_dict()
-            assert scalar.store.stats() == columnar.store.stats()
-            assert sorted(scalar.store.items()) == sorted(columnar.store.items())
-        finally:
-            hash_node_mod.NUMPY_MIN_BATCH = original
+                reference, _ = self._serve(
+                    monkeypatch, packed, 1 << 62, DigestBatch.from_blob(blob, sizes)
+                )
+                assert was_columnar == reaches_bloom
+                assert served == reference
+                assert (served[0], served[2]) == model.serve(pairs)
+            assert _node_state(packed) == _node_state(columnar)
+            _assert_model_agrees(model, columnar)
 
-    def test_default_crossover_keeps_small_batches_scalar(self):
-        # Below REPRO_NUMPY_MIN_BATCH the serve methods must not pay the
-        # columnar setup; the packed per-key family answers instead.  The
-        # result is identical either way -- this pins the routing itself.
-        node, _ = _twin_nodes()
+    def test_default_crossover_keeps_small_batches_scalar(self, monkeypatch):
+        # Below REPRO_NUMPY_MIN_BATCH the contract must not pay the columnar
+        # setup; the packed per-key kernel answers instead.  The result is
+        # identical either way -- this pins the routing itself.
+        import repro.core.hash_node as hash_node_mod
+
+        node = _node()
         assert node.kernel_backend == "numpy"
         small = [Fingerprint(digest=os.urandom(20), chunk_size=4096) for _ in range(4)]
-        replies, new_entries = node.serve_bucket_batch(DigestBatch.from_fingerprints(small))
-        assert new_entries == 4
-        assert [reply.is_duplicate for reply in replies] == [False] * 4
+        (tiers, _times, new_pairs), was_columnar = self._serve(
+            monkeypatch, node, hash_node_mod.NUMPY_MIN_BATCH,
+            DigestBatch.from_fingerprints(small),
+        )
+        assert not was_columnar
+        assert tiers == [0] * 4 and len(new_pairs) == 4
 
 
 @needs_numpy
 def test_crossover_counts_the_keys_that_reach_the_bloom_stage(monkeypatch):
-    """128 keys, 95% RAM hits -> packed family; 50% -> columnar family.
+    """128 keys, 95% RAM hits -> packed kernel; 50% -> columnar kernel.
 
-    Only the family moves: a twin node forced the other way (crossover
+    Only the kernel moves: a twin node forced the other way (crossover
     pinned to 1 / to "never") ends in the same state with the same
-    verdicts, service times and new pairs.
+    tiers, service times and new pairs.
     """
-    import repro.core.hash_node as hash_node_mod
-
     rng = random.Random(13)
     known = [rng.randbytes(20) for _ in range(256)]
     config = HashNodeConfig(
         ram_cache_entries=512, bloom_expected_items=4096, ssd_buckets=64
     )
-    batches = [  # (RAM hits, family expected at the default crossover)
+    batches = [  # (RAM hits, kernel expected at the default crossover)
         (known[:122] + [rng.randbytes(20) for _ in range(6)], False),
         (known[128:192] + [rng.randbytes(20) for _ in range(64)], True),
     ]
     for digests, _ in batches:
         rng.shuffle(digests)
+    serve = TestColumnarFusedKernelDifferential._serve
 
     def _serve_all(crossovers):
         node = HybridHashNode("crossover", config=config)
-        node.serve_digest_batch(DigestBatch.from_blob(b"".join(known), 4096))
-        run_fused, families, outputs = node._run_fused, [], []
-
-        def _spy(*args, columnar=False):
-            families.append(columnar)
-            return run_fused(*args, columnar=columnar)
-
-        node._run_fused = _spy
+        node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(known), 4096))
+        families, outputs = [], []
         for (digests, _), crossover in zip(batches, crossovers):
-            monkeypatch.setattr(hash_node_mod, "NUMPY_MIN_BATCH", crossover)
-            outputs.append(
-                node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(digests), 4096))
+            output, was_columnar = serve(
+                monkeypatch, node, crossover, DigestBatch.from_blob(b"".join(digests), 4096)
             )
+            outputs.append(output)
+            families.append(was_columnar)
         assert node.kernel_backend == "numpy"
-        state = (
-            node.counters.as_dict(), node.store.stats(), sorted(node.store.items()),
-            bytes(node.bloom.raw_bits()), node.bloom.count, list(node.cache.data),
-            node.lookup_latency.as_dict(),
-        )
-        return families, outputs, state
+        return families, outputs, _node_state(node)
 
     families, outputs, state = _serve_all([64, 64])
     assert families == [expected for _, expected in batches]
@@ -790,8 +850,8 @@ class TestForcedNoNumpyFallback:
 
     ``REPRO_FORCE_NO_NUMPY=1`` is read at import time, so the only honest
     way to test the fallback with numpy installed is a fresh interpreter.
-    The child proves the backend reports ``python-packed``, the ``*_np``
-    entry points fall back bit-identically, and the serving gateway boots
+    The child proves the backend reports ``python-packed``, the bloom
+    ``*_np`` entry points fall back bit-identically, and the serving gateway boots
     and answers stats with the fallback backend name.
     """
 
@@ -820,7 +880,6 @@ class TestForcedNoNumpyFallback:
 
             from repro.storage import npy
             from repro.storage.bloom import BloomFilter
-            from repro.storage.cuckoo import CuckooHashTable
             from repro.core.config import HashNodeConfig
             from repro.core.digest_batch import DigestBatch
             from repro.core.hash_node import HybridHashNode
@@ -838,14 +897,6 @@ class TestForcedNoNumpyFallback:
             assert routed.contains_many_np(probes) == oracle.contains_many_scalar(probes)
             assert not routed.columnar_eligible
 
-            table = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-            entries = [(os.urandom(20), index) for index in range(64)]
-            table.put_many(entries)
-            lookup = [key for key, _ in entries] + [os.urandom(20) for _ in range(8)]
-            assert table.get_many_np(lookup, default=-1) == table.get_many_scalar(
-                lookup, default=-1
-            )
-
             node = HybridHashNode(
                 "no-numpy", config=HashNodeConfig(bloom_expected_items=512, ssd_buckets=16)
             )
@@ -853,14 +904,14 @@ class TestForcedNoNumpyFallback:
             from repro.serving.worker import _stats
             assert _stats(node)["kernel_backend"] == "python-packed"
             digests = [os.urandom(20) for _ in range(100)]
-            verdicts, new_entries = node.serve_digest_batch(
+            tiers, _times, new_pairs = node.serve_bucket_verdicts(
                 DigestBatch.from_blob(b"".join(digests), 4096)
             )
-            assert new_entries == 100 and verdicts == [False] * 100
-            again, _ = node.serve_digest_batch(
+            assert len(new_pairs) == 100 and tiers == [0] * 100
+            again, _times, _none = node.serve_bucket_verdicts(
                 DigestBatch.from_blob(b"".join(digests), 4096)
             )
-            assert again == [True] * 100  # every key is now a duplicate
+            assert again == [1] * 100  # every key is now a RAM-tier duplicate
             print("no-numpy kernels ok")
             """
         )
