@@ -1,19 +1,14 @@
 """Experiment runners, one per paper table/figure plus the ablations.
 
-.. deprecated::
-    The ``run_*`` entry points re-exported here are deprecation shims.  The
-    canonical way to run experiments is the scenario API::
+The canonical way to run an experiment is the scenario API::
 
-        from repro.scenarios import run_scenario
-        result = run_scenario("figure5", scale=0.001)
+    from repro.scenarios import run_scenario
+    result = run_scenario("figure5", scale=0.001)
 
-    Each shim emits a :class:`DeprecationWarning` and delegates to the
-    matching preset when its arguments are expressible as a declarative
-    :class:`~repro.scenarios.spec.ScenarioSpec` (plain scalars and lists).
-    Calls passing rich objects (workload mixes, profile objects, explicit
-    configs or schedules) fall through to the underlying experiment module,
-    so existing scripts and the ``benchmarks/`` harness keep working
-    unchanged.
+whose presets (:mod:`repro.scenarios.presets`) call the ``run_*`` module
+functions re-exported here.  Call those directly when an argument is a
+rich object a declarative spec cannot carry (workload mixes, profile
+objects, explicit configs or schedules).
 
 Every runner returns a result object with a ``render()`` method producing
 the same table/series the paper reports.
@@ -21,42 +16,31 @@ the same table/series the paper reports.
 
 from __future__ import annotations
 
-import functools
-import warnings
-from typing import Any, Callable
-
 from .ablations import (
     BatchTradeoffPoint,
     BatchTradeoffResult,
     ScalingAblationResult,
     TierAblationResult,
     TierAblationRow,
+    run_batch_tradeoff,
+    run_scaling_ablation,
+    run_tier_ablation,
 )
-from .ablations import run_batch_tradeoff as _run_batch_tradeoff
-from .ablations import run_scaling_ablation as _run_scaling_ablation
-from .ablations import run_tier_ablation as _run_tier_ablation
 from .control_plane import (
     ControlPlaneResult,
     PhaseLatency,
     run_churn_timed,
     run_failover_timed,
 )
-from .elasticity import ElasticityResult
-from .elasticity import run_elasticity as _run_elasticity
-from .failover import FailoverResult
-from .failover import run_failover as _run_failover
+from .elasticity import ElasticityResult, run_elasticity
+from .failover import FailoverResult, run_failover
 from .restart import RestartResult, run_restart
 from .service import ServiceRunResult, run_service
-from .figure1 import Figure1Point, Figure1Result
-from .figure1 import run_figure1 as _run_figure1
-from .generational import GenerationalResult, GenerationRow
-from .generational import run_generational_backup as _run_generational_backup
-from .figure5 import Figure5Point, Figure5Result
-from .figure5 import run_figure5 as _run_figure5
-from .figure6 import Figure6Result
-from .figure6 import run_figure6 as _run_figure6
-from .table1 import Table1Result, Table1Row
-from .table1 import run_table1 as _run_table1
+from .figure1 import Figure1Point, Figure1Result, run_figure1
+from .generational import GenerationalResult, GenerationRow, run_generational_backup
+from .figure5 import Figure5Point, Figure5Result, run_figure5
+from .figure6 import Figure6Result, run_figure6
+from .table1 import Table1Result, Table1Row, run_table1
 
 __all__ = [
     "BatchTradeoffPoint",
@@ -94,57 +78,3 @@ __all__ = [
     "Table1Row",
     "run_table1",
 ]
-
-_SPEC_SAFE_SCALARS = (bool, int, float, str, type(None))
-
-
-def _spec_expressible(value: Any) -> bool:
-    """Whether a legacy kwarg value can travel inside a declarative spec."""
-    if isinstance(value, _SPEC_SAFE_SCALARS):
-        return True
-    if isinstance(value, (list, tuple)):
-        return all(_spec_expressible(item) for item in value)
-    return False
-
-
-def _deprecated_runner(preset: str, module_runner: Callable[..., Any]) -> Callable[..., Any]:
-    """Wrap a legacy runner: warn, and delegate to the preset when possible."""
-
-    @functools.wraps(module_runner)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        warnings.warn(
-            f"{module_runner.__name__} is deprecated; use "
-            f"repro.scenarios.run_scenario({preset!r}, ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not args and all(_spec_expressible(value) for value in kwargs.values()):
-            # Imported lazily: the scenarios engine imports this package.
-            from ...scenarios import SpecError, run_scenario
-
-            try:
-                return run_scenario(preset, **kwargs).detail
-            except SpecError:
-                # Kwarg not addressable as a spec key (e.g. a runner-only
-                # tuning knob): run the module function directly.
-                pass
-        return module_runner(*args, **kwargs)
-
-    wrapper.__doc__ = (
-        f"Deprecated shim for :func:`{module_runner.__module__}."
-        f"{module_runner.__name__}`; prefer ``run_scenario({preset!r}, ...)``.\n\n"
-        + (module_runner.__doc__ or "")
-    )
-    return wrapper
-
-
-run_figure1 = _deprecated_runner("figure1", _run_figure1)
-run_figure5 = _deprecated_runner("figure5", _run_figure5)
-run_figure6 = _deprecated_runner("figure6", _run_figure6)
-run_table1 = _deprecated_runner("table1", _run_table1)
-run_generational_backup = _deprecated_runner("generational", _run_generational_backup)
-run_tier_ablation = _deprecated_runner("tier_ablation", _run_tier_ablation)
-run_batch_tradeoff = _deprecated_runner("batch_tradeoff", _run_batch_tradeoff)
-run_scaling_ablation = _deprecated_runner("scaling_ablation", _run_scaling_ablation)
-run_failover = _deprecated_runner("failover", _run_failover)
-run_elasticity = _deprecated_runner("elasticity", _run_elasticity)

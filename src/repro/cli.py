@@ -16,8 +16,7 @@ Usage (after ``pip install -e .``)::
 
 ``run`` executes one scenario preset with ``--set key=value`` overrides;
 ``sweep`` expands ``--axis key=v1,v2,...`` into a grid of scenarios and
-emits a machine-readable JSON grid of the uniform metrics.  The legacy
-``experiment`` subcommand is kept as a thin alias over the same presets.
+emits a machine-readable JSON grid of the uniform metrics.
 ``backup``/``restore`` exercise the library as a real file-level
 deduplicating archiver backed by an on-disk chunk store.
 """
@@ -129,32 +128,6 @@ def _cmd_presets(args: argparse.Namespace) -> int:
         print(f"{name}: {preset.description}")
         if args.verbose:
             print(f"    keys: {', '.join(preset.valid_keys())}")
-    return 0
-
-
-# --------------------------------------------------------------------------- experiments
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    """Legacy alias: each experiment name is a preset on the scenario engine."""
-    name = args.name
-    overrides = {
-        "figure1": {"requests": args.requests},
-        "figure5": {"scale": args.scale},
-        "figure6": {"scale": args.scale, "num_nodes": args.nodes},
-        "table1": {"scale": args.scale},
-        "ablations": {"scale": args.scale},
-        "failover": {
-            "scale": args.scale,
-            "num_nodes": args.nodes,
-            "replication_factor": args.replication,
-            "virtual_nodes": args.virtual_nodes,
-        },
-    }[name]
-    try:
-        result = run_scenario(name, **overrides)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(result.render())
     return 0
 
 
@@ -442,25 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     presets.add_argument("--verbose", "-v", action="store_true",
                          help="also list each preset's accepted spec keys")
     presets.set_defaults(handler=_cmd_presets)
-
-    experiment = subparsers.add_parser(
-        "experiment",
-        help="run a paper experiment (legacy alias for `run`)",
-    )
-    experiment.add_argument(
-        "name", choices=["figure1", "figure5", "figure6", "table1", "ablations", "failover"]
-    )
-    experiment.add_argument("--requests", type=int, default=6_000, help="figure1 request count")
-    experiment.add_argument("--scale", type=float, default=0.002, help="workload scale factor")
-    experiment.add_argument("--nodes", type=int, default=4, help="cluster size (figure6, failover)")
-    experiment.add_argument(
-        "--replication", type=int, default=2, help="replication factor (failover)"
-    )
-    experiment.add_argument(
-        "--virtual-nodes", type=int, default=64,
-        help="consistent-hash tokens per node, 0 = range partitioner (failover)",
-    )
-    experiment.set_defaults(handler=_cmd_experiment)
 
     serve = subparsers.add_parser(
         "serve", help="run the real serving stack (gateway + worker processes)"

@@ -2,27 +2,26 @@
 
 A routed sub-batch used to travel as a list of :class:`Fingerprint`
 objects, and every layer below re-derived the same per-key facts from
-them: the 20-byte digest, the two 64-bit hash words the bloom filter and
-cuckoo table probe with (``int.from_bytes`` of a 160-bit integer per key
-on the old path), and the chunk size.  :class:`DigestBatch` carries the
+them: the 20-byte digest, the two 64-bit hash words the bloom filter
+probes with (``int.from_bytes`` of a 160-bit integer per key on the old
+path), and the chunk size.  :class:`DigestBatch` carries the
 batch as one packed buffer -- the 20-byte digests back to back -- plus
 parallel chunk sizes, and derives *all* hash words for the whole batch
 with a single ``struct.unpack`` call:
 
-* bytes ``[0:8)`` of each digest are the bloom/cuckoo ``h1`` word
+* bytes ``[0:8)`` of each digest are the bloom ``h1`` word
   (equal to ``(int.from_bytes(digest) >> 96)`` for a 20-byte digest);
 * bytes ``[8:16)`` are the raw ``h2`` word (``(whole >> 32) & 2**64-1``);
-  the bloom step is ``(h2 | 1) % num_bits`` and the cuckoo second bucket
-  is ``h2 % num_buckets`` -- exactly what the retained scalar kernels
-  compute, so verdicts stay bit-identical.
+  the bloom step is ``(h2 | 1) % num_bits`` -- exactly what the filter's
+  per-key functions compute, so verdicts stay bit-identical.
 
 Backend selection: when numpy is importable (the optional ``perf``
 extra) and not suppressed via ``REPRO_FORCE_NO_NUMPY=1``,
 :meth:`DigestBatch.hash_words_np` exposes the same word pairs as one
 ``(n, 2)`` ``uint64`` array derived from a single ``np.frombuffer`` view
-of the packed blob, and the fused node kernels switch to the columnar
-bloom/cuckoo kernels for buckets that send at least
-``REPRO_NUMPY_MIN_BATCH`` keys (default 64) past the RAM tier.  Without
+of the packed blob, and the node switches to the columnar fused kernel
+for buckets that send at least ``NUMPY_MIN_BATCH`` keys (64) past the RAM
+tier.  Without
 numpy every path falls back to the packed pure-Python kernels above,
 byte-identically -- numpy is never required (see
 :mod:`repro.storage.npy` for the contract).  The buffer layout is

@@ -230,7 +230,7 @@ class HybridHashNode:
         and recovery replace the filter wholesale); the columnar one is
         only considered when the numpy backend is active and the filter is
         columnar-eligible.  It is picked when at least
-        ``REPRO_NUMPY_MIN_BATCH`` keys will reach the bloom stage: its
+        ``NUMPY_MIN_BATCH`` keys will reach the bloom stage: its
         prefetch probes the filter for every key of the batch, which only
         pays off on the keys the RAM tier does not answer -- a mostly
         RAM-hit batch stays on the packed kernel whatever its size.
@@ -258,7 +258,7 @@ class HybridHashNode:
 
         Reported by the serving worker's ``/stats`` and in
         ``ScenarioResult`` metrics.  ``numpy`` means batches sending at
-        least ``REPRO_NUMPY_MIN_BATCH`` keys past the RAM tier run the
+        least ``NUMPY_MIN_BATCH`` keys past the RAM tier run the
         columnar bloom prefetch; the rest keep the packed kernel, whose
         outputs are byte-identical either way.
         """
@@ -467,9 +467,9 @@ class HybridHashNode:
         for the same digests.
         """
         if new_digests:
-            # The digests come straight out of the peer's store: 20-byte by
-            # construction, so the trusted packed add applies.
-            self.bloom.add_digests(new_digests)
+            # A list of 20-byte digests straight out of the peer's store, so
+            # add_many packs it.
+            self.bloom.add_many(new_digests)
             self.counters.increment("replica_inserts", len(new_digests))
             if self.persistence is not None:
                 store_get = self.store.get

@@ -17,27 +17,32 @@ hashing straight out of the key material.  Short keys and strings keep the
 SHA-256 path, which is also available explicitly via ``digest_keys=False``
 for callers whose long keys are *not* uniform (e.g. file paths).
 
-Batch APIs (:meth:`BloomFilter.add_many` / :meth:`BloomFilter.contains_many`)
-take the *packed* path when every key is a 20-byte digest (or the caller
-hands a :class:`~repro.core.digest_batch.DigestBatch`): the hash words of
-the whole batch come from one ``struct.unpack`` over the contiguous
-buffer and an exec-unrolled kernel walks the probe sequences with no
-per-key ``int.from_bytes``/type dispatch at all.  The previous per-key
-kernels are retained verbatim as :meth:`BloomFilter.add_many_scalar` /
-:meth:`BloomFilter.contains_many_scalar` -- the reference oracle the
-differential tests (tests/test_vectorized_kernels.py) drive the packed
-path against.
+One probe walk
+--------------
+Every probe and insert visits the Kirsch-Mitzenmacher sequence
+``(h1 + i * (h2 | 1)) % num_bits`` incrementally: ``index = h1 % num_bits``,
+``step = (h2 | 1) % num_bits``, then add-and-conditionally-subtract per
+round.  That replaces a 64-bit multiply and wide modulo per probe with
+small-int arithmetic.  The walk is written once, in :func:`_emit_walk`,
+and four functions are generated from it per filter shape
+(:func:`_shape_kernels`): the per-key pair behind ``key in filter`` /
+:meth:`BloomFilter.add`, and a pair that runs a whole packed batch.
 
-When the optional numpy backend is active (see :mod:`repro.storage.npy`),
-batches of at least ``REPRO_NUMPY_MIN_BATCH`` keys take a *columnar* path
-instead: every Kirsch-Mitzenmacher probe index for the whole batch is
-computed as one ``(n, num_hashes)`` ``uint64`` array and the bit vector is
-gathered/scattered through a zero-copy ``np.uint8`` view
+Batch APIs (:meth:`BloomFilter.add_many` / :meth:`BloomFilter.contains_many`)
+share one routing.  A batch whose every key is a 20-byte digest (or a
+:class:`~repro.core.digest_batch.DigestBatch`) is *packed*: the hash words
+of the whole batch come from one ``struct.unpack`` over the contiguous
+buffer and the generated batch function walks the probe sequences with no
+per-key ``int.from_bytes``/type dispatch at all.  When the optional numpy
+backend is active (see :mod:`repro.storage.npy`), batches of at least
+``NUMPY_MIN_BATCH`` keys are *columnar* instead: every probe index for the
+whole batch is computed as one ``(num_hashes, n)`` ``uint64`` plane and
+the bit vector is gathered/scattered through a zero-copy ``np.uint8`` view
 (``np.bitwise_or.at`` for inserts, a boolean AND-reduction for probes).
-The arithmetic mirrors the scalar kernels step for step, so bits and
-verdicts stay byte-identical; :meth:`BloomFilter.add_many_np` /
-:meth:`BloomFilter.contains_many_np` expose the columnar kernels
-explicitly for the differential tests and benchmarks.
+Everything else is a loop over the per-key function, which is the
+reference: all three routes leave the same bits, count and verdicts
+(tests/test_vectorized_kernels.py, against the per-key functions and an
+independent model in tests/oracles/bloom_model.py).
 
 Shared-memory backing (opt-in)
 ------------------------------
@@ -64,12 +69,12 @@ from .shm import SharedBuffer
 
 __all__ = ["BloomFilter", "optimal_parameters"]
 
-#: The columnar kernels compute the whole probe sequence closed-form in
+#: The columnar route computes the whole probe sequence closed-form in
 #: ``uint64`` -- ``(index0 + i * step) % num_bits`` -- which is exact only
 #: while ``index0 + i * step`` cannot overflow: with ``index0, step <
 #: num_bits`` and at most 16 probe rounds (the unroll bound shared with
-#: the packed kernels), ``num_bits < 2**58`` keeps the worst case under
-#: ``2**63``.  Filters anywhere near this would not fit in RAM anyway.
+#: the packed batch functions), ``num_bits < 2**58`` keeps the worst case
+#: under ``2**63``.  Filters anywhere near this would not fit in RAM anyway.
 _NP_MAX_BITS = 1 << 58
 
 #: Byte-value -> popcount lookup table (satellite fix: ``fill_ratio`` used
@@ -83,164 +88,116 @@ _SHM_HEADER = struct.Struct(">4sQI")
 #: Byte keys at least this long are treated as uniform digests by default.
 _DIGEST_KEY_MIN_BYTES = 16
 
-#: Unrolled batch kernels are generated for hash counts up to this; larger
-#: (unusual) configurations fall back to the generic probe loop.
+#: The walk is unrolled for hash counts up to this; larger (unusual)
+#: configurations get the same walk as a loop, per key only.
 _MAX_UNROLLED_HASHES = 16
 
-#: Cache of generated batch kernels keyed by (num_bits, num_hashes):
-#: nodes in a cluster share parameters, so each shape compiles once.
+#: Cache of generated functions keyed by (num_bits, num_hashes): nodes in
+#: a cluster share parameters, so each shape compiles once.
 _KERNEL_CACHE: dict = {}
 
 
-def _batch_kernels(num_bits: int, num_hashes: int):
-    """Return the exec-generated kernel tuple for one filter shape.
+def _emit_walk(num_hashes: int, pad: str, action: Callable[[str], List[str]]) -> List[str]:
+    """Source lines walking one key's probe sequence from ``h1``/``h2``.
 
-    ``(contains_kernel, add_kernel, contains_one_kernel, add_one_kernel,
-    contains_words_kernel, add_words_kernel)`` -- the first four are the
-    original per-key kernels (retained as the scalar reference oracle);
-    the ``*_words`` pair drives the packed path: it takes the flat
-    ``(h1, h2)`` word tuple produced by one ``struct.unpack`` over the
-    contiguous digest buffer (:func:`repro.storage.packing.digest_hash_words`)
-    and probes/sets whole batches with zero per-key hashing or dispatch.
-
-    The kernels are specialised with ``exec`` (the ``namedtuple`` technique):
-    ``num_bits`` is baked in as a constant and the Kirsch-Mitzenmacher probe
-    walk is fully unrolled, which removes the per-index loop machinery that
-    otherwise dominates a pure-Python probe.  20-byte keys (SHA-1
-    fingerprints, the hot case) derive both hash words from one
-    ``int.from_bytes``; every other key goes through the caller-supplied
-    ``hash_pair`` (which honours ``digest_keys``).  The ``*_one`` variants
-    serve the single-key :meth:`BloomFilter.__contains__` /
-    :meth:`BloomFilter.add` hot path (bound via ``functools.partial``, so a
-    probe costs one call frame); they take ``(bits, hash_pair, digest_keys,
-    key)`` so the per-filter state can be pre-bound.  Returns ``None`` for
-    shapes too large to unroll.
+    ``action(pad)`` returns the lines to run at each visited ``index``
+    (test the bit, set the bit).  Up to :data:`_MAX_UNROLLED_HASHES` rounds
+    the walk is an unrolled ladder, which removes the per-index loop
+    machinery that otherwise dominates a pure-Python probe, and the step
+    is only derived once the first action has run -- a probe whose first
+    bit is clear (the common definite negative) skips that modulo.  Beyond
+    the bound the same walk is a ``for`` loop.
     """
+    first = f"{pad}index = h1 % nb"
+    step = f"{pad}step = (h2 | 1) % nb"
+
+    def advance(at: str) -> List[str]:
+        return [f"{at}index += step", f"{at}if index >= nb: index -= nb"]
+
     if num_hashes > _MAX_UNROLLED_HASHES:
-        return None
+        inner = pad + "    "
+        return [first, step, f"{pad}for _ in range({num_hashes}):", *action(inner), *advance(inner)]
+    lines = [first, *action(pad)]
+    if num_hashes > 1:
+        lines.append(step)
+    for _ in range(num_hashes - 1):
+        lines += advance(pad) + action(pad)
+    return lines
+
+
+def _shape_kernels(num_bits: int, num_hashes: int) -> tuple:
+    """``(contains_one, add_one, contains_words, add_words)`` for one shape.
+
+    The functions are specialised with ``exec`` (the ``namedtuple``
+    technique): ``num_bits`` is baked in as a constant and the walk comes
+    from :func:`_emit_walk`.
+
+    * ``contains_one`` / ``add_one`` take ``(bits, hash_pair, digest_keys,
+      key)`` so the per-filter state can be pre-bound with
+      ``functools.partial`` and a probe costs one call frame.  20-byte keys
+      (SHA-1 fingerprints, the hot case) derive both hash words from one
+      ``int.from_bytes``; every other key goes through the caller-supplied
+      ``hash_pair`` (which honours ``digest_keys``).
+    * ``contains_words(words, bits, emit)`` / ``add_words(words, bits)``
+      take the flat ``(h1, h2, h1, h2, ...)`` tuple produced by one
+      ``struct.unpack`` over a contiguous digest buffer
+      (:func:`repro.storage.packing.digest_hash_words`).  For a 20-byte
+      digest those words are exactly the per-key functions' ``whole >> 96``
+      and ``(whole >> 32) & 2**64-1``, so verdicts and bit mutations are
+      bit-identical.  ``None`` for shapes too large to unroll.
+    """
     shape = (num_bits, num_hashes)
     kernels = _KERNEL_CACHE.get(shape)
     if kernels is not None:
         return kernels
 
-    def _header(name: str) -> list:
-        return [
-            f"def {name}(keys, bits, emit, hash_pair, digest_keys):",
-            "    from_bytes = int.from_bytes",
-            f"    nb = {num_bits}",
-            "    for key in keys:",
-            "        if digest_keys and type(key) is bytes and len(key) == 20:",
-            "            whole = from_bytes(key, 'big')",
-            "            index = (whole >> 96) % nb",
-            "            step = (((whole >> 32) & 0xFFFFFFFFFFFFFFFF) | 1) % nb",
-            "        else:",
-            "            h1, h2 = hash_pair(key)",
-            "            index = h1 % nb",
-            "            step = h2 % nb",
+    def probe(on_miss: str) -> Callable[[str], List[str]]:
+        return lambda pad: [
+            f"{pad}if not bits[index >> 3] & (1 << (index & 7)):",
+            f"{pad}    {on_miss}",
         ]
 
-    probe_lines = _header("contains_kernel")
-    for i in range(num_hashes):
-        probe_lines.append("        if not bits[index >> 3] & (1 << (index & 7)):")
-        probe_lines.append("            emit(False); continue")
-        if i < num_hashes - 1:
-            probe_lines.append("        index += step")
-            probe_lines.append("        if index >= nb: index -= nb")
-    probe_lines.append("        emit(True)")
+    def set_bit(pad: str) -> List[str]:
+        return [f"{pad}bits[index >> 3] |= 1 << (index & 7)"]
 
-    add_lines = _header("add_kernel")
-    for i in range(num_hashes):
-        add_lines.append("        bits[index >> 3] |= 1 << (index & 7)")
-        if i < num_hashes - 1:
-            add_lines.append("        index += step")
-            add_lines.append("        if index >= nb: index -= nb")
-
-    def _one_header(name: str) -> list:
+    def per_key(name: str, action, result: List[str]) -> List[str]:
         return [
             f"def {name}(bits, hash_pair, digest_keys, key):",
             f"    nb = {num_bits}",
             "    if digest_keys and type(key) is bytes and len(key) == 20:",
             "        whole = int.from_bytes(key, 'big')",
-            "        index = (whole >> 96) % nb",
-            "        step = (((whole >> 32) & 0xFFFFFFFFFFFFFFFF) | 1) % nb",
+            "        h1 = whole >> 96",
+            "        h2 = (whole >> 32) & 0xFFFFFFFFFFFFFFFF",
             "    else:",
             "        h1, h2 = hash_pair(key)",
-            "        index = h1 % nb",
-            "        step = h2 % nb",
+            *_emit_walk(num_hashes, "    ", action),
+            *result,
         ]
 
-    probe_one_lines = _one_header("contains_one_kernel")
-    for i in range(num_hashes):
-        probe_one_lines.append("    if not bits[index >> 3] & (1 << (index & 7)):")
-        probe_one_lines.append("        return False")
-        if i < num_hashes - 1:
-            probe_one_lines.append("    index += step")
-            probe_one_lines.append("    if index >= nb: index -= nb")
-    probe_one_lines.append("    return True")
+    def per_batch(signature: str, action, result: List[str]) -> List[str]:
+        return [
+            f"def {signature}:",
+            f"    nb = {num_bits}",
+            "    _it = iter(words)",
+            "    for h1, h2 in zip(_it, _it):",
+            *_emit_walk(num_hashes, "        ", action),
+            *result,
+        ]
 
-    add_one_lines = _one_header("add_one_kernel")
-    for i in range(num_hashes):
-        add_one_lines.append("    bits[index >> 3] |= 1 << (index & 7)")
-        if i < num_hashes - 1:
-            add_one_lines.append("    index += step")
-            add_one_lines.append("    if index >= nb: index -= nb")
-
-    # Packed-batch kernels: ``words`` is the flat (h1, h2, h1, h2, ...)
-    # tuple from one struct.unpack over the contiguous digest buffer, so
-    # there is no per-key type dispatch or int.from_bytes left at all.
-    # ``h1 % nb`` equals the scalar kernel's ``(whole >> 96) % nb`` and
-    # ``(h2 | 1) % nb`` its ``(((whole >> 32) & 2**64-1) | 1) % nb`` for a
-    # 20-byte digest, so verdicts and bit mutations are bit-identical.
-    contains_words_lines = [
-        "def contains_words_kernel(words, bits, emit):",
-        f"    nb = {num_bits}",
-        "    _it = iter(words)",
-        "    for h1, h2 in zip(_it, _it):",
-        "        index = h1 % nb",
-    ]
-    for i in range(num_hashes):
-        contains_words_lines.append("        if not bits[index >> 3] & (1 << (index & 7)):")
-        contains_words_lines.append("            emit(False); continue")
-        if i < num_hashes - 1:
-            if i == 0:
-                # The step is only needed once the first probe passes --
-                # definite negatives (the common shortcut) skip the modulo.
-                contains_words_lines.append("        step = (h2 | 1) % nb")
-            contains_words_lines.append("        index += step")
-            contains_words_lines.append("        if index >= nb: index -= nb")
-    contains_words_lines.append("        emit(True)")
-
-    add_words_lines = [
-        "def add_words_kernel(words, bits):",
-        f"    nb = {num_bits}",
-        "    _it = iter(words)",
-        "    for h1, h2 in zip(_it, _it):",
-        "        index = h1 % nb",
-    ]
-    if num_hashes > 1:
-        add_words_lines.append("        step = (h2 | 1) % nb")
-    for i in range(num_hashes):
-        add_words_lines.append("        bits[index >> 3] |= 1 << (index & 7)")
-        if i < num_hashes - 1:
-            add_words_lines.append("        index += step")
-            add_words_lines.append("        if index >= nb: index -= nb")
-
+    source = per_key("contains_one", probe("return False"), ["    return True"])
+    source += per_key("add_one", set_bit, [])
+    if num_hashes <= _MAX_UNROLLED_HASHES:
+        source += per_batch(
+            "contains_words(words, bits, emit)",
+            probe("emit(False); continue"),
+            ["        emit(True)"],
+        )
+        source += per_batch("add_words(words, bits)", set_bit, [])
     namespace: dict = {}
-    exec("\n".join(probe_lines), namespace)  # noqa: S102 - static template, no user input
-    exec("\n".join(add_lines), namespace)  # noqa: S102
-    exec("\n".join(probe_one_lines), namespace)  # noqa: S102
-    exec("\n".join(add_one_lines), namespace)  # noqa: S102
-    exec("\n".join(contains_words_lines), namespace)  # noqa: S102
-    exec("\n".join(add_words_lines), namespace)  # noqa: S102
-    kernels = (
-        namespace["contains_kernel"],
-        namespace["add_kernel"],
-        namespace["contains_one_kernel"],
-        namespace["add_one_kernel"],
-        namespace["contains_words_kernel"],
-        namespace["add_words_kernel"],
+    exec("\n".join(source), namespace)  # noqa: S102 - static template, no user input
+    kernels = _KERNEL_CACHE[shape] = tuple(
+        namespace.get(name) for name in ("contains_one", "add_one", "contains_words", "add_words")
     )
-    _KERNEL_CACHE[shape] = kernels
     return kernels
 
 
@@ -311,40 +268,24 @@ class BloomFilter:
         #: Lazily created ``np.uint8`` view of ``_bits`` (see :meth:`np_bits`).
         self._np_bits = None
         self._count = 0
-        # Unrolled kernels for this filter shape, or None when num_hashes is
-        # too large to unroll (generic loop then).  The single-key variants
-        # are pre-bound to this filter's state (the bit vector is mutated in
-        # place and never reassigned, so binding it once is safe); they are
-        # the bodies of ``add``/``__contains__`` and what recovery replay
-        # binds for its per-key inserts.
-        self._kernels = _batch_kernels(self.num_bits, self.num_hashes)
-        if self._kernels is not None:
-            self._contains_one: Optional[Callable[[bytes], bool]] = partial(
-                self._kernels[2], self._bits, self._hash_pair, self.digest_keys
-            )
-            self._add_one: Optional[Callable[[bytes], None]] = partial(
-                self._kernels[3], self._bits, self._hash_pair, self.digest_keys
-            )
-        else:
-            self._contains_one = None
-            self._add_one = None
-        #: Single-key membership probe bound to the fastest implementation
-        #: for this shape; semantically identical to ``key in filter`` and
+        contains_one, add_one, self._contains_words, self._add_words = _shape_kernels(
+            self.num_bits, self.num_hashes
+        )
+        # The per-key functions are pre-bound to this filter's state (the
+        # bit vector is mutated in place and never reassigned, so binding
+        # it once is safe).
+        #: Single-key membership probe: the body of ``key in filter`` and
         #: what hot loops should bind instead of ``__contains__``.
-        self.contains_one: Callable[[bytes], bool] = (
-            self._contains_one if self._contains_one is not None else self.__contains__
+        self.contains_one: Callable[[bytes], bool] = partial(
+            contains_one, self._bits, self._hash_pair, self.digest_keys
         )
         #: Single-key insert for hot loops.  Unlike :meth:`add` it does NOT
-        #: advance the insert count -- a tight loop calls this per key and
-        #: settles once with :meth:`count_inserts` (state-identical).
-        self.add_one: Callable[[bytes], None] = (
-            self._add_one if self._add_one is not None else self._add_uncounted
+        #: advance the insert count -- a tight loop (recovery replay) calls
+        #: this per key and settles once with :meth:`count_inserts`
+        #: (state-identical).
+        self.add_one: Callable[[bytes], None] = partial(
+            add_one, self._bits, self._hash_pair, self.digest_keys
         )
-
-    def _add_uncounted(self, key: bytes) -> None:
-        """Generic-shape fallback for :attr:`add_one` (no count advance)."""
-        self.add(key)
-        self._count -= 1
 
     def count_inserts(self, amount: int) -> None:
         """Advance the insert count for keys added via :attr:`add_one`."""
@@ -399,13 +340,8 @@ class BloomFilter:
         buffer = self._buffer
         return buffer.name if buffer is not None else None
 
-    def close_shared(self) -> None:
-        """Detach from the shared segment.  Terminal: do not use the filter after.
-
-        The single-key kernels stay bound to the released view, so any
-        probe after this raises -- closing is for teardown paths only.
-        Idempotent; a no-op for private backings.
-        """
+    def _detach_shared(self) -> Optional[SharedBuffer]:
+        """Release this filter's mapping; returns the buffer to close or unlink."""
         buffer, self._buffer = self._buffer, None
         if buffer is not None:
             # Drop the numpy view first: it exports the memoryview's buffer,
@@ -414,16 +350,23 @@ class BloomFilter:
             bits, self._bits = self._bits, bytearray(0)
             if isinstance(bits, memoryview):
                 bits.release()
+        return buffer
+
+    def close_shared(self) -> None:
+        """Detach from the shared segment.  Terminal: do not use the filter after.
+
+        The per-key functions stay bound to the released view, so any
+        probe after this raises -- closing is for teardown paths only.
+        Idempotent; a no-op for private backings.
+        """
+        buffer = self._detach_shared()
+        if buffer is not None:
             buffer.close()
 
     def unlink_shared(self) -> None:
         """Detach *and* remove the backing segment from the system."""
-        buffer, self._buffer = self._buffer, None
+        buffer = self._detach_shared()
         if buffer is not None:
-            self._np_bits = None
-            bits, self._bits = self._bits, bytearray(0)
-            if isinstance(bits, memoryview):
-                bits.release()
             buffer.unlink()
 
     # -- internals -------------------------------------------------------------
@@ -446,92 +389,57 @@ class BloomFilter:
             int.from_bytes(digest[8:16], "big") | 1,
         )
 
-    def _indexes(self, key: bytes) -> Iterable[int]:
-        """Bit indexes probed for ``key`` (kept for introspection/tests)."""
-        h1, h2 = self._hash_pair(key)
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
-
-    def _set_bit(self, index: int) -> None:
-        self._bits[index >> 3] |= 1 << (index & 7)
-
-    def _get_bit(self, index: int) -> bool:
-        return bool(self._bits[index >> 3] & (1 << (index & 7)))
-
-    # -- public API -------------------------------------------------------------
-    #
-    # The probe loops below walk the Kirsch-Mitzenmacher sequence
-    # ``(h1 + i * h2) % num_bits`` incrementally: reduce ``h1``/``h2`` once,
-    # then add-and-conditionally-subtract per index.  That replaces a 64-bit
-    # multiply and wide modulo per probe with small-int arithmetic while
-    # visiting exactly the indexes ``_indexes`` yields.  The batch methods
-    # additionally special-case 20-byte keys (SHA-1 fingerprints, the hot
-    # case) to derive both hash words from a single ``int.from_bytes``.
-
-    def add(self, key: bytes) -> None:
-        """Insert ``key`` into the filter."""
-        add_one = self._add_one
-        if add_one is not None:
-            add_one(key)
-            self._count += 1
-            return
-        h1, h2 = self._hash_pair(key)
-        bits = self._bits
-        num_bits = self.num_bits
-        index = h1 % num_bits
-        step = h2 % num_bits
-        for _ in range(self.num_hashes):
-            bits[index >> 3] |= 1 << (index & 7)
-            index += step
-            if index >= num_bits:
-                index -= num_bits
-        self._count += 1
-
-    def _packed_words(self, keys) -> Optional[tuple]:
-        """Flat ``(h1, h2)`` words when ``keys`` can take the packed path.
-
-        Eligible inputs: anything exposing ``hash_words()`` (a
-        :class:`~repro.core.digest_batch.DigestBatch`, which has the words
-        cached for the whole routed batch), or a non-empty list/tuple where
-        *every* element is a 20-byte ``bytes`` digest.  The per-key length
-        check is mandatory -- mixed-length keys that merely sum to a
-        multiple of 20 would otherwise hash wrong silently.  Returns
-        ``None`` when the batch must go through the scalar oracle instead
-        (non-digest keys, ``digest_keys=False``, or an un-unrollable shape).
-        """
-        if self._kernels is None or not self.digest_keys:
-            return None
-        hash_words = getattr(keys, "hash_words", None)
-        if hash_words is not None:
-            return hash_words()
-        if type(keys) in (list, tuple) and keys:
-            for key in keys:
-                if type(key) is not bytes or len(key) != 20:
-                    return None
-            return digest_hash_words(b"".join(keys), len(keys))
-        return None
-
-    # -- columnar numpy kernels --------------------------------------------------
     @property
     def columnar_eligible(self) -> bool:
-        """Whether the columnar kernels can serve this filter's batches.
+        """Whether the columnar route can serve this filter's batches.
 
-        Requires the numpy backend, digest keys, an unrollable shape (the
-        scalar single-key kernels double as the columnar family's re-probe
-        and insert tail), and exact uint64 probe arithmetic.
+        Requires the numpy backend, digest keys, and exact uint64 probe
+        arithmetic: at most :data:`_MAX_UNROLLED_HASHES` rounds over fewer
+        than :data:`_NP_MAX_BITS` bits.
         """
         return (
             HAVE_NUMPY
-            and self._kernels is not None
             and self.digest_keys
+            and self.num_hashes <= _MAX_UNROLLED_HASHES
             and self.num_bits < _NP_MAX_BITS
         )
 
+    def _batch_words(self, keys):
+        """Hash words of a batch that can skip per-key hashing, else ``None``.
+
+        The one routing decision behind :meth:`add_many` and
+        :meth:`contains_many`.  Eligible inputs: a
+        :class:`~repro.core.digest_batch.DigestBatch` (which has the words
+        cached for the whole routed batch), or a non-empty list/tuple where
+        *every* element is a 20-byte ``bytes`` digest.  The per-key length
+        check is mandatory -- mixed-length keys that merely sum to a
+        multiple of 20 would otherwise hash wrong silently.  Returns an
+        ``(n, 2)`` uint64 array for the columnar route (eligible filter,
+        at least ``NUMPY_MIN_BATCH`` keys), the flat ``(h1, h2, ...)``
+        tuple for the packed route, and ``None`` when the batch goes key
+        by key (non-digest keys, ``digest_keys=False``, an un-unrollable
+        shape, or an iterable that is neither of the above).
+        """
+        if self._add_words is None or not self.digest_keys:
+            return None
+        is_batch = hasattr(keys, "hash_words")
+        if not is_batch and not (type(keys) in (list, tuple) and keys):
+            return None
+        columnar = len(keys) >= NUMPY_MIN_BATCH and self.columnar_eligible
+        if is_batch:
+            return keys.hash_words_np() if columnar else keys.hash_words()
+        for key in keys:
+            if type(key) is not bytes or len(key) != 20:
+                return None
+        words_of = digest_hash_words_np if columnar else digest_hash_words
+        return words_of(b"".join(keys), len(keys))
+
+    # -- columnar numpy route ----------------------------------------------------
     def np_bits(self):
         """Writable ``np.uint8`` view of the live bit vector (zero-copy).
 
         ``np.frombuffer`` over the same ``bytearray``/shared-memory
-        ``memoryview`` the scalar kernels mutate, so for a shm-backed
+        ``memoryview`` the per-key functions mutate, so for a shm-backed
         filter every attached process (serving workers, sweep pools)
         gathers against one physical copy.  The view is cached; teardown
         (:meth:`close_shared`/:meth:`unlink_shared`) drops it before
@@ -544,70 +452,32 @@ class BloomFilter:
             view = self._np_bits = _np.frombuffer(self._bits, dtype=_np.uint8)
         return view
 
-    def _packed_words_np(self, keys):
-        """``(n, 2)`` uint64 word array when ``keys`` can take the columnar path.
+    def _probe_plane_np(self, words):
+        """``(indexes, byte_idx, masks)``: the batch's ``(num_hashes, n)`` probe plane.
 
-        Same eligibility as :meth:`_packed_words` plus: the numpy backend
-        must be active and ``num_bits`` small enough for exact uint64
-        probe arithmetic.  ``None`` means fall back (packed or scalar).
-        """
-        if (
-            not HAVE_NUMPY
-            or self._kernels is None
-            or not self.digest_keys
-            or self.num_bits >= _NP_MAX_BITS
-        ):
-            return None
-        hash_words_np = getattr(keys, "hash_words_np", None)
-        if hash_words_np is not None:
-            return hash_words_np()
-        if type(keys) in (list, tuple) and keys:
-            for key in keys:
-                if type(key) is not bytes or len(key) != 20:
-                    return None
-            return digest_hash_words_np(b"".join(keys), len(keys))
-        return None
-
-    def _probe_indexes_np(self, words):
-        """``(num_hashes, n)`` probe-index matrix, scalar-arithmetic-exact.
-
-        The scalar kernels walk ``index += step; if index >= nb: index -=
-        nb`` from ``index0 = h1 % nb`` with ``step = (h2 | 1) % nb``; since
-        both operands stay below ``nb``, the walk is exactly ``(index0 +
-        i * step) % nb``, which vectorizes as one broadcast multiply-add
-        and one modulo over the whole ``(num_hashes, n)`` plane (no
-        per-round Python loop).  ``_NP_MAX_BITS`` bounds ``nb`` so the
+        The walk's ``index += step; if index >= nb: index -= nb`` from
+        ``index0 = h1 % nb`` with ``step = (h2 | 1) % nb`` keeps both
+        operands below ``nb``, so it is exactly ``(index0 + i * step) %
+        nb``, which vectorizes as one broadcast multiply-add and one
+        modulo over the whole plane (no per-round Python loop).
+        ``columnar_eligible`` bounds ``nb`` and the rounds so the
         ``uint64`` products cannot overflow.  Every visited index -- and
-        therefore every bit touched -- is identical to the packed-Python
-        path.
+        therefore every bit touched -- is identical to the per-key walk.
+        ``byte_idx`` / ``masks`` address each index's bit in
+        :meth:`np_bits`.
         """
         nb = _np.uint64(self.num_bits)
         index = words[:, 0] % nb
         num_hashes = self.num_hashes
         if num_hashes == 1:
-            return index.reshape(1, -1)
-        step = (words[:, 1] | _np.uint64(1)) % nb
-        rounds = _np.arange(num_hashes, dtype=_np.uint64).reshape(-1, 1)
-        return (index[_np.newaxis, :] + rounds * step[_np.newaxis, :]) % nb
-
-    def _add_words_np(self, words) -> None:
-        indexes = self._probe_indexes_np(words)
-        byte_idx = (indexes >> _np.uint64(3)).astype(_np.intp).ravel()
-        masks = _np.left_shift(
-            _np.uint8(1), (indexes & _np.uint64(7)).astype(_np.uint8)
-        ).ravel()
-        # bitwise_or.at, not fancy-assign: duplicate byte indexes within a
-        # batch must all land, exactly as the scalar loop ORs them in turn.
-        _np.bitwise_or.at(self.np_bits(), byte_idx, masks)
-
-    def _contains_words_np(self, words) -> List[bool]:
-        indexes = self._probe_indexes_np(words)
+            indexes = index.reshape(1, -1)
+        else:
+            step = (words[:, 1] | _np.uint64(1)) % nb
+            rounds = _np.arange(num_hashes, dtype=_np.uint64).reshape(-1, 1)
+            indexes = (index[_np.newaxis, :] + rounds * step[_np.newaxis, :]) % nb
         byte_idx = (indexes >> _np.uint64(3)).astype(_np.intp)
-        masks = _np.left_shift(
-            _np.uint8(1), (indexes & _np.uint64(7)).astype(_np.uint8)
-        )
-        hits = (self.np_bits()[byte_idx] & masks) != 0
-        return hits.all(axis=0).tolist()
+        masks = _np.left_shift(_np.uint8(1), (indexes & _np.uint64(7)).astype(_np.uint8))
+        return indexes, byte_idx, masks
 
     def _prefetch_probe_np(self, words):
         """``(verdicts, rows)`` for the columnar fused node kernels.
@@ -622,13 +492,8 @@ class BloomFilter:
         Materializing rows only for the negatives keeps the duplicate-
         heavy steady state (the paper's headline workload) almost free.
         """
-        indexes = self._probe_indexes_np(words)
-        byte_idx = (indexes >> _np.uint64(3)).astype(_np.intp)
-        masks = _np.left_shift(
-            _np.uint8(1), (indexes & _np.uint64(7)).astype(_np.uint8)
-        )
-        hits = (self.np_bits()[byte_idx] & masks) != 0
-        verdict = hits.all(axis=0)
+        indexes, byte_idx, masks = self._probe_plane_np(words)
+        verdict = ((self.np_bits()[byte_idx] & masks) != 0).all(axis=0)
         rows: List = [None] * indexes.shape[1]
         false_cols = _np.flatnonzero(~verdict)
         if false_cols.size:
@@ -637,198 +502,61 @@ class BloomFilter:
                 rows[col] = row
         return verdict.tolist(), rows
 
-    def add_many_np(self, keys: Iterable[bytes]) -> None:
-        """Columnar insert regardless of batch size (bench/test entry point).
+    # -- public API -------------------------------------------------------------
+    def add(self, key: bytes) -> None:
+        """Insert ``key`` into the filter."""
+        self.add_one(key)
+        self._count += 1
 
-        Bit-identical to :meth:`add_many_scalar`; ineligible batches (or a
-        missing numpy backend) defer to :meth:`add_many`.
-        """
-        words = self._packed_words_np(keys)
-        if words is None:
-            self.add_many(keys)
-            return
-        self._add_words_np(words)
-        self._count += int(words.shape[0])
-
-    def contains_many_np(self, keys: Sequence[bytes]) -> List[bool]:
-        """Columnar membership probe (bench/test entry point)."""
-        words = self._packed_words_np(keys)
-        if words is None:
-            return self.contains_many(keys)
-        return self._contains_words_np(words)
+    def __contains__(self, key: bytes) -> bool:
+        """``True`` if the key *may* have been added, ``False`` if definitely not."""
+        return self.contains_one(key)
 
     def add_many(self, keys: Iterable[bytes]) -> None:
         """Insert many keys with per-call overhead amortised across the batch.
 
-        Packed fast path: a ``DigestBatch`` or an all-20-byte-digest batch
-        derives every hash word with one ``struct.unpack`` and sets bits
-        through the words kernel; with the numpy backend active, batches of
-        at least ``REPRO_NUMPY_MIN_BATCH`` digests run the columnar kernel
-        instead (same bits).  Anything else falls through to
-        :meth:`add_many_scalar` -- same bits, same count, measured per key.
+        Same bits and same count as :meth:`add` per key, by whichever
+        route :meth:`_batch_words` picks for the batch.
         """
-        if (
-            HAVE_NUMPY
-            and getattr(keys, "__len__", None) is not None
-            and len(keys) >= NUMPY_MIN_BATCH
-        ):
-            words_np = self._packed_words_np(keys)
-            if words_np is not None:
-                self._add_words_np(words_np)
-                self._count += int(words_np.shape[0])
-                return
-        words = self._packed_words(keys)
-        if words is not None:
-            self._kernels[5](words, self._bits)
+        words = self._batch_words(keys)
+        if words is None:
+            add_one = self.add_one
+            added = 0
+            for key in getattr(keys, "digests", keys):
+                add_one(key)
+                added += 1
+            self._count += added
+        elif type(words) is tuple:
+            self._add_words(words, self._bits)
             self._count += len(words) >> 1
-            return
-        if hasattr(keys, "hash_words"):  # DigestBatch on a non-packed shape
-            keys = keys.digests
-        self.add_many_scalar(keys)
-
-    def add_digests(self, digests: Sequence[bytes]) -> None:
-        """Insert keys the caller guarantees are 20-byte digests.
-
-        Trusted-input variant of :meth:`add_many` for internal callers
-        whose keys come straight out of another digest-keyed structure
-        (replica propagation, recovery replay): it skips the per-key
-        shape validation and packs/unpacks the batch directly.  Falls
-        back to the scalar oracle when the filter is not digest-keyed or
-        has an un-unrollable shape.  Same bits, same count as
-        :meth:`add_many` for the same keys.
-        """
-        kernels = self._kernels
-        if kernels is None or not self.digest_keys:
-            self.add_many_scalar(digests)
-            return
-        count = len(digests)
-        if not count:
-            return
-        if HAVE_NUMPY and count >= NUMPY_MIN_BATCH and self.num_bits < _NP_MAX_BITS:
-            self._add_words_np(digest_hash_words_np(b"".join(digests), count))
-            self._count += count
-            return
-        kernels[5](digest_hash_words(b"".join(digests), count), self._bits)
-        self._count += count
-
-    def add_many_scalar(self, keys: Iterable[bytes]) -> None:
-        """Per-key insert loop: the reference oracle for the packed path.
-
-        This is the pre-vectorization :meth:`add_many` body, retained
-        verbatim; the differential tests assert the packed kernels leave
-        the bit vector byte-identical to this.
-        """
-        if self._kernels is not None:
-            if not isinstance(keys, (list, tuple)):
-                keys = list(keys)
-            self._kernels[1](keys, self._bits, None, self._hash_pair, self.digest_keys)
-            self._count += len(keys)
-            return
-        # Generic loop for shapes too large to unroll.
-        bits = self._bits
-        num_bits = self.num_bits
-        num_hashes = self.num_hashes
-        hash_pair = self._hash_pair
-        inserted = 0
-        for key in keys:
-            h1, h2 = hash_pair(key)
-            index = h1 % num_bits
-            step = h2 % num_bits
-            for _ in range(num_hashes):
-                bits[index >> 3] |= 1 << (index & 7)
-                index += step
-                if index >= num_bits:
-                    index -= num_bits
-            inserted += 1
-        self._count += inserted
-
-    def update(self, keys: Iterable[bytes]) -> None:
-        """Insert many keys (alias of :meth:`add_many`)."""
-        self.add_many(keys)
-
-    def __contains__(self, key: bytes) -> bool:
-        """``True`` if the key *may* have been added, ``False`` if definitely not."""
-        contains_one = self._contains_one
-        if contains_one is not None:
-            return contains_one(key)
-        h1, h2 = self._hash_pair(key)
-        bits = self._bits
-        num_bits = self.num_bits
-        index = h1 % num_bits
-        step = h2 % num_bits
-        for _ in range(self.num_hashes):
-            if not bits[index >> 3] & (1 << (index & 7)):
-                return False
-            index += step
-            if index >= num_bits:
-                index -= num_bits
-        return True
+        else:
+            _indexes, byte_idx, masks = self._probe_plane_np(words)
+            # bitwise_or.at, not fancy-assign: duplicate byte indexes within
+            # a batch must all land, exactly as the per-key walk ORs them in
+            # turn.
+            _np.bitwise_or.at(self.np_bits(), byte_idx.ravel(), masks.ravel())
+            self._count += len(words)
 
     def contains_many(self, keys: Sequence[bytes]) -> List[bool]:
         """Membership verdicts for a batch of keys, in input order.
 
-        Takes the columnar numpy path for eligible batches of at least
-        ``REPRO_NUMPY_MIN_BATCH`` keys, else the packed words path for
-        ``DigestBatch``/all-digest batches (see :meth:`add_many`);
-        otherwise defers to the scalar oracle.
+        Same verdicts as ``key in filter`` per key, by whichever route
+        :meth:`_batch_words` picks for the batch.
         """
-        if (
-            HAVE_NUMPY
-            and getattr(keys, "__len__", None) is not None
-            and len(keys) >= NUMPY_MIN_BATCH
-        ):
-            words_np = self._packed_words_np(keys)
-            if words_np is not None:
-                return self._contains_words_np(words_np)
-        words = self._packed_words(keys)
-        if words is not None:
+        words = self._batch_words(keys)
+        if words is None:
+            return list(map(self.contains_one, getattr(keys, "digests", keys)))
+        if type(words) is tuple:
             verdicts: List[bool] = []
-            self._kernels[4](words, self._bits, verdicts.append)
+            self._contains_words(words, self._bits, verdicts.append)
             return verdicts
-        if hasattr(keys, "hash_words"):  # DigestBatch on a non-packed shape
-            keys = keys.digests
-        return self.contains_many_scalar(keys)
-
-    def contains_many_scalar(self, keys: Sequence[bytes]) -> List[bool]:
-        """Per-key probe loop: the reference oracle for the packed path."""
-        verdicts: List[bool] = []
-        if self._kernels is not None:
-            self._kernels[0](keys, self._bits, verdicts.append, self._hash_pair, self.digest_keys)
-            return verdicts
-        # Generic loop for shapes too large to unroll.
-        bits = self._bits
-        num_bits = self.num_bits
-        num_hashes = self.num_hashes
-        hash_pair = self._hash_pair
-        append = verdicts.append
-        for key in keys:
-            h1, h2 = hash_pair(key)
-            index = h1 % num_bits
-            step = h2 % num_bits
-            for _ in range(num_hashes):
-                if not bits[index >> 3] & (1 << (index & 7)):
-                    append(False)
-                    break
-                index += step
-                if index >= num_bits:
-                    index -= num_bits
-            else:
-                append(True)
-        return verdicts
-
-    def might_contain(self, key: bytes) -> bool:
-        """Alias for ``key in filter`` with an explicit name."""
-        return key in self
+        _indexes, byte_idx, masks = self._probe_plane_np(words)
+        return ((self.np_bits()[byte_idx] & masks) != 0).all(axis=0).tolist()
 
     @property
     def count(self) -> int:
         """Number of insertions performed (not distinct keys)."""
         return self._count
-
-    @property
-    def bit_size(self) -> int:
-        """Size of the bit vector in bits."""
-        return self.num_bits
 
     @property
     def memory_bytes(self) -> int:
@@ -840,10 +568,10 @@ class BloomFilter:
 
         The hash node's fused batch kernel (:mod:`repro.core.bucket_kernel`)
         probes and sets bits inline with the exact arithmetic of this
-        filter's own kernels; it reads the vector once per batch through
+        filter's own walk; it reads the vector once per batch through
         this accessor.  The object identity is stable for the filter's
         lifetime (``clear``/``restore_payload`` mutate in place), matching
-        the contract the pre-bound single-key kernels rely on.
+        the contract the pre-bound per-key functions rely on.
         """
         return self._bits
 
@@ -886,7 +614,7 @@ class BloomFilter:
     def clear(self) -> None:
         """Remove all entries (reset every bit).
 
-        Zeroes the bit vector in place: the single-key kernels are bound to
+        Zeroes the bit vector in place: the per-key functions are bound to
         the bytearray object at construction, so it must never be replaced.
         """
         self._bits[:] = bytes(len(self._bits))
@@ -899,7 +627,7 @@ class BloomFilter:
     def restore_payload(self, payload: bytes, count: int) -> None:
         """Overwrite the bit vector from a snapshot payload.
 
-        The copy happens in place (the single-key kernels are bound to the
+        The copy happens in place (the per-key functions are bound to the
         bytearray object at construction), so the payload must match the
         filter's geometry exactly.
         """
@@ -935,7 +663,7 @@ class BloomFilter:
             num_hashes=self.num_hashes,
             digest_keys=self.digest_keys,
         )
-        # In-place fill (merged's single-key kernels are bound to its bit
+        # In-place fill (merged's per-key functions are bound to its bit
         # vector, so the object must not be replaced), OR-ing 8 bytes per
         # step over memoryview word casts instead of building a throwaway
         # generator-fed ``bytes`` of the whole vector.

@@ -52,24 +52,6 @@ class LRUCache:
         self.misses += 1
         return default
 
-    def touch(self, key: Hashable) -> bool:
-        """Hit-test ``key`` with full :meth:`get` accounting.
-
-        Counter and recency effects are identical to :meth:`get`; the
-        stored value is not fetched, which callers that only cache
-        presence flags never need.  This is the *reference shape* of the
-        probe the hash node's batch loop inlines against :attr:`data`
-        (with hit/miss counters settled per batch) -- the equivalence is
-        pinned by tests/test_storage_bloom_lru.py.
-        """
-        entries = self._entries
-        if key in entries:
-            self.hits += 1
-            entries.move_to_end(key)
-            return True
-        self.misses += 1
-        return False
-
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Look up ``key`` without affecting recency or hit/miss counters."""
         return self._entries.get(key, default)

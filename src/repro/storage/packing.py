@@ -5,9 +5,9 @@ own bytes (see :mod:`repro.storage.bloom`): bytes ``[0:8)`` are ``h1`` and
 bytes ``[8:16)`` are the raw ``h2``.  For a *batch* of digests packed back
 to back, one ``struct.unpack`` with a cached ``">QQ4x"*n`` format yields
 every word pair in a single C call -- this is the primitive underneath
-:class:`repro.core.digest_batch.DigestBatch` and the packed bloom/cuckoo
-batch kernels.  Lives in the storage layer so both the storage structures
-and the core batch object can import it without a layering cycle.
+:class:`repro.core.digest_batch.DigestBatch` and the packed bloom batch
+functions.  Lives in the storage layer so both the storage structures and
+the core batch object can import it without a layering cycle.
 """
 
 from __future__ import annotations

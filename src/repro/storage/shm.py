@@ -1,8 +1,8 @@
 """Shared-memory byte buffers with a plain-``bytearray`` fallback.
 
 The vectorized data plane can back its flat byte buffers (the bloom
-filter's bit vector, the packed cuckoo bucket table, the parallel-sweep
-trace cache) with ``multiprocessing.shared_memory`` segments so several
+filter's bit vector, the parallel-sweep trace cache) with
+``multiprocessing.shared_memory`` segments so several
 processes -- ``run_sweep(workers=N)`` pool workers, the serving stack's
 per-node worker processes -- attach to *one* copy instead of each
 rebuilding its own.  Sharing is strictly opt-in: the default everywhere

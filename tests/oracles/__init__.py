@@ -5,6 +5,8 @@ carries one implementation per job.
 
 * :mod:`oracles.set_model` -- a dict-and-set model of what a hybrid hash
   node (and a cluster) must answer, independent of how the kernels do it;
+* :mod:`oracles.bloom_model` -- the bloom filter's probe sequence in closed
+  form over a set of bit indexes, with its own hash-word derivation;
 * :mod:`oracles.cluster_reference` -- the per-reply batch routing path the
   cluster's routed core replaced, kept verbatim.
 """

@@ -480,13 +480,13 @@ class TestFailoverExperiment:
         assert result.crashes == 0 and result.dedup_errors == 0
 
     def test_cli_failover_rejects_bad_replication(self, capsys):
-        assert cli_main(["experiment", "failover", "--replication", "1"]) == 2
+        assert cli_main(["run", "failover", "--set", "replication_factor=1"]) == 2
         assert "replication_factor" in capsys.readouterr().err
 
     def test_cli_failover_subcommand(self, capsys):
         exit_code = cli_main([
-            "experiment", "failover", "--scale", "0.0005", "--nodes", "4",
-            "--replication", "2", "--virtual-nodes", "64",
+            "run", "failover", "--set", "scale=0.0005", "--set", "num_nodes=4",
+            "--set", "replication_factor=2", "--set", "virtual_nodes=64",
         ])
         assert exit_code == 0
         out = capsys.readouterr().out

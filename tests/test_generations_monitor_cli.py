@@ -204,13 +204,13 @@ class TestCatalogChunkingResolution:
 
 class TestCli:
     def test_experiment_table1(self, capsys):
-        exit_code = cli_main(["experiment", "table1", "--scale", "0.002"])
+        exit_code = cli_main(["run", "table1", "--set", "scale=0.002"])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "Table I" in output and "mail-server" in output
 
     def test_experiment_figure6(self, capsys):
-        exit_code = cli_main(["experiment", "figure6", "--scale", "0.002", "--nodes", "4"])
+        exit_code = cli_main(["run", "figure6", "--set", "scale=0.002", "--set", "num_nodes=4"])
         assert exit_code == 0
         assert "Figure 6" in capsys.readouterr().out
 

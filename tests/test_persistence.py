@@ -13,7 +13,6 @@ from repro.core.persistence import NodePersistence, PersistencePolicy
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.simulation.costmodel import CostModel
 from repro.storage.bloom import BloomFilter
-from repro.storage.cuckoo import CuckooHashTable
 from repro.storage.snapshot import SnapshotError, read_snapshot, write_snapshot
 
 NODE_CONFIG = HashNodeConfig(
@@ -113,27 +112,6 @@ class TestBloomSnapshotPayload:
         bloom.restore_payload(other.snapshot_payload(), other.count)
         assert bloom._bits is bits_before
         assert b"key" in bloom
-
-
-class TestCuckooSnapshotPayload:
-    def test_roundtrip_bytes_int_bool_values(self):
-        source = CuckooHashTable()
-        source.put(b"bytes-key", b"blob")
-        source.put(b"int-key", 4096)
-        source.put(b"neg-key", -7)
-        source.put(b"bool-key", True)
-        target = CuckooHashTable()
-        assert target.restore_payload(source.snapshot_payload()) == 4
-        assert target.get(b"bytes-key") == b"blob"
-        assert target.get(b"int-key") == 4096
-        assert target.get(b"neg-key") == -7
-        assert target.get(b"bool-key") is True
-
-    def test_unsupported_value_type_raises(self):
-        table = CuckooHashTable()
-        table.put(b"key", 1.5)
-        with pytest.raises(TypeError):
-            table.snapshot_payload()
 
 
 # ------------------------------------------------------------- node persistence

@@ -336,32 +336,32 @@ class TestScenarioCli:
             assert name in out
 
     def test_legacy_experiment_alias(self, capsys):
-        assert main(["experiment", "figure6", "--scale", "0.002"]) == 0
+        assert main(["run", "figure6", "--set", "scale=0.002"]) == 0
         assert "Figure 6" in capsys.readouterr().out
 
     def test_legacy_experiment_failover_validation(self, capsys):
         code = main(
-            ["experiment", "failover", "--scale", "0.0005", "--replication", "1"]
+            ["run", "failover", "--set", "scale=0.0005", "--set", "replication_factor=1"]
         )
         assert code == 2
         assert "replication" in capsys.readouterr().err
 
 
-# ------------------------------------------------------------------ deprecation
+# ------------------------------------------------------- analysis.experiments names
 class TestDeprecationShims:
+    """``analysis.experiments.run_*`` are the module functions the presets call."""
+
     def test_shim_warns_and_matches_preset(self):
         from repro.analysis.experiments import run_figure6
 
-        with pytest.warns(DeprecationWarning):
-            legacy = run_figure6(scale=0.002)
+        legacy = run_figure6(scale=0.002)
         assert legacy.render() == run_scenario("figure6", scale=0.002).render()
 
     def test_shim_falls_back_for_rich_arguments(self):
         from repro.analysis.experiments import run_tier_ablation
         from repro.workloads.profiles import MAIL_SERVER
 
-        with pytest.warns(DeprecationWarning):
-            result = run_tier_ablation(profile=MAIL_SERVER, scale=0.0005)
+        result = run_tier_ablation(profile=MAIL_SERVER, scale=0.0005)
         assert result.row("shhc-hybrid").lookups > 0
 
     def test_get_preset_descriptions(self):

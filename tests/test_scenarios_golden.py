@@ -64,12 +64,8 @@ def test_legacy_module_functions_match_the_same_goldens():
 
 
 def test_deprecated_shims_match_the_same_goldens():
-    """The shims in analysis.experiments delegate without changing output."""
+    """The names re-exported by analysis.experiments render the same goldens."""
     from repro.analysis.experiments import run_figure6, run_scaling_ablation
 
-    with pytest.warns(DeprecationWarning):
-        assert run_figure6(num_nodes=4, scale=0.002).render() + "\n" == golden_text("figure6")
-    with pytest.warns(DeprecationWarning):
-        assert run_scaling_ablation(scale=0.004).render() + "\n" == golden_text(
-            "scaling_ablation"
-        )
+    assert run_figure6(num_nodes=4, scale=0.002).render() + "\n" == golden_text("figure6")
+    assert run_scaling_ablation(scale=0.004).render() + "\n" == golden_text("scaling_ablation")

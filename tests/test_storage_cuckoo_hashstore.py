@@ -108,30 +108,6 @@ class TestCuckooDigestFastPath:
         for key in keys:
             assert fast.get(key) == hashed.get(key) == live.get(key)
 
-    def test_get_many_matches_scalar_get(self):
-        table = CuckooHashTable(initial_buckets=64)
-        keys = self._digests(0, 800)
-        for index, key in enumerate(keys):
-            table.put(key, index)
-        probes = keys + self._digests(100_000, 200)
-        assert table.get_many(probes) == [table.get(key) for key in probes]
-        assert table.contains_many(probes) == [key in table for key in probes]
-
-    def test_get_many_honours_default(self):
-        table = CuckooHashTable(initial_buckets=16)
-        missing = self._digests(0, 3)
-        assert table.get_many(missing, default=-1) == [-1, -1, -1]
-
-    def test_put_many_equivalent_to_puts(self):
-        a = CuckooHashTable(initial_buckets=64)
-        b = CuckooHashTable(initial_buckets=64)
-        items = [(key, index) for index, key in enumerate(self._digests(0, 500))]
-        for key, value in items:
-            a.put(key, value)
-        b.put_many(items)
-        assert len(a) == len(b)
-        assert dict(a.items()) == dict(b.items())
-
     def test_digest_path_survives_growth(self):
         table = CuckooHashTable(initial_buckets=4, slots_per_bucket=2)
         keys = self._digests(0, 2000)

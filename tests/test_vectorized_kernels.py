@@ -1,12 +1,13 @@
 """Differential suite for the vectorized data plane.
 
-Every packed/fused fast path must be byte-identical to the reference it
-replaced:
+Every packed/fused fast path must be byte-identical to its reference:
 
-* bloom ``add_many``/``contains_many`` over packed batch hash words vs
-  ``add_many_scalar``/``contains_many_scalar``;
-* cuckoo ``get_many``/``put_many``/``contains_many`` vs their scalar twins,
-  on both the list backing and the packed shared-memory backing;
+* bloom ``add_many``/``contains_many`` -- by the packed route, the columnar
+  route and the key-by-key route -- vs per-key ``add``/``in`` **and** the
+  closed-form model in ``tests/oracles/bloom_model.py``, over unrolled and
+  looped shapes, digest-keyed and SHA-256-keyed filters, a shm-backed
+  filter, and every way a batch is handed over (list, tuple, generator,
+  ``DigestBatch``, keys that are not all 20 bytes);
 * the node's one batch contract (``serve_bucket_verdicts``) and its reply
   view (``lookup_batch``) vs sequential ``lookup()`` on a twin node --
   replies field for field, float service times, counters, store stats,
@@ -19,15 +20,14 @@ replaced:
   validation, leaked-segment cleanup);
 * the packed trace cache vs running the generator directly.
 
-Plus three named satellite regression tests (fill_ratio big-int
-materialization, restore_payload repeated growth, union double-counting),
-the columnar (numpy) bloom kernels held to the same standard, and the
-forced no-numpy leg (``REPRO_FORCE_NO_NUMPY=1``, subprocess) pinning the
+Plus two named satellite regression tests (fill_ratio big-int
+materialization, union double-counting) and the forced no-numpy leg (``REPRO_FORCE_NO_NUMPY=1``, subprocess) pinning the
 fallback.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import subprocess
@@ -37,8 +37,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.bloom_model import BloomModel
 from oracles.set_model import NodeModel
 
 from repro.core.config import HashNodeConfig
@@ -49,7 +50,6 @@ from repro.core.protocol import SERVED_FROM_TIER, LookupReply
 from repro.dedup.fingerprint import Fingerprint
 from repro.storage import npy as npy_backend
 from repro.storage.bloom import BloomFilter
-from repro.storage.cuckoo import CuckooHashTable
 from repro.storage.packing import digest_hash_words, digest_hash_words_np
 from repro.storage.shm import (
     SharedBuffer,
@@ -65,9 +65,13 @@ SLOWER = settings(max_examples=15, deadline=None)
 
 digests = st.binary(min_size=20, max_size=20)
 digest_lists = st.lists(digests, min_size=1, max_size=80)
+# Keys that are not all 20 bytes must never be packed -- not even when their
+# lengths happen to sum to a multiple of 20.
+mixed_key_lists = st.lists(
+    st.one_of(digests, st.binary(min_size=3, max_size=30)), min_size=1, max_size=80
+)
 geometries = st.tuples(st.integers(64, 4096), st.integers(1, 8))
-# Shapes past the unroll bound must fall back to the scalar loop and still
-# agree with it.
+# Shapes past the unroll bound get the walk as a loop, per key only.
 wide_geometries = st.tuples(st.integers(64, 1024), st.integers(17, 20))
 
 needs_shm = pytest.mark.skipif(
@@ -84,42 +88,74 @@ def _with_duplicates(keys):
 
 
 # --------------------------------------------------------------------------- bloom
+def _as_digest_batch(keys):
+    return DigestBatch.from_blob(b"".join(keys), 4096)
+
+
+#: Ways a key list reaches ``add_many``/``contains_many``; the route the
+#: filter picks for each must not change bits, count or verdicts.
+HANDOVERS = (list, tuple, iter)
+
+
+def _assert_batch_matches_references(batched, keys, handover=list):
+    """``add_many``/``contains_many`` vs per-key ``add``/``in`` and the model."""
+    shape = dict(
+        num_bits=batched.num_bits, num_hashes=batched.num_hashes, digest_keys=batched.digest_keys
+    )
+    per_key = BloomFilter(**shape)
+    model = BloomModel(**shape)
+    batched.add_many(handover(keys))
+    for key in keys:
+        per_key.add(key)
+    model.add_many(keys)
+    assert bytes(batched.raw_bits()) == bytes(per_key.raw_bits()) == model.bits()
+    assert batched.count == per_key.count == model.count
+    probes = list(keys) + [os.urandom(20) for _ in range(16)]
+    verdicts = batched.contains_many(handover(probes))
+    assert verdicts == [key in per_key for key in probes] == model.contains_many(probes)
+
+
 class TestBloomPackedDifferential:
     @FAST
-    @given(geometries, digest_lists)
-    def test_add_and_contains_match_scalar_oracle(self, geometry, keys):
+    @given(geometries, digest_lists, st.booleans())
+    def test_add_and_contains_match_scalar_oracle(self, geometry, keys, digest_keys):
         num_bits, num_hashes = geometry
-        keys = _with_duplicates(keys)
-        packed = BloomFilter(num_bits=num_bits, num_hashes=num_hashes)
-        scalar = BloomFilter(num_bits=num_bits, num_hashes=num_hashes)
-        packed.add_many(keys)
-        scalar.add_many_scalar(keys)
-        assert bytes(packed.raw_bits()) == bytes(scalar.raw_bits())
-        assert packed.count == scalar.count
-        probes = keys + [os.urandom(20) for _ in range(16)]
-        assert packed.contains_many(probes) == scalar.contains_many_scalar(probes)
+        for handover in HANDOVERS:
+            _assert_batch_matches_references(
+                BloomFilter(num_bits=num_bits, num_hashes=num_hashes, digest_keys=digest_keys),
+                _with_duplicates(keys),
+                handover,
+            )
 
     @SLOWER
     @given(wide_geometries, digest_lists)
     def test_wide_shapes_fall_back_and_agree(self, geometry, keys):
         num_bits, num_hashes = geometry
-        packed = BloomFilter(num_bits=num_bits, num_hashes=num_hashes)
-        scalar = BloomFilter(num_bits=num_bits, num_hashes=num_hashes)
-        packed.add_many(keys)
-        scalar.add_many_scalar(keys)
-        assert bytes(packed.raw_bits()) == bytes(scalar.raw_bits())
-        assert packed.contains_many(keys) == scalar.contains_many_scalar(keys)
+        for handover in (list, _as_digest_batch):
+            _assert_batch_matches_references(
+                BloomFilter(num_bits=num_bits, num_hashes=num_hashes), keys, handover
+            )
 
     @FAST
-    @given(digest_lists)
-    def test_digest_batch_and_blob_paths_match_lists(self, keys):
-        from_list = BloomFilter(num_bits=2048, num_hashes=5)
-        from_batch = BloomFilter(num_bits=2048, num_hashes=5)
-        batch = DigestBatch.from_blob(b"".join(keys), 4096)
-        from_list.add_many(keys)
-        from_batch.add_many(batch)
-        assert bytes(from_list.raw_bits()) == bytes(from_batch.raw_bits())
-        assert from_list.contains_many(keys) == from_batch.contains_many(batch)
+    @given(digest_lists, st.booleans())
+    def test_digest_batch_and_blob_paths_match_lists(self, keys, digest_keys):
+        # A DigestBatch on a filter that is not digest-keyed cannot use the
+        # batch's own words: it must hash each digest like any other key.
+        _assert_batch_matches_references(
+            BloomFilter(num_bits=2048, num_hashes=5, digest_keys=digest_keys),
+            keys,
+            _as_digest_batch,
+        )
+
+    @FAST
+    @given(geometries, mixed_key_lists)
+    @example((512, 3), [b"a" * 10, b"b" * 30])  # lengths sum to 2 x 20
+    def test_keys_that_are_not_all_digests_go_key_by_key(self, geometry, keys):
+        num_bits, num_hashes = geometry
+        for handover in HANDOVERS:
+            _assert_batch_matches_references(
+                BloomFilter(num_bits=num_bits, num_hashes=num_hashes), keys, handover
+            )
 
     @FAST
     @given(digest_lists, digest_lists)
@@ -206,84 +242,6 @@ class TestBloomSatelliteRegressions:
         assert all(key in merged for key in left_keys + right_keys)
 
 
-# -------------------------------------------------------------------------- cuckoo
-values = st.integers(0, 2**64 - 1)
-kv_lists = st.lists(st.tuples(digests, values), min_size=1, max_size=60)
-
-
-class TestCuckooVectorizedDifferential:
-    @FAST
-    @given(kv_lists, digest_lists)
-    def test_vectorized_ops_match_scalar_oracle(self, items, extra_probes):
-        items = _with_duplicates(items)  # duplicate keys in one batch
-        fast = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-        oracle = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-        fast.put_many(items)
-        oracle.put_many_scalar(items)
-        assert len(fast) == len(oracle)
-        assert dict(fast.items()) == dict(oracle.items())
-        probes = [key for key, _ in items] + extra_probes
-        assert fast.get_many(probes, default=-1) == oracle.get_many_scalar(probes, default=-1)
-        assert fast.contains_many(probes) == oracle.contains_many_scalar(probes)
-
-    @needs_shm
-    @FAST
-    @given(kv_lists)
-    def test_packed_backing_matches_list_backing(self, items):
-        packed = CuckooHashTable(initial_buckets=8, slots_per_bucket=2, shared=True)
-        try:
-            plain = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-            packed.put_many(items)
-            plain.put_many(items)
-            assert dict(packed.items()) == dict(plain.items())
-            probes = [key for key, _ in items] + [os.urandom(20) for _ in range(8)]
-            assert packed.get_many(probes) == plain.get_many(probes)
-            assert packed.contains_many(probes) == plain.contains_many(probes)
-        finally:
-            packed.unlink_shared()
-
-    def test_packed_rejects_non_digest_entries(self):
-        table = CuckooHashTable(initial_buckets=8, shared=True)
-        try:
-            with pytest.raises(TypeError):
-                table.put(b"short", 1)
-            with pytest.raises(TypeError):
-                table.put(os.urandom(20), -1)
-            with pytest.raises(TypeError):
-                table.put(os.urandom(20), True)
-        finally:
-            table.unlink_shared()
-
-    def test_restore_payload_presizes_single_resize(self):
-        """Satellite (b): snapshot restore into a cold table grows at most
-        once instead of replaying every doubling through ``put``."""
-        source = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-        entries = {os.urandom(20): index for index in range(3000)}
-        source.put_many(list(entries.items()))
-        payload = source.snapshot_payload()
-
-        cold = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-        restored = cold.restore_payload(payload)
-        assert restored == len(entries)
-        assert cold.resizes <= 1  # pre-fix: one resize per doubling (~8)
-        assert dict(cold.items()) == entries
-
-    @needs_shm
-    def test_restore_payload_presizes_packed_backing(self):
-        source = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-        entries = {os.urandom(20): index for index in range(1500)}
-        source.put_many(list(entries.items()))
-        payload = source.snapshot_payload()
-
-        cold = CuckooHashTable(initial_buckets=8, slots_per_bucket=2, shared=True)
-        try:
-            assert cold.restore_payload(payload) == len(entries)
-            assert cold.resizes <= 1
-            assert dict(cold.items()) == entries
-        finally:
-            cold.unlink_shared()
-
-
 # ------------------------------------------------------------- shared-memory lifecycle
 @needs_shm
 class TestSharedMemoryLifecycle:
@@ -311,24 +269,6 @@ class TestSharedMemoryLifecycle:
         try:
             with pytest.raises(ValueError, match="bits=4096"):
                 BloomFilter(num_bits=2048, num_hashes=4, shared_name=name)
-        finally:
-            writer.unlink_shared()
-
-    def test_cuckoo_attach_reads_writer_entries(self):
-        name = f"repro-test-cuckoo-{os.getpid()}"
-        writer = CuckooHashTable(initial_buckets=64, shared=True, shared_name=name)
-        try:
-            entries = {os.urandom(20): index for index in range(40)}
-            writer.put_many(list(entries.items()))
-            reader = CuckooHashTable(
-                initial_buckets=64, shared_name=writer.shared_segment_name
-            )
-            try:
-                assert len(reader) == len(entries)
-                keys = list(entries)
-                assert reader.get_many(keys) == [entries[key] for key in keys]
-            finally:
-                reader.close_shared()
         finally:
             writer.unlink_shared()
 
@@ -628,67 +568,84 @@ class TestNumpyHashWordsDifferential:
         assert [int(w) for row in first for w in row] == list(scalar)
 
 
+@contextlib.contextmanager
+def _bloom_crossover(min_batch):
+    """Pin the bloom batch routing's columnar crossover for the block."""
+    import repro.storage.bloom as bloom_mod
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(bloom_mod, "NUMPY_MIN_BATCH", min_batch)
+        yield
+
+
 @needs_numpy
 class TestNumpyBloomDifferential:
+    """The columnar route, forced for every sized batch (crossover 1)."""
+
     @FAST
     @given(geometries, digest_lists)
     def test_add_and_contains_np_match_scalar_oracle(self, geometry, keys):
         num_bits, num_hashes = geometry
-        keys = _with_duplicates(keys)
-        columnar = BloomFilter(num_bits=num_bits, num_hashes=num_hashes)
-        oracle = BloomFilter(num_bits=num_bits, num_hashes=num_hashes)
-        columnar.add_many_np(keys)
-        oracle.add_many_scalar(keys)
-        assert bytes(columnar.raw_bits()) == bytes(oracle.raw_bits())
-        assert columnar.count == oracle.count
-        probes = keys + [os.urandom(20) for _ in range(16)]
-        assert columnar.contains_many_np(probes) == oracle.contains_many_scalar(probes)
+        with _bloom_crossover(1):
+            for handover in (list, tuple):
+                _assert_batch_matches_references(
+                    BloomFilter(num_bits=num_bits, num_hashes=num_hashes),
+                    _with_duplicates(keys),
+                    handover,
+                )
 
     @FAST
     @given(digest_lists)
     def test_digest_batch_path_matches_list_path(self, keys):
-        batch = DigestBatch.from_blob(b"".join(keys), 4096)
-        from_batch = BloomFilter(num_bits=2048, num_hashes=5)
-        from_list = BloomFilter(num_bits=2048, num_hashes=5)
-        from_batch.add_many_np(batch)
-        from_list.add_many_scalar(keys)
-        assert bytes(from_batch.raw_bits()) == bytes(from_list.raw_bits())
-        assert from_batch.contains_many_np(batch) == from_list.contains_many_scalar(keys)
+        with _bloom_crossover(1):
+            _assert_batch_matches_references(
+                BloomFilter(num_bits=2048, num_hashes=5), keys, _as_digest_batch
+            )
 
     @needs_shm
     @SLOWER
     @given(digest_lists)
     def test_shm_backed_bits_match_scalar(self, keys):
         # The scatter targets the shared segment through a zero-copy numpy
-        # view; the private scalar twin must end with the same bytes.
+        # view; the private per-key twin must end with the same bytes.
         shared = BloomFilter(num_bits=4096, num_hashes=4, shared=True)
         try:
-            oracle = BloomFilter(num_bits=4096, num_hashes=4)
-            shared.add_many_np(keys)
-            oracle.add_many_scalar(keys)
-            assert bytes(shared.raw_bits()) == bytes(oracle.raw_bits())
-            probes = keys + [os.urandom(20) for _ in range(8)]
-            assert shared.contains_many_np(probes) == oracle.contains_many_scalar(probes)
+            with _bloom_crossover(1):
+                _assert_batch_matches_references(shared, keys)
         finally:
             shared.unlink_shared()  # must not BufferError on the cached view
 
-    def test_public_routing_goes_columnar_at_min_batch_1(self, monkeypatch):
-        import repro.storage.bloom as bloom_mod
-
-        monkeypatch.setattr(bloom_mod, "NUMPY_MIN_BATCH", 1)
+    def test_public_routing_goes_columnar_at_min_batch_1(self):
         keys = [os.urandom(20) for _ in range(10)]
-        routed = BloomFilter(num_bits=2048, num_hashes=4)
-        oracle = BloomFilter(num_bits=2048, num_hashes=4)
-        routed.add_many(keys)  # 10 >= 1: the public router takes the numpy path
-        oracle.add_many_scalar(keys)
-        assert bytes(routed.raw_bits()) == bytes(oracle.raw_bits())
-        assert routed.contains_many(keys) == oracle.contains_many_scalar(keys)
+        planes = []
 
-    def test_non_digest_filter_falls_back_cleanly(self):
-        bloom = BloomFilter(num_bits=1024, num_hashes=3, digest_keys=False)
-        assert not bloom.columnar_eligible
-        bloom.add_many_np([b"short", b"keys"])  # falls back to the packed path
-        assert bloom.contains_many_np([b"short", b"nope"]) == [True, False]
+        def _spied_filter():
+            bloom = BloomFilter(num_bits=2048, num_hashes=4)
+            build_plane = bloom._probe_plane_np
+            bloom._probe_plane_np = lambda words: planes.append(len(words)) or build_plane(words)
+            return bloom
+
+        _assert_batch_matches_references(_spied_filter(), keys)  # 10 < 64: packed
+        assert planes == []
+        with _bloom_crossover(1):
+            _assert_batch_matches_references(_spied_filter(), keys)
+        assert planes == [10, 26]  # add_many, then contains_many over keys + 16 more
+
+    @FAST
+    @given(mixed_key_lists, st.sampled_from([(3, True), (3, False), (18, True)]))
+    def test_non_digest_filter_falls_back_cleanly(self, keys, shape):
+        # Crossover 1 must not drag an ineligible batch or filter onto the
+        # columnar route: keys that are not all digests, a filter that is
+        # not digest-keyed, a shape with more rounds than uint64 can carry.
+        num_hashes, digest_keys = shape
+        handovers = [list]
+        if all(len(key) == 20 for key in keys):
+            handovers.append(_as_digest_batch)
+        with _bloom_crossover(1):
+            for handover in handovers:
+                bloom = BloomFilter(num_bits=1024, num_hashes=num_hashes, digest_keys=digest_keys)
+                assert bloom.columnar_eligible == (num_hashes == 3 and digest_keys)
+                _assert_batch_matches_references(bloom, keys, handover)
 
 
 @needs_numpy
@@ -773,7 +730,7 @@ class TestColumnarFusedKernelDifferential:
             _assert_model_agrees(model, columnar)
 
     def test_default_crossover_keeps_small_batches_scalar(self, monkeypatch):
-        # Below REPRO_NUMPY_MIN_BATCH the contract must not pay the columnar
+        # Below NUMPY_MIN_BATCH the contract must not pay the columnar
         # setup; the packed per-key kernel answers instead.  The result is
         # identical either way -- this pins the routing itself.
         import repro.core.hash_node as hash_node_mod
@@ -851,7 +808,7 @@ class TestForcedNoNumpyFallback:
     ``REPRO_FORCE_NO_NUMPY=1`` is read at import time, so the only honest
     way to test the fallback with numpy installed is a fresh interpreter.
     The child proves the backend reports ``python-packed``, the bloom
-    ``*_np`` entry points fall back bit-identically, and the serving gateway boots
+    batch calls stay bit-identical to the per-key ones, and the serving gateway boots
     and answers stats with the fallback backend name.
     """
 
@@ -890,12 +847,13 @@ class TestForcedNoNumpyFallback:
             keys = [os.urandom(20) for _ in range(200)]
             routed = BloomFilter(num_bits=4096, num_hashes=4)
             oracle = BloomFilter(num_bits=4096, num_hashes=4)
-            routed.add_many_np(keys)  # explicit entry point must fall back
-            oracle.add_many_scalar(keys)
+            routed.add_many(keys)  # 200 >= the crossover, yet no numpy to use
+            for key in keys:
+                oracle.add(key)
             assert bytes(routed.raw_bits()) == bytes(oracle.raw_bits())
             probes = keys + [os.urandom(20) for _ in range(32)]
-            assert routed.contains_many_np(probes) == oracle.contains_many_scalar(probes)
-            assert not routed.columnar_eligible
+            assert routed.contains_many(probes) == [key in oracle for key in probes]
+            assert not routed.columnar_eligible and routed.np_bits() is None
 
             node = HybridHashNode(
                 "no-numpy", config=HashNodeConfig(bloom_expected_items=512, ssd_buckets=16)
