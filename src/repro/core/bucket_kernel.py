@@ -147,17 +147,14 @@ def _cache_insert_block(pad: str) -> list:
     """Inlined :meth:`~repro.storage.lru.LRUCache.put` for a known-absent key.
 
     Insertions/evictions are accumulated in locals and settled per batch by
-    the caller; the eviction callback fires in order, exactly like the
-    method it replaces.
+    the caller, which also counts each eviction as a destage.
     """
     return [
         f"{pad}cached[digest] = True",
         f"{pad}cache_insertions += 1",
         f"{pad}if len(cached) > cache_capacity:",
-        f"{pad}    evicted = cache_popitem(False)",
+        f"{pad}    cache_popitem(False)",
         f"{pad}    cache_evictions += 1",
-        f"{pad}    if on_evict is not None:",
-        f"{pad}        on_evict(evicted[0], evicted[1])",
     ]
 
 
@@ -174,7 +171,7 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
     lines = [
         f"def {name}(",
         "    digests, hash_words, chunk_sizes, cached, move_to_end, cache_popitem,",
-        "    on_evict, cache_capacity,",
+        "    cache_capacity,",
         "    bits, store_buckets, store_num_buckets, entries_per_page,",
         "    write_buffer_pages, buffered, base_time, page_read_cost,",
         "    page_write_rand_cost, page_write_seq_cost, out_append, times_append,",

@@ -70,7 +70,7 @@ import itertools
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..dedup.fingerprint import Fingerprint
+from ..dedup.fingerprint import Fingerprint, column_builder
 from ..dedup.index import ChunkIndex, ChunkLocation, LookupResult
 from ..network.rpc import RpcLayer
 from ..simulation.costmodel import ControlPlaneLedger, CostModel
@@ -102,6 +102,8 @@ ROUTE_CACHE_MAX_ENTRIES = 1 << 20
 #: Shared empty location for lookup results; :class:`ChunkLocation` is a
 #: frozen dataclass, so one instance is safe to hand to every result.
 _EMPTY_LOCATION = ChunkLocation()
+
+_build_results = column_builder(LookupResult)
 
 #: Tier code the routed core writes over a node's ``0`` (new) when another
 #: replica already held the fingerprint.
@@ -401,20 +403,13 @@ class SHHCCluster(ChunkIndex):
         fingerprints = list(fingerprints)
         merged: List[Optional[LookupResult]] = [None] * len(fingerprints)
         duplicates = 0
-        new_result = object.__new__
         for positions, bucket, tiers, service_times, node_ids in self._serve_routed(fingerprints):
             duplicates += len(tiers) - tiers.count(0)
-            for position, fingerprint, tier, service_time, node_id in zip(
-                positions, bucket, tiers, service_times, node_ids
-            ):
-                # Hot-path construction (see protocol.make_lookup_reply).
-                result = new_result(LookupResult)
-                fields = result.__dict__
-                fields["fingerprint"] = fingerprint
-                fields["is_duplicate"] = tier != 0
-                fields["location"] = _EMPTY_LOCATION
-                fields["latency"] = service_time
-                fields["served_by"] = node_id
+            results = _build_results(
+                len(tiers), bucket, map(bool, tiers), itertools.repeat(_EMPTY_LOCATION),
+                service_times, node_ids,
+            )
+            for position, result in zip(positions, results):
                 merged[position] = result
         self.lookups += len(fingerprints)
         self.duplicates += duplicates

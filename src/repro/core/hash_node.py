@@ -111,7 +111,7 @@ class HybridHashNode:
         self.sim = sim
         self.ram_device = ram_device if ram_device is not None else make_ram(sim, f"{node_id}.ram")
         self.ssd_device = ssd_device if ssd_device is not None else make_ssd(sim, f"{node_id}.ssd")
-        self.cache = LRUCache(self.config.ram_cache_entries, on_evict=self._on_destage)
+        self.cache = LRUCache(self.config.ram_cache_entries)
         # An injected filter (e.g. a shared-memory-backed one from a serving
         # worker spec) must be in place *before* recovery below restores the
         # snapshot bits into it.
@@ -163,14 +163,6 @@ class HybridHashNode:
     def __contains__(self, fingerprint: Fingerprint) -> bool:
         """Read-only membership check (does not insert or touch the cache)."""
         return fingerprint.digest in self.store
-
-    def _on_destage(self, _key, _value) -> None:
-        # Entries in the LRU are already persisted in the SSD table, so a
-        # destage is simply dropping the RAM copy; we only count it.  This
-        # fires once per eviction on the steady-state hot path, so the
-        # counter bump is inlined rather than routed through increment().
-        values = self.counters.values
-        values["destages"] = values.get("destages", 0) + 1
 
     # --------------------------------------------------------- immediate mode
     def lookup(self, fingerprint: Fingerprint) -> LookupReply:
@@ -285,8 +277,8 @@ class HybridHashNode:
         )
         bits = bloom.raw_bits()
         args = self._fused_args
-        if args is None or args[3] is not cached or args[8] is not bits or args[9] is not store_buckets:
-            # (Re)build the constant argument block.  Slots 0-2 and 18-20
+        if args is None or args[3] is not cached or args[7] is not bits or args[8] is not store_buckets:
+            # (Re)build the constant argument block.  Slots 0-2 and 17-19
             # are per-batch; everything else is fixed for the lifetime of
             # the node's cache/bloom/store objects (device costs are pure
             # functions of the spec), so the identity guard above is the
@@ -294,7 +286,7 @@ class HybridHashNode:
             # those objects wholesale.
             args = self._fused_args = [
                 None, None, None, cached, cached.move_to_end, cached.popitem,
-                cache._on_evict, cache.capacity, bits, store_buckets,
+                cache.capacity, bits, store_buckets,
                 store_num_buckets, entries_per_page, write_buffer_pages,
                 buffered,
                 self.config.cpu_per_lookup + self.ram_device.read_cost(64),
@@ -316,10 +308,10 @@ class HybridHashNode:
             lambda: tuple(chain.from_iterable(map(bloom._hash_pair, digests)))
         )
         args[2] = batch.chunk_sizes
-        args[13] = buffered
-        args[18] = tiers.append
-        args[19] = service_times.append
-        args[20] = new_pairs.append
+        args[12] = buffered
+        args[17] = tiers.append
+        args[18] = service_times.append
+        args[19] = new_pairs.append
         if columnar:
             # Lazy whole-batch bloom prefetch (first RAM-miss pays it):
             # verdicts for every key plus the probe-index rows of the
@@ -335,7 +327,7 @@ class HybridHashNode:
             bloom_false_positives, total_ssd_time, page_reads, page_writes,
             buffer_flushes, buffered, cache_insertions, cache_evictions,
         ) = outcome
-        args[0] = args[1] = args[2] = args[18] = args[19] = args[20] = None
+        args[0] = args[1] = args[2] = args[17] = args[18] = args[19] = None
         store.settle_batch(page_reads, page_writes, buffer_flushes, buffered, new_entries)
         if new_entries:
             bloom.count_inserts(new_entries)
@@ -348,9 +340,13 @@ class HybridHashNode:
         if cache_evictions:
             cache.evictions += cache_evictions
         # Counter.increment inlined (same read-modify-write on the raw
-        # values dict): six method calls per bucket add up at batch rates.
+        # values dict): seven method calls per bucket add up at batch rates.
         values = self.counters.values
         values_get = values.get
+        if cache_evictions:
+            # Every eviction is a destage (see _cache_put); settled before
+            # the rest, which is where in ``values`` a mid-kernel bump lands.
+            values["destages"] = values_get("destages", 0) + cache_evictions
         if total:
             values["lookups"] = values_get("lookups", 0) + total
         if ram_hits:
@@ -414,7 +410,7 @@ class HybridHashNode:
             ssd_time += self._device_cost(operation)
         if digest in self.store:
             self.counters.increment("ssd_hits")
-            self.cache.put(digest, True)
+            self._cache_put(digest)
             reply = LookupReply(
                 fingerprint=fingerprint,
                 is_duplicate=True,
@@ -494,7 +490,7 @@ class HybridHashNode:
         deliberately kept.
         """
         config = self.config
-        self.cache = LRUCache(config.ram_cache_entries, on_evict=self._on_destage)
+        self.cache = LRUCache(config.ram_cache_entries)
         # A kill models losing *this process's* memory: a shared-memory-backed
         # filter is detached (not unlinked -- other attachments keep their
         # copy) and the replacement is always private.
@@ -532,11 +528,20 @@ class HybridHashNode:
         self.counters.increment("new_entries")
         self.store.put(digest, fingerprint.chunk_size)
         self.bloom.add(digest)
-        self.cache.put(digest, True)
+        self._cache_put(digest)
         ssd_time = 0.0
         for operation in self.store.insert_io(digest):
             ssd_time += self._device_cost(operation)
         return ssd_time
+
+    def _cache_put(self, digest: bytes) -> None:
+        """Promote ``digest`` into the RAM tier, counting the destage it may force.
+
+        Cached entries are already in the SSD table, so a destage is just
+        the dropped RAM copy.
+        """
+        if self.cache.put(digest, True) is not None:
+            self.counters.increment("destages")
 
     def _device_cost(self, operation) -> float:
         if operation.kind == "read":

@@ -10,17 +10,16 @@ paper's Figure 5 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Sequence
 
-from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
+from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint, column_builder
 
 __all__ = [
     "ServedFrom",
     "LookupRequest",
     "LookupReply",
-    "make_lookup_reply",
     "SERVED_FROM_TIER",
     "replies_from_tiers",
     "BatchLookupRequest",
@@ -45,7 +44,7 @@ class ServedFrom(str, Enum):
     REPAIR = "repair"  # serving node missed, but a replica held the fingerprint (read repair)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LookupRequest:
     """Query for a single fingerprint."""
 
@@ -57,7 +56,7 @@ class LookupRequest:
         return REQUEST_OVERHEAD_BYTES + FINGERPRINT_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LookupReply:
     """Verdict for a single fingerprint."""
 
@@ -72,34 +71,6 @@ class LookupReply:
         return REQUEST_OVERHEAD_BYTES + REPLY_BYTES_PER_FINGERPRINT
 
 
-def make_lookup_reply(
-    fingerprint: Fingerprint,
-    is_duplicate: bool,
-    served_from: ServedFrom,
-    node_id: str,
-    service_time: float,
-) -> LookupReply:
-    """Hot-path :class:`LookupReply` constructor.
-
-    A frozen dataclass pays one ``object.__setattr__`` per field on
-    construction; at millions of replies that is a measurable share of the
-    cluster lookup path.  This helper writes the instance ``__dict__``
-    directly, producing an object field-, ``==``- and ``hash``-identical
-    to the regular constructor (pinned by
-    tests/test_routed_batch_equivalence.py, so a new :class:`LookupReply`
-    field breaks tests rather than silently desynchronizing).  Keep the
-    field writes in sync with :class:`LookupReply`.
-    """
-    reply = object.__new__(LookupReply)
-    fields = reply.__dict__
-    fields["fingerprint"] = fingerprint
-    fields["is_duplicate"] = is_duplicate
-    fields["served_from"] = served_from
-    fields["node_id"] = node_id
-    fields["service_time"] = service_time
-    return reply
-
-
 #: Tier codes of the batch serve contract
 #: (:meth:`~repro.core.hash_node.HybridHashNode.serve_bucket_verdicts`), as
 #: an index into :class:`ServedFrom`.  ``0`` is the only falsy code, so a
@@ -108,21 +79,24 @@ def make_lookup_reply(
 #: fingerprint.
 SERVED_FROM_TIER = (ServedFrom.NEW, ServedFrom.RAM, ServedFrom.SSD, ServedFrom.REPAIR)
 
+_build_replies = column_builder(LookupReply)
+
 
 def replies_from_tiers(
-    fingerprints: Iterable[Fingerprint],
-    tiers: Iterable[int],
+    fingerprints: Sequence[Fingerprint],
+    tiers: Sequence[int],
     service_times: Iterable[float],
     node_ids: Iterable[str],
 ) -> List[LookupReply]:
     """The :class:`LookupReply` view over a served batch's parallel columns."""
-    served_from = SERVED_FROM_TIER
-    return [
-        make_lookup_reply(fingerprint, tier != 0, served_from[tier], node_id, service_time)
-        for fingerprint, tier, service_time, node_id in zip(
-            fingerprints, tiers, service_times, node_ids
-        )
-    ]
+    return _build_replies(
+        len(tiers),
+        fingerprints,
+        map(bool, tiers),
+        map(SERVED_FROM_TIER.__getitem__, tiers),
+        node_ids,
+        service_times,
+    )
 
 
 @dataclass(frozen=True)

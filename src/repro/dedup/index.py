@@ -17,7 +17,7 @@ from .fingerprint import Fingerprint
 __all__ = ["ChunkLocation", "LookupResult", "ChunkIndex", "InMemoryChunkIndex"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkLocation:
     """Where a stored chunk lives (container/offset in the backing store)."""
 
@@ -25,7 +25,7 @@ class ChunkLocation:
     offset: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LookupResult:
     """Outcome of one fingerprint lookup."""
 

@@ -21,7 +21,7 @@ MESSAGE_HEADER_BYTES = 78
 _message_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A network message.
 

@@ -48,7 +48,7 @@ def _hash64(key: bytes) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IOOperation:
     """One device access implied by a logical store operation."""
 

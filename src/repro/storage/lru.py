@@ -3,14 +3,14 @@
 The paper's node keeps a least-recently-used list of fingerprints in RAM
 (Figure 4): hits move the entry to the MRU end; when the cache is full the
 LRU tail is destaged.  This implementation is an ``OrderedDict``-backed map
-with hit/miss/eviction accounting and an optional eviction callback so the
-node can hook destaging logic.
+with hit/miss/eviction accounting; :meth:`LRUCache.put` returns the entry it
+evicted, which is how the node counts destages.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator, Optional, Tuple
+from typing import Any, Hashable, Iterator, Optional, Tuple
 
 __all__ = ["LRUCache"]
 
@@ -22,21 +22,13 @@ class LRUCache:
     ----------
     capacity:
         Maximum number of entries; must be at least 1.
-    on_evict:
-        Optional callback ``(key, value) -> None`` invoked for every evicted
-        entry (the hash node uses this to count destages).
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        on_evict: Optional[Callable[[Hashable, Any], None]] = None,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._on_evict = on_evict
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -68,8 +60,6 @@ class LRUCache:
             if len(self._entries) > self.capacity:
                 evicted = self._entries.popitem(last=False)
                 self.evictions += 1
-                if self._on_evict is not None:
-                    self._on_evict(*evicted)
         return evicted
 
     def remove(self, key: Hashable) -> bool:
@@ -80,7 +70,7 @@ class LRUCache:
         return False
 
     def clear(self) -> None:
-        """Drop every entry (does not fire eviction callbacks)."""
+        """Drop every entry (not counted as evictions)."""
         self._entries.clear()
 
     # -- inspection --------------------------------------------------------------

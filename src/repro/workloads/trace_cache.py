@@ -36,7 +36,7 @@ import struct
 from array import array
 from typing import List, Optional, Tuple
 
-from ..dedup.fingerprint import Fingerprint
+from ..dedup.fingerprint import Fingerprint, column_builder
 from ..storage.shm import SharedBuffer, shared_memory_available, unlink_segment
 from .profiles import WorkloadProfile
 from .traces import TraceGenerator
@@ -84,19 +84,13 @@ def _pack(fingerprints: List[Fingerprint]) -> Tuple[bytes, array]:
     return blob, sizes
 
 
+_build_fingerprints = column_builder(Fingerprint)
+
+
 def _rehydrate(blob: bytes, sizes: array) -> List[Fingerprint]:
-    # Bypass __init__: the 20-byte invariant is enforced by the packing.
-    new_fp = object.__new__
-    fp_cls = Fingerprint
-    fingerprints: List[Fingerprint] = []
-    append = fingerprints.append
-    for index, start in enumerate(range(0, len(blob), _DIGEST_BYTES)):
-        fingerprint = new_fp(fp_cls)
-        fields = fingerprint.__dict__
-        fields["digest"] = blob[start:start + _DIGEST_BYTES]
-        fields["chunk_size"] = sizes[index]
-        append(fingerprint)
-    return fingerprints
+    # Bypasses __post_init__: the 20-byte invariant is enforced by the packing.
+    digests = [blob[start:start + _DIGEST_BYTES] for start in range(0, len(blob), _DIGEST_BYTES)]
+    return _build_fingerprints(len(digests), digests, sizes)
 
 
 def _attach_shared(name: str, count_hint: int) -> Optional[Tuple[bytes, array]]:

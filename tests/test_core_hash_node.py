@@ -50,10 +50,23 @@ class TestLookupFlow:
         assert target.digest in node.cache
 
     def test_destage_counter_increments_on_eviction(self):
-        node = make_node(ram_cache_entries=4)
-        for index in range(20):
-            node.lookup(synthetic_fingerprint(index))
-        assert node.snapshot().destages == 16
+        """One destage per RAM-tier eviction, on the per-key and the batch
+        path alike, and cumulative across ``kill()`` (which rebuilds the cache)."""
+        node, batched = make_node(ram_cache_entries=4), make_node(ram_cache_entries=4)
+        fingerprints = [synthetic_fingerprint(index) for index in range(20)]
+        for fingerprint in fingerprints:
+            node.lookup(fingerprint)
+        batched.lookup_batch(fingerprints)
+        assert node.snapshot().destages == batched.snapshot().destages == 16
+        assert node.cache.evictions == batched.cache.evictions == 16
+        for target in (node, batched):
+            target.kill()
+            target.restart()
+            assert target.cache.evictions == 0 and target.snapshot().destages == 16
+        for fingerprint in fingerprints[:6]:
+            node.lookup(fingerprint)
+        batched.lookup_batch(fingerprints[:6])
+        assert node.snapshot().destages == batched.snapshot().destages == 18
 
     def test_bloom_negative_shortcut_avoids_ssd_read(self):
         node = make_node()

@@ -24,8 +24,9 @@ from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.fault_injection import make_flaky
 from repro.core.membership import MembershipManager
-from repro.core.protocol import LookupReply, ServedFrom, make_lookup_reply
+from repro.core.protocol import SERVED_FROM_TIER, LookupReply, ServedFrom, replies_from_tiers
 from repro.dedup.fingerprint import synthetic_fingerprint
+from repro.dedup.index import ChunkLocation, LookupResult
 from repro.simulation.costmodel import CostModel
 
 
@@ -238,19 +239,50 @@ class TestRoutingCacheInvalidation:
 
 
 class TestHotPathConstructors:
-    def test_make_lookup_reply_matches_regular_constructor(self):
-        fingerprint = synthetic_fingerprint(1)
-        fast = make_lookup_reply(fingerprint, True, ServedFrom.RAM, "n0", 1.5e-6)
-        regular = LookupReply(
-            fingerprint=fingerprint,
-            is_duplicate=True,
-            served_from=ServedFrom.RAM,
-            node_id="n0",
-            service_time=1.5e-6,
-        )
+    def test_column_built_replies_match_init(self):
+        """``replies_from_tiers`` fills slots without running ``__init__``;
+        what it builds must be indistinguishable from constructor-built
+        replies, for every tier code."""
+        fingerprints = [synthetic_fingerprint(index) for index in range(4)]
+        tiers, times = [0, 1, 2, 3], [1.5e-6, 2.5e-6, 0.0, 7.0]
+        fast = replies_from_tiers(fingerprints, tiers, times, ["n0", "n1", "n0", "n2"])
+        regular = [
+            LookupReply(
+                fingerprint=fingerprint,
+                is_duplicate=tier != 0,
+                served_from=SERVED_FROM_TIER[tier],
+                node_id=node_id,
+                service_time=service_time,
+            )
+            for fingerprint, tier, service_time, node_id in zip(
+                fingerprints, tiers, times, ["n0", "n1", "n0", "n2"]
+            )
+        ]
         assert fast == regular
-        assert hash(fast) == hash(regular)
-        assert fast.payload_bytes == regular.payload_bytes
+        assert [hash(reply) for reply in fast] == [hash(reply) for reply in regular]
+        assert [repr(reply) for reply in fast] == [repr(reply) for reply in regular]
+        assert [reply.payload_bytes for reply in fast] == [r.payload_bytes for r in regular]
+        assert all(type(reply.is_duplicate) is bool for reply in fast)
+        assert fast[3].served_from is ServedFrom.REPAIR
+
+    def test_column_built_results_match_init(self):
+        cluster = make_cluster()
+        fingerprints = workload(120)
+        fast = drive(cluster, fingerprints, "lookup_batch")
+        regular = [
+            LookupResult(
+                fingerprint=result.fingerprint,
+                is_duplicate=result.is_duplicate,
+                location=ChunkLocation(),
+                latency=result.latency,
+                served_by=result.served_by,
+            )
+            for result in fast
+        ]
+        assert [result.fingerprint for result in fast] == fingerprints
+        assert fast == regular
+        assert [hash(result) for result in fast] == [hash(result) for result in regular]
+        assert [repr(result) for result in fast] == [repr(result) for result in regular]
 
     def test_lookup_batch_results_match_reply_fields(self):
         cluster = make_cluster()

@@ -224,13 +224,17 @@ class TestLRUCache:
         assert cache.put(b"a", 1) is None
         assert cache.put(b"b", 2) == (b"a", 1)
 
-    def test_eviction_callback_invoked(self):
+    def test_evictions_returned_in_lru_order(self):
+        cache = LRUCache(2)
         evicted = []
-        cache = LRUCache(2, on_evict=lambda key, value: evicted.append(key))
         for key in (b"a", b"b", b"c", b"d"):
-            cache.put(key)
-        assert evicted == [b"a", b"b"]
+            victim = cache.lru_key() if cache.is_full else None
+            outcome = cache.put(key)
+            assert outcome == (None if victim is None else (victim, True))
+            evicted.append(victim)
+        assert evicted == [None, None, b"a", b"b"]
         assert cache.evictions == 2
+        assert list(cache) == [b"c", b"d"]
 
     def test_hit_miss_counters_and_ratio(self):
         cache = LRUCache(2)
@@ -339,7 +343,7 @@ class TestLRUHotPaths:
     def test_put_new_matches_put_for_absent_keys(self):
         """The node kernel's inlined known-absent insert (against ``data``,
         counters settled per batch) vs ``put``: same stats, same recency
-        order, same eviction callbacks in the same order."""
+        order, same victims in the same order, one destage per eviction."""
         from repro.core.config import HashNodeConfig
         from repro.core.digest_batch import DigestBatch
         from repro.core.hash_node import HybridHashNode
@@ -347,17 +351,23 @@ class TestLRUHotPaths:
         node = HybridHashNode(
             "lru", config=HashNodeConfig(ram_cache_entries=2, bloom_expected_items=512)
         )
-        evicted_fast, evicted_reference = [], []
-        node.cache._on_evict = lambda k, v: evicted_fast.append(k)
-        reference = LRUCache(capacity=2, on_evict=lambda k, v: evicted_reference.append(k))
-        keys = [bytes([i]) * 20 for i in range(5)]
+        reference = LRUCache(capacity=2)
+        a, b, c, d, e = (bytes([i]) * 20 for i in range(5))
+        # Refreshes (a, d) and an evicted key coming back from the SSD tier
+        # (b) make the final recency order depend on every victim choice.
+        keys = [a, b, a, c, d, b, d, e]
         node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(keys), 1))
+        evicted = []
         for key in keys:
-            assert reference.get(key) is None
-            reference.put(key, True)
+            if reference.get(key) is None:
+                victim = reference.lru_key() if reference.is_full else None
+                assert reference.put(key, True) == (None if victim is None else (victim, True))
+                evicted.append(victim)
+        assert evicted == [None, None, b, a, c, b]
         assert node.cache.stats() == reference.stats()
-        assert list(node.cache) == list(reference)
-        assert evicted_fast == evicted_reference == keys[:3]
+        assert list(node.cache) == list(reference) == [d, e]
+        assert node.cache.lru_key() == reference.lru_key()
+        assert node.snapshot().destages == reference.evictions == 4
 
     def test_data_exposes_backing_dict(self):
         cache = LRUCache(capacity=3)

@@ -15,6 +15,18 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py            # both targets
     PYTHONPATH=src python tools/profile_hotpath.py cluster    # one target
     PYTHONPATH=src python tools/profile_hotpath.py sweep --top 30
+    PYTHONPATH=src python tools/profile_hotpath.py cluster --gc --requests 800000 --batch 2048
+
+``cluster --gc`` adds the cyclic collector's account of the same path,
+measured with cProfile off on a caller shaped like ``bench/``'s
+``lib_cluster_rf2`` (pre-populated cluster, half of every batch new, every
+``Fingerprint`` ever offered retained by the caller): collector seconds and
+passes per generation inside ``lookup_batch``, their share of call time, the
+slowest calls with their collector time, net container allocations per key,
+and the collector-off split of a call into bucket / serve / propagate /
+merge.  A full pass walks whatever the *caller* keeps alive, so its cost
+scales with ``--requests``; the pass *count* scales with what the batch path
+allocates per key.
 
 Perf PRs should start from this data: optimise what is hot, pin what must
 stay byte-identical (see ``tests/test_routed_batch_equivalence.py``).
@@ -24,19 +36,18 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import random
 import sys
+import time
 
 
-def profile_cluster(top: int, requests: int) -> None:
-    """Profile the immediate-mode cluster lookup path (cluster_lookup bench)."""
+def _cluster(requests: int):
     from repro.core.cluster import SHHCCluster
     from repro.core.config import ClusterConfig, HashNodeConfig
-    from repro.dedup.fingerprint import synthetic_fingerprint
 
-    batch_size = 128
-    config = ClusterConfig(
+    return SHHCCluster(ClusterConfig(
         num_nodes=4,
         replication_factor=2,
         node=HashNodeConfig(
@@ -44,8 +55,14 @@ def profile_cluster(top: int, requests: int) -> None:
             bloom_expected_items=max(20_000, requests),
             ssd_buckets=1 << 12,
         ),
-    )
-    cluster = SHHCCluster(config)
+    ))
+
+
+def profile_cluster(top: int, requests: int, batch_size: int) -> None:
+    """Profile the immediate-mode cluster lookup path (cluster_lookup bench)."""
+    from repro.dedup.fingerprint import synthetic_fingerprint
+
+    cluster = _cluster(requests)
     rng = random.Random(7)
     fingerprints = [
         synthetic_fingerprint(rng.randrange(max(1, requests // 2)))
@@ -60,6 +77,137 @@ def profile_cluster(top: int, requests: int) -> None:
         return duplicates
 
     _profile_one(f"cluster lookup ({requests} fingerprints, batch={batch_size})", run, top)
+
+
+class _CollectorMeter:
+    """``gc.callbacks`` hook: seconds and passes per generation.
+
+    ``allocated`` sums generation 0's counter as each pass starts (a pass
+    resets it), so ``allocated + gc.get_count()[0]`` is a running total of
+    net container allocations that collections do not disturb.
+    """
+
+    def __init__(self) -> None:
+        self.seconds = [0.0, 0.0, 0.0]
+        self.passes = [0, 0, 0]
+        self.allocated = 0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.allocated += gc.get_count()[0]
+            self._started = time.perf_counter()
+        else:
+            self.seconds[info["generation"]] += time.perf_counter() - self._started
+            self.passes[info["generation"]] += 1
+
+    def snapshot(self):
+        return list(self.seconds), list(self.passes), self.allocated + gc.get_count()[0]
+
+
+def _caller_batches(requests: int, batch_size: int, retained: list):
+    """Batches from a caller that keeps every ``Fingerprint`` it ever made.
+
+    Each key is new with probability one half, otherwise a uniform redraw
+    of something already offered; new fingerprints are built between calls
+    and appended to ``retained``, as a backup client's chunk list would.
+    """
+    from repro.dedup.fingerprint import synthetic_fingerprint
+
+    rng = random.Random(7).random
+    for _ in range(requests // batch_size):
+        batch = []
+        for _ in range(batch_size):
+            if retained and rng() < 0.5:
+                batch.append(retained[int(rng() * len(retained))])
+            else:
+                retained.append(synthetic_fingerprint(len(retained)))
+                batch.append(retained[-1])
+        yield batch
+
+
+def _warm_cluster(requests: int, batch_size: int):
+    """A cluster pre-populated by a quarter-length run of the same caller."""
+    cluster, retained = _cluster(requests), []
+    for batch in _caller_batches(requests // 4, batch_size, retained):
+        cluster.lookup_batch(batch)
+    return cluster, retained
+
+
+def collector_report(requests: int, batch_size: int) -> None:
+    """What the cyclic collector costs inside ``lookup_batch`` (cProfile off)."""
+    print(f"=== collector on the batch path ({requests} fingerprints, batch={batch_size}) ===")
+    cluster, retained = _warm_cluster(requests, batch_size)
+    meter = _CollectorMeter()
+    calls = []  # (wall, seconds per generation, passes per generation, allocations)
+    gc.callbacks.append(meter)
+    try:
+        for batch in _caller_batches(requests, batch_size, retained):
+            seconds, passes, allocated = meter.snapshot()
+            started = time.perf_counter()
+            results = cluster.lookup_batch(batch)
+            wall = time.perf_counter() - started
+            seconds_after, passes_after, allocated_after = meter.snapshot()  # results still held
+            calls.append((
+                wall,
+                [after - before for after, before in zip(seconds_after, seconds)],
+                [after - before for after, before in zip(passes_after, passes)],
+                allocated_after - allocated,
+            ))
+            del results
+    finally:
+        gc.callbacks.remove(meter)
+    keys = len(calls) * batch_size
+    wall = sum(call[0] for call in calls)
+    collecting = [sum(call[1][generation] for call in calls) for generation in range(3)]
+    print(f"{len(calls)} calls, {wall:.2f} s in lookup_batch, {wall / keys * 1e6:.2f} us/fp, "
+          f"{len(retained)} fingerprints retained by the caller")
+    for generation in range(3):
+        inside = sum(call[2][generation] for call in calls)
+        print(f"  gen {generation}: {inside:5d} passes inside calls, {collecting[generation]:6.3f} s "
+              f"(whole run: {meter.passes[generation]} passes, {meter.seconds[generation]:.3f} s)")
+    print(f"  collector share of call time: {sum(collecting) / wall:.1%} "
+          f"({sum(collecting) / keys * 1e6:.2f} us/fp)")
+    print(f"  net container allocations per key, results held: "
+          f"{sum(call[3] for call in calls) / keys:.2f}")
+    ordered = sorted(call[0] for call in calls)
+    print(f"  call p50 {ordered[len(ordered) // 2] * 1e3:.1f} ms; slowest five:")
+    for call_wall, call_seconds, call_passes, _allocated in sorted(calls, reverse=True)[:5]:
+        print(f"    {call_wall * 1e3:7.1f} ms, {sum(call_seconds) * 1e3:7.1f} ms collecting "
+              f"(passes per generation {call_passes})")
+
+
+def phase_split(requests: int, batch_size: int) -> None:
+    """Where a call's own time goes with the collector off (same caller, fresh cluster)."""
+    spent = {"call": 0.0, "bucket": 0.0, "serve": 0.0, "propagate": 0.0}
+
+    def timed(phase, function):
+        def wrapper(*args):
+            started = time.perf_counter()
+            try:
+                return function(*args)
+            finally:
+                spent[phase] += time.perf_counter() - started
+        return wrapper
+
+    cluster, retained = _warm_cluster(requests, batch_size)
+    cluster.lookup_batch = timed("call", cluster.lookup_batch)
+    cluster._bucket_routed = timed("bucket", cluster._bucket_routed)
+    cluster._propagate_new_groups = timed("propagate", cluster._propagate_new_groups)
+    for node in cluster.nodes.values():
+        node.serve_bucket_verdicts = timed("serve", node.serve_bucket_verdicts)
+    gc.collect()
+    gc.disable()
+    try:
+        for batch in _caller_batches(requests, batch_size, retained):
+            cluster.lookup_batch(batch)
+    finally:
+        gc.enable()
+    keys = requests // batch_size * batch_size
+    spent["merge"] = spent["call"] - spent["bucket"] - spent["serve"] - spent["propagate"]
+    print("  collector off, us/fp: " + ", ".join(
+        f"{phase} {seconds / keys * 1e6:.2f}" for phase, seconds in spent.items()
+    ) + " (merge = call - the other three)")
 
 
 def profile_sweep(top: int) -> None:
@@ -91,9 +239,16 @@ def main(argv=None) -> int:
                         help="how many functions to print (default 20)")
     parser.add_argument("--requests", type=int, default=16_000,
                         help="cluster run size in fingerprints (default 16000)")
+    parser.add_argument("--batch", type=int, default=128,
+                        help="fingerprints per lookup_batch call (default 128)")
+    parser.add_argument("--gc", action="store_true",
+                        help="cluster target: also report the cyclic collector's share")
     args = parser.parse_args(argv)
     if args.target in ("all", "cluster"):
-        profile_cluster(args.top, args.requests)
+        profile_cluster(args.top, args.requests, args.batch)
+        if args.gc:
+            collector_report(args.requests, args.batch)
+            phase_split(args.requests, args.batch)
     if args.target in ("all", "sweep"):
         profile_sweep(args.top)
     return 0
