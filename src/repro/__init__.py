@@ -21,7 +21,7 @@ The package is organised in layers:
     interfaces and the client-side dedup pipeline.
 ``repro.core``
     The paper's contribution: hybrid hash nodes, partitioners, the SHHC
-    cluster, batching, membership/rebalancing and replication.
+    cluster, membership/rebalancing and replication.
 ``repro.frontend``
     Backup clients, web front-end servers, upload plans and the one-call
     :class:`~repro.frontend.gateway.BackupService` facade.

@@ -33,6 +33,7 @@ from ...workloads.profiles import HOME_DIR, MAIL_SERVER, WorkloadProfile
 from ...workloads.traces import TraceGenerator
 from ..reporting import format_table
 from .figure5 import Figure5Point, _run_one_configuration
+from .replay import default_node_config
 
 __all__ = [
     "TierAblationRow",
@@ -169,10 +170,7 @@ def run_batch_tradeoff(
     mix = table_i_mix(seed=seed, profiles=[MAIL_SERVER])
     client_streams = mix.split_among_clients(num_clients, scale=scale)
     expected = sum(len(s) for s in client_streams)
-    node_config = HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(100_000, expected * 2),
-    )
+    node_config = default_node_config(expected, floor=100_000)
     result = BatchTradeoffResult(nodes=num_nodes)
     for batch_size in batch_sizes:
         point: Figure5Point = _run_one_configuration(

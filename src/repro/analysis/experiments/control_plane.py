@@ -11,14 +11,10 @@ an open-loop clock calibrated so the busiest node runs at ``offered_load``
 utilisation in steady state; when a node crashes (``run_failover_timed``)
 or a membership change migrates entries (``run_churn_timed``), the
 surviving/affected nodes queue up and the per-phase latency recorders
-capture the replication/elasticity tax directly:
-
-* phase ``steady`` -- no outage, no migration backlog;
-* phase ``degraded`` -- at least one node marked down;
-* phase ``migrating`` -- a membership change fired recently or its copy
-  traffic is still draining;
-* phase ``warmup`` -- the calibration batch (index 0), excluded from the
-  tax comparison.
+capture the replication/elasticity tax directly.  The batch walk and the
+phase each disruption source assigns a batch (``steady``, ``degraded``,
+``migrating``, ``recovering``; batch 0 is ``warmup`` and excluded from the
+tax comparison) live in :mod:`.replay`.
 
 The headline figure is ``p99_tax``: degraded (or migrating) p99 lookup
 latency divided by steady-state p99 -- the Figure-5-style curve the
@@ -29,29 +25,40 @@ replication factor and churn rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
 from ...core.fault_injection import FaultInjector, FaultPlan
-from ...core.membership import ChurnPlan, MembershipManager
+from ...core.membership import ChurnPlan
 from ...dedup.fingerprint import Fingerprint
 from ...simulation.costmodel import CostModel
-from ...workloads.mixer import WorkloadMix, table_i_mix
+from ...workloads.mixer import WorkloadMix
 from ..reporting import format_table
-from .elasticity import DEFAULT_CHURN_EVENTS, MIN_NODES
+from .elasticity import DEFAULT_CHURN_EVENTS
+from .replay import (
+    DEGRADED_PHASE,
+    MIGRATING_PHASE,
+    MIN_NODES,
+    STEADY_PHASE,
+    WARMUP_PHASE,
+    Churn,
+    Outages,
+    ReplayAudit,
+    cluster_config,
+    make_batches,
+    replay,
+    require_room,
+)
 
 __all__ = [
     "PhaseLatency",
+    "TimedResult",
     "ControlPlaneResult",
+    "calibrate_interval",
     "run_failover_timed",
     "run_churn_timed",
 ]
-
-WARMUP_PHASE = "warmup"
-STEADY_PHASE = "steady"
-DEGRADED_PHASE = "degraded"
-MIGRATING_PHASE = "migrating"
 
 #: Default outage density for ``run_failover_timed`` (fraction of the run
 #: during which some node is down, as in ``FaultPlan.rolling_outage``).
@@ -81,19 +88,10 @@ class PhaseLatency:
         )
 
 
-@dataclass
-class ControlPlaneResult:
-    """Outcome of one timed control-plane run."""
+@dataclass(kw_only=True)
+class TimedResult(ReplayAudit):
+    """What every timed run reads off its cluster's ledger."""
 
-    kind: str  # "failover_timed" | "churn_timed"
-    num_nodes: int
-    replication_factor: int
-    virtual_nodes: int
-    batch_size: int
-    offered_load: float
-    headline_phase: str  # the taxed phase: degraded or migrating
-    fingerprints_processed: int = 0
-    batches: int = 0
     #: Open-loop batch arrival interval (seconds), calibrated from a
     #: fault-free probe run of the same workload.
     interval: float = 0.0
@@ -104,11 +102,59 @@ class ControlPlaneResult:
     control_plane_cpu_seconds: float = 0.0
     #: Ledger + scenario counters (replica_writes, migration_entries, ...).
     counters: Dict[str, int] = field(default_factory=dict)
-    unserved: int = 0
 
     @property
     def steady(self) -> Optional[PhaseLatency]:
         return self.phases.get(STEADY_PHASE)
+
+    def p99_over_steady(self, phase: str) -> float:
+        """``phase``'s p99 over steady-state p99 (1.0 = control plane free)."""
+        steady, taxed = self.steady, self.phases.get(phase)
+        if steady is None or taxed is None or steady.p99 <= 0.0:
+            return 1.0
+        return taxed.p99 / steady.p99
+
+    def phase_rows(self, phase_names: Sequence[str]) -> List[list]:
+        """The rows a timed table ends with: per-phase latency, then counters."""
+        rows: List[list] = []
+        for name in phase_names:
+            stats = self.phases.get(name)
+            if stats is None:
+                continue
+            rows += [
+                [f"{name} lookups", stats.count],
+                [f"{name} p50 us", round(stats.p50 * 1e6, 2)],
+                [f"{name} p99 us", round(stats.p99 * 1e6, 2)],
+            ]
+        return rows + [[counter, self.counters[counter]] for counter in sorted(self.counters)]
+
+    def read_ledger(self, cluster: SHHCCluster, extra: Dict[str, int]) -> None:
+        """Fill phases, throughput and counters once the replay is over."""
+        ledger = cluster.ledger
+        for name, recorder in ledger.phases.items():
+            if recorder.count:
+                self.phases[name] = PhaseLatency.from_recorder(name, recorder)
+        end = ledger.end_time()
+        served = ledger.counters.get("lookups")
+        self.throughput = served / end if end > 0 else 0.0
+        self.control_plane_cpu_seconds = ledger.control_plane_cpu_seconds
+        self.counters = ledger.counters.as_dict()
+        self.counters.update(extra)
+        self.counters["read_repairs"] = cluster.read_repairs
+        self.counters["failovers"] = cluster.failovers
+
+
+@dataclass
+class ControlPlaneResult(TimedResult):
+    """Outcome of one timed control-plane run."""
+
+    kind: str  # "failover_timed" | "churn_timed"
+    num_nodes: int
+    replication_factor: int
+    virtual_nodes: int
+    batch_size: int
+    offered_load: float
+    headline_phase: str  # the taxed phase: degraded or migrating
 
     @property
     def taxed(self) -> Optional[PhaseLatency]:
@@ -117,10 +163,7 @@ class ControlPlaneResult:
     @property
     def p99_tax(self) -> float:
         """Taxed-phase p99 over steady-state p99 (1.0 = control plane free)."""
-        steady, taxed = self.steady, self.taxed
-        if steady is None or taxed is None or steady.p99 <= 0.0:
-            return 1.0
-        return taxed.p99 / steady.p99
+        return self.p99_over_steady(self.headline_phase)
 
     def render(self) -> str:
         rows = [
@@ -138,17 +181,7 @@ class ControlPlaneResult:
         ]
         if self.unserved:
             rows.append(["unserved lookups", self.unserved])
-        for name in (STEADY_PHASE, self.headline_phase, WARMUP_PHASE):
-            stats = self.phases.get(name)
-            if stats is None:
-                continue
-            rows += [
-                [f"{name} lookups", stats.count],
-                [f"{name} p50 us", round(stats.p50 * 1e6, 2)],
-                [f"{name} p99 us", round(stats.p99 * 1e6, 2)],
-            ]
-        for counter in sorted(self.counters):
-            rows.append([counter, self.counters[counter]])
+        rows += self.phase_rows((STEADY_PHASE, self.headline_phase, WARMUP_PHASE))
         return format_table(
             ["metric", "value"],
             rows,
@@ -159,20 +192,11 @@ class ControlPlaneResult:
         )
 
 
-def _make_batches(
-    mix: Optional[WorkloadMix], scale: float, batch_size: int, seed: int
-) -> Tuple[List[Fingerprint], List[List[Fingerprint]]]:
-    workload = mix if mix is not None else table_i_mix(seed=seed)
-    fingerprints: List[Fingerprint] = list(workload.interleaved(scale=scale))
-    batches = [
-        fingerprints[start:start + batch_size]
-        for start in range(0, len(fingerprints), batch_size)
-    ]
-    return fingerprints, batches
-
-
-def _calibrate_interval(
-    make_cluster, batches: List[List[Fingerprint]], offered_load: float
+def calibrate_interval(
+    config: ClusterConfig,
+    model: CostModel,
+    batches: List[List[Fingerprint]],
+    offered_load: float,
 ) -> float:
     """Open-loop arrival interval targeting ``offered_load`` utilisation.
 
@@ -183,41 +207,14 @@ def _calibrate_interval(
     ``offered_load`` of the timeline, leaving headroom that only outage
     shift or migration backlog can consume.
     """
-    probe = make_cluster()
-    for batch in batches:
-        probe.lookup_batch(batch)
+    if not 0.0 < offered_load < 1.0:
+        raise ValueError("offered_load must be in (0, 1)")
+    probe = SHHCCluster(config, cost_model=model)
+    replay(probe, batches, Outages.none(probe), ReplayAudit())
     demand = probe.ledger.end_time() / len(batches)
     if demand <= 0.0:
         raise RuntimeError("calibration probe measured zero service demand")
     return demand / offered_load
-
-
-def _validate(scale: float, batch_size: int, offered_load: float) -> None:
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if not 0.0 < offered_load < 1.0:
-        raise ValueError("offered_load must be in (0, 1)")
-
-
-def _finish(
-    result: ControlPlaneResult, cluster: SHHCCluster, extra: Dict[str, int]
-) -> ControlPlaneResult:
-    ledger = cluster.ledger
-    for name, recorder in ledger.phases.items():
-        if recorder.count:
-            result.phases[name] = PhaseLatency.from_recorder(name, recorder)
-    end = ledger.end_time()
-    served = ledger.counters.get("lookups")
-    result.throughput = served / end if end > 0 else 0.0
-    result.control_plane_cpu_seconds = ledger.control_plane_cpu_seconds
-    counters = ledger.counters.as_dict()
-    counters.update(extra)
-    counters["read_repairs"] = cluster.read_repairs
-    counters["failovers"] = cluster.failovers
-    result.counters = counters
-    return result
 
 
 def run_failover_timed(
@@ -246,9 +243,9 @@ def run_failover_timed(
     strictly above 1 whenever the outage actually concentrated load.
 
     Fingerprints whose whole replica set is down are not sent (counted as
-    ``unserved``), mirroring :func:`~repro.analysis.experiments.failover.run_failover`.
+    ``unserved``) and every verdict is audited against the oracle, as in
+    :func:`~repro.analysis.experiments.failover.run_failover`.
     """
-    _validate(scale, batch_size, offered_load)
     if fault_plan is not None and outage_density is not None:
         raise ValueError("pass at most one of fault_plan, outage_density")
     if fault_plan is None:
@@ -256,33 +253,15 @@ def run_failover_timed(
             outage_density if outage_density is not None else DEFAULT_OUTAGE_DENSITY
         )
     model = cost_model if cost_model is not None else CostModel()
-    fingerprints, batches = _make_batches(mix, scale, batch_size, seed)
-    if fault_plan.has_outages and len(batches) <= fault_plan.start:
-        raise ValueError(
-            f"only {len(batches)} batch(es) at batch_size={batch_size}: too short for "
-            f"an outage plan starting at t={fault_plan.start:g}; lower batch_size or "
-            "raise scale"
-        )
-    config = node_config if node_config is not None else HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(1_000_000, len(fingerprints) * 2),
+    fingerprints, batches = make_batches(mix, scale, batch_size, seed)
+    if fault_plan.has_outages:
+        require_room(batches, batch_size, fault_plan.start, "an outage plan")
+    config = cluster_config(
+        num_nodes, replication_factor, virtual_nodes, node_config, len(fingerprints)
     )
+    interval = calibrate_interval(config, model, batches, offered_load)
 
-    def make_cluster() -> SHHCCluster:
-        return SHHCCluster(
-            ClusterConfig(
-                num_nodes=num_nodes,
-                node=config,
-                virtual_nodes=virtual_nodes,
-                replication_factor=replication_factor,
-            ),
-            cost_model=model,
-        )
-
-    interval = _calibrate_interval(make_cluster, batches, offered_load)
-
-    cluster = make_cluster()
-    ledger = cluster.ledger
+    cluster = SHHCCluster(config, cost_model=model)
     schedule = fault_plan.schedule(cluster.node_names, horizon=float(len(batches)))
     injector = FaultInjector(cluster, schedule)
     result = ControlPlaneResult(
@@ -297,34 +276,9 @@ def run_failover_timed(
         batches=len(batches),
         interval=interval,
     )
-
-    for index, batch in enumerate(batches):
-        ledger.advance_to(index * interval)
-        injector.advance(index)
-        degraded = any(cluster.is_down(name) for name in cluster.node_names)
-        if index == 0:
-            ledger.set_phase(WARMUP_PHASE)
-        elif degraded:
-            ledger.set_phase(DEGRADED_PHASE)
-        else:
-            ledger.set_phase(STEADY_PHASE)
-        if degraded:
-            servable = []
-            for fingerprint in batch:
-                if any(not cluster.is_down(n) for n in cluster.replica_set(fingerprint)):
-                    servable.append(fingerprint)
-                else:
-                    result.unserved += 1
-        else:
-            servable = batch
-        cluster.lookup_batch(servable)
-    injector.drain()
-
-    return _finish(
-        result,
-        cluster,
-        {"crashes": injector.crashes, "recoveries": injector.recoveries},
-    )
+    replay(cluster, batches, Outages(injector), result, interval=interval)
+    result.read_ledger(cluster, {"crashes": injector.crashes, "recoveries": injector.recoveries})
+    return result
 
 
 def run_churn_timed(
@@ -350,39 +304,20 @@ def run_churn_timed(
     migration; they are recorded under the ``migrating`` phase until the
     backlog drains back under one arrival interval.
     """
-    _validate(scale, batch_size, offered_load)
     if num_nodes < MIN_NODES:
         raise ValueError(f"num_nodes must be >= {MIN_NODES}")
     plan = churn_plan if churn_plan is not None else ChurnPlan.join_leave(DEFAULT_CHURN_EVENTS)
     model = cost_model if cost_model is not None else CostModel()
-    fingerprints, batches = _make_batches(mix, scale, batch_size, seed)
-    if plan.has_churn and len(batches) <= plan.start:
-        raise ValueError(
-            f"only {len(batches)} batch(es) at batch_size={batch_size}: too short for "
-            f"a churn plan starting at t={plan.start:g}; lower batch_size or raise scale"
-        )
-    config = node_config if node_config is not None else HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(1_000_000, len(fingerprints) * 2),
+    fingerprints, batches = make_batches(mix, scale, batch_size, seed)
+    if plan.has_churn:
+        require_room(batches, batch_size, plan.start, "a churn plan")
+    config = cluster_config(
+        num_nodes, replication_factor, virtual_nodes, node_config, len(fingerprints)
     )
+    interval = calibrate_interval(config, model, batches, offered_load)
 
-    def make_cluster() -> SHHCCluster:
-        return SHHCCluster(
-            ClusterConfig(
-                num_nodes=num_nodes,
-                node=config,
-                virtual_nodes=virtual_nodes,
-                replication_factor=replication_factor,
-            ),
-            cost_model=model,
-        )
-
-    interval = _calibrate_interval(make_cluster, batches, offered_load)
-
-    cluster = make_cluster()
-    ledger = cluster.ledger
-    manager = MembershipManager(cluster)
-    schedule = plan.schedule(horizon=float(len(batches))) if plan.has_churn else []
+    cluster = SHHCCluster(config, cost_model=model)
+    churn = Churn(cluster, plan, horizon=float(len(batches)))
     result = ControlPlaneResult(
         kind="churn_timed",
         num_nodes=num_nodes,
@@ -395,50 +330,14 @@ def run_churn_timed(
         batches=len(batches),
         interval=interval,
     )
-    joins = leaves = skipped = entries_moved = 0
-    next_index = {"value": num_nodes}
-
-    def _fire(event) -> bool:
-        nonlocal joins, leaves, skipped, entries_moved
-        if event.action == "join":
-            node_id = f"{cluster.config.node_name_prefix}-{next_index['value']}"
-            next_index["value"] += 1
-            report = manager.add_node(node_id)
-            joins += 1
-        else:
-            if len(cluster.nodes) <= MIN_NODES:
-                skipped += 1
-                return False
-            node_id = sorted(cluster.nodes)[0]
-            report = manager.remove_node(node_id)
-            leaves += 1
-        entries_moved += report.entries_moved
-        return True
-
-    pending = list(schedule)  # already time-ordered
-    for index, batch in enumerate(batches):
-        ledger.advance_to(index * interval)
-        fired = False
-        while pending and pending[0].time <= index:
-            fired = _fire(pending.pop(0)) or fired
-        if index == 0:
-            ledger.set_phase(WARMUP_PHASE)
-        elif fired or ledger.backlog() > interval:
-            # A change just happened, or its copy traffic is still draining.
-            ledger.set_phase(MIGRATING_PHASE)
-        else:
-            ledger.set_phase(STEADY_PHASE)
-        cluster.lookup_batch(batch)
-    for event in pending:  # events past the last batch still fire
-        _fire(event)
-
-    return _finish(
-        result,
+    replay(cluster, batches, churn, result, interval=interval)
+    result.read_ledger(
         cluster,
         {
-            "joins": joins,
-            "leaves": leaves,
-            "skipped_events": skipped,
-            "entries_moved": entries_moved,
+            "joins": churn.joins,
+            "leaves": churn.leaves,
+            "skipped_events": churn.skipped,
+            "entries_moved": churn.entries_moved,
         },
     )
+    return result

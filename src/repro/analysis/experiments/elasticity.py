@@ -3,7 +3,8 @@
 The paper pitches the hash cluster as elastically scalable but leaves
 dynamic membership as future work (§V); this experiment measures the
 implementation.  A mixed backup workload is streamed through a replicated
-cluster in client-sized batches while a
+cluster in client-sized batches
+(:func:`~repro.analysis.experiments.replay.replay`) while a
 :class:`~repro.core.membership.ChurnPlan` joins and removes nodes on a
 logical time axis of batch indices.  Every verdict is checked against an
 exact oracle, so the headline numbers are *dedup accuracy under churn*
@@ -15,26 +16,32 @@ tax of elasticity, zero at ``replication_factor == 1``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ...core.cluster import SHHCCluster
-from ...core.config import ClusterConfig, HashNodeConfig
-from ...core.membership import ChurnPlan, MembershipManager
-from ...dedup.fingerprint import Fingerprint
-from ...workloads.mixer import WorkloadMix, table_i_mix
+from ...core.config import HashNodeConfig
+from ...core.membership import ChurnPlan
+from ...workloads.mixer import WorkloadMix
 from ..reporting import format_table
+from .replay import (
+    MIN_NODES,
+    Churn,
+    ReplayAudit,
+    cluster_config,
+    fill_replication,
+    make_batches,
+    replay,
+    require_room,
+)
 
 __all__ = ["ElasticityResult", "run_elasticity", "DEFAULT_CHURN_EVENTS"]
 
 #: Membership changes a default run performs (two full join/leave cycles).
 DEFAULT_CHURN_EVENTS = 4
 
-#: Never shrink below this many nodes (a one-node cluster cannot lose one).
-MIN_NODES = 2
-
 
 @dataclass
-class ElasticityResult:
+class ElasticityResult(ReplayAudit):
     """Outcome of one churn run."""
 
     num_nodes: int
@@ -42,13 +49,9 @@ class ElasticityResult:
     virtual_nodes: int
     batch_size: int
     churn_plan: Optional[ChurnPlan] = None
-    fingerprints_processed: int = 0
-    batches: int = 0
     joins: int = 0
     leaves: int = 0
     skipped_events: int = 0
-    false_uniques: int = 0
-    false_duplicates: int = 0
     entries_moved: int = 0
     entries_examined: int = 0  # sum of pre-change entry counts across events
     primary_moves: int = 0
@@ -64,18 +67,6 @@ class ElasticityResult:
     lost: int = 0
     #: Per-event timeline: (batch index, action, node, entries moved).
     events: List[Tuple[float, str, str, int]] = field(default_factory=list)
-
-    @property
-    def dedup_errors(self) -> int:
-        """Verdicts that differ from the exact oracle."""
-        return self.false_uniques + self.false_duplicates
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of verdicts matching the oracle (1.0 = no loss)."""
-        if not self.fingerprints_processed:
-            return 1.0
-        return 1.0 - self.dedup_errors / self.fingerprints_processed
 
     @property
     def moved_fraction(self) -> float:
@@ -141,47 +132,22 @@ def run_elasticity(
 
     The churn schedule lives on the logical time axis of batch indices,
     like the failover experiment's outage schedule: an event at ``t`` fires
-    before batch ``ceil(t)`` is sent.  Joins add fresh nodes
-    (``hashnode-<next>``); leaves remove the lexicographically first
-    current node, which retires the original members one by one -- the
-    worst case for data movement.  With a replica-aware
+    before batch ``ceil(t)`` is sent
+    (:class:`~repro.analysis.experiments.replay.Churn` says which node
+    joins or leaves).  With a replica-aware
     :class:`~repro.core.membership.MembershipManager` the expected dedup
     error count is exactly zero at every replication factor.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     if num_nodes < MIN_NODES:
         raise ValueError(f"num_nodes must be >= {MIN_NODES}")
     plan = churn_plan if churn_plan is not None else ChurnPlan.join_leave(DEFAULT_CHURN_EVENTS)
-
-    workload = mix if mix is not None else table_i_mix(seed=seed)
-    fingerprints: List[Fingerprint] = list(workload.interleaved(scale=scale))
-    batches = [
-        fingerprints[start:start + batch_size]
-        for start in range(0, len(fingerprints), batch_size)
-    ]
-    if plan.has_churn and len(batches) <= plan.start:
-        raise ValueError(
-            f"only {len(batches)} batch(es) at batch_size={batch_size}: too short for "
-            f"a churn plan starting at t={plan.start:g}; lower batch_size or raise scale"
-        )
-    config = node_config if node_config is not None else HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(1_000_000, len(fingerprints) * 2),
-    )
+    fingerprints, batches = make_batches(mix, scale, batch_size, seed)
+    if plan.has_churn:
+        require_room(batches, batch_size, plan.start, "a churn plan")
     cluster = SHHCCluster(
-        ClusterConfig(
-            num_nodes=num_nodes,
-            node=config,
-            virtual_nodes=virtual_nodes,
-            replication_factor=replication_factor,
-        )
+        cluster_config(num_nodes, replication_factor, virtual_nodes, node_config, len(fingerprints))
     )
-    manager = MembershipManager(cluster)
-    schedule = plan.schedule(horizon=float(len(batches))) if plan.has_churn else []
-
+    churn = Churn(cluster, plan, horizon=float(len(batches)))
     result = ElasticityResult(
         num_nodes=num_nodes,
         replication_factor=replication_factor,
@@ -191,55 +157,16 @@ def run_elasticity(
         fingerprints_processed=len(fingerprints),
         batches=len(batches),
     )
+    replay(cluster, batches, churn, result)
 
-    next_index = {"value": num_nodes}
-
-    def _fire(event) -> None:
-        if event.action == "join":
-            node_id = f"{cluster.config.node_name_prefix}-{next_index['value']}"
-            next_index["value"] += 1
-            report = manager.add_node(node_id)
-            result.joins += 1
-        else:
-            if len(cluster.nodes) <= MIN_NODES:
-                result.skipped_events += 1
-                return
-            node_id = sorted(cluster.nodes)[0]
-            report = manager.remove_node(node_id)
-            result.leaves += 1
+    result.joins, result.leaves, result.skipped_events = churn.joins, churn.leaves, churn.skipped
+    for event, node_id, report in churn.applied:
         result.entries_moved += report.entries_moved
         result.entries_examined += report.entries_before
         result.primary_moves += report.primary_moves
         result.replica_copies += report.replica_copies
         result.replica_drops += report.replica_drops
         result.events.append((event.time, event.action, node_id, report.entries_moved))
-
-    pending = list(schedule)  # already time-ordered
-    oracle_seen: set = set()
-    for index, batch in enumerate(batches):
-        while pending and pending[0].time <= index:
-            _fire(pending.pop(0))
-        for outcome in cluster.lookup_batch(batch):
-            expected = outcome.fingerprint.digest in oracle_seen
-            oracle_seen.add(outcome.fingerprint.digest)
-            if outcome.is_duplicate != expected:
-                if expected:
-                    result.false_uniques += 1
-                else:
-                    result.false_duplicates += 1
-    # Any events scheduled past the last batch still fire (end of the run).
-    for event in pending:
-        _fire(event)
-
     result.final_nodes = cluster.num_nodes
-    result.read_repairs = cluster.read_repairs
-    result.replica_inserts = sum(
-        node.counters.get("replica_inserts") for node in cluster.nodes.values()
-    )
-    result.distinct = cluster.distinct_fingerprints()
-    result.total_stored = cluster.total_stored
-    report = manager.controller.consistency_report()
-    result.fully_replicated = report.fully_replicated
-    result.under_replicated = report.under_replicated
-    result.lost = report.lost
+    fill_replication(result, cluster, churn.manager.controller)
     return result

@@ -3,7 +3,8 @@
 The paper presents SHHC as a hash cluster that keeps serving lookups through
 node failures; this experiment turns that claim into a measured scenario.
 A mixed backup workload is streamed through the cluster in client-sized
-batches while a :class:`~repro.core.fault_injection.FaultSchedule` crashes
+batches (:func:`~repro.analysis.experiments.replay.replay`) while a
+:class:`~repro.core.fault_injection.FaultSchedule` crashes
 and recovers nodes one at a time (the regime a replication factor of 2 must
 survive without losing a single verdict).  Every verdict is checked against
 an exact oracle (a set of previously seen digests), so the headline number
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.cluster import SHHCCluster
-from ...core.config import ClusterConfig, HashNodeConfig
+from ...core.config import HashNodeConfig
 from ...core.fault_injection import (
     FaultInjector,
     FaultPlan,
@@ -26,39 +27,48 @@ from ...core.fault_injection import (
     rolling_outage_schedule,
 )
 from ...core.replication import ReplicationController
-from ...dedup.fingerprint import Fingerprint
-from ...workloads.mixer import WorkloadMix, table_i_mix
+from ...workloads.mixer import WorkloadMix
 from ..reporting import format_table
+from .replay import (
+    Outages,
+    ReplayAudit,
+    cluster_config,
+    fill_replication,
+    make_batches,
+    replay,
+    require_room,
+)
 
 __all__ = ["FailoverResult", "run_failover"]
 
 
-def _percentiles(latencies: Sequence[float]) -> Dict[str, float]:
-    """Nearest-rank p50/p95/p99 of a latency sample (empty dict if none)."""
+def _latency_summary(latencies: Sequence[float]) -> Tuple[float, Dict[str, float]]:
+    """Mean and nearest-rank p50/p95/p99 of a latency sample (0.0, {} if none)."""
     if not latencies:
-        return {}
+        return 0.0, {}
+    # Plain left-to-right addition, not sum(): from Python 3.12 sum() is
+    # compensated, which would move the pinned means in their last digit.
+    total = 0.0
+    for latency in latencies:
+        total += latency
     ordered = sorted(latencies)
     last = len(ordered) - 1
-    return {
+    return total / len(latencies), {
         f"p{q}": ordered[min(last, int(len(ordered) * q / 100.0))]
         for q in (50, 95, 99)
     }
 
 
 @dataclass
-class FailoverResult:
+class FailoverResult(ReplayAudit):
     """Outcome of one failover run (plus its fault-free baseline)."""
 
     num_nodes: int
     replication_factor: int
     virtual_nodes: int
     batch_size: int
-    fingerprints_processed: int = 0
-    batches: int = 0
     crashes: int = 0
     recoveries: int = 0
-    false_uniques: int = 0  # duplicates misreported as new (replica pollution)
-    false_duplicates: int = 0  # new fingerprints misreported as duplicates (data loss!)
     read_repairs: int = 0
     failovers: int = 0
     replica_inserts: int = 0
@@ -71,31 +81,12 @@ class FailoverResult:
     mean_latency_faulty: float = 0.0
     mean_latency_baseline: float = 0.0
     events: List[Tuple[float, str, str]] = field(default_factory=list)
-    #: Lookups dropped because no live replica existed (replication 1 under
-    #: outage); the client never received a verdict for these.
-    unserved: int = 0
     #: Requests dropped by grey-failing (flaky) nodes before failover/retry.
     grey_drops: int = 0
     tier_hits: Dict[str, int] = field(default_factory=dict)
     latency_percentiles_faulty: Dict[str, float] = field(default_factory=dict)
     latency_percentiles_baseline: Dict[str, float] = field(default_factory=dict)
     fault_plan: Optional[FaultPlan] = None
-
-    @property
-    def dedup_errors(self) -> int:
-        """Verdicts that differ from the exact oracle."""
-        return self.false_uniques + self.false_duplicates
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of verdicts matching the oracle (1.0 = no loss).
-
-        Unserved lookups count as errors: the client got no verdict at all,
-        which is at least as bad as a wrong one.
-        """
-        if not self.fingerprints_processed:
-            return 1.0
-        return 1.0 - (self.dedup_errors + self.unserved) / self.fingerprints_processed
 
     @property
     def latency_overhead(self) -> float:
@@ -151,54 +142,6 @@ class FailoverResult:
         return table + ("\n\nschedule: " + timeline if timeline else "")
 
 
-def _run_stream(
-    cluster: SHHCCluster,
-    batches: Sequence[Sequence[Fingerprint]],
-    injector: Optional[FaultInjector],
-    oracle_seen: set,
-    result: Optional[FailoverResult],
-) -> Tuple[float, Dict[str, float]]:
-    """Replay ``batches``; returns (mean, percentiles) per-fingerprint latency.
-
-    When ``result`` is given, every verdict is checked against the oracle
-    and mismatches are tallied; ``oracle_seen`` is mutated as the stream's
-    digest history.  Fingerprints whose whole replica set is down are not
-    sent at all (the client cannot reach any holder); they are tallied as
-    ``result.unserved`` but still enter the oracle history, because the
-    client *did* present them -- any copy the cluster failed to store shows
-    up as a false unique on the fingerprint's next occurrence.
-    """
-    total_latency = 0.0
-    latencies: List[float] = []
-    for index, batch in enumerate(batches):
-        if injector is not None:
-            injector.advance(index)
-        if any(cluster.is_down(name) for name in cluster.node_names):
-            servable = []
-            for fingerprint in batch:
-                if any(not cluster.is_down(n) for n in cluster.replica_set(fingerprint)):
-                    servable.append(fingerprint)
-                else:
-                    oracle_seen.add(fingerprint.digest)
-                    if result is not None:
-                        result.unserved += 1
-        else:
-            servable = batch
-        lookups = cluster.lookup_batch(servable)
-        for outcome in lookups:
-            expected = outcome.fingerprint.digest in oracle_seen
-            oracle_seen.add(outcome.fingerprint.digest)
-            total_latency += outcome.latency
-            latencies.append(outcome.latency)
-            if result is not None and outcome.is_duplicate != expected:
-                if expected:
-                    result.false_uniques += 1
-                else:
-                    result.false_duplicates += 1
-    count = len(latencies)
-    return (total_latency / count if count else 0.0), _percentiles(latencies)
-
-
 def run_failover(
     scale: float = 0.002,
     num_nodes: int = 4,
@@ -230,10 +173,6 @@ def run_failover(
     aborting the run, which is precisely the dedup loss the replication
     sweep quantifies.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     if fault_plan is not None and (schedule is not None or outage_density is not None):
         raise ValueError("pass at most one of fault_plan, schedule, outage_density")
     if outage_density is not None:
@@ -247,43 +186,32 @@ def run_failover(
             "schedule; pass an explicit FaultSchedule or FaultPlan for "
             "unreplicated runs"
         )
-    workload = mix if mix is not None else table_i_mix(seed=seed)
-    fingerprints: List[Fingerprint] = list(workload.interleaved(scale=scale))
-    batches = [
-        fingerprints[start:start + batch_size]
-        for start in range(0, len(fingerprints), batch_size)
-    ]
-    if fault_plan is not None and fault_plan.has_outages and len(batches) <= fault_plan.start:
-        # Catch this before the (expensive) fault-free baseline run: the
-        # outage schedule lives on the batch-index axis, so a run this short
-        # has no room for an outage after the plan's start time.
-        raise ValueError(
-            f"only {len(batches)} batch(es) at batch_size={batch_size}: too short for "
-            f"an outage plan starting at t={fault_plan.start:g}; lower batch_size or "
-            "raise scale"
-        )
-    config = node_config if node_config is not None else HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(1_000_000, len(fingerprints) * 2),
+    fingerprints, batches = make_batches(mix, scale, batch_size, seed)
+    if fault_plan is not None and fault_plan.has_outages:
+        require_room(batches, batch_size, fault_plan.start, "an outage plan")
+    config = cluster_config(
+        num_nodes, replication_factor, virtual_nodes, node_config, len(fingerprints)
     )
 
-    def make_cluster() -> SHHCCluster:
-        return SHHCCluster(
-            ClusterConfig(
-                num_nodes=num_nodes,
-                node=config,
-                virtual_nodes=virtual_nodes,
-                replication_factor=replication_factor,
-            )
+    def measured_replay(cluster: SHHCCluster, disruption: Outages, audit: ReplayAudit):
+        latencies: List[float] = []
+        replay(
+            cluster,
+            batches,
+            disruption,
+            audit,
+            observe=lambda outcomes: latencies.extend(o.latency for o in outcomes),
         )
+        return _latency_summary(latencies)
 
-    # -- fault-free baseline (latency reference; oracle discarded) ------------------
-    baseline_latency, baseline_percentiles = _run_stream(
-        make_cluster(), batches, None, set(), None
+    # -- fault-free baseline (latency reference; audit discarded) --------------------
+    baseline = SHHCCluster(config)
+    baseline_latency, baseline_percentiles = measured_replay(
+        baseline, Outages.none(baseline), ReplayAudit()
     )
 
     # -- faulty run -----------------------------------------------------------------
-    cluster = make_cluster()
+    cluster = SHHCCluster(config)
     controller = ReplicationController(cluster)
     result = FailoverResult(
         num_nodes=num_nodes,
@@ -314,21 +242,13 @@ def run_failover(
         )
     injector = FaultInjector(cluster, schedule, on_recovery=_on_recovery)
 
-    result.mean_latency_faulty, result.latency_percentiles_faulty = _run_stream(
-        cluster, batches, injector, set(), result
+    result.mean_latency_faulty, result.latency_percentiles_faulty = measured_replay(
+        cluster, Outages(injector), result
     )
-    injector.drain()  # recover any node still down past the last batch
     result.grey_drops = sum(w.injected_failures for w in flaky_wrappers)
-
     result.crashes = injector.crashes
     result.recoveries = injector.recoveries
-    result.read_repairs = cluster.read_repairs
     result.failovers = cluster.failovers
-    result.replica_inserts = sum(
-        node.counters.get("replica_inserts") for node in cluster.nodes.values()
-    )
-    result.distinct = cluster.distinct_fingerprints()
-    result.total_stored = cluster.total_stored
     result.events = [(e.time, e.action, e.node) for e in injector.applied]
     metrics = cluster.metrics()
     result.tier_hits = {
@@ -337,9 +257,5 @@ def run_failover(
         "new": metrics.total_new_entries,
         "repair": cluster.read_repairs,
     }
-
-    report = controller.consistency_report()
-    result.fully_replicated = report.fully_replicated
-    result.under_replicated = report.under_replicated
-    result.lost = report.lost
+    fill_replication(result, cluster, controller)
     return result

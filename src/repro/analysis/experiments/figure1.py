@@ -27,6 +27,7 @@ from ...network.topology import ClusterTopology
 from ...simulation.engine import Simulator
 from ...workloads.arrival import OpenLoopArrivals
 from ..reporting import format_series
+from .replay import default_node_config
 
 __all__ = ["Figure1Point", "Figure1Result", "run_figure1"]
 
@@ -174,10 +175,7 @@ def run_figure1(
     """
     if requests < 1:
         raise ValueError("requests must be >= 1")
-    config = node_config if node_config is not None else HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(1_000_000, requests * 2),
-    )
+    config = node_config if node_config is not None else default_node_config(requests)
     result = Figure1Result(requests=requests)
     for num_nodes in node_counts:
         for rate in rates:

@@ -26,6 +26,7 @@ from ...frontend.gateway import build_simulated_service
 from ...simulation.engine import Simulator
 from ...workloads.mixer import WorkloadMix, table_i_mix
 from ..reporting import format_series
+from .replay import default_node_config
 
 __all__ = ["Figure5Point", "Figure5Result", "run_figure5"]
 
@@ -160,10 +161,7 @@ def run_figure5(
     workload = mix if mix is not None else table_i_mix(seed=seed)
     client_streams = workload.split_among_clients(num_clients, scale=scale)
     expected = sum(len(stream) for stream in client_streams)
-    config = node_config if node_config is not None else HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(1_000_000, expected * 2),
-    )
+    config = node_config if node_config is not None else default_node_config(expected)
     result = Figure5Result()
     for num_nodes in node_counts:
         for batch_size in batch_sizes:

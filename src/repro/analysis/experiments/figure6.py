@@ -18,6 +18,7 @@ from ...core.config import ClusterConfig, HashNodeConfig
 from ...core.metrics import LoadBalanceReport
 from ...workloads.mixer import WorkloadMix, table_i_mix
 from ..reporting import format_fraction_bar, format_table
+from .replay import default_node_config
 
 __all__ = ["Figure6Result", "run_figure6"]
 
@@ -82,10 +83,7 @@ def run_figure6(
         raise ValueError("scale must be positive")
     workload = mix if mix is not None else table_i_mix(seed=seed)
     fingerprints: Sequence = workload.interleaved(scale=scale)
-    config = node_config if node_config is not None else HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(1_000_000, len(fingerprints) * 2),
-    )
+    config = node_config if node_config is not None else default_node_config(len(fingerprints))
     cluster = SHHCCluster(
         ClusterConfig(num_nodes=num_nodes, node=config, virtual_nodes=virtual_nodes)
     )

@@ -19,7 +19,12 @@ from ...core.config import ClusterConfig, HashNodeConfig
 from ...workloads.generations import GenerationConfig, GenerationalWorkload
 from ..reporting import format_table
 
-__all__ = ["GenerationRow", "GenerationalResult", "run_generational_backup"]
+__all__ = ["GenerationRow", "GenerationalResult", "run_generational_backup", "DEFAULT_CONFIG"]
+
+#: The backup cycle a default run replays.
+DEFAULT_CONFIG = GenerationConfig(
+    initial_chunks=20_000, generations=7, modify_fraction=0.03, growth_fraction=0.01
+)
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,7 @@ def run_generational_backup(
     ``seed`` overrides the workload config's seed (it is the one knob a
     declarative scenario spec threads through every runner).
     """
-    workload_config = config if config is not None else GenerationConfig(
-        initial_chunks=20_000, generations=7, modify_fraction=0.03, growth_fraction=0.01
-    )
+    workload_config = config if config is not None else DEFAULT_CONFIG
     if seed is not None and seed != workload_config.seed:
         workload_config = replace(workload_config, seed=seed)
     workload = GenerationalWorkload(workload_config)

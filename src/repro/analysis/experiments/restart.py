@@ -13,17 +13,13 @@ later.  The cluster is built with a :class:`~repro.core.persistence.PersistenceP
 :class:`~repro.simulation.costmodel.CostModel`, so the restart charges the
 recovery replay onto the victim's timeline: lookups landing on it while
 the index rebuilds queue behind the replay, and the per-phase recorders
-separate that warm-up tail out:
+separate that warm-up tail out: ``degraded`` while the victim is down,
+``recovering`` from its restart until the replay backlog drains (the
+labels are :class:`~repro.analysis.experiments.replay.Outages`'s).
 
-* phase ``steady`` -- all nodes up, no recovery backlog;
-* phase ``degraded`` -- the victim is down, survivors absorb its load;
-* phase ``recovering`` -- the victim is back but its replay backlog has
-  not drained below one arrival interval yet;
-* phase ``warmup`` -- the calibration batch (index 0).
-
-Correctness is scored two ways.  A client-side oracle replays the stream
-(as in :mod:`.failover`) and counts wrong dedup verdicts; separately every
-*acknowledged* fingerprint -- one the cluster answered for before the kill
+Correctness is scored two ways.  The shared batch walk (:mod:`.replay`)
+audits every verdict against a client-side oracle, as in :mod:`.failover`;
+separately every *acknowledged* fingerprint -- one the cluster answered for before the kill
 -- is audited right after the restart: it must still be resident on some
 live replica, else it counts as ``lost_acknowledged``.  With persistence
 enabled the expected number is zero at every kill point; that is the
@@ -39,34 +35,34 @@ the hot-path benchmark floors.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ...core.cluster import SHHCCluster
-from ...core.config import ClusterConfig, HashNodeConfig
-from ...core.persistence import PersistencePolicy, RecoveryReport
+from ...core.config import HashNodeConfig
+from ...core.fault_injection import FaultInjector, FaultSchedule
+from ...core.persistence import PersistencePolicy
 from ...dedup.fingerprint import Fingerprint
 from ...simulation.costmodel import CostModel
 from ...workloads.mixer import WorkloadMix
 from ..reporting import format_table
-from .control_plane import (
+from .control_plane import TimedResult, calibrate_interval
+from .replay import (
     DEGRADED_PHASE,
+    RECOVERING_PHASE,
     STEADY_PHASE,
     WARMUP_PHASE,
-    PhaseLatency,
-    _calibrate_interval,
-    _finish,
-    _make_batches,
-    _validate,
+    Outages,
+    cluster_config,
+    make_batches,
+    replay,
 )
 
 __all__ = ["RestartResult", "run_restart", "RECOVERING_PHASE"]
 
-RECOVERING_PHASE = "recovering"
-
 
 @dataclass
-class RestartResult:
+class RestartResult(TimedResult):
     """Outcome of one kill/restart run."""
 
     num_nodes: int
@@ -79,18 +75,6 @@ class RestartResult:
     victim: str
     kill_batch: int
     restart_batch: int
-    fingerprints_processed: int = 0
-    batches: int = 0
-    interval: float = 0.0
-    phases: Dict[str, PhaseLatency] = field(default_factory=dict)
-    throughput: float = 0.0
-    control_plane_cpu_seconds: float = 0.0
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: Fingerprints never sent because their whole replica set was down.
-    unserved: int = 0
-    #: Dedup verdict errors against the client-side oracle.
-    false_uniques: int = 0
-    false_duplicates: int = 0
     #: Fingerprints the cluster had answered for before the kill, and how
     #: many of them were missing from every live replica after the restart.
     acknowledged: int = 0
@@ -106,51 +90,21 @@ class RestartResult:
     snapshot_bytes: int = 0
 
     @property
-    def steady(self) -> Optional[PhaseLatency]:
-        return self.phases.get(STEADY_PHASE)
-
-    @property
-    def degraded(self) -> Optional[PhaseLatency]:
-        return self.phases.get(DEGRADED_PHASE)
-
-    @property
-    def recovering(self) -> Optional[PhaseLatency]:
-        return self.phases.get(RECOVERING_PHASE)
-
-    @property
-    def dedup_errors(self) -> int:
-        return self.false_uniques + self.false_duplicates
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of the stream that got the correct, served verdict."""
-        if self.fingerprints_processed == 0:
-            return 1.0
-        wrong = self.dedup_errors + self.unserved
-        return 1.0 - wrong / self.fingerprints_processed
-
-    @property
     def acknowledged_accuracy(self) -> float:
         """Fraction of pre-kill acknowledged fingerprints still resident."""
         if self.acknowledged == 0:
             return 1.0
         return 1.0 - self.lost_acknowledged / self.acknowledged
 
-    def _tax(self, phase: Optional[PhaseLatency]) -> float:
-        steady = self.steady
-        if steady is None or phase is None or steady.p99 <= 0.0:
-            return 1.0
-        return phase.p99 / steady.p99
-
     @property
     def degraded_p99_tax(self) -> float:
         """Degraded-phase p99 over steady p99 (survivors absorbing load)."""
-        return self._tax(self.degraded)
+        return self.p99_over_steady(DEGRADED_PHASE)
 
     @property
     def recovery_p99_tax(self) -> float:
         """Recovering-phase p99 over steady p99 (replay queueing on the victim)."""
-        return self._tax(self.recovering)
+        return self.p99_over_steady(RECOVERING_PHASE)
 
     def render(self) -> str:
         rows = [
@@ -185,17 +139,7 @@ class RestartResult:
                 ["false uniques", self.false_uniques],
                 ["false duplicates", self.false_duplicates],
             ]
-        for name in (STEADY_PHASE, DEGRADED_PHASE, RECOVERING_PHASE, WARMUP_PHASE):
-            stats = self.phases.get(name)
-            if stats is None:
-                continue
-            rows += [
-                [f"{name} lookups", stats.count],
-                [f"{name} p50 us", round(stats.p50 * 1e6, 2)],
-                [f"{name} p99 us", round(stats.p99 * 1e6, 2)],
-            ]
-        for counter in sorted(self.counters):
-            rows.append([counter, self.counters[counter]])
+        rows += self.phase_rows((STEADY_PHASE, DEGRADED_PHASE, RECOVERING_PHASE, WARMUP_PHASE))
         return format_table(
             ["metric", "value"],
             rows,
@@ -255,11 +199,10 @@ def run_restart(
     inspection); by default they live in a temporary directory that is
     removed on return.
     """
-    _validate(scale, batch_size, offered_load)
     if downtime < 1:
         raise ValueError("downtime must be >= 1 batch")
     model = cost_model if cost_model is not None else CostModel()
-    fingerprints, batches = _make_batches(mix, scale, batch_size, seed)
+    fingerprints, batches = make_batches(mix, scale, batch_size, seed)
     if kill_batch is None:
         kill_batch = max(1, len(batches) // 3)
     if kill_batch < 1:
@@ -281,26 +224,12 @@ def run_restart(
             raise ValueError("snapshot_every must be >= 1 when warm_restart is on")
     else:
         cadence = 0  # no snapshots: the restart replays the full container log
-    config = node_config if node_config is not None else HashNodeConfig(
-        ram_cache_entries=200_000,
-        bloom_expected_items=max(1_000_000, len(fingerprints) * 2),
+    config = cluster_config(
+        num_nodes, replication_factor, virtual_nodes, node_config, len(fingerprints)
     )
-
-    def make_cluster(persistence: Optional[PersistencePolicy] = None) -> SHHCCluster:
-        return SHHCCluster(
-            ClusterConfig(
-                num_nodes=num_nodes,
-                node=config,
-                virtual_nodes=virtual_nodes,
-                replication_factor=replication_factor,
-            ),
-            cost_model=model,
-            persistence=persistence,
-        )
-
     # Calibrate against a persistence-free probe: container writes are host
     # I/O, not simulated work, so they don't belong in the demand estimate.
-    interval = _calibrate_interval(make_cluster, batches, offered_load)
+    interval = calibrate_interval(config, model, batches, offered_load)
 
     tmp = None
     if data_dir is None:
@@ -309,39 +238,31 @@ def run_restart(
     else:
         directory = data_dir
     policy = PersistencePolicy(directory=directory, fsync=fsync, snapshot_every=cadence)
-    cluster = make_cluster(policy)
+    cluster = SHHCCluster(config, cost_model=model, persistence=policy)
+    result = RestartResult(
+        num_nodes=num_nodes,
+        replication_factor=replication_factor,
+        virtual_nodes=virtual_nodes,
+        batch_size=batch_size,
+        offered_load=offered_load,
+        warm_restart=warm_restart,
+        snapshot_every=cadence,
+        victim=min(cluster.nodes),
+        kill_batch=kill_batch,
+        restart_batch=restart_batch,
+        fingerprints_processed=len(fingerprints),
+        batches=len(batches),
+        interval=interval,
+    )
     try:
-        return _run(
-            cluster,
-            batches,
-            interval,
-            kill_batch,
-            restart_batch,
-            RestartResult(
-                num_nodes=num_nodes,
-                replication_factor=replication_factor,
-                virtual_nodes=virtual_nodes,
-                batch_size=batch_size,
-                offered_load=offered_load,
-                warm_restart=warm_restart,
-                snapshot_every=cadence,
-                victim=sorted(cluster.nodes)[0],
-                kill_batch=kill_batch,
-                restart_batch=restart_batch,
-                fingerprints_processed=len(fingerprints),
-                batches=len(batches),
-                interval=interval,
-            ),
-        )
+        return _run(cluster, batches, result)
     finally:
         cluster.close()
         if tmp is not None:
             tmp.cleanup()
 
 
-def _audit_acknowledged(
-    cluster: SHHCCluster, acked: Dict[bytes, Fingerprint]
-) -> int:
+def _lost_acknowledged(cluster: SHHCCluster, acked: Dict[bytes, Fingerprint]) -> int:
     """Acknowledged fingerprints missing from every live replica."""
     lost = 0
     for fingerprint in acked.values():
@@ -356,78 +277,52 @@ def _audit_acknowledged(
 
 
 def _run(
-    cluster: SHHCCluster,
-    batches: List[List[Fingerprint]],
-    interval: float,
-    kill_batch: int,
-    restart_batch: int,
-    result: RestartResult,
+    cluster: SHHCCluster, batches: List[List[Fingerprint]], result: RestartResult
 ) -> RestartResult:
-    ledger = cluster.ledger
-    victim = result.victim
-    oracle_seen = set()
+    """Replay with the victim's kill/restart pair as the only fault schedule.
+
+    ``acked`` holds every fingerprint the cluster has answered for so far:
+    its size at the kill is ``acknowledged``, and right after the restart
+    each one must still be resident on some live replica of its set.
+    """
     acked: Dict[bytes, Fingerprint] = {}
-    report: Optional[RecoveryReport] = None
-    in_recovery = False
 
-    for index, batch in enumerate(batches):
-        ledger.advance_to(index * interval)
-        if index == kill_batch:
-            result.acknowledged = len(acked)
-            cluster.kill_node(victim)
-        if index == restart_batch:
-            report = cluster.restart_node(victim)
-            in_recovery = True
-            result.lost_acknowledged = _audit_acknowledged(cluster, acked)
-        if index == 0:
-            ledger.set_phase(WARMUP_PHASE)
-        elif cluster.is_down(victim):
-            ledger.set_phase(DEGRADED_PHASE)
-        elif in_recovery:
-            if index > restart_batch and ledger.backlog() <= interval:
-                in_recovery = False  # replay backlog drained; back to steady
-                ledger.set_phase(STEADY_PHASE)
-            else:
-                ledger.set_phase(RECOVERING_PHASE)
-        else:
-            ledger.set_phase(STEADY_PHASE)
+    def _acknowledge(outcomes) -> None:
+        for outcome in outcomes:
+            acked[outcome.fingerprint.digest] = outcome.fingerprint
 
-        if cluster.is_down(victim):
-            servable = []
-            for fingerprint in batch:
-                if any(not cluster.is_down(n) for n in cluster.replica_set(fingerprint)):
-                    servable.append(fingerprint)
-                else:
-                    result.unserved += 1
-                    # The client presented it; the oracle remembers it.
-                    oracle_seen.add(fingerprint.digest)
-        else:
-            servable = batch
-        for outcome in cluster.lookup_batch(servable):
-            digest = outcome.fingerprint.digest
-            expected = digest in oracle_seen
-            oracle_seen.add(digest)
-            if outcome.is_duplicate and not expected:
-                result.false_duplicates += 1
-            elif not outcome.is_duplicate and expected:
-                result.false_uniques += 1
-            acked[digest] = outcome.fingerprint
+    def _on_kill(_node: str) -> None:
+        result.acknowledged = len(acked)
 
-    if report is not None:
-        result.recovery_time = report.charged_seconds
-        result.recovery_wall_seconds = report.wall_seconds
-        result.recovered_entries = report.entries
-        result.replayed_records = report.replayed
-        result.snapshot_loaded = report.snapshot_loaded
-        result.snapshot_bytes = report.snapshot_bytes
+    def _on_restart(_node: str) -> None:
+        result.lost_acknowledged = _lost_acknowledged(cluster, acked)
 
-    snapshots = sum(
-        getattr(node.persistence, "snapshots_taken", 0) or 0
-        for node in cluster.nodes.values()
-        if getattr(node, "persistence", None) is not None
-    )
-    return _finish(
-        result,
+    injector = FaultInjector(
         cluster,
-        {"kills": 1, "restarts": 1, "snapshots_taken": snapshots},
+        FaultSchedule().kill_restart(
+            result.victim, result.kill_batch, result.restart_batch - result.kill_batch
+        ),
+        on_crash=_on_kill,
+        on_recovery=_on_restart,
     )
+    replay(
+        cluster, batches, Outages(injector), result, interval=result.interval, observe=_acknowledge
+    )
+    [(_victim, report)] = injector.recovery_reports
+    result.recovery_time = report.charged_seconds
+    result.recovery_wall_seconds = report.wall_seconds
+    result.recovered_entries = report.entries
+    result.replayed_records = report.replayed
+    result.snapshot_loaded = report.snapshot_loaded
+    result.snapshot_bytes = report.snapshot_bytes
+    result.read_ledger(
+        cluster,
+        {
+            "kills": injector.kills,
+            "restarts": injector.restarts,
+            "snapshots_taken": sum(
+                node.persistence.snapshots_taken for node in cluster.nodes.values()
+            ),
+        },
+    )
+    return result

@@ -1,11 +1,5 @@
 """SHHC core: the scalable hybrid hash cluster (the paper's contribution)."""
 
-from .batching import (
-    BatchAccumulator,
-    reassemble_replies,
-    split_batch_by_owner,
-    split_batch_by_replica_set,
-)
 from .cluster import SHHCCluster
 from .config import ClusterConfig, HashNodeConfig
 from .fault_injection import (
@@ -32,10 +26,6 @@ from .protocol import (
 from .replication import ReplicaConsistencyReport, ReplicationController
 
 __all__ = [
-    "BatchAccumulator",
-    "reassemble_replies",
-    "split_batch_by_owner",
-    "split_batch_by_replica_set",
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",

@@ -33,7 +33,7 @@ maintains three invariants, failures included:
 * **Serving**: a lookup (single or batched) is always answered by the first
   *live* node of the fingerprint's own replica set.  Batches are grouped
   per fingerprint (:meth:`SHHCCluster._bucket_routed`, grouping-identical
-  to :func:`~repro.core.batching.split_batch_by_replica_set`), so each
+  to the reference in ``tests/oracles/batch_routing.py``), so each
   fingerprint fails over independently -- crucial for consistent hashing,
   where two fingerprints sharing a primary generally have different
   successors.
@@ -513,8 +513,8 @@ class SHHCCluster(ChunkIndex):
         """Group a batch by serving node: ``{node: (positions, fps, digests)}``.
 
         Shared by :meth:`_serve_routed` and :meth:`route_batch`; buckets
-        come back in first-occurrence order (matching
-        split_batch_by_replica_set's grouping).
+        come back in first-occurrence order (matching the grouping of
+        ``split_batch_by_replica_set`` in ``tests/oracles/batch_routing.py``).
         """
         routes = self._routes()
         routes_get = routes.get
@@ -764,9 +764,8 @@ class SHHCCluster(ChunkIndex):
     def close(self) -> None:
         """Release per-node persistence file handles (no-op without persistence)."""
         for node in self.nodes.values():
-            persistence = getattr(node, "persistence", None)
-            if persistence is not None:
-                persistence.close()
+            if node.persistence is not None:
+                node.persistence.close()
 
     def route_batch(
         self,
@@ -776,9 +775,9 @@ class SHHCCluster(ChunkIndex):
     ) -> Dict[str, Tuple[BatchLookupRequest, List[int]]]:
         """Split a batch into per-serving-node requests via the routing cache.
 
-        Protocol-compatible with
-        :func:`~repro.core.batching.split_batch_by_replica_set` (same
-        grouping, same request/position layout) but grouped by
+        Protocol-compatible with ``split_batch_by_replica_set`` in
+        ``tests/oracles/batch_routing.py`` (same grouping, same
+        request/position layout) but grouped by
         :meth:`_bucket_routed`, so web front-ends dispatching on the
         simulated fabric share the cluster's routing work.
         """

@@ -13,8 +13,8 @@ Replica-aware migration
 With ``replication_factor = k`` every fingerprint lives on the first *k*
 live nodes of its successor walk (:meth:`ReplicationController.desired_nodes`
 — the same definition the anti-entropy repair and the serving-side batch
-split :func:`~repro.core.batching.split_batch_by_replica_set` use, so the
-three layers always agree on placement).  A membership change recomputes
+split :meth:`SHHCCluster._bucket_routed` use, so the three layers always
+agree on placement).  A membership change recomputes
 that desired set per stored digest and touches **only the fingerprints
 whose set changed**:
 

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.batching import reassemble_replies
 from ..core.cluster import SHHCCluster
 from ..core.protocol import BatchLookupReply, BatchLookupRequest, LookupReply
 from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
@@ -24,7 +23,24 @@ from ..simulation.engine import Event, Simulator
 from ..simulation.stats import Counter, LatencyRecorder
 from .upload_plan import UploadPlan
 
-__all__ = ["ClientBatchRequest", "ClientBatchResponse", "WebFrontEnd"]
+__all__ = ["ClientBatchRequest", "ClientBatchResponse", "WebFrontEnd", "reassemble_replies"]
+
+
+def reassemble_replies(
+    total: int,
+    per_node: Sequence[Tuple[BatchLookupReply, Sequence[int]]],
+) -> List[LookupReply]:
+    """Merge per-node replies back into the client's original order."""
+    merged: List[Optional[LookupReply]] = [None] * total
+    for reply, positions in per_node:
+        if len(reply.replies) != len(positions):
+            raise ValueError("reply length does not match recorded positions")
+        for lookup_reply, position in zip(reply.replies, positions):
+            merged[position] = lookup_reply
+    missing = [i for i, entry in enumerate(merged) if entry is None]
+    if missing:
+        raise ValueError(f"missing replies for positions {missing[:5]}")
+    return [entry for entry in merged if entry is not None]
 
 
 @dataclass(frozen=True)
@@ -147,7 +163,7 @@ class WebFrontEnd:
             # runs here, at the same simulated instant as the calls, so no
             # crash event can land between sampling liveness and dispatching.
             # Routing goes through the cluster's epoch-keyed replica-set
-            # cache (grouping-identical to split_batch_by_replica_set), so
+            # cache (grouping-identical to tests/oracles/batch_routing.py), so
             # every front-end shares one resolution of each digest.
             per_node = self.cluster.route_batch(
                 fingerprints,

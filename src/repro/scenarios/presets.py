@@ -3,11 +3,11 @@
 Each preset maps a validated :class:`~repro.scenarios.spec.ScenarioSpec`
 onto the corresponding experiment module in
 :mod:`repro.analysis.experiments` and folds its native result into the
-uniform metrics schema (see :mod:`repro.scenarios.result`).  An
-all-defaults spec reproduces the legacy runner's defaults exactly --
-``run_scenario("figure5").render()`` is byte-identical to what
-``run_figure5().render()`` printed before the scenario API existed, which
-the golden tests pin down.
+uniform metrics schema (see :mod:`repro.scenarios.result`).  A preset
+states no default of its own: :func:`_call` forwards only the keys the
+spec set, so an all-defaults spec *is* the runner's defaults --
+``run_scenario("figure5").render()`` is byte-identical to
+``run_figure5().render()``, which the golden tests pin down.
 
 Node-config overrides (``spec.node``) replace the runner's auto-sized
 :class:`~repro.core.config.HashNodeConfig` wholesale: the experiment
@@ -18,11 +18,13 @@ a caller overriding the node tier takes over that sizing too (set
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+import inspect
+from dataclasses import replace
+from functools import partial
+from typing import Any, Callable, Dict, List, Sequence
 
 from ..core.config import HashNodeConfig
-from ..workloads.generations import GenerationConfig
-from ..workloads.mixer import WorkloadMix, table_i_mix
+from ..workloads.mixer import table_i_mix
 from ..workloads.profiles import WorkloadProfile, profile_by_name
 from ..analysis.experiments import (
     ablations,
@@ -43,18 +45,12 @@ from .spec import NODE_KEYS, ScenarioSpec, SpecError
 
 __all__ = ["CompositeResult"]
 
+#: Key sets several presets share.
+_REPLICATED_CLUSTER = frozenset({"num_nodes", "replication_factor", "virtual_nodes"})
+_TABLE_I_MIX = frozenset({"scale", "profiles"})
+
 
 # ----------------------------------------------------------------------- helpers
-def _seed(spec: ScenarioSpec, legacy_default: int) -> int:
-    """The spec's seed, or the ported runner's legacy default seed."""
-    return legacy_default if spec.seed is None else spec.seed
-
-
-def _node_config(spec: ScenarioSpec) -> Optional[HashNodeConfig]:
-    """An explicit node config when the spec overrides the node tier."""
-    return HashNodeConfig.from_dict(spec.node) if spec.node else None
-
-
 def _as_list(value: Any) -> List[Any]:
     """Spec values that are semantically lists, tolerating a bare scalar.
 
@@ -74,16 +70,63 @@ def _profile(name: str) -> WorkloadProfile:
         raise SpecError(str(error.args[0]) if error.args else f"unknown workload {name!r}") from None
 
 
-def _profiles(names: Optional[Any]) -> Optional[List[WorkloadProfile]]:
-    return None if names is None else [_profile(name) for name in _as_list(names)]
+def _call(runner: Callable[..., Any], spec: ScenarioSpec) -> Any:
+    """Call ``runner`` with exactly the keys ``spec`` set.
+
+    Every default lives in the runner's signature and nowhere else: a key
+    the spec leaves out is not passed.  What is passed goes through under
+    its own name, except for the conversions a declarative spec needs --
+    list-valued keys tolerate a bare scalar, ``profile``/``profiles`` name
+    :class:`WorkloadProfile` objects (``profiles`` becomes a Table-I ``mix``
+    on the run's seed where the runner takes one), the ``node`` section is
+    a whole :class:`HashNodeConfig`, and the fault/churn plans are the
+    runner's ``fault_plan``/``churn_plan``.
+    """
+    kwargs: Dict[str, Any] = {**spec.cluster, **spec.workload, **spec.client}
+    for key in ("node_counts", "rates", "batch_sizes"):
+        if key in kwargs:
+            kwargs[key] = tuple(_as_list(kwargs[key]))
+    if "profile" in kwargs:
+        kwargs["profile"] = _profile(kwargs["profile"])
+    if spec.seed is not None:
+        kwargs["seed"] = spec.seed
+    if "profiles" in kwargs:
+        profiles = [_profile(name) for name in _as_list(kwargs.pop("profiles"))]
+        parameters = inspect.signature(runner).parameters
+        if "mix" in parameters:
+            seed = kwargs.get("seed", parameters["seed"].default)
+            kwargs["mix"] = table_i_mix(seed=seed, profiles=profiles)
+        else:
+            kwargs["profiles"] = profiles
+    if spec.node:
+        kwargs["node_config"] = HashNodeConfig.from_dict(spec.node)
+    if spec.faults is not None:
+        kwargs["fault_plan"] = spec.faults
+    if spec.churn is not None:
+        kwargs["churn_plan"] = spec.churn
+    return runner(**kwargs)
 
 
-def _mix(spec: ScenarioSpec, seed: int) -> Optional[WorkloadMix]:
-    """A workload mix when the spec selects profiles (else runner default)."""
-    names = spec.workload.get("profiles")
-    if names is None:
-        return None
-    return table_i_mix(seed=seed, profiles=_profiles(names))
+def _preset(
+    name: str,
+    description: str,
+    run: Callable[[ScenarioSpec], Any],
+    metrics: Callable[[Any], Dict[str, Any]],
+    **accepted: Any,
+) -> Callable[[ScenarioSpec], ScenarioResult]:
+    """Register preset ``name``; returns its spec -> :class:`ScenarioResult` runner.
+
+    ``run(spec)`` produces the experiment's native result (usually
+    ``partial(_call, runner)``), ``metrics(result)`` folds it into the
+    uniform schema, and ``accepted`` are the :class:`Preset` key sets.
+    """
+
+    def runner(spec: ScenarioSpec) -> ScenarioResult:
+        result = run(spec)
+        return ScenarioResult(spec=spec, metrics=metrics(result), detail=result)
+
+    register_preset(Preset(name=name, description=description, runner=runner, **accepted))
+    return runner
 
 
 class CompositeResult:
@@ -97,18 +140,8 @@ class CompositeResult:
 
 
 # ----------------------------------------------------------------------- figure1
-def _run_figure1(spec: ScenarioSpec) -> ScenarioResult:
-    workload = spec.workload
-    seed = _seed(spec, 1)
-    result = figure1.run_figure1(
-        node_counts=tuple(_as_list(workload.get("node_counts", figure1.DEFAULT_NODE_COUNTS))),
-        rates=tuple(_as_list(workload.get("rates", figure1.DEFAULT_RATES))),
-        requests=workload.get("requests", 20_000),
-        node_config=_node_config(spec),
-        chunk_size=workload.get("chunk_size", 8192),
-        seed=seed,
-    )
-    metrics: Dict[str, Any] = {
+def _figure1_metrics(result: figure1.Figure1Result) -> Dict[str, Any]:
+    return {
         "fingerprints": result.requests,
         "points": [
             {
@@ -121,36 +154,21 @@ def _run_figure1(spec: ScenarioSpec) -> ScenarioResult:
         ],
         "throughput": max((p.achieved_rate for p in result.points), default=None),
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="figure1",
-        description="Execution time of a fixed lookup count vs offered rate and cluster size",
-        runner=_run_figure1,
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset({"requests", "rates", "node_counts", "chunk_size"}),
-    )
+_preset(
+    "figure1",
+    "Execution time of a fixed lookup count vs offered rate and cluster size",
+    partial(_call, figure1.run_figure1),
+    _figure1_metrics,
+    node_keys=NODE_KEYS,
+    workload_keys=frozenset({"requests", "rates", "node_counts", "chunk_size"}),
 )
 
 
 # ----------------------------------------------------------------------- figure5
-def _run_figure5(spec: ScenarioSpec) -> ScenarioResult:
-    workload, client = spec.workload, spec.client
-    seed = _seed(spec, 0)
-    result = figure5.run_figure5(
-        node_counts=tuple(_as_list(workload.get("node_counts", figure5.DEFAULT_NODE_COUNTS))),
-        batch_sizes=tuple(_as_list(workload.get("batch_sizes", figure5.DEFAULT_BATCH_SIZES))),
-        scale=workload.get("scale", 0.001),
-        num_clients=client.get("num_clients", 2),
-        num_web_servers=client.get("num_web_servers", 3),
-        window=client.get("window", 1),
-        mix=_mix(spec, seed),
-        node_config=_node_config(spec),
-        seed=seed,
-    )
-    metrics: Dict[str, Any] = {
+def _figure5_metrics(result: figure5.Figure5Result) -> Dict[str, Any]:
+    return {
         "fingerprints": result.points[0].fingerprints if result.points else 0,
         "points": [
             {
@@ -163,64 +181,44 @@ def _run_figure5(spec: ScenarioSpec) -> ScenarioResult:
         ],
         "throughput": max((p.throughput for p in result.points), default=None),
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="figure5",
-        description="Cluster throughput vs number of servers and batch size (full simulated stack)",
-        runner=_run_figure5,
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset({"scale", "node_counts", "batch_sizes", "profiles"}),
-        client_keys=frozenset({"num_clients", "num_web_servers", "window"}),
-    )
+_preset(
+    "figure5",
+    "Cluster throughput vs number of servers and batch size (full simulated stack)",
+    partial(_call, figure5.run_figure5),
+    _figure5_metrics,
+    node_keys=NODE_KEYS,
+    workload_keys=_TABLE_I_MIX | {"node_counts", "batch_sizes"},
+    client_keys=frozenset({"num_clients", "num_web_servers", "window"}),
 )
 
 
 # ----------------------------------------------------------------------- figure6
-def _run_figure6(spec: ScenarioSpec) -> ScenarioResult:
-    workload, cluster = spec.workload, spec.cluster
-    seed = _seed(spec, 0)
-    result = figure6.run_figure6(
-        num_nodes=cluster.get("num_nodes", 4),
-        scale=workload.get("scale", 0.01),
-        mix=_mix(spec, seed),
-        node_config=_node_config(spec),
-        virtual_nodes=cluster.get("virtual_nodes", 0),
-        seed=seed,
-    )
-    metrics: Dict[str, Any] = {
+def _figure6_metrics(result: figure6.Figure6Result) -> Dict[str, Any]:
+    return {
         "fingerprints": result.fingerprints_processed,
         "storage_fractions": result.fractions(),
         "coefficient_of_variation": result.storage_report.coefficient_of_variation,
         "max_deviation_from_even": result.max_deviation_from_even(),
         "lookup_max_over_mean": result.lookup_report.max_over_mean,
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="figure6",
-        description="Hash value storage distribution across cluster nodes (load balance)",
-        runner=_run_figure6,
-        cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset({"scale", "profiles"}),
-    )
+_preset(
+    "figure6",
+    "Hash value storage distribution across cluster nodes (load balance)",
+    partial(_call, figure6.run_figure6),
+    _figure6_metrics,
+    cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
+    node_keys=NODE_KEYS,
+    workload_keys=_TABLE_I_MIX,
 )
 
 
 # ----------------------------------------------------------------------- table1
-def _run_table1(spec: ScenarioSpec) -> ScenarioResult:
-    workload = spec.workload
-    result = table1.run_table1(
-        scale=workload.get("scale", 0.01),
-        profiles=_profiles(workload.get("profiles")),
-        seed=_seed(spec, 42),
-    )
-    metrics: Dict[str, Any] = {
+def _table1_metrics(result: table1.Table1Result) -> Dict[str, Any]:
+    return {
         "fingerprints": sum(row.measured.fingerprints for row in result.rows),
         "rows": [
             {
@@ -235,38 +233,32 @@ def _run_table1(spec: ScenarioSpec) -> ScenarioResult:
             for row in result.rows
         ],
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="table1",
-        description="Workload characteristics: published targets vs generated traces",
-        runner=_run_table1,
-        workload_keys=frozenset({"scale", "profiles"}),
-    )
+_preset(
+    "table1",
+    "Workload characteristics: published targets vs generated traces",
+    partial(_call, table1.run_table1),
+    _table1_metrics,
+    workload_keys=_TABLE_I_MIX,
 )
 
 
 # ----------------------------------------------------------------- generational
-def _run_generational(spec: ScenarioSpec) -> ScenarioResult:
-    workload = spec.workload
-    config = GenerationConfig(
-        initial_chunks=workload.get("initial_chunks", 20_000),
-        generations=workload.get("generations", 7),
-        modify_fraction=workload.get("modify_fraction", 0.03),
-        growth_fraction=workload.get("growth_fraction", 0.01),
-        chunk_size=workload.get("chunk_size", 8192),
-        seed=_seed(spec, 0),
+def _run_generational(spec: ScenarioSpec) -> generational.GenerationalResult:
+    """The workload section overrides fields of the runner's default backup cycle."""
+    return generational.run_generational_backup(
+        config=replace(generational.DEFAULT_CONFIG, **spec.workload),
+        seed=spec.seed,
+        **spec.cluster,
+        **spec.node,
     )
-    result = generational.run_generational_backup(
-        config=config,
-        num_nodes=spec.cluster.get("num_nodes", 4),
-        ram_cache_entries=spec.node.get("ram_cache_entries"),
-    )
+
+
+def _generational_metrics(result: generational.GenerationalResult) -> Dict[str, Any]:
     chunks = sum(row.chunks for row in result.rows)
     duplicates = sum(row.duplicates for row in result.rows)
-    metrics: Dict[str, Any] = {
+    return {
         "fingerprints": chunks,
         "duplicate_ratio": duplicates / chunks if chunks else 0.0,
         "final_dedup_ratio": result.final_dedup_ratio(),
@@ -281,33 +273,24 @@ def _run_generational(spec: ScenarioSpec) -> ScenarioResult:
             for row in result.rows
         ],
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="generational",
-        description="Repeated full backups: per-generation redundancy, cache hits, dedup ratio",
-        runner=_run_generational,
-        cluster_keys=frozenset({"num_nodes"}),
-        node_keys=frozenset({"ram_cache_entries"}),
-        workload_keys=frozenset(
-            {"initial_chunks", "generations", "modify_fraction", "growth_fraction", "chunk_size"}
-        ),
-    )
+_preset(
+    "generational",
+    "Repeated full backups: per-generation redundancy, cache hits, dedup ratio",
+    _run_generational,
+    _generational_metrics,
+    cluster_keys=frozenset({"num_nodes"}),
+    node_keys=frozenset({"ram_cache_entries"}),
+    workload_keys=frozenset(
+        {"initial_chunks", "generations", "modify_fraction", "growth_fraction", "chunk_size"}
+    ),
 )
 
 
 # ---------------------------------------------------------------- tier ablation
-def _run_tier_ablation(spec: ScenarioSpec) -> ScenarioResult:
-    workload = spec.workload
-    profile = workload.get("profile")
-    result = ablations.run_tier_ablation(
-        profile=None if profile is None else _profile(profile),
-        scale=workload.get("scale", 0.005),
-        seed=_seed(spec, 7),
-    )
-    metrics: Dict[str, Any] = {
+def _tier_ablation_metrics(result: ablations.TierAblationResult) -> Dict[str, Any]:
+    return {
         "fingerprints": result.rows[0].lookups if result.rows else 0,
         "rows": [
             {
@@ -319,30 +302,20 @@ def _run_tier_ablation(spec: ScenarioSpec) -> ScenarioResult:
             for row in result.rows
         ],
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="tier_ablation",
-        description="Index designs (disk, DDFS, ChunkStash, hybrid, RAM) head to head",
-        runner=_run_tier_ablation,
-        workload_keys=frozenset({"scale", "profile"}),
-    )
+_run_tier_ablation = _preset(
+    "tier_ablation",
+    "Index designs (disk, DDFS, ChunkStash, hybrid, RAM) head to head",
+    partial(_call, ablations.run_tier_ablation),
+    _tier_ablation_metrics,
+    workload_keys=frozenset({"scale", "profile"}),
 )
 
 
 # --------------------------------------------------------------- batch tradeoff
-def _run_batch_tradeoff(spec: ScenarioSpec) -> ScenarioResult:
-    workload = spec.workload
-    result = ablations.run_batch_tradeoff(
-        batch_sizes=tuple(_as_list(workload.get("batch_sizes", (1, 8, 32, 128, 512, 2048)))),
-        num_nodes=spec.cluster.get("num_nodes", 4),
-        scale=workload.get("scale", 0.0005),
-        num_clients=spec.client.get("num_clients", 2),
-        seed=_seed(spec, 0),
-    )
-    metrics: Dict[str, Any] = {
+def _batch_tradeoff_metrics(result: ablations.BatchTradeoffResult) -> Dict[str, Any]:
+    return {
         "throughput": max((p.throughput for p in result.points), default=None),
         "points": [
             {
@@ -354,33 +327,22 @@ def _run_batch_tradeoff(spec: ScenarioSpec) -> ScenarioResult:
             for point in result.points
         ],
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="batch_tradeoff",
-        description="Throughput vs per-request latency as the query batch size grows",
-        runner=_run_batch_tradeoff,
-        cluster_keys=frozenset({"num_nodes"}),
-        workload_keys=frozenset({"scale", "batch_sizes"}),
-        client_keys=frozenset({"num_clients"}),
-    )
+_run_batch_tradeoff = _preset(
+    "batch_tradeoff",
+    "Throughput vs per-request latency as the query batch size grows",
+    partial(_call, ablations.run_batch_tradeoff),
+    _batch_tradeoff_metrics,
+    cluster_keys=frozenset({"num_nodes"}),
+    workload_keys=frozenset({"scale", "batch_sizes"}),
+    client_keys=frozenset({"num_clients"}),
 )
 
 
 # ------------------------------------------------------------- scaling ablation
-def _run_scaling_ablation(spec: ScenarioSpec) -> ScenarioResult:
-    workload, cluster = spec.workload, spec.cluster
-    profile = workload.get("profile")
-    result = ablations.run_scaling_ablation(
-        profile=None if profile is None else _profile(profile),
-        scale=workload.get("scale", 0.01),
-        num_nodes=cluster.get("num_nodes", 4),
-        virtual_nodes=cluster.get("virtual_nodes", 64),
-        seed=_seed(spec, 11),
-    )
-    metrics: Dict[str, Any] = {
+def _scaling_ablation_metrics(result: ablations.ScalingAblationResult) -> Dict[str, Any]:
+    return {
         "fingerprints": result.fingerprints,
         "moved_fraction_range": result.moved_fraction_range,
         "moved_fraction_consistent": result.moved_fraction_consistent,
@@ -389,24 +351,22 @@ def _run_scaling_ablation(spec: ScenarioSpec) -> ScenarioResult:
         "replication_entry_overhead": result.replication_entry_overhead,
         "replication_latency_overhead": result.replication_latency_overhead,
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="scaling_ablation",
-        description="Join-time data movement (range vs consistent hashing) and replication overhead",
-        runner=_run_scaling_ablation,
-        cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
-        workload_keys=frozenset({"scale", "profile"}),
-    )
+_run_scaling_ablation = _preset(
+    "scaling_ablation",
+    "Join-time data movement (range vs consistent hashing) and replication overhead",
+    partial(_call, ablations.run_scaling_ablation),
+    _scaling_ablation_metrics,
+    cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
+    workload_keys=frozenset({"scale", "profile"}),
 )
 
 
 # -------------------------------------------------------------------- ablations
 def _run_ablations(spec: ScenarioSpec) -> ScenarioResult:
     """The CLI's composite: tiers at ``scale``, batching at ``scale/10``, scaling at ``scale``."""
-    scale = spec.workload.get("scale", 0.002)
+    scale = spec.workload.get("scale", 0.002)  # the composite's own default
     tier = _run_tier_ablation(
         ScenarioSpec(preset="tier_ablation", seed=spec.seed, workload={"scale": scale})
     )
@@ -435,28 +395,32 @@ register_preset(
 )
 
 
-# --------------------------------------------------------------------- failover
-def _run_failover(spec: ScenarioSpec) -> ScenarioResult:
-    cluster, client, workload = spec.cluster, spec.client, spec.workload
-    seed = _seed(spec, 0)
-    result = failover.run_failover(
-        scale=workload.get("scale", 0.002),
-        num_nodes=cluster.get("num_nodes", 4),
-        replication_factor=cluster.get("replication_factor", 2),
-        virtual_nodes=cluster.get("virtual_nodes", 64),
-        batch_size=client.get("batch_size", 256),
-        mix=_mix(spec, seed),
-        fault_plan=spec.faults,
-        node_config=_node_config(spec),
-        repair_on_recovery=client.get("repair_on_recovery", True),
-        seed=seed,
-    )
-    percentiles = result.latency_percentiles_faulty
-    metrics: Dict[str, Any] = {
-        "fingerprints": result.fingerprints_processed,
+# ----------------------------------------------------- the disruption experiments
+def _audit_metrics(result: Any) -> Dict[str, Any]:
+    """The oracle audit every disrupted replay carries."""
+    return {
         "dedup_accuracy": result.accuracy,
         "false_uniques": result.false_uniques,
         "false_duplicates": result.false_duplicates,
+    }
+
+
+def _replication_metrics(result: Any) -> Dict[str, Any]:
+    """The replication tail of the two correctness runs."""
+    return {
+        "distinct_fingerprints": result.distinct,
+        "total_stored": result.total_stored,
+        "fully_replicated": result.fully_replicated,
+        "under_replicated": result.under_replicated,
+        "lost": result.lost,
+    }
+
+
+def _failover_metrics(result: failover.FailoverResult) -> Dict[str, Any]:
+    percentiles = result.latency_percentiles_faulty
+    return {
+        "fingerprints": result.fingerprints_processed,
+        **_audit_metrics(result),
         "unserved": result.unserved,
         "grey_drops": result.grey_drops,
         "mean_latency_us": result.mean_latency_faulty * 1e6,
@@ -472,49 +436,27 @@ def _run_failover(spec: ScenarioSpec) -> ScenarioResult:
         "repaired_copies": result.repaired_copies,
         "crashes": result.crashes,
         "recoveries": result.recoveries,
-        "distinct_fingerprints": result.distinct,
-        "total_stored": result.total_stored,
-        "fully_replicated": result.fully_replicated,
-        "under_replicated": result.under_replicated,
-        "lost": result.lost,
+        **_replication_metrics(result),
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="failover",
-        description="Dedup accuracy and latency under injected failures (crashes and grey failures)",
-        runner=_run_failover,
-        cluster_keys=frozenset({"num_nodes", "replication_factor", "virtual_nodes"}),
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset({"scale", "profiles"}),
-        client_keys=frozenset({"batch_size", "repair_on_recovery"}),
-        accepts_faults=True,
-    )
+_preset(
+    "failover",
+    "Dedup accuracy and latency under injected failures (crashes and grey failures)",
+    partial(_call, failover.run_failover),
+    _failover_metrics,
+    cluster_keys=_REPLICATED_CLUSTER,
+    node_keys=NODE_KEYS,
+    workload_keys=_TABLE_I_MIX,
+    client_keys=frozenset({"batch_size", "repair_on_recovery"}),
+    accepts_faults=True,
 )
 
 
-# ------------------------------------------------------------------- elasticity
-def _run_elasticity(spec: ScenarioSpec) -> ScenarioResult:
-    cluster, client, workload = spec.cluster, spec.client, spec.workload
-    seed = _seed(spec, 0)
-    result = elasticity.run_elasticity(
-        scale=workload.get("scale", 0.002),
-        num_nodes=cluster.get("num_nodes", 4),
-        replication_factor=cluster.get("replication_factor", 2),
-        virtual_nodes=cluster.get("virtual_nodes", 64),
-        batch_size=client.get("batch_size", 256),
-        mix=_mix(spec, seed),
-        churn_plan=spec.churn,
-        node_config=_node_config(spec),
-        seed=seed,
-    )
-    metrics: Dict[str, Any] = {
+def _elasticity_metrics(result: elasticity.ElasticityResult) -> Dict[str, Any]:
+    return {
         "fingerprints": result.fingerprints_processed,
-        "dedup_accuracy": result.accuracy,
-        "false_uniques": result.false_uniques,
-        "false_duplicates": result.false_duplicates,
+        **_audit_metrics(result),
         "joins": result.joins,
         "leaves": result.leaves,
         "skipped_events": result.skipped_events,
@@ -526,33 +468,25 @@ def _run_elasticity(spec: ScenarioSpec) -> ScenarioResult:
         "replica_drops": result.replica_drops,
         "read_repairs": result.read_repairs,
         "replica_inserts": result.replica_inserts,
-        "distinct_fingerprints": result.distinct,
-        "total_stored": result.total_stored,
-        "fully_replicated": result.fully_replicated,
-        "under_replicated": result.under_replicated,
-        "lost": result.lost,
+        **_replication_metrics(result),
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="elasticity",
-        description="Dedup accuracy and migration traffic under membership churn (joins/leaves)",
-        runner=_run_elasticity,
-        cluster_keys=frozenset({"num_nodes", "replication_factor", "virtual_nodes"}),
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset({"scale", "profiles"}),
-        client_keys=frozenset({"batch_size"}),
-        accepts_churn=True,
-    )
+_preset(
+    "elasticity",
+    "Dedup accuracy and migration traffic under membership churn (joins/leaves)",
+    partial(_call, elasticity.run_elasticity),
+    _elasticity_metrics,
+    cluster_keys=_REPLICATED_CLUSTER,
+    node_keys=NODE_KEYS,
+    workload_keys=_TABLE_I_MIX,
+    client_keys=frozenset({"batch_size"}),
+    accepts_churn=True,
 )
 
 
-# ----------------------------------------------------------- timed control plane
-def _timed_metrics(result: Any) -> Dict[str, Any]:
+def _timed_metrics(result: control_plane.ControlPlaneResult) -> Dict[str, Any]:
     """Common metrics schema for the timed control-plane presets."""
-    steady, taxed = result.steady, result.taxed
     metrics: Dict[str, Any] = {
         "fingerprints": result.fingerprints_processed,
         "offered_load": result.offered_load,
@@ -561,8 +495,9 @@ def _timed_metrics(result: Any) -> Dict[str, Any]:
         "p99_tax": result.p99_tax,
         "control_plane_cpu_seconds": result.control_plane_cpu_seconds,
         "unserved": result.unserved,
+        **_audit_metrics(result),
     }
-    for label, stats in (("steady", steady), (result.headline_phase, taxed)):
+    for label, stats in (("steady", result.steady), (result.headline_phase, result.taxed)):
         if stats is None:
             continue
         metrics[f"{label}_lookups"] = stats.count
@@ -573,90 +508,32 @@ def _timed_metrics(result: Any) -> Dict[str, Any]:
     return metrics
 
 
-def _run_failover_timed(spec: ScenarioSpec) -> ScenarioResult:
-    cluster, client, workload = spec.cluster, spec.client, spec.workload
-    seed = _seed(spec, 0)
-    result = control_plane.run_failover_timed(
-        scale=workload.get("scale", 0.002),
-        num_nodes=cluster.get("num_nodes", 4),
-        replication_factor=cluster.get("replication_factor", 2),
-        virtual_nodes=cluster.get("virtual_nodes", 64),
-        batch_size=client.get("batch_size", 256),
-        offered_load=client.get("offered_load", 0.7),
-        mix=_mix(spec, seed),
-        fault_plan=spec.faults,
-        node_config=_node_config(spec),
-        seed=seed,
-    )
-    return ScenarioResult(spec=spec, metrics=_timed_metrics(result), detail=result)
+_preset(
+    "failover_timed",
+    "Lookup p50/p99 and throughput during outages, control-plane costs charged",
+    partial(_call, control_plane.run_failover_timed),
+    _timed_metrics,
+    cluster_keys=_REPLICATED_CLUSTER,
+    node_keys=NODE_KEYS,
+    workload_keys=_TABLE_I_MIX,
+    client_keys=frozenset({"batch_size", "offered_load"}),
+    accepts_faults=True,
+)
 
-
-register_preset(
-    Preset(
-        name="failover_timed",
-        description="Lookup p50/p99 and throughput during outages, control-plane costs charged",
-        runner=_run_failover_timed,
-        cluster_keys=frozenset({"num_nodes", "replication_factor", "virtual_nodes"}),
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset({"scale", "profiles"}),
-        client_keys=frozenset({"batch_size", "offered_load"}),
-        accepts_faults=True,
-    )
+_preset(
+    "churn_timed",
+    "Lookup p50/p99 and throughput during membership churn, migration costs charged",
+    partial(_call, control_plane.run_churn_timed),
+    _timed_metrics,
+    cluster_keys=_REPLICATED_CLUSTER,
+    node_keys=NODE_KEYS,
+    workload_keys=_TABLE_I_MIX,
+    client_keys=frozenset({"batch_size", "offered_load"}),
+    accepts_churn=True,
 )
 
 
-def _run_churn_timed(spec: ScenarioSpec) -> ScenarioResult:
-    cluster, client, workload = spec.cluster, spec.client, spec.workload
-    seed = _seed(spec, 0)
-    result = control_plane.run_churn_timed(
-        scale=workload.get("scale", 0.002),
-        num_nodes=cluster.get("num_nodes", 4),
-        replication_factor=cluster.get("replication_factor", 2),
-        virtual_nodes=cluster.get("virtual_nodes", 64),
-        batch_size=client.get("batch_size", 256),
-        offered_load=client.get("offered_load", 0.7),
-        mix=_mix(spec, seed),
-        churn_plan=spec.churn,
-        node_config=_node_config(spec),
-        seed=seed,
-    )
-    return ScenarioResult(spec=spec, metrics=_timed_metrics(result), detail=result)
-
-
-register_preset(
-    Preset(
-        name="churn_timed",
-        description="Lookup p50/p99 and throughput during membership churn, migration costs charged",
-        runner=_run_churn_timed,
-        cluster_keys=frozenset({"num_nodes", "replication_factor", "virtual_nodes"}),
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset({"scale", "profiles"}),
-        client_keys=frozenset({"batch_size", "offered_load"}),
-        accepts_churn=True,
-    )
-)
-
-
-# ----------------------------------------------------------------- kill/restart
-def _run_restart(spec: ScenarioSpec) -> ScenarioResult:
-    cluster, client, workload = spec.cluster, spec.client, spec.workload
-    seed = _seed(spec, 0)
-    result = restart.run_restart(
-        scale=workload.get("scale", 0.002),
-        num_nodes=cluster.get("num_nodes", 4),
-        replication_factor=cluster.get("replication_factor", 2),
-        virtual_nodes=cluster.get("virtual_nodes", 64),
-        batch_size=client.get("batch_size", 256),
-        offered_load=client.get("offered_load", 0.7),
-        kill_batch=client.get("kill_batch"),
-        downtime=client.get("downtime", 2),
-        warm_restart=client.get("warm_restart", True),
-        snapshot_every=client.get("snapshot_every"),
-        fsync=client.get("fsync", False),
-        mix=_mix(spec, seed),
-        node_config=_node_config(spec),
-        seed=seed,
-    )
+def _restart_metrics(result: restart.RestartResult) -> Dict[str, Any]:
     metrics: Dict[str, Any] = {
         "fingerprints": result.fingerprints_processed,
         "offered_load": result.offered_load,
@@ -685,56 +562,48 @@ def _run_restart(spec: ScenarioSpec) -> ScenarioResult:
         metrics[f"{name}_p50_latency_us"] = stats.p50 * 1e6
         metrics[f"{name}_p99_latency_us"] = stats.p99 * 1e6
     metrics.update(result.counters)
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
+    return metrics
 
 
-register_preset(
-    Preset(
-        name="restart",
-        description="Kill a node mid-workload, restart from WAL+snapshot, measure recovery",
-        runner=_run_restart,
-        cluster_keys=frozenset({"num_nodes", "replication_factor", "virtual_nodes"}),
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset({"scale", "profiles"}),
-        client_keys=frozenset(
-            {
-                "batch_size",
-                "offered_load",
-                "kill_batch",
-                "downtime",
-                "warm_restart",
-                "snapshot_every",
-                "fsync",
-            }
-        ),
-    )
+_preset(
+    "restart",
+    "Kill a node mid-workload, restart from WAL+snapshot, measure recovery",
+    partial(_call, restart.run_restart),
+    _restart_metrics,
+    cluster_keys=_REPLICATED_CLUSTER,
+    node_keys=NODE_KEYS,
+    workload_keys=_TABLE_I_MIX,
+    client_keys=frozenset(
+        {
+            "batch_size",
+            "offered_load",
+            "kill_batch",
+            "downtime",
+            "warm_restart",
+            "snapshot_every",
+            "fsync",
+        }
+    ),
 )
 
 
 # ----------------------------------------------------------------- live service
-def _run_service(spec: ScenarioSpec) -> ScenarioResult:
-    """The only preset that is not simulated: real sockets, real processes."""
-    cluster, client = spec.cluster, spec.client
-    seed = _seed(spec, 17)
-    result = service.run_service(
-        num_nodes=cluster.get("num_nodes", 4),
-        clients=client.get("clients", 8),
-        pipeline=client.get("pipeline", 4),
-        batch_size=client.get("batch_size", 256),
-        fingerprints=client.get("fingerprints", 50_000),
-        duplicate_fraction=client.get("duplicate_fraction", 0.25),
-        arrival_rate_fps=client.get("arrival_rate_fps", 0.0),
-        kill_node=client.get("kill_node"),
-        kill_after_fraction=client.get("kill_after_fraction", 0.25),
-        burst_batches=client.get("burst_batches", 0),
-        snapshot_every=client.get("snapshot_every", 100_000),
-        fsync=client.get("fsync", False),
-        max_queue=client.get("max_queue", 64),
-        max_inflight=client.get("max_inflight", 512),
-        node_config=dict(spec.node) if spec.node else None,
-        seed=seed,
-    )
-    metrics: Dict[str, Any] = {
+def _run_service(spec: ScenarioSpec) -> service.ServiceRunResult:
+    """The only preset that is not simulated: real sockets, real processes.
+
+    Its workers take the ``node`` section as plain overrides, not as a
+    whole :class:`HashNodeConfig`.
+    """
+    kwargs: Dict[str, Any] = {**spec.cluster, **spec.client}
+    if spec.seed is not None:
+        kwargs["seed"] = spec.seed
+    if spec.node:
+        kwargs["node_config"] = dict(spec.node)
+    return service.run_service(**kwargs)
+
+
+def _service_metrics(result: service.ServiceRunResult) -> Dict[str, Any]:
+    return {
         "fingerprints": result.offered,
         "acknowledged": result.acknowledged,
         "new_fingerprints": result.new_fingerprints,
@@ -753,33 +622,30 @@ def _run_service(spec: ScenarioSpec) -> ScenarioResult:
         "audit_checked": result.audit_checked,
         "lost_acknowledged": result.lost_acknowledged,
     }
-    return ScenarioResult(spec=spec, metrics=metrics, detail=result)
 
 
-register_preset(
-    Preset(
-        name="service",
-        description="Boot the real serving stack (TCP gateway + worker processes) and load it",
-        runner=_run_service,
-        cluster_keys=frozenset({"num_nodes"}),
-        node_keys=NODE_KEYS,
-        workload_keys=frozenset(),
-        client_keys=frozenset(
-            {
-                "clients",
-                "pipeline",
-                "batch_size",
-                "fingerprints",
-                "duplicate_fraction",
-                "arrival_rate_fps",
-                "kill_node",
-                "kill_after_fraction",
-                "burst_batches",
-                "snapshot_every",
-                "fsync",
-                "max_queue",
-                "max_inflight",
-            }
-        ),
-    )
+_preset(
+    "service",
+    "Boot the real serving stack (TCP gateway + worker processes) and load it",
+    _run_service,
+    _service_metrics,
+    cluster_keys=frozenset({"num_nodes"}),
+    node_keys=NODE_KEYS,
+    client_keys=frozenset(
+        {
+            "clients",
+            "pipeline",
+            "batch_size",
+            "fingerprints",
+            "duplicate_fraction",
+            "arrival_rate_fps",
+            "kill_node",
+            "kill_after_fraction",
+            "burst_batches",
+            "snapshot_every",
+            "fsync",
+            "max_queue",
+            "max_inflight",
+        }
+    ),
 )

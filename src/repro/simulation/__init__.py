@@ -8,7 +8,6 @@ statistics collectors (:mod:`.stats`).
 """
 
 from .engine import Event, ScheduledEvent, SimulationError, Simulator, StopSimulation
-from .monitor import Monitor, TimeSeries
 from .process import Interrupt, Process, ProcessKilled, run_process
 from .resources import Container, Resource, Store
 from .rng import RandomStreams, derive_seed, exponential, weighted_choice, zipf_weights
@@ -28,8 +27,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Monitor",
-    "TimeSeries",
     "Interrupt",
     "Process",
     "ProcessKilled",

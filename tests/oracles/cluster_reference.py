@@ -1,7 +1,7 @@
 """The pre-cache cluster batch path, kept verbatim as an oracle.
 
 Resolves every fingerprint's replica set through the partitioner
-(:func:`~repro.core.batching.split_batch_by_replica_set`), serves each
+(:func:`oracles.batch_routing.split_batch_by_replica_set`), serves each
 sub-batch with the node's reply view and applies replication semantics one
 reply at a time (``SHHCCluster._resolve_reply``).  The routed core
 (``SHHCCluster._serve_routed``) must stay verdict-, tier-, service-time-,
@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.batching import reassemble_replies, split_batch_by_replica_set
 from repro.core.cluster import SHHCCluster
 from repro.core.fault_injection import NodeUnavailableError
 from repro.core.protocol import BatchLookupReply, LookupReply
 from repro.dedup.fingerprint import Fingerprint
+from repro.frontend.webserver import reassemble_replies
+
+from .batch_routing import split_batch_by_replica_set
 
 
 def lookup_batch_replies_reference(

@@ -10,12 +10,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments.control_plane import (
+    DEFAULT_OUTAGE_DENSITY,
     DEGRADED_PHASE,
     MIGRATING_PHASE,
     STEADY_PHASE,
     run_churn_timed,
     run_failover_timed,
 )
+from repro.analysis.experiments.failover import run_failover
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.membership import MembershipManager
@@ -176,6 +178,27 @@ class TestTimedExperiments:
         assert result.counters["replica_writes"] > 0
         assert result.control_plane_cpu_seconds > 0.0
 
+    def test_failover_timed_verdicts_are_audited(self):
+        """The timed loop checks every verdict against the oracle.
+
+        At k=2 nothing is ever lost or unserved, but the timed run has no
+        anti-entropy sweep on recovery, so a rolling outage that takes a
+        fingerprint's second holder down right after the first came back
+        reports that duplicate as new -- exactly the mismatches the untimed
+        run shows with ``repair_on_recovery=False``, and none with the sweep
+        on or with a third replica.
+        """
+        timed = run_failover_timed(scale=0.001, seed=0)
+        assert timed.false_duplicates == 0 and timed.unserved == 0
+        unrepaired = run_failover(
+            scale=0.001, seed=0, outage_density=DEFAULT_OUTAGE_DENSITY, repair_on_recovery=False
+        )
+        assert timed.false_uniques == unrepaired.false_uniques > 0
+        assert timed.accuracy == unrepaired.accuracy < 1.0
+        repaired = run_failover(scale=0.001, seed=0, outage_density=DEFAULT_OUTAGE_DENSITY)
+        assert repaired.dedup_errors == 0
+        assert run_failover_timed(scale=0.0005, replication_factor=3).dedup_errors == 0
+
     def test_churn_timed_migrating_p99_strictly_higher(self):
         result = run_churn_timed(scale=0.001, seed=0)
         steady, migrating = result.phases[STEADY_PHASE], result.phases[MIGRATING_PHASE]
@@ -184,14 +207,21 @@ class TestTimedExperiments:
         assert result.p99_tax > 1.0
         assert result.counters["joins"] > 0
         assert result.counters["migration_entries"] > 0
+        assert result.dedup_errors == 0 and result.unserved == 0 and result.accuracy == 1.0
 
     def test_presets_report_tax_metrics(self):
         failover = run_scenario("failover_timed", scale=0.001)
         assert failover.metrics["p99_tax"] > 1.0
         assert failover.metrics["degraded_p99_latency_us"] > failover.metrics["steady_p99_latency_us"]
+        assert failover.metrics["false_duplicates"] == 0
+        assert failover.metrics["dedup_accuracy"] == pytest.approx(
+            1.0 - failover.metrics["false_uniques"] / failover.metrics["fingerprints"]
+        )
         churn = run_scenario("churn_timed", scale=0.001)
         assert churn.metrics["p99_tax"] > 1.0
         assert churn.metrics["migrating_p99_latency_us"] > churn.metrics["steady_p99_latency_us"]
+        assert churn.metrics["dedup_accuracy"] == 1.0
+        assert churn.metrics["false_uniques"] == churn.metrics["false_duplicates"] == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

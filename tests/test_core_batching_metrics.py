@@ -1,98 +1,37 @@
-"""Tests for query batching helpers and cluster metrics."""
+"""Tests for batch split/reassembly and cluster metrics."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.batching import BatchAccumulator, reassemble_replies, split_batch_by_owner
 from repro.core.hash_node import NodeSnapshot
 from repro.core.metrics import ClusterMetrics, LoadBalanceReport
 from repro.core.partition import RangePartitioner
 from repro.core.protocol import BatchLookupReply, LookupReply, ServedFrom
 from repro.dedup.fingerprint import synthetic_fingerprint
+from repro.frontend.webserver import reassemble_replies
+
+from oracles.batch_routing import split_batch_by_replica_set
 
 
 PARTITIONER = RangePartitioner(["n0", "n1", "n2", "n3"])
 FINGERPRINTS = [synthetic_fingerprint(i) for i in range(400)]
 
 
-class TestBatchAccumulator:
-    def test_batch_emitted_when_full(self):
-        accumulator = BatchAccumulator(PARTITIONER, batch_size=8)
-        ready = []
-        for fingerprint in FINGERPRINTS:
-            ready.extend(accumulator.add(fingerprint))
-        assert all(len(request) == 8 for _node, request in ready)
-        # Every emitted batch is addressed to the owner of all its fingerprints.
-        for node, request in ready:
-            assert all(PARTITIONER.owner(fp) == node for fp in request.fingerprints)
-
-    def test_flush_emits_partial_batches(self):
-        accumulator = BatchAccumulator(PARTITIONER, batch_size=1000)
-        accumulator.add_many(FINGERPRINTS[:10])
-        flushed = accumulator.flush()
-        total = sum(len(request) for _node, request in flushed)
-        assert total == 10
-        assert accumulator.pending_count() == 0
-
-    def test_batch_size_one_emits_immediately(self):
-        accumulator = BatchAccumulator(PARTITIONER, batch_size=1)
-        ready = accumulator.add(FINGERPRINTS[0])
-        assert len(ready) == 1
-        assert len(ready[0][1]) == 1
-
-    def test_callback_mode(self):
-        received = []
-        accumulator = BatchAccumulator(
-            PARTITIONER, batch_size=4, on_batch_ready=lambda node, request: received.append(node)
-        )
-        accumulator.add_many(FINGERPRINTS[:64])
-        assert len(received) == accumulator.batches_emitted
-        assert accumulator.fingerprints_added == 64
-
-    def test_poll_expired_respects_max_delay(self):
-        accumulator = BatchAccumulator(PARTITIONER, batch_size=1000, max_delay=5.0)
-        accumulator.add(FINGERPRINTS[0], now=0.0)
-        assert accumulator.poll_expired(now=3.0) == []
-        expired = accumulator.poll_expired(now=6.0)
-        assert len(expired) == 1
-
-    def test_poll_expired_without_max_delay_is_noop(self):
-        accumulator = BatchAccumulator(PARTITIONER, batch_size=10)
-        accumulator.add(FINGERPRINTS[0], now=0.0)
-        assert accumulator.poll_expired(now=100.0) == []
-
-    def test_pending_count_per_node(self):
-        accumulator = BatchAccumulator(PARTITIONER, batch_size=1000)
-        accumulator.add_many(FINGERPRINTS[:40])
-        per_node = sum(accumulator.pending_count(node) for node in PARTITIONER.nodes())
-        assert per_node == accumulator.pending_count() == 40
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchAccumulator(PARTITIONER, batch_size=0)
-
-    def test_batch_ids_are_unique(self):
-        accumulator = BatchAccumulator(PARTITIONER, batch_size=2)
-        ready = accumulator.add_many(FINGERPRINTS[:64])
-        ids = [request.batch_id for _node, request in ready]
-        assert len(ids) == len(set(ids))
-
-
 class TestSplitAndReassemble:
     def test_split_covers_all_positions_exactly_once(self):
-        split = split_batch_by_owner(FINGERPRINTS[:100], PARTITIONER)
+        split = split_batch_by_replica_set(FINGERPRINTS[:100], PARTITIONER)
         positions = sorted(p for _req, pos in split.values() for p in pos)
         assert positions == list(range(100))
 
     def test_split_routes_to_owner(self):
-        split = split_batch_by_owner(FINGERPRINTS[:100], PARTITIONER)
+        split = split_batch_by_replica_set(FINGERPRINTS[:100], PARTITIONER)
         for node, (request, _positions) in split.items():
             assert all(PARTITIONER.owner(fp) == node for fp in request.fingerprints)
 
     def test_reassemble_restores_original_order(self):
         fingerprints = FINGERPRINTS[:50]
-        split = split_batch_by_owner(fingerprints, PARTITIONER)
+        split = split_batch_by_replica_set(fingerprints, PARTITIONER)
         per_node = []
         for node, (request, positions) in split.items():
             replies = [
@@ -105,7 +44,7 @@ class TestSplitAndReassemble:
 
     def test_reassemble_detects_missing_positions(self):
         fingerprints = FINGERPRINTS[:10]
-        split = split_batch_by_owner(fingerprints, PARTITIONER)
+        split = split_batch_by_replica_set(fingerprints, PARTITIONER)
         per_node = list(split.items())[:-1]  # drop one node's replies
         partial = [
             (

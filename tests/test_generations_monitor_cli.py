@@ -1,4 +1,4 @@
-"""Tests for generational workloads, the simulation monitor and the CLI."""
+"""Tests for generational workloads and the CLI."""
 
 from __future__ import annotations
 
@@ -9,9 +9,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
-from repro.simulation.engine import Simulator
-from repro.simulation.monitor import Monitor, TimeSeries
-from repro.simulation.process import run_process
 from repro.workloads.generations import GenerationConfig, GenerationalWorkload
 from repro.workloads.traces import measure_trace
 
@@ -87,61 +84,6 @@ class TestGenerationalWorkload:
             GenerationConfig(modify_fraction=1.5)
         with pytest.raises(ValueError):
             GenerationConfig(growth_fraction=-0.1)
-
-
-class TestMonitor:
-    def test_samples_at_fixed_interval(self):
-        sim = Simulator()
-        counter = {"value": 0}
-
-        def worker():
-            for _ in range(10):
-                yield sim.timeout(1.0)
-                counter["value"] += 1
-
-        run_process(sim, worker())
-        monitor = Monitor(sim, interval=1.0)
-        series = monitor.add_probe("count", lambda: counter["value"])
-        monitor.start()
-        sim.run()
-        assert len(series) >= 10
-        assert series.values()[-1] == pytest.approx(10)
-        assert series.maximum() == 10
-        assert series.times() == sorted(series.times())
-
-    def test_monitor_does_not_keep_simulation_alive(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        monitor = Monitor(sim, interval=0.1)
-        monitor.add_probe("constant", lambda: 1.0)
-        monitor.start()
-        sim.run(max_events=10_000)
-        # The calendar must drain (the monitor stops rescheduling itself).
-        assert sim.pending_events == 0
-
-    def test_stop_and_sample_now(self):
-        sim = Simulator()
-        monitor = Monitor(sim, interval=1.0)
-        series = monitor.add_probe("x", lambda: 42.0)
-        values = monitor.sample_now()
-        assert values == {"x": 42.0}
-        monitor.stop()
-        assert series.latest() == 42.0
-        assert series.mean() == 42.0
-
-    def test_duplicate_probe_rejected(self):
-        monitor = Monitor(Simulator(), interval=1.0)
-        monitor.add_probe("x", lambda: 0.0)
-        with pytest.raises(ValueError):
-            monitor.add_probe("x", lambda: 0.0)
-        with pytest.raises(ValueError):
-            Monitor(Simulator(), interval=0.0)
-
-    def test_empty_series_helpers(self):
-        series = TimeSeries("empty")
-        assert series.latest() is None
-        assert series.maximum() == 0.0
-        assert series.mean() == 0.0
 
 
 class TestCatalogChunkingResolution:

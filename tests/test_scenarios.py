@@ -410,3 +410,40 @@ class TestScalarListAndProfileHandling:
             run_scenario(
                 "failover", scale=0.0004, batch_size=10**6, outage_density=0.3
             )
+
+    def test_adapter_forwards_only_the_keys_the_spec_set(self):
+        """Defaults live in the runner's signature; the adapter restates none."""
+        from repro.core.config import HashNodeConfig
+        from repro.core.membership import ChurnPlan
+        from repro.scenarios.presets import _call
+
+        seen = {}
+
+        def runner(scale=0.5, num_nodes=9, batch_sizes=(1, 2), mix=None, seed=5, **rest):
+            seen.update(rest, scale=scale, num_nodes=num_nodes, batch_sizes=batch_sizes, mix=mix, seed=seed)
+
+        _call(runner, ScenarioSpec(preset="figure5"))
+        assert seen == {"scale": 0.5, "num_nodes": 9, "batch_sizes": (1, 2), "mix": None, "seed": 5}
+
+        seen.clear()
+        _call(
+            runner,
+            ScenarioSpec(
+                preset="elasticity",
+                cluster={"num_nodes": 3},
+                node={"ram_cache_entries": 64},
+                workload={"batch_sizes": 128, "profiles": "mail-server"},
+                client={"offered_load": 0.5},
+                churn=ChurnPlan.grow(2),
+            ),
+        )
+        assert seen.pop("mix").profiles[0].name == "mail-server"  # built on the runner's seed
+        assert seen == {
+            "scale": 0.5,
+            "num_nodes": 3,
+            "batch_sizes": (128,),
+            "seed": 5,
+            "offered_load": 0.5,
+            "node_config": HashNodeConfig(ram_cache_entries=64),
+            "churn_plan": ChurnPlan.grow(2),
+        }
