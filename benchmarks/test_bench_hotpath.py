@@ -671,100 +671,6 @@ def _bench_control_plane(scale: float) -> dict:
     }
 
 
-def _bench_recovery(scale: float) -> dict:
-    """Node restart: cold full-log replay vs snapshot warm restart.
-
-    Populates one node's on-disk persistence (container log of ``entries``
-    fingerprints) three times -- once bare, once with a bloom snapshot
-    covering the whole log, once with bloom **and** store snapshots (the
-    full warm path the serving workers restart through) -- then times
-    :meth:`NodePersistence.recover_into` on a fresh node for each.  The
-    timed region includes opening the container (the CRC scan) and
-    rebuilding the store, so the ratio is end-to-end restart time, not
-    just the bloom delta.  All paths must recover the exact same entry
-    count; the warm paths must load their snapshots and replay zero tail
-    records; the ``fast`` (store snapshot) leg must additionally skip the
-    per-record store rebuild entirely.
-    """
-    import tempfile
-
-    from repro.core.persistence import NodePersistence
-    from repro.storage.hashstore import SSDHashStore
-
-    entries = max(10_000, int(60_000 * scale))
-    digests = [synthetic_fingerprint(i).digest for i in range(entries)]
-    expected_items = max(entries, 10_000)
-    num_buckets = 1 << 14
-
-    class _Node:
-        def __init__(self) -> None:
-            self.node_id = "bench"
-            self.store = SSDHashStore(num_buckets=num_buckets)
-            self.bloom = BloomFilter(expected_items=expected_items, digest_keys=True)
-
-    def _populate(directory: str, snapshot: bool, with_store: bool = False) -> None:
-        persistence = NodePersistence(directory)
-        persistence.log_insert_many((digest, 4096) for digest in digests)
-        if snapshot:
-            bloom = BloomFilter(expected_items=expected_items, digest_keys=True)
-            bloom.add_many(digests)
-            store = None
-            if with_store:
-                store = SSDHashStore(num_buckets=num_buckets)
-                for digest in digests:
-                    store.put(digest, 4096)
-            persistence.take_snapshot(bloom, entries=entries, store=store)
-        persistence.close()
-
-    def _recover(directory: str):
-        node = _Node()
-        with NodePersistence(directory) as persistence:
-            return persistence.recover_into(node)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-recovery-") as root:
-        cold_dir = os.path.join(root, "cold")
-        warm_dir = os.path.join(root, "warm")
-        store_dir = os.path.join(root, "store")
-        _populate(cold_dir, snapshot=False)
-        _populate(warm_dir, snapshot=True)
-        _populate(store_dir, snapshot=True, with_store=True)
-        cold_time, cold_report = _timed_best(lambda: _recover(cold_dir))
-        warm_time, warm_report = _timed_best(lambda: _recover(warm_dir))
-        store_time, store_report = _timed_best(lambda: _recover(store_dir))
-    assert cold_report.entries == warm_report.entries == store_report.entries == entries
-    assert warm_report.snapshot_loaded and not cold_report.snapshot_loaded
-    assert warm_report.replayed == 0 and cold_report.replayed == entries
-    assert store_report.store_snapshot_loaded and not warm_report.store_snapshot_loaded
-    assert store_report.replayed == 0 and store_report.store_tail_records == 0
-    return {
-        "unit": "entries/s (restart recovery)",
-        "baseline": {
-            "path": "cold full-log replay",
-            "entries_per_s": entries / cold_time,
-            "entries": entries,
-            "replayed_records": cold_report.replayed,
-        },
-        "bloom_warm": {
-            "path": "bloom snapshot warm restart (store rebuilt from log)",
-            "entries_per_s": entries / warm_time,
-            "entries": entries,
-            "replayed_records": warm_report.replayed,
-            "snapshot_bytes": warm_report.snapshot_bytes,
-        },
-        "fast": {
-            "path": "bloom+store snapshot warm restart",
-            "entries_per_s": entries / store_time,
-            "entries": entries,
-            "replayed_records": store_report.replayed,
-            "snapshot_bytes": store_report.snapshot_bytes,
-            "store_snapshot_bytes": store_report.store_snapshot_bytes,
-            "store_tail_records": store_report.store_tail_records,
-        },
-        "speedup": cold_time / store_time,
-        "bloom_only_speedup": cold_time / warm_time,
-    }
-
-
 def _bench_service(scale: float) -> dict:
     """Live serving stack: real TCP gateway + one worker process per node.
 
@@ -845,7 +751,6 @@ def test_bench_hotpath(scale):
         "vectorized_lookup": _bench_vectorized,
         "sweep_wall_clock": _bench_sweep,
         "control_plane_tax": _bench_control_plane,
-        "recovery_time": _bench_recovery,
         "service_throughput": _bench_service,
     }
     if HAVE_NUMPY:
@@ -940,11 +845,6 @@ def test_bench_hotpath(scale):
             # Virtual-time ratio (deterministic): degraded p99 must stay
             # measurably above steady p99 while the cost model is charging.
             "control_plane_tax": 1.2,
-            # Warm (bloom+store snapshot) restart vs cold full-log replay:
-            # the fast leg skips both the bloom replay and the per-record
-            # store rebuild, so it clears the cold path comfortably; the
-            # floor stays conservative to avoid timing fragility.
-            "recovery_time": 1.3,
         }
         for name, floor in floors.items():
             assert series[name]["speedup"] >= floor, (name, floor, series[name])

@@ -28,8 +28,7 @@ crash-consistency claim the ``restart`` scenario preset asserts in CI.
 ``warm_restart`` toggles the snapshot path: ``True`` (default) lets the
 victim restore its bloom filter from the latest snapshot and replay only
 the container tail; ``False`` disables snapshots so the restart replays
-the full log.  ``recovery_time`` (the charged CPU seconds) is the series
-the hot-path benchmark floors.
+the full log.  ``recovery_time`` is the CPU seconds the cost model charged.
 """
 
 from __future__ import annotations

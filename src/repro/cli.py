@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fsync", action="store_true",
                        help="fsync container/WAL appends (power-loss durability)")
     serve.add_argument("--snapshot-every", type=int, default=100_000,
-                       help="records between automatic bloom+store snapshots (0 = off)")
+                       help="records between automatic bloom checkpoints (0 = off)")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="queued batches per worker before admission sheds")
     serve.add_argument("--max-inflight", type=int, default=512,

@@ -473,11 +473,11 @@ class HybridHashNode:
 
     # ------------------------------------------------------------- persistence
     def _persist_new(self, pairs) -> None:
-        """Append acknowledged inserts to the container; snapshot when due."""
+        """Append acknowledged inserts to the log; checkpoint the bloom when due."""
         persistence = self.persistence
         persistence.log_insert_many(pairs)
         if persistence.snapshot_due():
-            persistence.take_snapshot(self.bloom, entries=len(self.store), store=self.store)
+            persistence.take_snapshot(self.bloom, entries=len(self.store))
             self.counters.increment("snapshots")
 
     def kill(self) -> None:

@@ -1,27 +1,29 @@
-"""Crash-consistent node storage: container log + bloom snapshots + WAL.
+"""Crash-consistent node storage: fingerprint log + bloom checkpoints + WAL.
 
 The paper keeps each node's fingerprint table on SSD as a Berkeley DB
 (§III.B), so a crashed node can come back with its index intact.  This
 module gives :class:`~repro.core.hash_node.HybridHashNode` the same
 property on top of the repo's own storage primitives:
 
-* **Container log** -- every acknowledged fingerprint is appended to an
-  on-disk :class:`~repro.storage.hashstore.FileHashStore` (CRC32-framed,
-  torn tails truncated on open), so the authoritative key/value state
-  survives a process kill.
-* **Bloom snapshots** -- the node's bloom filter bit array is periodically
+* **Fingerprint log** -- every acknowledged batch is appended to an
+  on-disk :class:`~repro.storage.fplog.FingerprintLog` as one CRC32-framed
+  frame (keys, values and the store's placement hashes as columns), flushed
+  before the reply.  The log *is* the durable image of the store: there is
+  no separate table snapshot to write, and recovery fills the bucket dicts
+  straight from the frames.  A torn tail is truncated on open.
+* **Bloom checkpoints** -- the node's bloom filter bit array is periodically
   written through :func:`~repro.storage.snapshot.write_snapshot` (tmp file
-  + fsync + atomic rename).  A warm restart mmap-loads the snapshot in one
-  bulk copy and replays only the container tail written after it, instead
-  of re-hashing every fingerprint.
-* **WAL intent/done records** -- snapshots follow the
+  + fsync + atomic rename), a constant-size image whatever the shard holds.
+  A warm restart loads it in one bulk copy and re-adds only the keys logged
+  after it, instead of re-hashing every fingerprint.
+* **WAL intent/done records** -- checkpoints follow the
   :class:`~repro.core.membership.MembershipManager` idiom: an intent record
-  is logged before the snapshot is written and a done record after, so a
-  crash mid-snapshot is detected at recovery and the snapshot is re-taken
+  is logged before the image is written and a done record after, so a
+  crash mid-checkpoint is detected at recovery and the image is re-taken
   (idempotently) from the recovered state.
 
 :meth:`NodePersistence.recover_into` rebuilds a freshly constructed node's
-store, bloom filter, and cache-backing state from disk and returns a
+store and bloom filter in one pass over the log and returns a
 :class:`RecoveryReport` that the cluster prices through the PR 6 cost
 model, so warm-up after a restart is visible in simulated latency.
 """
@@ -29,27 +31,16 @@ model, so warm-up after a restart is visible in simulated latency.
 from __future__ import annotations
 
 import os
-import struct
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable, List, Optional, Tuple
 
-from ..storage.hashstore import FileHashStore, SSDHashStore
+from ..storage.fplog import OP_PUT, OP_REMOVE, FingerprintLog
+from ..storage.hashstore import placement_hashes
 from ..storage.snapshot import SnapshotError, read_snapshot, write_snapshot
 from ..storage.wal import WriteAheadLog
 
 __all__ = ["PersistencePolicy", "RecoveryReport", "NodePersistence"]
-
-#: Container values are chunk sizes (non-negative ints); fixed 8-byte frame.
-_VALUE = struct.Struct(">Q")
-
-
-def _encode_value(value: Any) -> bytes:
-    return _VALUE.pack(int(value))
-
-
-def _decode_value(blob: bytes) -> int:
-    return _VALUE.unpack(blob)[0]
 
 
 @dataclass(frozen=True)
@@ -108,13 +99,6 @@ class RecoveryReport:
     #: A crash interrupted a snapshot (WAL intent without done); the
     #: snapshot was re-taken from the recovered state.
     resumed_snapshot: bool = False
-    #: A store snapshot restored the hash table wholesale (no per-key
-    #: re-placement from the container log; only the tail was replayed).
-    store_snapshot_loaded: bool = False
-    store_snapshot_bytes: int = 0
-    #: Container records replayed into the *store* after its snapshot
-    #: (0 on a cold rebuild, where every live key is re-placed instead).
-    store_tail_records: int = 0
     #: Wall-clock seconds the recovery pass took (host time, not simulated).
     wall_seconds: float = 0.0
     #: Simulated CPU seconds the cost model charged for this recovery
@@ -122,30 +106,15 @@ class RecoveryReport:
     charged_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "entries": self.entries,
-            "records": self.records,
-            "replayed": self.replayed,
-            "snapshot_loaded": self.snapshot_loaded,
-            "snapshot_bytes": self.snapshot_bytes,
-            "truncated_bytes": self.truncated_bytes,
-            "resumed_snapshot": self.resumed_snapshot,
-            "store_snapshot_loaded": self.store_snapshot_loaded,
-            "store_snapshot_bytes": self.store_snapshot_bytes,
-            "store_tail_records": self.store_tail_records,
-            "wall_seconds": self.wall_seconds,
-            "charged_seconds": self.charged_seconds,
-        }
+        return asdict(self)
 
 
 class NodePersistence:
-    """On-disk state for one hash node: container log, WAL, bloom snapshot."""
+    """On-disk state for one hash node: fingerprint log, WAL, bloom image."""
 
     CONTAINER_NAME = "containers.log"
     WAL_NAME = "wal.log"
     SNAPSHOT_NAME = "bloom.snap"
-    STORE_SNAPSHOT_NAME = "store.snap"
 
     def __init__(self, directory: str, fsync: bool = False, snapshot_every: int = 0) -> None:
         os.makedirs(directory, exist_ok=True)
@@ -153,62 +122,36 @@ class NodePersistence:
         self.fsync = fsync
         self.snapshot_every = snapshot_every
         self.snapshot_path = os.path.join(directory, self.SNAPSHOT_NAME)
-        self.store_snapshot_path = os.path.join(directory, self.STORE_SNAPSHOT_NAME)
-        # A valid store snapshot lets the container open *resume* from the
-        # snapshot's byte offset -- the CRC scan and index build of the
-        # covered prefix are replaced by the snapshot's decoded entries.
-        # The decoded form is cached for the recover_into call that
-        # normally follows construction (one decode, two uses).
-        self._store_snapshot_cache = self._read_store_snapshot()
-        resume = None
-        if self._store_snapshot_cache is not None:
-            meta, _num_buckets, entries, _payload_bytes = self._store_snapshot_cache
-            resume = (
-                int(meta.get("tail_offset", -1)),
-                int(meta.get("records", -1)),
-                {key: _encode_value(value) for _bucket, key, value in entries},
-            )
-        self.container = FileHashStore(
-            os.path.join(directory, self.CONTAINER_NAME), fsync=fsync, resume=resume
-        )
+        self.container = FingerprintLog(os.path.join(directory, self.CONTAINER_NAME), fsync=fsync)
         self.wal = WriteAheadLog(os.path.join(directory, self.WAL_NAME), fsync=fsync)
-        #: Container record count covered by the current snapshot (0 = none).
+        #: Log record count covered by the current bloom image (0 = none).
         self.snapshot_records = 0
         self.snapshots_taken = 0
-
-    def _read_store_snapshot(self):
-        """Decode ``store.snap`` if present and well-formed, else ``None``."""
-        try:
-            meta, payload = read_snapshot(self.store_snapshot_path)
-        except SnapshotError:
-            return None
-        try:
-            num_buckets, entries = SSDHashStore.decode_snapshot_payload(payload)
-        except (ValueError, struct.error):
-            return None
-        if int(meta.get("records", -1)) < 0 or int(meta.get("tail_offset", -1)) < 0:
-            return None
-        return meta, num_buckets, entries, len(payload)
+        #: Wall-clock milliseconds the most recent :meth:`take_snapshot` took.
+        self.last_snapshot_ms = 0.0
 
     # -- logging ---------------------------------------------------------------------
     @property
     def records(self) -> int:
-        """Container records appended so far (puts + deletes)."""
-        return self.container.record_count
+        """Log records appended so far (puts + removes, one per key)."""
+        return self.container.records
 
     def log_insert(self, digest: bytes, value: Any) -> None:
         """Durably record one acknowledged fingerprint insert."""
-        self.container.put(digest, _encode_value(value))
+        self.log_insert_many(((digest, value),))
 
     def log_insert_many(self, pairs: Iterable[Tuple[bytes, Any]]) -> int:
-        """Durably record a batch of acknowledged inserts with one flush."""
-        return self.container.put_many(
-            (digest, _encode_value(value)) for digest, value in pairs
-        )
+        """Durably record a batch of acknowledged inserts as one flushed frame."""
+        columns = tuple(zip(*pairs))
+        if not columns:
+            return 0
+        keys, values = columns
+        self.container.append(OP_PUT, keys, values, placement_hashes(keys))
+        return len(keys)
 
     def log_remove(self, digest: bytes) -> None:
         """Durably record a fingerprint removal (e.g. migration hand-off)."""
-        self.container.delete(digest)
+        self.container.append(OP_REMOVE, (digest,))
 
     # -- snapshots -------------------------------------------------------------------
     def snapshot_due(self) -> bool:
@@ -219,20 +162,19 @@ class NodePersistence:
         )
 
     def take_snapshot(self, bloom: Any, entries: int = 0, store: Optional[Any] = None) -> int:
-        """Write a bloom (and optionally store) snapshot of the current state.
+        """Checkpoint the bloom filter's bits; constant in shard size.
 
         Follows the membership WAL idiom: intent record, then the atomic
-        snapshot write(s), then the done record.  A crash between intent and
-        done is detected by :meth:`recover_into`, which re-takes the
-        snapshot from the recovered state.  When ``store`` (the node's
-        :class:`~repro.storage.hashstore.SSDHashStore`) is given, its whole
-        table is checkpointed alongside the bloom bits -- recovery then
-        restores the store by bulk copy and the container prefix the
-        snapshot covers is never re-scanned.  Returns the record count the
-        snapshot covers.
+        image write, then the done record.  A crash between intent and done
+        is detected by :meth:`recover_into`, which re-takes the image from
+        the recovered state.  ``store`` is accepted and ignored: the log
+        already is the store's image, and ``bench/replay.py`` -- the pinned
+        instrument -- still passes it.  Returns the record count the image
+        covers.
         """
+        del store
+        started = time.perf_counter()
         records = self.records
-        tail_offset = self.container.tail_bytes
         intent = self.wal.append("snapshot", records=records)
         meta = {
             "records": records,
@@ -245,38 +187,30 @@ class NodePersistence:
             "entries": entries,
         }
         write_snapshot(self.snapshot_path, bloom.snapshot_payload(), meta)
-        if store is not None:
-            store_meta = {
-                "records": records,
-                "tail_offset": tail_offset,
-                "entries": len(store),
-                "num_buckets": store.num_buckets,
-            }
-            write_snapshot(self.store_snapshot_path, store.snapshot_payload(), store_meta)
         self.wal.append("snapshot_done", records=records)
         # Earlier snapshot intents are now moot; keep the log short.
         self.wal.checkpoint(intent.lsn - 1)
         self.snapshot_records = records
         self.snapshots_taken += 1
+        self.last_snapshot_ms = (time.perf_counter() - started) * 1e3
         return records
 
     # -- recovery --------------------------------------------------------------------
-    def recover_into(self, node: Any, use_snapshot: bool = True) -> RecoveryReport:
+    def recover_into(self, node: Any) -> RecoveryReport:
         """Rebuild ``node``'s store and bloom filter from disk.
 
         ``node`` must expose ``store`` (an
         :class:`~repro.storage.hashstore.SSDHashStore`), ``bloom`` (a
         :class:`~repro.storage.bloom.BloomFilter`), and ``node_id`` -- i.e.
-        a freshly constructed or freshly killed hash node.  With a valid
-        snapshot the bloom filter is restored by bulk copy and only the
-        container tail written after the snapshot is replayed; otherwise
+        a freshly constructed or freshly killed hash node.  One pass over
+        the log's frames fills the store from the logged placement hashes.
+        With a valid image the bloom filter is restored by bulk copy and
+        only the keys logged after it are re-added; an image that is
+        missing, corrupt, of another geometry or ahead of the log means
         every live key is re-hashed (cold replay).
         """
         started = time.perf_counter()
-        report = RecoveryReport(
-            node_id=getattr(node, "node_id", ""),
-            truncated_bytes=self.container.truncated_bytes,
-        )
+        report = RecoveryReport(node_id=getattr(node, "node_id", ""))
         open_snapshot_intent = False
         for record in self.wal.replay():
             if record.kind == "snapshot":
@@ -284,107 +218,53 @@ class NodePersistence:
             elif record.kind == "snapshot_done":
                 open_snapshot_intent = False
 
+        frames = self.container.replay()  # (re)scans: record counts are final
+        report.truncated_bytes = self.container.truncated_bytes
+        report.records = self.records
+
         bloom = node.bloom
         snapshot_records = 0
-        if use_snapshot:
-            try:
-                meta, payload = read_snapshot(self.snapshot_path)
-            except SnapshotError:
-                pass  # no/invalid snapshot: fall back to cold replay
-            else:
-                covered = int(meta.get("records", 0))
-                if (
-                    meta.get("num_bits") == bloom.num_bits
-                    and meta.get("num_hashes") == bloom.num_hashes
-                    and covered <= self.container.record_count
-                ):
-                    bloom.restore_payload(payload, int(meta.get("count", 0)))
-                    snapshot_records = covered
-                    report.snapshot_loaded = True
-                    report.snapshot_bytes = len(payload)
-
-        # Rebuild the store.  With a store snapshot the whole table is
-        # restored by bulk copy (bucket placements included -- no per-key
-        # hashing) and only the container tail written after it is replayed;
-        # otherwise every live key is re-placed from the recovered index.
-        store = node.store
-        tail_ops: Optional[List[Tuple[int, bytes, bytes]]] = None
-        store_covered = -1
-        if use_snapshot:
-            store_snapshot = self._store_snapshot_cache
-            # One decode serves one recovery; a later recovery (e.g. a
-            # restart after kill) re-reads the latest snapshot from disk.
-            self._store_snapshot_cache = None
-            if store_snapshot is None:
-                store_snapshot = self._read_store_snapshot()
-            if store_snapshot is not None and len(store) == 0:
-                meta, num_buckets, snap_entries, payload_bytes = store_snapshot
-                covered = int(meta.get("records", 0))
-                tail_offset = int(meta.get("tail_offset", 0))
-                if (
-                    covered <= self.container.record_count
-                    and os.path.getsize(self.container.path) >= tail_offset
-                ):
-                    store.restore_entries(num_buckets, snap_entries)
-                    tail_ops = list(
-                        FileHashStore.scan(self.container.path, start_offset=tail_offset)
-                    )
-                    put = store.put
-                    remove = store.remove
-                    for op, key, blob in tail_ops:
-                        if op == FileHashStore._OP_PUT:
-                            put(key, _decode_value(blob))
-                        else:
-                            remove(key)
-                    store_covered = covered
-                    report.store_snapshot_loaded = True
-                    report.store_snapshot_bytes = payload_bytes
-                    report.store_tail_records = len(tail_ops)
-        if not report.store_snapshot_loaded:
-            for key, blob in self.container.items():
-                store.put(key, _decode_value(blob))
-        # The recovered entries are already on flash; the node restarts with
-        # an empty write buffer rather than owing a burst of page flushes.
-        store._buffered_entries = 0
-        entries = len(store)
-        report.entries = entries
-
-        replayed = 0
-        add_one = bloom.add_one
-        if report.snapshot_loaded:
-            # Replay only the tail written after the snapshot.  Deletes are
-            # skipped (bloom bits cannot be unset); duplicate puts are
-            # idempotent bit sets.
-            if tail_ops is not None and store_covered == snapshot_records:
-                # Bloom and store snapshots were taken together, so the tail
-                # already scanned for the store is exactly the bloom's tail
-                # too -- one disk scan serves both.
-                for op, key, _value in tail_ops:
-                    if op == FileHashStore._OP_PUT:
-                        add_one(key)
-                        replayed += 1
-            else:
-                index = 0
-                for op, key, _value in FileHashStore.scan(self.container.path):
-                    if index >= snapshot_records and op == FileHashStore._OP_PUT:
-                        add_one(key)
-                        replayed += 1
-                    index += 1
+        try:
+            meta, payload = read_snapshot(self.snapshot_path)
+        except SnapshotError:
+            pass  # no/invalid image: fall back to cold replay
         else:
-            for key in self.container.keys():
-                add_one(key)
-                replayed += 1
-        if replayed:
-            bloom.count_inserts(replayed)
-        report.records = self.container.record_count
-        report.replayed = replayed
+            covered = int(meta.get("records", 0))
+            if (
+                meta.get("num_bits") == bloom.num_bits
+                and meta.get("num_hashes") == bloom.num_hashes
+                and covered <= self.records
+            ):
+                bloom.restore_payload(payload, int(meta.get("count", 0)))
+                snapshot_records = covered
+                report.snapshot_loaded = True
+                report.snapshot_bytes = len(payload)
+
+        store = node.store
+        # Puts logged after the image, for the bloom.  Removes are skipped
+        # (bloom bits cannot be unset); duplicate puts are idempotent.
+        tail: List[bytes] = []
+        index = 0
+        for op, keys, values, hashes in frames:
+            if op == OP_PUT:
+                store.fill_placed(keys, values, hashes)
+                if report.snapshot_loaded and index + len(keys) > snapshot_records:
+                    tail.extend(keys[max(snapshot_records - index, 0):])
+            else:
+                for key in keys:
+                    store.remove(key)
+            index += len(keys)
+        report.entries = len(store)
+        replay = tail if report.snapshot_loaded else list(store.keys())
+        bloom.add_many(replay)
+        report.replayed = len(replay)
         self.snapshot_records = snapshot_records
 
         if open_snapshot_intent:
             # A crash interrupted a snapshot between intent and done.  The
             # recovered state supersedes whatever was being written, so
             # re-take the snapshot now (idempotent: intent/done again).
-            self.take_snapshot(bloom, entries=entries, store=store)
+            self.take_snapshot(bloom, entries=report.entries)
             report.resumed_snapshot = True
 
         report.wall_seconds = time.perf_counter() - started

@@ -75,7 +75,7 @@ class ServeConfig:
     #: the nodes fully in memory (no durability, no warm restarts).
     data_dir: Optional[str] = None
     fsync: bool = False
-    #: Container records between automatic bloom+store snapshots (0 = off).
+    #: Log records between automatic bloom checkpoints (0 = off).
     snapshot_every: int = 100_000
     #: Max queued batches per worker before admission sheds.
     max_queue: int = 64
@@ -136,7 +136,7 @@ class _Worker:
     __slots__ = (
         "index", "node_id", "process", "pipe", "port", "pid", "reader", "writer",
         "queue", "pending", "ready", "restarts", "sent", "replies", "warm_starts",
-        "supervisor",
+        "recovery", "supervisor",
     )
 
     def __init__(self, index: int, node_id: str, max_queue: int) -> None:
@@ -159,6 +159,8 @@ class _Worker:
         self.sent = 0
         self.replies = 0
         self.warm_starts = 0
+        #: What the latest warm start replayed (the worker's ready report).
+        self.recovery: Optional[Dict[str, Any]] = None
         self.supervisor: Optional[asyncio.Task] = None
 
     def fail_outstanding(self, reply: Dict[str, Any]) -> int:
@@ -354,9 +356,14 @@ class ServiceGateway:
         worker.pid = int(ready["pid"])
         if ready.get("warm"):
             worker.warm_starts += 1
+            worker.recovery = {
+                key: ready.get(key, 0)
+                for key in ("records", "replayed", "truncated_bytes", "recovery_ms")
+            }
             self._log(
                 f"{spec.node_id} warm-started: {ready.get('entries', 0)} entries, "
-                f"store_snapshot={bool(ready.get('store_snapshot'))}"
+                "records={records} replayed={replayed} truncated_bytes={truncated_bytes} "
+                "recovery_ms={recovery_ms:.1f}".format(**worker.recovery)
             )
 
     async def _supervise(self, worker: _Worker) -> None:
@@ -667,6 +674,7 @@ class ServiceGateway:
                     "replies": worker.replies,
                     "restarts": worker.restarts,
                     "warm_starts": worker.warm_starts,
+                    "recovery": worker.recovery,
                 }
                 for worker in self.workers
             ],

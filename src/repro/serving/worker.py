@@ -8,8 +8,8 @@ pipe once the node is ready to serve -- *after* any warm-start recovery, so
 a respawned worker never acknowledges a batch before its shard is restored.
 
 Durability contract: the node's ``serve_bucket_verdicts`` persists new
-fingerprints to the PR-7 container log *before* returning, so a reply frame on the wire
-implies the acknowledged fingerprints survive a process kill.  That
+fingerprints to its fingerprint log *before* returning, so a reply frame on
+the wire implies the acknowledged fingerprints survive a process kill.  That
 ordering is what the loadgen's post-run audit (zero lost acknowledged
 fingerprints after ``kill -9`` + respawn) leans on.
 
@@ -122,6 +122,8 @@ def _stats(node: HybridHashNode) -> Dict[str, Any]:
     if persistence is not None:
         payload["persisted_records"] = persistence.records
         payload["snapshots_taken"] = persistence.snapshots_taken
+        payload["log_bytes"] = persistence.container.size
+        payload["last_snapshot_ms"] = persistence.last_snapshot_ms
     if node.last_recovery is not None:
         payload["recovery"] = node.last_recovery.to_dict()
     return payload
@@ -153,7 +155,7 @@ def _shutdown(node: HybridHashNode) -> None:
     persistence = node.persistence
     if persistence is not None:
         if persistence.records:
-            persistence.take_snapshot(node.bloom, entries=len(node.store), store=node.store)
+            persistence.take_snapshot(node.bloom, entries=len(node.store))
         persistence.close()
     # Detach from a shared-memory-backed filter while its views can still be
     # released in order (interpreter teardown would close the segment with
@@ -166,8 +168,9 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     """Process entry point: build the node, report readiness, serve forever.
 
     ``ready_conn`` is the gateway's end of a ``multiprocessing.Pipe``; the
-    worker sends ``{"port", "pid", "entries", "warm"}`` exactly once, after
-    recovery, and closes it.  Startup failures are reported over the same
+    worker sends ``{"port", "pid", "entries", "warm"}`` (plus ``records``,
+    ``replayed``, ``truncated_bytes`` and ``recovery_ms`` of a warm start)
+    exactly once, after recovery, and closes it.  Startup failures are reported over the same
     pipe as ``{"error": ...}`` so the gateway can raise a useful message
     instead of timing out.
     """
@@ -184,16 +187,21 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
         sys.exit(1)
 
     recovery = node.last_recovery
-    ready_conn.send(
-        {
-            "port": listener.getsockname()[1],
-            "pid": os.getpid(),
-            "entries": len(node.store),
-            "warm": recovery is not None,
-            "recovered_records": recovery.records if recovery is not None else 0,
-            "store_snapshot": bool(recovery is not None and recovery.store_snapshot_loaded),
-        }
-    )
+    ready = {
+        "port": listener.getsockname()[1],
+        "pid": os.getpid(),
+        "entries": len(node.store),
+        "warm": recovery is not None,
+    }
+    if recovery is not None:
+        # What the recovery did, for the gateway's respawn line and /stats.
+        ready.update(
+            records=recovery.records,
+            replayed=recovery.replayed,
+            truncated_bytes=recovery.truncated_bytes,
+            recovery_ms=recovery.wall_seconds * 1e3,
+        )
+    ready_conn.send(ready)
     ready_conn.close()
 
     while True:

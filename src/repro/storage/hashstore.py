@@ -23,9 +23,10 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["IOOperation", "SSDHashStore", "FileHashStore"]
+__all__ = ["IOOperation", "SSDHashStore", "FileHashStore", "placement_hashes"]
 
 #: Shared memo of the BLAKE2b-derived 64-bit placement hash.  The hash is a
 #: pure function of the key bytes and every store derives its bucket index
@@ -46,6 +47,15 @@ def _hash64(key: bytes) -> int:
         value = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
         _HASH64_MEMO[key] = value
     return value
+
+
+def placement_hashes(keys: Sequence[bytes]) -> List[int]:
+    """The placement hash of every key: one C-level pass over the memo when a
+    store has just placed them all (the logging path), BLAKE2b where not."""
+    try:
+        return list(map(_HASH64_MEMO.__getitem__, keys))
+    except KeyError:
+        return list(map(_hash64, keys))
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,8 +209,22 @@ class SSDHashStore:
             yield from bucket.items()
 
     def keys(self) -> Iterator[bytes]:
-        for key, _value in self.items():
-            yield key
+        return chain.from_iterable(self._buckets)
+
+    def fill_placed(self, keys: Sequence[bytes], values: Sequence[Any],
+                    hashes: Sequence[int]) -> None:
+        """Recovery's bulk :meth:`put` of entries logged with their placement hashes.
+
+        No key is re-hashed, and the write buffer is left alone: what the
+        log replays is already on flash.
+        """
+        buckets = map(self._buckets.__getitem__, map(self.num_buckets.__rmod__, hashes))
+        new = 0
+        for key, value, bucket in zip(keys, values, buckets):
+            if key not in bucket:
+                new += 1
+            bucket[key] = value
+        self._size += new
 
     # -- I/O cost model ------------------------------------------------------------------
     def lookup_io(self, key: bytes) -> List[IOOperation]:
@@ -298,79 +322,6 @@ class SSDHashStore:
         self.buffer_flushes += 1
         return [IOOperation("write", self.page_size, random_access=False) for _ in range(pages)]
 
-    # -- snapshots -----------------------------------------------------------------------
-    #
-    # The persistence layer checkpoints the whole store alongside the bloom
-    # snapshot so a restart skips the full container-log rebuild.  The
-    # payload records each entry's *bucket index* so restore can fill the
-    # bucket dicts directly -- no per-key BLAKE2b placement hash, which is
-    # the dominant cost of a cold store rebuild in a fresh process (the
-    # placement memo starts empty).  Values must be non-negative integers
-    # (chunk sizes -- what hash nodes store); a store holding anything else
-    # raises and the caller falls back to log replay.
-
-    _SNAP_HEADER = struct.Struct(">II")  # num_buckets, entry count
-    _SNAP_ENTRY = struct.Struct(">IBQ")  # bucket index, key length, value
-
-    def snapshot_payload(self) -> bytes:
-        """Serialise every entry with its bucket placement (see above)."""
-        parts = [self._SNAP_HEADER.pack(self.num_buckets, self._size)]
-        append = parts.append
-        pack = self._SNAP_ENTRY.pack
-        for bucket_index, bucket in enumerate(self._buckets):
-            for key, value in bucket.items():
-                append(pack(bucket_index, len(key), value))
-                append(key)
-        return b"".join(parts)
-
-    @classmethod
-    def decode_snapshot_payload(cls, payload: bytes) -> Tuple[int, List[Tuple[int, bytes, int]]]:
-        """Decode a payload into ``(num_buckets, [(bucket, key, value), ...])``."""
-        if len(payload) < cls._SNAP_HEADER.size:
-            raise ValueError("store snapshot payload too short")
-        num_buckets, count = cls._SNAP_HEADER.unpack_from(payload, 0)
-        offset = cls._SNAP_HEADER.size
-        entry = cls._SNAP_ENTRY
-        entry_size = entry.size
-        unpack_from = entry.unpack_from
-        entries: List[Tuple[int, bytes, int]] = []
-        append = entries.append
-        for _ in range(count):
-            if offset + entry_size > len(payload):
-                raise ValueError("store snapshot payload truncated")
-            bucket_index, key_len, value = unpack_from(payload, offset)
-            offset += entry_size
-            key = payload[offset:offset + key_len]
-            if len(key) != key_len:
-                raise ValueError("store snapshot payload truncated")
-            offset += key_len
-            append((bucket_index, key, value))
-        return num_buckets, entries
-
-    def restore_entries(
-        self, snapshot_buckets: int, entries: List[Tuple[int, bytes, int]]
-    ) -> int:
-        """Bulk-load decoded snapshot entries into an empty store.
-
-        With matching geometry the recorded bucket indexes are trusted and
-        the bucket dicts are filled directly; a geometry change re-places
-        every key through :meth:`put`.  Either way the write buffer ends
-        empty -- restored entries are already on flash.
-        """
-        if self._size:
-            raise ValueError("restore_entries requires an empty store")
-        if snapshot_buckets == self.num_buckets:
-            buckets = self._buckets
-            for bucket_index, key, value in entries:
-                buckets[bucket_index][key] = value
-            self._size = len(entries)
-        else:
-            put = self.put
-            for _bucket_index, key, value in entries:
-                put(key, value)
-        self._buffered_entries = 0
-        return self._size
-
     # -- reporting ----------------------------------------------------------------------
     def occupancy(self) -> float:
         """Mean entries per bucket divided by entries per page."""
@@ -405,18 +356,14 @@ class FileHashStore:
     and later appends cannot be misframed by leftover garbage.
     :meth:`compact` rewrites the log to drop overwritten and deleted records.
     This is the "really persistent" option for using the library outside the
-    simulator, and the container format behind the node persistence layer.
+    simulator (the CLI's chunk object store); a node's own fingerprints live
+    in the batch-framed :class:`~repro.storage.fplog.FingerprintLog`.
     """
 
     _OP_PUT = 1
     _OP_DELETE = 2
 
-    def __init__(
-        self,
-        path: str,
-        fsync: bool = False,
-        resume: Optional[Tuple[int, int, Dict[bytes, bytes]]] = None,
-    ) -> None:
+    def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
         self._index: Dict[bytes, bytes] = {}
@@ -427,25 +374,10 @@ class FileHashStore:
         #: Bytes dropped from the container tail during the last recovery
         #: (0 when the file ended on a clean record boundary).
         self.truncated_bytes = 0
-        #: Byte offset of the end of the last valid record -- the position a
-        #: snapshot records so a later open can resume parsing from there.
-        self.tail_bytes = 0
-        #: Whether this open skipped the log prefix thanks to ``resume``.
-        self.resumed = False
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         if os.path.exists(path):
-            # ``resume`` hands over the state a store snapshot captured:
-            # ``(byte_offset, record_count, index)`` as of the snapshot.
-            # Parsing then starts at ``byte_offset`` instead of 0, skipping
-            # the CRC scan of the already-covered prefix.  Offsets are only
-            # valid against the exact log they were taken from (this class
-            # never compacts under a resume caller); a log shorter than the
-            # offset means the snapshot is stale and triggers a full scan.
-            if resume is not None and self._recover_resumed(*resume):
-                self.resumed = True
-            else:
-                self._recover()
+            self._recover()
         self._log = open(path, "ab")
 
     # -- record framing --------------------------------------------------------------
@@ -473,18 +405,12 @@ class FileHashStore:
         return op, key, value, end
 
     @classmethod
-    def scan(cls, path: str, start_offset: int = 0) -> Iterator[Tuple[int, bytes, bytes]]:
+    def scan(cls, path: str) -> Iterator[Tuple[int, bytes, bytes]]:
         """Yield ``(op, key, value)`` container records in log order.
 
         Stops at the first torn or corrupt record, exactly like recovery.
-        Used by the persistence layer to replay the tail written after a
-        snapshot without materialising the whole index; ``start_offset``
-        (a byte position previously reported in :attr:`tail_bytes`) skips
-        straight to that tail without reading the prefix.
         """
         with open(path, "rb") as log:
-            if start_offset:
-                log.seek(start_offset)
             data = log.read()
         offset = 0
         while True:
@@ -509,52 +435,12 @@ class FileHashStore:
             else:
                 index.pop(key, None)
             self.record_count += 1
-        self.tail_bytes = offset
         if offset < len(data):
             # Torn or corrupt tail from a crash mid-append: truncate back to
             # the last valid record so the container ends on a clean boundary.
             self.truncated_bytes = len(data) - offset
             with open(self.path, "r+b") as log:
                 log.truncate(offset)
-
-    def _recover_resumed(
-        self, start_offset: int, base_records: int, index: Dict[bytes, bytes]
-    ) -> bool:
-        """Recover from a snapshot-provided prefix state; ``False`` = stale.
-
-        The caller's snapshot covered ``base_records`` records ending at
-        byte ``start_offset`` and its live index was ``index``; only the
-        tail appended after that is parsed (and CRC-checked) here.  Torn
-        tails truncate exactly as in :meth:`_recover`.  Returns ``False``
-        without touching any state when the log is shorter than the
-        claimed offset (stale snapshot -> full scan).
-        """
-        if start_offset < 0 or base_records < 0:
-            return False
-        if os.path.getsize(self.path) < start_offset:
-            return False
-        with open(self.path, "rb") as log:
-            log.seek(start_offset)
-            data = log.read()
-        self._index = dict(index)
-        self.record_count = base_records
-        offset = 0
-        while True:
-            parsed = self._parse(data, offset)
-            if parsed is None:
-                break
-            op, key, value, offset = parsed
-            if op == self._OP_PUT:
-                self._index[key] = value
-            else:
-                self._index.pop(key, None)
-            self.record_count += 1
-        self.tail_bytes = start_offset + offset
-        if offset < len(data):
-            self.truncated_bytes = len(data) - offset
-            with open(self.path, "r+b") as log:
-                log.truncate(start_offset + offset)
-        return True
 
     def _sync(self) -> None:
         self._log.flush()
@@ -573,7 +459,6 @@ class FileHashStore:
         self._sync()
         self._index[key] = value
         self.record_count += 1
-        self.tail_bytes += len(record)
 
     def put_many(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
         """Append a batch of puts with a single flush; returns the batch size."""
@@ -595,7 +480,6 @@ class FileHashStore:
             self._log.write(blob)
             self._sync()
             self.record_count += count
-            self.tail_bytes += len(blob)
         return count
 
     def get(self, key: bytes, default: Optional[bytes] = None) -> Optional[bytes]:
@@ -615,7 +499,6 @@ class FileHashStore:
         self._sync()
         del self._index[key]
         self.record_count += 1
-        self.tail_bytes += len(record)
         return True
 
     def __contains__(self, key: bytes) -> bool:
@@ -633,17 +516,11 @@ class FileHashStore:
         return iter(list(self._index.items()))
 
     def compact(self) -> None:
-        """Rewrite the log keeping only live records.
-
-        Compaction invalidates any byte offsets recorded by earlier
-        snapshots (the resume contract); the node persistence layer never
-        compacts its container for exactly this reason.
-        """
+        """Rewrite the log keeping only live records."""
         temp_path = self.path + ".compact"
-        written = 0
         with open(temp_path, "wb") as temp:
             for key, value in self._index.items():
-                written += temp.write(self._encode(self._OP_PUT, key, value))
+                temp.write(self._encode(self._OP_PUT, key, value))
             temp.flush()
             if self.fsync:
                 os.fsync(temp.fileno())
@@ -651,7 +528,6 @@ class FileHashStore:
         os.replace(temp_path, self.path)
         self._log = open(self.path, "ab")
         self.record_count = len(self._index)
-        self.tail_bytes = written
 
     def close(self) -> None:
         """Flush and close the underlying log file."""

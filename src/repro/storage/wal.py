@@ -3,8 +3,8 @@
 The simulated cluster does not strictly need durability, but the library is
 also usable as a real dedup index; the WAL gives the cluster-side membership
 and replication extensions (DESIGN.md ablation C) a recoverable record of
-configuration changes, and the :class:`~repro.storage.hashstore.FileHashStore`
-a generic journalling primitive.
+configuration changes, and the node persistence layer its checkpoint
+intent/done records.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from repro.core.persistence import NodePersistence, PersistencePolicy
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.simulation.costmodel import CostModel
 from repro.storage.bloom import BloomFilter
+from repro.storage.fplog import OP_PUT, OP_REMOVE, FingerprintLog, LogFormatError
+from repro.storage.hashstore import FileHashStore, placement_hashes
 from repro.storage.snapshot import SnapshotError, read_snapshot, write_snapshot
 
 NODE_CONFIG = HashNodeConfig(
@@ -114,6 +116,124 @@ class TestBloomSnapshotPayload:
         assert b"key" in bloom
 
 
+# --------------------------------------------------------------- fingerprint log
+def _append_puts(log: FingerprintLog, keys) -> None:
+    log.append(OP_PUT, keys, [len(key) for key in keys], placement_hashes(keys))
+
+
+def _replayed(log: FingerprintLog):
+    return [(op, list(keys), list(values), list(hashes))
+            for op, keys, values, hashes in log.replay()]
+
+
+class TestFingerprintLogFile:
+    """Whose file it is comes before what is wrong with it."""
+
+    def test_zero_length_file_is_a_fresh_log(self, tmp_path):
+        path = str(tmp_path / "containers.log")
+        open(path, "wb").close()
+        log = FingerprintLog(path)
+        assert (log.records, log.truncated_bytes) == (0, 0)
+        _append_puts(log, [b"k" * 20])
+        log.close()
+        reopened = FingerprintLog(path)
+        assert (reopened.records, reopened.truncated_bytes) == (1, 0)
+        assert reopened.size == os.path.getsize(path)
+        reopened.close()
+
+    def test_legacy_per_record_container_is_refused_untouched(self, tmp_path):
+        path = str(tmp_path / "containers.log")
+        with FileHashStore(path) as legacy:
+            legacy.put(b"k" * 20, b"\x00" * 8)
+        before = open(path, "rb").read()
+        with pytest.raises(LogFormatError, match="per-record FileHashStore container"):
+            NodePersistence(str(tmp_path))
+        assert open(path, "rb").read() == before
+
+    def test_foreign_file_is_refused_untouched(self, tmp_path):
+        path = str(tmp_path / "containers.log")
+        open(path, "wb").write(b"not ours at all")
+        with pytest.raises(LogFormatError, match="foreign file starting b'not ours'"):
+            FingerprintLog(path)
+        assert open(path, "rb").read() == b"not ours at all"
+
+    def test_newer_version_is_refused_untouched(self, tmp_path):
+        path = str(tmp_path / "containers.log")
+        log = FingerprintLog(path)
+        _append_puts(log, [b"k" * 20])
+        log.close()
+        blob = bytearray(open(path, "rb").read())
+        blob[7] = 2
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(LogFormatError, match="version 2 .this build reads 1"):
+            FingerprintLog(path)
+        assert open(path, "rb").read() == bytes(blob)
+
+    def test_mixed_key_lengths_and_removes_roundtrip(self, tmp_path):
+        path = str(tmp_path / "containers.log")
+        keys = [b"a" * 20, b"b" * 20, b"short", b"", b"c" * 20]
+        log = FingerprintLog(path)
+        _append_puts(log, keys)
+        log.append(OP_REMOVE, [b"short", b"b" * 20])
+        assert log.records == 7
+        log.close()
+        reopened = FingerprintLog(path)
+        assert reopened.records == 7
+        frames = _replayed(reopened)
+        # One frame per run of equal-length keys, in log order.
+        assert [(op, frame_keys) for op, frame_keys, _v, _h in frames] == [
+            (OP_PUT, keys[:2]), (OP_PUT, [b"short"]), (OP_PUT, [b""]), (OP_PUT, keys[4:]),
+            (OP_REMOVE, [b"short"]), (OP_REMOVE, [b"b" * 20]),
+        ]
+        assert [values for _op, _k, values, _h in frames[:4]] == [[20, 20], [5], [0], [20]]
+        assert frames[0][3] == placement_hashes(keys[:2])
+        reopened.close()
+
+    def test_cut_at_every_byte_of_the_last_frame(self, tmp_path):
+        source = str(tmp_path / "whole.log")
+        log = FingerprintLog(source)
+        _append_puts(log, [bytes([i]) * 20 for i in range(3)])
+        log.append(OP_REMOVE, [bytes([1]) * 20])
+        boundary = log.size
+        _append_puts(log, [bytes([i]) * 20 for i in range(10, 14)])
+        log.close()
+        whole = open(source, "rb").read()
+        log = FingerprintLog(source)
+        survivors = _replayed(log)[:-1]
+        log.close()
+        path = str(tmp_path / "cut.log")
+        for cut in range(boundary, len(whole)):
+            open(path, "wb").write(whole[:cut])
+            torn = FingerprintLog(path)
+            assert torn.truncated_bytes == cut - boundary
+            assert torn.records == 4 and _replayed(torn) == survivors
+            # The next append lands on the frame boundary ...
+            assert os.path.getsize(path) == torn.size == boundary
+            _append_puts(torn, [b"z" * 20])
+            torn.close()
+            # ... so a second open is clean.
+            again = FingerprintLog(path)
+            assert (again.truncated_bytes, again.records) == (0, 5)
+            assert _replayed(again)[:-1] == survivors
+            again.close()
+
+    @pytest.mark.parametrize("count", [5, 1 << 20, (1 << 32) - 1])
+    def test_count_beyond_the_file_is_a_torn_frame_not_an_allocation(self, tmp_path, count):
+        import struct
+
+        path = str(tmp_path / "containers.log")
+        log = FingerprintLog(path)
+        _append_puts(log, [b"k" * 20])
+        boundary = log.size
+        log.close()
+        with open(path, "ab") as raw:
+            raw.write(struct.pack("<BIII", OP_PUT, 20, count, 0) + b"x" * 100)
+        torn = FingerprintLog(path)
+        assert torn.truncated_bytes == 13 + 100
+        assert torn.records == 1 and torn.size == boundary
+        torn.close()
+
+
 # ------------------------------------------------------------- node persistence
 def _fresh_node(persistence=None) -> HybridHashNode:
     return HybridHashNode("node-0", config=NODE_CONFIG, persistence=persistence)
@@ -172,6 +292,48 @@ class TestNodePersistence:
             bloom = BloomFilter(expected_items=64)
             persistence.take_snapshot(bloom)
             assert not persistence.snapshot_due()
+
+    @pytest.mark.parametrize("entries", [10, 3_000])
+    def test_take_snapshot_is_constant_in_shard_size(self, tmp_path, entries):
+        directory = str(tmp_path / "node-0")
+        node = _fresh_node(NodePersistence(directory))
+        node.lookup_batch([synthetic_fingerprint(i) for i in range(entries)])
+        assert len(node.store) == entries
+        persistence = node.persistence
+        sizes_before = {name: os.path.getsize(os.path.join(directory, name))
+                        for name in os.listdir(directory)}
+        persistence.take_snapshot(node.bloom, entries=entries, store=node.store)
+        # Exactly the three files: no staging residue, no store image.
+        assert sorted(os.listdir(directory)) == ["bloom.snap", "containers.log", "wal.log"]
+        written = sum(os.path.getsize(os.path.join(directory, name)) - sizes_before.get(name, 0)
+                      for name in os.listdir(directory))
+        # The bloom image, its metadata and two WAL records -- whatever
+        # len(store) is (the slack is JSON digits, not entries).
+        assert 0 < written - len(node.bloom.snapshot_payload()) < 400
+        assert persistence.last_snapshot_ms > 0
+        persistence.close()
+
+    def test_image_ahead_of_the_log_falls_back_to_cold_replay(self, tmp_path):
+        directory = str(tmp_path / "node-0")
+        fingerprints = [synthetic_fingerprint(i) for i in range(20)]
+        bloom = BloomFilter(
+            expected_items=NODE_CONFIG.bloom_expected_items,
+            false_positive_rate=NODE_CONFIG.bloom_false_positive_rate,
+        )
+        with NodePersistence(directory) as persistence:
+            for fingerprint in fingerprints:
+                persistence.log_insert(fingerprint.digest, fingerprint.chunk_size)
+            persistence.take_snapshot(bloom, entries=20)
+            size = persistence.container.size
+        # Lose the last frame: the image now claims more records than exist.
+        with open(os.path.join(directory, "containers.log"), "r+b") as log:
+            log.truncate(size - 1)
+        node = _fresh_node()
+        with NodePersistence(directory) as persistence:
+            report = persistence.recover_into(node)
+        assert not report.snapshot_loaded and report.truncated_bytes > 0
+        assert report.entries == report.replayed == 19
+        assert all(f.digest in node.bloom for f in fingerprints[:19])
 
     def test_crash_between_intent_and_done_resumes_snapshot(self, tmp_path):
         directory = str(tmp_path / "node-0")

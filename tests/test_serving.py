@@ -358,13 +358,20 @@ def test_worker_kill_respawns_with_zero_lost_acks(tmp_path):
                 kill_node="node1",
                 kill_after_fraction=0.25,
             ))
+            stats = gateway.stats()
         finally:
             await gateway.close()
-        return report
+        return report, stats
 
-    report = asyncio.run(_go())
+    report, stats = asyncio.run(_go())
     assert report.kills_sent == 1
     assert report.worker_restarts >= 1
+    # The respawned worker says what its recovery did; the other never recovered.
+    survivor, respawned = stats["workers"]
+    assert survivor["recovery"] is None
+    assert set(respawned["recovery"]) == {"records", "replayed", "truncated_bytes", "recovery_ms"}
+    assert respawned["recovery"]["records"] > 0 and respawned["recovery"]["recovery_ms"] > 0
+    assert respawned["recovery"]["truncated_bytes"] == 0
     # The contract under fire: a fingerprint the service acknowledged is
     # still a duplicate on re-lookup after its shard was SIGKILLed.
     assert report.audited and report.lost_acknowledged == 0
@@ -398,6 +405,24 @@ def test_shed_on_overload_replies_overloaded():
     # Every offered batch is accounted for: acked or (after bounded
     # retries / the no-retry burst) failed -- none vanish into the queue.
     assert report.acked_batches + report.failed_batches == report.offered_batches
+
+
+def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
+    from repro.core.digest_batch import DigestBatch
+    from repro.serving.worker import WorkerSpec, _shutdown, _stats
+
+    spec = WorkerSpec("node0", {"bloom_expected_items": 4_096, "ssd_buckets": 256},
+                      persistence_dir=str(tmp_path / "node0"), snapshot_every=32)
+    node = spec.build_node()
+    node.serve_bucket_verdicts(DigestBatch.from_blob(os.urandom(20 * 40), 4096))
+    stats = _stats(node)
+    assert stats["persisted_records"] == 40 and stats["snapshots_taken"] == 1
+    assert stats["log_bytes"] == os.path.getsize(tmp_path / "node0" / "containers.log")
+    assert stats["last_snapshot_ms"] > 0
+    _shutdown(node)
+    # A second start is warm and its stats say what the recovery replayed.
+    recovery = _stats(spec.build_node())["recovery"]
+    assert (recovery["records"], recovery["replayed"], recovery["truncated_bytes"]) == (40, 0, 0)
 
 
 def test_graceful_drain_completes_inflight_and_leaves_warm_state(tmp_path):

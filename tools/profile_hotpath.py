@@ -16,6 +16,7 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py cluster    # one target
     PYTHONPATH=src python tools/profile_hotpath.py sweep --top 30
     PYTHONPATH=src python tools/profile_hotpath.py cluster --gc --requests 800000 --batch 2048
+    PYTHONPATH=src python tools/profile_hotpath.py persist --entries 240000
 
 ``cluster --gc`` adds the cyclic collector's account of the same path,
 measured with cProfile off on a caller shaped like ``bench/``'s
@@ -28,6 +29,14 @@ merge.  A full pass walks whatever the *caller* keeps alive, so its cost
 scales with ``--requests``; the pass *count* scales with what the batch path
 allocates per key.
 
+``persist`` is the write side of a first full backup on one node at
+``bench/``'s ``node_config`` (no cProfile): 128-key batches served and then
+logged, us per new fingerprint in ``log_insert_many``, ms per
+``take_snapshot`` at every 100k entries, disk bytes per fingerprint by file,
+and open + ``recover_into`` ms into a fresh node with the placement memo
+cleared (what a new process sees), asserting the recovered node equals the
+live one.  It calls public names only, so it runs on any commit since PR 7.
+
 Perf PRs should start from this data: optimise what is hot, pin what must
 stay byte-identical (see ``tests/test_routed_batch_equivalence.py``).
 """
@@ -37,9 +46,12 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import hashlib
+import os
 import pstats
 import random
 import sys
+import tempfile
 import time
 
 
@@ -221,6 +233,68 @@ def profile_sweep(top: int) -> None:
                  lambda: run_sweep(spec, grid), top)
 
 
+def persist_report(entries: int, batch_size: int = 128) -> None:
+    """Log, checkpoint, disk and recovery cost of one persistence-backed node."""
+    from repro.core.config import HashNodeConfig
+    from repro.core.digest_batch import DigestBatch
+    from repro.core.hash_node import HybridHashNode
+    from repro.core.persistence import NodePersistence
+    from repro.storage import hashstore
+
+    # bench/spec.py node_config(svc_unique) and CHUNK_SIZE.
+    config = HashNodeConfig.from_dict(
+        {"bloom_expected_items": 2_000_000, "ram_cache_entries": 1_000_000})
+    blobs = [
+        b"".join(hashlib.sha1(b"%d" % identity).digest()
+                 for identity in range(start, min(start + batch_size, entries)))
+        for start in range(0, entries, batch_size)
+    ]
+    print(f"=== persist: {entries} new fingerprints, {batch_size}-key batches ===")
+    with tempfile.TemporaryDirectory(prefix="profile-persist-") as directory:
+        log = NodePersistence(directory, fsync=False)
+        node = HybridHashNode("node0", config)
+        log_s = 0.0
+        next_snapshot = 100_000
+        for blob in blobs:
+            _tiers, _times, new_pairs = node.serve_bucket_verdicts(DigestBatch.from_blob(blob, 8192))
+            start = time.perf_counter()
+            log.log_insert_many(new_pairs)
+            log_s += time.perf_counter() - start
+            if len(node.store) >= next_snapshot:
+                start = time.perf_counter()
+                log.take_snapshot(node.bloom, entries=len(node.store), store=node.store)
+                print(f"take_snapshot at {len(node.store):>8,} entries: "
+                      f"{(time.perf_counter() - start) * 1e3:7.1f} ms")
+                next_snapshot += 100_000
+        print(f"log_insert_many: {log_s / entries * 1e6:.3f} us per new fingerprint")
+        log.close()
+        total = 0
+        for name in sorted(os.listdir(directory)):
+            size = os.path.getsize(os.path.join(directory, name))
+            total += size
+            print(f"  {name:<16} {size:>12,} B  {size / entries:7.2f} B/fp")
+        print(f"  {'total':<16} {total:>12,} B  {total / entries:7.2f} B/fp")
+
+        hashstore._HASH64_MEMO.clear()  # a new process starts without it
+        start = time.perf_counter()
+        reopened = NodePersistence(directory, fsync=False)
+        opened = time.perf_counter()
+        fresh = HybridHashNode("node0", config)
+        built = time.perf_counter()
+        report = reopened.recover_into(fresh)
+        done = time.perf_counter()
+        reopened.close()
+        open_ms, recover_ms = (opened - start) * 1e3, (done - built) * 1e3
+        print(f"open {open_ms:.1f} ms + recover_into {recover_ms:.1f} ms = "
+              f"{open_ms + recover_ms:.1f} ms  (replayed {report.replayed} of "
+              f"{report.records} records, bloom image loaded: {report.snapshot_loaded})")
+        assert dict(fresh.store.items()) == dict(node.store.items()), "recovered store differs"
+        assert fresh.bloom.snapshot_payload() == node.bloom.snapshot_payload(), \
+            "recovered bloom bits differ"
+        assert fresh.bloom.count == node.bloom.count, "recovered bloom count differs"
+        print("recovered node == live node (store entries, bloom bits and count)")
+
+
 def _profile_one(label: str, fn, top: int) -> None:
     print(f"=== {label} ===")
     profiler = cProfile.Profile()
@@ -234,7 +308,7 @@ def _profile_one(label: str, fn, top: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("target", nargs="?", default="all",
-                        choices=("all", "cluster", "sweep"))
+                        choices=("all", "cluster", "sweep", "persist"))
     parser.add_argument("--top", type=int, default=20,
                         help="how many functions to print (default 20)")
     parser.add_argument("--requests", type=int, default=16_000,
@@ -243,7 +317,12 @@ def main(argv=None) -> int:
                         help="fingerprints per lookup_batch call (default 128)")
     parser.add_argument("--gc", action="store_true",
                         help="cluster target: also report the cyclic collector's share")
+    parser.add_argument("--entries", type=int, default=240_000,
+                        help="persist target: new fingerprints on the node (default 240000)")
     args = parser.parse_args(argv)
+    if args.target == "persist":
+        persist_report(args.entries)
+        return 0
     if args.target in ("all", "cluster"):
         profile_cluster(args.top, args.requests, args.batch)
         if args.gc:
