@@ -18,7 +18,7 @@ The package is organised in layers:
     balancing policies.
 ``repro.dedup``
     Chunking (fixed and content-defined), SHA-1 fingerprints, chunk-index
-    interfaces and the client-side dedup pipeline.
+    interfaces and the directory archiver (the client-side dedup loop).
 ``repro.core``
     The paper's contribution: hybrid hash nodes, partitioners, the SHHC
     cluster, membership/rebalancing and replication.
@@ -51,7 +51,6 @@ True
 from .core.cluster import SHHCCluster
 from .core.config import ClusterConfig, HashNodeConfig
 from .core.hash_node import HybridHashNode
-from .dedup.pipeline import DedupPipeline
 from .frontend.gateway import BackupService, build_simulated_service
 from .scenarios import ScenarioSpec, SweepGrid, run_scenario, run_sweep, spec_for
 from .workloads.profiles import TABLE_I_PROFILES, WorkloadProfile
@@ -64,7 +63,6 @@ __all__ = [
     "ClusterConfig",
     "HashNodeConfig",
     "HybridHashNode",
-    "DedupPipeline",
     "BackupService",
     "build_simulated_service",
     "ScenarioSpec",

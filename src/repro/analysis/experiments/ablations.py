@@ -18,7 +18,7 @@ Three studies (see DESIGN.md, experiments "Ablation A/B/C"):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ...baselines.chunkstash import ChunkStashIndex
 from ...baselines.ddfs import DDFSIndex

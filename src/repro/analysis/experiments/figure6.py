@@ -11,7 +11,7 @@ much larger slice of the workload than the timing experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig

@@ -20,7 +20,6 @@ from .protocol import (
     BatchLookupReply,
     BatchLookupRequest,
     LookupReply,
-    LookupRequest,
     ServedFrom,
 )
 from .replication import ReplicaConsistencyReport, ReplicationController
@@ -51,7 +50,6 @@ __all__ = [
     "BatchLookupReply",
     "BatchLookupRequest",
     "LookupReply",
-    "LookupRequest",
     "ServedFrom",
     "ReplicaConsistencyReport",
     "ReplicationController",

@@ -5,7 +5,7 @@ offers the combined fingerprint store/lookup service of the paper:
 
 * As a **library** (immediate mode) it implements the
   :class:`~repro.dedup.index.ChunkIndex` interface, so it drops into the
-  dedup pipeline in place of a centralized index.
+  directory archiver in place of a centralized index.
 * As a **simulated deployment** it registers one RPC service per node on a
   :class:`~repro.network.rpc.RpcLayer`; web front-ends then send
   :class:`~repro.core.protocol.BatchLookupRequest` messages to individual
@@ -848,18 +848,6 @@ class SHHCCluster(ChunkIndex):
             # Resolved per call (not captured) so wrappers installed after
             # registration -- e.g. fault_injection.make_flaky -- take effect.
             target = self.nodes[node_id]
-            if self.sim is None:
-                try:
-                    reply = _finalize(
-                        BatchLookupReply(
-                            replies=target.lookup_batch(list(request.fingerprints)),
-                            node_id=node_id,
-                            batch_id=request.batch_id,
-                        )
-                    )
-                except NodeUnavailableError:
-                    reply = _failover_batch(request)
-                return reply, reply.payload_bytes
             try:
                 completion = target.serve_batch(request)
             except NodeUnavailableError:

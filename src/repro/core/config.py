@@ -10,7 +10,7 @@ device-level numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["HashNodeConfig", "ClusterConfig"]
 

@@ -31,7 +31,7 @@ importing it (no circular dependency: the cluster imports this module for
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 __all__ = [

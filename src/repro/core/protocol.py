@@ -18,7 +18,6 @@ from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint, column_builder
 
 __all__ = [
     "ServedFrom",
-    "LookupRequest",
     "LookupReply",
     "SERVED_FROM_TIER",
     "replies_from_tiers",
@@ -42,18 +41,6 @@ class ServedFrom(str, Enum):
     SSD = "ssd"
     NEW = "new"  # fingerprint was not present anywhere; inserted as unique
     REPAIR = "repair"  # serving node missed, but a replica held the fingerprint (read repair)
-
-
-@dataclass(frozen=True, slots=True)
-class LookupRequest:
-    """Query for a single fingerprint."""
-
-    fingerprint: Fingerprint
-    client_id: str = ""
-
-    @property
-    def payload_bytes(self) -> int:
-        return REQUEST_OVERHEAD_BYTES + FINGERPRINT_BYTES
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,4 @@
-"""Deduplication substrate: chunking, fingerprinting, indexes, pipelines."""
+"""Deduplication substrate: chunking, fingerprinting, indexes, directory archives."""
 
 from .archive import ArchiveStats, DirectoryArchiver, FileEntry, Snapshot
 from .chunking import Chunk, Chunker, ContentDefinedChunker, FixedSizeChunker
@@ -10,7 +10,6 @@ from .fingerprint import (
 )
 from .gear import GEAR_TABLE, GearChunker, gear_cut, gear_threshold
 from .index import ChunkIndex, ChunkLocation, InMemoryChunkIndex, LookupResult
-from .pipeline import BackupManifest, DedupPipeline, DedupStatistics
 from .rabin import RabinRollingHash
 from .segment import Segment, interleave_streams, locality_score, segment_stream
 
@@ -35,9 +34,6 @@ __all__ = [
     "ChunkLocation",
     "InMemoryChunkIndex",
     "LookupResult",
-    "BackupManifest",
-    "DedupPipeline",
-    "DedupStatistics",
     "RabinRollingHash",
     "Segment",
     "interleave_streams",

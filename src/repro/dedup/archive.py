@@ -1,4 +1,4 @@
-"""Directory-tree backup and restore on top of the dedup pipeline.
+"""Directory-tree backup and restore: the client-side dedup loop.
 
 The paper's Client Application "collects changes in local data" and backs up
 whole devices; this module provides that file-level workflow for the library:

@@ -3,7 +3,7 @@
 The *chunk index* answers "has this fingerprint been stored before, and if
 so where?".  SHHC's contribution is a distributed chunk index; the baselines
 are centralized ones.  Both sides implement :class:`ChunkIndex`, so the
-dedup pipeline, examples and experiments can swap them freely.
+directory archiver, examples and experiments can swap them freely.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..core.protocol import LookupReply
 from ..dedup.chunking import Chunker, FixedSizeChunker
 from ..dedup.fingerprint import Fingerprint, fingerprint_data
 from ..network.loadbalancer import LoadBalancer

@@ -15,7 +15,7 @@ scalability studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..core.cluster import SHHCCluster
 from ..core.config import ClusterConfig
@@ -196,7 +196,7 @@ def build_simulated_service(
     load_balancer = LoadBalancer(RoundRobinPolicy())
     web_servers: Dict[str, WebFrontEnd] = {}
     for server_id in topo.web_server_names:
-        server = WebFrontEnd(server_id, cluster, rpc=network.rpc, sim=sim)
+        server = WebFrontEnd(server_id, cluster, rpc=network.rpc)
         server.register()
         web_servers[server_id] = server
         load_balancer.add_backend(server_id)
@@ -225,6 +225,6 @@ def build_simulated_service(
         cluster=cluster,
         web_servers=web_servers,
         load_balancer=load_balancer,
-        object_store=CloudObjectStore(sim=sim),
+        object_store=CloudObjectStore(),
         extras=extras,
     )

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.cluster import SHHCCluster
-from ..core.protocol import BatchLookupReply, BatchLookupRequest, LookupReply
+from ..core.protocol import BatchLookupReply, LookupReply
 from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
 from ..network.rpc import RpcLayer
-from ..simulation.engine import Event, Simulator
+from ..simulation.engine import Event
 from ..simulation.stats import Counter, LatencyRecorder
 from .upload_plan import UploadPlan
 
@@ -82,13 +82,11 @@ class WebFrontEnd:
         server_id: str,
         cluster: SHHCCluster,
         rpc: Optional[RpcLayer] = None,
-        sim: Optional[Simulator] = None,
         per_request_overhead: float = 30e-6,
     ) -> None:
         self.server_id = server_id
         self.cluster = cluster
         self.rpc = rpc
-        self.sim = sim if sim is not None else (rpc.sim if rpc is not None else None)
         self.per_request_overhead = per_request_overhead
         self.counters = Counter()
         self.response_latency = LatencyRecorder(f"{server_id}.response_latency")
@@ -99,7 +97,7 @@ class WebFrontEnd:
         """Expose this web server as an RPC service on the fabric."""
         if self.rpc is None:
             raise RuntimeError("register() requires an RpcLayer")
-        self.rpc.register(self.server_id, self._handle_rpc)
+        self.rpc.register(self.server_id, self._handle_async)
 
     # -- immediate mode --------------------------------------------------------------------
     def handle_batch(self, request: ClientBatchRequest) -> ClientBatchResponse:
@@ -116,19 +114,13 @@ class WebFrontEnd:
         )
 
     # -- simulated mode ----------------------------------------------------------------------
-    def _handle_rpc(self, request: ClientBatchRequest):
-        if self.sim is None or self.rpc is None:
-            response = self.handle_batch(request)
-            return response, response.payload_bytes
-        return self._handle_async(request)
-
     def _handle_async(self, request: ClientBatchRequest) -> Event:
         """Fan the batch out to the owning hash nodes and gather the replies."""
-        assert self.sim is not None and self.rpc is not None
+        sim = self.rpc.sim
         self.counters.increment("requests")
         self.counters.increment("fingerprints", len(request.fingerprints))
-        started = self.sim.now
-        done = self.sim.event(f"{self.server_id}.response")
+        started = sim.now
+        done = sim.event(f"{self.server_id}.response")
         fingerprints = list(request.fingerprints)
 
         pending = {"count": 0}
@@ -152,7 +144,7 @@ class WebFrontEnd:
                 plan=plan,
                 request_id=request.request_id,
             )
-            self.response_latency.record(self.sim.now - started)
+            self.response_latency.record(sim.now - started)
             done.succeed((response, response.payload_bytes))
 
         def _dispatch() -> None:
@@ -181,7 +173,7 @@ class WebFrontEnd:
                 call.add_callback(_on_node_reply(positions))
 
         # Model the web server's own per-request processing before fan-out.
-        self.sim.schedule(self.per_request_overhead, _dispatch)
+        sim.schedule(self.per_request_overhead, _dispatch)
         return done
 
     # -- reporting ------------------------------------------------------------------------------

@@ -3,11 +3,8 @@
 from .link import DEFAULT_LINK_LATENCY, GIGABIT_BANDWIDTH, NetworkLink
 from .loadbalancer import (
     BalancingPolicy,
-    LeastConnectionsPolicy,
     LoadBalancer,
     RoundRobinPolicy,
-    SourceHashPolicy,
-    WeightedRoundRobinPolicy,
 )
 from .message import MESSAGE_HEADER_BYTES, Message
 from .rpc import RpcError, RpcLayer, ServiceUnavailableError
@@ -19,11 +16,8 @@ __all__ = [
     "GIGABIT_BANDWIDTH",
     "NetworkLink",
     "BalancingPolicy",
-    "LeastConnectionsPolicy",
     "LoadBalancer",
     "RoundRobinPolicy",
-    "SourceHashPolicy",
-    "WeightedRoundRobinPolicy",
     "MESSAGE_HEADER_BYTES",
     "Message",
     "RpcError",

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..simulation.engine import Event, SimulationError, Simulator
+from ..simulation.engine import Event, Simulator
 from ..simulation.resources import Resource
-from ..simulation.stats import Counter, LatencyRecorder
 from .message import Message
 
 __all__ = ["NetworkLink", "GIGABIT_BANDWIDTH", "DEFAULT_LINK_LATENCY"]
@@ -33,8 +32,7 @@ class NetworkLink:
     Parameters
     ----------
     sim:
-        Simulator (``None`` puts the link in immediate mode: deliveries are
-        accounted for but complete instantly -- used by functional tests).
+        Simulator the link schedules its deliveries on.
     latency:
         Propagation + switching latency per message, seconds.
     bandwidth:
@@ -45,7 +43,7 @@ class NetworkLink:
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
+        sim: Simulator,
         latency: float = DEFAULT_LINK_LATENCY,
         bandwidth: float = GIGABIT_BANDWIDTH,
         name: str = "link",
@@ -58,11 +56,9 @@ class NetworkLink:
         self.latency = latency
         self.bandwidth = bandwidth
         self.name = name
-        self.counters = Counter()
-        self.transfer_latency = LatencyRecorder(f"{name}.latency")
-        self._port: Optional[Resource] = (
-            Resource(sim, capacity=1, name=f"{name}.port") if sim else None
-        )
+        self.messages_sent = 0
+        self.bytes_sent = 0
+        self._port = Resource(sim, capacity=1, name=f"{name}.port")
 
     # -- cost model -----------------------------------------------------------------
     def transmission_time(self, wire_bytes: int) -> float:
@@ -80,17 +76,9 @@ class NetworkLink:
         ``on_delivery`` (if given) is invoked with the message at arrival
         time -- the usual way a receiving component hooks its input queue.
         """
-        self.counters.increment("messages")
-        self.counters.increment("bytes", message.wire_bytes)
+        self.messages_sent += 1
+        self.bytes_sent += message.wire_bytes
         service_time = self.total_time(message.wire_bytes)
-        self.transfer_latency.record(service_time)
-
-        if self.sim is None or self._port is None:
-            done = _immediate_event(message)
-            if on_delivery is not None:
-                on_delivery(message)
-            return done
-
         sim = self.sim
         done = sim.event(f"{self.name}.delivery")
         grant = self._port.request()
@@ -113,50 +101,11 @@ class NetworkLink:
         return done
 
     # -- reporting -----------------------------------------------------------------------
-    @property
-    def messages_sent(self) -> int:
-        return self.counters.get("messages")
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.counters.get("bytes")
-
     def stats(self) -> dict:
         return {
             "messages": self.messages_sent,
             "bytes": self.bytes_sent,
-            "mean_delivery_time": self.transfer_latency.mean if self.transfer_latency.count else 0.0,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NetworkLink {self.name} msgs={self.messages_sent}>"
-
-
-class _ImmediateEventSim:
-    """Zero-delay scheduler backing immediate-mode (``sim=None``) events.
-
-    :class:`~repro.simulation.engine.Event` needs a ``sim`` with a
-    ``schedule`` method so deferred callbacks added via ``add_callback``
-    after triggering can be dispatched.  In immediate mode there is no
-    clock, so this stub runs callbacks synchronously -- but only for a
-    zero delay.  It *honors* the delay argument by rejecting anything it
-    cannot model: a positive delay here would be silently collapsed to
-    "now", which is exactly the free-control-plane bug the cost model
-    exists to prevent.  Anything that needs real delays must run on a
-    :class:`~repro.simulation.engine.Simulator` (or charge a
-    :class:`~repro.simulation.costmodel.ControlPlaneLedger`).
-    """
-
-    def schedule(self, delay: float, callback, *args) -> None:
-        if delay > 0:
-            raise SimulationError(
-                "immediate-mode events cannot schedule a positive delay "
-                f"({delay!r}); use a Simulator for timed behaviour"
-            )
-        callback(*args)
-
-
-def _immediate_event(value) -> Event:
-    event = Event(sim=_ImmediateEventSim(), name="immediate")
-    event.succeed(value)
-    return event

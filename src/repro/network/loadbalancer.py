@@ -3,15 +3,13 @@
 The paper's architecture (Figure 2) fronts the web servers with an HTTP load
 balancer (HAProxy).  The cluster-facing behaviour we need from it is the
 assignment policy -- which web server handles which client request -- so this
-module implements the classic policies (round robin, least connections,
-weighted round robin, source hashing) behind one interface, plus a small
+module implements round robin behind a policy interface, plus a small
 ``LoadBalancer`` facade that tracks active connections and per-backend
 counters.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence
@@ -19,9 +17,6 @@ from typing import Dict, List, Optional, Sequence
 __all__ = [
     "BalancingPolicy",
     "RoundRobinPolicy",
-    "LeastConnectionsPolicy",
-    "WeightedRoundRobinPolicy",
-    "SourceHashPolicy",
     "LoadBalancer",
 ]
 
@@ -51,56 +46,6 @@ class RoundRobinPolicy(BalancingPolicy):
         return backends[next(self._counter) % len(backends)]
 
 
-class LeastConnectionsPolicy(BalancingPolicy):
-    """Pick the backend with the fewest active connections (ties: first)."""
-
-    def choose(self, backends, active_connections, source=None) -> str:
-        if not backends:
-            raise ValueError("no backends available")
-        return min(backends, key=lambda b: (active_connections.get(b, 0), backends.index(b)))
-
-
-class WeightedRoundRobinPolicy(BalancingPolicy):
-    """Round robin proportional to integer backend weights."""
-
-    def __init__(self, weights: Dict[str, int]) -> None:
-        if not weights or any(weight <= 0 for weight in weights.values()):
-            raise ValueError("weights must be positive integers")
-        self.weights = dict(weights)
-        self._schedule: List[str] = []
-        self._position = 0
-
-    def _build_schedule(self, backends: Sequence[str]) -> None:
-        self._schedule = []
-        for backend in backends:
-            self._schedule.extend([backend] * self.weights.get(backend, 1))
-
-    def choose(self, backends, active_connections, source=None) -> str:
-        if not backends:
-            raise ValueError("no backends available")
-        expected = []
-        for backend in backends:
-            expected.extend([backend] * self.weights.get(backend, 1))
-        if expected != self._schedule:
-            self._build_schedule(backends)
-            self._position = 0
-        backend = self._schedule[self._position % len(self._schedule)]
-        self._position += 1
-        return backend
-
-
-class SourceHashPolicy(BalancingPolicy):
-    """Stick each source to a backend by hashing its name (session affinity)."""
-
-    def choose(self, backends, active_connections, source=None) -> str:
-        if not backends:
-            raise ValueError("no backends available")
-        if source is None:
-            return backends[0]
-        digest = hashlib.sha256(source.encode("utf-8")).digest()
-        return backends[int.from_bytes(digest[:8], "big") % len(backends)]
-
-
 class LoadBalancer:
     """Tracks backends and active connections; delegates choice to a policy."""
 
@@ -119,12 +64,6 @@ class LoadBalancer:
         self._backends.append(backend)
         self._active.setdefault(backend, 0)
         self._assigned.setdefault(backend, 0)
-
-    def remove_backend(self, backend: str) -> None:
-        """Drain and remove a backend (new requests stop going to it)."""
-        if backend not in self._backends:
-            raise KeyError(f"backend {backend!r} is not registered")
-        self._backends.remove(backend)
 
     @property
     def backends(self) -> List[str]:
@@ -151,11 +90,3 @@ class LoadBalancer:
     def assignments(self) -> Dict[str, int]:
         """Total requests assigned per backend since start."""
         return dict(self._assigned)
-
-    def imbalance(self) -> float:
-        """Max/mean assignment ratio (1.0 means perfectly balanced)."""
-        counts = [self._assigned.get(b, 0) for b in self._backends]
-        if not counts or sum(counts) == 0:
-            return 1.0
-        mean = sum(counts) / len(counts)
-        return max(counts) / mean if mean else 1.0

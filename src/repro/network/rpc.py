@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Union
 
 from ..simulation.engine import Event, Simulator
-from ..simulation.stats import LatencyRecorder
 from .message import Message
 from .switch import NetworkSwitch
 
@@ -38,14 +37,13 @@ class ServiceUnavailableError(RpcError):
 class RpcLayer:
     """Thin RPC abstraction: named services, sized payloads, response routing."""
 
-    def __init__(self, switch: NetworkSwitch, sim: Optional[Simulator] = None) -> None:
+    def __init__(self, switch: NetworkSwitch, sim: Simulator) -> None:
         self.switch = switch
-        self.sim = sim if sim is not None else switch.sim
+        self.sim = sim
         self._services: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
         self._availability: Optional[Callable[[str], bool]] = None
         self.unavailable_calls = 0
-        self.call_latency = LatencyRecorder("rpc.call_latency")
 
     # -- registration -----------------------------------------------------------------
     def register(self, endpoint: str, handler: Handler) -> None:
@@ -68,9 +66,6 @@ class RpcLayer:
         if not self.switch.is_attached(endpoint):
             self.switch.attach(endpoint)
         self.switch.set_handler(endpoint, self._on_message)
-
-    def services(self) -> list:
-        return sorted(self._services)
 
     # -- fault injection --------------------------------------------------------------
     def set_availability(self, probe: Optional[Callable[[str], bool]]) -> None:
@@ -101,19 +96,13 @@ class RpcLayer:
             raise ServiceUnavailableError(f"service {destination!r} is down")
         if not self.switch.is_attached(source):
             self.register_client(source)
-        now = self.sim.now if self.sim is not None else 0.0
         request = Message(
             source=source,
             destination=destination,
             payload=payload,
             payload_bytes=payload_bytes,
-            created_at=now,
+            created_at=self.sim.now,
         )
-        if self.sim is None:
-            # Immediate mode: run the whole round trip synchronously.
-            response_payload = self._invoke_handler(destination, payload)
-            done = _immediate(response_payload)
-            return done
         completion = self.sim.event("rpc.response")
         self._pending[request.message_id] = completion
         self.switch.send(request)
@@ -141,41 +130,11 @@ class RpcLayer:
             response_payload, response_bytes = result
         else:
             response_payload, response_bytes = result, 64
-        now = self.sim.now if self.sim is not None else 0.0
-        response = request.reply(response_payload, response_bytes, created_at=now)
+        response = request.reply(response_payload, response_bytes, created_at=self.sim.now)
         self.switch.send(response)
 
     def _complete_call(self, message: Message) -> None:
         completion = self._pending.pop(message.reply_to, None)
         if completion is None:
             return
-        if self.sim is not None:
-            self.call_latency.record(self.sim.now - message.created_at if message.created_at else 0.0)
         completion.succeed(message.payload)
-
-    def _invoke_handler(self, destination: str, payload: Any) -> Any:
-        handler = self._services[destination]
-        result = handler(payload)
-        if isinstance(result, Event):
-            if not result.triggered:
-                raise RpcError("immediate-mode RPC requires synchronous handlers")
-            result = result.value
-        if isinstance(result, tuple) and len(result) == 2 and isinstance(result[1], int):
-            return result[0]
-        return result
-
-    @property
-    def pending_calls(self) -> int:
-        """Number of in-flight RPCs awaiting a response."""
-        return len(self._pending)
-
-
-class _ImmediateEventSim:
-    def schedule(self, _delay: float, callback, *args) -> None:
-        callback(*args)
-
-
-def _immediate(value: Any) -> Event:
-    event = Event(sim=_ImmediateEventSim(), name="rpc.immediate")
-    event.succeed(value)
-    return event

@@ -23,7 +23,7 @@ class NetworkSwitch:
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
+        sim: Simulator,
         latency: float = DEFAULT_LINK_LATENCY,
         bandwidth: float = GIGABIT_BANDWIDTH,
         name: str = "switch",
@@ -81,12 +81,7 @@ class NetworkSwitch:
         uplink = self._uplinks[source]
         downlink = self._downlinks[destination]
 
-        if self.sim is None:
-            uplink.send(message)
-            return downlink.send(message, self._handlers.get(destination))
-
-        sim = self.sim
-        done = sim.event(f"{self.name}.deliver")
+        done = self.sim.event(f"{self.name}.deliver")
 
         def _at_switch(_uplink_event: Event) -> None:
             second_leg = downlink.send(message, self._handlers.get(destination))

@@ -10,7 +10,7 @@ call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..simulation.engine import Simulator
 from .link import DEFAULT_LINK_LATENCY, GIGABIT_BANDWIDTH
@@ -59,7 +59,7 @@ class ClusterTopology:
         return self.client_names + self.web_server_names + self.hash_node_names
 
     # -- construction --------------------------------------------------------------------
-    def build_network(self, sim: Optional[Simulator] = None) -> "BuiltNetwork":
+    def build_network(self, sim: Simulator) -> "BuiltNetwork":
         """Create the switch and RPC layer with every endpoint attached."""
         switch = NetworkSwitch(
             sim=sim,

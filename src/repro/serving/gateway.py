@@ -51,7 +51,15 @@ from ..core.partition import RangePartitioner
 from ..simulation.stats import LatencyRecorder
 from ..storage.packing import DIGEST_BYTES, split_digests
 from ..storage.shm import unlink_segment
-from .wire import WireError, encode_batch_frame, encode_frame, get_codec, mask_bits, read_frame
+from .wire import (
+    MAX_FRAME_BYTES,
+    WireError,
+    encode_batch_frame,
+    encode_frame,
+    get_codec,
+    mask_bits,
+    read_frame,
+)
 from .worker import WorkerSpec, worker_main
 
 __all__ = ["ServeConfig", "ServiceGateway", "ServingError"]
@@ -449,11 +457,16 @@ class ServiceGateway:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         _no_nagle(writer)
+        # readexactly, not read: the first length prefix may arrive split
+        # across TCP segments, and read(4) returns as soon as one byte has.
         try:
-            sniff = await reader.read(4)
+            sniff = await reader.readexactly(4)
+        except asyncio.IncompleteReadError as error:
+            if error.partial:
+                self.protocol_errors += 1  # EOF inside the first header
+            writer.close()
+            return
         except (ConnectionError, OSError):
-            sniff = b""
-        if not sniff:
             writer.close()
             return
         if sniff == b"GET ":
@@ -504,7 +517,7 @@ class ServiceGateway:
                         raise WireError("connection closed mid-frame") from None
                 length = int.from_bytes(header, "big")
                 header = None
-                if length > 64 * 1024 * 1024:
+                if length > MAX_FRAME_BYTES:
                     raise WireError("oversized frame")
                 payload = await reader.readexactly(length)
                 message = codec.decode(payload)

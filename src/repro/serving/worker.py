@@ -114,7 +114,9 @@ def _stats(node: HybridHashNode) -> Dict[str, Any]:
         "ram_cached": len(node.cache),
         "kernel_backend": node.kernel_backend,
         "counters": node.counters.as_dict(),
-        "lookup_latency_us": {
+        # The node's *modelled* service time (cpu_per_lookup + the device
+        # cost model, the simulator's input), not a measured latency.
+        "modelled_service_us": {
             key: value * 1e6 if key not in ("count",) else value
             for key, value in latency.items()
         },

@@ -14,9 +14,10 @@ Example
 -------
 >>> sim = Simulator()
 >>> fired = []
->>> _ = sim.schedule(5.0, lambda: fired.append(sim.now))
->>> _ = sim.schedule(1.0, lambda: fired.append(sim.now))
+>>> sim.schedule(5.0, lambda: fired.append(sim.now))
+>>> sim.schedule(1.0, lambda: fired.append(sim.now))
 >>> sim.run()
+5.0
 >>> fired
 [1.0, 5.0]
 """
@@ -29,68 +30,13 @@ from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
     "Event",
-    "ScheduledEvent",
     "Simulator",
     "SimulationError",
-    "StopSimulation",
 ]
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation kernel is used incorrectly."""
-
-
-class StopSimulation(Exception):
-    """Raised by a callback to stop the simulation immediately."""
-
-
-class ScheduledEvent:
-    """A callback scheduled on the event calendar.
-
-    The calendar heap orders entries by ``(time, priority, sequence)`` so
-    events pop in simulated-time order with FIFO tie-breaking for events
-    scheduled at the same instant.
-    """
-
-    __slots__ = ("time", "priority", "sequence", "callback", "args", "cancelled", "sim", "_in_calendar")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        sequence: int,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.sim = sim
-        self._in_calendar = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when its time arrives.
-
-        Cancelling is idempotent and O(1): the entry stays in the calendar
-        heap (removing from a heap middle is O(n)) but is counted out of
-        ``Simulator.pending_events`` immediately and skipped -- or compacted
-        away wholesale -- before it would fire.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self.sim
-        if sim is not None and self._in_calendar:
-            sim._pending_count -= 1
-            sim._stale_count += 1
-            sim._maybe_compact()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ScheduledEvent t={self.time} cb={getattr(self.callback, '__name__', self.callback)!r}>"
 
 
 class Event:
@@ -195,27 +141,19 @@ class Simulator:
         how many consumers each one has.
     """
 
-    #: Compaction trigger: once at least this many cancelled entries linger in
-    #: the calendar *and* they outnumber the live ones, the heap is rebuilt.
-    COMPACTION_MIN_STALE = 512
-
     def __init__(self, start_time: float = 0.0, seed: int = 0) -> None:
         from .rng import RandomStreams  # local import: rng has no engine dependency
 
         self.seed = int(seed)
         self.streams = RandomStreams(self.seed)
         self._now = float(start_time)
-        # The calendar stores (time, priority, sequence, ScheduledEvent)
-        # tuples so heap comparisons are cheap tuple comparisons.
-        self._calendar: list[tuple[float, int, int, ScheduledEvent]] = []
+        # A heap of (time, priority, sequence, callback, args): events pop in
+        # simulated-time order, FIFO among equals.  ``sequence`` is unique, so
+        # a comparison never reaches the callback or its arguments.
+        self._calendar: list[tuple[float, int, int, Callable[..., Any], tuple]] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._running = False
-        # Live bookkeeping so pending_events is O(1) instead of an O(n) scan:
-        # _pending_count counts non-cancelled calendar entries, _stale_count
-        # the cancelled ones still occupying heap slots.
-        self._pending_count = 0
-        self._stale_count = 0
 
     # -- clock --------------------------------------------------------------
     @property
@@ -228,15 +166,6 @@ class Simulator:
         """Number of calendar events executed so far."""
         return self._events_processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of (non-cancelled) events still on the calendar.
-
-        Maintained as a live counter (monitors poll this every tick), so it
-        is O(1) rather than a scan of the calendar.
-        """
-        return self._pending_count
-
     # -- scheduling ---------------------------------------------------------
     def schedule(
         self,
@@ -244,27 +173,17 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> ScheduledEvent:
+    ) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        Returns the :class:`ScheduledEvent`, which may be cancelled before it
-        fires.  Negative delays are rejected: simulated time is monotonic.
+        Negative delays are rejected: simulated time is monotonic.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        sequence = next(self._sequence)
-        entry = ScheduledEvent(
-            time=self._now + delay,
-            priority=priority,
-            sequence=sequence,
-            callback=callback,
-            args=args,
-            sim=self,
+        heapq.heappush(
+            self._calendar,
+            (self._now + delay, priority, next(self._sequence), callback, args),
         )
-        entry._in_calendar = True
-        heapq.heappush(self._calendar, (entry.time, priority, sequence, entry))
-        self._pending_count += 1
-        return entry
 
     def schedule_at(
         self,
@@ -272,9 +191,9 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> ScheduledEvent:
+    ) -> None:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        return self.schedule(time - self._now, callback, *args, priority=priority)
+        self.schedule(time - self._now, callback, *args, priority=priority)
 
     def event(self, name: str = "") -> Event:
         """Create a new pending :class:`Event` bound to this simulator."""
@@ -287,43 +206,6 @@ class Simulator:
         return event
 
     # -- execution ----------------------------------------------------------
-    def _maybe_compact(self) -> None:
-        """Rebuild the calendar heap when cancelled entries dominate it.
-
-        Keeps heap operations O(log live) under cancel-heavy workloads
-        (timeout races cancel most of what they schedule).  The rebuild is
-        in place (slice assignment) because ``run`` holds a local alias to
-        the calendar list.
-        """
-        calendar = self._calendar
-        if self._stale_count < self.COMPACTION_MIN_STALE or self._stale_count * 2 < len(calendar):
-            return
-        live = [item for item in calendar if not item[3].cancelled]
-        for item in calendar:
-            if item[3].cancelled:
-                item[3]._in_calendar = False
-        calendar[:] = live
-        heapq.heapify(calendar)
-        self._stale_count = 0
-
-    def step(self) -> bool:
-        """Execute the next calendar event.  Returns ``False`` if none left."""
-        calendar = self._calendar
-        while calendar:
-            time, _priority, _sequence, entry = heapq.heappop(calendar)
-            entry._in_calendar = False
-            if entry.cancelled:
-                self._stale_count -= 1
-                continue
-            self._pending_count -= 1
-            if time < self._now:
-                raise SimulationError("event calendar corrupted: time went backwards")
-            self._now = time
-            self._events_processed += 1
-            entry.callback(*entry.args)
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the simulation.
 
@@ -338,11 +220,9 @@ class Simulator:
         Returns the simulated time at which the run stopped.
 
         This is the simulation's hottest loop (a figure-5 run pops millions
-        of events), so the pop/dispatch sequence from :meth:`step` is
-        inlined here with the heap and ``heappop`` bound to locals.
-        Callbacks may mutate the calendar, but always through ``schedule`` /
-        ``cancel`` / ``_maybe_compact``, all of which keep the same list
-        object -- the local alias stays valid.
+        of events), so the heap and ``heappop`` are bound to locals.
+        Callbacks add to the calendar only through ``schedule``, which
+        pushes onto the same list object -- the local alias stays valid.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -352,37 +232,24 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while calendar:
-                time, _priority, _sequence, entry = calendar[0]
-                if entry.cancelled:
-                    heappop(calendar)
-                    entry._in_calendar = False
-                    self._stale_count -= 1
-                    continue
+                time, _priority, _sequence, callback, args = calendar[0]
                 if until is not None and time > until:
                     self._now = max(self._now, until)
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 heappop(calendar)
-                entry._in_calendar = False
-                self._pending_count -= 1
                 if time < self._now:
                     raise SimulationError("event calendar corrupted: time went backwards")
                 self._now = time
                 self._events_processed += 1
-                entry.callback(*entry.args)
+                callback(*args)
                 executed += 1
-        except StopSimulation:
-            pass
         finally:
             self._running = False
         if until is not None and not calendar:
             self._now = max(self._now, until)
         return self._now
-
-    def run_until_empty(self, max_events: int = 50_000_000) -> float:
-        """Run until the calendar drains (with a defensive event cap)."""
-        return self.run(max_events=max_events)
 
     # -- composition helpers -------------------------------------------------
     def all_of(self, events: Iterable[Event], name: str = "all_of") -> Event:
@@ -433,4 +300,4 @@ class Simulator:
         return combined
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self._now:.6f} pending={self.pending_events}>"
+        return f"<Simulator now={self._now:.6f} pending={len(self._calendar)}>"

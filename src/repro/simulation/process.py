@@ -31,13 +31,9 @@ from typing import Any, Generator, Optional, Union
 
 from .engine import Event, SimulationError, Simulator
 
-__all__ = ["Process", "ProcessKilled", "run_process"]
+__all__ = ["Process", "run_process"]
 
 Yieldable = Union[Event, float, int]
-
-
-class ProcessKilled(Exception):
-    """Injected into a process generator when :meth:`Process.kill` is called."""
 
 
 class Process(Event):
@@ -53,8 +49,6 @@ class Process(Event):
         if not hasattr(generator, "send"):
             raise TypeError("Process requires a generator (did you call the function?)")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        self._killed = False
         # Kick off the process at the current simulated instant.
         sim.schedule(0.0, self._resume, None, None)
 
@@ -64,24 +58,8 @@ class Process(Event):
         """Whether the process has not yet finished."""
         return not self.triggered
 
-    def kill(self, reason: str = "killed") -> None:
-        """Terminate the process by throwing :class:`ProcessKilled` into it."""
-        if self.triggered or self._killed:
-            return
-        self._killed = True
-        self.sim.schedule(0.0, self._resume, None, ProcessKilled(reason))
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Interrupt the process: its current wait raises :class:`Interrupt`."""
-        if self.triggered:
-            return
-        self.sim.schedule(0.0, self._resume, None, Interrupt(cause))
-
     # -- internal machinery ---------------------------------------------------
     def _resume(self, value: Any, exception: Optional[BaseException]) -> None:
-        if self.triggered:
-            return
-        self._waiting_on = None
         try:
             if exception is not None:
                 target = self._generator.throw(exception)
@@ -89,9 +67,6 @@ class Process(Event):
                 target = self._generator.send(value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except ProcessKilled:
-            self.succeed(None)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via the event
             self.fail(exc)
@@ -102,7 +77,7 @@ class Process(Event):
             self._generator.close()
             self.fail(exc)
             return
-        self._wait_for(event)
+        event.add_callback(self._on_event)
 
     def _coerce(self, target: Yieldable) -> Event:
         if isinstance(target, Event):
@@ -113,29 +88,11 @@ class Process(Event):
             f"process {self.name!r} yielded {target!r}; expected an Event or a delay"
         )
 
-    def _wait_for(self, event: Event) -> None:
-        self._waiting_on = event
-        event.add_callback(self._on_event)
-
     def _on_event(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event is not self._waiting_on:
-            # A stale callback from an event we no longer wait on (e.g. after
-            # an interrupt); ignore it.
-            return
         if event.exception is not None:
             self._resume(None, event.exception)
         else:
             self._resume(event.value, None)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 def run_process(sim: Simulator, generator: Generator[Yieldable, Any, Any], name: str = "") -> Process:

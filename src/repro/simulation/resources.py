@@ -1,27 +1,21 @@
-"""Shared resources for simulated processes.
+"""The shared resource simulated processes queue on.
 
-Three primitives cover the queueing behaviour the SHHC models need:
-
-* :class:`Resource` -- a counted resource (e.g. a device that can serve
-  ``capacity`` concurrent operations).  Requests queue FIFO (or by priority).
-* :class:`Store` -- an unbounded or bounded FIFO buffer of items, used for
-  message queues between simulated components.
-* :class:`Container` -- a continuous quantity (e.g. bytes of free cache).
-
-All waiting is expressed through :class:`~repro.simulation.engine.Event`
-objects, so these primitives compose with processes naturally.
+:class:`Resource` is a counted resource (a device that can serve
+``capacity`` concurrent operations, a link port, a node's CPU).  Requests
+queue FIFO (or by priority).  Waiting is expressed through
+:class:`~repro.simulation.engine.Event` objects, so it composes with
+processes naturally.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import List, Tuple
 
 from .engine import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "Container"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -42,227 +36,29 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._queue: List[Tuple[int, int, Event, Callable[[], None]]] = []
+        self._queue: List[Tuple[int, int, Event]] = []
         self._sequence = itertools.count()
-        # -- statistics
-        self.total_requests = 0
-        self.total_wait_time = 0.0
-        self._busy_time = 0.0
-        self._last_change = sim.now
-
-    # -- introspection -------------------------------------------------------
-    @property
-    def in_use(self) -> int:
-        """Number of slots currently held."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._queue)
-
-    def utilization(self) -> float:
-        """Fraction of elapsed simulated time the resource was busy (any slot)."""
-        self._accumulate()
-        elapsed = self.sim.now
-        return self._busy_time / elapsed if elapsed > 0 else 0.0
-
-    def mean_wait(self) -> float:
-        """Mean queueing delay across all granted requests."""
-        granted = self.total_requests - len(self._queue)
-        return self.total_wait_time / granted if granted > 0 else 0.0
 
     # -- operations -----------------------------------------------------------
     def request(self, priority: int = 0) -> Event:
         """Ask for a slot.  The returned event succeeds when the slot is granted."""
-        self.total_requests += 1
         grant = self.sim.event(f"{self.name}.grant")
-        requested_at = self.sim.now
-
-        def _grant_now() -> None:
-            self.total_wait_time += self.sim.now - requested_at
-            self._accumulate()
+        if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             grant.succeed(self)
-
-        if self._in_use < self.capacity and not self._queue:
-            _grant_now()
         else:
-            heapq.heappush(self._queue, (priority, next(self._sequence), grant, _grant_now))
+            heapq.heappush(self._queue, (priority, next(self._sequence), grant))
         return grant
 
     def release(self) -> None:
         """Return a slot, waking the next queued request if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        self._accumulate()
         self._in_use -= 1
         while self._queue:
-            _priority, _seq, grant, grant_now = heapq.heappop(self._queue)
+            _priority, _seq, grant = heapq.heappop(self._queue)
             if grant.triggered:  # cancelled externally
                 continue
-            grant_now()
+            self._in_use += 1
+            grant.succeed(self)
             break
-
-    def _accumulate(self) -> None:
-        now = self.sim.now
-        if self._in_use > 0:
-            self._busy_time += now - self._last_change
-        self._last_change = now
-
-
-class Store:
-    """A FIFO buffer of items with optional capacity.
-
-    ``put`` blocks (queues) when full; ``get`` blocks when empty.
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "store") -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
-        self.total_put = 0
-        self.total_get = 0
-
-    # -- introspection -------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
-    @property
-    def waiting_putters(self) -> int:
-        return len(self._putters)
-
-    # -- operations -----------------------------------------------------------
-    def put(self, item: Any) -> Event:
-        """Insert ``item``.  Returns an event that succeeds once stored."""
-        done = self.sim.event(f"{self.name}.put")
-        if not self.is_full:
-            self._deposit(item)
-            done.succeed(item)
-        else:
-            self._putters.append((done, item))
-        return done
-
-    def get(self) -> Event:
-        """Remove the oldest item.  Returns an event succeeding with the item."""
-        done = self.sim.event(f"{self.name}.get")
-        if self._items:
-            done.succeed(self._withdraw())
-        else:
-            self._getters.append(done)
-        return done
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: return an item or ``None`` if empty."""
-        if self._items:
-            return self._withdraw()
-        return None
-
-    def peek(self) -> Optional[Any]:
-        """Return the oldest item without removing it (``None`` if empty)."""
-        return self._items[0] if self._items else None
-
-    def items(self) -> list:
-        """Snapshot of buffered items, oldest first."""
-        return list(self._items)
-
-    # -- internal -------------------------------------------------------------
-    def _deposit(self, item: Any) -> None:
-        self.total_put += 1
-        if self._getters:
-            getter = self._getters.popleft()
-            self.total_get += 1
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def _withdraw(self) -> Any:
-        item = self._items.popleft()
-        self.total_get += 1
-        # Space freed: admit a waiting putter, if any.
-        if self._putters and not self.is_full:
-            done, pending = self._putters.popleft()
-            self._deposit(pending)
-            done.succeed(pending)
-        return item
-
-
-class Container:
-    """A continuous quantity (bytes, tokens) with blocking put/get."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        initial: float = 0.0,
-        name: str = "container",
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= initial <= capacity:
-            raise ValueError("initial level must be within [0, capacity]")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._level = float(initial)
-        self._getters: Deque[Tuple[Event, float]] = deque()
-        self._putters: Deque[Tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; blocks while it would overflow capacity."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        done = self.sim.event(f"{self.name}.put")
-        self._putters.append((done, amount))
-        self._settle()
-        return done
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; blocks until that much is available."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        done = self.sim.event(f"{self.name}.get")
-        self._getters.append((done, amount))
-        self._settle()
-        return done
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                done, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    done.succeed(amount)
-                    progressed = True
-            if self._getters:
-                done, amount = self._getters[0]
-                if amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= amount
-                    done.succeed(amount)
-                    progressed = True

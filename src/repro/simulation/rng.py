@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, List, Sequence, TypeVar
+from typing import Dict
 
-__all__ = ["RandomStreams", "derive_seed", "exponential", "zipf_weights"]
-
-T = TypeVar("T")
+__all__ = ["RandomStreams", "derive_seed"]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -48,44 +46,3 @@ class RandomStreams:
         """Re-seed every existing stream back to its initial state."""
         for name in list(self._streams):
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
-
-
-def exponential(rng: random.Random, mean: float) -> float:
-    """Sample an exponential with the given mean (guarding mean == 0)."""
-    if mean <= 0:
-        return 0.0
-    return rng.expovariate(1.0 / mean)
-
-
-def zipf_weights(n: int, skew: float = 1.0) -> List[float]:
-    """Return normalised Zipf(``skew``) popularity weights for ``n`` items."""
-    if n <= 0:
-        return []
-    raw = [1.0 / (rank ** skew) for rank in range(1, n + 1)]
-    total = sum(raw)
-    return [w / total for w in raw]
-
-
-def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item according to ``weights`` (need not be normalised)."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    total = float(sum(weights))
-    if total <= 0:
-        return rng.choice(list(items))
-    target = rng.random() * total
-    cumulative = 0.0
-    for item, weight in zip(items, weights):
-        cumulative += weight
-        if target <= cumulative:
-            return item
-    return items[-1]
-
-
-def shuffled(rng: random.Random, items: Iterable[T]) -> List[T]:
-    """Return a new list with the items shuffled using ``rng``."""
-    result = list(items)
-    rng.shuffle(result)
-    return result

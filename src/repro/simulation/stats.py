@@ -12,13 +12,12 @@ import math
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 __all__ = [
     "SummaryStats",
     "ReservoirSample",
     "LatencyRecorder",
-    "TimeWeightedValue",
     "Counter",
     "percentile",
 ]
@@ -297,47 +296,6 @@ class LatencyRecorder:
         return result
 
 
-class TimeWeightedValue:
-    """Tracks the time-weighted average of a piecewise-constant value.
-
-    Used for queue lengths, cache occupancy, and device utilisation: call
-    :meth:`update` whenever the value changes, then :meth:`average` at the end
-    of the run.
-    """
-
-    def __init__(self, now: float = 0.0, initial: float = 0.0) -> None:
-        self._last_time = now
-        self._value = initial
-        self._area = 0.0
-        self._max = initial
-
-    def update(self, now: float, value: float) -> None:
-        """Record that the tracked quantity becomes ``value`` at time ``now``."""
-        if now < self._last_time:
-            raise ValueError("time must be monotonically non-decreasing")
-        self._area += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = value
-        if value > self._max:
-            self._max = value
-
-    @property
-    def current(self) -> float:
-        return self._value
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    def average(self, now: Optional[float] = None) -> float:
-        """Time-weighted mean up to ``now`` (default: last update time)."""
-        end = self._last_time if now is None else now
-        if end < self._last_time:
-            raise ValueError("time must be monotonically non-decreasing")
-        area = self._area + self._value * (end - self._last_time)
-        return area / end if end > 0 else self._value
-
-
 @dataclass
 class Counter:
     """A named group of monotonically increasing counters."""
@@ -361,21 +319,3 @@ class Counter:
         for name, value in other.values.items():
             merged.increment(name, value)
         return merged
-
-
-def histogram(values: Iterable[float], bins: int = 10) -> List[Tuple[float, float, int]]:
-    """Equal-width histogram; returns ``(low, high, count)`` per bin."""
-    data = sorted(values)
-    if not data:
-        return []
-    if bins <= 0:
-        raise ValueError("bins must be positive")
-    low, high = data[0], data[-1]
-    if low == high:
-        return [(low, high, len(data))]
-    width = (high - low) / bins
-    counts = [0] * bins
-    for value in data:
-        index = min(int((value - low) / width), bins - 1)
-        counts[index] += 1
-    return [(low + i * width, low + (i + 1) * width, counts[i]) for i in range(bins)]

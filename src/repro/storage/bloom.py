@@ -558,11 +558,6 @@ class BloomFilter:
         """Number of insertions performed (not distinct keys)."""
         return self._count
 
-    @property
-    def memory_bytes(self) -> int:
-        """Approximate memory footprint of the bit vector."""
-        return len(self._bits)
-
     def raw_bits(self):
         """The live bit vector, for fused external kernels.
 
@@ -593,24 +588,6 @@ class BloomFilter:
             set_bits += sum(bytes(view[start:start + chunk]).translate(table))
         return set_bits / self.num_bits
 
-    def estimated_false_positive_rate(self) -> float:
-        """Estimate of the current false-positive probability."""
-        return self.fill_ratio() ** self.num_hashes
-
-    def estimated_cardinality(self) -> int:
-        """Estimate of distinct keys inserted, from the fill ratio.
-
-        The standard ``-m/k * ln(1 - fill)`` estimator.  Unlike
-        :attr:`count` (raw insertions) this approximates *distinct* keys,
-        which is what :meth:`union` needs to avoid double-counting overlap.
-        """
-        fill = self.fill_ratio()
-        if fill <= 0.0:
-            return 0
-        if fill >= 1.0:  # saturated: the estimator diverges; report capacity
-            return self.num_bits
-        return int(round(-(self.num_bits / self.num_hashes) * math.log(1.0 - fill)))
-
     def clear(self) -> None:
         """Remove all entries (reset every bit).
 
@@ -638,51 +615,6 @@ class BloomFilter:
             )
         self._bits[:] = payload
         self._count = int(count)
-
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise OR of two filters with identical parameters.
-
-        The merged ``count`` is a *clamped cardinality estimate*, not the
-        sum of the inputs' insertion counts: summing double-counts every
-        key present in both filters (two filters holding the same 500 keys
-        used to report ``count == 1000``).  The estimate is exact when one
-        side is empty and bounded by ``[max(counts), sum(counts)]`` always;
-        like :attr:`count` itself it counts insertions, not a guaranteed
-        distinct-key figure.
-        """
-        if (self.num_bits, self.num_hashes, self.digest_keys) != (
-            other.num_bits,
-            other.num_hashes,
-            other.digest_keys,
-        ):
-            raise ValueError("cannot union bloom filters with different parameters")
-        merged = BloomFilter(
-            expected_items=self.expected_items,
-            false_positive_rate=self.false_positive_rate,
-            num_bits=self.num_bits,
-            num_hashes=self.num_hashes,
-            digest_keys=self.digest_keys,
-        )
-        # In-place fill (merged's per-key functions are bound to its bit
-        # vector, so the object must not be replaced), OR-ing 8 bytes per
-        # step over memoryview word casts instead of building a throwaway
-        # generator-fed ``bytes`` of the whole vector.
-        a_view = memoryview(self._bits)
-        b_view = memoryview(other._bits)
-        out_view = memoryview(merged._bits)
-        word_bytes = len(a_view) - (len(a_view) & 7)
-        if word_bytes:
-            a_words = a_view[:word_bytes].cast("Q")
-            b_words = b_view[:word_bytes].cast("Q")
-            out_words = out_view[:word_bytes].cast("Q")
-            for i in range(len(a_words)):
-                out_words[i] = a_words[i] | b_words[i]
-        for i in range(word_bytes, len(a_view)):
-            out_view[i] = a_view[i] | b_view[i]
-        low = max(self._count, other._count)
-        high = self._count + other._count
-        merged._count = min(high, max(low, merged.estimated_cardinality()))
-        return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,9 +2,9 @@
 
 These models substitute for the paper's physical hardware (DDR3 RAM, SATA-II
 SSD, 7.2k RPM HDD).  Each device exposes a *service time* for an access of a
-given kind and size; the simulated components (hash nodes, baselines) acquire
-the device as a :class:`~repro.simulation.resources.Resource` and hold it for
-that service time, which reproduces queueing under load.
+given kind and size; a simulated hash node sums those per batch and holds the
+device (a :class:`~repro.simulation.resources.Resource`) for the total, which
+reproduces queueing under load.
 
 Default parameters follow widely published figures for circa-2010 hardware
 (the paper's testbed era):
@@ -24,12 +24,11 @@ Absolute values are configurable; experiments rely on the *ratios* (RAM ≪ SSD
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..simulation.engine import Event, Simulator
 from ..simulation.resources import Resource
-from ..simulation.stats import Counter, LatencyRecorder
 
 __all__ = [
     "DeviceSpec",
@@ -99,23 +98,16 @@ HDD_SPEC = DeviceSpec(
 
 
 class StorageDevice:
-    """A simulated device: a resource with spec-derived service times.
+    """A device model: spec-derived service times plus a simulated queue.
 
-    The device can be used in two modes:
-
-    * **Simulated** -- pass a :class:`Simulator`; :meth:`read` / :meth:`write`
-      return events that complete after queueing plus service time.
-    * **Immediate** -- no simulator; the access-time accounting still happens
-      (useful for analytic cost models) but calls return instantly.
+    The cost model (:meth:`read_cost` / :meth:`write_cost`) is always
+    available; :meth:`busy` needs the device built on a :class:`Simulator`.
     """
 
     def __init__(self, spec: DeviceSpec, sim: Optional[Simulator] = None, name: str = "") -> None:
         self.spec = spec
         self.sim = sim
         self.name = name or spec.name
-        self.counters = Counter()
-        self.latency = LatencyRecorder(f"{self.name}.latency")
-        self.busy_time = 0.0
         self._resource: Optional[Resource] = (
             Resource(sim, capacity=spec.concurrency, name=f"{self.name}.queue") if sim else None
         )
@@ -130,81 +122,33 @@ class StorageDevice:
         return self.spec.write_time(size_bytes, random_access)
 
     # -- simulated access -----------------------------------------------------
-    def read(self, size_bytes: int = 4096, random_access: bool = True) -> Event:
-        """Perform a read; returns an event succeeding with the service time."""
-        return self._access("read", self.read_cost(size_bytes, random_access))
-
-    def write(self, size_bytes: int = 4096, random_access: bool = True) -> Event:
-        """Perform a write; returns an event succeeding with the service time."""
-        return self._access("write", self.write_cost(size_bytes, random_access))
-
-    def _access(self, kind: str, service_time: float) -> Event:
-        self.counters.increment(f"{kind}s")
-        self.counters.increment(f"{kind}_time_ns", int(service_time * 1e9))
-        self.busy_time += service_time
-        self.latency.record(service_time)
-        if self.sim is None or self._resource is None:
-            done = Event(sim=_ImmediateSim(), name=f"{self.name}.{kind}")
-            done.succeed(service_time)
-            return done
-        return self._simulated_access(service_time, kind)
-
     def busy(self, duration: float) -> Event:
         """Occupy the device for an externally computed ``duration``.
 
-        Used when a caller has already accounted for the individual accesses
-        (e.g. a batched lookup) and only needs the device's queue to reflect
-        the aggregate busy time.  The returned event succeeds with the
-        duration once the device has actually been held for it.
+        The caller has already accounted for the individual accesses (a
+        batched lookup sums their costs) and needs the device's queue to
+        reflect the aggregate busy time.  The returned event succeeds with
+        the duration once the device has actually been held for it.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        self.busy_time += duration
-        if self.sim is None or self._resource is None:
-            done = Event(sim=_ImmediateSim(), name=f"{self.name}.busy")
-            done.succeed(duration)
-            return done
-        return self._simulated_access(duration, "busy")
-
-    def _simulated_access(self, service_time: float, kind: str) -> Event:
-        assert self.sim is not None and self._resource is not None
-        done = self.sim.event(f"{self.name}.{kind}")
-        grant = self._resource.request()
+        sim, resource = self.sim, self._resource
+        if resource is None:  # built without a simulator: cost model only
+            raise RuntimeError("busy() requires a device constructed with a Simulator")
+        done = sim.event(f"{self.name}.busy")
 
         def _start(_grant_event: Event) -> None:
             def _finish() -> None:
-                self._resource.release()
-                done.succeed(service_time)
+                resource.release()
+                done.succeed(duration)
 
-            self.sim.schedule(service_time, _finish)
+            sim.schedule(duration, _finish)
 
-        grant.add_callback(_start)
+        resource.request().add_callback(_start)
         return done
 
-    # -- reporting ------------------------------------------------------------
-    @property
-    def reads(self) -> int:
-        return self.counters.get("reads")
-
-    @property
-    def writes(self) -> int:
-        return self.counters.get("writes")
-
-    def utilization(self, elapsed: float) -> float:
-        """Busy fraction over ``elapsed`` seconds of simulated time."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (elapsed * self.spec.concurrency))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StorageDevice {self.name} reads={self.reads} writes={self.writes}>"
-
-
-class _ImmediateSim:
-    """Minimal stand-in so :class:`Event` works without a real simulator."""
-
-    def schedule(self, _delay: float, callback, *args) -> None:
-        callback(*args)
+        return f"<StorageDevice {self.name}>"
 
 
 def make_ram(sim: Optional[Simulator] = None, name: str = "ram", **overrides) -> StorageDevice:

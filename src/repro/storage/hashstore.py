@@ -24,7 +24,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["IOOperation", "SSDHashStore", "FileHashStore", "placement_hashes"]
 
@@ -312,16 +312,6 @@ class SSDHashStore:
         self._buffered_entries = buffered_entries
         self._size += inserted
 
-    def flush_io(self) -> List[IOOperation]:
-        """Force the write buffer to flash (e.g. at shutdown or checkpoint)."""
-        if self._buffered_entries <= 0:
-            return []
-        pages = -(-self._buffered_entries // max(1, self.entries_per_page))
-        self._buffered_entries = 0
-        self.page_writes += pages
-        self.buffer_flushes += 1
-        return [IOOperation("write", self.page_size, random_access=False) for _ in range(pages)]
-
     # -- reporting ----------------------------------------------------------------------
     def occupancy(self) -> float:
         """Mean entries per bucket divided by entries per page."""
@@ -459,28 +449,6 @@ class FileHashStore:
         self._sync()
         self._index[key] = value
         self.record_count += 1
-
-    def put_many(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Append a batch of puts with a single flush; returns the batch size."""
-        chunks = []
-        index = self._index
-        encode = self._encode
-        op = self._OP_PUT
-        count = 0
-        for key, value in pairs:
-            if isinstance(key, str):
-                key = key.encode("utf-8")
-            if isinstance(value, str):
-                value = value.encode("utf-8")
-            chunks.append(encode(op, key, value))
-            index[key] = value
-            count += 1
-        if chunks:
-            blob = b"".join(chunks)
-            self._log.write(blob)
-            self._sync()
-            self.record_count += count
-        return count
 
     def get(self, key: bytes, default: Optional[bytes] = None) -> Optional[bytes]:
         """Fetch the latest value stored under ``key``."""

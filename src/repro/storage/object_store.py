@@ -2,8 +2,7 @@
 
 The paper's architecture hands unique chunks to a back-end cloud storage
 service; the object store is deliberately off the lookup critical path, so a
-simple content-addressed in-memory store with optional simulated network
-latency is a faithful substitute.  It also maintains per-chunk reference
+simple content-addressed in-memory store is a faithful substitute.  It also maintains per-chunk reference
 counts so that deduplicated backups can be deleted safely.
 """
 
@@ -13,7 +12,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..simulation.engine import Event, Simulator
 from ..simulation.stats import Counter
 
 __all__ = ["StoredObject", "CloudObjectStore"]
@@ -34,11 +32,10 @@ class CloudObjectStore:
 
     Parameters
     ----------
-    sim:
-        Optional simulator; when provided, :meth:`put_async` / :meth:`get_async`
-        model the WAN round trip (``base_latency`` + size / ``bandwidth``).
     base_latency:
-        One-way request latency to the cloud provider, seconds.
+        One-way request latency to the cloud provider, seconds
+        (:meth:`transfer_time` models the WAN trip as ``base_latency`` +
+        size / ``bandwidth``).
     bandwidth:
         Upload/download bandwidth in bytes per second.
     verify_content:
@@ -48,12 +45,10 @@ class CloudObjectStore:
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
         base_latency: float = 20e-3,
         bandwidth: float = 100e6,
         verify_content: bool = False,
     ) -> None:
-        self.sim = sim
         self.base_latency = base_latency
         self.bandwidth = bandwidth
         self.verify_content = verify_content
@@ -125,30 +120,10 @@ class CloudObjectStore:
     def objects(self) -> Iterator[Tuple[bytes, StoredObject]]:
         return iter(list(self._objects.items()))
 
-    # -- simulated (asynchronous) API -------------------------------------------------
+    # -- cost model -------------------------------------------------------------------
     def transfer_time(self, size_bytes: int) -> float:
         """Modelled WAN time to move ``size_bytes`` to/from the store."""
         return self.base_latency + size_bytes / self.bandwidth
-
-    def put_async(self, key: bytes, data: bytes) -> Event:
-        """Simulated upload; the event succeeds with ``True`` if the chunk was new."""
-        if self.sim is None:
-            raise RuntimeError("put_async requires a Simulator")
-        done = self.sim.event("cloud.put")
-        delay = self.transfer_time(len(data))
-        self.sim.schedule(delay, lambda: done.succeed(self.put(key, data)))
-        return done
-
-    def get_async(self, key: bytes) -> Event:
-        """Simulated download; succeeds with the data or ``None``."""
-        if self.sim is None:
-            raise RuntimeError("get_async requires a Simulator")
-        done = self.sim.event("cloud.get")
-        obj = self._objects.get(key)
-        size = obj.size if obj is not None else 0
-        delay = self.transfer_time(size)
-        self.sim.schedule(delay, lambda: done.succeed(self.get(key)))
-        return done
 
     def stats(self) -> dict:
         """Counter snapshot plus current footprint."""

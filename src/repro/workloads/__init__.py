@@ -1,6 +1,6 @@
 """Workload profiles, synthetic trace generation and arrival processes."""
 
-from .arrival import ClosedLoopWindow, OpenLoopArrivals
+from .arrival import OpenLoopArrivals
 from .generations import BackupGeneration, GenerationConfig, GenerationalWorkload
 from .mixer import WorkloadMix, table_i_mix
 from .profiles import (
@@ -15,7 +15,6 @@ from .profiles import (
 from .traces import FingerprintTrace, TraceGenerator, TraceStatistics, measure_trace
 
 __all__ = [
-    "ClosedLoopWindow",
     "OpenLoopArrivals",
     "BackupGeneration",
     "GenerationConfig",

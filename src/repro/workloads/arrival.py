@@ -2,19 +2,19 @@
 
 Figure 1 of the paper injects fingerprint queries at fixed offered rates
 (10k-100k requests/second) into clusters of different sizes and reports the
-time to finish 100 000 requests -- an *open-loop* injection.  Figure 5 uses
-two client machines each sending batches back-to-back -- a *closed-loop*
-injection.  Both arrival disciplines are provided here.
+time to finish 100 000 requests -- an *open-loop* injection, provided here.
+(Figure 5's closed loop -- two client machines each sending batches
+back-to-back -- is :class:`~repro.frontend.client.SimulatedClient`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..simulation.rng import RandomStreams
 
-__all__ = ["OpenLoopArrivals", "ClosedLoopWindow"]
+__all__ = ["OpenLoopArrivals"]
 
 
 @dataclass
@@ -63,28 +63,3 @@ class OpenLoopArrivals:
     def nominal_duration(self) -> float:
         """Time to inject every request at the offered rate."""
         return self.count / self.rate
-
-
-@dataclass
-class ClosedLoopWindow:
-    """Closed-loop client: a fixed number of outstanding requests.
-
-    The client keeps ``window`` requests in flight; a new request is issued
-    the moment a response arrives.  ``think_time`` models client-side work
-    between receiving a response and sending the next request.
-    """
-
-    window: int = 1
-    think_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.think_time < 0:
-            raise ValueError("think_time must be non-negative")
-
-    def expected_throughput(self, response_time: float) -> float:
-        """Little's-law estimate of sustained request rate."""
-        if response_time + self.think_time <= 0:
-            return float("inf")
-        return self.window / (response_time + self.think_time)

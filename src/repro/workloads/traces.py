@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..dedup.fingerprint import Fingerprint, synthetic_fingerprint
 from ..simulation.rng import RandomStreams

@@ -5,9 +5,7 @@ is loaded straight from its file path.  The tests pin the guard semantics
 the hotpath CI job depends on: a regressed speedup fails, a *dropped*
 series fails with a message naming the survivors, machine-dependent
 series (``cpu_count`` recorded) skip the committed-value comparison but
-still must be present, brand-new series in the fresh file pass, and
-conditional series (``requires`` an optional module) turn into named
-skips -- not failures -- on runners without that module.
+still must be present, and brand-new series in the fresh file pass.
 """
 
 from __future__ import annotations
@@ -110,69 +108,6 @@ def test_dropped_sub_key_is_not_guarded():
     committed = _payload({"numpy_kernels": {"speedup": 1.4, "cuckoo_get_speedup": 1.0}})
     fresh = _payload({"numpy_kernels": {"speedup": 1.4}})
     assert tool.check_floors(committed, fresh, floor_ratio=0.8) == []
-
-
-MISSING_MODULE = "definitely_not_an_installed_module_xyz"
-
-
-def test_requires_series_missing_with_module_absent_is_a_named_skip():
-    committed = _payload(
-        {"chunking": {"speedup": 5.0}, "numpy_probe": {"speedup": 3.0, "requires": MISSING_MODULE}}
-    )
-    fresh = _payload({"chunking": {"speedup": 5.0}})
-    skips = []
-    assert tool.check_floors(committed, fresh, floor_ratio=0.8, skips=skips) == []
-    assert skips == [
-        f"numpy_probe: skipped (requires {MISSING_MODULE}, absent on this runner)"
-    ]
-
-
-def test_requires_series_missing_with_module_present_still_fails():
-    # ``math`` is always importable, so a missing conditional series on a
-    # capable runner is a dropped leg, same as any other disappearance.
-    committed = _payload({"numpy_probe": {"speedup": 3.0, "requires": "math"}})
-    failures = tool.check_floors(committed, _payload({}), floor_ratio=0.8)
-    assert len(failures) == 1
-    assert failures[0].startswith("numpy_probe: series disappeared")
-
-
-def test_requires_series_present_is_floor_guarded_normally():
-    # Once the fresh run produced the series, ``requires`` changes nothing:
-    # the usual floor comparison applies.
-    committed = _payload({"numpy_probe": {"speedup": 3.0, "requires": MISSING_MODULE}})
-    fresh = _payload({"numpy_probe": {"speedup": 1.0, "requires": MISSING_MODULE}})
-    failures = tool.check_floors(committed, fresh, floor_ratio=0.8)
-    assert len(failures) == 1
-    assert "numpy_probe" in failures[0]
-
-
-def test_requirement_available_handles_bogus_names():
-    assert tool.requirement_available("math") is True
-    assert tool.requirement_available(MISSING_MODULE) is False
-
-
-def test_main_prints_skip_and_excludes_skipped_from_guarded(tmp_path, capsys):
-    committed = tmp_path / "committed.json"
-    fresh = tmp_path / "fresh.json"
-    committed.write_text(
-        json.dumps(
-            _payload(
-                {
-                    "chunking": {"speedup": 5.0},
-                    "numpy_probe": {"speedup": 3.0, "requires": MISSING_MODULE},
-                }
-            )
-        )
-    )
-    fresh.write_text(json.dumps(_payload({"chunking": {"speedup": 5.0}})))
-    assert tool.main([str(committed), str(fresh)]) == 0
-    out = capsys.readouterr().out
-    assert f"perf floor skipped: numpy_probe: skipped (requires {MISSING_MODULE}" in out
-    assert "perf floors ok" in out
-    # The guarded list must not claim the skipped series was checked.
-    guarded_line = [line for line in out.splitlines() if "perf floors ok" in line][0]
-    assert "numpy_probe" not in guarded_line
-    assert "chunking" in guarded_line
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -22,10 +22,10 @@ from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.membership import MembershipManager
 from repro.dedup.fingerprint import synthetic_fingerprint
-from repro.network.link import DEFAULT_LINK_LATENCY, GIGABIT_BANDWIDTH, _ImmediateEventSim
+from repro.network.link import DEFAULT_LINK_LATENCY, GIGABIT_BANDWIDTH
 from repro.scenarios import run_scenario
 from repro.simulation.costmodel import ControlPlaneLedger, CostModel
-from repro.simulation.engine import SimulationError, Simulator
+from repro.simulation.engine import Simulator
 
 
 def _small_config(num_nodes: int = 3, replication_factor: int = 2) -> ClusterConfig:
@@ -245,7 +245,6 @@ class TestSimulatedModeCharging:
         sim.run()
         assert sim.now == pytest.approx(3e-3)
         assert node.counters.get("control_plane_tasks") == 1
-        assert node._cpu.total_requests == 1
 
     def test_charge_replica_writes_occupies_target_cpu(self):
         sim = Simulator()
@@ -276,14 +275,3 @@ class TestSimulatedModeCharging:
         assert node.occupy_cpu(1.0) is None
         with pytest.raises(ValueError):
             SHHCCluster(_small_config(), sim=Simulator()).nodes["hashnode-0"].occupy_cpu(-1.0)
-
-
-class TestImmediateEventSim:
-    def test_zero_delay_dispatches_synchronously(self):
-        fired = []
-        _ImmediateEventSim().schedule(0.0, fired.append, "x")
-        assert fired == ["x"]
-
-    def test_positive_delay_is_rejected(self):
-        with pytest.raises(SimulationError):
-            _ImmediateEventSim().schedule(1e-6, lambda: None)

@@ -9,7 +9,6 @@ from repro.core.protocol import (
     BatchLookupReply,
     BatchLookupRequest,
     LookupReply,
-    LookupRequest,
     REQUEST_OVERHEAD_BYTES,
     ServedFrom,
 )
@@ -67,7 +66,7 @@ class TestClusterConfig:
 
 class TestProtocolMessages:
     def test_single_lookup_sizes(self):
-        request = LookupRequest(synthetic_fingerprint(1))
+        request = BatchLookupRequest([synthetic_fingerprint(1)])
         assert request.payload_bytes == REQUEST_OVERHEAD_BYTES + FINGERPRINT_BYTES
         reply = LookupReply(synthetic_fingerprint(1), True, ServedFrom.RAM)
         assert reply.payload_bytes > 0

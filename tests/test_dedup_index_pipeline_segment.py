@@ -1,4 +1,4 @@
-"""Tests for the chunk index, dedup pipeline and segmenting helpers."""
+"""Tests for the chunk index, the client-side dedup loop and segmenting helpers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.dedup.index import InMemoryChunkIndex
-from repro.dedup.pipeline import DedupPipeline
+from repro.dedup.archive import DirectoryArchiver
 from repro.dedup.chunking import FixedSizeChunker
 from repro.dedup.segment import interleave_streams, locality_score, segment_stream
 from repro.storage.object_store import CloudObjectStore
@@ -52,76 +52,79 @@ class TestInMemoryChunkIndex:
 
 
 class TestDedupPipeline:
-    def _pipeline(self, chunk_size=64):
-        return DedupPipeline(
+    """The client-side chunk -> fingerprint -> lookup -> store loop.
+
+    These assertions were written against ``DedupPipeline``; its backup and
+    restore were ``DirectoryArchiver._store_file`` / ``restore_file``, which
+    they now drive through ``backup_files``.
+    """
+
+    def _archiver(self, chunk_size=64):
+        return DirectoryArchiver(
             InMemoryChunkIndex(),
             CloudObjectStore(),
             FixedSizeChunker(chunk_size),
         )
 
     def test_backup_and_restore_roundtrip(self):
-        pipeline = self._pipeline()
+        archiver = self._archiver()
         data = os.urandom(5000)
-        pipeline.backup("doc", data)
-        assert pipeline.restore("doc") == data
+        archiver.backup_files({"doc": data}, "s1")
+        assert archiver.restore_file("s1", "doc") == data
 
     def test_identical_second_backup_stores_nothing_new(self):
-        pipeline = self._pipeline()
+        archiver = self._archiver()
         data = os.urandom(4096)
-        pipeline.backup("first", data)
-        physical_after_first = pipeline.stats.physical_bytes
-        pipeline.backup("second", data)
-        assert pipeline.stats.physical_bytes == physical_after_first
-        assert pipeline.restore("second") == data
-        assert pipeline.stats.dedup_ratio == pytest.approx(2.0)
+        first = archiver.backup_files({"doc": data}, "first")
+        physical_after_first = archiver.object_store.total_bytes()
+        second = archiver.backup_files({"doc": data}, "second")
+        assert archiver.object_store.total_bytes() == physical_after_first
+        assert second.bytes_uploaded == 0
+        assert archiver.restore_file("second", "doc") == data
+        logical = first.bytes_scanned + second.bytes_scanned
+        assert logical / physical_after_first == pytest.approx(2.0)
 
     def test_partial_overlap_uploads_only_new_chunks(self):
-        pipeline = self._pipeline(chunk_size=64)
+        archiver = self._archiver(chunk_size=64)
         base = os.urandom(64 * 10)
         modified = base[: 64 * 5] + os.urandom(64 * 5)
-        pipeline.backup("v1", base)
-        unique_before = pipeline.stats.chunks_unique
-        pipeline.backup("v2", modified)
-        assert pipeline.stats.chunks_unique == unique_before + 5
-        assert pipeline.restore("v2") == modified
+        archiver.backup_files({"doc": base}, "v1")
+        stats = archiver.backup_files({"doc": modified}, "v2")
+        assert stats.chunks_uploaded == 5
+        assert archiver.restore_file("v2", "doc") == modified
 
     def test_space_savings(self):
-        pipeline = self._pipeline()
+        archiver = self._archiver()
         data = os.urandom(2048)
-        pipeline.backup("a", data)
-        pipeline.backup("b", data)
-        assert pipeline.space_savings() == pytest.approx(0.5)
+        first = archiver.backup_files({"a": data}, "a")
+        second = archiver.backup_files({"b": data}, "b")
+        assert first.dedup_savings == 0.0 and second.dedup_savings == 1.0
+        uploaded = first.bytes_uploaded + second.bytes_uploaded
+        scanned = first.bytes_scanned + second.bytes_scanned
+        assert 1.0 - uploaded / scanned == pytest.approx(0.5)
 
     def test_restore_unknown_name_raises(self):
+        archiver = self._archiver()
         with pytest.raises(KeyError):
-            self._pipeline().restore("ghost")
-
-    def test_restore_without_object_store_raises(self):
-        pipeline = DedupPipeline(InMemoryChunkIndex())
-        pipeline.backup("x", b"data")
-        with pytest.raises(RuntimeError):
-            pipeline.restore("x")
+            archiver.restore_file("ghost", "doc")
+        archiver.backup_files({"doc": b"data"}, "s1")
+        with pytest.raises(KeyError):
+            archiver.restore_file("s1", "ghost")
 
     def test_manifest_accounting(self):
-        pipeline = self._pipeline(chunk_size=100)
-        manifest = pipeline.backup("doc", b"z" * 1050)
-        assert manifest.chunk_count == 11
-        assert manifest.logical_bytes == 1050
-
-    def test_backup_stream(self):
-        pipeline = self._pipeline()
-        blocks = [os.urandom(500) for _ in range(4)]
-        pipeline.backup_stream("streamed", blocks)
-        assert pipeline.restore("streamed") == b"".join(blocks)
+        archiver = self._archiver(chunk_size=100)
+        archiver.backup_files({"doc": b"z" * 1050}, "s1")
+        entry = archiver.snapshots["s1"].files["doc"]
+        assert len(entry.fingerprints) == 11
+        assert sum(fp.chunk_size for fp in entry.fingerprints) == entry.size == 1050
 
     def test_reference_counts_protect_shared_chunks(self):
-        pipeline = self._pipeline()
+        archiver = self._archiver()
         data = os.urandom(1024)
-        pipeline.backup("a", data)
-        pipeline.backup("b", data)
-        store = pipeline.object_store
-        digest = pipeline.manifests["a"].fingerprints[0].digest
-        assert store.reference_count(digest) == 2
+        archiver.backup_files({"a": data}, "a")
+        archiver.backup_files({"b": data}, "b")
+        digest = archiver.snapshots["a"].files["a"].fingerprints[0].digest
+        assert archiver.object_store.reference_count(digest) == 2
 
 
 class TestSegmenting:

@@ -11,7 +11,7 @@ from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.membership import MembershipManager
 from repro.dedup.chunking import ContentDefinedChunker
-from repro.dedup.pipeline import DedupPipeline
+from repro.dedup.archive import DirectoryArchiver
 from repro.frontend.client import SimulatedClient
 from repro.frontend.gateway import BackupService, build_simulated_service
 from repro.simulation.engine import Simulator
@@ -31,21 +31,23 @@ def small_config(num_nodes=4, replication=1) -> ClusterConfig:
 
 class TestLibraryEndToEnd:
     def test_cluster_as_index_for_the_dedup_pipeline(self):
-        """SHHC drops into the pipeline in place of a centralized index."""
+        """SHHC drops into the client-side loop in place of a centralized index."""
         cluster = SHHCCluster(small_config())
-        pipeline = DedupPipeline(cluster, CloudObjectStore(), ContentDefinedChunker(average_size=1024))
+        store = CloudObjectStore()
+        archiver = DirectoryArchiver(cluster, store, ContentDefinedChunker(average_size=1024))
         # Seeded data: with ~60 chunks over 4 nodes, the balance assertion
         # below is noisy under os.urandom and flakes around the threshold.
         rng = random.Random(42)
         base = rng.randbytes(60_000)
-        pipeline.backup("monday", base)
+        monday = archiver.backup_files({"disk": base}, "monday")
         # Tuesday's backup: same data with a small edit in the middle.
         edited = base[:30_000] + rng.randbytes(200) + base[30_200:]
-        pipeline.backup("tuesday", edited)
-        assert pipeline.restore("monday") == base
-        assert pipeline.restore("tuesday") == edited
+        tuesday = archiver.backup_files({"disk": edited}, "tuesday")
+        assert archiver.restore_file("monday", "disk") == base
+        assert archiver.restore_file("tuesday", "disk") == edited
         # The second backup should reuse most chunks.
-        assert pipeline.stats.dedup_ratio > 1.6
+        logical = monday.bytes_scanned + tuesday.bytes_scanned
+        assert logical / store.total_bytes() > 1.6
         # The cluster spread the fingerprints over all four nodes.
         assert cluster.storage_distribution().max_over_mean < 1.6
 

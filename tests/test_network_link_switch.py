@@ -32,33 +32,30 @@ class TestMessage:
 
 
 class TestNetworkLink:
-    def test_cost_model(self):
-        link = NetworkLink(latency=1e-3, bandwidth=1e6)
+    def test_cost_model(self, sim):
+        link = NetworkLink(sim, latency=1e-3, bandwidth=1e6)
         assert link.transmission_time(1000) == pytest.approx(1e-3)
         assert link.total_time(1000) == pytest.approx(2e-3)
 
-    def test_validation(self):
+    def test_validation(self, sim):
         with pytest.raises(ValueError):
-            NetworkLink(latency=-1.0)
+            NetworkLink(sim, latency=-1.0)
         with pytest.raises(ValueError):
-            NetworkLink(bandwidth=0.0)
-
-    def test_immediate_mode_delivers_synchronously(self):
-        link = NetworkLink()
-        delivered = []
-        event = link.send(make_message(), on_delivery=delivered.append)
-        assert event.triggered
-        assert len(delivered) == 1
-        assert link.messages_sent == 1
-        assert link.bytes_sent == delivered[0].wire_bytes
+            NetworkLink(sim, bandwidth=0.0)
+        with pytest.raises(TypeError):
+            NetworkLink()  # the substrate is simulated or it is not built
 
     def test_simulated_delivery_takes_total_time(self, sim):
         link = NetworkLink(sim, latency=1e-3, bandwidth=1e6)
         message = make_message(payload_bytes=1000 - MESSAGE_HEADER_BYTES)
         times = []
-        link.send(message, on_delivery=lambda _m: times.append(sim.now))
+        event = link.send(message, on_delivery=lambda _m: times.append(sim.now))
+        assert not event.triggered
         sim.run()
         assert times == [pytest.approx(2e-3)]
+        assert event.value is message
+        assert link.messages_sent == 1
+        assert link.bytes_sent == message.wire_bytes
 
     def test_messages_serialise_on_the_port(self, sim):
         link = NetworkLink(sim, latency=0.0, bandwidth=1e6)
@@ -79,8 +76,8 @@ class TestNetworkLink:
         sim.run()
         assert arrivals[1] - arrivals[0] == pytest.approx(1e-6, abs=1e-7)
 
-    def test_stats(self):
-        link = NetworkLink()
+    def test_stats(self, sim):
+        link = NetworkLink(sim)
         link.send(make_message())
         stats = link.stats()
         assert stats["messages"] == 1 and stats["bytes"] > 0
@@ -118,15 +115,6 @@ class TestNetworkSwitch:
         switch = NetworkSwitch(sim)
         with pytest.raises(KeyError):
             switch.set_handler("ghost", lambda m: None)
-
-    def test_immediate_mode_switch(self):
-        switch = NetworkSwitch()
-        received = []
-        switch.attach("a")
-        switch.attach("b", handler=received.append)
-        event = switch.send(make_message("a", "b"))
-        assert event.triggered
-        assert len(received) == 1
 
     def test_stats_track_both_directions(self, sim):
         switch = NetworkSwitch(sim)

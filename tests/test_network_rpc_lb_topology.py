@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.loadbalancer import (
-    LeastConnectionsPolicy,
-    LoadBalancer,
-    RoundRobinPolicy,
-    SourceHashPolicy,
-    WeightedRoundRobinPolicy,
-)
+from repro.network.loadbalancer import LoadBalancer, RoundRobinPolicy
 from repro.network.rpc import RpcError, RpcLayer
 from repro.network.switch import NetworkSwitch
 from repro.network.topology import ClusterTopology
@@ -19,18 +13,12 @@ from repro.simulation.process import run_process
 
 
 class TestRpcLayer:
-    def _layer(self, sim=None):
+    def _layer(self, sim):
         switch = NetworkSwitch(sim)
         return RpcLayer(switch, sim)
 
-    def test_immediate_mode_call(self):
-        rpc = self._layer()
-        rpc.register("server", lambda payload: payload * 2)
-        result = rpc.call("client", "server", 21, payload_bytes=8)
-        assert result.triggered and result.value == 42
-
-    def test_call_to_unknown_service_raises(self):
-        rpc = self._layer()
+    def test_call_to_unknown_service_raises(self, sim):
+        rpc = self._layer(sim)
         with pytest.raises(RpcError):
             rpc.call("client", "nowhere", None, payload_bytes=8)
 
@@ -44,7 +32,6 @@ class TestRpcLayer:
         sim.run()
         assert responses[0][1] == 2
         assert responses[0][0] > 0.0
-        assert rpc.pending_calls == 0
 
     def test_handler_returning_event_defers_response(self, sim):
         rpc = self._layer(sim)
@@ -75,12 +62,6 @@ class TestRpcLayer:
         assert process.value[0] == "ping"
         assert process.value[1] > 0
 
-    def test_services_listing(self):
-        rpc = self._layer()
-        rpc.register("b-service", lambda p: p)
-        rpc.register("a-service", lambda p: p)
-        assert rpc.services() == ["a-service", "b-service"]
-
     def test_concurrent_calls_complete_independently(self, sim):
         rpc = self._layer(sim)
         rpc.register("server", lambda payload: payload)
@@ -103,32 +84,6 @@ class TestLoadBalancerPolicies:
     def test_round_robin_empty_backends(self):
         with pytest.raises(ValueError):
             RoundRobinPolicy().choose([], {})
-
-    def test_least_connections_prefers_idle(self):
-        policy = LeastConnectionsPolicy()
-        assert policy.choose(["a", "b"], {"a": 3, "b": 1}) == "b"
-        assert policy.choose(["a", "b"], {"a": 0, "b": 0}) == "a"
-
-    def test_weighted_round_robin_respects_weights(self):
-        policy = WeightedRoundRobinPolicy({"big": 3, "small": 1})
-        picks = [policy.choose(["big", "small"], {}) for _ in range(8)]
-        assert picks.count("big") == 6
-        assert picks.count("small") == 2
-
-    def test_weighted_round_robin_validation(self):
-        with pytest.raises(ValueError):
-            WeightedRoundRobinPolicy({})
-        with pytest.raises(ValueError):
-            WeightedRoundRobinPolicy({"a": 0})
-
-    def test_source_hash_is_sticky(self):
-        policy = SourceHashPolicy()
-        backends = ["a", "b", "c", "d"]
-        first = policy.choose(backends, {}, source="client-42")
-        assert all(policy.choose(backends, {}, source="client-42") == first for _ in range(10))
-
-    def test_source_hash_without_source_defaults_to_first(self):
-        assert SourceHashPolicy().choose(["a", "b"], {}) == "a"
 
 
 class TestLoadBalancer:
@@ -153,15 +108,6 @@ class TestLoadBalancer:
         with pytest.raises(ValueError):
             balancer.add_backend("web-0")
 
-    def test_remove_backend(self):
-        balancer = LoadBalancer()
-        balancer.add_backend("web-0")
-        balancer.add_backend("web-1")
-        balancer.remove_backend("web-0")
-        assert balancer.backends == ["web-1"]
-        with pytest.raises(KeyError):
-            balancer.remove_backend("ghost")
-
     def test_round_robin_assignments_are_balanced(self):
         balancer = LoadBalancer()
         for index in range(4):
@@ -171,7 +117,6 @@ class TestLoadBalancer:
             balancer.release(backend)
         assignments = balancer.assignments()
         assert all(count == 100 for count in assignments.values())
-        assert balancer.imbalance() == pytest.approx(1.0)
 
 
 class TestClusterTopology:

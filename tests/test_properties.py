@@ -9,10 +9,10 @@ from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.hash_node import HybridHashNode
 from repro.core.partition import ConsistentHashRing, RangePartitioner
+from repro.dedup.archive import DirectoryArchiver
 from repro.dedup.chunking import ContentDefinedChunker, FixedSizeChunker
 from repro.dedup.fingerprint import fingerprint_data, synthetic_fingerprint
 from repro.dedup.index import InMemoryChunkIndex
-from repro.dedup.pipeline import DedupPipeline
 from repro.storage.bloom import BloomFilter
 from repro.storage.cuckoo import CuckooHashTable
 from repro.storage.hashstore import SSDHashStore
@@ -34,18 +34,6 @@ class TestBloomProperties:
         for key in inserted:
             bloom.add(key)
         assert all(key in bloom for key in inserted)
-
-    @FAST
-    @given(key_lists, key_lists)
-    def test_union_contains_both_sides(self, left_keys, right_keys):
-        left = BloomFilter(expected_items=256, num_bits=4096, num_hashes=5)
-        right = BloomFilter(expected_items=256, num_bits=4096, num_hashes=5)
-        for key in left_keys:
-            left.add(key)
-        for key in right_keys:
-            right.add(key)
-        merged = left.union(right)
-        assert all(key in merged for key in left_keys + right_keys)
 
 
 class TestLRUProperties:
@@ -190,21 +178,23 @@ class TestDedupProperties:
     @FAST
     @given(st.lists(st.binary(min_size=1, max_size=600), min_size=1, max_size=12))
     def test_pipeline_restores_exactly_what_was_backed_up(self, objects):
-        pipeline = DedupPipeline(InMemoryChunkIndex(), CloudObjectStore(), FixedSizeChunker(64))
+        archiver = DirectoryArchiver(InMemoryChunkIndex(), CloudObjectStore(), FixedSizeChunker(64))
         for index, data in enumerate(objects):
-            pipeline.backup(f"object-{index}", data)
+            archiver.backup_files({"object": data}, f"snapshot-{index}")
         for index, data in enumerate(objects):
-            assert pipeline.restore(f"object-{index}") == data
+            assert archiver.restore_file(f"snapshot-{index}", "object") == data
 
     @FAST
     @given(st.binary(min_size=1, max_size=2_000), st.integers(2, 6))
     def test_repeated_backups_never_grow_physical_storage(self, data, copies):
-        pipeline = DedupPipeline(InMemoryChunkIndex(), CloudObjectStore(), FixedSizeChunker(128))
-        pipeline.backup("copy-0", data)
-        physical = pipeline.stats.physical_bytes
+        store = CloudObjectStore()
+        archiver = DirectoryArchiver(InMemoryChunkIndex(), store, FixedSizeChunker(128))
+        archiver.backup_files({"copy": data}, "copy-0")
+        physical = store.total_bytes()
         for index in range(1, copies):
-            pipeline.backup(f"copy-{index}", data)
-            assert pipeline.stats.physical_bytes == physical
+            stats = archiver.backup_files({"copy": data}, f"copy-{index}")
+            assert stats.bytes_uploaded == 0
+            assert store.total_bytes() == physical
 
 
 def _key(identity: int, length: int) -> bytes:

@@ -419,6 +419,9 @@ def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
     assert stats["persisted_records"] == 40 and stats["snapshots_taken"] == 1
     assert stats["log_bytes"] == os.path.getsize(tmp_path / "node0" / "containers.log")
     assert stats["last_snapshot_ms"] > 0
+    # Modelled service time per key, not a latency anything here measured.
+    assert "lookup_latency_us" not in stats
+    assert stats["modelled_service_us"]["count"] == 40 and stats["modelled_service_us"]["mean"] > 0
     _shutdown(node)
     # A second start is warm and its stats say what the recovery replayed.
     recovery = _stats(spec.build_node())["recovery"]
@@ -613,6 +616,94 @@ def test_every_batch_frame_gets_exactly_one_reply(capsys):
     assert served["ok"] and served["n"] == 64
     assert stats["protocol_errors"] == 2
     assert stats["workers"][0]["restarts"] == 0
+
+
+# ------------------------------------------------------------ hostile framing
+async def _dribble(writer, data: bytes) -> None:
+    """Send ``data`` one byte per TCP segment."""
+    writer.get_extra_info("socket").setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for index in range(len(data)):
+        writer.write(data[index:index + 1])
+        await writer.drain()
+        await asyncio.sleep(0.02)
+
+
+def test_first_header_may_arrive_byte_by_byte():
+    """The sniff must wait for four bytes, not parse the first one it gets."""
+    async def _go():
+        gateway = ServiceGateway(_serve_config(num_nodes=1))
+        await gateway.start()
+        try:
+            frame = encode_frame({"t": "ping", "id": 7})
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            await _dribble(writer, frame[:4])
+            writer.write(frame[4:])
+            await writer.drain()
+            pong = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+            writer.close()
+
+            # The HTTP sniff is the same four bytes.
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            await _dribble(writer, b"GET ")
+            writer.write(b"/stats HTTP/1.1\r\nHost: x\r\n\r\n")
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(-1), timeout=5.0)
+            writer.close()
+            clean = gateway.protocol_errors
+
+            # EOF inside the first header is a counted error; EOF before any
+            # byte is just a client that went away.
+            for prefix, counted in ((b"", 0), (frame[:3], 1)):
+                before = gateway.protocol_errors
+                reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+                writer.write(prefix)
+                writer.write_eof()
+                assert await asyncio.wait_for(reader.read(-1), timeout=5.0) == b""
+                writer.close()
+                assert gateway.protocol_errors == before + counted
+            return pong, raw, clean
+        finally:
+            await gateway.close()
+
+    pong, raw, clean = asyncio.run(_go())
+    assert pong == {"t": "pong", "id": 7}
+    assert raw.startswith(b"HTTP/1.1 200") and json.loads(raw.partition(b"\r\n\r\n")[2])["nodes"] == 1
+    assert clean == 0
+
+
+def test_oversized_and_non_dict_frames_are_counted_and_disconnected():
+    """One frame cap, checked on the header alone; a JSON list is not a frame."""
+    async def _go():
+        gateway = ServiceGateway(_serve_config(num_nodes=1))
+        await gateway.start()
+        try:
+            hostile = [
+                # Announces a payload over the cap and never sends a byte of
+                # it: the gateway must answer from the header, not wait.
+                struct.pack("!I", MAX_FRAME_BYTES + 1),
+                struct.pack("!I", 2**32 - 1),
+                struct.pack("!I", 9) + b'["batch"]',
+            ]
+            for number, data in enumerate(hostile, start=1):
+                reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+                writer.write(data)
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(-1), timeout=5.0) == b""
+                writer.close()
+                assert gateway.protocol_errors == number
+            # A fresh connection is served afterwards.
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(encode_frame({"t": "ping", "id": 1}))
+            await writer.drain()
+            pong = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+            writer.close()
+            return pong, gateway.stats()
+        finally:
+            await gateway.close()
+
+    pong, stats = asyncio.run(_go())
+    assert pong == {"t": "pong", "id": 1}
+    assert stats["workers"][0]["up"] and stats["workers"][0]["restarts"] == 0
 
 
 # -------------------------------------------------------- concurrent recording

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.engine import SimulationError, Simulator, StopSimulation
+from repro.simulation.engine import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -36,6 +36,19 @@ class TestScheduling:
         sim.run()
         assert fired == list(range(10))
 
+    def test_equal_keys_never_compare_callbacks_or_args(self, sim):
+        # Lambdas and dicts are not orderable: if ``sequence`` ever left the
+        # calendar tuple, the heap would compare them and raise TypeError.
+        fired = []
+        for index in range(50):
+            sim.schedule(1.0, lambda payload, i=index: fired.append((i, payload["i"])), {"i": index})
+        sim.run()
+        assert fired == [(index, index) for index in range(50)]
+
+    def test_schedule_returns_nothing_to_hold(self, sim):
+        assert sim.schedule(1.0, lambda: None) is None
+        assert sim.schedule_at(2.0, lambda: None) is None
+
     def test_priority_breaks_ties(self, sim):
         fired = []
         sim.schedule(1.0, fired.append, "low", priority=5)
@@ -53,24 +66,11 @@ class TestScheduling:
         sim.run()
         assert fired == [4.0]
 
-    def test_cancelled_event_does_not_fire(self, sim):
-        fired = []
-        entry = sim.schedule(1.0, fired.append, "x")
-        entry.cancel()
-        sim.run()
-        assert fired == []
-
     def test_events_processed_counter(self, sim):
         for _ in range(7):
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 7
-
-    def test_pending_events_excludes_cancelled(self, sim):
-        sim.schedule(1.0, lambda: None)
-        entry = sim.schedule(2.0, lambda: None)
-        entry.cancel()
-        assert sim.pending_events == 1
 
     def test_callback_can_schedule_more_events(self, sim):
         fired = []
@@ -113,85 +113,43 @@ class TestRunControl:
         sim.run(until=42.0)
         assert sim.now == 42.0
 
-    def test_stop_simulation_exception_stops_cleanly(self, sim):
-        fired = []
+    def test_run_is_not_reentrant(self, sim):
+        errors = []
 
-        def stopper():
-            fired.append("stop")
-            raise StopSimulation()
+        def nested():
+            try:
+                sim.run()
+            except SimulationError as exc:
+                errors.append(exc)
 
-        sim.schedule(1.0, stopper)
-        sim.schedule(2.0, fired.append, "never")
+        sim.schedule(1.0, nested)
         sim.run()
-        assert fired == ["stop"]
+        assert len(errors) == 1
+        sim.run()  # the guard resets once the outer run returns
 
-    def test_step_returns_false_when_empty(self, sim):
-        assert sim.step() is False
+    def test_backwards_time_in_the_calendar_is_detected(self, sim):
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        # Only a corrupted calendar can hold an entry behind the clock.
+        sim._calendar.append((1.0, 0, 0, lambda: None, ()))
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.run()
 
-    def test_step_executes_single_event(self, sim):
+    def test_exception_in_callback_propagates_and_run_can_resume(self, sim):
         fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, fired.append, 2)
-        assert sim.step() is True
-        assert fired == [1]
 
+        def boom():
+            raise ValueError("boom")
+
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, fired.append, "after")
+        with pytest.raises(ValueError):
+            sim.run()
+        sim.run()
+        assert fired == ["after"]
 
 class TestPendingEventsCounter:
-    """Regression tests for the O(1) pending-event accounting."""
-
-    def _brute_force_pending(self, sim):
-        return sum(1 for *_key, entry in sim._calendar if not entry.cancelled)
-
-    def test_counter_tracks_schedule_cancel_and_run(self, sim):
-        entries = [sim.schedule(float(i % 7) + 1.0, lambda: None) for i in range(200)]
-        assert sim.pending_events == self._brute_force_pending(sim) == 200
-        for entry in entries[::3]:
-            entry.cancel()
-        assert sim.pending_events == self._brute_force_pending(sim)
-        sim.run(until=3.0)
-        assert sim.pending_events == self._brute_force_pending(sim)
-        sim.run()
-        assert sim.pending_events == 0
-        assert len(sim._calendar) == 0
-
-    def test_cancel_is_idempotent_for_the_counter(self, sim):
-        entry = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        entry.cancel()
-        entry.cancel()
-        entry.cancel()
-        assert sim.pending_events == 1
-
-    def test_cancel_after_fire_does_not_corrupt_counter(self, sim):
-        entry = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.step()
-        entry.cancel()  # already executed: must be a no-op for accounting
-        assert sim.pending_events == self._brute_force_pending(sim) == 1
-
-    def test_cancel_from_callback_keeps_counter_consistent(self, sim):
-        victim = sim.schedule(5.0, lambda: None)
-        sim.schedule(1.0, victim.cancel)
-        sim.run()
-        assert sim.pending_events == 0
-        assert sim.events_processed == 1
-
-    def test_compaction_preserves_order_and_counts(self):
-        sim = Simulator()
-        fired = []
-        keep = []
-        cancel = []
-        for index in range(3000):
-            entry = sim.schedule(float(index) + 1.0, fired.append, index)
-            (cancel if index % 3 else keep).append((index, entry))
-        for _index, entry in cancel:
-            entry.cancel()
-        # Enough cancellations to trip compaction (threshold is 512).
-        assert len(sim._calendar) < 3000
-        assert sim.pending_events == len(keep)
-        sim.run()
-        assert fired == [index for index, _entry in keep]
-        assert sim.pending_events == 0
+    """The repr reads the calendar's length, never its entries."""
 
     def test_repr_does_not_scan(self, sim):
         sim.schedule(1.0, lambda: None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.simulation.engine import SimulationError, Simulator
-from repro.simulation.process import Interrupt, Process, run_process
+from repro.simulation.process import Process, run_process
 
 
 class TestBasicProcesses:
@@ -140,46 +140,3 @@ class TestProcessComposition:
         sim.run()
         assert combined.value == ["a", "b"]
         assert sim.now == 3.0
-
-
-class TestKillAndInterrupt:
-    def test_killed_process_stops_running(self, sim):
-        log = []
-
-        def worker():
-            yield sim.timeout(1.0)
-            log.append("first")
-            yield sim.timeout(10.0)
-            log.append("second")
-
-        process = run_process(sim, worker())
-        sim.schedule(2.0, process.kill)
-        sim.run()
-        assert log == ["first"]
-        assert process.triggered
-
-    def test_kill_after_completion_is_noop(self, sim):
-        def worker():
-            yield sim.timeout(1.0)
-            return "done"
-
-        process = run_process(sim, worker())
-        sim.run()
-        process.kill()
-        assert process.value == "done"
-
-    def test_interrupt_raises_inside_process(self, sim):
-        log = []
-
-        def worker():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt as interrupt:
-                log.append(("interrupted", sim.now, interrupt.cause))
-            return "finished"
-
-        process = run_process(sim, worker())
-        sim.schedule(2.0, process.interrupt, "reason")
-        sim.run()
-        assert log == [("interrupted", 2.0, "reason")]
-        assert process.value == "finished"

@@ -1,12 +1,12 @@
-"""Tests for Resource, Store and Container primitives."""
+"""Tests for the Resource primitive."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simulation.engine import SimulationError, Simulator
+from repro.simulation.engine import SimulationError
 from repro.simulation.process import run_process
-from repro.simulation.resources import Container, Resource, Store
+from repro.simulation.resources import Resource
 
 
 class TestResource:
@@ -18,17 +18,15 @@ class TestResource:
         resource = Resource(sim, capacity=1)
         grant = resource.request()
         assert grant.triggered
-        assert resource.in_use == 1
+        assert grant.value is resource
 
     def test_second_request_queues_until_release(self, sim):
         resource = Resource(sim, capacity=1)
         first = resource.request()
         second = resource.request()
         assert first.triggered and not second.triggered
-        assert resource.queue_length == 1
         resource.release()
         assert second.triggered
-        assert resource.queue_length == 0
 
     def test_release_without_request_raises(self, sim):
         resource = Resource(sim, capacity=1)
@@ -88,139 +86,3 @@ class TestResource:
         resource.release()
         sim.run()
         assert order == ["high", "low"]
-
-    def test_utilization_tracks_busy_time(self, sim):
-        resource = Resource(sim, capacity=1)
-
-        def worker():
-            yield resource.request()
-            yield sim.timeout(4.0)
-            resource.release()
-            yield sim.timeout(6.0)
-
-        run_process(sim, worker())
-        sim.run()
-        assert resource.utilization() == pytest.approx(0.4)
-
-    def test_mean_wait_accounts_queueing(self, sim):
-        resource = Resource(sim, capacity=1)
-
-        def worker(hold):
-            yield resource.request()
-            yield sim.timeout(hold)
-            resource.release()
-
-        run_process(sim, worker(2.0))
-        run_process(sim, worker(2.0))
-        sim.run()
-        # First waits 0, second waits 2 -> mean 1.
-        assert resource.mean_wait() == pytest.approx(1.0)
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("item")
-        got = store.get()
-        assert got.triggered and got.value == "item"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = store.get()
-        assert not got.triggered
-        store.put("later")
-        assert got.value == "later"
-
-    def test_fifo_order(self, sim):
-        store = Store(sim)
-        for index in range(5):
-            store.put(index)
-        values = [store.get().value for _ in range(5)]
-        assert values == list(range(5))
-
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=2)
-        assert store.put(1).triggered
-        assert store.put(2).triggered
-        blocked = store.put(3)
-        assert not blocked.triggered
-        assert store.is_full
-        store.get()
-        assert blocked.triggered
-        assert store.items() == [2, 3]
-
-    def test_try_get_and_peek(self, sim):
-        store = Store(sim)
-        assert store.try_get() is None
-        assert store.peek() is None
-        store.put("x")
-        assert store.peek() == "x"
-        assert store.try_get() == "x"
-        assert len(store) == 0
-
-    def test_counters(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        store.get()
-        assert store.total_put == 2
-        assert store.total_get == 1
-
-    def test_producer_consumer_processes(self, sim):
-        store = Store(sim, capacity=2)
-        consumed = []
-
-        def producer():
-            for index in range(5):
-                yield store.put(index)
-                yield sim.timeout(0.1)
-
-        def consumer():
-            for _ in range(5):
-                item = yield store.get()
-                consumed.append(item)
-                yield sim.timeout(0.5)
-
-        run_process(sim, producer())
-        run_process(sim, consumer())
-        sim.run()
-        assert consumed == list(range(5))
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
-
-
-class TestContainer:
-    def test_initial_level(self, sim):
-        container = Container(sim, capacity=10.0, initial=4.0)
-        assert container.level == 4.0
-
-    def test_get_blocks_until_enough(self, sim):
-        container = Container(sim, capacity=10.0)
-        request = container.get(3.0)
-        assert not request.triggered
-        container.put(2.0)
-        assert not request.triggered
-        container.put(2.0)
-        assert request.triggered
-        assert container.level == pytest.approx(1.0)
-
-    def test_put_blocks_when_over_capacity(self, sim):
-        container = Container(sim, capacity=5.0, initial=4.0)
-        blocked = container.put(3.0)
-        assert not blocked.triggered
-        container.get(3.0)
-        assert blocked.triggered
-        assert container.level == pytest.approx(4.0)
-
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, capacity=0.0)
-        with pytest.raises(ValueError):
-            Container(sim, capacity=1.0, initial=2.0)
-        container = Container(sim, capacity=1.0)
-        with pytest.raises(ValueError):
-            container.put(-1.0)
-        with pytest.raises(ValueError):
-            container.get(-1.0)

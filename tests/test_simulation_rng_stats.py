@@ -6,20 +6,12 @@ import math
 
 import pytest
 
-from repro.simulation.rng import (
-    RandomStreams,
-    derive_seed,
-    exponential,
-    weighted_choice,
-    zipf_weights,
-)
+from repro.simulation.rng import RandomStreams, derive_seed
 from repro.simulation.stats import (
     Counter,
     LatencyRecorder,
     ReservoirSample,
     SummaryStats,
-    TimeWeightedValue,
-    histogram,
     percentile,
 )
 
@@ -60,30 +52,6 @@ class TestRandomStreams:
         assert derive_seed(1, "a") == derive_seed(1, "a")
         assert derive_seed(1, "a") != derive_seed(1, "b")
         assert derive_seed(1, "a") != derive_seed(2, "a")
-
-    def test_exponential_mean(self):
-        rng = RandomStreams(5).stream("exp")
-        samples = [exponential(rng, 2.0) for _ in range(20_000)]
-        assert sum(samples) / len(samples) == pytest.approx(2.0, rel=0.05)
-        assert exponential(rng, 0.0) == 0.0
-
-    def test_zipf_weights_normalised_and_decreasing(self):
-        weights = zipf_weights(10, skew=1.0)
-        assert sum(weights) == pytest.approx(1.0)
-        assert all(weights[i] >= weights[i + 1] for i in range(9))
-        assert zipf_weights(0) == []
-
-    def test_weighted_choice_respects_weights(self):
-        rng = RandomStreams(9).stream("choice")
-        picks = [weighted_choice(rng, ["a", "b"], [0.9, 0.1]) for _ in range(5000)]
-        assert picks.count("a") > picks.count("b") * 4
-
-    def test_weighted_choice_validation(self):
-        rng = RandomStreams(9).stream("choice")
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_choice(rng, [], [])
 
 
 class TestSummaryStats:
@@ -170,21 +138,6 @@ class TestPercentilesAndReservoir:
 
 
 class TestTimeWeightedAndCounters:
-    def test_time_weighted_average(self):
-        tracker = TimeWeightedValue()
-        tracker.update(0.0, 0.0)
-        tracker.update(10.0, 4.0)   # value 0 for 10s
-        tracker.update(20.0, 2.0)   # value 4 for 10s
-        assert tracker.average(30.0) == pytest.approx((0 * 10 + 4 * 10 + 2 * 10) / 30)
-        assert tracker.maximum == 4.0
-        assert tracker.current == 2.0
-
-    def test_time_weighted_rejects_time_going_backwards(self):
-        tracker = TimeWeightedValue()
-        tracker.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            tracker.update(4.0, 2.0)
-
     def test_counter_increment_and_merge(self):
         a = Counter()
         a.increment("x")
@@ -196,18 +149,6 @@ class TestTimeWeightedAndCounters:
         assert merged.get("x") == 6
         assert merged.get("y") == 2
         assert a.get("missing") == 0
-
-    def test_histogram_bins_cover_all_values(self):
-        values = [float(v) for v in range(100)]
-        bins = histogram(values, bins=10)
-        assert len(bins) == 10
-        assert sum(count for _low, _high, count in bins) == 100
-
-    def test_histogram_degenerate_cases(self):
-        assert histogram([], bins=5) == []
-        assert histogram([3.0, 3.0], bins=5) == [(3.0, 3.0, 2)]
-        with pytest.raises(ValueError):
-            histogram([1.0, 2.0], bins=0)
 
 
 class TestBatchedRecording:

@@ -71,30 +71,6 @@ class TestBloomBehaviour:
         bloom.add("hello")
         assert "hello" in bloom
 
-    def test_union(self):
-        a = BloomFilter(expected_items=100, num_bits=2048, num_hashes=3)
-        b = BloomFilter(expected_items=100, num_bits=2048, num_hashes=3)
-        a.add(b"only-a")
-        b.add(b"only-b")
-        merged = a.union(b)
-        assert b"only-a" in merged and b"only-b" in merged
-
-    def test_union_requires_matching_parameters(self):
-        a = BloomFilter(expected_items=100, num_bits=2048, num_hashes=3)
-        b = BloomFilter(expected_items=100, num_bits=4096, num_hashes=3)
-        with pytest.raises(ValueError):
-            a.union(b)
-
-    def test_estimated_false_positive_rate_grows_with_fill(self):
-        bloom = BloomFilter(expected_items=100, false_positive_rate=0.01)
-        empty_estimate = bloom.estimated_false_positive_rate()
-        bloom.add_many(f"k{i}".encode() for i in range(100))
-        assert bloom.estimated_false_positive_rate() > empty_estimate
-
-    def test_memory_footprint_matches_bits(self):
-        bloom = BloomFilter(expected_items=100, num_bits=800, num_hashes=3)
-        assert bloom.memory_bytes == 100
-
 
 class TestBloomDigestFastPath:
     def test_no_false_negatives_with_digest_keys(self):
@@ -156,12 +132,6 @@ class TestBloomDigestFastPath:
         bloom.add(b"short")
         assert b"short" in bloom
         assert b"other" not in bloom
-
-    def test_union_requires_matching_digest_mode(self):
-        a = BloomFilter(expected_items=100, num_bits=2048, num_hashes=3, digest_keys=True)
-        b = BloomFilter(expected_items=100, num_bits=2048, num_hashes=3, digest_keys=False)
-        with pytest.raises(ValueError):
-            a.union(b)
 
     def test_fill_ratio_matches_per_byte_popcount(self):
         bloom = BloomFilter(expected_items=500)
@@ -316,21 +286,15 @@ class TestSingleKeyKernels:
         assert fast._bits == reference._bits
         assert fast._count == reference._count
 
-    def test_kernels_survive_clear_and_union(self):
+    def test_kernels_survive_clear(self):
         bloom = BloomFilter(expected_items=300)
         key = b"x" * 20
         bloom.add(key)
         assert bloom.contains_one(key)
         bloom.clear()
         assert not bloom.contains_one(key)  # bound bits were zeroed in place
-        other = BloomFilter(
-            expected_items=bloom.expected_items,
-            num_bits=bloom.num_bits,
-            num_hashes=bloom.num_hashes,
-        )
-        other.add(key)
-        merged = bloom.union(other)
-        assert merged.contains_one(key)
+        bloom.add(key)
+        assert bloom.contains_one(key)
 
     def test_non_digest_filter_falls_back(self):
         bloom = BloomFilter(expected_items=200, digest_keys=False)

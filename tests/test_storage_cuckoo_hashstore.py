@@ -185,14 +185,6 @@ class TestSSDHashStore:
         operations = store.insert_io(key)
         assert len(operations) == 1 and operations[0].kind == "write"
 
-    def test_flush_io_drains_buffer(self):
-        store = SSDHashStore(num_buckets=64, page_size=4096, entry_size=64)
-        for _ in range(10):
-            store.put(os.urandom(20), True)
-        flush_ops = store.flush_io()
-        assert len(flush_ops) == 1
-        assert store.flush_io() == []
-
     def test_stats_keys(self):
         store = SSDHashStore(num_buckets=64)
         store.put(b"k", 1)
@@ -297,20 +289,11 @@ class TestFileHashStore:
             # Compaction rewrites only live records and resets the count.
             assert reopened.record_count == 1
 
-    def test_put_many_batches_records(self, tmp_path):
-        path = str(tmp_path / "store.log")
-        with FileHashStore(path) as store:
-            assert store.put_many((bytes([i]), b"v") for i in range(10)) == 10
-            assert store.record_count == 10
-            assert len(store) == 10
-        with FileHashStore(path) as reopened:
-            assert len(reopened) == 10
-
     def test_fsync_mode_roundtrip(self, tmp_path):
         path = str(tmp_path / "store.log")
         with FileHashStore(path, fsync=True) as store:
             store.put(b"key", b"value")
-            store.put_many([(b"k2", b"v2")])
+            store.put(b"k2", b"v2")
             store.delete(b"k2")
             store.compact()
         with FileHashStore(path) as reopened:

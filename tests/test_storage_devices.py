@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.engine import Simulator
 from repro.simulation.process import run_process
 from repro.storage.devices import (
     HDD_SPEC,
@@ -51,48 +50,34 @@ class TestDeviceSpecs:
 
 
 class TestImmediateMode:
-    def test_read_returns_triggered_event_with_service_time(self):
-        device = make_ssd()
-        event = device.read(4096)
-        assert event.triggered
-        assert event.value == pytest.approx(device.read_cost(4096))
+    """Without a simulator a device is its cost model only."""
 
-    def test_counters_accumulate(self):
-        device = make_ssd()
-        device.read(4096)
-        device.read(4096)
-        device.write(4096)
-        assert device.reads == 2
-        assert device.writes == 1
-        assert device.busy_time > 0
+    def test_costs_need_no_simulator(self):
+        device = make_hdd()
+        assert device.read_cost(4096) == pytest.approx(HDD_SPEC.read_time(4096))
+        assert device.write_cost(4096, False) == pytest.approx(HDD_SPEC.write_time(4096, False))
 
-    def test_busy_accounts_time_without_counting_access(self):
-        device = make_ssd()
-        before = device.busy_time
-        event = device.busy(0.5)
-        assert event.triggered and event.value == 0.5
-        assert device.busy_time == pytest.approx(before + 0.5)
-        assert device.reads == 0
+    def test_busy_without_a_simulator_is_a_runtime_error(self):
+        # The same error HybridHashNode.serve_batch raises, not an
+        # AttributeError from a missing queue.
+        with pytest.raises(RuntimeError, match="constructed with a Simulator"):
+            make_ssd().busy(0.5)
 
     def test_busy_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             make_ssd().busy(-1.0)
-
-    def test_utilization(self):
-        device = make_hdd()
-        device.read(4096)
-        elapsed = device.busy_time * 2
-        assert device.utilization(elapsed) == pytest.approx(0.5)
-        assert device.utilization(0.0) == 0.0
 
 
 class TestSimulatedMode:
     def test_read_completes_after_service_time(self, sim):
         device = make_ssd(sim)
         finished = []
-        device.read(4096).add_callback(lambda _e: finished.append(sim.now))
+        event = device.busy(device.read_cost(4096))
+        event.add_callback(lambda _e: finished.append(sim.now))
+        assert not event.triggered
         sim.run()
         assert finished == [pytest.approx(device.read_cost(4096))]
+        assert event.value == pytest.approx(device.read_cost(4096))
 
     def test_queueing_with_concurrency_one(self, sim):
         spec = DeviceSpec(
@@ -106,7 +91,7 @@ class TestSimulatedMode:
         device = StorageDevice(spec, sim)
         finish_times = []
         for _ in range(3):
-            device.read(0).add_callback(lambda _e: finish_times.append(sim.now))
+            device.busy(device.read_cost(0)).add_callback(lambda _e: finish_times.append(sim.now))
         sim.run()
         assert finish_times == [
             pytest.approx(1e-3),
@@ -126,7 +111,7 @@ class TestSimulatedMode:
         device = StorageDevice(spec, sim)
         finish_times = []
         for _ in range(2):
-            device.read(0).add_callback(lambda _e: finish_times.append(sim.now))
+            device.busy(device.read_cost(0)).add_callback(lambda _e: finish_times.append(sim.now))
         sim.run()
         assert finish_times == [pytest.approx(1e-3), pytest.approx(1e-3)]
 
@@ -134,7 +119,7 @@ class TestSimulatedMode:
         device = make_ram(sim)
 
         def worker():
-            yield device.read(64)
+            yield device.busy(device.read_cost(64))
             return sim.now
 
         process = run_process(sim, worker())

@@ -166,25 +166,3 @@ class TestCloudObjectStore:
         store = CloudObjectStore(base_latency=0.01, bandwidth=1e6)
         assert store.transfer_time(0) == pytest.approx(0.01)
         assert store.transfer_time(1_000_000) == pytest.approx(1.01)
-
-    def test_async_put_and_get_on_simulator(self, sim):
-        store = CloudObjectStore(sim=sim, base_latency=0.5, bandwidth=1e9)
-        results = []
-        store.put_async(b"key", b"chunk").add_callback(
-            lambda event: results.append(("put", sim.now, event.value))
-        )
-        sim.run()
-        store.get_async(b"key").add_callback(
-            lambda event: results.append(("get", sim.now, event.value))
-        )
-        sim.run()
-        assert results[0][0] == "put" and results[0][2] is True
-        assert results[0][1] == pytest.approx(0.5, rel=1e-3)
-        assert results[1][0] == "get" and results[1][2] == b"chunk"
-
-    def test_async_requires_simulator(self):
-        store = CloudObjectStore()
-        with pytest.raises(RuntimeError):
-            store.put_async(b"k", b"v")
-        with pytest.raises(RuntimeError):
-            store.get_async(b"k")

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import pytest
 
-from repro.core.protocol import SERVED_FROM_TIER, LookupReply, LookupRequest, ServedFrom
+from repro.core.protocol import SERVED_FROM_TIER, LookupReply, ServedFrom
 from repro.dedup.fingerprint import Fingerprint, column_builder, synthetic_fingerprint
 from repro.dedup.index import ChunkLocation, LookupResult
 from repro.network.message import Message
@@ -113,15 +113,13 @@ def test_read_repair_replaces_fields_on_a_slotted_reply():
 
 def test_per_message_types_are_slotted_too():
     message = Message("a", "b", None, 10)
-    request = LookupRequest(FP, "client")
     operation = IOOperation("read", 4096)
-    for value in (message, request, operation):
+    for value in (message, operation):
         assert not hasattr(value, "__dict__")
     message.created_at = 2.0  # the envelope stays mutable...
     with pytest.raises(AttributeError):
         message.not_a_field = 1  # ...but grows no attributes
     assert message.reply(None, 4).reply_to == message.message_id
-    assert pickle.loads(pickle.dumps(request)) == request
     assert pickle.loads(pickle.dumps(operation)) == operation
 
 

@@ -20,8 +20,8 @@ Every packed/fused fast path must be byte-identical to its reference:
   validation, leaked-segment cleanup);
 * the packed trace cache vs running the generator directly.
 
-Plus two named satellite regression tests (fill_ratio big-int
-materialization, union double-counting) and the forced no-numpy leg (``REPRO_FORCE_NO_NUMPY=1``, subprocess) pinning the
+Plus the named satellite regression test (fill_ratio big-int
+materialization) and the forced no-numpy leg (``REPRO_FORCE_NO_NUMPY=1``, subprocess) pinning the
 fallback.
 """
 
@@ -206,41 +206,6 @@ class TestBloomSatelliteRegressions:
         assert bloom.fill_ratio() == 12 / 256
         bloom.raw_bits()[:] = bytes([0xFF]) * 32
         assert bloom.fill_ratio() == 1.0
-
-    def test_union_does_not_double_count_overlap(self):
-        """Satellite (c): two filters holding the same 500 keys no longer
-        merge to ``count == 1000``."""
-        keys = [os.urandom(20) for _ in range(500)]
-        left = BloomFilter(num_bits=1 << 16, num_hashes=5)
-        right = BloomFilter(num_bits=1 << 16, num_hashes=5)
-        left.add_many(keys)
-        right.add_many(keys)
-        merged = left.union(right)
-        assert merged.count < 1000  # pre-fix: exactly 1000
-        assert 500 <= merged.count  # clamp floor: max of the inputs
-
-    def test_union_count_exact_when_one_side_empty(self):
-        keys = [os.urandom(20) for _ in range(500)]
-        filled = BloomFilter(num_bits=1 << 16, num_hashes=5)
-        filled.add_many(keys)
-        empty = BloomFilter(num_bits=1 << 16, num_hashes=5)
-        assert filled.union(empty).count == 500
-        assert empty.union(filled).count == 500
-
-    @FAST
-    @given(digest_lists, digest_lists)
-    def test_union_bits_are_exact_or(self, left_keys, right_keys):
-        left = BloomFilter(num_bits=1000, num_hashes=3)  # non-multiple-of-8 tail
-        right = BloomFilter(num_bits=1000, num_hashes=3)
-        left.add_many(left_keys)
-        right.add_many(right_keys)
-        merged = left.union(right)
-        reference = bytes(
-            a | b for a, b in zip(bytes(left.raw_bits()), bytes(right.raw_bits()))
-        )
-        assert bytes(merged.raw_bits()) == reference
-        assert all(key in merged for key in left_keys + right_keys)
-
 
 # ------------------------------------------------------------- shared-memory lifecycle
 @needs_shm

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.arrival import ClosedLoopWindow, OpenLoopArrivals
+from repro.workloads.arrival import OpenLoopArrivals
 from repro.workloads.mixer import WorkloadMix, table_i_mix
 from repro.workloads.profiles import (
     HOME_DIR,
@@ -190,11 +190,3 @@ class TestArrivals:
             OpenLoopArrivals(rate=1.0, count=0)
         with pytest.raises(ValueError):
             OpenLoopArrivals(rate=1.0, count=1, jitter=2.0)
-
-    def test_closed_loop_expected_throughput(self):
-        window = ClosedLoopWindow(window=4, think_time=0.0)
-        assert window.expected_throughput(0.01) == pytest.approx(400.0)
-        with pytest.raises(ValueError):
-            ClosedLoopWindow(window=0)
-        with pytest.raises(ValueError):
-            ClosedLoopWindow(window=1, think_time=-1.0)

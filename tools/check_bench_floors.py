@@ -12,18 +12,10 @@ is machine-independent; the 0.8 margin absorbs scheduler noise.
 Series present only in the fresh file (newly added benchmarks) pass; a
 series that *disappears* fails loudly (the message names the series that
 survived), so a leg cannot be silently dropped.  Series that record a
-``cpu_count`` (machine-dependent wall-clock legs: ``sweep_wall_clock``,
-``service_throughput``) must still be *present*, but their committed
-speedup is not compared across machines -- the benchmark itself enforces
-their absolute floors under ``REPRO_BENCH_STRICT`` on capable boxes.
-
-A committed series may declare ``"requires": "<module>"`` to mark itself
-conditional on an optional dependency (the ``numpy_kernels`` legs need
-the ``perf`` extra).  When that module is *not* importable on the runner
-doing the check, a missing conditional series is a named skip rather
-than a failure -- so the no-extras CI leg doesn't fail on benchmarks it
-could never have run.  When the module *is* importable, the series is
-held to the same presence + floor contract as everything else.
+``cpu_count`` (machine-dependent wall-clock legs: ``sweep_wall_clock``)
+must still be *present*, but their committed speedup is not compared
+across machines -- the benchmark itself enforces their absolute floors
+under ``REPRO_BENCH_STRICT`` on capable boxes.
 
 Only each series' headline ``speedup`` is guarded; sub-keys (per-kernel
 ``*_speedup`` ratios, ``*_ops_per_s`` figures) are informational, so
@@ -39,36 +31,17 @@ Usage (the CI hotpath job; the benchmark writes only under the git-ignored
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
 
 
-def requirement_available(requirement: str) -> bool:
-    """True when the optional dependency named by ``requires`` is importable."""
-    try:
-        return importlib.util.find_spec(requirement) is not None
-    except (ImportError, ValueError):
-        return False
-
-
-def check_floors(committed: dict, fresh: dict, floor_ratio: float, skips: list = None) -> list:
-    """Return a list of human-readable failures (empty = pass).
-
-    When ``skips`` is a list, skip messages for conditional series whose
-    ``requires`` module is absent on this runner are appended to it.
-    """
+def check_floors(committed: dict, fresh: dict, floor_ratio: float) -> list:
+    """Return a list of human-readable failures (empty = pass)."""
     failures = []
-    if skips is None:
-        skips = []
     committed_series = committed.get("series", {})
     fresh_series = fresh.get("series", {})
     for name, entry in committed_series.items():
         if name not in fresh_series:
-            requires = entry.get("requires")
-            if requires is not None and not requirement_available(requires):
-                skips.append(f"{name}: skipped (requires {requires}, absent on this runner)")
-                continue
             available = ", ".join(sorted(fresh_series)) or "(none)"
             failures.append(
                 f"{name}: series disappeared from the fresh benchmark -- the "
@@ -112,19 +85,15 @@ def main(argv=None) -> int:
         committed = json.load(handle)
     with open(args.fresh, "r", encoding="utf-8") as handle:
         fresh = json.load(handle)
-    skips = []
-    failures = check_floors(committed, fresh, args.floor_ratio, skips=skips)
-    for skip in skips:
-        print(f"perf floor skipped: {skip}")
+    failures = check_floors(committed, fresh, args.floor_ratio)
     if failures:
         for failure in failures:
             print(f"PERF REGRESSION: {failure}", file=sys.stderr)
         return 1
-    skipped_names = {skip.split(":", 1)[0] for skip in skips}
     guarded = sorted(
         name
         for name, entry in committed.get("series", {}).items()
-        if "speedup" in entry and "cpu_count" not in entry and name not in skipped_names
+        if "speedup" in entry and "cpu_count" not in entry
     )
     print(f"perf floors ok ({args.floor_ratio} x committed) for: {', '.join(guarded)}")
     return 0
