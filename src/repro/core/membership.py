@@ -253,7 +253,10 @@ class MembershipManager:
         unreachable = sum(
             1 for digest in (lost_candidates or ()) if digest not in placement
         )
-        for digest, holders in placement.items():
+        # Digest order, not the stores' iteration order: the walk decides the
+        # sequence of imports and of the (source, target) pairs charged.
+        for digest in sorted(placement):
+            holders = placement[digest]
             value = values[digest]
             fingerprint = self._as_fingerprint(digest, value)
             desired = self.controller.desired_nodes(fingerprint)
