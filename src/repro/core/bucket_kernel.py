@@ -14,7 +14,8 @@ with:
   :data:`FUSED_MAX_HASHES` rounds get the same walk as a loop instead of
   an unrolled ladder -- same template, same outputs;
 * the SSD store probe and known-new insert inlined against the store's
-  bucket dicts with the exact page/write-buffer arithmetic of
+  table and per-bucket count column with the exact page/write-buffer
+  arithmetic of
   ``lookup_io`` / ``put`` + ``insert_io`` (the store hands its raw state to
   the kernel via :meth:`~repro.storage.hashstore.SSDHashStore.batch_state`
   and takes the deltas back via
@@ -60,10 +61,7 @@ reach the bloom stage (see
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Tuple
-
-from ..storage.hashstore import _HASH64_MEMO, _HASH64_MEMO_MAX
 
 __all__ = ["fused_kernels", "FUSED_MAX_HASHES"]
 
@@ -130,17 +128,9 @@ def _probe_block(num_hashes: int, pad: str) -> list:
     return lines
 
 
-def _bucket_block(pad: str) -> list:
-    """Memoized BLAKE2b placement + bucket dict resolve (hashstore inline)."""
-    return [
-        f"{pad}hash64 = memo_get(digest)",
-        f"{pad}if hash64 is None:",
-        f"{pad}    if len(memo) >= memo_max:",
-        f"{pad}        memo.clear()",
-        f"{pad}    hash64 = from_bytes(blake2b(digest, digest_size=8).digest(), 'big')",
-        f"{pad}    memo[digest] = hash64",
-        f"{pad}bucket = store_buckets[hash64 % store_num_buckets]",
-    ]
+#: The store's placement rule for a 20-byte digest (every key of a
+#: :class:`~repro.core.digest_batch.DigestBatch`), inlined.
+_BUCKET = "bucket = from_bytes(digest[-8:], 'big') % store_num_buckets"
 
 
 def _cache_insert_block(pad: str) -> list:
@@ -172,16 +162,12 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
         f"def {name}(",
         "    digests, hash_words, chunk_sizes, cached, move_to_end, cache_popitem,",
         "    cache_capacity,",
-        "    bits, store_buckets, store_num_buckets, entries_per_page,",
+        "    bits, table, counts, store_num_buckets, entries_per_page,",
         "    write_buffer_pages, buffered, base_time, page_read_cost,",
         "    page_write_rand_cost, page_write_seq_cost, out_append, times_append,",
         "    new_append," + (" bloom_prefetch," if columnar else ""),
         "):",
         f"    nb = {num_bits}",
-        "    memo = _MEMO",
-        "    memo_get = memo.get",
-        "    memo_max = _MEMO_MAX",
-        "    blake2b = _blake2b",
         "    from_bytes = int.from_bytes",
         "    ram_hits = ssd_hits = new_entries = 0",
         "    bloom_negative_shortcuts = bloom_false_positives = 0",
@@ -233,10 +219,9 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
     lines.append("        if in_bloom:")
     # 3. SSD probe (lookup_io + membership inlined; the bucket is reused by
     # the false-positive insert).
-    lines += _bucket_block("            ")
     lines += [
-        "            entries = len(bucket)",
-        "            pages = -(-entries // entries_per_page) or 1",
+        "            " + _BUCKET,
+        "            pages = -(-counts[bucket] // entries_per_page) or 1",
         "            page_reads += pages",
         "            if pages == 1:",
         "                ssd_time = 0.0 + page_read_cost",
@@ -244,7 +229,7 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
         "                ssd_time = 0.0",
         "                for _ in range(pages):",
         "                    ssd_time += page_read_cost",
-        "            if digest in bucket:",
+        "            if digest in table:",
         "                ssd_hits += 1",
     ]
     lines += _cache_insert_block("                ")
@@ -265,7 +250,7 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
         lines.append("                bits[index >> 3] |= 1 << (index & 7)")
         lines.append("            dirty = 1")
     lines.append("            ssd_time = 0.0")
-    lines += _bucket_block("            ")
+    lines.append("            " + _BUCKET)
     # New fingerprint: cache + store insert (put + insert_io inlined for a
     # known-absent key; the bucket was resolved by whichever branch ran
     # above, and the bloom bits were already settled inside the probe block
@@ -275,7 +260,8 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
     lines += _cache_insert_block("        ")
     lines += [
         "        chunk_size = chunk_sizes if scalar_size else chunk_sizes[i]",
-        "        bucket[digest] = chunk_size",
+        "        table[digest] = chunk_size",
+        "        counts[bucket] += 1",
         "        new_append((digest, chunk_size))",
         "        if write_buffer_pages > 0:",
         "            buffered += 1",
@@ -321,11 +307,7 @@ def fused_kernels(num_bits: int, num_hashes: int) -> Tuple[Callable, Callable]:
     shape = (num_bits, num_hashes)
     kernels = _FUSED_CACHE.get(shape)
     if kernels is None:
-        namespace = {
-            "_MEMO": _HASH64_MEMO,
-            "_MEMO_MAX": _HASH64_MEMO_MAX,
-            "_blake2b": hashlib.blake2b,
-        }
+        namespace: dict = {}
         exec(_kernel_source(num_bits, num_hashes), namespace)  # noqa: S102 - static template
         exec(_kernel_source(num_bits, num_hashes, columnar=True), namespace)  # noqa: S102
         kernels = _FUSED_CACHE[shape] = (

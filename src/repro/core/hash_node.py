@@ -272,13 +272,13 @@ class HybridHashNode:
         cached = cache.data
         store = self.store
         bloom = self.bloom
-        store_buckets, store_num_buckets, entries_per_page, write_buffer_pages, buffered = (
+        table, counts, store_num_buckets, entries_per_page, write_buffer_pages, buffered = (
             store.batch_state()
         )
         bits = bloom.raw_bits()
         args = self._fused_args
-        if args is None or args[3] is not cached or args[7] is not bits or args[8] is not store_buckets:
-            # (Re)build the constant argument block.  Slots 0-2 and 17-19
+        if args is None or args[3] is not cached or args[7] is not bits or args[8] is not table:
+            # (Re)build the constant argument block.  Slots 0-2 and 18-20
             # are per-batch; everything else is fixed for the lifetime of
             # the node's cache/bloom/store objects (device costs are pure
             # functions of the spec), so the identity guard above is the
@@ -286,7 +286,7 @@ class HybridHashNode:
             # those objects wholesale.
             args = self._fused_args = [
                 None, None, None, cached, cached.move_to_end, cached.popitem,
-                cache.capacity, bits, store_buckets,
+                cache.capacity, bits, table, counts,
                 store_num_buckets, entries_per_page, write_buffer_pages,
                 buffered,
                 self.config.cpu_per_lookup + self.ram_device.read_cost(64),
@@ -308,10 +308,10 @@ class HybridHashNode:
             lambda: tuple(chain.from_iterable(map(bloom._hash_pair, digests)))
         )
         args[2] = batch.chunk_sizes
-        args[12] = buffered
-        args[17] = tiers.append
-        args[18] = service_times.append
-        args[19] = new_pairs.append
+        args[13] = buffered
+        args[18] = tiers.append
+        args[19] = service_times.append
+        args[20] = new_pairs.append
         if columnar:
             # Lazy whole-batch bloom prefetch (first RAM-miss pays it):
             # verdicts for every key plus the probe-index rows of the
@@ -327,8 +327,8 @@ class HybridHashNode:
             bloom_false_positives, total_ssd_time, page_reads, page_writes,
             buffer_flushes, buffered, cache_insertions, cache_evictions,
         ) = outcome
-        args[0] = args[1] = args[2] = args[17] = args[18] = args[19] = None
-        store.settle_batch(page_reads, page_writes, buffer_flushes, buffered, new_entries)
+        args[0] = args[1] = args[2] = args[18] = args[19] = args[20] = None
+        store.settle_batch(page_reads, page_writes, buffer_flushes, buffered)
         if new_entries:
             bloom.count_inserts(new_entries)
         total = len(digests)

@@ -7,10 +7,11 @@ property on top of the repo's own storage primitives:
 
 * **Fingerprint log** -- every acknowledged batch is appended to an
   on-disk :class:`~repro.storage.fplog.FingerprintLog` as one CRC32-framed
-  frame (keys, values and the store's placement hashes as columns), flushed
-  before the reply.  The log *is* the durable image of the store: there is
-  no separate table snapshot to write, and recovery fills the bucket dicts
-  straight from the frames.  A torn tail is truncated on open.
+  frame (keys and values as columns), flushed before the reply.  The log
+  *is* the durable image of the store: there is no separate table snapshot
+  to write, and recovery refills the store frame by frame -- a key's bucket
+  is a function of the key, so nothing about placement is on disk.  A torn
+  tail is truncated on open.
 * **Bloom checkpoints** -- the node's bloom filter bit array is periodically
   written through :func:`~repro.storage.snapshot.write_snapshot` (tmp file
   + fsync + atomic rename), a constant-size image whatever the shard holds.
@@ -36,7 +37,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Iterable, List, Optional, Tuple
 
 from ..storage.fplog import OP_PUT, OP_REMOVE, FingerprintLog
-from ..storage.hashstore import placement_hashes
 from ..storage.snapshot import SnapshotError, read_snapshot, write_snapshot
 from ..storage.wal import WriteAheadLog
 
@@ -146,7 +146,7 @@ class NodePersistence:
         if not columns:
             return 0
         keys, values = columns
-        self.container.append(OP_PUT, keys, values, placement_hashes(keys))
+        self.container.append(OP_PUT, keys, values)
         return len(keys)
 
     def log_remove(self, digest: bytes) -> None:
@@ -203,7 +203,7 @@ class NodePersistence:
         :class:`~repro.storage.hashstore.SSDHashStore`), ``bloom`` (a
         :class:`~repro.storage.bloom.BloomFilter`), and ``node_id`` -- i.e.
         a freshly constructed or freshly killed hash node.  One pass over
-        the log's frames fills the store from the logged placement hashes.
+        the log's frames fills the store.
         With a valid image the bloom filter is restored by bulk copy and
         only the keys logged after it are re-added; an image that is
         missing, corrupt, of another geometry or ahead of the log means
@@ -245,9 +245,9 @@ class NodePersistence:
         # (bloom bits cannot be unset); duplicate puts are idempotent.
         tail: List[bytes] = []
         index = 0
-        for op, keys, values, hashes in frames:
+        for op, keys, values in frames:
             if op == OP_PUT:
-                store.fill_placed(keys, values, hashes)
+                store.fill(keys, values)
                 if report.snapshot_loaded and index + len(keys) > snapshot_records:
                     tail.extend(keys[max(snapshot_records - index, 0):])
             else:

@@ -519,7 +519,10 @@ class ServiceGateway:
                 header = None
                 if length > MAX_FRAME_BYTES:
                     raise WireError("oversized frame")
-                payload = await reader.readexactly(length)
+                try:
+                    payload = await reader.readexactly(length)
+                except asyncio.IncompleteReadError:
+                    raise WireError("connection closed mid-frame") from None
                 message = codec.decode(payload)
                 kind = message.get("t")
                 if kind == "batch":

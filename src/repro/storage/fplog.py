@@ -12,16 +12,21 @@ Layout (all integers little-endian)::
 
     file    = MAGIC(7) VERSION(1) frame*
     frame   = op(u8) key_len(u32) count(u32) crc32(u32) body
-    body    = keys(count * key_len)  [values(count * u64)  hashes(count * u64)]
+    body    = keys(count * key_len)  [values(count * u64)]
 
 ``crc32`` covers the three header fields and the body, so every byte after
-the file header is checked on open.  A put frame (op 1) carries three
-columns: the keys joined, the values, and the 64-bit placement hashes the
-store had just computed for those keys -- replay fills
-``buckets[hash % num_buckets]`` without re-hashing or parsing anything per
-record.  A remove frame (op 2) carries the keys only.
+the file header is checked on open.  A put frame (op 1) carries two
+columns, the keys joined and the values, so replay parses nothing per
+record; a remove frame (op 2) carries the keys only.  Where a key lives in
+the store is a function of the key alone
+(:mod:`~repro.storage.hashstore`, *Placement rule*), so nothing about
+placement is logged.
 
-This module is the only place that knows the format.
+This is format version 2.  Version 1 (PR 19) carried a third put column,
+the store's 64-bit placement hashes; a version-1 file is refused untouched
+with :class:`LogFormatError`, like any other file this build does not read
+-- there is no converter.  This module is the only place that knows the
+format.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ OP_PUT = 1
 OP_REMOVE = 2
 
 _MAGIC = b"SHHCFPL"
-_VERSION = 1
+_VERSION = 2
 _FILE_HEADER = _MAGIC + bytes([_VERSION])
 _FIELDS = struct.Struct("<BII")  # op, key length, record count
 _CRC = struct.Struct("<I")  # CRC32(fields + body)
@@ -117,7 +122,7 @@ class FingerprintLog:
             body = offset + _FRAME_HEADER
             op, key_len, count = _FIELDS.unpack_from(data, offset)
             # A count the file cannot hold is a torn header, never an allocation.
-            end = body + count * (key_len + 16 if op == OP_PUT else key_len)
+            end = body + count * (key_len + 8 if op == OP_PUT else key_len)
             if op not in (OP_PUT, OP_REMOVE) or end > len(data):
                 break
             crc = zlib.crc32(view[body:end], zlib.crc32(view[offset:offset + _FIELDS.size]))
@@ -142,31 +147,27 @@ class FingerprintLog:
             return "a per-record FileHashStore container (the layout before the framed log)"
         return f"a foreign file starting {data[:8]!r}"
 
-    def replay(self) -> Iterator[Tuple[int, tuple, array, array]]:
-        """Iterate ``(op, keys, values, hashes)`` per frame, in log order.
+    def replay(self) -> Iterator[Tuple[int, tuple, array]]:
+        """Iterate ``(op, keys, values)`` per frame, in log order.
 
         Served from the opening scan when nothing was appended since; a
         later replay (an in-process restart) re-reads and re-verifies the
         file here, before returning, so ``records`` and ``truncated_bytes``
-        are final by the time the caller iterates.  Remove frames yield
-        empty value and hash columns.
+        are final by the time the caller iterates.  Remove frames yield an
+        empty value column.
         """
         data, frames = self._opened or self._scan()
         self._opened = None
         return self._decode(data, frames)
 
     @staticmethod
-    def _decode(data: bytes, frames) -> Iterator[Tuple[int, tuple, array, array]]:
+    def _decode(data: bytes, frames) -> Iterator[Tuple[int, tuple, array]]:
         view = memoryview(data)
         for op, key_len, count, body in frames:
-            values = body + key_len * count
             keys = _repeated_struct(f"{key_len}s", count).unpack_from(data, body)
-            if op == OP_PUT:
-                hashes = values + 8 * count
-                yield op, keys, _read_column(view[values:hashes]), _read_column(
-                    view[hashes:hashes + 8 * count])
-            else:
-                yield op, keys, array("Q"), array("Q")
+            values = body + key_len * count
+            values_end = values + 8 * count if op == OP_PUT else values
+            yield op, keys, _read_column(view[values:values_end])
 
     # -- writing -----------------------------------------------------------------------
     def _write(self, blob: bytes) -> None:
@@ -177,15 +178,14 @@ class FingerprintLog:
         self.size += len(blob)
         self._opened = None
 
-    def append(self, op: int, keys: Sequence[bytes], values: Sequence[int] = (),
-               hashes: Sequence[int] = ()) -> None:
+    def append(self, op: int, keys: Sequence[bytes], values: Sequence[int] = ()) -> None:
         """Write one batch and flush it (fsync iff configured) before returning."""
         parts = []
         start = 0
         for key_len, run in groupby(keys, len):
             run = list(run)
             stop = start + len(run)
-            body = b"".join(run) + _column(values[start:stop]) + _column(hashes[start:stop])
+            body = b"".join(run) + _column(values[start:stop])
             fields = _FIELDS.pack(op, key_len, len(run))
             parts += (fields, _CRC.pack(zlib.crc32(body, zlib.crc32(fields))), body)
             start = stop

@@ -4,16 +4,29 @@ The paper stores each node's fingerprint table on SSD "as a Berkeley DB"
 (§III.B).  Berkeley DB is not available here, so this module provides two
 replacements:
 
-* :class:`SSDHashStore` -- the store used inside simulated hash nodes.  It is
-  a bucketised (page-oriented) hash table held in memory for correctness,
-  paired with an explicit **I/O cost model**: every logical operation reports
-  the flash page reads/writes it would require (one page probe per lookup,
-  write-buffered page flushes for inserts).  The hybrid hash node replays
-  those operations against its simulated SSD device, so latency and queueing
-  behave like the real thing without an actual flash device.
+* :class:`SSDHashStore` -- the store inside every hash node, simulated or
+  live.  It is a bucketised (page-oriented) hash table held in memory for
+  correctness -- one ``dict`` for the entries plus one column of per-bucket
+  entry counts -- paired with an explicit **I/O cost model**: every logical
+  operation reports the flash page reads/writes it would require (one page
+  probe per lookup, write-buffered page flushes for inserts).  The hybrid
+  hash node replays those operations against its simulated SSD device, so
+  latency and queueing behave like the real thing without an actual flash
+  device.  What makes a node's table durable is the batch-framed
+  :class:`~repro.storage.fplog.FingerprintLog`, not this module.
 * :class:`FileHashStore` -- a real on-disk append-only key/value store with an
-  in-memory index and crash-safe recovery, for users who want to run the
-  library as an actual dedup index rather than a simulation.
+  in-memory index and crash-safe recovery: the CLI archiver's chunk object
+  store.  No hash node uses it.
+
+Placement rule
+--------------
+A key of 16 bytes or more -- every fingerprint digest -- lives in bucket
+``int.from_bytes(key[-8:], "big") % num_buckets``: the digest is already a
+uniform hash, and its *trailing* word is the one nothing else consumes (the
+bloom filter, the cuckoo table and ``RangePartitioner`` read the leading
+bytes, and range routing makes a node's leading byte non-uniform).  Shorter
+keys are placed by the BLAKE2b-64 of the key.  The rule is a pure function
+of the key, so nothing about placement is stored, memoized or logged.
 """
 
 from __future__ import annotations
@@ -22,40 +35,16 @@ import hashlib
 import os
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["IOOperation", "SSDHashStore", "FileHashStore", "placement_hashes"]
-
-#: Shared memo of the BLAKE2b-derived 64-bit placement hash.  The hash is a
-#: pure function of the key bytes and every store derives its bucket index
-#: from it (``hash64 % num_buckets``), so replicated clusters -- which put
-#: the same digest through several stores -- and repeated lookups of hot
-#: digests pay the BLAKE2b once.  Bounded by wholesale clear, like the
-#: cluster's routing cache.
-_HASH64_MEMO: Dict[bytes, int] = {}
-_HASH64_MEMO_MAX = 1 << 21
+__all__ = ["IOOperation", "SSDHashStore", "FileHashStore"]
 
 
-def _hash64(key: bytes) -> int:
-    """Memoized ``int(BLAKE2b-64(key))`` used for bucket placement."""
-    value = _HASH64_MEMO.get(key)
-    if value is None:
-        if len(_HASH64_MEMO) >= _HASH64_MEMO_MAX:
-            _HASH64_MEMO.clear()
-        value = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
-        _HASH64_MEMO[key] = value
-    return value
-
-
-def placement_hashes(keys: Sequence[bytes]) -> List[int]:
-    """The placement hash of every key: one C-level pass over the memo when a
-    store has just placed them all (the logging path), BLAKE2b where not."""
-    try:
-        return list(map(_HASH64_MEMO.__getitem__, keys))
-    except KeyError:
-        return list(map(_hash64, keys))
+def _placement_bytes(key: bytes) -> bytes:
+    """The 8 bytes that place ``key`` (see *Placement rule* above)."""
+    return key[-8:] if len(key) >= 16 else hashlib.blake2b(key, digest_size=8).digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,8 +97,10 @@ class SSDHashStore:
         self.entry_size = entry_size
         self.entries_per_page = max(1, page_size // entry_size)
         self.write_buffer_pages = write_buffer_pages
-        self._buckets: List[Dict[bytes, Any]] = [dict() for _ in range(num_buckets)]
-        self._size = 0
+        self._table: Dict[bytes, Any] = {}
+        #: Entries per bucket -- all the cost model needs of a bucket.  32-bit:
+        #: a one-bucket store holds every entry in that bucket.
+        self._counts = array("I", bytes(4 * num_buckets))
         self._buffered_entries = 0
         # -- statistics
         self.page_reads = 0
@@ -118,36 +109,31 @@ class SSDHashStore:
 
     # -- placement -----------------------------------------------------------------
     def bucket_of(self, key: bytes) -> int:
-        """Bucket index owning ``key`` (uniform via memoized BLAKE2b)."""
+        """Bucket index owning ``key`` (see the module's *Placement rule*)."""
         if isinstance(key, str):
             key = key.encode("utf-8")
-        return _hash64(key) % self.num_buckets
+        return int.from_bytes(_placement_bytes(key), "big") % self.num_buckets
 
     def _bucket_pages(self, bucket_index: int) -> int:
         """Number of flash pages the bucket currently spans (>= 1)."""
-        entries = len(self._buckets[bucket_index])
-        return max(1, -(-entries // self.entries_per_page))
+        return -(-self._counts[bucket_index] // self.entries_per_page) or 1
 
     # -- logical operations -----------------------------------------------------------
     def get(self, key: bytes, default: Any = None) -> Any:
         """Return the stored value for ``key`` or ``default``."""
-        return self._buckets[self.bucket_of(key)].get(key, default)
+        return self._table.get(key, default)
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self._buckets[self.bucket_of(key)]
+        return key in self._table
 
     def put(self, key: bytes, value: Any = True) -> bool:
         """Insert or update; returns ``True`` if the key was new."""
         if isinstance(key, str):
             key = key.encode("utf-8")
-        hash64 = _HASH64_MEMO.get(key)
-        if hash64 is None:
-            hash64 = _hash64(key)
-        bucket = self._buckets[hash64 % self.num_buckets]
-        is_new = key not in bucket
-        bucket[key] = value
+        is_new = key not in self._table
+        self._table[key] = value
         if is_new:
-            self._size += 1
+            self._counts[self.bucket_of(key)] += 1
             self._buffered_entries += 1
         return is_new
 
@@ -157,74 +143,55 @@ class SSDHashStore:
         Returns ``(new_keys, existing_keys)``: the keys that were absent
         (inserted, in input order) and the keys that were already present
         (updated in place, in input order).  State transitions are exactly
-        those of calling :meth:`put` per pair -- this only hoists the memo
-        and bucket lookups out of the per-key call overhead, which is what
-        the cluster's replica-propagation path pays per new fingerprint.
+        those of calling :meth:`put` per pair -- this only hoists the
+        attribute lookups out of the per-key path, which is what the
+        cluster's replica propagation pays per new fingerprint.
         """
-        memo = _HASH64_MEMO
-        memo_get = memo.get
-        memo_max = _HASH64_MEMO_MAX
-        from_bytes = int.from_bytes
-        blake2b = hashlib.blake2b
-        buckets = self._buckets
+        table = self._table
+        counts = self._counts
         num_buckets = self.num_buckets
+        from_bytes = int.from_bytes
         new_keys = []
         existing_keys = []
         new_append = new_keys.append
         existing_append = existing_keys.append
         for key, value in pairs:
-            hash64 = memo_get(key)
-            if hash64 is None:
-                if len(memo) >= memo_max:
-                    memo.clear()
-                hash64 = from_bytes(blake2b(key, digest_size=8).digest(), "big")
-                memo[key] = hash64
-            bucket = buckets[hash64 % num_buckets]
-            if key in bucket:
+            if key in table:
                 existing_append(key)
             else:
                 new_append(key)
-            bucket[key] = value
-        if new_keys:
-            inserted = len(new_keys)
-            self._size += inserted
-            self._buffered_entries += inserted
+                counts[from_bytes(_placement_bytes(key), "big") % num_buckets] += 1
+            table[key] = value
+        self._buffered_entries += len(new_keys)
         return new_keys, existing_keys
 
     def remove(self, key: bytes) -> bool:
         """Delete ``key``; returns whether it was present."""
-        bucket = self._buckets[self.bucket_of(key)]
-        if key in bucket:
-            del bucket[key]
-            self._size -= 1
+        if key in self._table:
+            del self._table[key]
+            self._counts[self.bucket_of(key)] -= 1
             return True
         return False
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._table)
 
     def items(self) -> Iterator[Tuple[bytes, Any]]:
         """Iterate all stored entries (unspecified order)."""
-        for bucket in self._buckets:
-            yield from bucket.items()
+        return iter(self._table.items())
 
     def keys(self) -> Iterator[bytes]:
-        return chain.from_iterable(self._buckets)
+        return iter(self._table)
 
-    def fill_placed(self, keys: Sequence[bytes], values: Sequence[Any],
-                    hashes: Sequence[int]) -> None:
-        """Recovery's bulk :meth:`put` of entries logged with their placement hashes.
+    def fill(self, keys: Sequence[bytes], values: Sequence[Any]) -> None:
+        """Recovery's bulk :meth:`put` of one logged batch.
 
-        No key is re-hashed, and the write buffer is left alone: what the
-        log replays is already on flash.
+        The write buffer is left alone: what the log replays is already on
+        flash.
         """
-        buckets = map(self._buckets.__getitem__, map(self.num_buckets.__rmod__, hashes))
-        new = 0
-        for key, value, bucket in zip(keys, values, buckets):
-            if key not in bucket:
-                new += 1
-            bucket[key] = value
-        self._size += new
+        buffered = self._buffered_entries
+        self.put_many_verdicts(zip(keys, values))
+        self._buffered_entries = buffered
 
     # -- I/O cost model ------------------------------------------------------------------
     def lookup_io(self, key: bytes) -> List[IOOperation]:
@@ -264,27 +231,28 @@ class SSDHashStore:
     #
     # The hash node's batch kernel (core/bucket_kernel.py) inlines the
     # ``lookup_io`` + membership probe and the known-new ``put`` +
-    # ``insert_io`` against the raw bucket dicts: same bucket maths, same
-    # ``page_reads``/``page_writes``/write-buffer accounting, but the bucket
-    # hash is computed once and no :class:`IOOperation` objects are built
+    # ``insert_io`` against the raw table and count column: same bucket
+    # maths, same ``page_reads``/``page_writes``/write-buffer accounting, but
+    # no method call per key and no :class:`IOOperation` objects are built
     # (the kernel multiplies page counts by its per-page device costs).
     # Equivalence with the list-returning methods is pinned by
     # tests/test_storage_cuckoo_hashstore.py.
 
-    def batch_state(self) -> Tuple[List[Dict[bytes, Any]], int, int, int, int]:
+    def batch_state(self) -> Tuple[Dict[bytes, Any], array, int, int, int, int]:
         """Raw state handed to a fused batch kernel (see bucket_kernel).
 
-        Returns ``(buckets, num_buckets, entries_per_page,
+        Returns ``(table, counts, num_buckets, entries_per_page,
         write_buffer_pages, buffered_entries)``.  The kernel mutates the
-        bucket dicts directly (known-new inserts only: the bloom filter or
-        the SSD probe has established the key is absent, so :meth:`put`'s
-        membership check is skipped), tracks page/flush counts and the write
-        buffer locally from these starting values, and the caller settles
-        the deltas back with :meth:`settle_batch`.  Nothing else may touch
-        the store between the two calls.
+        table and the count column directly (known-new inserts only: the
+        bloom filter or the SSD probe has established the key is absent, so
+        :meth:`put`'s membership check is skipped), tracks page/flush counts
+        and the write buffer locally from these starting values, and the
+        caller settles the deltas back with :meth:`settle_batch`.  Nothing
+        else may touch the store between the two calls.
         """
         return (
-            self._buckets,
+            self._table,
+            self._counts,
             self.num_buckets,
             self.entries_per_page,
             self.write_buffer_pages,
@@ -297,7 +265,6 @@ class SSDHashStore:
         page_writes: int,
         buffer_flushes: int,
         buffered_entries: int,
-        inserted: int,
     ) -> None:
         """Apply a fused kernel's accounting deltas (see :meth:`batch_state`).
 
@@ -310,16 +277,15 @@ class SSDHashStore:
         self.page_writes += page_writes
         self.buffer_flushes += buffer_flushes
         self._buffered_entries = buffered_entries
-        self._size += inserted
 
     # -- reporting ----------------------------------------------------------------------
     def occupancy(self) -> float:
         """Mean entries per bucket divided by entries per page."""
-        return self._size / (self.num_buckets * self.entries_per_page)
+        return len(self._table) / (self.num_buckets * self.entries_per_page)
 
     def stats(self) -> dict:
         return {
-            "entries": self._size,
+            "entries": len(self._table),
             "buckets": self.num_buckets,
             "entries_per_page": self.entries_per_page,
             "page_reads": self.page_reads,
@@ -329,7 +295,7 @@ class SSDHashStore:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SSDHashStore entries={self._size} buckets={self.num_buckets}>"
+        return f"<SSDHashStore entries={len(self._table)} buckets={self.num_buckets}>"
 
 
 _RECORD_HEADER = struct.Struct(">BIII")  # op, key length, value length, CRC32(key+value)

@@ -7,6 +7,9 @@ carries one implementation per job.
   node (and a cluster) must answer, independent of how the kernels do it;
 * :mod:`oracles.bloom_model` -- the bloom filter's probe sequence in closed
   form over a set of bit indexes, with its own hash-word derivation;
+* :mod:`oracles.bucket_store` -- the SSD store as a list of per-bucket
+  dicts, the shape ``SSDHashStore`` had before it became one dict and a
+  count column;
 * :mod:`oracles.batch_routing` -- each fingerprint grouped under the first
   live node of its own replica set, resolved through the partitioner;
 * :mod:`oracles.cluster_reference` -- the per-reply batch routing path the

@@ -14,7 +14,7 @@ from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.simulation.costmodel import CostModel
 from repro.storage.bloom import BloomFilter
 from repro.storage.fplog import OP_PUT, OP_REMOVE, FingerprintLog, LogFormatError
-from repro.storage.hashstore import FileHashStore, placement_hashes
+from repro.storage.hashstore import FileHashStore
 from repro.storage.snapshot import SnapshotError, read_snapshot, write_snapshot
 
 NODE_CONFIG = HashNodeConfig(
@@ -118,12 +118,11 @@ class TestBloomSnapshotPayload:
 
 # --------------------------------------------------------------- fingerprint log
 def _append_puts(log: FingerprintLog, keys) -> None:
-    log.append(OP_PUT, keys, [len(key) for key in keys], placement_hashes(keys))
+    log.append(OP_PUT, keys, [len(key) for key in keys])
 
 
 def _replayed(log: FingerprintLog):
-    return [(op, list(keys), list(values), list(hashes))
-            for op, keys, values, hashes in log.replay()]
+    return [(op, list(keys), list(values)) for op, keys, values in log.replay()]
 
 
 class TestFingerprintLogFile:
@@ -163,11 +162,28 @@ class TestFingerprintLogFile:
         _append_puts(log, [b"k" * 20])
         log.close()
         blob = bytearray(open(path, "rb").read())
-        blob[7] = 2
+        blob[7] = 3
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(LogFormatError, match="version 2 .this build reads 1"):
+        with pytest.raises(LogFormatError, match="version 3 .this build reads 2"):
             FingerprintLog(path)
         assert open(path, "rb").read() == bytes(blob)
+
+    def test_version_1_log_is_refused_untouched(self, tmp_path):
+        # A PR 19 log: put frames carry a third column (placement hashes),
+        # which version 2 would misframe -- so it is refused, not truncated.
+        import struct
+        import zlib
+
+        keys = [bytes([i]) * 20 for i in range(3)]
+        body = b"".join(keys) + struct.pack("<3Q", 8192, 8192, 8192) + struct.pack("<3Q", 1, 2, 3)
+        fields = struct.pack("<BII", OP_PUT, 20, len(keys))
+        crc = struct.pack("<I", zlib.crc32(body, zlib.crc32(fields)))
+        blob = b"SHHCFPL\x01" + fields + crc + body
+        path = str(tmp_path / "containers.log")
+        open(path, "wb").write(blob)
+        with pytest.raises(LogFormatError, match="version 1 .this build reads 2"):
+            NodePersistence(str(tmp_path))
+        assert open(path, "rb").read() == blob
 
     def test_mixed_key_lengths_and_removes_roundtrip(self, tmp_path):
         path = str(tmp_path / "containers.log")
@@ -181,12 +197,11 @@ class TestFingerprintLogFile:
         assert reopened.records == 7
         frames = _replayed(reopened)
         # One frame per run of equal-length keys, in log order.
-        assert [(op, frame_keys) for op, frame_keys, _v, _h in frames] == [
+        assert [(op, frame_keys) for op, frame_keys, _v in frames] == [
             (OP_PUT, keys[:2]), (OP_PUT, [b"short"]), (OP_PUT, [b""]), (OP_PUT, keys[4:]),
             (OP_REMOVE, [b"short"]), (OP_REMOVE, [b"b" * 20]),
         ]
-        assert [values for _op, _k, values, _h in frames[:4]] == [[20, 20], [5], [0], [20]]
-        assert frames[0][3] == placement_hashes(keys[:2])
+        assert [values for _op, _k, values in frames] == [[20, 20], [5], [0], [20], [], []]
         reopened.close()
 
     def test_cut_at_every_byte_of_the_last_frame(self, tmp_path):

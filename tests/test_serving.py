@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import logging
 import os
 import random
 import struct
@@ -704,6 +705,37 @@ def test_oversized_and_non_dict_frames_are_counted_and_disconnected():
     pong, stats = asyncio.run(_go())
     assert pong == {"t": "pong", "id": 1}
     assert stats["workers"][0]["up"] and stats["workers"][0]["restarts"] == 0
+
+
+def test_disconnect_inside_a_payload_is_a_counted_protocol_error(caplog):
+    """EOF after the header is the same fault as EOF inside it: counted, not raised."""
+    async def _go():
+        gateway = ServiceGateway(_serve_config(num_nodes=1))
+        await gateway.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(struct.pack("!I", 100) + b"x" * 10)
+            writer.write_eof()
+            assert await asyncio.wait_for(reader.read(-1), timeout=5.0) == b""
+            writer.close()
+            counted = gateway.protocol_errors
+            # A fresh connection is served afterwards.
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(encode_frame({"t": "ping", "id": 1}))
+            await writer.drain()
+            pong = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+            writer.close()
+            return counted, pong
+        finally:
+            await gateway.close()
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        counted, pong = asyncio.run(_go())
+    assert counted == 1
+    assert pong == {"t": "pong", "id": 1}
+    # An exception escaping the connection callback is what asyncio logs as
+    # "Unhandled exception in client_connected_cb".
+    assert not caplog.records
 
 
 # -------------------------------------------------------- concurrent recording

@@ -33,9 +33,12 @@ allocates per key.
 ``bench/``'s ``node_config`` (no cProfile): 128-key batches served and then
 logged, us per new fingerprint in ``log_insert_many``, ms per
 ``take_snapshot`` at every 100k entries, disk bytes per fingerprint by file,
-and open + ``recover_into`` ms into a fresh node with the placement memo
-cleared (what a new process sees), asserting the recovered node equals the
-live one.  It calls public names only, so it runs on any commit since PR 7.
+and open + ``recover_into`` ms into a fresh node, asserting the recovered
+node equals the live one.  It then reads the node's ``SSDHashStore`` on its
+own at the same geometry and key count: allocate ms, fill ms
+(``put_many_verdicts``), membership probe us/key and resident MB per store.
+It calls public names only, so it runs on any commit since PR 7
+(``PYTHONPATH=<that checkout>/src``).
 
 Perf PRs should start from this data: optimise what is hot, pin what must
 stay byte-identical (see ``tests/test_routed_batch_equivalence.py``).
@@ -239,7 +242,6 @@ def persist_report(entries: int, batch_size: int = 128) -> None:
     from repro.core.digest_batch import DigestBatch
     from repro.core.hash_node import HybridHashNode
     from repro.core.persistence import NodePersistence
-    from repro.storage import hashstore
 
     # bench/spec.py node_config(svc_unique) and CHUNK_SIZE.
     config = HashNodeConfig.from_dict(
@@ -275,7 +277,6 @@ def persist_report(entries: int, batch_size: int = 128) -> None:
             print(f"  {name:<16} {size:>12,} B  {size / entries:7.2f} B/fp")
         print(f"  {'total':<16} {total:>12,} B  {total / entries:7.2f} B/fp")
 
-        hashstore._HASH64_MEMO.clear()  # a new process starts without it
         start = time.perf_counter()
         reopened = NodePersistence(directory, fsync=False)
         opened = time.perf_counter()
@@ -293,6 +294,43 @@ def persist_report(entries: int, batch_size: int = 128) -> None:
             "recovered bloom bits differ"
         assert fresh.bloom.count == node.bloom.count, "recovered bloom count differs"
         print("recovered node == live node (store entries, bloom bits and count)")
+    store_report(config, entries)
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/statm", encoding="ascii") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def store_report(config, entries: int) -> None:
+    """One node's ``SSDHashStore`` alone: allocate, fill, probe, resident size."""
+    from repro.storage.hashstore import SSDHashStore
+
+    pairs = [(hashlib.sha1(b"store-%d" % identity).digest(), 8192) for identity in range(entries)]
+    probes = [key for key, _value in pairs]
+    random.Random(0).shuffle(probes)
+    gc.collect()
+    rss_before = _rss_mb()
+    start = time.perf_counter()
+    store = SSDHashStore(
+        num_buckets=config.ssd_buckets,
+        page_size=config.ssd_page_size,
+        entry_size=config.ssd_entry_size,
+        write_buffer_pages=config.ssd_write_buffer_pages,
+    )
+    allocated = time.perf_counter()
+    store.put_many_verdicts(pairs)
+    filled = time.perf_counter()
+    rss_after = _rss_mb()
+    contains = store.__contains__
+    start_probe = time.perf_counter()
+    hits = sum(map(contains, probes))
+    probe_s = time.perf_counter() - start_probe
+    assert hits == len(store) == entries
+    print(f"=== store: {entries} keys, {config.ssd_buckets} buckets ===")
+    print(f"allocate {(allocated - start) * 1e3:.1f} ms, fill {(filled - allocated) * 1e3:.1f} ms, "
+          f"membership probe {probe_s / entries * 1e6:.3f} us/key, "
+          f"resident +{rss_after - rss_before:.1f} MB")
 
 
 def _profile_one(label: str, fn, top: int) -> None:
