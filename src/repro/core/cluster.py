@@ -462,8 +462,9 @@ class SHHCCluster(ChunkIndex):
         ledger = self.ledger
         nodes = self.nodes
         for serving, (positions, bucket, digests) in self._bucket_routed(fingerprints).items():
+            node = nodes[serving]
             try:
-                tiers, service_times, new_pairs = nodes[serving].serve_bucket_verdicts(
+                tiers, service_times, new_pairs = node.serve_bucket_verdicts(
                     DigestBatch.from_fingerprints(bucket, digests)
                 )
             except NodeUnavailableError:
@@ -481,6 +482,7 @@ class SHHCCluster(ChunkIndex):
                     for node_id, service_time in zip(node_ids, service_times):
                         ledger.charge_bucket(node_id, (service_time,))
             else:
+                node.lookup_latency.record_many(service_times)
                 node_ids = itertools.repeat(serving)
                 if ledger is not None:
                     # Queue the bucket on the serving node's timeline first:

@@ -189,6 +189,7 @@ class HybridHashNode:
         tiers, service_times, _new_pairs = self.serve_bucket_verdicts(
             DigestBatch.from_fingerprints(fingerprints)
         )
+        self.lookup_latency.record_many(service_times)
         return replies_from_tiers(fingerprints, tiers, service_times, repeat(self.node_id))
 
     def serve_bucket_verdicts(
@@ -209,11 +210,13 @@ class HybridHashNode:
         No ``Fingerprint``, ``LookupReply`` or ``LookupResult`` exists on
         this path; callers that want those build them as views
         (:func:`~repro.core.protocol.replies_from_tiers`, the cluster's
-        result merge).
+        result merge).  Nor is anything recorded per key: ``service_times``
+        is the *modelled* cost, and a caller that publishes the model
+        (:meth:`lookup_batch`, ``SHHCCluster._serve_routed``) feeds it to
+        :attr:`lookup_latency` itself -- a live worker measures its batches
+        instead and never pays for the model's bookkeeping.
         """
-        tiers, service_times, new_pairs, _total_ssd_time = self._serve_core(batch)
-        self.lookup_latency.record_many(service_times)
-        return tiers, service_times, new_pairs
+        return self._serve_core(batch)[:3]
 
     def _select_kernel(self, batch: DigestBatch) -> Tuple[Callable, bool]:
         """``(kernel, is_columnar)`` for serving ``batch`` right now.

@@ -27,8 +27,14 @@ persist new fingerprints *before* replying, an acknowledged batch can never
 be lost to a crash -- the loadgen's audit leans on exactly this.
 
 The listening socket speaks two protocols, sniffed from the first four
-bytes: length-prefixed frames (the real protocol) and ``GET `` (a minimal
-HTTP ``/stats`` endpoint for humans and CI scripts).
+bytes: length-prefixed frames (the real protocol) and ``GET `` (minimal
+HTTP ``/stats`` and ``/metrics`` endpoints for humans, CI scripts and
+Prometheus).
+
+Everything either endpoint reports comes out of :mod:`repro.telemetry`
+registries: the gateway's own, and each worker's, fetched with a ``stats``
+frame over the same FIFO hop the batches use and merged -- exactly, they
+are integer histograms over shared bounds -- into the fleet view.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ import multiprocessing
 import os
 import socket
 import struct
-import sys
 import time
 import traceback
 from collections import deque
@@ -48,9 +53,9 @@ from itertools import compress
 from typing import Any, Deque, Dict, List, Optional, Union
 
 from ..core.partition import RangePartitioner
-from ..simulation.stats import LatencyRecorder
 from ..storage.packing import DIGEST_BYTES, split_digests
 from ..storage.shm import unlink_segment
+from ..telemetry import Registry, event, render_prometheus
 from .wire import (
     MAX_FRAME_BYTES,
     WireError,
@@ -204,6 +209,10 @@ _UNAVAILABLE = {"t": "reply", "ok": False, "err": "UNAVAILABLE", "retry": True}
 _OVERLOADED = {"t": "reply", "ok": False, "err": "OVERLOADED", "retry": True}
 _SHUTTING_DOWN = {"t": "reply", "ok": False, "err": "SHUTTING_DOWN", "retry": False}
 
+#: How long a ``stats`` request waits for one worker's snapshot (it queues
+#: behind that worker's batches); past it the worker is reported ``null``.
+_STATS_WAIT_S = 2.0
+
 
 class ServiceGateway:
     """Accepts client batches, shards them to workers, merges the verdicts."""
@@ -226,19 +235,19 @@ class ServiceGateway:
         self._reporter: Optional[asyncio.Task] = None
         self._closing = False
         self.port: Optional[int] = None
-        # -- metrics (event-loop writes; LatencyRecorder is also thread-safe
-        # so out-of-loop readers such as tests may poke it directly).
         self.started_at = 0.0
-        self.batch_latency = LatencyRecorder("batch_latency")
+        #: Admitted-but-unanswered batches: admission state, reported as a gauge.
         self.inflight = 0
-        self.acked_batches = 0
-        self.acked_fingerprints = 0
-        self.duplicate_fingerprints = 0
-        self.new_fingerprints = 0
-        self.shed_batches = 0
-        self.shed_fingerprints = 0
-        self.unavailable_batches = 0
-        self.protocol_errors = 0
+        #: The gateway's own metrics (event-loop writes only); ``/stats`` and
+        #: ``/metrics`` are views of this and of the workers' registries.
+        self.telemetry = Registry(counters=(
+            "acked_batches", "acked_fingerprints", "new_fingerprints",
+            "duplicate_fingerprints", "shed_batches", "shed_fingerprints",
+            "unavailable_batches", "protocol_errors",
+        ))
+        #: Admission to merged reply, per acknowledged batch (nanoseconds).
+        self.batch_latency = self.telemetry.histogram("batch_latency")
+        self._stats_frame = encode_frame({"t": "stats"}, self.codec)
         self._window_acked = 0  # fingerprints acked since the last report line
 
     # ------------------------------------------------------------- lifecycle
@@ -264,10 +273,8 @@ class ServiceGateway:
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.report_interval > 0:
             self._reporter = asyncio.ensure_future(self._report_loop())
-        self._log(
-            f"serving on {self.config.host}:{self.port} "
-            f"({self.config.num_nodes} nodes, codec={self.codec.name})"
-        )
+        self._event("serving", host=self.config.host, port=self.port,
+                    nodes=self.config.num_nodes, codec=self.codec.name)
 
     async def close(self) -> None:
         """Graceful drain: stop accepting, finish in-flight work, stop workers."""
@@ -297,7 +304,7 @@ class ServiceGateway:
         if shutdowns:
             await asyncio.wait(shutdowns, timeout=self.config.drain_timeout)
         await self._abort_workers()
-        self._log("drained and stopped")
+        self._event("drained")
 
     async def _abort_workers(self) -> None:
         self._closing = True
@@ -362,17 +369,15 @@ class ServiceGateway:
         worker.process = process
         worker.port = int(ready["port"])
         worker.pid = int(ready["pid"])
-        if ready.get("warm"):
+        warm = bool(ready.get("warm"))
+        if warm:
             worker.warm_starts += 1
             worker.recovery = {
                 key: ready.get(key, 0)
                 for key in ("records", "replayed", "truncated_bytes", "recovery_ms")
             }
-            self._log(
-                f"{spec.node_id} warm-started: {ready.get('entries', 0)} entries, "
-                "records={records} replayed={replayed} truncated_bytes={truncated_bytes} "
-                "recovery_ms={recovery_ms:.1f}".format(**worker.recovery)
-            )
+        self._event("worker_ready", node=spec.node_id, pid=worker.pid, warm=warm,
+                    entries=ready.get("entries", 0), **(worker.recovery if warm else {}))
 
     async def _supervise(self, worker: _Worker) -> None:
         """Connect, pump frames, and respawn the worker for as long as we run."""
@@ -400,14 +405,12 @@ class ServiceGateway:
             # retryable and bring a fresh process up on the same shard.
             failed = worker.fail_outstanding(_UNAVAILABLE)
             worker.restarts += 1
-            self._log(
-                f"{worker.node_id} died (pid {worker.pid}); {failed} frames failed "
-                f"UNAVAILABLE; respawning"
-            )
+            self._event("worker_died", node=worker.node_id, pid=worker.pid,
+                        failed_frames=failed, restarts=worker.restarts)
             try:
                 await self._spawn(worker)
             except ServingError as error:  # pragma: no cover - respawn failure
-                self._log(f"respawn failed: {error}")
+                self._event("respawn_failed", node=worker.node_id, error=str(error))
                 await asyncio.sleep(0.5)
 
     async def _pump(self, worker: _Worker) -> bool:
@@ -429,11 +432,12 @@ class ServiceGateway:
                     return self._closing and not worker.pending
                 if worker.pending:
                     future = worker.pending.popleft()
-                    worker.replies += 1
+                    if message.get("t") == "reply":
+                        worker.replies += 1
                     if not future.done():
                         future.set_result(message)
                 else:  # pragma: no cover - protocol violation
-                    self.protocol_errors += 1
+                    self._protocol_error(f"{worker.node_id} answered a frame nobody sent")
         finally:
             sender.cancel()
 
@@ -448,7 +452,6 @@ class ServiceGateway:
                 # while the drain is still pending.
                 if future is not None:
                     worker.pending.append(future)
-                worker.sent += 1
                 await writer.drain()
             except (ConnectionError, OSError):
                 return
@@ -463,7 +466,7 @@ class ServiceGateway:
             sniff = await reader.readexactly(4)
         except asyncio.IncompleteReadError as error:
             if error.partial:
-                self.protocol_errors += 1  # EOF inside the first header
+                self._protocol_error("connection closed inside the first header")
             writer.close()
             return
         except (ConnectionError, OSError):
@@ -475,8 +478,8 @@ class ServiceGateway:
         # Frame protocol: the 4 sniffed bytes are the first length prefix.
         try:
             await self._serve_frames(sniff, reader, writer)
-        except (WireError, ConnectionError, OSError):
-            self.protocol_errors += 1
+        except (WireError, ConnectionError, OSError) as error:
+            self._protocol_error(str(error) or type(error).__name__)
         finally:
             try:
                 writer.close()
@@ -497,8 +500,10 @@ class ServiceGateway:
             try:
                 reply = await self._handle_batch(message)
             except Exception as error:  # noqa: BLE001 - every batch frame gets one reply
-                traceback.print_exc()
-                self.protocol_errors += 1
+                # Not gated by ``verbose``: a crash on the batch path is never routine.
+                event("batch_failed", id=message.get("id"), error=type(error).__name__,
+                      traceback=traceback.format_exc())
+                self.telemetry.counters["protocol_errors"] += 1
                 reply = {"t": "reply", "id": message.get("id"), "ok": False,
                          "err": f"internal error: {type(error).__name__}", "retry": False}
             frame = encode_frame(reply, codec)
@@ -531,7 +536,8 @@ class ServiceGateway:
                     task.add_done_callback(tasks.discard)
                     continue
                 if kind == "stats":
-                    reply = {"t": "stats", "id": message.get("id"), "stats": self.stats()}
+                    reply = {"t": "stats", "id": message.get("id"),
+                             "stats": await self.fleet_stats()}
                 elif kind == "ping":
                     reply = {"t": "pong", "id": message.get("id")}
                 elif kind == "kill_worker":
@@ -560,13 +566,33 @@ class ServiceGateway:
             )
         return frames
 
+    def _refusal(self, frames: Dict[int, bytes]) -> Optional[Dict[str, Any]]:
+        """The admission rule that refuses a batch right now (``None`` admits it).
+
+        The global in-flight cap, then every touched worker up with queue
+        room; what comes back names the rule for the ``shed`` event.
+        """
+        if self.inflight >= self.config.max_inflight:
+            return {"rule": "max_inflight", "inflight": self.inflight}
+        for index in frames:
+            worker = self.workers[index]
+            if not worker.ready.is_set():
+                return {"rule": "worker_down", "worker": worker.node_id}
+            if worker.queue.full():
+                return {"rule": "max_queue", "worker": worker.node_id}
+        return None
+
+    def _protocol_error(self, cause: str) -> None:
+        self.telemetry.counters["protocol_errors"] += 1
+        self._event("protocol_error", source="gateway", cause=cause)
+
     def _malformed(self, message_id: Any, what: str) -> Dict[str, Any]:
-        self.protocol_errors += 1
+        self._protocol_error(f"malformed {what}")
         return {"t": "reply", "id": message_id, "ok": False,
                 "err": f"malformed {what}", "retry": False}
 
     async def _handle_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        started = time.perf_counter()
+        started = time.perf_counter_ns()
         message_id = message.get("id")
         # Client text stops here: the hex is decoded (and thereby validated)
         # once, and only bytes travel on to the workers.
@@ -593,19 +619,21 @@ class ServiceGateway:
         # -- admission: every touched worker must be up with queue room, and
         # the global in-flight cap must have space.  No await between the
         # checks and the put_nowait calls, so admission is atomic.
-        if self.inflight >= self.config.max_inflight or any(
-            not self.workers[index].ready.is_set() or self.workers[index].queue.full()
-            for index in frames
-        ):
-            self.shed_batches += 1
-            self.shed_fingerprints += count
+        counters = self.telemetry.counters
+        refusal = self._refusal(frames)
+        if refusal is not None:
+            counters["shed_batches"] += 1
+            counters["shed_fingerprints"] += count
+            self._event("shed", id=message_id, fingerprints=count, **refusal)
             return {**_OVERLOADED, "id": message_id}
 
         loop = asyncio.get_event_loop()
         submitted = []
         for index, frame in frames.items():
             future = loop.create_future()
-            self.workers[index].queue.put_nowait((frame, future))
+            worker = self.workers[index]
+            worker.queue.put_nowait((frame, future))
+            worker.sent += 1
             submitted.append(future)
         self.inflight += 1
         try:
@@ -619,24 +647,25 @@ class ServiceGateway:
             if not sub_reply.get("ok"):
                 # A worker died mid-batch.  Nothing was acknowledged, so the
                 # client may retry the whole batch against the respawned shard.
-                self.unavailable_batches += 1
+                counters["unavailable_batches"] += 1
                 return {**sub_reply, "id": message_id}
             if sub_reply.get("n") != owners.count(index):
-                self.protocol_errors += 1
-                self.unavailable_batches += 1
+                self._protocol_error(
+                    f"{self.workers[index].node_id} answered {sub_reply.get('n')} verdicts "
+                    f"for {owners.count(index)} digests")
+                counters["unavailable_batches"] += 1
                 return {**_UNAVAILABLE, "id": message_id}
             new_entries += sub_reply["new"]
             verdicts[index] = iter(mask_bits(sub_reply["v"], sub_reply["n"]))
         # Re-interleave: digest i's verdict is the next unread bit of its
         # owner's sub-mask (sub-batches kept digest order).
         bits = "".join(map(next, map(verdicts.__getitem__, owners)))
-        duplicates = count - new_entries
-        self.acked_batches += 1
-        self.acked_fingerprints += count
+        counters["acked_batches"] += 1
+        counters["acked_fingerprints"] += count
         self._window_acked += count
-        self.new_fingerprints += new_entries
-        self.duplicate_fingerprints += duplicates
-        self.batch_latency.record(time.perf_counter() - started)
+        counters["new_fingerprints"] += new_entries
+        counters["duplicate_fingerprints"] += count - new_entries
+        self.batch_latency.observe(time.perf_counter_ns() - started)
         return {"t": "reply", "id": message_id, "ok": True,
                 "v": format(int(bits[::-1], 2), "x"), "n": count, "new": new_entries}
 
@@ -647,7 +676,7 @@ class ServiceGateway:
             if worker.node_id == node or worker.index == node:
                 if worker.process is not None and worker.process.is_alive():
                     worker.process.kill()
-                    self._log(f"killed {worker.node_id} (pid {worker.pid}) on request")
+                    self._event("worker_killed", node=worker.node_id, pid=worker.pid)
                     return {"t": "reply", "id": message.get("id"), "ok": True,
                             "node": worker.node_id, "pid": worker.pid}
                 return {"t": "reply", "id": message.get("id"), "ok": False,
@@ -657,27 +686,23 @@ class ServiceGateway:
 
     # ------------------------------------------------------------- observability
     def stats(self) -> Dict[str, Any]:
+        """The gateway's own view: its registry, flattened, plus one row per worker.
+
+        Synchronous and local -- what the workers measure is
+        :meth:`fleet_stats`'s to fetch.
+        """
         elapsed = max(time.perf_counter() - self.started_at, 1e-9)
-        offered = self.acked_fingerprints + self.shed_fingerprints
-        latency = self.batch_latency.as_dict()
+        counters = self.telemetry.counters
+        self.telemetry.gauges.update(uptime_s=elapsed, inflight=self.inflight)
+        offered = counters["acked_fingerprints"] + counters["shed_fingerprints"]
         return {
             "uptime_s": elapsed,
             "nodes": self.config.num_nodes,
-            "acked_batches": self.acked_batches,
-            "acked_fingerprints": self.acked_fingerprints,
-            "new_fingerprints": self.new_fingerprints,
-            "duplicate_fingerprints": self.duplicate_fingerprints,
-            "throughput_fps": self.acked_fingerprints / elapsed,
+            **counters,
+            "throughput_fps": counters["acked_fingerprints"] / elapsed,
             "inflight": self.inflight,
-            "shed_batches": self.shed_batches,
-            "shed_fingerprints": self.shed_fingerprints,
-            "shed_rate": self.shed_fingerprints / offered if offered else 0.0,
-            "unavailable_batches": self.unavailable_batches,
-            "protocol_errors": self.protocol_errors,
-            "batch_latency_us": {
-                key: value * 1e6 if key not in ("count",) else value
-                for key, value in latency.items()
-            },
+            "shed_rate": counters["shed_fingerprints"] / offered if offered else 0.0,
+            "batch_latency_us": self.batch_latency.summary_us(),
             "workers": [
                 {
                     "node_id": worker.node_id,
@@ -696,26 +721,97 @@ class ServiceGateway:
             ],
         }
 
+    async def _worker_snapshot(self, worker: _Worker) -> Optional[Dict[str, Any]]:
+        """One worker's registry snapshot, asked for over the FIFO batch hop.
+
+        ``None`` for a worker that is down, dies before answering, or does
+        not answer within ``_STATS_WAIT_S`` (the request queues behind its
+        batches).  A request that gave up leaves a cancelled future in
+        ``pending``, which ``_pump`` matches to the late answer and drops.
+        """
+        if not worker.ready.is_set():
+            return None
+        future: asyncio.Future = asyncio.get_event_loop().create_future()
+
+        async def _ask() -> Dict[str, Any]:
+            await worker.queue.put((self._stats_frame, future))
+            return await future
+
+        try:
+            reply = await asyncio.wait_for(_ask(), timeout=_STATS_WAIT_S)
+        except asyncio.TimeoutError:
+            return None
+        return reply.get("stats")
+
+    async def fleet_stats(self) -> Dict[str, Any]:
+        """:meth:`stats` plus what the workers measured, and their exact merge.
+
+        ``workers[i]["telemetry"]`` is worker *i*'s registry snapshot
+        (``null`` when it could not be had) and ``fleet`` is the merge of
+        the ones that answered: counters, gauges and histogram buckets
+        added index-wise.  A respawned worker starts from zero, so a fleet
+        counter can fall -- ``workers[i]["restarts"]`` says when one did.
+        """
+        snapshots = await asyncio.gather(*map(self._worker_snapshot, self.workers))
+        stats = self.stats()
+        fleet = Registry()
+        for row, snapshot in zip(stats["workers"], snapshots):
+            row["telemetry"] = snapshot
+            if snapshot is not None:
+                fleet.merge(snapshot)
+        stats["fleet"] = fleet.snapshot()
+        return stats
+
+    def _render_metrics(self, stats: Dict[str, Any]) -> str:
+        """``fleet_stats()`` as Prometheus text: gateway, per-worker, fleet."""
+        rows = stats["workers"]
+        handles = [
+            ({"node": row["node_id"]}, {
+                "counters": {key: row[key] for key in ("sent", "replies", "restarts", "warm_starts")},
+                "gauges": {"up": int(row["up"]), "queue_depth": row["queue_depth"],
+                           "pending": row["pending"]},
+                "info": {}, "histograms": {},
+            })
+            for row in rows
+        ]
+        measured = [({"node": row["node_id"]}, row["telemetry"])
+                    for row in rows if row["telemetry"] is not None]
+        return (
+            self.telemetry.render_prometheus("shhc_gateway")
+            + render_prometheus("shhc_gateway_worker", handles)
+            + render_prometheus("shhc_worker", measured)
+            + render_prometheus("shhc_fleet", [({}, stats["fleet"])])
+        )
+
     async def _serve_http(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
-        """Answer one ``GET /stats`` (anything else 404s) and close."""
+        """Answer one ``GET /stats`` or ``GET /metrics`` (anything else 404s) and close."""
         try:
             request = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=5.0)
+        except asyncio.LimitOverrunError:
+            # More than the stream limit (64 KiB) with no end of headers:
+            # not HTTP.  Counted like any other garbage on the port.
+            self._protocol_error("oversized HTTP request head")
+            writer.close()
+            return
         except (asyncio.IncompleteReadError, asyncio.TimeoutError, OSError):
             writer.close()
             return
         # The sniff already consumed the leading ``GET ``, so the request
         # line starts at the path: ``/stats HTTP/1.1``.
         path = request.split(b"\r\n", 1)[0].split(b" ")[0] or b"/"
+        status, content_type = b"200 OK", b"application/json"
         if path in (b"/stats", b"/"):
-            body = json.dumps(self.stats(), indent=2).encode("utf-8")
-            status = b"200 OK"
+            body = json.dumps(await self.fleet_stats(), indent=2).encode("utf-8")
+        elif path == b"/metrics":
+            body = self._render_metrics(await self.fleet_stats()).encode("utf-8")
+            content_type = b"text/plain; version=0.0.4; charset=utf-8"
         else:
             body = b'{"error": "not found"}'
             status = b"404 Not Found"
         writer.write(
             b"HTTP/1.1 " + status + b"\r\n"
-            b"Content-Type: application/json\r\n"
+            b"Content-Type: " + content_type + b"\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n"
             b"Connection: close\r\n\r\n" + body
         )
@@ -733,17 +829,19 @@ class ServiceGateway:
             self._window_acked = 0
             stats = self.stats()
             latency = stats["batch_latency_us"]
-            self._log(
-                f"t={stats['uptime_s']:.1f}s acked={stats['acked_fingerprints']} "
-                f"fp/s={window / interval:.0f} "
-                f"p50={latency.get('p50', 0.0):.0f}us p99={latency.get('p99', 0.0):.0f}us "
-                f"inflight={stats['inflight']} shed={stats['shed_batches']} "
-                f"restarts={sum(w['restarts'] for w in stats['workers'])}"
+            self._event(
+                "report", uptime_s=round(stats["uptime_s"], 1),
+                acked_fingerprints=stats["acked_fingerprints"],
+                fps=round(window / interval), p50_us=round(latency["p50"]),
+                p99_us=round(latency["p99"]), inflight=stats["inflight"],
+                shed_batches=stats["shed_batches"],
+                restarts=sum(w["restarts"] for w in stats["workers"]),
             )
 
-    def _log(self, line: str) -> None:
+    def _event(self, name: str, **fields: Any) -> None:
+        """A routine lifecycle event: one JSON line on stderr under ``verbose``."""
         if self.verbose:
-            print(f"[serve] {line}", file=sys.stderr, flush=True)
+            event(name, **fields)
 
     # ------------------------------------------------------------- convenience
     async def serve_forever(self) -> None:

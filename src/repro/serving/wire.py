@@ -58,6 +58,7 @@ __all__ = [
     "encode_verdict_frame",
     "decode_payload",
     "read_frame",
+    "recv_payload",
     "recv_frame",
     "send_frame",
     "verdict_mask",
@@ -250,15 +251,25 @@ def _recv_exactly(conn: socket.socket, length: int) -> Optional[bytes]:
     return b"".join(chunks) if len(chunks) != 1 else chunks[0]
 
 
-def recv_frame(conn: socket.socket, codec=JsonCodec) -> Optional[Dict[str, Any]]:
-    """Blocking frame read for the worker side; ``None`` on clean EOF."""
+def recv_payload(conn: socket.socket) -> Optional[bytes]:
+    """Blocking read of one frame's payload, undecoded; ``None`` on clean EOF.
+
+    The worker times a batch from here on (:func:`decode_payload` is the
+    first stage it measures), so waiting for the gateway is not in the figure.
+    """
     header = _recv_exactly(conn, LENGTH_PREFIX.size)
     if header is None:
         return None
     payload = _recv_exactly(conn, _payload_length(header))
     if payload is None:
         raise WireError("connection closed mid-frame")
-    return decode_payload(payload, codec)
+    return payload
+
+
+def recv_frame(conn: socket.socket, codec=JsonCodec) -> Optional[Dict[str, Any]]:
+    """Blocking frame read for the worker side; ``None`` on clean EOF."""
+    payload = recv_payload(conn)
+    return None if payload is None else decode_payload(payload, codec)
 
 
 def send_frame(conn: socket.socket, message: Dict[str, Any], codec=JsonCodec) -> None:

@@ -25,6 +25,7 @@ import os
 import socket
 import sys
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import Any, Dict, Optional
 
 from ..core.config import HashNodeConfig
@@ -33,7 +34,16 @@ from ..core.hash_node import HybridHashNode
 from ..core.persistence import NodePersistence
 from ..storage.bloom import BloomFilter
 from ..storage.shm import disown_segment
-from .wire import WireError, encode_verdict_frame, get_codec, recv_frame, send_frame, verdict_mask
+from ..telemetry import Registry, event
+from .wire import (
+    WireError,
+    decode_payload,
+    encode_verdict_frame,
+    get_codec,
+    recv_payload,
+    send_frame,
+    verdict_mask,
+)
 
 __all__ = ["WorkerSpec", "worker_main"]
 
@@ -104,44 +114,61 @@ def _serve_batch(node: HybridHashNode, message: Dict[str, Any]) -> bytes:
     return encode_verdict_frame(len(batch), len(new_pairs), verdict_mask(tiers))
 
 
-def _stats(node: HybridHashNode) -> Dict[str, Any]:
-    latency = node.lookup_latency.as_dict()
+def _stats(node: HybridHashNode, registry: Registry) -> Dict[str, Any]:
+    """The worker's ``stats`` payload: its registry, refreshed from the node.
+
+    The measured ``serve_batch`` histogram is already in the registry (the
+    frame loop feeds it); the node's tier counters, sizes, kernel backend
+    and its checkpoint and recovery readings are read here, when somebody
+    asks, so the batch path pays for none of them.
+    """
+    registry.counters.update(node.counters.values)
+    registry.info.update(node_id=node.node_id, kernel_backend=node.kernel_backend)
+    gauges = registry.gauges
+    gauges.update(entries=len(node.store), ram_cached=len(node.cache))
     persistence = node.persistence
-    payload: Dict[str, Any] = {
-        "node_id": node.node_id,
-        "pid": os.getpid(),
-        "entries": len(node.store),
-        "ram_cached": len(node.cache),
-        "kernel_backend": node.kernel_backend,
-        "counters": node.counters.as_dict(),
-        # The node's *modelled* service time (cpu_per_lookup + the device
-        # cost model, the simulator's input), not a measured latency.
-        "modelled_service_us": {
-            key: value * 1e6 if key not in ("count",) else value
-            for key, value in latency.items()
-        },
-    }
     if persistence is not None:
-        payload["persisted_records"] = persistence.records
-        payload["snapshots_taken"] = persistence.snapshots_taken
-        payload["log_bytes"] = persistence.container.size
-        payload["last_snapshot_ms"] = persistence.last_snapshot_ms
-    if node.last_recovery is not None:
-        payload["recovery"] = node.last_recovery.to_dict()
-    return payload
+        gauges.update(
+            persisted_records=persistence.records,
+            snapshots_taken=persistence.snapshots_taken,
+            log_bytes=persistence.container.size,
+            last_snapshot_ms=persistence.last_snapshot_ms,
+        )
+    recovery = node.last_recovery
+    if recovery is not None:
+        gauges.update(
+            recovery_records=recovery.records,
+            recovery_replayed=recovery.replayed,
+            recovery_truncated_bytes=recovery.truncated_bytes,
+            recovery_ms=recovery.wall_seconds * 1e3,
+        )
+    return registry.snapshot()
 
 
-def _serve_connection(conn: socket.socket, node: HybridHashNode, codec) -> bool:
-    """Serve frames on one gateway connection; returns True on shutdown."""
+def _serve_connection(conn: socket.socket, node: HybridHashNode, codec,
+                      registry: Registry) -> bool:
+    """Serve frames on one gateway connection; returns True on shutdown.
+
+    ``serve_batch`` is the worker's one measured series: nanoseconds from a
+    batch payload being in hand to its reply frame being built (frame
+    decode, node serve, verdict encode) -- one observation per batch, taken
+    after the reply has left, and nothing recorded per key.
+    """
+    observe = registry.histogram("serve_batch").observe
     while True:
-        message = recv_frame(conn, codec)
-        if message is None:
+        payload = recv_payload(conn)
+        if payload is None:
             return False  # gateway went away; go back to accept()
+        started = perf_counter_ns()
+        message = decode_payload(payload, codec)
         kind = message.get("t")
         if kind == "batch":
-            conn.sendall(_serve_batch(node, message))
+            frame = _serve_batch(node, message)
+            elapsed = perf_counter_ns() - started
+            conn.sendall(frame)
+            observe(elapsed)
         elif kind == "stats":
-            send_frame(conn, {"t": "stats", "stats": _stats(node)}, codec)
+            send_frame(conn, {"t": "stats", "stats": _stats(node, registry)}, codec)
         elif kind == "ping":
             send_frame(conn, {"t": "pong"}, codec)
         elif kind == "shutdown":
@@ -206,13 +233,14 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     ready_conn.send(ready)
     ready_conn.close()
 
+    registry = Registry()
     while True:
         conn, _peer = listener.accept()
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
-            finished = _serve_connection(conn, node, codec)
+            finished = _serve_connection(conn, node, codec, registry)
         except WireError as error:
-            print(f"[worker {spec.node_id}] protocol error: {error}", file=sys.stderr)
+            event("protocol_error", source=spec.node_id, cause=str(error))
             finished = False
         finally:
             try:

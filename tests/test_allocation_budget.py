@@ -17,6 +17,7 @@ new-pair tuples it returns).
 
 import gc
 from itertools import repeat
+from time import perf_counter_ns
 
 import pytest
 
@@ -26,6 +27,9 @@ from repro.core.digest_batch import DigestBatch
 from repro.core.hash_node import HybridHashNode
 from repro.core.protocol import replies_from_tiers
 from repro.dedup.fingerprint import synthetic_fingerprint
+from repro.serving.wire import decode_payload, encode_batch_frame
+from repro.serving.worker import _serve_batch
+from repro.telemetry import Registry
 
 KEYS = 2048
 NODE_CONFIG = HashNodeConfig(ram_cache_entries=1024, bloom_expected_items=50_000)
@@ -75,6 +79,40 @@ def test_node_serve_allocates_only_the_new_pairs(collector_off):
     grown = collector_off() - start
     assert len(new_pairs) == tiers.count(0) == KEYS // 2
     assert grown <= 0.6 * KEYS, f"{grown / KEYS:.2f} tracked allocations per key"
+
+
+def test_worker_shaped_serve_grows_nothing_per_batch(collector_off):
+    """Decode -> serve -> encode -> one histogram observe, 1 000 times over.
+
+    A histogram is a fixed array of integers: measuring a batch must leave
+    the process's tracked-object count where it started, whatever the
+    number of keys or of batches.  (The batches are RAM hits, so the node
+    itself keeps nothing new either.)
+    """
+    node = HybridHashNode("n0", NODE_CONFIG)
+    registry = Registry()
+    histogram = registry.histogram("serve_batch")
+    payload = encode_batch_frame(b"".join(fp.digest for fp in FINGERPRINTS[:128]), 8192)[4:]
+
+    def serve_one():
+        started = perf_counter_ns()
+        frame = _serve_batch(node, decode_payload(payload))
+        histogram.observe(perf_counter_ns() - started)
+        return frame
+
+    first = serve_one()
+    reply = serve_one()
+    assert decode_payload(first[4:])["new"] == 128 and decode_payload(reply[4:])["new"] == 0
+    for _ in range(200):  # refill the free lists the fixture's gc.collect() emptied
+        serve_one()
+    buckets = len(histogram.counts)
+    start = collector_off()
+    for _ in range(1_000):
+        assert serve_one() == reply
+    grown = collector_off() - start
+    assert abs(grown) <= 8, f"{grown} tracked objects over 1 000 batches"
+    assert histogram.count == 1_202 and len(histogram.counts) == buckets
+    assert list(registry.histograms) == ["serve_batch"] and node.lookup_latency.count == 0
 
 
 def test_replies_from_tiers_allocates_one_object_per_key(collector_off):

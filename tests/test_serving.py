@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import importlib.util
 import json
 import logging
 import os
@@ -21,6 +22,7 @@ import random
 import struct
 import threading
 import socket
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,7 @@ from repro.serving.wire import (
     verdict_mask,
 )
 from repro.simulation.stats import LatencyRecorder, ReservoirSample
+from repro.telemetry import Registry
 
 
 # --------------------------------------------------------------------- wire
@@ -409,24 +412,49 @@ def test_shed_on_overload_replies_overloaded():
 
 
 def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
-    from repro.core.digest_batch import DigestBatch
-    from repro.serving.worker import WorkerSpec, _shutdown, _stats
+    from repro.serving.worker import WorkerSpec, _serve_connection, _shutdown, _stats
 
     spec = WorkerSpec("node0", {"bloom_expected_items": 4_096, "ssd_buckets": 256},
                       persistence_dir=str(tmp_path / "node0"), snapshot_every=32)
     node = spec.build_node()
-    node.serve_bucket_verdicts(DigestBatch.from_blob(os.urandom(20 * 40), 4096))
-    stats = _stats(node)
-    assert stats["persisted_records"] == 40 and stats["snapshots_taken"] == 1
-    assert stats["log_bytes"] == os.path.getsize(tmp_path / "node0" / "containers.log")
-    assert stats["last_snapshot_ms"] > 0
-    # Modelled service time per key, not a latency anything here measured.
-    assert "lookup_latency_us" not in stats
-    assert stats["modelled_service_us"]["count"] == 40 and stats["modelled_service_us"]["mean"] > 0
+    registry = Registry()
+    # The worker's own frame loop, fed by a socket pair standing in for the
+    # gateway: two batches, then a stats frame, then the gateway goes away.
+    gateway_end, worker_end = socket.socketpair()
+    try:
+        gateway_end.sendall(
+            encode_batch_frame(os.urandom(20 * 40), 4096)
+            + encode_batch_frame(os.urandom(20 * 8), 4096)
+            + encode_frame({"t": "stats"}))
+        gateway_end.shutdown(socket.SHUT_WR)
+        assert _serve_connection(worker_end, node, JsonCodec, registry) is False
+        assert [recv_frame(gateway_end)["new"] for _ in range(2)] == [40, 8]
+        stats = recv_frame(gateway_end)["stats"]
+    finally:
+        gateway_end.close()
+        worker_end.close()
+    gauges = stats["gauges"]
+    assert gauges["persisted_records"] == 48 and gauges["snapshots_taken"] == 1
+    assert gauges["entries"] == gauges["ram_cached"] == 48
+    assert gauges["log_bytes"] == os.path.getsize(tmp_path / "node0" / "containers.log")
+    assert gauges["last_snapshot_ms"] > 0
+    assert stats["info"] == {"node_id": "node0", "kernel_backend": node.kernel_backend}
+    assert stats["counters"]["lookups"] == stats["counters"]["new_entries"] == 48
+    # One *measured* duration per batch; the per-key modelled service time
+    # the worker used to publish (``modelled_service_us``) is gone, and
+    # the node's recorder is never fed on this path.
+    served = stats["histograms"]["serve_batch"]
+    assert served["count"] == 2 == sum(served["buckets"].values())
+    assert 0 < served["sum_ns"] < 10**9 and served["us"]["p50"] > 0
+    assert "modelled_service_us" not in json.dumps(stats)
+    assert node.lookup_latency.count == 0
+    assert not any(key.startswith("recovery") for key in gauges)
     _shutdown(node)
     # A second start is warm and its stats say what the recovery replayed.
-    recovery = _stats(spec.build_node())["recovery"]
-    assert (recovery["records"], recovery["replayed"], recovery["truncated_bytes"]) == (40, 0, 0)
+    gauges = _stats(spec.build_node(), Registry())["gauges"]
+    assert (gauges["recovery_records"], gauges["recovery_replayed"],
+            gauges["recovery_truncated_bytes"]) == (48, 0, 0)
+    assert gauges["recovery_ms"] > 0
 
 
 def test_graceful_drain_completes_inflight_and_leaves_warm_state(tmp_path):
@@ -443,7 +471,7 @@ def test_graceful_drain_completes_inflight_and_leaves_warm_state(tmp_path):
         # Wait for admission (closing the door *before* the frame is read
         # would legitimately answer SHUTTING_DOWN), then drain: the admitted
         # batch must be answered before the door shuts.
-        while not (gateway.inflight or gateway.acked_batches):
+        while not (gateway.inflight or gateway.telemetry.counters["acked_batches"]):
             await asyncio.sleep(0.001)
         close_task = asyncio.ensure_future(gateway.close())
         from repro.serving.wire import read_frame
@@ -475,31 +503,148 @@ def test_graceful_drain_completes_inflight_and_leaves_warm_state(tmp_path):
     asyncio.run(_go())
 
 
+async def _http_get(port: int, path: str):
+    """``(status line, body)`` of one ``GET`` against the gateway's port."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+    await writer.drain()
+    raw = await asyncio.wait_for(reader.read(-1), timeout=10.0)
+    writer.close()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], body
+
+
 def test_stats_http_endpoint():
     async def _go():
         gateway = ServiceGateway(_serve_config(num_nodes=1))
         await gateway.start()
         try:
-            async def _get(path: str):
-                reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
-                writer.write(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
-                await writer.drain()
-                raw = await asyncio.wait_for(reader.read(-1), timeout=10.0)
-                writer.close()
-                head, _, body = raw.partition(b"\r\n\r\n")
-                return head.split(b"\r\n")[0], body
-
-            status, body = await _get("/stats")
+            status, body = await _http_get(gateway.port, "/stats")
             assert b"200" in status
             stats = json.loads(body)
             assert stats["nodes"] == 1
             assert stats["workers"][0]["up"] is True
-            not_found, _ = await _get("/nope")
+            not_found, _ = await _http_get(gateway.port, "/nope")
             assert b"404" in not_found
         finally:
             await gateway.close()
 
     asyncio.run(_go())
+
+
+def _load_check_metrics():
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_metrics.py"
+    spec = importlib.util.spec_from_file_location("check_metrics", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _merged(snapshots):
+    """Index-wise sums of histogram snapshots, written out by hand."""
+    buckets = {}
+    for snapshot in snapshots:
+        for index, seen in snapshot["buckets"].items():
+            buckets[index] = buckets.get(index, 0) + seen
+    return (buckets, sum(s["count"] for s in snapshots), sum(s["sum_ns"] for s in snapshots))
+
+
+def test_stats_and_metrics_carry_each_workers_registry_and_their_exact_merge(tmp_path):
+    """What a running system can be asked: ``kernel_backend``, tier counters and a
+    measured serve histogram per worker, merged exactly into the fleet view --
+    over the ``stats`` frame, ``GET /stats`` and ``GET /metrics`` alike."""
+    # Spread over the whole key space: every batch is half node0's, half node1's.
+    digests = ["".join(f"{(i << 154) + b:040x}" for i in range(64)) for b in range(6)]
+
+    async def _go():
+        gateway = ServiceGateway(_serve_config(tmp_path))
+        await gateway.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+
+            async def _ask(message):
+                writer.write(encode_frame(message))
+                await writer.drain()
+                return await asyncio.wait_for(read_frame(reader), timeout=10.0)
+
+            for number, blob in enumerate(digests):
+                assert (await _ask({"t": "batch", "id": number, "d": blob, "s": 4096}))["ok"]
+            framed = (await _ask({"t": "stats", "id": "s"}))["stats"]
+            status, body = await _http_get(gateway.port, "/stats")
+            assert b"200" in status
+            status, metrics = await _http_get(gateway.port, "/metrics")
+            assert b"200" in status
+
+            assert (await _ask({"t": "kill_worker", "id": "k", "node": "node1"}))["ok"]
+            for _ in range(2_000):  # until the respawned shard answers again
+                if (await _ask({"t": "batch", "id": "r", "d": digests[0], "s": 4096}))["ok"]:
+                    break
+                await asyncio.sleep(0.01)
+            after_kill = (await _ask({"t": "stats", "id": "s2"}))["stats"]
+            writer.close()
+            return framed, json.loads(body), metrics.decode(), after_kill
+        finally:
+            await gateway.close()
+
+    framed, over_http, metrics, after_kill = asyncio.run(_go())
+    for stats in (framed, over_http):
+        served = [row["telemetry"]["histograms"]["serve_batch"] for row in stats["workers"]]
+        for row in stats["workers"]:
+            telemetry = row["telemetry"]
+            assert telemetry["info"]["kernel_backend"] in ("numpy", "python-packed")
+            assert telemetry["info"]["node_id"] == row["node_id"]
+            assert telemetry["counters"]["lookups"] == telemetry["counters"]["new_entries"] == 192
+            assert telemetry["gauges"]["entries"] == 192
+        # One observation per sub-batch sent, and the fleet is the index-wise sum.
+        assert [s["count"] for s in served] == [row["sent"] for row in stats["workers"]] == [6, 6]
+        fleet = stats["fleet"]["histograms"]["serve_batch"]
+        assert (fleet["buckets"], fleet["count"], fleet["sum_ns"]) == _merged(served)
+        assert fleet["count"] == 12 and all(s["sum_ns"] > 0 for s in served)
+        assert stats["fleet"]["counters"]["lookups"] == 384
+        assert stats["fleet"]["gauges"]["entries"] == 384
+        assert stats["batch_latency_us"]["count"] == stats["acked_batches"] == 6
+        assert 0 < stats["batch_latency_us"]["p50"] <= stats["batch_latency_us"]["p99"]
+
+    assert _load_check_metrics().check(metrics) == []
+    for needle in ('shhc_worker_info{node="node0",node_id="node0",kernel_backend="',
+                   'shhc_worker_serve_batch_seconds_count{node="node1"} 6',
+                   "shhc_fleet_serve_batch_seconds_count 12",
+                   "shhc_fleet_lookups_total 384",
+                   "shhc_gateway_acked_batches_total 6",
+                   'shhc_gateway_worker_restarts_total{node="node1"} 0',
+                   "# TYPE shhc_gateway_batch_latency_seconds histogram"):
+        assert needle in metrics, needle
+
+    # A respawned worker says what its recovery replayed and counts from zero
+    # again, so a fleet counter can fall; ``restarts`` is how a reader knows.
+    survivor, respawned = after_kill["workers"]
+    assert (survivor["restarts"], respawned["restarts"]) == (0, 1)
+    assert survivor["telemetry"]["counters"]["lookups"] > 192
+    assert "recovery_records" not in survivor["telemetry"]["gauges"]
+    gauges = respawned["telemetry"]["gauges"]
+    assert gauges["recovery_records"] == gauges["entries"] == 192 and gauges["recovery_ms"] > 0
+    assert 0 < respawned["telemetry"]["counters"]["lookups"] < 192
+    assert respawned["telemetry"]["histograms"]["serve_batch"]["count"] < 6
+    assert after_kill["fleet"]["counters"]["new_entries"] == 192 < 384
+
+
+def test_a_worker_that_is_down_reports_null_and_the_fleet_is_the_rest():
+    async def _go():
+        gateway = ServiceGateway(_serve_config())
+        await gateway.start()
+        try:
+            gateway.workers[1].ready.clear()  # what the supervisor does on a death
+            stats = await gateway.fleet_stats()
+            gateway.workers[1].ready.set()
+            return stats
+        finally:
+            await gateway.close()
+
+    stats = asyncio.run(_go())
+    alive, down = stats["workers"]
+    assert down["telemetry"] is None and down["up"] is False
+    assert stats["fleet"]["gauges"] == alive["telemetry"]["gauges"]
+    assert stats["fleet"]["info"] == {}
 
 
 def test_unknown_frame_type_and_kill_of_unknown_worker():
@@ -613,13 +758,20 @@ def test_every_batch_frame_gets_exactly_one_reply(capsys):
     assert miscounted == {"t": "reply", "id": 1, "ok": False, "err": "UNAVAILABLE", "retry": True}
     assert crashed == {"t": "reply", "id": 2, "ok": False,
                        "err": "internal error: ZeroDivisionError", "retry": False}
-    assert "ZeroDivisionError" in capsys.readouterr().err
+    # The crash is one structured event on stderr, traceback included.
+    (logged,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert logged["event"] == "batch_failed" and logged["id"] == 2
+    assert logged["error"] == "ZeroDivisionError" and "1 // 0" in logged["traceback"]
     assert served["ok"] and served["n"] == 64
     assert stats["protocol_errors"] == 2
     assert stats["workers"][0]["restarts"] == 0
 
 
 # ------------------------------------------------------------ hostile framing
+def _protocol_errors(gateway: ServiceGateway) -> int:
+    return gateway.telemetry.counters["protocol_errors"]
+
+
 async def _dribble(writer, data: bytes) -> None:
     """Send ``data`` one byte per TCP segment."""
     writer.get_extra_info("socket").setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -650,18 +802,18 @@ def test_first_header_may_arrive_byte_by_byte():
             await writer.drain()
             raw = await asyncio.wait_for(reader.read(-1), timeout=5.0)
             writer.close()
-            clean = gateway.protocol_errors
+            clean = _protocol_errors(gateway)
 
             # EOF inside the first header is a counted error; EOF before any
             # byte is just a client that went away.
             for prefix, counted in ((b"", 0), (frame[:3], 1)):
-                before = gateway.protocol_errors
+                before = _protocol_errors(gateway)
                 reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
                 writer.write(prefix)
                 writer.write_eof()
                 assert await asyncio.wait_for(reader.read(-1), timeout=5.0) == b""
                 writer.close()
-                assert gateway.protocol_errors == before + counted
+                assert _protocol_errors(gateway) == before + counted
             return pong, raw, clean
         finally:
             await gateway.close()
@@ -691,7 +843,7 @@ def test_oversized_and_non_dict_frames_are_counted_and_disconnected():
                 await writer.drain()
                 assert await asyncio.wait_for(reader.read(-1), timeout=5.0) == b""
                 writer.close()
-                assert gateway.protocol_errors == number
+                assert _protocol_errors(gateway) == number
             # A fresh connection is served afterwards.
             reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
             writer.write(encode_frame({"t": "ping", "id": 1}))
@@ -718,7 +870,7 @@ def test_disconnect_inside_a_payload_is_a_counted_protocol_error(caplog):
             writer.write_eof()
             assert await asyncio.wait_for(reader.read(-1), timeout=5.0) == b""
             writer.close()
-            counted = gateway.protocol_errors
+            counted = _protocol_errors(gateway)
             # A fresh connection is served afterwards.
             reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
             writer.write(encode_frame({"t": "ping", "id": 1}))
@@ -736,6 +888,37 @@ def test_disconnect_inside_a_payload_is_a_counted_protocol_error(caplog):
     # An exception escaping the connection callback is what asyncio logs as
     # "Unhandled exception in client_connected_cb".
     assert not caplog.records
+
+
+def test_oversized_http_head_is_a_counted_protocol_error(caplog):
+    """``GET `` then >64 KiB with no end of headers: not HTTP, counted, harmless."""
+    async def _go():
+        gateway = ServiceGateway(_serve_config(num_nodes=1))
+        await gateway.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(b"GET " + b"\x00\xff" * 70_000)
+            try:
+                await writer.drain()
+                await asyncio.wait_for(reader.read(-1), timeout=5.0)
+            except ConnectionError:
+                pass  # closed on us with our bytes unread: a reset is fine
+            writer.close()
+            for _ in range(500):
+                if _protocol_errors(gateway):
+                    break
+                await asyncio.sleep(0.01)
+            counted = _protocol_errors(gateway)
+            status, body = await _http_get(gateway.port, "/stats")
+            return counted, status, json.loads(body)
+        finally:
+            await gateway.close()
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        counted, status, stats = asyncio.run(_go())
+    assert counted == 1 and stats["protocol_errors"] == 1
+    assert b"200" in status and stats["workers"][0]["up"]
+    assert not caplog.records  # nothing "Unhandled exception in client_connected_cb"
 
 
 # -------------------------------------------------------- concurrent recording

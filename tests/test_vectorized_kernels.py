@@ -292,6 +292,13 @@ def _twin_nodes(capacity=32, shape="unrolled"):
 
 
 def _node_state(node):
+    """Everything a serve leaves behind on the node itself.
+
+    The modelled-latency recorder is not in here: the bare contract does
+    not feed it (its callers that publish the model do), so it is compared
+    through those callers -- ``lookup_batch`` against looped ``lookup`` --
+    and pinned at zero wherever the contract is called directly.
+    """
     return (
         node.counters.as_dict(),
         node.store.stats(),
@@ -300,7 +307,6 @@ def _node_state(node):
         node.bloom.count,
         list(node.cache.data),
         node.cache.stats(),
-        node.lookup_latency.as_dict(),
     )
 
 
@@ -349,6 +355,10 @@ class TestFusedNodeKernelDifferential:
                 SERVED_FROM_TIER[tier] for tier in tiers
             ]
         assert _node_state(scalar) == _node_state(fused)
+        # Both recording callers saw the same modelled times in the same order
+        # (Welford state and reservoir alike).
+        assert fused.lookup_latency.as_dict() == scalar.lookup_latency.as_dict()
+        assert fused.lookup_latency.count == sum(len(items) for items in map(_pairs_of, batches))
         _assert_model_agrees(model, fused)
 
     @SLOWER
@@ -374,6 +384,8 @@ class TestFusedNodeKernelDifferential:
             ]
             assert service_times == [r.service_time for r in scalar_replies]
         assert _node_state(scalar) == _node_state(fused)
+        # The contract returns the modelled times and records none of them.
+        assert fused.lookup_latency.count == 0 < scalar.lookup_latency.count
         _assert_model_agrees(model, fused)
 
     def test_scalar_chunk_size_blob_matches(self):
@@ -670,6 +682,7 @@ class TestColumnarFusedKernelDifferential:
                 replies = [sequential.lookup(fingerprint) for fingerprint in fingerprints]
                 assert served[1] == [reply.service_time for reply in replies]
             assert _node_state(packed) == _node_state(columnar) == _node_state(sequential)
+            assert packed.lookup_latency.count == columnar.lookup_latency.count == 0
 
     @SLOWER
     @given(batch_lists, lru_capacities)
@@ -758,13 +771,14 @@ def test_worker_stats_report_kernel_backend():
     # The /stats payload must carry the backend either way; which value it
     # is depends on whether numpy imported in this process.
     from repro.serving.worker import _stats
+    from repro.telemetry import Registry
 
     node = HybridHashNode(
         "stats", config=HashNodeConfig(bloom_expected_items=512, ssd_buckets=16)
     )
-    payload = _stats(node)
-    assert payload["kernel_backend"] == node.kernel_backend
-    assert payload["kernel_backend"] in ("numpy", "python-packed")
+    info = _stats(node, Registry())["info"]
+    assert info["kernel_backend"] == node.kernel_backend
+    assert info["kernel_backend"] in ("numpy", "python-packed")
 
 
 class TestForcedNoNumpyFallback:
@@ -825,7 +839,8 @@ class TestForcedNoNumpyFallback:
             )
             assert node.kernel_backend == "python-packed"
             from repro.serving.worker import _stats
-            assert _stats(node)["kernel_backend"] == "python-packed"
+            from repro.telemetry import Registry
+            assert _stats(node, Registry())["info"]["kernel_backend"] == "python-packed"
             digests = [os.urandom(20) for _ in range(100)]
             tiers, _times, new_pairs = node.serve_bucket_verdicts(
                 DigestBatch.from_blob(b"".join(digests), 4096)
@@ -856,9 +871,12 @@ class TestForcedNoNumpyFallback:
                 )
                 await gateway.start()
                 try:
-                    stats = gateway.stats()
+                    stats = await gateway.fleet_stats()
                     workers = stats["workers"]
                     assert len(workers) == 2
+                    # Asked of the running workers, not of this process.
+                    assert [w["telemetry"]["info"]["kernel_backend"] for w in workers] == [
+                        "python-packed", "python-packed"]
                 finally:
                     await gateway.close()
 

@@ -17,6 +17,7 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py sweep --top 30
     PYTHONPATH=src python tools/profile_hotpath.py cluster --gc --requests 800000 --batch 2048
     PYTHONPATH=src python tools/profile_hotpath.py persist --entries 240000
+    PYTHONPATH=src python tools/profile_hotpath.py serve --requests 512000
 
 ``cluster --gc`` adds the cyclic collector's account of the same path,
 measured with cProfile off on a caller shaped like ``bench/``'s
@@ -39,6 +40,19 @@ own at the same geometry and key count: allocate ms, fill ms
 (``put_many_verdicts``), membership probe us/key and resident MB per store.
 It calls public names only, so it runs on any commit since PR 7
 (``PYTHONPATH=<that checkout>/src``).
+
+``serve`` is the serving worker's batch path, in-process and with cProfile
+off, on one persistence-backed node at ``bench/``'s ``node_config`` and its
+128-digest sub-batches, once per live mix (``svc_dup_hot``: 50k keys
+pre-populated, 95% of every batch known; ``svc_unique``: 95% new): us per
+fingerprint for frame decode, ``DigestBatch.from_blob``, kernel selection,
+the fused kernel, modelled-time recording inside the contract, the rest of
+the node's serve, ``log_insert_many`` and mask + encode, with the
+unattributed remainder, rows summing to the total; then what the same
+recording costs where ``lookup_batch`` pays it.  No socket, no gateway, no
+checkpoints (``snapshot_every=0``).  It wraps names that exist on every
+commit since PR 19, so ``PYTHONPATH=<other checkout>/src`` gives the other
+column.
 
 Perf PRs should start from this data: optimise what is hot, pin what must
 stay byte-identical (see ``tests/test_routed_batch_equivalence.py``).
@@ -297,6 +311,116 @@ def persist_report(entries: int, batch_size: int = 128) -> None:
     store_report(config, entries)
 
 
+_SERVE_STAGES = (
+    "frame decode", "DigestBatch.from_blob", "kernel selection", "fused kernel",
+    "modelled-time recording", "node serve, rest", "log_insert_many", "mask + encode",
+)
+
+
+def serve_report(requests: int, batch_size: int = 128) -> None:
+    """Stage budget of the worker's batch path on one node, per live mix."""
+    from repro.core.config import HashNodeConfig
+    from repro.core.digest_batch import DigestBatch
+    from repro.core.hash_node import HybridHashNode
+    from repro.core.persistence import NodePersistence
+    from repro.serving.wire import (
+        decode_payload, encode_batch_frame, encode_verdict_frame, verdict_mask,
+    )
+    from repro.simulation.stats import LatencyRecorder
+
+    # bench/spec.py: node_config() and CHUNK_SIZE; one of svc_dup_hot's two
+    # shards holds half of its 100k pre-populated identities.
+    config = HashNodeConfig.from_dict(
+        {"bloom_expected_items": 2_000_000, "ram_cache_entries": 1_000_000})
+    now = time.perf_counter_ns
+    for mix, prepopulate, dup_fraction in (("svc_dup_hot", 50_000, 0.95), ("svc_unique", 0, 0.05)):
+        rng = random.Random(7).random
+        known = prepopulate
+        payloads = []
+        for _ in range(max(1, requests // batch_size)):
+            identities = []
+            for _ in range(batch_size):
+                if known and rng() < dup_fraction:
+                    identities.append(int(rng() * known))
+                else:
+                    identities.append(known)
+                    known += 1
+            blob = b"".join(hashlib.sha1(b"%d" % identity).digest() for identity in identities)
+            payloads.append(encode_batch_frame(blob, 8192)[4:])
+        spent = dict.fromkeys(_SERVE_STAGES, 0)
+
+        def timed(stage, function):
+            def wrapper(*args):
+                started = now()
+                try:
+                    return function(*args)
+                finally:
+                    spent[stage] += now() - started
+            return wrapper
+
+        with tempfile.TemporaryDirectory(prefix="profile-serve-") as directory:
+            node = HybridHashNode("node0", config,
+                                  persistence=NodePersistence(directory, fsync=False))
+            for start in range(0, prepopulate, 2048):
+                node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(
+                    hashlib.sha1(b"%d" % identity).digest()
+                    for identity in range(start, min(start + 2048, prepopulate))), 8192))
+            select = node._select_kernel
+
+            def select_timed(batch):
+                started = now()
+                kernel, columnar = select(batch)
+                spent["kernel selection"] += now() - started
+                return timed("fused kernel", kernel), columnar
+
+            node._select_kernel = select_timed
+            node.lookup_latency.record_many = timed(
+                "modelled-time recording", node.lookup_latency.record_many)
+            node.persistence.log_insert_many = timed(
+                "log_insert_many", node.persistence.log_insert_many)
+            modelled = []
+            counters_before = node.counters.as_dict()
+            began = now()
+            for payload in payloads:
+                at_start = now()
+                message = decode_payload(payload)
+                decoded = now()
+                batch = DigestBatch.from_blob(message["d"], message["s"])
+                built = now()
+                tiers, service_times, new_pairs = node.serve_bucket_verdicts(batch)
+                served = now()
+                encode_verdict_frame(len(batch), len(new_pairs), verdict_mask(tiers))
+                encoded = now()
+                spent["frame decode"] += decoded - at_start
+                spent["DigestBatch.from_blob"] += built - decoded
+                spent["node serve, rest"] += served - built
+                spent["mask + encode"] += encoded - served
+                modelled.append(service_times)
+            total = now() - began
+            node.persistence.close()
+        spent["node serve, rest"] -= sum(
+            spent[stage] for stage in
+            ("kernel selection", "fused kernel", "modelled-time recording", "log_insert_many"))
+        keys = len(payloads) * batch_size
+        counters = node.counters.as_dict()
+        moved = {name: counters.get(name, 0) - counters_before.get(name, 0)
+                 for name in ("ram_hits", "ssd_hits", "new_entries")}
+        print(f"=== serve: {mix} mix, {len(payloads)} batches x {batch_size} "
+              f"({', '.join(f'{name} {value / keys:.1%}' for name, value in moved.items())}; "
+              f"backend {node.kernel_backend}) ===")
+        for stage in _SERVE_STAGES:
+            print(f"  {stage:<26} {spent[stage] / keys / 1e3:7.3f} us/fp  {spent[stage] / total:6.1%}")
+        rest = total - sum(spent.values())
+        print(f"  {'unattributed':<26} {rest / keys / 1e3:7.3f} us/fp  {rest / total:6.1%}")
+        print(f"  {'total':<26} {total / keys / 1e3:7.3f} us/fp")
+        recorder = LatencyRecorder("comparison")
+        began = now()
+        for service_times in modelled:
+            recorder.record_many(service_times)
+        print(f"  (recording the same modelled times where lookup_batch pays for it: "
+              f"{(now() - began) / keys / 1e3:.3f} us/fp, not on this path)")
+
+
 def _rss_mb() -> float:
     with open("/proc/self/statm", encoding="ascii") as statm:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
@@ -346,11 +470,11 @@ def _profile_one(label: str, fn, top: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("target", nargs="?", default="all",
-                        choices=("all", "cluster", "sweep", "persist"))
+                        choices=("all", "cluster", "sweep", "persist", "serve"))
     parser.add_argument("--top", type=int, default=20,
                         help="how many functions to print (default 20)")
     parser.add_argument("--requests", type=int, default=16_000,
-                        help="cluster run size in fingerprints (default 16000)")
+                        help="cluster / serve run size in fingerprints (default 16000)")
     parser.add_argument("--batch", type=int, default=128,
                         help="fingerprints per lookup_batch call (default 128)")
     parser.add_argument("--gc", action="store_true",
@@ -360,6 +484,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.target == "persist":
         persist_report(args.entries)
+        return 0
+    if args.target == "serve":
+        serve_report(args.requests)
         return 0
     if args.target in ("all", "cluster"):
         profile_cluster(args.top, args.requests, args.batch)
