@@ -74,10 +74,6 @@ class Figure1Result:
             values.sort(key=lambda p: p.offered_rate)
         return grouped
 
-    def execution_times(self, nodes: int) -> List[float]:
-        """Execution times (seconds) for one cluster size, by offered rate."""
-        return [point.execution_time for point in self.series().get(nodes, [])]
-
     def render(self) -> str:
         """Text rendering in the paper's format (time in microseconds)."""
         grouped = self.series()

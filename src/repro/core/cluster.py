@@ -117,27 +117,22 @@ class SHHCCluster(ChunkIndex):
         self,
         config: Optional[ClusterConfig] = None,
         sim: Optional[Simulator] = None,
-        partitioner: Optional[Partitioner] = None,
         cost_model: Optional[CostModel] = None,
         persistence: Optional[PersistencePolicy] = None,
     ) -> None:
         self.config = config if config is not None else ClusterConfig()
         self.sim = sim
-        #: Optional control-plane cost model (see simulation/costmodel.py).
-        #: ``None`` (the default) keeps the historical free-control-plane
-        #: behaviour byte-identical; enabled, replica propagation, read
-        #: repair and migration copies are charged as deferred CPU + network
-        #: events instead of same-instant side effects.
-        self.cost_model = cost_model
-        #: Immediate-mode charging timeline.  In simulated mode (``sim`` set)
-        #: costs are charged as scheduled CPU occupancy on the nodes instead.
+        #: Control-plane charging timeline (see simulation/costmodel.py),
+        #: built whenever a cost model is given.  ``None`` (the default)
+        #: keeps the historical free-control-plane behaviour byte-identical;
+        #: enabled, replica propagation, read repair, migration copies and
+        #: recovery replay are charged as deferred CPU + network time
+        #: instead of being same-instant side effects.
         self.ledger: Optional[ControlPlaneLedger] = (
-            ControlPlaneLedger(cost_model) if cost_model is not None and sim is None else None
+            ControlPlaneLedger(cost_model) if cost_model is not None else None
         )
         node_names = self.config.node_names
-        if partitioner is not None:
-            self.partitioner = partitioner
-        elif self.config.virtual_nodes > 0:
+        if self.config.virtual_nodes > 0:
             self.partitioner = ConsistentHashRing(node_names, self.config.virtual_nodes)
         else:
             self.partitioner = RangePartitioner(node_names)
@@ -161,17 +156,6 @@ class SHHCCluster(ChunkIndex):
         self.duplicates = 0
         self.read_repairs = 0
         self.failovers = 0
-        #: Mid-flight crash semantics for the simulated deployment: when
-        #: True, a batch still in service on a node that crashes is *dropped*
-        #: (its reply never leaves the node) instead of drained, so clients
-        #: exercise their timeout/retry path.  Set by the fault injector /
-        #: gateway (``drop_in_flight=...``).
-        self.drop_in_flight = False
-        self.dropped_in_flight = 0
-        # Crash generation per node: lets the drop decision catch a crash
-        # that happened *during* a batch's service even if the node already
-        # recovered by the time the reply would leave it.
-        self._crash_epochs: Dict[str, int] = {}
         self._batch_ids = itertools.count(1)
         self.last_batch_id = 0
         # Routing cache: digest -> replica-set tuple, valid for one
@@ -184,7 +168,7 @@ class SHHCCluster(ChunkIndex):
         # never invalidate it.
         self._route_cache: Dict[bytes, Tuple[str, ...]] = {}
         self._route_partitioner: Partitioner = self.partitioner
-        self._route_epoch = getattr(self.partitioner, "epoch", 0)
+        self._route_epoch = self.partitioner.epoch
 
     # ------------------------------------------------------------------ membership
     @property
@@ -204,7 +188,6 @@ class SHHCCluster(ChunkIndex):
         if name not in self.nodes:
             raise KeyError(f"unknown node {name!r}")
         self._down.add(name)
-        self._crash_epochs[name] = self._crash_epochs.get(name, 0) + 1
 
     def mark_up(self, name: str) -> None:
         """Bring a failed node back into rotation."""
@@ -229,9 +212,9 @@ class SHHCCluster(ChunkIndex):
         """Restart a killed node, recovering its state from disk.
 
         The node rebuilds its store and bloom filter from its container log
-        (and snapshot, when one exists) before rejoining the rotation.  The
-        recovery work is charged through the cost model -- lookups landing on
-        the node during warm-up queue behind the replay -- and the
+        (and snapshot, when one exists) before rejoining the rotation.  With
+        a cost model the recovery work is charged to the ledger -- lookups
+        landing on the node during warm-up queue behind the replay -- and the
         :class:`~repro.core.persistence.RecoveryReport` (``None`` for a node
         without persistence, which restarts empty) is returned with
         ``charged_seconds`` filled in.
@@ -239,8 +222,15 @@ class SHHCCluster(ChunkIndex):
         if name not in self.nodes:
             raise KeyError(f"unknown node {name!r}")
         report = self.nodes[name].restart()
-        if report is not None:
-            report.charged_seconds = self._charge_recovery(name, report)
+        if report is not None and self.ledger is not None:
+            # The per-record work is the store rebuild (``entries``) plus the
+            # bloom replay (``replayed``: the post-snapshot tail on a warm
+            # restart, every live key on a cold one), and the snapshot load
+            # is priced per byte -- so a warm restart is charged measurably
+            # less than a full log replay.
+            report.charged_seconds = self.ledger.charge_recovery(
+                name, report.entries + report.replayed, report.snapshot_bytes
+            )
         self.mark_up(name)
         return report
 
@@ -261,26 +251,22 @@ class SHHCCluster(ChunkIndex):
         can never use a pre-migration replica set.
         """
         partitioner = self.partitioner
-        epoch = getattr(partitioner, "epoch", 0)
+        epoch = partitioner.epoch
         if partitioner is not self._route_partitioner or epoch != self._route_epoch:
             self._route_cache.clear()
             self._route_partitioner = partitioner
             self._route_epoch = epoch
         return self._route_cache
 
-    def _resolve_route(self, fingerprint: Fingerprint, digest: bytes) -> Tuple[str, ...]:
-        """Resolve and cache one fingerprint's replica set (cache-miss path).
+    def _resolve_route(self, digest: bytes) -> Tuple[str, ...]:
+        """Resolve and cache one digest's replica set (cache-miss path).
 
-        Uses the partitioner's key-addressed ``owners_by_key`` (which hands
-        out shared tuples) when available, falling back to the generic
-        ``owners`` protocol for custom partitioners.
+        Uses the partitioner's key-addressed ``owners_by_key``, which hands
+        out shared tuples.
         """
-        partitioner = self.partitioner
-        by_key = getattr(partitioner, "owners_by_key", None)
-        if by_key is not None:
-            replicas = by_key(key_of_digest(digest), self.config.replication_factor)
-        else:
-            replicas = tuple(partitioner.owners(fingerprint, self.config.replication_factor))
+        replicas = self.partitioner.owners_by_key(
+            key_of_digest(digest), self.config.replication_factor
+        )
         routes = self._route_cache
         if len(routes) >= ROUTE_CACHE_MAX_ENTRIES:
             routes.clear()
@@ -292,7 +278,7 @@ class SHHCCluster(ChunkIndex):
         digest = fingerprint.digest
         replicas = self._routes().get(digest)
         if replicas is None:
-            replicas = self._resolve_route(fingerprint, digest)
+            replicas = self._resolve_route(digest)
         return replicas
 
     def replica_set(self, fingerprint: Fingerprint) -> List[str]:
@@ -384,8 +370,8 @@ class SHHCCluster(ChunkIndex):
         targets = [n for n in others if n not in holders]
         for node_name in targets:
             self.nodes[node_name].insert_replica(fingerprint)
-        if targets and self.cost_model is not None:
-            self._charge_replica_writes({name: 1 for name in targets})
+        if targets and self.ledger is not None:
+            self.ledger.charge_replica_writes({name: 1 for name in targets})
         if holders:
             self.read_repairs += 1
             return replace(reply, is_duplicate=True, served_from=ServedFrom.REPAIR)
@@ -492,15 +478,7 @@ class SHHCCluster(ChunkIndex):
                 # A bucket that answered only duplicates has nothing to
                 # propagate or repair.
                 if replication_on and new_pairs:
-                    repaired = self._propagate_new_groups(
-                        new_pairs,
-                        serving,
-                        # Route-cache overflow mid-batch is the only way a
-                        # digest this bucket just routed can be missing
-                        # again; re-derive from the bucket's own
-                        # fingerprints (rare, O(bucket)).
-                        lambda digest: self._route_of(bucket[digests.index(digest)]),
-                    )
+                    repaired = self._propagate_new_groups(new_pairs, serving)
                     if repaired:
                         # One flip per repaired digest: its later occurrences
                         # in the bucket were already served as duplicates.
@@ -552,7 +530,7 @@ class SHHCCluster(ChunkIndex):
                         # num_nodes - 1 of the 256): resolve exactly.
                         replicas = routes_get(digest)
                         if replicas is None:
-                            replicas = resolve_route(fingerprints[position], digest)
+                            replicas = resolve_route(digest)
                     serving = replicas[0]
                     append = appends_get(serving)
                     if append is None:
@@ -563,7 +541,7 @@ class SHHCCluster(ChunkIndex):
                 for position, digest in enumerate(all_digests):
                     replicas = routes_get(digest)
                     if replicas is None:
-                        replicas = resolve_route(fingerprints[position], digest)
+                        replicas = resolve_route(digest)
                     serving = replicas[0]
                     append = appends_get(serving)
                     if append is None:
@@ -581,7 +559,7 @@ class SHHCCluster(ChunkIndex):
                 digest = fingerprint.digest
                 replicas = routes_get(digest)
                 if replicas is None:
-                    replicas = resolve_route(fingerprint, digest)
+                    replicas = resolve_route(digest)
                 for serving in replicas:
                     if serving not in down:
                         break
@@ -597,7 +575,7 @@ class SHHCCluster(ChunkIndex):
                 bucket[2].append(digest)
         return buckets
 
-    def _propagate_new_groups(self, new_pairs, serving: str, route_fallback) -> set:
+    def _propagate_new_groups(self, new_pairs, serving: str) -> set:
         """Ship one served bucket's new ``(digest, chunk_size)`` pairs to its replicas.
 
         The one place batched replica propagation happens.  The pairs are
@@ -612,13 +590,14 @@ class SHHCCluster(ChunkIndex):
         size).  Per-node store state is unaffected by the cross-node
         interleaving the per-reply flow (:meth:`_resolve_reply`) uses, and
         within one node the pairs stay in bucket order, so the persistence
-        log order matches too.  ``route_fallback`` maps a digest back to
-        its replica set in the (rare) case a cache overflow evicted the
-        route the dispatch loop just resolved.
+        log order matches too.  A route-cache overflow mid-batch is the
+        only way a digest the dispatch loop just routed can be missing
+        again; it is then resolved afresh (rare).
         """
         down = self._down
         nodes = self.nodes
         routes_get = self._routes().get
+        resolve_route = self._resolve_route
         prefix_table = getattr(self.partitioner, "prefix_table", None)
         table = (
             prefix_table(self.config.replication_factor)
@@ -640,7 +619,7 @@ class SHHCCluster(ChunkIndex):
             if replicas is None:
                 replicas = routes_get(digest)
                 if replicas is None:
-                    replicas = route_fallback(digest)
+                    replicas = resolve_route(digest)
             for name in replicas:
                 if name != serving:
                     per_node[name] = new_pairs
@@ -655,12 +634,12 @@ class SHHCCluster(ChunkIndex):
             for pair in new_pairs:
                 digest = pair[0]
                 # Same resolution order as dispatch: prefix table, then the
-                # digest-route cache, then the caller's exact fallback.
+                # digest-route cache, then the exact owners.
                 replicas = table[digest[0]] if table is not None else None
                 if replicas is None:
                     replicas = routes_get(digest)
                     if replicas is None:
-                        replicas = route_fallback(digest)
+                        replicas = resolve_route(digest)
                 others = others_of_get(replicas)
                 if others is None:
                     others_of[replicas] = others = [
@@ -685,83 +664,9 @@ class SHHCCluster(ChunkIndex):
             # Distinct digests per bucket (a repeat is answered as a
             # duplicate by the serving node), so set size == repaired replies.
             self.read_repairs += len(repaired)
-        if pending and self.cost_model is not None:
-            self._charge_replica_writes(pending)
-        return repaired
-
-    # ------------------------------------------------------------------ cost charging
-    def _charge_replica_writes(self, pending: Dict[str, int]) -> None:
-        """Charge replica-propagation cost to the targets' timelines.
-
-        ``pending`` maps target node -> number of new entries shipped to it.
-        No-op without a cost model.  In immediate mode the ledger defers
-        apply CPU onto each target's busy-until frontier after the fabric
-        transfer; in simulated mode the same prices become scheduled CPU
-        occupancy on the target's worker pool, contending with lookups.
-        """
-        model = self.cost_model
-        if model is None or not pending:
-            return
-        if self.ledger is not None:
+        if pending and self.ledger is not None:
             self.ledger.charge_replica_writes(pending)
-            return
-        if self.sim is None:  # pragma: no cover - ledger covers immediate mode
-            return
-        for target, entries in pending.items():
-            node = self.nodes.get(target)
-            if node is not None:
-                node.occupy_cpu(
-                    model.replica_apply_cpu(entries),
-                    delay=model.replica_transfer_time(entries),
-                )
-
-    def _charge_migration(self, transfers: Dict[Tuple[str, str], int]) -> None:
-        """Charge membership-migration copy traffic over the fabric.
-
-        ``transfers`` maps ``(source, target)`` -> entries copied during a
-        membership rebuild (:meth:`~repro.core.membership.MembershipManager._rebuild`).
-        The source pays export CPU, the entries cross the fabric at the
-        migration entry size, and the target pays import CPU on arrival.
-        No-op without a cost model.
-        """
-        model = self.cost_model
-        if model is None or not transfers:
-            return
-        if self.ledger is not None:
-            self.ledger.charge_migration(transfers)
-            return
-        if self.sim is None:  # pragma: no cover - ledger covers immediate mode
-            return
-        for (source, target), entries in transfers.items():
-            cpu = model.migration_cpu(entries)
-            src = self.nodes.get(source)
-            if src is not None:  # source may have just left the cluster
-                src.occupy_cpu(cpu)
-            dst = self.nodes.get(target)
-            if dst is not None:
-                dst.occupy_cpu(cpu, delay=model.migration_transfer_time(entries))
-
-    def _charge_recovery(self, name: str, report: RecoveryReport) -> float:
-        """Charge a restarted node's index rebuild; returns the CPU seconds.
-
-        The per-record work is the store rebuild (``entries``) plus the
-        bloom replay (``replayed``: the post-snapshot tail on a warm
-        restart, every live key on a cold one), and the snapshot load is
-        priced per byte -- so a warm restart is charged measurably less
-        than a full log replay.  No-op without a cost model.
-        """
-        model = self.cost_model
-        if model is None:
-            return 0.0
-        replayed = report.entries + report.replayed
-        if self.ledger is not None:
-            return self.ledger.charge_recovery(name, replayed, report.snapshot_bytes)
-        cpu = model.recovery_cpu(replayed, report.snapshot_bytes)
-        if self.sim is not None:
-            node = self.nodes.get(name)
-            if node is not None:
-                node.occupy_cpu(cpu)
-        return cpu
+        return repaired
 
     def close(self) -> None:
         """Release per-node persistence file handles (no-op without persistence)."""
@@ -823,57 +728,20 @@ class SHHCCluster(ChunkIndex):
     def _make_handler(self, node: HybridHashNode):
         node_id = node.node_id
 
-        def _finalize(raw: BatchLookupReply) -> BatchLookupReply:
-            # Replica propagation / read repair for RPC-served batches.  The
-            # writes are applied logically at the reply instant (verdicts are
-            # deterministic either way); with a cost model configured their
-            # *cost* is charged as deferred CPU occupancy on the target nodes
-            # after the fabric transfer (_charge_replica_writes via
-            # _resolve_reply), so replication contends with later lookups.
-            # Without one they stay free, matching the historical behaviour.
-            replies = [self._resolve_reply(reply, node_id) for reply in raw.replies]
-            return BatchLookupReply(replies=replies, node_id=node_id, batch_id=raw.batch_id)
-
-        def _failover_batch(request: BatchLookupRequest) -> BatchLookupReply:
-            # The node refused the whole batch (flaky / grey failure): answer
-            # each fingerprint from its remaining replicas.  In simulated
-            # mode the retries cost no simulated time -- only clean crashes
-            # (FaultSchedule) model timing; grey failures model correctness.
-            self.failovers += 1
-            replies = [
-                self._lookup_with_failover(fp, exclude=(node_id,))
-                for fp in request.fingerprints
-            ]
-            return BatchLookupReply(replies=replies, node_id=node_id, batch_id=request.batch_id)
-
         def _handle(request: BatchLookupRequest):
-            # Resolved per call (not captured) so wrappers installed after
-            # registration -- e.g. fault_injection.make_flaky -- take effect.
-            target = self.nodes[node_id]
-            try:
-                completion = target.serve_batch(request)
-            except NodeUnavailableError:
-                reply = _failover_batch(request)
-                failed_over = self.sim.event(f"{node_id}.reply")
-                failed_over.succeed((reply, reply.payload_bytes))
-                return failed_over
-            wrapped = self.sim.event(f"{node.node_id}.reply")
-            epoch_at_dispatch = self._crash_epochs.get(node_id, 0)
+            completion = node.serve_batch(request)
+            wrapped = self.sim.event(f"{node_id}.reply")
 
-            def _complete(event) -> None:
-                crashed_since = self._crash_epochs.get(node_id, 0) != epoch_at_dispatch
-                if self.drop_in_flight and (crashed_since or self.is_down(node_id)):
-                    # The node crashed with this batch in flight (even if it
-                    # already recovered): the reply is lost (never crosses
-                    # the network) and the client's timeout/retry path must
-                    # recover.  Replica propagation is skipped too -- a dead
-                    # node cannot push copies.
-                    self.dropped_in_flight += 1
-                    return
-                finished = _finalize(event.value)
+            def _finalize(event) -> None:
+                # Replica propagation / read repair for RPC-served batches,
+                # applied at the reply instant; with a cost model
+                # _resolve_reply charges the copies to the ledger.
+                raw = event.value
+                replies = [self._resolve_reply(reply, node_id) for reply in raw.replies]
+                finished = BatchLookupReply(replies=replies, node_id=node_id, batch_id=raw.batch_id)
                 wrapped.succeed((finished, finished.payload_bytes))
 
-            completion.add_callback(_complete)
+            completion.add_callback(_finalize)
             return wrapped
 
         return _handle

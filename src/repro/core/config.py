@@ -91,7 +91,6 @@ class ClusterConfig:
     node: HashNodeConfig = field(default_factory=HashNodeConfig)
     virtual_nodes: int = 0
     replication_factor: int = 1
-    partition_bits: int = 64
     node_name_prefix: str = "hashnode"
 
     def __post_init__(self) -> None:
@@ -103,8 +102,6 @@ class ClusterConfig:
             raise ValueError("replication_factor cannot exceed num_nodes")
         if self.virtual_nodes < 0:
             raise ValueError("virtual_nodes must be >= 0")
-        if not 8 <= self.partition_bits <= 160:
-            raise ValueError("partition_bits must be within [8, 160]")
 
     @property
     def node_names(self) -> list:

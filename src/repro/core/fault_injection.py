@@ -6,13 +6,14 @@ Three pieces compose the harness:
 
 * :class:`FaultSchedule` -- a declarative script of crash/recover events
   against a time axis.  The axis is whatever clock the caller advances:
-  the simulated clock (seconds) in the simulated deployment, or a logical
-  clock (e.g. batch index) in immediate mode.
-* :class:`FaultInjector` -- applies a schedule to a cluster, either by
-  polling (:meth:`FaultInjector.advance`, immediate mode) or by scheduling
-  every event on a :class:`~repro.simulation.engine.Simulator`
-  (:meth:`FaultInjector.attach`, simulated mode).  An optional
-  ``on_recovery`` hook lets callers run anti-entropy repair (see
+  the replay's logical clock (batch index, see
+  ``analysis/experiments/replay.py``), priced into seconds by the
+  :class:`~repro.simulation.costmodel.ControlPlaneLedger` when a cost
+  model is on.  Faults have that one clock; the simulated deployment
+  schedules none.
+* :class:`FaultInjector` -- applies a schedule to a cluster by polling
+  (:meth:`FaultInjector.advance`).  An optional ``on_recovery`` hook lets
+  callers run anti-entropy repair (see
   :class:`~repro.core.replication.ReplicationController`) when a node
   rejoins.
 * :class:`FlakyNode` -- a transparent wrapper around a
@@ -391,13 +392,6 @@ class FaultInjector:
         Optional hooks ``(node_name) -> None`` invoked *after* the
         membership change; ``on_recovery`` is where anti-entropy repair
         belongs (e.g. ``ReplicationController.repair``).
-    drop_in_flight:
-        When True, a crashing node *drops* batches it is currently serving
-        (their replies are lost; clients must time out and retry) instead of
-        draining them.  Implemented by flipping the cluster's
-        ``drop_in_flight`` flag, so it only affects targets that model
-        in-flight service (the simulated :class:`~repro.core.cluster.SHHCCluster`
-        deployment).
     """
 
     def __init__(
@@ -406,15 +400,11 @@ class FaultInjector:
         schedule: FaultSchedule,
         on_crash: Optional[Callable[[str], None]] = None,
         on_recovery: Optional[Callable[[str], None]] = None,
-        drop_in_flight: bool = False,
     ) -> None:
         self.cluster = cluster
         self.schedule = schedule
         self.on_crash = on_crash
         self.on_recovery = on_recovery
-        self.drop_in_flight = drop_in_flight
-        if drop_in_flight:
-            cluster.drop_in_flight = True
         self._pending: List[FaultEvent] = schedule.events
         self.applied: List[FaultEvent] = []
         self.crashes = 0
@@ -424,7 +414,6 @@ class FaultInjector:
         #: ``(node, RecoveryReport-or-None)`` per applied restart event.
         self.recovery_reports: List = []
 
-    # -- immediate mode ---------------------------------------------------------------
     def advance(self, now: float) -> List[FaultEvent]:
         """Apply every event whose time is ``<= now``; returns those events."""
         fired: List[FaultEvent] = []
@@ -435,17 +424,9 @@ class FaultInjector:
         return fired
 
     def drain(self) -> List[FaultEvent]:
-        """Apply every remaining event (end of an immediate-mode run)."""
+        """Apply every remaining event (end of a run)."""
         return self.advance(float("inf"))
 
-    # -- simulated mode ---------------------------------------------------------------
-    def attach(self, sim) -> None:
-        """Schedule every remaining event on ``sim``'s calendar."""
-        pending, self._pending = self._pending, []
-        for event in pending:
-            sim.schedule_at(event.time, self._apply, event)
-
-    # -- shared -----------------------------------------------------------------------
     def _apply(self, event: FaultEvent) -> None:
         action = event.action
         if action == CRASH:
@@ -487,7 +468,7 @@ class FaultInjector:
 
     @property
     def pending(self) -> int:
-        """Events not yet applied (immediate mode only)."""
+        """Events not yet applied."""
         return len(self._pending)
 
 

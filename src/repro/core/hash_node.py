@@ -593,35 +593,6 @@ class HybridHashNode:
         replies = replies_from_tiers(fingerprints, tiers, service_times, repeat(self.node_id))
         return BatchLookupReply(replies=replies, node_id=self.node_id, batch_id=request.batch_id)
 
-    def occupy_cpu(self, duration: float, delay: float = 0.0) -> Optional[Event]:
-        """Occupy this node's CPU pool for ``duration`` seconds of control-plane work.
-
-        Used by the cluster's cost model to charge replica propagation and
-        migration copies in simulated mode: after ``delay`` (e.g. the fabric
-        transfer time) the work requests a worker slot like any batch, holds
-        it for ``duration``, and releases it -- so control-plane work queues
-        behind and delays concurrent lookups.  Immediate-mode nodes (no
-        simulator) return ``None``; callers charge a ledger instead.
-        """
-        if self.sim is None or self._cpu is None:
-            return None
-        if duration < 0 or delay < 0:
-            raise ValueError("duration and delay must be non-negative")
-        self.counters.increment("control_plane_tasks")
-
-        def _occupy():
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            grant = self._cpu.request()
-            yield grant
-            try:
-                if duration > 0:
-                    yield self.sim.timeout(duration)
-            finally:
-                self._cpu.release()
-
-        return run_process(self.sim, _occupy(), name=f"{self.node_id}.control_plane")
-
     # ---------------------------------------------------------------- reporting
     def snapshot(self) -> NodeSnapshot:
         """Statistics snapshot used by cluster metrics and Figure 6."""

@@ -288,9 +288,10 @@ class MembershipManager:
                 if cluster.nodes[extra].remove_entry(digest):
                     replica_drops += 1
 
-        # Charge the copy traffic to the cluster's cost model (no-op when
-        # disabled): migration CPU and fabric time then contend with lookups.
-        cluster._charge_migration(transfers)
+        # Charge the copy traffic to the cluster's ledger (none without a
+        # cost model): migration CPU and fabric time then contend with lookups.
+        if cluster.ledger is not None:
+            cluster.ledger.charge_migration(transfers)
 
         return MigrationReport(
             action=action,

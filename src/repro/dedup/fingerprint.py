@@ -12,7 +12,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, List
+from typing import Callable, Iterable, List
 
 __all__ = [
     "FINGERPRINT_BYTES",
@@ -99,9 +99,3 @@ def synthetic_fingerprint(identity: int, chunk_size: int = 8192) -> Fingerprint:
     """
     digest = hashlib.sha1(identity.to_bytes(16, "big", signed=False)).digest()
     return Fingerprint(digest=digest, chunk_size=chunk_size)
-
-
-def fingerprints_of(chunks: Iterable[bytes]) -> Iterator[Fingerprint]:
-    """Fingerprint a stream of raw chunks."""
-    for chunk in chunks:
-        yield fingerprint_data(chunk)

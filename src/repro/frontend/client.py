@@ -8,7 +8,9 @@ Two flavours:
 * :class:`SimulatedClient` -- the *load generator* used by the evaluation:
   it replays a fingerprint trace against the simulated deployment in
   closed-loop fashion (a fixed number of outstanding batched requests),
-  which is how the paper's two client machines drive Figure 5.
+  which is how the paper's two client machines drive Figure 5.  Every
+  request is answered (the deployment schedules no faults), so a lane is
+  one send and one wait per batch.
 """
 
 from __future__ import annotations
@@ -89,21 +91,10 @@ class ClientRunStats:
     client_id: str
     fingerprints_sent: int = 0
     batches_sent: int = 0
-    #: Duplicate verdicts as the *server* reported them.  Under
-    #: ``drop_in_flight`` with retries this is at-least-once semantics: a
-    #: lost reply does not undo the node's inserts, so a re-sent batch's
-    #: fingerprints legitimately read as duplicates -- compare against
-    #: ``retries`` before treating this as trace ground truth.
+    #: Duplicate verdicts as the server reported them.
     duplicates_found: int = 0
     started_at: float = 0.0
     finished_at: float = 0.0
-    #: Requests whose reply never arrived within ``request_timeout`` (e.g.
-    #: dropped by a node crash under ``drop_in_flight`` semantics).
-    timeouts: int = 0
-    #: Re-sends issued after a timeout.
-    retries: int = 0
-    #: Batches given up on after exhausting ``max_retries``.
-    abandoned: int = 0
     request_latency: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("client.request"))
 
     @property
@@ -134,15 +125,6 @@ class SimulatedClient:
     window:
         Outstanding requests kept in flight (the paper's clients are
         effectively single-threaded per machine, i.e. window=1).
-    request_timeout:
-        Simulated seconds to wait for a reply before treating the request
-        as lost and re-sending it.  ``None`` (the default) waits forever,
-        which is correct for drain-mode deployments where every request is
-        eventually answered; set it when the deployment drops in-flight
-        batches on crashes (``drop_in_flight``).
-    max_retries:
-        Re-sends allowed per batch before it is abandoned (counted in
-        ``stats.abandoned``).
     """
 
     def __init__(
@@ -154,25 +136,17 @@ class SimulatedClient:
         batch_size: int = 128,
         window: int = 1,
         sim: Optional[Simulator] = None,
-        request_timeout: Optional[float] = None,
-        max_retries: int = 3,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if window < 1:
             raise ValueError("window must be >= 1")
-        if request_timeout is not None and request_timeout <= 0:
-            raise ValueError("request_timeout must be positive (or None)")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.client_id = client_id
         self.rpc = rpc
         self.load_balancer = load_balancer
         self.fingerprints = list(fingerprints)
         self.batch_size = batch_size
         self.window = window
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
         self.sim = sim if sim is not None else rpc.sim
         self.stats = ClientRunStats(client_id=client_id)
         self._request_ids = itertools.count(1)
@@ -210,57 +184,22 @@ class SimulatedClient:
     def _run_lane(self, batches: List[List[Fingerprint]]):
         assert self.sim is not None
         for batch in batches:
-            response = yield from self._send_with_retry(batch)
-            if response is None:
-                continue  # abandoned after max_retries (stats.abandoned)
-            self.stats.batches_sent += 1
-            self.stats.fingerprints_sent += len(batch)
-            self.stats.duplicates_found += sum(1 for r in response.replies if r.is_duplicate)
-        return None
-
-    def _send_with_retry(self, batch: List[Fingerprint]):
-        """Issue one batch request, re-sending on timeout; yields like a process.
-
-        ``request_latency`` records the *client-perceived* time for the
-        batch: from the first send to the reply that finally arrived,
-        timeout waits included.
-        """
-        assert self.sim is not None
-        attempts = 0
-        first_sent_at = self.sim.now
-        while True:
+            sent_at = self.sim.now
             backend = self.load_balancer.assign(self.client_id)
             request = ClientBatchRequest(
                 client_id=self.client_id,
                 fingerprints=batch,
                 request_id=next(self._request_ids),
             )
-            call = self.rpc.call(
+            response: ClientBatchResponse = yield self.rpc.call(
                 source=self.client_id,
                 destination=backend,
                 payload=request,
                 payload_bytes=request.payload_bytes,
             )
-            if self.request_timeout is None:
-                response: ClientBatchResponse = yield call
-            else:
-                yield self.sim.any_of(
-                    [call, self.sim.timeout(self.request_timeout, name=f"{self.client_id}.timeout")]
-                )
-                if not call.triggered:
-                    # The request (or its reply) was lost -- e.g. a node
-                    # crashed with the batch in flight under drop_in_flight
-                    # semantics.  Re-send; the front end re-splits around
-                    # whatever is down by then.
-                    self.stats.timeouts += 1
-                    self.load_balancer.release(backend)
-                    if attempts >= self.max_retries:
-                        self.stats.abandoned += 1
-                        return None
-                    attempts += 1
-                    self.stats.retries += 1
-                    continue
-                response = call.value
             self.load_balancer.release(backend)
-            self.stats.request_latency.record(self.sim.now - first_sent_at)
-            return response
+            self.stats.request_latency.record(self.sim.now - sent_at)
+            self.stats.batches_sent += 1
+            self.stats.fingerprints_sent += len(batch)
+            self.stats.duplicates_found += sum(1 for r in response.replies if r.is_duplicate)
+        return None

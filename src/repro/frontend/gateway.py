@@ -14,16 +14,14 @@ scalability studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.cluster import SHHCCluster
 from ..core.config import ClusterConfig
-from ..core.fault_injection import FaultInjector, FaultPlan, FaultSchedule
 from ..dedup.chunking import Chunker, FixedSizeChunker
 from ..network.loadbalancer import LoadBalancer, RoundRobinPolicy
 from ..network.topology import BuiltNetwork, ClusterTopology
-from ..simulation.costmodel import CostModel
 from ..simulation.engine import Simulator
 from ..storage.object_store import CloudObjectStore
 from .client import BackupClient
@@ -118,17 +116,6 @@ class SimulatedDeployment:
     web_servers: Dict[str, WebFrontEnd]
     load_balancer: LoadBalancer
     object_store: CloudObjectStore
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def fault_injector(self) -> Optional[FaultInjector]:
-        """The attached fault injector, if the deployment was built with one."""
-        return self.extras.get("fault_injector")
-
-    @property
-    def flaky_nodes(self) -> list:
-        """FlakyNode wrappers installed by a grey-failure fault plan."""
-        return self.extras.get("flaky_nodes", [])
 
 
 def build_simulated_service(
@@ -137,11 +124,6 @@ def build_simulated_service(
     num_clients: int = 2,
     num_web_servers: int = 3,
     topology: Optional[ClusterTopology] = None,
-    fault_schedule: Optional[FaultSchedule] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    fault_horizon: float = 0.0,
-    drop_in_flight: bool = False,
-    cost_model: Optional[CostModel] = None,
 ) -> SimulatedDeployment:
     """Construct the simulated Figure-2 deployment on ``sim``.
 
@@ -149,39 +131,13 @@ def build_simulated_service(
     servers, web servers call hash nodes, and all transfers pay the modelled
     network cost.
 
-    When ``fault_schedule`` is given, a
-    :class:`~repro.core.fault_injection.FaultInjector` is attached to the
-    simulator: scripted crash/recover events flip the cluster's liveness map
-    (web servers route batches around down nodes per replica set) and the
-    RPC layer rejects calls to crashed hash nodes with
-    :class:`~repro.network.rpc.ServiceUnavailableError`.  The injector is
-    exposed as ``deployment.fault_injector``.
-
-    ``fault_plan`` is the declarative alternative: a
-    :class:`~repro.core.fault_injection.FaultPlan` is materialized into a
-    schedule over ``[0, fault_horizon)`` simulated seconds (required for
-    plans with outages), and grey-failure plans wrap the affected hash
-    nodes in :class:`~repro.core.fault_injection.FlakyNode` (wrappers under
-    ``deployment.flaky_nodes``, seeded from the simulator's seed).  The two
-    fault arguments are mutually exclusive.
-
-    ``drop_in_flight`` selects the mid-flight crash semantics: by default a
-    crashing node *drains* batches it is already serving (replies still
-    arrive); with ``drop_in_flight=True`` those replies are lost and clients
-    must recover through their timeout/retry path (see
-    :class:`~repro.frontend.client.SimulatedClient` ``request_timeout``).
-
-    ``cost_model`` enables timing-true control-plane accounting: replica
-    propagation and read repair become deferred CPU occupancy on the target
-    hash nodes (after the modelled fabric transfer) instead of free
-    same-instant side effects, so a deployment built with
-    ``fault_plan=..., cost_model=CostModel()`` reports the latency
-    distribution *during* outages, replication tax included.  ``None`` (the
-    default) keeps the historical free control plane.  See
-    docs/control_plane.md.
+    The deployment schedules no faults: a web server routes each batch
+    around hash nodes already marked down (``cluster.mark_down`` before
+    dispatch) and, with ``replication_factor > 1``, the RPC handler applies
+    replica propagation and read repair per reply.  Scheduled crashes, grey
+    failures and the control-plane tax are replayed in immediate mode
+    (``analysis/experiments/replay.py``); see docs/failover.md.
     """
-    if fault_plan is not None and fault_schedule is not None:
-        raise ValueError("pass either fault_schedule or fault_plan, not both")
     config = cluster_config if cluster_config is not None else ClusterConfig()
     topo = topology if topology is not None else ClusterTopology(
         num_clients=num_clients,
@@ -190,7 +146,7 @@ def build_simulated_service(
         hash_prefix=config.node_name_prefix,
     )
     network = topo.build_network(sim)
-    cluster = SHHCCluster(config, sim=sim, cost_model=cost_model)
+    cluster = SHHCCluster(config, sim=sim)
     cluster.register_services(network.rpc)
 
     load_balancer = LoadBalancer(RoundRobinPolicy())
@@ -201,23 +157,6 @@ def build_simulated_service(
         web_servers[server_id] = server
         load_balancer.add_backend(server_id)
 
-    extras: dict = {}
-    if fault_plan is not None:
-        if fault_plan.has_outages:
-            if fault_horizon <= 0.0:
-                raise ValueError("fault_horizon must be positive for plans with outages")
-            fault_schedule = fault_plan.schedule(cluster.node_names, horizon=fault_horizon)
-        extras["flaky_nodes"] = fault_plan.apply_grey(cluster, seed=getattr(sim, "seed", 0))
-    if drop_in_flight:
-        cluster.drop_in_flight = True
-    if fault_schedule is not None:
-        injector = FaultInjector(cluster, fault_schedule, drop_in_flight=drop_in_flight)
-        injector.attach(sim)
-        network.rpc.set_availability(
-            lambda endpoint: endpoint not in cluster.nodes or not cluster.is_down(endpoint)
-        )
-        extras["fault_injector"] = injector
-
     return SimulatedDeployment(
         sim=sim,
         topology=topo,
@@ -226,5 +165,4 @@ def build_simulated_service(
         web_servers=web_servers,
         load_balancer=load_balancer,
         object_store=CloudObjectStore(),
-        extras=extras,
     )

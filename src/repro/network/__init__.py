@@ -7,7 +7,7 @@ from .loadbalancer import (
     RoundRobinPolicy,
 )
 from .message import MESSAGE_HEADER_BYTES, Message
-from .rpc import RpcError, RpcLayer, ServiceUnavailableError
+from .rpc import RpcError, RpcLayer
 from .switch import NetworkSwitch
 from .topology import BuiltNetwork, ClusterTopology
 
@@ -22,7 +22,6 @@ __all__ = [
     "Message",
     "RpcError",
     "RpcLayer",
-    "ServiceUnavailableError",
     "NetworkSwitch",
     "BuiltNetwork",
     "ClusterTopology",

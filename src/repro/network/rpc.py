@@ -5,33 +5,26 @@ and receive an event that succeeds with the response payload once the request
 has crossed the network, been processed (handler may return an event for
 asynchronous processing) and the response has crossed back.
 
-Fault injection: :meth:`RpcLayer.set_availability` installs a liveness probe
-(typically backed by the cluster's down-set, see
-:mod:`repro.core.fault_injection`).  A call addressed to an unavailable
-service fails immediately with :class:`ServiceUnavailableError` -- the
-crashed node simply does not answer, and the caller is expected to have
-routed around it (the web front-end splits batches by live replica set).
+The layer knows nothing about node liveness: the web front-end splits each
+batch by live replica set (``SHHCCluster.route_batch``), so a node marked
+down before dispatch is simply never called.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Union
 
 from ..simulation.engine import Event, Simulator
 from .message import Message
 from .switch import NetworkSwitch
 
-__all__ = ["RpcLayer", "RpcError", "ServiceUnavailableError"]
+__all__ = ["RpcLayer", "RpcError"]
 
 Handler = Callable[[Any], Union[Any, "tuple[Any, int]", Event]]
 
 
 class RpcError(RuntimeError):
     """Raised when an RPC is addressed to an unknown service."""
-
-
-class ServiceUnavailableError(RpcError):
-    """Raised when an RPC targets a service marked down by fault injection."""
 
 
 class RpcLayer:
@@ -42,8 +35,6 @@ class RpcLayer:
         self.sim = sim
         self._services: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
-        self._availability: Optional[Callable[[str], bool]] = None
-        self.unavailable_calls = 0
 
     # -- registration -----------------------------------------------------------------
     def register(self, endpoint: str, handler: Handler) -> None:
@@ -67,19 +58,6 @@ class RpcLayer:
             self.switch.attach(endpoint)
         self.switch.set_handler(endpoint, self._on_message)
 
-    # -- fault injection --------------------------------------------------------------
-    def set_availability(self, probe: Optional[Callable[[str], bool]]) -> None:
-        """Install ``probe(endpoint) -> bool``; ``False`` makes calls fail fast.
-
-        Pass ``None`` to remove the probe.  Endpoints the probe does not
-        know about should return ``True``.
-        """
-        self._availability = probe
-
-    def is_available(self, endpoint: str) -> bool:
-        """Whether ``endpoint`` currently accepts new requests."""
-        return self._availability is None or self._availability(endpoint)
-
     # -- calling ---------------------------------------------------------------------
     def call(
         self,
@@ -91,9 +69,6 @@ class RpcLayer:
         """Issue an RPC; the returned event succeeds with the response payload."""
         if destination not in self._services:
             raise RpcError(f"no service registered at {destination!r}")
-        if not self.is_available(destination):
-            self.unavailable_calls += 1
-            raise ServiceUnavailableError(f"service {destination!r} is down")
         if not self.switch.is_attached(source):
             self.register_client(source)
         request = Message(

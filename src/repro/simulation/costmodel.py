@@ -13,21 +13,16 @@ Two pieces:
   with the fabric constants from :mod:`repro.network.link` (50 µs per
   switched gigabit hop, 1 Gb/s serialisation), so the control plane and the
   data plane pay for the same wires.
-* :class:`ControlPlaneLedger` -- the immediate-mode timeline.  Immediate
-  mode has no simulator, so the ledger keeps a virtual clock (driven by the
-  caller's arrival process) plus one busy-until frontier per node.  Lookup
-  buckets are serviced against the frontier (queueing emerges when work
-  outpaces arrivals); control-plane side effects are *deferred* onto the
-  target node's frontier at their delivery time instead of being free.
+* :class:`ControlPlaneLedger` -- the one charging timeline, built by every
+  cluster that is given a cost model.  The ledger keeps a virtual clock
+  (driven by the caller's arrival process) plus one busy-until frontier per
+  node.  Lookup buckets are serviced against the frontier (queueing emerges
+  when work outpaces arrivals); control-plane side effects are *deferred*
+  onto the target node's frontier at their delivery time instead of being
+  free.
   Latencies are recorded into per-phase recorders (``steady`` /
   ``degraded`` / ``migrating``), which is what the ``failover_timed`` and
   ``churn_timed`` presets report.
-
-In simulated mode (a cluster built with a :class:`~repro.simulation.engine.Simulator`)
-the same :class:`CostModel` prices deferred CPU occupancy scheduled on the
-node's worker pool (:meth:`~repro.core.hash_node.HybridHashNode.occupy_cpu`)
-rather than a ledger, so replication contends with lookups on the simulated
-clock.
 
 Disabling the model (``cost_model=None``, the default everywhere) keeps
 every code path byte-identical to the historical behaviour; see
@@ -130,7 +125,7 @@ class CostModel:
 
 
 class ControlPlaneLedger:
-    """Immediate-mode virtual timeline charging lookups and control-plane work.
+    """Virtual timeline charging lookups and control-plane work.
 
     The ledger is a deliberately small queueing model: one FIFO CPU
     frontier per node (``busy_until``), a caller-driven arrival clock

@@ -2,7 +2,8 @@
 
 Covers the pricing math, the immediate-mode ledger's queueing semantics,
 the byte-identity of the disabled path, the strict latency tax the timed
-experiments must report, and the simulated-mode CPU-occupancy charging.
+experiments must report, and that a cluster built on a simulator charges
+the same ledger.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from repro.analysis.experiments.failover import run_failover
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.membership import MembershipManager
+from repro.core.persistence import PersistencePolicy
+from repro.core.protocol import BatchLookupRequest
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.network.link import DEFAULT_LINK_LATENCY, GIGABIT_BANDWIDTH
+from repro.network.topology import ClusterTopology
 from repro.scenarios import run_scenario
 from repro.simulation.costmodel import ControlPlaneLedger, CostModel
 from repro.simulation.engine import Simulator
@@ -233,45 +237,54 @@ class TestTimedExperiments:
             run_churn_timed(scale=0.001, num_nodes=1)
 
 
-class TestSimulatedModeCharging:
-    def test_occupy_cpu_contends_on_the_simulated_clock(self):
-        sim = Simulator()
-        config = _small_config()
-        cluster = SHHCCluster(config, sim=sim, cost_model=CostModel())
-        assert cluster.ledger is None  # sim mode charges node CPU, not a ledger
-        node = cluster.nodes["hashnode-0"]
-        process = node.occupy_cpu(duration=2e-3, delay=1e-3)
-        assert process is not None
-        sim.run()
-        assert sim.now == pytest.approx(3e-3)
-        assert node.counters.get("control_plane_tasks") == 1
+class TestSimulatedClusterCharging:
+    """A cluster on a simulator charges the same one ledger."""
 
-    def test_charge_replica_writes_occupies_target_cpu(self):
+    def test_replica_writes_migration_and_recovery_reach_the_ledger(self, tmp_path):
         sim = Simulator()
         model = CostModel()
-        cluster = SHHCCluster(_small_config(), sim=sim, cost_model=model)
-        cluster._charge_replica_writes({"hashnode-1": 3})
-        sim.run()
-        assert sim.now == pytest.approx(
-            model.replica_transfer_time(3) + model.replica_apply_cpu(3)
+        cluster = SHHCCluster(
+            _small_config(),
+            sim=sim,
+            cost_model=model,
+            persistence=PersistencePolicy(directory=str(tmp_path)),
         )
-        assert cluster.nodes["hashnode-1"].counters.get("control_plane_tasks") == 1
+        ledger = cluster.ledger
+        assert ledger is not None and ledger.model is model
+        network = ClusterTopology(
+            num_clients=1, num_web_servers=1, num_hash_nodes=3
+        ).build_network(sim)
+        cluster.register_services(network.rpc)
 
-    def test_charge_migration_occupies_both_ends(self):
-        sim = Simulator()
-        model = CostModel()
-        cluster = SHHCCluster(_small_config(), sim=sim, cost_model=model)
-        cluster._charge_migration({("hashnode-0", "hashnode-1"): 5})
+        # Replica writes, through the RPC handler: at k=2 each new
+        # fingerprint ships one entry, in one message, to its other replica.
+        serving = "hashnode-0"
+        owned = [
+            fp
+            for fp in (synthetic_fingerprint(i) for i in range(300))
+            if cluster.replica_set(fp)[0] == serving
+        ]
+        request = BatchLookupRequest(owned)
+        network.rpc.call("client-0", serving, request, request.payload_bytes)
         sim.run()
-        assert cluster.nodes["hashnode-0"].counters.get("control_plane_tasks") == 1
-        assert cluster.nodes["hashnode-1"].counters.get("control_plane_tasks") == 1
-        # A source that already left the cluster is skipped, not an error.
-        cluster._charge_migration({("gone", "hashnode-2"): 5})
-        sim.run()
-        assert cluster.nodes["hashnode-2"].counters.get("control_plane_tasks") == 1
+        assert len(owned) > 0
+        assert ledger.counters.get("replica_writes") == len(owned)
+        assert ledger.counters.get("replica_messages") == len(owned)
+        assert ledger.counters.get("replica_bytes") == len(owned) * model.replica_entry_bytes
+        targets = {cluster.replica_set(fp)[1] for fp in owned}
+        assert all(ledger.busy_until[name] > 0.0 for name in targets)
 
-    def test_occupy_cpu_is_noop_in_immediate_mode(self):
-        node = SHHCCluster(_small_config()).nodes["hashnode-0"]
-        assert node.occupy_cpu(1.0) is None
-        with pytest.raises(ValueError):
-            SHHCCluster(_small_config(), sim=Simulator()).nodes["hashnode-0"].occupy_cpu(-1.0)
+        # Migration: a join's copy traffic.
+        report = MembershipManager(cluster).add_node("hashnode-9")
+        assert ledger.counters.get("migration_entries") == report.entries_moved > 0
+
+        # Recovery: a killed node's replay, priced and reported.
+        cluster.kill_node(serving)
+        recovery = cluster.restart_node(serving)
+        assert ledger.counters.get("node_recoveries") == 1
+        replayed = recovery.entries + recovery.replayed
+        assert ledger.counters.get("recovery_replayed_entries") == replayed > 0
+        assert recovery.charged_seconds == pytest.approx(
+            model.recovery_cpu(replayed, recovery.snapshot_bytes)
+        )
+        cluster.close()

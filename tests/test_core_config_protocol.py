@@ -56,8 +56,6 @@ class TestClusterConfig:
             ClusterConfig(num_nodes=2, replication_factor=3)
         with pytest.raises(ValueError):
             ClusterConfig(virtual_nodes=-1)
-        with pytest.raises(ValueError):
-            ClusterConfig(partition_bits=4)
 
     def test_custom_prefix(self):
         config = ClusterConfig(num_nodes=2, node_name_prefix="shard")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.set_model import set_verdicts
 
 from repro.analysis.experiments import run_failover
 from repro.cli import main as cli_main
@@ -18,9 +19,8 @@ from repro.core.fault_injection import (
     rolling_outage_schedule,
 )
 from repro.dedup.fingerprint import synthetic_fingerprint
+from repro.frontend.client import SimulatedClient
 from repro.frontend.gateway import build_simulated_service
-from repro.network.rpc import ServiceUnavailableError
-from repro.simulation.engine import Simulator
 
 
 def make_cluster(num_nodes=4, replication=2, virtual_nodes=0) -> SHHCCluster:
@@ -155,18 +155,6 @@ class TestFaultInjector:
         with pytest.raises(ValueError):
             FaultSchedule().kill_restart("n1", start=1.0, duration=0.0)
 
-    def test_attach_schedules_on_simulator(self):
-        sim = Simulator()
-        cluster = make_cluster()
-        schedule = FaultSchedule().crash("hashnode-2", at=1.0).recover("hashnode-2", at=3.0)
-        injector = FaultInjector(cluster, schedule)
-        injector.attach(sim)
-        observed = []
-        sim.schedule_at(2.0, lambda: observed.append(cluster.is_down("hashnode-2")))
-        sim.run()
-        assert observed == [True]
-        assert cluster.is_down("hashnode-2") is False
-        assert len(injector.applied) == 2
 
 
 class TestFlakyNode:
@@ -208,31 +196,6 @@ class TestFlakyNode:
         served_by = {r.served_by for r in cluster.lookup_batch(fingerprints)}
         assert victim not in served_by
 
-    def test_simulated_rpc_fails_over_around_flaky_node(self, sim):
-        # A grey failure on an RPC-served node must not crash the simulation:
-        # the handler answers the batch from the remaining replicas.
-        from repro.frontend.client import SimulatedClient
-
-        config = ClusterConfig(
-            num_nodes=3,
-            node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000),
-            replication_factor=2,
-        )
-        trace = [synthetic_fingerprint(i % 40) for i in range(240)]
-        deployment = build_simulated_service(sim, config, num_clients=1, num_web_servers=1)
-        make_flaky(deployment.cluster, "hashnode-0", failure_rate=1.0, seed=5)
-        client = SimulatedClient(
-            client_id="client-0",
-            rpc=deployment.network.rpc,
-            load_balancer=deployment.load_balancer,
-            fingerprints=trace,
-            batch_size=16,
-        )
-        client.start()
-        sim.run()
-        assert client.stats.fingerprints_sent == len(trace)
-        assert deployment.cluster.failovers > 0
-
     def test_zero_rate_wrapper_is_transparent(self):
         cluster = make_cluster(num_nodes=2, replication=1)
         fingerprint = synthetic_fingerprint(3)
@@ -245,46 +208,11 @@ class TestFlakyNode:
         assert cluster.lookup(fingerprint).is_duplicate is True
 
 
-class TestRpcAvailability:
-    def test_calls_to_down_service_fail_fast(self, sim):
-        deployment = build_simulated_service(
-            sim,
-            ClusterConfig(
-                num_nodes=2,
-                node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000),
-                replication_factor=2,
-            ),
-            num_clients=1,
-            num_web_servers=1,
-            fault_schedule=FaultSchedule().crash("hashnode-0", at=0.5),
-        )
-        sim.run()
-        assert deployment.fault_injector is not None
-        assert deployment.fault_injector.crashes == 1
-        assert deployment.cluster.is_down("hashnode-0")
-        rpc = deployment.network.rpc
-        with pytest.raises(ServiceUnavailableError):
-            rpc.call("client-0", "hashnode-0", object(), 64)
-        assert rpc.unavailable_calls == 1
-        # Live services keep answering.
-        assert rpc.is_available("hashnode-1")
+class TestSimulatedDeploymentWithDownNode:
+    """What the simulated rig keeps: routing around a node marked down before
+    dispatch, and the replication semantics applied per RPC-served reply."""
 
-    def test_simulated_frontend_routes_around_crashed_node(self, sim):
-        from repro.frontend.client import SimulatedClient
-
-        config = ClusterConfig(
-            num_nodes=3,
-            node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000),
-            replication_factor=2,
-        )
-        trace = [synthetic_fingerprint(i % 40) for i in range(160)]
-        deployment = build_simulated_service(
-            sim,
-            config,
-            num_clients=1,
-            num_web_servers=1,
-            fault_schedule=FaultSchedule().crash("hashnode-1", at=0.002),
-        )
+    def _replay(self, sim, deployment, trace):
         client = SimulatedClient(
             client_id="client-0",
             rpc=deployment.network.rpc,
@@ -294,146 +222,43 @@ class TestRpcAvailability:
         )
         client.start()
         sim.run()
-        assert client.stats.fingerprints_sent == len(trace)
-        assert deployment.cluster.is_down("hashnode-1")
+        return client.stats
 
-
-class TestDropInFlight:
-    """Mid-flight crash semantics: crashed nodes drop, not drain, batches."""
-
-    CONFIG = dict(
-        num_nodes=3,
-        replication_factor=2,
-    )
-
-    def _deployment(self, sim, **kwargs):
+    def test_replicated_deployment_serves_through_a_marked_down_node(self, sim):
         config = ClusterConfig(
+            num_nodes=3,
             node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000),
-            **self.CONFIG,
+            replication_factor=2,
         )
-        return build_simulated_service(
-            sim, config, num_clients=1, num_web_servers=1, **kwargs
-        )
+        trace = [synthetic_fingerprint(i % 40) for i in range(160)]
+        distinct = trace[:40]
+        deployment = build_simulated_service(sim, config, num_clients=1, num_web_servers=1)
+        cluster = deployment.cluster
+        cluster.mark_down("hashnode-1")
 
-    def _client(self, deployment, trace, **kwargs):
-        from repro.frontend.client import SimulatedClient
+        stats = self._replay(sim, deployment, trace)
+        # Every batch answered, with the verdicts of a lossless index.
+        assert stats.batches_sent == 10 and stats.fingerprints_sent == len(trace)
+        expected = set_verdicts([fp.digest for fp in trace], set())
+        assert stats.duplicates_found == sum(expected) == len(trace) - len(distinct)
+        assert len(cluster) == len(distinct)
+        # The down node served and stored nothing ...
+        down = cluster.nodes["hashnode-1"]
+        assert down.counters.get("lookups") == 0 and len(down) == 0
+        # ... and every surviving replica holds its copy: the RPC handler
+        # applied write propagation, not just the serving node's insert.
+        for fingerprint in distinct:
+            live = [n for n in cluster.replica_set(fingerprint) if n != "hashnode-1"]
+            assert live and all(fingerprint in cluster.nodes[n] for n in live)
+        assert cluster.total_stored > len(distinct)
 
-        return SimulatedClient(
-            client_id="client-0",
-            rpc=deployment.network.rpc,
-            load_balancer=deployment.load_balancer,
-            fingerprints=trace,
-            batch_size=16,
-            **kwargs,
-        )
-
-    def test_injector_flips_the_cluster_flag(self):
-        cluster = make_cluster()
-        assert cluster.drop_in_flight is False
-        FaultInjector(cluster, FaultSchedule(), drop_in_flight=True)
-        assert cluster.drop_in_flight is True
-
-    def test_drain_mode_answers_every_request_without_timeouts(self, sim):
-        trace = [synthetic_fingerprint(i % 40) for i in range(240)]
-        deployment = self._deployment(
-            sim,
-            fault_schedule=FaultSchedule().outage("hashnode-1", start=0.002, duration=0.05),
-        )
-        client = self._client(deployment, trace, request_timeout=0.05, max_retries=3)
-        client.start()
-        sim.run()
-        assert client.stats.fingerprints_sent == len(trace)
-        assert client.stats.timeouts == 0
-        assert deployment.cluster.dropped_in_flight == 0
-
-    def test_drop_mode_loses_replies_and_client_retries(self, sim):
-        trace = [synthetic_fingerprint(i % 40) for i in range(240)]
-        deployment = self._deployment(
-            sim,
-            fault_schedule=FaultSchedule().outage("hashnode-1", start=0.002, duration=0.05),
-            drop_in_flight=True,
-        )
-        client = self._client(deployment, trace, request_timeout=0.05, max_retries=3)
-        client.start()
-        sim.run()
-        # The crash landed on an in-flight batch: its reply was dropped, the
-        # client timed out, re-sent, and the retry was answered by the
-        # replicas -- no fingerprint was left behind.
-        assert deployment.cluster.dropped_in_flight > 0
-        assert client.stats.timeouts > 0
-        assert client.stats.retries == client.stats.timeouts
-        assert client.stats.abandoned == 0
-        assert client.stats.fingerprints_sent == len(trace)
-        # Latency is client-perceived: the retried batch's sample includes
-        # the full timeout wait, not just the successful attempt.
-        assert client.stats.request_latency.summary.maximum >= 0.05
-
-    def test_crash_during_service_drops_even_after_recovery(self, sim):
-        # The crash *generation* decides, not liveness at reply time: a node
-        # that crashes and recovers entirely within one batch's service
-        # window still loses that batch's reply.
-        from repro.core.protocol import BatchLookupRequest
-
-        config = ClusterConfig(
-            node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000),
-            **self.CONFIG,
-        )
-        cluster = SHHCCluster(config, sim=sim)
-        cluster.drop_in_flight = True
-        handler = cluster._make_handler(cluster.nodes["hashnode-0"])
-        request = BatchLookupRequest(
-            fingerprints=[synthetic_fingerprint(i) for i in range(16)], batch_id=1
-        )
-        reply_event = handler(request)
-
-        def _blip() -> None:
-            cluster.mark_down("hashnode-0")
-            cluster.mark_up("hashnode-0")
-
-        sim.schedule(1e-6, _blip)  # well inside the batch's service time
-        sim.run()
-        assert not cluster.is_down("hashnode-0")  # recovered long before
-        assert cluster.dropped_in_flight == 1
-        assert not reply_event.triggered  # the reply never left the node
-
-    def test_short_outage_still_drops_in_flight_batches(self, sim):
-        # End to end: an outage shorter than the batch's remaining service
-        # time must not silently degrade to drain mode.
-        trace = [synthetic_fingerprint(i % 40) for i in range(240)]
-        deployment = self._deployment(
-            sim,
-            fault_schedule=FaultSchedule().outage("hashnode-1", start=0.002, duration=0.0002),
-            drop_in_flight=True,
-        )
-        client = self._client(deployment, trace, request_timeout=0.05, max_retries=3)
-        client.start()
-        sim.run()
-        assert deployment.cluster.dropped_in_flight > 0
-        assert client.stats.timeouts > 0
-        assert client.stats.fingerprints_sent == len(trace)
-
-    def test_drop_mode_without_timeout_stalls_the_client(self, sim):
-        # The regression the timeout exists for: with replies dropped and no
-        # timeout, the closed-loop client waits forever on the lost reply.
-        trace = [synthetic_fingerprint(i % 40) for i in range(240)]
-        deployment = self._deployment(
-            sim,
-            fault_schedule=FaultSchedule().outage("hashnode-1", start=0.002, duration=0.05),
-            drop_in_flight=True,
-        )
-        client = self._client(deployment, trace)  # request_timeout=None
-        process = client.start()
-        sim.run()
-        assert deployment.cluster.dropped_in_flight > 0
-        assert process.is_alive  # never finished: the lost reply is fatal
-        assert client.stats.fingerprints_sent < len(trace)
-
-    def test_client_validates_timeout_and_retries(self, sim):
-        deployment = self._deployment(sim)
-        with pytest.raises(ValueError):
-            self._client(deployment, [synthetic_fingerprint(0)], request_timeout=0.0)
-        with pytest.raises(ValueError):
-            self._client(deployment, [synthetic_fingerprint(0)], max_retries=-1)
+        # Back up, the node is primary again for keys it never saw: read
+        # repair must still call every one of them a duplicate.
+        cluster.mark_up("hashnode-1")
+        again = self._replay(sim, deployment, trace)
+        assert again.duplicates_found == again.fingerprints_sent == len(trace)
+        assert cluster.read_repairs > 0 and len(down) > 0
+        assert len(cluster) == len(distinct)
 
 
 class TestFailoverExperiment:
@@ -632,45 +457,3 @@ class TestFaultPlan:
         assert p["p50"] <= p["p95"] <= p["p99"]
         assert set(result.tier_hits) == {"ram", "ssd", "new", "repair"}
         assert sum(result.tier_hits[k] for k in ("ram", "ssd", "new", "repair")) > 0
-
-
-class TestGatewayFaultPlan:
-    def test_build_simulated_service_with_grey_plan(self):
-        from repro.core.fault_injection import FaultPlan
-        from repro.frontend.gateway import build_simulated_service
-
-        sim = Simulator(seed=5)
-        deployment = build_simulated_service(
-            sim,
-            ClusterConfig(num_nodes=2, node=HashNodeConfig(ram_cache_entries=512,
-                                                           bloom_expected_items=10_000)),
-            fault_plan=FaultPlan.grey_failure(0.5),
-        )
-        assert len(deployment.flaky_nodes) == 1
-        assert deployment.fault_injector is None
-
-    def test_build_simulated_service_with_outage_plan_needs_horizon(self):
-        from repro.core.fault_injection import FaultPlan
-        from repro.frontend.gateway import build_simulated_service
-
-        with pytest.raises(ValueError):
-            build_simulated_service(
-                Simulator(), fault_plan=FaultPlan.rolling_outage(0.3)
-            )
-        deployment = build_simulated_service(
-            Simulator(),
-            fault_plan=FaultPlan.rolling_outage(0.3),
-            fault_horizon=10.0,
-        )
-        assert deployment.fault_injector is not None
-
-    def test_fault_plan_and_schedule_are_exclusive(self):
-        from repro.core.fault_injection import FaultPlan
-        from repro.frontend.gateway import build_simulated_service
-
-        with pytest.raises(ValueError):
-            build_simulated_service(
-                Simulator(),
-                fault_schedule=FaultSchedule().crash("hashnode-0", at=1.0),
-                fault_plan=FaultPlan.grey_failure(0.1),
-            )

@@ -22,6 +22,7 @@ from repro.scenarios import (
     run_sweep,
     spec_for,
 )
+from repro.scenarios.spec import CLUSTER_KEYS
 
 EXPECTED_PRESETS = {
     "figure1",
@@ -85,6 +86,14 @@ class TestScenarioSpec:
     def test_fault_keys_rejected_for_faultless_presets(self):
         with pytest.raises(UnknownSpecKeyError):
             spec_for("figure5", outage_density=0.2)
+
+    def test_removed_cluster_option_is_not_a_spec_key(self):
+        # ClusterConfig.partition_bits was validated and read by nothing; with
+        # the field gone no preset can offer the key (CLUSTER_KEYS is derived
+        # from the dataclass) and setting it fails loudly.
+        assert "partition_bits" not in CLUSTER_KEYS
+        with pytest.raises(UnknownSpecKeyError):
+            spec_for("figure5", partition_bits=32)
 
     def test_fault_kind_inference_composes(self):
         spec = spec_for("failover", outage_density=0.2)
