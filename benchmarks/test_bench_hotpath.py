@@ -19,8 +19,8 @@ paths every byte of backup data funnels through:
 
 What ``bench/`` measures with repeats and a spread is not re-measured here
 single-shot: the event engine (``sim_engine.events_per_s``), the in-process
-cluster (``lib_cluster_rf2``), the live service (``svc_*``) and the numpy
-kernels (``hash_node.serve_us_per_fp`` under ``REPRO_FORCE_NO_NUMPY=1``).
+cluster (``lib_cluster_rf2``), the live service (``svc_*``) and the node's
+fused kernel (``hash_node.serve_us_per_fp``).
 
 Every number here is wall-clock, so the run writes only under the
 git-ignored ``benchmarks/out/``: ``BENCH_hotpath.json`` and the rendered
@@ -209,16 +209,6 @@ def _bench_cuckoo(scale: float) -> dict:
     }
 
 
-def _forced_packed(module, fn):
-    """Run ``fn`` with ``module``'s columnar crossover above any batch size."""
-    crossover = module.NUMPY_MIN_BATCH
-    module.NUMPY_MIN_BATCH = 1 << 62
-    try:
-        return fn()
-    finally:
-        module.NUMPY_MIN_BATCH = crossover
-
-
 def _bench_vectorized(scale: float) -> dict:
     """Packed whole-batch bloom calls vs a loop over the per-key functions.
 
@@ -227,13 +217,10 @@ def _bench_vectorized(scale: float) -> dict:
     differentially tested against (tests/test_vectorized_kernels.py), so
     this ratio isolates the win of the contiguous-digest-buffer data plane
     -- one ``struct`` unpack per batch plus an exec-generated whole-batch
-    loop -- over per-key dispatch.  The crossover is pinned high so the
-    batch leg is the packed route with or without numpy.  Verdicts and final bits must match bit
+    loop -- over per-key dispatch.  Verdicts and final bits must match bit
     for bit; ``cpu_count`` rides along because CI floor checks treat small
     runners differently.
     """
-    import repro.storage.bloom as bloom_module
-
     count = max(5_000, int(40_000 * scale))
     keys = [synthetic_fingerprint(i).digest for i in range(count)]
     probes = keys + [synthetic_fingerprint(30_000_000 + i).digest for i in range(count)]
@@ -247,16 +234,12 @@ def _bench_vectorized(scale: float) -> dict:
             add(key)
 
     per_key_add_time, _ = _timed(_per_key_add)
-    packed_add_time, _ = _forced_packed(
-        bloom_module, lambda: _timed(lambda: packed_bloom.add_many(keys))
-    )
+    packed_add_time, _ = _timed(lambda: packed_bloom.add_many(keys))
     assert per_key_bloom.raw_bits() == packed_bloom.raw_bits()
     per_key_probe_time, per_key_verdicts = _timed_best(
         lambda: [key in per_key_bloom for key in probes]
     )
-    packed_probe_time, packed_verdicts = _forced_packed(
-        bloom_module, lambda: _timed_best(lambda: packed_bloom.contains_many(probes))
-    )
+    packed_probe_time, packed_verdicts = _timed_best(lambda: packed_bloom.contains_many(probes))
     assert per_key_verdicts == packed_verdicts
     assert sum(packed_verdicts) >= count  # no false negatives
 

@@ -25,45 +25,32 @@ with:
   differential suites in tests/test_vectorized_kernels.py and
   tests/test_routed_batch_equivalence.py).
 
-One contract, two families
---------------------------
-Every kernel emits the same three per-batch outputs: a **tier code** per
-key (:data:`~repro.core.protocol.SERVED_FROM_TIER` index: ``0`` new, ``1``
+One contract, one kernel
+------------------------
+The kernel emits three per-batch outputs: a **tier code** per key
+(:data:`~repro.core.protocol.SERVED_FROM_TIER` index: ``0`` new, ``1``
 RAM, ``2`` SSD -- truthiness is the duplicate verdict), a service time per
 key, and the new ``(digest, chunk_size)`` pairs.  ``LookupReply`` /
 ``LookupResult`` objects are views built outside the kernel by whoever
-needs them.  Exactly two kernels exist per shape, differing only in the
-bloom stage:
+needs them.  One kernel exists per shape.
 
-* the **packed** kernel walks the probe sequence per key;
-* the **columnar** kernel (numpy backend, see :mod:`repro.storage.npy`)
-  takes one ``(num_hashes, n)`` gather that prefetches the whole batch's
-  verdicts *and* the probe-index rows of the negative keys
-  (:meth:`~repro.storage.bloom.BloomFilter._prefetch_probe_np`), so no
-  hashing or modulo arithmetic survives in the per-key loop at all --
-  positives cost one list index, negatives set their bits straight from
-  the prefetched row.  Prefetched verdicts can go stale when an
-  intra-batch insert sets bits a later key happens to probe -- which would
-  silently flip its verdict, counters, and service time away from the
-  packed kernel's.  The family stays byte-identical through a monotonicity
-  argument: bloom bits are only ever *set*, so a prefetched ``True`` can
-  never become wrong; a prefetched ``False`` is trusted as long as no
-  insert has happened yet (``dirty`` flag), and re-checked against the
-  live bits via its own prefetched index row (early-exit, no re-hash)
-  otherwise.  Negative keys OR in exactly the bits of their prefetched row
-  -- the same final bit state the packed kernel's fused break-site insert
-  produces.
-
-The node picks the family per batch from the number of keys that will
-reach the bloom stage (see
-:meth:`~repro.core.hash_node.HybridHashNode._select_kernel`).
+The bloom verdict of a stored digest comes from the table
+---------------------------------------------------------
+Every write path keeps ``store`` a subset of ``bloom`` (``_insert_new``,
+``insert_replica``, ``finish_replica_inserts``, ``import_entries``,
+recovery's image + tail replay; ``remove_entry`` leaves bits set -- pinned
+by the property in tests/test_properties.py).  So for a digest the table
+holds, the probe walk would answer ``True`` and mutate nothing: the kernel
+asks the table first -- the probe the SSD stage makes anyway -- and only
+walks the bloom bits for digests the table does not hold.  A batch of RAM
+hits and stored duplicates never unpacks its hash words.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable
 
-__all__ = ["fused_kernels", "FUSED_MAX_HASHES"]
+__all__ = ["fused_kernel", "FUSED_MAX_HASHES"]
 
 #: Shapes with more probe rounds than this get a looped probe block instead
 #: of the unrolled ladder (mirrors the storage kernels' unroll bound).
@@ -148,24 +135,16 @@ def _cache_insert_block(pad: str) -> list:
     ]
 
 
-def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> str:
-    """Source of one fused kernel (see the module docstring for the contract).
-
-    With ``columnar=True`` the per-key bloom probe walk is replaced by the
-    prefetched-verdict protocol: one trailing parameter
-    (``bloom_prefetch``, a lazy callable returning the whole batch's
-    ``(verdicts, probe_rows)`` pair) and a ``dirty`` staleness flag.
-    Everything outside the bloom stage is emitted identically.
-    """
-    name = "fused_columnar_kernel" if columnar else "fused_packed_kernel"
+def _kernel_source(num_bits: int, num_hashes: int) -> str:
+    """Source of the fused kernel (see the module docstring for the contract)."""
     lines = [
-        f"def {name}(",
+        "def fused_kernel(",
         "    digests, hash_words, chunk_sizes, cached, move_to_end, cache_popitem,",
         "    cache_capacity,",
         "    bits, table, counts, store_num_buckets, entries_per_page,",
         "    write_buffer_pages, buffered, base_time, page_read_cost,",
         "    page_write_rand_cost, page_write_seq_cost, out_append, times_append,",
-        "    new_append," + (" bloom_prefetch," if columnar else ""),
+        "    new_append,",
         "):",
         f"    nb = {num_bits}",
         "    from_bytes = int.from_bytes",
@@ -175,12 +154,9 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
         "    total_ssd_time = 0.0",
         "    page_reads = page_writes = buffer_flushes = 0",
         "    scalar_size = type(chunk_sizes) is int",
+        "    words = None",
+        "    for i, digest in enumerate(digests):",
     ]
-    if columnar:
-        lines += ["    verdicts = None", "    dirty = 0"]
-    else:
-        lines.append("    words = None")
-    lines.append("    for i, digest in enumerate(digests):")
     # 1. RAM LRU probe.
     lines += [
         "        if digest in cached:",
@@ -190,35 +166,22 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
         "            times_append(base_time)",
         "            continue",
     ]
-    # 2. Bloom guard: either the per-key probe walk over the batch words,
-    # or the columnar prefetched-verdict protocol (both lazily derived:
-    # buckets answered entirely from RAM pay nothing).
-    if columnar:
-        lines.append("        if verdicts is None:")
-        lines.append("            verdicts, probe_rows = bloom_prefetch()")
-        # A prefetched True can never go stale (bits are only ever set);
-        # a prefetched False is trusted until the first intra-batch insert,
-        # then re-checked against the live bits via its own prefetched
-        # index row -- early-exit on the first zero bit, no re-hashing.
-        lines.append("        if verdicts[i]:")
-        lines.append("            in_bloom = True")
-        lines.append("        elif dirty:")
-        lines.append("            for index in probe_rows[i]:")
-        lines.append("                if not bits[index >> 3] & (1 << (index & 7)):")
-        lines.append("                    in_bloom = False")
-        lines.append("                    break")
-        lines.append("            else:")
-        lines.append("                in_bloom = True")
-        lines.append("        else:")
-        lines.append("            in_bloom = False")
-    else:
-        lines.append("        if words is None:")
-        lines.append("            words = hash_words()")
-        lines.append("        wi = i + i")
-        lines += _probe_block(num_hashes, "        ")
+    # 2. Bloom guard.  A stored digest's bits are all set (store is a subset
+    # of bloom), so only digests the table does not hold walk the probe
+    # sequence; the batch words are derived lazily, by the first that does.
+    lines += [
+        "        stored = digest in table",
+        "        if stored:",
+        "            in_bloom = True",
+        "        else:",
+        "            if words is None:",
+        "                words = hash_words()",
+        "            wi = i + i",
+    ]
+    lines += _probe_block(num_hashes, "            ")
     lines.append("        if in_bloom:")
-    # 3. SSD probe (lookup_io + membership inlined; the bucket is reused by
-    # the false-positive insert).
+    # 3. SSD probe (lookup_io inlined; membership is ``stored``; the bucket
+    # is reused by the false-positive insert).
     lines += [
         "            " + _BUCKET,
         "            pages = -(-counts[bucket] // entries_per_page) or 1",
@@ -229,7 +192,7 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
         "                ssd_time = 0.0",
         "                for _ in range(pages):",
         "                    ssd_time += page_read_cost",
-        "            if digest in table:",
+        "            if stored:",
         "                ssd_hits += 1",
     ]
     lines += _cache_insert_block("                ")
@@ -241,16 +204,9 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
         "            bloom_false_positives += 1",
         "        else:",
         "            bloom_negative_shortcuts += 1",
+        "            ssd_time = 0.0",
+        "            " + _BUCKET,
     ]
-    if columnar:
-        # Definitely new: OR in exactly the bits of the prefetched probe
-        # row -- the same final bit state the packed kernel's fused
-        # break-site insert leaves -- and mark the verdicts stale.
-        lines.append("            for index in probe_rows[i]:")
-        lines.append("                bits[index >> 3] |= 1 << (index & 7)")
-        lines.append("            dirty = 1")
-    lines.append("            ssd_time = 0.0")
-    lines.append("            " + _BUCKET)
     # New fingerprint: cache + store insert (put + insert_io inlined for a
     # known-absent key; the bucket was resolved by whichever branch ran
     # above, and the bloom bits were already settled inside the probe block
@@ -294,24 +250,16 @@ def _kernel_source(num_bits: int, num_hashes: int, columnar: bool = False) -> st
     return "\n".join(lines)
 
 
-def fused_kernels(num_bits: int, num_hashes: int) -> Tuple[Callable, Callable]:
-    """``(packed, columnar)`` kernels for a bloom shape.
+def fused_kernel(num_bits: int, num_hashes: int) -> Callable:
+    """The fused kernel for a bloom shape.
 
-    The columnar kernel takes one extra trailing argument --
-    ``bloom_prefetch``, a lazy callable returning the batch's prefetched
-    ``(verdicts, probe_rows)`` pair -- and is only ever *called* for
-    columnar-eligible filters (numpy backend active); generating it needs
-    nothing from numpy.  Kernels are cached per shape; cluster nodes share
-    parameters, so each shape compiles once.
+    Cached per shape; cluster nodes share parameters, so each shape
+    compiles once.
     """
     shape = (num_bits, num_hashes)
-    kernels = _FUSED_CACHE.get(shape)
-    if kernels is None:
+    kernel = _FUSED_CACHE.get(shape)
+    if kernel is None:
         namespace: dict = {}
         exec(_kernel_source(num_bits, num_hashes), namespace)  # noqa: S102 - static template
-        exec(_kernel_source(num_bits, num_hashes, columnar=True), namespace)  # noqa: S102
-        kernels = _FUSED_CACHE[shape] = (
-            namespace["fused_packed_kernel"],
-            namespace["fused_columnar_kernel"],
-        )
-    return kernels
+        kernel = _FUSED_CACHE[shape] = namespace["fused_kernel"]
+    return kernel

@@ -74,7 +74,6 @@ from ..dedup.fingerprint import Fingerprint, column_builder
 from ..dedup.index import ChunkIndex, ChunkLocation, LookupResult
 from ..network.rpc import RpcLayer
 from ..simulation.costmodel import ControlPlaneLedger, CostModel
-from ..storage.npy import backend_name as npy_backend_name
 from ..simulation.engine import Simulator
 from .config import ClusterConfig
 from .digest_batch import DigestBatch
@@ -747,19 +746,6 @@ class SHHCCluster(ChunkIndex):
         return _handle
 
     # ------------------------------------------------------------------ reporting
-    @property
-    def kernel_backend(self) -> str:
-        """Batch-kernel backend serving this cluster's nodes.
-
-        ``numpy`` (columnar kernels for large buckets) or
-        ``python-packed``; resolved once per process at import (see
-        :mod:`repro.storage.npy`) and identical across nodes, which share
-        one bloom geometry.
-        """
-        for node in self.nodes.values():
-            return node.kernel_backend
-        return npy_backend_name()
-
     def metrics(self) -> ClusterMetrics:
         """Aggregated per-node statistics (plus the distinct/total split).
 

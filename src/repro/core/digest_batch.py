@@ -15,18 +15,9 @@ with a single ``struct.unpack`` call:
   the bloom step is ``(h2 | 1) % num_bits`` -- exactly what the filter's
   per-key functions compute, so verdicts stay bit-identical.
 
-Backend selection: when numpy is importable (the optional ``perf``
-extra) and not suppressed via ``REPRO_FORCE_NO_NUMPY=1``,
-:meth:`DigestBatch.hash_words_np` exposes the same word pairs as one
-``(n, 2)`` ``uint64`` array derived from a single ``np.frombuffer`` view
-of the packed blob, and the node switches to the columnar fused kernel
-for buckets that send at least ``NUMPY_MIN_BATCH`` keys (64) past the RAM
-tier.  Without
-numpy every path falls back to the packed pure-Python kernels above,
-byte-identically -- numpy is never required (see
-:mod:`repro.storage.npy` for the contract).  The buffer layout is
-also what the shared-memory trace cache stores, so a sweep worker can
-rehydrate a workload from a segment without re-running the generator.
+The buffer layout is also what the shared-memory trace cache stores, so a
+sweep worker can rehydrate a workload from a segment without re-running
+the generator.
 """
 
 from __future__ import annotations
@@ -34,13 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from ..dedup.fingerprint import Fingerprint
-from ..storage.npy import HAVE_NUMPY
-from ..storage.packing import (
-    DIGEST_BYTES,
-    digest_hash_words,
-    digest_hash_words_np,
-    split_digests,
-)
+from ..storage.packing import DIGEST_BYTES, digest_hash_words, split_digests
 
 __all__ = ["DigestBatch", "DIGEST_BYTES", "digest_hash_words"]
 
@@ -58,8 +43,7 @@ class DigestBatch:
     buckets whose keys are all answered from the RAM LRU never pay for it.
     """
 
-    __slots__ = ("digests", "blob", "_chunk_sizes", "_fingerprints", "_words",
-                 "_words_np")
+    __slots__ = ("digests", "blob", "_chunk_sizes", "_fingerprints", "_words")
 
     def __init__(
         self,
@@ -73,7 +57,6 @@ class DigestBatch:
         self._chunk_sizes = chunk_sizes
         self._fingerprints = fingerprints
         self._words: Optional[tuple] = None
-        self._words_np = None
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -127,22 +110,6 @@ class DigestBatch:
         words = self._words
         if words is None:
             words = self._words = digest_hash_words(self.packed(), len(self.digests))
-        return words
-
-    def hash_words_np(self):
-        """``(n, 2)`` ``uint64`` (h1, h2) array for every digest (cached).
-
-        Value-identical to :meth:`hash_words` reshaped two-per-row; only
-        available when the numpy backend is active (``HAVE_NUMPY``), else
-        raises :class:`RuntimeError` -- callers gate on the backend.
-        """
-        words = self._words_np
-        if words is None:
-            if not HAVE_NUMPY:
-                raise RuntimeError("numpy backend unavailable (see repro.storage.npy)")
-            words = self._words_np = digest_hash_words_np(
-                self.packed(), len(self.digests)
-            )
         return words
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..dedup.fingerprint import Fingerprint
 from ..simulation.engine import Event, Simulator
@@ -52,8 +52,7 @@ from ..storage.bloom import BloomFilter
 from ..storage.devices import StorageDevice, make_ram, make_ssd
 from ..storage.hashstore import SSDHashStore
 from ..storage.lru import LRUCache
-from ..storage.npy import HAVE_NUMPY, NUMPY_MIN_BATCH
-from .bucket_kernel import fused_kernels
+from .bucket_kernel import fused_kernel
 from .config import HashNodeConfig
 from .digest_batch import DigestBatch
 from .persistence import NodePersistence, RecoveryReport
@@ -127,18 +126,11 @@ class HybridHashNode:
         )
         self.counters = Counter()
         self.lookup_latency = LatencyRecorder(f"{node_id}.lookup_latency")
-        # Reusable fused-kernel argument block (built lazily by _serve_core;
-        # identity-guarded against cache/bloom/store replacement).
+        # Reusable fused-kernel argument block and the bloom shape's kernel
+        # (both resolved lazily by _serve_core; identity-guarded against
+        # cache/bloom/store replacement).
         self._fused_args: Optional[list] = None
-        # (bloom_object, packed_kernel, columnar_kernel) memo: the
-        # fused-kernel registry lookup is a tuple-keyed dict probe per
-        # bucket serve, this is one identity check.  Invalidated
-        # automatically when recovery swaps the filter.  ``columnar_kernel``
-        # is ``None`` unless the numpy backend is active and the filter is
-        # columnar-eligible.
-        self._kernel_memo: Tuple[Optional[BloomFilter], Optional[Callable], Optional[Callable]] = (
-            None, None, None,
-        )
+        self._kernel = None
         self._cpu: Optional[Resource] = (
             Resource(sim, capacity=self.config.service_concurrency, name=f"{node_id}.cpu")
             if sim is not None
@@ -172,6 +164,9 @@ class HybridHashNode:
         (:meth:`serve_bucket_verdicts`) must leave verdicts, tiers, service
         times, counters and store/bloom/cache state identical to calling
         this once per fingerprint (pinned by tests/test_vectorized_kernels.py).
+        The kernel takes a stored digest's bloom verdict from the table
+        instead of the bits; the two agree because every write path keeps
+        ``store`` a subset of ``bloom`` (tests/test_properties.py).
         """
         reply, _io_time = self._lookup_core(fingerprint)
         self.lookup_latency.record(reply.service_time)
@@ -218,49 +213,6 @@ class HybridHashNode:
         """
         return self._serve_core(batch)[:3]
 
-    def _select_kernel(self, batch: DigestBatch) -> Tuple[Callable, bool]:
-        """``(kernel, is_columnar)`` for serving ``batch`` right now.
-
-        The shape's two kernels are memoized on bloom identity (kill/restart
-        and recovery replace the filter wholesale); the columnar one is
-        only considered when the numpy backend is active and the filter is
-        columnar-eligible.  It is picked when at least
-        ``NUMPY_MIN_BATCH`` keys will reach the bloom stage: its
-        prefetch probes the filter for every key of the batch, which only
-        pays off on the keys the RAM tier does not answer -- a mostly
-        RAM-hit batch stays on the packed kernel whatever its size.
-        """
-        bloom = self.bloom
-        memo_bloom, packed, columnar = self._kernel_memo
-        if memo_bloom is not bloom:
-            packed, columnar = fused_kernels(bloom.num_bits, bloom.num_hashes)
-            if not bloom.columnar_eligible:
-                columnar = None
-            self._kernel_memo = (bloom, packed, columnar)
-        digests = batch.digests
-        if (
-            columnar is not None
-            and len(digests) >= NUMPY_MIN_BATCH
-            and len(digests) - sum(map(self.cache.data.__contains__, digests))
-            >= NUMPY_MIN_BATCH
-        ):
-            return columnar, True
-        return packed, False
-
-    @property
-    def kernel_backend(self) -> str:
-        """The batch-kernel backend this node resolved: ``numpy`` or ``python-packed``.
-
-        Reported by the serving worker's ``/stats`` and in
-        ``ScenarioResult`` metrics.  ``numpy`` means batches sending at
-        least ``NUMPY_MIN_BATCH`` keys past the RAM tier run the
-        columnar bloom prefetch; the rest keep the packed kernel, whose
-        outputs are byte-identical either way.
-        """
-        if HAVE_NUMPY and self.bloom.columnar_eligible:
-            return "numpy"
-        return "python-packed"
-
     def _serve_core(
         self, batch: DigestBatch
     ) -> Tuple[List[int], List[float], List[Tuple[bytes, int]], float]:
@@ -286,7 +238,9 @@ class HybridHashNode:
             # the node's cache/bloom/store objects (device costs are pure
             # functions of the spec), so the identity guard above is the
             # only invalidation needed -- kill/restart and recovery replace
-            # those objects wholesale.
+            # those objects wholesale, and a new filter (new bits) is the
+            # only way the kernel's shape can change.
+            self._kernel = fused_kernel(bloom.num_bits, bloom.num_hashes)
             args = self._fused_args = [
                 None, None, None, cached, cached.move_to_end, cached.popitem,
                 cache.capacity, bits, table, counts,
@@ -302,7 +256,6 @@ class HybridHashNode:
         service_times: List[float] = []
         new_pairs: List[Tuple[bytes, int]] = []
         digests = batch.digests
-        kernel, columnar = self._select_kernel(batch)
         args[0] = digests
         # A digest-keyed filter hashes with the digest's own leading words,
         # which the batch derives in one unpack; any other filter supplies
@@ -315,21 +268,11 @@ class HybridHashNode:
         args[18] = tiers.append
         args[19] = service_times.append
         args[20] = new_pairs.append
-        if columnar:
-            # Lazy whole-batch bloom prefetch (first RAM-miss pays it):
-            # verdicts for every key plus the probe-index rows of the
-            # negatives, which the kernel uses for dirty re-checks and the
-            # negative-path bit inserts (see core/bucket_kernel.py).
-            words_np = batch.hash_words_np
-            prefetch = bloom._prefetch_probe_np
-            outcome = kernel(*args, lambda: prefetch(words_np()))
-        else:
-            outcome = kernel(*args)
         (
             ram_hits, ssd_hits, new_entries, bloom_negative_shortcuts,
             bloom_false_positives, total_ssd_time, page_reads, page_writes,
             buffer_flushes, buffered, cache_insertions, cache_evictions,
-        ) = outcome
+        ) = self._kernel(*args)
         args[0] = args[1] = args[2] = args[18] = args[19] = args[20] = None
         store.settle_batch(page_reads, page_writes, buffer_flushes, buffered)
         if new_entries:

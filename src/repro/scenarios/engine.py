@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tupl
 
 from ..core.fault_injection import FaultPlan
 from ..core.membership import ChurnPlan
-from ..storage.npy import backend_name
 from ..workloads.trace_cache import TRACE_CACHE_ENV, cleanup_shared_traces
 from .result import ScenarioResult, SweepResult, SweepRun
 from .spec import (
@@ -269,13 +268,7 @@ def run_scenario(
         spec = apply_overrides(spec, overrides)
     preset = get_preset(spec.preset)
     _validate_spec(spec, preset)
-    result = preset.runner(spec)
-    # Every result records which data-plane backend produced it (resolved
-    # once per process at import; see repro/storage/npy.py).  Sweep workers
-    # inherit the parent's environment, so sequential and parallel sweep
-    # JSON stay byte-identical.
-    result.metrics.setdefault("kernel_backend", backend_name())
-    return result
+    return preset.runner(spec)
 
 
 def canonicalize_grid(grid: SweepGrid) -> SweepGrid:

@@ -118,12 +118,12 @@ def _stats(node: HybridHashNode, registry: Registry) -> Dict[str, Any]:
     """The worker's ``stats`` payload: its registry, refreshed from the node.
 
     The measured ``serve_batch`` histogram is already in the registry (the
-    frame loop feeds it); the node's tier counters, sizes, kernel backend
-    and its checkpoint and recovery readings are read here, when somebody
-    asks, so the batch path pays for none of them.
+    frame loop feeds it); the node's tier counters, sizes and its
+    checkpoint and recovery readings are read here, when somebody asks, so
+    the batch path pays for none of them.
     """
     registry.counters.update(node.counters.values)
-    registry.info.update(node_id=node.node_id, kernel_backend=node.kernel_backend)
+    registry.info.update(node_id=node.node_id)
     gauges = registry.gauges
     gauges.update(entries=len(node.store), ram_cached=len(node.cache))
     persistence = node.persistence

@@ -279,25 +279,5 @@ class Simulator:
             event.add_callback(_on_trigger)
         return combined
 
-    def any_of(self, events: Iterable[Event], name: str = "any_of") -> Event:
-        """Return an event that succeeds when the first input event triggers."""
-        events = list(events)
-        combined = self.event(name)
-        if not events:
-            combined.succeed(None)
-            return combined
-
-        def _on_trigger(_event: Event) -> None:
-            if combined.triggered:
-                return
-            if _event.exception is not None:
-                combined.fail(_event.exception)
-            else:
-                combined.succeed(_event.value)
-
-        for event in events:
-            event.add_callback(_on_trigger)
-        return combined
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:.6f} pending={len(self._calendar)}>"

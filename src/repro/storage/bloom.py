@@ -33,14 +33,9 @@ share one routing.  A batch whose every key is a 20-byte digest (or a
 :class:`~repro.core.digest_batch.DigestBatch`) is *packed*: the hash words
 of the whole batch come from one ``struct.unpack`` over the contiguous
 buffer and the generated batch function walks the probe sequences with no
-per-key ``int.from_bytes``/type dispatch at all.  When the optional numpy
-backend is active (see :mod:`repro.storage.npy`), batches of at least
-``NUMPY_MIN_BATCH`` keys are *columnar* instead: every probe index for the
-whole batch is computed as one ``(num_hashes, n)`` ``uint64`` plane and
-the bit vector is gathered/scattered through a zero-copy ``np.uint8`` view
-(``np.bitwise_or.at`` for inserts, a boolean AND-reduction for probes).
+per-key ``int.from_bytes``/type dispatch at all.
 Everything else is a loop over the per-key function, which is the
-reference: all three routes leave the same bits, count and verdicts
+reference: both routes leave the same bits, count and verdicts
 (tests/test_vectorized_kernels.py, against the per-key functions and an
 independent model in tests/oracles/bloom_model.py).
 
@@ -63,19 +58,10 @@ import struct
 from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .npy import HAVE_NUMPY, NUMPY_MIN_BATCH, np as _np
-from .packing import digest_hash_words, digest_hash_words_np
+from .packing import digest_hash_words
 from .shm import SharedBuffer
 
 __all__ = ["BloomFilter", "optimal_parameters"]
-
-#: The columnar route computes the whole probe sequence closed-form in
-#: ``uint64`` -- ``(index0 + i * step) % num_bits`` -- which is exact only
-#: while ``index0 + i * step`` cannot overflow: with ``index0, step <
-#: num_bits`` and at most 16 probe rounds (the unroll bound shared with
-#: the packed batch functions), ``num_bits < 2**58`` keeps the worst case
-#: under ``2**63``.  Filters anywhere near this would not fit in RAM anyway.
-_NP_MAX_BITS = 1 << 58
 
 #: Byte-value -> popcount lookup table (satellite fix: ``fill_ratio`` used
 #: to materialize the whole bit vector as one Python big-int per call).
@@ -265,8 +251,6 @@ class BloomFilter:
             self._bits = self._map_shared_bits(num_bytes, shared, shared_name)
         else:
             self._bits = bytearray(num_bytes)
-        #: Lazily created ``np.uint8`` view of ``_bits`` (see :meth:`np_bits`).
-        self._np_bits = None
         self._count = 0
         contains_one, add_one, self._contains_words, self._add_words = _shape_kernels(
             self.num_bits, self.num_hashes
@@ -344,9 +328,6 @@ class BloomFilter:
         """Release this filter's mapping; returns the buffer to close or unlink."""
         buffer, self._buffer = self._buffer, None
         if buffer is not None:
-            # Drop the numpy view first: it exports the memoryview's buffer,
-            # and release() raises BufferError while exports are live.
-            self._np_bits = None
             bits, self._bits = self._bits, bytearray(0)
             if isinstance(bits, memoryview):
                 bits.release()
@@ -389,21 +370,6 @@ class BloomFilter:
             int.from_bytes(digest[8:16], "big") | 1,
         )
 
-    @property
-    def columnar_eligible(self) -> bool:
-        """Whether the columnar route can serve this filter's batches.
-
-        Requires the numpy backend, digest keys, and exact uint64 probe
-        arithmetic: at most :data:`_MAX_UNROLLED_HASHES` rounds over fewer
-        than :data:`_NP_MAX_BITS` bits.
-        """
-        return (
-            HAVE_NUMPY
-            and self.digest_keys
-            and self.num_hashes <= _MAX_UNROLLED_HASHES
-            and self.num_bits < _NP_MAX_BITS
-        )
-
     def _batch_words(self, keys):
         """Hash words of a batch that can skip per-key hashing, else ``None``.
 
@@ -413,94 +379,22 @@ class BloomFilter:
         cached for the whole routed batch), or a non-empty list/tuple where
         *every* element is a 20-byte ``bytes`` digest.  The per-key length
         check is mandatory -- mixed-length keys that merely sum to a
-        multiple of 20 would otherwise hash wrong silently.  Returns an
-        ``(n, 2)`` uint64 array for the columnar route (eligible filter,
-        at least ``NUMPY_MIN_BATCH`` keys), the flat ``(h1, h2, ...)``
-        tuple for the packed route, and ``None`` when the batch goes key
-        by key (non-digest keys, ``digest_keys=False``, an un-unrollable
-        shape, or an iterable that is neither of the above).
+        multiple of 20 would otherwise hash wrong silently.  Returns the
+        flat ``(h1, h2, ...)`` tuple for the packed route, and ``None``
+        when the batch goes key by key (non-digest keys,
+        ``digest_keys=False``, an un-unrollable shape, or an iterable that
+        is neither of the above).
         """
         if self._add_words is None or not self.digest_keys:
             return None
-        is_batch = hasattr(keys, "hash_words")
-        if not is_batch and not (type(keys) in (list, tuple) and keys):
+        if hasattr(keys, "hash_words"):
+            return keys.hash_words()
+        if not (type(keys) in (list, tuple) and keys):
             return None
-        columnar = len(keys) >= NUMPY_MIN_BATCH and self.columnar_eligible
-        if is_batch:
-            return keys.hash_words_np() if columnar else keys.hash_words()
         for key in keys:
             if type(key) is not bytes or len(key) != 20:
                 return None
-        words_of = digest_hash_words_np if columnar else digest_hash_words
-        return words_of(b"".join(keys), len(keys))
-
-    # -- columnar numpy route ----------------------------------------------------
-    def np_bits(self):
-        """Writable ``np.uint8`` view of the live bit vector (zero-copy).
-
-        ``np.frombuffer`` over the same ``bytearray``/shared-memory
-        ``memoryview`` the per-key functions mutate, so for a shm-backed
-        filter every attached process (serving workers, sweep pools)
-        gathers against one physical copy.  The view is cached; teardown
-        (:meth:`close_shared`/:meth:`unlink_shared`) drops it before
-        releasing the mapping.  ``None`` when the numpy backend is off.
-        """
-        view = self._np_bits
-        if view is None:
-            if not HAVE_NUMPY:
-                return None
-            view = self._np_bits = _np.frombuffer(self._bits, dtype=_np.uint8)
-        return view
-
-    def _probe_plane_np(self, words):
-        """``(indexes, byte_idx, masks)``: the batch's ``(num_hashes, n)`` probe plane.
-
-        The walk's ``index += step; if index >= nb: index -= nb`` from
-        ``index0 = h1 % nb`` with ``step = (h2 | 1) % nb`` keeps both
-        operands below ``nb``, so it is exactly ``(index0 + i * step) %
-        nb``, which vectorizes as one broadcast multiply-add and one
-        modulo over the whole plane (no per-round Python loop).
-        ``columnar_eligible`` bounds ``nb`` and the rounds so the
-        ``uint64`` products cannot overflow.  Every visited index -- and
-        therefore every bit touched -- is identical to the per-key walk.
-        ``byte_idx`` / ``masks`` address each index's bit in
-        :meth:`np_bits`.
-        """
-        nb = _np.uint64(self.num_bits)
-        index = words[:, 0] % nb
-        num_hashes = self.num_hashes
-        if num_hashes == 1:
-            indexes = index.reshape(1, -1)
-        else:
-            step = (words[:, 1] | _np.uint64(1)) % nb
-            rounds = _np.arange(num_hashes, dtype=_np.uint64).reshape(-1, 1)
-            indexes = (index[_np.newaxis, :] + rounds * step[_np.newaxis, :]) % nb
-        byte_idx = (indexes >> _np.uint64(3)).astype(_np.intp)
-        masks = _np.left_shift(_np.uint8(1), (indexes & _np.uint64(7)).astype(_np.uint8))
-        return indexes, byte_idx, masks
-
-    def _prefetch_probe_np(self, words):
-        """``(verdicts, rows)`` for the columnar fused node kernels.
-
-        ``verdicts`` is the whole batch's membership list against the
-        *current* bits; ``rows[i]`` is key ``i``'s full probe-index list
-        when its verdict is ``False`` -- the fused kernel re-checks
-        staleness and sets the negative-path bits straight from it, so no
-        per-key hashing or modulo survives on the columnar path -- and
-        ``None`` for prefetched positives, which never need their indexes
-        again (bits are only ever set, so a ``True`` cannot go stale).
-        Materializing rows only for the negatives keeps the duplicate-
-        heavy steady state (the paper's headline workload) almost free.
-        """
-        indexes, byte_idx, masks = self._probe_plane_np(words)
-        verdict = ((self.np_bits()[byte_idx] & masks) != 0).all(axis=0)
-        rows: List = [None] * indexes.shape[1]
-        false_cols = _np.flatnonzero(~verdict)
-        if false_cols.size:
-            false_rows = indexes[:, false_cols].T.tolist()
-            for col, row in zip(false_cols.tolist(), false_rows):
-                rows[col] = row
-        return verdict.tolist(), rows
+        return digest_hash_words(b"".join(keys), len(keys))
 
     # -- public API -------------------------------------------------------------
     def add(self, key: bytes) -> None:
@@ -526,16 +420,9 @@ class BloomFilter:
                 add_one(key)
                 added += 1
             self._count += added
-        elif type(words) is tuple:
+        else:
             self._add_words(words, self._bits)
             self._count += len(words) >> 1
-        else:
-            _indexes, byte_idx, masks = self._probe_plane_np(words)
-            # bitwise_or.at, not fancy-assign: duplicate byte indexes within
-            # a batch must all land, exactly as the per-key walk ORs them in
-            # turn.
-            _np.bitwise_or.at(self.np_bits(), byte_idx.ravel(), masks.ravel())
-            self._count += len(words)
 
     def contains_many(self, keys: Sequence[bytes]) -> List[bool]:
         """Membership verdicts for a batch of keys, in input order.
@@ -546,12 +433,9 @@ class BloomFilter:
         words = self._batch_words(keys)
         if words is None:
             return list(map(self.contains_one, getattr(keys, "digests", keys)))
-        if type(words) is tuple:
-            verdicts: List[bool] = []
-            self._contains_words(words, self._bits, verdicts.append)
-            return verdicts
-        _indexes, byte_idx, masks = self._probe_plane_np(words)
-        return ((self.np_bits()[byte_idx] & masks) != 0).all(axis=0).tolist()
+        verdicts: List[bool] = []
+        self._contains_words(words, self._bits, verdicts.append)
+        return verdicts
 
     @property
     def count(self) -> int:

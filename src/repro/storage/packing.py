@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import struct
 
-from .npy import np as _np
-
-__all__ = ["DIGEST_BYTES", "digest_hash_words", "digest_hash_words_np", "split_digests"]
+__all__ = ["DIGEST_BYTES", "digest_hash_words", "split_digests"]
 
 DIGEST_BYTES = 20
 
@@ -54,17 +52,3 @@ def digest_hash_words(blob, count: int) -> tuple:
     """
     return _repeated_struct(_WORDS_ONE, count).unpack(blob)
 
-
-def digest_hash_words_np(blob, count: int):
-    """``(count, 2)`` native ``uint64`` array of (h1, h2) word pairs.
-
-    The columnar twin of :func:`digest_hash_words`: one ``np.frombuffer``
-    view over the packed blob, the 4 trailing digest bytes sliced away,
-    and the 16 word bytes reinterpreted as big-endian ``u8`` pairs --
-    value-identical to the scalar tuple (``int(arr[i, 0]) == words[2*i]``).
-    Requires numpy (see :mod:`repro.storage.npy`); callers gate on
-    ``HAVE_NUMPY``.
-    """
-    view = _np.frombuffer(blob, dtype=_np.uint8, count=count * DIGEST_BYTES)
-    words = view.reshape(count, DIGEST_BYTES)[:, :16].copy().view(">u8")
-    return words.astype(_np.uint64, copy=False)

@@ -134,7 +134,7 @@ class Registry:
     def __init__(self, counters: Sequence[str] = ()) -> None:
         self.counters: Dict[str, int] = dict.fromkeys(counters, 0)
         self.gauges: Dict[str, float] = {}
-        #: Text facts about this process (``kernel_backend``); never merged.
+        #: Text facts about this process (``node_id``); never merged.
         self.info: Dict[str, str] = {}
         self.histograms: Dict[str, Histogram] = {}
 

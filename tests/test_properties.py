@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import SHHCCluster
@@ -214,6 +214,91 @@ _STEPS = st.lists(
     ),
     min_size=1, max_size=120,
 )
+
+
+_IDENTITIES = st.integers(0, 40)
+_IDENTITY_LISTS = st.lists(_IDENTITIES, min_size=1, max_size=12)
+_WRITE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["serve", "propagate", "import"]), _IDENTITY_LISTS),
+        st.tuples(st.sampled_from(["lookup", "replica", "remove"]), _IDENTITIES),
+        # Warm = image + log tail; the rest are the ways the image is refused.
+        st.tuples(
+            st.just("restart"),
+            st.sampled_from(["warm", "image deleted", "image of another geometry", "torn log tail"]),
+        ),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+class TestStoreIsASubsetOfBloom:
+    """The invariant the fused kernel's bloom stage rests on.
+
+    The kernel answers ``in_bloom = True`` for any digest the table holds
+    without walking its bits (``core/bucket_kernel.py``), which equals the
+    walk only while every write path that stores a digest also sets its
+    bloom bits -- across kills, and whatever recovery finds on disk.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(_WRITE_STEPS, st.sampled_from([0, 3]), st.integers(0, 64))
+    # Twelve new keys are checkpointed, two more are only logged: the warm
+    # restart restores the image and replays a tail, then every key is served.
+    @example(
+        [("serve", list(range(12))), ("import", [20, 21]), ("restart", "warm"),
+         ("serve", list(range(22)))],
+        3, 0,
+    )
+    def test_every_stored_key_is_in_the_bloom_after_every_step(self, steps, snapshot_every, torn):
+        import os
+        import tempfile
+
+        from repro.core.digest_batch import DigestBatch
+        from repro.core.persistence import NodePersistence
+
+        # A tiny LRU and filter: stored duplicates fall out of RAM and new
+        # keys meet false positives, so the kernel takes every branch.
+        config = HashNodeConfig(ram_cache_entries=4, bloom_expected_items=64, ssd_buckets=8)
+
+        def pairs(identities):
+            return [(synthetic_fingerprint(i).digest, 8192) for i in identities]
+
+        with tempfile.TemporaryDirectory() as directory, NodePersistence(
+            directory, snapshot_every=snapshot_every
+        ) as persistence:
+            header = persistence.container.size
+            node = HybridHashNode("node", config, persistence=persistence)
+            for kind, argument in steps:
+                if kind == "serve":
+                    blob = b"".join(digest for digest, _size in pairs(argument))
+                    node.serve_bucket_verdicts(DigestBatch.from_blob(blob, 8192))
+                elif kind == "lookup":
+                    node.lookup(synthetic_fingerprint(argument))
+                elif kind == "replica":
+                    node.insert_replica(synthetic_fingerprint(argument))
+                elif kind == "propagate":  # SHHCCluster._propagate_new_groups, per node
+                    new_digests, _existing = node.store.put_many_verdicts(pairs(argument))
+                    node.finish_replica_inserts(new_digests)
+                elif kind == "import":
+                    node.import_entries(pairs(argument))
+                elif kind == "remove":
+                    node.remove_entry(synthetic_fingerprint(argument).digest)
+                else:
+                    node.kill()
+                    if argument == "image deleted" and os.path.exists(persistence.snapshot_path):
+                        os.remove(persistence.snapshot_path)
+                    elif argument == "image of another geometry":
+                        persistence.take_snapshot(BloomFilter(num_bits=128, num_hashes=2))
+                    elif argument == "torn log tail":
+                        size = persistence.container.size
+                        cut = min(torn, size - header)
+                        with open(persistence.container.path, "r+b") as log:
+                            log.truncate(size - cut)
+                    report = node.restart()
+                    if argument.startswith("image"):
+                        assert not report.snapshot_loaded
+                assert all(key in node.bloom for key in node.store.keys()), (kind, argument)
 
 
 class TestCrashRecoveryProperties:

@@ -210,7 +210,6 @@ class TestEngine:
             "tier_ablation",
             "batch_tradeoff",
             "scaling_ablation",
-            "kernel_backend",
         }
 
 

@@ -438,7 +438,7 @@ def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
     assert gauges["entries"] == gauges["ram_cached"] == 48
     assert gauges["log_bytes"] == os.path.getsize(tmp_path / "node0" / "containers.log")
     assert gauges["last_snapshot_ms"] > 0
-    assert stats["info"] == {"node_id": "node0", "kernel_backend": node.kernel_backend}
+    assert stats["info"] == {"node_id": "node0"}
     assert stats["counters"]["lookups"] == stats["counters"]["new_entries"] == 48
     # One *measured* duration per batch; the per-key modelled service time
     # the worker used to publish (``modelled_service_us``) is gone, and
@@ -550,7 +550,7 @@ def _merged(snapshots):
 
 
 def test_stats_and_metrics_carry_each_workers_registry_and_their_exact_merge(tmp_path):
-    """What a running system can be asked: ``kernel_backend``, tier counters and a
+    """What a running system can be asked: ``node_id``, tier counters and a
     measured serve histogram per worker, merged exactly into the fleet view --
     over the ``stats`` frame, ``GET /stats`` and ``GET /metrics`` alike."""
     # Spread over the whole key space: every batch is half node0's, half node1's.
@@ -591,8 +591,7 @@ def test_stats_and_metrics_carry_each_workers_registry_and_their_exact_merge(tmp
         served = [row["telemetry"]["histograms"]["serve_batch"] for row in stats["workers"]]
         for row in stats["workers"]:
             telemetry = row["telemetry"]
-            assert telemetry["info"]["kernel_backend"] in ("numpy", "python-packed")
-            assert telemetry["info"]["node_id"] == row["node_id"]
+            assert telemetry["info"] == {"node_id": row["node_id"]}
             assert telemetry["counters"]["lookups"] == telemetry["counters"]["new_entries"] == 192
             assert telemetry["gauges"]["entries"] == 192
         # One observation per sub-batch sent, and the fleet is the index-wise sum.
@@ -606,7 +605,7 @@ def test_stats_and_metrics_carry_each_workers_registry_and_their_exact_merge(tmp
         assert 0 < stats["batch_latency_us"]["p50"] <= stats["batch_latency_us"]["p99"]
 
     assert _load_check_metrics().check(metrics) == []
-    for needle in ('shhc_worker_info{node="node0",node_id="node0",kernel_backend="',
+    for needle in ('shhc_worker_info{node="node0",node_id="node0"} 1',
                    'shhc_worker_serve_batch_seconds_count{node="node1"} 6',
                    "shhc_fleet_serve_batch_seconds_count 12",
                    "shhc_fleet_lookups_total 384",

@@ -226,12 +226,3 @@ class TestEvents:
         bad.fail(RuntimeError("x"))
         sim.run()
         assert combined.triggered and not combined.ok
-
-    def test_any_of_first_wins(self, sim):
-        slow = sim.timeout(5.0, "slow")
-        fast = sim.timeout(1.0, "fast")
-        combined = sim.any_of([slow, fast])
-        seen = []
-        combined.add_callback(lambda e: seen.append((sim.now, e.value)))
-        sim.run()
-        assert seen[0] == (1.0, "fast")

@@ -150,7 +150,7 @@ class TestBloomDigestFastPath:
         # only; batch and scalar paths must still agree bit-for-bit.
         scalar = BloomFilter(expected_items=100, num_bits=65536, num_hashes=20)
         batched = BloomFilter(expected_items=100, num_bits=65536, num_hashes=20)
-        assert scalar._add_words is None and not scalar.columnar_eligible
+        assert scalar._add_words is None
         keys = _digests(0, 200)
         for key in keys:
             scalar.add(key)

@@ -135,7 +135,7 @@ def _worker_registry(lookups: int, entries: int, durations) -> Registry:
     registry = Registry(counters=("lookups", "ram_hits"))
     registry.counters["lookups"] += lookups
     registry.gauges["entries"] = entries
-    registry.info["kernel_backend"] = "python-packed"
+    registry.info["build"] = "test"
     registry.histogram("serve_batch").observe_many(durations)
     return registry
 
@@ -166,7 +166,7 @@ def test_prometheus_rendering_is_one_family_per_name_with_cumulative_ladders():
     assert 'shhc_worker_lookups_total{node="node0"} 10' in lines
     assert 'shhc_worker_lookups_total{node="no\\"de1"} 5' in lines
     assert 'shhc_worker_entries{node="node0"} 100' in lines
-    assert 'shhc_worker_info{node="node0",kernel_backend="python-packed"} 1' in lines
+    assert 'shhc_worker_info{node="node0",build="test"} 1' in lines
     ladder = [int(line.rsplit(" ", 1)[1]) for line in lines
               if line.startswith('shhc_worker_serve_batch_seconds_bucket{node="node0"')]
     assert len(ladder) == len(BOUNDS_NS) + 1 and ladder == sorted(ladder)

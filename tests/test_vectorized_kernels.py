@@ -2,8 +2,8 @@
 
 Every packed/fused fast path must be byte-identical to its reference:
 
-* bloom ``add_many``/``contains_many`` -- by the packed route, the columnar
-  route and the key-by-key route -- vs per-key ``add``/``in`` **and** the
+* bloom ``add_many``/``contains_many`` -- by the packed route and the
+  key-by-key route -- vs per-key ``add``/``in`` **and** the
   closed-form model in ``tests/oracles/bloom_model.py``, over unrolled and
   looped shapes, digest-keyed and SHA-256-keyed filters, a shm-backed
   filter, and every way a batch is handed over (list, tuple, generator,
@@ -13,21 +13,19 @@ Every packed/fused fast path must be byte-identical to its reference:
   replies field for field, float service times, counters, store stats,
   bloom bits, LRU order -- and vs the dict-and-set model in
   ``tests/oracles/set_model.py`` (tiers, new pairs, per-tier counts), for
-  the packed and the columnar kernel, an unrolled, a looped-probe and a
-  non-digest-keyed bloom shape, scalar and per-digest chunk sizes, and
-  the persistence log across kill/restart;
+  an unrolled, a looped-probe and a non-digest-keyed bloom shape, scalar
+  and per-digest chunk sizes, and the persistence log across kill/restart;
 * shared-memory segment lifecycle (create/attach/close/unlink, geometry
   validation, leaked-segment cleanup);
 * the packed trace cache vs running the generator directly.
 
 Plus the named satellite regression test (fill_ratio big-int
-materialization) and the forced no-numpy leg (``REPRO_FORCE_NO_NUMPY=1``, subprocess) pinning the
-fallback.
+materialization) and a subprocess guard that the data plane imports no
+numpy.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import random
 import subprocess
@@ -48,9 +46,7 @@ from repro.core.hash_node import HybridHashNode
 from repro.core.persistence import NodePersistence
 from repro.core.protocol import SERVED_FROM_TIER, LookupReply
 from repro.dedup.fingerprint import Fingerprint
-from repro.storage import npy as npy_backend
 from repro.storage.bloom import BloomFilter
-from repro.storage.packing import digest_hash_words, digest_hash_words_np
 from repro.storage.shm import (
     SharedBuffer,
     shared_memory_available,
@@ -76,9 +72,6 @@ wide_geometries = st.tuples(st.integers(64, 1024), st.integers(17, 20))
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="multiprocessing.shared_memory unavailable"
-)
-needs_numpy = pytest.mark.skipif(
-    not npy_backend.HAVE_NUMPY, reason="numpy unavailable (install the 'perf' extra)"
 )
 
 
@@ -332,7 +325,7 @@ lru_capacities = st.integers(1, 8)
 
 
 class TestFusedNodeKernelDifferential:
-    """The packed kernel behind ``serve_bucket_verdicts`` vs sequential ``lookup()``."""
+    """The kernel behind ``serve_bucket_verdicts`` vs sequential ``lookup()``."""
 
     @SLOWER
     @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
@@ -428,17 +421,38 @@ class TestFusedNodeKernelDifferential:
         assert again == [1] * 20 and none_new == []
 
     @pytest.mark.parametrize("shape", sorted(BLOOM_SHAPES))
-    def test_exactly_one_kernel_pair_per_bloom_shape(self, shape):
+    def test_one_kernel_per_shape(self, shape):
+        """One generated function per bloom shape, memoized."""
         from repro.core import bucket_kernel
 
         node = _node(shape=shape)
-        kernels = bucket_kernel.fused_kernels(node.bloom.num_bits, node.bloom.num_hashes)
-        assert [kernel.__name__ for kernel in kernels] == [
-            "fused_packed_kernel",
-            "fused_columnar_kernel",
-        ]
-        assert bucket_kernel.fused_kernels(node.bloom.num_bits, node.bloom.num_hashes) is kernels
-        assert node._select_kernel(DigestBatch.from_blob(os.urandom(20), 1))[0] is kernels[0]
+        kernel = bucket_kernel.fused_kernel(node.bloom.num_bits, node.bloom.num_hashes)
+        assert kernel.__name__ == "fused_kernel"
+        assert bucket_kernel.fused_kernel(node.bloom.num_bits, node.bloom.num_hashes) is kernel
+        node.serve_bucket_verdicts(DigestBatch.from_blob(os.urandom(20), 1))
+        assert node._kernel is kernel
+
+    def test_every_branch_in_one_batch_matches_scalar_loop(self):
+        """RAM hits, stored duplicates past a tiny LRU (their bloom verdict
+        comes from the table), bloom false positives and new keys, mixed."""
+        config = HashNodeConfig(ram_cache_entries=4, ssd_buckets=4, ssd_write_buffer_pages=2)
+        scalar, fused = (
+            HybridHashNode("twin", config=config, bloom=BloomFilter(num_bits=64, num_hashes=2))
+            for _ in range(2)
+        )
+        rng = random.Random(24)
+        batches = [[rng.randbytes(20) for _ in range(12)]]
+        for _ in range(3):
+            last = batches[-1]  # its final four keys are what the LRU holds
+            fresh = [rng.randbytes(20) for _ in range(40)]
+            batches.append(last[-2:] + last[:6] + fresh + last[:2])
+        for batch in batches:
+            fingerprints = [Fingerprint(digest=d, chunk_size=1 + d[0]) for d in batch]
+            assert fused.lookup_batch(fingerprints) == [scalar.lookup(f) for f in fingerprints]
+        assert _node_state(scalar) == _node_state(fused)
+        counters = fused.counters.as_dict()
+        for name in ("ram_hits", "ssd_hits", "bloom_false_positives", "bloom_negative_shortcuts"):
+            assert counters[name] > 0, name
 
     def test_new_pairs_are_logged_before_the_contract_returns(self, tmp_path):
         """Persistence pairs across kill/restart: what the contract
@@ -522,365 +536,40 @@ class TestTraceCache:
         assert trace_cache.cleanup_shared_traces(prefix) == 0
 
 
-# -------------------------------------------------------- numpy columnar backend
-@needs_numpy
-class TestNumpyHashWordsDifferential:
-    @FAST
-    @given(digest_lists)
-    def test_hash_words_np_match_struct_unpack(self, keys):
-        blob = b"".join(keys)
-        columnar = digest_hash_words_np(blob, len(keys))
-        scalar = digest_hash_words(blob, len(keys))
-        assert columnar.shape == (len(keys), 2)
-        flat = [int(word) for row in columnar for word in row]
-        assert flat == list(scalar)
+# ------------------------------------------------------------ no numpy on the data plane
+def test_the_data_plane_imports_no_numpy():
+    """An ``import numpy`` anywhere under a served batch costs every process
+    ~35 MB of RSS; a fresh interpreter that serves one must not have it."""
+    script = """
+        import os
+        import sys
 
-    @FAST
-    @given(digest_lists)
-    def test_digest_batch_caches_and_matches(self, keys):
-        batch = DigestBatch.from_blob(b"".join(keys), 4096)
-        first = batch.hash_words_np()
-        assert batch.hash_words_np() is first  # memoized per batch
-        scalar = digest_hash_words(batch.packed(), len(keys))
-        assert [int(w) for row in first for w in row] == list(scalar)
+        import repro
+        from repro.core.cluster import ClusterConfig, SHHCCluster
+        from repro.core.config import HashNodeConfig
+        from repro.dedup.fingerprint import Fingerprint
+        from repro.serving.worker import WorkerSpec, _serve_batch
 
-
-@contextlib.contextmanager
-def _bloom_crossover(min_batch):
-    """Pin the bloom batch routing's columnar crossover for the block."""
-    import repro.storage.bloom as bloom_mod
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(bloom_mod, "NUMPY_MIN_BATCH", min_batch)
-        yield
-
-
-@needs_numpy
-class TestNumpyBloomDifferential:
-    """The columnar route, forced for every sized batch (crossover 1)."""
-
-    @FAST
-    @given(geometries, digest_lists)
-    def test_add_and_contains_np_match_scalar_oracle(self, geometry, keys):
-        num_bits, num_hashes = geometry
-        with _bloom_crossover(1):
-            for handover in (list, tuple):
-                _assert_batch_matches_references(
-                    BloomFilter(num_bits=num_bits, num_hashes=num_hashes),
-                    _with_duplicates(keys),
-                    handover,
-                )
-
-    @FAST
-    @given(digest_lists)
-    def test_digest_batch_path_matches_list_path(self, keys):
-        with _bloom_crossover(1):
-            _assert_batch_matches_references(
-                BloomFilter(num_bits=2048, num_hashes=5), keys, _as_digest_batch
-            )
-
-    @needs_shm
-    @SLOWER
-    @given(digest_lists)
-    def test_shm_backed_bits_match_scalar(self, keys):
-        # The scatter targets the shared segment through a zero-copy numpy
-        # view; the private per-key twin must end with the same bytes.
-        shared = BloomFilter(num_bits=4096, num_hashes=4, shared=True)
-        try:
-            with _bloom_crossover(1):
-                _assert_batch_matches_references(shared, keys)
-        finally:
-            shared.unlink_shared()  # must not BufferError on the cached view
-
-    def test_public_routing_goes_columnar_at_min_batch_1(self):
-        keys = [os.urandom(20) for _ in range(10)]
-        planes = []
-
-        def _spied_filter():
-            bloom = BloomFilter(num_bits=2048, num_hashes=4)
-            build_plane = bloom._probe_plane_np
-            bloom._probe_plane_np = lambda words: planes.append(len(words)) or build_plane(words)
-            return bloom
-
-        _assert_batch_matches_references(_spied_filter(), keys)  # 10 < 64: packed
-        assert planes == []
-        with _bloom_crossover(1):
-            _assert_batch_matches_references(_spied_filter(), keys)
-        assert planes == [10, 26]  # add_many, then contains_many over keys + 16 more
-
-    @FAST
-    @given(mixed_key_lists, st.sampled_from([(3, True), (3, False), (18, True)]))
-    def test_non_digest_filter_falls_back_cleanly(self, keys, shape):
-        # Crossover 1 must not drag an ineligible batch or filter onto the
-        # columnar route: keys that are not all digests, a filter that is
-        # not digest-keyed, a shape with more rounds than uint64 can carry.
-        num_hashes, digest_keys = shape
-        handovers = [list]
-        if all(len(key) == 20 for key in keys):
-            handovers.append(_as_digest_batch)
-        with _bloom_crossover(1):
-            for handover in handovers:
-                bloom = BloomFilter(num_bits=1024, num_hashes=num_hashes, digest_keys=digest_keys)
-                assert bloom.columnar_eligible == (num_hashes == 3 and digest_keys)
-                _assert_batch_matches_references(bloom, keys, handover)
-
-
-@needs_numpy
-class TestColumnarFusedKernelDifferential:
-    """The columnar kernel vs the packed kernel on twin nodes.
-
-    ``NUMPY_MIN_BATCH`` is pinned to 1 for the columnar twin so every batch
-    with a key past the RAM tier -- single-key ones included -- takes the
-    bloom-prefetch path, and to
-    "never" for the packed twin; the dirty-flag protocol must keep tiers,
-    service times, new pairs, counters, bloom bits and cache state
-    byte-identical between them (and both equal to sequential ``lookup()``,
-    which :class:`TestFusedNodeKernelDifferential` pins for the packed one).
-    """
-
-    @staticmethod
-    def _serve(monkeypatch, node, crossover, batch):
-        import repro.core.hash_node as hash_node_mod
-
-        monkeypatch.setattr(hash_node_mod, "NUMPY_MIN_BATCH", crossover)
-        selected = []
-        select = node._select_kernel
-
-        def _spy(served_batch):
-            selected.append(select(served_batch))
-            return selected[-1]
-
-        node._select_kernel = _spy
-        try:
-            return node.serve_bucket_verdicts(batch), selected[-1][1]
-        finally:
-            del node._select_kernel
-
-    @SLOWER
-    @given(batch_lists, lru_capacities)
-    def test_columnar_serve_bucket_batch_matches_scalar_loop(self, batches, capacity):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            packed, columnar = _twin_nodes(capacity)
-            sequential = _node(capacity)
-            assert columnar.kernel_backend == "numpy"
-            for items in batches:
-                fingerprints = [
-                    Fingerprint(digest=d, chunk_size=size) for d, size in _pairs_of(items)
-                ]
-                reaches_bloom = any(
-                    fp.digest not in columnar.cache.data for fp in fingerprints
-                )
-                served, was_columnar = self._serve(
-                    monkeypatch, columnar, 1, DigestBatch.from_fingerprints(fingerprints)
-                )
-                reference, reference_columnar = self._serve(
-                    monkeypatch, packed, 1 << 62, DigestBatch.from_fingerprints(fingerprints)
-                )
-                # A batch the RAM tier answers whole never pays the prefetch.
-                assert was_columnar == reaches_bloom and not reference_columnar
-                assert served == reference
-                replies = [sequential.lookup(fingerprint) for fingerprint in fingerprints]
-                assert served[1] == [reply.service_time for reply in replies]
-            assert _node_state(packed) == _node_state(columnar) == _node_state(sequential)
-            assert packed.lookup_latency.count == columnar.lookup_latency.count == 0
-
-    @SLOWER
-    @given(batch_lists, lru_capacities)
-    def test_columnar_serve_digest_batch_matches_scalar_loop(self, batches, capacity):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            packed, columnar = _twin_nodes(capacity)
-            model = NodeModel(capacity)
-            for items in batches:
-                pairs = _pairs_of(items)
-                blob = b"".join(digest for digest, _ in pairs)
-                sizes = [size for _, size in pairs]
-                reaches_bloom = any(d not in columnar.cache.data for d, _ in pairs)
-                served, was_columnar = self._serve(
-                    monkeypatch, columnar, 1, DigestBatch.from_blob(blob, sizes)
-                )
-                reference, _ = self._serve(
-                    monkeypatch, packed, 1 << 62, DigestBatch.from_blob(blob, sizes)
-                )
-                assert was_columnar == reaches_bloom
-                assert served == reference
-                assert (served[0], served[2]) == model.serve(pairs)
-            assert _node_state(packed) == _node_state(columnar)
-            _assert_model_agrees(model, columnar)
-
-    def test_default_crossover_keeps_small_batches_scalar(self, monkeypatch):
-        # Below NUMPY_MIN_BATCH the contract must not pay the columnar
-        # setup; the packed per-key kernel answers instead.  The result is
-        # identical either way -- this pins the routing itself.
-        import repro.core.hash_node as hash_node_mod
-
-        node = _node()
-        assert node.kernel_backend == "numpy"
-        small = [Fingerprint(digest=os.urandom(20), chunk_size=4096) for _ in range(4)]
-        (tiers, _times, new_pairs), was_columnar = self._serve(
-            monkeypatch, node, hash_node_mod.NUMPY_MIN_BATCH,
-            DigestBatch.from_fingerprints(small),
+        node_config = HashNodeConfig(
+            ram_cache_entries=256, bloom_expected_items=4096, ssd_buckets=64
         )
-        assert not was_columnar
-        assert tiers == [0] * 4 and len(new_pairs) == 4
-
-
-@needs_numpy
-def test_crossover_counts_the_keys_that_reach_the_bloom_stage(monkeypatch):
-    """128 keys, 95% RAM hits -> packed kernel; 50% -> columnar kernel.
-
-    Only the kernel moves: a twin node forced the other way (crossover
-    pinned to 1 / to "never") ends in the same state with the same
-    tiers, service times and new pairs.
+        cluster = SHHCCluster(
+            ClusterConfig(num_nodes=2, replication_factor=2, node=node_config)
+        )
+        batch = [Fingerprint(digest=os.urandom(20), chunk_size=4096) for _ in range(512)]
+        assert not any(result.is_duplicate for result in cluster.lookup_batch(batch))
+        assert all(result.is_duplicate for result in cluster.lookup_batch(batch))
+        node = WorkerSpec("node0", node_config={"bloom_expected_items": 4096}).build_node()
+        _serve_batch(node, {"d": b"".join(f.digest for f in batch), "s": 4096})
+        assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)[:5]
     """
-    rng = random.Random(13)
-    known = [rng.randbytes(20) for _ in range(256)]
-    config = HashNodeConfig(
-        ram_cache_entries=512, bloom_expected_items=4096, ssd_buckets=64
+    repo_root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        cwd=str(repo_root),
+        env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
-    batches = [  # (RAM hits, kernel expected at the default crossover)
-        (known[:122] + [rng.randbytes(20) for _ in range(6)], False),
-        (known[128:192] + [rng.randbytes(20) for _ in range(64)], True),
-    ]
-    for digests, _ in batches:
-        rng.shuffle(digests)
-    serve = TestColumnarFusedKernelDifferential._serve
-
-    def _serve_all(crossovers):
-        node = HybridHashNode("crossover", config=config)
-        node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(known), 4096))
-        families, outputs = [], []
-        for (digests, _), crossover in zip(batches, crossovers):
-            output, was_columnar = serve(
-                monkeypatch, node, crossover, DigestBatch.from_blob(b"".join(digests), 4096)
-            )
-            outputs.append(output)
-            families.append(was_columnar)
-        assert node.kernel_backend == "numpy"
-        return families, outputs, _node_state(node)
-
-    families, outputs, state = _serve_all([64, 64])
-    assert families == [expected for _, expected in batches]
-    assert [len(new_pairs) for _, _, new_pairs in outputs] == [6, 64]
-    forced_families, forced_outputs, forced_state = _serve_all([1, 1 << 62])
-    assert forced_families == [not expected for _, expected in batches]
-    assert forced_outputs == outputs
-    assert forced_state == state
-
-
-def test_worker_stats_report_kernel_backend():
-    # The /stats payload must carry the backend either way; which value it
-    # is depends on whether numpy imported in this process.
-    from repro.serving.worker import _stats
-    from repro.telemetry import Registry
-
-    node = HybridHashNode(
-        "stats", config=HashNodeConfig(bloom_expected_items=512, ssd_buckets=16)
-    )
-    info = _stats(node, Registry())["info"]
-    assert info["kernel_backend"] == node.kernel_backend
-    assert info["kernel_backend"] in ("numpy", "python-packed")
-
-
-class TestForcedNoNumpyFallback:
-    """Satellite: the pure-Python leg, exercised in a real subprocess.
-
-    ``REPRO_FORCE_NO_NUMPY=1`` is read at import time, so the only honest
-    way to test the fallback with numpy installed is a fresh interpreter.
-    The child proves the backend reports ``python-packed``, the bloom
-    batch calls stay bit-identical to the per-key ones, and the serving gateway boots
-    and answers stats with the fallback backend name.
-    """
-
-    REPO_ROOT = Path(__file__).resolve().parents[1]
-
-    def _run_child(self, script: str) -> None:
-        env = dict(os.environ)
-        env["REPRO_FORCE_NO_NUMPY"] = "1"
-        env["PYTHONPATH"] = str(self.REPO_ROOT / "src")
-        result = subprocess.run(
-            [sys.executable, "-c", textwrap.dedent(script)],
-            cwd=str(self.REPO_ROOT),
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, (
-            f"no-numpy child failed\nstdout:\n{result.stdout}\nstderr:\n{result.stderr}"
-        )
-
-    def test_backend_and_kernels_fall_back_bit_identically(self):
-        self._run_child(
-            """
-            import os
-
-            from repro.storage import npy
-            from repro.storage.bloom import BloomFilter
-            from repro.core.config import HashNodeConfig
-            from repro.core.digest_batch import DigestBatch
-            from repro.core.hash_node import HybridHashNode
-
-            assert npy.np is None and not npy.HAVE_NUMPY
-            assert npy.backend_name() == "python-packed"
-
-            keys = [os.urandom(20) for _ in range(200)]
-            routed = BloomFilter(num_bits=4096, num_hashes=4)
-            oracle = BloomFilter(num_bits=4096, num_hashes=4)
-            routed.add_many(keys)  # 200 >= the crossover, yet no numpy to use
-            for key in keys:
-                oracle.add(key)
-            assert bytes(routed.raw_bits()) == bytes(oracle.raw_bits())
-            probes = keys + [os.urandom(20) for _ in range(32)]
-            assert routed.contains_many(probes) == [key in oracle for key in probes]
-            assert not routed.columnar_eligible and routed.np_bits() is None
-
-            node = HybridHashNode(
-                "no-numpy", config=HashNodeConfig(bloom_expected_items=512, ssd_buckets=16)
-            )
-            assert node.kernel_backend == "python-packed"
-            from repro.serving.worker import _stats
-            from repro.telemetry import Registry
-            assert _stats(node, Registry())["info"]["kernel_backend"] == "python-packed"
-            digests = [os.urandom(20) for _ in range(100)]
-            tiers, _times, new_pairs = node.serve_bucket_verdicts(
-                DigestBatch.from_blob(b"".join(digests), 4096)
-            )
-            assert len(new_pairs) == 100 and tiers == [0] * 100
-            again, _times, _none = node.serve_bucket_verdicts(
-                DigestBatch.from_blob(b"".join(digests), 4096)
-            )
-            assert again == [1] * 100  # every key is now a RAM-tier duplicate
-            print("no-numpy kernels ok")
-            """
-        )
-
-    def test_serve_stack_boots_without_numpy(self):
-        self._run_child(
-            """
-            import asyncio
-
-            from repro.serving.gateway import ServeConfig, ServiceGateway
-
-            async def go():
-                gateway = ServiceGateway(
-                    ServeConfig(
-                        port=0,
-                        num_nodes=2,
-                        node_config={"bloom_expected_items": 10_000},
-                    )
-                )
-                await gateway.start()
-                try:
-                    stats = await gateway.fleet_stats()
-                    workers = stats["workers"]
-                    assert len(workers) == 2
-                    # Asked of the running workers, not of this process.
-                    assert [w["telemetry"]["info"]["kernel_backend"] for w in workers] == [
-                        "python-packed", "python-packed"]
-                finally:
-                    await gateway.close()
-
-            asyncio.run(go())
-            print("no-numpy serve ok")
-            """
-        )
+    assert result.returncode == 0, f"stdout:\n{result.stdout}\nstderr:\n{result.stderr}"

@@ -45,14 +45,13 @@ It calls public names only, so it runs on any commit since PR 7
 off, on one persistence-backed node at ``bench/``'s ``node_config`` and its
 128-digest sub-batches, once per live mix (``svc_dup_hot``: 50k keys
 pre-populated, 95% of every batch known; ``svc_unique``: 95% new): us per
-fingerprint for frame decode, ``DigestBatch.from_blob``, kernel selection,
-the fused kernel, modelled-time recording inside the contract, the rest of
-the node's serve, ``log_insert_many`` and mask + encode, with the
-unattributed remainder, rows summing to the total; then what the same
-recording costs where ``lookup_batch`` pays it.  No socket, no gateway, no
-checkpoints (``snapshot_every=0``).  It wraps names that exist on every
-commit since PR 19, so ``PYTHONPATH=<other checkout>/src`` gives the other
-column.
+fingerprint for frame decode, ``DigestBatch.from_blob``, the fused kernel,
+modelled-time recording inside the contract, the rest of the node's serve,
+``log_insert_many`` and mask + encode, with the unattributed remainder,
+rows summing to the total; then what the same recording costs where
+``lookup_batch`` pays it.  No socket, no gateway, no checkpoints
+(``snapshot_every=0``).  It wraps the node's private ``_kernel`` slot, which
+exists since PR 24: older checkouts need that commit's copy of this file.
 
 Perf PRs should start from this data: optimise what is hot, pin what must
 stay byte-identical (see ``tests/test_routed_batch_equivalence.py``).
@@ -312,7 +311,7 @@ def persist_report(entries: int, batch_size: int = 128) -> None:
 
 
 _SERVE_STAGES = (
-    "frame decode", "DigestBatch.from_blob", "kernel selection", "fused kernel",
+    "frame decode", "DigestBatch.from_blob", "fused kernel",
     "modelled-time recording", "node serve, rest", "log_insert_many", "mask + encode",
 )
 
@@ -365,15 +364,10 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
                 node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(
                     hashlib.sha1(b"%d" % identity).digest()
                     for identity in range(start, min(start + 2048, prepopulate))), 8192))
-            select = node._select_kernel
-
-            def select_timed(batch):
-                started = now()
-                kernel, columnar = select(batch)
-                spent["kernel selection"] += now() - started
-                return timed("fused kernel", kernel), columnar
-
-            node._select_kernel = select_timed
+            # The node resolves its kernel on the first serve; an empty batch
+            # is enough, and nothing replaces cache, bloom or store below.
+            node.serve_bucket_verdicts(DigestBatch.from_blob(b"", 8192))
+            node._kernel = timed("fused kernel", node._kernel)
             node.lookup_latency.record_many = timed(
                 "modelled-time recording", node.lookup_latency.record_many)
             node.persistence.log_insert_many = timed(
@@ -400,14 +394,13 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
             node.persistence.close()
         spent["node serve, rest"] -= sum(
             spent[stage] for stage in
-            ("kernel selection", "fused kernel", "modelled-time recording", "log_insert_many"))
+            ("fused kernel", "modelled-time recording", "log_insert_many"))
         keys = len(payloads) * batch_size
         counters = node.counters.as_dict()
         moved = {name: counters.get(name, 0) - counters_before.get(name, 0)
                  for name in ("ram_hits", "ssd_hits", "new_entries")}
         print(f"=== serve: {mix} mix, {len(payloads)} batches x {batch_size} "
-              f"({', '.join(f'{name} {value / keys:.1%}' for name, value in moved.items())}; "
-              f"backend {node.kernel_backend}) ===")
+              f"({', '.join(f'{name} {value / keys:.1%}' for name, value in moved.items())}) ===")
         for stage in _SERVE_STAGES:
             print(f"  {stage:<26} {spent[stage] / keys / 1e3:7.3f} us/fp  {spent[stage] / total:6.1%}")
         rest = total - sum(spent.values())
