@@ -11,10 +11,10 @@ switch with ~100 µs end-to-end latency (two hops of 50 µs).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
-from ..simulation.engine import Event, Simulator
-from ..simulation.resources import Resource
+from ..simulation.engine import Simulator
 from .message import Message
 
 __all__ = ["NetworkLink", "GIGABIT_BANDWIDTH", "DEFAULT_LINK_LATENCY"]
@@ -24,6 +24,10 @@ GIGABIT_BANDWIDTH = 125e6
 
 #: One-way latency of a single switched gigabit hop (seconds).
 DEFAULT_LINK_LATENCY = 50e-6
+
+
+def _discard(_message: Message) -> None:
+    """Arrival of a message nobody hooked."""
 
 
 class NetworkLink:
@@ -58,7 +62,8 @@ class NetworkLink:
         self.name = name
         self.messages_sent = 0
         self.bytes_sent = 0
-        self._port = Resource(sim, capacity=1, name=f"{name}.port")
+        self._busy = False
+        self._waiting: Deque[Tuple[Message, Optional[Callable[[Message], None]]]] = deque()
 
     # -- cost model -----------------------------------------------------------------
     def transmission_time(self, wire_bytes: int) -> float:
@@ -70,35 +75,36 @@ class NetworkLink:
         return self.latency + self.transmission_time(wire_bytes)
 
     # -- delivery ---------------------------------------------------------------------
-    def send(self, message: Message, on_delivery: Optional[Callable[[Message], None]] = None) -> Event:
-        """Transmit ``message``; the returned event succeeds with it on arrival.
+    def send(self, message: Message, on_delivery: Optional[Callable[[Message], None]] = None) -> None:
+        """Transmit ``message``; ``on_delivery(message)`` (if given) runs at arrival.
 
-        ``on_delivery`` (if given) is invoked with the message at arrival
-        time -- the usual way a receiving component hooks its input queue.
+        The hook is the usual way a receiving component takes its input.
+        Messages wait FIFO for the port.
         """
         self.messages_sent += 1
         self.bytes_sent += message.wire_bytes
-        service_time = self.total_time(message.wire_bytes)
-        sim = self.sim
-        done = sim.event(f"{self.name}.delivery")
-        grant = self._port.request()
+        if self._busy:
+            self._waiting.append((message, on_delivery))
+        else:
+            self._busy = True
+            self._transmit(message, on_delivery)
 
-        def _start(_grant_event: Event) -> None:
-            # The port is held for the serialisation time only; propagation
-            # overlaps with the next message's serialisation.
-            def _release_port() -> None:
-                self._port.release()
+    def _transmit(self, message: Message, on_delivery) -> None:
+        # The port is held for the serialisation time only; propagation
+        # overlaps with the next message's serialisation.  Two calendar
+        # entries per message, release first: equal-time events run in push
+        # order, and a port without the release event (a busy-until clock)
+        # reorders equal-time deliveries.
+        transmission = self.transmission_time(message.wire_bytes)
+        self.sim.schedule(transmission, self._release)
+        self.sim.schedule(self.latency + transmission,
+                          _discard if on_delivery is None else on_delivery, message)
 
-            def _deliver() -> None:
-                if on_delivery is not None:
-                    on_delivery(message)
-                done.succeed(message)
-
-            sim.schedule(self.transmission_time(message.wire_bytes), _release_port)
-            sim.schedule(service_time, _deliver)
-
-        grant.add_callback(_start)
-        return done
+    def _release(self) -> None:
+        if self._waiting:
+            self._transmit(*self._waiting.popleft())
+        else:
+            self._busy = False
 
     # -- reporting -----------------------------------------------------------------------
     def stats(self) -> dict:

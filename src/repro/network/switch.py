@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..simulation.engine import Event, Simulator
+from ..simulation.engine import Simulator
 from .link import DEFAULT_LINK_LATENCY, GIGABIT_BANDWIDTH, NetworkLink
 from .message import Message
 
@@ -65,30 +65,22 @@ class NetworkSwitch:
         return endpoint in self._uplinks
 
     # -- delivery ------------------------------------------------------------------
-    def send(self, message: Message) -> Event:
+    def send(self, message: Message) -> None:
         """Route ``message`` from its source endpoint to its destination.
 
         The message traverses the source's uplink then the destination's
-        downlink; the returned event succeeds (with the message) at final
-        delivery, after the destination handler has run.
+        downlink, whose arrival runs the destination's handler (if any).
         """
         source, destination = message.source, message.destination
         if source not in self._uplinks:
             raise KeyError(f"source endpoint {source!r} is not attached")
         if destination not in self._downlinks:
             raise KeyError(f"destination endpoint {destination!r} is not attached")
+        self._uplinks[source].send(message, self._at_switch)
 
-        uplink = self._uplinks[source]
-        downlink = self._downlinks[destination]
-
-        done = self.sim.event(f"{self.name}.deliver")
-
-        def _at_switch(_uplink_event: Event) -> None:
-            second_leg = downlink.send(message, self._handlers.get(destination))
-            second_leg.add_callback(lambda _e: done.succeed(message))
-
-        uplink.send(message).add_callback(_at_switch)
-        return done
+    def _at_switch(self, message: Message) -> None:
+        destination = message.destination
+        self._downlinks[destination].send(message, self._handlers.get(destination))
 
     # -- reporting -------------------------------------------------------------------
     def stats(self) -> dict:

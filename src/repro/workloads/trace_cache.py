@@ -57,8 +57,8 @@ _MAGIC = b"RTR1"
 _HEADER = struct.Struct(">4sQQ")
 
 #: Packed payloads keyed by trace identity.  Cleared wholesale past the cap
-#: (same policy as the hashstore's hash memo): traces are large, and a
-#: sweep touches only a handful of distinct ones at a time.
+#: rather than evicted one by one: traces are large, and a sweep touches
+#: only a handful of distinct ones at a time.
 _MEMO: dict = {}
 _MEMO_MAX = 8
 

@@ -26,13 +26,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
+from math import log
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from ..dedup.fingerprint import Fingerprint, synthetic_fingerprint
+from ..dedup.fingerprint import Fingerprint, column_builder
 from ..simulation.rng import RandomStreams
 from .profiles import WorkloadProfile
 
 __all__ = ["TraceStatistics", "FingerprintTrace", "TraceGenerator", "measure_trace"]
+
+#: Digests are SHA-1 outputs and chunk sizes come from a validated profile,
+#: so blocks skip ``Fingerprint.__post_init__``.
+_build_fingerprints = column_builder(Fingerprint)
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,10 @@ class TraceGenerator:
     #: realised reuse distance close to the sampled one.
     _FRESH_SEARCH_RADIUS = 64
 
+    #: Fingerprints built and yielded together: enough to amortise the bulk
+    #: constructor, few enough that ``generate()`` stays lazy.
+    _BLOCK = 4096
+
     def __init__(
         self,
         profile: WorkloadProfile,
@@ -109,53 +119,57 @@ class TraceGenerator:
         total = self.profile.fingerprints if count is None else int(count)
         if total < 1:
             raise ValueError("count must be >= 1")
-        rng = self._rng
+        random = self._rng.random
         redundancy = self.profile.redundancy
-        mean_distance = self.profile.duplicate_distance
+        lambd = 1.0 / self.profile.duplicate_distance
         chunk_size = self.profile.chunk_size
+        radius = self._FRESH_SEARCH_RADIUS
+        identity_base = self._identity_base
+        sha1 = hashlib.sha1
 
-        history: List[int] = []            # identity emitted at each position
-        last_position: Dict[int, int] = {}  # identity -> most recent position
-        next_identity = 0
+        # Identities are numbered 0, 1, 2, ... in order of first emission.
+        history: List[int] = []        # identity emitted at each position
+        last_position: List[int] = []  # identity -> most recent position
+        digests: List[bytes] = []      # identity -> synthetic_fingerprint's digest
 
-        for position in range(total):
-            emit_duplicate = history and rng.random() < redundancy
-            if emit_duplicate:
-                identity = self._pick_duplicate(rng, history, last_position, position, mean_distance)
-            else:
-                identity = self._identity_base + next_identity
-                next_identity += 1
-            history.append(identity)
-            last_position[identity] = position
-            yield synthetic_fingerprint(identity, chunk_size)
+        for start in range(0, total, self._BLOCK):
+            block: List[bytes] = []
+            for position in range(start, min(start + self._BLOCK, total)):
+                if position and random() < redundancy:
+                    # Re-emit the identity last seen ~d back, d ~ Exp(mean
+                    # distance): ``rng.expovariate(lambd)`` written out.
+                    distance = round(-log(1.0 - random()) / lambd)
+                    target = position - (1 if distance < 1 else min(distance, position))
+                    # Prefer a position that is still the *latest* occurrence
+                    # of its identity, nearest first and the earlier of two at
+                    # equal offset, so the realised reuse distance matches the
+                    # sampled one; in a dense reuse region fall back to the
+                    # sampled position's identity.
+                    identity = history[target]
+                    if last_position[identity] != target:
+                        for offset in range(1, radius):
+                            candidate = target - offset
+                            if candidate >= 0 and last_position[history[candidate]] == candidate:
+                                identity = history[candidate]
+                                break
+                            candidate = target + offset
+                            if candidate < position and last_position[history[candidate]] == candidate:
+                                identity = history[candidate]
+                                break
+                    last_position[identity] = position
+                    digest = digests[identity]
+                else:
+                    identity = len(digests)
+                    last_position.append(position)
+                    digest = sha1((identity_base + identity).to_bytes(16, "big")).digest()
+                    digests.append(digest)
+                history.append(identity)
+                block.append(digest)
+            yield from _build_fingerprints(len(block), block, repeat(chunk_size))
 
     def materialize(self, count: Optional[int] = None) -> FingerprintTrace:
         """Generate the trace eagerly and wrap it with its profile."""
         return FingerprintTrace(profile=self.profile, fingerprints=list(self.generate(count)))
-
-    # -- duplicate selection ------------------------------------------------------------
-    def _pick_duplicate(
-        self,
-        rng,
-        history: List[int],
-        last_position: Dict[int, int],
-        position: int,
-        mean_distance: float,
-    ) -> int:
-        """Choose an existing identity whose last occurrence is ~``d`` back."""
-        limit = len(history)
-        distance = min(limit, max(1, round(rng.expovariate(1.0 / mean_distance))))
-        target = position - distance
-        # Prefer a position that is still the *latest* occurrence of its
-        # identity, so the realised reuse distance matches the sampled one.
-        for offset in range(self._FRESH_SEARCH_RADIUS):
-            for candidate in (target - offset, target + offset):
-                if 0 <= candidate < limit:
-                    identity = history[candidate]
-                    if last_position[identity] == candidate:
-                        return identity
-        # Dense reuse region: fall back to the sampled position's identity.
-        return history[max(0, min(limit - 1, target))]
 
 
 def measure_trace(fingerprints: Iterable[Fingerprint]) -> TraceStatistics:

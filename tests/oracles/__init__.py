@@ -13,5 +13,9 @@ carries one implementation per job.
 * :mod:`oracles.batch_routing` -- each fingerprint grouped under the first
   live node of its own replica set, resolved through the partitioner;
 * :mod:`oracles.cluster_reference` -- the per-reply batch routing path the
-  cluster's routed core replaced, kept verbatim.
+  cluster's routed core replaced, kept verbatim;
+* :mod:`oracles.trace_generator` -- the trace generator's per-position loop
+  (``expovariate``, a SHA-1 and a validated ``Fingerprint`` per position);
+* :mod:`oracles.resource_link` -- the network link whose port is a
+  ``Resource``, with an ``Event`` per grant and per delivery.
 """

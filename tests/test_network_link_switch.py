@@ -48,12 +48,12 @@ class TestNetworkLink:
     def test_simulated_delivery_takes_total_time(self, sim):
         link = NetworkLink(sim, latency=1e-3, bandwidth=1e6)
         message = make_message(payload_bytes=1000 - MESSAGE_HEADER_BYTES)
-        times = []
-        event = link.send(message, on_delivery=lambda _m: times.append(sim.now))
-        assert not event.triggered
+        delivered = []
+        assert link.send(message, on_delivery=lambda m: delivered.append((sim.now, m))) is None
+        assert delivered == []
         sim.run()
-        assert times == [pytest.approx(2e-3)]
-        assert event.value is message
+        assert delivered == [(pytest.approx(2e-3), message)]
+        assert delivered[0][1] is message
         assert link.messages_sent == 1
         assert link.bytes_sent == message.wire_bytes
 

@@ -12,6 +12,7 @@ checked against the same goldens, so preset and module provably agree.
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,13 @@ import pytest
 from repro.scenarios import run_scenario, spec_for
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# The benchmark harness (a package at the repository root) owns the pinned
+# full-size figure5 throughputs; they are imported, not copied.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
+from bench.sim import NODES, PINNED_VIRTUAL_FPS  # noqa: E402
 
 #: preset name -> the spec overrides matching the golden file's parameters.
 GOLDEN_CASES = {
@@ -83,3 +91,12 @@ def test_package_reexports_match_the_same_goldens():
 
     assert run_figure6(num_nodes=4, scale=0.002).render() + "\n" == golden_text("figure6")
     assert run_scaling_ablation(scale=0.004).render() + "\n" == golden_text("scaling_ablation")
+
+
+@pytest.mark.parametrize("leg", sorted(PINNED_VIRTUAL_FPS[1]), ids=lambda leg: f"b{leg[0]}")
+def test_figure5_bench_legs_reproduce_the_pinned_virtual_throughput(leg):
+    """``sim_figure5``'s seed-1 legs, exactly as the benchmark runs them."""
+    batch, scale = leg
+    result = run_scenario("figure5", node_counts=[NODES], batch_sizes=[batch],
+                          scale=scale, seed=1)
+    assert result.metrics["points"][0]["throughput"] == PINNED_VIRTUAL_FPS[1][leg]

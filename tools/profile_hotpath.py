@@ -18,6 +18,7 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py cluster --gc --requests 800000 --batch 2048
     PYTHONPATH=src python tools/profile_hotpath.py persist --entries 240000
     PYTHONPATH=src python tools/profile_hotpath.py serve --requests 512000
+    PYTHONPATH=src python tools/profile_hotpath.py sim
 
 ``cluster --gc`` adds the cyclic collector's account of the same path,
 measured with cProfile off on a caller shaped like ``bench/``'s
@@ -52,6 +53,14 @@ rows summing to the total; then what the same recording costs where
 ``lookup_batch`` pays it.  No socket, no gateway, no checkpoints
 (``snapshot_every=0``).  It wraps the node's private ``_kernel`` slot, which
 exists since PR 24: older checkouts need that commit's copy of this file.
+
+``sim`` is ``bench/``'s ``sim_figure5`` cycle leg by leg (no cProfile):
+``run_scenario("figure5")`` on 4 nodes at each of the three legs, cold
+(the trace memo cleared, as the bench does), five times, and per leg the
+mean seconds in trace generation (``WorkloadMix.streams``), in
+``Simulator.run`` and in the rest (deployment, client set-up, result),
+rows summing to the leg.  It wraps public names only, so
+``PYTHONPATH=<other checkout>/src`` splits another commit's legs the same way.
 
 Perf PRs should start from this data: optimise what is hot, pin what must
 stay byte-identical (see ``tests/test_routed_batch_equivalence.py``).
@@ -414,6 +423,52 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
               f"{(now() - began) / keys / 1e3:.3f} us/fp, not on this path)")
 
 
+#: bench/spec.py's sim_figure5 legs (batch size, trace scale) on bench/sim.py's 4 nodes.
+_SIM_LEGS = ((1, 0.00005), (128, 0.0005), (2048, 0.0005))
+_SIM_REPEATS = 5
+
+
+def sim_report() -> None:
+    """Where a ``sim_figure5`` leg's wall-clock goes: trace, event engine, rest."""
+    from repro.scenarios import run_scenario
+    from repro.simulation.engine import Simulator
+    from repro.workloads.mixer import WorkloadMix
+    from repro.workloads.trace_cache import clear_memo
+
+    spent = {"trace generation": 0.0, "Simulator.run": 0.0}
+
+    def timed(stage, function):
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                spent[stage] += time.perf_counter() - started
+        return wrapper
+
+    streams, run = WorkloadMix.streams, Simulator.run
+    WorkloadMix.streams = timed("trace generation", streams)
+    Simulator.run = timed("Simulator.run", run)
+    try:
+        print(f"=== sim: figure5 legs on 4 nodes, seed 1, mean of {_SIM_REPEATS} cold runs ===")
+        print(f"  {'leg':<8} {'trace generation':>18} {'Simulator.run':>18} {'rest':>18} {'leg':>9}")
+        for batch, scale in _SIM_LEGS:
+            spent.update(dict.fromkeys(spent, 0.0))
+            leg_s = 0.0
+            for _ in range(_SIM_REPEATS):
+                clear_memo()  # as bench/sim.py: every leg regenerates its trace
+                started = time.perf_counter()
+                run_scenario("figure5", node_counts=[4], batch_sizes=[batch], scale=scale, seed=1)
+                leg_s += time.perf_counter() - started
+            rows = [spent["trace generation"], spent["Simulator.run"]]
+            rows.append(leg_s - sum(rows))
+            print(f"  b{batch:<7}" + "".join(
+                f" {value / _SIM_REPEATS:9.4f} s {value / leg_s:5.1%}" for value in rows
+            ) + f" {leg_s / _SIM_REPEATS:7.4f} s")
+    finally:
+        WorkloadMix.streams, Simulator.run = streams, run
+
+
 def _rss_mb() -> float:
     with open("/proc/self/statm", encoding="ascii") as statm:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
@@ -463,7 +518,7 @@ def _profile_one(label: str, fn, top: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("target", nargs="?", default="all",
-                        choices=("all", "cluster", "sweep", "persist", "serve"))
+                        choices=("all", "cluster", "sweep", "persist", "serve", "sim"))
     parser.add_argument("--top", type=int, default=20,
                         help="how many functions to print (default 20)")
     parser.add_argument("--requests", type=int, default=16_000,
@@ -480,6 +535,9 @@ def main(argv=None) -> int:
         return 0
     if args.target == "serve":
         serve_report(args.requests)
+        return 0
+    if args.target == "sim":
+        sim_report()
         return 0
     if args.target in ("all", "cluster"):
         profile_cluster(args.top, args.requests, args.batch)
