@@ -48,30 +48,17 @@ Quickstart
 True
 """
 
-from .core.cluster import SHHCCluster
-from .core.config import ClusterConfig, HashNodeConfig
-from .core.hash_node import HybridHashNode
-from .frontend.gateway import BackupService, build_simulated_service
-from .scenarios import ScenarioSpec, SweepGrid, run_scenario, run_sweep, spec_for
-from .workloads.profiles import TABLE_I_PROFILES, WorkloadProfile
-from .workloads.traces import TraceGenerator
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SHHCCluster",
-    "ClusterConfig",
-    "HashNodeConfig",
-    "HybridHashNode",
-    "BackupService",
-    "build_simulated_service",
-    "ScenarioSpec",
-    "SweepGrid",
-    "run_scenario",
-    "run_sweep",
-    "spec_for",
-    "TABLE_I_PROFILES",
-    "WorkloadProfile",
-    "TraceGenerator",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.cluster": ("SHHCCluster",),
+    ".core.config": ("ClusterConfig", "HashNodeConfig"),
+    ".core.hash_node": ("HybridHashNode",),
+    ".frontend.gateway": ("BackupService", "build_simulated_service"),
+    ".scenarios": ("ScenarioSpec", "SweepGrid", "run_scenario", "run_sweep", "spec_for"),
+    ".workloads.profiles": ("TABLE_I_PROFILES", "WorkloadProfile"),
+    ".workloads.traces": ("TraceGenerator",),
+})
+__all__.append("__version__")

@@ -19,6 +19,11 @@ Usage (after ``pip install -e .``)::
 emits a machine-readable JSON grid of the uniform metrics.
 ``backup``/``restore`` exercise the library as a real file-level
 deduplicating archiver backed by an on-disk chunk store.
+
+Only the standard library is imported at module level; each subcommand
+imports what it runs.  A ``spawn``ed worker re-runs its parent's
+``__main__`` imports, so under ``python -m repro.cli serve`` anything
+imported here would be paid again by every worker process.
 """
 
 from __future__ import annotations
@@ -27,27 +32,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .core.cluster import SHHCCluster
-from .core.config import ClusterConfig, HashNodeConfig
-from .dedup.archive import DirectoryArchiver
-from .dedup.chunking import ContentDefinedChunker
-from .scenarios import (
-    ScenarioSpec,
-    SpecError,
-    SweepGrid,
-    available_presets,
-    get_preset,
-    parse_setting,
-    run_scenario,
-    run_sweep,
-    spec_for,
-)
-from .storage.hashstore import FileHashStore
-from .storage.object_store import CloudObjectStore
-from .workloads.profiles import profile_by_name
-from .workloads.traces import TraceGenerator
+if TYPE_CHECKING:
+    from .dedup.archive import DirectoryArchiver
+    from .scenarios import ScenarioSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -55,6 +44,8 @@ __all__ = ["main", "build_parser"]
 # --------------------------------------------------------------------------- scenarios
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     """Build the scenario spec from ``--spec``/``--set`` CLI arguments."""
+    from .scenarios import ScenarioSpec, SpecError, apply_overrides, parse_setting, spec_for
+
     overrides = dict(parse_setting(setting) for setting in (args.set or []))
     if getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as handle:
@@ -63,8 +54,6 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
             raise SpecError(
                 f"--spec file is for preset {spec.preset!r} but {args.preset!r} was requested"
             )
-        from .scenarios import apply_overrides
-
         return apply_overrides(spec, overrides)
     if not args.preset:
         raise SpecError("a preset name (or --spec FILE) is required; see `repro presets`")
@@ -82,6 +71,8 @@ def _emit_json(payload_owner, path: Optional[str]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .scenarios import SpecError, run_scenario
+
     try:
         spec = _spec_from_args(args)
         result = run_scenario(spec)
@@ -95,6 +86,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .scenarios import SpecError, SweepGrid, run_sweep
+
     try:
         spec = _spec_from_args(args)
         grid = SweepGrid.parse(args.axis, mode="zip" if args.zip else "cartesian")
@@ -123,6 +116,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
+    from .scenarios import available_presets, get_preset
+
     for name in available_presets():
         preset = get_preset(name)
         print(f"{name}: {preset.description}")
@@ -240,6 +235,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------------- traces
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .workloads.profiles import profile_by_name
+    from .workloads.traces import TraceGenerator
+
     profile = profile_by_name(args.workload).scaled(args.scale)
     generator = TraceGenerator(profile, seed=args.seed)
     destination = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
@@ -260,25 +258,30 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- backup / restore
-class _PersistentObjectStore(CloudObjectStore):
-    """Object store that keeps chunk payloads in an on-disk FileHashStore."""
+def _persistent_object_store(directory: str):
+    """An object store that keeps chunk payloads in an on-disk FileHashStore."""
+    from .storage.hashstore import FileHashStore
+    from .storage.object_store import CloudObjectStore
 
-    def __init__(self, directory: str) -> None:
-        super().__init__()
-        os.makedirs(directory, exist_ok=True)
-        self._backing = FileHashStore(os.path.join(directory, "chunks.log"))
-        # Preload previously stored chunks so dedup carries across runs.
-        for key, value in self._backing.items():
-            super().put(key, value)
+    class PersistentObjectStore(CloudObjectStore):
+        def __init__(self) -> None:
+            super().__init__()
+            os.makedirs(directory, exist_ok=True)
+            self._backing = FileHashStore(os.path.join(directory, "chunks.log"))
+            # Preload previously stored chunks so dedup carries across runs.
+            for key, value in self._backing.items():
+                super().put(key, value)
 
-    def put(self, key: bytes, data: bytes) -> bool:
-        is_new = super().put(key, data)
-        if is_new:
-            self._backing.put(key, data)
-        return is_new
+        def put(self, key: bytes, data: bytes) -> bool:
+            is_new = super().put(key, data)
+            if is_new:
+                self._backing.put(key, data)
+            return is_new
 
-    def close(self) -> None:
-        self._backing.close()
+        def close(self) -> None:
+            self._backing.close()
+
+    return PersistentObjectStore()
 
 
 def _catalog_chunking(catalog_path: str) -> dict:
@@ -309,13 +312,18 @@ def _catalog_chunking(catalog_path: str) -> dict:
 
 
 def _make_archiver(args: argparse.Namespace) -> DirectoryArchiver:
+    from .core.cluster import SHHCCluster
+    from .core.config import ClusterConfig, HashNodeConfig
+    from .dedup.archive import DirectoryArchiver
+    from .dedup.chunking import ContentDefinedChunker
+
     cluster = SHHCCluster(
         ClusterConfig(
             num_nodes=args.nodes,
             node=HashNodeConfig(ram_cache_entries=200_000, bloom_expected_items=2_000_000),
         )
     )
-    store = _PersistentObjectStore(args.store)
+    store = _persistent_object_store(args.store)
     recorded = _catalog_chunking(args.catalog)
     engine = args.chunk_engine or recorded.get("engine")
     if engine not in ("gear", "rabin"):

@@ -1,56 +1,17 @@
 """SHHC core: the scalable hybrid hash cluster (the paper's contribution)."""
 
-from .cluster import SHHCCluster
-from .config import ClusterConfig, HashNodeConfig
-from .fault_injection import (
-    FaultEvent,
-    FaultInjector,
-    FaultSchedule,
-    FlakyNode,
-    NodeUnavailableError,
-    make_flaky,
-    rolling_outage_schedule,
-)
-from .hash_node import HybridHashNode, NodeSnapshot
-from .membership import MembershipManager, MigrationReport
-from .persistence import NodePersistence, PersistencePolicy, RecoveryReport
-from .metrics import ClusterMetrics, LoadBalanceReport
-from .partition import ConsistentHashRing, Partitioner, RangePartitioner
-from .protocol import (
-    BatchLookupReply,
-    BatchLookupRequest,
-    LookupReply,
-    ServedFrom,
-)
-from .replication import ReplicaConsistencyReport, ReplicationController
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSchedule",
-    "FlakyNode",
-    "NodeUnavailableError",
-    "make_flaky",
-    "rolling_outage_schedule",
-    "SHHCCluster",
-    "ClusterConfig",
-    "HashNodeConfig",
-    "HybridHashNode",
-    "NodeSnapshot",
-    "MembershipManager",
-    "MigrationReport",
-    "NodePersistence",
-    "PersistencePolicy",
-    "RecoveryReport",
-    "ClusterMetrics",
-    "LoadBalanceReport",
-    "ConsistentHashRing",
-    "Partitioner",
-    "RangePartitioner",
-    "BatchLookupReply",
-    "BatchLookupRequest",
-    "LookupReply",
-    "ServedFrom",
-    "ReplicaConsistencyReport",
-    "ReplicationController",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".fault_injection": ("FaultEvent", "FaultInjector", "FaultSchedule", "FlakyNode",
+                         "NodeUnavailableError", "make_flaky", "rolling_outage_schedule"),
+    ".cluster": ("SHHCCluster",),
+    ".config": ("ClusterConfig", "HashNodeConfig"),
+    ".hash_node": ("HybridHashNode", "NodeSnapshot"),
+    ".membership": ("MembershipManager", "MigrationReport"),
+    ".persistence": ("NodePersistence", "PersistencePolicy", "RecoveryReport"),
+    ".metrics": ("ClusterMetrics", "LoadBalanceReport"),
+    ".partition": ("ConsistentHashRing", "Partitioner", "RangePartitioner"),
+    ".protocol": ("BatchLookupReply", "BatchLookupRequest", "LookupReply", "ServedFrom"),
+    ".replication": ("ReplicaConsistencyReport", "ReplicationController"),
+})

@@ -1,42 +1,14 @@
 """Deduplication substrate: chunking, fingerprinting, indexes, directory archives."""
 
-from .archive import ArchiveStats, DirectoryArchiver, FileEntry, Snapshot
-from .chunking import Chunk, Chunker, ContentDefinedChunker, FixedSizeChunker
-from .fingerprint import (
-    FINGERPRINT_BYTES,
-    Fingerprint,
-    fingerprint_data,
-    synthetic_fingerprint,
-)
-from .gear import GEAR_TABLE, GearChunker, gear_cut, gear_threshold
-from .index import ChunkIndex, ChunkLocation, InMemoryChunkIndex, LookupResult
-from .rabin import RabinRollingHash
-from .segment import Segment, interleave_streams, locality_score, segment_stream
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArchiveStats",
-    "DirectoryArchiver",
-    "FileEntry",
-    "Snapshot",
-    "Chunk",
-    "Chunker",
-    "ContentDefinedChunker",
-    "FixedSizeChunker",
-    "FINGERPRINT_BYTES",
-    "Fingerprint",
-    "fingerprint_data",
-    "synthetic_fingerprint",
-    "GEAR_TABLE",
-    "GearChunker",
-    "gear_cut",
-    "gear_threshold",
-    "ChunkIndex",
-    "ChunkLocation",
-    "InMemoryChunkIndex",
-    "LookupResult",
-    "RabinRollingHash",
-    "Segment",
-    "interleave_streams",
-    "locality_score",
-    "segment_stream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".archive": ("ArchiveStats", "DirectoryArchiver", "FileEntry", "Snapshot"),
+    ".chunking": ("Chunk", "Chunker", "ContentDefinedChunker", "FixedSizeChunker"),
+    ".fingerprint": ("FINGERPRINT_BYTES", "Fingerprint", "fingerprint_data",
+                     "synthetic_fingerprint"),
+    ".gear": ("GEAR_TABLE", "GearChunker", "gear_cut", "gear_threshold"),
+    ".index": ("ChunkIndex", "ChunkLocation", "InMemoryChunkIndex", "LookupResult"),
+    ".rabin": ("RabinRollingHash",),
+    ".segment": ("Segment", "interleave_streams", "locality_score", "segment_stream"),
+})

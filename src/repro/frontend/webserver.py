@@ -152,9 +152,9 @@ class WebFrontEnd:
             # replica set so batches keep finding their data while nodes are
             # down, and stamp the client's request id on the sub-batches so
             # node replies can be correlated with this request.  The split
-            # runs here, at the same simulated instant as the calls, so no
-            # crash event can land between sampling liveness and dispatching.
-            # Routing goes through the cluster's epoch-keyed replica-set
+            # runs here, after the per-request overhead and at the same
+            # simulated instant as the calls, so it routes by the liveness
+            # at dispatch, not at the request's arrival.  Routing goes through the cluster's epoch-keyed replica-set
             # cache (grouping-identical to tests/oracles/batch_routing.py), so
             # every front-end shares one resolution of each digest.
             per_node = self.cluster.route_batch(

@@ -24,16 +24,10 @@ through the standard :class:`~repro.scenarios.result.ScenarioResult`
 schema.  See ``docs/serving.md`` for the wire protocol and methodology.
 """
 
-from .gateway import ServeConfig, ServiceGateway, ServingError
-from .loadgen import LoadtestConfig, LoadtestReport, run_loadtest
-from .worker import WorkerSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ServeConfig",
-    "ServiceGateway",
-    "ServingError",
-    "LoadtestConfig",
-    "LoadtestReport",
-    "run_loadtest",
-    "WorkerSpec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".gateway": ("ServeConfig", "ServiceGateway", "ServingError"),
+    ".loadgen": ("LoadtestConfig", "LoadtestReport", "run_loadtest"),
+    ".worker": ("WorkerSpec",),
+})

@@ -149,7 +149,7 @@ class _Worker:
     __slots__ = (
         "index", "node_id", "process", "pipe", "port", "pid", "reader", "writer",
         "queue", "pending", "ready", "restarts", "sent", "replies", "warm_starts",
-        "recovery", "supervisor",
+        "recovery", "report", "start", "supervisor",
     )
 
     def __init__(self, index: int, node_id: str, max_queue: int) -> None:
@@ -174,6 +174,10 @@ class _Worker:
         self.warm_starts = 0
         #: What the latest warm start replayed (the worker's ready report).
         self.recovery: Optional[Dict[str, Any]] = None
+        #: The latest ready report, plus the gateway's ``launched`` stamp.
+        self.report: Dict[str, Any] = {}
+        #: Where the latest spawn's time went (see ``_worker_ready``).
+        self.start: Optional[Dict[str, float]] = None
         self.supervisor: Optional[asyncio.Task] = None
 
     def fail_outstanding(self, reply: Dict[str, Any]) -> int:
@@ -346,6 +350,7 @@ class ServiceGateway:
             target=worker_main, args=(spec, child_conn), daemon=True
         )
         loop = asyncio.get_event_loop()
+        launched = time.monotonic()
         await loop.run_in_executor(None, process.start)
         child_conn.close()
 
@@ -369,15 +374,36 @@ class ServiceGateway:
         worker.process = process
         worker.port = int(ready["port"])
         worker.pid = int(ready["pid"])
-        warm = bool(ready.get("warm"))
+        worker.report = dict(ready, launched=launched)
+
+    def _worker_ready(self, worker: _Worker, connected: float) -> None:
+        """A fresh worker is connected: record what its start did, and say so.
+
+        ``start`` splits the spawn, ``process.start`` to connected, by
+        ``time.monotonic()`` stamps taken in both processes: the interpreter
+        and its imports (``start_ms``), building the node -- opening the
+        store plus any recovery (``build_ms``) -- and binding, the ready
+        report and the gateway's connect (``ready_ms``); they sum to
+        ``spawn_ms``.
+        """
+        report = worker.report
+        warm = bool(report.get("warm"))
         if warm:
             worker.warm_starts += 1
             worker.recovery = {
-                key: ready.get(key, 0)
+                key: report.get(key, 0)
                 for key in ("records", "replayed", "truncated_bytes", "recovery_ms")
             }
-        self._event("worker_ready", node=spec.node_id, pid=worker.pid, warm=warm,
-                    entries=ready.get("entries", 0), **(worker.recovery if warm else {}))
+        launched, entered, built = report["launched"], report["entered"], report["built"]
+        worker.start = {
+            "start_ms": (entered - launched) * 1e3,
+            "build_ms": (built - entered) * 1e3,
+            "ready_ms": (connected - built) * 1e3,
+            "spawn_ms": (connected - launched) * 1e3,
+        }
+        self._event("worker_ready", node=worker.node_id, pid=worker.pid, warm=warm,
+                    entries=report.get("entries", 0), **(worker.recovery if warm else {}),
+                    **worker.start)
 
     async def _supervise(self, worker: _Worker) -> None:
         """Connect, pump frames, and respawn the worker for as long as we run."""
@@ -389,6 +415,7 @@ class ServiceGateway:
             except OSError:
                 await asyncio.sleep(0.05)
                 continue
+            self._worker_ready(worker, time.monotonic())
             _no_nagle(writer)
             worker.reader, worker.writer = reader, writer
             worker.ready.set()
@@ -716,6 +743,7 @@ class ServiceGateway:
                     "restarts": worker.restarts,
                     "warm_starts": worker.warm_starts,
                     "recovery": worker.recovery,
+                    "start": worker.start,
                 }
                 for worker in self.workers
             ],

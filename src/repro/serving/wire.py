@@ -39,13 +39,15 @@ readers decode a packed payload into the dict its codec twin would carry
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..storage.packing import DIGEST_BYTES
+
+if TYPE_CHECKING:
+    import asyncio
 
 __all__ = [
     "WireError",
@@ -221,17 +223,22 @@ def _payload_length(header: bytes) -> int:
 
 
 async def read_frame(reader: asyncio.StreamReader, codec=JsonCodec) -> Optional[Dict[str, Any]]:
-    """Read one frame from an asyncio stream; ``None`` on clean EOF."""
+    """Read one frame from an asyncio stream; ``None`` on clean EOF.
+
+    ``readexactly`` signals EOF with ``asyncio.IncompleteReadError``, an
+    ``EOFError``; catching the base keeps asyncio out of the worker, which
+    imports this module but never runs an event loop.
+    """
     try:
         header = await reader.readexactly(LENGTH_PREFIX.size)
-    except asyncio.IncompleteReadError as error:
+    except EOFError as error:
         if not error.partial:
             return None  # clean EOF between frames
         raise WireError("connection closed mid-frame") from None
     length = _payload_length(header)
     try:
         payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
+    except EOFError:
         raise WireError("connection closed mid-frame") from None
     return decode_payload(payload, codec)
 

@@ -25,7 +25,7 @@ import os
 import socket
 import sys
 from dataclasses import dataclass, field
-from time import perf_counter_ns
+from time import monotonic, perf_counter_ns
 from typing import Any, Dict, Optional
 
 from ..core.config import HashNodeConfig
@@ -197,14 +197,19 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     """Process entry point: build the node, report readiness, serve forever.
 
     ``ready_conn`` is the gateway's end of a ``multiprocessing.Pipe``; the
-    worker sends ``{"port", "pid", "entries", "warm"}`` (plus ``records``,
-    ``replayed``, ``truncated_bytes`` and ``recovery_ms`` of a warm start)
-    exactly once, after recovery, and closes it.  Startup failures are reported over the same
-    pipe as ``{"error": ...}`` so the gateway can raise a useful message
-    instead of timing out.
+    worker sends ``{"port", "pid", "entries", "warm", "entered", "built"}``
+    (plus ``records``, ``replayed``, ``truncated_bytes`` and ``recovery_ms``
+    of a warm start) exactly once, after recovery, and closes it.
+    ``entered`` and ``built`` are ``time.monotonic()`` on entry and once the
+    node is built -- system-wide on Linux, so the gateway can set them
+    against its own stamps to attribute the start-up.  Startup failures are
+    reported over the same pipe as ``{"error": ...}`` so the gateway can
+    raise a useful message instead of timing out.
     """
+    entered = monotonic()
     try:
         node = spec.build_node()
+        built = monotonic()
         codec = get_codec(spec.codec)
         listener = socket.create_server((spec.host, 0))
         listener.listen(4)
@@ -221,6 +226,8 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
         "pid": os.getpid(),
         "entries": len(node.store),
         "warm": recovery is not None,
+        "entered": entered,
+        "built": built,
     }
     if recovery is not None:
         # What the recovery did, for the gateway's respawn line and /stats.

@@ -7,30 +7,12 @@ based processes (:mod:`.process`), the shared resource they queue on
 statistics collectors (:mod:`.stats`).
 """
 
-from .engine import Event, SimulationError, Simulator
-from .process import Process, run_process
-from .resources import Resource
-from .rng import RandomStreams, derive_seed
-from .stats import (
-    Counter,
-    LatencyRecorder,
-    ReservoirSample,
-    SummaryStats,
-    percentile,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "SimulationError",
-    "Simulator",
-    "Process",
-    "run_process",
-    "Resource",
-    "RandomStreams",
-    "derive_seed",
-    "Counter",
-    "LatencyRecorder",
-    "ReservoirSample",
-    "SummaryStats",
-    "percentile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".engine": ("Event", "SimulationError", "Simulator"),
+    ".process": ("Process", "run_process"),
+    ".resources": ("Resource",),
+    ".rng": ("RandomStreams", "derive_seed"),
+    ".stats": ("Counter", "LatencyRecorder", "ReservoirSample", "SummaryStats", "percentile"),
+})

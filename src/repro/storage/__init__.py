@@ -1,45 +1,15 @@
 """Storage substrate: device models, caches, filters, and persistent stores."""
 
-from .bloom import BloomFilter, optimal_parameters
-from .cuckoo import CuckooHashTable, CuckooInsertError
-from .devices import (
-    HDD_SPEC,
-    RAM_SPEC,
-    SSD_SPEC,
-    DeviceSpec,
-    StorageDevice,
-    make_hdd,
-    make_ram,
-    make_ssd,
-)
-from .hashstore import FileHashStore, IOOperation, SSDHashStore
-from .lru import LRUCache
-from .object_store import CloudObjectStore, StoredObject
-from .snapshot import SnapshotError, read_snapshot, write_snapshot
-from .wal import LogRecord, WriteAheadLog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BloomFilter",
-    "optimal_parameters",
-    "CuckooHashTable",
-    "CuckooInsertError",
-    "DeviceSpec",
-    "StorageDevice",
-    "RAM_SPEC",
-    "SSD_SPEC",
-    "HDD_SPEC",
-    "make_ram",
-    "make_ssd",
-    "make_hdd",
-    "FileHashStore",
-    "IOOperation",
-    "SSDHashStore",
-    "LRUCache",
-    "CloudObjectStore",
-    "StoredObject",
-    "LogRecord",
-    "WriteAheadLog",
-    "SnapshotError",
-    "read_snapshot",
-    "write_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bloom": ("BloomFilter", "optimal_parameters"),
+    ".cuckoo": ("CuckooHashTable", "CuckooInsertError"),
+    ".devices": ("DeviceSpec", "StorageDevice", "RAM_SPEC", "SSD_SPEC", "HDD_SPEC",
+                 "make_ram", "make_ssd", "make_hdd"),
+    ".hashstore": ("FileHashStore", "IOOperation", "SSDHashStore"),
+    ".lru": ("LRUCache",),
+    ".object_store": ("CloudObjectStore", "StoredObject"),
+    ".wal": ("LogRecord", "WriteAheadLog"),
+    ".snapshot": ("SnapshotError", "read_snapshot", "write_snapshot"),
+})

@@ -382,6 +382,62 @@ def test_worker_kill_respawns_with_zero_lost_acks(tmp_path):
     assert report.acked_fingerprints == report.offered_fingerprints
 
 
+_START_STAGES = ("start_ms", "build_ms", "ready_ms")
+
+
+def _check_start(start) -> None:
+    assert set(start) == {*_START_STAGES, "spawn_ms"}, start
+    assert all(value >= 0 for value in start.values()), start
+    assert abs(sum(start[stage] for stage in _START_STAGES) - start["spawn_ms"]) <= 1.0, start
+
+
+def test_worker_start_up_is_attributed_stage_by_stage(tmp_path, capsys):
+    """Every spawn -- the first and the respawn after a kill -- is split into
+    interpreter + imports, node build and connect, in the ``worker_ready``
+    event and in ``/stats``, and the rows sum to the whole spawn."""
+    digests = "".join(f"{i << 154:040x}" for i in range(64))  # both shards
+
+    async def _go():
+        gateway = ServiceGateway(_serve_config(tmp_path), verbose=True)
+        await gateway.start()
+        try:
+            first = json.loads((await _http_get(gateway.port, "/stats"))[1])
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            for message in ({"t": "batch", "id": 1, "d": digests, "s": 4096},
+                            {"t": "kill_worker", "id": 2, "node": "node1"}):
+                writer.write(encode_frame(message))
+                await writer.drain()
+                assert (await asyncio.wait_for(read_frame(reader), timeout=10.0))["ok"]
+            writer.close()
+            respawned = gateway.workers[1]
+            for _ in range(3_000):
+                if respawned.restarts and respawned.ready.is_set():
+                    break
+                await asyncio.sleep(0.01)
+            after = json.loads((await _http_get(gateway.port, "/stats"))[1])
+        finally:
+            await gateway.close()
+        return first, after
+
+    first, after = asyncio.run(_go())
+    ready = [record for record in map(json.loads, capsys.readouterr().err.splitlines())
+             if record["event"] == "worker_ready"]
+    spawns = [(record["node"], record["warm"]) for record in ready]
+    assert sorted(spawns[:2]) == [("node0", False), ("node1", False)]
+    assert spawns[2:] == [("node1", True)]
+    for record in ready:
+        _check_start({key: record[key] for key in (*_START_STAGES, "spawn_ms")})
+    for row in first["workers"]:
+        _check_start(row["start"])
+    survivor, respawned = after["workers"]
+    assert survivor["start"] == first["workers"][0]["start"]
+    assert respawned["restarts"] == 1 and respawned["start"] != first["workers"][1]["start"]
+    _check_start(respawned["start"])
+    assert respawned["start"] == {key: ready[-1][key] for key in respawned["start"]}
+    # The warm respawn's recovery is one part of building its node.
+    assert 0 < respawned["recovery"]["recovery_ms"] <= respawned["start"]["build_ms"]
+
+
 def test_shed_on_overload_replies_overloaded():
     async def _go():
         gateway = ServiceGateway(_serve_config(max_queue=1, max_inflight=2))
