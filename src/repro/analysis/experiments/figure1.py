@@ -116,20 +116,20 @@ def _drive_one_configuration(
     ]
     completion = {"done": 0, "last_time": 0.0}
 
-    def _on_reply(_event) -> None:
+    def _on_reply(_reply) -> None:
         completion["done"] += 1
         completion["last_time"] = sim.now
 
     def _send(fingerprint: Fingerprint) -> None:
         owner = cluster.partitioner.owner(fingerprint)
         request = BatchLookupRequest(fingerprints=[fingerprint], client_id="driver")
-        call = network.rpc.call(
+        network.rpc.call(
             source="client-0",
             destination=owner,
             payload=request,
             payload_bytes=request.payload_bytes,
+            on_response=_on_reply,
         )
-        call.add_callback(_on_reply)
 
     arrivals = OpenLoopArrivals(rate=rate, count=requests, jitter=0.0, seed=seed)
     for arrival_time, fingerprint in zip(arrivals.times(), fingerprints):

@@ -18,10 +18,12 @@ fingerprint at a time and are the readable reference of the replication
 semantics below (:meth:`SHHCCluster._resolve_reply`).  Batches have one
 routed core, :meth:`SHHCCluster._serve_routed` -- bucket by serving node,
 the node's batch contract, failover, ledger charge, batched replica
-propagation -- and two thin views over it:
-:meth:`SHHCCluster.lookup_batch` (``LookupResult``) and
-:meth:`SHHCCluster.lookup_batch_replies` (``LookupReply``).  The same code
-runs with and without a cost model; the model only adds charges.
+propagation -- and thin views over it:
+:meth:`SHHCCluster.lookup_batch` (``LookupResult``),
+:meth:`SHHCCluster.lookup_batch_columns` (tier / service-time / node
+columns) and :meth:`SHHCCluster.lookup_batch_replies` (``LookupReply``).
+The same code runs with and without a cost model; the model only adds
+charges.
 
 Replication and failover semantics
 ----------------------------------
@@ -88,6 +90,7 @@ from .protocol import (
     BatchLookupRequest,
     LookupReply,
     ServedFrom,
+    merge_by_position,
     replies_from_tiers,
 )
 
@@ -403,10 +406,10 @@ class SHHCCluster(ChunkIndex):
     def lookup_batch_replies(self, fingerprints: Sequence[Fingerprint]) -> List[LookupReply]:
         """Protocol-level batch lookup: bucket by serving node, query, merge.
 
-        The :class:`LookupReply` view over :meth:`_serve_routed` (exposes
-        tier information).  Each fingerprint is grouped under the first
-        live node of *its own* replica set, so a downed node's share of
-        the batch fans out to the correct per-fingerprint successors
+        The :class:`LookupReply` view over :meth:`lookup_batch_columns`
+        (exposes tier information).  Each fingerprint is grouped under the
+        first live node of *its own* replica set, so a downed node's share
+        of the batch fans out to the correct per-fingerprint successors
         instead of one blanket failover target, and the per-fingerprint
         replication semantics are exactly those of :meth:`lookup_reply` --
         which is what keeps batch verdicts identical to the sequential
@@ -414,12 +417,22 @@ class SHHCCluster(ChunkIndex):
         tests/test_routed_batch_equivalence.py).
         """
         fingerprints = list(fingerprints)
-        merged: List[Optional[LookupReply]] = [None] * len(fingerprints)
-        for positions, bucket, tiers, service_times, node_ids in self._serve_routed(fingerprints):
-            replies = replies_from_tiers(bucket, tiers, service_times, node_ids)
-            for position, reply in zip(positions, replies):
-                merged[position] = reply
-        return merged
+        return replies_from_tiers(fingerprints, *self.lookup_batch_columns(fingerprints))
+
+    def lookup_batch_columns(
+        self, fingerprints: Sequence[Fingerprint]
+    ) -> Tuple[List[int], List[float], List[str]]:
+        """Batch lookup as ``(tiers, service_times, node_ids)`` columns in input order.
+
+        :meth:`_serve_routed`'s per-bucket columns merged by position once;
+        ``tiers`` index :data:`~repro.core.protocol.SERVED_FROM_TIER`.
+        """
+        fingerprints = list(fingerprints)
+        return merge_by_position(len(fingerprints), (
+            (positions, tiers, service_times, node_ids)
+            for positions, _bucket, tiers, service_times, node_ids
+            in self._serve_routed(fingerprints)
+        ))
 
     def _serve_routed(self, fingerprints: List[Fingerprint]):
         """The one routed batch core: bucket, serve, fail over, charge, propagate.
@@ -688,11 +701,8 @@ class SHHCCluster(ChunkIndex):
         simulated fabric share the cluster's routing work.
         """
         return {
-            node: (
-                BatchLookupRequest(fingerprints=bucket, client_id=client_id, batch_id=batch_id),
-                positions,
-            )
-            for node, (positions, bucket, _digests) in self._bucket_routed(fingerprints).items()
+            node: (BatchLookupRequest(bucket, client_id, batch_id, digests), positions)
+            for node, (positions, bucket, digests) in self._bucket_routed(fingerprints).items()
         }
 
     def __len__(self) -> int:
@@ -727,21 +737,25 @@ class SHHCCluster(ChunkIndex):
     def _make_handler(self, node: HybridHashNode):
         node_id = node.node_id
 
-        def _handle(request: BatchLookupRequest):
-            completion = node.serve_batch(request)
-            wrapped = self.sim.event(f"{node_id}.reply")
+        def _handle(request: BatchLookupRequest, respond) -> None:
+            def _finalize(reply: BatchLookupReply) -> None:
+                if self.config.replication_factor > 1:
+                    # Replica propagation / read repair for RPC-served
+                    # batches, applied at the reply instant one reply at a
+                    # time; with a cost model _resolve_reply charges the
+                    # copies to the ledger.  A duplicate stands as-is, so
+                    # only the new verdicts need the call.
+                    tiers, service_times = reply.tiers, reply.service_times
+                    for index, fingerprint in enumerate(reply.fingerprints):
+                        if not tiers[index] and self._resolve_reply(
+                            LookupReply(fingerprint, False, ServedFrom.NEW, node_id,
+                                        service_times[index]),
+                            node_id,
+                        ).is_duplicate:
+                            tiers[index] = _REPAIR_TIER
+                respond(reply, reply.payload_bytes)
 
-            def _finalize(event) -> None:
-                # Replica propagation / read repair for RPC-served batches,
-                # applied at the reply instant; with a cost model
-                # _resolve_reply charges the copies to the ledger.
-                raw = event.value
-                replies = [self._resolve_reply(reply, node_id) for reply in raw.replies]
-                finished = BatchLookupReply(replies=replies, node_id=node_id, batch_id=raw.batch_id)
-                wrapped.succeed((finished, finished.payload_bytes))
-
-            completion.add_callback(_finalize)
-            return wrapped
+            node.serve_batch(request, _finalize)
 
         return _handle
 

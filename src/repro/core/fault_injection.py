@@ -516,9 +516,9 @@ class FlakyNode:
         self._maybe_fail()
         return self._node.serve_bucket_verdicts(batch)
 
-    def serve_batch(self, request):
+    def serve_batch(self, request, on_reply):
         self._maybe_fail()
-        return self._node.serve_batch(request)
+        self._node.serve_batch(request, on_reply)
 
     # -- transparent delegation -------------------------------------------------------
     def __getattr__(self, name):

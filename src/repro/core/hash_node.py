@@ -24,16 +24,17 @@ that flow.  Batches have exactly one serve contract,
 :class:`~repro.core.digest_batch.DigestBatch` in, ``(tiers, service_times,
 new_pairs)`` out -- run by one private core over the exec-generated kernels
 of :mod:`repro.core.bucket_kernel`.  :meth:`HybridHashNode.lookup_batch`
-and the simulated :meth:`HybridHashNode.serve_batch` are
-:class:`~repro.core.protocol.LookupReply` views over that core.
+is the :class:`~repro.core.protocol.LookupReply` view over that core; the
+simulated :meth:`HybridHashNode.serve_batch` answers with its columns.
 
 Two execution modes
 -------------------
 * **Immediate mode** (``sim is None``): lookups update the data structures and
   return analytic service times from the device cost models.  This is the mode
   library users get when they use the cluster as a real dedup index.
-* **Simulated mode**: :meth:`serve_batch` returns an event that completes after
-  the node's CPU worker pool and SSD device have actually been held for the
+* **Simulated mode**: :meth:`serve_batch` hands its
+  :class:`~repro.core.protocol.BatchLookupReply` to a callback once the
+  node's CPU worker pool and SSD device have actually been held for the
   required time on the simulated clock, so queueing and saturation emerge.
 """
 
@@ -41,11 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..dedup.fingerprint import Fingerprint
-from ..simulation.engine import Event, Simulator
-from ..simulation.process import run_process
+from ..simulation.engine import Simulator
 from ..simulation.resources import Resource
 from ..simulation.stats import Counter, LatencyRecorder
 from ..storage.bloom import BloomFilter
@@ -495,46 +495,58 @@ class HybridHashNode:
         return self.ssd_device.write_cost(operation.size_bytes, operation.random_access)
 
     # --------------------------------------------------------- simulated mode
-    def serve_batch(self, request: BatchLookupRequest) -> Event:
-        """Serve a batch on the simulated clock.
+    def serve_batch(
+        self, request: BatchLookupRequest, on_reply: Callable[[BatchLookupReply], None]
+    ) -> None:
+        """Serve a batch on the simulated clock; ``on_reply(reply)`` runs when done.
 
-        The node's CPU worker pool is held for the per-request plus
+        A chain of callbacks, starting at the current instant: the node's
+        CPU worker pool is granted, then held for the per-request plus
         per-fingerprint CPU time; accumulated SSD page time is then spent on
-        the shared SSD device (modelling its queue).  The returned event
-        succeeds with a :class:`BatchLookupReply`.
+        the shared SSD device (modelling its queue).  The reply is the batch
+        contract's columns in a :class:`BatchLookupReply`.
         """
-        if self.sim is None or self._cpu is None:
+        sim, cpu = self.sim, self._cpu
+        if sim is None or cpu is None:
             raise RuntimeError("serve_batch requires a node constructed with a Simulator")
-        return run_process(self.sim, self._serve_batch_process(request), name=f"{self.node_id}.serve")
+        arrival = sim.now
+        fingerprints = request.fingerprints
 
-    def _serve_batch_process(self, request: BatchLookupRequest):
-        assert self.sim is not None and self._cpu is not None
-        arrival = self.sim.now
-        grant = self._cpu.request()
-        yield grant
-        try:
-            fingerprints = list(request.fingerprints)
+        def granted() -> None:
             tiers, service_times, _new_pairs, total_ssd_time = self._serve_core(
-                DigestBatch.from_fingerprints(fingerprints)
+                DigestBatch.from_fingerprints(fingerprints, request.digests)
             )
-            cpu_time = (
-                self.config.cpu_per_request
-                + self.config.cpu_per_lookup * len(request.fingerprints)
+            reply = BatchLookupReply(
+                fingerprints, tiers, service_times, self.node_id, request.batch_id
             )
+
+            def finished() -> None:
+                per_reply_time = (sim.now - arrival) / max(1, len(tiers))
+                self.lookup_latency.record_many([per_reply_time] * len(tiers))
+                self.counters.increment("batches_served")
+                on_reply(reply)
+
+            def cpu_done() -> None:
+                cpu.release()
+                if total_ssd_time > 0:
+                    # One aggregated access keeps the event count proportional
+                    # to the number of batches rather than fingerprints; the
+                    # SSD device still serialises concurrent batches, so
+                    # contention is preserved.
+                    self.ssd_device.busy(total_ssd_time, finished)
+                else:
+                    finished()
+
+            cpu_time = self.config.cpu_per_request + self.config.cpu_per_lookup * len(fingerprints)
             if cpu_time > 0:
-                yield self.sim.timeout(cpu_time)
-        finally:
-            self._cpu.release()
-        if total_ssd_time > 0:
-            # One aggregated access keeps the event count proportional to the
-            # number of batches rather than fingerprints; the SSD device still
-            # serialises concurrent batches, so contention is preserved.
-            yield self.ssd_device.busy(total_ssd_time)
-        per_reply_time = (self.sim.now - arrival) / max(1, len(tiers))
-        self.lookup_latency.record_many([per_reply_time] * len(tiers))
-        self.counters.increment("batches_served")
-        replies = replies_from_tiers(fingerprints, tiers, service_times, repeat(self.node_id))
-        return BatchLookupReply(replies=replies, node_id=self.node_id, batch_id=request.batch_id)
+                sim.schedule(cpu_time, cpu_done)
+            else:
+                cpu_done()
+
+        # The chain starts from a zero-delay calendar entry, not inline: an
+        # inline start would run ahead of entries already queued for this
+        # instant and re-order equal-time work.
+        sim.schedule(0.0, cpu.request, granted)
 
     # ---------------------------------------------------------------- reporting
     def snapshot(self) -> NodeSnapshot:

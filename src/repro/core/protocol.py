@@ -10,9 +10,11 @@ paper's Figure 5 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Sequence
+from itertools import compress, repeat
+from operator import not_
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint, column_builder
 
@@ -21,6 +23,7 @@ __all__ = [
     "LookupReply",
     "SERVED_FROM_TIER",
     "replies_from_tiers",
+    "merge_by_position",
     "BatchLookupRequest",
     "BatchLookupReply",
     "REQUEST_OVERHEAD_BYTES",
@@ -86,18 +89,49 @@ def replies_from_tiers(
     )
 
 
+def merge_by_position(
+    total: int,
+    groups: Iterable[Tuple[Sequence[int], Sequence[int], Sequence[float], Iterable[str]]],
+) -> Tuple[List[int], List[float], List[str]]:
+    """Scatter per-node column groups back into the request's order.
+
+    Each group is ``(positions, tiers, service_times, node_ids)`` for one
+    node's share of a batch of ``total`` keys; the result is the three
+    merged columns.  A group whose tiers and positions differ in length, or
+    a position no group answers, is a ``ValueError``.
+    """
+    tiers: List[Optional[int]] = [None] * total
+    service_times = [0.0] * total
+    node_ids = [""] * total
+    for positions, group_tiers, group_times, group_nodes in groups:
+        if len(group_tiers) != len(positions):
+            raise ValueError("reply length does not match recorded positions")
+        for position, tier, service_time, node_id in zip(
+            positions, group_tiers, group_times, group_nodes
+        ):
+            tiers[position] = tier
+            service_times[position] = service_time
+            node_ids[position] = node_id
+    if None in tiers:
+        missing = [index for index, tier in enumerate(tiers) if tier is None]
+        raise ValueError(f"missing replies for positions {missing[:5]}")
+    return tiers, service_times, node_ids
+
+
 @dataclass(frozen=True)
 class BatchLookupRequest:
     """Query for a batch of fingerprints destined for one hash node.
 
     The web front-end aggregates client fingerprints and forwards them in
     batches (paper batch sizes: 1, 128, 2048) to amortise per-message network
-    and CPU overhead while preserving stream locality.
+    and CPU overhead while preserving stream locality.  ``digests``, when
+    the router already extracted them, ride along so the node does not.
     """
 
     fingerprints: Sequence[Fingerprint]
     client_id: str = ""
     batch_id: int = 0
+    digests: Optional[List[bytes]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.fingerprints:
@@ -113,27 +147,41 @@ class BatchLookupRequest:
 
 @dataclass(frozen=True)
 class BatchLookupReply:
-    """Verdicts for a batch, in the same order as the request."""
+    """Verdicts for a batch, in the same order as the request.
 
-    replies: Sequence[LookupReply]
+    The node's batch contract as columns: ``tiers`` index
+    :data:`SERVED_FROM_TIER` (truthy = duplicate), ``service_times`` is
+    parallel to it.  :attr:`replies` is the :class:`LookupReply` view,
+    built only when asked for.
+    """
+
+    fingerprints: Sequence[Fingerprint]
+    tiers: List[int]
+    service_times: Sequence[float]
     node_id: str = ""
     batch_id: int = 0
 
     def __len__(self) -> int:
-        return len(self.replies)
+        return len(self.tiers)
+
+    @property
+    def replies(self) -> List[LookupReply]:
+        return replies_from_tiers(
+            self.fingerprints, self.tiers, self.service_times, repeat(self.node_id)
+        )
 
     @property
     def payload_bytes(self) -> int:
-        return REQUEST_OVERHEAD_BYTES + REPLY_BYTES_PER_FINGERPRINT * len(self.replies)
+        return REQUEST_OVERHEAD_BYTES + REPLY_BYTES_PER_FINGERPRINT * len(self.tiers)
 
     @property
     def duplicates(self) -> int:
-        return sum(1 for reply in self.replies if reply.is_duplicate)
+        return len(self.tiers) - self.tiers.count(0)
 
     @property
     def uniques(self) -> int:
-        return len(self.replies) - self.duplicates
+        return self.tiers.count(0)
 
     def unique_fingerprints(self) -> List[Fingerprint]:
         """Fingerprints the client must upload (not yet in the cloud)."""
-        return [reply.fingerprint for reply in self.replies if not reply.is_duplicate]
+        return list(compress(self.fingerprints, map(not_, self.tiers)))

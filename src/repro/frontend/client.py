@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Iterator, List, Optional, Sequence
 
 from ..dedup.chunking import Chunker, FixedSizeChunker
 from ..dedup.fingerprint import Fingerprint, fingerprint_data
 from ..network.loadbalancer import LoadBalancer
 from ..network.rpc import RpcLayer
-from ..simulation.engine import Event, Simulator
-from ..simulation.process import run_process
+from ..simulation.engine import Simulator
 from ..simulation.stats import LatencyRecorder
 from ..storage.object_store import CloudObjectStore
 from .upload_plan import UploadPlan
@@ -68,7 +68,7 @@ class BackupClient:
                 request_id=next(self._request_ids),
             )
             response = self.frontend.handle_batch(request)
-            merged = merged.merge(response.plan)
+            merged.extend(response.plan)
             self._apply_plan(response.plan, chunk_by_digest)
         self.plans.append(merged)
         return merged
@@ -150,13 +150,19 @@ class SimulatedClient:
         self.sim = sim if sim is not None else rpc.sim
         self.stats = ClientRunStats(client_id=client_id)
         self._request_ids = itertools.count(1)
+        self._running = 0  # lanes still sending
 
     # -- execution ------------------------------------------------------------------------
-    def start(self) -> Event:
-        """Begin replaying the trace; returns the completion event (a Process)."""
+    def start(self) -> None:
+        """Begin replaying the trace at the current instant.
+
+        The batches are dealt round-robin into ``window`` lanes; each lane
+        sends its next batch when the previous one is answered, and
+        :attr:`stats` ``finished_at`` is the instant the last lane finishes.
+        """
         if self.sim is None:
             raise RuntimeError("SimulatedClient requires a Simulator")
-        return run_process(self.sim, self._run(), name=f"{self.client_id}.run")
+        self.sim.schedule(0.0, self._begin)
 
     def _batches(self) -> List[List[Fingerprint]]:
         return [
@@ -164,42 +170,43 @@ class SimulatedClient:
             for start in range(0, len(self.fingerprints), self.batch_size)
         ]
 
-    def _run(self):
-        assert self.sim is not None
-        self.stats.started_at = self.sim.now
+    def _begin(self) -> None:
+        sim = self.sim
+        self.stats.started_at = sim.now
         batches = self._batches()
-        # The window is implemented by slicing the batch list into `window`
-        # independent lanes, each processed sequentially by a sub-process.
-        lanes = [batches[lane::self.window] for lane in range(self.window)]
-        lane_processes = [
-            run_process(self.sim, self._run_lane(lane), name=f"{self.client_id}.lane{i}")
-            for i, lane in enumerate(lanes)
-            if lane
-        ]
-        if lane_processes:
-            yield self.sim.all_of(lane_processes)
-        self.stats.finished_at = self.sim.now
-        return self.stats
+        # Batches are dealt round-robin; a lane past the last batch is empty.
+        lanes = [iter(batches[lane::self.window])
+                 for lane in range(min(self.window, len(batches)))]
+        self._running = len(lanes)
+        if not lanes:
+            self.stats.finished_at = sim.now
+        # Each lane starts from its own zero-delay entry, so same-instant
+        # work already on the calendar keeps its place.
+        for lane in lanes:
+            sim.schedule(0.0, self._send_next, lane)
 
-    def _run_lane(self, batches: List[List[Fingerprint]]):
-        assert self.sim is not None
-        for batch in batches:
-            sent_at = self.sim.now
-            backend = self.load_balancer.assign(self.client_id)
-            request = ClientBatchRequest(
-                client_id=self.client_id,
-                fingerprints=batch,
-                request_id=next(self._request_ids),
-            )
-            response: ClientBatchResponse = yield self.rpc.call(
-                source=self.client_id,
-                destination=backend,
-                payload=request,
-                payload_bytes=request.payload_bytes,
-            )
-            self.load_balancer.release(backend)
-            self.stats.request_latency.record(self.sim.now - sent_at)
-            self.stats.batches_sent += 1
-            self.stats.fingerprints_sent += len(batch)
-            self.stats.duplicates_found += sum(1 for r in response.replies if r.is_duplicate)
-        return None
+    def _send_next(self, lane: Iterator[List[Fingerprint]]) -> None:
+        batch = next(lane, None)
+        if batch is None:
+            self._running -= 1
+            if not self._running:
+                self.stats.finished_at = self.sim.now
+            return
+        backend = self.load_balancer.assign(self.client_id)
+        request = ClientBatchRequest(
+            client_id=self.client_id,
+            fingerprints=batch,
+            request_id=next(self._request_ids),
+        )
+        self.rpc.call(self.client_id, backend, request, request.payload_bytes,
+                      partial(self._on_response, lane, backend, self.sim.now))
+
+    def _on_response(self, lane: Iterator[List[Fingerprint]], backend: str, sent_at: float,
+                     response: ClientBatchResponse) -> None:
+        self.load_balancer.release(backend)
+        stats = self.stats
+        stats.request_latency.record(self.sim.now - sent_at)
+        stats.batches_sent += 1
+        stats.fingerprints_sent += len(response.tiers)
+        stats.duplicates_found += response.duplicates
+        self._send_next(lane)

@@ -129,14 +129,19 @@ def build_simulated_service(
 
     Every tier is attached to the same switched fabric: clients call web
     servers, web servers call hash nodes, and all transfers pay the modelled
-    network cost.
+    network cost.  Each request is a chain of callbacks on ``sim`` (the
+    client's lane, the web server's fan-out and gather, the node's CPU and
+    SSD holds), and verdicts travel as tier columns
+    (:class:`~repro.core.protocol.BatchLookupReply`,
+    :class:`~repro.frontend.webserver.ClientBatchResponse`), with
+    ``LookupReply`` objects built only when a caller asks for ``replies``.
 
     The deployment schedules no faults: a web server routes each batch
     around hash nodes already marked down (``cluster.mark_down`` before
-    dispatch) and, with ``replication_factor > 1``, the RPC handler applies
-    replica propagation and read repair per reply.  Scheduled crashes, grey
-    failures and the control-plane tax are replayed in immediate mode
-    (``analysis/experiments/replay.py``); see docs/failover.md.
+    dispatch) and, with ``replication_factor > 1``, the node's RPC handler
+    applies replica propagation and read repair per new verdict.  Scheduled
+    crashes, grey failures and the control-plane tax are replayed in
+    immediate mode (``analysis/experiments/replay.py``); see docs/failover.md.
     """
     config = cluster_config if cluster_config is not None else ClusterConfig()
     topo = topology if topology is not None else ClusterTopology(

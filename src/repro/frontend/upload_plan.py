@@ -10,9 +10,10 @@ motivates (only ~25 % of data is unique).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 from typing import List, Sequence
 
-from ..core.protocol import LookupReply
 from ..dedup.fingerprint import Fingerprint
 
 __all__ = ["UploadPlan"]
@@ -20,22 +21,26 @@ __all__ = ["UploadPlan"]
 
 @dataclass
 class UploadPlan:
-    """Which chunks a client must upload, derived from cluster lookup replies."""
+    """Which chunks a client must upload, derived from cluster lookup verdicts."""
 
     client_id: str
     to_upload: List[Fingerprint] = field(default_factory=list)
     already_stored: List[Fingerprint] = field(default_factory=list)
 
     @classmethod
-    def from_replies(cls, client_id: str, replies: Sequence[LookupReply]) -> "UploadPlan":
-        """Build a plan from per-fingerprint lookup replies."""
-        plan = cls(client_id=client_id)
-        for reply in replies:
-            if reply.is_duplicate:
-                plan.already_stored.append(reply.fingerprint)
-            else:
-                plan.to_upload.append(reply.fingerprint)
-        return plan
+    def from_tiers(
+        cls, client_id: str, fingerprints: Sequence[Fingerprint], tiers: Sequence[int]
+    ) -> "UploadPlan":
+        """Build a plan from a batch's fingerprints and their tier codes.
+
+        A truthy tier (:data:`~repro.core.protocol.SERVED_FROM_TIER`) is a
+        duplicate; both lists keep the batch's order.
+        """
+        return cls(
+            client_id,
+            list(compress(fingerprints, map(not_, tiers))),
+            list(compress(fingerprints, tiers)),
+        )
 
     # -- accounting --------------------------------------------------------------------
     @property
@@ -60,11 +65,12 @@ class UploadPlan:
             return 0.0
         return 1.0 - self.upload_bytes / logical
 
-    def merge(self, other: "UploadPlan") -> "UploadPlan":
-        """Combine two plans for the same client (e.g. successive batches)."""
+    def extend(self, other: "UploadPlan") -> None:
+        """Merge ``other`` (e.g. the next batch's plan) into this one, in place.
+
+        Both lists keep their order: this plan's entries, then ``other``'s.
+        """
         if other.client_id != self.client_id:
             raise ValueError("cannot merge plans from different clients")
-        merged = UploadPlan(client_id=self.client_id)
-        merged.to_upload = self.to_upload + other.to_upload
-        merged.already_stored = self.already_stored + other.already_stored
-        return merged
+        self.to_upload.extend(other.to_upload)
+        self.already_stored.extend(other.already_stored)

@@ -13,34 +13,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence
 
 from ..core.cluster import SHHCCluster
-from ..core.protocol import BatchLookupReply, LookupReply
+from ..core.protocol import BatchLookupReply, LookupReply, merge_by_position, replies_from_tiers
 from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
-from ..network.rpc import RpcLayer
-from ..simulation.engine import Event
+from ..network.rpc import Respond, RpcLayer
 from ..simulation.stats import Counter, LatencyRecorder
 from .upload_plan import UploadPlan
 
-__all__ = ["ClientBatchRequest", "ClientBatchResponse", "WebFrontEnd", "reassemble_replies"]
-
-
-def reassemble_replies(
-    total: int,
-    per_node: Sequence[Tuple[BatchLookupReply, Sequence[int]]],
-) -> List[LookupReply]:
-    """Merge per-node replies back into the client's original order."""
-    merged: List[Optional[LookupReply]] = [None] * total
-    for reply, positions in per_node:
-        if len(reply.replies) != len(positions):
-            raise ValueError("reply length does not match recorded positions")
-        for lookup_reply, position in zip(reply.replies, positions):
-            merged[position] = lookup_reply
-    missing = [i for i, entry in enumerate(merged) if entry is None]
-    if missing:
-        raise ValueError(f"missing replies for positions {missing[:5]}")
-    return [entry for entry in merged if entry is not None]
+__all__ = ["ClientBatchRequest", "ClientBatchResponse", "WebFrontEnd"]
 
 
 @dataclass(frozen=True)
@@ -62,16 +45,32 @@ class ClientBatchRequest:
 
 @dataclass(frozen=True)
 class ClientBatchResponse:
-    """The front-end's answer: per-fingerprint verdicts plus the upload plan."""
+    """The front-end's answer: per-fingerprint verdict columns plus the upload plan.
+
+    ``tiers``, ``service_times`` and ``node_ids`` are parallel to the
+    request's ``fingerprints``; :attr:`replies` is the
+    :class:`~repro.core.protocol.LookupReply` view, built only when asked for.
+    """
 
     client_id: str
-    replies: Sequence[LookupReply]
+    fingerprints: Sequence[Fingerprint]
+    tiers: List[int]
+    service_times: Sequence[float]
+    node_ids: Sequence[str]
     plan: UploadPlan
     request_id: int = 0
 
     @property
+    def replies(self) -> List[LookupReply]:
+        return replies_from_tiers(self.fingerprints, self.tiers, self.service_times, self.node_ids)
+
+    @property
+    def duplicates(self) -> int:
+        return len(self.tiers) - self.tiers.count(0)
+
+    @property
     def payload_bytes(self) -> int:
-        return 32 + 9 * len(self.replies)
+        return 32 + 9 * len(self.tiers)
 
 
 class WebFrontEnd:
@@ -99,82 +98,71 @@ class WebFrontEnd:
             raise RuntimeError("register() requires an RpcLayer")
         self.rpc.register(self.server_id, self._handle_async)
 
+    def _response(
+        self,
+        request: ClientBatchRequest,
+        tiers: List[int],
+        service_times: Sequence[float],
+        node_ids: Sequence[str],
+    ) -> ClientBatchResponse:
+        return ClientBatchResponse(
+            client_id=request.client_id,
+            fingerprints=request.fingerprints,
+            tiers=tiers,
+            service_times=service_times,
+            node_ids=node_ids,
+            plan=UploadPlan.from_tiers(request.client_id, request.fingerprints, tiers),
+            request_id=request.request_id,
+        )
+
     # -- immediate mode --------------------------------------------------------------------
     def handle_batch(self, request: ClientBatchRequest) -> ClientBatchResponse:
         """Process a client batch synchronously (library mode)."""
         self.counters.increment("requests")
         self.counters.increment("fingerprints", len(request.fingerprints))
-        replies = self.cluster.lookup_batch_replies(list(request.fingerprints))
-        plan = UploadPlan.from_replies(request.client_id, replies)
-        return ClientBatchResponse(
-            client_id=request.client_id,
-            replies=replies,
-            plan=plan,
-            request_id=request.request_id,
-        )
+        return self._response(request, *self.cluster.lookup_batch_columns(request.fingerprints))
 
     # -- simulated mode ----------------------------------------------------------------------
-    def _handle_async(self, request: ClientBatchRequest) -> Event:
+    def _handle_async(self, request: ClientBatchRequest, respond: Respond) -> None:
         """Fan the batch out to the owning hash nodes and gather the replies."""
         sim = self.rpc.sim
         self.counters.increment("requests")
         self.counters.increment("fingerprints", len(request.fingerprints))
-        started = sim.now
-        done = sim.event(f"{self.server_id}.response")
-        fingerprints = list(request.fingerprints)
-
-        pending = {"count": 0}
-        gathered: List[Tuple[BatchLookupReply, Sequence[int]]] = []
-
-        def _on_node_reply(positions: Sequence[int]):
-            def _callback(event: Event) -> None:
-                gathered.append((event.value, positions))
-                pending["count"] -= 1
-                if pending["count"] == 0:
-                    _finish()
-
-            return _callback
-
-        def _finish() -> None:
-            replies = reassemble_replies(len(fingerprints), gathered)
-            plan = UploadPlan.from_replies(request.client_id, replies)
-            response = ClientBatchResponse(
-                client_id=request.client_id,
-                replies=replies,
-                plan=plan,
-                request_id=request.request_id,
-            )
-            self.response_latency.record(sim.now - started)
-            done.succeed((response, response.payload_bytes))
-
-        def _dispatch() -> None:
-            # Route each fingerprint to the first live node of its own
-            # replica set so batches keep finding their data while nodes are
-            # down, and stamp the client's request id on the sub-batches so
-            # node replies can be correlated with this request.  The split
-            # runs here, after the per-request overhead and at the same
-            # simulated instant as the calls, so it routes by the liveness
-            # at dispatch, not at the request's arrival.  Routing goes through the cluster's epoch-keyed replica-set
-            # cache (grouping-identical to tests/oracles/batch_routing.py), so
-            # every front-end shares one resolution of each digest.
-            per_node = self.cluster.route_batch(
-                fingerprints,
-                client_id=request.client_id,
-                batch_id=request.request_id if request.request_id else next(self._request_ids),
-            )
-            pending["count"] = len(per_node)
-            for node_name, (node_request, positions) in per_node.items():
-                call = self.rpc.call(
-                    source=self.server_id,
-                    destination=node_name,
-                    payload=node_request,
-                    payload_bytes=node_request.payload_bytes,
-                )
-                call.add_callback(_on_node_reply(positions))
-
         # Model the web server's own per-request processing before fan-out.
-        sim.schedule(self.per_request_overhead, _dispatch)
-        return done
+        sim.schedule(self.per_request_overhead, self._dispatch, request, respond, sim.now)
+
+    def _dispatch(self, request: ClientBatchRequest, respond: Respond, started: float) -> None:
+        # Route each fingerprint to the first live node of its own replica
+        # set so batches keep finding their data while nodes are down, and
+        # stamp the client's request id on the sub-batches so node replies
+        # can be correlated with this request.  The split runs here, after
+        # the per-request overhead and at the same simulated instant as the
+        # calls, so it routes by the liveness at dispatch, not at the
+        # request's arrival.  Routing goes through the cluster's epoch-keyed
+        # replica-set cache (grouping-identical to
+        # tests/oracles/batch_routing.py), so every front-end shares one
+        # resolution of each digest.
+        per_node = self.cluster.route_batch(
+            request.fingerprints,
+            client_id=request.client_id,
+            batch_id=request.request_id if request.request_id else next(self._request_ids),
+        )
+        groups: list = []
+
+        def _gather(positions: Sequence[int], reply: BatchLookupReply) -> None:
+            groups.append((positions, reply.tiers, reply.service_times,
+                           itertools.repeat(reply.node_id)))
+            if len(groups) == len(per_node):
+                # Every node has answered: merge the columns by position once.
+                response = self._response(
+                    request, *merge_by_position(len(request.fingerprints), groups)
+                )
+                self.response_latency.record(self.rpc.sim.now - started)
+                respond(response, response.payload_bytes)
+
+        for node_name, (node_request, positions) in per_node.items():
+            self.rpc.call(self.server_id, node_name, node_request, node_request.payload_bytes,
+                          partial(_gather, positions))
 
     # -- reporting ------------------------------------------------------------------------------
     def stats(self) -> dict:

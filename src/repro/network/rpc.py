@@ -1,9 +1,11 @@
 """Request/response RPC layer over the switch.
 
 Components register a *service handler*; callers invoke :meth:`RpcLayer.call`
-and receive an event that succeeds with the response payload once the request
-has crossed the network, been processed (handler may return an event for
-asynchronous processing) and the response has crossed back.
+with a callback that receives the response payload once the request has
+crossed the network, been processed and the response has crossed back.  A
+handler answers through the ``respond(payload, payload_bytes)`` callable it
+is handed, at once or from a later callback of its own; the response size
+is always stated by the handler, never guessed from the payload.
 
 The layer knows nothing about node liveness: the web front-end splits each
 batch by live replica set (``SHHCCluster.route_batch``), so a node marked
@@ -12,15 +14,18 @@ down before dispatch is simply never called.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Union
+from functools import partial
+from typing import Any, Callable, Dict, Optional
 
-from ..simulation.engine import Event, Simulator
+from ..simulation.engine import Simulator
 from .message import Message
 from .switch import NetworkSwitch
 
 __all__ = ["RpcLayer", "RpcError"]
 
-Handler = Callable[[Any], Union[Any, "tuple[Any, int]", Event]]
+#: ``respond(response_payload, response_bytes)``, handed to every handler.
+Respond = Callable[[Any, int], None]
+Handler = Callable[[Any, Respond], None]
 
 
 class RpcError(RuntimeError):
@@ -34,18 +39,16 @@ class RpcLayer:
         self.switch = switch
         self.sim = sim
         self._services: Dict[str, Handler] = {}
-        self._pending: Dict[int, Event] = {}
+        self._pending: Dict[int, Callable[[Any], None]] = {}
 
     # -- registration -----------------------------------------------------------------
     def register(self, endpoint: str, handler: Handler) -> None:
         """Attach ``endpoint`` to the switch (if needed) and install ``handler``.
 
-        The handler receives the request payload and returns either:
-
-        * a plain response payload (assumed small),
-        * a ``(response_payload, response_bytes)`` tuple, or
-        * an :class:`Event` succeeding with one of the above (asynchronous
-          processing on the callee's side).
+        The handler is called as ``handler(request_payload, respond)`` when a
+        request arrives, and answers by calling ``respond(response_payload,
+        response_bytes)`` exactly once -- before returning, or later from a
+        callback of its own (asynchronous processing on the callee's side).
         """
         if not self.switch.is_attached(endpoint):
             self.switch.attach(endpoint)
@@ -65,8 +68,13 @@ class RpcLayer:
         destination: str,
         payload: Any,
         payload_bytes: int,
-    ) -> Event:
-        """Issue an RPC; the returned event succeeds with the response payload."""
+        on_response: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        """Issue an RPC; ``on_response(response_payload)`` runs when the answer arrives.
+
+        Without ``on_response`` the answer still crosses the network and is
+        dropped on arrival.
+        """
         if destination not in self._services:
             raise RpcError(f"no service registered at {destination!r}")
         if not self.switch.is_attached(source):
@@ -78,38 +86,21 @@ class RpcLayer:
             payload_bytes=payload_bytes,
             created_at=self.sim.now,
         )
-        completion = self.sim.event("rpc.response")
-        self._pending[request.message_id] = completion
+        if on_response is not None:
+            self._pending[request.message_id] = on_response
         self.switch.send(request)
-        return completion
 
     # -- message plumbing ----------------------------------------------------------------
     def _on_message(self, message: Message) -> None:
         if message.reply_to is not None:
-            self._complete_call(message)
-        else:
-            self._serve_request(message)
-
-    def _serve_request(self, message: Message) -> None:
+            on_response = self._pending.pop(message.reply_to, None)
+            if on_response is not None:
+                on_response(message.payload)
+            return
         handler = self._services.get(message.destination)
         if handler is None:
             raise RpcError(f"message for unknown service {message.destination!r}")
-        result = handler(message.payload)
-        if isinstance(result, Event):
-            result.add_callback(lambda event: self._send_response(message, event.value))
-        else:
-            self._send_response(message, result)
+        handler(message.payload, partial(self._send_response, message))
 
-    def _send_response(self, request: Message, result: Any) -> None:
-        if isinstance(result, tuple) and len(result) == 2 and isinstance(result[1], int):
-            response_payload, response_bytes = result
-        else:
-            response_payload, response_bytes = result, 64
-        response = request.reply(response_payload, response_bytes, created_at=self.sim.now)
-        self.switch.send(response)
-
-    def _complete_call(self, message: Message) -> None:
-        completion = self._pending.pop(message.reply_to, None)
-        if completion is None:
-            return
-        completion.succeed(message.payload)
+    def _send_response(self, request: Message, payload: Any, payload_bytes: int) -> None:
+        self.switch.send(request.reply(payload, payload_bytes, created_at=self.sim.now))

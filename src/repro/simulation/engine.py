@@ -1,10 +1,13 @@
 """Discrete-event simulation kernel.
 
-The engine provides a simulated clock and an event calendar.  Higher level
-abstractions (processes, resources, statistics) are layered on top in the
-sibling modules.  The design follows the classic event-calendar model: an
-event is a callback scheduled at an absolute simulated time; the simulator
-pops events in time order and invokes them, advancing the clock.
+The engine provides a simulated clock and an event calendar.  The design
+follows the classic event-calendar model: an event is a callback scheduled
+at an absolute simulated time; the simulator pops events in time order and
+invokes them, advancing the clock.  Simulated components are chains of such
+callbacks: a step does its work, then schedules the next step or hands it
+to a :class:`~repro.simulation.resources.Resource` to run once a slot is
+free.  The sibling modules add that resource, random streams and
+statistics.
 
 The kernel is deliberately free of any domain knowledge -- it is reused by
 every simulated component in the repository (storage devices, network links,
@@ -26,10 +29,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
-    "Event",
     "Simulator",
     "SimulationError",
 ]
@@ -37,93 +39,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised when the simulation kernel is used incorrectly."""
-
-
-class Event:
-    """A one-shot synchronisation point that callbacks/processes can wait on.
-
-    An :class:`Event` starts *pending*; it may later *succeed* with a value or
-    *fail* with an exception.  Callbacks registered before triggering run when
-    the event triggers; callbacks registered afterwards run immediately.
-    """
-
-    __slots__ = ("sim", "_callbacks", "_triggered", "_value", "_exception", "name")
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._callbacks: list[Callable[["Event"], None]] = []
-        self._triggered = False
-        self._value: Any = None
-        self._exception: Optional[BaseException] = None
-
-    # -- inspection ---------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has already succeeded or failed."""
-        return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        """Whether the event succeeded (only meaningful once triggered)."""
-        return self._triggered and self._exception is None
-
-    @property
-    def value(self) -> Any:
-        """The success value.  Raises if the event failed or is pending."""
-        if not self._triggered:
-            raise SimulationError(f"event {self.name!r} has not been triggered")
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
-    @property
-    def exception(self) -> Optional[BaseException]:
-        """The failure exception, or ``None``."""
-        return self._exception
-
-    # -- triggering ---------------------------------------------------------
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        if self._triggered:
-            raise SimulationError(f"event {self.name!r} already triggered")
-        self._triggered = True
-        self._value = value
-        self._dispatch()
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with a failure."""
-        if self._triggered:
-            raise SimulationError(f"event {self.name!r} already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._triggered = True
-        self._exception = exception
-        self._dispatch()
-        return self
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Run ``callback(event)`` when the event triggers (or immediately if done).
-
-        Callbacks run synchronously at the simulated instant the event
-        triggers; they must not block (they may schedule further events).
-        """
-        if self._triggered:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "pending"
-        if self._triggered:
-            state = "ok" if self._exception is None else "failed"
-        return f"<Event {self.name!r} {state}>"
 
 
 class Simulator:
@@ -195,16 +110,6 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         self.schedule(time - self._now, callback, *args, priority=priority)
 
-    def event(self, name: str = "") -> Event:
-        """Create a new pending :class:`Event` bound to this simulator."""
-        return Event(self, name)
-
-    def timeout(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
-        """Return an event that succeeds ``delay`` seconds from now."""
-        event = self.event(name)
-        self.schedule(delay, event.succeed, value)
-        return event
-
     # -- execution ----------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the simulation.
@@ -250,34 +155,6 @@ class Simulator:
         if until is not None and not calendar:
             self._now = max(self._now, until)
         return self._now
-
-    # -- composition helpers -------------------------------------------------
-    def all_of(self, events: Iterable[Event], name: str = "all_of") -> Event:
-        """Return an event that succeeds when every input event succeeds.
-
-        The combined value is the list of individual values in input order.
-        If any input fails, the combined event fails with that exception.
-        """
-        events = list(events)
-        combined = self.event(name)
-        if not events:
-            combined.succeed([])
-            return combined
-        remaining = {"count": len(events)}
-
-        def _on_trigger(_event: Event) -> None:
-            if combined.triggered:
-                return
-            if _event.exception is not None:
-                combined.fail(_event.exception)
-                return
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                combined.succeed([e.value for e in events])
-
-        for event in events:
-            event.add_callback(_on_trigger)
-        return combined
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:.6f} pending={len(self._calendar)}>"

@@ -1,19 +1,20 @@
-"""The shared resource simulated processes queue on.
+"""The shared resource simulated components queue on.
 
 :class:`Resource` is a counted resource (a device that can serve
-``capacity`` concurrent operations, a link port, a node's CPU).  Requests
-queue FIFO (or by priority).  Waiting is expressed through
-:class:`~repro.simulation.engine.Event` objects, so it composes with
-processes naturally.
+``capacity`` concurrent operations, a node's CPU).  Requests queue FIFO (or
+by priority).  A request names the callback that runs once its slot is
+granted -- at once when a slot is free, otherwise inside the
+:meth:`Resource.release` that frees one -- so waiting schedules nothing on
+the calendar by itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
-from .engine import Event, SimulationError, Simulator
+from .engine import SimulationError, Simulator
 
 __all__ = ["Resource"]
 
@@ -21,12 +22,16 @@ __all__ = ["Resource"]
 class Resource:
     """A resource with integer capacity and a (priority) request queue.
 
-    Usage from a process::
+    Usage from a callback chain::
 
-        grant = resource.request()
-        yield grant                 # waits until a slot is available
-        ...                         # hold the slot
-        resource.release()
+        def granted():
+            ...                     # hold the slot
+            sim.schedule(hold, done)
+
+        def done():
+            resource.release()
+
+        resource.request(granted)   # runs granted() once a slot is free
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
@@ -36,29 +41,24 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._queue: List[Tuple[int, int, Event]] = []
+        self._queue: List[Tuple[int, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
 
     # -- operations -----------------------------------------------------------
-    def request(self, priority: int = 0) -> Event:
-        """Ask for a slot.  The returned event succeeds when the slot is granted."""
-        grant = self.sim.event(f"{self.name}.grant")
+    def request(self, on_grant: Callable[[], None], priority: int = 0) -> None:
+        """Ask for a slot; ``on_grant()`` runs when the slot is granted."""
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
-            grant.succeed(self)
+            on_grant()
         else:
-            heapq.heappush(self._queue, (priority, next(self._sequence), grant))
-        return grant
+            heapq.heappush(self._queue, (priority, next(self._sequence), on_grant))
 
     def release(self) -> None:
-        """Return a slot, waking the next queued request if any."""
+        """Return a slot, granting it to the next queued request if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        self._in_use -= 1
-        while self._queue:
-            _priority, _seq, grant = heapq.heappop(self._queue)
-            if grant.triggered:  # cancelled externally
-                continue
-            self._in_use += 1
-            grant.succeed(self)
-            break
+        if self._queue:
+            # The slot passes straight to the waiter: in use stays the same.
+            heapq.heappop(self._queue)[2]()
+        else:
+            self._in_use -= 1

@@ -25,9 +25,9 @@ Absolute values are configurable; experiments rely on the *ratios* (RAM ≪ SSD
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from ..simulation.engine import Event, Simulator
+from ..simulation.engine import Simulator
 from ..simulation.resources import Resource
 
 __all__ = [
@@ -122,30 +122,25 @@ class StorageDevice:
         return self.spec.write_time(size_bytes, random_access)
 
     # -- simulated access -----------------------------------------------------
-    def busy(self, duration: float) -> Event:
+    def busy(self, duration: float, on_done: Callable[[], None]) -> None:
         """Occupy the device for an externally computed ``duration``.
 
         The caller has already accounted for the individual accesses (a
         batched lookup sums their costs) and needs the device's queue to
-        reflect the aggregate busy time.  The returned event succeeds with
-        the duration once the device has actually been held for it.
+        reflect the aggregate busy time.  ``on_done()`` runs once the device
+        has actually been held for it, right after the slot is handed on.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
         sim, resource = self.sim, self._resource
         if resource is None:  # built without a simulator: cost model only
             raise RuntimeError("busy() requires a device constructed with a Simulator")
-        done = sim.event(f"{self.name}.busy")
 
-        def _start(_grant_event: Event) -> None:
-            def _finish() -> None:
-                resource.release()
-                done.succeed(duration)
+        def _finish() -> None:
+            resource.release()
+            on_done()
 
-            sim.schedule(duration, _finish)
-
-        resource.request().add_callback(_start)
-        return done
+        resource.request(lambda: sim.schedule(duration, _finish))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StorageDevice {self.name}>"

@@ -17,5 +17,8 @@ carries one implementation per job.
 * :mod:`oracles.trace_generator` -- the trace generator's per-position loop
   (``expovariate``, a SHA-1 and a validated ``Fingerprint`` per position);
 * :mod:`oracles.resource_link` -- the network link whose port is a
-  ``Resource``, with an ``Event`` per grant and per delivery.
+  ``Resource``, with an ``Event`` per grant and per delivery;
+* :mod:`oracles.event_path` -- the simulated request path as it waited on
+  ``Event``s (generator processes, ``all_of``, event-returning RPC) and
+  carried ``LookupReply`` lists, with the process helper it needs.
 """

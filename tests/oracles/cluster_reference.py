@@ -15,11 +15,11 @@ from typing import List, Sequence
 
 from repro.core.cluster import SHHCCluster
 from repro.core.fault_injection import NodeUnavailableError
-from repro.core.protocol import BatchLookupReply, LookupReply
+from repro.core.protocol import LookupReply
 from repro.dedup.fingerprint import Fingerprint
-from repro.frontend.webserver import reassemble_replies
 
 from .batch_routing import split_batch_by_replica_set
+from .event_path import ReplyBatch, reassemble_replies
 
 
 def lookup_batch_replies_reference(
@@ -50,6 +50,6 @@ def lookup_batch_replies_reference(
         else:
             replies = [cluster._resolve_reply(reply, serving) for reply in raw_replies]
         gathered.append(
-            (BatchLookupReply(replies=replies, node_id=serving, batch_id=batch_id), positions)
+            (ReplyBatch(replies=replies, node_id=serving, batch_id=batch_id), positions)
         )
     return reassemble_replies(len(fingerprints), gathered)

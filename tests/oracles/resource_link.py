@@ -17,8 +17,10 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.network.message import Message
-from repro.simulation.engine import Event, Simulator
+from repro.simulation.engine import Simulator
 from repro.simulation.resources import Resource
+
+from .event_path import Event, request_slot
 
 
 class ResourceLink:
@@ -43,8 +45,8 @@ class ResourceLink:
         self.bytes_sent += message.wire_bytes
         service_time = self.total_time(message.wire_bytes)
         sim = self.sim
-        done = sim.event(f"{self.name}.delivery")
-        grant = self._port.request()
+        done = Event(sim, f"{self.name}.delivery")
+        grant = request_slot(sim, self._port)
 
         def _start(_grant_event: Event) -> None:
             # The port is held for the serialisation time only; propagation
@@ -90,7 +92,7 @@ class ResourceSwitch:
         uplink = self._uplinks[message.source]
         downlink = self._downlinks[message.destination]
         destination = message.destination
-        done = self.sim.event(f"{self.name}.deliver")
+        done = Event(self.sim, f"{self.name}.deliver")
 
         def _at_switch(_uplink_event: Event) -> None:
             second_leg = downlink.send(message, self._handlers.get(destination))

@@ -7,9 +7,8 @@ import pytest
 from repro.core.hash_node import NodeSnapshot
 from repro.core.metrics import ClusterMetrics, LoadBalanceReport
 from repro.core.partition import RangePartitioner
-from repro.core.protocol import BatchLookupReply, LookupReply, ServedFrom
+from repro.core.protocol import merge_by_position
 from repro.dedup.fingerprint import synthetic_fingerprint
-from repro.frontend.webserver import reassemble_replies
 
 from oracles.batch_routing import split_batch_by_replica_set
 
@@ -32,40 +31,31 @@ class TestSplitAndReassemble:
     def test_reassemble_restores_original_order(self):
         fingerprints = FINGERPRINTS[:50]
         split = split_batch_by_replica_set(fingerprints, PARTITIONER)
-        per_node = []
+        groups = []
         for node, (request, positions) in split.items():
-            replies = [
-                LookupReply(fp, False, ServedFrom.NEW, node_id=node)
-                for fp in request.fingerprints
-            ]
-            per_node.append((BatchLookupReply(replies=replies, node_id=node), positions))
-        merged = reassemble_replies(len(fingerprints), per_node)
-        assert [reply.fingerprint for reply in merged] == fingerprints
+            # Each node answers with its own request's columns.
+            tiers = [fingerprints.index(fp) % 3 for fp in request.fingerprints]
+            times = [float(fingerprints.index(fp)) for fp in request.fingerprints]
+            groups.append((positions, tiers, times, [node] * len(tiers)))
+        tiers, service_times, node_ids = merge_by_position(len(fingerprints), groups)
+        assert tiers == [index % 3 for index in range(len(fingerprints))]
+        assert service_times == [float(index) for index in range(len(fingerprints))]
+        assert node_ids == [PARTITIONER.owner(fp) for fp in fingerprints]
 
     def test_reassemble_detects_missing_positions(self):
         fingerprints = FINGERPRINTS[:10]
         split = split_batch_by_replica_set(fingerprints, PARTITIONER)
         per_node = list(split.items())[:-1]  # drop one node's replies
         partial = [
-            (
-                BatchLookupReply(
-                    replies=[LookupReply(fp, False, ServedFrom.NEW) for fp in request.fingerprints],
-                    node_id=node,
-                ),
-                positions,
-            )
+            (positions, [0] * len(request), [0.0] * len(request), [node] * len(request))
             for node, (request, positions) in per_node
         ]
-        with pytest.raises(ValueError):
-            reassemble_replies(len(fingerprints), partial)
+        with pytest.raises(ValueError, match="missing"):
+            merge_by_position(len(fingerprints), partial)
 
     def test_reassemble_detects_length_mismatch(self):
-        fingerprints = FINGERPRINTS[:4]
-        reply = BatchLookupReply(
-            replies=[LookupReply(fingerprints[0], False, ServedFrom.NEW)], node_id="n0"
-        )
-        with pytest.raises(ValueError):
-            reassemble_replies(4, [(reply, [0, 1])])
+        with pytest.raises(ValueError, match="length"):
+            merge_by_position(4, [([0, 1], [0], [0.0], ["n0"])])
 
 
 def snapshot(node_id: str, entries: int, lookups: int, ram_hits: int = 0) -> NodeSnapshot:

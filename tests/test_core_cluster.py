@@ -147,9 +147,8 @@ class TestSimulatedService:
         owned = [fp for fp in fingerprints if cluster.owner_of(fp) == owner]
         request = BatchLookupRequest(owned)
         responses = []
-        network.rpc.call("client-0", owner, request, request.payload_bytes).add_callback(
-            lambda event: responses.append((sim.now, event.value))
-        )
+        network.rpc.call("client-0", owner, request, request.payload_bytes,
+                         on_response=lambda reply: responses.append((sim.now, reply)))
         sim.run()
         finish_time, reply = responses[0]
         assert finish_time > 0

@@ -9,6 +9,7 @@ from repro.core.protocol import (
     BatchLookupReply,
     BatchLookupRequest,
     LookupReply,
+    REPLY_BYTES_PER_FINGERPRINT,
     REQUEST_OVERHEAD_BYTES,
     ServedFrom,
 )
@@ -80,19 +81,20 @@ class TestProtocolMessages:
             BatchLookupRequest([])
 
     def test_batch_reply_accounting(self):
-        replies = [
-            LookupReply(synthetic_fingerprint(i), i % 2 == 0, ServedFrom.RAM)
-            for i in range(10)
-        ]
-        batch = BatchLookupReply(replies=replies, node_id="n0")
+        fingerprints = [synthetic_fingerprint(i) for i in range(10)]
+        tiers = [1 if i % 2 == 0 else 0 for i in range(10)]
+        batch = BatchLookupReply(fingerprints, tiers, [0.5] * 10, node_id="n0")
         assert len(batch) == 10
         assert batch.duplicates == 5
         assert batch.uniques == 5
-        assert len(batch.unique_fingerprints()) == 5
-        assert all(
-            fp == reply.fingerprint
-            for fp, reply in zip(batch.unique_fingerprints(), [r for r in replies if not r.is_duplicate])
-        )
+        assert batch.unique_fingerprints() == fingerprints[1::2]
+        assert batch.payload_bytes == REQUEST_OVERHEAD_BYTES + 10 * REPLY_BYTES_PER_FINGERPRINT
+        # The LookupReply view, built on demand.
+        replies = batch.replies
+        assert [reply.fingerprint for reply in replies] == fingerprints
+        assert [reply.is_duplicate for reply in replies] == [bool(tier) for tier in tiers]
+        assert {reply.served_from for reply in replies} == {ServedFrom.RAM, ServedFrom.NEW}
+        assert {reply.node_id for reply in replies} == {"n0"}
 
     def test_served_from_values(self):
         assert {ServedFrom.RAM.value, ServedFrom.SSD.value, ServedFrom.NEW.value} == {

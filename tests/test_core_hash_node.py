@@ -209,13 +209,13 @@ class TestSimulatedServing:
     def test_serve_batch_requires_simulator(self):
         node = make_node()
         with pytest.raises(RuntimeError):
-            node.serve_batch(BatchLookupRequest([synthetic_fingerprint(1)]))
+            node.serve_batch(BatchLookupRequest([synthetic_fingerprint(1)]), lambda _reply: None)
 
     def test_serve_batch_returns_replies_after_service_time(self, sim):
         node = make_node(sim)
         request = BatchLookupRequest([synthetic_fingerprint(i) for i in range(16)])
         results = []
-        node.serve_batch(request).add_callback(lambda e: results.append((sim.now, e.value)))
+        node.serve_batch(request, lambda reply: results.append((sim.now, reply)))
         sim.run()
         finish_time, reply = results[0]
         assert len(reply.replies) == 16
@@ -231,7 +231,7 @@ class TestSimulatedServing:
             request = BatchLookupRequest(
                 [synthetic_fingerprint(batch_index * 100 + i) for i in range(10)]
             )
-            node.serve_batch(request).add_callback(lambda _e: finish_times.append(sim.now))
+            node.serve_batch(request, lambda _reply: finish_times.append(sim.now))
         sim.run()
         assert finish_times == sorted(finish_times)
         # With service_concurrency=1, batches must not all finish together.
@@ -244,8 +244,9 @@ class TestSimulatedServing:
 
         simulated_node = make_node(sim)
         collected = []
-        simulated_node.serve_batch(BatchLookupRequest(fingerprints)).add_callback(
-            lambda e: collected.extend(r.is_duplicate for r in e.value.replies)
+        simulated_node.serve_batch(
+            BatchLookupRequest(fingerprints),
+            lambda reply: collected.extend(r.is_duplicate for r in reply.replies),
         )
         sim.run()
         assert collected == immediate

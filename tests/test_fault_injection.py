@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from oracles.set_model import set_verdicts
 
@@ -180,7 +182,9 @@ class TestFlakyNode:
         flaky = make_flaky(make_cluster(), "hashnode-0", failure_rate=1.0)
         for attempt, name in enumerate(serving, start=1):
             with pytest.raises(NodeUnavailableError):
-                getattr(flaky, name)(None)
+                # One placeholder per parameter: the failure fires first.
+                method = getattr(flaky, name)
+                method(*[None] * len(inspect.signature(method).parameters))
             assert flaky.injected_failures == attempt
 
     def test_cluster_fails_over_around_flaky_node(self):

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
-from repro.core.protocol import LookupReply, ServedFrom
 from repro.dedup.chunking import FixedSizeChunker
 from repro.dedup.fingerprint import fingerprint_data, synthetic_fingerprint
 from repro.frontend.client import BackupClient, SimulatedClient
@@ -30,22 +29,23 @@ def small_cluster(num_nodes=2) -> SHHCCluster:
 
 
 class TestUploadPlan:
-    def _replies(self, duplicates, uniques):
-        replies = []
-        for index in range(duplicates):
-            replies.append(LookupReply(synthetic_fingerprint(index, 100), True, ServedFrom.RAM))
-        for index in range(uniques):
-            replies.append(LookupReply(synthetic_fingerprint(1000 + index, 100), False, ServedFrom.NEW))
-        return replies
+    def _columns(self, duplicates, uniques):
+        """Fingerprints and tier codes: ``duplicates`` RAM hits, then ``uniques`` new."""
+        fingerprints = [synthetic_fingerprint(index, 100) for index in range(duplicates)]
+        fingerprints += [synthetic_fingerprint(1000 + index, 100) for index in range(uniques)]
+        return fingerprints, [1] * duplicates + [0] * uniques
 
     def test_from_replies_partitions_correctly(self):
-        plan = UploadPlan.from_replies("alice", self._replies(3, 2))
-        assert len(plan.already_stored) == 3
-        assert len(plan.to_upload) == 2
+        """A plan is built from the verdict columns, each list in batch order."""
+        fingerprints, _tiers = self._columns(3, 2)
+        tiers = [1, 0, 2, 0, 3]  # RAM, new, SSD, new, read repair
+        plan = UploadPlan.from_tiers("alice", fingerprints, tiers)
+        assert plan.already_stored == [fingerprints[0], fingerprints[2], fingerprints[4]]
+        assert plan.to_upload == [fingerprints[1], fingerprints[3]]
         assert plan.total_chunks == 5
 
     def test_byte_accounting_and_savings(self):
-        plan = UploadPlan.from_replies("alice", self._replies(3, 1))
+        plan = UploadPlan.from_tiers("alice", *self._columns(3, 1))
         assert plan.upload_bytes == 100
         assert plan.logical_bytes == 400
         assert plan.bandwidth_savings == pytest.approx(0.75)
@@ -54,15 +54,14 @@ class TestUploadPlan:
         assert UploadPlan(client_id="x").bandwidth_savings == 0.0
 
     def test_merge_same_client(self):
-        first = UploadPlan.from_replies("alice", self._replies(1, 1))
-        second = UploadPlan.from_replies("alice", self._replies(2, 0))
-        merged = first.merge(second)
+        merged = UploadPlan.from_tiers("alice", *self._columns(1, 1))
+        merged.extend(UploadPlan.from_tiers("alice", *self._columns(2, 0)))
         assert merged.total_chunks == 4
         assert len(merged.already_stored) == 3
 
     def test_merge_different_clients_rejected(self):
         with pytest.raises(ValueError):
-            UploadPlan(client_id="a").merge(UploadPlan(client_id="b"))
+            UploadPlan(client_id="a").extend(UploadPlan(client_id="b"))
 
 
 class TestWebFrontEnd:
@@ -95,8 +94,9 @@ class TestWebFrontEnd:
         request = ClientBatchRequest("client-0", fingerprints)
         responses = []
         deployment.network.rpc.call(
-            "client-0", "web-0", request, request.payload_bytes
-        ).add_callback(lambda event: responses.append((sim.now, event.value)))
+            "client-0", "web-0", request, request.payload_bytes,
+            on_response=lambda response: responses.append((sim.now, response)),
+        )
         sim.run()
         finish_time, response = responses[0]
         assert finish_time > 0
@@ -128,6 +128,27 @@ class TestBackupClient:
         for chunk_start in range(0, len(data), 64):
             digest = fingerprint_data(data[chunk_start:chunk_start + 64]).digest
             assert digest in store
+
+    def test_backup_plan_is_the_batch_plans_concatenated_in_order(self):
+        frontend = WebFrontEnd("web-0", small_cluster())
+        client = BackupClient("alice", frontend, chunker=FixedSizeChunker(64), batch_size=3)
+        batch_plans = []
+        handle_batch = frontend.handle_batch
+
+        def recording(request):
+            response = handle_batch(request)
+            batch_plans.append(response.plan)
+            return response
+
+        frontend.handle_batch = recording
+        data = os.urandom(64 * 6) * 2 + os.urandom(64 * 5)  # 17 chunks, 6 repeated
+        plan = client.backup(data)
+        assert len(batch_plans) == 6
+        assert plan.to_upload == [fp for part in batch_plans for fp in part.to_upload]
+        assert plan.already_stored == [fp for part in batch_plans for fp in part.already_stored]
+        assert (len(plan.to_upload), len(plan.already_stored)) == (11, 6)
+        # Merging in place leaves every batch's own plan as it was.
+        assert sum(part.total_chunks for part in batch_plans) == plan.total_chunks == 17
 
     def test_two_clients_share_the_dedup_domain(self):
         cluster = small_cluster()
@@ -208,6 +229,44 @@ class TestSimulatedClient:
             local_sim.run()
             throughputs[batch_size] = client.stats.throughput
         assert throughputs[128] > throughputs[1] * 5
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_lanes_send_every_fingerprint_once_and_finish_with_the_last_lane(self, sim, window):
+        deployment = self._deployment(sim, num_nodes=3)
+        fingerprints = [synthetic_fingerprint((i * 7) % 130) for i in range(500)]
+        client = SimulatedClient("client-0", deployment.network.rpc, deployment.load_balancer,
+                                 fingerprints, batch_size=24, window=window, sim=sim)
+        sent, answered, in_flight = [], [], [0]
+        handlers = deployment.network.switch._handlers
+        for endpoint, handler in list(handlers.items()):
+            def logged(message, endpoint=endpoint, handler=handler):
+                if endpoint.startswith("web") and message.reply_to is None:
+                    sent.append(message.payload.fingerprints)
+                    in_flight[0] += 1
+                    assert in_flight[0] <= window
+                elif endpoint == "client-0":
+                    answered.append(sim.now)
+                    in_flight[0] -= 1
+                handler(message)
+            handlers[endpoint] = logged
+        client.start()
+        sim.run()
+
+        # Every fingerprint exactly once: the batches sent are the trace's
+        # 24-long slices, each sent once, in whatever order the lanes ran.
+        def digests(batch):
+            return tuple(fp.digest for fp in batch)
+
+        assert sorted(map(digests, sent)) == sorted(
+            digests(fingerprints[start:start + 24]) for start in range(0, len(fingerprints), 24))
+        # Counts as a set model has them: a digest is new once, then duplicate.
+        stats = client.stats
+        assert stats.batches_sent == len(sent) == -(-len(fingerprints) // 24)
+        assert stats.fingerprints_sent == len(fingerprints)
+        assert stats.duplicates_found == len(fingerprints) - len({fp.digest for fp in fingerprints})
+        # Done when the last lane's last answer arrives, not before.
+        assert len(answered) == len(sent)
+        assert stats.finished_at == max(answered) > stats.started_at == 0.0
 
     def test_window_validation(self, sim):
         deployment = self._deployment(sim)

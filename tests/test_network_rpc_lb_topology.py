@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.network.loadbalancer import LoadBalancer, RoundRobinPolicy
+from repro.network.message import MESSAGE_HEADER_BYTES
 from repro.network.rpc import RpcError, RpcLayer
 from repro.network.switch import NetworkSwitch
 from repro.network.topology import ClusterTopology
 from repro.simulation.engine import Simulator
-from repro.simulation.process import run_process
 
 
 class TestRpcLayer:
@@ -24,55 +24,63 @@ class TestRpcLayer:
 
     def test_simulated_call_round_trip(self, sim):
         rpc = self._layer(sim)
-        rpc.register("server", lambda payload: (payload + 1, 16))
+        rpc.register("server", lambda payload, respond: respond(payload + 1, 16))
         responses = []
-        rpc.call("client", "server", 1, payload_bytes=64).add_callback(
-            lambda event: responses.append((sim.now, event.value))
-        )
+        rpc.call("client", "server", 1, payload_bytes=64,
+                 on_response=lambda value: responses.append((sim.now, value)))
         sim.run()
         assert responses[0][1] == 2
         assert responses[0][0] > 0.0
 
     def test_handler_returning_event_defers_response(self, sim):
+        """A handler may answer later, from a callback of its own."""
         rpc = self._layer(sim)
 
-        def slow_handler(payload):
-            done = sim.event("slow")
-            sim.schedule(5.0, done.succeed, (payload, 8))
-            return done
+        def slow_handler(payload, respond):
+            sim.schedule(5.0, respond, payload, 8)
 
         rpc.register("server", slow_handler)
         responses = []
-        rpc.call("client", "server", "x", payload_bytes=8).add_callback(
-            lambda event: responses.append(sim.now)
-        )
+        rpc.call("client", "server", "x", payload_bytes=8,
+                 on_response=lambda _value: responses.append(sim.now))
         sim.run()
         assert responses[0] > 5.0
 
     def test_call_from_process(self, sim):
+        """A caller's chain continues in its response callback."""
         rpc = self._layer(sim)
-        rpc.register("echo", lambda payload: payload)
+        rpc.register("echo", lambda payload, respond: respond(payload, 64))
+        results = []
 
         def caller():
-            reply = yield rpc.call("client", "echo", "ping", payload_bytes=16)
-            return (reply, sim.now)
+            rpc.call("client", "echo", "ping", payload_bytes=16,
+                     on_response=lambda reply: results.append((reply, sim.now)))
 
-        process = run_process(sim, caller())
+        sim.schedule(0.0, caller)
         sim.run()
-        assert process.value[0] == "ping"
-        assert process.value[1] > 0
+        assert results[0][0] == "ping"
+        assert results[0][1] > 0
 
     def test_concurrent_calls_complete_independently(self, sim):
         rpc = self._layer(sim)
-        rpc.register("server", lambda payload: payload)
+        rpc.register("server", lambda payload, respond: respond(payload, 64))
         results = []
         for index in range(10):
-            rpc.call("client", "server", index, payload_bytes=16).add_callback(
-                lambda event: results.append(event.value)
-            )
+            rpc.call("client", "server", index, payload_bytes=16, on_response=results.append)
         sim.run()
         assert sorted(results) == list(range(10))
 
+    def test_response_is_sized_by_the_handler_not_by_its_shape(self, sim):
+        """A payload that happens to be a ``(value, int)`` pair is answered
+        whole and charged what the handler said, not the pair's int."""
+        switch = NetworkSwitch(sim)
+        rpc = RpcLayer(switch, sim)
+        rpc.register("echo", lambda payload, respond: respond(payload, 16))
+        replies = []
+        rpc.call("client", "echo", ("chunk", 4096), payload_bytes=32, on_response=replies.append)
+        sim.run()
+        assert replies == [("chunk", 4096)]
+        assert switch.stats()["client"]["received_bytes"] == 16 + MESSAGE_HEADER_BYTES
 
 class TestLoadBalancerPolicies:
     def test_round_robin_cycles(self):
@@ -144,10 +152,8 @@ class TestClusterTopology:
     def test_built_network_supports_rpc(self, sim):
         topology = ClusterTopology(num_clients=1, num_web_servers=1, num_hash_nodes=1)
         network = topology.build_network(sim)
-        network.rpc.register("hashnode-0", lambda payload: payload.upper())
+        network.rpc.register("hashnode-0", lambda payload, respond: respond(payload.upper(), 16))
         replies = []
-        network.rpc.call("client-0", "hashnode-0", "hi", payload_bytes=16).add_callback(
-            lambda event: replies.append(event.value)
-        )
+        network.rpc.call("client-0", "hashnode-0", "hi", payload_bytes=16, on_response=replies.append)
         sim.run()
         assert replies == ["HI"]

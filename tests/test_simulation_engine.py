@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.event_path import Event, all_of, timeout
 
 from repro.simulation.engine import SimulationError, Simulator
 
@@ -157,14 +158,16 @@ class TestPendingEventsCounter:
 
 
 class TestEvents:
+    """The ``Event`` of the event-path oracle (tests/oracles/event_path.py)."""
+
     def test_event_succeed_value(self, sim):
-        event = sim.event("e")
+        event = Event(sim, "e")
         event.succeed(42)
         assert event.triggered and event.ok
         assert event.value == 42
 
     def test_event_fail(self, sim):
-        event = sim.event("e")
+        event = Event(sim, "e")
         error = ValueError("boom")
         event.fail(error)
         assert event.triggered and not event.ok
@@ -174,55 +177,55 @@ class TestEvents:
 
     def test_value_of_pending_event_raises(self, sim):
         with pytest.raises(SimulationError):
-            _ = sim.event().value
+            _ = Event(sim).value
 
     def test_double_trigger_rejected(self, sim):
-        event = sim.event()
+        event = Event(sim)
         event.succeed(1)
         with pytest.raises(SimulationError):
             event.succeed(2)
 
     def test_fail_requires_exception(self, sim):
         with pytest.raises(TypeError):
-            sim.event().fail("not an exception")
+            Event(sim).fail("not an exception")
 
     def test_callback_runs_on_trigger(self, sim):
-        event = sim.event()
+        event = Event(sim)
         seen = []
         event.add_callback(lambda e: seen.append(e.value))
         event.succeed("payload")
         assert seen == ["payload"]
 
     def test_callback_added_after_trigger_runs_immediately(self, sim):
-        event = sim.event()
+        event = Event(sim)
         event.succeed(7)
         seen = []
         event.add_callback(lambda e: seen.append(e.value))
         assert seen == [7]
 
     def test_timeout_event(self, sim):
-        event = sim.timeout(3.0, value="done")
+        event = timeout(sim, 3.0, value="done")
         seen = []
         event.add_callback(lambda e: seen.append((sim.now, e.value)))
         sim.run()
         assert seen == [(3.0, "done")]
 
     def test_all_of_collects_values_in_order(self, sim):
-        a = sim.timeout(2.0, "a")
-        b = sim.timeout(1.0, "b")
-        combined = sim.all_of([a, b])
+        a = timeout(sim, 2.0, "a")
+        b = timeout(sim, 1.0, "b")
+        combined = all_of(sim, [a, b])
         seen = []
         combined.add_callback(lambda e: seen.append((sim.now, e.value)))
         sim.run()
         assert seen == [(2.0, ["a", "b"])]
 
     def test_all_of_empty_succeeds_immediately(self, sim):
-        assert sim.all_of([]).triggered
+        assert all_of(sim, []).triggered
 
     def test_all_of_propagates_failure(self, sim):
-        good = sim.timeout(1.0)
-        bad = sim.event()
-        combined = sim.all_of([good, bad])
+        good = timeout(sim, 1.0)
+        bad = Event(sim)
+        combined = all_of(sim, [good, bad])
         bad.fail(RuntimeError("x"))
         sim.run()
         assert combined.triggered and not combined.ok

@@ -1,11 +1,16 @@
-"""Tests for the generator-based process model."""
+"""Tests for the generator-based process model.
+
+The model is the process helper of the ``Event``-path oracle
+(``tests/oracles/event_path.py``) that the simulated request path is held
+to; nothing under ``src/`` runs processes any more.
+"""
 
 from __future__ import annotations
 
 import pytest
+from oracles.event_path import Process, all_of, run_process, timeout
 
-from repro.simulation.engine import SimulationError, Simulator
-from repro.simulation.process import Process, run_process
+from repro.simulation.engine import SimulationError
 
 
 class TestBasicProcesses:
@@ -13,9 +18,9 @@ class TestBasicProcesses:
         log = []
 
         def worker():
-            yield sim.timeout(1.0)
+            yield timeout(sim, 1.0)
             log.append(sim.now)
-            yield sim.timeout(2.0)
+            yield timeout(sim, 2.0)
             log.append(sim.now)
 
         run_process(sim, worker())
@@ -24,7 +29,7 @@ class TestBasicProcesses:
 
     def test_process_return_value_becomes_event_value(self, sim):
         def worker():
-            yield sim.timeout(1.0)
+            yield timeout(sim, 1.0)
             return "result"
 
         process = run_process(sim, worker())
@@ -42,7 +47,7 @@ class TestBasicProcesses:
 
     def test_yield_event_receives_its_value(self, sim):
         def worker():
-            value = yield sim.timeout(1.0, value="payload")
+            value = yield timeout(sim, 1.0, value="payload")
             return value
 
         process = run_process(sim, worker())
@@ -67,7 +72,7 @@ class TestBasicProcesses:
 
     def test_exception_in_process_fails_its_event(self, sim):
         def worker():
-            yield sim.timeout(1.0)
+            yield timeout(sim, 1.0)
             raise RuntimeError("exploded")
 
         process = run_process(sim, worker())
@@ -77,7 +82,7 @@ class TestBasicProcesses:
 
     def test_is_alive_lifecycle(self, sim):
         def worker():
-            yield sim.timeout(5.0)
+            yield timeout(sim, 5.0)
 
         process = run_process(sim, worker())
         assert process.is_alive
@@ -88,7 +93,7 @@ class TestBasicProcesses:
 class TestProcessComposition:
     def test_process_waits_on_another_process(self, sim):
         def inner():
-            yield sim.timeout(2.0)
+            yield timeout(sim, 2.0)
             return "inner-done"
 
         def outer():
@@ -101,7 +106,7 @@ class TestProcessComposition:
 
     def test_failure_propagates_to_waiting_process(self, sim):
         def inner():
-            yield sim.timeout(1.0)
+            yield timeout(sim, 1.0)
             raise ValueError("inner failure")
 
         def outer():
@@ -120,7 +125,7 @@ class TestProcessComposition:
 
         def worker(name, delay):
             for _ in range(3):
-                yield sim.timeout(delay)
+                yield timeout(sim, delay)
                 log.append((name, sim.now))
 
         run_process(sim, worker("fast", 1.0))
@@ -133,10 +138,10 @@ class TestProcessComposition:
 
     def test_all_of_processes(self, sim):
         def worker(delay, value):
-            yield sim.timeout(delay)
+            yield timeout(sim, delay)
             return value
 
-        combined = sim.all_of([run_process(sim, worker(1.0, "a")), run_process(sim, worker(3.0, "b"))])
+        combined = all_of(sim, [run_process(sim, worker(1.0, "a")), run_process(sim, worker(3.0, "b"))])
         sim.run()
         assert combined.value == ["a", "b"]
         assert sim.now == 3.0

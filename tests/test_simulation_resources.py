@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.simulation.engine import SimulationError
-from repro.simulation.process import run_process
 from repro.simulation.resources import Resource
 
 
@@ -16,17 +15,21 @@ class TestResource:
 
     def test_grant_is_immediate_when_free(self, sim):
         resource = Resource(sim, capacity=1)
-        grant = resource.request()
-        assert grant.triggered
-        assert grant.value is resource
+        granted = []
+        resource.request(lambda: granted.append(sim.now))
+        assert granted == [0.0]
 
     def test_second_request_queues_until_release(self, sim):
         resource = Resource(sim, capacity=1)
-        first = resource.request()
-        second = resource.request()
-        assert first.triggered and not second.triggered
+        granted = []
+        resource.request(lambda: granted.append("first"))
+        resource.request(lambda: granted.append("second"))
+        resource.request(lambda: granted.append("third"))
+        assert granted == ["first"]
         resource.release()
-        assert second.triggered
+        assert granted == ["first", "second"]  # FIFO among equal priorities
+        resource.release()
+        assert granted == ["first", "second", "third"]
 
     def test_release_without_request_raises(self, sim):
         resource = Resource(sim, capacity=1)
@@ -34,19 +37,23 @@ class TestResource:
             resource.release()
 
     def test_serialisation_of_processes(self, sim):
+        """Two callback chains holding a capacity-1 resource take turns."""
         resource = Resource(sim, capacity=1)
         log = []
 
         def worker(name, hold):
-            grant = resource.request()
-            yield grant
-            log.append((name, "start", sim.now))
-            yield sim.timeout(hold)
-            resource.release()
-            log.append((name, "end", sim.now))
+            def granted():
+                log.append((name, "start", sim.now))
+                sim.schedule(hold, finished)
 
-        run_process(sim, worker("a", 2.0))
-        run_process(sim, worker("b", 1.0))
+            def finished():
+                resource.release()
+                log.append((name, "end", sim.now))
+
+            resource.request(granted)
+
+        sim.schedule(0.0, worker, "a", 2.0)
+        sim.schedule(0.0, worker, "b", 1.0)
         sim.run()
         # b's grant fires at the instant a releases (t=2.0); entries at the
         # same simulated time may interleave, so compare per-worker views.
@@ -63,25 +70,21 @@ class TestResource:
         resource = Resource(sim, capacity=2)
         ends = []
 
-        def worker(hold):
-            yield resource.request()
-            yield sim.timeout(hold)
+        def finished():
             resource.release()
             ends.append(sim.now)
 
         for _ in range(2):
-            run_process(sim, worker(3.0))
+            resource.request(lambda: sim.schedule(3.0, finished))
         sim.run()
         assert ends == [3.0, 3.0]
 
     def test_priority_queue_order(self, sim):
         resource = Resource(sim, capacity=1)
-        resource.request()  # occupy
+        resource.request(lambda: None)  # occupy
         order = []
-        low = resource.request(priority=10)
-        high = resource.request(priority=-10)
-        low.add_callback(lambda _e: order.append("low"))
-        high.add_callback(lambda _e: order.append("high"))
+        resource.request(lambda: order.append("low"), priority=10)
+        resource.request(lambda: order.append("high"), priority=-10)
         resource.release()
         resource.release()
         sim.run()

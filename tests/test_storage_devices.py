@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.process import run_process
 from repro.storage.devices import (
     HDD_SPEC,
     RAM_SPEC,
@@ -61,23 +60,21 @@ class TestImmediateMode:
         # The same error HybridHashNode.serve_batch raises, not an
         # AttributeError from a missing queue.
         with pytest.raises(RuntimeError, match="constructed with a Simulator"):
-            make_ssd().busy(0.5)
+            make_ssd().busy(0.5, lambda: None)
 
     def test_busy_rejects_negative_duration(self):
         with pytest.raises(ValueError):
-            make_ssd().busy(-1.0)
+            make_ssd().busy(-1.0, lambda: None)
 
 
 class TestSimulatedMode:
     def test_read_completes_after_service_time(self, sim):
         device = make_ssd(sim)
         finished = []
-        event = device.busy(device.read_cost(4096))
-        event.add_callback(lambda _e: finished.append(sim.now))
-        assert not event.triggered
+        device.busy(device.read_cost(4096), lambda: finished.append(sim.now))
+        assert finished == []
         sim.run()
         assert finished == [pytest.approx(device.read_cost(4096))]
-        assert event.value == pytest.approx(device.read_cost(4096))
 
     def test_queueing_with_concurrency_one(self, sim):
         spec = DeviceSpec(
@@ -91,7 +88,7 @@ class TestSimulatedMode:
         device = StorageDevice(spec, sim)
         finish_times = []
         for _ in range(3):
-            device.busy(device.read_cost(0)).add_callback(lambda _e: finish_times.append(sim.now))
+            device.busy(device.read_cost(0), lambda: finish_times.append(sim.now))
         sim.run()
         assert finish_times == [
             pytest.approx(1e-3),
@@ -111,17 +108,14 @@ class TestSimulatedMode:
         device = StorageDevice(spec, sim)
         finish_times = []
         for _ in range(2):
-            device.busy(device.read_cost(0)).add_callback(lambda _e: finish_times.append(sim.now))
+            device.busy(device.read_cost(0), lambda: finish_times.append(sim.now))
         sim.run()
         assert finish_times == [pytest.approx(1e-3), pytest.approx(1e-3)]
 
     def test_process_can_wait_on_device(self, sim):
+        """A callback chain resumes after its hold, at the instant it ends."""
         device = make_ram(sim)
-
-        def worker():
-            yield device.busy(device.read_cost(64))
-            return sim.now
-
-        process = run_process(sim, worker())
+        resumed = []
+        sim.schedule(0.0, device.busy, device.read_cost(64), lambda: resumed.append(sim.now))
         sim.run()
-        assert process.value == pytest.approx(device.read_cost(64))
+        assert resumed == [pytest.approx(device.read_cost(64))]

@@ -56,11 +56,22 @@ exists since PR 24: older checkouts need that commit's copy of this file.
 
 ``sim`` is ``bench/``'s ``sim_figure5`` cycle leg by leg (no cProfile):
 ``run_scenario("figure5")`` on 4 nodes at each of the three legs, cold
-(the trace memo cleared, as the bench does), five times, and per leg the
+(the trace memo cleared, as the bench does), twelve times, and per leg the
 mean seconds in trace generation (``WorkloadMix.streams``), in
 ``Simulator.run`` and in the rest (deployment, client set-up, result),
-rows summing to the leg.  It wraps public names only, so
-``PYTHONPATH=<other checkout>/src`` splits another commit's legs the same way.
+rows summing to the leg.  The same runs are then split by layer: a stdlib
+``signal.setitimer(ITIMER_PROF)`` sampler (0.5 ms of CPU) charges each
+sample inside ``Simulator.run`` to the module of its innermost ``repro``
+frame -- links (``network.link`` / ``switch``), RPC + front end (the rest
+of ``network``, ``frontend``), node serve (``core``, ``storage``, the
+CPU/SSD ``Resource``) with the exec-generated fused kernel apart, reply
+assembly (``core.protocol``, ``frontend.upload_plan``), the engine (the
+rest of ``simulation``: calendar, events and, on a commit that still has
+``simulation/process.py``, generator processes) -- and a sample taken while the cyclic collector runs to the
+collector; ``dedup.fingerprint`` (the column builder) and
+``simulation.stats`` are charged to their caller.  It wraps public names
+and classifies by module only, so ``PYTHONPATH=<other checkout>/src``
+splits another commit's legs the same way.
 
 Perf PRs should start from this data: optimise what is hot, pin what must
 stay byte-identical (see ``tests/test_routed_batch_equivalence.py``).
@@ -425,48 +436,130 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
 
 #: bench/spec.py's sim_figure5 legs (batch size, trace scale) on bench/sim.py's 4 nodes.
 _SIM_LEGS = ((1, 0.00005), (128, 0.0005), (2048, 0.0005))
-_SIM_REPEATS = 5
+_SIM_REPEATS = 12
+
+#: CPU seconds between samples of the ``sim`` target's layer split.
+_SAMPLE_INTERVAL = 0.0005
+
+#: Inside ``Simulator.run``, a sample goes to the layer of the innermost
+#: frame whose module is listed here (by prefix, longest first).
+_SIM_LAYERS = (
+    ("repro.network.link", "links"),
+    ("repro.network.switch", "links"),
+    ("repro.network", "RPC + front end"),
+    ("repro.frontend.upload_plan", "reply assembly"),
+    ("repro.frontend", "RPC + front end"),
+    ("repro.core.protocol", "reply assembly"),
+    ("repro.core", "node serve"),
+    ("repro.storage", "node serve"),
+    ("repro.simulation.resources", "node serve"),
+    ("repro.simulation", "engine"),  # calendar, events, and processes where they exist
+)
+#: Generic helpers: a sample in one of these is charged to its caller.
+_SIM_HELPERS = ("repro.dedup.fingerprint", "repro.simulation.stats")
+_SIM_ROWS = ("trace generation", "links", "RPC + front end", "node serve", "kernel",
+             "reply assembly", "engine", "collector", "rest of run", "set-up and result")
+
+
+def _layer_of(frame) -> str:
+    """The ``sim`` split's row for a sample taken inside ``Simulator.run``."""
+    while frame is not None:
+        if frame.f_code.co_name == "fused_kernel":  # exec-generated: no module
+            return "kernel"
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("repro.") and not module.startswith(_SIM_HELPERS):
+            for prefix, layer in _SIM_LAYERS:
+                if module.startswith(prefix):
+                    return layer
+            return "rest of run"
+        frame = frame.f_back
+    return "rest of run"
 
 
 def sim_report() -> None:
-    """Where a ``sim_figure5`` leg's wall-clock goes: trace, event engine, rest."""
+    """Where a ``sim_figure5`` leg's wall-clock goes: by stage, then by layer."""
+    import signal
+
     from repro.scenarios import run_scenario
     from repro.simulation.engine import Simulator
     from repro.workloads.mixer import WorkloadMix
     from repro.workloads.trace_cache import clear_memo
 
     spent = {"trace generation": 0.0, "Simulator.run": 0.0}
+    samples = dict.fromkeys(_SIM_ROWS, 0)
+    state = {"stage": "set-up and result", "collecting": False}
 
     def timed(stage, function):
         def wrapper(*args, **kwargs):
+            state["stage"] = stage
             started = time.perf_counter()
             try:
                 return function(*args, **kwargs)
             finally:
                 spent[stage] += time.perf_counter() - started
+                state["stage"] = "set-up and result"
         return wrapper
+
+    def on_sample(_signum, frame) -> None:
+        # A sample due while the collector runs is delivered at the first
+        # bytecode after it -- inside on_collector's "stop" call, before the
+        # flag drops -- so it is still charged to the collector.
+        if state["collecting"]:
+            samples["collector"] += 1
+        elif state["stage"] == "Simulator.run":
+            samples[_layer_of(frame)] += 1
+        else:
+            samples[state["stage"]] += 1
+
+    def on_collector(phase, _info) -> None:
+        state["collecting"] = phase == "start"
 
     streams, run = WorkloadMix.streams, Simulator.run
     WorkloadMix.streams = timed("trace generation", streams)
     Simulator.run = timed("Simulator.run", run)
+    previous = signal.signal(signal.SIGPROF, on_sample)
+    gc.callbacks.append(on_collector)
+    splits = []
     try:
         print(f"=== sim: figure5 legs on 4 nodes, seed 1, mean of {_SIM_REPEATS} cold runs ===")
         print(f"  {'leg':<8} {'trace generation':>18} {'Simulator.run':>18} {'rest':>18} {'leg':>9}")
         for batch, scale in _SIM_LEGS:
             spent.update(dict.fromkeys(spent, 0.0))
+            samples.update(dict.fromkeys(samples, 0))
             leg_s = 0.0
+            cpu = time.process_time()
+            signal.setitimer(signal.ITIMER_PROF, _SAMPLE_INTERVAL, _SAMPLE_INTERVAL)
             for _ in range(_SIM_REPEATS):
                 clear_memo()  # as bench/sim.py: every leg regenerates its trace
                 started = time.perf_counter()
                 run_scenario("figure5", node_counts=[4], batch_sizes=[batch], scale=scale, seed=1)
                 leg_s += time.perf_counter() - started
+            signal.setitimer(signal.ITIMER_PROF, 0.0)
             rows = [spent["trace generation"], spent["Simulator.run"]]
             rows.append(leg_s - sum(rows))
             print(f"  b{batch:<7}" + "".join(
                 f" {value / _SIM_REPEATS:9.4f} s {value / leg_s:5.1%}" for value in rows
             ) + f" {leg_s / _SIM_REPEATS:7.4f} s")
+            splits.append((batch, leg_s / _SIM_REPEATS, dict(samples), time.process_time() - cpu))
     finally:
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
+        signal.signal(signal.SIGPROF, previous)
+        gc.callbacks.remove(on_collector)
         WorkloadMix.streams, Simulator.run = streams, run
+    # The kernel delivers ITIMER_PROF at its CPU-accounting tick, so the
+    # interval actually achieved is printed under the table.
+    print(f"=== sim: the same runs by layer, ITIMER_PROF samples every "
+          f"{_SAMPLE_INTERVAL * 1e3:g} ms of CPU asked; ms per leg = share x mean leg ===")
+    print(f"  {'layer':<18}" + "".join(f" {f'b{batch}':>16}" for batch, *_rest in splits))
+    for row in _SIM_ROWS:
+        print(f"  {row:<18}" + "".join(
+            f" {counts[row] / max(1, sum(counts.values())) * leg * 1e3:8.1f} ms "
+            f"{counts[row] / max(1, sum(counts.values())):5.1%}"
+            for _batch, leg, counts, _cpu in splits))
+    print(f"  {'samples':<18}" + "".join(
+        f" {sum(counts.values()):16d}" for _batch, _leg, counts, _cpu in splits))
+    print(f"  {'CPU ms per sample':<18}" + "".join(
+        f" {cpu / max(1, sum(counts.values())) * 1e3:16.2f}" for _batch, _leg, counts, cpu in splits))
 
 
 def _rss_mb() -> float:
