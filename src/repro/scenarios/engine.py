@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
@@ -143,11 +142,13 @@ def _ensure_presets_loaded() -> None:
     # The built-in presets live in .presets, which imports this module; a
     # lazy import avoids the cycle while keeping `get_preset` self-contained.
     # A dedicated flag (not `_PRESETS` emptiness) so user-registered presets
-    # never mask the built-ins.
+    # never mask the built-ins, set only once the import succeeded: a failed
+    # import re-raises on the next call instead of leaving an empty registry.
     global _BUILTINS_LOADED
     if not _BUILTINS_LOADED:
-        _BUILTINS_LOADED = True
         from . import presets  # noqa: F401  (registers on import)
+
+        _BUILTINS_LOADED = True
 
 
 # ------------------------------------------------------------------- overrides
@@ -352,6 +353,8 @@ def run_sweep(
             raise UnknownSpecKeyError(axis, base_preset.name, base_preset.valid_keys())
     sweep = SweepResult(base=spec, grid=grid)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         points = list(grid.points())
         # Publish generated traces in shared memory for the pool's lifetime:
         # grid points vary cluster knobs far more often than workload knobs,

@@ -9,6 +9,13 @@ spec set, so an all-defaults spec *is* the runner's defaults --
 ``run_scenario("figure5").render()`` is byte-identical to
 ``run_figure5().render()``, which the golden tests pin down.
 
+A preset names its runner by experiment module and function
+(``"figure5.run_figure5"``) and imports that module on its first run; the
+descriptions and accepted keys are all this module holds eagerly.  So
+resolving, validating or listing a preset loads no experiment module, and
+running one loads only the modules it runs -- ``figure5`` never pays for
+the live service's asyncio gateway or the ablations' baselines.
+
 Node-config overrides (``spec.node``) replace the runner's auto-sized
 :class:`~repro.core.config.HashNodeConfig` wholesale: the experiment
 runners size bloom filters from the workload they are about to replay, and
@@ -21,27 +28,20 @@ from __future__ import annotations
 import inspect
 from dataclasses import replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Union
 
 from ..core.config import HashNodeConfig
 from ..workloads.mixer import table_i_mix
 from ..workloads.profiles import WorkloadProfile, profile_by_name
-from ..analysis.experiments import (
-    ablations,
-    control_plane,
-    elasticity,
-    failover,
-    figure1,
-    figure5,
-    figure6,
-    generational,
-    restart,
-    service,
-    table1,
-)
 from .engine import Preset, register_preset
 from .result import ScenarioResult
 from .spec import NODE_KEYS, ScenarioSpec, SpecError
+
+if TYPE_CHECKING:  # annotations only: each is imported on its preset's first run
+    from ..analysis.experiments import (ablations, control_plane, elasticity, failover,
+                                        figure1, figure5, figure6, generational, restart,
+                                        service, table1)
 
 __all__ = ["CompositeResult"]
 
@@ -107,19 +107,34 @@ def _call(runner: Callable[..., Any], spec: ScenarioSpec) -> Any:
     return runner(**kwargs)
 
 
+def _experiment(module: str) -> Any:
+    """``repro.analysis.experiments.<module>``, imported on first use."""
+    return import_module(f"..analysis.experiments.{module}", __package__)
+
+
+def _call_named(target: str, spec: ScenarioSpec) -> Any:
+    """:func:`_call` on ``target``, named ``"<experiment module>.<function>"``."""
+    module, function = target.split(".")
+    return _call(getattr(_experiment(module), function), spec)
+
+
 def _preset(
     name: str,
     description: str,
-    run: Callable[[ScenarioSpec], Any],
+    run: Union[str, Callable[[ScenarioSpec], Any]],
     metrics: Callable[[Any], Dict[str, Any]],
     **accepted: Any,
 ) -> Callable[[ScenarioSpec], ScenarioResult]:
     """Register preset ``name``; returns its spec -> :class:`ScenarioResult` runner.
 
-    ``run(spec)`` produces the experiment's native result (usually
-    ``partial(_call, runner)``), ``metrics(result)`` folds it into the
-    uniform schema, and ``accepted`` are the :class:`Preset` key sets.
+    ``run`` produces the experiment's native result: usually the name
+    ``"<experiment module>.<function>"`` of a runner :func:`_call` feeds,
+    else a spec -> result function that imports its experiment itself.
+    ``metrics(result)`` folds the result into the uniform schema, and
+    ``accepted`` are the :class:`Preset` key sets.
     """
+    if isinstance(run, str):
+        run = partial(_call_named, run)
 
     def runner(spec: ScenarioSpec) -> ScenarioResult:
         result = run(spec)
@@ -159,7 +174,7 @@ def _figure1_metrics(result: figure1.Figure1Result) -> Dict[str, Any]:
 _preset(
     "figure1",
     "Execution time of a fixed lookup count vs offered rate and cluster size",
-    partial(_call, figure1.run_figure1),
+    "figure1.run_figure1",
     _figure1_metrics,
     node_keys=NODE_KEYS,
     workload_keys=frozenset({"requests", "rates", "node_counts", "chunk_size"}),
@@ -186,7 +201,7 @@ def _figure5_metrics(result: figure5.Figure5Result) -> Dict[str, Any]:
 _preset(
     "figure5",
     "Cluster throughput vs number of servers and batch size (full simulated stack)",
-    partial(_call, figure5.run_figure5),
+    "figure5.run_figure5",
     _figure5_metrics,
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX | {"node_counts", "batch_sizes"},
@@ -208,7 +223,7 @@ def _figure6_metrics(result: figure6.Figure6Result) -> Dict[str, Any]:
 _preset(
     "figure6",
     "Hash value storage distribution across cluster nodes (load balance)",
-    partial(_call, figure6.run_figure6),
+    "figure6.run_figure6",
     _figure6_metrics,
     cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
     node_keys=NODE_KEYS,
@@ -238,7 +253,7 @@ def _table1_metrics(result: table1.Table1Result) -> Dict[str, Any]:
 _preset(
     "table1",
     "Workload characteristics: published targets vs generated traces",
-    partial(_call, table1.run_table1),
+    "table1.run_table1",
     _table1_metrics,
     workload_keys=_TABLE_I_MIX,
 )
@@ -247,8 +262,9 @@ _preset(
 # ----------------------------------------------------------------- generational
 def _run_generational(spec: ScenarioSpec) -> generational.GenerationalResult:
     """The workload section overrides fields of the runner's default backup cycle."""
-    return generational.run_generational_backup(
-        config=replace(generational.DEFAULT_CONFIG, **spec.workload),
+    experiment = _experiment("generational")
+    return experiment.run_generational_backup(
+        config=replace(experiment.DEFAULT_CONFIG, **spec.workload),
         seed=spec.seed,
         **spec.cluster,
         **spec.node,
@@ -307,7 +323,7 @@ def _tier_ablation_metrics(result: ablations.TierAblationResult) -> Dict[str, An
 _run_tier_ablation = _preset(
     "tier_ablation",
     "Index designs (disk, DDFS, ChunkStash, hybrid, RAM) head to head",
-    partial(_call, ablations.run_tier_ablation),
+    "ablations.run_tier_ablation",
     _tier_ablation_metrics,
     workload_keys=frozenset({"scale", "profile"}),
 )
@@ -332,7 +348,7 @@ def _batch_tradeoff_metrics(result: ablations.BatchTradeoffResult) -> Dict[str, 
 _run_batch_tradeoff = _preset(
     "batch_tradeoff",
     "Throughput vs per-request latency as the query batch size grows",
-    partial(_call, ablations.run_batch_tradeoff),
+    "ablations.run_batch_tradeoff",
     _batch_tradeoff_metrics,
     cluster_keys=frozenset({"num_nodes"}),
     workload_keys=frozenset({"scale", "batch_sizes"}),
@@ -356,7 +372,7 @@ def _scaling_ablation_metrics(result: ablations.ScalingAblationResult) -> Dict[s
 _run_scaling_ablation = _preset(
     "scaling_ablation",
     "Join-time data movement (range vs consistent hashing) and replication overhead",
-    partial(_call, ablations.run_scaling_ablation),
+    "ablations.run_scaling_ablation",
     _scaling_ablation_metrics,
     cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
     workload_keys=frozenset({"scale", "profile"}),
@@ -443,7 +459,7 @@ def _failover_metrics(result: failover.FailoverResult) -> Dict[str, Any]:
 _preset(
     "failover",
     "Dedup accuracy and latency under injected failures (crashes and grey failures)",
-    partial(_call, failover.run_failover),
+    "failover.run_failover",
     _failover_metrics,
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
@@ -475,7 +491,7 @@ def _elasticity_metrics(result: elasticity.ElasticityResult) -> Dict[str, Any]:
 _preset(
     "elasticity",
     "Dedup accuracy and migration traffic under membership churn (joins/leaves)",
-    partial(_call, elasticity.run_elasticity),
+    "elasticity.run_elasticity",
     _elasticity_metrics,
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
@@ -511,7 +527,7 @@ def _timed_metrics(result: control_plane.ControlPlaneResult) -> Dict[str, Any]:
 _preset(
     "failover_timed",
     "Lookup p50/p99 and throughput during outages, control-plane costs charged",
-    partial(_call, control_plane.run_failover_timed),
+    "control_plane.run_failover_timed",
     _timed_metrics,
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
@@ -523,7 +539,7 @@ _preset(
 _preset(
     "churn_timed",
     "Lookup p50/p99 and throughput during membership churn, migration costs charged",
-    partial(_call, control_plane.run_churn_timed),
+    "control_plane.run_churn_timed",
     _timed_metrics,
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
@@ -568,7 +584,7 @@ def _restart_metrics(result: restart.RestartResult) -> Dict[str, Any]:
 _preset(
     "restart",
     "Kill a node mid-workload, restart from WAL+snapshot, measure recovery",
-    partial(_call, restart.run_restart),
+    "restart.run_restart",
     _restart_metrics,
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
@@ -599,7 +615,7 @@ def _run_service(spec: ScenarioSpec) -> service.ServiceRunResult:
         kwargs["seed"] = spec.seed
     if spec.node:
         kwargs["node_config"] = dict(spec.node)
-    return service.run_service(**kwargs)
+    return _experiment("service").run_service(**kwargs)
 
 
 def _service_metrics(result: service.ServiceRunResult) -> Dict[str, Any]:

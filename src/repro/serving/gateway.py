@@ -54,7 +54,6 @@ from typing import Any, Deque, Dict, List, Optional, Union
 
 from ..core.partition import RangePartitioner
 from ..storage.packing import DIGEST_BYTES, split_digests
-from ..storage.shm import unlink_segment
 from ..telemetry import Registry, event, render_prometheus
 from .wire import (
     MAX_FRAME_BYTES,
@@ -336,6 +335,8 @@ class ServiceGateway:
         """
         if not self.config.shared_bloom:
             return
+        from ..storage.shm import unlink_segment
+
         for worker in self.workers:
             name = self.config.shared_bloom_name(worker.index)
             if name is not None:

@@ -33,7 +33,6 @@ from ..core.digest_batch import DigestBatch
 from ..core.hash_node import HybridHashNode
 from ..core.persistence import NodePersistence
 from ..storage.bloom import BloomFilter
-from ..storage.shm import disown_segment
 from ..telemetry import Registry, event
 from .wire import (
     WireError,
@@ -90,6 +89,8 @@ class WorkerSpec:
                 shared_name=self.shared_bloom_name,
             )
             if bloom.shared_segment_name is not None:
+                from ..storage.shm import disown_segment
+
                 # The gateway supervises segment cleanup; keep this worker's
                 # atexit sweep from unlinking the bits a respawn will adopt.
                 disown_segment(bloom.shared_segment_name)

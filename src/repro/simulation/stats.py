@@ -109,10 +109,12 @@ class SummaryStats:
 class ReservoirSample:
     """Fixed-size uniform reservoir sample (Vitter's algorithm R).
 
-    Thread-safe: the serving gateway records samples from concurrent
-    callbacks while its ``/stats`` endpoint reads percentiles, so every
-    mutation and read holds an internal lock.  Single-threaded simulation
-    callers pay one uncontended acquire per batch via :meth:`add_many`.
+    Thread-safe: every mutation and read holds an internal lock, so a
+    caller may record from several threads while another reads
+    percentiles.  No caller in this package does (the live service records
+    into :mod:`repro.telemetry`; the load generator records from one event
+    loop), so single-threaded callers pay one uncontended acquire per batch
+    via :meth:`add_many`.
     """
 
     def __init__(self, capacity: int = 10_000, seed: int = 17) -> None:
@@ -205,8 +207,8 @@ class LatencyRecorder:
     """Latency statistics: running summary plus a reservoir for percentiles.
 
     Thread-safe: a lock guards the running summary (the reservoir carries
-    its own), so gateway worker tasks can record while a reporter thread
-    reads :meth:`as_dict` mid-run without torn Welford state.
+    its own), so threads recording into one recorder while another reads
+    :meth:`as_dict` mid-run never see torn Welford state.
     """
 
     def __init__(self, name: str = "latency", reservoir_size: int = 10_000) -> None:

@@ -56,10 +56,12 @@ import hashlib
 import math
 import struct
 from functools import partial
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .packing import digest_hash_words
-from .shm import SharedBuffer
+
+if TYPE_CHECKING:  # imported where a segment is mapped: no workload shares one
+    from .shm import SharedBuffer
 
 __all__ = ["BloomFilter", "optimal_parameters"]
 
@@ -285,6 +287,8 @@ class BloomFilter:
         segment with mismatched geometry fails loudly instead of silently
         corrupting probes.
         """
+        from .shm import SharedBuffer
+
         total = _SHM_HEADER.size + num_bytes
         buffer: Optional[SharedBuffer] = None
         if shared_name is not None:

@@ -37,7 +37,6 @@ from array import array
 from typing import List, Optional, Tuple
 
 from ..dedup.fingerprint import Fingerprint, column_builder
-from ..storage.shm import SharedBuffer, shared_memory_available, unlink_segment
 from .profiles import WorkloadProfile
 from .traces import TraceGenerator
 
@@ -95,6 +94,8 @@ def _rehydrate(blob: bytes, sizes: array) -> List[Fingerprint]:
 
 def _attach_shared(name: str, count_hint: int) -> Optional[Tuple[bytes, array]]:
     """Read a published trace, or ``None`` (absent, torn, or unavailable)."""
+    from ..storage.shm import SharedBuffer, shared_memory_available
+
     if not shared_memory_available():
         return None
     try:
@@ -125,6 +126,8 @@ def _attach_shared(name: str, count_hint: int) -> Optional[Tuple[bytes, array]]:
 
 def _publish_shared(name: str, blob: bytes, sizes: array) -> None:
     """Best-effort publication; losing a create race is fine."""
+    from ..storage.shm import SharedBuffer, shared_memory_available
+
     if not shared_memory_available():
         return
     count = len(blob) // _DIGEST_BYTES
@@ -202,6 +205,8 @@ def cleanup_shared_traces(prefix: str) -> int:
     discoverable portably).  Returns how many segments were removed.
     """
     import os
+
+    from ..storage.shm import unlink_segment
 
     removed = 0
     shm_dir = "/dev/shm"

@@ -1,10 +1,11 @@
-"""What each live-service process imports, and the lazy package roots behind it.
+"""What each entry point imports, and the lazy package roots behind it.
 
 A ``spawn``ed worker starts in a fresh interpreter and pays for every module
-it imports before it can serve; so does a respawn after a crash.  The
-package roots therefore import nothing until a public name is used, and the
-serving entry points must not drag in the simulator, the scenario catalogue
-or the in-process cluster.
+it imports before it can serve; so does a respawn after a crash, and so does
+a researcher's ``repro run figure5``.  The package roots therefore import
+nothing until a public name is used, the serving entry points must not drag
+in the simulator, the scenario catalogue or the in-process cluster, and a
+preset imports only the experiment it runs.
 """
 
 from __future__ import annotations
@@ -25,18 +26,39 @@ FOREIGN_PACKAGES = ("scenarios", "analysis", "frontend", "network", "workloads",
 FOREIGN_MODULES = ("repro.core.cluster", "repro.dedup.archive")
 
 LAZY_ROOTS = ("repro", "repro.core", "repro.storage", "repro.dedup",
-              "repro.simulation", "repro.serving")
+              "repro.simulation", "repro.serving", "repro.analysis.experiments")
+
+#: No entry point below loads the live service's event loop, the sweep's
+#: process pool or shared-memory support: none of them runs any of it.
+NEVER_LOADED = ("asyncio", "concurrent.futures.process", "multiprocessing.shared_memory",
+                "repro.storage.shm")
+
+EXPERIMENTS = "repro.analysis.experiments."
+
+#: The bench's ``sim_figure5`` set-up child, a tiny Figure-5 run, and the
+#: preset listing as ``python -m repro.cli presets`` runs it.
+RESOLVE_FIGURE5 = ("from repro.scenarios import spec_for\n"
+                   "spec_for('figure5', node_counts=[4], batch_sizes=[1], scale=0.001, seed=1)")
+RUN_FIGURE5 = ("from repro.scenarios import run_scenario\n"
+               "run_scenario('figure5', node_counts=[4], batch_sizes=[1], scale=0.00005, seed=1)")
+CLI_PRESETS = """
+import runpy
+sys.argv = ["repro", "presets"]
+try:
+    runpy.run_module("repro.cli", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+"""
+
+_MARKER = "--- modules ---"
 
 
-def _loaded_after(statement: str) -> list:
-    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
-    script = f"""
-        import sys
-        {statement}
-        print("\\n".join(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
-    """
+def _run_fresh(statement: str) -> tuple:
+    """``(stdout lines, every module loaded)`` of a fresh interpreter running ``statement``."""
+    script = "\n".join(["import sys", textwrap.dedent(statement), f"print({_MARKER!r})",
+                        "print('\\n'.join(sorted(sys.modules)))"])
     result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
+        [sys.executable, "-c", script],
         cwd=str(REPO_ROOT),
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         capture_output=True,
@@ -44,7 +66,13 @@ def _loaded_after(statement: str) -> list:
         timeout=120,
     )
     assert result.returncode == 0, f"stdout:\n{result.stdout}\nstderr:\n{result.stderr}"
-    return result.stdout.split()
+    output, _, modules = result.stdout.partition(_MARKER + "\n")
+    return output.splitlines(), modules.split()
+
+
+def _loaded_after(statement: str) -> list:
+    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+    return [module for module in _run_fresh(statement)[1] if module.split(".")[0] == "repro"]
 
 
 @pytest.mark.parametrize("statement, also_absent", [
@@ -59,6 +87,45 @@ def test_a_live_service_process_imports_only_what_it_runs(statement, also_absent
     assert not foreign, foreign
     for module in FOREIGN_MODULES + also_absent:
         assert module not in loaded, module
+
+
+@pytest.mark.parametrize("statement, experiments", [
+    (RESOLVE_FIGURE5, set()),
+    (RUN_FIGURE5, {"figure5", "replay"}),
+    (CLI_PRESETS, set()),
+    ("import repro.serving.worker", None),
+], ids=["resolve-figure5", "run-figure5", "cli-presets", "serving-worker"])
+def test_an_entry_point_imports_only_what_it_runs(statement, experiments):
+    output, loaded = _run_fresh(statement)
+    assert not set(NEVER_LOADED) & set(loaded), sorted(set(NEVER_LOADED) & set(loaded))
+    if experiments is None:
+        return
+    assert not [module for module in loaded if module.startswith("repro.serving")]
+    assert {module[len(EXPERIMENTS):] for module in loaded
+            if module.startswith(EXPERIMENTS)} == experiments
+    if statement is CLI_PRESETS:
+        # The listing needs every description and no experiment module.
+        from repro.scenarios import available_presets, get_preset
+
+        assert output == [f"{name}: {get_preset(name).description}"
+                          for name in available_presets()]
+
+
+def test_a_parallel_sweep_of_a_lazily_resolved_preset_matches_the_sequential_one():
+    # The pool starts while the parent holds no experiment module, so each
+    # worker imports figure5 on its first point.
+    output, _ = _run_fresh("""
+        from repro.scenarios import SweepGrid, run_sweep, spec_for
+        spec = spec_for("figure5", node_counts=[2], scale=0.0002, seed=3)
+        grid = SweepGrid({"batch_sizes": [128, 2048]})
+        assert "repro.analysis.experiments.figure5" not in sys.modules
+        parallel = run_sweep(spec, grid, workers=2, strict=True).to_json()
+        assert "repro.analysis.experiments.figure5" not in sys.modules
+        sequential = run_sweep(spec, grid, strict=True).to_json()
+        print(parallel == sequential, len(parallel))
+    """)
+    identical, size = output[0].split()
+    assert identical == "True" and int(size) > 0
 
 
 @pytest.mark.parametrize("root", LAZY_ROOTS)

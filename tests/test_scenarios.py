@@ -413,6 +413,24 @@ class TestScalarListAndProfileHandling:
         names = available_presets()
         assert "_test_custom" in names and EXPECTED_PRESETS <= set(names)
 
+    def test_a_failed_catalogue_import_is_raised_again_not_an_empty_registry(self, monkeypatch):
+        import sys
+
+        import repro.scenarios
+        from repro.scenarios import engine
+
+        catalogue = "repro.scenarios.presets"
+        monkeypatch.setattr(engine, "_PRESETS", {})
+        monkeypatch.setattr(engine, "_BUILTINS_LOADED", False)
+        monkeypatch.delattr(repro.scenarios, "presets", raising=False)
+        monkeypatch.setitem(sys.modules, catalogue, None)  # importing it now fails
+        for _ in range(2):  # the next call re-raises the real error
+            with pytest.raises(ImportError, match=catalogue):
+                get_preset("figure5")
+        del sys.modules[catalogue]  # the cause is gone: the next call loads it
+        assert get_preset("figure5").name == "figure5"
+        assert EXPECTED_PRESETS <= set(available_presets())
+
     def test_outage_plan_with_one_batch_fails_fast(self):
         with pytest.raises(ValueError, match="batch_size"):
             run_scenario(

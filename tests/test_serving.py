@@ -978,8 +978,7 @@ def test_oversized_http_head_is_a_counted_protocol_error(caplog):
 
 # -------------------------------------------------------- concurrent recording
 def test_latency_recorder_threaded_stress():
-    """The gateway records from many tasks; hammer the recorder from real
-    threads (the stronger guarantee) and check nothing is lost or torn."""
+    """Hammer one recorder from real threads and check nothing is lost or torn."""
     recorder = LatencyRecorder("stress")
     threads = 8
     per_thread = 5_000

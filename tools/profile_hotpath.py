@@ -1,12 +1,11 @@
 #!/usr/bin/env python
-"""cProfile driver for the two throughput-critical paths.
+"""cProfile driver for the two throughput-critical paths, and per-layer readouts.
 
 Prints the top cumulative-time functions for
 
-* a **cluster-lookup run**: the immediate-mode routed-batch path the
-  ``cluster_lookup`` series in ``BENCH_hotpath.json`` measures (16k
-  fingerprints through a 4-node replicated cluster in 128-fingerprint
-  batches), and
+* a **cluster-lookup run**: the immediate-mode routed-batch path
+  (16k fingerprints through a 4-node replicated cluster in 128-fingerprint
+  batches; ``bench/``'s ``lib_cluster_rf2`` measures it end to end), and
 * a **sweep run**: a small ``run_sweep`` grid over the failover preset,
   the per-point cost the parallel sweep executor amortises.
 
@@ -19,6 +18,7 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py persist --entries 240000
     PYTHONPATH=src python tools/profile_hotpath.py serve --requests 512000
     PYTHONPATH=src python tools/profile_hotpath.py sim
+    PYTHONPATH=src python tools/profile_hotpath.py startup --runs 10
 
 ``cluster --gc`` adds the cyclic collector's account of the same path,
 measured with cProfile off on a caller shaped like ``bench/``'s
@@ -73,6 +73,16 @@ collector; ``dedup.fingerprint`` (the column builder) and
 and classifies by module only, so ``PYTHONPATH=<other checkout>/src``
 splits another commit's legs the same way.
 
+``startup`` is what an entry point pays before it does anything, each in
+fresh interpreters: ``bench/``'s ``sim_figure5`` set-up child (resolve the
+``figure5`` preset), a tiny cold ``run_scenario("figure5")`` (batch 1,
+4 nodes), ``python -m repro.cli presets`` and ``import
+repro.serving.worker``.  Per entry point: the median wall time of
+``--runs`` interpreters (spawn to exit), the ``repro`` and stdlib modules
+in ``sys.modules`` at exit, and the ten largest self times of ``python -X
+importtime`` -- the modules the milliseconds went to.  It only starts
+subprocesses, so ``PYTHONPATH=<other checkout>/src`` reads another commit.
+
 Perf PRs should start from this data: optimise what is hot, pin what must
 stay byte-identical (see ``tests/test_routed_batch_equivalence.py``).
 """
@@ -107,7 +117,7 @@ def _cluster(requests: int):
 
 
 def profile_cluster(top: int, requests: int, batch_size: int) -> None:
-    """Profile the immediate-mode cluster lookup path (cluster_lookup bench)."""
+    """Profile the immediate-mode cluster lookup path (16k keys, 128 per batch by default)."""
     from repro.dedup.fingerprint import synthetic_fingerprint
 
     cluster = _cluster(requests)
@@ -562,6 +572,58 @@ def sim_report() -> None:
         f" {cpu / max(1, sum(counts.values())) * 1e3:16.2f}" for _batch, _leg, counts, cpu in splits))
 
 
+#: ``startup``'s entry points, each a ``python -c`` statement; the listing
+#: runs ``repro.cli`` through ``runpy`` as ``python -m repro.cli presets`` does.
+_STARTUP = (
+    ("resolve figure5", "from repro.scenarios import spec_for; "
+                        "spec_for('figure5', node_counts=[4], batch_sizes=[1], scale=0.001, seed=1)"),
+    ("run figure5", "from repro.scenarios import run_scenario; "
+                    "run_scenario('figure5', node_counts=[4], batch_sizes=[1], scale=0.00005, seed=1)"),
+    ("repro presets", "import runpy, sys; sys.argv = ['repro', 'presets']; "
+                      "runpy.run_module('repro.cli', run_name='__main__', alter_sys=True)"),
+    ("import worker", "import repro.serving.worker"),
+)
+_MODULES_AT_EXIT = ("import atexit, sys; atexit.register(lambda: print("
+                    "'modules:', *sys.modules, file=sys.stderr)); ")
+
+
+def startup_report(runs: int, top: int = 10) -> None:
+    """Wall time, modules loaded and the largest import self times per entry point.
+
+    ``-X importtime`` logs the ``import`` statement only, not
+    ``importlib.import_module`` (the lazy roots and presets load through
+    it), so the module counts come from ``sys.modules`` at exit.
+    """
+    import statistics
+    import subprocess
+
+    def run(statement, *flags):
+        started = time.perf_counter()
+        done = subprocess.run([sys.executable, *flags, "-c", statement], check=True,
+                              stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        return time.perf_counter() - started, done.stderr.splitlines()
+
+    print(f"=== startup: median of {runs} fresh interpreters; modules and self times "
+          "from one more under `-X importtime` ===")
+    for label, statement in _STARTUP:
+        wall = statistics.median(run(statement)[0] for _ in range(runs))
+        self_us = {}  # module -> self us; a circular import is logged twice
+        for line in run(_MODULES_AT_EXIT + statement, "-X", "importtime")[1]:
+            fields = line.removeprefix("import time:").split("|")
+            if len(fields) == 3 and fields[0].strip().isdigit():
+                name = fields[2].strip()
+                self_us[name] = self_us.get(name, 0) + int(fields[0])
+            elif line.startswith("modules: "):
+                packages = [name.split(".")[0] for name in line.split()[1:]]
+        repro = packages.count("repro")
+        stdlib = sum(package in sys.stdlib_module_names for package in packages)
+        print(f"{label:<16} {wall * 1e3:7.1f} ms   {repro:3d} repro + {stdlib:3d} stdlib modules, "
+              f"imports {sum(self_us.values()) / 1e3:.1f} ms self")
+        for name, us in sorted(self_us.items(), key=lambda item: -item[1])[:top]:
+            print(f"    {us / 1e3:7.2f} ms  {name}")
+
+
 def _rss_mb() -> float:
     with open("/proc/self/statm", encoding="ascii") as statm:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
@@ -611,7 +673,7 @@ def _profile_one(label: str, fn, top: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("target", nargs="?", default="all",
-                        choices=("all", "cluster", "sweep", "persist", "serve", "sim"))
+                        choices=("all", "cluster", "sweep", "persist", "serve", "sim", "startup"))
     parser.add_argument("--top", type=int, default=20,
                         help="how many functions to print (default 20)")
     parser.add_argument("--requests", type=int, default=16_000,
@@ -622,6 +684,8 @@ def main(argv=None) -> int:
                         help="cluster target: also report the cyclic collector's share")
     parser.add_argument("--entries", type=int, default=240_000,
                         help="persist target: new fingerprints on the node (default 240000)")
+    parser.add_argument("--runs", type=int, default=10,
+                        help="startup target: fresh interpreters per entry point (default 10)")
     args = parser.parse_args(argv)
     if args.target == "persist":
         persist_report(args.entries)
@@ -631,6 +695,9 @@ def main(argv=None) -> int:
         return 0
     if args.target == "sim":
         sim_report()
+        return 0
+    if args.target == "startup":
+        startup_report(args.runs)
         return 0
     if args.target in ("all", "cluster"):
         profile_cluster(args.top, args.requests, args.batch)
