@@ -33,12 +33,14 @@ distinct successors (Chord style, per partitioner).  The routing layer
 maintains three invariants, failures included:
 
 * **Serving**: a lookup (single or batched) is always answered by the first
-  *live* node of the fingerprint's own replica set.  Batches are grouped
-  per fingerprint (:meth:`SHHCCluster._bucket_routed`, grouping-identical
-  to the reference in ``tests/oracles/batch_routing.py``), so each
-  fingerprint fails over independently -- crucial for consistent hashing,
-  where two fingerprints sharing a primary generally have different
-  successors.
+  *live* node of the fingerprint's own replica set, read from the
+  partitioner's boundary table
+  (:meth:`~repro.core.partition.Partitioner.routing_table`) on every path
+  -- nothing is cached per digest.  Batches are grouped per fingerprint
+  (:meth:`SHHCCluster._bucket_routed`, grouping-identical to the reference
+  in ``tests/oracles/batch_routing.py``), so each fingerprint fails over
+  independently -- crucial for consistent hashing, where two fingerprints
+  sharing a primary generally have different successors.
 * **Write propagation**: a fingerprint judged new by its serving node is
   copied to the remaining live replicas through a pure write path
   (:meth:`~repro.core.hash_node.HybridHashNode.insert_replica`; for
@@ -69,6 +71,7 @@ replicas, what capacity planning cares about).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -83,7 +86,7 @@ from .fault_injection import NodeUnavailableError
 from .hash_node import HybridHashNode
 from .persistence import PersistencePolicy, RecoveryReport
 from .metrics import ClusterMetrics, LoadBalanceReport
-from .partition import ConsistentHashRing, Partitioner, RangePartitioner, key_of_digest
+from .partition import ConsistentHashRing, RangePartitioner
 from .protocol import (
     SERVED_FROM_TIER,
     BatchLookupReply,
@@ -95,11 +98,6 @@ from .protocol import (
 )
 
 __all__ = ["SHHCCluster"]
-
-#: Routing-cache bound: above this many distinct digests the cache is
-#: dropped wholesale (cheap, deterministic) rather than evicted piecemeal.
-#: At ~100 bytes per entry the bound caps the cache near 100 MB.
-ROUTE_CACHE_MAX_ENTRIES = 1 << 20
 
 #: Shared empty location for lookup results; :class:`ChunkLocation` is a
 #: frozen dataclass, so one instance is safe to hand to every result.
@@ -160,17 +158,6 @@ class SHHCCluster(ChunkIndex):
         self.failovers = 0
         self._batch_ids = itertools.count(1)
         self.last_batch_id = 0
-        # Routing cache: digest -> replica-set tuple, valid for one
-        # (partitioner object, membership epoch) pair.  The partitioner is
-        # held by strong reference and compared with ``is`` -- an id()
-        # would go stale when CPython reuses a freed object's address
-        # after a partitioner swap.  Node liveness is deliberately *not*
-        # part of the key: the cache stores the full replica set and the
-        # dispatch loop picks the first live member, so mark_down/mark_up
-        # never invalidate it.
-        self._route_cache: Dict[bytes, Tuple[str, ...]] = {}
-        self._route_partitioner: Partitioner = self.partitioner
-        self._route_epoch = self.partitioner.epoch
 
     # ------------------------------------------------------------------ membership
     @property
@@ -241,55 +228,13 @@ class SHHCCluster(ChunkIndex):
         """Primary owner node for a fingerprint."""
         return self.partitioner.owner(fingerprint)
 
-    def _routes(self) -> Dict[bytes, Tuple[str, ...]]:
-        """The digest -> replica-set cache, flushed on membership change.
-
-        Validity is keyed on the partitioner object (by identity, with a
-        strong reference) plus its membership epoch: elastic membership
-        (PR 4's churn) mutates the partitioner through
-        ``add_node``/``remove_node``, each of which bumps the epoch, and a
-        wholesale partitioner swap changes the object.  Either way the
-        next routing call starts from an empty cache, so routed batches
-        can never use a pre-migration replica set.
-        """
-        partitioner = self.partitioner
-        epoch = partitioner.epoch
-        if partitioner is not self._route_partitioner or epoch != self._route_epoch:
-            self._route_cache.clear()
-            self._route_partitioner = partitioner
-            self._route_epoch = epoch
-        return self._route_cache
-
-    def _resolve_route(self, digest: bytes) -> Tuple[str, ...]:
-        """Resolve and cache one digest's replica set (cache-miss path).
-
-        Uses the partitioner's key-addressed ``owners_by_key``, which hands
-        out shared tuples.
-        """
-        replicas = self.partitioner.owners_by_key(
-            key_of_digest(digest), self.config.replication_factor
-        )
-        routes = self._route_cache
-        if len(routes) >= ROUTE_CACHE_MAX_ENTRIES:
-            routes.clear()
-        routes[digest] = replicas
-        return replicas
-
-    def _route_of(self, fingerprint: Fingerprint) -> Tuple[str, ...]:
-        """Cached replica set (owner plus successors) for one fingerprint."""
-        digest = fingerprint.digest
-        replicas = self._routes().get(digest)
-        if replicas is None:
-            replicas = self._resolve_route(digest)
-        return replicas
-
     def replica_set(self, fingerprint: Fingerprint) -> List[str]:
         """Owner plus successors, per the configured replication factor."""
-        return list(self._route_of(fingerprint))
+        return self.partitioner.owners(fingerprint, self.config.replication_factor)
 
     def _serving_nodes(self, fingerprint: Fingerprint) -> List[str]:
         """Replica set with failed nodes filtered out (primary first)."""
-        candidates = [n for n in self._route_of(fingerprint) if n not in self._down]
+        candidates = [n for n in self.replica_set(fingerprint) if n not in self._down]
         if not candidates:
             raise RuntimeError("no live replica available for fingerprint")
         return candidates
@@ -507,71 +452,30 @@ class SHHCCluster(ChunkIndex):
         Shared by :meth:`_serve_routed` and :meth:`route_batch`; buckets
         come back in first-occurrence order (matching the grouping of
         ``split_batch_by_replica_set`` in ``tests/oracles/batch_routing.py``).
+        A digest's replica set is its first byte's prefix-table entry, or,
+        on a prefix a partition boundary cuts, the boundary table's slot
+        (:meth:`~repro.core.partition.Partitioner.routing_table`); it is
+        served by the set's first member, or by its first live one when
+        that member is down.
         """
-        routes = self._routes()
-        routes_get = routes.get
-        # A range partitioner hands out a 256-entry first-byte prefix table:
-        # almost every digest routes with two index operations and no
-        # arithmetic or per-digest caching at all.  Any other partitioner
-        # goes through the digest-route cache with inline miss resolution.
-        replication_factor = self.config.replication_factor
-        prefix_table = getattr(self.partitioner, "prefix_table", None)
-        table = prefix_table(replication_factor) if prefix_table is not None else None
-        from_bytes = int.from_bytes
-        resolve_route = self._resolve_route
+        bounds, sets, prefix = self.partitioner.routing_table(self.config.replication_factor)
         down = self._down
-        # Per-bucket digests ride along so the serve step can hand the node
-        # a packed DigestBatch without re-walking the fingerprints.
-        buckets: Dict[str, Tuple[List[int], List[Fingerprint], List[bytes]]] = {}
-        buckets_get = buckets.get
-        if not down:
-            # Route over a flat digest list and bucket positions only; the
-            # per-bucket fingerprint/digest lists are gathered afterwards
-            # with listcomps, which beats three appends per key.
-            all_digests = [fingerprint.digest for fingerprint in fingerprints]
-            by_position: Dict[str, List[int]] = {}
-            # Bound-append table: one dict probe and one call per key, no
-            # repeated ``.append`` attribute lookups on the hot loop.
-            appends: Dict[str, object] = {}
-            appends_get = appends.get
-            if table is not None:
-                for position, digest in enumerate(all_digests):
-                    replicas = table[digest[0]]
-                    if replicas is None:
-                        # A range boundary cuts through this prefix (at most
-                        # num_nodes - 1 of the 256): resolve exactly.
-                        replicas = routes_get(digest)
-                        if replicas is None:
-                            replicas = resolve_route(digest)
-                    serving = replicas[0]
-                    append = appends_get(serving)
-                    if append is None:
-                        by_position[serving] = positions = []
-                        appends[serving] = append = positions.append
-                    append(position)
-            else:
-                for position, digest in enumerate(all_digests):
-                    replicas = routes_get(digest)
-                    if replicas is None:
-                        replicas = resolve_route(digest)
-                    serving = replicas[0]
-                    append = appends_get(serving)
-                    if append is None:
-                        by_position[serving] = positions = []
-                        appends[serving] = append = positions.append
-                    append(position)
-            for serving, positions in by_position.items():
-                buckets[serving] = (
-                    positions,
-                    [fingerprints[position] for position in positions],
-                    [all_digests[position] for position in positions],
-                )
-        else:
-            for position, fingerprint in enumerate(fingerprints):
-                digest = fingerprint.digest
-                replicas = routes_get(digest)
-                if replicas is None:
-                    replicas = resolve_route(digest)
+        # Route over a flat digest list and bucket positions only; the
+        # per-bucket fingerprint/digest lists (the digests ride along so the
+        # serve step can hand the node a packed DigestBatch) are gathered
+        # afterwards with listcomps, which beats three appends per key.
+        all_digests = [fingerprint.digest for fingerprint in fingerprints]
+        by_position: Dict[str, List[int]] = {}
+        # Bound-append table: one dict probe and one call per key, no
+        # repeated ``.append`` attribute lookups on the hot loop.
+        appends: Dict[str, object] = {}
+        appends_get = appends.get
+        for position, digest in enumerate(all_digests):
+            replicas = prefix[digest[0]]
+            if replicas is None:
+                replicas = sets[bisect_right(bounds, digest)]
+            serving = replicas[0]
+            if serving in down:
                 for serving in replicas:
                     if serving not in down:
                         break
@@ -579,12 +483,18 @@ class SHHCCluster(ChunkIndex):
                     raise RuntimeError(
                         f"no live replica available for fingerprint at position {position}"
                     )
-                bucket = buckets_get(serving)
-                if bucket is None:
-                    buckets[serving] = bucket = ([], [], [])
-                bucket[0].append(position)
-                bucket[1].append(fingerprint)
-                bucket[2].append(digest)
+            append = appends_get(serving)
+            if append is None:
+                by_position[serving] = positions = []
+                appends[serving] = append = positions.append
+            append(position)
+        buckets: Dict[str, Tuple[List[int], List[Fingerprint], List[bytes]]] = {}
+        for serving, positions in by_position.items():
+            buckets[serving] = (
+                positions,
+                [fingerprints[position] for position in positions],
+                [all_digests[position] for position in positions],
+            )
         return buckets
 
     def _propagate_new_groups(self, new_pairs, serving: str) -> set:
@@ -602,69 +512,41 @@ class SHHCCluster(ChunkIndex):
         size).  Per-node store state is unaffected by the cross-node
         interleaving the per-reply flow (:meth:`_resolve_reply`) uses, and
         within one node the pairs stay in bucket order, so the persistence
-        log order matches too.  A route-cache overflow mid-batch is the
-        only way a digest the dispatch loop just routed can be missing
-        again; it is then resolved afresh (rare).
+        log order matches too.
         """
         down = self._down
         nodes = self.nodes
-        routes_get = self._routes().get
-        resolve_route = self._resolve_route
-        prefix_table = getattr(self.partitioner, "prefix_table", None)
-        table = (
-            prefix_table(self.config.replication_factor)
-            if prefix_table is not None
-            else None
-        )
+        bounds, sets, prefix = self.partitioner.routing_table(self.config.replication_factor)
         per_node: Dict[str, List[Tuple[bytes, int]]] = {}
-        if table is not None and not down:
-            # Range-partitioned clean path: every resolution route (prefix
-            # table, digest cache, exact owners) maps a key owned by node
-            # ``i`` to the same replica cycle ``cycles[i]``, and with no
-            # downed nodes a bucket's serving node *is* its owner -- so the
-            # whole bucket shares one replica set.  Resolve it once from any
-            # member digest and ship the pair list wholesale.  (A downed
-            # node breaks the premise: buckets then group by first *live*
-            # replica and can mix cycles, so they take the per-pair loop.)
-            digest = new_pairs[0][0]
-            replicas = table[digest[0]]
+        per_node_get = per_node.get
+        # Live non-serving replicas per (shared) replica-set tuple: a bucket
+        # sees few distinct sets -- one, for a range partitioner with no
+        # node down -- so the serving/liveness filter runs once per set.
+        others_of: Dict[Tuple[str, ...], List[str]] = {}
+        others_of_get = others_of.get
+        for pair in new_pairs:
+            digest = pair[0]
+            replicas = prefix[digest[0]]
             if replicas is None:
-                replicas = routes_get(digest)
-                if replicas is None:
-                    replicas = resolve_route(digest)
-            for name in replicas:
-                if name != serving:
-                    per_node[name] = new_pairs
-        else:
-            per_node_get = per_node.get
-            # Cache of live non-serving replicas, keyed by the (shared)
-            # replica-set tuple: a bucket sees few distinct replica sets, so
-            # the serving/liveness filter runs once per set instead of per
-            # pair.
-            others_of: Dict[Tuple[str, ...], List[str]] = {}
-            others_of_get = others_of.get
-            for pair in new_pairs:
-                digest = pair[0]
-                # Same resolution order as dispatch: prefix table, then the
-                # digest-route cache, then the exact owners.
-                replicas = table[digest[0]] if table is not None else None
-                if replicas is None:
-                    replicas = routes_get(digest)
-                    if replicas is None:
-                        replicas = resolve_route(digest)
-                others = others_of_get(replicas)
-                if others is None:
-                    others_of[replicas] = others = [
-                        name for name in replicas if name != serving and name not in down
-                    ]
-                for name in others:
-                    pairs = per_node_get(name)
-                    if pairs is None:
-                        per_node[name] = pairs = []
-                    pairs.append(pair)
+                replicas = sets[bisect_right(bounds, digest)]
+            others = others_of_get(replicas)
+            if others is None:
+                others_of[replicas] = others = [
+                    name for name in replicas if name != serving and name not in down
+                ]
+            for name in others:
+                pairs = per_node_get(name)
+                if pairs is None:
+                    per_node[name] = pairs = []
+                pairs.append(pair)
         repaired: set = set()
         pending: Dict[str, int] = {}
         for name, pairs in per_node.items():
+            if len(pairs) == len(new_pairs):
+                # Every pair goes here: write the bucket's own list and drop
+                # the copy first.  A copy held across the store write raised
+                # lib_cluster_rf2's peak RSS by ~4% (heap layout).
+                per_node[name] = pairs = new_pairs
             new_digests, existing = nodes[name].store.put_many_verdicts(pairs)
             if existing:
                 repaired.update(existing)
@@ -692,7 +574,7 @@ class SHHCCluster(ChunkIndex):
         client_id: str = "",
         batch_id: int = 0,
     ) -> Dict[str, Tuple[BatchLookupRequest, List[int]]]:
-        """Split a batch into per-serving-node requests via the routing cache.
+        """Split a batch into per-serving-node requests.
 
         Protocol-compatible with ``split_batch_by_replica_set`` in
         ``tests/oracles/batch_routing.py`` (same grouping, same

@@ -138,10 +138,10 @@ class WebFrontEnd:
         # can be correlated with this request.  The split runs here, after
         # the per-request overhead and at the same simulated instant as the
         # calls, so it routes by the liveness at dispatch, not at the
-        # request's arrival.  Routing goes through the cluster's epoch-keyed
-        # replica-set cache (grouping-identical to
-        # tests/oracles/batch_routing.py), so every front-end shares one
-        # resolution of each digest.
+        # request's arrival.  Routing reads the partitioner's boundary table
+        # through the cluster (grouping-identical to
+        # tests/oracles/batch_routing.py), so every front-end routes by one
+        # rule.
         per_node = self.cluster.route_batch(
             request.fingerprints,
             client_id=request.client_id,

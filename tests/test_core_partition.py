@@ -175,19 +175,7 @@ class TestConsistentHashRing:
 
 
 class TestEpochAndKeyAddressedOwners:
-    """Membership epochs and the shared-tuple owners_by_key fast path."""
-
-    def test_epoch_bumps_on_membership_changes(self):
-        for partitioner in (
-            RangePartitioner(["a", "b"]),
-            ConsistentHashRing(["a", "b"], virtual_nodes=8),
-        ):
-            start = partitioner.epoch
-            partitioner.add_node("c")
-            assert partitioner.epoch > start
-            after_add = partitioner.epoch
-            partitioner.remove_node("c")
-            assert partitioner.epoch > after_add
+    """Key-addressed ``owners_by_key`` (shared tuples) against ``owners``."""
 
     def test_owners_by_key_matches_owners(self):
         from repro.core.partition import key_of_digest

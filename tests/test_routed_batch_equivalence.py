@@ -1,9 +1,9 @@
 """Equivalence pins for the cluster's routed batch core.
 
-``SHHCCluster._serve_routed`` -- a membership-epoch-keyed routing cache,
-one-pass bucket dispatch through the node's batch contract, and batched
-replica propagation -- is the only batch path; ``lookup_batch_replies`` and
-``lookup_batch`` are views over it.  The per-reply implementation it
+``SHHCCluster._serve_routed`` -- routing through the partitioner's
+boundary table, one-pass bucket dispatch through the node's batch
+contract, and batched replica propagation -- is the only batch path;
+``lookup_batch_replies`` and ``lookup_batch`` are views over it.  The per-reply implementation it
 replaced lives on as an oracle in ``tests/oracles/cluster_reference.py``;
 these tests drive **twin clusters** -- identical config, identical
 workload, one through each -- and require identical verdicts,
@@ -191,51 +191,52 @@ class TestRoutedBatchEquivalence:
 
 
 class TestRoutingCacheInvalidation:
-    def test_membership_epoch_bumps_invalidate_routes(self):
-        cluster = make_cluster(virtual_nodes=16)
+    """Routing follows the partitioner as it is at each batch: after a
+    membership change or a partitioner swap between two batches, every reply
+    of the second comes from the first live member of the fingerprint's
+    replica set under the new partitioner."""
+
+    @staticmethod
+    def assert_served_by_first_live(cluster, fingerprints, replies):
+        k = cluster.config.replication_factor
+        for fingerprint, reply in zip(fingerprints, replies):
+            owners = cluster.partitioner.owners(fingerprint, k)
+            assert reply.node_id == next(n for n in owners if not cluster.is_down(n))
+
+    @pytest.mark.parametrize("down", [None, "hashnode-1"])
+    @pytest.mark.parametrize("virtual_nodes", [0, 16])
+    def test_add_node_between_batches(self, virtual_nodes, down):
+        cluster = make_cluster(virtual_nodes=virtual_nodes)
         fingerprints = workload(200, salt=9_000)
         drive(cluster, fingerprints, "lookup_batch_replies")
-        assert cluster._route_cache  # warmed
         cluster.partitioner.add_node("hashnode-7")
         cluster.nodes["hashnode-7"] = type(cluster.nodes["hashnode-0"])(
             "hashnode-7", cluster.config.node, None
         )
-        # Next routed batch must re-resolve against the new membership.
+        if down is not None:
+            cluster.mark_down(down)
         replies = drive(cluster, fingerprints, "lookup_batch_replies")
-        for reply, fingerprint in zip(replies, fingerprints):
-            assert reply.node_id in cluster.replica_set(fingerprint) or reply.is_duplicate
-        for digest, replicas in cluster._route_cache.items():
-            fp = next(f for f in fingerprints if f.digest == digest)
-            assert list(replicas) == cluster.partitioner.owners(
-                fp, cluster.config.replication_factor
-            )
+        self.assert_served_by_first_live(cluster, fingerprints, replies)
+        assert any(reply.node_id == "hashnode-7" for reply in replies)
 
-    def test_partitioner_swap_invalidates_routes(self):
-        from repro.core.partition import RangePartitioner
+    @pytest.mark.parametrize("down", [None, "hashnode-1"])
+    @pytest.mark.parametrize("virtual_nodes", [0, 16])
+    def test_partitioner_swap_between_batches(self, virtual_nodes, down):
+        from repro.core.partition import ConsistentHashRing, RangePartitioner
 
-        cluster = make_cluster()
-        fingerprints = workload(64, salt=1_000)
-        # The scalar path still warms the digest-route cache (the routed
-        # batch path resolves through the partitioner's prefix table and
-        # no longer populates it).
-        for fingerprint in fingerprints:
-            cluster.lookup(fingerprint)
-        assert cluster._route_cache
-        cluster.partitioner = RangePartitioner(cluster.node_names)
-        cluster._routes()
-        assert not cluster._route_cache
-
-    def test_route_cache_is_bounded(self):
-        import repro.core.cluster as cluster_mod
-
-        cluster = make_cluster()
-        original = cluster_mod.ROUTE_CACHE_MAX_ENTRIES
-        cluster_mod.ROUTE_CACHE_MAX_ENTRIES = 32
-        try:
-            drive(cluster, workload(300, distinct=300, salt=77_000), "lookup_batch_replies")
-            assert len(cluster._route_cache) <= 33
-        finally:
-            cluster_mod.ROUTE_CACHE_MAX_ENTRIES = original
+        cluster = make_cluster(virtual_nodes=virtual_nodes)
+        fingerprints = workload(200, salt=1_000)
+        drive(cluster, fingerprints, "lookup_batch_replies")
+        before = [cluster.partitioner.owner(fingerprint) for fingerprint in fingerprints]
+        if virtual_nodes:
+            cluster.partitioner = RangePartitioner(cluster.node_names)
+        else:
+            cluster.partitioner = ConsistentHashRing(cluster.node_names, virtual_nodes=16)
+        if down is not None:
+            cluster.mark_down(down)
+        replies = drive(cluster, fingerprints, "lookup_batch_replies")
+        self.assert_served_by_first_live(cluster, fingerprints, replies)
+        assert before != [cluster.partitioner.owner(fingerprint) for fingerprint in fingerprints]
 
 
 class TestHotPathConstructors:

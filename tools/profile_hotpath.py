@@ -27,9 +27,10 @@ measured with cProfile off on a caller shaped like ``bench/``'s
 passes per generation inside ``lookup_batch``, their share of call time, the
 slowest calls with their collector time, net container allocations per key,
 and the collector-off split of a call into bucket / serve / propagate /
-merge.  A full pass walks whatever the *caller* keeps alive, so its cost
-scales with ``--requests``; the pass *count* scales with what the batch path
-allocates per key.
+merge for three routing shapes: a clean range cluster, the same with one
+node down, and a ring of 64 tokens per node.  A full pass walks whatever
+the *caller* keeps alive, so its cost scales with ``--requests``; the pass
+*count* scales with what the batch path allocates per key.
 
 ``persist`` is the write side of a first full backup on one node at
 ``bench/``'s ``node_config`` (no cProfile): 128-key batches served and then
@@ -101,13 +102,14 @@ import tempfile
 import time
 
 
-def _cluster(requests: int):
+def _cluster(requests: int, virtual_nodes: int = 0):
     from repro.core.cluster import SHHCCluster
     from repro.core.config import ClusterConfig, HashNodeConfig
 
     return SHHCCluster(ClusterConfig(
         num_nodes=4,
         replication_factor=2,
+        virtual_nodes=virtual_nodes,
         node=HashNodeConfig(
             ram_cache_entries=4_096,
             bloom_expected_items=max(20_000, requests),
@@ -184,9 +186,9 @@ def _caller_batches(requests: int, batch_size: int, retained: list):
         yield batch
 
 
-def _warm_cluster(requests: int, batch_size: int):
+def _warm_cluster(requests: int, batch_size: int, virtual_nodes: int = 0):
     """A cluster pre-populated by a quarter-length run of the same caller."""
-    cluster, retained = _cluster(requests), []
+    cluster, retained = _cluster(requests, virtual_nodes), []
     for batch in _caller_batches(requests // 4, batch_size, retained):
         cluster.lookup_batch(batch)
     return cluster, retained
@@ -235,11 +237,23 @@ def collector_report(requests: int, batch_size: int) -> None:
               f"(passes per generation {call_passes})")
 
 
-def phase_split(requests: int, batch_size: int) -> None:
-    """Where a call's own time goes with the collector off (same caller, fresh cluster)."""
-    spent = {"call": 0.0, "bucket": 0.0, "serve": 0.0, "propagate": 0.0}
+#: ``phase_split`` rows: label, ring tokens per node (0 = range partitioner),
+#: node marked down after warm-up (its keys fail over to their successors).
+PHASE_SPLIT_SHAPES = (
+    ("range", 0, None),
+    ("range, hashnode-1 down", 0, "hashnode-1"),
+    ("ring, 64 tokens", 64, None),
+)
 
-    def timed(phase, function):
+
+def phase_split(requests: int, batch_size: int) -> None:
+    """Where a call's own time goes with the collector off (same caller, fresh clusters).
+
+    One row per routing shape in :data:`PHASE_SPLIT_SHAPES`, so the bucket
+    and propagate phases of a clean range cluster, a degraded one and a
+    consistent-hash ring read side by side.
+    """
+    def timed(spent, phase, function):
         def wrapper(*args):
             started = time.perf_counter()
             try:
@@ -248,24 +262,28 @@ def phase_split(requests: int, batch_size: int) -> None:
                 spent[phase] += time.perf_counter() - started
         return wrapper
 
-    cluster, retained = _warm_cluster(requests, batch_size)
-    cluster.lookup_batch = timed("call", cluster.lookup_batch)
-    cluster._bucket_routed = timed("bucket", cluster._bucket_routed)
-    cluster._propagate_new_groups = timed("propagate", cluster._propagate_new_groups)
-    for node in cluster.nodes.values():
-        node.serve_bucket_verdicts = timed("serve", node.serve_bucket_verdicts)
-    gc.collect()
-    gc.disable()
-    try:
-        for batch in _caller_batches(requests, batch_size, retained):
-            cluster.lookup_batch(batch)
-    finally:
-        gc.enable()
-    keys = requests // batch_size * batch_size
-    spent["merge"] = spent["call"] - spent["bucket"] - spent["serve"] - spent["propagate"]
-    print("  collector off, us/fp: " + ", ".join(
-        f"{phase} {seconds / keys * 1e6:.2f}" for phase, seconds in spent.items()
-    ) + " (merge = call - the other three)")
+    for label, virtual_nodes, down in PHASE_SPLIT_SHAPES:
+        spent = {"call": 0.0, "bucket": 0.0, "serve": 0.0, "propagate": 0.0}
+        cluster, retained = _warm_cluster(requests, batch_size, virtual_nodes)
+        if down is not None:
+            cluster.mark_down(down)
+        cluster.lookup_batch = timed(spent, "call", cluster.lookup_batch)
+        cluster._bucket_routed = timed(spent, "bucket", cluster._bucket_routed)
+        cluster._propagate_new_groups = timed(spent, "propagate", cluster._propagate_new_groups)
+        for node in cluster.nodes.values():
+            node.serve_bucket_verdicts = timed(spent, "serve", node.serve_bucket_verdicts)
+        gc.collect()
+        gc.disable()
+        try:
+            for batch in _caller_batches(requests, batch_size, retained):
+                cluster.lookup_batch(batch)
+        finally:
+            gc.enable()
+        keys = requests // batch_size * batch_size
+        spent["merge"] = spent["call"] - spent["bucket"] - spent["serve"] - spent["propagate"]
+        print(f"  collector off, {label}, us/fp: " + ", ".join(
+            f"{phase} {seconds / keys * 1e6:.2f}" for phase, seconds in spent.items()
+        ) + " (merge = call - the other three)")
 
 
 def profile_sweep(top: int) -> None:
