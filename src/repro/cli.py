@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--snapshot-every", type=int, default=100_000,
                        help="records between automatic bloom checkpoints (0 = off)")
     serve.add_argument("--max-queue", type=int, default=64,
-                       help="queued batches per worker before admission sheds")
+                       help="outstanding frames per worker before admission sheds")
     serve.add_argument("--max-inflight", type=int, default=512,
                        help="global in-flight batch cap")
     serve.add_argument("--report-interval", type=float, default=2.0,

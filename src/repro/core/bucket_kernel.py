@@ -143,12 +143,11 @@ def _kernel_source(num_bits: int, num_hashes: int) -> str:
         "    cache_capacity,",
         "    bits, table, counts, store_num_buckets, entries_per_page,",
         "    write_buffer_pages, buffered, base_time, page_read_cost,",
-        "    page_write_rand_cost, page_write_seq_cost, out_append, times_append,",
-        "    new_append,",
+        "    page_write_rand_cost, page_write_seq_cost, out, times, new_append,",
         "):",
         f"    nb = {num_bits}",
         "    from_bytes = int.from_bytes",
-        "    ram_hits = ssd_hits = new_entries = 0",
+        "    ssd_hits = new_entries = 0",
         "    bloom_negative_shortcuts = bloom_false_positives = 0",
         "    cache_insertions = cache_evictions = 0",
         "    total_ssd_time = 0.0",
@@ -157,13 +156,11 @@ def _kernel_source(num_bits: int, num_hashes: int) -> str:
         "    words = None",
         "    for i, digest in enumerate(digests):",
     ]
-    # 1. RAM LRU probe.
+    # 1. RAM LRU probe.  ``out`` and ``times`` arrive filled with a RAM
+    # hit's tier and time, so a hit only refreshes its recency.
     lines += [
         "        if digest in cached:",
         "            move_to_end(digest)",
-        "            ram_hits += 1",
-        "            out_append(1)",
-        "            times_append(base_time)",
         "            continue",
     ]
     # 2. Bloom guard.  A stored digest's bits are all set (store is a subset
@@ -197,8 +194,8 @@ def _kernel_source(num_bits: int, num_hashes: int) -> str:
     ]
     lines += _cache_insert_block("                ")
     lines += [
-        "                out_append(2)",
-        "                times_append(base_time + ssd_time)",
+        "                out[i] = 2",
+        "                times[i] = base_time + ssd_time",
         "                total_ssd_time += ssd_time",
         "                continue",
         "            bloom_false_positives += 1",
@@ -239,10 +236,11 @@ def _kernel_source(num_bits: int, num_hashes: int) -> str:
         "            page_writes += 1",
         "            insert_time = 0.0 + page_write_rand_cost",
         "            ssd_time += insert_time",
-        "        out_append(0)",
-        "        times_append(base_time + ssd_time)",
+        "        out[i] = 0",
+        "        times[i] = base_time + ssd_time",
         "        total_ssd_time += ssd_time",
-        "    return (ram_hits, ssd_hits, new_entries, bloom_negative_shortcuts,",
+        "    return (len(digests) - ssd_hits - new_entries, ssd_hits, new_entries,",
+        "            bloom_negative_shortcuts,",
         "            bloom_false_positives, total_ssd_time, page_reads,",
         "            page_writes, buffer_flushes, buffered,",
         "            cache_insertions, cache_evictions)",

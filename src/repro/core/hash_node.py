@@ -252,10 +252,12 @@ class HybridHashNode:
                 self.ssd_device.write_cost(store.page_size, False),
                 None, None, None,
             ]
-        tiers: List[int] = []
-        service_times: List[float] = []
-        new_pairs: List[Tuple[bytes, int]] = []
         digests = batch.digests
+        # Every key starts as a RAM hit (tier 1 at slot 14's RAM-hit time);
+        # the kernel overwrites the tier and time of every other key.
+        tiers: List[int] = [1] * len(digests)
+        service_times: List[float] = [args[14]] * len(digests)
+        new_pairs: List[Tuple[bytes, int]] = []
         args[0] = digests
         # A digest-keyed filter hashes with the digest's own leading words,
         # which the batch derives in one unpack; any other filter supplies
@@ -265,8 +267,8 @@ class HybridHashNode:
         )
         args[2] = batch.chunk_sizes
         args[13] = buffered
-        args[18] = tiers.append
-        args[19] = service_times.append
+        args[18] = tiers
+        args[19] = service_times
         args[20] = new_pairs.append
         (
             ram_hits, ssd_hits, new_entries, bloom_negative_shortcuts,

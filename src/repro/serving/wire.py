@@ -60,6 +60,7 @@ __all__ = [
     "encode_verdict_frame",
     "decode_payload",
     "read_frame",
+    "frame_payloads",
     "recv_payload",
     "recv_frame",
     "send_frame",
@@ -220,6 +221,23 @@ def _payload_length(header: bytes) -> int:
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
     return length
+
+
+def frame_payloads(pending: bytearray, data: bytes) -> List[bytearray]:
+    """The whole frames' payloads in ``pending + data``, for a reader fed by
+    callbacks; the bytes of an unfinished frame stay in ``pending``."""
+    pending += data
+    payloads = []
+    start, size = 0, len(pending)
+    while size - start >= LENGTH_PREFIX.size:
+        stop = start + LENGTH_PREFIX.size
+        end = stop + _payload_length(pending[start:stop])
+        if end > size:
+            break
+        payloads.append(pending[stop:end])
+        start = end
+    del pending[:start]
+    return payloads
 
 
 async def read_frame(reader: asyncio.StreamReader, codec=JsonCodec) -> Optional[Dict[str, Any]]:

@@ -26,13 +26,9 @@ import socket
 import sys
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter_ns
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..core.config import HashNodeConfig
 from ..core.digest_batch import DigestBatch
-from ..core.hash_node import HybridHashNode
-from ..core.persistence import NodePersistence
-from ..storage.bloom import BloomFilter
 from ..telemetry import Registry, event
 from .wire import (
     WireError,
@@ -43,6 +39,9 @@ from .wire import (
     send_frame,
     verdict_mask,
 )
+
+if TYPE_CHECKING:
+    from ..core.hash_node import HybridHashNode
 
 __all__ = ["WorkerSpec", "worker_main"]
 
@@ -74,6 +73,12 @@ class WorkerSpec:
 
     def build_node(self) -> HybridHashNode:
         """Construct the node (warm-starts from ``persistence_dir`` if it exists)."""
+        # Imported here: the gateway imports this module and runs none of it.
+        from ..core.config import HashNodeConfig
+        from ..core.hash_node import HybridHashNode
+        from ..core.persistence import NodePersistence
+        from ..storage.bloom import BloomFilter
+
         config = HashNodeConfig.from_dict(self.node_config) if self.node_config else HashNodeConfig()
         persistence = None
         if self.persistence_dir is not None:

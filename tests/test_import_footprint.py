@@ -77,7 +77,11 @@ def _loaded_after(statement: str) -> list:
 
 @pytest.mark.parametrize("statement, also_absent", [
     ("import repro.serving.worker", ("repro.serving.gateway", "repro.serving.loadgen")),
-    ("from repro.serving import ServeConfig, ServiceGateway", ("repro.serving.loadgen",)),
+    # The gateway imports the worker module for ``WorkerSpec``; the node
+    # stack it builds is imported in the worker process only.
+    ("from repro.serving import ServeConfig, ServiceGateway",
+     ("repro.serving.loadgen", "repro.core.hash_node", "repro.core.persistence",
+      "repro.storage.bloom")),
     ("import repro.cli", ()),
 ])
 def test_a_live_service_process_imports_only_what_it_runs(statement, also_absent):
@@ -94,7 +98,8 @@ def test_a_live_service_process_imports_only_what_it_runs(statement, also_absent
     (RUN_FIGURE5, {"figure5", "replay"}),
     (CLI_PRESETS, set()),
     ("import repro.serving.worker", None),
-], ids=["resolve-figure5", "run-figure5", "cli-presets", "serving-worker"])
+    ("import repro.serving.gateway_core", None),
+], ids=["resolve-figure5", "run-figure5", "cli-presets", "serving-worker", "gateway-core"])
 def test_an_entry_point_imports_only_what_it_runs(statement, experiments):
     output, loaded = _run_fresh(statement)
     assert not set(NEVER_LOADED) & set(loaded), sorted(set(NEVER_LOADED) & set(loaded))

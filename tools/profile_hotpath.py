@@ -17,6 +17,7 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py cluster --gc --requests 800000 --batch 2048
     PYTHONPATH=src python tools/profile_hotpath.py persist --entries 240000
     PYTHONPATH=src python tools/profile_hotpath.py serve --requests 512000
+    PYTHONPATH=src python tools/profile_hotpath.py gateway --requests 1024000
     PYTHONPATH=src python tools/profile_hotpath.py sim
     PYTHONPATH=src python tools/profile_hotpath.py startup --runs 10
 
@@ -54,6 +55,16 @@ rows summing to the total; then what the same recording costs where
 ``lookup_batch`` pays it.  No socket, no gateway, no checkpoints
 (``snapshot_every=0``).  It wraps the node's private ``_kernel`` slot, which
 exists since PR 24: older checkouts need that commit's copy of this file.
+
+``gateway`` is the gateway's row next to ``serve``'s worker row:
+:class:`~repro.serving.gateway_core.GatewayCore` driven in-process (no
+socket, no event loop) with ``svc_dup_hot``-shaped traffic -- 256-digest
+JSON batches over 2 workers, whose packed replies mark 95% of digests
+duplicate -- and us per batch in client decode (``json.loads``), route +
+split (hex decode, ``owner_indexes``, the packed split, admission), merge
+(FIFO match, re-interleave, counters) and reply encode (``json.dumps``),
+with framing and the rest as the remainder, rows summing to the total.
+It needs a checkout that has ``serving/gateway_core.py``.
 
 ``sim`` is ``bench/``'s ``sim_figure5`` cycle leg by leg (no cProfile):
 ``run_scenario("figure5")`` on 4 nodes at each of the three legs, cold
@@ -462,6 +473,72 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
               f"{(now() - began) / keys / 1e3:.3f} us/fp, not on this path)")
 
 
+_GATEWAY_STAGES = ("client decode", "route + split", "merge", "reply encode")
+
+
+def gateway_report(batches: int, batch_size: int = 256, workers: int = 2) -> None:
+    """Stage budget of the gateway's batch path: the socket-free core, in-process."""
+    from repro.serving.gateway_core import GatewayCore
+    from repro.serving.wire import JsonCodec, encode_frame, encode_verdict_frame
+
+    spent = dict.fromkeys(_GATEWAY_STAGES, 0)
+    now = time.perf_counter_ns
+
+    def timed(stage, function):
+        def wrapper(*args):
+            started = now()
+            try:
+                return function(*args)
+            finally:
+                spent[stage] += now() - started
+        return wrapper
+
+    class Codec:  # JSON, with the client-side decode and the reply encode timed
+        name = JsonCodec.name
+        decode = staticmethod(timed("client decode", JsonCodec.decode))
+        encode = staticmethod(timed("reply encode", JsonCodec.encode))
+
+    # bench/spec.py's SERVE_CONFIG and svc_dup_hot: two workers, 256-digest
+    # batches, 95% of every batch a duplicate.
+    core = GatewayCore([f"node{i}" for i in range(workers)], max_queue=64,
+                       max_inflight=512, codec=Codec)
+    for link in core.workers:
+        link.ready.set()
+    core._admit = timed("route + split", core._admit)
+    core._on_part = timed("merge", core._on_part)
+    rng = random.Random(7)
+    frames = [encode_frame({"t": "batch", "id": number, "s": 8192, "d": "".join(
+        hashlib.sha1(b"%d" % rng.getrandbits(40)).hexdigest() for _ in range(batch_size))})
+        for number in range(batches)]
+    client = object()
+    total = 0
+    for frame in frames:
+        started = now()
+        out = core.on_client_bytes(client, frame)
+        total += now() - started
+        for index, sub_batch in out:
+            count = (len(sub_batch) - 9) // 20  # length prefix, tag, chunk size
+            duplicates = [rng.random() < 0.95 for _ in range(count)]
+            mask = sum(1 << bit for bit, duplicate in enumerate(duplicates) if duplicate)
+            verdicts = encode_verdict_frame(count, duplicates.count(False), mask)
+            started = now()
+            replies = core.on_worker_bytes(index, verdicts)
+            total += now() - started
+        assert replies and core.inflight == 0, "every batch is answered"
+    # The merge wraps the reply encode it ends with.
+    spent["merge"] -= spent["reply encode"]
+    print(f"=== gateway: {batches} batches x {batch_size} digests over {workers} workers, "
+          f"95% duplicates, in-process (no sockets) ===")
+    for stage in _GATEWAY_STAGES:
+        print(f"  {stage:<26} {spent[stage] / batches / 1e3:8.2f} us/batch  "
+              f"{spent[stage] / total:6.1%}")
+    rest = total - sum(spent.values())
+    print(f"  {'framing and the rest':<26} {rest / batches / 1e3:8.2f} us/batch  "
+          f"{rest / total:6.1%}")
+    print(f"  {'total':<26} {total / batches / 1e3:8.2f} us/batch  "
+          f"({total / batches / batch_size / 1e3:.3f} us/fp)")
+
+
 #: bench/spec.py's sim_figure5 legs (batch size, trace scale) on bench/sim.py's 4 nodes.
 _SIM_LEGS = ((1, 0.00005), (128, 0.0005), (2048, 0.0005))
 _SIM_REPEATS = 12
@@ -691,11 +768,12 @@ def _profile_one(label: str, fn, top: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("target", nargs="?", default="all",
-                        choices=("all", "cluster", "sweep", "persist", "serve", "sim", "startup"))
+                        choices=("all", "cluster", "sweep", "persist", "serve", "gateway",
+                                 "sim", "startup"))
     parser.add_argument("--top", type=int, default=20,
                         help="how many functions to print (default 20)")
     parser.add_argument("--requests", type=int, default=16_000,
-                        help="cluster / serve run size in fingerprints (default 16000)")
+                        help="cluster / serve / gateway run size in fingerprints (default 16000)")
     parser.add_argument("--batch", type=int, default=128,
                         help="fingerprints per lookup_batch call (default 128)")
     parser.add_argument("--gc", action="store_true",
@@ -710,6 +788,9 @@ def main(argv=None) -> int:
         return 0
     if args.target == "serve":
         serve_report(args.requests)
+        return 0
+    if args.target == "gateway":
+        gateway_report(max(1, args.requests // 256))
         return 0
     if args.target == "sim":
         sim_report()
