@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -301,31 +302,49 @@ class TestStoreIsASubsetOfBloom:
                 assert all(key in node.bloom for key in node.store.keys()), (kind, argument)
 
 
+class _Crash(Exception):
+    """The process dies inside a checkpoint."""
+
+
+#: How far a checkpoint taken at the kill got before the process died: not
+#: begun, ``.tmp`` torn, ``.tmp`` complete and fsynced but not renamed, renamed.
+CHECKPOINT_STAGES = ("none", "tmp-torn", "tmp-fsynced", "renamed")
+
+
 class TestCrashRecoveryProperties:
     """Kill/restart crash consistency: no acknowledged insert is ever lost."""
 
+    @pytest.mark.parametrize("new_process", [False, True], ids=["restart", "new-process"])
+    @pytest.mark.parametrize("checkpoint_stage", CHECKPOINT_STAGES)
     @settings(max_examples=40, deadline=None)
     @given(
         _STEPS,
         st.integers(0, 120),
         st.sampled_from([0, 8, 64]),
-        st.booleans(),
-        st.booleans(),
+        st.integers(0, 1 << 16),
     )
     def test_restart_at_any_offset_loses_no_acknowledged_insert(
-        self, steps, kill_offset, snapshot_every, torn_snapshot, new_process
+        self, checkpoint_stage, new_process, steps, kill_offset, snapshot_every, torn_at
     ):
         """Killed after any prefix and restarted == a twin that never crashed.
 
-        ``torn_snapshot`` lands the kill between a checkpoint's WAL intent
-        and its done record (with a half-written image left behind);
-        ``new_process`` restarts through fresh objects (the open-time scan)
-        instead of :meth:`HybridHashNode.restart` (the in-process rescan).
+        At the kill a checkpoint reaches ``checkpoint_stage``: none taken,
+        its ``.tmp`` torn (a prefix of the image bytes, ``torn_at`` long
+        modulo its size), the ``.tmp`` complete and fsynced but never
+        renamed, or renamed into place.  Recovery must load the renamed
+        image, otherwise the previous one (or replay cold), and leave no
+        ``.tmp`` behind.  ``new_process`` restarts through fresh objects
+        (the open-time scan) instead of :meth:`HybridHashNode.restart`
+        (the in-process rescan).
         """
         import os
         import tempfile
+        from unittest import mock
 
+        from repro.core import persistence as persistence_module
         from repro.core.persistence import NodePersistence
+        from repro.storage import snapshot as snapshot_module
+        from repro.storage.snapshot import read_snapshot
 
         config = HashNodeConfig(
             ram_cache_entries=64, bloom_expected_items=2_048, ssd_buckets=128
@@ -336,25 +355,55 @@ class TestCrashRecoveryProperties:
             persistence = NodePersistence(directory, snapshot_every=snapshot_every)
             node = HybridHashNode("node", config, persistence=persistence)
 
+            def crash_in_checkpoint():
+                """Die at ``checkpoint_stage``; returns the records of the image recovery must load."""
+                path = persistence.snapshot_path
+                previous = read_snapshot(path)[0]["records"] if os.path.exists(path) else None
+                if checkpoint_stage == "none":
+                    return previous
+                real_replace = os.replace
+
+                def replace(source, target):
+                    if checkpoint_stage == "renamed":
+                        real_replace(source, target)
+                    raise _Crash
+
+                with mock.patch.object(snapshot_module.os, "replace", replace), \
+                        pytest.raises(_Crash):
+                    persistence.take_snapshot(node.bloom, entries=len(node.store))
+                if checkpoint_stage == "renamed":
+                    return persistence.records
+                if checkpoint_stage == "tmp-torn":
+                    with open(path + ".tmp", "r+b") as tmp:
+                        tmp.truncate(torn_at % os.path.getsize(path + ".tmp"))
+                return previous
+
             def crash_and_restart():
                 nonlocal node, persistence
-                if torn_snapshot:
-                    persistence.wal.append("snapshot", records=persistence.records)
-                    with open(persistence.snapshot_path + ".tmp", "wb") as torn:
-                        torn.write(b"half an image")
-                node.kill()
-                if new_process:
-                    persistence.close()
-                    persistence = NodePersistence(directory, snapshot_every=snapshot_every)
-                    node = HybridHashNode("node", config, persistence=persistence)
-                    report = node.last_recovery
-                else:
-                    report = node.restart()
-                if new_process and not persistence.records and not torn_snapshot:
-                    assert report is None  # nothing on disk: a first start
+                expected_image = crash_in_checkpoint()
+                loaded = []  # records covered by each image recovery read
+
+                def spy_read(path, *args, **kwargs):
+                    meta, payload = real_read(path, *args, **kwargs)
+                    loaded.append(meta["records"])
+                    return meta, payload
+
+                real_read = persistence_module.read_snapshot
+                with mock.patch.object(persistence_module, "read_snapshot", spy_read):
+                    node.kill()
+                    if new_process:
+                        persistence.close()
+                        persistence = NodePersistence(directory, snapshot_every=snapshot_every)
+                        node = HybridHashNode("node", config, persistence=persistence)
+                        report = node.last_recovery
+                    else:
+                        report = node.restart()
+                if report is None:
+                    assert new_process and not persistence.records  # a first start
                 else:
                     assert report.truncated_bytes == 0
-                    assert report.resumed_snapshot == torn_snapshot
+                    assert report.snapshot_loaded == (expected_image is not None)
+                    assert loaded == ([] if expected_image is None else [expected_image])
                 assert not os.path.exists(persistence.snapshot_path + ".tmp")
                 # Zero lost acknowledged inserts at ANY kill offset, and
                 # nothing resurrected: exactly the never-crashed twin.
@@ -395,8 +444,6 @@ class TestCrashRecoveryProperties:
         """Recovery yields the frames before a flipped bit, and repairs the log."""
         import os
         import tempfile
-
-        import pytest
 
         from repro.core.persistence import NodePersistence
         from repro.storage.fplog import LogFormatError
