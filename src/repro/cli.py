@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistence root (one subdirectory per node); "
                             "omit for in-memory nodes")
     serve.add_argument("--fsync", action="store_true",
-                       help="fsync container/WAL appends (power-loss durability)")
+                       help="fsync container appends (power-loss durability)")
     serve.add_argument("--snapshot-every", type=int, default=100_000,
                        help="records between automatic bloom checkpoints (0 = off)")
     serve.add_argument("--max-queue", type=int, default=64,

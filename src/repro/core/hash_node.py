@@ -142,7 +142,7 @@ class HybridHashNode:
         #: Report of the most recent disk recovery (construction-time warm
         #: start or :meth:`restart`); ``None`` until one happens.
         self.last_recovery: Optional[RecoveryReport] = None
-        if persistence is not None and (persistence.records or len(persistence.wal)):
+        if persistence is not None and persistence.records:
             # Prior on-disk state exists: this is a process restart, so warm
             # the index before serving anything.
             self.last_recovery = persistence.recover_into(self)

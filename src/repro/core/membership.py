@@ -25,15 +25,15 @@ whose set changed**:
   drops*) — but only after the new copies exist, so the distinct count is
   conserved at every instant.
 
-Crash consistency
------------------
-Every change writes a WAL intent record (``add_node``/``remove_node``)
-before mutating the cluster and a matching ``*_done`` record after the
-migration.  The migration itself is idempotent (copies are puts, drops are
-recomputed from the current map), so :meth:`MembershipManager.recover`
-can replay an interrupted change from the WAL: any intent without its done
-marker is re-applied against whatever state survived the crash and then
-marked done.
+Interrupted changes
+-------------------
+Every change puts an ``(action, node)`` intent on
+:attr:`MembershipManager.intents` before mutating the cluster and takes it
+off after the migration.  The migration itself is idempotent (copies are
+puts, drops are recomputed from the current map), so
+:meth:`MembershipManager.recover` can finish a change that raised part-way:
+each intent still open is re-applied against whatever state survived and
+then closed.
 
 Churn plans
 -----------
@@ -50,7 +50,6 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
-from ..storage.wal import WriteAheadLog
 from .cluster import SHHCCluster
 from .hash_node import HybridHashNode
 from .replication import ReplicationController
@@ -87,7 +86,7 @@ class MigrationReport:
     #: Digests that needed a copy but had no live holder to read from
     #: (their data was already lost to a crash; migration cannot restore it).
     unreachable: int = 0
-    #: True when this report was produced by WAL replay after a crash.
+    #: True when :meth:`MembershipManager.recover` finished this change.
     recovered: bool = False
 
     @property
@@ -99,9 +98,11 @@ class MigrationReport:
 class MembershipManager:
     """Coordinates node join/leave and the resulting replica-aware migration."""
 
-    def __init__(self, cluster: SHHCCluster, wal: Optional[WriteAheadLog] = None) -> None:
+    def __init__(self, cluster: SHHCCluster) -> None:
         self.cluster = cluster
-        self.wal = wal if wal is not None else WriteAheadLog()
+        #: Changes begun and not yet finished, as ``(action, node)`` with
+        #: action ``"add"`` or ``"remove"``.
+        self.intents: List[Tuple[str, str]] = []
         self.controller = ReplicationController(cluster)
         self.reports: List[MigrationReport] = []
 
@@ -112,11 +113,11 @@ class MembershipManager:
         if node_id in cluster.nodes:
             raise ValueError(f"node {node_id!r} already exists")
         entries_before = len(cluster)
-        self.wal.append("add_node", node=node_id)
+        self.intents.append(("add", node_id))
         self._install_node(node_id)
         report = self._rebuild("add", node_id, entries_before)
         self.reports.append(report)
-        self.wal.append("add_node_done", node=node_id, moved=report.entries_moved)
+        self.intents.remove(("add", node_id))
         return report
 
     # -- leaves -------------------------------------------------------------------------
@@ -128,37 +129,28 @@ class MembershipManager:
         if len(cluster.nodes) == 1:
             raise ValueError("cannot remove the last node")
         entries_before = len(cluster)
-        self.wal.append("remove_node", node=node_id)
+        self.intents.append(("remove", node_id))
         orphans, lost_candidates = self._uninstall_node(node_id)
         report = self._rebuild(
             "remove", node_id, entries_before, orphans=orphans,
             lost_candidates=lost_candidates,
         )
         self.reports.append(report)
-        self.wal.append("remove_node_done", node=node_id, moved=report.entries_moved)
+        self.intents.remove(("remove", node_id))
         return report
 
     # -- crash recovery ----------------------------------------------------------------
     def recover(self) -> List[MigrationReport]:
-        """Complete membership changes the WAL shows as begun but unfinished.
+        """Complete the membership changes still open in :attr:`intents`.
 
-        Scans the log for ``add_node``/``remove_node`` intents without a
-        matching ``*_done`` marker, re-applies each against the current
-        cluster state (the migration is idempotent, so work that happened
-        before the crash is simply kept) and appends the missing done
-        record.  Returns one report per completed change.
+        Re-applies each against the current cluster state (the migration is
+        idempotent, so work done before the interruption is simply kept)
+        and closes it.  Returns one report per completed change.
         """
-        open_ops: Dict[Tuple[str, str], bool] = {}
-        for record in self.wal.replay():
-            kind = record.kind
-            if kind in ("add_node", "remove_node"):
-                open_ops[(kind, str(record["node"]))] = True
-            elif kind in ("add_node_done", "remove_node_done"):
-                open_ops.pop((kind[: -len("_done")], str(record["node"])), None)
         reports: List[MigrationReport] = []
-        for kind, node_id in list(open_ops):
+        for action, node_id in list(self.intents):
             entries_before = len(self.cluster)
-            if kind == "add_node":
+            if action == "add":
                 if node_id not in self.cluster.nodes:
                     self._install_node(node_id)
                 elif node_id not in self.cluster.partitioner.nodes():
@@ -179,7 +171,7 @@ class MembershipManager:
                 )
             report.recovered = True
             self.reports.append(report)
-            self.wal.append(f"{kind}_done", node=node_id, moved=report.entries_moved, recovered=True)
+            self.intents.remove((action, node_id))
             reports.append(report)
         return reports
 

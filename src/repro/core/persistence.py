@@ -1,4 +1,4 @@
-"""Crash-consistent node storage: fingerprint log + bloom checkpoints + WAL.
+"""Crash-consistent node storage: fingerprint log + bloom checkpoints.
 
 The paper keeps each node's fingerprint table on SSD as a Berkeley DB
 (§III.B), so a crashed node can come back with its index intact.  This
@@ -16,12 +16,11 @@ property on top of the repo's own storage primitives:
   written through :func:`~repro.storage.snapshot.write_snapshot` (tmp file
   + fsync + atomic rename), a constant-size image whatever the shard holds.
   A warm restart loads it in one bulk copy and re-adds only the keys logged
-  after it, instead of re-hashing every fingerprint.
-* **WAL intent/done records** -- checkpoints follow the
-  :class:`~repro.core.membership.MembershipManager` idiom: an intent record
-  is logged before the image is written and a done record after, so a
-  crash mid-checkpoint is detected at recovery and the image is re-taken
-  (idempotently) from the recovered state.
+  after it, instead of re-hashing every fingerprint.  The rename is the
+  commit point: a crash before it leaves the previous image (or none), a
+  crash after it the new one, and the image's own checksum, geometry and
+  record count decide whether recovery may use it.  A stale ``.tmp`` from
+  an interrupted checkpoint is deleted when the node reopens or restarts.
 
 :meth:`NodePersistence.recover_into` rebuilds a freshly constructed node's
 store and bloom filter in one pass over the log and returns a
@@ -37,8 +36,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Iterable, List, Optional, Tuple
 
 from ..storage.fplog import OP_PUT, OP_REMOVE, FingerprintLog
-from ..storage.snapshot import SnapshotError, read_snapshot, write_snapshot
-from ..storage.wal import WriteAheadLog
+from ..storage.snapshot import SnapshotError, discard_staged, read_snapshot, write_snapshot
 
 __all__ = ["PersistencePolicy", "RecoveryReport", "NodePersistence"]
 
@@ -53,7 +51,7 @@ class PersistencePolicy:
         Root directory; each node gets its own subdirectory named after its
         node id.
     fsync:
-        Force container and WAL appends to disk (power-loss durability).
+        Force container appends to disk (power-loss durability).
         Off by default: the fault model in the simulator is process kill,
         for which OS-buffered writes survive.
     snapshot_every:
@@ -96,9 +94,6 @@ class RecoveryReport:
     snapshot_bytes: int = 0
     #: Torn container tail dropped during recovery (bytes).
     truncated_bytes: int = 0
-    #: A crash interrupted a snapshot (WAL intent without done); the
-    #: snapshot was re-taken from the recovered state.
-    resumed_snapshot: bool = False
     #: Wall-clock seconds the recovery pass took (host time, not simulated).
     wall_seconds: float = 0.0
     #: Simulated CPU seconds the cost model charged for this recovery
@@ -110,10 +105,9 @@ class RecoveryReport:
 
 
 class NodePersistence:
-    """On-disk state for one hash node: fingerprint log, WAL, bloom image."""
+    """On-disk state for one hash node: fingerprint log and bloom image."""
 
     CONTAINER_NAME = "containers.log"
-    WAL_NAME = "wal.log"
     SNAPSHOT_NAME = "bloom.snap"
 
     def __init__(self, directory: str, fsync: bool = False, snapshot_every: int = 0) -> None:
@@ -123,7 +117,7 @@ class NodePersistence:
         self.snapshot_every = snapshot_every
         self.snapshot_path = os.path.join(directory, self.SNAPSHOT_NAME)
         self.container = FingerprintLog(os.path.join(directory, self.CONTAINER_NAME), fsync=fsync)
-        self.wal = WriteAheadLog(os.path.join(directory, self.WAL_NAME), fsync=fsync)
+        discard_staged(self.snapshot_path)
         #: Log record count covered by the current bloom image (0 = none).
         self.snapshot_records = 0
         self.snapshots_taken = 0
@@ -164,18 +158,16 @@ class NodePersistence:
     def take_snapshot(self, bloom: Any, entries: int = 0, store: Optional[Any] = None) -> int:
         """Checkpoint the bloom filter's bits; constant in shard size.
 
-        Follows the membership WAL idiom: intent record, then the atomic
-        image write, then the done record.  A crash between intent and done
-        is detected by :meth:`recover_into`, which re-takes the image from
-        the recovered state.  ``store`` is accepted and ignored: the log
-        already is the store's image, and ``bench/replay.py`` -- the pinned
-        instrument -- still passes it.  Returns the record count the image
-        covers.
+        The image is written atomically (tmp + fsync + rename) and only then
+        does ``snapshot_records`` move, so a failed write raises with the
+        previous image and its count intact.  ``store`` is accepted and
+        ignored: the log already is the store's image, and
+        ``bench/replay.py`` -- the pinned instrument -- still passes it.
+        Returns the record count the image covers.
         """
         del store
         started = time.perf_counter()
         records = self.records
-        intent = self.wal.append("snapshot", records=records)
         meta = {
             "records": records,
             # bloom.count is insertions performed, not distinct keys (and a
@@ -187,9 +179,6 @@ class NodePersistence:
             "entries": entries,
         }
         write_snapshot(self.snapshot_path, bloom.snapshot_payload(), meta)
-        self.wal.append("snapshot_done", records=records)
-        # Earlier snapshot intents are now moot; keep the log short.
-        self.wal.checkpoint(intent.lsn - 1)
         self.snapshot_records = records
         self.snapshots_taken += 1
         self.last_snapshot_ms = (time.perf_counter() - started) * 1e3
@@ -211,13 +200,7 @@ class NodePersistence:
         """
         started = time.perf_counter()
         report = RecoveryReport(node_id=getattr(node, "node_id", ""))
-        open_snapshot_intent = False
-        for record in self.wal.replay():
-            if record.kind == "snapshot":
-                open_snapshot_intent = True
-            elif record.kind == "snapshot_done":
-                open_snapshot_intent = False
-
+        discard_staged(self.snapshot_path)
         frames = self.container.replay()  # (re)scans: record counts are final
         report.truncated_bytes = self.container.truncated_bytes
         report.records = self.records
@@ -259,21 +242,12 @@ class NodePersistence:
         bloom.add_many(replay)
         report.replayed = len(replay)
         self.snapshot_records = snapshot_records
-
-        if open_snapshot_intent:
-            # A crash interrupted a snapshot between intent and done.  The
-            # recovered state supersedes whatever was being written, so
-            # re-take the snapshot now (idempotent: intent/done again).
-            self.take_snapshot(bloom, entries=report.entries)
-            report.resumed_snapshot = True
-
         report.wall_seconds = time.perf_counter() - started
         return report
 
     def close(self) -> None:
-        """Close the backing files."""
+        """Close the backing file."""
         self.container.close()
-        self.wal.close()
 
     def __enter__(self) -> "NodePersistence":
         return self

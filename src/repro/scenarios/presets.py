@@ -583,7 +583,7 @@ def _restart_metrics(result: restart.RestartResult) -> Dict[str, Any]:
 
 _preset(
     "restart",
-    "Kill a node mid-workload, restart from WAL+snapshot, measure recovery",
+    "Kill a node mid-workload, restart from log+bloom image, measure recovery",
     "restart.run_restart",
     _restart_metrics,
     cluster_keys=_REPLICATED_CLUSTER,

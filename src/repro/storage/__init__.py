@@ -10,6 +10,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".hashstore": ("FileHashStore", "IOOperation", "SSDHashStore"),
     ".lru": ("LRUCache",),
     ".object_store": ("CloudObjectStore", "StoredObject"),
-    ".wal": ("LogRecord", "WriteAheadLog"),
-    ".snapshot": ("SnapshotError", "read_snapshot", "write_snapshot"),
+    ".snapshot": ("SnapshotError", "discard_staged", "read_snapshot", "write_snapshot"),
 })

@@ -21,12 +21,14 @@ import struct
 import zlib
 from typing import Any, Dict, Tuple
 
-__all__ = ["SnapshotError", "write_snapshot", "read_snapshot"]
+__all__ = ["SnapshotError", "write_snapshot", "read_snapshot", "discard_staged"]
 
 _MAGIC = b"SHHCSNAP"
 _VERSION = 1
 # magic, version, meta length, payload length, payload CRC32
 _HEADER = struct.Struct(">8sBIQI")
+#: Suffix of the file a write is staged in until its rename.
+_STAGED = ".tmp"
 
 
 class SnapshotError(Exception):
@@ -42,7 +44,7 @@ def write_snapshot(path: str, payload: bytes, meta: Dict[str, Any]) -> int:
     """
     meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = _HEADER.pack(_MAGIC, _VERSION, len(meta_blob), len(payload), zlib.crc32(payload))
-    temp_path = path + ".tmp"
+    temp_path = path + _STAGED
     with open(temp_path, "wb") as temp:
         temp.write(header)
         temp.write(meta_blob)
@@ -51,6 +53,14 @@ def write_snapshot(path: str, payload: bytes, meta: Dict[str, Any]) -> int:
         os.fsync(temp.fileno())
     os.replace(temp_path, path)
     return _HEADER.size + len(meta_blob) + len(payload)
+
+
+def discard_staged(path: str) -> None:
+    """Delete the staged file of a write to ``path`` that never reached its rename."""
+    try:
+        os.remove(path + _STAGED)
+    except FileNotFoundError:
+        pass
 
 
 def read_snapshot(path: str, use_mmap: bool = True) -> Tuple[Dict[str, Any], bytes]:

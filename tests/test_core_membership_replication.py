@@ -9,7 +9,6 @@ from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.membership import MembershipManager
 from repro.core.replication import ReplicationController
 from repro.dedup.fingerprint import synthetic_fingerprint
-from repro.storage.wal import WriteAheadLog
 
 
 def loaded_cluster(num_nodes=4, replication=1, virtual_nodes=0, entries=800) -> SHHCCluster:
@@ -86,13 +85,12 @@ class TestMembershipManager:
         assert len(manager.reports) == 2
         assert manager.total_moved() == sum(r.entries_moved for r in manager.reports)
 
-    def test_wal_records_membership_changes(self):
+    def test_a_finished_change_leaves_no_open_intent(self):
         cluster = loaded_cluster()
-        wal = WriteAheadLog()
-        manager = MembershipManager(cluster, wal=wal)
+        manager = MembershipManager(cluster)
         manager.add_node("hashnode-4")
-        kinds = [record.kind for record in wal.replay()]
-        assert kinds == ["add_node", "add_node_done"]
+        manager.remove_node("hashnode-0")
+        assert manager.intents == []
 
 
 class TestReplicaAwareMembership:
@@ -176,31 +174,69 @@ class TestReplicaAwareMembership:
         )
 
 
-class TestWalRecovery:
-    """A mid-migration crash must replay cleanly from the WAL."""
+class _Interrupted(Exception):
+    """A membership change dies part-way through its migration."""
+
+
+def _interrupted_rebuild(*_args, **_kwargs):
+    raise _Interrupted
+
+
+class TestInterruptedMembershipChange:
+    """A change interrupted mid-migration is finished by recover()."""
+
+    def test_an_add_whose_migration_raises_is_finished_by_recover(self, monkeypatch):
+        cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=400)
+        manager = MembershipManager(cluster)
+        monkeypatch.setattr(manager, "_rebuild", _interrupted_rebuild)
+        with pytest.raises(_Interrupted):
+            manager.add_node("hashnode-4")
+        assert manager.intents == [("add", "hashnode-4")]
+        monkeypatch.undo()
+        reports = manager.recover()
+        assert len(reports) == 1 and reports[0].recovered is True
+        assert reports[0].entries_moved > 0
+        assert manager.intents == []
+        assert "hashnode-4" in cluster.partitioner.nodes()
+        assert len(cluster) == 400
+        assert ReplicationController(cluster).consistency_report().is_healthy
+
+    def test_a_remove_whose_migration_raises_is_finished_by_recover(self, monkeypatch):
+        cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=400)
+        manager = MembershipManager(cluster)
+        monkeypatch.setattr(manager, "_rebuild", _interrupted_rebuild)
+        with pytest.raises(_Interrupted):
+            manager.remove_node("hashnode-1")
+        assert manager.intents == [("remove", "hashnode-1")]
+        monkeypatch.undo()
+        reports = manager.recover()
+        assert len(reports) == 1 and reports[0].recovered is True
+        assert manager.intents == []
+        assert "hashnode-1" not in cluster.nodes
+        assert len(cluster) == 400
+        assert ReplicationController(cluster).consistency_report().is_healthy
+        for index in range(0, 400, 7):
+            assert cluster.lookup(synthetic_fingerprint(index)).is_duplicate is True
 
     def test_recover_completes_an_interrupted_add(self):
         cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=400)
-        wal = WriteAheadLog()
-        # Simulate a crash right after the intent record: the partition map
-        # and node object never changed, no data moved.
-        wal.append("add_node", node="hashnode-4")
-        manager = MembershipManager(cluster, wal=wal)
+        manager = MembershipManager(cluster)
+        # Interrupted right after the intent: the partition map and node
+        # object never changed, no data moved.
+        manager.intents.append(("add", "hashnode-4"))
         reports = manager.recover()
         assert len(reports) == 1
         assert reports[0].recovered is True
         assert "hashnode-4" in cluster.nodes
         assert len(cluster) == 400
         assert ReplicationController(cluster).consistency_report().is_healthy
-        kinds = [record.kind for record in wal.replay()]
-        assert kinds == ["add_node", "add_node_done"]
+        assert manager.intents == []
 
     def test_recover_completes_a_partially_applied_add(self):
         cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=400)
-        wal = WriteAheadLog()
-        wal.append("add_node", node="hashnode-4")
-        manager = MembershipManager(cluster, wal=wal)
-        # Crash happened after the node was installed but before migration.
+        manager = MembershipManager(cluster)
+        manager.intents.append(("add", "hashnode-4"))
+        # Interrupted after the node was installed but before migration.
         manager._install_node("hashnode-4")
         reports = manager.recover()
         assert reports[0].entries_moved > 0
@@ -209,11 +245,10 @@ class TestWalRecovery:
 
     def test_recover_completes_an_interrupted_remove(self):
         cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=400)
-        wal = WriteAheadLog()
-        wal.append("remove_node", node="hashnode-1")
-        manager = MembershipManager(cluster, wal=wal)
-        # Crash after the node was torn down; its local entries are gone
-        # (k=2 survivors hold every digest).
+        manager = MembershipManager(cluster)
+        manager.intents.append(("remove", "hashnode-1"))
+        # Interrupted after the node was torn down; its local entries are
+        # gone (k=2 survivors hold every digest).
         manager._uninstall_node("hashnode-1")
         reports = manager.recover()
         assert len(reports) == 1
@@ -224,13 +259,12 @@ class TestWalRecovery:
             assert cluster.lookup(synthetic_fingerprint(index)).is_duplicate is True
 
     def test_recover_completes_a_remove_interrupted_mid_teardown(self):
-        # Crash landed between the partitioner update and the node-dict
+        # Interrupted between the partitioner update and the node-dict
         # removal: the node is still in cluster.nodes but not in the map.
         cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=400)
-        wal = WriteAheadLog()
-        wal.append("remove_node", node="hashnode-1")
+        manager = MembershipManager(cluster)
+        manager.intents.append(("remove", "hashnode-1"))
         cluster.partitioner.remove_node("hashnode-1")
-        manager = MembershipManager(cluster, wal=wal)
         reports = manager.recover()
         assert len(reports) == 1 and reports[0].recovered is True
         assert "hashnode-1" not in cluster.nodes
@@ -238,23 +272,21 @@ class TestWalRecovery:
         assert len(cluster) == 400
         assert ReplicationController(cluster).consistency_report().is_healthy
 
-    def test_recover_is_a_noop_on_a_clean_log(self):
+    def test_recover_is_a_noop_with_no_open_intent(self):
         cluster = loaded_cluster(num_nodes=4, replication=2, entries=200)
-        wal = WriteAheadLog()
-        manager = MembershipManager(cluster, wal=wal)
+        manager = MembershipManager(cluster)
         manager.add_node("hashnode-4")
-        before = [record.kind for record in wal.replay()]
+        reports = list(manager.reports)
         assert manager.recover() == []
-        assert [record.kind for record in wal.replay()] == before
+        assert manager.reports == reports and manager.intents == []
 
     def test_recovery_migration_is_idempotent(self):
         cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=300)
-        wal = WriteAheadLog()
-        manager = MembershipManager(cluster, wal=wal)
+        manager = MembershipManager(cluster)
         manager.add_node("hashnode-4")
-        # Replaying the same intent against the fully migrated state moves
-        # nothing further.
-        wal.append("add_node", node="hashnode-4")
+        # Re-applying the same intent against the fully migrated state
+        # moves nothing further.
+        manager.intents.append(("add", "hashnode-4"))
         reports = manager.recover()
         assert reports[0].entries_moved == 0
         assert len(cluster) == 300

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 
 import pytest
@@ -318,13 +319,13 @@ class TestNodePersistence:
         sizes_before = {name: os.path.getsize(os.path.join(directory, name))
                         for name in os.listdir(directory)}
         persistence.take_snapshot(node.bloom, entries=entries, store=node.store)
-        # Exactly the three files: no staging residue, no store image.
-        assert sorted(os.listdir(directory)) == ["bloom.snap", "containers.log", "wal.log"]
+        # Exactly the two files: no staging residue, no store image.
+        assert sorted(os.listdir(directory)) == ["bloom.snap", "containers.log"]
         written = sum(os.path.getsize(os.path.join(directory, name)) - sizes_before.get(name, 0)
                       for name in os.listdir(directory))
-        # The bloom image, its metadata and two WAL records -- whatever
-        # len(store) is (the slack is JSON digits, not entries).
-        assert 0 < written - len(node.bloom.snapshot_payload()) < 400
+        # The bloom image and its meta header (a 25-byte fixed header and
+        # five integers of JSON) -- whatever len(store) is.
+        assert 0 < written - len(node.bloom.snapshot_payload()) < 128
         assert persistence.last_snapshot_ms > 0
         persistence.close()
 
@@ -350,27 +351,51 @@ class TestNodePersistence:
         assert report.entries == report.replayed == 19
         assert all(f.digest in node.bloom for f in fingerprints[:19])
 
-    def test_crash_between_intent_and_done_resumes_snapshot(self, tmp_path):
+    @pytest.mark.parametrize("new_process", [False, True], ids=["restart", "new-process"])
+    def test_a_failed_checkpoint_raises_and_keeps_the_previous_image(
+        self, tmp_path, monkeypatch, new_process
+    ):
+        from repro.storage import snapshot as snapshot_module
+
         directory = str(tmp_path / "node-0")
-        fingerprints = [synthetic_fingerprint(i) for i in range(20)]
-        with NodePersistence(directory) as persistence:
-            persistence.log_insert_many(
-                (f.digest, f.chunk_size) for f in fingerprints
-            )
-            # Simulate a crash mid-snapshot: the intent reaches the WAL but
-            # neither the snapshot file nor the done record does.
-            persistence.wal.append("snapshot", records=persistence.records)
-        node = _fresh_node()
-        with NodePersistence(directory) as persistence:
-            report = persistence.recover_into(node)
-            assert report.resumed_snapshot
-            assert persistence.snapshots_taken == 1
-        # The resumed snapshot is valid and used by the NEXT recovery.
-        second = _fresh_node()
-        with NodePersistence(directory) as persistence:
-            again = persistence.recover_into(second)
-        assert again.snapshot_loaded and again.replayed == 0
-        assert len(second.store) == 20
+        persistence = NodePersistence(directory)
+        node = _fresh_node(persistence)
+        twin = _fresh_node()  # never crashes, no persistence
+        first = [synthetic_fingerprint(i) for i in range(30)]
+        second = [synthetic_fingerprint(100 + i) for i in range(20)]
+        node.lookup_batch(first)
+        persistence.take_snapshot(node.bloom, entries=len(node.store))
+        covered = persistence.snapshot_records
+        with open(persistence.snapshot_path, "rb") as image:
+            previous = image.read()
+        node.lookup_batch(second)
+        twin.lookup_batch(first + second)
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module.os, "fsync", disk_full)
+            with pytest.raises(OSError) as failure:
+                persistence.take_snapshot(node.bloom, entries=len(node.store))
+        assert failure.value.errno == errno.ENOSPC
+        assert persistence.snapshot_records == covered
+        with open(persistence.snapshot_path, "rb") as image:
+            assert image.read() == previous
+
+        node.kill()
+        if new_process:
+            persistence.close()
+            persistence = NodePersistence(directory)
+            node = _fresh_node(persistence)
+            report = node.last_recovery
+        else:
+            report = node.restart()
+        assert report.snapshot_loaded and report.replayed == len(second)
+        assert not os.path.exists(persistence.snapshot_path + ".tmp")
+        assert dict(node.store.items()) == dict(twin.store.items())
+        assert all(digest in node.bloom for digest in twin.store.keys())
+        persistence.close()
 
     def test_deletes_in_tail_do_not_resurrect(self, tmp_path):
         directory = str(tmp_path / "node-0")
