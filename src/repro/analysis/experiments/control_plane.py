@@ -10,7 +10,7 @@ the target node's timeline (see docs/control_plane.md).  Batches arrive on
 an open-loop clock calibrated so the busiest node runs at ``offered_load``
 utilisation in steady state; when a node crashes (``run_failover_timed``)
 or a membership change migrates entries (``run_churn_timed``), the
-surviving/affected nodes queue up and the per-phase latency recorders
+surviving/affected nodes queue up and the per-phase latency tallies
 capture the replication/elasticity tax directly.  The batch walk and the
 phase each disruption source assigns a batch (``steady``, ``degraded``,
 ``migrating``, ``recovering``; batch 0 is ``warmup`` and excluded from the
@@ -33,6 +33,7 @@ from ...core.fault_injection import FaultInjector, FaultPlan
 from ...core.membership import ChurnPlan
 from ...dedup.fingerprint import Fingerprint
 from ...simulation.costmodel import CostModel
+from ...simulation.stats import LatencyTally
 from ...workloads.mixer import WorkloadMix
 from ..reporting import format_table
 from .elasticity import DEFAULT_CHURN_EVENTS
@@ -77,14 +78,14 @@ class PhaseLatency:
     p99: float
 
     @classmethod
-    def from_recorder(cls, phase: str, recorder) -> "PhaseLatency":
+    def from_tally(cls, phase: str, tally: LatencyTally) -> "PhaseLatency":
         return cls(
             phase=phase,
-            count=recorder.count,
-            mean=recorder.mean,
-            p50=recorder.percentile(0.50),
-            p95=recorder.percentile(0.95),
-            p99=recorder.percentile(0.99),
+            count=tally.count,
+            mean=tally.mean,
+            p50=tally.percentile(0.50),
+            p95=tally.percentile(0.95),
+            p99=tally.percentile(0.99),
         )
 
 
@@ -131,14 +132,13 @@ class TimedResult(ReplayAudit):
     def read_ledger(self, cluster: SHHCCluster, extra: Dict[str, int]) -> None:
         """Fill phases, throughput and counters once the replay is over."""
         ledger = cluster.ledger
-        for name, recorder in ledger.phases.items():
-            if recorder.count:
-                self.phases[name] = PhaseLatency.from_recorder(name, recorder)
+        for name, tally in ledger.phases.items():
+            self.phases[name] = PhaseLatency.from_tally(name, tally)
         end = ledger.end_time()
-        served = ledger.counters.get("lookups")
+        served = ledger.counters["lookups"]
         self.throughput = served / end if end > 0 else 0.0
         self.control_plane_cpu_seconds = ledger.control_plane_cpu_seconds
-        self.counters = ledger.counters.as_dict()
+        self.counters = dict(ledger.counters)
         self.counters.update(extra)
         self.counters["read_repairs"] = cluster.read_repairs
         self.counters["failovers"] = cluster.failovers

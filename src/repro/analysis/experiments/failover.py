@@ -16,7 +16,7 @@ fault-free run of the same workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...core.cluster import SHHCCluster
 from ...core.config import HashNodeConfig
@@ -27,6 +27,7 @@ from ...core.fault_injection import (
     rolling_outage_schedule,
 )
 from ...core.replication import ReplicationController
+from ...simulation.stats import LatencyTally
 from ...workloads.mixer import WorkloadMix
 from ..reporting import format_table
 from .replay import (
@@ -40,23 +41,6 @@ from .replay import (
 )
 
 __all__ = ["FailoverResult", "run_failover"]
-
-
-def _latency_summary(latencies: Sequence[float]) -> Tuple[float, Dict[str, float]]:
-    """Mean and nearest-rank p50/p95/p99 of a latency sample (0.0, {} if none)."""
-    if not latencies:
-        return 0.0, {}
-    # Plain left-to-right addition, not sum(): from Python 3.12 sum() is
-    # compensated, which would move the pinned means in their last digit.
-    total = 0.0
-    for latency in latencies:
-        total += latency
-    ordered = sorted(latencies)
-    last = len(ordered) - 1
-    return total / len(latencies), {
-        f"p{q}": ordered[min(last, int(len(ordered) * q / 100.0))]
-        for q in (50, 95, 99)
-    }
 
 
 @dataclass
@@ -194,15 +178,18 @@ def run_failover(
     )
 
     def measured_replay(cluster: SHHCCluster, disruption: Outages, audit: ReplayAudit):
-        latencies: List[float] = []
+        """Mean and p50/p95/p99 of every lookup's latency (0.0, {} if none)."""
+        tally = LatencyTally()
         replay(
             cluster,
             batches,
             disruption,
             audit,
-            observe=lambda outcomes: latencies.extend(o.latency for o in outcomes),
+            observe=lambda outcomes: tally.add_many(o.latency for o in outcomes),
         )
-        return _latency_summary(latencies)
+        if not tally.count:
+            return 0.0, {}
+        return tally.mean, {f"p{q}": tally.percentile(q / 100.0) for q in (50, 95, 99)}
 
     # -- fault-free baseline (latency reference; audit discarded) --------------------
     baseline = SHHCCluster(config)

@@ -169,7 +169,7 @@ def fill_replication(result, cluster: SHHCCluster, controller: ReplicationContro
     """Read the replication tail every correctness run reports off ``cluster``."""
     result.read_repairs = cluster.read_repairs
     result.replica_inserts = sum(
-        node.counters.get("replica_inserts") for node in cluster.nodes.values()
+        node.counters["replica_inserts"] for node in cluster.nodes.values()
     )
     result.distinct = cluster.distinct_fingerprints()
     result.total_stored = cluster.total_stored

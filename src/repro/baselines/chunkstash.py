@@ -15,11 +15,11 @@ This baseline reproduces that behaviour as a centralized
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from ..dedup.fingerprint import Fingerprint
 from ..dedup.index import ChunkIndex, ChunkLocation, LookupResult
-from ..simulation.stats import Counter, LatencyRecorder
 from ..storage.cuckoo import CuckooHashTable
 from ..storage.devices import StorageDevice, make_ssd
 from ..storage.lru import LRUCache
@@ -48,30 +48,28 @@ class ChunkStashIndex(ChunkIndex):
         self.entries_per_page = max(1, page_size // entry_size)
         self.cpu_per_lookup = cpu_per_lookup
         self.counters = Counter()
-        self.latency = LatencyRecorder(f"{name}.latency")
         self._log_offset = 0
         self._buffered_entries = 0
 
     def lookup(self, fingerprint: Fingerprint) -> LookupResult:
         digest = fingerprint.digest
-        self.counters.increment("lookups")
+        self.counters["lookups"] += 1
         service_time = self.cpu_per_lookup
 
         offset = self.ram_index.get(digest)
         if offset is not None:
-            self.counters.increment("index_hits")
+            self.counters["index_hits"] += 1
             if self.metadata_cache.get(digest) is None:
                 # One flash read to fetch the full on-SSD entry.
                 service_time += self.device.read_cost(self.page_size)
-                self.counters.increment("flash_reads")
+                self.counters["flash_reads"] += 1
                 self.metadata_cache.put(digest, True)
-            self.latency.record(service_time)
             return LookupResult(
                 fingerprint, True, ChunkLocation(offset=offset), service_time, self.name
             )
 
         # Negative lookup: the RAM index is authoritative, no flash read needed.
-        self.counters.increment("new_entries")
+        self.counters["new_entries"] += 1
         location = ChunkLocation(offset=self._log_offset)
         self.ram_index.put(digest, self._log_offset)
         self.metadata_cache.put(digest, True)
@@ -80,9 +78,8 @@ class ChunkStashIndex(ChunkIndex):
         if self._buffered_entries >= self.entries_per_page:
             # Sequential append of one full page of new entries.
             service_time += self.device.write_cost(self.page_size, random_access=False)
-            self.counters.increment("flash_writes")
+            self.counters["flash_writes"] += 1
             self._buffered_entries = 0
-        self.latency.record(service_time)
         return LookupResult(fingerprint, False, location, service_time, self.name)
 
     def __len__(self) -> int:

@@ -13,11 +13,11 @@ the second centralized reference point in the tier ablation.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from ..dedup.fingerprint import Fingerprint
 from ..dedup.index import ChunkIndex, ChunkLocation, LookupResult
-from ..simulation.stats import Counter, LatencyRecorder
 from ..storage.bloom import BloomFilter
 from ..storage.devices import StorageDevice, make_hdd
 from ..storage.lru import LRUCache
@@ -47,7 +47,6 @@ class DDFSIndex(ChunkIndex):
         self.container_cache = LRUCache(cache_containers)
         self.cpu_per_lookup = cpu_per_lookup
         self.counters = Counter()
-        self.latency = LatencyRecorder(f"{name}.latency")
         # Full on-disk index: digest -> container id, plus container contents.
         self._index: Dict[bytes, int] = {}
         self._containers: List[List[bytes]] = [[]]
@@ -70,49 +69,45 @@ class DDFSIndex(ChunkIndex):
     # -- ChunkIndex ------------------------------------------------------------------------
     def lookup(self, fingerprint: Fingerprint) -> LookupResult:
         digest = fingerprint.digest
-        self.counters.increment("lookups")
+        self.counters["lookups"] += 1
         service_time = self.cpu_per_lookup
 
         # 1. Locality-preserving cache.
         if digest in self._cached_digests:
-            self.counters.increment("cache_hits")
+            self.counters["cache_hits"] += 1
             container_id = self._index[digest]
             self.container_cache.get(container_id)  # refresh recency
-            self.latency.record(service_time)
             return LookupResult(
                 fingerprint, True, ChunkLocation(container_id=container_id), service_time, self.name
             )
 
         # 2. Summary vector: definite misses never touch the disk.
         if digest not in self.summary_vector:
-            self.counters.increment("summary_negative")
+            self.counters["summary_negative"] += 1
             service_time += self._insert_new(digest, fingerprint)
-            self.latency.record(service_time)
             return LookupResult(fingerprint, False, ChunkLocation(), service_time, self.name)
 
         # 3. On-disk index probe (one random I/O) + container prefetch.
         service_time += self.device.read_cost(4096)
         container_id = self._index.get(digest)
         if container_id is not None:
-            self.counters.increment("disk_hits")
+            self.counters["disk_hits"] += 1
             # Prefetch the whole container's metadata (sequential read).
             service_time += self.device.read_cost(
                 self.container_fingerprints * 64, random_access=False
             )
             self._load_container(container_id)
-            self.latency.record(service_time)
             return LookupResult(
                 fingerprint, True, ChunkLocation(container_id=container_id), service_time, self.name
             )
 
         # Bloom false positive.
-        self.counters.increment("summary_false_positive")
+        self.counters["summary_false_positive"] += 1
         service_time += self._insert_new(digest, fingerprint)
-        self.latency.record(service_time)
         return LookupResult(fingerprint, False, ChunkLocation(), service_time, self.name)
 
     def _insert_new(self, digest: bytes, fingerprint: Fingerprint) -> float:
-        self.counters.increment("new_entries")
+        self.counters["new_entries"] += 1
         container_id = self._current_container()
         self._containers[container_id].append(digest)
         self._index[digest] = container_id
@@ -131,6 +126,6 @@ class DDFSIndex(ChunkIndex):
 
     def cache_hit_ratio(self) -> float:
         """Fraction of duplicate lookups served from the locality cache."""
-        hits = self.counters.get("cache_hits")
-        duplicates = hits + self.counters.get("disk_hits")
+        hits = self.counters["cache_hits"]
+        duplicates = hits + self.counters["disk_hits"]
         return hits / duplicates if duplicates else 0.0

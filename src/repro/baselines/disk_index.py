@@ -8,11 +8,11 @@ reference point in the tier ablation.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from ..dedup.fingerprint import Fingerprint
 from ..dedup.index import ChunkIndex, ChunkLocation, LookupResult
-from ..simulation.stats import Counter, LatencyRecorder
 from ..storage.devices import StorageDevice, make_hdd
 from ..storage.hashstore import SSDHashStore
 from ..storage.lru import LRUCache
@@ -37,33 +37,29 @@ class DiskIndex(ChunkIndex):
         self.table = SSDHashStore(num_buckets=1 << 16, write_buffer_pages=0)
         self.cpu_per_lookup = cpu_per_lookup
         self.counters = Counter()
-        self.latency = LatencyRecorder(f"{name}.latency")
 
     def lookup(self, fingerprint: Fingerprint) -> LookupResult:
         digest = fingerprint.digest
-        self.counters.increment("lookups")
+        self.counters["lookups"] += 1
         service_time = self.cpu_per_lookup
 
         if self.cache.get(digest) is not None:
-            self.counters.increment("cache_hits")
-            self.latency.record(service_time)
+            self.counters["cache_hits"] += 1
             return LookupResult(fingerprint, True, ChunkLocation(), service_time, self.name)
 
         # Cache miss: one random disk read to probe the on-disk bucket.
         for operation in self.table.lookup_io(digest):
             service_time += self.device.read_cost(operation.size_bytes)
         if digest in self.table:
-            self.counters.increment("disk_hits")
+            self.counters["disk_hits"] += 1
             self.cache.put(digest, True)
-            self.latency.record(service_time)
             return LookupResult(fingerprint, True, ChunkLocation(), service_time, self.name)
 
         # Not present: write the new entry back to disk.
-        self.counters.increment("new_entries")
+        self.counters["new_entries"] += 1
         self.table.put(digest, fingerprint.chunk_size)
         self.cache.put(digest, True)
         service_time += self.device.write_cost(self.table.page_size)
-        self.latency.record(service_time)
         return LookupResult(fingerprint, False, ChunkLocation(), service_time, self.name)
 
     def __len__(self) -> int:

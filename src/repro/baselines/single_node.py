@@ -61,5 +61,5 @@ class SingleNodeHashServer(ChunkIndex):
 
     def mean_latency(self) -> float:
         """Mean per-lookup service time observed so far (seconds)."""
-        recorder = self.node.lookup_latency
-        return recorder.mean if recorder.count else 0.0
+        times = self.node.lookup_latency
+        return times.total / times.count if times.count else 0.0

@@ -46,7 +46,7 @@ maintains three invariants, failures included:
   (:meth:`~repro.core.hash_node.HybridHashNode.insert_replica`; for
   batches, one batched store write per destination in
   :meth:`SHHCCluster._propagate_new_groups`) that does not touch the
-  replicas' lookup counters or latency recorders, so per-node load
+  replicas' lookup counters or lookup times, so per-node load
   statistics and ``duplicate_ratio`` reflect client traffic only.
 * **Read repair**: when a serving node misses but another live replica
   holds the fingerprint (typically a primary that was down when the write
@@ -425,7 +425,7 @@ class SHHCCluster(ChunkIndex):
                     for node_id, service_time in zip(node_ids, service_times):
                         ledger.charge_bucket(node_id, (service_time,))
             else:
-                node.lookup_latency.record_many(service_times)
+                node.lookup_latency.add_many(service_times)
                 node_ids = itertools.repeat(serving)
                 if ledger is not None:
                     # Queue the bucket on the serving node's timeline first:
@@ -663,10 +663,9 @@ class SHHCCluster(ChunkIndex):
 
     def mean_lookup_latency(self) -> float:
         """Mean per-fingerprint service time across nodes (seconds)."""
-        recorders = [node.lookup_latency for node in self.nodes.values() if node.lookup_latency.count]
-        total = sum(r.summary.total for r in recorders)
-        count = sum(r.count for r in recorders)
-        return total / count if count else 0.0
+        times = [node.lookup_latency for node in self.nodes.values()]
+        count = sum(time.count for time in times)
+        return sum(time.total for time in times) / count if count else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         # total_stored, not len(self): a repr must not trigger the distinct scan.

@@ -40,6 +40,7 @@ Two execution modes
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -47,7 +48,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..dedup.fingerprint import Fingerprint
 from ..simulation.engine import Simulator
 from ..simulation.resources import Resource
-from ..simulation.stats import Counter, LatencyRecorder
 from ..storage.bloom import BloomFilter
 from ..storage.devices import StorageDevice, make_ram, make_ssd
 from ..storage.hashstore import SSDHashStore
@@ -64,7 +64,14 @@ from .protocol import (
     replies_from_tiers,
 )
 
-__all__ = ["HybridHashNode", "NodeSnapshot"]
+__all__ = ["HybridHashNode", "LookupTime", "NodeSnapshot"]
+
+#: Counters every node starts with at zero, so a reader's ``get`` of any of
+#: them is an int before the node has served anything.
+_NODE_COUNTERS = (
+    "lookups", "ram_hits", "ssd_hits", "new_entries", "destages",
+    "bloom_negative_shortcuts", "bloom_false_positives", "replica_inserts",
+)
 
 
 @dataclass
@@ -90,6 +97,31 @@ class NodeSnapshot:
     @property
     def ram_hit_ratio(self) -> float:
         return self.ram_hits / self.lookups if self.lookups else 0.0
+
+
+@dataclass
+class LookupTime:
+    """Modelled lookups served and their service time summed in order (seconds).
+
+    The mean is all anyone reads of it (``SHHCCluster.mean_lookup_latency``,
+    ``SingleNodeHashServer.mean_latency`` divide ``total`` by ``count``).
+    """
+
+    count: int = 0
+    total: float = 0.0
+
+    def add(self, seconds: float, count: int = 1) -> None:
+        """Record ``count`` lookups of ``seconds`` each."""
+        self.count += count
+        self.total += seconds * count
+
+    def add_many(self, service_times: Sequence[float]) -> None:
+        """Record one lookup per time, adding them left to right."""
+        total = self.total
+        for seconds in service_times:
+            total += seconds
+        self.total = total
+        self.count += len(service_times)
 
 
 class HybridHashNode:
@@ -124,8 +156,8 @@ class HybridHashNode:
             entry_size=self.config.ssd_entry_size,
             write_buffer_pages=self.config.ssd_write_buffer_pages,
         )
-        self.counters = Counter()
-        self.lookup_latency = LatencyRecorder(f"{node_id}.lookup_latency")
+        self.counters: Counter = Counter(dict.fromkeys(_NODE_COUNTERS, 0))
+        self.lookup_latency = LookupTime()
         # Reusable fused-kernel argument block and the bloom shape's kernel
         # (both resolved lazily by _serve_core; identity-guarded against
         # cache/bloom/store replacement).
@@ -169,7 +201,7 @@ class HybridHashNode:
         ``store`` a subset of ``bloom`` (tests/test_properties.py).
         """
         reply, _io_time = self._lookup_core(fingerprint)
-        self.lookup_latency.record(reply.service_time)
+        self.lookup_latency.add(reply.service_time)
         if not reply.is_duplicate and self.persistence is not None:
             self._persist_new([(fingerprint.digest, fingerprint.chunk_size)])
         return reply
@@ -184,7 +216,7 @@ class HybridHashNode:
         tiers, service_times, _new_pairs = self.serve_bucket_verdicts(
             DigestBatch.from_fingerprints(fingerprints)
         )
-        self.lookup_latency.record_many(service_times)
+        self.lookup_latency.add_many(service_times)
         return replies_from_tiers(fingerprints, tiers, service_times, repeat(self.node_id))
 
     def serve_bucket_verdicts(
@@ -287,30 +319,14 @@ class HybridHashNode:
             cache.insertions += cache_insertions
         if cache_evictions:
             cache.evictions += cache_evictions
-        # Counter.increment inlined (same read-modify-write on the raw
-        # values dict): seven method calls per bucket add up at batch rates.
-        values = self.counters.values
-        values_get = values.get
-        if cache_evictions:
-            # Every eviction is a destage (see _cache_put); settled before
-            # the rest, which is where in ``values`` a mid-kernel bump lands.
-            values["destages"] = values_get("destages", 0) + cache_evictions
-        if total:
-            values["lookups"] = values_get("lookups", 0) + total
-        if ram_hits:
-            values["ram_hits"] = values_get("ram_hits", 0) + ram_hits
-        if ssd_hits:
-            values["ssd_hits"] = values_get("ssd_hits", 0) + ssd_hits
-        if new_entries:
-            values["new_entries"] = values_get("new_entries", 0) + new_entries
-        if bloom_negative_shortcuts:
-            values["bloom_negative_shortcuts"] = (
-                values_get("bloom_negative_shortcuts", 0) + bloom_negative_shortcuts
-            )
-        if bloom_false_positives:
-            values["bloom_false_positives"] = (
-                values_get("bloom_false_positives", 0) + bloom_false_positives
-            )
+        counters = self.counters
+        counters["destages"] += cache_evictions  # every eviction is a destage
+        counters["lookups"] += total
+        counters["ram_hits"] += ram_hits
+        counters["ssd_hits"] += ssd_hits
+        counters["new_entries"] += new_entries
+        counters["bloom_negative_shortcuts"] += bloom_negative_shortcuts
+        counters["bloom_false_positives"] += bloom_false_positives
         if new_pairs and self.persistence is not None:
             self._persist_new(new_pairs)
         return tiers, service_times, new_pairs, total_ssd_time
@@ -323,14 +339,14 @@ class HybridHashNode:
         SSD-only portion.
         """
         digest = fingerprint.digest
-        self.counters.increment("lookups")
+        self.counters["lookups"] += 1
         cpu_time = self.config.cpu_per_lookup
         ram_time = self.ram_device.read_cost(64)
         ssd_time = 0.0
 
         # 1. RAM LRU probe.
         if self.cache.get(digest) is not None:
-            self.counters.increment("ram_hits")
+            self.counters["ram_hits"] += 1
             reply = LookupReply(
                 fingerprint=fingerprint,
                 is_duplicate=True,
@@ -342,7 +358,7 @@ class HybridHashNode:
 
         # 2. Bloom filter guard.
         if digest not in self.bloom:
-            self.counters.increment("bloom_negative_shortcuts")
+            self.counters["bloom_negative_shortcuts"] += 1
             ssd_time += self._insert_new(fingerprint)
             reply = LookupReply(
                 fingerprint=fingerprint,
@@ -357,7 +373,7 @@ class HybridHashNode:
         for operation in self.store.lookup_io(digest):
             ssd_time += self._device_cost(operation)
         if digest in self.store:
-            self.counters.increment("ssd_hits")
+            self.counters["ssd_hits"] += 1
             self._cache_put(digest)
             reply = LookupReply(
                 fingerprint=fingerprint,
@@ -369,7 +385,7 @@ class HybridHashNode:
             return reply, ssd_time
 
         # Bloom false positive: the SSD read found nothing.
-        self.counters.increment("bloom_false_positives")
+        self.counters["bloom_false_positives"] += 1
         ssd_time += self._insert_new(fingerprint)
         reply = LookupReply(
             fingerprint=fingerprint,
@@ -384,7 +400,7 @@ class HybridHashNode:
         """Store a replica copy of ``fingerprint`` without serving a lookup.
 
         This is the cluster's replica *write* path: it must not touch the
-        ``lookups`` counter or the latency recorder (a replication write is
+        ``lookups`` counter or :attr:`lookup_latency` (a replication write is
         not a client lookup, and counting it would inflate per-node load and
         skew ``duplicate_ratio``).  The copy goes into the SSD store and the
         bloom filter but deliberately not into the RAM LRU, which is reserved
@@ -395,7 +411,7 @@ class HybridHashNode:
         if not self.store.put(digest, fingerprint.chunk_size):
             return False
         self.bloom.add(digest)
-        self.counters.increment("replica_inserts")
+        self.counters["replica_inserts"] += 1
         if self.persistence is not None:
             self._persist_new([(digest, fingerprint.chunk_size)])
         return True
@@ -414,7 +430,7 @@ class HybridHashNode:
             # A list of 20-byte digests straight out of the peer's store, so
             # add_many packs it.
             self.bloom.add_many(new_digests)
-            self.counters.increment("replica_inserts", len(new_digests))
+            self.counters["replica_inserts"] += len(new_digests)
             if self.persistence is not None:
                 store_get = self.store.get
                 self._persist_new((digest, store_get(digest)) for digest in new_digests)
@@ -426,7 +442,7 @@ class HybridHashNode:
         persistence.log_insert_many(pairs)
         if persistence.snapshot_due():
             persistence.take_snapshot(self.bloom, entries=len(self.store))
-            self.counters.increment("snapshots")
+            self.counters["snapshots"] += 1
 
     def kill(self) -> None:
         """Crash this node: every in-memory structure is destroyed.
@@ -434,7 +450,7 @@ class HybridHashNode:
         The RAM cache, bloom filter, and hash table are replaced with empty
         ones, exactly as a process kill would lose them; only what the
         persistence layer wrote to disk survives.  Cumulative statistics
-        (counters, latency recorder) are harness-side observability and are
+        (counters, :attr:`lookup_latency`) are harness-side observability and are
         deliberately kept.
         """
         config = self.config
@@ -453,7 +469,7 @@ class HybridHashNode:
             entry_size=config.ssd_entry_size,
             write_buffer_pages=config.ssd_write_buffer_pages,
         )
-        self.counters.increment("kills")
+        self.counters["kills"] += 1
 
     def restart(self) -> Optional[RecoveryReport]:
         """Recover this node's state from disk after :meth:`kill`.
@@ -463,7 +479,7 @@ class HybridHashNode:
         restarts empty (honest data loss, which the failover experiments
         surface as reduced accuracy at replication factor 1).
         """
-        self.counters.increment("restarts")
+        self.counters["restarts"] += 1
         if self.persistence is None:
             return None
         report = self.persistence.recover_into(self)
@@ -473,7 +489,7 @@ class HybridHashNode:
     def _insert_new(self, fingerprint: Fingerprint) -> float:
         """Record a previously unseen fingerprint; returns the SSD write time."""
         digest = fingerprint.digest
-        self.counters.increment("new_entries")
+        self.counters["new_entries"] += 1
         self.store.put(digest, fingerprint.chunk_size)
         self.bloom.add(digest)
         self._cache_put(digest)
@@ -489,7 +505,7 @@ class HybridHashNode:
         the dropped RAM copy.
         """
         if self.cache.put(digest, True) is not None:
-            self.counters.increment("destages")
+            self.counters["destages"] += 1
 
     def _device_cost(self, operation) -> float:
         if operation.kind == "read":
@@ -523,9 +539,8 @@ class HybridHashNode:
             )
 
             def finished() -> None:
-                per_reply_time = (sim.now - arrival) / max(1, len(tiers))
-                self.lookup_latency.record_many([per_reply_time] * len(tiers))
-                self.counters.increment("batches_served")
+                self.lookup_latency.add((sim.now - arrival) / max(1, len(tiers)), len(tiers))
+                self.counters["batches_served"] += 1
                 on_reply(reply)
 
             def cpu_done() -> None:
@@ -557,14 +572,14 @@ class HybridHashNode:
             node_id=self.node_id,
             entries=len(self.store),
             ram_cached=len(self.cache),
-            lookups=self.counters.get("lookups"),
-            ram_hits=self.counters.get("ram_hits"),
-            ssd_hits=self.counters.get("ssd_hits"),
-            new_entries=self.counters.get("new_entries"),
-            destages=self.counters.get("destages"),
-            bloom_negative_shortcuts=self.counters.get("bloom_negative_shortcuts"),
-            bloom_false_positives=self.counters.get("bloom_false_positives"),
-            counters=self.counters.as_dict(),
+            lookups=self.counters["lookups"],
+            ram_hits=self.counters["ram_hits"],
+            ssd_hits=self.counters["ssd_hits"],
+            new_entries=self.counters["new_entries"],
+            destages=self.counters["destages"],
+            bloom_negative_shortcuts=self.counters["bloom_negative_shortcuts"],
+            bloom_false_positives=self.counters["bloom_false_positives"],
+            counters=dict(self.counters),
         )
 
     def export_entries(self) -> List[Tuple[bytes, object]]:

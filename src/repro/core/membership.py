@@ -33,7 +33,9 @@ off after the migration.  The migration itself is idempotent (copies are
 puts, drops are recomputed from the current map), so
 :meth:`MembershipManager.recover` can finish a change that raised part-way:
 each intent still open is re-applied against whatever state survived and
-then closed.
+then closed.  A departing node's export stays with its open intent
+(:attr:`MembershipManager.departed`), so entries it held the only copy of
+are still placed when the migration that was moving them raised.
 
 Churn plans
 -----------
@@ -103,6 +105,9 @@ class MembershipManager:
         #: Changes begun and not yet finished, as ``(action, node)`` with
         #: action ``"add"`` or ``"remove"``.
         self.intents: List[Tuple[str, str]] = []
+        #: What each node of an open ``"remove"`` intent held when it was
+        #: detached: ``(readable entries, lost-copy candidates)``.
+        self.departed: Dict[str, Tuple[Dict[bytes, object], set]] = {}
         self.controller = ReplicationController(cluster)
         self.reports: List[MigrationReport] = []
 
@@ -137,6 +142,7 @@ class MembershipManager:
         )
         self.reports.append(report)
         self.intents.remove(("remove", node_id))
+        del self.departed[node_id]
         return report
 
     # -- crash recovery ----------------------------------------------------------------
@@ -157,14 +163,13 @@ class MembershipManager:
                     self.cluster.partitioner.add_node(node_id)
                 report = self._rebuild("add", node_id, entries_before)
             else:
-                orphans: Dict[bytes, object] = {}
-                lost_candidates: set = set()
                 if node_id in self.cluster.nodes:
-                    orphans, lost_candidates = self._uninstall_node(node_id)
+                    self._uninstall_node(node_id)
                 elif node_id in self.cluster.partitioner.nodes():
                     # Crash landed between the node-dict removal and the
                     # partitioner update (or vice versa); finish the teardown.
                     self.cluster.partitioner.remove_node(node_id)
+                orphans, lost_candidates = self.departed.pop(node_id, ({}, set()))
                 report = self._rebuild(
                     "remove", node_id, entries_before, orphans=orphans,
                     lost_candidates=lost_candidates,
@@ -184,6 +189,10 @@ class MembershipManager:
     def _uninstall_node(self, node_id: str) -> Tuple[Dict[bytes, object], set]:
         """Detach a node; returns ``(readable entries, lost-copy candidates)``.
 
+        The pair is also kept in :attr:`departed` until the remove intent
+        closes: once the node is gone it is the only record of entries the
+        node held the sole copy of.
+
         A node that is marked down at removal time (decommissioning a dead
         member) has an unreadable store: its entries are *not* exported.
         Its digests are returned as lost-copy candidates instead — the ones
@@ -199,13 +208,14 @@ class MembershipManager:
         lost_candidates = (
             {digest for digest, _value in departing.export_entries()} if down else set()
         )
+        self.departed[node_id] = (dict(exported), lost_candidates)
         if node_id in cluster.partitioner.nodes():
             # May already be gone when recover() replays a crash that landed
             # between the partitioner update and the node-dict removal.
             cluster.partitioner.remove_node(node_id)
         del cluster.nodes[node_id]
         cluster.mark_up(node_id)  # clear any stale down-marker
-        return dict(exported), lost_candidates
+        return self.departed[node_id]
 
     def _rebuild(
         self,

@@ -25,7 +25,7 @@ from ..dedup.fingerprint import Fingerprint, fingerprint_data
 from ..network.loadbalancer import LoadBalancer
 from ..network.rpc import RpcLayer
 from ..simulation.engine import Simulator
-from ..simulation.stats import LatencyRecorder
+from ..simulation.stats import LatencyTally
 from ..storage.object_store import CloudObjectStore
 from .upload_plan import UploadPlan
 from .webserver import ClientBatchRequest, ClientBatchResponse, WebFrontEnd
@@ -95,7 +95,7 @@ class ClientRunStats:
     duplicates_found: int = 0
     started_at: float = 0.0
     finished_at: float = 0.0
-    request_latency: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("client.request"))
+    request_latency: LatencyTally = field(default_factory=LatencyTally)
 
     @property
     def elapsed(self) -> float:
@@ -205,7 +205,7 @@ class SimulatedClient:
                      response: ClientBatchResponse) -> None:
         self.load_balancer.release(backend)
         stats = self.stats
-        stats.request_latency.record(self.sim.now - sent_at)
+        stats.request_latency.add(self.sim.now - sent_at)
         stats.batches_sent += 1
         stats.fingerprints_sent += len(response.tiers)
         stats.duplicates_found += response.duplicates

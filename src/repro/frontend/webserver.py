@@ -12,6 +12,7 @@ end-to-end response time.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence
@@ -20,7 +21,6 @@ from ..core.cluster import SHHCCluster
 from ..core.protocol import BatchLookupReply, LookupReply, merge_by_position, replies_from_tiers
 from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
 from ..network.rpc import Respond, RpcLayer
-from ..simulation.stats import Counter, LatencyRecorder
 from .upload_plan import UploadPlan
 
 __all__ = ["ClientBatchRequest", "ClientBatchResponse", "WebFrontEnd"]
@@ -88,7 +88,6 @@ class WebFrontEnd:
         self.rpc = rpc
         self.per_request_overhead = per_request_overhead
         self.counters = Counter()
-        self.response_latency = LatencyRecorder(f"{server_id}.response_latency")
         self._request_ids = itertools.count(1)
 
     # -- service registration ------------------------------------------------------------
@@ -118,20 +117,20 @@ class WebFrontEnd:
     # -- immediate mode --------------------------------------------------------------------
     def handle_batch(self, request: ClientBatchRequest) -> ClientBatchResponse:
         """Process a client batch synchronously (library mode)."""
-        self.counters.increment("requests")
-        self.counters.increment("fingerprints", len(request.fingerprints))
+        self.counters["requests"] += 1
+        self.counters["fingerprints"] += len(request.fingerprints)
         return self._response(request, *self.cluster.lookup_batch_columns(request.fingerprints))
 
     # -- simulated mode ----------------------------------------------------------------------
     def _handle_async(self, request: ClientBatchRequest, respond: Respond) -> None:
         """Fan the batch out to the owning hash nodes and gather the replies."""
         sim = self.rpc.sim
-        self.counters.increment("requests")
-        self.counters.increment("fingerprints", len(request.fingerprints))
+        self.counters["requests"] += 1
+        self.counters["fingerprints"] += len(request.fingerprints)
         # Model the web server's own per-request processing before fan-out.
-        sim.schedule(self.per_request_overhead, self._dispatch, request, respond, sim.now)
+        sim.schedule(self.per_request_overhead, self._dispatch, request, respond)
 
-    def _dispatch(self, request: ClientBatchRequest, respond: Respond, started: float) -> None:
+    def _dispatch(self, request: ClientBatchRequest, respond: Respond) -> None:
         # Route each fingerprint to the first live node of its own replica
         # set so batches keep finding their data while nodes are down, and
         # stamp the client's request id on the sub-batches so node replies
@@ -157,7 +156,6 @@ class WebFrontEnd:
                 response = self._response(
                     request, *merge_by_position(len(request.fingerprints), groups)
                 )
-                self.response_latency.record(self.rpc.sim.now - started)
                 respond(response, response.payload_bytes)
 
         for node_name, (node_request, positions) in per_node.items():
@@ -167,7 +165,6 @@ class WebFrontEnd:
     # -- reporting ------------------------------------------------------------------------------
     def stats(self) -> dict:
         return {
-            "requests": self.counters.get("requests"),
-            "fingerprints": self.counters.get("fingerprints"),
-            "mean_response_time": self.response_latency.mean if self.response_latency.count else 0.0,
+            "requests": self.counters["requests"],
+            "fingerprints": self.counters["fingerprints"],
         }

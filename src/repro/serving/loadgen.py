@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..simulation.stats import LatencyRecorder
+from ..telemetry import Histogram
 from .wire import WireError, encode_frame, get_codec, read_frame
 
 __all__ = ["LoadtestConfig", "LoadtestReport", "run_loadtest", "run_loadtest_async"]
@@ -236,7 +236,8 @@ class _Run:
         self.config = config
         self.digests = digests
         self.report = LoadtestReport()
-        self.latency = LatencyRecorder("client_batch_rtt")
+        #: Acked batches' round trips (integer ns), as the gateway keeps its own.
+        self.latency = Histogram()
         self.acked_identities: Set[int] = set()
         self.halfway = asyncio.Event()
         self.codec = get_codec(config.codec)
@@ -266,20 +267,19 @@ class _Run:
         attempts = 0
         message = {"t": "batch", "d": blob, "s": config.chunk_size}
         while True:
-            started = time.perf_counter()
+            started = time.perf_counter_ns()
             try:
                 reply = await conn.request(dict(message))
             except ConnectionError:
                 report.failed_batches += 1
                 return False
             if reply.get("ok"):
-                rtt = time.perf_counter() - started
                 new = int(reply.get("new", 0))
                 report.acked_batches += 1
                 report.acked_fingerprints += len(identities)
                 report.new_fingerprints += new
                 report.duplicate_fingerprints += len(identities) - new
-                self.latency.record(rtt)
+                self.latency.observe(time.perf_counter_ns() - started)
                 self.acked_identities.update(identities)
                 self.note_progress()
                 return True
@@ -467,10 +467,7 @@ async def run_loadtest_async(config: LoadtestConfig) -> LoadtestReport:
         run.report.acked_fingerprints / run.report.wall_seconds
         if run.report.wall_seconds > 0 else 0.0
     )
-    run.report.latency_us = {
-        key: value * 1e6 if key not in ("count",) else value
-        for key, value in run.latency.as_dict().items()
-    }
+    run.report.latency_us = run.latency.summary_us()
 
     if config.audit:
         await _audit(run)

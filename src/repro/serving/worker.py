@@ -128,7 +128,7 @@ def _stats(node: HybridHashNode, registry: Registry) -> Dict[str, Any]:
     checkpoint and recovery readings are read here, when somebody asks, so
     the batch path pays for none of them.
     """
-    registry.counters.update(node.counters.values)
+    registry.counters.update(node.counters)
     registry.info.update(node_id=node.node_id)
     gauges = registry.gauges
     gauges.update(entries=len(node.store), ram_cached=len(node.cache))

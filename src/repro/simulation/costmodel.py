@@ -20,8 +20,8 @@ Two pieces:
   when work outpaces arrivals); control-plane side effects are *deferred*
   onto the target node's frontier at their delivery time instead of being
   free.
-  Latencies are recorded into per-phase recorders (``steady`` /
-  ``degraded`` / ``migrating``), which is what the ``failover_timed`` and
+  Latencies are tallied per phase (``steady`` / ``degraded`` /
+  ``migrating``), which is what the ``failover_timed`` and
   ``churn_timed`` presets report.
 
 Disabling the model (``cost_model=None``, the default everywhere) keeps
@@ -31,11 +31,12 @@ docs/control_plane.md.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
 from ..network.link import DEFAULT_LINK_LATENCY, GIGABIT_BANDWIDTH
-from .stats import Counter, LatencyRecorder
+from .stats import LatencyTally
 
 __all__ = ["CostModel", "ControlPlaneLedger", "STEADY_PHASE"]
 
@@ -130,7 +131,7 @@ class ControlPlaneLedger:
     The ledger is a deliberately small queueing model: one FIFO CPU
     frontier per node (``busy_until``), a caller-driven arrival clock
     (``now``, advanced via :meth:`advance_to` by the experiment's offered
-    load), and per-phase latency recorders.  A lookup bucket starts at
+    load), and per-phase latency tallies.  A lookup bucket starts at
     ``max(now, busy_until[node])`` -- so deferred control-plane work
     (replica deliveries, migration imports) delays subsequent lookups on
     the same node, which is exactly the tax the timed presets measure.
@@ -148,7 +149,8 @@ class ControlPlaneLedger:
         #: Completion time of the most recently charged lookup bucket.
         self.last_completion = 0.0
         self.phase = STEADY_PHASE
-        self._recorders: Dict[str, LatencyRecorder] = {}
+        #: Per-phase lookup latencies, created on a phase's first charge.
+        self.phases: Dict[str, LatencyTally] = {}
 
     # -- clock / phases -----------------------------------------------------------
     def set_phase(self, name: str) -> None:
@@ -159,19 +161,6 @@ class ControlPlaneLedger:
         """Move the arrival clock forward (never backward)."""
         if time > self.now:
             self.now = time
-
-    def recorder(self, phase: Optional[str] = None) -> LatencyRecorder:
-        """The latency recorder for ``phase`` (default: the current phase)."""
-        name = self.phase if phase is None else phase
-        recorder = self._recorders.get(name)
-        if recorder is None:
-            self._recorders[name] = recorder = LatencyRecorder(f"lookup[{name}]")
-        return recorder
-
-    @property
-    def phases(self) -> Mapping[str, LatencyRecorder]:
-        """Per-phase latency recorders populated so far."""
-        return dict(self._recorders)
 
     def backlog(self) -> float:
         """Seconds of queued work beyond ``now`` on the busiest node."""
@@ -224,9 +213,11 @@ class ControlPlaneLedger:
         self.last_completion = end
         count = len(service_times)
         if count:
-            latency = end - self.now
-            self.recorder().record_many([latency] * count)
-            self.counters.increment("lookups", count)
+            tally = self.phases.get(self.phase)
+            if tally is None:
+                self.phases[self.phase] = tally = LatencyTally()
+            tally.add(end - self.now, count)
+            self.counters["lookups"] += count
         return end
 
     def charge_replica_writes(self, pending: Mapping[str, int]) -> None:
@@ -247,9 +238,9 @@ class ControlPlaneLedger:
                 sent_at + model.replica_transfer_time(entries),
                 model.replica_apply_cpu(entries),
             )
-            self.counters.increment("replica_writes", entries)
-            self.counters.increment("replica_bytes", entries * model.replica_entry_bytes)
-            self.counters.increment("replica_messages")
+            self.counters["replica_writes"] += entries
+            self.counters["replica_bytes"] += entries * model.replica_entry_bytes
+            self.counters["replica_messages"] += 1
 
     def charge_recovery(
         self, node: str, replayed_entries: int, snapshot_bytes: int = 0
@@ -264,9 +255,9 @@ class ControlPlaneLedger:
         """
         cpu = self.model.recovery_cpu(replayed_entries, snapshot_bytes)
         self.defer(node, self.now, cpu)
-        self.counters.increment("recovery_replayed_entries", replayed_entries)
-        self.counters.increment("recovery_snapshot_bytes", snapshot_bytes)
-        self.counters.increment("node_recoveries")
+        self.counters["recovery_replayed_entries"] += replayed_entries
+        self.counters["recovery_snapshot_bytes"] += snapshot_bytes
+        self.counters["node_recoveries"] += 1
         return cpu
 
     def charge_migration(self, transfers: Mapping) -> None:
@@ -283,8 +274,6 @@ class ControlPlaneLedger:
             cpu = model.migration_cpu(entries)
             export_done = self.defer(source, self.now, cpu)
             self.defer(target, export_done + model.migration_transfer_time(entries), cpu)
-            self.counters.increment("migration_entries", entries)
-            self.counters.increment(
-                "migration_bytes", entries * model.migration_entry_bytes
-            )
-            self.counters.increment("migration_transfers")
+            self.counters["migration_entries"] += entries
+            self.counters["migration_bytes"] += entries * model.migration_entry_bytes
+            self.counters["migration_transfers"] += 1

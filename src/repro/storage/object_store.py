@@ -9,10 +9,9 @@ counts so that deduplicated backups can be deleted safely.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
-
-from ..simulation.stats import Counter
 
 __all__ = ["StoredObject", "CloudObjectStore"]
 
@@ -66,14 +65,14 @@ class CloudObjectStore:
             digest = hashlib.sha1(data).digest()
             if digest != key:
                 raise ValueError("object key does not match SHA-1 of its data")
-        self.counters.increment("puts")
+        self.counters["puts"] += 1
         existing = self._objects.get(key)
         if existing is not None:
             existing.reference_count += 1
-            self.counters.increment("duplicate_puts")
+            self.counters["duplicate_puts"] += 1
             return False
         self._objects[key] = StoredObject(key=key, data=data, size=len(data))
-        self.counters.increment("bytes_stored", len(data))
+        self.counters["bytes_stored"] += len(data)
         return True
 
     def add_reference(self, key: bytes) -> bool:
@@ -82,12 +81,12 @@ class CloudObjectStore:
         if obj is None:
             return False
         obj.reference_count += 1
-        self.counters.increment("references_added")
+        self.counters["references_added"] += 1
         return True
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Fetch chunk data (``None`` when absent)."""
-        self.counters.increment("gets")
+        self.counters["gets"] += 1
         obj = self._objects.get(key)
         return obj.data if obj is not None else None
 
@@ -99,7 +98,7 @@ class CloudObjectStore:
         obj.reference_count -= 1
         if obj.reference_count <= 0:
             del self._objects[key]
-            self.counters.increment("bytes_reclaimed", obj.size)
+            self.counters["bytes_reclaimed"] += obj.size
         return True
 
     def __contains__(self, key: bytes) -> bool:
@@ -127,6 +126,6 @@ class CloudObjectStore:
 
     def stats(self) -> dict:
         """Counter snapshot plus current footprint."""
-        result = self.counters.as_dict()
+        result = dict(self.counters)
         result.update(objects=len(self._objects), physical_bytes=self.total_bytes())
         return result

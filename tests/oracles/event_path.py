@@ -386,9 +386,8 @@ def _serve_batch_process(node, request: BatchLookupRequest):
         node._cpu.release()
     if total_ssd_time > 0:
         yield device_busy(sim, node.ssd_device, total_ssd_time)
-    per_reply_time = (sim.now - arrival) / max(1, len(tiers))
-    node.lookup_latency.record_many([per_reply_time] * len(tiers))
-    node.counters.increment("batches_served")
+    node.lookup_latency.add((sim.now - arrival) / max(1, len(tiers)), len(tiers))
+    node.counters["batches_served"] += 1
     replies = replies_from_tiers(fingerprints, tiers, service_times, repeat(node.node_id))
     return ReplyBatch(replies=replies, node_id=node.node_id, batch_id=request.batch_id)
 
@@ -419,9 +418,8 @@ class EventWebFrontEnd(WebFrontEnd):
 
     def _handle_async(self, request: ClientBatchRequest) -> Event:
         sim = self.rpc.sim
-        self.counters.increment("requests")
-        self.counters.increment("fingerprints", len(request.fingerprints))
-        started = sim.now
+        self.counters["requests"] += 1
+        self.counters["fingerprints"] += len(request.fingerprints)
         done = Event(sim, f"{self.server_id}.response")
         fingerprints = list(request.fingerprints)
 
@@ -446,7 +444,6 @@ class EventWebFrontEnd(WebFrontEnd):
                 plan=plan,
                 request_id=request.request_id,
             )
-            self.response_latency.record(sim.now - started)
             done.succeed((response, response.payload_bytes))
 
         def _dispatch() -> None:
@@ -505,7 +502,7 @@ class EventSimulatedClient(SimulatedClient):
                 payload_bytes=request.payload_bytes,
             )
             self.load_balancer.release(backend)
-            self.stats.request_latency.record(self.sim.now - sent_at)
+            self.stats.request_latency.add(self.sim.now - sent_at)
             self.stats.batches_sent += 1
             self.stats.fingerprints_sent += len(batch)
             self.stats.duplicates_found += sum(1 for r in response.replies if r.is_duplicate)

@@ -78,7 +78,7 @@ class TestDDFSIndex:
     def test_summary_vector_short_circuits_new_chunks(self):
         index = DDFSIndex(bloom_expected_items=10_000)
         index.lookup(synthetic_fingerprint(1))
-        assert index.counters.get("summary_negative") == 1
+        assert index.counters["summary_negative"] == 1
 
     def test_locality_cache_serves_neighbours_without_disk(self):
         index = DDFSIndex(
@@ -91,7 +91,7 @@ class TestDDFSIndex:
         # container; the rest should be cache hits.
         for fingerprint in first_pass:
             index.lookup(fingerprint)
-        assert index.counters.get("cache_hits") >= 31
+        assert index.counters["cache_hits"] >= 31
         assert index.cache_hit_ratio() > 0.9
 
     def test_validation(self):
@@ -103,7 +103,7 @@ class TestChunkStash:
     def test_negative_lookup_needs_no_flash_read(self):
         index = ChunkStashIndex()
         index.lookup(synthetic_fingerprint(1))
-        assert index.counters.get("flash_reads") == 0
+        assert index.counters["flash_reads"] == 0
 
     def test_duplicate_after_cache_eviction_costs_one_flash_read(self):
         index = ChunkStashIndex(cache_entries=4)
@@ -111,17 +111,17 @@ class TestChunkStash:
         index.lookup(target)
         for i in range(1, 20):
             index.lookup(synthetic_fingerprint(i))
-        before = index.counters.get("flash_reads")
+        before = index.counters["flash_reads"]
         result = index.lookup(target)
         assert result.is_duplicate is True
-        assert index.counters.get("flash_reads") == before + 1
+        assert index.counters["flash_reads"] == before + 1
 
     def test_flash_writes_are_amortised(self):
         index = ChunkStashIndex(entry_size=64, page_size=4096)
         for i in range(640):
             index.lookup(synthetic_fingerprint(i))
         # 640 new entries at 64 per page -> about 10 page writes.
-        assert 8 <= index.counters.get("flash_writes") <= 12
+        assert 8 <= index.counters["flash_writes"] <= 12
 
     def test_ram_footprint_is_compact(self):
         index = ChunkStashIndex()

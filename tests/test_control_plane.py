@@ -108,7 +108,7 @@ class TestControlPlaneLedger:
         assert phases[DEGRADED_PHASE].count == 1
         # Second bucket queued behind the first: latency 2 + 1 from t=0.
         assert phases[DEGRADED_PHASE].percentile(0.5) == pytest.approx(3.0)
-        assert ledger.counters.get("lookups") == 3
+        assert ledger.counters["lookups"] == 3
 
     def test_charge_replica_writes_defers_on_targets(self):
         model = CostModel()
@@ -117,8 +117,8 @@ class TestControlPlaneLedger:
         ledger.charge_replica_writes({"b": 4})
         expected = 1.0 + model.replica_transfer_time(4) + model.replica_apply_cpu(4)
         assert ledger.busy_until["b"] == pytest.approx(expected)
-        assert ledger.counters.get("replica_writes") == 4
-        assert ledger.counters.get("replica_messages") == 1
+        assert ledger.counters["replica_writes"] == 4
+        assert ledger.counters["replica_messages"] == 1
 
     def test_charge_migration_chains_export_wire_import(self):
         model = CostModel()
@@ -129,7 +129,7 @@ class TestControlPlaneLedger:
         assert ledger.busy_until["b"] == pytest.approx(
             export_done + model.migration_transfer_time(10) + model.migration_cpu(10)
         )
-        assert ledger.counters.get("migration_entries") == 10
+        assert ledger.counters["migration_entries"] == 10
 
 
 class TestDisabledPathIdentity:
@@ -147,12 +147,12 @@ class TestDisabledPathIdentity:
         assert charged.total_stored == plain.total_stored
         for name in plain.nodes:
             assert (
-                charged.nodes[name].counters.as_dict()
-                == plain.nodes[name].counters.as_dict()
+                dict(charged.nodes[name].counters)
+                == dict(plain.nodes[name].counters)
             )
         # ...and the enabled cluster actually charged something.
         assert charged.ledger is not None
-        assert charged.ledger.counters.get("replica_writes") > 0
+        assert charged.ledger.counters["replica_writes"] > 0
         assert plain.ledger is None
 
     def test_migration_identical_with_charging(self):
@@ -166,7 +166,7 @@ class TestDisabledPathIdentity:
         assert charged_report.entries_moved == plain_report.entries_moved
         assert charged_report.source_breakdown == plain_report.source_breakdown
         assert charged.total_stored == plain.total_stored
-        assert charged.ledger.counters.get("migration_entries") == plain_report.entries_moved
+        assert charged.ledger.counters["migration_entries"] == plain_report.entries_moved
 
 
 class TestTimedExperiments:
@@ -268,22 +268,22 @@ class TestSimulatedClusterCharging:
         network.rpc.call("client-0", serving, request, request.payload_bytes)
         sim.run()
         assert len(owned) > 0
-        assert ledger.counters.get("replica_writes") == len(owned)
-        assert ledger.counters.get("replica_messages") == len(owned)
-        assert ledger.counters.get("replica_bytes") == len(owned) * model.replica_entry_bytes
+        assert ledger.counters["replica_writes"] == len(owned)
+        assert ledger.counters["replica_messages"] == len(owned)
+        assert ledger.counters["replica_bytes"] == len(owned) * model.replica_entry_bytes
         targets = {cluster.replica_set(fp)[1] for fp in owned}
         assert all(ledger.busy_until[name] > 0.0 for name in targets)
 
         # Migration: a join's copy traffic.
         report = MembershipManager(cluster).add_node("hashnode-9")
-        assert ledger.counters.get("migration_entries") == report.entries_moved > 0
+        assert ledger.counters["migration_entries"] == report.entries_moved > 0
 
         # Recovery: a killed node's replay, priced and reported.
         cluster.kill_node(serving)
         recovery = cluster.restart_node(serving)
-        assert ledger.counters.get("node_recoveries") == 1
+        assert ledger.counters["node_recoveries"] == 1
         replayed = recovery.entries + recovery.replayed
-        assert ledger.counters.get("recovery_replayed_entries") == replayed > 0
+        assert ledger.counters["recovery_replayed_entries"] == replayed > 0
         assert recovery.charged_seconds == pytest.approx(
             model.recovery_cpu(replayed, recovery.snapshot_bytes)
         )

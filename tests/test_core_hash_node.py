@@ -131,7 +131,7 @@ class TestBatchEquivalence:
         assert [
             (r.is_duplicate, r.served_from, r.service_time) for r in sequential_replies
         ] == [(r.is_duplicate, r.served_from, r.service_time) for r in batched_replies]
-        assert sequential.counters.as_dict() == batched.counters.as_dict()
+        assert dict(sequential.counters) == dict(batched.counters)
         assert len(sequential) == len(batched)
 
     def test_batch_matches_sequential_with_collision_heavy_bloom(self):
@@ -152,9 +152,9 @@ class TestBatchEquivalence:
         assert [
             (r.is_duplicate, r.served_from, r.service_time) for r in sequential_replies
         ] == [(r.is_duplicate, r.served_from, r.service_time) for r in batched_replies]
-        assert sequential.counters.as_dict() == batched.counters.as_dict()
+        assert dict(sequential.counters) == dict(batched.counters)
         # The scenario is only meaningful if false positives actually occur.
-        assert batched.counters.get("bloom_false_positives") > 0
+        assert batched.counters["bloom_false_positives"] > 0
 
     def test_batch_with_intra_batch_duplicates(self):
         node = make_node()
@@ -167,7 +167,7 @@ class TestBatchEquivalence:
     def test_empty_batch(self):
         node = make_node()
         assert node.lookup_batch([]) == []
-        assert node.counters.get("lookups") == 0
+        assert node.counters["lookups"] == 0
 
 
 class TestImportExport:

@@ -218,6 +218,26 @@ class TestInterruptedMembershipChange:
         for index in range(0, 400, 7):
             assert cluster.lookup(synthetic_fingerprint(index)).is_duplicate is True
 
+    def test_a_remove_at_replication_factor_1_whose_migration_raises_loses_nothing(
+        self, monkeypatch
+    ):
+        # The departing node holds the only copy of its entries; the export
+        # taken before the migration raised is all that is left of them.
+        cluster = loaded_cluster(num_nodes=4, replication=1, virtual_nodes=64, entries=400)
+        manager = MembershipManager(cluster)
+        monkeypatch.setattr(manager, "_rebuild", _interrupted_rebuild)
+        with pytest.raises(_Interrupted):
+            manager.remove_node("hashnode-1")
+        assert "hashnode-1" not in cluster.nodes
+        monkeypatch.undo()
+        reports = manager.recover()
+        assert len(reports) == 1 and reports[0].recovered is True
+        assert reports[0].unreachable == 0 and manager.intents == []
+        assert len(cluster) == 400
+        assert ReplicationController(cluster).consistency_report().is_healthy
+        for index in range(400):
+            assert cluster.lookup(synthetic_fingerprint(index)).is_duplicate is True
+
     def test_recover_completes_an_interrupted_add(self):
         cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=400)
         manager = MembershipManager(cluster)

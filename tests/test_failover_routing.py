@@ -133,7 +133,7 @@ class TestReplicaWriteStats:
         assert metrics.total_stored == 360
         assert sum(node.lookup_latency.count for node in cluster.nodes.values()) == 120
         assert sum(
-            node.counters.get("replica_inserts") for node in cluster.nodes.values()
+            node.counters["replica_inserts"] for node in cluster.nodes.values()
         ) == 240
         assert cluster.duplicate_ratio() == 0.0
 

@@ -248,7 +248,7 @@ class TestSimulatedDeploymentWithDownNode:
         assert len(cluster) == len(distinct)
         # The down node served and stored nothing ...
         down = cluster.nodes["hashnode-1"]
-        assert down.counters.get("lookups") == 0 and len(down) == 0
+        assert down.counters["lookups"] == 0 and len(down) == 0
         # ... and every surviving replica holds its copy: the RPC handler
         # applied write propagation, not just the serving node's insert.
         for fingerprint in distinct:

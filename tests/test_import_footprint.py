@@ -76,13 +76,21 @@ def _loaded_after(statement: str) -> list:
 
 
 @pytest.mark.parametrize("statement, also_absent", [
-    ("import repro.serving.worker", ("repro.serving.gateway", "repro.serving.loadgen")),
+    # Neither side of the live service loads the simulator's latency tally:
+    # a worker measures its batches into ``repro.telemetry`` instead.
+    ("import repro.serving.worker",
+     ("repro.serving.gateway", "repro.serving.loadgen", "repro.simulation.stats")),
     # The gateway imports the worker module for ``WorkerSpec``; the node
     # stack it builds is imported in the worker process only.
     ("from repro.serving import ServeConfig, ServiceGateway",
      ("repro.serving.loadgen", "repro.core.hash_node", "repro.core.persistence",
-      "repro.storage.bloom")),
+      "repro.storage.bloom", "repro.simulation.stats")),
     ("import repro.cli", ()),
+    # A spawned worker: the module, then the node stack ``WorkerSpec.build_node``
+    # imports (its modelled lookup time is a count and a total, not a tally).
+    ("import repro.serving.worker\n"
+     "import repro.core.config, repro.core.hash_node, repro.core.persistence, repro.storage.bloom",
+     ("repro.serving.gateway", "repro.serving.loadgen", "repro.simulation.stats")),
 ])
 def test_a_live_service_process_imports_only_what_it_runs(statement, also_absent):
     loaded = _loaded_after(statement)

@@ -437,7 +437,7 @@ class TestNodeKillRestart:
         assert len(node.store) == 0
         assert fingerprint not in node
         assert fingerprint.digest not in node.bloom
-        assert node.counters.get("kills") == 1
+        assert node.counters["kills"] == 1
 
     def test_restart_without_persistence_is_honest_data_loss(self):
         node = _fresh_node()
@@ -445,7 +445,7 @@ class TestNodeKillRestart:
         node.kill()
         assert node.restart() is None
         assert len(node.store) == 0
-        assert node.counters.get("restarts") == 1
+        assert node.counters["restarts"] == 1
 
     def test_restart_recovers_served_fingerprints(self, tmp_path):
         persistence = NodePersistence(str(tmp_path / "node-0"))
@@ -481,7 +481,7 @@ class TestNodeKillRestart:
         node = _fresh_node(persistence)
         node.lookup_batch([synthetic_fingerprint(i) for i in range(64)])
         assert persistence.snapshots_taken >= 1
-        assert node.counters.get("snapshots") >= 1
+        assert node.counters["snapshots"] >= 1
         persistence.close()
 
 
@@ -518,8 +518,8 @@ class TestClusterKillRestart:
         report = cluster.restart_node(victim)
         assert report is not None and report.charged_seconds > 0
         counters = cluster.ledger.counters
-        assert counters.get("node_recoveries") == 1
-        assert counters.get("recovery_replayed_entries") == (
+        assert counters["node_recoveries"] == 1
+        assert counters["recovery_replayed_entries"] == (
             report.entries + report.replayed
         )
         cluster.close()

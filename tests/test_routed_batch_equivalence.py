@@ -75,7 +75,7 @@ def assert_equivalent(fast_cluster, fast_replies, reference_cluster, reference_r
     for name in fast_cluster.nodes:
         fast_node = fast_cluster.nodes[name]
         reference_node = reference_cluster.nodes[name]
-        assert fast_node.counters.as_dict() == reference_node.counters.as_dict(), name
+        assert dict(fast_node.counters) == dict(reference_node.counters), name
         assert len(fast_node.store) == len(reference_node.store), name
         assert set(fast_node.store.keys()) == set(reference_node.store.keys()), name
         assert fast_node.store.stats() == reference_node.store.stats(), name
@@ -88,7 +88,7 @@ def assert_equivalent(fast_cluster, fast_replies, reference_cluster, reference_r
 
 def replica_writes(cluster):
     return {
-        name: node.counters.get("replica_inserts") for name, node in cluster.nodes.items()
+        name: node.counters["replica_inserts"] for name, node in cluster.nodes.items()
     }
 
 
@@ -310,11 +310,11 @@ class TestHotPathConstructors:
         charged_results = drive(charged, fingerprints, "lookup_batch")
         assert charged_results == free_results
         for name in free.nodes:
-            assert charged.nodes[name].counters.as_dict() == free.nodes[name].counters.as_dict()
+            assert dict(charged.nodes[name].counters) == dict(free.nodes[name].counters)
             assert charged.nodes[name].store.stats() == free.nodes[name].store.stats()
         ledger = charged.ledger
-        assert ledger.counters.get("lookups") == len(fingerprints)
-        assert ledger.counters.get("replica_writes") == sum(replica_writes(charged).values())
+        assert ledger.counters["lookups"] == len(fingerprints)
+        assert ledger.counters["replica_writes"] == sum(replica_writes(charged).values())
 
 
 class TestVerdictDirectScenarioEquivalence:
@@ -339,7 +339,7 @@ class TestVerdictDirectScenarioEquivalence:
         for name in cluster.nodes:
             node = cluster.nodes[name]
             reference_node = reference_cluster.nodes[name]
-            assert node.counters.as_dict() == reference_node.counters.as_dict(), name
+            assert dict(node.counters) == dict(reference_node.counters), name
             assert set(node.store.keys()) == set(reference_node.store.keys()), name
             assert node.cache.stats() == reference_node.cache.stats(), name
         assert cluster.read_repairs == reference_cluster.read_repairs

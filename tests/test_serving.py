@@ -20,7 +20,6 @@ import logging
 import os
 import random
 import struct
-import threading
 import socket
 from pathlib import Path
 
@@ -48,7 +47,6 @@ from repro.serving.wire import (
     unpack_verdicts,
     verdict_mask,
 )
-from repro.simulation.stats import LatencyRecorder, ReservoirSample
 from repro.telemetry import Registry
 
 
@@ -974,69 +972,3 @@ def test_oversized_http_head_is_a_counted_protocol_error(caplog):
     assert counted == 1 and stats["protocol_errors"] == 1
     assert b"200" in status and stats["workers"][0]["up"]
     assert not caplog.records  # nothing "Unhandled exception in client_connected_cb"
-
-
-# -------------------------------------------------------- concurrent recording
-def test_latency_recorder_threaded_stress():
-    """Hammer one recorder from real threads and check nothing is lost or torn."""
-    recorder = LatencyRecorder("stress")
-    threads = 8
-    per_thread = 5_000
-    barrier = threading.Barrier(threads)
-
-    def _hammer(worker: int) -> None:
-        barrier.wait()
-        for i in range(per_thread):
-            recorder.record((worker * per_thread + i) * 1e-6)
-
-    pool = [threading.Thread(target=_hammer, args=(w,)) for w in range(threads)]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-
-    stats = recorder.as_dict()
-    assert stats["count"] == threads * per_thread
-    expected_mean = (threads * per_thread - 1) / 2 * 1e-6
-    assert stats["mean"] == pytest.approx(expected_mean, rel=1e-9)
-    assert 0.0 <= stats["p50"] <= stats["p99"] <= stats["max"]
-
-
-def test_reservoir_sample_threaded_stress():
-    sample = ReservoirSample(capacity=512, seed=3)
-    threads = 8
-    per_thread = 2_000
-    barrier = threading.Barrier(threads)
-
-    def _hammer(worker: int) -> None:
-        barrier.wait()
-        for i in range(per_thread):
-            sample.add(float(worker * per_thread + i))
-        sample.add_many([float(worker)] * 10)
-
-    pool = [threading.Thread(target=_hammer, args=(w,)) for w in range(threads)]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-
-    values = sample.values()
-    assert len(values) == 512  # full reservoir, no torn bookkeeping
-    universe = threads * (per_thread + 10)
-    assert sample.seen == universe
-    assert all(0.0 <= value < threads * per_thread for value in values)
-    assert 0.0 <= sample.percentile(0.5) <= max(values)
-
-
-def test_stats_objects_survive_pickling():
-    """Process-pool sweeps pickle results carrying recorders; the lock must
-    be dropped and recreated, not poisoned."""
-    import pickle
-
-    recorder = LatencyRecorder("pickle-me")
-    for i in range(100):
-        recorder.record(i * 1e-6)
-    clone = pickle.loads(pickle.dumps(recorder))
-    assert clone.as_dict()["count"] == 100
-    clone.record(1.0)  # the recreated lock actually works
-    assert clone.as_dict()["count"] == 101

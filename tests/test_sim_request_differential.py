@@ -14,7 +14,7 @@ The product rig (``build_simulated_service``) must pop the same calendar
 entries in the same order as the model (``tests/oracles/event_path.py``),
 so every message must arrive at the same instant and endpoint with the same
 content, and the engine's event count, client stats, node counters,
-latency recorders and front-end stats must agree exactly.
+latency tallies and front-end counters must agree exactly.
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ def _content(payload) -> tuple:
     return ("verdicts", payload.node_id, payload.batch_id, _replies(payload.replies))
 
 
-def _recorder(recorder) -> tuple:
-    summary = recorder.summary
-    return (summary.count, summary.total, summary.mean, summary._m2, summary.minimum,
-            summary.maximum, recorder.reservoir.seen, tuple(recorder.reservoir.values()))
+def _tally(tally) -> tuple:
+    return tally.count, tally.total, tally.counts
 
 
 def _replay(build, client_class, params) -> dict:
@@ -128,15 +126,15 @@ def _replay(build, client_class, params) -> dict:
         "now": sim.now,
         "clients": [
             (c.stats.fingerprints_sent, c.stats.batches_sent, c.stats.duplicates_found,
-             c.stats.started_at, c.stats.finished_at, _recorder(c.stats.request_latency))
+             c.stats.started_at, c.stats.finished_at, _tally(c.stats.request_latency))
             for c in clients
         ],
         "nodes": {
-            name: (node.counters.as_dict(), _recorder(node.lookup_latency), len(node.store))
+            name: (dict(node.counters), node.lookup_latency, len(node.store))
             for name, node in cluster.nodes.items()
         },
         "web": {
-            name: (server.counters.as_dict(), _recorder(server.response_latency))
+            name: dict(server.counters)
             for name, server in deployment.web_servers.items()
         },
         "cluster": (cluster.read_repairs, cluster.failovers),

@@ -293,7 +293,7 @@ def _node_state(node):
     and pinned at zero wherever the contract is called directly.
     """
     return (
-        node.counters.as_dict(),
+        dict(node.counters),
         node.store.stats(),
         sorted(node.store.items()),
         bytes(node.bloom.raw_bits()),
@@ -309,9 +309,8 @@ def _pairs_of(items):
 
 
 def _assert_model_agrees(model, node):
-    counters = node.counters.as_dict()
     for name, value in model.expected_counters().items():
-        assert counters.get(name) == value, name
+        assert node.counters[name] == value, name
     assert dict(node.store.items()) == model.stored
     assert list(node.cache.data) == list(model.lru)
 
@@ -350,7 +349,7 @@ class TestFusedNodeKernelDifferential:
         assert _node_state(scalar) == _node_state(fused)
         # Both recording callers saw the same modelled times in the same order
         # (Welford state and reservoir alike).
-        assert fused.lookup_latency.as_dict() == scalar.lookup_latency.as_dict()
+        assert fused.lookup_latency == scalar.lookup_latency
         assert fused.lookup_latency.count == sum(len(items) for items in map(_pairs_of, batches))
         _assert_model_agrees(model, fused)
 
@@ -450,7 +449,7 @@ class TestFusedNodeKernelDifferential:
             fingerprints = [Fingerprint(digest=d, chunk_size=1 + d[0]) for d in batch]
             assert fused.lookup_batch(fingerprints) == [scalar.lookup(f) for f in fingerprints]
         assert _node_state(scalar) == _node_state(fused)
-        counters = fused.counters.as_dict()
+        counters = dict(fused.counters)
         for name in ("ram_hits", "ssd_hits", "bloom_false_positives", "bloom_negative_shortcuts"):
             assert counters[name] > 0, name
 

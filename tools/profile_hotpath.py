@@ -49,10 +49,9 @@ off, on one persistence-backed node at ``bench/``'s ``node_config`` and its
 128-digest sub-batches, once per live mix (``svc_dup_hot``: 50k keys
 pre-populated, 95% of every batch known; ``svc_unique``: 95% new): us per
 fingerprint for frame decode, ``DigestBatch.from_blob``, the fused kernel,
-modelled-time recording inside the contract, the rest of the node's serve,
-``log_insert_many`` and mask + encode, with the unattributed remainder,
-rows summing to the total; then what the same recording costs where
-``lookup_batch`` pays it.  No socket, no gateway, no checkpoints
+the rest of the node's serve, ``log_insert_many`` and mask + encode, with
+the unattributed remainder, rows summing to the total.  No socket, no
+gateway, no checkpoints
 (``snapshot_every=0``).  It wraps the node's private ``_kernel`` slot, which
 exists since PR 24: older checkouts need that commit's copy of this file.
 
@@ -371,7 +370,7 @@ def persist_report(entries: int, batch_size: int = 128) -> None:
 
 _SERVE_STAGES = (
     "frame decode", "DigestBatch.from_blob", "fused kernel",
-    "modelled-time recording", "node serve, rest", "log_insert_many", "mask + encode",
+    "node serve, rest", "log_insert_many", "mask + encode",
 )
 
 
@@ -384,7 +383,6 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
     from repro.serving.wire import (
         decode_payload, encode_batch_frame, encode_verdict_frame, verdict_mask,
     )
-    from repro.simulation.stats import LatencyRecorder
 
     # bench/spec.py: node_config() and CHUNK_SIZE; one of svc_dup_hot's two
     # shards holds half of its 100k pre-populated identities.
@@ -427,12 +425,9 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
             # is enough, and nothing replaces cache, bloom or store below.
             node.serve_bucket_verdicts(DigestBatch.from_blob(b"", 8192))
             node._kernel = timed("fused kernel", node._kernel)
-            node.lookup_latency.record_many = timed(
-                "modelled-time recording", node.lookup_latency.record_many)
             node.persistence.log_insert_many = timed(
                 "log_insert_many", node.persistence.log_insert_many)
-            modelled = []
-            counters_before = node.counters.as_dict()
+            before = node.snapshot()
             began = now()
             for payload in payloads:
                 at_start = now()
@@ -440,7 +435,7 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
                 decoded = now()
                 batch = DigestBatch.from_blob(message["d"], message["s"])
                 built = now()
-                tiers, service_times, new_pairs = node.serve_bucket_verdicts(batch)
+                tiers, _service_times, new_pairs = node.serve_bucket_verdicts(batch)
                 served = now()
                 encode_verdict_frame(len(batch), len(new_pairs), verdict_mask(tiers))
                 encoded = now()
@@ -448,15 +443,14 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
                 spent["DigestBatch.from_blob"] += built - decoded
                 spent["node serve, rest"] += served - built
                 spent["mask + encode"] += encoded - served
-                modelled.append(service_times)
             total = now() - began
             node.persistence.close()
         spent["node serve, rest"] -= sum(
             spent[stage] for stage in
-            ("fused kernel", "modelled-time recording", "log_insert_many"))
+            ("fused kernel", "log_insert_many"))
         keys = len(payloads) * batch_size
-        counters = node.counters.as_dict()
-        moved = {name: counters.get(name, 0) - counters_before.get(name, 0)
+        after = node.snapshot()
+        moved = {name: getattr(after, name) - getattr(before, name)
                  for name in ("ram_hits", "ssd_hits", "new_entries")}
         print(f"=== serve: {mix} mix, {len(payloads)} batches x {batch_size} "
               f"({', '.join(f'{name} {value / keys:.1%}' for name, value in moved.items())}) ===")
@@ -465,12 +459,6 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
         rest = total - sum(spent.values())
         print(f"  {'unattributed':<26} {rest / keys / 1e3:7.3f} us/fp  {rest / total:6.1%}")
         print(f"  {'total':<26} {total / keys / 1e3:7.3f} us/fp")
-        recorder = LatencyRecorder("comparison")
-        began = now()
-        for service_times in modelled:
-            recorder.record_many(service_times)
-        print(f"  (recording the same modelled times where lookup_batch pays for it: "
-              f"{(now() - began) / keys / 1e3:.3f} us/fp, not on this path)")
 
 
 _GATEWAY_STAGES = ("client decode", "route + split", "merge", "reply encode")
