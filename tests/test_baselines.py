@@ -142,6 +142,14 @@ class TestSingleNodeServer:
         assert snapshot.lookups == 100
         assert server.mean_latency() > 0.0
 
+    def test_mean_latency_is_the_mean_of_the_lookups_served(self):
+        server = SingleNodeHashServer(
+            HashNodeConfig(ram_cache_entries=16, bloom_expected_items=10_000)
+        )
+        assert server.mean_latency() == 0.0
+        latencies = [server.lookup(synthetic_fingerprint(i % 40)).latency for i in range(120)]
+        assert server.mean_latency() == pytest.approx(sum(latencies) / len(latencies))
+
     def test_faster_than_disk_index_on_redundant_workload(self):
         fingerprints = [synthetic_fingerprint(i % 50) for i in range(500)]
         hybrid = SingleNodeHashServer(

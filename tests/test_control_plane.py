@@ -110,6 +110,20 @@ class TestControlPlaneLedger:
         assert phases[DEGRADED_PHASE].percentile(0.5) == pytest.approx(3.0)
         assert ledger.counters["lookups"] == 3
 
+    def test_charge_bucket_adds_one_value_counted_once_per_reply(self):
+        ledger = ControlPlaneLedger(CostModel())
+        end = ledger.charge_bucket("a", [0.5, 0.25, 0.25])
+        tally = ledger.phases[STEADY_PHASE]
+        # Every reply completes with the bucket: one latency, counted three times.
+        assert tally.counts == {end - ledger.now: 3}
+        assert tally.percentile(0.0) == tally.percentile(1.0) == pytest.approx(1.0)
+
+    def test_an_empty_bucket_records_no_latency(self):
+        ledger = ControlPlaneLedger(CostModel())
+        ledger.charge_bucket("a", [])
+        assert STEADY_PHASE not in ledger.phases
+        assert ledger.counters["lookups"] == 0
+
     def test_charge_replica_writes_defers_on_targets(self):
         model = CostModel()
         ledger = ControlPlaneLedger(model)

@@ -83,6 +83,13 @@ class TestClusterLookup:
         cluster.lookup_batch([synthetic_fingerprint(i) for i in range(50)])
         assert cluster.mean_lookup_latency() > 0.0
 
+    def test_mean_lookup_latency_divides_every_nodes_total_by_their_count(self):
+        cluster = make_cluster()
+        results = cluster.lookup_batch([synthetic_fingerprint(i % 40) for i in range(200)])
+        assert sum(node.lookup_latency.count for node in cluster.nodes.values()) == 200
+        expected = sum(result.latency for result in results) / 200
+        assert cluster.mean_lookup_latency() == pytest.approx(expected)
+
 
 class TestReplication:
     def test_new_fingerprints_written_to_replica_set(self):

@@ -111,6 +111,37 @@ class TestLookupFlow:
         assert len(node) == 0
 
 
+class TestLookupTime:
+    """``lookup_latency``: a lookup count and the seconds they took, summed in order."""
+
+    def test_lookup_adds_its_reply_service_time(self):
+        node = make_node()
+        replies = [node.lookup(synthetic_fingerprint(i % 4)) for i in range(12)]
+        assert node.lookup_latency.count == 12
+        assert node.lookup_latency.total == pytest.approx(sum(r.service_time for r in replies))
+
+    def test_lookup_batch_adds_one_lookup_per_key(self):
+        looped, batched = make_node(), make_node()
+        fingerprints = [synthetic_fingerprint(i % 10) for i in range(30)]
+        for fingerprint in fingerprints:
+            looped.lookup(fingerprint)
+        replies = batched.lookup_batch(fingerprints)
+        # Both add the per-key service times left to right: the totals are equal.
+        assert batched.lookup_latency == looped.lookup_latency
+        assert batched.lookup_latency.count == len(replies) == 30
+
+    def test_counters_start_at_zero_and_add_like_collections_counters(self):
+        node = make_node()
+        assert node.counters["lookups"] == node.counters.get("ssd_hits") == 0
+        node.lookup_batch([synthetic_fingerprint(i % 5) for i in range(20)])
+        other = make_node()
+        other.lookup(synthetic_fingerprint(99))
+        merged = node.counters + other.counters
+        assert merged["lookups"] == 21
+        assert merged["new_entries"] == 6
+        assert node.counters["missing"] == 0
+
+
 class TestBatchEquivalence:
     """The batched-bloom lookup path must be behaviour-identical to looping
     over single lookups -- verdicts, tiers, counters and service times."""
@@ -236,6 +267,16 @@ class TestSimulatedServing:
         assert finish_times == sorted(finish_times)
         # With service_concurrency=1, batches must not all finish together.
         assert finish_times[2] > finish_times[0]
+
+    def test_serve_batch_adds_the_batch_time_once_for_every_key(self, sim):
+        node = make_node(sim)
+        request = BatchLookupRequest([synthetic_fingerprint(i) for i in range(16)])
+        finished = []
+        node.serve_batch(request, lambda _reply: finished.append(sim.now))
+        sim.run()
+        # Each key's latency is its share of the batch's arrival-to-reply time.
+        assert node.lookup_latency.count == 16
+        assert node.lookup_latency.total == pytest.approx(finished[0])
 
     def test_simulated_and_immediate_agree_on_verdicts(self, sim):
         fingerprints = [synthetic_fingerprint(i % 6) for i in range(24)]

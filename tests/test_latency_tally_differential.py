@@ -99,3 +99,102 @@ def test_percentile_validation():
     tally.add(1.0)
     with pytest.raises(ValueError):
         tally.percentile(1.5)
+
+
+def test_mean_and_total():
+    tally = LatencyTally()
+    tally.add_many([1.0, 2.0, 3.0, 4.0])
+    assert tally.count == 4
+    assert tally.total == pytest.approx(10.0)
+    assert tally.mean == pytest.approx(2.5)
+
+
+def test_add_many_is_state_identical_to_an_add_loop():
+    import random
+
+    rng = random.Random(3)
+    values = [rng.random() for _ in range(500)]
+    looped, batched = LatencyTally(), LatencyTally()
+    for value in values:
+        looped.add(value)
+    batched.add_many(values[:200])
+    batched.add_many(values[200:])
+    # Both add left to right, so even the float total is bit-identical.
+    assert (batched.counts, batched.count, batched.total) == (
+        looped.counts,
+        looped.count,
+        looped.total,
+    )
+
+
+def test_add_many_accepts_a_generator():
+    tally = LatencyTally()
+    tally.add_many(float(i) for i in range(10))
+    assert tally.count == 10
+    assert tally.percentile(1.0) == 9.0
+    assert sorted(tally.counts) == [float(i) for i in range(10)]
+
+
+def test_an_empty_batch_changes_nothing():
+    tally = LatencyTally()
+    tally.add_many([])
+    assert (tally.counts, tally.count, tally.total) == ({}, 0, 0.0)
+    tally.add_many([2.0, 1.0, 2.0])
+    before = (dict(tally.counts), tally.count, tally.total)
+    tally.add_many([])
+    assert (tally.counts, tally.count, tally.total) == before
+
+
+@given(value=_LATENCY, count=st.integers(min_value=1, max_value=200), q=_Q)
+def test_a_weighted_add_reports_what_single_adds_report(value, count, q):
+    weighted, single = LatencyTally(), LatencyTally()
+    weighted.add(value, count)
+    for _ in range(count):
+        single.add(value)
+    assert weighted.counts == single.counts == {value: count}
+    assert weighted.count == single.count
+    assert weighted.percentile(q) == single.percentile(q)
+    assert math.isclose(weighted.mean, single.mean, rel_tol=1e-9, abs_tol=1e-300)
+
+
+def test_the_tally_keeps_one_entry_per_distinct_value():
+    # Memory follows the distinct values, not the sample: 50 000 lookups of
+    # 7 modelled latencies are 7 entries, and every percentile stays exact.
+    tally = LatencyTally()
+    tally.add_many(float(i % 7) for i in range(50_000))
+    assert tally.count == 50_000
+    assert len(tally.counts) == 7
+    assert tally.percentile(0.5) == 3.0
+    assert tally.percentile(0.0) == 0.0 and tally.percentile(1.0) == 6.0
+
+
+def test_a_tally_survives_pickling():
+    """Process-pool sweeps pickle results; a tally must round-trip and stay usable."""
+    import pickle
+
+    tally = LatencyTally()
+    tally.add_many(i * 1e-6 for i in range(100))
+    clone = pickle.loads(pickle.dumps(tally))
+    assert (clone.counts, clone.count, clone.total) == (tally.counts, tally.count, tally.total)
+    clone.add(1.0)
+    assert clone.count == 101 and tally.count == 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=st.lists(_CALL, max_size=8), qs=st.lists(_Q, min_size=2, max_size=6))
+def test_percentiles_rise_with_q_within_the_recorded_range(calls, qs):
+    tally, _reference = _replay(calls)
+    if not tally.count:
+        return
+    recorded = [value for value, count in tally.counts.items() if count]
+    answers = [tally.percentile(q) for q in sorted(qs)]
+
+    def at_most(low, high):
+        # Interpolation rounds (even between two copies of one value), so
+        # an answer may pass a bound in the last bits only.
+        return low <= high or math.isclose(low, high, rel_tol=1e-12)
+
+    for answer in answers:
+        assert at_most(min(recorded), answer) and at_most(answer, max(recorded))
+    for low, high in zip(answers, answers[1:]):
+        assert at_most(low, high)
