@@ -81,6 +81,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if not args.quiet:
         print(result.render())
+        for line in result.claim_lines():
+            print(line)
     _emit_json(result, args.json)
     return 0
 

@@ -32,7 +32,7 @@ from .engine import (
     run_sweep,
     spec_for,
 )
-from .result import ScenarioResult, SweepResult, SweepRun
+from .result import Claim, ScenarioResult, SweepResult, SweepRun
 from .spec import (
     ScenarioSpec,
     SpecError,
@@ -43,6 +43,7 @@ from .spec import (
 )
 
 __all__ = [
+    "Claim",
     "Preset",
     "ScenarioResult",
     "ScenarioSpec",

@@ -3,9 +3,10 @@
 This module is the single execution path for experiments.  A
 :class:`Preset` couples a name with (a) the set of spec keys it accepts per
 section and (b) a runner that turns a validated :class:`ScenarioSpec` into
-a :class:`ScenarioResult`.  :func:`run_scenario` executes one spec;
-:func:`run_sweep` expands a :class:`SweepGrid` against a base spec and
-collects the uniform metrics of every point into a :class:`SweepResult`.
+a :class:`ScenarioResult`.  :func:`run_scenario` executes one spec and
+checks the preset's claims on its result; :func:`run_sweep` expands a
+:class:`SweepGrid` against a base spec and collects the uniform metrics of
+every point into a :class:`SweepResult`.
 
 Override resolution
 -------------------
@@ -28,7 +29,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tupl
 from ..core.fault_injection import FaultPlan
 from ..core.membership import ChurnPlan
 from ..workloads.trace_cache import TRACE_CACHE_ENV, cleanup_shared_traces
-from .result import ScenarioResult, SweepResult, SweepRun
+from .result import Claim, ScenarioResult, SweepResult, SweepRun
 from .spec import (
     CHURN_KEYS,
     CLUSTER_KEYS,
@@ -70,6 +71,8 @@ class Preset:
     client_keys: FrozenSet[str] = frozenset()
     accepts_faults: bool = False
     accepts_churn: bool = False
+    #: The paper's findings a run of this preset is checked against.
+    claims: Tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.cluster_keys <= CLUSTER_KEYS:
@@ -269,7 +272,9 @@ def run_scenario(
         spec = apply_overrides(spec, overrides)
     preset = get_preset(spec.preset)
     _validate_spec(spec, preset)
-    return preset.runner(spec)
+    result = preset.runner(spec)
+    result.claims = {claim.id: claim.check(result) for claim in preset.claims}
+    return result
 
 
 def canonicalize_grid(grid: SweepGrid) -> SweepGrid:

@@ -16,6 +16,10 @@ resolving, validating or listing a preset loads no experiment module, and
 running one loads only the modules it runs -- ``figure5`` never pays for
 the live service's asyncio gateway or the ablations' baselines.
 
+Each preset carries the paper's findings it reproduces as named
+:class:`~repro.scenarios.result.Claim` tuples.  A predicate reads only the
+finished run's spec and metrics, so stating a claim imports nothing.
+
 Node-config overrides (``spec.node``) replace the runner's auto-sized
 :class:`~repro.core.config.HashNodeConfig` wholesale: the experiment
 runners size bloom filters from the workload they are about to replay, and
@@ -26,16 +30,17 @@ a caller overriding the node tier takes over that sizing too (set
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import replace
 from functools import partial
 from importlib import import_module
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import HashNodeConfig
 from ..workloads.mixer import table_i_mix
 from ..workloads.profiles import WorkloadProfile, profile_by_name
 from .engine import Preset, register_preset
-from .result import ScenarioResult
+from .result import FAILS, HOLDS, NOT_APPLICABLE, Claim, ScenarioResult
 from .spec import NODE_KEYS, ScenarioSpec, SpecError
 
 if TYPE_CHECKING:  # annotations only: each is imported on its preset's first run
@@ -144,6 +149,32 @@ def _preset(
     return runner
 
 
+def _claim(
+    claim_id: str,
+    description: str,
+    observe: Callable[[ScenarioResult], Any],
+    holds: Callable[[Any], bool],
+) -> Claim:
+    """A claim that ``holds(observe(result))``; ``observe`` answers ``None`` for n/a."""
+
+    def predicate(result: ScenarioResult) -> Tuple[str, Any]:
+        observed = observe(result)
+        if observed is None:
+            return NOT_APPLICABLE, None
+        return (HOLDS if holds(observed) else FAILS), observed
+
+    return Claim(claim_id, description, predicate)
+
+
+def _metric(key: str) -> Callable[[ScenarioResult], Any]:
+    return lambda result: result.metrics.get(key)
+
+
+def _points(result: ScenarioResult, row: str, *keys: str) -> Dict[Any, Any]:
+    """``points`` as ``{(key values): row value}``: a figure's grid cells."""
+    return {tuple(point[key] for key in keys): point[row] for point in result.metrics["points"]}
+
+
 class CompositeResult:
     """Several experiment results rendered one after another."""
 
@@ -171,6 +202,52 @@ def _figure1_metrics(result: figure1.Figure1Result) -> Dict[str, Any]:
     }
 
 
+def _figure1_times(result: ScenarioResult) -> Dict[Any, Any]:
+    return _points(result, "execution_time_us", "nodes", "offered_rate")
+
+
+def _injection_time_us(result: ScenarioResult, rate: float) -> float:
+    """The time an unsaturated cluster needs: ``requests / rate``."""
+    return result.metrics["fingerprints"] / rate * 1e6
+
+
+def _more_nodes_never_slower(result: ScenarioResult) -> Optional[float]:
+    """The smallest time(fewer nodes) / time(more nodes) at any one rate."""
+    times = _figure1_times(result)
+    ratios = []
+    for rate in {rate for _, rate in times}:
+        column = [times[key] for key in sorted(key for key in times if key[1] == rate)]
+        ratios += [earlier / later for earlier, later in zip(column, column[1:])]
+    return min(ratios, default=None)
+
+
+def _saturated_time_falls(result: ScenarioResult) -> Optional[float]:
+    times = _figure1_times(result)
+    if not all((nodes, 100_000) in times for nodes in (1, 2, 4)):
+        return None
+    return min(times[1, 100_000] / times[2, 100_000], times[2, 100_000] / times[4, 100_000])
+
+
+def _low_rate_error(result: ScenarioResult) -> Optional[float]:
+    """The largest relative distance from ``requests / rate`` at 20k req/s."""
+    nominal = _injection_time_us(result, 20_000)
+    errors = [abs(time / nominal - 1) for (_, rate), time in _figure1_times(result).items()
+              if rate == 20_000]
+    return max(errors, default=None)
+
+
+def _single_node_share(result: ScenarioResult) -> Optional[float]:
+    rates = _points(result, "achieved_rate", "nodes", "offered_rate")
+    return rates[1, 100_000] / 100_000 if (1, 100_000) in rates else None
+
+
+def _sixteen_nodes_slowdown(result: ScenarioResult) -> Optional[float]:
+    times = _figure1_times(result)
+    if (16, 100_000) not in times:
+        return None
+    return times[16, 100_000] / _injection_time_us(result, 100_000)
+
+
 _preset(
     "figure1",
     "Execution time of a fixed lookup count vs offered rate and cluster size",
@@ -178,6 +255,23 @@ _preset(
     _figure1_metrics,
     node_keys=NODE_KEYS,
     workload_keys=frozenset({"requests", "rates", "node_counts", "chunk_size"}),
+    claims=(
+        _claim("more_nodes_never_slower",
+               "at every rate, each larger cluster takes <= 1/0.95 of the time of the next smaller",
+               _more_nodes_never_slower, lambda ratio: ratio >= 0.95),
+        _claim("saturated_time_falls",
+               "at 100k req/s, 1 node is slower than 2 and 2 slower than 4",
+               _saturated_time_falls, lambda ratio: ratio > 1),
+        _claim("low_rate_injection_limited",
+               "at 20k req/s every cluster finishes within 60% of requests/rate",
+               _low_rate_error, lambda error: error <= 0.6),
+        _claim("single_node_saturates",
+               "one node achieves < 0.6 of the offered 100k req/s",
+               _single_node_share, lambda share: share < 0.6),
+        _claim("sixteen_nodes_keep_up",
+               "16 nodes at 100k req/s finish within 1.5x requests/rate",
+               _sixteen_nodes_slowdown, lambda slowdown: slowdown <= 1.5),
+    ),
 )
 
 
@@ -198,6 +292,30 @@ def _figure5_metrics(result: figure5.Figure5Result) -> Dict[str, Any]:
     }
 
 
+def _batching_gain(result: ScenarioResult) -> Optional[float]:
+    """The smallest throughput(batch 128 or 2048) / throughput(batch 1) at any size."""
+    throughput = _points(result, "throughput", "nodes", "batch_size")
+    gains = [value / throughput[nodes, 1] for (nodes, batch), value in throughput.items()
+             if batch in (128, 2048) and (nodes, 1) in throughput]
+    return min(gains, default=None)
+
+
+def _node_scaling(result: ScenarioResult) -> Optional[float]:
+    """The smallest throughput(4 nodes) / throughput(1 node) at batch 128 or 2048."""
+    throughput = _points(result, "throughput", "nodes", "batch_size")
+    gains = [throughput[4, batch] / throughput[1, batch] for batch in (128, 2048)
+             if (1, batch) in throughput and (4, batch) in throughput]
+    return min(gains, default=None)
+
+
+def _large_batch_ratio(result: ScenarioResult) -> Optional[float]:
+    """throughput(2048) / throughput(128) at 3 or 4 nodes, the one farthest from 1."""
+    throughput = _points(result, "throughput", "nodes", "batch_size")
+    ratios = [throughput[nodes, 2048] / throughput[nodes, 128] for nodes in (3, 4)
+              if (nodes, 128) in throughput and (nodes, 2048) in throughput]
+    return max(ratios, key=lambda ratio: abs(math.log(ratio)), default=None)
+
+
 _preset(
     "figure5",
     "Cluster throughput vs number of servers and batch size (full simulated stack)",
@@ -206,6 +324,17 @@ _preset(
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX | {"node_counts", "batch_sizes"},
     client_keys=frozenset({"num_clients", "num_web_servers", "window"}),
+    claims=(
+        _claim("batching_gain",
+               "batches of 128 and of 2048 each beat batch 1 by > 8x at every cluster size",
+               _batching_gain, lambda gain: gain > 8),
+        _claim("node_scaling",
+               "4 nodes beat 1 node by > 1.8x at batch 128 and at batch 2048",
+               _node_scaling, lambda gain: gain > 1.8),
+        _claim("large_batches_alike",
+               "at 3 and 4 nodes, batch 2048 is within 2x of batch 128",
+               _large_batch_ratio, lambda ratio: 0.5 < ratio < 2.0),
+    ),
 )
 
 
@@ -228,6 +357,14 @@ _preset(
     cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX,
+    claims=(
+        _claim("even_shares", "each of the N nodes holds 1/N of the entries, +- 3 points",
+               _metric("max_deviation_from_even"), lambda deviation: deviation < 0.03),
+        _claim("storage_variation", "per-node entry counts vary by a coefficient < 0.05",
+               _metric("coefficient_of_variation"), lambda variation: variation < 0.05),
+        _claim("lookup_balance", "the busiest node serves < 1.15x the mean lookups",
+               _metric("lookup_max_over_mean"), lambda peak: peak < 1.15),
+    ),
 )
 
 
@@ -239,6 +376,7 @@ def _table1_metrics(result: table1.Table1Result) -> Dict[str, Any]:
             {
                 "workload": row.workload,
                 "fingerprints": row.measured.fingerprints,
+                "target_fingerprints": row.target_fingerprints,
                 "target_redundancy": row.target_redundancy,
                 "measured_redundancy": row.measured.redundancy,
                 "target_distance": row.target_distance,
@@ -250,12 +388,41 @@ def _table1_metrics(result: table1.Table1Result) -> Dict[str, Any]:
     }
 
 
+_TABLE_I_WORKLOADS = ["home-dir", "mail-server", "time-machine", "web-server"]
+
+
+def _table1_workloads(result: ScenarioResult) -> Optional[List[str]]:
+    if "profiles" in result.spec.workload:
+        return None
+    return sorted(row["workload"] for row in result.metrics["rows"])
+
+
+def _distance_error(row: Dict[str, Any]) -> float:
+    target = row["target_distance"]
+    return abs(row["measured_distance"] - target) / target if target else 0.0
+
+
 _preset(
     "table1",
     "Workload characteristics: published targets vs generated traces",
     "table1.run_table1",
     _table1_metrics,
     workload_keys=_TABLE_I_MIX,
+    claims=(
+        _claim("four_workloads", "the run generates Table I's four workloads",
+               _table1_workloads, lambda workloads: workloads == _TABLE_I_WORKLOADS),
+        _claim("exact_counts", "every trace has exactly its target fingerprint count",
+               lambda result: max(abs(row["fingerprints"] - row["target_fingerprints"])
+                                  for row in result.metrics["rows"]),
+               lambda miss: miss == 0),
+        _claim("redundancy", "every trace's redundancy is within 2 points of its target",
+               lambda result: max(row["redundancy_error"] for row in result.metrics["rows"]),
+               lambda error: error < 0.02),
+        _claim("duplicate_distance",
+               "every trace's mean duplicate distance is within 30% of its target",
+               lambda result: max(map(_distance_error, result.metrics["rows"])),
+               lambda error: error < 0.30),
+    ),
 )
 
 
@@ -291,6 +458,15 @@ def _generational_metrics(result: generational.GenerationalResult) -> Dict[str, 
     }
 
 
+def _later_generations(result: ScenarioResult, key: str) -> Optional[float]:
+    """The smallest ``key`` over every generation after the first."""
+    return min((row[key] for row in result.metrics["rows"][1:]), default=None)
+
+
+def _dedup_ratio_per_generation(result: ScenarioResult) -> float:
+    return result.metrics["final_dedup_ratio"] / len(result.metrics["rows"])
+
+
 _preset(
     "generational",
     "Repeated full backups: per-generation redundancy, cache hits, dedup ratio",
@@ -300,6 +476,18 @@ _preset(
     node_keys=frozenset({"ram_cache_entries"}),
     workload_keys=frozenset(
         {"initial_chunks", "generations", "modify_fraction", "growth_fraction", "chunk_size"}
+    ),
+    claims=(
+        _claim("cold_first_generation", "nothing in the first full backup is redundant",
+               lambda result: result.metrics["rows"][0]["redundancy"], lambda share: share == 0),
+        _claim("later_generations_redundant", "every later generation is > 90% redundant",
+               lambda result: _later_generations(result, "redundancy"), lambda share: share > 0.9),
+        _claim("ram_absorbs_duplicates", "the RAM tier answers > 50% of every later generation",
+               lambda result: _later_generations(result, "ram_hit_ratio"),
+               lambda share: share > 0.5),
+        _claim("dedup_ratio", "the final dedup ratio exceeds 9/14 of the generation count "
+               "(4.5 at 7 generations)",
+               _dedup_ratio_per_generation, lambda ratio: ratio > 9 / 14),
     ),
 )
 
@@ -320,12 +508,37 @@ def _tier_ablation_metrics(result: ablations.TierAblationResult) -> Dict[str, An
     }
 
 
+def _latency_ratio(numerator: str, denominator: str) -> Callable[[ScenarioResult], Any]:
+    """mean latency(``numerator``) / mean latency(``denominator``), over design names."""
+
+    def observe(result: ScenarioResult) -> float:
+        latency = {row["design"]: row["mean_latency_us"] for row in result.metrics["rows"]}
+        return latency[numerator] / latency[denominator]
+
+    return observe
+
+
 _run_tier_ablation = _preset(
     "tier_ablation",
     "Index designs (disk, DDFS, ChunkStash, hybrid, RAM) head to head",
     "ablations.run_tier_ablation",
     _tier_ablation_metrics,
     workload_keys=frozenset({"scale", "profile"}),
+    claims=(
+        _claim("hybrid_beats_disk", "the hybrid node's mean latency is < 1/10 of the disk index's",
+               _latency_ratio("shhc-hybrid", "disk-index"), lambda ratio: ratio < 0.1),
+        _claim("hybrid_beats_ddfs", "the hybrid node is faster than DDFS",
+               _latency_ratio("shhc-hybrid", "ddfs"), lambda ratio: ratio < 1),
+        _claim("ddfs_beats_disk", "DDFS is faster than the disk index",
+               _latency_ratio("ddfs", "disk-index"), lambda ratio: ratio < 1),
+        _claim("hybrid_near_chunkstash", "the hybrid node is within 2x of ChunkStash",
+               _latency_ratio("shhc-hybrid", "chunkstash"), lambda ratio: ratio < 2),
+        _claim("ram_bounds_hybrid", "the RAM-only index is no slower than the hybrid node",
+               _latency_ratio("ram-only", "shhc-hybrid"), lambda ratio: ratio <= 1),
+        _claim("same_verdicts", "every design finds the same number of duplicates",
+               lambda result: len({row["duplicates"] for row in result.metrics["rows"]}),
+               lambda distinct: distinct == 1),
+    ),
 )
 
 
@@ -345,6 +558,16 @@ def _batch_tradeoff_metrics(result: ablations.BatchTradeoffResult) -> Dict[str, 
     }
 
 
+def _largest_over_smallest_batch(key: str) -> Callable[[ScenarioResult], Any]:
+    """``key`` at the last batch size over ``key`` at the first (n/a below two sizes)."""
+
+    def observe(result: ScenarioResult) -> Optional[float]:
+        points = result.metrics["points"]
+        return points[-1][key] / points[0][key] if len(points) > 1 else None
+
+    return observe
+
+
 _run_batch_tradeoff = _preset(
     "batch_tradeoff",
     "Throughput vs per-request latency as the query batch size grows",
@@ -353,6 +576,16 @@ _run_batch_tradeoff = _preset(
     cluster_keys=frozenset({"num_nodes"}),
     workload_keys=frozenset({"scale", "batch_sizes"}),
     client_keys=frozenset({"num_clients"}),
+    claims=(
+        _claim("throughput_rises", "the largest batch has > 10x the throughput of the smallest",
+               _largest_over_smallest_batch("throughput"), lambda gain: gain > 10),
+        _claim("request_latency_rises", "a request of the largest batch waits longer",
+               _largest_over_smallest_batch("mean_request_latency_ms"),
+               lambda ratio: ratio > 1),
+        _claim("chunk_latency_falls", "each chunk of the largest batch costs less time",
+               _largest_over_smallest_batch("mean_per_chunk_latency_us"),
+               lambda ratio: ratio < 1),
+    ),
 )
 
 
@@ -376,6 +609,20 @@ _run_scaling_ablation = _preset(
     _scaling_ablation_metrics,
     cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
     workload_keys=frozenset({"scale", "profile"}),
+    claims=(
+        _claim("consistent_moves_less",
+               "a join moves fewer entries under consistent hashing than under ranges",
+               lambda result: (result.metrics["moved_fraction_consistent"]
+                               / result.metrics["moved_fraction_range"]),
+               lambda ratio: ratio < 1),
+        _claim("consistent_moves_little", "a join moves < 45% of entries under consistent hashing",
+               _metric("moved_fraction_consistent"), lambda moved: moved < 0.45),
+        _claim("replication_doubles_entries", "replication factor 2 stores 1.9-2.1x the entries",
+               _metric("replication_entry_overhead"), lambda overhead: 1.9 < overhead < 2.1),
+        _claim("replication_keeps_lookup_cost",
+               "replication factor 2 costs 1.0-1.5x the lookup latency",
+               _metric("replication_latency_overhead"), lambda overhead: 1.0 <= overhead < 1.5),
+    ),
 )
 
 
@@ -412,6 +659,29 @@ register_preset(
 
 
 # ----------------------------------------------------- the disruption experiments
+#: The disruption runners' own default replication factor (each of
+#: ``run_failover``, ``run_elasticity``, ``run_failover_timed``,
+#: ``run_churn_timed`` says ``replication_factor: int = 2``); a claim reads
+#: it for a spec that leaves the key out.
+DISRUPTION_REPLICATION_FACTOR = 2
+
+
+def _false_verdicts(result: ScenarioResult) -> Optional[int]:
+    """False uniques + false duplicates; n/a below replication factor 2."""
+    factor = result.spec.cluster.get("replication_factor", DISRUPTION_REPLICATION_FACTOR)
+    if factor < 2:
+        return None
+    return result.metrics["false_uniques"] + result.metrics["false_duplicates"]
+
+
+#: The claim every replicated disruption run must keep.
+_NO_FALSE_VERDICTS = _claim(
+    "no_false_verdicts",
+    "at replication factor >= 2, no duplicate is reported new and no new one duplicate",
+    _false_verdicts, lambda wrong: wrong == 0,
+)
+
+
 def _audit_metrics(result: Any) -> Dict[str, Any]:
     """The oracle audit every disrupted replay carries."""
     return {
@@ -466,6 +736,7 @@ _preset(
     workload_keys=_TABLE_I_MIX,
     client_keys=frozenset({"batch_size", "repair_on_recovery"}),
     accepts_faults=True,
+    claims=(_NO_FALSE_VERDICTS,),
 )
 
 
@@ -498,6 +769,7 @@ _preset(
     workload_keys=_TABLE_I_MIX,
     client_keys=frozenset({"batch_size"}),
     accepts_churn=True,
+    claims=(_NO_FALSE_VERDICTS,),
 )
 
 
@@ -534,6 +806,7 @@ _preset(
     workload_keys=_TABLE_I_MIX,
     client_keys=frozenset({"batch_size", "offered_load"}),
     accepts_faults=True,
+    claims=(_NO_FALSE_VERDICTS,),
 )
 
 _preset(
@@ -546,6 +819,7 @@ _preset(
     workload_keys=_TABLE_I_MIX,
     client_keys=frozenset({"batch_size", "offered_load"}),
     accepts_churn=True,
+    claims=(_NO_FALSE_VERDICTS,),
 )
 
 
@@ -599,6 +873,10 @@ _preset(
             "snapshot_every",
             "fsync",
         }
+    ),
+    claims=(
+        _claim("no_lost_acknowledged", "no acknowledged fingerprint is lost across the restart",
+               _metric("lost_acknowledged"), lambda lost: lost == 0),
     ),
 )
 

@@ -30,18 +30,43 @@ Preset-specific extras (e.g. ``points`` for a figure's sweep series, or
 ``moved_fraction_consistent`` for the scaling ablation) ride along under
 their own names; consumers that only understand the common schema can
 ignore them.
+
+Claims
+------
+A preset states the paper's findings it reproduces as :class:`Claim`
+tuples ``(id, description, predicate)``.  A predicate reads a finished
+result -- its ``spec`` and ``metrics`` -- and answers ``(verdict,
+observed)``: :data:`HOLDS`, :data:`FAILS`, or :data:`NOT_APPLICABLE` when
+the run lacks what the claim compares.  :func:`~repro.scenarios.run_scenario`
+records every verdict in :attr:`ScenarioResult.claims`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..analysis.reporting import format_table
 from .spec import ScenarioSpec, SweepGrid
 
-__all__ = ["ScenarioResult", "SweepRun", "SweepResult"]
+__all__ = ["Claim", "HOLDS", "FAILS", "NOT_APPLICABLE", "ScenarioResult", "SweepRun",
+           "SweepResult"]
+
+HOLDS, FAILS, NOT_APPLICABLE = "holds", "fails", "n/a"
+
+
+class Claim(NamedTuple):
+    """One finding of the paper, checked on every run of its preset."""
+
+    id: str
+    description: str
+    #: ``ScenarioResult -> (verdict, observed)``.
+    predicate: Callable[["ScenarioResult"], Tuple[str, Any]]
+
+    def check(self, result: "ScenarioResult") -> Dict[str, Any]:
+        verdict, observed = self.predicate(result)
+        return {"verdict": verdict, "observed": observed, "description": self.description}
 
 
 def _clean_metrics(metrics: Dict[str, Any]) -> Dict[str, Any]:
@@ -58,6 +83,9 @@ class ScenarioResult:
     #: The preset's native result object (``Figure5Result``,
     #: ``FailoverResult``, ...); owns the paper-formatted rendering.
     detail: Any = None
+    #: Claim id -> ``{"verdict", "observed", "description"}``, in the
+    #: preset's order; filled in by ``run_scenario``.
+    claims: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.metrics = _clean_metrics(self.metrics)
@@ -77,8 +105,19 @@ class ScenarioResult:
         )
         return format_table(["metric", "value"], rows, title=f"Scenario: {self.preset}")
 
+    def claim_lines(self) -> List[str]:
+        """One line per claim: id, verdict, observed value, description."""
+        lines = []
+        for claim_id, claim in self.claims.items():
+            observed = claim["observed"]
+            if isinstance(observed, float):
+                observed = f"{observed:.4g}"
+            shown = "" if observed is None else f" (observed {observed})"
+            lines.append(f"claim {claim_id}: {claim['verdict']}{shown} -- {claim['description']}")
+        return lines
+
     def to_dict(self) -> Dict[str, Any]:
-        return {"spec": self.spec.to_dict(), "metrics": self.metrics}
+        return {"spec": self.spec.to_dict(), "metrics": self.metrics, "claims": self.claims}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
