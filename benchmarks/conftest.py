@@ -1,21 +1,18 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the wall-clock hot-path benchmark.
 
-Every benchmark regenerates one of the paper's tables or figures via the
-runners in :mod:`repro.analysis.experiments`, records the headline metric
-with pytest-benchmark, prints the rendered table (the same rows/series the
-paper reports) and writes it to ``benchmarks/results/`` so EXPERIMENTS.md can
-be refreshed from the files.
+The paper's figures and tables are not benchmarked here: each preset
+states the findings it reproduces as named claims, checked on every run
+(``repro run figure5`` prints them; ``tests/test_paper_claims.py`` holds
+them in tier-1).
 
 Scale knob
 ----------
-The full-size experiments (100 000 requests, the complete 42-million
-fingerprint mix) are unnecessarily slow for a regression run, so benchmarks
-default to a reduced size that preserves every trend.  Set the environment
-variable ``REPRO_BENCH_SCALE`` to scale them up or down, e.g.::
+Set the environment variable ``REPRO_BENCH_SCALE`` to scale the hot-path
+workloads up or down, e.g.::
 
-    REPRO_BENCH_SCALE=5 pytest benchmarks/ --benchmark-only
+    REPRO_BENCH_SCALE=5 pytest benchmarks/
 
-runs everything at 5x the default size (1.0 is the default).
+runs them at 5x the default size (1.0 is the default).
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ import os
 from pathlib import Path
 
 import pytest
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def bench_scale() -> float:
@@ -37,18 +32,12 @@ def bench_scale() -> float:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
 def scale() -> float:
     return bench_scale()
 
 
 def record_result(results_dir: Path, name: str, rendered: str) -> None:
-    """Print a rendered experiment table and persist it under results/."""
+    """Print a rendered table and persist it as ``results_dir/<name>.txt``."""
     print()
     print(rendered)
     (results_dir / f"{name}.txt").write_text(rendered + "\n", encoding="utf-8")

@@ -67,12 +67,6 @@ class TierAblationRow:
 class TierAblationResult:
     rows: List[TierAblationRow] = field(default_factory=list)
 
-    def row(self, design: str) -> TierAblationRow:
-        for row in self.rows:
-            if row.design == design:
-                return row
-        raise KeyError(f"no row for design {design!r}")
-
     def render(self) -> str:
         return format_table(
             ["design", "lookups", "duplicates", "mean latency (us)"],

@@ -59,12 +59,6 @@ class Figure5Result:
 
     points: List[Figure5Point] = field(default_factory=list)
 
-    def throughput(self, nodes: int, batch_size: int) -> float:
-        for point in self.points:
-            if point.nodes == nodes and point.batch_size == batch_size:
-                return point.throughput
-        raise KeyError(f"no measurement for nodes={nodes} batch={batch_size}")
-
     def series(self) -> Dict[int, List[Figure5Point]]:
         """Points grouped by batch size, ordered by cluster size."""
         grouped: Dict[int, List[Figure5Point]] = {}

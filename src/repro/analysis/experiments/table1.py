@@ -35,13 +35,6 @@ class Table1Row:
         """Absolute error in the redundancy fraction."""
         return abs(self.measured.redundancy - self.target_redundancy)
 
-    @property
-    def distance_relative_error(self) -> float:
-        """Relative error of the mean duplicate distance."""
-        if self.target_distance == 0:
-            return 0.0
-        return abs(self.measured.mean_duplicate_distance - self.target_distance) / self.target_distance
-
 
 @dataclass
 class Table1Result:
@@ -49,12 +42,6 @@ class Table1Result:
 
     scale: float
     rows: List[Table1Row] = field(default_factory=list)
-
-    def row(self, workload: str) -> Table1Row:
-        for row in self.rows:
-            if row.workload == workload:
-                return row
-        raise KeyError(f"no row for workload {workload!r}")
 
     def render(self) -> str:
         table_rows = []

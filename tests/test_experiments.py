@@ -1,26 +1,21 @@
 """Integration tests for the experiment runners (tiny-scale versions).
 
-Each test runs the same code path as the corresponding benchmark but at a
-fraction of the size, and asserts the qualitative findings the paper reports
-(the "shape" of every figure/table) rather than absolute numbers.
+What the paper reports -- the shape of every figure and table -- is stated
+once, as the presets' named claims (``tests/test_paper_claims.py``); the
+tests here check what a runner does besides: every configuration measured,
+rendering, argument validation, and comparisons across two runs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import (
-    run_batch_tradeoff,
-    run_figure1,
-    run_figure5,
-    run_figure6,
-    run_generational_backup,
-    run_scaling_ablation,
-    run_table1,
-    run_tier_ablation,
-)
+from repro.analysis.experiments.figure1 import run_figure1
+from repro.analysis.experiments.figure5 import run_figure5
+from repro.analysis.experiments.figure6 import run_figure6
+from repro.analysis.experiments.generational import run_generational_backup
+from repro.analysis.experiments.table1 import run_table1
 from repro.workloads.generations import GenerationConfig
-from repro.workloads.profiles import HOME_DIR, MAIL_SERVER
 
 
 class TestFigure1:
@@ -31,22 +26,6 @@ class TestFigure1:
     def test_every_configuration_measured(self, result):
         assert len(result.points) == 6
         assert all(point.execution_time > 0 for point in result.points)
-
-    def test_execution_time_decreases_with_cluster_size(self, result):
-        # At the saturating rate (100k req/s) more nodes must finish sooner.
-        times = {point.nodes: point.execution_time for point in result.points if point.offered_rate == 100_000}
-        assert times[1] > times[2] > times[4]
-
-    def test_low_rate_is_injection_limited(self, result):
-        # At 20k req/s even a single node keeps up, so execution time is
-        # roughly requests/rate for every cluster size.
-        times = [point.execution_time for point in result.points if point.offered_rate == 20_000]
-        nominal = 2_000 / 20_000
-        assert all(t == pytest.approx(nominal, rel=0.6) for t in times)
-
-    def test_single_node_saturates(self, result):
-        saturated = next(p for p in result.points if p.nodes == 1 and p.offered_rate == 100_000)
-        assert saturated.achieved_rate < 100_000 * 0.6
 
     def test_render_mentions_every_cluster_size(self, result):
         text = result.render()
@@ -62,12 +41,6 @@ class TestFigure5:
     @pytest.fixture(scope="class")
     def result(self):
         return run_figure5(node_counts=(1, 4), batch_sizes=(1, 128), scale=0.0002)
-
-    def test_batching_gives_order_of_magnitude(self, result):
-        assert result.throughput(4, 128) > result.throughput(4, 1) * 8
-
-    def test_throughput_scales_with_nodes_for_batched_requests(self, result):
-        assert result.throughput(4, 128) > result.throughput(1, 128) * 1.5
 
     def test_all_fingerprints_processed(self, result):
         counts = {point.fingerprints for point in result.points}
@@ -87,19 +60,6 @@ class TestFigure6:
     def result(self):
         return run_figure6(num_nodes=4, scale=0.002)
 
-    def test_four_nodes_hold_roughly_a_quarter_each(self, result):
-        fractions = result.fractions()
-        assert len(fractions) == 4
-        for share in fractions.values():
-            assert share == pytest.approx(0.25, abs=0.03)
-
-    def test_balance_statistics(self, result):
-        assert result.max_deviation_from_even() < 0.03
-        assert result.storage_report.coefficient_of_variation < 0.1
-
-    def test_lookup_load_also_balanced(self, result):
-        assert result.lookup_report.max_over_mean < 1.2
-
     def test_render(self, result):
         text = result.render()
         assert "Figure 6" in text and "%" in text
@@ -110,22 +70,6 @@ class TestTable1:
     def result(self):
         return run_table1(scale=0.003)
 
-    def test_all_four_workloads_present(self, result):
-        assert {row.workload for row in result.rows} == {
-            "web-server",
-            "home-dir",
-            "mail-server",
-            "time-machine",
-        }
-
-    def test_redundancy_within_two_points(self, result):
-        for row in result.rows:
-            assert row.redundancy_error < 0.02
-
-    def test_duplicate_distance_within_tolerance(self, result):
-        for row in result.rows:
-            assert row.distance_relative_error < 0.3
-
     def test_render(self, result):
         assert "Table I" in result.render()
 
@@ -135,48 +79,6 @@ class TestTable1:
 
 
 class TestAblations:
-    def test_tier_ablation_ordering(self):
-        result = run_tier_ablation(profile=MAIL_SERVER, scale=0.0005)
-        disk = result.row("disk-index").mean_latency
-        ddfs = result.row("ddfs").mean_latency
-        hybrid = result.row("shhc-hybrid").mean_latency
-        ram = result.row("ram-only").mean_latency
-        # The paper's motivation: hybrid RAM+SSD beats disk-based designs.
-        assert hybrid < ddfs < disk
-        assert ram <= hybrid
-        assert "Ablation A" in result.render()
-
-    def test_tier_ablation_same_verdicts_for_all_designs(self):
-        result = run_tier_ablation(profile=MAIL_SERVER, scale=0.0005)
-        duplicates = {row.duplicates for row in result.rows}
-        assert len(duplicates) == 1
-
-    def test_batch_tradeoff_throughput_rises_latency_rises(self):
-        result = run_batch_tradeoff(batch_sizes=(1, 128), scale=0.0002)
-        small, large = result.points[0], result.points[-1]
-        assert large.throughput > small.throughput * 5
-        assert large.mean_request_latency > small.mean_request_latency
-        assert large.mean_per_chunk_latency < small.mean_per_chunk_latency
-        assert "Ablation B" in result.render()
-
-    def test_scaling_ablation_consistent_hashing_moves_less(self):
-        result = run_scaling_ablation(profile=HOME_DIR, scale=0.004)
-        assert result.moved_fraction_consistent < result.moved_fraction_range
-        assert result.replication_entry_overhead == pytest.approx(2.0, rel=0.05)
-        assert result.replication_latency_overhead >= 1.0
-        assert "Ablation C" in result.render()
-
-    def test_generational_backup_redundancy_and_dedup_ratio(self):
-        config = GenerationConfig(
-            initial_chunks=2_000, generations=5, modify_fraction=0.05, growth_fraction=0.01
-        )
-        result = run_generational_backup(config=config, num_nodes=4)
-        assert len(result.rows) == 5
-        assert result.rows[0].redundancy == 0.0
-        assert all(row.redundancy > 0.85 for row in result.rows[1:])
-        assert result.final_dedup_ratio() > 3.0
-        assert "Ablation D" in result.render()
-
     def test_generational_backup_small_cache_shifts_hits_to_ssd(self):
         config = GenerationConfig(
             initial_chunks=2_000, generations=3, modify_fraction=0.02, growth_fraction=0.0

@@ -7,7 +7,7 @@ import inspect
 import pytest
 from oracles.set_model import set_verdicts
 
-from repro.analysis.experiments import run_failover
+from repro.analysis.experiments.failover import run_failover
 from repro.cli import main as cli_main
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig

@@ -26,7 +26,7 @@ FOREIGN_PACKAGES = ("scenarios", "analysis", "frontend", "network", "workloads",
 FOREIGN_MODULES = ("repro.core.cluster", "repro.dedup.archive")
 
 LAZY_ROOTS = ("repro", "repro.core", "repro.storage", "repro.dedup",
-              "repro.simulation", "repro.serving", "repro.analysis.experiments")
+              "repro.simulation", "repro.serving")
 
 #: No entry point below loads the live service's event loop, the sweep's
 #: process pool or shared-memory support: none of them runs any of it.

@@ -357,20 +357,17 @@ class TestScenarioCli:
 
 # ------------------------------------------------------- analysis.experiments names
 class TestDeprecationShims:
-    """``analysis.experiments.run_*`` are the module functions the presets call."""
-
-    def test_shim_warns_and_matches_preset(self):
-        from repro.analysis.experiments import run_figure6
-
-        legacy = run_figure6(scale=0.002)
-        assert legacy.render() == run_scenario("figure6", scale=0.002).render()
+    """The experiment modules' ``run_*`` functions are what the presets call."""
 
     def test_shim_falls_back_for_rich_arguments(self):
-        from repro.analysis.experiments import run_tier_ablation
+        # A profile object, which a declarative spec names instead, goes to
+        # the experiment module's own function.
+        from repro.analysis.experiments.ablations import run_tier_ablation
         from repro.workloads.profiles import MAIL_SERVER
 
         result = run_tier_ablation(profile=MAIL_SERVER, scale=0.0005)
-        assert result.row("shhc-hybrid").lookups > 0
+        hybrid = next(row for row in result.rows if row.design == "shhc-hybrid")
+        assert hybrid.lookups > 0
 
     def test_get_preset_descriptions(self):
         for name in EXPECTED_PRESETS:

@@ -5,8 +5,8 @@ code as it stood *before* the refactor that added them (the paper
 figures before the scenario API, the disruption experiments before their
 five replay loops became one driver).  Each test asserts that the preset
 -- driven purely through a declarative spec -- renders the byte-identical
-table; the ``run_*`` module functions and their package re-exports are
-checked against the same goldens, so preset and module provably agree.
+table; the ``run_*`` module functions are checked against the same
+goldens, so preset and module provably agree.
 """
 
 from __future__ import annotations
@@ -83,14 +83,6 @@ def test_legacy_module_functions_match_the_same_goldens():
         ablations.run_tier_ablation(scale=0.0005).render() + "\n"
         == golden_text("tier_ablation")
     )
-
-
-def test_package_reexports_match_the_same_goldens():
-    """The names re-exported by analysis.experiments render the same goldens."""
-    from repro.analysis.experiments import run_figure6, run_scaling_ablation
-
-    assert run_figure6(num_nodes=4, scale=0.002).render() + "\n" == golden_text("figure6")
-    assert run_scaling_ablation(scale=0.004).render() + "\n" == golden_text("scaling_ablation")
 
 
 @pytest.mark.parametrize("leg", sorted(PINNED_VIRTUAL_FPS[1]), ids=lambda leg: f"b{leg[0]}")
