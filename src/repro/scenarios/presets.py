@@ -202,50 +202,38 @@ def _figure1_metrics(result: figure1.Figure1Result) -> Dict[str, Any]:
     }
 
 
-def _figure1_times(result: ScenarioResult) -> Dict[Any, Any]:
+def _figure1_times(result: ScenarioResult) -> Dict[Any, float]:
     return _points(result, "execution_time_us", "nodes", "offered_rate")
 
 
-def _injection_time_us(result: ScenarioResult, rate: float) -> float:
-    """The time an unsaturated cluster needs: ``requests / rate``."""
-    return result.metrics["fingerprints"] / rate * 1e6
-
-
 def _more_nodes_never_slower(result: ScenarioResult) -> Optional[float]:
-    """The smallest time(fewer nodes) / time(more nodes) at any one rate."""
+    """The smallest time(fewer nodes) / time(next more nodes) at any one rate."""
     times = _figure1_times(result)
-    ratios = []
-    for rate in {rate for _, rate in times}:
-        column = [times[key] for key in sorted(key for key in times if key[1] == rate)]
-        ratios += [earlier / later for earlier, later in zip(column, column[1:])]
-    return min(ratios, default=None)
+    cells = sorted(times, key=lambda cell: cell[::-1])  # by rate, then nodes
+    return min((times[fewer] / times[more] for fewer, more in zip(cells, cells[1:])
+                if fewer[1] == more[1]), default=None)
 
 
 def _saturated_time_falls(result: ScenarioResult) -> Optional[float]:
-    times = _figure1_times(result)
-    if not all((nodes, 100_000) in times for nodes in (1, 2, 4)):
-        return None
-    return min(times[1, 100_000] / times[2, 100_000], times[2, 100_000] / times[4, 100_000])
+    times = [_figure1_times(result).get((nodes, 100_000)) for nodes in (1, 2, 4)]
+    return None if None in times else min(times[0] / times[1], times[1] / times[2])
 
 
-def _low_rate_error(result: ScenarioResult) -> Optional[float]:
-    """The largest relative distance from ``requests / rate`` at 20k req/s."""
-    nominal = _injection_time_us(result, 20_000)
-    errors = [abs(time / nominal - 1) for (_, rate), time in _figure1_times(result).items()
-              if rate == 20_000]
-    return max(errors, default=None)
+def _injection_limited(rate: float, nodes: Optional[int] = None) -> Callable[..., Any]:
+    """time / (requests / rate) at ``rate`` for ``nodes`` (or any size): the farthest from 1."""
+
+    def observe(result: ScenarioResult) -> Optional[float]:
+        nominal = result.metrics["fingerprints"] / rate * 1e6
+        return max((time / nominal for (size, at), time in _figure1_times(result).items()
+                    if at == rate and nodes in (None, size)),
+                   key=lambda ratio: abs(ratio - 1), default=None)
+
+    return observe
 
 
 def _single_node_share(result: ScenarioResult) -> Optional[float]:
-    rates = _points(result, "achieved_rate", "nodes", "offered_rate")
-    return rates[1, 100_000] / 100_000 if (1, 100_000) in rates else None
-
-
-def _sixteen_nodes_slowdown(result: ScenarioResult) -> Optional[float]:
-    times = _figure1_times(result)
-    if (16, 100_000) not in times:
-        return None
-    return times[16, 100_000] / _injection_time_us(result, 100_000)
+    achieved = _points(result, "achieved_rate", "nodes", "offered_rate").get((1, 100_000))
+    return None if achieved is None else achieved / 100_000
 
 
 _preset(
@@ -263,14 +251,12 @@ _preset(
                "at 100k req/s, 1 node is slower than 2 and 2 slower than 4",
                _saturated_time_falls, lambda ratio: ratio > 1),
         _claim("low_rate_injection_limited",
-               "at 20k req/s every cluster finishes within 60% of requests/rate",
-               _low_rate_error, lambda error: error <= 0.6),
-        _claim("single_node_saturates",
-               "one node achieves < 0.6 of the offered 100k req/s",
+               "at 20k req/s every cluster finishes within 1 +- 0.6 of requests/rate",
+               _injection_limited(20_000), lambda ratio: abs(ratio - 1) <= 0.6),
+        _claim("single_node_saturates", "one node achieves < 0.6 of the offered 100k req/s",
                _single_node_share, lambda share: share < 0.6),
-        _claim("sixteen_nodes_keep_up",
-               "16 nodes at 100k req/s finish within 1.5x requests/rate",
-               _sixteen_nodes_slowdown, lambda slowdown: slowdown <= 1.5),
+        _claim("sixteen_nodes_keep_up", "16 nodes at 100k req/s finish within 1.5x requests/rate",
+               _injection_limited(100_000, nodes=16), lambda ratio: ratio <= 1.5),
     ),
 )
 
