@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 
 from ..core.config import HashNodeConfig
 from ..workloads.mixer import table_i_mix
-from ..workloads.profiles import WorkloadProfile, profile_by_name
+from ..workloads.profiles import TABLE_I_PROFILES, WorkloadProfile, profile_by_name
 from .engine import Preset, register_preset
 from .result import FAILS, HOLDS, NOT_APPLICABLE, Claim, ScenarioResult
 from .spec import NODE_KEYS, ScenarioSpec, SpecError
@@ -374,13 +374,14 @@ def _table1_metrics(result: table1.Table1Result) -> Dict[str, Any]:
     }
 
 
-_TABLE_I_WORKLOADS = ["home-dir", "mail-server", "time-machine", "web-server"]
-
-
 def _table1_workloads(result: ScenarioResult) -> Optional[List[str]]:
     if "profiles" in result.spec.workload:
         return None
     return sorted(row["workload"] for row in result.metrics["rows"])
+
+
+def _worst_row(error: Callable[[Dict[str, Any]], float]) -> Callable[[ScenarioResult], float]:
+    return lambda result: max(map(error, result.metrics["rows"]))
 
 
 def _distance_error(row: Dict[str, Any]) -> float:
@@ -396,18 +397,16 @@ _preset(
     workload_keys=_TABLE_I_MIX,
     claims=(
         _claim("four_workloads", "the run generates Table I's four workloads",
-               _table1_workloads, lambda workloads: workloads == _TABLE_I_WORKLOADS),
+               _table1_workloads,
+               lambda workloads: workloads == sorted(profile.name for profile in TABLE_I_PROFILES)),
         _claim("exact_counts", "every trace has exactly its target fingerprint count",
-               lambda result: max(abs(row["fingerprints"] - row["target_fingerprints"])
-                                  for row in result.metrics["rows"]),
+               _worst_row(lambda row: abs(row["fingerprints"] - row["target_fingerprints"])),
                lambda miss: miss == 0),
         _claim("redundancy", "every trace's redundancy is within 2 points of its target",
-               lambda result: max(row["redundancy_error"] for row in result.metrics["rows"]),
-               lambda error: error < 0.02),
+               _worst_row(lambda row: row["redundancy_error"]), lambda error: error < 0.02),
         _claim("duplicate_distance",
                "every trace's mean duplicate distance is within 30% of its target",
-               lambda result: max(map(_distance_error, result.metrics["rows"])),
-               lambda error: error < 0.30),
+               _worst_row(_distance_error), lambda error: error < 0.30),
     ),
 )
 
@@ -444,9 +443,9 @@ def _generational_metrics(result: generational.GenerationalResult) -> Dict[str, 
     }
 
 
-def _later_generations(result: ScenarioResult, key: str) -> Optional[float]:
+def _later_generations(key: str) -> Callable[[ScenarioResult], Optional[float]]:
     """The smallest ``key`` over every generation after the first."""
-    return min((row[key] for row in result.metrics["rows"][1:]), default=None)
+    return lambda result: min((row[key] for row in result.metrics["rows"][1:]), default=None)
 
 
 def _dedup_ratio_per_generation(result: ScenarioResult) -> float:
@@ -467,12 +466,10 @@ _preset(
         _claim("cold_first_generation", "nothing in the first full backup is redundant",
                lambda result: result.metrics["rows"][0]["redundancy"], lambda share: share == 0),
         _claim("later_generations_redundant", "every later generation is > 90% redundant",
-               lambda result: _later_generations(result, "redundancy"), lambda share: share > 0.9),
+               _later_generations("redundancy"), lambda share: share > 0.9),
         _claim("ram_absorbs_duplicates", "the RAM tier answers > 50% of every later generation",
-               lambda result: _later_generations(result, "ram_hit_ratio"),
-               lambda share: share > 0.5),
-        _claim("dedup_ratio", "the final dedup ratio exceeds 9/14 of the generation count "
-               "(4.5 at 7 generations)",
+               _later_generations("ram_hit_ratio"), lambda share: share > 0.5),
+        _claim("dedup_ratio", "final dedup ratio / generations > 9/14 (a ratio of 4.5 at 7)",
                _dedup_ratio_per_generation, lambda ratio: ratio > 9 / 14),
     ),
 )
