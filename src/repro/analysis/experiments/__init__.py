@@ -11,7 +11,8 @@ repro.analysis.experiments.figure5 import run_figure5``) when an argument
 is a rich object a declarative spec cannot carry (workload mixes, profile
 objects, explicit configs or schedules).
 
-Every runner returns a result object with a ``render()`` method producing
-the same table/series the paper reports.  This package imports nothing:
-a preset's first run imports only the experiment it runs.
+Every runner returns a result dataclass; its preset folds it into
+metrics, and the paper-formatted table is drawn from those metrics alone.
+This package imports nothing: a preset's first run imports only the
+experiment it runs.
 """

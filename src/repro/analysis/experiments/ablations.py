@@ -1,6 +1,6 @@
 """Ablation studies motivated by the paper's design discussion and future work.
 
-Three studies (see DESIGN.md, experiments "Ablation A/B/C"):
+Three studies (the tables "Ablation A/B/C"):
 
 * **Tier ablation** -- what the hybrid RAM+SSD node layout buys: mean lookup
   latency of the SHHC hybrid node vs a disk-index server, a DDFS-style
@@ -31,7 +31,6 @@ from ...dedup.index import ChunkIndex, InMemoryChunkIndex
 from ...workloads.mixer import table_i_mix
 from ...workloads.profiles import HOME_DIR, MAIL_SERVER, WorkloadProfile
 from ...workloads.traces import TraceGenerator
-from ..reporting import format_table
 from .figure5 import Figure5Point, _run_one_configuration
 from .replay import default_node_config
 
@@ -66,16 +65,6 @@ class TierAblationRow:
 @dataclass
 class TierAblationResult:
     rows: List[TierAblationRow] = field(default_factory=list)
-
-    def render(self) -> str:
-        return format_table(
-            ["design", "lookups", "duplicates", "mean latency (us)"],
-            [
-                [row.design, row.lookups, row.duplicates, round(row.mean_latency_us, 1)]
-                for row in self.rows
-            ],
-            title="Ablation A: index designs on the same workload",
-        )
 
 
 def _drive_index(name: str, index: ChunkIndex, fingerprints: Sequence) -> TierAblationRow:
@@ -137,21 +126,6 @@ class BatchTradeoffResult:
     nodes: int
     points: List[BatchTradeoffPoint] = field(default_factory=list)
 
-    def render(self) -> str:
-        return format_table(
-            ["batch", "chunk/s", "request latency (ms)", "per-chunk latency (us)"],
-            [
-                [
-                    point.batch_size,
-                    round(point.throughput),
-                    round(point.mean_request_latency * 1e3, 3),
-                    round(point.mean_per_chunk_latency * 1e6, 1),
-                ]
-                for point in self.points
-            ],
-            title=f"Ablation B: batch size trade-off ({self.nodes} nodes)",
-        )
-
 
 def run_batch_tradeoff(
     batch_sizes: Sequence[int] = (1, 8, 32, 128, 512, 2048),
@@ -203,26 +177,6 @@ class ScalingAblationResult:
     balance_after_consistent: float = 0.0
     replication_entry_overhead: float = 0.0
     replication_latency_overhead: float = 0.0
-
-    def render(self) -> str:
-        rows = [
-            ["range partitioner", f"{self.moved_fraction_range * 100:.1f}%", f"{self.balance_after_range:.3f}"],
-            [
-                "consistent hashing",
-                f"{self.moved_fraction_consistent * 100:.1f}%",
-                f"{self.balance_after_consistent:.3f}",
-            ],
-        ]
-        table = format_table(
-            ["partitioner", "entries moved on join", "post-join max/mean"],
-            rows,
-            title=f"Ablation C: scaling a 4-node cluster to 5 nodes ({self.fingerprints:,} fingerprints)",
-        )
-        extra = (
-            f"replication factor 2: {self.replication_entry_overhead:.2f}x stored entries, "
-            f"{self.replication_latency_overhead:.2f}x mean lookup cost"
-        )
-        return table + "\n" + extra
 
 
 def _loaded_cluster(num_nodes: int, fingerprints, virtual_nodes: int, replication: int = 1) -> SHHCCluster:

@@ -25,7 +25,7 @@ replication factor and churn rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
@@ -35,14 +35,12 @@ from ...dedup.fingerprint import Fingerprint
 from ...simulation.costmodel import CostModel
 from ...simulation.stats import LatencyTally
 from ...workloads.mixer import WorkloadMix
-from ..reporting import format_table
 from .elasticity import DEFAULT_CHURN_EVENTS
 from .replay import (
     DEGRADED_PHASE,
     MIGRATING_PHASE,
     MIN_NODES,
     STEADY_PHASE,
-    WARMUP_PHASE,
     Churn,
     Outages,
     ReplayAudit,
@@ -115,20 +113,6 @@ class TimedResult(ReplayAudit):
             return 1.0
         return taxed.p99 / steady.p99
 
-    def phase_rows(self, phase_names: Sequence[str]) -> List[list]:
-        """The rows a timed table ends with: per-phase latency, then counters."""
-        rows: List[list] = []
-        for name in phase_names:
-            stats = self.phases.get(name)
-            if stats is None:
-                continue
-            rows += [
-                [f"{name} lookups", stats.count],
-                [f"{name} p50 us", round(stats.p50 * 1e6, 2)],
-                [f"{name} p99 us", round(stats.p99 * 1e6, 2)],
-            ]
-        return rows + [[counter, self.counters[counter]] for counter in sorted(self.counters)]
-
     def read_ledger(self, cluster: SHHCCluster, extra: Dict[str, int]) -> None:
         """Fill phases, throughput and counters once the replay is over."""
         ledger = cluster.ledger
@@ -148,7 +132,6 @@ class TimedResult(ReplayAudit):
 class ControlPlaneResult(TimedResult):
     """Outcome of one timed control-plane run."""
 
-    kind: str  # "failover_timed" | "churn_timed"
     num_nodes: int
     replication_factor: int
     virtual_nodes: int
@@ -164,32 +147,6 @@ class ControlPlaneResult(TimedResult):
     def p99_tax(self) -> float:
         """Taxed-phase p99 over steady-state p99 (1.0 = control plane free)."""
         return self.p99_over_steady(self.headline_phase)
-
-    def render(self) -> str:
-        rows = [
-            ["nodes", self.num_nodes],
-            ["replication factor", self.replication_factor],
-            ["virtual nodes", self.virtual_nodes],
-            ["batch size", self.batch_size],
-            ["offered load", self.offered_load],
-            ["fingerprints", self.fingerprints_processed],
-            ["batches", self.batches],
-            ["arrival interval us", round(self.interval * 1e6, 2)],
-            ["throughput (lookups/s)", round(self.throughput, 1)],
-            ["control-plane CPU ms", round(self.control_plane_cpu_seconds * 1e3, 3)],
-            [f"p99 tax ({self.headline_phase}/steady)", round(self.p99_tax, 3)],
-        ]
-        if self.unserved:
-            rows.append(["unserved lookups", self.unserved])
-        rows += self.phase_rows((STEADY_PHASE, self.headline_phase, WARMUP_PHASE))
-        return format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"{self.kind}: lookup latency during control-plane work "
-                f"({self.num_nodes} nodes, k={self.replication_factor})"
-            ),
-        )
 
 
 def calibrate_interval(
@@ -265,7 +222,6 @@ def run_failover_timed(
     schedule = fault_plan.schedule(cluster.node_names, horizon=float(len(batches)))
     injector = FaultInjector(cluster, schedule)
     result = ControlPlaneResult(
-        kind="failover_timed",
         num_nodes=num_nodes,
         replication_factor=replication_factor,
         virtual_nodes=virtual_nodes,
@@ -319,7 +275,6 @@ def run_churn_timed(
     cluster = SHHCCluster(config, cost_model=model)
     churn = Churn(cluster, plan, horizon=float(len(batches)))
     result = ControlPlaneResult(
-        kind="churn_timed",
         num_nodes=num_nodes,
         replication_factor=replication_factor,
         virtual_nodes=virtual_nodes,

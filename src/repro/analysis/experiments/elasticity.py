@@ -22,7 +22,6 @@ from ...core.cluster import SHHCCluster
 from ...core.config import HashNodeConfig
 from ...core.membership import ChurnPlan
 from ...workloads.mixer import WorkloadMix
-from ..reporting import format_table
 from .replay import (
     MIN_NODES,
     Churn,
@@ -72,49 +71,6 @@ class ElasticityResult(ReplayAudit):
     def moved_fraction(self) -> float:
         """Copies created per pre-change entry, aggregated over all events."""
         return self.entries_moved / self.entries_examined if self.entries_examined else 0.0
-
-    def render(self) -> str:
-        rows = [
-            ["initial nodes", self.num_nodes],
-            ["final nodes", self.final_nodes],
-            ["replication factor", self.replication_factor],
-            ["virtual nodes", self.virtual_nodes],
-            ["batch size", self.batch_size],
-            ["fingerprints", self.fingerprints_processed],
-            ["batches", self.batches],
-            ["joins", self.joins],
-            ["leaves", self.leaves],
-            ["dedup errors", self.dedup_errors],
-            ["  false uniques", self.false_uniques],
-            ["  false duplicates", self.false_duplicates],
-            ["dedup accuracy %", round(self.accuracy * 100.0, 4)],
-            ["entries moved", self.entries_moved],
-            ["moved fraction %", round(self.moved_fraction * 100.0, 2)],
-            ["  primary moves", self.primary_moves],
-            ["  replica copies", self.replica_copies],
-            ["replica drops", self.replica_drops],
-            ["read repairs", self.read_repairs],
-            ["replica inserts (write path)", self.replica_inserts],
-            ["distinct fingerprints", self.distinct],
-            ["total stored copies", self.total_stored],
-            ["fully replicated", self.fully_replicated],
-            ["under-replicated", self.under_replicated],
-            ["lost", self.lost],
-        ]
-        if self.skipped_events:
-            rows.append(["skipped churn events", self.skipped_events])
-        table = format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"Elasticity: dedup accuracy under membership churn "
-                f"({self.num_nodes} nodes, k={self.replication_factor})"
-            ),
-        )
-        timeline = ", ".join(
-            f"t={t:g} {action} {node} (moved {moved})" for t, action, node, moved in self.events
-        )
-        return table + ("\n\nchurn: " + timeline if timeline else "")
 
 
 def run_elasticity(

@@ -29,7 +29,6 @@ from ...core.fault_injection import (
 from ...core.replication import ReplicationController
 from ...simulation.stats import LatencyTally
 from ...workloads.mixer import WorkloadMix
-from ..reporting import format_table
 from .replay import (
     Outages,
     ReplayAudit,
@@ -78,52 +77,6 @@ class FailoverResult(ReplayAudit):
         if self.mean_latency_baseline <= 0.0:
             return 0.0
         return self.mean_latency_faulty / self.mean_latency_baseline - 1.0
-
-    def render(self) -> str:
-        rows = [
-            ["nodes", self.num_nodes],
-            ["replication factor", self.replication_factor],
-            ["virtual nodes", self.virtual_nodes],
-            ["batch size", self.batch_size],
-            ["fingerprints", self.fingerprints_processed],
-            ["batches", self.batches],
-            ["crashes injected", self.crashes],
-            ["recoveries", self.recoveries],
-            ["dedup errors", self.dedup_errors],
-            ["  false uniques", self.false_uniques],
-            ["  false duplicates", self.false_duplicates],
-            ["dedup accuracy %", round(self.accuracy * 100.0, 4)],
-            ["read repairs", self.read_repairs],
-            ["failovers", self.failovers],
-            ["replica inserts", self.replica_inserts],
-            ["repaired copies", self.repaired_copies],
-            ["distinct fingerprints", self.distinct],
-            ["total stored copies", self.total_stored],
-            ["fully replicated", self.fully_replicated],
-            ["under-replicated", self.under_replicated],
-            ["lost", self.lost],
-        ]
-        # Sweep-era counters appear only when the scenario exercised them,
-        # keeping legacy (clean rolling outage, k>=2) output byte-identical.
-        if self.unserved:
-            rows.append(["unserved lookups", self.unserved])
-        if self.grey_drops:
-            rows.append(["grey drops", self.grey_drops])
-        rows += [
-            ["mean latency (faulty) us", round(self.mean_latency_faulty * 1e6, 2)],
-            ["mean latency (baseline) us", round(self.mean_latency_baseline * 1e6, 2)],
-            ["latency overhead %", round(self.latency_overhead * 100.0, 2)],
-        ]
-        table = format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"Failover: dedup accuracy under injected node failures "
-                f"({self.num_nodes} nodes, k={self.replication_factor})"
-            ),
-        )
-        timeline = ", ".join(f"t={t:g} {action} {node}" for t, action, node in self.events)
-        return table + ("\n\nschedule: " + timeline if timeline else "")
 
 
 def run_failover(

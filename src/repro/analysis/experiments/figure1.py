@@ -17,7 +17,7 @@ records when the last response arrives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
@@ -26,7 +26,6 @@ from ...dedup.fingerprint import Fingerprint, synthetic_fingerprint
 from ...network.topology import ClusterTopology
 from ...simulation.engine import Simulator
 from ...workloads.arrival import OpenLoopArrivals
-from ..reporting import format_series
 from .replay import default_node_config
 
 __all__ = ["Figure1Point", "Figure1Result", "run_figure1"]
@@ -64,30 +63,6 @@ class Figure1Result:
 
     requests: int
     points: List[Figure1Point] = field(default_factory=list)
-
-    def series(self) -> Dict[int, List[Figure1Point]]:
-        """Points grouped by cluster size, ordered by offered rate."""
-        grouped: Dict[int, List[Figure1Point]] = {}
-        for point in self.points:
-            grouped.setdefault(point.nodes, []).append(point)
-        for values in grouped.values():
-            values.sort(key=lambda p: p.offered_rate)
-        return grouped
-
-    def render(self) -> str:
-        """Text rendering in the paper's format (time in microseconds)."""
-        grouped = self.series()
-        rates = sorted({point.offered_rate for point in self.points})
-        series = {
-            f"{nodes} nodes (us)": [round(p.execution_time_us) for p in grouped[nodes]]
-            for nodes in sorted(grouped)
-        }
-        return format_series(
-            "req/s",
-            [round(rate) for rate in rates],
-            series,
-            title=f"Figure 1: execution time for {self.requests:,} requests",
-        )
 
 
 def _drive_one_configuration(

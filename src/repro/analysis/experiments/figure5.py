@@ -18,14 +18,13 @@ the configured number of clients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ...core.config import ClusterConfig, HashNodeConfig
 from ...frontend.client import SimulatedClient
 from ...frontend.gateway import build_simulated_service
 from ...simulation.engine import Simulator
 from ...workloads.mixer import WorkloadMix, table_i_mix
-from ..reporting import format_series
 from .replay import default_node_config
 
 __all__ = ["Figure5Point", "Figure5Result", "run_figure5"]
@@ -58,29 +57,6 @@ class Figure5Result:
     """All measurements of the Figure 5 sweep."""
 
     points: List[Figure5Point] = field(default_factory=list)
-
-    def series(self) -> Dict[int, List[Figure5Point]]:
-        """Points grouped by batch size, ordered by cluster size."""
-        grouped: Dict[int, List[Figure5Point]] = {}
-        for point in self.points:
-            grouped.setdefault(point.batch_size, []).append(point)
-        for values in grouped.values():
-            values.sort(key=lambda p: p.nodes)
-        return grouped
-
-    def render(self) -> str:
-        grouped = self.series()
-        node_counts = sorted({point.nodes for point in self.points})
-        series = {
-            f"{batch} req (chunk/s)": [round(p.throughput) for p in grouped[batch]]
-            for batch in sorted(grouped)
-        }
-        return format_series(
-            "servers",
-            node_counts,
-            series,
-            title="Figure 5: throughput of SHHC",
-        )
 
 
 def _run_one_configuration(

@@ -17,7 +17,6 @@ from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
 from ...core.metrics import LoadBalanceReport
 from ...workloads.mixer import WorkloadMix, table_i_mix
-from ..reporting import format_fraction_bar, format_table
 from .replay import default_node_config
 
 __all__ = ["Figure6Result", "run_figure6"]
@@ -39,35 +38,6 @@ class Figure6Result:
     @property
     def lookup_report(self) -> LoadBalanceReport:
         return LoadBalanceReport(self.lookup_counts)
-
-    def fractions(self) -> Dict[str, float]:
-        """Share of stored hash entries per node (the Figure 6 percentages)."""
-        return self.storage_report.fractions()
-
-    def max_deviation_from_even(self) -> float:
-        """Largest deviation of any node's share from the ideal 1/N."""
-        return self.storage_report.max_deviation_from_even()
-
-    def render(self) -> str:
-        bars = format_fraction_bar(
-            self.fractions(),
-            title=f"Figure 6: hash value storage distribution ({self.num_nodes} nodes)",
-        )
-        rows = [
-            [
-                node,
-                self.entry_counts[node],
-                round(self.fractions()[node] * 100.0, 2),
-                self.lookup_counts.get(node, 0),
-            ]
-            for node in sorted(self.entry_counts)
-        ]
-        table = format_table(["node", "entries", "share %", "lookups"], rows)
-        summary = (
-            f"coefficient of variation: {self.storage_report.coefficient_of_variation:.4f}, "
-            f"max deviation from even: {self.max_deviation_from_even() * 100:.2f}%"
-        )
-        return "\n".join([bars, "", table, summary])
 
 
 def run_figure6(

@@ -17,7 +17,6 @@ from typing import List, Optional
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
 from ...workloads.generations import GenerationConfig, GenerationalWorkload
-from ..reporting import format_table
 
 __all__ = ["GenerationRow", "GenerationalResult", "run_generational_backup", "DEFAULT_CONFIG"]
 
@@ -55,23 +54,6 @@ class GenerationalResult:
 
     def final_dedup_ratio(self) -> float:
         return self.rows[-1].cumulative_dedup_ratio if self.rows else 1.0
-
-    def render(self) -> str:
-        table_rows = [
-            [
-                row.generation,
-                row.chunks,
-                f"{row.redundancy * 100:.1f}%",
-                f"{row.ram_hit_ratio * 100:.1f}%",
-                round(row.cumulative_dedup_ratio, 2),
-            ]
-            for row in self.rows
-        ]
-        return format_table(
-            ["generation", "chunks", "redundant", "served from RAM", "cumulative dedup"],
-            table_rows,
-            title=f"Ablation D: repeated full backups on a {self.num_nodes}-node cluster",
-        )
 
 
 def run_generational_backup(

@@ -44,13 +44,10 @@ from ...core.persistence import PersistencePolicy
 from ...dedup.fingerprint import Fingerprint
 from ...simulation.costmodel import CostModel
 from ...workloads.mixer import WorkloadMix
-from ..reporting import format_table
 from .control_plane import TimedResult, calibrate_interval
 from .replay import (
     DEGRADED_PHASE,
     RECOVERING_PHASE,
-    STEADY_PHASE,
-    WARMUP_PHASE,
     Outages,
     cluster_config,
     make_batches,
@@ -104,50 +101,6 @@ class RestartResult(TimedResult):
     def recovery_p99_tax(self) -> float:
         """Recovering-phase p99 over steady p99 (replay queueing on the victim)."""
         return self.p99_over_steady(RECOVERING_PHASE)
-
-    def render(self) -> str:
-        rows = [
-            ["nodes", self.num_nodes],
-            ["replication factor", self.replication_factor],
-            ["batch size", self.batch_size],
-            ["offered load", self.offered_load],
-            ["warm restart (snapshot)", self.warm_restart],
-            ["snapshot cadence (records)", self.snapshot_every],
-            ["victim", self.victim],
-            ["kill batch / restart batch", f"{self.kill_batch} / {self.restart_batch}"],
-            ["fingerprints", self.fingerprints_processed],
-            ["batches", self.batches],
-            ["arrival interval us", round(self.interval * 1e6, 2)],
-            ["throughput (lookups/s)", round(self.throughput, 1)],
-            ["recovery time ms (charged)", round(self.recovery_time * 1e3, 3)],
-            ["recovery wall ms", round(self.recovery_wall_seconds * 1e3, 3)],
-            ["recovered entries", self.recovered_entries],
-            ["replayed tail records", self.replayed_records],
-            ["snapshot loaded", self.snapshot_loaded],
-            ["snapshot bytes", self.snapshot_bytes],
-            ["dedup accuracy", round(self.accuracy, 6)],
-            ["acknowledged before kill", self.acknowledged],
-            ["lost acknowledged", self.lost_acknowledged],
-            ["degraded p99 tax", round(self.degraded_p99_tax, 3)],
-            ["recovery p99 tax", round(self.recovery_p99_tax, 3)],
-        ]
-        if self.unserved:
-            rows.append(["unserved lookups", self.unserved])
-        if self.dedup_errors:
-            rows += [
-                ["false uniques", self.false_uniques],
-                ["false duplicates", self.false_duplicates],
-            ]
-        rows += self.phase_rows((STEADY_PHASE, DEGRADED_PHASE, RECOVERING_PHASE, WARMUP_PHASE))
-        return format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"restart: kill/restart recovery "
-                f"({self.num_nodes} nodes, k={self.replication_factor}, "
-                f"{'warm' if self.warm_restart else 'cold'})"
-            ),
-        )
 
 
 def _default_cadence(

@@ -52,24 +52,6 @@ class ServiceRunResult:
     #: counters) -- kept verbatim for report drill-down.
     gateway_stats: Dict[str, Any] = field(default_factory=dict)
 
-    def render(self) -> str:
-        from ..reporting import format_table
-
-        rows = [
-            ("nodes (worker processes)", self.num_nodes),
-            ("clients x pipeline", f"{self.clients} x {self.pipeline}"),
-            ("offered fingerprints", f"{self.offered:,}"),
-            ("acknowledged", f"{self.acknowledged:,}"),
-            ("throughput (fp/s)", f"{self.throughput:,.0f}"),
-            ("p50 latency (us)", f"{self.latency_us.get('p50', 0.0):,.0f}"),
-            ("p99 latency (us)", f"{self.latency_us.get('p99', 0.0):,.0f}"),
-            ("sheds", self.sheds),
-            ("retries", self.retries),
-            ("worker restarts", self.worker_restarts),
-            ("audited / lost acknowledged", f"{self.audit_checked:,} / {self.lost_acknowledged}"),
-        ]
-        return format_table(["metric", "value"], rows, title="Service (live gateway + workers)")
-
 
 async def _run_stack(serve_config: ServeConfig,
                      load_config: LoadtestConfig) -> ServiceRunResult:

@@ -4,8 +4,7 @@ The paper characterises its four fingerprint traces by total fingerprints,
 percentage of redundant content, and mean distance between occurrences of
 the same fingerprint.  The reproduction generates each synthetic trace at a
 configurable scale and reports the published (scaled) target next to what
-the generator actually produced, which is how EXPERIMENTS.md records the
-paper-vs-measured comparison.
+the generator actually produced: the paper-vs-measured comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import List, Optional, Sequence
 
 from ...workloads.profiles import TABLE_I_PROFILES, WorkloadProfile
 from ...workloads.traces import TraceGenerator, TraceStatistics
-from ..reporting import format_table
 
 __all__ = ["Table1Row", "Table1Result", "run_table1"]
 
@@ -42,25 +40,6 @@ class Table1Result:
 
     scale: float
     rows: List[Table1Row] = field(default_factory=list)
-
-    def render(self) -> str:
-        table_rows = []
-        for row in self.rows:
-            table_rows.append(
-                [
-                    row.workload,
-                    row.measured.fingerprints,
-                    f"{row.target_redundancy * 100:.0f}%",
-                    f"{row.measured.redundancy * 100:.1f}%",
-                    round(row.target_distance),
-                    round(row.measured.mean_duplicate_distance),
-                ]
-            )
-        return format_table(
-            ["workload", "fingerprints", "target %red", "measured %red", "target dist", "measured dist"],
-            table_rows,
-            title=f"Table I: workload characteristics (scale={self.scale})",
-        )
 
 
 def run_table1(

@@ -1,15 +1,23 @@
 """Plain-text rendering of experiment results (tables and ASCII series).
 
-Every experiment runner returns a result object that can render itself as the
-same kind of table or series the paper prints, so benchmark output and
-EXPERIMENTS.md can be produced directly from these helpers.
+Every preset states its table as a *layout* over its metric names (see
+:mod:`repro.scenarios.presets`), and :func:`render` draws any layout from
+a metrics mapping alone, so a run's JSON redraws its table.  A layout is
+one of the parts below, or a plain tuple of parts drawn one per line; a
+bare string part is a line template over the metrics.
+
+A *cell* names what one table cell shows: a metric key (the value, in
+:func:`format_table`'s number format), a ``str.format`` template over the
+metrics (``"{redundancy:.1%}"``), or a :class:`Round`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import (Any, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
-__all__ = ["format_table", "format_series", "format_fraction_bar"]
+__all__ = ["format_table", "format_series", "format_fraction_bar", "render", "Round", "Rows",
+           "Columns", "Pivot", "Bars", "Timeline", "Section", "Named", "If"]
 
 
 def _format_cell(value) -> str:
@@ -83,3 +91,163 @@ def format_fraction_bar(fractions: dict, width: int = 40, title: str = "") -> st
         bar = "#" * max(0, round(fraction * width))
         lines.append(f"{str(name).ljust(longest)}  {fraction * 100:5.1f}%  {bar}")
     return "\n".join(lines)
+
+
+# ------------------------------------------------------------------- layouts
+class Round(NamedTuple):
+    """The cell ``round(metrics[key] * scale, digits)``: an int when ``digits`` is None."""
+
+    key: str
+    digits: Optional[int] = None
+    scale: float = 1
+
+
+Cell = Union[str, Round]
+
+
+def _cell(cell: Cell, values: Mapping[str, Any]) -> Any:
+    if isinstance(cell, Round):
+        return round(values[cell.key] * cell.scale, cell.digits)
+    if "{" in cell:
+        return cell.format_map(values)
+    return values[cell]
+
+
+class If:
+    """Rows or parts drawn only where ``metrics[key]`` is present and non-zero."""
+
+    def __init__(self, key: str, *items: Any) -> None:
+        self.key = key
+        self.items = items
+
+
+def _expand(items: Iterable[Any], metrics: Mapping[str, Any]) -> Iterator[Any]:
+    for item in items:
+        if not isinstance(item, If):
+            yield item
+        elif metrics.get(item.key):
+            yield from _expand(item.items, metrics)
+
+
+class Named(NamedTuple):
+    """A :class:`Rows` row per metric named in the list ``metrics[key]``, labelled by its name."""
+
+    key: str
+
+
+class Rows(NamedTuple):
+    """A table of ``(label, cell, ...)`` rows, :class:`Named` rows and :class:`If` groups."""
+
+    title: str
+    rows: Sequence[Any]
+    headers: Sequence[str] = ("metric", "value")
+
+    def draw(self, metrics: Mapping[str, Any]) -> str:
+        lines: List[List[Any]] = []
+        for row in _expand(self.rows, metrics):
+            if isinstance(row, Named):
+                lines += [[name, metrics[name]] for name in metrics[row.key]]
+            else:
+                label, *cells = row
+                lines.append([label] + [_cell(cell, metrics) for cell in cells])
+        return format_table(self.headers, lines, title=self.title.format_map(metrics))
+
+
+class Columns(NamedTuple):
+    """A table line per item of the list ``metrics[over]``.
+
+    Each ``(header, cell)`` column reads its cell off the item.
+    """
+
+    title: str
+    over: str
+    columns: Sequence[Tuple[str, Cell]]
+
+    def draw(self, metrics: Mapping[str, Any]) -> str:
+        return format_table(
+            [header for header, _ in self.columns],
+            [[_cell(cell, item) for _, cell in self.columns] for item in metrics[self.over]],
+            title=self.title.format_map(metrics),
+        )
+
+
+class Pivot(NamedTuple):
+    """The items of ``metrics[over]`` cross-tabulated by :func:`format_series`.
+
+    A line per distinct ``row`` value (sorted), a column per distinct
+    ``column`` value (sorted, headed ``column_header`` over that value), and
+    ``cell`` of the item at each crossing: the items are a full grid.
+    """
+
+    title: str
+    over: str
+    row_header: str
+    row: Cell
+    column: str
+    column_header: str
+    cell: Cell
+
+    def draw(self, metrics: Mapping[str, Any]) -> str:
+        row_key = self.row.key if isinstance(self.row, Round) else self.row
+        cells = {(item[row_key], item[self.column]): item for item in metrics[self.over]}
+        rows = sorted({row for row, _ in cells})
+        columns = sorted({column for _, column in cells})
+        return format_series(
+            self.row_header,
+            [_cell(self.row, {row_key: row}) for row in rows],
+            {
+                self.column_header.format_map({self.column: column}): [
+                    _cell(self.cell, cells[row, column]) for row in rows
+                ]
+                for column in columns
+            },
+            title=self.title.format_map(metrics),
+        )
+
+
+class Bars(NamedTuple):
+    """:func:`format_fraction_bar` over the items of ``metrics[over]``."""
+
+    title: str
+    over: str
+    label: str
+    fraction: str
+
+    def draw(self, metrics: Mapping[str, Any]) -> str:
+        return format_fraction_bar(
+            {item[self.label]: item[self.fraction] for item in metrics[self.over]},
+            title=self.title.format_map(metrics),
+        )
+
+
+class Timeline(NamedTuple):
+    """``prefix``, then the items of ``metrics[over]``, comma-joined.
+
+    Each item is a sequence, drawn as ``template.format(*item)``.
+    """
+
+    over: str
+    prefix: str
+    template: str
+
+    def draw(self, metrics: Mapping[str, Any]) -> str:
+        return self.prefix + ", ".join(self.template.format(*item) for item in metrics[self.over])
+
+
+class Section(NamedTuple):
+    """``layout`` drawn from the nested metrics ``metrics[key]`` (a composite's part)."""
+
+    key: str
+    layout: Any
+
+    def draw(self, metrics: Mapping[str, Any]) -> str:
+        return render(self.layout, metrics[self.key])
+
+
+def render(layout: Any, metrics: Mapping[str, Any]) -> str:
+    """Draw ``layout`` -- one part, or a plain tuple of parts one per line -- from ``metrics``."""
+    parts = layout if type(layout) is tuple else (layout,)
+    return "\n".join(
+        part.format_map(metrics) if isinstance(part, str) else part.draw(metrics)
+        for part in _expand(parts, metrics)
+    )

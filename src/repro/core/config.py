@@ -1,8 +1,7 @@
 """Configuration objects for hybrid hash nodes and the SHHC cluster.
 
 All tunables live here so experiments can describe a deployment declaratively
-and DESIGN.md / EXPERIMENTS.md can reference one authoritative set of
-defaults.  Defaults are calibrated to the paper's testbed era (quad-core Xeon,
+against one authoritative set of defaults.  Defaults are calibrated to the paper's testbed era (quad-core Xeon,
 4-16 GB RAM, SATA-II SSD, 1 GbE) -- see ``repro.storage.devices`` for the
 device-level numbers.
 """

@@ -190,10 +190,6 @@ class Partitioner(ABC):
             owners = bytes(owners)
         return owners
 
-    def key_of(self, fingerprint: Fingerprint) -> int:
-        """Expose the key-space position (useful for tests and migration)."""
-        return fingerprint.prefix_int(KEY_SPACE_BITS)
-
 
 class RangePartitioner(Partitioner):
     """Equal contiguous ranges of the 64-bit key space, one per node.
@@ -212,16 +208,6 @@ class RangePartitioner(Partitioner):
             [index * width for index in range(1, n)],
             [tuple(nodes[(start + i) % n] for i in range(count)) for start in range(n)],
         )
-
-    def range_of(self, node: str) -> Tuple[int, int]:
-        """Half-open key range ``[low, high)`` owned by ``node``."""
-        if node not in self._nodes:
-            raise KeyError(f"node {node!r} not present")
-        index = self._nodes.index(node)
-        width = KEY_SPACE_SIZE // len(self._nodes)
-        low = index * width
-        high = KEY_SPACE_SIZE if index == len(self._nodes) - 1 else (index + 1) * width
-        return low, high
 
 
 class ConsistentHashRing(Partitioner):
@@ -276,15 +262,3 @@ class ConsistentHashRing(Partitioner):
     def token_count(self, node: str) -> int:
         """Number of tokens ``node`` currently places on the ring."""
         return sum(1 for _token, owner in self._ring if owner == node)
-
-    def ownership_fractions(self) -> Dict[str, float]:
-        """Fraction of the key space owned by each node, exactly from arc lengths."""
-        arcs: Dict[str, int] = {node: 0 for node in self._nodes}
-        ring = self._ring
-        for i, (token, _node) in enumerate(ring):
-            next_token = ring[(i + 1) % len(ring)][0]
-            owner = ring[(i + 1) % len(ring)][1]
-            arc = (next_token - token) % KEY_SPACE_SIZE
-            arcs[owner] += arc
-        total = sum(arcs.values()) or 1
-        return {node: arc / total for node, arc in arcs.items()}

@@ -6,7 +6,7 @@ This package is the single public entry point for running experiments::
 
     # One run of a ported paper experiment, with overrides.
     result = run_scenario("failover", replication_factor=3, scale=0.001)
-    print(result.render())          # the same table the legacy runner printed
+    print(result.render())          # the paper-formatted table, drawn from metrics
     print(result.metrics)           # uniform machine-readable metrics
 
     # The ROADMAP failover sweep: replication factor x outage density,

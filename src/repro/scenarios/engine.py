@@ -73,6 +73,9 @@ class Preset:
     accepts_churn: bool = False
     #: The paper's findings a run of this preset is checked against.
     claims: Tuple[Claim, ...] = ()
+    #: The preset's table: a :mod:`repro.analysis.reporting` layout over
+    #: its metric names (``None``: every scalar metric, one row each).
+    table: Any = None
 
     def __post_init__(self) -> None:
         if not self.cluster_keys <= CLUSTER_KEYS:
@@ -274,6 +277,7 @@ def run_scenario(
     _validate_spec(spec, preset)
     result = preset.runner(spec)
     result.claims = {claim.id: claim.check(result) for claim in preset.claims}
+    result.table = preset.table
     return result
 
 

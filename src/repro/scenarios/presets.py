@@ -5,9 +5,13 @@ onto the corresponding experiment module in
 :mod:`repro.analysis.experiments` and folds its native result into the
 uniform metrics schema (see :mod:`repro.scenarios.result`).  A preset
 states no default of its own: :func:`_call` forwards only the keys the
-spec set, so an all-defaults spec *is* the runner's defaults --
-``run_scenario("figure5").render()`` is byte-identical to
-``run_figure5().render()``, which the golden tests pin down.
+spec set, so an all-defaults spec *is* the runner's defaults.
+
+Each preset states its table beside its extractor, as a
+:mod:`repro.analysis.reporting` layout over its metric names: a title
+template, then rows (key/value tables), columns over a list metric, or a
+pivot of ``points``.  The table reads nothing but the metrics, so a run's
+JSON redraws it; ``tests/golden/`` pins every table byte for byte.
 
 A preset names its runner by experiment module and function
 (``"figure5.run_figure5"``) and imports that module on its first run; the
@@ -18,7 +22,8 @@ the live service's asyncio gateway or the ablations' baselines.
 
 Each preset carries the paper's findings it reproduces as named
 :class:`~repro.scenarios.result.Claim` tuples.  A predicate reads only the
-finished run's spec and metrics, so stating a claim imports nothing.
+finished run's spec and metrics, so stating a claim -- or a table --
+imports nothing.
 
 Node-config overrides (``spec.node``) replace the runner's auto-sized
 :class:`~repro.core.config.HashNodeConfig` wholesale: the experiment
@@ -34,8 +39,9 @@ import math
 from dataclasses import replace
 from functools import partial
 from importlib import import_module
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
+from ..analysis.reporting import Bars, Columns, If, Named, Pivot, Round, Rows, Section, Timeline
 from ..core.config import HashNodeConfig
 from ..workloads.mixer import table_i_mix
 from ..workloads.profiles import TABLE_I_PROFILES, WorkloadProfile, profile_by_name
@@ -47,8 +53,6 @@ if TYPE_CHECKING:  # annotations only: each is imported on its preset's first ru
     from ..analysis.experiments import (ablations, control_plane, elasticity, failover,
                                         figure1, figure5, figure6, generational, restart,
                                         service, table1)
-
-__all__ = ["CompositeResult"]
 
 #: Key sets several presets share.
 _REPLICATED_CLUSTER = frozenset({"num_nodes", "replication_factor", "virtual_nodes"})
@@ -136,14 +140,14 @@ def _preset(
     ``"<experiment module>.<function>"`` of a runner :func:`_call` feeds,
     else a spec -> result function that imports its experiment itself.
     ``metrics(result)`` folds the result into the uniform schema, and
-    ``accepted`` are the :class:`Preset` key sets.
+    ``accepted`` are the other :class:`Preset` fields (key sets, claims,
+    table).
     """
     if isinstance(run, str):
         run = partial(_call_named, run)
 
     def runner(spec: ScenarioSpec) -> ScenarioResult:
-        result = run(spec)
-        return ScenarioResult(spec=spec, metrics=metrics(result), detail=result)
+        return ScenarioResult(spec=spec, metrics=metrics(run(spec)))
 
     register_preset(Preset(name=name, description=description, runner=runner, **accepted))
     return runner
@@ -175,14 +179,9 @@ def _points(result: ScenarioResult, row: str, *keys: str) -> Dict[Any, Any]:
     return {tuple(point[key] for key in keys): point[row] for point in result.metrics["points"]}
 
 
-class CompositeResult:
-    """Several experiment results rendered one after another."""
-
-    def __init__(self, parts: Sequence[Any]) -> None:
-        self.parts = list(parts)
-
-    def render(self) -> str:
-        return "\n\n".join(part.render() for part in self.parts)
+def _fields(result: Any, *names: str) -> Dict[str, Any]:
+    """The metrics that are ``result`` attributes of the same name."""
+    return {name: getattr(result, name) for name in names}
 
 
 # ----------------------------------------------------------------------- figure1
@@ -241,6 +240,10 @@ _preset(
     "Execution time of a fixed lookup count vs offered rate and cluster size",
     "figure1.run_figure1",
     _figure1_metrics,
+    table=Pivot("Figure 1: execution time for {fingerprints:,} requests", "points",
+                row_header="req/s", row=Round("offered_rate"),
+                column="nodes", column_header="{nodes} nodes (us)",
+                cell=Round("execution_time_us")),
     node_keys=NODE_KEYS,
     workload_keys=frozenset({"requests", "rates", "node_counts", "chunk_size"}),
     claims=(
@@ -307,6 +310,10 @@ _preset(
     "Cluster throughput vs number of servers and batch size (full simulated stack)",
     "figure5.run_figure5",
     _figure5_metrics,
+    table=Pivot("Figure 5: throughput of SHHC", "points",
+                row_header="servers", row="nodes",
+                column="batch_size", column_header="{batch_size} req (chunk/s)",
+                cell=Round("throughput")),
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX | {"node_counts", "batch_sizes"},
     client_keys=frozenset({"num_clients", "num_web_servers", "window"}),
@@ -326,12 +333,24 @@ _preset(
 
 # ----------------------------------------------------------------------- figure6
 def _figure6_metrics(result: figure6.Figure6Result) -> Dict[str, Any]:
+    storage = result.storage_report
+    fractions = storage.fractions()
     return {
         "fingerprints": result.fingerprints_processed,
-        "storage_fractions": result.fractions(),
-        "coefficient_of_variation": result.storage_report.coefficient_of_variation,
-        "max_deviation_from_even": result.max_deviation_from_even(),
+        "num_nodes": result.num_nodes,
+        "storage_fractions": fractions,
+        "coefficient_of_variation": storage.coefficient_of_variation,
+        "max_deviation_from_even": storage.max_deviation_from_even(),
         "lookup_max_over_mean": result.lookup_report.max_over_mean,
+        "per_node": [
+            {
+                "node": node,
+                "entries": result.entry_counts[node],
+                "share": fractions[node],
+                "lookups": result.lookup_counts.get(node, 0),
+            }
+            for node in sorted(result.entry_counts)
+        ],
     }
 
 
@@ -340,6 +359,19 @@ _preset(
     "Hash value storage distribution across cluster nodes (load balance)",
     "figure6.run_figure6",
     _figure6_metrics,
+    table=(
+        Bars("Figure 6: hash value storage distribution ({num_nodes} nodes)", "per_node",
+             label="node", fraction="share"),
+        "",
+        Columns("", "per_node", (
+            ("node", "node"),
+            ("entries", "entries"),
+            ("share %", Round("share", 2, scale=100)),
+            ("lookups", "lookups"),
+        )),
+        "coefficient of variation: {coefficient_of_variation:.4f}, "
+        "max deviation from even: {max_deviation_from_even:.2%}",
+    ),
     cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX,
@@ -358,6 +390,7 @@ _preset(
 def _table1_metrics(result: table1.Table1Result) -> Dict[str, Any]:
     return {
         "fingerprints": sum(row.measured.fingerprints for row in result.rows),
+        "scale": result.scale,
         "rows": [
             {
                 "workload": row.workload,
@@ -394,6 +427,14 @@ _preset(
     "Workload characteristics: published targets vs generated traces",
     "table1.run_table1",
     _table1_metrics,
+    table=Columns("Table I: workload characteristics (scale={scale})", "rows", (
+        ("workload", "workload"),
+        ("fingerprints", "fingerprints"),
+        ("target %red", "{target_redundancy:.0%}"),
+        ("measured %red", "{measured_redundancy:.1%}"),
+        ("target dist", Round("target_distance")),
+        ("measured dist", Round("measured_distance")),
+    )),
     workload_keys=_TABLE_I_MIX,
     claims=(
         _claim("four_workloads", "the run generates Table I's four workloads",
@@ -430,6 +471,7 @@ def _generational_metrics(result: generational.GenerationalResult) -> Dict[str, 
         "fingerprints": chunks,
         "duplicate_ratio": duplicates / chunks if chunks else 0.0,
         "final_dedup_ratio": result.final_dedup_ratio(),
+        "num_nodes": result.num_nodes,
         "rows": [
             {
                 "generation": row.generation,
@@ -457,6 +499,13 @@ _preset(
     "Repeated full backups: per-generation redundancy, cache hits, dedup ratio",
     _run_generational,
     _generational_metrics,
+    table=Columns("Ablation D: repeated full backups on a {num_nodes}-node cluster", "rows", (
+        ("generation", "generation"),
+        ("chunks", "chunks"),
+        ("redundant", "{redundancy:.1%}"),
+        ("served from RAM", "{ram_hit_ratio:.1%}"),
+        ("cumulative dedup", Round("cumulative_dedup_ratio", 2)),
+    )),
     cluster_keys=frozenset({"num_nodes"}),
     node_keys=frozenset({"ram_cache_entries"}),
     workload_keys=frozenset(
@@ -501,11 +550,19 @@ def _latency_ratio(numerator: str, denominator: str) -> Callable[[ScenarioResult
     return observe
 
 
+_TIER_ABLATION_TABLE = Columns("Ablation A: index designs on the same workload", "rows", (
+    ("design", "design"),
+    ("lookups", "lookups"),
+    ("duplicates", "duplicates"),
+    ("mean latency (us)", Round("mean_latency_us", 1)),
+))
+
 _run_tier_ablation = _preset(
     "tier_ablation",
     "Index designs (disk, DDFS, ChunkStash, hybrid, RAM) head to head",
     "ablations.run_tier_ablation",
     _tier_ablation_metrics,
+    table=_TIER_ABLATION_TABLE,
     workload_keys=frozenset({"scale", "profile"}),
     claims=(
         _claim("hybrid_beats_disk", "the hybrid node's mean latency is < 1/10 of the disk index's",
@@ -529,6 +586,7 @@ _run_tier_ablation = _preset(
 def _batch_tradeoff_metrics(result: ablations.BatchTradeoffResult) -> Dict[str, Any]:
     return {
         "throughput": max((p.throughput for p in result.points), default=None),
+        "num_nodes": result.nodes,
         "points": [
             {
                 "batch_size": point.batch_size,
@@ -551,11 +609,19 @@ def _largest_over_smallest_batch(key: str) -> Callable[[ScenarioResult], Any]:
     return observe
 
 
+_BATCH_TRADEOFF_TABLE = Columns("Ablation B: batch size trade-off ({num_nodes} nodes)", "points", (
+    ("batch", "batch_size"),
+    ("chunk/s", Round("throughput")),
+    ("request latency (ms)", Round("mean_request_latency_ms", 3)),
+    ("per-chunk latency (us)", Round("mean_per_chunk_latency_us", 1)),
+))
+
 _run_batch_tradeoff = _preset(
     "batch_tradeoff",
     "Throughput vs per-request latency as the query batch size grows",
     "ablations.run_batch_tradeoff",
     _batch_tradeoff_metrics,
+    table=_BATCH_TRADEOFF_TABLE,
     cluster_keys=frozenset({"num_nodes"}),
     workload_keys=frozenset({"scale", "batch_sizes"}),
     client_keys=frozenset({"num_clients"}),
@@ -585,11 +651,21 @@ def _scaling_ablation_metrics(result: ablations.ScalingAblationResult) -> Dict[s
     }
 
 
+_SCALING_ABLATION_TABLE = (
+    Rows("Ablation C: scaling a 4-node cluster to 5 nodes ({fingerprints:,} fingerprints)", (
+        ("range partitioner", "{moved_fraction_range:.1%}", "{balance_after_range:.3f}"),
+        ("consistent hashing", "{moved_fraction_consistent:.1%}", "{balance_after_consistent:.3f}"),
+    ), headers=("partitioner", "entries moved on join", "post-join max/mean")),
+    "replication factor 2: {replication_entry_overhead:.2f}x stored entries, "
+    "{replication_latency_overhead:.2f}x mean lookup cost",
+)
+
 _run_scaling_ablation = _preset(
     "scaling_ablation",
     "Join-time data movement (range vs consistent hashing) and replication overhead",
     "ablations.run_scaling_ablation",
     _scaling_ablation_metrics,
+    table=_SCALING_ABLATION_TABLE,
     cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
     workload_keys=frozenset({"scale", "profile"}),
     claims=(
@@ -627,8 +703,7 @@ def _run_ablations(spec: ScenarioSpec) -> ScenarioResult:
         "batch_tradeoff": batch.metrics,
         "scaling_ablation": scaling.metrics,
     }
-    detail = CompositeResult([tier.detail, batch.detail, scaling.detail])
-    return ScenarioResult(spec=spec, metrics=metrics, detail=detail)
+    return ScenarioResult(spec=spec, metrics=metrics)
 
 
 register_preset(
@@ -637,6 +712,13 @@ register_preset(
         description="All three ablation studies (tiers, batching, scaling) in one run",
         runner=_run_ablations,
         workload_keys=frozenset({"scale"}),
+        table=(
+            Section("tier_ablation", _TIER_ABLATION_TABLE),
+            "",
+            Section("batch_tradeoff", _BATCH_TRADEOFF_TABLE),
+            "",
+            Section("scaling_ablation", _SCALING_ABLATION_TABLE),
+        ),
     )
 )
 
@@ -665,12 +747,13 @@ _NO_FALSE_VERDICTS = _claim(
 )
 
 
-def _audit_metrics(result: Any) -> Dict[str, Any]:
-    """The oracle audit every disrupted replay carries."""
+def _replay_metrics(result: Any) -> Dict[str, Any]:
+    """The run's shape and the oracle audit every disrupted replay carries."""
     return {
+        "fingerprints": result.fingerprints_processed,
         "dedup_accuracy": result.accuracy,
-        "false_uniques": result.false_uniques,
-        "false_duplicates": result.false_duplicates,
+        **_fields(result, "num_nodes", "replication_factor", "virtual_nodes", "batch_size",
+                  "batches", "dedup_errors", "false_uniques", "false_duplicates"),
     }
 
 
@@ -685,26 +768,41 @@ def _replication_metrics(result: Any) -> Dict[str, Any]:
     }
 
 
+#: Row groups the disruption presets' tables share.
+_CLUSTER_ROWS = (
+    ("replication factor", "replication_factor"),
+    ("virtual nodes", "virtual_nodes"),
+    ("batch size", "batch_size"),
+)
+_AUDIT_ROWS = (
+    ("dedup errors", "dedup_errors"),
+    ("  false uniques", "false_uniques"),
+    ("  false duplicates", "false_duplicates"),
+    ("dedup accuracy %", Round("dedup_accuracy", 4, scale=100)),
+)
+_REPLICATION_ROWS = (
+    ("distinct fingerprints", "distinct_fingerprints"),
+    ("total stored copies", "total_stored"),
+    ("fully replicated", "fully_replicated"),
+    ("under-replicated", "under_replicated"),
+    ("lost", "lost"),
+)
+_UNSERVED_ROW = If("unserved", ("unserved lookups", "unserved"))
+
+
 def _failover_metrics(result: failover.FailoverResult) -> Dict[str, Any]:
     percentiles = result.latency_percentiles_faulty
     return {
-        "fingerprints": result.fingerprints_processed,
-        **_audit_metrics(result),
-        "unserved": result.unserved,
-        "grey_drops": result.grey_drops,
+        **_replay_metrics(result),
         "mean_latency_us": result.mean_latency_faulty * 1e6,
         "p50_latency_us": percentiles.get("p50", 0.0) * 1e6,
         "p95_latency_us": percentiles.get("p95", 0.0) * 1e6,
         "p99_latency_us": percentiles.get("p99", 0.0) * 1e6,
         "baseline_mean_latency_us": result.mean_latency_baseline * 1e6,
-        "latency_overhead": result.latency_overhead,
         "served_from": dict(result.tier_hits),
-        "read_repairs": result.read_repairs,
-        "failovers": result.failovers,
-        "replica_inserts": result.replica_inserts,
-        "repaired_copies": result.repaired_copies,
-        "crashes": result.crashes,
-        "recoveries": result.recoveries,
+        **_fields(result, "unserved", "grey_drops", "latency_overhead", "read_repairs",
+                  "failovers", "replica_inserts", "repaired_copies", "crashes", "recoveries",
+                  "events"),
         **_replication_metrics(result),
     }
 
@@ -714,6 +812,29 @@ _preset(
     "Dedup accuracy and latency under injected failures (crashes and grey failures)",
     "failover.run_failover",
     _failover_metrics,
+    table=(
+        Rows("Failover: dedup accuracy under injected node failures "
+             "({num_nodes} nodes, k={replication_factor})", (
+            ("nodes", "num_nodes"),
+            *_CLUSTER_ROWS,
+            ("fingerprints", "fingerprints"),
+            ("batches", "batches"),
+            ("crashes injected", "crashes"),
+            ("recoveries", "recoveries"),
+            *_AUDIT_ROWS,
+            ("read repairs", "read_repairs"),
+            ("failovers", "failovers"),
+            ("replica inserts", "replica_inserts"),
+            ("repaired copies", "repaired_copies"),
+            *_REPLICATION_ROWS,
+            _UNSERVED_ROW,
+            If("grey_drops", ("grey drops", "grey_drops")),
+            ("mean latency (faulty) us", Round("mean_latency_us", 2)),
+            ("mean latency (baseline) us", Round("baseline_mean_latency_us", 2)),
+            ("latency overhead %", Round("latency_overhead", 2, scale=100)),
+        )),
+        If("events", "", Timeline("events", "schedule: ", "t={0:g} {1} {2}")),
+    ),
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX,
@@ -725,19 +846,10 @@ _preset(
 
 def _elasticity_metrics(result: elasticity.ElasticityResult) -> Dict[str, Any]:
     return {
-        "fingerprints": result.fingerprints_processed,
-        **_audit_metrics(result),
-        "joins": result.joins,
-        "leaves": result.leaves,
-        "skipped_events": result.skipped_events,
-        "final_nodes": result.final_nodes,
-        "entries_moved": result.entries_moved,
-        "moved_fraction": result.moved_fraction,
-        "primary_moves": result.primary_moves,
-        "replica_copies": result.replica_copies,
-        "replica_drops": result.replica_drops,
-        "read_repairs": result.read_repairs,
-        "replica_inserts": result.replica_inserts,
+        **_replay_metrics(result),
+        **_fields(result, "joins", "leaves", "skipped_events", "final_nodes", "entries_moved",
+                  "moved_fraction", "primary_moves", "replica_copies", "replica_drops",
+                  "read_repairs", "replica_inserts", "events"),
         **_replication_metrics(result),
     }
 
@@ -747,6 +859,29 @@ _preset(
     "Dedup accuracy and migration traffic under membership churn (joins/leaves)",
     "elasticity.run_elasticity",
     _elasticity_metrics,
+    table=(
+        Rows("Elasticity: dedup accuracy under membership churn "
+             "({num_nodes} nodes, k={replication_factor})", (
+            ("initial nodes", "num_nodes"),
+            ("final nodes", "final_nodes"),
+            *_CLUSTER_ROWS,
+            ("fingerprints", "fingerprints"),
+            ("batches", "batches"),
+            ("joins", "joins"),
+            ("leaves", "leaves"),
+            *_AUDIT_ROWS,
+            ("entries moved", "entries_moved"),
+            ("moved fraction %", Round("moved_fraction", 2, scale=100)),
+            ("  primary moves", "primary_moves"),
+            ("  replica copies", "replica_copies"),
+            ("replica drops", "replica_drops"),
+            ("read repairs", "read_repairs"),
+            ("replica inserts (write path)", "replica_inserts"),
+            *_REPLICATION_ROWS,
+            If("skipped_events", ("skipped churn events", "skipped_events")),
+        )),
+        If("events", "", Timeline("events", "churn: ", "t={0:g} {1} {2} (moved {3})")),
+    ),
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX,
@@ -756,27 +891,65 @@ _preset(
 )
 
 
-def _timed_metrics(result: control_plane.ControlPlaneResult) -> Dict[str, Any]:
-    """Common metrics schema for the timed control-plane presets."""
+def _ledger_metrics(result: control_plane.TimedResult) -> Dict[str, Any]:
+    """What a timed run reads off its ledger: the clock, per-phase latency, the counters.
+
+    ``counters`` names the ledger's counters, each also a metric of its own.
+    """
     metrics: Dict[str, Any] = {
-        "fingerprints": result.fingerprints_processed,
-        "offered_load": result.offered_load,
         "arrival_interval_us": result.interval * 1e6,
         "throughput": result.throughput,
-        "p99_tax": result.p99_tax,
         "control_plane_cpu_seconds": result.control_plane_cpu_seconds,
-        "unserved": result.unserved,
-        **_audit_metrics(result),
     }
-    for label, stats in (("steady", result.steady), (result.headline_phase, result.taxed)):
-        if stats is None:
-            continue
-        metrics[f"{label}_lookups"] = stats.count
-        metrics[f"{label}_mean_latency_us"] = stats.mean * 1e6
-        metrics[f"{label}_p50_latency_us"] = stats.p50 * 1e6
-        metrics[f"{label}_p99_latency_us"] = stats.p99 * 1e6
+    for name, stats in result.phases.items():
+        metrics[f"{name}_lookups"] = stats.count
+        metrics[f"{name}_mean_latency_us"] = stats.mean * 1e6
+        metrics[f"{name}_p50_latency_us"] = stats.p50 * 1e6
+        metrics[f"{name}_p99_latency_us"] = stats.p99 * 1e6
+    metrics["counters"] = sorted(result.counters)
     metrics.update(result.counters)
     return metrics
+
+
+def _phase_rows(*phases: str) -> Tuple[If, ...]:
+    """Each phase's lookups, p50 and p99 rows, where the run had that phase."""
+    return tuple(
+        If(
+            f"{phase}_lookups",
+            (f"{phase} lookups", f"{phase}_lookups"),
+            (f"{phase} p50 us", Round(f"{phase}_p50_latency_us", 2)),
+            (f"{phase} p99 us", Round(f"{phase}_p99_latency_us", 2)),
+        )
+        for phase in phases
+    )
+
+
+def _timed_metrics(result: control_plane.ControlPlaneResult) -> Dict[str, Any]:
+    """Common metrics schema for the timed control-plane presets."""
+    return {
+        **_replay_metrics(result),
+        **_fields(result, "offered_load", "p99_tax", "unserved"),
+        **_ledger_metrics(result),
+    }
+
+
+def _timed_table(preset: str, taxed_phase: str) -> Rows:
+    """A timed preset's table; ``taxed_phase`` is the phase its p99 tax compares to steady."""
+    return Rows(preset + ": lookup latency during control-plane work "
+                "({num_nodes} nodes, k={replication_factor})", (
+        ("nodes", "num_nodes"),
+        *_CLUSTER_ROWS,
+        ("offered load", "offered_load"),
+        ("fingerprints", "fingerprints"),
+        ("batches", "batches"),
+        ("arrival interval us", Round("arrival_interval_us", 2)),
+        ("throughput (lookups/s)", Round("throughput", 1)),
+        ("control-plane CPU ms", Round("control_plane_cpu_seconds", 3, scale=1e3)),
+        (f"p99 tax ({taxed_phase}/steady)", Round("p99_tax", 3)),
+        _UNSERVED_ROW,
+        *_phase_rows("steady", taxed_phase, "warmup"),
+        Named("counters"),
+    ))
 
 
 _preset(
@@ -784,6 +957,7 @@ _preset(
     "Lookup p50/p99 and throughput during outages, control-plane costs charged",
     "control_plane.run_failover_timed",
     _timed_metrics,
+    table=_timed_table("failover_timed", "degraded"),
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX,
@@ -797,6 +971,7 @@ _preset(
     "Lookup p50/p99 and throughput during membership churn, migration costs charged",
     "control_plane.run_churn_timed",
     _timed_metrics,
+    table=_timed_table("churn_timed", "migrating"),
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX,
@@ -807,35 +982,17 @@ _preset(
 
 
 def _restart_metrics(result: restart.RestartResult) -> Dict[str, Any]:
-    metrics: Dict[str, Any] = {
-        "fingerprints": result.fingerprints_processed,
-        "offered_load": result.offered_load,
-        "arrival_interval_us": result.interval * 1e6,
-        "throughput": result.throughput,
-        "dedup_accuracy": result.accuracy,
-        "acknowledged": result.acknowledged,
-        "lost_acknowledged": result.lost_acknowledged,
-        "acknowledged_accuracy": result.acknowledged_accuracy,
-        "unserved": result.unserved,
+    return {
+        **_replay_metrics(result),
+        **_fields(result, "offered_load", "acknowledged", "lost_acknowledged",
+                  "acknowledged_accuracy", "unserved", "recovered_entries", "replayed_records",
+                  "snapshot_loaded", "snapshot_bytes", "degraded_p99_tax", "recovery_p99_tax",
+                  "warm_restart", "snapshot_every", "victim", "kill_batch", "restart_batch"),
+        "restart_mode": "warm" if result.warm_restart else "cold",
         "recovery_time_ms": result.recovery_time * 1e3,
         "recovery_wall_ms": result.recovery_wall_seconds * 1e3,
-        "recovered_entries": result.recovered_entries,
-        "replayed_records": result.replayed_records,
-        "snapshot_loaded": result.snapshot_loaded,
-        "snapshot_bytes": result.snapshot_bytes,
-        "degraded_p99_tax": result.degraded_p99_tax,
-        "recovery_p99_tax": result.recovery_p99_tax,
-        "control_plane_cpu_seconds": result.control_plane_cpu_seconds,
+        **_ledger_metrics(result),
     }
-    for name in ("steady", "degraded", "recovering"):
-        stats = result.phases.get(name)
-        if stats is None:
-            continue
-        metrics[f"{name}_lookups"] = stats.count
-        metrics[f"{name}_p50_latency_us"] = stats.p50 * 1e6
-        metrics[f"{name}_p99_latency_us"] = stats.p99 * 1e6
-    metrics.update(result.counters)
-    return metrics
 
 
 _preset(
@@ -843,6 +1000,37 @@ _preset(
     "Kill a node mid-workload, restart from log+bloom image, measure recovery",
     "restart.run_restart",
     _restart_metrics,
+    table=Rows("restart: kill/restart recovery "
+               "({num_nodes} nodes, k={replication_factor}, {restart_mode})", (
+        ("nodes", "num_nodes"),
+        ("replication factor", "replication_factor"),
+        ("batch size", "batch_size"),
+        ("offered load", "offered_load"),
+        ("warm restart (snapshot)", "warm_restart"),
+        ("snapshot cadence (records)", "snapshot_every"),
+        ("victim", "victim"),
+        ("kill batch / restart batch", "{kill_batch} / {restart_batch}"),
+        ("fingerprints", "fingerprints"),
+        ("batches", "batches"),
+        ("arrival interval us", Round("arrival_interval_us", 2)),
+        ("throughput (lookups/s)", Round("throughput", 1)),
+        ("recovery time ms (charged)", Round("recovery_time_ms", 3)),
+        ("recovery wall ms", Round("recovery_wall_ms", 3)),
+        ("recovered entries", "recovered_entries"),
+        ("replayed tail records", "replayed_records"),
+        ("snapshot loaded", "snapshot_loaded"),
+        ("snapshot bytes", "snapshot_bytes"),
+        ("dedup accuracy", Round("dedup_accuracy", 6)),
+        ("acknowledged before kill", "acknowledged"),
+        ("lost acknowledged", "lost_acknowledged"),
+        ("degraded p99 tax", Round("degraded_p99_tax", 3)),
+        ("recovery p99 tax", Round("recovery_p99_tax", 3)),
+        _UNSERVED_ROW,
+        If("dedup_errors", ("false uniques", "false_uniques"),
+           ("false duplicates", "false_duplicates")),
+        *_phase_rows("steady", "degraded", "recovering", "warmup"),
+        Named("counters"),
+    )),
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
     workload_keys=_TABLE_I_MIX,
@@ -881,6 +1069,7 @@ def _run_service(spec: ScenarioSpec) -> service.ServiceRunResult:
 
 def _service_metrics(result: service.ServiceRunResult) -> Dict[str, Any]:
     return {
+        **_fields(result, "num_nodes", "clients", "pipeline"),
         "fingerprints": result.offered,
         "acknowledged": result.acknowledged,
         "new_fingerprints": result.new_fingerprints,
@@ -906,6 +1095,19 @@ _preset(
     "Boot the real serving stack (TCP gateway + worker processes) and load it",
     _run_service,
     _service_metrics,
+    table=Rows("Service (live gateway + workers)", (
+        ("nodes (worker processes)", "num_nodes"),
+        ("clients x pipeline", "{clients} x {pipeline}"),
+        ("offered fingerprints", "fingerprints"),
+        ("acknowledged", "acknowledged"),
+        ("throughput (fp/s)", "{throughput:,.0f}"),
+        ("p50 latency (us)", "{p50_latency_us:,.0f}"),
+        ("p99 latency (us)", "{p99_latency_us:,.0f}"),
+        ("sheds", "sheds"),
+        ("retries", "retries"),
+        ("worker restarts", "worker_restarts"),
+        ("audited / lost acknowledged", "{audit_checked:,} / {lost_acknowledged}"),
+    )),
     cluster_keys=frozenset({"num_nodes"}),
     node_keys=NODE_KEYS,
     client_keys=frozenset(

@@ -1,10 +1,11 @@
 """Uniform results for scenario runs and sweeps.
 
-Every preset returns a :class:`ScenarioResult`: the spec that produced it,
-one flat ``metrics`` mapping in the common schema, and the preset's legacy
-result object as ``detail`` (which still owns the paper-formatted
-``render()``).  A :class:`SweepResult` collects one row per grid point and
-serializes to the machine-readable JSON grid the CLI emits.
+Every preset returns a :class:`ScenarioResult`: the spec that produced it
+and one flat ``metrics`` mapping in the common schema -- the whole result:
+the preset's paper-formatted table is a layout over those metric names
+(see :mod:`repro.analysis.reporting`), drawn by :meth:`ScenarioResult.render`.
+A :class:`SweepResult` collects one row per grid point and serializes to
+the machine-readable JSON grid the CLI emits.
 
 Common metrics schema
 ---------------------
@@ -47,7 +48,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..analysis.reporting import format_table
+from ..analysis.reporting import format_table, render
 from .spec import ScenarioSpec, SweepGrid
 
 __all__ = ["Claim", "HOLDS", "FAILS", "NOT_APPLICABLE", "ScenarioResult", "SweepRun",
@@ -76,13 +77,12 @@ def _clean_metrics(metrics: Dict[str, Any]) -> Dict[str, Any]:
 
 @dataclass
 class ScenarioResult:
-    """Outcome of one scenario run: spec + uniform metrics + legacy detail."""
+    """Outcome of one scenario run: spec + uniform metrics."""
 
     spec: ScenarioSpec
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: The preset's native result object (``Figure5Result``,
-    #: ``FailoverResult``, ...); owns the paper-formatted rendering.
-    detail: Any = None
+    #: The preset's table layout over ``metrics``; set by ``run_scenario``.
+    table: Any = None
     #: Claim id -> ``{"verdict", "observed", "description"}``, in the
     #: preset's order; filled in by ``run_scenario``.
     claims: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -95,9 +95,9 @@ class ScenarioResult:
         return self.spec.preset
 
     def render(self) -> str:
-        """The paper-formatted table/series for this run."""
-        if self.detail is not None and hasattr(self.detail, "render"):
-            return self.detail.render()
+        """The paper-formatted table/series for this run, drawn from ``metrics``."""
+        if self.table is not None:
+            return render(self.table, self.metrics)
         rows = sorted(
             (key, value)
             for key, value in self.metrics.items()

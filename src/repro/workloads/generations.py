@@ -22,7 +22,7 @@ in-line dedup systems are designed around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from ..dedup.fingerprint import Fingerprint, synthetic_fingerprint
 from ..simulation.rng import RandomStreams
@@ -145,13 +145,3 @@ class GenerationalWorkload:
         """Logical over physical chunk count for the whole cycle."""
         unique = self.unique_chunks()
         return self.total_chunks() / unique if unique else 1.0
-
-    def per_generation_redundancy(self) -> Dict[int, float]:
-        """Fraction of each generation's chunks already seen in earlier ones."""
-        seen: set = set()
-        redundancy: Dict[int, float] = {}
-        for generation in self.generations:
-            already = sum(1 for identity in generation.identities if identity in seen)
-            redundancy[generation.number] = already / len(generation) if len(generation) else 0.0
-            seen.update(generation.identities)
-        return redundancy

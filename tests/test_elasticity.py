@@ -74,7 +74,7 @@ class TestElasticityRunner:
         assert result.skipped_events == 3
 
     def test_render_reports_the_headline_numbers(self):
-        result = run_elasticity(churn_plan=ChurnPlan.join_leave(2), **SMALL)
+        result = run_scenario("elasticity", churn_kind="join_leave", churn_events=2, **SMALL)
         rendered = result.render()
         assert "dedup accuracy" in rendered
         assert "replica copies" in rendered

@@ -3,7 +3,8 @@
 What the paper reports -- the shape of every figure and table -- is stated
 once, as the presets' named claims (``tests/test_paper_claims.py``); the
 tests here check what a runner does besides: every configuration measured,
-rendering, argument validation, and comparisons across two runs.
+argument validation, and comparisons across two runs.  Each preset's table
+is pinned byte for byte by ``tests/test_scenarios_golden.py``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import pytest
 
 from repro.analysis.experiments.figure1 import run_figure1
 from repro.analysis.experiments.figure5 import run_figure5
-from repro.analysis.experiments.figure6 import run_figure6
 from repro.analysis.experiments.generational import run_generational_backup
 from repro.analysis.experiments.table1 import run_table1
+from repro.scenarios import run_scenario
 from repro.workloads.generations import GenerationConfig
 
 
@@ -27,8 +28,10 @@ class TestFigure1:
         assert len(result.points) == 6
         assert all(point.execution_time > 0 for point in result.points)
 
-    def test_render_mentions_every_cluster_size(self, result):
-        text = result.render()
+    def test_render_mentions_every_cluster_size(self):
+        text = run_scenario(
+            "figure1", node_counts=[1, 2, 4], rates=[20_000, 100_000], requests=2_000
+        ).render()
         for nodes in (1, 2, 4):
             assert f"{nodes} nodes" in text
 
@@ -46,33 +49,19 @@ class TestFigure5:
         counts = {point.fingerprints for point in result.points}
         assert len(counts) == 1  # every configuration replayed the same trace
 
-    def test_render(self, result):
-        text = result.render()
+    def test_render(self):
+        text = run_scenario(
+            "figure5", node_counts=[1, 4], batch_sizes=[1, 128], scale=0.0002
+        ).render()
         assert "Figure 5" in text and "chunk/s" in text
+        assert [line.split()[0] for line in text.splitlines()[-2:]] == ["1", "4"]  # servers
 
     def test_validation(self):
         with pytest.raises(ValueError):
             run_figure5(scale=0.0)
 
 
-class TestFigure6:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_figure6(num_nodes=4, scale=0.002)
-
-    def test_render(self, result):
-        text = result.render()
-        assert "Figure 6" in text and "%" in text
-
-
 class TestTable1:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_table1(scale=0.003)
-
-    def test_render(self, result):
-        assert "Table I" in result.render()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             run_table1(scale=0.0)

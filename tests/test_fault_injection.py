@@ -23,6 +23,7 @@ from repro.core.fault_injection import (
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.frontend.client import SimulatedClient
 from repro.frontend.gateway import build_simulated_service
+from repro.scenarios import run_scenario
 
 
 def make_cluster(num_nodes=4, replication=2, virtual_nodes=0) -> SHHCCluster:
@@ -267,11 +268,14 @@ class TestSimulatedDeploymentWithDownNode:
 
 class TestFailoverExperiment:
     def test_zero_dedup_errors_with_replication(self):
-        result = run_failover(scale=0.0005, num_nodes=4, replication_factor=2, batch_size=128)
-        assert result.crashes == 4 and result.recoveries == 4
-        assert result.dedup_errors == 0
-        assert result.accuracy == 1.0
-        assert result.distinct <= result.total_stored
+        result = run_scenario(
+            "failover", scale=0.0005, num_nodes=4, replication_factor=2, batch_size=128
+        )
+        metrics = result.metrics
+        assert metrics["crashes"] == 4 and metrics["recoveries"] == 4
+        assert metrics["dedup_errors"] == 0
+        assert metrics["dedup_accuracy"] == 1.0
+        assert metrics["distinct_fingerprints"] <= metrics["total_stored"]
         rendered = result.render()
         assert "dedup accuracy" in rendered
         assert "crash hashnode-0" in rendered
@@ -440,9 +444,9 @@ class TestFaultPlan:
         assert result.dedup_errors == 0 and result.unserved == 0
 
     def test_run_failover_unreplicated_counts_unserved(self):
-        result = run_failover(scale=0.0004, replication_factor=1, outage_density=0.4)
-        assert result.unserved > 0
-        assert result.accuracy < 1.0
+        result = run_scenario("failover", scale=0.0004, replication_factor=1, outage_density=0.4)
+        assert result.metrics["unserved"] > 0
+        assert result.metrics["dedup_accuracy"] < 1.0
         assert "unserved lookups" in result.render()
 
     def test_run_failover_rejects_conflicting_fault_arguments(self):

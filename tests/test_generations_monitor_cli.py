@@ -23,21 +23,6 @@ class TestGenerationalWorkload:
         assert sizes[0] == 1000
         assert all(later >= earlier for earlier, later in zip(sizes, sizes[1:]))
 
-    def test_first_generation_is_all_new(self):
-        workload = GenerationalWorkload(GenerationConfig(initial_chunks=500, generations=3))
-        redundancy = workload.per_generation_redundancy()
-        assert redundancy[0] == 0.0
-
-    def test_later_generations_match_configured_churn(self):
-        config = GenerationConfig(
-            initial_chunks=2000, generations=4, modify_fraction=0.05, growth_fraction=0.01
-        )
-        workload = GenerationalWorkload(config)
-        redundancy = workload.per_generation_redundancy()
-        for generation_number in range(1, 4):
-            # ~5% modified + ~1% growth => ~94% of each generation is redundant.
-            assert redundancy[generation_number] == pytest.approx(0.94, abs=0.02)
-
     def test_expected_dedup_ratio_reflects_generations(self):
         workload = GenerationalWorkload(
             GenerationConfig(initial_chunks=1000, generations=5, modify_fraction=0.0, growth_fraction=0.0)

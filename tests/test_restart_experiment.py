@@ -29,8 +29,6 @@ class TestRunRestart:
         # All four phases saw traffic.
         for phase in ("warmup", "steady", "degraded", RECOVERING_PHASE):
             assert result.phases[phase].count > 0
-        rendered = result.render()
-        assert "recovery time ms" in rendered and "degraded p99" in rendered
 
     def test_cold_restart_replays_full_log_and_charges_more(self):
         warm = run_restart(scale=SCALE, seed=0, warm_restart=True)
@@ -94,6 +92,8 @@ class TestRestartPreset:
         assert metrics["kills"] == 1 and metrics["restarts"] == 1
         assert "degraded_p99_latency_us" in metrics
         assert "recovering_p99_latency_us" in metrics
+        rendered = result.render()
+        assert "recovery time ms" in rendered and "degraded p99" in rendered
 
     def test_preset_client_knobs(self):
         result = run_scenario(
@@ -103,13 +103,14 @@ class TestRestartPreset:
             downtime=3,
             snapshot_every=None,
         )
-        detail = result.detail
-        assert not detail.warm_restart
-        assert detail.restart_batch - detail.kill_batch == 3
-        assert result.metrics["snapshot_loaded"] is False
+        metrics = result.metrics
+        assert metrics["warm_restart"] is False and metrics["restart_mode"] == "cold"
+        assert metrics["restart_batch"] - metrics["kill_batch"] == 3
+        assert metrics["snapshot_loaded"] is False
 
     def test_preset_matches_runner(self):
-        via_preset = run_scenario("restart", scale=SCALE, seed=1).detail
+        via_preset = run_scenario("restart", scale=SCALE, seed=1).metrics
         direct = run_restart(scale=SCALE, seed=1)
-        assert via_preset.recovery_time == direct.recovery_time
-        assert via_preset.counters == direct.counters
+        assert via_preset["recovery_time_ms"] == direct.recovery_time * 1e3
+        assert via_preset["counters"] == sorted(direct.counters)
+        assert {name: via_preset[name] for name in direct.counters} == direct.counters

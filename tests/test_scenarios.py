@@ -397,16 +397,17 @@ class TestScalarListAndProfileHandling:
         assert main(["run", "figure6", "--set", "profiles=bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
 
-    def test_registering_a_custom_preset_keeps_builtins_visible(self):
-        from repro.scenarios import Preset, ScenarioResult, register_preset
+    def test_registering_a_custom_preset_keeps_builtins_visible(self, monkeypatch):
+        from repro.scenarios import Preset, ScenarioResult, engine
 
-        register_preset(
-            Preset(
-                name="_test_custom",
-                description="registry regression probe",
-                runner=lambda spec: ScenarioResult(spec=spec),
-            )
+        preset = Preset(
+            name="_test_custom",
+            description="registry regression probe",
+            runner=lambda spec: ScenarioResult(spec=spec),
         )
+        # What ``register_preset`` does, undone at teardown: the probe leaves
+        # the process-wide registry as it found it.
+        monkeypatch.setitem(engine._PRESETS, preset.name, preset)
         names = available_presets()
         assert "_test_custom" in names and EXPECTED_PRESETS <= set(names)
 

@@ -3,21 +3,22 @@
 The files under ``tests/golden/`` were generated at tiny scales by the
 code as it stood *before* the refactor that added them (the paper
 figures before the scenario API, the disruption experiments before their
-five replay loops became one driver).  Each test asserts that the preset
--- driven purely through a declarative spec -- renders the byte-identical
-table; the ``run_*`` module functions are checked against the same
-goldens, so preset and module provably agree.
+five replay loops became one driver).  Each preset, driven purely through
+a declarative spec, must render the byte-identical table, and draw it
+again from its JSON metrics alone.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.scenarios import run_scenario, spec_for
+from repro.analysis.reporting import render
+from repro.scenarios import get_preset, run_scenario, spec_for
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -70,19 +71,16 @@ def test_preset_render_matches_pre_refactor_output(preset):
     assert rendered == golden
 
 
-def test_legacy_module_functions_match_the_same_goldens():
-    """The underlying experiment modules still produce the golden output."""
-    from repro.analysis.experiments import ablations, figure6, table1
-
-    assert (
-        figure6.run_figure6(num_nodes=4, scale=0.002).render() + "\n"
-        == golden_text("figure6")
+@pytest.mark.parametrize("preset", sorted(GOLDEN_CASES))
+def test_table_renders_from_the_json_metrics_alone(preset):
+    """A run's JSON redraws its table: the layout reads nothing but ``metrics``."""
+    result = run_scenario(spec_for(preset, **GOLDEN_CASES[preset]))
+    metrics = json.loads(result.to_json())["metrics"]
+    rendered, golden = (
+        _WALL_CLOCK_ROW.sub(r"\1 <wall-clock>", text)
+        for text in (render(get_preset(preset).table, metrics) + "\n", golden_text(preset))
     )
-    assert table1.run_table1(scale=0.003).render() + "\n" == golden_text("table1")
-    assert (
-        ablations.run_tier_ablation(scale=0.0005).render() + "\n"
-        == golden_text("tier_ablation")
-    )
+    assert rendered == golden
 
 
 @pytest.mark.parametrize("leg", sorted(PINNED_VIRTUAL_FPS[1]), ids=lambda leg: f"b{leg[0]}")
