@@ -1,16 +1,23 @@
-"""Golden-output equivalence: every preset renders a pinned table.
+"""Golden-output equivalence: every preset renders a pinned table and metrics.
 
-The files under ``tests/golden/`` were generated at tiny scales by the
-code as it stood *before* the refactor that added them (the paper
-figures before the scenario API, the disruption experiments before their
-five replay loops became one driver).  Each preset, driven purely through
-a declarative spec, must render the byte-identical table, and draw it
-again from its JSON metrics alone.
+The ``<preset>.txt`` files under ``tests/golden/`` were generated at tiny
+scales by the code as it stood *before* the refactor that added them (the
+paper figures before the scenario API, the disruption experiments before
+their five replay loops became one driver).  Each preset, driven purely
+through a declarative spec, must render the byte-identical table, and draw
+it again from its JSON metrics alone.
+
+A table prints only some of a run's metrics, so ``<preset>.metrics.json``
+pins all of them: every key a sweep or a caller may read, at every depth.
+Keys, ints, strings and bools match exactly; floats match to a relative
+1e-12, since Python 3.12's ``sum()`` of floats rounds differently from
+3.10's and 3.11's.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -57,8 +64,42 @@ GOLDEN_CASES = {
 _WALL_CLOCK_ROW = re.compile(r"^( *recovery wall ms) .*$", re.MULTILINE)
 
 
+#: Metrics of host wall-clock time, masked the same way (``restart`` only).
+_WALL_CLOCK_METRICS = ("recovery_wall_ms",)
+
+
 def golden_text(name: str) -> str:
     return (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def golden_metrics(name: str) -> dict:
+    return json.loads((GOLDEN_DIR / f"{name}.metrics.json").read_text(encoding="utf-8"))
+
+
+def json_metrics(result) -> dict:
+    """``result``'s metrics as its JSON carries them, wall-clock values masked."""
+    metrics = json.loads(result.to_json())["metrics"]
+    for key in _WALL_CLOCK_METRICS:
+        if key in metrics:
+            metrics[key] = "<wall-clock>"
+    return metrics
+
+
+def assert_same_metrics(actual, golden, path="metrics"):
+    if isinstance(golden, float) and isinstance(actual, float):
+        assert math.isclose(actual, golden, rel_tol=1e-12), f"{path}: {actual!r} != {golden!r}"
+        return
+    assert type(actual) is type(golden), f"{path}: {actual!r} != {golden!r}"
+    if isinstance(golden, dict):
+        assert sorted(actual) == sorted(golden), path
+        for key in golden:
+            assert_same_metrics(actual[key], golden[key], f"{path}.{key}")
+    elif isinstance(golden, list):
+        assert len(actual) == len(golden), path
+        for index, (item, pinned) in enumerate(zip(actual, golden)):
+            assert_same_metrics(item, pinned, f"{path}[{index}]")
+    else:
+        assert actual == golden, f"{path}: {actual!r} != {golden!r}"
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN_CASES))
@@ -69,6 +110,7 @@ def test_preset_render_matches_pre_refactor_output(preset):
         for text in (result.render() + "\n", golden_text(preset))
     )
     assert rendered == golden
+    assert_same_metrics(json_metrics(result), golden_metrics(preset))
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN_CASES))
