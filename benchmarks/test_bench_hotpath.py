@@ -321,26 +321,21 @@ def _bench_control_plane(scale: float) -> dict:
     from repro.analysis.experiments.control_plane import run_failover_timed
 
     result = run_failover_timed(scale=0.001, seed=0)
-    steady, degraded = result.steady, result.taxed
-    assert steady is not None and degraded is not None
     return {
         "unit": "p99 tax (degraded p99 / steady p99, virtual time)",
-        "baseline": {
-            "phase": "steady",
-            "lookups": steady.count,
-            "p50_latency_us": steady.p50 * 1e6,
-            "p99_latency_us": steady.p99 * 1e6,
+        **{
+            side: {
+                "phase": phase,
+                "lookups": result[f"{phase}_lookups"],
+                "p50_latency_us": result[f"{phase}_p50_latency_us"],
+                "p99_latency_us": result[f"{phase}_p99_latency_us"],
+            }
+            for side, phase in (("baseline", "steady"), ("fast", "degraded"))
         },
-        "fast": {
-            "phase": "degraded",
-            "lookups": degraded.count,
-            "p50_latency_us": degraded.p50 * 1e6,
-            "p99_latency_us": degraded.p99 * 1e6,
-        },
-        "offered_load": result.offered_load,
-        "replica_writes": result.counters.get("replica_writes", 0),
-        "control_plane_cpu_seconds": result.control_plane_cpu_seconds,
-        "speedup": result.p99_tax,
+        "offered_load": result["offered_load"],
+        "replica_writes": result.get("replica_writes", 0),
+        "control_plane_cpu_seconds": result["control_plane_cpu_seconds"],
+        "speedup": result["p99_tax"],
     }
 
 

@@ -11,8 +11,10 @@ repro.analysis.experiments.figure5 import run_figure5``) when an argument
 is a rich object a declarative spec cannot carry (workload mixes, profile
 objects, explicit configs or schedules).
 
-Every runner returns a result dataclass; its preset folds it into
-metrics, and the paper-formatted table is drawn from those metrics alone.
-This package imports nothing: a preset's first run imports only the
-experiment it runs.
+Every runner returns the metrics its preset reports: a dict of plain JSON
+values (a figure's ``points``, a table's ``rows``, counters by name).  The
+preset wraps it in a :class:`~repro.scenarios.result.ScenarioResult` as it
+is, and the paper-formatted table is drawn from those metrics alone.  This
+package imports nothing: a preset's first run imports only the experiment
+it runs.
 """

@@ -24,8 +24,7 @@ replication factor and churn rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
@@ -33,7 +32,6 @@ from ...core.fault_injection import FaultInjector, FaultPlan
 from ...core.membership import ChurnPlan
 from ...dedup.fingerprint import Fingerprint
 from ...simulation.costmodel import CostModel
-from ...simulation.stats import LatencyTally
 from ...workloads.mixer import WorkloadMix
 from .elasticity import DEFAULT_CHURN_EVENTS
 from .replay import (
@@ -44,6 +42,7 @@ from .replay import (
     Churn,
     Outages,
     ReplayAudit,
+    audit_metrics,
     cluster_config,
     make_batches,
     replay,
@@ -51,10 +50,9 @@ from .replay import (
 )
 
 __all__ = [
-    "PhaseLatency",
-    "TimedResult",
-    "ControlPlaneResult",
     "calibrate_interval",
+    "read_ledger",
+    "p99_tax",
     "run_failover_timed",
     "run_churn_timed",
 ]
@@ -64,89 +62,57 @@ __all__ = [
 DEFAULT_OUTAGE_DENSITY = 0.3
 
 
-@dataclass(frozen=True)
-class PhaseLatency:
-    """Lookup-latency summary for one phase of a timed run (seconds)."""
+def read_ledger(cluster: SHHCCluster, interval: float, extra: Dict[str, int]) -> Dict[str, Any]:
+    """What a timed run reads off its ledger: the clock, per-phase latency, the counters.
 
-    phase: str
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    p99: float
-
-    @classmethod
-    def from_tally(cls, phase: str, tally: LatencyTally) -> "PhaseLatency":
-        return cls(
-            phase=phase,
-            count=tally.count,
-            mean=tally.mean,
-            p50=tally.percentile(0.50),
-            p95=tally.percentile(0.95),
-            p99=tally.percentile(0.99),
-        )
-
-
-@dataclass(kw_only=True)
-class TimedResult(ReplayAudit):
-    """What every timed run reads off its cluster's ledger."""
-
-    #: Open-loop batch arrival interval (seconds), calibrated from a
-    #: fault-free probe run of the same workload.
-    interval: float = 0.0
-    phases: Dict[str, PhaseLatency] = field(default_factory=dict)
-    #: Served lookups per second of virtual time over the whole run.
-    throughput: float = 0.0
-    #: Control-plane CPU seconds deferred onto node timelines.
-    control_plane_cpu_seconds: float = 0.0
-    #: Ledger + scenario counters (replica_writes, migration_entries, ...).
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def steady(self) -> Optional[PhaseLatency]:
-        return self.phases.get(STEADY_PHASE)
-
-    def p99_over_steady(self, phase: str) -> float:
-        """``phase``'s p99 over steady-state p99 (1.0 = control plane free)."""
-        steady, taxed = self.steady, self.phases.get(phase)
-        if steady is None or taxed is None or steady.p99 <= 0.0:
-            return 1.0
-        return taxed.p99 / steady.p99
-
-    def read_ledger(self, cluster: SHHCCluster, extra: Dict[str, int]) -> None:
-        """Fill phases, throughput and counters once the replay is over."""
-        ledger = cluster.ledger
-        for name, tally in ledger.phases.items():
-            self.phases[name] = PhaseLatency.from_tally(name, tally)
-        end = ledger.end_time()
-        served = ledger.counters["lookups"]
-        self.throughput = served / end if end > 0 else 0.0
-        self.control_plane_cpu_seconds = ledger.control_plane_cpu_seconds
-        self.counters = dict(ledger.counters)
-        self.counters.update(extra)
-        self.counters["read_repairs"] = cluster.read_repairs
-        self.counters["failovers"] = cluster.failovers
+    ``interval`` is the open-loop batch arrival interval (seconds).  Every
+    counter -- the ledger's, the run's ``extra`` ones, read repairs and
+    failovers -- is a metric of its own, and ``counters`` lists their names.
+    """
+    ledger = cluster.ledger
+    end = ledger.end_time()
+    metrics: Dict[str, Any] = {
+        "arrival_interval_us": interval * 1e6,
+        # Served lookups per second of virtual time over the whole run.
+        "throughput": ledger.counters["lookups"] / end if end > 0 else 0.0,
+        # Control-plane CPU seconds deferred onto node timelines.
+        "control_plane_cpu_seconds": ledger.control_plane_cpu_seconds,
+    }
+    for name, tally in ledger.phases.items():
+        metrics[f"{name}_lookups"] = tally.count
+        metrics[f"{name}_mean_latency_us"] = tally.mean * 1e6
+        metrics[f"{name}_p50_latency_us"] = tally.percentile(0.50) * 1e6
+        metrics[f"{name}_p99_latency_us"] = tally.percentile(0.99) * 1e6
+    counters = {
+        **ledger.counters,
+        **extra,
+        "read_repairs": cluster.read_repairs,
+        "failovers": cluster.failovers,
+    }
+    metrics["counters"] = sorted(counters)
+    metrics.update(counters)
+    return metrics
 
 
-@dataclass
-class ControlPlaneResult(TimedResult):
-    """Outcome of one timed control-plane run."""
+def p99_tax(cluster: SHHCCluster, phase: str) -> float:
+    """``phase``'s p99 over steady-state p99 on the ledger (1.0 = control plane free)."""
+    steady, taxed = cluster.ledger.phases.get(STEADY_PHASE), cluster.ledger.phases.get(phase)
+    if steady is None or taxed is None:
+        return 1.0
+    steady_p99 = steady.percentile(0.99)
+    return taxed.percentile(0.99) / steady_p99 if steady_p99 > 0.0 else 1.0
 
-    num_nodes: int
-    replication_factor: int
-    virtual_nodes: int
-    batch_size: int
-    offered_load: float
-    headline_phase: str  # the taxed phase: degraded or migrating
 
-    @property
-    def taxed(self) -> Optional[PhaseLatency]:
-        return self.phases.get(self.headline_phase)
-
-    @property
-    def p99_tax(self) -> float:
-        """Taxed-phase p99 over steady-state p99 (1.0 = control plane free)."""
-        return self.p99_over_steady(self.headline_phase)
+def _timed_metrics(cluster: SHHCCluster, audit: ReplayAudit, interval: float, batch_size: int,
+                   offered_load: float, taxed_phase: str, extra: Dict[str, int]) -> Dict[str, Any]:
+    """A timed control-plane run's metrics; ``taxed_phase`` is the one ``p99_tax`` compares."""
+    return {
+        **audit_metrics(audit, cluster.config, batch_size),
+        "offered_load": offered_load,
+        "p99_tax": p99_tax(cluster, taxed_phase),
+        "unserved": audit.unserved,
+        **read_ledger(cluster, interval, extra),
+    }
 
 
 def calibrate_interval(
@@ -187,7 +153,7 @@ def run_failover_timed(
     node_config: Optional[HashNodeConfig] = None,
     cost_model: Optional[CostModel] = None,
     seed: int = 0,
-) -> ControlPlaneResult:
+) -> Dict[str, Any]:
     """Measure the lookup-latency distribution *during* node outages.
 
     Streams the workload on an open-loop arrival clock while a
@@ -201,7 +167,8 @@ def run_failover_timed(
 
     Fingerprints whose whole replica set is down are not sent (counted as
     ``unserved``) and every verdict is audited against the oracle, as in
-    :func:`~repro.analysis.experiments.failover.run_failover`.
+    :func:`~repro.analysis.experiments.failover.run_failover`.  Returns the
+    ``failover_timed`` preset's metrics.
     """
     if fault_plan is not None and outage_density is not None:
         raise ValueError("pass at most one of fault_plan, outage_density")
@@ -221,20 +188,10 @@ def run_failover_timed(
     cluster = SHHCCluster(config, cost_model=model)
     schedule = fault_plan.schedule(cluster.node_names, horizon=float(len(batches)))
     injector = FaultInjector(cluster, schedule)
-    result = ControlPlaneResult(
-        num_nodes=num_nodes,
-        replication_factor=replication_factor,
-        virtual_nodes=virtual_nodes,
-        batch_size=batch_size,
-        offered_load=offered_load,
-        headline_phase=DEGRADED_PHASE,
-        fingerprints_processed=len(fingerprints),
-        batches=len(batches),
-        interval=interval,
-    )
-    replay(cluster, batches, Outages(injector), result, interval=interval)
-    result.read_ledger(cluster, {"crashes": injector.crashes, "recoveries": injector.recoveries})
-    return result
+    audit = ReplayAudit()
+    replay(cluster, batches, Outages(injector), audit, interval=interval)
+    return _timed_metrics(cluster, audit, interval, batch_size, offered_load, DEGRADED_PHASE,
+                          {"crashes": injector.crashes, "recoveries": injector.recoveries})
 
 
 def run_churn_timed(
@@ -249,7 +206,7 @@ def run_churn_timed(
     node_config: Optional[HashNodeConfig] = None,
     cost_model: Optional[CostModel] = None,
     seed: int = 0,
-) -> ControlPlaneResult:
+) -> Dict[str, Any]:
     """Measure the lookup-latency distribution *during* membership churn.
 
     Like :func:`run_failover_timed`, but the disturbance is a
@@ -258,7 +215,8 @@ def run_churn_timed(
     source and target nodes' timelines (export CPU, fabric transfer,
     import CPU), so batches right after an event queue behind the
     migration; they are recorded under the ``migrating`` phase until the
-    backlog drains back under one arrival interval.
+    backlog drains back under one arrival interval.  Returns the
+    ``churn_timed`` preset's metrics.
     """
     if num_nodes < MIN_NODES:
         raise ValueError(f"num_nodes must be >= {MIN_NODES}")
@@ -274,20 +232,15 @@ def run_churn_timed(
 
     cluster = SHHCCluster(config, cost_model=model)
     churn = Churn(cluster, plan, horizon=float(len(batches)))
-    result = ControlPlaneResult(
-        num_nodes=num_nodes,
-        replication_factor=replication_factor,
-        virtual_nodes=virtual_nodes,
-        batch_size=batch_size,
-        offered_load=offered_load,
-        headline_phase=MIGRATING_PHASE,
-        fingerprints_processed=len(fingerprints),
-        batches=len(batches),
-        interval=interval,
-    )
-    replay(cluster, batches, churn, result, interval=interval)
-    result.read_ledger(
+    audit = ReplayAudit()
+    replay(cluster, batches, churn, audit, interval=interval)
+    return _timed_metrics(
         cluster,
+        audit,
+        interval,
+        batch_size,
+        offered_load,
+        MIGRATING_PHASE,
         {
             "joins": churn.joins,
             "leaves": churn.leaves,
@@ -295,4 +248,3 @@ def run_churn_timed(
             "entries_moved": churn.entries_moved,
         },
     )
-    return result

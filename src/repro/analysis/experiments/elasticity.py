@@ -15,8 +15,7 @@ tax of elasticity, zero at ``replication_factor == 1``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ...core.cluster import SHHCCluster
 from ...core.config import HashNodeConfig
@@ -26,51 +25,18 @@ from .replay import (
     MIN_NODES,
     Churn,
     ReplayAudit,
+    audit_metrics,
     cluster_config,
-    fill_replication,
     make_batches,
     replay,
+    replication_metrics,
     require_room,
 )
 
-__all__ = ["ElasticityResult", "run_elasticity", "DEFAULT_CHURN_EVENTS"]
+__all__ = ["run_elasticity", "DEFAULT_CHURN_EVENTS"]
 
 #: Membership changes a default run performs (two full join/leave cycles).
 DEFAULT_CHURN_EVENTS = 4
-
-
-@dataclass
-class ElasticityResult(ReplayAudit):
-    """Outcome of one churn run."""
-
-    num_nodes: int
-    replication_factor: int
-    virtual_nodes: int
-    batch_size: int
-    churn_plan: Optional[ChurnPlan] = None
-    joins: int = 0
-    leaves: int = 0
-    skipped_events: int = 0
-    entries_moved: int = 0
-    entries_examined: int = 0  # sum of pre-change entry counts across events
-    primary_moves: int = 0
-    replica_copies: int = 0
-    replica_drops: int = 0
-    read_repairs: int = 0
-    replica_inserts: int = 0
-    final_nodes: int = 0
-    distinct: int = 0
-    total_stored: int = 0
-    fully_replicated: int = 0
-    under_replicated: int = 0
-    lost: int = 0
-    #: Per-event timeline: (batch index, action, node, entries moved).
-    events: List[Tuple[float, str, str, int]] = field(default_factory=list)
-
-    @property
-    def moved_fraction(self) -> float:
-        """Copies created per pre-change entry, aggregated over all events."""
-        return self.entries_moved / self.entries_examined if self.entries_examined else 0.0
 
 
 def run_elasticity(
@@ -83,7 +49,7 @@ def run_elasticity(
     churn_plan: Optional[ChurnPlan] = None,
     node_config: Optional[HashNodeConfig] = None,
     seed: int = 0,
-) -> ElasticityResult:
+) -> Dict[str, Any]:
     """Measure dedup accuracy and migration traffic while nodes join/leave.
 
     The churn schedule lives on the logical time axis of batch indices,
@@ -93,6 +59,8 @@ def run_elasticity(
     joins or leaves).  With a replica-aware
     :class:`~repro.core.membership.MembershipManager` the expected dedup
     error count is exactly zero at every replication factor.
+
+    Returns the ``elasticity`` preset's metrics.
     """
     if num_nodes < MIN_NODES:
         raise ValueError(f"num_nodes must be >= {MIN_NODES}")
@@ -100,29 +68,34 @@ def run_elasticity(
     fingerprints, batches = make_batches(mix, scale, batch_size, seed)
     if plan.has_churn:
         require_room(batches, batch_size, plan.start, "a churn plan")
-    cluster = SHHCCluster(
-        cluster_config(num_nodes, replication_factor, virtual_nodes, node_config, len(fingerprints))
+    config = cluster_config(
+        num_nodes, replication_factor, virtual_nodes, node_config, len(fingerprints)
     )
+    cluster = SHHCCluster(config)
     churn = Churn(cluster, plan, horizon=float(len(batches)))
-    result = ElasticityResult(
-        num_nodes=num_nodes,
-        replication_factor=replication_factor,
-        virtual_nodes=virtual_nodes,
-        batch_size=batch_size,
-        churn_plan=plan,
-        fingerprints_processed=len(fingerprints),
-        batches=len(batches),
-    )
-    replay(cluster, batches, churn, result)
+    audit = ReplayAudit()
+    replay(cluster, batches, churn, audit)
 
-    result.joins, result.leaves, result.skipped_events = churn.joins, churn.leaves, churn.skipped
-    for event, node_id, report in churn.applied:
-        result.entries_moved += report.entries_moved
-        result.entries_examined += report.entries_before
-        result.primary_moves += report.primary_moves
-        result.replica_copies += report.replica_copies
-        result.replica_drops += report.replica_drops
-        result.events.append((event.time, event.action, node_id, report.entries_moved))
-    result.final_nodes = cluster.num_nodes
-    fill_replication(result, cluster, churn.manager.controller)
-    return result
+    reports = [report for _, _, report in churn.applied]
+    entries_moved = churn.entries_moved
+    # Entries every change found in place before it ran, summed over the run.
+    entries_examined = sum(report.entries_before for report in reports)
+    return {
+        **audit_metrics(audit, config, batch_size),
+        "joins": churn.joins,
+        "leaves": churn.leaves,
+        "skipped_events": churn.skipped,
+        "final_nodes": cluster.num_nodes,
+        "entries_moved": entries_moved,
+        # Copies created per pre-change entry, aggregated over all events.
+        "moved_fraction": entries_moved / entries_examined if entries_examined else 0.0,
+        "primary_moves": sum(report.primary_moves for report in reports),
+        "replica_copies": sum(report.replica_copies for report in reports),
+        "replica_drops": sum(report.replica_drops for report in reports),
+        # Per-event timeline: (batch index, action, node, entries moved).
+        "events": [
+            (event.time, event.action, node_id, report.entries_moved)
+            for event, node_id, report in churn.applied
+        ],
+        **replication_metrics(cluster, churn.manager.controller),
+    }

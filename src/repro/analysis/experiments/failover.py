@@ -15,8 +15,7 @@ fault-free run of the same workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ...core.cluster import SHHCCluster
 from ...core.config import HashNodeConfig
@@ -32,51 +31,15 @@ from ...workloads.mixer import WorkloadMix
 from .replay import (
     Outages,
     ReplayAudit,
+    audit_metrics,
     cluster_config,
-    fill_replication,
     make_batches,
     replay,
+    replication_metrics,
     require_room,
 )
 
-__all__ = ["FailoverResult", "run_failover"]
-
-
-@dataclass
-class FailoverResult(ReplayAudit):
-    """Outcome of one failover run (plus its fault-free baseline)."""
-
-    num_nodes: int
-    replication_factor: int
-    virtual_nodes: int
-    batch_size: int
-    crashes: int = 0
-    recoveries: int = 0
-    read_repairs: int = 0
-    failovers: int = 0
-    replica_inserts: int = 0
-    repaired_copies: int = 0
-    distinct: int = 0
-    total_stored: int = 0
-    fully_replicated: int = 0
-    under_replicated: int = 0
-    lost: int = 0
-    mean_latency_faulty: float = 0.0
-    mean_latency_baseline: float = 0.0
-    events: List[Tuple[float, str, str]] = field(default_factory=list)
-    #: Requests dropped by grey-failing (flaky) nodes before failover/retry.
-    grey_drops: int = 0
-    tier_hits: Dict[str, int] = field(default_factory=dict)
-    latency_percentiles_faulty: Dict[str, float] = field(default_factory=dict)
-    latency_percentiles_baseline: Dict[str, float] = field(default_factory=dict)
-    fault_plan: Optional[FaultPlan] = None
-
-    @property
-    def latency_overhead(self) -> float:
-        """Relative mean-latency cost of running through failures."""
-        if self.mean_latency_baseline <= 0.0:
-            return 0.0
-        return self.mean_latency_faulty / self.mean_latency_baseline - 1.0
+__all__ = ["run_failover"]
 
 
 def run_failover(
@@ -92,7 +55,7 @@ def run_failover(
     node_config: Optional[HashNodeConfig] = None,
     repair_on_recovery: bool = True,
     seed: int = 0,
-) -> FailoverResult:
+) -> Dict[str, Any]:
     """Measure dedup accuracy and latency while nodes crash and recover.
 
     The default schedule rolls a single-node outage across the cluster
@@ -109,6 +72,8 @@ def run_failover(
     whole replica set is down are tallied as ``unserved`` instead of
     aborting the run, which is precisely the dedup loss the replication
     sweep quantifies.
+
+    Returns the ``failover`` preset's metrics.
     """
     if fault_plan is not None and (schedule is not None or outage_density is not None):
         raise ValueError("pass at most one of fault_plan, schedule, outage_density")
@@ -130,8 +95,9 @@ def run_failover(
         num_nodes, replication_factor, virtual_nodes, node_config, len(fingerprints)
     )
 
-    def measured_replay(cluster: SHHCCluster, disruption: Outages, audit: ReplayAudit):
-        """Mean and p50/p95/p99 of every lookup's latency (0.0, {} if none)."""
+    def measured_replay(cluster: SHHCCluster, disruption: Outages,
+                        audit: ReplayAudit) -> LatencyTally:
+        """Every lookup's latency."""
         tally = LatencyTally()
         replay(
             cluster,
@@ -140,34 +106,21 @@ def run_failover(
             audit,
             observe=lambda outcomes: tally.add_many(o.latency for o in outcomes),
         )
-        if not tally.count:
-            return 0.0, {}
-        return tally.mean, {f"p{q}": tally.percentile(q / 100.0) for q in (50, 95, 99)}
+        return tally
 
     # -- fault-free baseline (latency reference; audit discarded) --------------------
     baseline = SHHCCluster(config)
-    baseline_latency, baseline_percentiles = measured_replay(
-        baseline, Outages.none(baseline), ReplayAudit()
-    )
+    baseline_mean = measured_replay(baseline, Outages.none(baseline), ReplayAudit()).mean
 
     # -- faulty run -----------------------------------------------------------------
     cluster = SHHCCluster(config)
     controller = ReplicationController(cluster)
-    result = FailoverResult(
-        num_nodes=num_nodes,
-        replication_factor=replication_factor,
-        virtual_nodes=virtual_nodes,
-        batch_size=batch_size,
-        fingerprints_processed=len(fingerprints),
-        batches=len(batches),
-        mean_latency_baseline=baseline_latency,
-        latency_percentiles_baseline=baseline_percentiles,
-        fault_plan=fault_plan,
-    )
+    repaired_copies = 0
 
     def _on_recovery(_node: str) -> None:
+        nonlocal repaired_copies
         if repair_on_recovery:
-            result.repaired_copies += controller.repair()
+            repaired_copies += controller.repair()
 
     flaky_wrappers = []
     if fault_plan is not None:
@@ -182,20 +135,35 @@ def run_failover(
         )
     injector = FaultInjector(cluster, schedule, on_recovery=_on_recovery)
 
-    result.mean_latency_faulty, result.latency_percentiles_faulty = measured_replay(
-        cluster, Outages(injector), result
-    )
-    result.grey_drops = sum(w.injected_failures for w in flaky_wrappers)
-    result.crashes = injector.crashes
-    result.recoveries = injector.recoveries
-    result.failovers = cluster.failovers
-    result.events = [(e.time, e.action, e.node) for e in injector.applied]
-    metrics = cluster.metrics()
-    result.tier_hits = {
-        "ram": metrics.ram_hits,
-        "ssd": metrics.ssd_hits,
-        "new": metrics.total_new_entries,
-        "repair": cluster.read_repairs,
+    audit = ReplayAudit()
+    latency = measured_replay(cluster, Outages(injector), audit)
+
+    def percentile_us(q: float) -> float:
+        return latency.percentile(q) * 1e6 if latency.count else 0.0
+
+    tiers = cluster.metrics()
+    return {
+        **audit_metrics(audit, config, batch_size),
+        "mean_latency_us": latency.mean * 1e6,
+        "p50_latency_us": percentile_us(0.50),
+        "p95_latency_us": percentile_us(0.95),
+        "p99_latency_us": percentile_us(0.99),
+        "baseline_mean_latency_us": baseline_mean * 1e6,
+        # The relative mean-latency cost of running through failures.
+        "latency_overhead": latency.mean / baseline_mean - 1.0 if baseline_mean > 0.0 else 0.0,
+        "served_from": {
+            "ram": tiers.ram_hits,
+            "ssd": tiers.ssd_hits,
+            "new": tiers.total_new_entries,
+            "repair": cluster.read_repairs,
+        },
+        "unserved": audit.unserved,
+        # Requests dropped by grey-failing (flaky) nodes before failover/retry.
+        "grey_drops": sum(w.injected_failures for w in flaky_wrappers),
+        "failovers": cluster.failovers,
+        "repaired_copies": repaired_copies,
+        "crashes": injector.crashes,
+        "recoveries": injector.recoveries,
+        "events": [(e.time, e.action, e.node) for e in injector.applied],
+        **replication_metrics(cluster, controller),
     }
-    fill_replication(result, cluster, controller)
-    return result

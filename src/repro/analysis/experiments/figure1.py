@@ -16,8 +16,7 @@ records when the last response arrives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
@@ -28,41 +27,13 @@ from ...simulation.engine import Simulator
 from ...workloads.arrival import OpenLoopArrivals
 from .replay import default_node_config
 
-__all__ = ["Figure1Point", "Figure1Result", "run_figure1"]
+__all__ = ["run_figure1"]
 
 #: Offered rates used by the paper's Figure 1 x axis (requests / second).
 DEFAULT_RATES = (20_000, 40_000, 60_000, 80_000, 100_000)
 
 #: Cluster sizes plotted in Figure 1.
 DEFAULT_NODE_COUNTS = (1, 2, 4, 8, 16)
-
-
-@dataclass(frozen=True)
-class Figure1Point:
-    """One (cluster size, offered rate) measurement."""
-
-    nodes: int
-    offered_rate: float
-    requests: int
-    execution_time: float
-
-    @property
-    def execution_time_us(self) -> float:
-        """Execution time in microseconds (the paper's y axis unit)."""
-        return self.execution_time * 1e6
-
-    @property
-    def achieved_rate(self) -> float:
-        """Requests completed per second of simulated time."""
-        return self.requests / self.execution_time if self.execution_time > 0 else 0.0
-
-
-@dataclass
-class Figure1Result:
-    """All measurements for the Figure 1 sweep."""
-
-    requests: int
-    points: List[Figure1Point] = field(default_factory=list)
 
 
 def _drive_one_configuration(
@@ -72,8 +43,8 @@ def _drive_one_configuration(
     node_config: HashNodeConfig,
     chunk_size: int,
     seed: int,
-) -> Figure1Point:
-    """Run one open-loop injection against a cluster of ``num_nodes``."""
+) -> Dict[str, Any]:
+    """Run one open-loop injection against a cluster of ``num_nodes``: one point."""
     sim = Simulator()
     config = ClusterConfig(num_nodes=num_nodes, node=node_config)
     cluster = SHHCCluster(config, sim=sim)
@@ -115,12 +86,15 @@ def _drive_one_configuration(
         raise RuntimeError(
             f"figure 1 run lost requests: {completion['done']}/{requests} completed"
         )
-    return Figure1Point(
-        nodes=num_nodes,
-        offered_rate=rate,
-        requests=requests,
-        execution_time=completion["last_time"],
-    )
+    execution_time = completion["last_time"]
+    return {
+        "nodes": num_nodes,
+        "offered_rate": rate,
+        # The paper's y axis unit, and the requests completed per second of
+        # simulated time.
+        "execution_time_us": execution_time * 1e6,
+        "achieved_rate": requests / execution_time if execution_time > 0 else 0.0,
+    }
 
 
 def run_figure1(
@@ -130,7 +104,7 @@ def run_figure1(
     node_config: Optional[HashNodeConfig] = None,
     chunk_size: int = 8192,
     seed: int = 1,
-) -> Figure1Result:
+) -> Dict[str, Any]:
     """Reproduce Figure 1.
 
     Parameters
@@ -143,14 +117,20 @@ def run_figure1(
         linearly with this value, so the curves' shape is unchanged.
     node_config:
         Hash-node parameters (defaults are the calibrated ones).
+
+    Returns the ``figure1`` preset's metrics, one of ``points`` per
+    (cluster size, rate).
     """
     if requests < 1:
         raise ValueError("requests must be >= 1")
     config = node_config if node_config is not None else default_node_config(requests)
-    result = Figure1Result(requests=requests)
-    for num_nodes in node_counts:
-        for rate in rates:
-            result.points.append(
-                _drive_one_configuration(num_nodes, rate, requests, config, chunk_size, seed)
-            )
-    return result
+    points = [
+        _drive_one_configuration(num_nodes, rate, requests, config, chunk_size, seed)
+        for num_nodes in node_counts
+        for rate in rates
+    ]
+    return {
+        "fingerprints": requests,
+        "points": points,
+        "throughput": max((point["achieved_rate"] for point in points), default=None),
+    }

@@ -17,8 +17,7 @@ the configured number of clients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ...core.config import ClusterConfig, HashNodeConfig
 from ...frontend.client import SimulatedClient
@@ -27,36 +26,13 @@ from ...simulation.engine import Simulator
 from ...workloads.mixer import WorkloadMix, table_i_mix
 from .replay import default_node_config
 
-__all__ = ["Figure5Point", "Figure5Result", "run_figure5"]
+__all__ = ["run_figure5"]
 
 #: Cluster sizes evaluated in the paper's Figure 5.
 DEFAULT_NODE_COUNTS = (1, 2, 3, 4)
 
 #: Batch sizes evaluated in the paper's Figure 5.
 DEFAULT_BATCH_SIZES = (1, 128, 2048)
-
-
-@dataclass(frozen=True)
-class Figure5Point:
-    """One (cluster size, batch size) throughput measurement."""
-
-    nodes: int
-    batch_size: int
-    fingerprints: int
-    elapsed: float
-    duplicates: int
-
-    @property
-    def throughput(self) -> float:
-        """Chunks (fingerprints) processed per second of simulated time."""
-        return self.fingerprints / self.elapsed if self.elapsed > 0 else 0.0
-
-
-@dataclass
-class Figure5Result:
-    """All measurements of the Figure 5 sweep."""
-
-    points: List[Figure5Point] = field(default_factory=list)
 
 
 def _run_one_configuration(
@@ -66,7 +42,8 @@ def _run_one_configuration(
     node_config: HashNodeConfig,
     num_web_servers: int,
     window: int,
-) -> Figure5Point:
+) -> Tuple[int, float, int]:
+    """Replay ``client_streams`` once: fingerprints sent, elapsed seconds, duplicates found."""
     sim = Simulator()
     config = ClusterConfig(num_nodes=num_nodes, node=node_config)
     deployment = build_simulated_service(
@@ -91,16 +68,16 @@ def _run_one_configuration(
         client.start()
     sim.run()
 
-    fingerprints = sum(client.stats.fingerprints_sent for client in clients)
-    duplicates = sum(client.stats.duplicates_found for client in clients)
-    elapsed = max(client.stats.finished_at for client in clients)
-    return Figure5Point(
-        nodes=num_nodes,
-        batch_size=batch_size,
-        fingerprints=fingerprints,
-        elapsed=elapsed,
-        duplicates=duplicates,
+    return (
+        sum(client.stats.fingerprints_sent for client in clients),
+        max(client.stats.finished_at for client in clients),
+        sum(client.stats.duplicates_found for client in clients),
     )
+
+
+def _throughput(fingerprints: int, elapsed: float) -> float:
+    """Chunks (fingerprints) processed per second of simulated time."""
+    return fingerprints / elapsed if elapsed > 0 else 0.0
 
 
 def run_figure5(
@@ -113,7 +90,7 @@ def run_figure5(
     mix: Optional[WorkloadMix] = None,
     node_config: Optional[HashNodeConfig] = None,
     seed: int = 0,
-) -> Figure5Result:
+) -> Dict[str, Any]:
     """Reproduce Figure 5.
 
     Parameters
@@ -125,6 +102,9 @@ def run_figure5(
     num_clients / window:
         Client machines and outstanding requests per client; the paper uses
         two clients issuing one batched request at a time.
+
+    Returns the ``figure5`` preset's metrics, one of ``points`` per
+    (cluster size, batch size).
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -132,17 +112,26 @@ def run_figure5(
     client_streams = workload.split_among_clients(num_clients, scale=scale)
     expected = sum(len(stream) for stream in client_streams)
     config = node_config if node_config is not None else default_node_config(expected)
-    result = Figure5Result()
+    points, sent = [], 0
     for num_nodes in node_counts:
         for batch_size in batch_sizes:
-            result.points.append(
-                _run_one_configuration(
-                    num_nodes,
-                    batch_size,
-                    client_streams,
-                    config,
-                    num_web_servers,
-                    window,
-                )
+            # Every configuration replays the same streams, so sends as many.
+            sent, elapsed, duplicates = _run_one_configuration(
+                num_nodes,
+                batch_size,
+                client_streams,
+                config,
+                num_web_servers,
+                window,
             )
-    return result
+            points.append({
+                "nodes": num_nodes,
+                "batch_size": batch_size,
+                "throughput": _throughput(sent, elapsed),
+                "duplicates": duplicates,
+            })
+    return {
+        "fingerprints": sent,
+        "points": points,
+        "throughput": max((point["throughput"] for point in points), default=None),
+    }

@@ -10,8 +10,7 @@ much larger slice of the workload than the timing experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
@@ -19,25 +18,7 @@ from ...core.metrics import LoadBalanceReport
 from ...workloads.mixer import WorkloadMix, table_i_mix
 from .replay import default_node_config
 
-__all__ = ["Figure6Result", "run_figure6"]
-
-
-@dataclass
-class Figure6Result:
-    """Per-node storage shares plus balance summary statistics."""
-
-    num_nodes: int
-    fingerprints_processed: int
-    entry_counts: Dict[str, int] = field(default_factory=dict)
-    lookup_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def storage_report(self) -> LoadBalanceReport:
-        return LoadBalanceReport(self.entry_counts)
-
-    @property
-    def lookup_report(self) -> LoadBalanceReport:
-        return LoadBalanceReport(self.lookup_counts)
+__all__ = ["run_figure6"]
 
 
 def run_figure6(
@@ -47,8 +28,12 @@ def run_figure6(
     node_config: Optional[HashNodeConfig] = None,
     virtual_nodes: int = 0,
     seed: int = 0,
-) -> Figure6Result:
-    """Reproduce Figure 6: feed the mixed workload and measure per-node shares."""
+) -> Dict[str, Any]:
+    """Reproduce Figure 6: feed the mixed workload and measure per-node shares.
+
+    Returns the ``figure6`` preset's metrics: one of ``per_node`` per node,
+    plus the balance summary statistics.
+    """
     if scale <= 0:
         raise ValueError("scale must be positive")
     workload = mix if mix is not None else table_i_mix(seed=seed)
@@ -60,9 +45,23 @@ def run_figure6(
     cluster.lookup_batch_replies(list(fingerprints))
 
     snapshots = {name: node.snapshot() for name, node in cluster.nodes.items()}
-    return Figure6Result(
-        num_nodes=num_nodes,
-        fingerprints_processed=len(fingerprints),
-        entry_counts={name: snap.entries for name, snap in snapshots.items()},
-        lookup_counts={name: snap.lookups for name, snap in snapshots.items()},
-    )
+    storage = LoadBalanceReport({name: snap.entries for name, snap in snapshots.items()})
+    lookups = LoadBalanceReport({name: snap.lookups for name, snap in snapshots.items()})
+    fractions = storage.fractions()
+    return {
+        "fingerprints": len(fingerprints),
+        "num_nodes": num_nodes,
+        "storage_fractions": fractions,
+        "coefficient_of_variation": storage.coefficient_of_variation,
+        "max_deviation_from_even": storage.max_deviation_from_even(),
+        "lookup_max_over_mean": lookups.max_over_mean,
+        "per_node": [
+            {
+                "node": name,
+                "entries": snapshots[name].entries,
+                "share": fractions[name],
+                "lookups": snapshots[name].lookups,
+            }
+            for name in sorted(snapshots)
+        ],
+    }

@@ -11,14 +11,14 @@ a capacity planner would use to size the hash cluster for a backup fleet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import replace
+from typing import Any, Dict, Optional
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
 from ...workloads.generations import GenerationConfig, GenerationalWorkload
 
-__all__ = ["GenerationRow", "GenerationalResult", "run_generational_backup", "DEFAULT_CONFIG"]
+__all__ = ["run_generational_backup", "DEFAULT_CONFIG"]
 
 #: The backup cycle a default run replays.
 DEFAULT_CONFIG = GenerationConfig(
@@ -26,46 +26,17 @@ DEFAULT_CONFIG = GenerationConfig(
 )
 
 
-@dataclass(frozen=True)
-class GenerationRow:
-    """Measurements for one backup generation."""
-
-    generation: int
-    chunks: int
-    duplicates: int
-    ram_hits: int
-    cumulative_dedup_ratio: float
-
-    @property
-    def redundancy(self) -> float:
-        return self.duplicates / self.chunks if self.chunks else 0.0
-
-    @property
-    def ram_hit_ratio(self) -> float:
-        return self.ram_hits / self.chunks if self.chunks else 0.0
-
-
-@dataclass
-class GenerationalResult:
-    """Per-generation dedup and cache behaviour over a full backup cycle."""
-
-    num_nodes: int
-    rows: List[GenerationRow] = field(default_factory=list)
-
-    def final_dedup_ratio(self) -> float:
-        return self.rows[-1].cumulative_dedup_ratio if self.rows else 1.0
-
-
 def run_generational_backup(
     config: Optional[GenerationConfig] = None,
     num_nodes: int = 4,
     ram_cache_entries: Optional[int] = None,
     seed: Optional[int] = None,
-) -> GenerationalResult:
+) -> Dict[str, Any]:
     """Back up every generation through the cluster and measure per-generation stats.
 
     ``seed`` overrides the workload config's seed (it is the one knob a
-    declarative scenario spec threads through every runner).
+    declarative scenario spec threads through every runner).  Returns the
+    ``generational`` preset's metrics, one of ``rows`` per generation.
     """
     workload_config = config if config is not None else DEFAULT_CONFIG
     if seed is not None and seed != workload_config.seed:
@@ -86,24 +57,29 @@ def run_generational_backup(
         )
     )
 
-    result = GenerationalResult(num_nodes=num_nodes)
-    logical_chunks = 0
+    rows = []
+    logical_chunks = duplicates_total = 0
     for generation in workload.generations:
-        metrics_before = cluster.metrics()
-        ram_hits_before = metrics_before.ram_hits
+        ram_hits_before = cluster.metrics().ram_hits
         fingerprints = list(generation.fingerprints(workload_config.chunk_size))
         replies = cluster.lookup_batch_replies(fingerprints)
+        chunks = len(fingerprints)
         duplicates = sum(1 for reply in replies if reply.is_duplicate)
-        logical_chunks += len(fingerprints)
+        ram_hits = cluster.metrics().ram_hits - ram_hits_before
+        logical_chunks += chunks
+        duplicates_total += duplicates
         physical_chunks = len(cluster)
-        metrics_after = cluster.metrics()
-        result.rows.append(
-            GenerationRow(
-                generation=generation.number,
-                chunks=len(fingerprints),
-                duplicates=duplicates,
-                ram_hits=metrics_after.ram_hits - ram_hits_before,
-                cumulative_dedup_ratio=logical_chunks / physical_chunks if physical_chunks else 1.0,
-            )
-        )
-    return result
+        rows.append({
+            "generation": generation.number,
+            "chunks": chunks,
+            "redundancy": duplicates / chunks if chunks else 0.0,
+            "ram_hit_ratio": ram_hits / chunks if chunks else 0.0,
+            "cumulative_dedup_ratio": logical_chunks / physical_chunks if physical_chunks else 1.0,
+        })
+    return {
+        "fingerprints": logical_chunks,
+        "duplicate_ratio": duplicates_total / logical_chunks if logical_chunks else 0.0,
+        "final_dedup_ratio": rows[-1]["cumulative_dedup_ratio"] if rows else 1.0,
+        "num_nodes": num_nodes,
+        "rows": rows,
+    }

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ...core.cluster import SHHCCluster
 from ...core.config import ClusterConfig, HashNodeConfig
@@ -49,6 +49,8 @@ __all__ = [
     "RECOVERING_PHASE",
     "MIN_NODES",
     "ReplayAudit",
+    "audit_metrics",
+    "replication_metrics",
     "Outages",
     "Churn",
     "default_node_config",
@@ -56,7 +58,6 @@ __all__ = [
     "make_batches",
     "require_room",
     "replay",
-    "fill_replication",
 ]
 
 #: Ledger phase labels of a timed run (see docs/control_plane.md).  Batch 0
@@ -130,15 +131,11 @@ def require_room(batches: Sequence, batch_size: int, start: float, plan: str) ->
         )
 
 
-@dataclass(kw_only=True)
+@dataclass
 class ReplayAudit:
-    """What :func:`replay` counts, whatever the disruption.
+    """What :func:`replay` counts, whatever the disruption."""
 
-    The base of every disruption experiment's result (keyword-only, so the
-    results keep their own positional fields).
-    """
-
-    fingerprints_processed: int = 0
+    fingerprints: int = 0
     batches: int = 0
     #: Lookups never sent because the fingerprint's whole replica set was
     #: down (replication 1 under outage); the client got no verdict.
@@ -148,35 +145,42 @@ class ReplayAudit:
     #: New fingerprints misreported as duplicates (data loss!).
     false_duplicates: int = 0
 
-    @property
-    def dedup_errors(self) -> int:
-        """Verdicts that differ from the exact oracle."""
-        return self.false_uniques + self.false_duplicates
 
-    @property
-    def accuracy(self) -> float:
-        """Fraction of the stream that got the correct verdict (1.0 = no loss).
+def audit_metrics(audit: ReplayAudit, config: ClusterConfig, batch_size: int) -> Dict[str, Any]:
+    """The run's shape and the oracle audit every disruption run reports."""
+    dedup_errors = audit.false_uniques + audit.false_duplicates
+    return {
+        "num_nodes": config.num_nodes,
+        "replication_factor": config.replication_factor,
+        "virtual_nodes": config.virtual_nodes,
+        "batch_size": batch_size,
+        "fingerprints": audit.fingerprints,
+        "batches": audit.batches,
+        "dedup_errors": dedup_errors,
+        "false_uniques": audit.false_uniques,
+        "false_duplicates": audit.false_duplicates,
+        # The fraction of the stream that got the correct verdict.  Unserved
+        # lookups count as errors: no verdict at all is at least as bad as
+        # a wrong one.
+        "dedup_accuracy": (1.0 - (dedup_errors + audit.unserved) / audit.fingerprints
+                           if audit.fingerprints else 1.0),
+    }
 
-        Unserved lookups count as errors: no verdict at all is at least as
-        bad as a wrong one.
-        """
-        if not self.fingerprints_processed:
-            return 1.0
-        return 1.0 - (self.dedup_errors + self.unserved) / self.fingerprints_processed
 
-
-def fill_replication(result, cluster: SHHCCluster, controller: ReplicationController) -> None:
-    """Read the replication tail every correctness run reports off ``cluster``."""
-    result.read_repairs = cluster.read_repairs
-    result.replica_inserts = sum(
-        node.counters["replica_inserts"] for node in cluster.nodes.values()
-    )
-    result.distinct = cluster.distinct_fingerprints()
-    result.total_stored = cluster.total_stored
+def replication_metrics(cluster: SHHCCluster, controller: ReplicationController) -> Dict[str, Any]:
+    """The replication tail every correctness run reports, read off ``cluster``."""
     report = controller.consistency_report()
-    result.fully_replicated = report.fully_replicated
-    result.under_replicated = report.under_replicated
-    result.lost = report.lost
+    return {
+        "read_repairs": cluster.read_repairs,
+        "replica_inserts": sum(
+            node.counters["replica_inserts"] for node in cluster.nodes.values()
+        ),
+        "distinct_fingerprints": cluster.distinct_fingerprints(),
+        "total_stored": cluster.total_stored,
+        "fully_replicated": report.fully_replicated,
+        "under_replicated": report.under_replicated,
+        "lost": report.lost,
+    }
 
 
 def _any_down(cluster: SHHCCluster) -> bool:
@@ -296,7 +300,8 @@ def replay(
     ``audit.unserved`` but still enter the oracle, because the client *did*
     present them -- a copy the cluster failed to store shows up as a false
     unique on the fingerprint's next occurrence.  Every verdict that comes
-    back is compared with the oracle and mismatches land in ``audit``;
+    back is compared with the oracle and mismatches land in ``audit``
+    (which also counts the batches and fingerprints presented);
     ``observe`` then sees the batch's outcomes.
 
     With ``interval`` (a cluster built with a cost model) the walk is
@@ -307,6 +312,8 @@ def replay(
     ledger = cluster.ledger if interval is not None else None
     seen: set = set()
     for index, batch in enumerate(batches):
+        audit.fingerprints += len(batch)
+        audit.batches += 1
         if ledger is not None:
             ledger.advance_to(index * interval)
         disruption.before_batch(index)

@@ -28,14 +28,13 @@ crash-consistency claim the ``restart`` scenario preset asserts in CI.
 ``warm_restart`` toggles the snapshot path: ``True`` (default) lets the
 victim restore its bloom filter from the latest snapshot and replay only
 the container tail; ``False`` disables snapshots so the restart replays
-the full log.  ``recovery_time`` is the CPU seconds the cost model charged.
+the full log.  ``recovery_time_ms`` is the CPU time the cost model charged.
 """
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ...core.cluster import SHHCCluster
 from ...core.config import HashNodeConfig
@@ -44,63 +43,19 @@ from ...core.persistence import PersistencePolicy
 from ...dedup.fingerprint import Fingerprint
 from ...simulation.costmodel import CostModel
 from ...workloads.mixer import WorkloadMix
-from .control_plane import TimedResult, calibrate_interval
+from .control_plane import calibrate_interval, p99_tax, read_ledger
 from .replay import (
     DEGRADED_PHASE,
     RECOVERING_PHASE,
     Outages,
+    ReplayAudit,
+    audit_metrics,
     cluster_config,
     make_batches,
     replay,
 )
 
-__all__ = ["RestartResult", "run_restart", "RECOVERING_PHASE"]
-
-
-@dataclass
-class RestartResult(TimedResult):
-    """Outcome of one kill/restart run."""
-
-    num_nodes: int
-    replication_factor: int
-    virtual_nodes: int
-    batch_size: int
-    offered_load: float
-    warm_restart: bool
-    snapshot_every: int
-    victim: str
-    kill_batch: int
-    restart_batch: int
-    #: Fingerprints the cluster had answered for before the kill, and how
-    #: many of them were missing from every live replica after the restart.
-    acknowledged: int = 0
-    lost_acknowledged: int = 0
-    #: Simulated CPU seconds the restart charged onto the victim's timeline
-    #: (the headline recovery-time figure), and the host wall time of the
-    #: actual on-disk rebuild.
-    recovery_time: float = 0.0
-    recovery_wall_seconds: float = 0.0
-    recovered_entries: int = 0
-    replayed_records: int = 0
-    snapshot_loaded: bool = False
-    snapshot_bytes: int = 0
-
-    @property
-    def acknowledged_accuracy(self) -> float:
-        """Fraction of pre-kill acknowledged fingerprints still resident."""
-        if self.acknowledged == 0:
-            return 1.0
-        return 1.0 - self.lost_acknowledged / self.acknowledged
-
-    @property
-    def degraded_p99_tax(self) -> float:
-        """Degraded-phase p99 over steady p99 (survivors absorbing load)."""
-        return self.p99_over_steady(DEGRADED_PHASE)
-
-    @property
-    def recovery_p99_tax(self) -> float:
-        """Recovering-phase p99 over steady p99 (replay queueing on the victim)."""
-        return self.p99_over_steady(RECOVERING_PHASE)
+__all__ = ["run_restart", "RECOVERING_PHASE"]
 
 
 def _default_cadence(
@@ -137,12 +92,12 @@ def run_restart(
     node_config: Optional[HashNodeConfig] = None,
     cost_model: Optional[CostModel] = None,
     seed: int = 0,
-) -> RestartResult:
+) -> Dict[str, Any]:
     """Kill one node mid-workload, restart it from disk, measure recovery.
 
     The victim (the lexicographically first node) is killed at batch
     ``kill_batch`` (default: one third into the run) and restarted
-    ``downtime`` batches later.  Returns a :class:`RestartResult` carrying
+    ``downtime`` batches later.  Returns the ``restart`` preset's metrics:
     the charged recovery time, the degraded-/recovering-phase latency
     distributions, the oracle dedup accuracy and the acknowledged-
     fingerprint audit.
@@ -191,23 +146,14 @@ def run_restart(
         directory = data_dir
     policy = PersistencePolicy(directory=directory, fsync=fsync, snapshot_every=cadence)
     cluster = SHHCCluster(config, cost_model=model, persistence=policy)
-    result = RestartResult(
-        num_nodes=num_nodes,
-        replication_factor=replication_factor,
-        virtual_nodes=virtual_nodes,
-        batch_size=batch_size,
-        offered_load=offered_load,
-        warm_restart=warm_restart,
-        snapshot_every=cadence,
-        victim=min(cluster.nodes),
-        kill_batch=kill_batch,
-        restart_batch=restart_batch,
-        fingerprints_processed=len(fingerprints),
-        batches=len(batches),
-        interval=interval,
-    )
     try:
-        return _run(cluster, batches, result)
+        return {
+            **_run(cluster, batches, interval, kill_batch, restart_batch, batch_size),
+            "offered_load": offered_load,
+            "warm_restart": warm_restart,
+            "restart_mode": "warm" if warm_restart else "cold",
+            "snapshot_every": cadence,
+        }
     finally:
         cluster.close()
         if tmp is not None:
@@ -229,52 +175,79 @@ def _lost_acknowledged(cluster: SHHCCluster, acked: Dict[bytes, Fingerprint]) ->
 
 
 def _run(
-    cluster: SHHCCluster, batches: List[List[Fingerprint]], result: RestartResult
-) -> RestartResult:
+    cluster: SHHCCluster,
+    batches: List[List[Fingerprint]],
+    interval: float,
+    kill_batch: int,
+    restart_batch: int,
+    batch_size: int,
+) -> Dict[str, Any]:
     """Replay with the victim's kill/restart pair as the only fault schedule.
 
-    ``acked`` holds every fingerprint the cluster has answered for so far:
-    its size at the kill is ``acknowledged``, and right after the restart
-    each one must still be resident on some live replica of its set.
+    The victim is the lexicographically first node.  ``acked`` holds every
+    fingerprint the cluster has answered for so far: its size at the kill
+    is ``acknowledged``, and right after the restart each one must still be
+    resident on some live replica of its set.
     """
+    victim = min(cluster.nodes)
     acked: Dict[bytes, Fingerprint] = {}
+    acknowledged = lost_acknowledged = 0
 
     def _acknowledge(outcomes) -> None:
         for outcome in outcomes:
             acked[outcome.fingerprint.digest] = outcome.fingerprint
 
     def _on_kill(_node: str) -> None:
-        result.acknowledged = len(acked)
+        nonlocal acknowledged
+        acknowledged = len(acked)
 
     def _on_restart(_node: str) -> None:
-        result.lost_acknowledged = _lost_acknowledged(cluster, acked)
+        nonlocal lost_acknowledged
+        lost_acknowledged = _lost_acknowledged(cluster, acked)
 
     injector = FaultInjector(
         cluster,
-        FaultSchedule().kill_restart(
-            result.victim, result.kill_batch, result.restart_batch - result.kill_batch
-        ),
+        FaultSchedule().kill_restart(victim, kill_batch, restart_batch - kill_batch),
         on_crash=_on_kill,
         on_recovery=_on_restart,
     )
-    replay(
-        cluster, batches, Outages(injector), result, interval=result.interval, observe=_acknowledge
-    )
+    audit = ReplayAudit()
+    replay(cluster, batches, Outages(injector), audit, interval=interval, observe=_acknowledge)
     [(_victim, report)] = injector.recovery_reports
-    result.recovery_time = report.charged_seconds
-    result.recovery_wall_seconds = report.wall_seconds
-    result.recovered_entries = report.entries
-    result.replayed_records = report.replayed
-    result.snapshot_loaded = report.snapshot_loaded
-    result.snapshot_bytes = report.snapshot_bytes
-    result.read_ledger(
-        cluster,
-        {
-            "kills": injector.kills,
-            "restarts": injector.restarts,
-            "snapshots_taken": sum(
-                node.persistence.snapshots_taken for node in cluster.nodes.values()
-            ),
-        },
-    )
-    return result
+    return {
+        **audit_metrics(audit, cluster.config, batch_size),
+        "victim": victim,
+        "kill_batch": kill_batch,
+        "restart_batch": restart_batch,
+        # Fingerprints the cluster had answered for before the kill, and
+        # how many of them were missing from every live replica after the
+        # restart.
+        "acknowledged": acknowledged,
+        "lost_acknowledged": lost_acknowledged,
+        "acknowledged_accuracy": (1.0 - lost_acknowledged / acknowledged
+                                  if acknowledged else 1.0),
+        "unserved": audit.unserved,
+        # Simulated CPU the restart charged onto the victim's timeline (the
+        # headline recovery-time figure), and the host wall time of the
+        # actual on-disk rebuild.
+        "recovery_time_ms": report.charged_seconds * 1e3,
+        "recovery_wall_ms": report.wall_seconds * 1e3,
+        "recovered_entries": report.entries,
+        "replayed_records": report.replayed,
+        "snapshot_loaded": report.snapshot_loaded,
+        "snapshot_bytes": report.snapshot_bytes,
+        # Survivors absorbing the victim's load, then queueing behind its replay.
+        "degraded_p99_tax": p99_tax(cluster, DEGRADED_PHASE),
+        "recovery_p99_tax": p99_tax(cluster, RECOVERING_PHASE),
+        **read_ledger(
+            cluster,
+            interval,
+            {
+                "kills": injector.kills,
+                "restarts": injector.restarts,
+                "snapshots_taken": sum(
+                    node.persistence.snapshots_taken for node in cluster.nodes.values()
+                ),
+            },
+        ),
+    }

@@ -15,78 +15,46 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import tempfile
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ...serving.gateway import ServeConfig, ServiceGateway
 from ...serving.loadgen import LoadtestConfig, run_loadtest_async
 
-__all__ = ["ServiceRunResult", "run_service"]
-
-
-@dataclass
-class ServiceRunResult:
-    """Client-observed behaviour of one live service run."""
-
-    num_nodes: int = 0
-    clients: int = 0
-    pipeline: int = 0
-    batch_size: int = 0
-    offered: int = 0
-    acknowledged: int = 0
-    new_fingerprints: int = 0
-    duplicate_fingerprints: int = 0
-    throughput: float = 0.0
-    wall_seconds: float = 0.0
-    latency_us: Dict[str, float] = field(default_factory=dict)
-    sheds: int = 0
-    shed_rate: float = 0.0
-    retries: int = 0
-    unavailable: int = 0
-    failed_batches: int = 0
-    kills_sent: int = 0
-    worker_restarts: int = 0
-    audit_checked: int = 0
-    lost_acknowledged: int = 0
-    #: The gateway's own view at the end of the run (queue depths, per-worker
-    #: counters) -- kept verbatim for report drill-down.
-    gateway_stats: Dict[str, Any] = field(default_factory=dict)
+__all__ = ["run_service"]
 
 
 async def _run_stack(serve_config: ServeConfig,
-                     load_config: LoadtestConfig) -> ServiceRunResult:
+                     load_config: LoadtestConfig) -> Dict[str, Any]:
+    """Boot the gateway, run the load test against it, and report what the clients saw."""
     gateway = ServiceGateway(serve_config)
     await gateway.start()
     try:
         load_config = dataclasses.replace(load_config, port=gateway.port)
         report = await run_loadtest_async(load_config)
-        stats = gateway.stats()
     finally:
         await gateway.close()
-    offered = report.offered_fingerprints
-    return ServiceRunResult(
-        num_nodes=serve_config.num_nodes,
-        clients=load_config.clients,
-        pipeline=load_config.pipeline,
-        batch_size=load_config.batch_size,
-        offered=offered,
-        acknowledged=report.acked_fingerprints,
-        new_fingerprints=report.new_fingerprints,
-        duplicate_fingerprints=report.duplicate_fingerprints,
-        throughput=report.throughput_fps,
-        wall_seconds=report.wall_seconds,
-        latency_us=dict(report.latency_us),
-        sheds=report.sheds,
-        shed_rate=report.sheds / report.offered_batches if report.offered_batches else 0.0,
-        retries=report.retries,
-        unavailable=report.unavailable,
-        failed_batches=report.failed_batches,
-        kills_sent=report.kills_sent,
-        worker_restarts=report.worker_restarts,
-        audit_checked=report.audit_checked,
-        lost_acknowledged=report.lost_acknowledged,
-        gateway_stats=stats,
-    )
+    return {
+        "num_nodes": serve_config.num_nodes,
+        "clients": load_config.clients,
+        "pipeline": load_config.pipeline,
+        "fingerprints": report.offered_fingerprints,
+        "acknowledged": report.acked_fingerprints,
+        "new_fingerprints": report.new_fingerprints,
+        "duplicate_fingerprints": report.duplicate_fingerprints,
+        "throughput": report.throughput_fps,
+        "wall_seconds": report.wall_seconds,
+        "p50_latency_us": report.latency_us.get("p50", 0.0),
+        "p99_latency_us": report.latency_us.get("p99", 0.0),
+        "sheds": report.sheds,
+        "shed_rate": report.sheds / report.offered_batches if report.offered_batches else 0.0,
+        "retries": report.retries,
+        "unavailable": report.unavailable,
+        "failed_batches": report.failed_batches,
+        "kills_sent": report.kills_sent,
+        "worker_restarts": report.worker_restarts,
+        "audit_checked": report.audit_checked,
+        "lost_acknowledged": report.lost_acknowledged,
+    }
 
 
 def run_service(
@@ -108,10 +76,13 @@ def run_service(
     data_dir: Optional[str] = None,
     audit: bool = True,
     seed: int = 17,
-) -> ServiceRunResult:
-    """Boot the service, load it, audit it, tear it down; returns the result."""
+) -> Dict[str, Any]:
+    """Boot the service, load it, audit it, tear it down.
 
-    def _go(directory: Optional[str]) -> ServiceRunResult:
+    Returns the ``service`` preset's metrics.
+    """
+
+    def _go(directory: Optional[str]) -> Dict[str, Any]:
         serve_config = ServeConfig(
             port=0,
             num_nodes=num_nodes,

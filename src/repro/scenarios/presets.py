@@ -2,12 +2,12 @@
 
 Each preset maps a validated :class:`~repro.scenarios.spec.ScenarioSpec`
 onto the corresponding experiment module in
-:mod:`repro.analysis.experiments` and folds its native result into the
-uniform metrics schema (see :mod:`repro.scenarios.result`).  A preset
+:mod:`repro.analysis.experiments`, whose runner returns the run's metrics
+in the uniform schema (see :mod:`repro.scenarios.result`).  A preset
 states no default of its own: :func:`_call` forwards only the keys the
 spec set, so an all-defaults spec *is* the runner's defaults.
 
-Each preset states its table beside its extractor, as a
+Each preset states its table beside its claims, as a
 :mod:`repro.analysis.reporting` layout over its metric names: a title
 template, then rows (key/value tables), columns over a list metric, or a
 pivot of ``points``.  The table reads nothing but the metrics, so a run's
@@ -39,7 +39,7 @@ import math
 from dataclasses import replace
 from functools import partial
 from importlib import import_module
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..analysis.reporting import Bars, Columns, If, Named, Pivot, Round, Rows, Section, Timeline
 from ..core.config import HashNodeConfig
@@ -48,11 +48,6 @@ from ..workloads.profiles import TABLE_I_PROFILES, WorkloadProfile, profile_by_n
 from .engine import Preset, register_preset
 from .result import FAILS, HOLDS, NOT_APPLICABLE, Claim, ScenarioResult
 from .spec import NODE_KEYS, ScenarioSpec, SpecError
-
-if TYPE_CHECKING:  # annotations only: each is imported on its preset's first run
-    from ..analysis.experiments import (ablations, control_plane, elasticity, failover,
-                                        figure1, figure5, figure6, generational, restart,
-                                        service, table1)
 
 #: Key sets several presets share.
 _REPLICATED_CLUSTER = frozenset({"num_nodes", "replication_factor", "virtual_nodes"})
@@ -79,7 +74,7 @@ def _profile(name: str) -> WorkloadProfile:
         raise SpecError(str(error.args[0]) if error.args else f"unknown workload {name!r}") from None
 
 
-def _call(runner: Callable[..., Any], spec: ScenarioSpec) -> Any:
+def _call(runner: Callable[..., Dict[str, Any]], spec: ScenarioSpec) -> Dict[str, Any]:
     """Call ``runner`` with exactly the keys ``spec`` set.
 
     Every default lives in the runner's signature and nowhere else: a key
@@ -121,7 +116,7 @@ def _experiment(module: str) -> Any:
     return import_module(f"..analysis.experiments.{module}", __package__)
 
 
-def _call_named(target: str, spec: ScenarioSpec) -> Any:
+def _call_named(target: str, spec: ScenarioSpec) -> Dict[str, Any]:
     """:func:`_call` on ``target``, named ``"<experiment module>.<function>"``."""
     module, function = target.split(".")
     return _call(getattr(_experiment(module), function), spec)
@@ -130,16 +125,14 @@ def _call_named(target: str, spec: ScenarioSpec) -> Any:
 def _preset(
     name: str,
     description: str,
-    run: Union[str, Callable[[ScenarioSpec], Any]],
-    metrics: Callable[[Any], Dict[str, Any]],
+    run: Union[str, Callable[[ScenarioSpec], Dict[str, Any]]],
     **accepted: Any,
 ) -> Callable[[ScenarioSpec], ScenarioResult]:
     """Register preset ``name``; returns its spec -> :class:`ScenarioResult` runner.
 
-    ``run`` produces the experiment's native result: usually the name
+    ``run`` produces the run's metrics: usually the name
     ``"<experiment module>.<function>"`` of a runner :func:`_call` feeds,
-    else a spec -> result function that imports its experiment itself.
-    ``metrics(result)`` folds the result into the uniform schema, and
+    else a spec -> metrics function that imports its experiment itself.
     ``accepted`` are the other :class:`Preset` fields (key sets, claims,
     table).
     """
@@ -147,7 +140,7 @@ def _preset(
         run = partial(_call_named, run)
 
     def runner(spec: ScenarioSpec) -> ScenarioResult:
-        return ScenarioResult(spec=spec, metrics=metrics(run(spec)))
+        return ScenarioResult(spec=spec, metrics=run(spec))
 
     register_preset(Preset(name=name, description=description, runner=runner, **accepted))
     return runner
@@ -179,28 +172,7 @@ def _points(result: ScenarioResult, row: str, *keys: str) -> Dict[Any, Any]:
     return {tuple(point[key] for key in keys): point[row] for point in result.metrics["points"]}
 
 
-def _fields(result: Any, *names: str) -> Dict[str, Any]:
-    """The metrics that are ``result`` attributes of the same name."""
-    return {name: getattr(result, name) for name in names}
-
-
 # ----------------------------------------------------------------------- figure1
-def _figure1_metrics(result: figure1.Figure1Result) -> Dict[str, Any]:
-    return {
-        "fingerprints": result.requests,
-        "points": [
-            {
-                "nodes": point.nodes,
-                "offered_rate": point.offered_rate,
-                "execution_time_us": point.execution_time_us,
-                "achieved_rate": point.achieved_rate,
-            }
-            for point in result.points
-        ],
-        "throughput": max((p.achieved_rate for p in result.points), default=None),
-    }
-
-
 def _figure1_times(result: ScenarioResult) -> Dict[Any, float]:
     return _points(result, "execution_time_us", "nodes", "offered_rate")
 
@@ -239,7 +211,6 @@ _preset(
     "figure1",
     "Execution time of a fixed lookup count vs offered rate and cluster size",
     "figure1.run_figure1",
-    _figure1_metrics,
     table=Pivot("Figure 1: execution time for {fingerprints:,} requests", "points",
                 row_header="req/s", row=Round("offered_rate"),
                 column="nodes", column_header="{nodes} nodes (us)",
@@ -265,22 +236,6 @@ _preset(
 
 
 # ----------------------------------------------------------------------- figure5
-def _figure5_metrics(result: figure5.Figure5Result) -> Dict[str, Any]:
-    return {
-        "fingerprints": result.points[0].fingerprints if result.points else 0,
-        "points": [
-            {
-                "nodes": point.nodes,
-                "batch_size": point.batch_size,
-                "throughput": point.throughput,
-                "duplicates": point.duplicates,
-            }
-            for point in result.points
-        ],
-        "throughput": max((p.throughput for p in result.points), default=None),
-    }
-
-
 def _batching_gain(result: ScenarioResult) -> Optional[float]:
     """The smallest throughput(batch 128 or 2048) / throughput(batch 1) at any size."""
     throughput = _points(result, "throughput", "nodes", "batch_size")
@@ -309,7 +264,6 @@ _preset(
     "figure5",
     "Cluster throughput vs number of servers and batch size (full simulated stack)",
     "figure5.run_figure5",
-    _figure5_metrics,
     table=Pivot("Figure 5: throughput of SHHC", "points",
                 row_header="servers", row="nodes",
                 column="batch_size", column_header="{batch_size} req (chunk/s)",
@@ -332,33 +286,10 @@ _preset(
 
 
 # ----------------------------------------------------------------------- figure6
-def _figure6_metrics(result: figure6.Figure6Result) -> Dict[str, Any]:
-    storage = result.storage_report
-    fractions = storage.fractions()
-    return {
-        "fingerprints": result.fingerprints_processed,
-        "num_nodes": result.num_nodes,
-        "storage_fractions": fractions,
-        "coefficient_of_variation": storage.coefficient_of_variation,
-        "max_deviation_from_even": storage.max_deviation_from_even(),
-        "lookup_max_over_mean": result.lookup_report.max_over_mean,
-        "per_node": [
-            {
-                "node": node,
-                "entries": result.entry_counts[node],
-                "share": fractions[node],
-                "lookups": result.lookup_counts.get(node, 0),
-            }
-            for node in sorted(result.entry_counts)
-        ],
-    }
-
-
 _preset(
     "figure6",
     "Hash value storage distribution across cluster nodes (load balance)",
     "figure6.run_figure6",
-    _figure6_metrics,
     table=(
         Bars("Figure 6: hash value storage distribution ({num_nodes} nodes)", "per_node",
              label="node", fraction="share"),
@@ -387,26 +318,6 @@ _preset(
 
 
 # ----------------------------------------------------------------------- table1
-def _table1_metrics(result: table1.Table1Result) -> Dict[str, Any]:
-    return {
-        "fingerprints": sum(row.measured.fingerprints for row in result.rows),
-        "scale": result.scale,
-        "rows": [
-            {
-                "workload": row.workload,
-                "fingerprints": row.measured.fingerprints,
-                "target_fingerprints": row.target_fingerprints,
-                "target_redundancy": row.target_redundancy,
-                "measured_redundancy": row.measured.redundancy,
-                "target_distance": row.target_distance,
-                "measured_distance": row.measured.mean_duplicate_distance,
-                "redundancy_error": row.redundancy_error,
-            }
-            for row in result.rows
-        ],
-    }
-
-
 def _table1_workloads(result: ScenarioResult) -> Optional[List[str]]:
     if "profiles" in result.spec.workload:
         return None
@@ -426,7 +337,6 @@ _preset(
     "table1",
     "Workload characteristics: published targets vs generated traces",
     "table1.run_table1",
-    _table1_metrics,
     table=Columns("Table I: workload characteristics (scale={scale})", "rows", (
         ("workload", "workload"),
         ("fingerprints", "fingerprints"),
@@ -453,7 +363,7 @@ _preset(
 
 
 # ----------------------------------------------------------------- generational
-def _run_generational(spec: ScenarioSpec) -> generational.GenerationalResult:
+def _run_generational(spec: ScenarioSpec) -> Dict[str, Any]:
     """The workload section overrides fields of the runner's default backup cycle."""
     experiment = _experiment("generational")
     return experiment.run_generational_backup(
@@ -462,27 +372,6 @@ def _run_generational(spec: ScenarioSpec) -> generational.GenerationalResult:
         **spec.cluster,
         **spec.node,
     )
-
-
-def _generational_metrics(result: generational.GenerationalResult) -> Dict[str, Any]:
-    chunks = sum(row.chunks for row in result.rows)
-    duplicates = sum(row.duplicates for row in result.rows)
-    return {
-        "fingerprints": chunks,
-        "duplicate_ratio": duplicates / chunks if chunks else 0.0,
-        "final_dedup_ratio": result.final_dedup_ratio(),
-        "num_nodes": result.num_nodes,
-        "rows": [
-            {
-                "generation": row.generation,
-                "chunks": row.chunks,
-                "redundancy": row.redundancy,
-                "ram_hit_ratio": row.ram_hit_ratio,
-                "cumulative_dedup_ratio": row.cumulative_dedup_ratio,
-            }
-            for row in result.rows
-        ],
-    }
 
 
 def _later_generations(key: str) -> Callable[[ScenarioResult], Optional[float]]:
@@ -498,7 +387,6 @@ _preset(
     "generational",
     "Repeated full backups: per-generation redundancy, cache hits, dedup ratio",
     _run_generational,
-    _generational_metrics,
     table=Columns("Ablation D: repeated full backups on a {num_nodes}-node cluster", "rows", (
         ("generation", "generation"),
         ("chunks", "chunks"),
@@ -525,21 +413,6 @@ _preset(
 
 
 # ---------------------------------------------------------------- tier ablation
-def _tier_ablation_metrics(result: ablations.TierAblationResult) -> Dict[str, Any]:
-    return {
-        "fingerprints": result.rows[0].lookups if result.rows else 0,
-        "rows": [
-            {
-                "design": row.design,
-                "lookups": row.lookups,
-                "duplicates": row.duplicates,
-                "mean_latency_us": row.mean_latency_us,
-            }
-            for row in result.rows
-        ],
-    }
-
-
 def _latency_ratio(numerator: str, denominator: str) -> Callable[[ScenarioResult], Any]:
     """mean latency(``numerator``) / mean latency(``denominator``), over design names."""
 
@@ -561,7 +434,6 @@ _run_tier_ablation = _preset(
     "tier_ablation",
     "Index designs (disk, DDFS, ChunkStash, hybrid, RAM) head to head",
     "ablations.run_tier_ablation",
-    _tier_ablation_metrics,
     table=_TIER_ABLATION_TABLE,
     workload_keys=frozenset({"scale", "profile"}),
     claims=(
@@ -583,22 +455,6 @@ _run_tier_ablation = _preset(
 
 
 # --------------------------------------------------------------- batch tradeoff
-def _batch_tradeoff_metrics(result: ablations.BatchTradeoffResult) -> Dict[str, Any]:
-    return {
-        "throughput": max((p.throughput for p in result.points), default=None),
-        "num_nodes": result.nodes,
-        "points": [
-            {
-                "batch_size": point.batch_size,
-                "throughput": point.throughput,
-                "mean_request_latency_ms": point.mean_request_latency * 1e3,
-                "mean_per_chunk_latency_us": point.mean_per_chunk_latency * 1e6,
-            }
-            for point in result.points
-        ],
-    }
-
-
 def _largest_over_smallest_batch(key: str) -> Callable[[ScenarioResult], Any]:
     """``key`` at the last batch size over ``key`` at the first (n/a below two sizes)."""
 
@@ -620,7 +476,6 @@ _run_batch_tradeoff = _preset(
     "batch_tradeoff",
     "Throughput vs per-request latency as the query batch size grows",
     "ablations.run_batch_tradeoff",
-    _batch_tradeoff_metrics,
     table=_BATCH_TRADEOFF_TABLE,
     cluster_keys=frozenset({"num_nodes"}),
     workload_keys=frozenset({"scale", "batch_sizes"}),
@@ -639,18 +494,6 @@ _run_batch_tradeoff = _preset(
 
 
 # ------------------------------------------------------------- scaling ablation
-def _scaling_ablation_metrics(result: ablations.ScalingAblationResult) -> Dict[str, Any]:
-    return {
-        "fingerprints": result.fingerprints,
-        "moved_fraction_range": result.moved_fraction_range,
-        "moved_fraction_consistent": result.moved_fraction_consistent,
-        "balance_after_range": result.balance_after_range,
-        "balance_after_consistent": result.balance_after_consistent,
-        "replication_entry_overhead": result.replication_entry_overhead,
-        "replication_latency_overhead": result.replication_latency_overhead,
-    }
-
-
 _SCALING_ABLATION_TABLE = (
     Rows("Ablation C: scaling a 4-node cluster to 5 nodes ({fingerprints:,} fingerprints)", (
         ("range partitioner", "{moved_fraction_range:.1%}", "{balance_after_range:.3f}"),
@@ -664,7 +507,6 @@ _run_scaling_ablation = _preset(
     "scaling_ablation",
     "Join-time data movement (range vs consistent hashing) and replication overhead",
     "ablations.run_scaling_ablation",
-    _scaling_ablation_metrics,
     table=_SCALING_ABLATION_TABLE,
     cluster_keys=frozenset({"num_nodes", "virtual_nodes"}),
     workload_keys=frozenset({"scale", "profile"}),
@@ -747,27 +589,6 @@ _NO_FALSE_VERDICTS = _claim(
 )
 
 
-def _replay_metrics(result: Any) -> Dict[str, Any]:
-    """The run's shape and the oracle audit every disrupted replay carries."""
-    return {
-        "fingerprints": result.fingerprints_processed,
-        "dedup_accuracy": result.accuracy,
-        **_fields(result, "num_nodes", "replication_factor", "virtual_nodes", "batch_size",
-                  "batches", "dedup_errors", "false_uniques", "false_duplicates"),
-    }
-
-
-def _replication_metrics(result: Any) -> Dict[str, Any]:
-    """The replication tail of the two correctness runs."""
-    return {
-        "distinct_fingerprints": result.distinct,
-        "total_stored": result.total_stored,
-        "fully_replicated": result.fully_replicated,
-        "under_replicated": result.under_replicated,
-        "lost": result.lost,
-    }
-
-
 #: Row groups the disruption presets' tables share.
 _CLUSTER_ROWS = (
     ("replication factor", "replication_factor"),
@@ -790,28 +611,10 @@ _REPLICATION_ROWS = (
 _UNSERVED_ROW = If("unserved", ("unserved lookups", "unserved"))
 
 
-def _failover_metrics(result: failover.FailoverResult) -> Dict[str, Any]:
-    percentiles = result.latency_percentiles_faulty
-    return {
-        **_replay_metrics(result),
-        "mean_latency_us": result.mean_latency_faulty * 1e6,
-        "p50_latency_us": percentiles.get("p50", 0.0) * 1e6,
-        "p95_latency_us": percentiles.get("p95", 0.0) * 1e6,
-        "p99_latency_us": percentiles.get("p99", 0.0) * 1e6,
-        "baseline_mean_latency_us": result.mean_latency_baseline * 1e6,
-        "served_from": dict(result.tier_hits),
-        **_fields(result, "unserved", "grey_drops", "latency_overhead", "read_repairs",
-                  "failovers", "replica_inserts", "repaired_copies", "crashes", "recoveries",
-                  "events"),
-        **_replication_metrics(result),
-    }
-
-
 _preset(
     "failover",
     "Dedup accuracy and latency under injected failures (crashes and grey failures)",
     "failover.run_failover",
-    _failover_metrics,
     table=(
         Rows("Failover: dedup accuracy under injected node failures "
              "({num_nodes} nodes, k={replication_factor})", (
@@ -844,21 +647,10 @@ _preset(
 )
 
 
-def _elasticity_metrics(result: elasticity.ElasticityResult) -> Dict[str, Any]:
-    return {
-        **_replay_metrics(result),
-        **_fields(result, "joins", "leaves", "skipped_events", "final_nodes", "entries_moved",
-                  "moved_fraction", "primary_moves", "replica_copies", "replica_drops",
-                  "read_repairs", "replica_inserts", "events"),
-        **_replication_metrics(result),
-    }
-
-
 _preset(
     "elasticity",
     "Dedup accuracy and migration traffic under membership churn (joins/leaves)",
     "elasticity.run_elasticity",
-    _elasticity_metrics,
     table=(
         Rows("Elasticity: dedup accuracy under membership churn "
              "({num_nodes} nodes, k={replication_factor})", (
@@ -891,26 +683,6 @@ _preset(
 )
 
 
-def _ledger_metrics(result: control_plane.TimedResult) -> Dict[str, Any]:
-    """What a timed run reads off its ledger: the clock, per-phase latency, the counters.
-
-    ``counters`` names the ledger's counters, each also a metric of its own.
-    """
-    metrics: Dict[str, Any] = {
-        "arrival_interval_us": result.interval * 1e6,
-        "throughput": result.throughput,
-        "control_plane_cpu_seconds": result.control_plane_cpu_seconds,
-    }
-    for name, stats in result.phases.items():
-        metrics[f"{name}_lookups"] = stats.count
-        metrics[f"{name}_mean_latency_us"] = stats.mean * 1e6
-        metrics[f"{name}_p50_latency_us"] = stats.p50 * 1e6
-        metrics[f"{name}_p99_latency_us"] = stats.p99 * 1e6
-    metrics["counters"] = sorted(result.counters)
-    metrics.update(result.counters)
-    return metrics
-
-
 def _phase_rows(*phases: str) -> Tuple[If, ...]:
     """Each phase's lookups, p50 and p99 rows, where the run had that phase."""
     return tuple(
@@ -922,15 +694,6 @@ def _phase_rows(*phases: str) -> Tuple[If, ...]:
         )
         for phase in phases
     )
-
-
-def _timed_metrics(result: control_plane.ControlPlaneResult) -> Dict[str, Any]:
-    """Common metrics schema for the timed control-plane presets."""
-    return {
-        **_replay_metrics(result),
-        **_fields(result, "offered_load", "p99_tax", "unserved"),
-        **_ledger_metrics(result),
-    }
 
 
 def _timed_table(preset: str, taxed_phase: str) -> Rows:
@@ -956,7 +719,6 @@ _preset(
     "failover_timed",
     "Lookup p50/p99 and throughput during outages, control-plane costs charged",
     "control_plane.run_failover_timed",
-    _timed_metrics,
     table=_timed_table("failover_timed", "degraded"),
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
@@ -970,7 +732,6 @@ _preset(
     "churn_timed",
     "Lookup p50/p99 and throughput during membership churn, migration costs charged",
     "control_plane.run_churn_timed",
-    _timed_metrics,
     table=_timed_table("churn_timed", "migrating"),
     cluster_keys=_REPLICATED_CLUSTER,
     node_keys=NODE_KEYS,
@@ -981,25 +742,10 @@ _preset(
 )
 
 
-def _restart_metrics(result: restart.RestartResult) -> Dict[str, Any]:
-    return {
-        **_replay_metrics(result),
-        **_fields(result, "offered_load", "acknowledged", "lost_acknowledged",
-                  "acknowledged_accuracy", "unserved", "recovered_entries", "replayed_records",
-                  "snapshot_loaded", "snapshot_bytes", "degraded_p99_tax", "recovery_p99_tax",
-                  "warm_restart", "snapshot_every", "victim", "kill_batch", "restart_batch"),
-        "restart_mode": "warm" if result.warm_restart else "cold",
-        "recovery_time_ms": result.recovery_time * 1e3,
-        "recovery_wall_ms": result.recovery_wall_seconds * 1e3,
-        **_ledger_metrics(result),
-    }
-
-
 _preset(
     "restart",
     "Kill a node mid-workload, restart from log+bloom image, measure recovery",
     "restart.run_restart",
-    _restart_metrics,
     table=Rows("restart: kill/restart recovery "
                "({num_nodes} nodes, k={replication_factor}, {restart_mode})", (
         ("nodes", "num_nodes"),
@@ -1053,7 +799,7 @@ _preset(
 
 
 # ----------------------------------------------------------------- live service
-def _run_service(spec: ScenarioSpec) -> service.ServiceRunResult:
+def _run_service(spec: ScenarioSpec) -> Dict[str, Any]:
     """The only preset that is not simulated: real sockets, real processes.
 
     Its workers take the ``node`` section as plain overrides, not as a
@@ -1067,34 +813,10 @@ def _run_service(spec: ScenarioSpec) -> service.ServiceRunResult:
     return _experiment("service").run_service(**kwargs)
 
 
-def _service_metrics(result: service.ServiceRunResult) -> Dict[str, Any]:
-    return {
-        **_fields(result, "num_nodes", "clients", "pipeline"),
-        "fingerprints": result.offered,
-        "acknowledged": result.acknowledged,
-        "new_fingerprints": result.new_fingerprints,
-        "duplicate_fingerprints": result.duplicate_fingerprints,
-        "throughput": result.throughput,
-        "wall_seconds": result.wall_seconds,
-        "p50_latency_us": result.latency_us.get("p50", 0.0),
-        "p99_latency_us": result.latency_us.get("p99", 0.0),
-        "sheds": result.sheds,
-        "shed_rate": result.shed_rate,
-        "retries": result.retries,
-        "unavailable": result.unavailable,
-        "failed_batches": result.failed_batches,
-        "kills_sent": result.kills_sent,
-        "worker_restarts": result.worker_restarts,
-        "audit_checked": result.audit_checked,
-        "lost_acknowledged": result.lost_acknowledged,
-    }
-
-
 _preset(
     "service",
     "Boot the real serving stack (TCP gateway + worker processes) and load it",
     _run_service,
-    _service_metrics,
     table=Rows("Service (live gateway + workers)", (
         ("nodes (worker processes)", "num_nodes"),
         ("clients x pipeline", "{clients} x {pipeline}"),

@@ -40,38 +40,38 @@ class TestChurnPlan:
 class TestElasticityRunner:
     def test_churn_free_run_moves_nothing(self):
         result = run_elasticity(churn_plan=ChurnPlan.none(), **SMALL)
-        assert result.joins == 0 and result.leaves == 0
-        assert result.entries_moved == 0
-        assert result.accuracy == 1.0
+        assert result["joins"] == 0 and result["leaves"] == 0
+        assert result["entries_moved"] == 0
+        assert result["dedup_accuracy"] == 1.0
 
     def test_replicated_churn_is_lossless_with_replica_traffic(self):
         result = run_elasticity(
             replication_factor=2, churn_plan=ChurnPlan.join_leave(4), **SMALL
         )
-        assert result.accuracy == 1.0
-        assert result.dedup_errors == 0
-        assert result.replica_copies > 0
-        assert result.under_replicated == 0 and result.lost == 0
-        assert result.distinct * 2 == result.total_stored
+        assert result["dedup_accuracy"] == 1.0
+        assert result["dedup_errors"] == 0
+        assert result["replica_copies"] > 0
+        assert result["under_replicated"] == 0 and result["lost"] == 0
+        assert result["distinct_fingerprints"] * 2 == result["total_stored"]
 
     def test_unreplicated_churn_is_lossless_without_replica_traffic(self):
         result = run_elasticity(
             replication_factor=1, churn_plan=ChurnPlan.join_leave(2), **SMALL
         )
-        assert result.accuracy == 1.0
-        assert result.replica_copies == 0
-        assert result.primary_moves > 0
+        assert result["dedup_accuracy"] == 1.0
+        assert result["replica_copies"] == 0
+        assert result["primary_moves"] > 0
 
     def test_grow_and_shrink_change_the_cluster_size(self):
         grown = run_elasticity(churn_plan=ChurnPlan.grow(2), **SMALL)
-        assert grown.final_nodes == 6 and grown.joins == 2
+        assert grown["final_nodes"] == 6 and grown["joins"] == 2
         shrunk = run_elasticity(churn_plan=ChurnPlan.shrink(2), **SMALL)
-        assert shrunk.final_nodes == 2 and shrunk.leaves == 2
+        assert shrunk["final_nodes"] == 2 and shrunk["leaves"] == 2
 
     def test_shrink_never_drops_below_two_nodes(self):
         result = run_elasticity(churn_plan=ChurnPlan.shrink(5), **SMALL)
-        assert result.final_nodes == 2
-        assert result.skipped_events == 3
+        assert result["final_nodes"] == 2
+        assert result["skipped_events"] == 3
 
     def test_render_reports_the_headline_numbers(self):
         result = run_scenario("elasticity", churn_kind="join_leave", churn_events=2, **SMALL)

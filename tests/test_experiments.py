@@ -25,8 +25,8 @@ class TestFigure1:
         return run_figure1(node_counts=(1, 2, 4), rates=(20_000, 100_000), requests=2_000)
 
     def test_every_configuration_measured(self, result):
-        assert len(result.points) == 6
-        assert all(point.execution_time > 0 for point in result.points)
+        assert len(result["points"]) == 6
+        assert all(point["execution_time_us"] > 0 for point in result["points"])
 
     def test_render_mentions_every_cluster_size(self):
         text = run_scenario(
@@ -45,9 +45,10 @@ class TestFigure5:
     def result(self):
         return run_figure5(node_counts=(1, 4), batch_sizes=(1, 128), scale=0.0002)
 
-    def test_all_fingerprints_processed(self, result):
-        counts = {point.fingerprints for point in result.points}
-        assert len(counts) == 1  # every configuration replayed the same trace
+    def test_every_configuration_replays_the_same_trace(self, result):
+        assert result["fingerprints"] > 0
+        # The same trace, whatever the cluster or batch size: the same verdicts.
+        assert len({point["duplicates"] for point in result["points"]}) == 1
 
     def test_render(self):
         text = run_scenario(
@@ -74,6 +75,8 @@ class TestAblations:
         )
         big_cache = run_generational_backup(config=config, num_nodes=2, ram_cache_entries=4_000)
         tiny_cache = run_generational_backup(config=config, num_nodes=2, ram_cache_entries=64)
-        assert big_cache.rows[1].ram_hit_ratio > tiny_cache.rows[1].ram_hit_ratio
+        big_second, tiny_second = big_cache["rows"][1], tiny_cache["rows"][1]
+        assert big_second["ram_hit_ratio"] > tiny_second["ram_hit_ratio"]
         # Correctness is unchanged: the same chunks are recognised as duplicates.
-        assert big_cache.rows[1].duplicates == tiny_cache.rows[1].duplicates
+        assert big_second["chunks"] == tiny_second["chunks"]
+        assert big_second["redundancy"] == tiny_second["redundancy"]

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.analysis.experiments.restart import RECOVERING_PHASE, RestartResult, run_restart
+from repro.analysis.experiments.restart import RECOVERING_PHASE, run_restart
 from repro.scenarios import run_scenario
 
 SCALE = 0.0005  # ~20k fingerprints: big enough for distinct phases, fast enough for CI
@@ -15,58 +15,56 @@ SCALE = 0.0005  # ~20k fingerprints: big enough for distinct phases, fast enough
 class TestRunRestart:
     def test_warm_restart_recovers_with_full_accuracy(self):
         result = run_restart(scale=SCALE, seed=0)
-        assert isinstance(result, RestartResult)
-        assert result.accuracy == 1.0
-        assert result.acknowledged > 0
-        assert result.lost_acknowledged == 0
-        assert result.acknowledged_accuracy == 1.0
-        assert result.recovery_time > 0
-        assert result.recovery_wall_seconds > 0
-        assert result.recovered_entries > 0
-        assert result.snapshot_loaded
-        assert result.counters["kills"] == 1 and result.counters["restarts"] == 1
-        assert result.counters["node_recoveries"] == 1
+        assert result["dedup_accuracy"] == 1.0
+        assert result["acknowledged"] > 0
+        assert result["lost_acknowledged"] == 0
+        assert result["acknowledged_accuracy"] == 1.0
+        assert result["recovery_time_ms"] > 0
+        assert result["recovery_wall_ms"] > 0
+        assert result["recovered_entries"] > 0
+        assert result["snapshot_loaded"] is True
+        assert result["kills"] == 1 and result["restarts"] == 1
+        assert result["node_recoveries"] == 1
+        assert {"kills", "restarts", "node_recoveries"} <= set(result["counters"])
         # All four phases saw traffic.
         for phase in ("warmup", "steady", "degraded", RECOVERING_PHASE):
-            assert result.phases[phase].count > 0
+            assert result[f"{phase}_lookups"] > 0
 
     def test_cold_restart_replays_full_log_and_charges_more(self):
         warm = run_restart(scale=SCALE, seed=0, warm_restart=True)
         cold = run_restart(scale=SCALE, seed=0, warm_restart=False)
-        assert not cold.snapshot_loaded
-        assert cold.snapshot_every == 0
-        assert cold.replayed_records == cold.recovered_entries  # full replay
-        assert warm.replayed_records < cold.replayed_records
+        assert cold["snapshot_loaded"] is False
+        assert cold["snapshot_every"] == 0
+        assert cold["replayed_records"] == cold["recovered_entries"]  # full replay
+        assert warm["replayed_records"] < cold["replayed_records"]
         # The snapshot path must be measurably cheaper on the simulated clock.
-        assert warm.recovery_time < cold.recovery_time
-        assert cold.lost_acknowledged == 0 and cold.accuracy == 1.0
+        assert warm["recovery_time_ms"] < cold["recovery_time_ms"]
+        assert cold["lost_acknowledged"] == 0 and cold["dedup_accuracy"] == 1.0
 
     def test_deterministic_across_runs(self):
         first = run_restart(scale=SCALE, seed=3)
         second = run_restart(scale=SCALE, seed=3)
-        assert first.recovery_time == second.recovery_time
-        assert first.counters == second.counters
-        assert {p: first.phases[p].p99 for p in first.phases} == {
-            p: second.phases[p].p99 for p in second.phases
-        }
+        # Everything but the host's wall time of the on-disk rebuild.
+        del first["recovery_wall_ms"], second["recovery_wall_ms"]
+        assert first == second
 
     def test_k1_downtime_is_honest_but_loses_nothing_acknowledged(self):
         result = run_restart(scale=SCALE, seed=0, replication_factor=1)
         # With k=1 the victim's shard is unservable while it is down...
-        assert result.unserved > 0
-        assert result.accuracy < 1.0
+        assert result["unserved"] > 0
+        assert result["dedup_accuracy"] < 1.0
         # ...but persistence still brings back every acknowledged insert.
-        assert result.lost_acknowledged == 0
-        assert result.acknowledged_accuracy == 1.0
+        assert result["lost_acknowledged"] == 0
+        assert result["acknowledged_accuracy"] == 1.0
 
     def test_data_dir_keeps_persistence_files(self, tmp_path):
         data_dir = str(tmp_path / "restart-run")
         result = run_restart(scale=SCALE, seed=0, data_dir=data_dir)
-        assert result.accuracy == 1.0
+        assert result["dedup_accuracy"] == 1.0
         assert sorted(os.listdir(data_dir)) == [
-            f"hashnode-{i}" for i in range(result.num_nodes)
+            f"hashnode-{i}" for i in range(result["num_nodes"])
         ]
-        victim_dir = os.path.join(data_dir, result.victim)
+        victim_dir = os.path.join(data_dir, result["victim"])
         assert "containers.log" in os.listdir(victim_dir)
 
     def test_validation(self):
@@ -111,6 +109,5 @@ class TestRestartPreset:
     def test_preset_matches_runner(self):
         via_preset = run_scenario("restart", scale=SCALE, seed=1).metrics
         direct = run_restart(scale=SCALE, seed=1)
-        assert via_preset["recovery_time_ms"] == direct.recovery_time * 1e3
-        assert via_preset["counters"] == sorted(direct.counters)
-        assert {name: via_preset[name] for name in direct.counters} == direct.counters
+        del via_preset["recovery_wall_ms"], direct["recovery_wall_ms"]
+        assert via_preset == direct

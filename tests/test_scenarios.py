@@ -366,8 +366,8 @@ class TestDeprecationShims:
         from repro.workloads.profiles import MAIL_SERVER
 
         result = run_tier_ablation(profile=MAIL_SERVER, scale=0.0005)
-        hybrid = next(row for row in result.rows if row.design == "shhc-hybrid")
-        assert hybrid.lookups > 0
+        hybrid = next(row for row in result["rows"] if row["design"] == "shhc-hybrid")
+        assert hybrid["lookups"] > 0
 
     def test_get_preset_descriptions(self):
         for name in EXPECTED_PRESETS:
