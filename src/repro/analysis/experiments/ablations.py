@@ -175,6 +175,8 @@ def run_scaling_ablation(
     single_latency = single.mean_lookup_latency()
     return {
         "fingerprints": len(fingerprints),
+        "num_nodes": num_nodes,
+        "joined_nodes": range_cluster.num_nodes,
         "moved_fraction_range": range_report.moved_fraction,
         "moved_fraction_consistent": ring_report.moved_fraction,
         "balance_after_range": range_cluster.storage_distribution().max_over_mean,

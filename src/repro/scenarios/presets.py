@@ -495,7 +495,8 @@ _run_batch_tradeoff = _preset(
 
 # ------------------------------------------------------------- scaling ablation
 _SCALING_ABLATION_TABLE = (
-    Rows("Ablation C: scaling a 4-node cluster to 5 nodes ({fingerprints:,} fingerprints)", (
+    Rows("Ablation C: scaling a {num_nodes}-node cluster to {joined_nodes} nodes "
+         "({fingerprints:,} fingerprints)", (
         ("range partitioner", "{moved_fraction_range:.1%}", "{balance_after_range:.3f}"),
         ("consistent hashing", "{moved_fraction_consistent:.1%}", "{balance_after_consistent:.3f}"),
     ), headers=("partitioner", "entries moved on join", "post-join max/mean")),

@@ -141,6 +141,13 @@ class TestCli:
         assert exit_code == 0
         assert "Figure 6" in capsys.readouterr().out
 
+    def test_experiment_scaling_ablation_titles_its_cluster(self, capsys):
+        exit_code = cli_main(
+            ["run", "scaling_ablation", "--set", "num_nodes=6", "--set", "scale=0.002"]
+        )
+        assert exit_code == 0
+        assert "scaling a 6-node cluster to 7 nodes" in capsys.readouterr().out
+
     def test_trace_generation_to_file(self, tmp_path, capsys):
         output_path = str(tmp_path / "trace.txt")
         exit_code = cli_main(
