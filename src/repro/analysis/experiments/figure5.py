@@ -115,7 +115,7 @@ def run_figure5(
     points, sent = [], 0
     for num_nodes in node_counts:
         for batch_size in batch_sizes:
-            # Every configuration replays the same streams, so sends as many.
+            # Every configuration replays the same streams, so `sent` is the same for each.
             sent, elapsed, duplicates = _run_one_configuration(
                 num_nodes,
                 batch_size,
