@@ -7,8 +7,8 @@ into an actual deployable service (the ROADMAP's "millions of users" item):
   shared by every peer (clients, gateway, workers).
 * :mod:`~repro.serving.worker` -- one OS process per hash node.  Each worker
   owns a :class:`~repro.core.hash_node.HybridHashNode`, warm-starts its
-  shard from its PR-7 persistence directory, and serves digest batches over
-  a private TCP socket.
+  shard from its persistence directory, and serves digest batches
+  (a socket-free ``WorkerCore``) over one private TCP connection.
 * :mod:`~repro.serving.gateway` -- the asyncio front door: routes
   digest-keyed batches to the owning worker (shared-nothing sharding),
   applies admission control and backpressure (bounded per-node queues,
@@ -29,5 +29,5 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".gateway": ("ServeConfig", "ServiceGateway", "ServingError"),
     ".loadgen": ("LoadtestConfig", "LoadtestReport", "run_loadtest"),
-    ".worker": ("WorkerSpec",),
+    ".worker": ("WorkerCore", "WorkerSpec"),
 })

@@ -21,11 +21,12 @@ reading its replies stops being read (its ``pause_writing`` pauses reading),
 so it can neither grow the gateway's memory nor starve other clients.
 
 Workers are supervised: a worker that dies (e.g. ``kill -9``, or the
-``kill_worker`` admin frame used for fault injection) is respawned and
-warm-starts from its persistence directory; batches in flight on the dead
-worker are answered ``UNAVAILABLE`` (``retry: true``).  Because workers
-persist new fingerprints *before* replying, an acknowledged batch can never
-be lost to a crash -- the loadgen's audit leans on exactly this.
+``kill_worker`` admin frame used for fault injection) or whose connection
+is dropped is reaped, then respawned, and warm-starts from its persistence
+directory; batches in flight on it are answered ``UNAVAILABLE``
+(``retry: true``).  Because workers persist new fingerprints *before*
+replying, an acknowledged batch can never be lost to a crash -- the
+loadgen's audit leans on exactly this.
 
 The listening socket speaks two protocols, sniffed from the first four
 bytes: length-prefixed frames and ``GET `` (minimal HTTP ``/stats`` and
@@ -334,15 +335,20 @@ class ServiceGateway(GatewayCore):
                 worker.supervisor.cancel()
             if worker.transport is not None:
                 worker.transport.close()
-        loop = asyncio.get_running_loop()
         for worker in self.workers:
-            process = worker.process
-            if process is not None and process.is_alive():
-                await loop.run_in_executor(None, process.join, 2.0)
-                if process.is_alive():
-                    process.kill()
-                    await loop.run_in_executor(None, process.join, 2.0)
+            await self._reap(worker)
         self._cleanup_shared_segments()
+
+    @staticmethod
+    async def _reap(worker: _Worker) -> None:
+        """Join ``worker``'s process for 2 s, then kill it (and join again)."""
+        process = worker.process
+        if process is not None and process.is_alive():
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, process.join, 2.0)
+            if process.is_alive():
+                process.kill()
+                await loop.run_in_executor(None, process.join, 2.0)
 
     def _cleanup_shared_segments(self) -> None:
         """Unlink the workers' shared bloom segments, ``kill -9`` leftovers
@@ -431,7 +437,9 @@ class ServiceGateway(GatewayCore):
             failed = await lost
             if self._closing:
                 return
-            # It died under us (its batches are answered): a fresh one, same shard.
+            # It died under us or was dropped (its batches are answered): a
+            # fresh one on the same shard once this one cannot hold the log.
+            await self._reap(worker)
             worker.restarts += 1
             self._event("worker_died", node=worker.node_id, pid=worker.pid,
                         failed_frames=failed, restarts=worker.restarts)

@@ -40,7 +40,6 @@ readers decode a packed payload into the dict its codec twin would carry
 from __future__ import annotations
 
 import json
-import socket
 import struct
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,9 +60,6 @@ __all__ = [
     "decode_payload",
     "read_frame",
     "frame_payloads",
-    "recv_payload",
-    "recv_frame",
-    "send_frame",
     "verdict_mask",
     "mask_bits",
     "pack_verdicts",
@@ -259,47 +255,6 @@ async def read_frame(reader: asyncio.StreamReader, codec=JsonCodec) -> Optional[
     except EOFError:
         raise WireError("connection closed mid-frame") from None
     return decode_payload(payload, codec)
-
-
-def _recv_exactly(conn: socket.socket, length: int) -> Optional[bytes]:
-    """Blocking exact read; ``None`` on EOF before any byte arrived."""
-    chunks = []
-    remaining = length
-    while remaining:
-        chunk = conn.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if remaining == length:
-                return None
-            raise WireError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks) if len(chunks) != 1 else chunks[0]
-
-
-def recv_payload(conn: socket.socket) -> Optional[bytes]:
-    """Blocking read of one frame's payload, undecoded; ``None`` on clean EOF.
-
-    The worker times a batch from here on (:func:`decode_payload` is the
-    first stage it measures), so waiting for the gateway is not in the figure.
-    """
-    header = _recv_exactly(conn, LENGTH_PREFIX.size)
-    if header is None:
-        return None
-    payload = _recv_exactly(conn, _payload_length(header))
-    if payload is None:
-        raise WireError("connection closed mid-frame")
-    return payload
-
-
-def recv_frame(conn: socket.socket, codec=JsonCodec) -> Optional[Dict[str, Any]]:
-    """Blocking frame read for the worker side; ``None`` on clean EOF."""
-    payload = recv_payload(conn)
-    return None if payload is None else decode_payload(payload, codec)
-
-
-def send_frame(conn: socket.socket, message: Dict[str, Any], codec=JsonCodec) -> None:
-    """Blocking frame write for the worker side."""
-    conn.sendall(encode_frame(message, codec))
 
 
 # ----------------------------------------------------------------- verdict masks

@@ -13,10 +13,13 @@ the wire implies the acknowledged fingerprints survive a process kill.  That
 ordering is what the loadgen's post-run audit (zero lost acknowledged
 fingerprints after ``kill -9`` + respawn) leans on.
 
-The frame loop is single-threaded by design: the gateway is the only
-client, one connection at a time, and requests are answered in arrival
-order -- which lets the gateway match replies to requests FIFO, so the
-packed batch frames on this hop (see :mod:`~repro.serving.wire`) carry no ids.
+The batch path is :class:`WorkerCore`, which never sees a socket: bytes in,
+reply frames out, in arrival order -- so the gateway matches replies FIFO
+and the packed batch frames on this hop (see :mod:`~repro.serving.wire`)
+carry no ids.  :func:`worker_main` is its shell and serves one connection:
+the gateway never reconnects (it replaces a lost worker with a new process),
+so a worker exits when its connection ends, whether the gateway shut it
+down, dropped it or died.
 """
 
 from __future__ import annotations
@@ -26,24 +29,24 @@ import socket
 import sys
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter_ns
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..core.digest_batch import DigestBatch
 from ..telemetry import Registry, event
 from .wire import (
     WireError,
     decode_payload,
+    encode_frame,
     encode_verdict_frame,
+    frame_payloads,
     get_codec,
-    recv_payload,
-    send_frame,
     verdict_mask,
 )
 
 if TYPE_CHECKING:
     from ..core.hash_node import HybridHashNode
 
-__all__ = ["WorkerSpec", "worker_main"]
+__all__ = ["WorkerCore", "WorkerSpec", "worker_main"]
 
 
 @dataclass(frozen=True)
@@ -104,103 +107,128 @@ class WorkerSpec:
         )
 
 
-def _serve_batch(node: HybridHashNode, message: Dict[str, Any]) -> bytes:
-    """Answer one packed digest batch; the hot path of the whole serving stack.
+class WorkerCore:
+    """One node's end of the gateway hop, without a socket: bytes in, frames out.
 
-    The wire blob goes straight into a :class:`DigestBatch` and through the
-    node's batch contract: no ``Fingerprint`` or ``LookupReply`` objects
-    exist on this path at all -- per-key Python object construction is
-    what capped the worker's throughput before.
+    :meth:`on_bytes` takes what arrived (``b""`` is EOF) and returns the
+    reply frames, one per request frame in arrival order; a trailing
+    ``None`` means "close the connection and exit".  A ``shutdown`` frame,
+    EOF and any frame that raises end the connection, the last after the
+    replies of the frames served before it: their batches are persisted.
+    ``serve_batch`` in :attr:`registry` is the worker's one measured
+    series: nanoseconds from a batch payload in hand to its reply frame
+    built (decode, node serve, verdict encode), one observation per batch.
     """
-    blob = message.get("d")
-    if type(blob) is not bytes:
-        raise WireError("the worker hop carries batches as packed frames only")
-    batch = DigestBatch.from_blob(blob, message["s"])
-    tiers, _service_times, new_pairs = node.serve_bucket_verdicts(batch)
-    return encode_verdict_frame(len(batch), len(new_pairs), verdict_mask(tiers))
 
+    def __init__(self, node: HybridHashNode, codec) -> None:
+        self.node = node
+        self.codec = codec
+        self.registry = Registry()
+        self._observe = self.registry.histogram("serve_batch").observe
+        self._pending = bytearray()  # an unfinished frame's first bytes
 
-def _stats(node: HybridHashNode, registry: Registry) -> Dict[str, Any]:
-    """The worker's ``stats`` payload: its registry, refreshed from the node.
+    def on_bytes(self, data: bytes) -> List[Optional[bytes]]:
+        """Serve the whole frames ``data`` completes; their replies out."""
+        replies: List[Optional[bytes]] = []
+        try:
+            if not data:
+                if self._pending:
+                    raise WireError("connection closed mid-frame")
+                return [None]
+            codec = self.codec
+            for payload in frame_payloads(self._pending, data):
+                started = perf_counter_ns()
+                # ``bytes``: the node takes a packed batch's digests as bytes.
+                message = decode_payload(bytes(payload), codec)
+                kind = message.get("t")
+                if kind == "batch":
+                    replies.append(self._serve_batch(message))
+                    self._observe(perf_counter_ns() - started)
+                elif kind == "stats":
+                    replies.append(encode_frame({"t": "stats", "stats": self._stats()}, codec))
+                elif kind == "ping":
+                    replies.append(encode_frame({"t": "pong"}, codec))
+                elif kind == "shutdown":
+                    self._shutdown()
+                    ack = {"t": "reply", "id": message.get("id"), "ok": True}
+                    replies += [encode_frame(ack, codec), None]
+                    return replies
+                else:
+                    raise WireError(f"worker got unknown message type {kind!r}")
+        except WireError as error:
+            event("protocol_error", source=self.node.node_id, cause=str(error))
+            replies.append(None)
+        except Exception as error:  # noqa: BLE001 - the replies before it are owed too
+            from traceback import format_exc
 
-    The measured ``serve_batch`` histogram is already in the registry (the
-    frame loop feeds it); the node's tier counters, sizes and its
-    checkpoint and recovery readings are read here, when somebody asks, so
-    the batch path pays for none of them.
-    """
-    registry.counters.update(node.counters)
-    registry.info.update(node_id=node.node_id)
-    gauges = registry.gauges
-    gauges.update(entries=len(node.store), ram_cached=len(node.cache))
-    persistence = node.persistence
-    if persistence is not None:
-        gauges.update(
-            persisted_records=persistence.records,
-            snapshots_taken=persistence.snapshots_taken,
-            log_bytes=persistence.container.size,
-            last_snapshot_ms=persistence.last_snapshot_ms,
-        )
-    recovery = node.last_recovery
-    if recovery is not None:
-        gauges.update(
-            recovery_records=recovery.records,
-            recovery_replayed=recovery.replayed,
-            recovery_truncated_bytes=recovery.truncated_bytes,
-            recovery_ms=recovery.wall_seconds * 1e3,
-        )
-    return registry.snapshot()
+            event("worker_failed", node=self.node.node_id, error=type(error).__name__,
+                  traceback=format_exc())
+            replies.append(None)
+        return replies
 
+    def _serve_batch(self, message: Dict[str, Any]) -> bytes:
+        """Answer one packed digest batch; the hot path of the whole serving stack.
 
-def _serve_connection(conn: socket.socket, node: HybridHashNode, codec,
-                      registry: Registry) -> bool:
-    """Serve frames on one gateway connection; returns True on shutdown.
+        The wire blob goes straight into a :class:`DigestBatch` and through the
+        node's batch contract: no ``Fingerprint`` or ``LookupReply`` objects
+        exist on this path at all -- per-key Python object construction is
+        what capped the worker's throughput before.
+        """
+        blob = message.get("d")
+        if type(blob) is not bytes:
+            raise WireError("the worker hop carries batches as packed frames only")
+        batch = DigestBatch.from_blob(blob, message["s"])
+        tiers, _service_times, new_pairs = self.node.serve_bucket_verdicts(batch)
+        return encode_verdict_frame(len(batch), len(new_pairs), verdict_mask(tiers))
 
-    ``serve_batch`` is the worker's one measured series: nanoseconds from a
-    batch payload being in hand to its reply frame being built (frame
-    decode, node serve, verdict encode) -- one observation per batch, taken
-    after the reply has left, and nothing recorded per key.
-    """
-    observe = registry.histogram("serve_batch").observe
-    while True:
-        payload = recv_payload(conn)
-        if payload is None:
-            return False  # gateway went away; go back to accept()
-        started = perf_counter_ns()
-        message = decode_payload(payload, codec)
-        kind = message.get("t")
-        if kind == "batch":
-            frame = _serve_batch(node, message)
-            elapsed = perf_counter_ns() - started
-            conn.sendall(frame)
-            observe(elapsed)
-        elif kind == "stats":
-            send_frame(conn, {"t": "stats", "stats": _stats(node, registry)}, codec)
-        elif kind == "ping":
-            send_frame(conn, {"t": "pong"}, codec)
-        elif kind == "shutdown":
-            _shutdown(node)
-            send_frame(conn, {"t": "reply", "id": message.get("id"), "ok": True}, codec)
-            return True
-        else:
-            raise WireError(f"worker got unknown message type {kind!r}")
+    def _stats(self) -> Dict[str, Any]:
+        """The worker's ``stats`` payload: its registry, refreshed from the node.
 
+        The measured ``serve_batch`` histogram is already in the registry;
+        the node's tier counters, sizes and its checkpoint and recovery
+        readings are read here, when somebody asks, so the batch path pays
+        for none of them.
+        """
+        node, registry = self.node, self.registry
+        registry.counters.update(node.counters)
+        registry.info.update(node_id=node.node_id)
+        gauges = registry.gauges
+        gauges.update(entries=len(node.store), ram_cached=len(node.cache))
+        persistence = node.persistence
+        if persistence is not None:
+            gauges.update(
+                persisted_records=persistence.records,
+                snapshots_taken=persistence.snapshots_taken,
+                log_bytes=persistence.container.size,
+                last_snapshot_ms=persistence.last_snapshot_ms,
+            )
+        recovery = node.last_recovery
+        if recovery is not None:
+            gauges.update(
+                recovery_records=recovery.records,
+                recovery_replayed=recovery.replayed,
+                recovery_truncated_bytes=recovery.truncated_bytes,
+                recovery_ms=recovery.wall_seconds * 1e3,
+            )
+        return registry.snapshot()
 
-def _shutdown(node: HybridHashNode) -> None:
-    """Graceful exit: checkpoint the shard so the next start is warm."""
-    persistence = node.persistence
-    if persistence is not None:
-        if persistence.records:
-            persistence.take_snapshot(node.bloom, entries=len(node.store))
-        persistence.close()
-    # Detach from a shared-memory-backed filter while its views can still be
-    # released in order (interpreter teardown would close the segment with
-    # exported memoryviews alive and warn).  The segment itself survives for
-    # the gateway to unlink.
-    node.bloom.close_shared()
+    def _shutdown(self) -> None:
+        """Graceful exit: checkpoint the shard so the next start is warm."""
+        node = self.node
+        persistence = node.persistence
+        if persistence is not None:
+            if persistence.records:
+                persistence.take_snapshot(node.bloom, entries=len(node.store))
+            persistence.close()
+        # Detach from a shared-memory-backed filter while its views can still be
+        # released in order (interpreter teardown would close the segment with
+        # exported memoryviews alive and warn).  The segment itself survives for
+        # the gateway to unlink.
+        node.bloom.close_shared()
 
 
 def worker_main(spec: WorkerSpec, ready_conn) -> None:
-    """Process entry point: build the node, report readiness, serve forever.
+    """Process entry point: build the node, report readiness, serve the gateway.
 
     ``ready_conn`` is the gateway's end of a ``multiprocessing.Pipe``; the
     worker sends ``{"port", "pid", "entries", "warm", "entered", "built"}``
@@ -210,7 +238,8 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     node is built -- system-wide on Linux, so the gateway can set them
     against its own stamps to attribute the start-up.  Startup failures are
     reported over the same pipe as ``{"error": ...}`` so the gateway can
-    raise a useful message instead of timing out.
+    raise a useful message instead of timing out.  Then it serves one
+    connection, and returns when that ends.
     """
     entered = monotonic()
     try:
@@ -218,7 +247,6 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
         built = monotonic()
         codec = get_codec(spec.codec)
         listener = socket.create_server((spec.host, 0))
-        listener.listen(4)
     except Exception as error:  # noqa: BLE001 - anything here must reach the gateway
         try:
             ready_conn.send({"error": f"{type(error).__name__}: {error}"})
@@ -246,20 +274,28 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     ready_conn.send(ready)
     ready_conn.close()
 
-    registry = Registry()
-    while True:
+    core = WorkerCore(node, codec)
+    with listener:
         conn, _peer = listener.accept()
+    with conn:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            finished = _serve_connection(conn, node, codec, registry)
-        except WireError as error:
-            event("protocol_error", source=spec.node_id, cause=str(error))
-            finished = False
-        finally:
+        # Reads land in one buffer (``recv_into``), as the gateway's do:
+        # ``recv(1 MiB)`` would allocate past malloc's mmap threshold per read.
+        buffer = memoryview(bytearray(256 * 1024))
+        while True:
             try:
-                conn.close()
-            except OSError:  # pragma: no cover - close races are harmless
-                pass
-        if finished:
-            listener.close()
-            return
+                received = conn.recv_into(buffer)
+            except ConnectionError:  # a reset ends the connection like EOF
+                received = 0
+            replies = core.on_bytes(buffer[:received])
+            frames = b"".join(filter(None, replies))
+            try:
+                if frames:
+                    conn.sendall(frames)
+            except ConnectionError:
+                break
+            if replies and replies[-1] is None:
+                break
+    # As ``shutdown`` does (idempotent): teardown must not find a shared
+    # filter's segment still exporting views.
+    node.bloom.close_shared()

@@ -17,7 +17,6 @@ new-pair tuples it returns).
 
 import gc
 from itertools import repeat
-from time import perf_counter_ns
 
 import pytest
 
@@ -27,9 +26,8 @@ from repro.core.digest_batch import DigestBatch
 from repro.core.hash_node import HybridHashNode
 from repro.core.protocol import replies_from_tiers
 from repro.dedup.fingerprint import synthetic_fingerprint
-from repro.serving.wire import decode_payload, encode_batch_frame
-from repro.serving.worker import _serve_batch
-from repro.telemetry import Registry
+from repro.serving.wire import JsonCodec, decode_payload, encode_batch_frame
+from repro.serving.worker import WorkerCore
 
 KEYS = 2048
 NODE_CONFIG = HashNodeConfig(ram_cache_entries=1024, bloom_expected_items=50_000)
@@ -82,7 +80,8 @@ def test_node_serve_allocates_only_the_new_pairs(collector_off):
 
 
 def test_worker_shaped_serve_grows_nothing_per_batch(collector_off):
-    """Decode -> serve -> encode -> one histogram observe, 1 000 times over.
+    """The worker core's frame -> decode -> serve -> encode -> one histogram
+    observe, 1 000 times over.
 
     A histogram is a fixed array of integers: measuring a batch must leave
     the process's tracked-object count where it started, whatever the
@@ -90,15 +89,14 @@ def test_worker_shaped_serve_grows_nothing_per_batch(collector_off):
     itself keeps nothing new either.)
     """
     node = HybridHashNode("n0", NODE_CONFIG)
-    registry = Registry()
+    core = WorkerCore(node, JsonCodec)
+    registry = core.registry
     histogram = registry.histogram("serve_batch")
-    payload = encode_batch_frame(b"".join(fp.digest for fp in FINGERPRINTS[:128]), 8192)[4:]
+    frame = encode_batch_frame(b"".join(fp.digest for fp in FINGERPRINTS[:128]), 8192)
 
     def serve_one():
-        started = perf_counter_ns()
-        frame = _serve_batch(node, decode_payload(payload))
-        histogram.observe(perf_counter_ns() - started)
-        return frame
+        (reply,) = core.on_bytes(frame)
+        return reply
 
     first = serve_one()
     reply = serve_one()

@@ -19,8 +19,12 @@ import json
 import logging
 import os
 import random
-import struct
+import signal
 import socket
+import struct
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -38,29 +42,27 @@ from repro.serving.wire import (
     encode_batch_frame,
     encode_frame,
     encode_verdict_frame,
+    frame_payloads,
     get_codec,
     mask_bits,
     pack_verdicts,
     read_frame,
-    recv_frame,
-    send_frame,
     unpack_verdicts,
     verdict_mask,
 )
-from repro.telemetry import Registry
 
 
 # --------------------------------------------------------------------- wire
-def test_frame_roundtrip_over_socket_pair():
+def test_frame_roundtrip_through_frame_payloads():
     message = {"t": "batch", "id": 7, "d": "ab" * 40, "s": 8192}
-    left, right = socket.socketpair()
-    try:
-        send_frame(left, message, JsonCodec)
-        assert recv_frame(right, JsonCodec) == message
-        left.close()
-        assert recv_frame(right, JsonCodec) is None  # clean EOF
-    finally:
-        right.close()
+    frame = encode_frame(message, JsonCodec)
+    pending = bytearray()
+    # Inside the length prefix, then inside the payload: nothing is whole yet.
+    assert frame_payloads(pending, frame[:3]) == [] and pending == frame[:3]
+    assert frame_payloads(pending, frame[3:9]) == [] and pending == frame[:9]
+    payloads = frame_payloads(pending, frame[9:] + frame)
+    assert [decode_payload(payload, JsonCodec) for payload in payloads] == [message] * 2
+    assert not pending  # nothing owed: the stream may end here
 
 
 def test_encode_frame_rejects_oversized():
@@ -200,14 +202,11 @@ def test_mixed_packed_and_codec_frames_on_one_connection():
         {"t": "batch", "d": blob, "s": (1, 2)},
         {"t": "shutdown"},
     ]
-    left, right = socket.socketpair()
-    try:
-        left.sendall(b"".join(frames))
-        left.close()
-        assert [recv_frame(right, JsonCodec) for _ in frames] == expected
-        assert recv_frame(right, JsonCodec) is None
-    finally:
-        right.close()
+    pending = bytearray()
+    payloads = frame_payloads(pending, b"".join(frames))
+    # ``bytes``, as the worker converts: the digests then compare as bytes.
+    assert [decode_payload(bytes(payload), JsonCodec) for payload in payloads] == expected
+    assert not pending
 
     async def _stream():
         reader = asyncio.StreamReader()
@@ -221,13 +220,16 @@ def test_mixed_packed_and_codec_frames_on_one_connection():
 def test_worker_refuses_a_codec_batch():
     from repro.core.config import HashNodeConfig
     from repro.core.hash_node import HybridHashNode
-    from repro.serving.worker import _serve_batch
+    from repro.serving.worker import WorkerCore
 
     node = HybridHashNode("w", config=HashNodeConfig(bloom_expected_items=512, ssd_buckets=16))
-    with pytest.raises(WireError):
-        _serve_batch(node, {"t": "batch", "id": 1, "d": "ab" * 20, "s": 4096})
-    reply = decode_payload(_payload(_serve_batch(node, {"t": "batch", "d": b"k" * 20, "s": 1})))
-    assert reply == {"t": "reply", "ok": True, "v": 0, "n": 1, "new": 1}
+    replies = WorkerCore(node, JsonCodec).on_bytes(encode_batch_frame(b"k" * 20, 1))
+    assert [decode_payload(_payload(frame)) for frame in replies] == [
+        {"t": "reply", "ok": True, "v": 0, "n": 1, "new": 1}]
+    # The same digest as a codec batch: refused, and the connection ends.
+    codec_batch = encode_frame({"t": "batch", "id": 1, "d": "6b" * 20, "s": 4096})
+    assert WorkerCore(node, JsonCodec).on_bytes(codec_batch) == [None]
+    assert node.counters["lookups"] == 1
 
 
 # ------------------------------------------------------------------- routing
@@ -380,6 +382,87 @@ def test_worker_kill_respawns_with_zero_lost_acks(tmp_path):
     assert report.acked_fingerprints == report.offered_fingerprints
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.parametrize("hung", [False, True], ids=["exits", "hung"])
+def test_a_dropped_worker_is_gone_before_its_successor_serves_its_shard(tmp_path, capfd, hung):
+    """The gateway drops a worker's connection on garbage and spawns a
+    successor on the same directory; the dropped process must not live on
+    beside it with the shard's log open, nor outlive ``close()``.  It exits
+    without a traceback (its bloom bits in shared memory included), and one
+    that cannot exit (stopped) is killed before the successor starts."""
+    async def _go():
+        gateway = ServiceGateway(_serve_config(tmp_path, shared_bloom=True))
+        await gateway.start()
+        try:
+            worker = gateway.workers[0]
+            dropped = worker.process
+            if hung:
+                os.kill(dropped.pid, signal.SIGSTOP)
+            # A frame no codec decodes: the core closes the worker's connection.
+            gateway._write(gateway.on_worker_bytes(0, struct.pack("!I", 1) + b"\xff"))
+            for _ in range(3_000):
+                if worker.process is not dropped and worker.ready.is_set():
+                    break
+                await asyncio.sleep(0.01)
+            assert worker.restarts == 1 and worker.ready.is_set()
+            alive_beside_successor = dropped.is_alive()
+        finally:
+            await gateway.close()
+        return dropped, alive_beside_successor
+
+    dropped, alive_beside_successor = asyncio.run(_go())
+    try:
+        assert not alive_beside_successor
+        assert not dropped.is_alive()
+        assert dropped.exitcode == (-signal.SIGKILL if hung else 0)
+    finally:
+        dropped.kill()
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_no_worker_outlives_a_sigkilled_gateway(tmp_path):
+    log = tmp_path / "serve.log"
+    with open(log, "w") as output:
+        gateway = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--nodes", "2", "--port", "0",
+             "--data-dir", str(tmp_path / "data"), "--report-interval", "0"],
+            stdout=output, stderr=subprocess.STDOUT,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while "listening on" not in log.read_text() and time.monotonic() < deadline:
+            assert gateway.poll() is None, log.read_text()
+            time.sleep(0.05)
+        pids = [record["pid"] for record in map(json.loads, (
+            line for line in log.read_text().splitlines() if line.startswith("{")))
+            if record["event"] == "worker_ready"]
+        assert len(pids) == 2 and all(map(_running, pids)), log.read_text()
+        gateway.kill()
+        gateway.wait()
+        deadline = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)], "workers outlived their gateway"
+    finally:
+        if gateway.poll() is None:
+            gateway.kill()
+            gateway.wait()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
 _START_STAGES = ("start_ms", "build_ms", "ready_ms")
 
 
@@ -466,27 +549,21 @@ def test_shed_on_overload_replies_overloaded():
 
 
 def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
-    from repro.serving.worker import WorkerSpec, _serve_connection, _shutdown, _stats
+    from repro.serving.worker import WorkerCore, WorkerSpec
 
     spec = WorkerSpec("node0", {"bloom_expected_items": 4_096, "ssd_buckets": 256},
                       persistence_dir=str(tmp_path / "node0"), snapshot_every=32)
     node = spec.build_node()
-    registry = Registry()
-    # The worker's own frame loop, fed by a socket pair standing in for the
-    # gateway: two batches, then a stats frame, then the gateway goes away.
-    gateway_end, worker_end = socket.socketpair()
-    try:
-        gateway_end.sendall(
-            encode_batch_frame(os.urandom(20 * 40), 4096)
-            + encode_batch_frame(os.urandom(20 * 8), 4096)
-            + encode_frame({"t": "stats"}))
-        gateway_end.shutdown(socket.SHUT_WR)
-        assert _serve_connection(worker_end, node, JsonCodec, registry) is False
-        assert [recv_frame(gateway_end)["new"] for _ in range(2)] == [40, 8]
-        stats = recv_frame(gateway_end)["stats"]
-    finally:
-        gateway_end.close()
-        worker_end.close()
+    core = WorkerCore(node, JsonCodec)
+    # What the gateway sends: two batches, then a stats frame, then EOF.
+    replies = core.on_bytes(
+        encode_batch_frame(os.urandom(20 * 40), 4096)
+        + encode_batch_frame(os.urandom(20 * 8), 4096)
+        + encode_frame({"t": "stats"}))
+    assert core.on_bytes(b"") == [None]
+    messages = [decode_payload(_payload(frame)) for frame in replies]
+    assert [message["new"] for message in messages[:2]] == [40, 8]
+    stats = messages[2]["stats"]
     gauges = stats["gauges"]
     assert gauges["persisted_records"] == 48 and gauges["snapshots_taken"] == 1
     assert gauges["entries"] == gauges["ram_cached"] == 48
@@ -503,9 +580,11 @@ def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
     assert "modelled_service_us" not in json.dumps(stats)
     assert node.lookup_latency.count == 0
     assert not any(key.startswith("recovery") for key in gauges)
-    _shutdown(node)
+    # A later connection shuts the node down (the checkpoint the restart loads).
+    assert WorkerCore(node, JsonCodec).on_bytes(encode_frame({"t": "shutdown"}))[-1] is None
     # A second start is warm and its stats say what the recovery replayed.
-    gauges = _stats(spec.build_node(), Registry())["gauges"]
+    (reply,) = WorkerCore(spec.build_node(), JsonCodec).on_bytes(encode_frame({"t": "stats"}))
+    gauges = decode_payload(_payload(reply))["stats"]["gauges"]
     assert (gauges["recovery_records"], gauges["recovery_replayed"],
             gauges["recovery_truncated_bytes"]) == (48, 0, 0)
     assert gauges["recovery_ms"] > 0

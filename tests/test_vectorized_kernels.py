@@ -547,7 +547,8 @@ def test_the_data_plane_imports_no_numpy():
         from repro.core.cluster import ClusterConfig, SHHCCluster
         from repro.core.config import HashNodeConfig
         from repro.dedup.fingerprint import Fingerprint
-        from repro.serving.worker import WorkerSpec, _serve_batch
+        from repro.serving.wire import JsonCodec, encode_batch_frame
+        from repro.serving.worker import WorkerCore, WorkerSpec
 
         node_config = HashNodeConfig(
             ram_cache_entries=256, bloom_expected_items=4096, ssd_buckets=64
@@ -559,7 +560,8 @@ def test_the_data_plane_imports_no_numpy():
         assert not any(result.is_duplicate for result in cluster.lookup_batch(batch))
         assert all(result.is_duplicate for result in cluster.lookup_batch(batch))
         node = WorkerSpec("node0", node_config={"bloom_expected_items": 4096}).build_node()
-        _serve_batch(node, {"d": b"".join(f.digest for f in batch), "s": 4096})
+        blob = b"".join(f.digest for f in batch)
+        assert WorkerCore(node, JsonCodec).on_bytes(encode_batch_frame(blob, 4096))[0]
         assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)[:5]
     """
     repo_root = Path(__file__).resolve().parents[1]

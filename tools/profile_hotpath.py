@@ -45,15 +45,18 @@ It calls public names only, so it runs on any commit since PR 7
 (``PYTHONPATH=<that checkout>/src``).
 
 ``serve`` is the serving worker's batch path, in-process and with cProfile
-off, on one persistence-backed node at ``bench/``'s ``node_config`` and its
-128-digest sub-batches, once per live mix (``svc_dup_hot``: 50k keys
+off: :class:`~repro.serving.worker.WorkerCore` over one persistence-backed
+node at ``bench/``'s ``node_config``, fed 128-digest batch frames one per
+``on_bytes`` call, once per live mix (``svc_dup_hot``: 50k keys
 pre-populated, 95% of every batch known; ``svc_unique``: 95% new): us per
-fingerprint for frame decode, ``DigestBatch.from_blob``, the fused kernel,
-the rest of the node's serve, ``log_insert_many`` and mask + encode, with
-the unattributed remainder, rows summing to the total.  No socket, no
-gateway, no checkpoints
-(``snapshot_every=0``).  It wraps the node's private ``_kernel`` slot, which
-exists since PR 24: older checkouts need that commit's copy of this file.
+fingerprint for framing, frame decode, ``DigestBatch.from_blob``, the
+fused kernel, the rest of the node's serve, ``log_insert_many`` and mask +
+encode, with the unattributed remainder (the payload copy, the histogram,
+the loop), rows summing to the total.  Each stage is the name the core
+calls, wrapped, so the rows time the worker's own code.  No socket, no
+gateway, no checkpoints (``snapshot_every=0``).  It needs ``WorkerCore``
+and the node's private ``_kernel`` slot: older checkouts need their own
+copy of this file.
 
 ``gateway`` is the gateway's row next to ``serve``'s worker row:
 :class:`~repro.serving.gateway_core.GatewayCore` driven in-process (no
@@ -369,20 +372,26 @@ def persist_report(entries: int, batch_size: int = 128) -> None:
 
 
 _SERVE_STAGES = (
-    "frame decode", "DigestBatch.from_blob", "fused kernel",
+    "framing", "frame decode", "DigestBatch.from_blob", "fused kernel",
     "node serve, rest", "log_insert_many", "mask + encode",
 )
 
 
 def serve_report(requests: int, batch_size: int = 128) -> None:
-    """Stage budget of the worker's batch path on one node, per live mix."""
+    """Stage budget of the worker's batch path on one node, per live mix.
+
+    The frames go through :meth:`WorkerCore.on_bytes`, one per call as a
+    closed-loop gateway sends them; a stage is timed by wrapping the name
+    the core calls, so the rows measure the code the worker runs.
+    """
+    from types import SimpleNamespace
+
     from repro.core.config import HashNodeConfig
     from repro.core.digest_batch import DigestBatch
     from repro.core.hash_node import HybridHashNode
     from repro.core.persistence import NodePersistence
-    from repro.serving.wire import (
-        decode_payload, encode_batch_frame, encode_verdict_frame, verdict_mask,
-    )
+    from repro.serving import worker
+    from repro.serving.wire import JsonCodec, encode_batch_frame
 
     # bench/spec.py: node_config() and CHUNK_SIZE; one of svc_dup_hot's two
     # shards holds half of its 100k pre-populated identities.
@@ -392,7 +401,7 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
     for mix, prepopulate, dup_fraction in (("svc_dup_hot", 50_000, 0.95), ("svc_unique", 0, 0.05)):
         rng = random.Random(7).random
         known = prepopulate
-        payloads = []
+        frames = []
         for _ in range(max(1, requests // batch_size)):
             identities = []
             for _ in range(batch_size):
@@ -402,7 +411,7 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
                     identities.append(known)
                     known += 1
             blob = b"".join(hashlib.sha1(b"%d" % identity).digest() for identity in identities)
-            payloads.append(encode_batch_frame(blob, 8192)[4:])
+            frames.append(encode_batch_frame(blob, 8192))
         spent = dict.fromkeys(_SERVE_STAGES, 0)
 
         def timed(stage, function):
@@ -414,6 +423,15 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
                     spent[stage] += now() - started
             return wrapper
 
+        wrapped = {
+            "frame_payloads": timed("framing", worker.frame_payloads),
+            "decode_payload": timed("frame decode", worker.decode_payload),
+            "DigestBatch": SimpleNamespace(
+                from_blob=timed("DigestBatch.from_blob", DigestBatch.from_blob)),
+            "verdict_mask": timed("mask + encode", worker.verdict_mask),
+            "encode_verdict_frame": timed("mask + encode", worker.encode_verdict_frame),
+        }
+        originals = {name: getattr(worker, name) for name in wrapped}
         with tempfile.TemporaryDirectory(prefix="profile-serve-") as directory:
             node = HybridHashNode("node0", config,
                                   persistence=NodePersistence(directory, fsync=False))
@@ -427,32 +445,27 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
             node._kernel = timed("fused kernel", node._kernel)
             node.persistence.log_insert_many = timed(
                 "log_insert_many", node.persistence.log_insert_many)
+            node.serve_bucket_verdicts = timed("node serve, rest", node.serve_bucket_verdicts)
+            core = worker.WorkerCore(node, JsonCodec)
             before = node.snapshot()
-            began = now()
-            for payload in payloads:
-                at_start = now()
-                message = decode_payload(payload)
-                decoded = now()
-                batch = DigestBatch.from_blob(message["d"], message["s"])
-                built = now()
-                tiers, _service_times, new_pairs = node.serve_bucket_verdicts(batch)
-                served = now()
-                encode_verdict_frame(len(batch), len(new_pairs), verdict_mask(tiers))
-                encoded = now()
-                spent["frame decode"] += decoded - at_start
-                spent["DigestBatch.from_blob"] += built - decoded
-                spent["node serve, rest"] += served - built
-                spent["mask + encode"] += encoded - served
-            total = now() - began
+            vars(worker).update(wrapped)
+            try:
+                began = now()
+                for frame in frames:
+                    core.on_bytes(frame)
+                total = now() - began
+            finally:
+                vars(worker).update(originals)
             node.persistence.close()
         spent["node serve, rest"] -= sum(
             spent[stage] for stage in
             ("fused kernel", "log_insert_many"))
-        keys = len(payloads) * batch_size
+        keys = len(frames) * batch_size
+        assert core.registry.histogram("serve_batch").count == len(frames), "every batch served"
         after = node.snapshot()
         moved = {name: getattr(after, name) - getattr(before, name)
                  for name in ("ram_hits", "ssd_hits", "new_entries")}
-        print(f"=== serve: {mix} mix, {len(payloads)} batches x {batch_size} "
+        print(f"=== serve: {mix} mix, {len(frames)} batches x {batch_size} "
               f"({', '.join(f'{name} {value / keys:.1%}' for name, value in moved.items())}) ===")
         for stage in _SERVE_STAGES:
             print(f"  {stage:<26} {spent[stage] / keys / 1e3:7.3f} us/fp  {spent[stage] / total:6.1%}")
