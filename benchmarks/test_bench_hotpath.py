@@ -9,7 +9,8 @@ throughput of the code paths every byte of backup data funnels through:
   table-driven gear engine (``baseline`` vs. ``fast`` series);
 * bloom filter probes/s -- re-hash-per-probe (SHA-256) vs. the digest-key
   fast path with batched probes;
-* cuckoo hash ops/s -- BLAKE2b-per-op vs. the digest-key fast path;
+* cuckoo hash ops/s -- BLAKE2b-per-op (a subclass kept here) vs. the
+  table's own digest-key words;
 * packed whole-batch bloom ``add_many``/``contains_many`` vs. a loop over
   the per-key ``add``/``in`` (the vectorized data plane's isolated win);
 * the control-plane tax (degraded / steady p99, deterministic virtual
@@ -42,6 +43,7 @@ someone copies a run over it on purpose::
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import platform
@@ -158,7 +160,7 @@ def _bench_bloom(scale: float) -> dict:
     absent = [synthetic_fingerprint(10_000_000 + i).digest for i in range(count)]
     probes = present + absent
 
-    fast = BloomFilter(expected_items=count, digest_keys=True)
+    fast = BloomFilter(expected_items=count)
     baseline = _SeedBloomFilter(num_bits=fast.num_bits, num_hashes=fast.num_hashes)
 
     def _baseline_add():
@@ -193,13 +195,26 @@ def _bench_bloom(scale: float) -> dict:
     }
 
 
+class _Blake2bCuckooHashTable(CuckooHashTable):
+    """The table with its former hashing for non-digest keys, pinned here.
+
+    Every op re-hashes the key with BLAKE2b-128 for its two bucket words:
+    the benchmark's *baseline*, so the digest-key speedup stays measured
+    now that the library reads the words from the digest alone.
+    """
+
+    def _hash_pair(self, key: bytes):
+        digest = hashlib.blake2b(key, digest_size=16).digest()
+        return int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:], "big")
+
+
 def _bench_cuckoo(scale: float) -> dict:
     count = max(5_000, int(30_000 * scale))
     keys = [synthetic_fingerprint(i).digest for i in range(count)]
     probes = keys + [synthetic_fingerprint(20_000_000 + i).digest for i in range(count)]
 
-    baseline = CuckooHashTable(initial_buckets=1024, digest_keys=False)
-    fast = CuckooHashTable(initial_buckets=1024, digest_keys=True)
+    baseline = _Blake2bCuckooHashTable(initial_buckets=1024)
+    fast = CuckooHashTable(initial_buckets=1024)
 
     for index, key in enumerate(keys):  # build outside the timed probe phase
         baseline.put(key, index)
@@ -236,8 +251,8 @@ def _bench_vectorized(scale: float) -> dict:
     keys = [synthetic_fingerprint(i).digest for i in range(count)]
     probes = keys + [synthetic_fingerprint(30_000_000 + i).digest for i in range(count)]
 
-    per_key_bloom = BloomFilter(expected_items=count, digest_keys=True)
-    packed_bloom = BloomFilter(expected_items=count, digest_keys=True)
+    per_key_bloom = BloomFilter(expected_items=count)
+    packed_bloom = BloomFilter(expected_items=count)
 
     def _per_key_add():
         add = per_key_bloom.add

@@ -115,8 +115,7 @@ def _probe_block(num_hashes: int, pad: str) -> list:
     return lines
 
 
-#: The store's placement rule for a 20-byte digest (every key of a
-#: :class:`~repro.core.digest_batch.DigestBatch`), inlined.
+#: The store's placement rule (:meth:`SSDHashStore.bucket_of`), inlined.
 _BUCKET = "bucket = from_bytes(digest[-8:], 'big') % store_num_buckets"
 
 

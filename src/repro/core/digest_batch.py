@@ -3,17 +3,12 @@
 A routed sub-batch used to travel as a list of :class:`Fingerprint`
 objects, and every layer below re-derived the same per-key facts from
 them: the 20-byte digest, the two 64-bit hash words the bloom filter
-probes with (``int.from_bytes`` of a 160-bit integer per key on the old
-path), and the chunk size.  :class:`DigestBatch` carries the
+probes with, and the chunk size.  :class:`DigestBatch` carries the
 batch as one packed buffer -- the 20-byte digests back to back -- plus
 parallel chunk sizes, and derives *all* hash words for the whole batch
-with a single ``struct.unpack`` call:
-
-* bytes ``[0:8)`` of each digest are the bloom ``h1`` word
-  (equal to ``(int.from_bytes(digest) >> 96)`` for a 20-byte digest);
-* bytes ``[8:16)`` are the raw ``h2`` word (``(whole >> 32) & 2**64-1``);
-  the bloom step is ``(h2 | 1) % num_bits`` -- exactly what the filter's
-  per-key functions compute, so verdicts stay bit-identical.
+with a single ``struct.unpack`` call: bytes ``[0:8)`` of each digest are
+the bloom ``h1`` word and bytes ``[8:16)`` the raw ``h2`` word, the words
+the filter's per-key functions unpack, so verdicts stay bit-identical.
 
 The buffer layout is also what the shared-memory trace cache stores, so a
 sweep worker can rehydrate a workload from a segment without re-running

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..dedup.fingerprint import Fingerprint
@@ -291,12 +291,9 @@ class HybridHashNode:
         service_times: List[float] = [args[14]] * len(digests)
         new_pairs: List[Tuple[bytes, int]] = []
         args[0] = digests
-        # A digest-keyed filter hashes with the digest's own leading words,
-        # which the batch derives in one unpack; any other filter supplies
-        # its (h1, h2) pairs key by key, in the same flat layout.
-        args[1] = batch.hash_words if bloom.digest_keys else (
-            lambda: tuple(chain.from_iterable(map(bloom._hash_pair, digests)))
-        )
+        # The filter hashes with each digest's own leading words, which the
+        # batch derives in one unpack.
+        args[1] = batch.hash_words
         args[2] = batch.chunk_sizes
         args[13] = buffered
         args[18] = tiers

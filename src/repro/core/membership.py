@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
+from ..dedup.fingerprint import Fingerprint
 from .cluster import SHHCCluster
 from .hash_node import HybridHashNode
 from .replication import ReplicationController
@@ -312,8 +312,6 @@ class MembershipManager:
     @staticmethod
     def _as_fingerprint(digest: bytes, value) -> Fingerprint:
         chunk_size = value if isinstance(value, int) else 0
-        if len(digest) != FINGERPRINT_BYTES:
-            digest = digest.ljust(FINGERPRINT_BYTES, b"\0")[:FINGERPRINT_BYTES]
         return Fingerprint(digest=digest, chunk_size=chunk_size)
 
     # -- reporting ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
+from ..dedup.fingerprint import Fingerprint
 from .cluster import SHHCCluster
 
 __all__ = ["ReplicaConsistencyReport", "ReplicationController"]
@@ -146,5 +146,4 @@ class ReplicationController:
     def _fingerprint_for(self, digest: bytes, holders: Set[str]) -> Fingerprint:
         value = self._value_of(digest, holders)
         chunk_size = value if isinstance(value, int) else 0
-        padded = digest.ljust(FINGERPRINT_BYTES, b"\0")[:FINGERPRINT_BYTES]
-        return Fingerprint(digest=padded, chunk_size=chunk_size)
+        return Fingerprint(digest=digest, chunk_size=chunk_size)

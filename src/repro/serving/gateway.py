@@ -11,14 +11,16 @@ this module is its shell: one protocol per client and per worker connection
 feeds the core what lands in the read buffer and writes what it returns, one
 ``write`` per connection per callback.  No batch spawns a task or a future.
 
-Flow control is two-level, mirroring the simulated frontend's admission
-queue: a batch is admitted only while fewer than ``max_inflight`` batches
-are unanswered and every worker it touches has fewer than ``max_queue``
-frames outstanding (written, not yet answered).  Otherwise it is *shed*
-with ``OVERLOADED`` (``retry: true``): under overload the service degrades
-by rejecting, never by growing latency without limit.  A client that stops
-reading its replies stops being read (its ``pause_writing`` pauses reading),
-so it can neither grow the gateway's memory nor starve other clients.
+Flow control is two-level: a batch is admitted only while fewer than
+``max_inflight`` batches are unanswered and every worker it touches has
+fewer than ``max_queue`` frames outstanding (written, not yet answered).
+Otherwise it is *shed* with ``OVERLOADED`` (``retry: true``): under
+overload the service degrades by rejecting, never by growing latency
+without limit.  The simulated frontend (:mod:`repro.frontend.webserver`)
+has no counterpart: it admits every batch and sheds none.  A client that
+stops reading its replies stops being read (its ``pause_writing`` pauses
+reading), so it can neither grow the gateway's memory nor starve other
+clients.
 
 Workers are supervised: a worker that dies (e.g. ``kill -9``, or the
 ``kill_worker`` admin frame used for fault injection) or whose connection

@@ -296,9 +296,8 @@ class GatewayCore:
         try:
             for payload in frame_payloads(worker.pending, data):
                 message = decode_payload(payload, self.codec)
-                if not worker.outstanding:  # pragma: no cover - protocol violation
-                    self._protocol_error(f"{worker.node_id} answered a frame nobody sent")
-                    continue
+                if not worker.outstanding:
+                    raise WireError("answered a frame nobody sent")
                 token = worker.outstanding.popleft()
                 if message.get("t") == "reply":  # a verdict frame or a shutdown ack
                     worker.replies += 1
@@ -306,9 +305,10 @@ class GatewayCore:
                     self._on_part(token, index, message, out)
                 else:
                     token(message)
-        except Exception:  # noqa: BLE001 - keep ``out``: it answers popped tokens
+        except Exception as error:  # noqa: BLE001 - keep ``out``: it answers popped tokens
             # Garbage on the worker hop: drop the connection, which answers
             # everything outstanding there through ``on_worker_lost``.
+            self._protocol_error(str(error) or type(error).__name__, worker=worker.node_id)
             out.append((index, None))
         return out
 
@@ -387,9 +387,9 @@ class GatewayCore:
         if state.ended and not state.inflight:
             out.append((state.client, None))
 
-    def _protocol_error(self, cause: str) -> None:
+    def _protocol_error(self, cause: str, **fields: Any) -> None:
         self.telemetry.counters["protocol_errors"] += 1
-        self._event("protocol_error", source="gateway", cause=cause)
+        self._event("protocol_error", source="gateway", cause=cause, **fields)
 
     def _event(self, name: str, **fields: Any) -> None:
         """A routine lifecycle event: one JSON line on stderr under ``verbose``."""

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..storage.packing import DIGEST_BYTES
 
@@ -219,21 +219,35 @@ def _payload_length(header: bytes) -> int:
     return length
 
 
-def frame_payloads(pending: bytearray, data: bytes) -> List[bytearray]:
+def frame_payloads(pending: bytearray, data: bytes) -> Iterable[bytearray]:
     """The whole frames' payloads in ``pending + data``, for a reader fed by
-    callbacks; the bytes of an unfinished frame stay in ``pending``."""
+    callbacks; the bytes of an unfinished frame stay in ``pending``.
+
+    A length prefix over :data:`MAX_FRAME_BYTES` raises :class:`WireError`
+    only once the whole frames ahead of it have been iterated: a reader
+    serves those, then ends the connection.
+    """
     pending += data
     payloads = []
     start, size = 0, len(pending)
     while size - start >= LENGTH_PREFIX.size:
         stop = start + LENGTH_PREFIX.size
-        end = stop + _payload_length(pending[start:stop])
+        try:
+            end = stop + _payload_length(pending[start:stop])
+        except WireError as error:
+            del pending[:start]
+            return _then_raise(payloads, error)
         if end > size:
             break
         payloads.append(pending[stop:end])
         start = end
     del pending[:start]
     return payloads
+
+
+def _then_raise(payloads: List[bytearray], error: WireError) -> Iterable[bytearray]:
+    yield from payloads
+    raise error
 
 
 async def read_frame(reader: asyncio.StreamReader, codec=JsonCodec) -> Optional[Dict[str, Any]]:

@@ -6,16 +6,14 @@ the flash read entirely (paper §III.B).  This implementation is a standard
 partitioned-by-hash bloom filter over a Python ``bytearray`` bit vector, sized
 from a target false-positive rate.
 
-Zero-rehash fast path
----------------------
+Keys are digests
+----------------
 The keys this filter guards in SHHC are SHA-1 fingerprints: 20 bytes that are
-already uniformly distributed.  Hashing a cryptographic digest *again* (the
-classic SHA-256 double-hashing setup) costs more than every other operation
-on the probe path combined, so byte keys of at least 16 bytes take a
-digest-key fast path that reads ``h1``/``h2`` for Kirsch-Mitzenmacher double
-hashing straight out of the key material.  Short keys and strings keep the
-SHA-256 path, which is also available explicitly via ``digest_keys=False``
-for callers whose long keys are *not* uniform (e.g. file paths).
+already uniformly distributed, so ``h1``/``h2`` for Kirsch-Mitzenmacher
+double hashing are read straight out of the key -- bytes ``[0:8)`` and
+``[8:16)`` -- and never re-hashed.  A 20-byte digest is the only key type:
+every probe and insert, per key or per batch, raises :class:`ValueError`
+on a key of any other length.
 
 One probe walk
 --------------
@@ -29,13 +27,13 @@ and four functions are generated from it per filter shape
 :meth:`BloomFilter.add`, and a pair that runs a whole packed batch.
 
 Batch APIs (:meth:`BloomFilter.add_many` / :meth:`BloomFilter.contains_many`)
-share one routing.  A batch whose every key is a 20-byte digest (or a
+share one routing.  A list or tuple of digests (or a
 :class:`~repro.core.digest_batch.DigestBatch`) is *packed*: the hash words
 of the whole batch come from one ``struct.unpack`` over the contiguous
 buffer and the generated batch function walks the probe sequences with no
-per-key ``int.from_bytes``/type dispatch at all.
-Everything else is a loop over the per-key function, which is the
-reference: both routes leave the same bits, count and verdicts
+per-key call at all.  Any other iterable, and any shape too wide to
+unroll, is a loop over the per-key function, which is the reference: both
+routes leave the same bits, count and verdicts
 (tests/test_vectorized_kernels.py, against the per-key functions and an
 independent model in tests/oracles/bloom_model.py).
 
@@ -52,13 +50,12 @@ silently (see :mod:`repro.storage.shm`).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
-from .packing import digest_hash_words
+from .packing import DIGEST_BYTES, digest_hash_words, digest_words
 
 if TYPE_CHECKING:  # imported where a segment is mapped: no workload shares one
     from .shm import SharedBuffer
@@ -72,9 +69,6 @@ _POPCOUNT_TABLE = bytes(bin(value).count("1") for value in range(256))
 #: Shared-segment layout: magic, num_bits, num_hashes -- then the bits.
 _SHM_MAGIC = b"RBF1"
 _SHM_HEADER = struct.Struct(">4sQI")
-
-#: Byte keys at least this long are treated as uniform digests by default.
-_DIGEST_KEY_MIN_BYTES = 16
 
 #: The walk is unrolled for hash counts up to this; larger (unusual)
 #: configurations get the same walk as a loop, per key only.
@@ -120,19 +114,16 @@ def _shape_kernels(num_bits: int, num_hashes: int) -> tuple:
     technique): ``num_bits`` is baked in as a constant and the walk comes
     from :func:`_emit_walk`.
 
-    * ``contains_one`` / ``add_one`` take ``(bits, hash_pair, digest_keys,
-      key)`` so the per-filter state can be pre-bound with
-      ``functools.partial`` and a probe costs one call frame.  20-byte keys
-      (SHA-1 fingerprints, the hot case) derive both hash words from one
-      ``int.from_bytes``; every other key goes through the caller-supplied
-      ``hash_pair`` (which honours ``digest_keys``).
+    * ``contains_one`` / ``add_one`` take ``(bits, key)`` so the bit
+      vector can be pre-bound with ``functools.partial`` and a probe costs
+      one call frame.  Both hash words come from one ``struct`` unpack of
+      the digest, which is also the length check.
     * ``contains_words(words, bits, emit)`` / ``add_words(words, bits)``
       take the flat ``(h1, h2, h1, h2, ...)`` tuple produced by one
       ``struct.unpack`` over a contiguous digest buffer
-      (:func:`repro.storage.packing.digest_hash_words`).  For a 20-byte
-      digest those words are exactly the per-key functions' ``whole >> 96``
-      and ``(whole >> 32) & 2**64-1``, so verdicts and bit mutations are
-      bit-identical.  ``None`` for shapes too large to unroll.
+      (:func:`repro.storage.packing.digest_hash_words`): the same words
+      per digest, so verdicts and bit mutations are bit-identical.
+      ``None`` for shapes too large to unroll.
     """
     shape = (num_bits, num_hashes)
     kernels = _KERNEL_CACHE.get(shape)
@@ -150,14 +141,12 @@ def _shape_kernels(num_bits: int, num_hashes: int) -> tuple:
 
     def per_key(name: str, action, result: List[str]) -> List[str]:
         return [
-            f"def {name}(bits, hash_pair, digest_keys, key):",
+            f"def {name}(bits, key):",
             f"    nb = {num_bits}",
-            "    if digest_keys and type(key) is bytes and len(key) == 20:",
-            "        whole = int.from_bytes(key, 'big')",
-            "        h1 = whole >> 96",
-            "        h2 = (whole >> 32) & 0xFFFFFFFFFFFFFFFF",
-            "    else:",
-            "        h1, h2 = hash_pair(key)",
+            "    try:",
+            "        h1, h2 = digest_words(key)",
+            "    except struct_error:",
+            "        raise ValueError(f'bloom keys are 20-byte digests, not {key!r}') from None",
             *_emit_walk(num_hashes, "    ", action),
             *result,
         ]
@@ -181,7 +170,7 @@ def _shape_kernels(num_bits: int, num_hashes: int) -> tuple:
             ["        emit(True)"],
         )
         source += per_batch("add_words(words, bits)", set_bit, [])
-    namespace: dict = {}
+    namespace: dict = {"digest_words": digest_words, "struct_error": struct.error}
     exec("\n".join(source), namespace)  # noqa: S102 - static template, no user input
     kernels = _KERNEL_CACHE[shape] = tuple(
         namespace.get(name) for name in ("contains_one", "add_one", "contains_words", "add_words")
@@ -201,7 +190,7 @@ def optimal_parameters(expected_items: int, false_positive_rate: float) -> tuple
 
 
 class BloomFilter:
-    """A classic bloom filter over byte-string keys.
+    """A classic bloom filter over 20-byte digest keys.
 
     Parameters
     ----------
@@ -211,11 +200,6 @@ class BloomFilter:
         Target false-positive probability at ``expected_items`` insertions.
     num_bits / num_hashes:
         Explicit sizing; overrides the derived parameters when given.
-    digest_keys:
-        When ``True`` (the default), byte keys of >= 16 bytes are assumed to
-        be uniformly distributed digests and ``h1``/``h2`` are read directly
-        from the key bytes instead of re-hashing with SHA-256.  Set to
-        ``False`` when long keys may be structured (non-uniform).
     shared / shared_name:
         Opt-in shared-memory backing for the bit vector.  ``shared=True``
         creates a segment (anonymous unless ``shared_name`` is given, in
@@ -235,7 +219,6 @@ class BloomFilter:
         false_positive_rate: float = 0.01,
         num_bits: Optional[int] = None,
         num_hashes: Optional[int] = None,
-        digest_keys: bool = True,
         shared: bool = False,
         shared_name: Optional[str] = None,
     ) -> None:
@@ -246,7 +229,6 @@ class BloomFilter:
             raise ValueError("num_bits and num_hashes must be positive")
         self.expected_items = expected_items
         self.false_positive_rate = false_positive_rate
-        self.digest_keys = bool(digest_keys)
         num_bytes = (self.num_bits + 7) // 8
         self._buffer: Optional[SharedBuffer] = None
         if shared or shared_name is not None:
@@ -262,16 +244,12 @@ class BloomFilter:
         # it once is safe).
         #: Single-key membership probe: the body of ``key in filter`` and
         #: what hot loops should bind instead of ``__contains__``.
-        self.contains_one: Callable[[bytes], bool] = partial(
-            contains_one, self._bits, self._hash_pair, self.digest_keys
-        )
+        self.contains_one: Callable[[bytes], bool] = partial(contains_one, self._bits)
         #: Single-key insert for hot loops.  Unlike :meth:`add` it does NOT
         #: advance the insert count -- a tight loop (recovery replay) calls
         #: this per key and settles once with :meth:`count_inserts`
         #: (state-identical).
-        self.add_one: Callable[[bytes], None] = partial(
-            add_one, self._bits, self._hash_pair, self.digest_keys
-        )
+        self.add_one: Callable[[bytes], None] = partial(add_one, self._bits)
 
     def count_inserts(self, amount: int) -> None:
         """Advance the insert count for keys added via :attr:`add_one`."""
@@ -355,50 +333,27 @@ class BloomFilter:
             buffer.unlink()
 
     # -- internals -------------------------------------------------------------
-    def _hash_pair(self, key: bytes) -> Tuple[int, int]:
-        """``(h1, h2)`` for Kirsch-Mitzenmacher double hashing.
-
-        ``h2`` is forced odd so the probe sequence cycles through all bit
-        positions for power-of-two ``num_bits`` as well.
-        """
-        if isinstance(key, str):
-            key = key.encode("utf-8")
-        if self.digest_keys and len(key) >= _DIGEST_KEY_MIN_BYTES:
-            return (
-                int.from_bytes(key[:8], "big"),
-                int.from_bytes(key[8:16], "big") | 1,
-            )
-        digest = hashlib.sha256(key).digest()
-        return (
-            int.from_bytes(digest[:8], "big"),
-            int.from_bytes(digest[8:16], "big") | 1,
-        )
-
     def _batch_words(self, keys):
-        """Hash words of a batch that can skip per-key hashing, else ``None``.
+        """The flat ``(h1, h2, ...)`` words of a batch, or ``None`` to go key by key.
 
         The one routing decision behind :meth:`add_many` and
-        :meth:`contains_many`.  Eligible inputs: a
-        :class:`~repro.core.digest_batch.DigestBatch` (which has the words
-        cached for the whole routed batch), or a non-empty list/tuple where
-        *every* element is a 20-byte ``bytes`` digest.  The per-key length
-        check is mandatory -- mixed-length keys that merely sum to a
-        multiple of 20 would otherwise hash wrong silently.  Returns the
-        flat ``(h1, h2, ...)`` tuple for the packed route, and ``None``
-        when the batch goes key by key (non-digest keys,
-        ``digest_keys=False``, an un-unrollable shape, or an iterable that
-        is neither of the above).
+        :meth:`contains_many`: a :class:`~repro.core.digest_batch.DigestBatch`
+        has its words cached, a non-empty list or tuple is joined and
+        unpacked in one call, and anything else (or a shape too wide to
+        unroll) goes key by key.  A listed key that is not a 20-byte digest
+        raises :class:`ValueError`: the joined length catches one, the
+        longest key wrong lengths that sum to a multiple of 20.
         """
-        if self._add_words is None or not self.digest_keys:
+        if self._add_words is None:
             return None
         if hasattr(keys, "hash_words"):
             return keys.hash_words()
         if not (type(keys) in (list, tuple) and keys):
             return None
-        for key in keys:
-            if type(key) is not bytes or len(key) != 20:
-                return None
-        return digest_hash_words(b"".join(keys), len(keys))
+        blob = b"".join(keys)
+        if len(blob) != DIGEST_BYTES * len(keys) or max(map(len, keys)) != DIGEST_BYTES:
+            raise ValueError(f"bloom keys are {DIGEST_BYTES}-byte digests; this batch holds others")
+        return digest_hash_words(blob, len(keys))
 
     # -- public API -------------------------------------------------------------
     def add(self, key: bytes) -> None:

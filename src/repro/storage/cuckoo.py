@@ -8,17 +8,20 @@ bucket associativity and a displacement bound, used by the ChunkStash-style
 baseline in :mod:`repro.baselines.chunkstash`.  The SHHC node's own table is
 :class:`~repro.storage.hashstore.SSDHashStore`; nothing on the node, cluster
 or serving path goes through this one.
+
+Keys are 20-byte chunk digests, already uniform, so the two bucket choices
+are read straight from the key's leading two 64-bit words, as ChunkStash
+does; any other key raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
-import hashlib
+import struct
 from typing import Any, Iterator, List, Optional, Tuple
 
-__all__ = ["CuckooHashTable", "CuckooInsertError"]
+from .packing import DIGEST_BYTES, digest_words
 
-#: Byte keys at least this long are treated as uniform digests by default.
-_DIGEST_KEY_MIN_BYTES = 16
+__all__ = ["CuckooHashTable", "CuckooInsertError"]
 
 _SENTINEL = object()
 
@@ -28,7 +31,7 @@ class CuckooInsertError(RuntimeError):
 
 
 class CuckooHashTable:
-    """A 2-hash, bucketised cuckoo hash table mapping byte keys to values.
+    """A 2-hash, bucketised cuckoo hash table mapping 20-byte digests to values.
 
     Parameters
     ----------
@@ -38,12 +41,6 @@ class CuckooHashTable:
         Bucket associativity (4 is the common choice).
     max_displacements:
         How many evict/re-insert steps to try before growing the table.
-    digest_keys:
-        When ``True`` (the default), byte keys of >= 16 bytes are assumed to
-        be uniformly distributed digests (SHA-1 fingerprints are the primary
-        use) and the two bucket choices are read directly from the key bytes
-        instead of re-hashing with BLAKE2b.  Set to ``False`` when long keys
-        may be structured (non-uniform).
     """
 
     def __init__(
@@ -51,7 +48,6 @@ class CuckooHashTable:
         initial_buckets: int = 1024,
         slots_per_bucket: int = 4,
         max_displacements: int = 500,
-        digest_keys: bool = True,
     ) -> None:
         if initial_buckets < 1:
             raise ValueError("initial_buckets must be >= 1")
@@ -59,7 +55,6 @@ class CuckooHashTable:
             raise ValueError("slots_per_bucket must be >= 1")
         self.slots_per_bucket = slots_per_bucket
         self.max_displacements = max_displacements
-        self.digest_keys = bool(digest_keys)
         self._num_buckets = initial_buckets
         self._buckets: List[List[Tuple[bytes, Any]]] = [[] for _ in range(initial_buckets)]
         self._size = 0
@@ -68,18 +63,15 @@ class CuckooHashTable:
 
     # -- hashing ------------------------------------------------------------------
     def _hash_pair(self, key: bytes) -> Tuple[int, int]:
-        """Two independent 64-bit hash words for ``key`` (pre-modulus).
+        """The digest's two leading 64-bit words (pre-modulus).
 
-        Keys that are already cryptographic digests supply both words
-        directly from their own bytes -- re-hashing a digest buys no extra
-        uniformity and dominates the per-op cost otherwise.
+        Re-hashing a digest buys no extra uniformity and would dominate
+        the per-op cost.
         """
-        if isinstance(key, str):
-            key = key.encode("utf-8")
-        if self.digest_keys and len(key) >= _DIGEST_KEY_MIN_BYTES:
-            return int.from_bytes(key[:8], "big"), int.from_bytes(key[8:16], "big")
-        digest = hashlib.blake2b(key, digest_size=16).digest()
-        return int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:], "big")
+        try:
+            return digest_words(key)
+        except struct.error:
+            raise ValueError(f"cuckoo keys are {DIGEST_BYTES}-byte digests, not {key!r}") from None
 
     def _hashes(self, key: bytes) -> Tuple[int, int]:
         w1, w2 = self._hash_pair(key)

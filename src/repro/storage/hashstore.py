@@ -20,18 +20,17 @@ replacements:
 
 Placement rule
 --------------
-A key of 16 bytes or more -- every fingerprint digest -- lives in bucket
+Keys are 20-byte fingerprint digests.  A digest lives in bucket
 ``int.from_bytes(key[-8:], "big") % num_buckets``: the digest is already a
 uniform hash, and its *trailing* word is the one nothing else consumes (the
 bloom filter, the cuckoo table and ``RangePartitioner`` read the leading
-bytes, and range routing makes a node's leading byte non-uniform).  Shorter
-keys are placed by the BLAKE2b-64 of the key.  The rule is a pure function
-of the key, so nothing about placement is stored, memoized or logged.
+bytes, and range routing makes a node's leading byte non-uniform).  The
+rule is a pure function of the key, so nothing about placement is stored,
+memoized or logged.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import zlib
@@ -40,11 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["IOOperation", "SSDHashStore", "FileHashStore"]
-
-
-def _placement_bytes(key: bytes) -> bytes:
-    """The 8 bytes that place ``key`` (see *Placement rule* above)."""
-    return key[-8:] if len(key) >= 16 else hashlib.blake2b(key, digest_size=8).digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,9 +104,7 @@ class SSDHashStore:
     # -- placement -----------------------------------------------------------------
     def bucket_of(self, key: bytes) -> int:
         """Bucket index owning ``key`` (see the module's *Placement rule*)."""
-        if isinstance(key, str):
-            key = key.encode("utf-8")
-        return int.from_bytes(_placement_bytes(key), "big") % self.num_buckets
+        return int.from_bytes(key[-8:], "big") % self.num_buckets
 
     def _bucket_pages(self, bucket_index: int) -> int:
         """Number of flash pages the bucket currently spans (>= 1)."""
@@ -128,8 +120,6 @@ class SSDHashStore:
 
     def put(self, key: bytes, value: Any = True) -> bool:
         """Insert or update; returns ``True`` if the key was new."""
-        if isinstance(key, str):
-            key = key.encode("utf-8")
         is_new = key not in self._table
         self._table[key] = value
         if is_new:
@@ -160,7 +150,7 @@ class SSDHashStore:
                 existing_append(key)
             else:
                 new_append(key)
-                counts[from_bytes(_placement_bytes(key), "big") % num_buckets] += 1
+                counts[from_bytes(key[-8:], "big") % num_buckets] += 1
             table[key] = value
         self._buffered_entries += len(new_keys)
         return new_keys, existing_keys
@@ -306,7 +296,8 @@ class FileHashStore:
 
     The layout is a single log-structured container file of
     ``(op, key, value)`` records, each carrying a CRC32 of its body; an
-    in-memory dict maps keys to values.  Recovery replays the container and
+    in-memory dict maps keys to values, both ``bytes`` (the CLI keys each
+    chunk payload by its digest).  Recovery replays the container and
     **truncates** it at the first torn or corrupt record (the tail of a
     crashed append), so the on-disk state always ends on a record boundary
     and later appends cannot be misframed by leftover garbage.
@@ -406,10 +397,6 @@ class FileHashStore:
     # -- public API --------------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:
         """Durably store ``value`` under ``key``."""
-        if isinstance(key, str):
-            key = key.encode("utf-8")
-        if isinstance(value, str):
-            value = value.encode("utf-8")
         record = self._encode(self._OP_PUT, key, value)
         self._log.write(record)
         self._sync()
@@ -418,14 +405,10 @@ class FileHashStore:
 
     def get(self, key: bytes, default: Optional[bytes] = None) -> Optional[bytes]:
         """Fetch the latest value stored under ``key``."""
-        if isinstance(key, str):
-            key = key.encode("utf-8")
         return self._index.get(key, default)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns whether it existed."""
-        if isinstance(key, str):
-            key = key.encode("utf-8")
         if key not in self._index:
             return False
         record = self._encode(self._OP_DELETE, key, b"")
@@ -436,8 +419,6 @@ class FileHashStore:
         return True
 
     def __contains__(self, key: bytes) -> bool:
-        if isinstance(key, str):
-            key = key.encode("utf-8")
         return key in self._index
 
     def __len__(self) -> int:

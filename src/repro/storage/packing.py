@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import struct
 
-__all__ = ["DIGEST_BYTES", "digest_hash_words", "split_digests"]
+__all__ = ["DIGEST_BYTES", "digest_hash_words", "digest_words", "split_digests"]
 
 DIGEST_BYTES = 20
 
 _WORDS_ONE = "QQ4x"
 _DIGEST_ONE = f"{DIGEST_BYTES}s"
 _FORMAT_CACHE: dict = {}
+
+#: ``(h1, h2)`` of one digest: ``digest_hash_words`` for a single key, without
+#: the format lookup.  A key of any other length raises ``struct.error``.
+digest_words = struct.Struct(">" + _WORDS_ONE).unpack
 
 
 def _repeated_struct(one: str, count: int) -> struct.Struct:

@@ -4,31 +4,26 @@
 subtract ``num_bits`` on wrap).  This model computes the same sequence the
 textbook way -- ``(h1 + i * (h2 | 1)) % num_bits`` -- over a plain ``set``
 of bit indexes, and derives ``h1``/``h2`` itself: bytes ``[0:8)`` / ``[8:16)``
-of a digest key (>= 16 bytes on a digest-keyed filter), of the key's
-SHA-256 otherwise.  It shares no code with ``repro.storage.bloom``.
+of the 20-byte digest key.  It shares no code with ``repro.storage.bloom``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, List, Set
 
 
 class BloomModel:
-    def __init__(self, num_bits: int, num_hashes: int, digest_keys: bool = True) -> None:
+    def __init__(self, num_bits: int, num_hashes: int) -> None:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
-        self.digest_keys = digest_keys
         self.set_bits: Set[int] = set()
         self.count = 0
 
     def indexes(self, key) -> List[int]:
         """The bit indexes ``key`` probes, in order."""
-        if isinstance(key, str):
-            key = key.encode("utf-8")
-        material = key if self.digest_keys and len(key) >= 16 else hashlib.sha256(key).digest()
-        h1 = int.from_bytes(material[0:8], "big")
-        h2 = int.from_bytes(material[8:16], "big") | 1
+        assert len(key) == 20, key
+        h1 = int.from_bytes(key[0:8], "big")
+        h2 = int.from_bytes(key[8:16], "big") | 1
         return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
 
     def add_many(self, keys: Iterable) -> None:

@@ -6,14 +6,13 @@ key at a time.  ``repro.storage.hashstore.SSDHashStore`` now keeps one dict
 and a column of per-bucket counts; this model keeps the obvious shape so the
 differential suite (``tests/test_hashstore_differential.py``) can hold the
 two to the same verdicts, sizes, page and flush counts, write-buffer fill and
-per-bucket entry counts.  Keys are placed by the same rule, derived here
-independently: the trailing 8 bytes of a key of 16 bytes or more, BLAKE2b-64
-of a shorter one, as a big-endian integer modulo ``num_buckets``.
+per-bucket entry counts.  Keys are 20-byte digests, placed by the same rule,
+derived here independently: the digest's trailing 8 bytes as a big-endian
+integer modulo ``num_buckets``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 
@@ -30,8 +29,8 @@ class BucketDictStore:
         self.buffer_flushes = 0
 
     def bucket_of(self, key: bytes) -> int:
-        material = key if len(key) >= 16 else hashlib.blake2b(key, digest_size=8).digest()
-        return int.from_bytes(material[len(material) - 8:], "big") % self.num_buckets
+        assert len(key) == 20, key
+        return int.from_bytes(key[12:20], "big") % self.num_buckets
 
     # -- logical operations ------------------------------------------------------
     def __len__(self) -> int:

@@ -14,6 +14,7 @@ the same ``malformed ...`` replies the live gateway gives.
 
 from __future__ import annotations
 
+import json
 import struct
 from collections import deque
 
@@ -273,6 +274,35 @@ def test_a_frame_over_the_cap_is_refused_from_its_header_alone():
     assert core.on_client_bytes(client, struct.pack("!I", 2**32 - 1)) == [(client, None)]
     assert core.telemetry.counters["protocol_errors"] == 1
     assert core.on_client_bytes(client, b"more") == []  # nothing is read after the close
+
+
+def test_batches_read_before_an_oversized_prefix_are_admitted_and_answered_first():
+    core = GatewayCore(["node0"], max_queue=4, max_inflight=4, codec=JsonCodec)
+    core.workers[0].ready.set()
+    client = object()
+    batch = lambda number: encode_frame(  # noqa: E731
+        {"t": "batch", "id": number, "d": bytes(20).hex(), "s": 1})
+    out = core.on_client_bytes(client, batch(1) + batch(2) + struct.pack("!I", 2**32 - 1))
+    assert [destination for destination, _ in out] == [0, 0]  # admitted; the close waits
+    assert core.telemetry.counters["protocol_errors"] == 1
+    out = core.on_worker_bytes(0, encode_verdict_frame(1, 1, 0) + encode_verdict_frame(1, 0, 1))
+    assert [destination for destination, _ in out] == [client, client, client]
+    assert [JsonCodec.decode(frame[4:])["id"] for _, frame in out[:2]] == [1, 2]
+    assert out[2][1] is None and core.telemetry.counters["acked_batches"] == 2
+
+
+def test_garbage_from_a_worker_is_counted_named_and_drops_its_connection(capsys):
+    core = GatewayCore(["node0", "node1"], max_queue=4, max_inflight=4, codec=JsonCodec,
+                       verbose=True)
+    assert core.on_worker_bytes(1, b"\x00\x00\x00\x01\xff") == [(1, None)]
+    # A reply with no frame outstanding is a protocol violation too.
+    assert core.on_worker_bytes(0, encode_verdict_frame(1, 1, 0)) == [(0, None)]
+    assert core.telemetry.counters["protocol_errors"] == 2
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(record["event"], record["worker"]) for record in events] == [
+        ("protocol_error", "node1"), ("protocol_error", "node0")]
+    assert events[1]["cause"] == "answered a frame nobody sent"
+    assert all(record["cause"] for record in events)
 
 
 def test_eof_inside_a_frame_is_a_protocol_error_and_a_lost_client_gets_nothing():

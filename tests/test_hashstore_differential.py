@@ -26,9 +26,8 @@ ENTRY_SIZE = 48
 
 
 def _key(identity: int) -> bytes:
-    """Digests for most identities, a short (BLAKE2b-placed) key for every fifth."""
-    digest = hashlib.sha1(b"%d" % identity).digest()
-    return digest[:5] if identity % 5 == 0 else digest
+    """The 20-byte digest standing for ``identity``."""
+    return hashlib.sha1(b"%d" % identity).digest()
 
 
 identities = st.integers(min_value=0, max_value=40)
@@ -122,7 +121,7 @@ def test_fused_kernel_batches_match_the_model_key_by_key(geometry, lru_capacity,
     verdicts = NodeModel(lru_capacity)
     bloom = BloomModel(node.bloom.num_bits, node.bloom.num_hashes)
     for batch in batches:
-        digests = [hashlib.sha1(b"%d" % identity).digest() for identity in batch]
+        digests = [_key(identity) for identity in batch]
         tiers = node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(digests), 7))[0]
         expected, _new_pairs = verdicts.serve((digest, 7) for digest in digests)
         assert tiers == expected

@@ -111,10 +111,11 @@ class TestBloomSnapshotPayload:
         bloom = BloomFilter(expected_items=512)
         bits_before = bloom._bits
         other = BloomFilter(expected_items=512)
-        other.add(b"key")
+        key = bytes(range(20))
+        other.add(key)
         bloom.restore_payload(other.snapshot_payload(), other.count)
         assert bloom._bits is bits_before
-        assert b"key" in bloom
+        assert key in bloom
 
 
 # --------------------------------------------------------------- fingerprint log

@@ -23,7 +23,7 @@ from repro.storage.object_store import CloudObjectStore
 # Keep generated examples small enough that the whole module stays fast.
 FAST = settings(max_examples=40, deadline=None)
 
-keys = st.binary(min_size=1, max_size=24)
+keys = st.binary(min_size=20, max_size=20)
 key_lists = st.lists(keys, min_size=1, max_size=120)
 
 
@@ -198,20 +198,22 @@ class TestDedupProperties:
             assert store.total_bytes() == physical
 
 
-def _key(identity: int, length: int) -> bytes:
-    """A key of ``length`` bytes for ``identity`` (20 = the synthetic digest)."""
-    digest = synthetic_fingerprint(identity).digest
-    return (digest * 2)[:length]
+def _key(identity: int) -> bytes:
+    """The synthetic digest for ``identity``."""
+    return synthetic_fingerprint(identity).digest
 
+
+#: Identities a lookup step draws; an import also draws past them, keys with
+#: values of their own that no lookup ever touches.
+_LOOKED_UP = 60
 
 _STEPS = st.lists(
     st.one_of(
-        st.tuples(st.just("lookup"), st.integers(0, 60)),
-        # One acknowledged batch with mixed key lengths inside it.
-        st.tuples(st.just("import"), st.lists(
-            st.tuples(st.integers(0, 60), st.sampled_from([4, 20, 33])),
-            min_size=1, max_size=6)),
-        st.tuples(st.just("remove"), st.integers(0, 60)),
+        st.tuples(st.just("lookup"), st.integers(0, _LOOKED_UP)),
+        # One acknowledged batch, mixing keys lookups see and keys they never do.
+        st.tuples(st.just("import"),
+                  st.lists(st.integers(0, 2 * _LOOKED_UP), min_size=1, max_size=6)),
+        st.tuples(st.just("remove"), st.integers(0, _LOOKED_UP)),
     ),
     min_size=1, max_size=120,
 )
@@ -419,10 +421,10 @@ class TestCrashRecoveryProperties:
                     # Verdicts keep matching a node that never crashed.
                     assert reply.is_duplicate == twin.lookup(fingerprint).is_duplicate
                 elif kind == "import":
-                    # (20-byte keys carry the chunk size a lookup of the same
-                    # identity stores: a put of a held key is not re-logged.)
-                    entries = [(_key(identity, length), 8192 if length == 20 else identity)
-                               for identity, length in argument]
+                    # (A key lookups see carries the chunk size a lookup of the
+                    # same identity stores: a put of a held key is not re-logged.)
+                    entries = [(_key(identity), 8192 if identity <= _LOOKED_UP else identity)
+                               for identity in argument]
                     assert node.import_entries(entries) == twin.import_entries(entries)
                 elif kind == "remove":
                     digest = synthetic_fingerprint(argument).digest
@@ -434,8 +436,7 @@ class TestCrashRecoveryProperties:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.booleans(), st.sampled_from([4, 20, 33]),
-                      st.lists(st.integers(0, 40), min_size=1, max_size=5)),
+            st.tuples(st.booleans(), st.lists(st.integers(0, 40), min_size=1, max_size=5)),
             min_size=1, max_size=12,
         ),
         st.data(),
@@ -452,14 +453,14 @@ class TestCrashRecoveryProperties:
             ram_cache_entries=64, bloom_expected_items=2_048, ssd_buckets=128
         )
         with tempfile.TemporaryDirectory() as directory:
-            # One append (uniform key length) = one frame; remember each
-            # frame's end and the store a replay up to it must produce.
+            # One append = one frame; remember each frame's end and the store
+            # a replay up to it must produce.
             boundaries, states, model = [], [], {}
             with NodePersistence(directory) as persistence:
                 header = persistence.container.size
-                for is_put, length, identities in batches:
+                for is_put, identities in batches:
                     for identity in identities:
-                        key = _key(identity, length)
+                        key = _key(identity)
                         if is_put:
                             model[key] = identity
                         else:
@@ -469,7 +470,7 @@ class TestCrashRecoveryProperties:
                             states.append(dict(model))
                     if is_put:
                         persistence.log_insert_many(
-                            (_key(identity, length), identity) for identity in identities)
+                            (_key(identity), identity) for identity in identities)
                         boundaries.append(persistence.container.size)
                         states.append(dict(model))
                 path = persistence.container.path
@@ -498,10 +499,10 @@ class TestCrashRecoveryProperties:
                 assert all(key in node.bloom for key in expected)
                 # The next append lands on a frame boundary ...
                 assert os.path.getsize(path) == persistence.container.size == good_end
-                persistence.log_insert(b"after the damage", 7)
+                persistence.log_insert(_key(1000), 7)
             # ... so a second recovery is clean and sees it.
             again = HybridHashNode("node", config)
             with NodePersistence(directory) as persistence:
                 report = persistence.recover_into(again)
             assert report.truncated_bytes == 0
-            assert dict(again.store.items()) == {**expected, b"after the damage": 7}
+            assert dict(again.store.items()) == {**expected, _key(1000): 7}

@@ -65,6 +65,17 @@ def test_frame_roundtrip_through_frame_payloads():
     assert not pending  # nothing owed: the stream may end here
 
 
+def test_an_oversized_prefix_raises_after_the_whole_frames_ahead_of_it():
+    ping = encode_frame({"t": "ping"}, JsonCodec)
+    oversized = struct.pack("!I", MAX_FRAME_BYTES + 1)
+    pending = bytearray()
+    payloads = iter(frame_payloads(pending, ping + ping + oversized))
+    assert [decode_payload(next(payloads), JsonCodec) for _ in range(2)] == [{"t": "ping"}] * 2
+    with pytest.raises(WireError, match="exceeds MAX_FRAME_BYTES"):
+        next(payloads)
+    assert pending == oversized  # the pings are consumed; the bad prefix is left
+
+
 def test_encode_frame_rejects_oversized():
     huge = {"d": "a" * (MAX_FRAME_BYTES + 1)}
     with pytest.raises(WireError):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import random
 
 import pytest
 from oracles.bloom_model import BloomModel
@@ -39,42 +38,38 @@ class TestBloomParameters:
 class TestBloomBehaviour:
     def test_no_false_negatives(self):
         bloom = BloomFilter(expected_items=5000, false_positive_rate=0.01)
-        keys = [f"key-{i}".encode() for i in range(5000)]
-        bloom.add_many(keys)
-        assert all(key in bloom for key in keys)
+        keys = _digests(0, 5000)
+        for key in keys:
+            bloom.add(key)
+        assert all(bloom.contains_many(tuple(keys)))
 
     def test_false_positive_rate_near_target(self):
+        """The key-by-key routes (a generator, ``in``) keep the designed FP rate."""
         bloom = BloomFilter(expected_items=10_000, false_positive_rate=0.01)
-        bloom.add_many(f"member-{i}".encode() for i in range(10_000))
+        bloom.add_many(iter(_digests(0, 10_000)))
         probes = 20_000
-        false_positives = sum(
-            1 for i in range(probes) if f"absent-{i}".encode() in bloom
-        )
+        false_positives = sum(1 for key in _digests(2_000_000, probes) if key in bloom)
         rate = false_positives / probes
         assert rate < 0.03  # target 1%, generous bound to avoid flakiness
 
     def test_empty_filter_rejects_everything(self):
         bloom = BloomFilter(expected_items=100)
-        assert b"anything" not in bloom
+        assert _digests(0, 1)[0] not in bloom
         assert bloom.fill_ratio() == 0.0
 
     def test_clear(self):
         bloom = BloomFilter(expected_items=100)
-        bloom.add(b"x")
-        assert b"x" in bloom
+        key = _digests(0, 1)[0]
+        bloom.add(key)
+        assert key in bloom
         bloom.clear()
-        assert b"x" not in bloom
+        assert key not in bloom
         assert bloom.count == 0
-
-    def test_string_keys_accepted(self):
-        bloom = BloomFilter(expected_items=10)
-        bloom.add("hello")
-        assert "hello" in bloom
 
 
 class TestBloomDigestFastPath:
     def test_no_false_negatives_with_digest_keys(self):
-        bloom = BloomFilter(expected_items=5000, digest_keys=True)
+        bloom = BloomFilter(expected_items=5000)
         keys = _digests(0, 5000)
         bloom.add_many(keys)
         assert all(key in bloom for key in keys)
@@ -87,35 +82,40 @@ class TestBloomDigestFastPath:
         rate = sum(bloom.contains_many(probes)) / len(probes)
         assert rate < 0.03  # target 1%, generous bound to avoid flakiness
 
-    def test_digest_and_hashed_paths_agree_on_membership(self):
-        """Same keys, both key-derivation modes: identical verdict semantics."""
-        keys = _digests(0, 2000)
-        absent = _digests(500_000, 2000)
-        fast = BloomFilter(expected_items=4000, digest_keys=True)
-        hashed = BloomFilter(expected_items=4000, digest_keys=False)
-        fast.add_many(keys)
-        hashed.add_many(keys)
-        for bloom in (fast, hashed):
-            assert all(key in bloom for key in keys)
-            false_positives = sum(bloom.contains_many(absent))
-            assert false_positives < len(absent) * 0.05
-
     def test_batch_apis_match_scalar_apis_exactly(self):
-        keys = _digests(0, 300) + [f"short-{i}".encode() for i in range(100)]
+        keys = _digests(0, 400)
         probes = keys + _digests(900_000, 300)
-        for digest_keys in (True, False):
-            shape = dict(num_bits=8192, num_hashes=5, digest_keys=digest_keys)
-            scalar = BloomFilter(expected_items=1000, **shape)
-            batched = BloomFilter(expected_items=1000, **shape)
-            model = BloomModel(**shape)
-            for key in keys:
-                scalar.add(key)
-            batched.add_many(keys)
-            model.add_many(keys)
-            assert bytes(scalar._bits) == bytes(batched._bits) == model.bits()
-            assert scalar.count == batched.count == model.count
-            verdicts = batched.contains_many(probes)
-            assert verdicts == [key in scalar for key in probes] == model.contains_many(probes)
+        shape = dict(num_bits=8192, num_hashes=5)
+        scalar = BloomFilter(expected_items=1000, **shape)
+        batched = BloomFilter(expected_items=1000, **shape)
+        model = BloomModel(**shape)
+        for key in keys:
+            scalar.add(key)
+        batched.add_many(keys)
+        model.add_many(keys)
+        assert bytes(scalar._bits) == bytes(batched._bits) == model.bits()
+        assert scalar.count == batched.count == model.count
+        verdicts = batched.contains_many(probes)
+        assert verdicts == [key in scalar for key in probes] == model.contains_many(probes)
+
+    def test_a_key_that_is_not_a_digest_raises(self):
+        """Every route refuses a 19-byte key, and the batch routes set no bit first."""
+        bloom = BloomFilter(expected_items=100)
+        keys = _digests(0, 5)
+        keys[3] = keys[3][:19]
+        for batch in (keys, tuple(keys)):
+            with pytest.raises(ValueError):
+                bloom.add_many(batch)
+            with pytest.raises(ValueError):
+                bloom.contains_many(batch)
+        assert bloom.fill_ratio() == 0.0 and bloom.count == 0
+        with pytest.raises(ValueError):
+            bloom.add(keys[3])
+        with pytest.raises(ValueError):
+            bloom.contains_one(keys[3])
+        # Wrong lengths that sum to a multiple of 20 are refused too.
+        with pytest.raises(ValueError):
+            bloom.add_many([b"a" * 10, b"b" * 30])
 
     def test_contains_agrees_with_indexes_introspection(self):
         bloom = BloomFilter(expected_items=500)
@@ -126,12 +126,6 @@ class TestBloomDigestFastPath:
         for key in keys + _digests(10_000, 50):
             manual = all(bits[index >> 3] & (1 << (index & 7)) for index in model.indexes(key))
             assert manual == (key in bloom)
-
-    def test_short_keys_use_hashed_path(self):
-        bloom = BloomFilter(expected_items=100, digest_keys=True)
-        bloom.add(b"short")
-        assert b"short" in bloom
-        assert b"other" not in bloom
 
     def test_fill_ratio_matches_per_byte_popcount(self):
         bloom = BloomFilter(expected_items=500)
@@ -295,12 +289,6 @@ class TestSingleKeyKernels:
         assert not bloom.contains_one(key)  # bound bits were zeroed in place
         bloom.add(key)
         assert bloom.contains_one(key)
-
-    def test_non_digest_filter_falls_back(self):
-        bloom = BloomFilter(expected_items=200, digest_keys=False)
-        bloom.add(b"short")
-        assert bloom.contains_one(b"short")
-        assert not bloom.contains_one(b"other")
 
 
 class TestLRUHotPaths:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -10,37 +11,45 @@ from repro.storage.cuckoo import CuckooHashTable
 from repro.storage.hashstore import FileHashStore, IOOperation, SSDHashStore
 
 
+def _digests(start: int, count: int) -> list:
+    """20-byte SHA-1 fingerprints, the only key type of the table and the store."""
+    return [hashlib.sha1(index.to_bytes(8, "big")).digest() for index in range(start, start + count)]
+
+
+KEY, MISSING = _digests(0, 2)
+
+
 class TestCuckooHashTable:
     def test_put_get_roundtrip(self):
         table = CuckooHashTable(initial_buckets=16)
-        table.put(b"key", 123)
-        assert table.get(b"key") == 123
-        assert b"key" in table
+        table.put(KEY, 123)
+        assert table.get(KEY) == 123
+        assert KEY in table
         assert len(table) == 1
 
     def test_get_missing_returns_default(self):
         table = CuckooHashTable()
-        assert table.get(b"missing") is None
-        assert table.get(b"missing", "fallback") == "fallback"
-        assert b"missing" not in table
+        assert table.get(MISSING) is None
+        assert table.get(MISSING, "fallback") == "fallback"
+        assert MISSING not in table
 
     def test_update_in_place_does_not_grow_size(self):
         table = CuckooHashTable()
-        table.put(b"key", 1)
-        table.put(b"key", 2)
+        table.put(KEY, 1)
+        table.put(KEY, 2)
         assert len(table) == 1
-        assert table.get(b"key") == 2
+        assert table.get(KEY) == 2
 
     def test_remove(self):
         table = CuckooHashTable()
-        table.put(b"key", 1)
-        assert table.remove(b"key") is True
-        assert table.remove(b"key") is False
+        table.put(KEY, 1)
+        assert table.remove(KEY) is True
+        assert table.remove(KEY) is False
         assert len(table) == 0
 
     def test_many_inserts_with_growth(self):
         table = CuckooHashTable(initial_buckets=8, slots_per_bucket=2)
-        items = {f"key-{i}".encode(): i for i in range(5000)}
+        items = {key: i for i, key in enumerate(_digests(0, 5000))}
         for key, value in items.items():
             table.put(key, value)
         assert len(table) == 5000
@@ -50,7 +59,7 @@ class TestCuckooHashTable:
 
     def test_items_and_keys_cover_everything(self):
         table = CuckooHashTable(initial_buckets=16)
-        keys = {f"k{i}".encode() for i in range(200)}
+        keys = set(_digests(0, 200))
         for key in keys:
             table.put(key, True)
         assert set(table.keys()) == keys
@@ -58,8 +67,8 @@ class TestCuckooHashTable:
 
     def test_load_factor_bounded(self):
         table = CuckooHashTable(initial_buckets=8, slots_per_bucket=4)
-        for i in range(1000):
-            table.put(f"k{i}".encode(), i)
+        for i, key in enumerate(_digests(0, 1000)):
+            table.put(key, i)
         assert 0.0 < table.load_factor() <= 1.0
 
     def test_validation(self):
@@ -68,59 +77,25 @@ class TestCuckooHashTable:
         with pytest.raises(ValueError):
             CuckooHashTable(slots_per_bucket=0)
 
-    def test_string_keys_accepted(self):
-        table = CuckooHashTable()
-        table.put("string-key", "value")
-        assert table.get("string-key") == "value"
 
 
 class TestCuckooDigestFastPath:
-    @staticmethod
-    def _digests(start: int, count: int) -> list:
-        import hashlib
-
-        return [
-            hashlib.sha1(index.to_bytes(8, "big")).digest()
-            for index in range(start, start + count)
-        ]
-
-    def test_digest_and_hashed_paths_agree(self):
-        """Same op sequence through both key-derivation modes: same answers."""
-        import random
-
-        rng = random.Random(9)
-        keys = self._digests(0, 1500)
-        fast = CuckooHashTable(initial_buckets=64, digest_keys=True)
-        hashed = CuckooHashTable(initial_buckets=64, digest_keys=False)
-        live = {}
-        for step in range(4000):
-            key = rng.choice(keys)
-            op = rng.random()
-            if op < 0.6:
-                fast.put(key, step)
-                hashed.put(key, step)
-                live[key] = step
-            elif op < 0.8:
-                assert fast.get(key) == hashed.get(key) == live.get(key)
-            else:
-                assert fast.remove(key) == hashed.remove(key) == (live.pop(key, None) is not None)
-        assert len(fast) == len(hashed) == len(live)
-        for key in keys:
-            assert fast.get(key) == hashed.get(key) == live.get(key)
-
     def test_digest_path_survives_growth(self):
         table = CuckooHashTable(initial_buckets=4, slots_per_bucket=2)
-        keys = self._digests(0, 2000)
+        keys = _digests(0, 2000)
         for index, key in enumerate(keys):
             table.put(key, index)
         assert table.resizes > 0
         assert all(table.get(key) == index for index, key in enumerate(keys))
 
-    def test_short_keys_fall_back_to_hashing(self):
-        table = CuckooHashTable(initial_buckets=16, digest_keys=True)
-        table.put(b"short", 1)
-        assert table.get(b"short") == 1
-        assert b"short" in table
+    def test_a_key_that_is_not_a_digest_raises(self):
+        table = CuckooHashTable(initial_buckets=16)
+        for key in (b"short", KEY + b"!"):
+            with pytest.raises(ValueError):
+                table.put(key, 1)
+            with pytest.raises(ValueError):
+                table.get(key)
+        assert len(table) == 0
 
 
 class TestSSDHashStore:
@@ -134,9 +109,9 @@ class TestSSDHashStore:
 
     def test_remove(self):
         store = SSDHashStore(num_buckets=64)
-        store.put(b"x", 1)
-        assert store.remove(b"x") is True
-        assert store.remove(b"x") is False
+        store.put(KEY, 1)
+        assert store.remove(KEY) is True
+        assert store.remove(KEY) is False
         assert len(store) == 0
 
     def test_items_iterates_everything(self):
@@ -187,7 +162,7 @@ class TestSSDHashStore:
 
     def test_stats_keys(self):
         store = SSDHashStore(num_buckets=64)
-        store.put(b"k", 1)
+        store.put(KEY, 1)
         assert set(store.stats()) >= {"entries", "buckets", "page_reads", "page_writes"}
 
     def test_validation(self):
@@ -314,11 +289,6 @@ class TestFileHashStore:
     def test_delete_missing_returns_false(self, tmp_path):
         with FileHashStore(str(tmp_path / "s.log")) as store:
             assert store.delete(b"nope") is False
-
-    def test_string_keys_and_values(self, tmp_path):
-        with FileHashStore(str(tmp_path / "s.log")) as store:
-            store.put("key", "value")
-            assert store.get("key") == b"value"
 
 
 class TestHotPathAccessors:

@@ -5,16 +5,16 @@ Every packed/fused fast path must be byte-identical to its reference:
 * bloom ``add_many``/``contains_many`` -- by the packed route and the
   key-by-key route -- vs per-key ``add``/``in`` **and** the
   closed-form model in ``tests/oracles/bloom_model.py``, over unrolled and
-  looped shapes, digest-keyed and SHA-256-keyed filters, a shm-backed
-  filter, and every way a batch is handed over (list, tuple, generator,
-  ``DigestBatch``, keys that are not all 20 bytes);
+  looped shapes, a shm-backed filter, and every way a batch is handed
+  over (list, tuple, generator, ``DigestBatch``); keys that are not all
+  20 bytes are refused on every route;
 * the node's one batch contract (``serve_bucket_verdicts``) and its reply
   view (``lookup_batch``) vs sequential ``lookup()`` on a twin node --
   replies field for field, float service times, counters, store stats,
   bloom bits, LRU order -- and vs the dict-and-set model in
   ``tests/oracles/set_model.py`` (tiers, new pairs, per-tier counts), for
-  an unrolled, a looped-probe and a non-digest-keyed bloom shape, scalar
-  and per-digest chunk sizes, and the persistence log across kill/restart;
+  an unrolled and a looped-probe bloom shape, scalar and per-digest chunk
+  sizes, and the persistence log across kill/restart;
 * shared-memory segment lifecycle (create/attach/close/unlink, geometry
   validation, leaked-segment cleanup);
 * the packed trace cache vs running the generator directly.
@@ -35,7 +35,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles.bloom_model import BloomModel
 from oracles.set_model import NodeModel
@@ -61,8 +61,8 @@ SLOWER = settings(max_examples=15, deadline=None)
 
 digests = st.binary(min_size=20, max_size=20)
 digest_lists = st.lists(digests, min_size=1, max_size=80)
-# Keys that are not all 20 bytes must never be packed -- not even when their
-# lengths happen to sum to a multiple of 20.
+# Keys that are not all 20 bytes must be refused -- also when their lengths
+# happen to sum to a multiple of 20.
 mixed_key_lists = st.lists(
     st.one_of(digests, st.binary(min_size=3, max_size=30)), min_size=1, max_size=80
 )
@@ -92,9 +92,7 @@ HANDOVERS = (list, tuple, iter)
 
 def _assert_batch_matches_references(batched, keys, handover=list):
     """``add_many``/``contains_many`` vs per-key ``add``/``in`` and the model."""
-    shape = dict(
-        num_bits=batched.num_bits, num_hashes=batched.num_hashes, digest_keys=batched.digest_keys
-    )
+    shape = dict(num_bits=batched.num_bits, num_hashes=batched.num_hashes)
     per_key = BloomFilter(**shape)
     model = BloomModel(**shape)
     batched.add_many(handover(keys))
@@ -110,12 +108,12 @@ def _assert_batch_matches_references(batched, keys, handover=list):
 
 class TestBloomPackedDifferential:
     @FAST
-    @given(geometries, digest_lists, st.booleans())
-    def test_add_and_contains_match_scalar_oracle(self, geometry, keys, digest_keys):
+    @given(geometries, digest_lists)
+    def test_add_and_contains_match_scalar_oracle(self, geometry, keys):
         num_bits, num_hashes = geometry
         for handover in HANDOVERS:
             _assert_batch_matches_references(
-                BloomFilter(num_bits=num_bits, num_hashes=num_hashes, digest_keys=digest_keys),
+                BloomFilter(num_bits=num_bits, num_hashes=num_hashes),
                 _with_duplicates(keys),
                 handover,
             )
@@ -130,25 +128,24 @@ class TestBloomPackedDifferential:
             )
 
     @FAST
-    @given(digest_lists, st.booleans())
-    def test_digest_batch_and_blob_paths_match_lists(self, keys, digest_keys):
-        # A DigestBatch on a filter that is not digest-keyed cannot use the
-        # batch's own words: it must hash each digest like any other key.
+    @given(digest_lists)
+    def test_digest_batch_and_blob_paths_match_lists(self, keys):
         _assert_batch_matches_references(
-            BloomFilter(num_bits=2048, num_hashes=5, digest_keys=digest_keys),
-            keys,
-            _as_digest_batch,
+            BloomFilter(num_bits=2048, num_hashes=5), keys, _as_digest_batch
         )
 
     @FAST
-    @given(geometries, mixed_key_lists)
+    @given(st.one_of(geometries, wide_geometries), mixed_key_lists)
     @example((512, 3), [b"a" * 10, b"b" * 30])  # lengths sum to 2 x 20
-    def test_keys_that_are_not_all_digests_go_key_by_key(self, geometry, keys):
+    def test_keys_that_are_not_all_digests_are_refused(self, geometry, keys):
+        assume(any(len(key) != 20 for key in keys))
         num_bits, num_hashes = geometry
         for handover in HANDOVERS:
-            _assert_batch_matches_references(
-                BloomFilter(num_bits=num_bits, num_hashes=num_hashes), keys, handover
-            )
+            bloom = BloomFilter(num_bits=num_bits, num_hashes=num_hashes)
+            with pytest.raises(ValueError):
+                bloom.contains_many(handover(keys))
+            with pytest.raises(ValueError):
+                bloom.add_many(handover(keys))
 
     @FAST
     @given(digest_lists, digest_lists)
@@ -258,12 +255,10 @@ class TestSharedMemoryLifecycle:
 
 # ------------------------------------------------------------------- fused node kernel
 #: Bloom shapes the one kernel template serves: the default unrolled ladder
-#: (derived from the config), a looped probe block (more than 16 rounds),
-#: and a filter that is not digest-keyed (hash words from ``_hash_pair``).
+#: (derived from the config) and a looped probe block (more than 16 rounds).
 BLOOM_SHAPES = {
     "unrolled": None,
     "looped": dict(num_bits=2048, num_hashes=20),
-    "non_digest": dict(num_bits=2048, num_hashes=3, digest_keys=False),
 }
 
 
@@ -396,28 +391,6 @@ class TestFusedNodeKernelDifferential:
             assert [bool(tier) for tier in served[0]] == [r.is_duplicate for r in replies]
             assert set(size for _digest, size in served[2]) <= {4096}
         assert _node_state(scalar_sized) == _node_state(listed) == _node_state(sequential)
-
-    def test_non_digest_bloom_falls_back_to_scalar_path(self):
-        """A filter that is not digest-keyed hashes through its own scalar
-        ``_hash_pair`` (SHA-256), not the batch's packed digest words -- same
-        kernel template, and the bits it sets are the ones ``bloom.add`` sets."""
-        node, reference = _twin_nodes(shape="non_digest")
-        assert not node.bloom.digest_keys
-        fingerprints = [
-            Fingerprint(digest=os.urandom(20), chunk_size=4096) for _ in range(20)
-        ]
-        tiers, _times, new_pairs = node.serve_bucket_verdicts(
-            DigestBatch.from_fingerprints(fingerprints)
-        )
-        assert tiers == [0] * 20
-        assert new_pairs == [(fp.digest, 4096) for fp in fingerprints]
-        for fingerprint in fingerprints:
-            reference.bloom.add(fingerprint.digest)
-        assert bytes(node.bloom.raw_bits()) == bytes(reference.bloom.raw_bits())
-        again, _times, none_new = node.serve_bucket_verdicts(
-            DigestBatch.from_blob(b"".join(fp.digest for fp in fingerprints), 4096)
-        )
-        assert again == [1] * 20 and none_new == []
 
     @pytest.mark.parametrize("shape", sorted(BLOOM_SHAPES))
     def test_one_kernel_per_shape(self, shape):

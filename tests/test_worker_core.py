@@ -169,6 +169,7 @@ _BAD_FRAMES = {
     "malformed packed batch": struct.pack("!I", 8) + b"\x01" + bytes(7),
     "codec batch": encode_frame({"t": "batch", "d": "ab" * 20, "s": 4096}),
     "undecodable": struct.pack("!I", 1) + b"\xff",
+    "oversized length prefix": struct.pack("!I", 0xFFFFFFFF),
 }
 
 
