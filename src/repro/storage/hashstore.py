@@ -120,12 +120,14 @@ class SSDHashStore:
 
     def put(self, key: bytes, value: Any = True) -> bool:
         """Insert or update; returns ``True`` if the key was new."""
-        is_new = key not in self._table
+        if key in self._table:
+            self._table[key] = value
+            return False
+        # Placed before it is stored: a key that cannot be placed leaves no entry.
+        self._counts[self.bucket_of(key)] += 1
         self._table[key] = value
-        if is_new:
-            self._counts[self.bucket_of(key)] += 1
-            self._buffered_entries += 1
-        return is_new
+        self._buffered_entries += 1
+        return True
 
     def put_many_verdicts(self, pairs: Sequence[Tuple[bytes, Any]]):
         """Batched :meth:`put` over ``(key, value)`` pairs, partitioned by verdict.

@@ -210,6 +210,17 @@ def unlink_segment(name: str) -> bool:
     except FileNotFoundError:
         _CREATED_SEGMENTS.pop(name, None)
         return False
+    except ValueError:
+        # Created but never sized (its creator died in between): an empty
+        # file cannot be mapped, so the name is unlinked without attaching.
+        import _posixshmem  # only POSIX segments can be left unsized
+
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except FileNotFoundError:  # pragma: no cover - unlink race
+            return False
+        _CREATED_SEGMENTS.pop(name, None)
+        return True
     # Attaching registered the segment with the tracker; unlink() below
     # sends the matching unregister, so no _untrack dance is needed here.
     try:

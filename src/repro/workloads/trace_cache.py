@@ -100,7 +100,9 @@ def _attach_shared(name: str, count_hint: int) -> Optional[Tuple[bytes, array]]:
         return None
     try:
         buffer = SharedBuffer.attach(name)
-    except (FileNotFoundError, OSError):
+    except (FileNotFoundError, OSError, ValueError):
+        # ValueError: the publisher has created the segment but not yet
+        # sized it, and an empty file cannot be mapped.
         return None
     try:
         view = memoryview(buffer.buf)

@@ -65,6 +65,15 @@ class TestBloomBehaviour:
         bloom.clear()
         assert key not in bloom
         assert bloom.count == 0
+    def test_a_str_key_is_refused(self):
+        """Keys are digest bytes: a ``str`` is refused on every route, never encoded."""
+        bloom = BloomFilter(expected_items=10)
+        routes = (bloom.add, bloom.contains_one, bloom.__contains__,
+                  lambda key: bloom.add_many([key]), lambda key: bloom.contains_many([key]))
+        for route in routes:
+            with pytest.raises(TypeError):
+                route("x" * 20)
+        assert bloom.count == 0 and bloom.fill_ratio() == 0.0
 
 
 class TestBloomDigestFastPath:
@@ -279,6 +288,19 @@ class TestSingleKeyKernels:
         fast.count_inserts(len(keys))
         assert fast._bits == reference._bits
         assert fast._count == reference._count
+
+    def test_every_probe_shape_refuses_a_key_that_is_not_a_digest(self):
+        """Unrolled walks and looped ones (more than 16 hashes) alike."""
+        key = _digests(0, 1)[0]
+        for num_hashes in (1, 7, 16, 17, 20):
+            bloom = BloomFilter(num_bits=4096, num_hashes=num_hashes)
+            for bad in (key[:19], key + b"!"):
+                for route in (bloom.add, bloom.add_one, bloom.contains_one):
+                    with pytest.raises(ValueError):
+                        route(bad)
+            assert bloom.fill_ratio() == 0.0
+            bloom.add(key)
+            assert bloom.contains_one(key) and key in bloom
 
     def test_kernels_survive_clear(self):
         bloom = BloomFilter(expected_items=300)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 
 import pytest
 
@@ -77,9 +78,36 @@ class TestCuckooHashTable:
         with pytest.raises(ValueError):
             CuckooHashTable(slots_per_bucket=0)
 
+    def test_a_str_key_is_refused(self):
+        table = CuckooHashTable(initial_buckets=16)
+        routes = (lambda key: table.put(key, 1), table.get, table.remove, table.__contains__)
+        for route in routes:
+            with pytest.raises(TypeError):
+                route("x" * 20)
+        assert len(table) == 0
 
 
 class TestCuckooDigestFastPath:
+    def test_random_ops_match_a_dict(self):
+        """A seeded put/get/remove sequence answers exactly as a dict does."""
+        rng = random.Random(9)
+        keys = _digests(0, 1500)
+        table = CuckooHashTable(initial_buckets=64)
+        live = {}
+        for step in range(4000):
+            key = rng.choice(keys)
+            op = rng.random()
+            if op < 0.6:
+                table.put(key, step)
+                live[key] = step
+            elif op < 0.8:
+                assert table.get(key) == live.get(key)
+            else:
+                assert table.remove(key) == (live.pop(key, None) is not None)
+        assert len(table) == len(live)
+        assert all(table.get(key) == live.get(key) for key in keys)
+        assert dict(table.items()) == live
+
     def test_digest_path_survives_growth(self):
         table = CuckooHashTable(initial_buckets=4, slots_per_bucket=2)
         keys = _digests(0, 2000)
@@ -159,6 +187,14 @@ class TestSSDHashStore:
         store.put(key, True)
         operations = store.insert_io(key)
         assert len(operations) == 1 and operations[0].kind == "write"
+
+    def test_a_key_that_cannot_be_placed_leaves_no_entry(self):
+        store = SSDHashStore(num_buckets=64)
+        with pytest.raises(TypeError):
+            store.put("x" * 20, 1)
+        assert len(store) == 0 and "x" * 20 not in store
+        assert store.stats()["entries"] == 0 and sum(store._counts) == 0
+        assert store.put(KEY, 1) is True and len(store) == 1
 
     def test_stats_keys(self):
         store = SSDHashStore(num_buckets=64)
@@ -289,6 +325,17 @@ class TestFileHashStore:
     def test_delete_missing_returns_false(self, tmp_path):
         with FileHashStore(str(tmp_path / "s.log")) as store:
             assert store.delete(b"nope") is False
+
+    def test_a_str_key_is_refused_before_anything_is_logged(self, tmp_path):
+        path = str(tmp_path / "s.log")
+        with FileHashStore(path) as store:
+            with pytest.raises(TypeError):
+                store.put("key", b"value")
+            assert len(store) == 0 and store.record_count == 0
+            store.put(b"key", b"value")
+        with FileHashStore(path) as reopened:
+            assert dict(reopened.items()) == {b"key": b"value"}
+            assert reopened.record_count == 1 and reopened.truncated_bytes == 0
 
 
 class TestHotPathAccessors:

@@ -507,6 +507,26 @@ class TestTraceCache:
         assert trace_cache.cleanup_shared_traces(prefix) == 1
         assert trace_cache.cleanup_shared_traces(prefix) == 0
 
+    @needs_shm
+    def test_a_segment_created_but_not_yet_sized_reads_as_absent(self):
+        """A worker racing the publisher can find the name before its size."""
+        import _posixshmem
+
+        profile = TABLE_I_PROFILES[0].scaled(0.001)
+        prefix = f"repro-test-trace-{os.getpid()}-race"
+        key = trace_cache._trace_key(profile, 9, profile.name)
+        name = trace_cache._segment_name(prefix, key)
+        os.close(_posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600))
+        try:
+            assert trace_cache._attach_shared(name, profile.fingerprints) is None
+            # The trace is generated locally; publishing loses to the empty segment.
+            local = trace_cache.generate_trace(profile, seed=9, shared_prefix=prefix)
+            reference = TraceGenerator(profile, seed=9, identity_space=profile.name).generate()
+            assert [f.digest for f in local] == [f.digest for f in reference]
+        finally:
+            assert unlink_segment(name)  # the crash-cleanup path takes unsized segments too
+        assert not unlink_segment(name)
+
 
 # ------------------------------------------------------------ no numpy on the data plane
 def test_the_data_plane_imports_no_numpy():
