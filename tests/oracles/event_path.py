@@ -47,6 +47,8 @@ from repro.simulation.resources import Resource
 from repro.storage.devices import StorageDevice
 from repro.storage.object_store import CloudObjectStore
 
+from .cluster_reference import resolve_reply
+
 
 # ------------------------------------------------------- events, processes
 class Event:
@@ -393,7 +395,7 @@ def _serve_batch_process(node, request: BatchLookupRequest):
 
 
 def cluster_handler(cluster: SHHCCluster, node):
-    """``SHHCCluster._make_handler`` as it was: ``_resolve_reply`` on every reply."""
+    """``SHHCCluster._make_handler`` as it was: :func:`resolve_reply` on every reply."""
     node_id = node.node_id
 
     def _handle(request: BatchLookupRequest):
@@ -402,7 +404,7 @@ def cluster_handler(cluster: SHHCCluster, node):
 
         def _finalize(event) -> None:
             raw = event.value
-            replies = [cluster._resolve_reply(reply, node_id) for reply in raw.replies]
+            replies = [resolve_reply(cluster, reply, node_id) for reply in raw.replies]
             finished = ReplyBatch(replies=replies, node_id=node_id, batch_id=raw.batch_id)
             wrapped.succeed((finished, finished.payload_bytes))
 
