@@ -37,16 +37,22 @@ __all__ = ["run_tier_ablation", "run_batch_tradeoff", "run_scaling_ablation"]
 
 
 # --------------------------------------------------------------------------- tiers
+#: Keys per ``lookup_batch`` call when a design is driven over the trace.
+_DRIVE_BATCH = 4096
+
+
 def _drive_index(name: str, index: ChunkIndex, fingerprints: Sequence) -> Dict[str, Any]:
     """One design's row: its lookups, duplicates found and mean lookup latency."""
     total_latency = 0.0
     duplicates = 0
-    for fingerprint in fingerprints:
-        result = index.lookup(fingerprint)
-        total_latency += result.latency
-        if result.is_duplicate:
-            duplicates += 1
     count = len(fingerprints)
+    # Bounded batches: a design's whole-trace result list would hold every
+    # result alive at once, and the cyclic collector would rescan them all.
+    for start in range(0, count, _DRIVE_BATCH):
+        for result in index.lookup_batch(fingerprints[start:start + _DRIVE_BATCH]):
+            total_latency += result.latency
+            if result.is_duplicate:
+                duplicates += 1
     return {
         "design": name,
         "lookups": count,

@@ -84,7 +84,7 @@ class DDFSIndex(ChunkIndex):
         # 2. Summary vector: definite misses never touch the disk.
         if digest not in self.summary_vector:
             self.counters["summary_negative"] += 1
-            service_time += self._insert_new(digest, fingerprint)
+            service_time += self._store_new(digest, fingerprint)
             return LookupResult(fingerprint, False, ChunkLocation(), service_time, self.name)
 
         # 3. On-disk index probe (one random I/O) + container prefetch.
@@ -103,10 +103,10 @@ class DDFSIndex(ChunkIndex):
 
         # Bloom false positive.
         self.counters["summary_false_positive"] += 1
-        service_time += self._insert_new(digest, fingerprint)
+        service_time += self._store_new(digest, fingerprint)
         return LookupResult(fingerprint, False, ChunkLocation(), service_time, self.name)
 
-    def _insert_new(self, digest: bytes, fingerprint: Fingerprint) -> float:
+    def _store_new(self, digest: bytes, fingerprint: Fingerprint) -> float:
         self.counters["new_entries"] += 1
         container_id = self._current_container()
         self._containers[container_id].append(digest)

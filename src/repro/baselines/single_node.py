@@ -12,15 +12,21 @@ API.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, List, Optional
 
 from ..core.config import HashNodeConfig
+from ..core.digest_batch import DigestBatch
 from ..core.hash_node import HybridHashNode
-from ..dedup.fingerprint import Fingerprint
+from ..dedup.fingerprint import Fingerprint, column_builder
 from ..dedup.index import ChunkIndex, ChunkLocation, LookupResult
 from ..simulation.engine import Simulator
 
 __all__ = ["SingleNodeHashServer"]
+
+_build_results = column_builder(LookupResult)
+#: :class:`ChunkLocation` is frozen, so every result can share one.
+_NO_LOCATION = ChunkLocation()
 
 
 class SingleNodeHashServer(ChunkIndex):
@@ -36,17 +42,20 @@ class SingleNodeHashServer(ChunkIndex):
         self.node = HybridHashNode(name, config, sim)
 
     def lookup(self, fingerprint: Fingerprint) -> LookupResult:
-        reply = self.node.lookup(fingerprint)
-        return LookupResult(
-            fingerprint=fingerprint,
-            is_duplicate=reply.is_duplicate,
-            location=ChunkLocation(),
-            latency=reply.service_time,
-            served_by=self.name,
-        )
+        return self.lookup_batch([fingerprint])[0]
 
     def lookup_batch(self, fingerprints: Iterable[Fingerprint]) -> List[LookupResult]:
-        return [self.lookup(fp) for fp in fingerprints]
+        """The :class:`LookupResult` view over the node's batch contract."""
+        fingerprints = list(fingerprints)
+        node = self.node
+        tiers, service_times, _new_pairs = node.serve_bucket_verdicts(
+            DigestBatch.from_fingerprints(fingerprints)
+        )
+        node.lookup_latency.add_many(service_times)
+        return _build_results(
+            len(tiers), fingerprints, map(bool, tiers), repeat(_NO_LOCATION), service_times,
+            repeat(self.name),
+        )
 
     def __len__(self) -> int:
         return len(self.node)

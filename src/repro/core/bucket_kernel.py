@@ -1,9 +1,9 @@
 """Fused per-batch lookup kernels for the hybrid hash node.
 
-:meth:`~repro.core.hash_node.HybridHashNode.lookup` spells the paper's
-Figure-4 flow -- RAM LRU, bloom guard, SSD table, insert -- readably, one
-fingerprint at a time, with a handful of Python calls per tier.  This
-module exec-generates the same flow as one loop over a whole
+The paper's Figure-4 flow -- RAM LRU, bloom guard, SSD table, insert --
+reads best one fingerprint at a time, with a handful of Python calls per
+tier; that spelling is the oracle in ``tests/oracles/node_reference.py``.
+This module exec-generates the same flow as one loop over a whole
 :class:`~repro.core.digest_batch.DigestBatch` per bloom shape
 ``(num_bits, num_hashes)`` -- the same technique as the storage kernels --
 with:
@@ -22,8 +22,7 @@ with:
   :meth:`~repro.storage.hashstore.SSDHashStore.settle_batch`);
 * service times accumulated in the same float association order as the
   per-fingerprint flow, so they stay bit-identical (pinned by the
-  differential suites in tests/test_vectorized_kernels.py and
-  tests/test_routed_batch_equivalence.py).
+  differential suite in tests/test_vectorized_kernels.py).
 
 One contract, one kernel
 ------------------------
@@ -36,10 +35,11 @@ needs them.  One kernel exists per shape.
 
 The bloom verdict of a stored digest comes from the table
 ---------------------------------------------------------
-Every write path keeps ``store`` a subset of ``bloom`` (``_insert_new``,
-``insert_replica``, ``finish_replica_inserts``, ``import_entries``,
-recovery's image + tail replay; ``remove_entry`` leaves bits set -- pinned
-by the property in tests/test_properties.py).  So for a digest the table
+Every write path keeps ``store`` a subset of ``bloom`` (this kernel's own
+inserts, ``finish_replica_inserts`` after the cluster's replica
+``put_many_verdicts``, ``import_entries``, recovery's image + tail
+replay; ``remove_entry`` leaves bits set -- pinned by the property in
+tests/test_properties.py).  So for a digest the table
 holds, the probe walk would answer ``True`` and mutate nothing: the kernel
 asks the table first -- the probe the SSD stage makes anyway -- and only
 walks the bloom bits for digests the table does not hold.  A batch of RAM

@@ -14,8 +14,8 @@ offers the combined fingerprint store/lookup service of the paper:
 Lookup paths
 ------------
 :meth:`SHHCCluster.lookup` / :meth:`SHHCCluster.lookup_reply` serve one
-fingerprint at a time and are the readable reference of the replication
-semantics below (:meth:`SHHCCluster._resolve_reply`).  Batches have one
+fingerprint at a time through the node's one-key view and a failover loop
+(:meth:`SHHCCluster._lookup_with_failover`).  Batches have one
 routed core, :meth:`SHHCCluster._serve_routed` -- bucket by serving node,
 the node's batch contract, failover, ledger charge, batched replica
 propagation -- and thin views over it:
@@ -42,12 +42,14 @@ maintains three invariants, failures included:
   independently -- crucial for consistent hashing, where two fingerprints
   sharing a primary generally have different successors.
 * **Write propagation**: a fingerprint judged new by its serving node is
-  copied to the remaining live replicas through a pure write path
-  (:meth:`~repro.core.hash_node.HybridHashNode.insert_replica`; for
-  batches, one batched store write per destination in
-  :meth:`SHHCCluster._propagate_new_groups`) that does not touch the
-  replicas' lookup counters or lookup times, so per-node load
-  statistics and ``duplicate_ratio`` reflect client traffic only.
+  copied to the remaining live replicas through one write path,
+  :meth:`SHHCCluster._propagate_new_groups` (one batched store write per
+  destination, settled by
+  :meth:`~repro.core.hash_node.HybridHashNode.finish_replica_inserts`;
+  single-key paths pass it one pair per new verdict), that does not touch
+  the replicas' lookup counters or lookup times, so per-node load
+  statistics and ``duplicate_ratio`` reflect client traffic only.  Its
+  per-reply reference model is ``tests/oracles/cluster_reference.py``.
 * **Read repair**: when a serving node misses but another live replica
   holds the fingerprint (typically a primary that was down when the write
   happened and has since recovered), the verdict is corrected to duplicate
@@ -275,7 +277,9 @@ class SHHCCluster(ChunkIndex):
         may come back and retry the same node (up to ``MAX_NODE_ATTEMPTS``
         times each), so a single dropped request never aborts a run that
         still has a responsive replica.  ``exclude`` pre-charges one failed
-        attempt (used when a whole sub-batch was refused).
+        attempt (used when a whole sub-batch was refused).  A new verdict
+        is replicated as a one-pair :meth:`_propagate_new_groups` call and
+        answered ``REPAIR`` when another live replica already held it.
         """
         attempts = {name: 1 for name in exclude}
         while True:
@@ -295,34 +299,11 @@ class SHHCCluster(ChunkIndex):
                 attempts[serving] = attempts.get(serving, 0) + 1
                 self.failovers += 1
                 continue
-            return self._resolve_reply(reply, serving)
-
-    def _resolve_reply(self, reply: LookupReply, serving: str) -> LookupReply:
-        """Apply replication semantics to a serving node's verdict.
-
-        Duplicates stand as-is.  For a reported-new fingerprint the other
-        live replicas are consulted: if any already holds it the verdict is
-        corrected to duplicate (read repair -- the serving node keeps the
-        copy it just wrote, becoming consistent again) and missing replicas
-        are backfilled; otherwise the new fingerprint is propagated to every
-        other live replica via the stats-neutral ``insert_replica`` path.
-        """
-        if reply.is_duplicate or self.config.replication_factor == 1:
+            if (not reply.is_duplicate and self.config.replication_factor > 1
+                    and self._propagate_new_groups(
+                        [(fingerprint.digest, fingerprint.chunk_size)], serving)):
+                return replace(reply, is_duplicate=True, served_from=ServedFrom.REPAIR)
             return reply
-        fingerprint = reply.fingerprint
-        others = [
-            n for n in self.replica_set(fingerprint) if n != serving and n not in self._down
-        ]
-        holders = [n for n in others if fingerprint in self.nodes[n]]
-        targets = [n for n in others if n not in holders]
-        for node_name in targets:
-            self.nodes[node_name].insert_replica(fingerprint)
-        if targets and self.ledger is not None:
-            self.ledger.charge_replica_writes({name: 1 for name in targets})
-        if holders:
-            self.read_repairs += 1
-            return replace(reply, is_duplicate=True, served_from=ServedFrom.REPAIR)
-        return reply
 
     def lookup_batch(self, fingerprints: Iterable[Fingerprint]) -> List[LookupResult]:
         """Batch lookup preserving input order (immediate mode).
@@ -498,21 +479,23 @@ class SHHCCluster(ChunkIndex):
         return buckets
 
     def _propagate_new_groups(self, new_pairs, serving: str) -> set:
-        """Ship one served bucket's new ``(digest, chunk_size)`` pairs to its replicas.
+        """Ship new ``(digest, chunk_size)`` pairs served by ``serving`` to their replicas.
 
-        The one place batched replica propagation happens.  The pairs are
-        grouped per destination node and written with one batched store
-        call each; returns the set of digests some other replica already
-        held (the read repairs).  The store write doubles as the holder
-        check:
+        The cluster's one replica write: the routed core hands it a bucket's
+        new pairs, the failover loop and the RPC handler one pair per new
+        verdict.  The pairs are grouped per destination node and written
+        with one batched store call each; returns the set of digests some
+        other replica already held (the read repairs).  The store write
+        doubles as the holder check:
         :meth:`~repro.storage.hashstore.SSDHashStore.put_many_verdicts`
         returns which keys were absent, which *is* the propagation/repair
         verdict, and an already-present digest is overwritten with the
         identical value (a no-op, since a digest determines its chunk
         size).  Per-node store state is unaffected by the cross-node
-        interleaving the per-reply flow (:meth:`_resolve_reply`) uses, and
-        within one node the pairs stay in bucket order, so the persistence
-        log order matches too.
+        interleaving of the per-reply reference model
+        (``tests/oracles/cluster_reference.py``), and within one node the
+        pairs stay in bucket order, so the persistence log order matches
+        too.
         """
         down = self._down
         nodes = self.nodes
@@ -623,17 +606,15 @@ class SHHCCluster(ChunkIndex):
             def _finalize(reply: BatchLookupReply) -> None:
                 if self.config.replication_factor > 1:
                     # Replica propagation / read repair for RPC-served
-                    # batches, applied at the reply instant one reply at a
-                    # time; with a cost model _resolve_reply charges the
-                    # copies to the ledger.  A duplicate stands as-is, so
-                    # only the new verdicts need the call.
-                    tiers, service_times = reply.tiers, reply.service_times
+                    # batches, applied at the reply instant one new verdict
+                    # at a time: one replica message per fingerprint, charged
+                    # to the ledger when there is a cost model.  A duplicate
+                    # stands as-is.
+                    tiers = reply.tiers
                     for index, fingerprint in enumerate(reply.fingerprints):
-                        if not tiers[index] and self._resolve_reply(
-                            LookupReply(fingerprint, False, ServedFrom.NEW, node_id,
-                                        service_times[index]),
-                            node_id,
-                        ).is_duplicate:
+                        if not tiers[index] and self._propagate_new_groups(
+                            [(fingerprint.digest, fingerprint.chunk_size)], node_id
+                        ):
                             tiers[index] = _REPAIR_TIER
                 respond(reply, reply.payload_bytes)
 

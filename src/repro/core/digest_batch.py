@@ -31,7 +31,11 @@ class DigestBatch:
     Construct via :meth:`from_fingerprints` (cluster dispatch: chunk sizes
     are read off the ``Fingerprint`` objects on first use) or
     :meth:`from_blob` (serving workers: digests arrive already packed on
-    the wire and no ``Fingerprint`` objects are ever built).
+    the wire and no ``Fingerprint`` objects are ever built).  Both take
+    keys that are digests by construction and check none of them; a batch
+    built directly from a list refuses any key that is not a 20-byte
+    digest with :class:`ValueError`, by the bloom filter's batch check
+    (the joined length, then the longest key).
 
     ``chunk_sizes`` is either one ``int`` applied to every digest or a
     per-digest sequence.  ``hash_words()`` is computed lazily and cached:
@@ -40,13 +44,14 @@ class DigestBatch:
 
     __slots__ = ("digests", "blob", "_chunk_sizes", "_fingerprints", "_words")
 
-    def __init__(
-        self,
-        digests: List[bytes],
-        chunk_sizes: Union[int, Sequence[int], None],
-        blob: Optional[bytes] = None,
-        fingerprints: Optional[List[Fingerprint]] = None,
-    ) -> None:
+    def __init__(self, digests: List[bytes], chunk_sizes: Union[int, Sequence[int]]) -> None:
+        blob = b"".join(digests)
+        if (len(blob) != DIGEST_BYTES * len(digests)
+                or max(map(len, digests), default=DIGEST_BYTES) != DIGEST_BYTES):
+            raise ValueError(f"DigestBatch keys are {DIGEST_BYTES}-byte digests; these are not")
+        self._fill(digests, chunk_sizes, blob, None)
+
+    def _fill(self, digests, chunk_sizes, blob, fingerprints) -> None:
         self.digests = digests
         self.blob = blob
         self._chunk_sizes = chunk_sizes
@@ -54,6 +59,13 @@ class DigestBatch:
         self._words: Optional[tuple] = None
 
     # -- construction -----------------------------------------------------------
+    @classmethod
+    def _trusted(cls, digests, chunk_sizes, blob=None, fingerprints=None) -> "DigestBatch":
+        """A batch of keys that are digests by construction, unchecked."""
+        batch = cls.__new__(cls)
+        batch._fill(digests, chunk_sizes, blob, fingerprints)
+        return batch
+
     @classmethod
     def from_fingerprints(cls, fingerprints: Sequence[Fingerprint],
                           digests: Optional[List[bytes]] = None) -> "DigestBatch":
@@ -66,7 +78,7 @@ class DigestBatch:
             fingerprints = list(fingerprints)
         if digests is None:
             digests = [fingerprint.digest for fingerprint in fingerprints]
-        return cls(digests, None, fingerprints=fingerprints)
+        return cls._trusted(digests, None, fingerprints=fingerprints)
 
     @classmethod
     def from_blob(cls, blob: bytes,
@@ -77,7 +89,7 @@ class DigestBatch:
             raise ValueError(
                 f"got {len(chunk_sizes)} chunk sizes for {len(digests)} digests"
             )
-        return cls(digests, chunk_sizes, blob=blob)
+        return cls._trusted(digests, chunk_sizes, blob)
 
     # -- derived views ------------------------------------------------------------
     def __len__(self) -> int:

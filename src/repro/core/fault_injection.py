@@ -190,16 +190,11 @@ def rolling_outage_from_density(
         raise ValueError("horizon must be past the schedule start")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    schedule = FaultSchedule()
     if density == 0.0 or not node_names:
-        return schedule
+        return FaultSchedule()
     period = (horizon - start) / (rounds * len(node_names))
     downtime = min(density * period, period * (1.0 - 1e-9))
-    for round_index in range(rounds):
-        sweep_start = start + round_index * period * len(node_names)
-        for index, node in enumerate(node_names):
-            schedule.outage(node, start=sweep_start + index * period, duration=downtime)
-    return schedule
+    return rolling_outage_schedule(node_names, period, downtime, start=start, rounds=rounds)
 
 
 def rolling_restart_from_density(
@@ -479,10 +474,12 @@ class FlakyNode:
     :meth:`serve_bucket_verdicts`, :meth:`serve_batch`) are intercepted --
     every public ``lookup*``/``serve*`` callable of the node, which
     tests/test_fault_injection.py enumerates so a new one cannot slip past
-    the wrapper.  State inspection and maintenance paths
-    (``insert_replica``, ``export_entries``, ``__contains__``, ...) pass
-    straight through, because replication traffic in this codebase is an
-    internal bookkeeping call, not a network request.
+    the wrapper.  State inspection and maintenance paths pass straight
+    through -- ``store`` and ``finish_replica_inserts``, which the
+    cluster's one replica write (``SHHCCluster._propagate_new_groups``)
+    calls, ``export_entries``, ``__contains__``, ... -- because replication
+    traffic in this codebase is an internal bookkeeping call, not a
+    network request.
 
     Failures are deterministic given ``seed``, so experiments are
     reproducible.

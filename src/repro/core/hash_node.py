@@ -18,14 +18,16 @@ experiments consume.
 
 Entry points
 ------------
-:meth:`HybridHashNode.lookup` is the readable per-fingerprint reference of
-that flow.  Batches have exactly one serve contract,
+Every key, alone or in a batch, goes through one serve contract,
 :meth:`HybridHashNode.serve_bucket_verdicts` -- a
 :class:`~repro.core.digest_batch.DigestBatch` in, ``(tiers, service_times,
 new_pairs)`` out -- run by one private core over the exec-generated kernels
 of :mod:`repro.core.bucket_kernel`.  :meth:`HybridHashNode.lookup_batch`
-is the :class:`~repro.core.protocol.LookupReply` view over that core; the
-simulated :meth:`HybridHashNode.serve_batch` answers with its columns.
+is the :class:`~repro.core.protocol.LookupReply` view over that core and
+:meth:`HybridHashNode.lookup` its one-key view; the simulated
+:meth:`HybridHashNode.serve_batch` answers with its columns.  The readable
+per-fingerprint flow above is kept as the kernel's oracle in
+``tests/oracles/node_reference.py``.
 
 Two execution modes
 -------------------
@@ -60,7 +62,6 @@ from .protocol import (
     BatchLookupReply,
     BatchLookupRequest,
     LookupReply,
-    ServedFrom,
     replies_from_tiers,
 )
 
@@ -192,25 +193,19 @@ class HybridHashNode:
     def lookup(self, fingerprint: Fingerprint) -> LookupReply:
         """Process one fingerprint through the Figure-4 flow (immediate mode).
 
-        This is the readable per-fingerprint reference: the batch contract
-        (:meth:`serve_bucket_verdicts`) must leave verdicts, tiers, service
-        times, counters and store/bloom/cache state identical to calling
-        this once per fingerprint (pinned by tests/test_vectorized_kernels.py).
-        The kernel takes a stored digest's bloom verdict from the table
-        instead of the bits; the two agree because every write path keeps
-        ``store`` a subset of ``bloom`` (tests/test_properties.py).
+        A one-key view over :meth:`lookup_batch`, so it runs the same batch
+        contract (:meth:`serve_bucket_verdicts`) as every other caller.
+        The per-fingerprint flow the kernel is held to -- verdicts, tiers,
+        service times, counters and store/bloom/cache state -- is the
+        oracle in ``tests/oracles/node_reference.py``
+        (tests/test_vectorized_kernels.py).
         """
-        reply, _io_time = self._lookup_core(fingerprint)
-        self.lookup_latency.add(reply.service_time)
-        if not reply.is_duplicate and self.persistence is not None:
-            self._persist_new([(fingerprint.digest, fingerprint.chunk_size)])
-        return reply
+        return self.lookup_batch([fingerprint])[0]
 
     def lookup_batch(self, fingerprints: Sequence[Fingerprint]) -> List[LookupReply]:
         """Process a batch of fingerprints in order (immediate mode).
 
-        The :class:`LookupReply` view over :meth:`serve_bucket_verdicts`:
-        replies are field-for-field those of looping over :meth:`lookup`.
+        The :class:`LookupReply` view over :meth:`serve_bucket_verdicts`.
         """
         fingerprints = list(fingerprints)
         tiers, service_times, _new_pairs = self.serve_bucket_verdicts(
@@ -328,100 +323,17 @@ class HybridHashNode:
             self._persist_new(new_pairs)
         return tiers, service_times, new_pairs, total_ssd_time
 
-    def _lookup_core(self, fingerprint: Fingerprint) -> Tuple[LookupReply, float]:
-        """Per-fingerprint lookup logic: updates state, returns the reply and SSD time.
-
-        The returned ``service_time`` is the analytic (unloaded) cost:
-        CPU + RAM + any SSD page accesses.  The second tuple element is the
-        SSD-only portion.
-        """
-        digest = fingerprint.digest
-        self.counters["lookups"] += 1
-        cpu_time = self.config.cpu_per_lookup
-        ram_time = self.ram_device.read_cost(64)
-        ssd_time = 0.0
-
-        # 1. RAM LRU probe.
-        if self.cache.get(digest) is not None:
-            self.counters["ram_hits"] += 1
-            reply = LookupReply(
-                fingerprint=fingerprint,
-                is_duplicate=True,
-                served_from=ServedFrom.RAM,
-                node_id=self.node_id,
-                service_time=cpu_time + ram_time,
-            )
-            return reply, ssd_time
-
-        # 2. Bloom filter guard.
-        if digest not in self.bloom:
-            self.counters["bloom_negative_shortcuts"] += 1
-            ssd_time += self._insert_new(fingerprint)
-            reply = LookupReply(
-                fingerprint=fingerprint,
-                is_duplicate=False,
-                served_from=ServedFrom.NEW,
-                node_id=self.node_id,
-                service_time=cpu_time + ram_time + ssd_time,
-            )
-            return reply, ssd_time
-
-        # 3. SSD hash-table probe.
-        for operation in self.store.lookup_io(digest):
-            ssd_time += self._device_cost(operation)
-        if digest in self.store:
-            self.counters["ssd_hits"] += 1
-            self._cache_put(digest)
-            reply = LookupReply(
-                fingerprint=fingerprint,
-                is_duplicate=True,
-                served_from=ServedFrom.SSD,
-                node_id=self.node_id,
-                service_time=cpu_time + ram_time + ssd_time,
-            )
-            return reply, ssd_time
-
-        # Bloom false positive: the SSD read found nothing.
-        self.counters["bloom_false_positives"] += 1
-        ssd_time += self._insert_new(fingerprint)
-        reply = LookupReply(
-            fingerprint=fingerprint,
-            is_duplicate=False,
-            served_from=ServedFrom.NEW,
-            node_id=self.node_id,
-            service_time=cpu_time + ram_time + ssd_time,
-        )
-        return reply, ssd_time
-
-    def insert_replica(self, fingerprint: Fingerprint) -> bool:
-        """Store a replica copy of ``fingerprint`` without serving a lookup.
-
-        This is the cluster's replica *write* path: it must not touch the
-        ``lookups`` counter or :attr:`lookup_latency` (a replication write is
-        not a client lookup, and counting it would inflate per-node load and
-        skew ``duplicate_ratio``).  The copy goes into the SSD store and the
-        bloom filter but deliberately not into the RAM LRU, which is reserved
-        for fingerprints this node actually served.  Returns ``True`` if the
-        fingerprint was new on this node.
-        """
-        digest = fingerprint.digest
-        if not self.store.put(digest, fingerprint.chunk_size):
-            return False
-        self.bloom.add(digest)
-        self.counters["replica_inserts"] += 1
-        if self.persistence is not None:
-            self._persist_new([(digest, fingerprint.chunk_size)])
-        return True
-
     def finish_replica_inserts(self, new_digests: Sequence[bytes]) -> None:
         """Complete replica writes whose store puts already happened.
 
-        The cluster's batched replica propagation combines the
-        holder-check and the store write into one ``store.put`` per
-        destination (the put's return value *is* the holder verdict) and
-        then settles the bloom filter and the ``replica_inserts`` counter
-        here, once per bucket.  State-identical to :meth:`insert_replica`
-        for the same digests.
+        The cluster's one replica write
+        (``SHHCCluster._propagate_new_groups``) combines the holder check
+        and the store write into one ``store.put_many_verdicts`` per
+        destination (its verdicts *are* the holder check) and then settles
+        the bloom filter, the ``replica_inserts`` counter and the log here,
+        once per destination.  A replica write is not a lookup: it touches
+        neither ``lookups`` nor :attr:`lookup_latency`, nor the RAM LRU,
+        which holds only what this node served.
         """
         if new_digests:
             # A list of 20-byte digests straight out of the peer's store, so
@@ -482,32 +394,6 @@ class HybridHashNode:
         report = self.persistence.recover_into(self)
         self.last_recovery = report
         return report
-
-    def _insert_new(self, fingerprint: Fingerprint) -> float:
-        """Record a previously unseen fingerprint; returns the SSD write time."""
-        digest = fingerprint.digest
-        self.counters["new_entries"] += 1
-        self.store.put(digest, fingerprint.chunk_size)
-        self.bloom.add(digest)
-        self._cache_put(digest)
-        ssd_time = 0.0
-        for operation in self.store.insert_io(digest):
-            ssd_time += self._device_cost(operation)
-        return ssd_time
-
-    def _cache_put(self, digest: bytes) -> None:
-        """Promote ``digest`` into the RAM tier, counting the destage it may force.
-
-        Cached entries are already in the SSD table, so a destage is just
-        the dropped RAM copy.
-        """
-        if self.cache.put(digest, True) is not None:
-            self.counters["destages"] += 1
-
-    def _device_cost(self, operation) -> float:
-        if operation.kind == "read":
-            return self.ssd_device.read_cost(operation.size_bytes, operation.random_access)
-        return self.ssd_device.write_cost(operation.size_bytes, operation.random_access)
 
     # --------------------------------------------------------- simulated mode
     def serve_batch(

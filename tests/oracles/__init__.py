@@ -5,6 +5,10 @@ carries one implementation per job.
 
 * :mod:`oracles.set_model` -- a dict-and-set model of what a hybrid hash
   node (and a cluster) must answer, independent of how the kernels do it;
+* :mod:`oracles.node_reference` -- the node's per-fingerprint Figure-4
+  flow (RAM LRU, bloom guard, SSD bucket, insert; costs one page operation
+  at a time) the generated kernel is held to, and the per-key replica
+  write;
 * :mod:`oracles.bloom_model` -- the bloom filter's probe sequence in closed
   form over a set of bit indexes, with its own hash-word derivation;
 * :mod:`oracles.bucket_store` -- the SSD store as a list of per-bucket
@@ -12,8 +16,10 @@ carries one implementation per job.
   count column;
 * :mod:`oracles.batch_routing` -- each fingerprint grouped under the first
   live node of its own replica set, resolved through the partitioner;
-* :mod:`oracles.cluster_reference` -- the per-reply batch routing path the
-  cluster's routed core replaced, kept verbatim;
+* :mod:`oracles.cluster_reference` -- the per-reply replication the
+  cluster's one replica write replaced (``resolve_reply``, the failover
+  loop and RPC handler around it, a cluster subclass with both swapped in)
+  and the per-reply batch routing path the routed core replaced;
 * :mod:`oracles.trace_generator` -- the trace generator's per-position loop
   (``expovariate``, a SHA-1 and a validated ``Fingerprint`` per position);
 * :mod:`oracles.resource_link` -- the network link whose port is a

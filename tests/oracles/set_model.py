@@ -7,7 +7,8 @@ costs an SSD probe that then also says "new" -- so a dict (the table), an
 ordered dict (the LRU) and three counters predict every tier code, the new
 pairs and the per-tier counts exactly, for any LRU capacity.  What the
 model does *not* predict is cost (service times, page counts): those are
-pinned against sequential ``HybridHashNode.lookup`` instead.
+pinned against the per-fingerprint flow in ``oracles.node_reference``
+instead.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles import node_reference
 
 from repro.core.config import HashNodeConfig
 from repro.core.hash_node import HybridHashNode
@@ -143,8 +144,9 @@ class TestLookupTime:
 
 
 class TestBatchEquivalence:
-    """The batched-bloom lookup path must be behaviour-identical to looping
-    over single lookups -- verdicts, tiers, counters and service times."""
+    """The batched-bloom lookup path must be behaviour-identical to the
+    per-fingerprint flow of ``tests/oracles/node_reference.py`` -- verdicts,
+    tiers, counters and service times."""
 
     def test_batch_matches_sequential_with_tiny_cache(self):
         # ram_cache_entries=8 forces LRU evictions *within* a batch, the case
@@ -155,7 +157,7 @@ class TestBatchEquivalence:
         fingerprints = [synthetic_fingerprint(rng.randrange(60)) for _ in range(1500)]
         sequential = make_node(ram_cache_entries=8)
         batched = make_node(ram_cache_entries=8)
-        sequential_replies = [sequential.lookup(fp) for fp in fingerprints]
+        sequential_replies = [node_reference.lookup(sequential, fp) for fp in fingerprints]
         batched_replies = []
         for start in range(0, len(fingerprints), 97):
             batched_replies.extend(batched.lookup_batch(fingerprints[start:start + 97]))
@@ -176,7 +178,7 @@ class TestBatchEquivalence:
         fingerprints = [synthetic_fingerprint(rng.randrange(400)) for _ in range(1200)]
         sequential = make_node(bloom_expected_items=40)  # tiny: fills immediately
         batched = make_node(bloom_expected_items=40)
-        sequential_replies = [sequential.lookup(fp) for fp in fingerprints]
+        sequential_replies = [node_reference.lookup(sequential, fp) for fp in fingerprints]
         batched_replies = []
         for start in range(0, len(fingerprints), 128):
             batched_replies.extend(batched.lookup_batch(fingerprints[start:start + 128]))

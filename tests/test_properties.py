@@ -278,10 +278,12 @@ class TestStoreIsASubsetOfBloom:
                     node.serve_bucket_verdicts(DigestBatch.from_blob(blob, 8192))
                 elif kind == "lookup":
                     node.lookup(synthetic_fingerprint(argument))
-                elif kind == "replica":
-                    node.insert_replica(synthetic_fingerprint(argument))
-                elif kind == "propagate":  # SHHCCluster._propagate_new_groups, per node
-                    new_digests, _existing = node.store.put_many_verdicts(pairs(argument))
+                elif kind in ("replica", "propagate"):
+                    # SHHCCluster._propagate_new_groups, per node: one pair
+                    # per new verdict on the single-key paths, a bucket's
+                    # new pairs on the routed core.
+                    keys = [argument] if kind == "replica" else argument
+                    new_digests, _existing = node.store.put_many_verdicts(pairs(keys))
                     node.finish_replica_inserts(new_digests)
                 elif kind == "import":
                     node.import_entries(pairs(argument))

@@ -109,7 +109,8 @@ def _batched(cluster, fingerprints, size=97):
 @pytest.mark.parametrize("cost", [False, True], ids=["free", "cost-model"])
 @pytest.mark.parametrize("virtual_nodes", [0, 16], ids=["range", "ring16"])
 @pytest.mark.parametrize("replication", [2, 3])
-@pytest.mark.parametrize("serve", [_per_key, _batched], ids=["lookup_reply", "lookup_batch_replies"])
+@pytest.mark.parametrize("serve", [_per_key, _batched],
+                         ids=["lookup_reply", "lookup_batch_replies"])
 def test_single_key_replica_writes_match_the_per_reply_oracle(serve, replication, virtual_nodes,
                                                               cost):
     tree, oracle = _twins(replication, virtual_nodes, cost)

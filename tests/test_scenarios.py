@@ -471,3 +471,12 @@ class TestScalarListAndProfileHandling:
             "node_config": HashNodeConfig(ram_cache_entries=64),
             "churn_plan": ChurnPlan.grow(2),
         }
+
+
+def test_service_preset_acknowledges_every_fingerprint_and_loses_none():
+    """The ``service`` preset boots the live stack (gateway plus one worker
+    process per node, on localhost), loads it and audits every ack."""
+    metrics = run_scenario("service", num_nodes=1, fingerprints=4000).metrics
+    assert metrics["acknowledged"] == metrics["fingerprints"] == 4000
+    assert metrics["lost_acknowledged"] == 0
+    assert metrics["audit_checked"] > 0

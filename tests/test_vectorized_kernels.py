@@ -7,9 +7,11 @@ Every packed/fused fast path must be byte-identical to its reference:
   closed-form model in ``tests/oracles/bloom_model.py``, over unrolled and
   looped shapes, a shm-backed filter, and every way a batch is handed
   over (list, tuple, generator, ``DigestBatch``); keys that are not all
-  20 bytes are refused on every route;
+  20 bytes are refused on every route, and by a ``DigestBatch`` built
+  directly from them;
 * the node's one batch contract (``serve_bucket_verdicts``) and its reply
-  view (``lookup_batch``) vs sequential ``lookup()`` on a twin node --
+  view (``lookup_batch``) vs the per-fingerprint Figure-4 flow of
+  ``tests/oracles/node_reference.py`` on a twin node --
   replies field for field, float service times, counters, store stats,
   bloom bits, LRU order -- and vs the dict-and-set model in
   ``tests/oracles/set_model.py`` (tiers, new pairs, per-tier counts), for
@@ -37,6 +39,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import node_reference
 from oracles.bloom_model import BloomModel
 from oracles.set_model import NodeModel
 
@@ -146,6 +149,25 @@ class TestBloomPackedDifferential:
                 bloom.contains_many(handover(keys))
             with pytest.raises(ValueError):
                 bloom.add_many(handover(keys))
+
+    @FAST
+    @given(mixed_key_lists)
+    @example([bytes(20), b"short", bytes(20)])  # the node's kernel raised struct.error
+    @example([b"a" * 10, b"b" * 30])  # contains_many read this as two digests
+    def test_a_batch_built_from_keys_that_are_not_all_digests_is_refused(self, keys):
+        assume(any(len(key) != 20 for key in keys))
+        with pytest.raises(ValueError):
+            DigestBatch(keys, 7)
+
+    @FAST
+    @given(digest_lists)
+    def test_a_batch_built_from_digests_equals_the_wire_batch(self, keys):
+        built, wired = DigestBatch(list(keys), 7), DigestBatch.from_blob(b"".join(keys), 7)
+        assert built.packed() == wired.packed()
+        assert built.hash_words() == wired.hash_words()
+        bloom = BloomFilter(num_bits=2048, num_hashes=5)
+        bloom.add_many(keys[::2])
+        assert bloom.contains_many(built) == bloom.contains_many(wired)
 
     @FAST
     @given(digest_lists, digest_lists)
@@ -284,7 +306,7 @@ def _node_state(node):
 
     The modelled-latency recorder is not in here: the bare contract does
     not feed it (its callers that publish the model do), so it is compared
-    through those callers -- ``lookup_batch`` against looped ``lookup`` --
+    through those callers -- ``lookup_batch`` against the looped oracle --
     and pinned at zero wherever the contract is called directly.
     """
     return (
@@ -319,18 +341,18 @@ lru_capacities = st.integers(1, 8)
 
 
 class TestFusedNodeKernelDifferential:
-    """The kernel behind ``serve_bucket_verdicts`` vs sequential ``lookup()``."""
+    """The kernel behind ``serve_bucket_verdicts`` vs the per-fingerprint oracle."""
 
     @SLOWER
     @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
     def test_serve_bucket_batch_matches_scalar_loop(self, batches, capacity, shape):
-        """``lookup_batch`` replies equal ``lookup()`` replies, field for field."""
+        """``lookup_batch`` replies equal the oracle's replies, field for field."""
         scalar, fused = _twin_nodes(capacity, shape)
         model = NodeModel(capacity)
         for items in batches:
             pairs = _pairs_of(items)
             fingerprints = [Fingerprint(digest=d, chunk_size=size) for d, size in pairs]
-            scalar_replies = [scalar.lookup(fingerprint) for fingerprint in fingerprints]
+            scalar_replies = [node_reference.lookup(scalar, fp) for fp in fingerprints]
             fused_replies = fused.lookup_batch(fingerprints)
             # Dataclass equality covers fingerprint, is_duplicate,
             # served_from, node_id and the float service_time.
@@ -357,7 +379,8 @@ class TestFusedNodeKernelDifferential:
         for items in batches:
             pairs = _pairs_of(items)
             scalar_replies = [
-                scalar.lookup(Fingerprint(digest=d, chunk_size=size)) for d, size in pairs
+                node_reference.lookup(scalar, Fingerprint(digest=d, chunk_size=size))
+                for d, size in pairs
             ]
             tiers, service_times, new_pairs = fused.serve_bucket_verdicts(
                 DigestBatch.from_blob(
@@ -375,6 +398,18 @@ class TestFusedNodeKernelDifferential:
         assert fused.lookup_latency.count == 0 < scalar.lookup_latency.count
         _assert_model_agrees(model, fused)
 
+    @SLOWER
+    @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
+    def test_one_key_view_matches_scalar_loop(self, batches, capacity, shape):
+        """``lookup``, the one-key view over the contract, key by key."""
+        scalar, fused = _twin_nodes(capacity, shape)
+        for items in batches:
+            for digest, size in _pairs_of(items):
+                fingerprint = Fingerprint(digest=digest, chunk_size=size)
+                assert fused.lookup(fingerprint) == node_reference.lookup(scalar, fingerprint)
+        assert _node_state(scalar) == _node_state(fused)
+        assert fused.lookup_latency == scalar.lookup_latency
+
     def test_scalar_chunk_size_blob_matches(self):
         """One ``int`` chunk size for the whole blob == the same size per digest."""
         scalar_sized, listed, sequential = _node(), _node(), _node()
@@ -387,7 +422,10 @@ class TestFusedNodeKernelDifferential:
             assert served == listed.serve_bucket_verdicts(
                 DigestBatch.from_blob(blob, [4096] * len(chosen))
             )
-            replies = [sequential.lookup(Fingerprint(digest=d, chunk_size=4096)) for d in chosen]
+            replies = [
+                node_reference.lookup(sequential, Fingerprint(digest=d, chunk_size=4096))
+                for d in chosen
+            ]
             assert [bool(tier) for tier in served[0]] == [r.is_duplicate for r in replies]
             assert set(size for _digest, size in served[2]) <= {4096}
         assert _node_state(scalar_sized) == _node_state(listed) == _node_state(sequential)
@@ -420,7 +458,9 @@ class TestFusedNodeKernelDifferential:
             batches.append(last[-2:] + last[:6] + fresh + last[:2])
         for batch in batches:
             fingerprints = [Fingerprint(digest=d, chunk_size=1 + d[0]) for d in batch]
-            assert fused.lookup_batch(fingerprints) == [scalar.lookup(f) for f in fingerprints]
+            assert fused.lookup_batch(fingerprints) == [
+                node_reference.lookup(scalar, f) for f in fingerprints
+            ]
         assert _node_state(scalar) == _node_state(fused)
         counters = dict(fused.counters)
         for name in ("ram_hits", "ssd_hits", "bloom_false_positives", "bloom_negative_shortcuts"):

@@ -6,7 +6,8 @@ The checks: the chunking of the stream never changes a reply byte; each
 verdict frame agrees per position with the set model of one node
 (``tests/oracles/set_model.py``); ``ping``, ``stats`` and ``shutdown`` are
 answered, the last after its checkpoint; a frame that raises ends the
-connection after the replies of the batches served before it.  Then
+connection after the replies of the batches served before it -- also as a
+property over random cuts of valid frames followed by one bad frame.  Then
 :class:`GatewayCore` and one ``WorkerCore`` per node, over real nodes, with
 random chunkings in both directions, answer every client batch as the set
 model routed per node does.
@@ -14,6 +15,8 @@ model routed per node does.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import struct
@@ -223,6 +226,82 @@ def test_eof_ends_the_connection_and_mid_frame_it_is_a_protocol_error(capsys):
     causes = [json.loads(line)["cause"] for line in capsys.readouterr().err.splitlines()]
     assert causes == ["connection closed mid-frame",
                       "frame of 4294967295 bytes exceeds MAX_FRAME_BYTES"]
+
+
+#: The frames a well-behaved gateway sends: a batch ``(indexes, sized)``,
+#: a ``ping`` or a ``stats`` request.
+_valid_frames = st.lists(
+    st.one_of(st.tuples(st.lists(st.integers(0, 23), min_size=1, max_size=12), st.booleans()),
+              st.sampled_from(["ping", "stats"])),
+    max_size=6,
+)
+
+
+def _bad_frame(kind: str, pool, rng) -> bytes:
+    if kind == "oversized prefix":
+        return struct.pack("!I", 0xFFFFFFFF)
+    if kind == "unknown t":
+        return encode_frame({"t": "launch"})
+    if kind == "non-dict payload":
+        return encode_frame([{"t": "ping"}])
+    whole = _batch_frame(_pairs(pool, [0, 1, 2], False), False)  # "truncated at EOF"
+    return whole[:rng.randint(1, len(whole) - 1)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    pool=st.lists(st.binary(min_size=20, max_size=20), min_size=24, max_size=24, unique=True),
+    frames=_valid_frames,
+    bad=st.sampled_from(["oversized prefix", "unknown t", "non-dict payload", "truncated at EOF"]),
+    chunking=st.sampled_from(["one byte", "random", "whole stream"]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_valid_frames_then_a_bad_one_are_answered_in_order_then_closed_once(
+        pool, frames, bad, chunking, rng):
+    """Fed in random cuts, no exception escapes ``on_bytes``: the valid
+    frames are answered in order (verdicts as the set model's), then one
+    ``None`` closes the connection with one ``protocol_error`` event, and
+    nothing follows it."""
+    model = NodeModel(_NODE_CONFIG["ram_cache_entries"])
+    stream, expected = [], []
+    for frame in frames:
+        if frame in ("ping", "stats"):
+            stream.append(encode_frame({"t": frame}))
+            expected.append({"t": "pong"} if frame == "ping" else "stats")
+            continue
+        indexes, sized = frame
+        pairs = _pairs(pool, indexes, sized)
+        stream.append(_batch_frame(pairs, sized))
+        tiers, new_pairs = model.serve(pairs)
+        expected.append({"t": "reply", "ok": True, "n": len(pairs), "new": len(new_pairs),
+                         "v": sum(bool(tier) << i for i, tier in enumerate(tiers))})
+    stream.append(_bad_frame(bad, pool, rng))
+
+    node = _node()
+    core = WorkerCore(node, JsonCodec)
+    replies, closed_at_eof = [], False
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        for chunk in _cut(b"".join(stream), chunking, rng):
+            replies += core.on_bytes(chunk)
+            if None in replies:
+                break
+        else:
+            closed_at_eof = True
+            replies += core.on_bytes(b"")
+    assert replies.index(None) == len(replies) - 1
+    assert closed_at_eof == (bad == "truncated at EOF")
+    answered = [decode_payload(frame[4:], JsonCodec) for frame in replies[:-1]]
+    assert len(answered) == len(expected)
+    for message, want in zip(answered, expected):
+        if want == "stats":
+            assert message["t"] == "stats" and message["stats"]["info"] == {"node_id": "node0"}
+        else:
+            assert message == want
+    for name, value in model.expected_counters().items():
+        assert node.counters[name] == value, name
+    events = [json.loads(line) for line in err.getvalue().splitlines()]
+    assert [(record["event"], record["source"]) for record in events] == [
+        ("protocol_error", "node0")]
 
 
 # ------------------------------------------------------------- composition
