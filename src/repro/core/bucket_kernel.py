@@ -38,7 +38,7 @@ The bloom verdict of a stored digest comes from the table
 Every write path keeps ``store`` a subset of ``bloom`` (this kernel's own
 inserts, ``finish_replica_inserts`` after the cluster's replica
 ``put_many_verdicts``, ``import_entries``, recovery's image + tail
-replay; ``remove_entry`` leaves bits set -- pinned by the property in
+replay; ``remove_entries`` leaves bits set -- pinned by the property in
 tests/test_properties.py).  So for a digest the table
 holds, the probe walk would answer ``True`` and mutate nothing: the kernel
 asks the table first -- the probe the SSD stage makes anyway -- and only

@@ -478,13 +478,14 @@ class HybridHashNode:
             self._persist_new(new_pairs)
         return len(new_pairs)
 
-    def remove_entry(self, digest: bytes) -> bool:
-        """Drop a fingerprint from the node (bloom bits remain set, by design)."""
-        self.cache.remove(digest)
-        removed = self.store.remove(digest)
+    def remove_entries(self, digests: Sequence[bytes]) -> int:
+        """Drop fingerprints, logged as one frame; bloom bits remain set, by design."""
+        for digest in digests:
+            self.cache.remove(digest)
+        removed = [digest for digest in digests if self.store.remove(digest)]
         if removed and self.persistence is not None:
-            self.persistence.log_remove(digest)
-        return removed
+            self.persistence.log_remove_many(removed)
+        return len(removed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HybridHashNode {self.node_id} entries={len(self.store)}>"

@@ -12,18 +12,19 @@ Replica-aware migration
 -----------------------
 With ``replication_factor = k`` every fingerprint lives on the first *k*
 live nodes of its successor walk (:meth:`ReplicationController.desired_nodes`
-— the same definition the anti-entropy repair and the serving-side batch
-split :meth:`SHHCCluster._bucket_routed` use, so the three layers always
-agree on placement).  A membership change recomputes
-that desired set per stored digest and touches **only the fingerprints
-whose set changed**:
+— the rule the serving-side batch split :meth:`SHHCCluster._bucket_routed`
+uses too, so the layers agree on placement).  A membership change runs the
+same sweep as anti-entropy repair,
+:meth:`ReplicationController.reconcile`, which recomputes that desired set
+per stored digest and touches **only the fingerprints whose set changed**:
 
 * a copy is created on each desired member that lacks one (counted as a
   *primary move* when the member is the new primary, a *replica copy*
   otherwise), reading from any live current holder;
 * copies on live nodes that left the desired set are dropped (*replica
   drops*) — but only after the new copies exist, so the distinct count is
-  conserved at every instant.
+  conserved at every instant.  Each node is written once per change: one
+  import of its new copies, one remove (one log frame) of its drops.
 
 Interrupted changes
 -------------------
@@ -49,9 +50,8 @@ materializes against a concrete run horizon.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..dedup.fingerprint import Fingerprint
 from .cluster import SHHCCluster
 from .hash_node import HybridHashNode
 from .replication import ReplicationController
@@ -106,8 +106,8 @@ class MembershipManager:
         #: action ``"add"`` or ``"remove"``.
         self.intents: List[Tuple[str, str]] = []
         #: What each node of an open ``"remove"`` intent held when it was
-        #: detached: ``(readable entries, lost-copy candidates)``.
-        self.departed: Dict[str, Tuple[Dict[bytes, object], set]] = {}
+        #: detached, and whether its store could be read: ``(entries, readable)``.
+        self.departed: Dict[str, Tuple[Dict[bytes, object], bool]] = {}
         self.controller = ReplicationController(cluster)
         self.reports: List[MigrationReport] = []
 
@@ -135,11 +135,7 @@ class MembershipManager:
             raise ValueError("cannot remove the last node")
         entries_before = len(cluster)
         self.intents.append(("remove", node_id))
-        orphans, lost_candidates = self._uninstall_node(node_id)
-        report = self._rebuild(
-            "remove", node_id, entries_before, orphans=orphans,
-            lost_candidates=lost_candidates,
-        )
+        report = self._rebuild("remove", node_id, entries_before, self._uninstall_node(node_id))
         self.reports.append(report)
         self.intents.remove(("remove", node_id))
         del self.departed[node_id]
@@ -169,11 +165,8 @@ class MembershipManager:
                     # Crash landed between the node-dict removal and the
                     # partitioner update (or vice versa); finish the teardown.
                     self.cluster.partitioner.remove_node(node_id)
-                orphans, lost_candidates = self.departed.pop(node_id, ({}, set()))
-                report = self._rebuild(
-                    "remove", node_id, entries_before, orphans=orphans,
-                    lost_candidates=lost_candidates,
-                )
+                departed = self.departed.pop(node_id, ({}, True))
+                report = self._rebuild("remove", node_id, entries_before, departed)
             report.recovered = True
             self.reports.append(report)
             self.intents.remove((action, node_id))
@@ -186,29 +179,22 @@ class MembershipManager:
         cluster.nodes[node_id] = HybridHashNode(node_id, cluster.config.node, cluster.sim)
         cluster.partitioner.add_node(node_id)
 
-    def _uninstall_node(self, node_id: str) -> Tuple[Dict[bytes, object], set]:
-        """Detach a node; returns ``(readable entries, lost-copy candidates)``.
+    def _uninstall_node(self, node_id: str) -> Tuple[Dict[bytes, object], bool]:
+        """Detach a node; returns ``(entries, readable)``.
 
         The pair is also kept in :attr:`departed` until the remove intent
         closes: once the node is gone it is the only record of entries the
         node held the sole copy of.
 
         A node that is marked down at removal time (decommissioning a dead
-        member) has an unreadable store: its entries are *not* exported.
-        Its digests are returned as lost-copy candidates instead — the ones
-        with no surviving copy elsewhere surface as ``unreachable`` in the
-        report (with ``replication_factor >= 2`` the survivors hold copies,
-        so nothing is lost).
+        member) has an unreadable store: nothing is copied from it.  Its
+        digests with no surviving copy elsewhere surface as ``unreachable``
+        in the report (with ``replication_factor >= 2`` the survivors hold
+        copies, so nothing is lost).
         """
         cluster = self.cluster
         departing = cluster.nodes[node_id]
-        down = cluster.is_down(node_id)
-        exported = [] if down else departing.export_entries()
-        # A digest whose only copy sat on the dead node is lost; report it.
-        lost_candidates = (
-            {digest for digest, _value in departing.export_entries()} if down else set()
-        )
-        self.departed[node_id] = (dict(exported), lost_candidates)
+        self.departed[node_id] = (dict(departing.store.items()), not cluster.is_down(node_id))
         if node_id in cluster.partitioner.nodes():
             # May already be gone when recover() replays a crash that landed
             # between the partitioner update and the node-dict removal.
@@ -222,97 +208,43 @@ class MembershipManager:
         action: str,
         node_id: str,
         entries_before: int,
-        orphans: Optional[Mapping[bytes, object]] = None,
-        lost_candidates: Optional[set] = None,
+        departed: Optional[Tuple[Dict[bytes, object], bool]] = None,
     ) -> MigrationReport:
-        """Incrementally rebuild replica sets after the partition map changed.
+        """Re-place data after the partition map changed, and report it.
 
-        Only fingerprints whose desired set differs from their current
-        holders are touched.  Copies are created before drops, so every
-        digest keeps at least one live copy throughout.  ``orphans`` carries
-        the entries of a departing node (holder set empty after removal);
-        ``lost_candidates`` the digests of a *down* departing node, counted
-        as ``unreachable`` when no surviving copy exists.
+        One :meth:`ReplicationController.reconcile` sweep moves the data;
+        ``departed`` is a departing node's ``(entries, readable)``.
         """
         cluster = self.cluster
-        placement: Dict[bytes, Set[str]] = {}
-        values: Dict[bytes, object] = {}
-        for name, node in cluster.nodes.items():
-            for digest, value in node.export_entries():
-                placement.setdefault(digest, set()).add(name)
-                values.setdefault(digest, value)
-        for digest, value in (orphans or {}).items():
-            placement.setdefault(digest, set())
-            values.setdefault(digest, value)
+        orphans, readable = departed if departed is not None else ({}, True)
+        copies, primary_moves, drops, unreachable = self.controller.reconcile(
+            orphans, node_id if readable else None
+        )
+
+        # Charge the copy traffic to the cluster's ledger (none without a
+        # cost model): each (source, target) pair becomes one sized transfer
+        # plus export/import CPU, which then contend with lookups.
+        if cluster.ledger is not None:
+            cluster.ledger.charge_migration(copies)
 
         by_target = action == "remove"
         breakdown: Dict[str, int] = {}
-        # Copy traffic per (source, target) pair, for the cluster's optional
-        # control-plane cost model: each pair becomes one sized transfer over
-        # the simulated fabric plus export/import CPU on both ends.
-        transfers: Dict[Tuple[str, str], int] = {}
-        primary_moves = replica_copies = replica_drops = 0
-        unreachable = sum(
-            1 for digest in (lost_candidates or ()) if digest not in placement
-        )
-        # Digest order, not the stores' iteration order: the walk decides the
-        # sequence of imports and of the (source, target) pairs charged.
-        for digest in sorted(placement):
-            holders = placement[digest]
-            value = values[digest]
-            fingerprint = self._as_fingerprint(digest, value)
-            desired = self.controller.desired_nodes(fingerprint)
-            if not desired:  # every node down: nothing can move
-                continue
-            missing = [n for n in desired if n not in holders]
-            if missing:
-                live_holders = sorted(n for n in holders if not cluster.is_down(n))
-                if live_holders:
-                    source = live_holders[0]
-                elif orphans is not None and digest in orphans:
-                    source = node_id  # read from the live departing node
-                else:
-                    unreachable += 1
-                    continue
-                for target in missing:
-                    cluster.nodes[target].import_entries([(digest, value)])
-                    if target == desired[0]:
-                        primary_moves += 1
-                    else:
-                        replica_copies += 1
-                    key = target if by_target else source
-                    breakdown[key] = breakdown.get(key, 0) + 1
-                    pair = (source, target)
-                    transfers[pair] = transfers.get(pair, 0) + 1
-            for extra in sorted(holders - set(desired)):
-                if cluster.is_down(extra):
-                    continue  # unreadable store; recovery repair reconciles it
-                if cluster.nodes[extra].remove_entry(digest):
-                    replica_drops += 1
-
-        # Charge the copy traffic to the cluster's ledger (none without a
-        # cost model): migration CPU and fabric time then contend with lookups.
-        if cluster.ledger is not None:
-            cluster.ledger.charge_migration(transfers)
-
+        for (source, target), count in copies.items():
+            key = target if by_target else source
+            breakdown[key] = breakdown.get(key, 0) + count
+        moved = sum(copies.values())
         return MigrationReport(
             action=action,
             node=node_id,
             entries_before=entries_before,
-            entries_moved=primary_moves + replica_copies,
+            entries_moved=moved,
             source_breakdown=breakdown,
             replication_factor=cluster.config.replication_factor,
             primary_moves=primary_moves,
-            replica_copies=replica_copies,
-            replica_drops=replica_drops,
+            replica_copies=moved - primary_moves,
+            replica_drops=drops,
             unreachable=unreachable,
         )
-
-    # -- helpers -------------------------------------------------------------------------
-    @staticmethod
-    def _as_fingerprint(digest: bytes, value) -> Fingerprint:
-        chunk_size = value if isinstance(value, int) else 0
-        return Fingerprint(digest=digest, chunk_size=chunk_size)
 
     # -- reporting ----------------------------------------------------------------------
     def total_moved(self) -> int:

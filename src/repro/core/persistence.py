@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..storage.fplog import OP_PUT, OP_REMOVE, FingerprintLog
 from ..storage.snapshot import SnapshotError, discard_staged, read_snapshot, write_snapshot
@@ -143,9 +143,9 @@ class NodePersistence:
         self.container.append(OP_PUT, keys, values)
         return len(keys)
 
-    def log_remove(self, digest: bytes) -> None:
-        """Durably record a fingerprint removal (e.g. migration hand-off)."""
-        self.container.append(OP_REMOVE, (digest,))
+    def log_remove_many(self, digests: Sequence[bytes]) -> None:
+        """Durably record a batch of removals (a migration hand-off) as one flushed frame."""
+        self.container.append(OP_REMOVE, digests)
 
     # -- snapshots -------------------------------------------------------------------
     def snapshot_due(self) -> bool:

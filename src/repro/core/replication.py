@@ -19,13 +19,17 @@ consulted, but only an anti-entropy sweep (:meth:`ReplicationController.repair`,
 typically triggered from a fault-injection recovery hook or an operator
 runbook) restores the full copy count -- without it, a *second* failure that
 takes out the singular copy loses the duplicate verdict.  The ``failover``
-experiment demonstrates both regimes.
+experiment demonstrates both regimes.  Repair and the membership
+migration are one sweep, :meth:`ReplicationController.reconcile`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+
+#: ``(copies per (source, target), primary moves, drops, unreachable)``.
+Reconciliation = Tuple[Dict[Tuple[str, str], int], int, int, int]
 
 from ..dedup.fingerprint import Fingerprint
 from .cluster import SHHCCluster
@@ -76,16 +80,22 @@ class ReplicationController:
         Walks the successor list past any failed nodes (Chord-style) and
         returns the first live nodes up to the replication factor, so the
         copy count can be restored even while members are down.  With every
-        node up this is exactly ``partitioner.owners(fp, factor)``.  The
-        membership migration (:class:`~repro.core.membership.MembershipManager`)
-        and :meth:`repair` share this definition, which is what makes their
-        placements agree.
+        node up this is exactly ``partitioner.owners(fp, factor)``: the
+        one-digest view of the rule :meth:`reconcile` places by.
         """
+        return self._live_placement()(fingerprint.digest)
+
+    def _live_placement(self) -> Callable[[bytes], List[str]]:
         cluster = self.cluster
-        live_count = sum(1 for n in cluster.node_names if not cluster.is_down(n))
-        target = min(cluster.config.replication_factor, live_count)
-        candidates = cluster.partitioner.owners(fingerprint, len(cluster.node_names))
-        return [n for n in candidates if not cluster.is_down(n)][:target]
+        names = cluster.node_names
+        down = {name for name in names if cluster.is_down(name)}
+        target = min(cluster.config.replication_factor, len(names) - len(down))
+        replicas, count = cluster.partitioner.replicas, len(names)
+
+        def desired(digest: bytes) -> List[str]:
+            return [name for name in replicas(digest, count) if name not in down][:target]
+
+        return desired
 
     def consistency_report(self) -> ReplicaConsistencyReport:
         """Count fully replicated / under-replicated / lost fingerprints."""
@@ -105,23 +115,83 @@ class ReplicationController:
                 report.lost += 1
         return report
 
+    # -- the placement sweep ------------------------------------------------------------
+    def reconcile(
+        self,
+        orphans: Optional[Mapping[bytes, object]] = None,
+        departing: Optional[str] = None,
+    ) -> Reconciliation:
+        """Put every stored digest on exactly its live desired set; uncharged.
+
+        Scans every node once, plus ``orphans`` (a departed node's entries,
+        read from ``departing``, or unreachable when it is ``None``), and
+        walks the digests in sorted order.  Missing copies are read from the
+        first live holder; copies on live nodes outside the set are dropped.
+        Each node then gets one ``import_entries`` and, after every import,
+        one ``remove_entries``, so every digest keeps a live copy throughout.
+        Returns ``(copies per (source, target), primary moves, drops,
+        unreachable)``.
+        """
+        cluster = self.cluster
+        nodes = cluster.nodes
+        placement: Dict[bytes, Set[str]] = {}
+        values: Dict[bytes, object] = {}
+        for name, node in nodes.items():
+            for digest, value in node.store.items():
+                placement.setdefault(digest, set()).add(name)
+                values.setdefault(digest, value)
+        orphans = orphans or {}
+        for digest, value in orphans.items():
+            placement.setdefault(digest, set())
+            values.setdefault(digest, value)
+
+        desired_of = self._live_placement()
+        is_down = cluster.is_down
+        copies: Dict[Tuple[str, str], int] = {}
+        primary_moves = unreachable = 0
+        imports: Dict[str, List[Tuple[bytes, object]]] = {}
+        drops: Dict[str, List[bytes]] = {}
+        for digest in sorted(placement):
+            holders = placement[digest]
+            if not holders and departing is None:
+                unreachable += 1  # only an unreadable departed node held it
+                continue
+            desired = desired_of(digest)
+            if not desired:  # every node down: nothing can move
+                continue
+            missing = [name for name in desired if name not in holders]
+            if missing:
+                live_holders = sorted(name for name in holders if not is_down(name))
+                if live_holders:
+                    source = live_holders[0]
+                elif departing is not None and digest in orphans:
+                    source = departing
+                else:
+                    unreachable += 1
+                    continue
+                pair = (digest, values[digest])
+                for target in missing:
+                    imports.setdefault(target, []).append(pair)
+                    primary_moves += target == desired[0]
+                    copies[source, target] = copies.get((source, target), 0) + 1
+            for extra in holders.difference(desired):
+                if not is_down(extra):
+                    drops.setdefault(extra, []).append(digest)
+
+        for target, pairs in imports.items():
+            nodes[target].import_entries(pairs)
+        dropped = sum(nodes[name].remove_entries(digests) for name, digests in drops.items())
+        return copies, primary_moves, dropped, unreachable
+
     # -- repair --------------------------------------------------------------------------
     def repair(self) -> int:
-        """Re-replicate under-replicated fingerprints onto live replica nodes.
+        """Anti-entropy: :meth:`reconcile` with no membership change.
 
-        Returns the number of additional copies created.
+        Restores under-replicated fingerprints and drops copies outside the
+        live set (a failure's interim copies, once the node is back).
+        Returns the number of copies created.
         """
-        created = 0
-        placement = self.placement()
-        for digest, holders in placement.items():
-            fingerprint = self._fingerprint_for(digest, holders)
-            desired = self.desired_nodes(fingerprint)
-            for node_name in desired:
-                if node_name not in holders:
-                    value = self._value_of(digest, holders)
-                    self.cluster.nodes[node_name].import_entries([(digest, value)])
-                    holders.add(node_name)
-                    created += 1
+        created = sum(self.reconcile()[0].values())
         self.repairs_performed += created
         return created
 
@@ -134,16 +204,3 @@ class ReplicationController:
         """Bring a node back and move its owned fingerprints onto it."""
         self.cluster.mark_up(node_name)
         return self.repair()
-
-    # -- helpers -------------------------------------------------------------------------
-    def _value_of(self, digest: bytes, holders: Set[str]):
-        for holder in holders:
-            value = self.cluster.nodes[holder].store.get(digest)
-            if value is not None:
-                return value
-        return True
-
-    def _fingerprint_for(self, digest: bytes, holders: Set[str]) -> Fingerprint:
-        value = self._value_of(digest, holders)
-        chunk_size = value if isinstance(value, int) else 0
-        return Fingerprint(digest=digest, chunk_size=chunk_size)

@@ -20,6 +20,9 @@ carries one implementation per job.
   cluster's one replica write replaced (``resolve_reply``, the failover
   loop and RPC handler around it, a cluster subclass with both swapped in)
   and the per-reply batch routing path the routed core replaced;
+* :mod:`oracles.placement_reference` -- the anti-entropy repair and the
+  membership migration as the two walks they were before one placement
+  sweep (``ReplicationController.reconcile``) replaced both;
 * :mod:`oracles.trace_generator` -- the trace generator's per-position loop
   (``expovariate``, a SHA-1 and a validated ``Fingerprint`` per position);
 * :mod:`oracles.resource_link` -- the network link whose port is a

@@ -197,5 +197,13 @@ class ReferenceMembershipManager(MembershipManager):
         super().__init__(cluster)
         self.controller = ReferenceReplicationController(cluster)
 
-    def _rebuild(self, action, node_id, entries_before, orphans=None, lost_candidates=None):
-        return rebuild(self, action, node_id, entries_before, orphans, lost_candidates)
+    def _rebuild(self, action, node_id, entries_before, departed=None):
+        # The tree keeps a departing node's ``(entries, readable)``; the
+        # reference took its readable entries, or a down node's digests as
+        # lost-copy candidates.
+        if departed is None:
+            return rebuild(self, action, node_id, entries_before)
+        entries, readable = departed
+        if readable:
+            return rebuild(self, action, node_id, entries_before, entries, set())
+        return rebuild(self, action, node_id, entries_before, {}, set(entries))

@@ -229,13 +229,13 @@ class TestImportExport:
         reply = target.lookup(synthetic_fingerprint(7))
         assert reply.is_duplicate is True
 
-    def test_remove_entry(self):
+    def test_remove_entries(self):
         node = make_node()
-        fingerprint = synthetic_fingerprint(3)
-        node.lookup(fingerprint)
-        assert node.remove_entry(fingerprint.digest) is True
-        assert node.remove_entry(fingerprint.digest) is False
-        assert fingerprint not in node
+        held, absent = synthetic_fingerprint(3), synthetic_fingerprint(4)
+        node.lookup(held)
+        assert node.remove_entries([held.digest, absent.digest]) == 1
+        assert node.remove_entries([held.digest]) == 0
+        assert held not in node
 
 
 class TestSimulatedServing:

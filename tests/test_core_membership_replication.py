@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.placement_reference import as_fingerprint
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.membership import MembershipManager
+from repro.core.persistence import PersistencePolicy
 from repro.core.replication import ReplicationController
 from repro.dedup.fingerprint import synthetic_fingerprint
+from repro.storage.fplog import OP_REMOVE, FingerprintLog
 
 
 def loaded_cluster(num_nodes=4, replication=1, virtual_nodes=0, entries=800) -> SHHCCluster:
@@ -103,7 +106,7 @@ class TestReplicaAwareMembership:
             value = next(
                 (cluster.nodes[h].store.get(digest) for h in holders), 0
             )
-            fingerprint = MembershipManager._as_fingerprint(digest, value)
+            fingerprint = as_fingerprint(digest, value)
             desired = controller.desired_nodes(fingerprint)
             assert set(desired) <= holders, "replica-set member missing a copy"
             assert holders <= set(desired), "stale copy outside the replica set"
@@ -136,6 +139,30 @@ class TestReplicaAwareMembership:
         assert report.replica_drops > 0
         # Capacity view: exactly k copies of each fingerprint remain.
         assert cluster.total_stored == 2 * 500
+
+    def test_a_leave_logs_at_most_one_remove_frame_per_node(self, tmp_path):
+        config = ClusterConfig(
+            num_nodes=4,
+            node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000, ssd_buckets=1 << 10),
+            replication_factor=2,
+        )
+        cluster = SHHCCluster(config, persistence=PersistencePolicy(str(tmp_path)))
+        cluster.lookup_batch([synthetic_fingerprint(i) for i in range(500)])
+        # Range partitioning re-shards on a leave, so every survivor drops copies.
+        report = MembershipManager(cluster).remove_node("hashnode-1")
+        assert report.replica_drops > 0
+        removed = 0
+        for node in cluster.nodes.values():
+            log = FingerprintLog(node.persistence.container.path)
+            frames = [(op, len(keys)) for op, keys, _values in log.replay()]
+            log.close()
+            removes = [count for op, count in frames if op == OP_REMOVE]
+            assert len(removes) <= 1
+            removed += sum(removes)
+            # records still counts keys, not frames.
+            assert node.persistence.records == sum(count for _op, count in frames)
+        assert removed == report.replica_drops
+        cluster.close()
 
     def test_unreplicated_join_has_no_replica_traffic(self):
         cluster = loaded_cluster(num_nodes=4, replication=1, virtual_nodes=64, entries=500)

@@ -6,9 +6,10 @@ step the core invariants are asserted:
 
 * dedup accuracy is 100% for ``replication_factor >= 2`` (every verdict
   matches an exact oracle);
-* every fingerprint's *live replica set* matches the partition map: each
-  member of the desired (live successor) set holds a copy, i.e. the
-  cluster is fully replicated after each repairing operation;
+* every fingerprint's *live replica set* matches the partition map: the
+  live nodes holding it are exactly its desired (live successor) set, i.e.
+  the cluster is fully replicated and keeps no stray copy after each
+  repairing operation;
 * ``distinct`` counts are conserved: the cluster never loses (or invents)
   a fingerprint, under any interleaving.
 
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.placement_reference import as_fingerprint
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.membership import ChurnPlan, MembershipManager
@@ -137,17 +139,14 @@ class ChaosRun:
             f"under-replicated={report.under_replicated} lost={report.lost} "
             f"after {self.ops_applied!r}"
         )
-        # Placement agreement: every member of the live desired replica set
-        # actually holds a copy (extras from old repairs are allowed).
+        # Placement equals the partition map: every digest's live holders are
+        # exactly its live desired replica set (repair drops interim copies).
         placement = self.controller.placement()
         for digest, holders in placement.items():
-            fingerprint = self.manager._as_fingerprint(
-                digest, self._value_of(digest, holders)
-            )
+            fingerprint = as_fingerprint(digest, self._value_of(digest, holders))
             desired = self.controller.desired_nodes(fingerprint)
-            missing = [n for n in desired if n not in holders]
-            assert not missing, (
-                f"digest missing from replica-set members {missing} "
+            assert set(desired) == holders, (
+                f"digest on {sorted(holders)}, desired {desired} "
                 f"after {self.ops_applied!r}"
             )
 

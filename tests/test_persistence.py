@@ -405,7 +405,7 @@ class TestNodePersistence:
         with NodePersistence(directory) as persistence:
             persistence.log_insert(keep.digest, keep.chunk_size)
             persistence.log_insert(gone.digest, gone.chunk_size)
-            persistence.log_remove(gone.digest)
+            persistence.log_remove_many([gone.digest])
         node = _fresh_node()
         with NodePersistence(directory) as persistence:
             report = persistence.recover_into(node)

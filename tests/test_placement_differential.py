@@ -171,3 +171,41 @@ def test_repair_creates_as_many_copies_as_the_reference_and_stays_uncharged(
     if replication >= 2:
         assert created[0][0] > 0 and created[0][1] > 0
     assert state(tree.cluster)["ledger"] == state(reference.cluster)["ledger"]
+
+
+def _live_desired(controller: ReplicationController, digest: bytes, value) -> list:
+    return controller.desired_nodes(as_fingerprint(digest, value))
+
+
+@pytest.mark.parametrize("costed", [False, True], ids=["free", "costed+persistent"])
+@pytest.mark.parametrize("virtual_nodes", VNODES)
+@pytest.mark.parametrize("replication", FACTORS)
+def test_repair_keeps_the_reference_copies_on_the_live_set_and_drops_the_rest(
+    replication, virtual_nodes, costed, tmp_path
+):
+    (tree, reference), _created = _repaired_twins(
+        replication, virtual_nodes, costed, tmp_path
+    )
+    tree_state, reference_state = state(tree.cluster), state(reference.cluster)
+    expected, drops = {}, {}
+    for name, items in reference_state["stores"].items():
+        kept = {
+            digest: value for digest, value in items
+            if name in _live_desired(reference, digest, value)
+        }
+        expected[name] = kept
+        drops[name] = len(items) - len(kept)
+    # As maps: the reference imported in store-scan order, the sweep imports
+    # in digest order.
+    assert {name: dict(items) for name, items in tree_state["stores"].items()} == expected
+    if replication >= 2:
+        # crash -> repair -> recover left interim copies outside the set
+        assert sum(drops.values()) > 0
+    # One removed key logged per dropped copy.
+    assert tree_state["records"] == {
+        name: records + drops[name] for name, records in reference_state["records"].items()
+    }
+    # Placement equals the partition map: each digest on exactly its live set.
+    for digest, holders in tree.placement().items():
+        value = tree.cluster.nodes[next(iter(holders))].store.get(digest)
+        assert set(_live_desired(tree, digest, value)) == holders

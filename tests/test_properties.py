@@ -288,7 +288,7 @@ class TestStoreIsASubsetOfBloom:
                 elif kind == "import":
                     node.import_entries(pairs(argument))
                 elif kind == "remove":
-                    node.remove_entry(synthetic_fingerprint(argument).digest)
+                    node.remove_entries([synthetic_fingerprint(argument).digest])
                 else:
                     node.kill()
                     if argument == "image deleted" and os.path.exists(persistence.snapshot_path):
@@ -429,8 +429,8 @@ class TestCrashRecoveryProperties:
                                for identity in argument]
                     assert node.import_entries(entries) == twin.import_entries(entries)
                 elif kind == "remove":
-                    digest = synthetic_fingerprint(argument).digest
-                    assert node.remove_entry(digest) == twin.remove_entry(digest)
+                    digests = [synthetic_fingerprint(argument).digest]
+                    assert node.remove_entries(digests) == twin.remove_entries(digests)
             # The restarted node converges to the never-crashed twin.
             assert dict(node.store.items()) == dict(twin.store.items())
             persistence.close()
@@ -455,26 +455,22 @@ class TestCrashRecoveryProperties:
             ram_cache_entries=64, bloom_expected_items=2_048, ssd_buckets=128
         )
         with tempfile.TemporaryDirectory() as directory:
-            # One append = one frame; remember each frame's end and the store
-            # a replay up to it must produce.
+            # One append = one frame (puts or removes); remember each frame's
+            # end and the store a replay up to it must produce.
             boundaries, states, model = [], [], {}
             with NodePersistence(directory) as persistence:
                 header = persistence.container.size
                 for is_put, identities in batches:
-                    for identity in identities:
-                        key = _key(identity)
-                        if is_put:
-                            model[key] = identity
-                        else:
-                            persistence.log_remove(key)
-                            model.pop(key, None)
-                            boundaries.append(persistence.container.size)
-                            states.append(dict(model))
+                    keys = [_key(identity) for identity in identities]
                     if is_put:
-                        persistence.log_insert_many(
-                            (_key(identity), identity) for identity in identities)
-                        boundaries.append(persistence.container.size)
-                        states.append(dict(model))
+                        persistence.log_insert_many(zip(keys, identities))
+                        model.update(zip(keys, identities))
+                    else:
+                        persistence.log_remove_many(keys)
+                        for key in keys:
+                            model.pop(key, None)
+                    boundaries.append(persistence.container.size)
+                    states.append(dict(model))
                 path = persistence.container.path
             size = os.path.getsize(path)
             assert size == boundaries[-1]
