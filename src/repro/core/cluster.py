@@ -84,7 +84,7 @@ from ..simulation.costmodel import ControlPlaneLedger, CostModel
 from ..simulation.engine import Simulator
 from .config import ClusterConfig
 from .digest_batch import DigestBatch
-from .fault_injection import NodeUnavailableError
+from .fault_injection import FlakyNode, NodeUnavailableError
 from .hash_node import HybridHashNode
 from .persistence import PersistencePolicy, RecoveryReport
 from .metrics import ClusterMetrics, LoadBalanceReport
@@ -595,7 +595,15 @@ class SHHCCluster(ChunkIndex):
 
     # ------------------------------------------------------------------ simulated mode
     def register_services(self, rpc: RpcLayer) -> None:
-        """Expose each hash node as an RPC service on the simulated network."""
+        """Expose each hash node as an RPC service on the simulated network.
+
+        The handler has no failover, so a :class:`FlakyNode` is refused.
+        """
+        flaky = [name for name, node in self.nodes.items() if isinstance(node, FlakyNode)]
+        if flaky:
+            raise ValueError(f"{flaky} are FlakyNode wrappers; the simulated deployment "
+                             "schedules no faults: replay grey failures in immediate mode "
+                             "(repro run failover --set failure_rate=..., docs/failover.md)")
         for name, node in self.nodes.items():
             rpc.register(name, self._make_handler(node))
 

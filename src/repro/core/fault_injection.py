@@ -379,8 +379,9 @@ class FaultInjector:
     Parameters
     ----------
     cluster:
-        Anything exposing ``mark_down(name)`` / ``mark_up(name)`` (an
-        :class:`~repro.core.cluster.SHHCCluster`).
+        The :class:`~repro.core.cluster.SHHCCluster` to disrupt: crashes and
+        recoveries call ``mark_down`` / ``mark_up``, kills and restarts
+        ``kill_node`` / ``restart_node``.
     schedule:
         The script to apply.
     on_crash / on_recovery:
@@ -430,25 +431,14 @@ class FaultInjector:
             if self.on_crash is not None:
                 self.on_crash(event.node)
         elif action == KILL:
-            # A kill is a crash that also destroys the node's in-memory
-            # state.  Targets without the richer API (e.g. bare test
-            # doubles) degrade to a plain reachability crash.
-            kill_node = getattr(self.cluster, "kill_node", None)
-            if kill_node is not None:
-                kill_node(event.node)
-            else:
-                self.cluster.mark_down(event.node)
+            # A kill is a crash that also destroys the node's in-memory state.
+            self.cluster.kill_node(event.node)
             self.crashes += 1
             self.kills += 1
             if self.on_crash is not None:
                 self.on_crash(event.node)
         elif action == RESTART:
-            restart_node = getattr(self.cluster, "restart_node", None)
-            if restart_node is not None:
-                report = restart_node(event.node)
-            else:
-                self.cluster.mark_up(event.node)
-                report = None
+            report = self.cluster.restart_node(event.node)
             self.recoveries += 1
             self.restarts += 1
             self.recovery_reports.append((event.node, report))

@@ -23,6 +23,7 @@ from repro.core.fault_injection import (
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.frontend.client import SimulatedClient
 from repro.frontend.gateway import build_simulated_service
+from repro.network.topology import ClusterTopology
 from repro.scenarios import run_scenario
 
 
@@ -134,26 +135,6 @@ class TestFaultInjector:
         assert node == "hashnode-1" and report is not None and report.entries == held
         cluster.close()
 
-    def test_kill_restart_degrade_without_lifecycle_api(self):
-        class BareTarget:
-            def __init__(self):
-                self.down = set()
-
-            def mark_down(self, node):
-                self.down.add(node)
-
-            def mark_up(self, node):
-                self.down.discard(node)
-
-        target = BareTarget()
-        schedule = FaultSchedule().kill("n1", at=0.0).restart("n1", at=1.0)
-        injector = FaultInjector(target, schedule)
-        injector.advance(0.5)
-        assert target.down == {"n1"}
-        injector.drain()
-        assert target.down == set()
-        assert injector.recovery_reports == [("n1", None)]
-
     def test_kill_restart_builder_validation(self):
         with pytest.raises(ValueError):
             FaultSchedule().kill_restart("n1", start=1.0, duration=0.0)
@@ -200,6 +181,15 @@ class TestFlakyNode:
         assert cluster.failovers > 0
         served_by = {r.served_by for r in cluster.lookup_batch(fingerprints)}
         assert victim not in served_by
+
+    def test_a_simulated_deployment_refuses_a_flaky_node(self, sim):
+        # The RPC handler has no failover: registered, the wrapper's first
+        # dropped batch would raise out of sim.run() with no reply delivered.
+        cluster = SHHCCluster(make_cluster(num_nodes=3, replication=2).config, sim=sim)
+        make_flaky(cluster, "hashnode-0", failure_rate=1.0)
+        network = ClusterTopology(num_clients=1, num_web_servers=1, num_hash_nodes=3).build_network(sim)
+        with pytest.raises(ValueError, match="immediate mode"):
+            cluster.register_services(network.rpc)
 
     def test_zero_rate_wrapper_is_transparent(self):
         cluster = make_cluster(num_nodes=2, replication=1)
