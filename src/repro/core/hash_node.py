@@ -43,6 +43,7 @@ Two execution modes
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -346,11 +347,15 @@ class HybridHashNode:
 
     # ------------------------------------------------------------- persistence
     def _persist_new(self, pairs) -> None:
-        """Append acknowledged inserts to the log; checkpoint the bloom when due."""
+        """Append acknowledged inserts to the log; checkpoint the bloom when due.
+
+        The checkpoint only captures the bits here; its write runs in the
+        background (see :meth:`NodePersistence.begin_snapshot`).
+        """
         persistence = self.persistence
         persistence.log_insert_many(pairs)
         if persistence.snapshot_due():
-            persistence.take_snapshot(self.bloom, entries=len(self.store))
+            persistence.begin_snapshot(self.bloom, entries=len(self.store))
             self.counters["snapshots"] += 1
 
     def kill(self) -> None:
@@ -360,8 +365,14 @@ class HybridHashNode:
         ones, exactly as a process kill would lose them; only what the
         persistence layer wrote to disk survives.  Cumulative statistics
         (counters, :attr:`lookup_latency`) are harness-side observability and are
-        deliberately kept.
+        deliberately kept.  An image write in flight is waited out first, so
+        the disk holds what it would after a real kill -- the new image, or
+        (the write failed) the previous one; the write's error dies with the
+        process.
         """
+        if self.persistence is not None:
+            with suppress(Exception):
+                self.persistence.finish_snapshot()
         config = self.config
         self.cache = LRUCache(config.ram_cache_entries)
         # A kill models losing *this process's* memory: a shared-memory-backed

@@ -165,8 +165,11 @@ class MembershipManager:
                     # Crash landed between the node-dict removal and the
                     # partitioner update (or vice versa); finish the teardown.
                     self.cluster.partitioner.remove_node(node_id)
-                departed = self.departed.pop(node_id, ({}, True))
+                departed = self.departed.get(node_id, ({}, True))
                 report = self._rebuild("remove", node_id, entries_before, departed)
+                # Dropped only now: a rebuild that raises leaves the entries
+                # for the next recovery.
+                self.departed.pop(node_id, None)
             report.recovered = True
             self.reports.append(report)
             self.intents.remove((action, node_id))
@@ -176,7 +179,13 @@ class MembershipManager:
     # -- the migration core -------------------------------------------------------------
     def _install_node(self, node_id: str) -> None:
         cluster = self.cluster
-        cluster.nodes[node_id] = HybridHashNode(node_id, cluster.config.node, cluster.sim)
+        persistence = cluster.persistence
+        cluster.nodes[node_id] = HybridHashNode(
+            node_id,
+            cluster.config.node,
+            cluster.sim,
+            persistence=None if persistence is None else persistence.for_node(node_id),
+        )
         cluster.partitioner.add_node(node_id)
 
     def _uninstall_node(self, node_id: str) -> Tuple[Dict[bytes, object], bool]:

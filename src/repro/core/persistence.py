@@ -21,6 +21,10 @@ property on top of the repo's own storage primitives:
   crash after it the new one, and the image's own checksum, geometry and
   record count decide whether recovery may use it.  A stale ``.tmp`` from
   an interrupted checkpoint is deleted when the node reopens or restarts.
+  A checkpoint copies the bits on the serving thread
+  (:meth:`NodePersistence.begin_snapshot`) and writes, fsyncs and renames
+  the copy on a background thread, at most one per node; the write is
+  joined, and its error raised, by :meth:`NodePersistence.finish_snapshot`.
 
 :meth:`NodePersistence.recover_into` rebuilds a freshly constructed node's
 store and bloom filter in one pass over the log and returns a
@@ -31,6 +35,7 @@ model, so warm-up after a restart is visible in simulated latency.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
@@ -118,11 +123,19 @@ class NodePersistence:
         self.snapshot_path = os.path.join(directory, self.SNAPSHOT_NAME)
         self.container = FingerprintLog(os.path.join(directory, self.CONTAINER_NAME), fsync=fsync)
         discard_staged(self.snapshot_path)
-        #: Log record count covered by the current bloom image (0 = none).
+        #: Log record count covered by the current bloom image (0 = none);
+        #: moves when an image's rename lands.
         self.snapshot_records = 0
+        #: Log record count the last captured image covers: the cadence
+        #: counts from here, so it does not depend on when writes land.
+        self._captured_records = 0
+        #: Images captured (a failed write is taken back at its join).
         self.snapshots_taken = 0
-        #: Wall-clock milliseconds the most recent :meth:`take_snapshot` took.
+        #: Wall-clock milliseconds the most recent completed image write
+        #: (write + fsync + rename, off the serving thread) took.
         self.last_snapshot_ms = 0.0
+        self._writer: Optional[threading.Thread] = None
+        self._write_error: Optional[BaseException] = None
 
     # -- logging ---------------------------------------------------------------------
     @property
@@ -149,24 +162,24 @@ class NodePersistence:
 
     # -- snapshots -------------------------------------------------------------------
     def snapshot_due(self) -> bool:
-        """Whether enough records accumulated since the last snapshot."""
+        """Whether enough records accumulated since the last captured image."""
         return (
             self.snapshot_every > 0
-            and self.records - self.snapshot_records >= self.snapshot_every
+            and self.records - self._captured_records >= self.snapshot_every
         )
 
-    def take_snapshot(self, bloom: Any, entries: int = 0, store: Optional[Any] = None) -> int:
-        """Checkpoint the bloom filter's bits; constant in shard size.
+    def begin_snapshot(self, bloom: Any, entries: int = 0) -> int:
+        """Capture the bloom filter's bits and write them in the background.
 
-        The image is written atomically (tmp + fsync + rename) and only then
-        does ``snapshot_records`` move, so a failed write raises with the
-        previous image and its count intact.  ``store`` is accepted and
-        ignored: the log already is the store's image, and
-        ``bench/replay.py`` -- the pinned instrument -- still passes it.
-        Returns the record count the image covers.
+        The previous write is joined first (one write in flight), then the
+        record count, the meta and a copy of the bits are taken on the
+        caller's thread -- an action-consistent image, whatever is served
+        next.  A thread writes the copy through
+        :func:`~repro.storage.snapshot.write_snapshot` (tmp + fsync + rename)
+        and drops it when done; ``snapshot_records`` moves only once the
+        rename lands.  Returns the record count the image covers.
         """
-        del store
-        started = time.perf_counter()
+        self.finish_snapshot()
         records = self.records
         meta = {
             "records": records,
@@ -178,10 +191,57 @@ class NodePersistence:
             "num_hashes": bloom.num_hashes,
             "entries": entries,
         }
-        write_snapshot(self.snapshot_path, bloom.snapshot_payload(), meta)
-        self.snapshot_records = records
+        writer = threading.Thread(
+            target=self._write_image, args=(bloom.snapshot_payload(), meta),
+            name="bloom-snapshot",
+        )
+        self._captured_records = records
         self.snapshots_taken += 1
-        self.last_snapshot_ms = (time.perf_counter() - started) * 1e3
+        self._writer = writer
+        writer.start()
+        return records
+
+    def _write_image(self, payload: bytes, meta: dict) -> None:
+        """The background half of a checkpoint; its error waits for the join."""
+        started = time.perf_counter()
+        try:
+            write_snapshot(self.snapshot_path, payload, meta)
+        except BaseException as error:  # noqa: BLE001 - re-raised at the join
+            self._write_error = error
+        else:
+            self.snapshot_records = meta["records"]
+            self.last_snapshot_ms = (time.perf_counter() - started) * 1e3
+
+    def finish_snapshot(self) -> None:
+        """Wait for the image write in flight, if any, and raise its error.
+
+        A failed write (a full disk, a failed fsync) leaves the previous
+        image and ``snapshot_records`` as they were, and is taken back from
+        the cadence: the next due check captures again.
+        """
+        writer = self._writer
+        if writer is None:
+            return
+        writer.join()
+        self._writer = None
+        error, self._write_error = self._write_error, None
+        if error is not None:
+            self._captured_records = self.snapshot_records
+            self.snapshots_taken -= 1
+            raise error
+
+    def take_snapshot(self, bloom: Any, entries: int = 0, store: Optional[Any] = None) -> int:
+        """Checkpoint the bloom filter's bits and wait for the image to land.
+
+        :meth:`begin_snapshot` + :meth:`finish_snapshot`: a failed write
+        raises here with the previous image and its count intact.
+        ``store`` is accepted and ignored: the log already is the store's
+        image, and ``bench/replay.py`` -- the pinned instrument -- still
+        passes it.  Returns the record count the image covers.
+        """
+        del store
+        records = self.begin_snapshot(bloom, entries)
+        self.finish_snapshot()
         return records
 
     # -- recovery --------------------------------------------------------------------
@@ -198,6 +258,7 @@ class NodePersistence:
         missing, corrupt, of another geometry or ahead of the log means
         every live key is re-hashed (cold replay).
         """
+        self.finish_snapshot()
         started = time.perf_counter()
         report = RecoveryReport(node_id=getattr(node, "node_id", ""))
         discard_staged(self.snapshot_path)
@@ -241,13 +302,16 @@ class NodePersistence:
         replay = tail if report.snapshot_loaded else list(store.keys())
         bloom.add_many(replay)
         report.replayed = len(replay)
-        self.snapshot_records = snapshot_records
+        self.snapshot_records = self._captured_records = snapshot_records
         report.wall_seconds = time.perf_counter() - started
         return report
 
     def close(self) -> None:
-        """Close the backing file."""
-        self.container.close()
+        """Wait for the image write in flight, then close the backing file."""
+        try:
+            self.finish_snapshot()
+        finally:
+            self.container.close()
 
     def __enter__(self) -> "NodePersistence":
         return self

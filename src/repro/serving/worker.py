@@ -187,7 +187,8 @@ class WorkerCore:
         The measured ``serve_batch`` histogram is already in the registry;
         the node's tier counters, sizes and its checkpoint and recovery
         readings are read here, when somebody asks, so the batch path pays
-        for none of them.
+        for none of them.  ``last_snapshot_ms`` is the last *completed*
+        image write; one still in flight is not waited for.
         """
         node, registry = self.node, self.registry
         registry.counters.update(node.counters)

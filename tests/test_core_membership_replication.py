@@ -164,6 +164,26 @@ class TestReplicaAwareMembership:
         assert removed == report.replica_drops
         cluster.close()
 
+    def test_a_joining_node_is_persisted_like_the_founding_ones(self, tmp_path):
+        config = ClusterConfig(
+            num_nodes=4,
+            node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000, ssd_buckets=1 << 10),
+            replication_factor=1,
+        )
+        cluster = SHHCCluster(config, persistence=PersistencePolicy(str(tmp_path)))
+        cluster.lookup_batch([synthetic_fingerprint(i) for i in range(400)])
+        report = MembershipManager(cluster).add_node("hashnode-4")
+        assert report.entries_moved > 0
+        joined = cluster.nodes["hashnode-4"]
+        assert joined.persistence is not None
+        assert joined.persistence.directory == str(tmp_path / "hashnode-4")
+        # At k = 1 the joiner holds the only copy of what moved to it: a
+        # kill + restart must bring it back from the joiner's own log.
+        cluster.kill_node("hashnode-4")
+        assert cluster.restart_node("hashnode-4").entries == len(joined.store) > 0
+        assert len(cluster) == 400
+        cluster.close()
+
     def test_unreplicated_join_has_no_replica_traffic(self):
         cluster = loaded_cluster(num_nodes=4, replication=1, virtual_nodes=64, entries=500)
         report = MembershipManager(cluster).add_node("hashnode-4")
@@ -264,6 +284,24 @@ class TestInterruptedMembershipChange:
         assert ReplicationController(cluster).consistency_report().is_healthy
         for index in range(400):
             assert cluster.lookup(synthetic_fingerprint(index)).is_duplicate is True
+
+    def test_a_recovery_that_raises_keeps_the_departed_entries(self, monkeypatch):
+        # At k = 1 the departed export is the only copy of the leaver's
+        # entries: a recovery that fails part-way must leave it for the next.
+        cluster = loaded_cluster(num_nodes=4, replication=1, virtual_nodes=64, entries=400)
+        manager = MembershipManager(cluster)
+        monkeypatch.setattr(manager, "_rebuild", _interrupted_rebuild)
+        with pytest.raises(_Interrupted):
+            manager.remove_node("hashnode-1")
+        with pytest.raises(_Interrupted):
+            manager.recover()
+        assert manager.intents == [("remove", "hashnode-1")]
+        assert len(manager.departed["hashnode-1"][0]) > 0
+        monkeypatch.undo()
+        (report,) = manager.recover()
+        assert report.recovered is True and report.unreachable == 0
+        assert manager.intents == [] and manager.departed == {}
+        assert len(cluster) == 400
 
     def test_recover_completes_an_interrupted_add(self):
         cluster = loaded_cluster(num_nodes=4, replication=2, virtual_nodes=64, entries=400)

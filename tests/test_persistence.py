@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import errno
 import os
+import sys
+import threading
 
 import pytest
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
+from repro.core.digest_batch import DigestBatch
 from repro.core.hash_node import HybridHashNode
 from repro.core.persistence import NodePersistence, PersistencePolicy
 from repro.dedup.fingerprint import synthetic_fingerprint
@@ -425,6 +428,175 @@ class TestNodePersistence:
             report = persistence.recover_into(node)
         assert report.truncated_bytes == 5
         assert report.entries == 1 and fingerprint in node
+
+
+# --------------------------------------------------------- background checkpoints
+def _serve(node, first, count):
+    """Serve ``count`` new synthetic digests from identity ``first`` on."""
+    blob = b"".join(synthetic_fingerprint(i).digest for i in range(first, first + count))
+    return node.serve_bucket_verdicts(DigestBatch.from_blob(blob, 8192))
+
+
+class _Crash(Exception):
+    """The process dies inside an image write."""
+
+
+class _HeldFsync:
+    """``os.fsync`` whose ``block``-th call waits for :attr:`release`.
+
+    :attr:`entered` is set once that call is waiting, so a test knows an
+    image write is in flight without sleeping.  Released, the call fsyncs
+    for real, or dies with :class:`_Crash` when ``crash`` is set.
+    """
+
+    def __init__(self, monkeypatch, block=1, crash=False):
+        from repro.storage import snapshot as snapshot_module
+
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.block, self.crash, self.calls = block, crash, 0
+        self._real = os.fsync
+        monkeypatch.setattr(snapshot_module.os, "fsync", self)
+
+    def __call__(self, fd):
+        self.calls += 1
+        if self.calls == self.block:
+            self.entered.set()
+            # Bounded: a write on the serving thread would wait here with
+            # the test, which then fails instead of hanging.
+            if not self.release.wait(timeout=30):
+                raise AssertionError("the image write ran on the serving thread")
+            if self.crash:
+                raise _Crash
+        self._real(fd)
+
+
+class TestBackgroundCheckpoint:
+    """The image is captured inline and written, fsynced and renamed off the serving path."""
+
+    def test_serving_returns_while_the_image_write_waits_on_fsync(self, tmp_path, monkeypatch):
+        fsync = _HeldFsync(monkeypatch)
+        persistence = NodePersistence(str(tmp_path / "node-0"), snapshot_every=32)
+        node = _fresh_node(persistence)
+        try:
+            _serve(node, 0, 32)  # due: the image is captured, its write starts
+            assert fsync.entered.wait(timeout=30)
+            captured = node.bloom.snapshot_payload()
+            # In flight: counted at capture, not yet on disk.
+            assert persistence.snapshots_taken == 1 and persistence.snapshot_records == 0
+            assert not os.path.exists(persistence.snapshot_path)
+            tiers, _times, new_pairs = _serve(node, 100, 16)
+            assert len(new_pairs) == 16 and tiers == [0] * 16
+            assert node.bloom.snapshot_payload() != captured
+        finally:
+            fsync.release.set()
+        persistence.finish_snapshot()
+        # The image that landed is the capture: its bits and its record count.
+        meta, payload = read_snapshot(persistence.snapshot_path)
+        assert meta["records"] == persistence.snapshot_records == 32
+        assert bytes(payload) == captured
+        assert persistence.records == 48 and persistence.last_snapshot_ms > 0
+        persistence.close()
+
+    def test_a_failed_background_write_raises_at_the_next_join(self, tmp_path, monkeypatch):
+        from repro.storage import snapshot as snapshot_module
+
+        persistence = NodePersistence(str(tmp_path / "node-0"), snapshot_every=32)
+        node = _fresh_node(persistence)
+        _serve(node, 0, 32)
+        persistence.finish_snapshot()
+        with open(persistence.snapshot_path, "rb") as image:
+            previous = image.read()
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module.os, "fsync", disk_full)
+            # Due: the capture is taken and the batch answered; the write
+            # fails in the background.  The next batch is not due: no join.
+            assert len(_serve(node, 100, 32)[2]) == 32
+            assert len(_serve(node, 200, 16)[2]) == 16
+            with pytest.raises(OSError) as failure:
+                persistence.finish_snapshot()
+            assert failure.value.errno == errno.ENOSPC
+            # The failed capture is taken back from the cadence: due again
+            # at once, counted from the image that landed.
+            assert persistence.snapshot_due() and persistence.snapshots_taken == 1
+            assert len(_serve(node, 300, 1)[2]) == 1  # captures again; fails again
+            # The next due batch joins it and raises -- after its inserts
+            # were logged, before its reply.
+            with pytest.raises(OSError) as failure:
+                _serve(node, 400, 32)
+        assert failure.value.errno == errno.ENOSPC
+        assert persistence.records == 113
+        assert persistence.snapshot_records == 32 and persistence.snapshots_taken == 1
+        with open(persistence.snapshot_path, "rb") as image:
+            assert image.read() == previous
+        assert persistence.take_snapshot(node.bloom, entries=len(node.store)) == 113
+        assert persistence.snapshot_records == 113 and persistence.snapshots_taken == 2
+        persistence.close()
+
+    def test_a_checkpoint_every_few_batches_keeps_its_cadence_under_thread_switching(
+        self, tmp_path
+    ):
+        # Every image write overlaps serving, and the interpreter switches
+        # threads as often as it can: where images fall, how many there
+        # are and what recovery reads back must not depend on the timing.
+        persistence = NodePersistence(str(tmp_path / "node-0"), snapshot_every=24)
+        node = _fresh_node(persistence)
+        twin = _fresh_node()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = captured = taken = 0
+            for index, count in enumerate([5, 17, 2, 30, 9, 24, 1, 11] * 6):
+                first = 1_000 * index
+                _serve(node, first, count)
+                _serve(twin, first, count)
+                records += count
+                if records - captured >= 24:
+                    captured, taken = records, taken + 1
+                assert persistence.snapshots_taken == taken
+            persistence.finish_snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert persistence.records == records and persistence.snapshot_records == captured
+        assert read_snapshot(persistence.snapshot_path)[0]["records"] == captured
+        node.kill()
+        report = node.restart()
+        assert report.snapshot_loaded and report.replayed == records - captured
+        assert dict(node.store.items()) == dict(twin.store.items())
+        assert all(digest in node.bloom for digest in twin.store.keys())
+        persistence.close()
+
+    @pytest.mark.parametrize("write", ["lands", "dies"])
+    def test_a_kill_during_an_image_write_loses_no_acknowledged_insert(
+        self, tmp_path, monkeypatch, write
+    ):
+        fsync = _HeldFsync(monkeypatch, block=2, crash=write == "dies")
+        persistence = NodePersistence(str(tmp_path / "node-0"), snapshot_every=32)
+        node = _fresh_node(persistence)
+        twin = _fresh_node()  # never crashes, no persistence
+        try:
+            for first, count in ((0, 32), (100, 32), (200, 20)):
+                # The first image lands; the second is in flight from the
+                # second batch on, while the third is acknowledged.
+                _serve(node, first, count)
+                _serve(twin, first, count)
+                if first == 100:
+                    assert fsync.entered.wait(timeout=30)
+            assert not fsync.release.is_set() and persistence.snapshot_records == 32
+        finally:
+            fsync.release.set()
+        node.kill()  # waits the write out; a crashed write's error dies with it
+        report = node.restart()
+        covered = 64 if write == "lands" else 32
+        assert report.snapshot_loaded and report.replayed == 84 - covered
+        assert read_snapshot(persistence.snapshot_path)[0]["records"] == covered
+        assert not os.path.exists(persistence.snapshot_path + ".tmp")
+        assert dict(node.store.items()) == dict(twin.store.items())
+        assert all(digest in node.bloom for digest in twin.store.keys())
+        persistence.close()
 
 
 # -------------------------------------------------------------- node kill/restart

@@ -361,6 +361,9 @@ class TestCrashRecoveryProperties:
 
             def crash_in_checkpoint():
                 """Die at ``checkpoint_stage``; returns the records of the image recovery must load."""
+                # An automatic checkpoint may still be writing: let it land
+                # before reading the image it leaves and patching ``os``.
+                persistence.finish_snapshot()
                 path = persistence.snapshot_path
                 previous = read_snapshot(path)[0]["records"] if os.path.exists(path) else None
                 if checkpoint_stage == "none":

@@ -569,8 +569,11 @@ def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
     # What the gateway sends: two batches, then a stats frame, then EOF.
     replies = core.on_bytes(
         encode_batch_frame(os.urandom(20 * 40), 4096)
-        + encode_batch_frame(os.urandom(20 * 8), 4096)
-        + encode_frame({"t": "stats"}))
+        + encode_batch_frame(os.urandom(20 * 8), 4096))
+    # The first batch's checkpoint is written in the background; the gauge
+    # reports a completed write, so let it land before asking.
+    node.persistence.finish_snapshot()
+    replies += core.on_bytes(encode_frame({"t": "stats"}))
     assert core.on_bytes(b"") == [None]
     messages = [decode_payload(_payload(frame)) for frame in replies]
     assert [message["new"] for message in messages[:2]] == [40, 8]

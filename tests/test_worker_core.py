@@ -213,6 +213,31 @@ def test_a_node_that_raises_ends_the_connection_with_its_traceback(capsys):
     assert "No space left on device" in record["traceback"]
 
 
+def test_a_failed_background_checkpoint_fails_the_worker_after_the_replies_owed(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.storage import snapshot as snapshot_module
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(snapshot_module.os, "fsync", disk_full)
+    node = WorkerSpec("node0", _NODE_CONFIG, persistence_dir=str(tmp_path / "node0"),
+                      snapshot_every=32).build_node()
+    # The first batch is due: its image is captured and fails in the
+    # background.  The second is not due; the third is, and its join raises.
+    replies = WorkerCore(node, JsonCodec).on_bytes(
+        encode_batch_frame(os.urandom(20 * 40), 4096) + encode_batch_frame(os.urandom(20 * 8), 4096)
+        + encode_batch_frame(os.urandom(20 * 40), 4096) + encode_frame({"t": "ping"}))
+    assert len(replies) == 3 and replies[-1] is None
+    assert [decode_payload(frame[4:], JsonCodec)["new"] for frame in replies[:2]] == [40, 8]
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert (record["event"], record["node"], record["error"]) == ("worker_failed", "node0", "OSError")
+    assert "No space left on device" in record["traceback"]
+    assert not os.path.exists(node.persistence.snapshot_path)
+    node.persistence.close()
+
+
 def test_eof_ends_the_connection_and_mid_frame_it_is_a_protocol_error(capsys):
     frame = encode_frame({"t": "ping"})
     core = WorkerCore(_node(), JsonCodec)
