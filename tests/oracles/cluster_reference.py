@@ -2,28 +2,29 @@
 
 ``SHHCCluster`` writes replicas one way: ``_propagate_new_groups`` groups a
 served bucket's new ``(digest, chunk_size)`` pairs per destination and
-writes each group with one store call, and the single-key paths
-(``lookup_reply``'s failover loop, the RPC handler) hand it one pair per
-new verdict.  Before that, every reply went through :func:`resolve_reply`
--- consult the other live replicas, read-repair when one holds the
-fingerprint, otherwise copy it to each with the per-key
-``oracles.node_reference.insert_replica`` -- and that flow is kept here:
+writes each group with one store call.  Before that, every reply went
+through :func:`resolve_reply` -- consult the other live replicas,
+read-repair when one holds the fingerprint, otherwise copy it to each with
+the per-key ``oracles.node_reference.insert_replica`` -- and that flow is
+kept here:
 
-* :func:`lookup_reply_reference` -- ``SHHCCluster.lookup_reply`` as it was
-  (the failover loop, then :func:`resolve_reply`);
+* :func:`lookup_reply_reference` -- ``SHHCCluster.lookup_reply`` as a
+  per-key failover loop (retry the live replica with the fewest refusals
+  of *this key*, then :func:`resolve_reply`);
 * :func:`lookup_batch_replies_reference` -- the pre-cache batch path:
   every fingerprint's replica set resolved through the partitioner
   (:func:`oracles.batch_routing.split_batch_by_replica_set`), each
   sub-batch served with the node's reply view, replies resolved one at a
-  time;
+  time, and a refused sub-batch retried key by key through
+  :func:`lookup_reply_reference`;
 * :func:`reference_handler` -- ``SHHCCluster._make_handler`` as it was:
   :func:`resolve_reply` on every new verdict of an RPC-served batch;
-* :class:`PerReplyCluster` -- the cluster with those two single-key paths
-  swapped in, around the tree's batch core.
+* :class:`PerReplyCluster` -- the cluster with ``lookup_reply`` and the RPC
+  handler swapped for those.
 
-The tree's paths must stay verdict-, tier-, service-time-, counter-,
-store-, replica-write- and ledger-identical to these; the equivalence
-tests build twin clusters and drive one through each.
+Verdicts, tiers, stores and read repairs of the tree's paths must equal
+these; the equivalence tests build twin clusters and drive one through
+each.  None of these charges a served lookup to a cost model's ledger.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def lookup_reply_reference(
     """
     attempts = {name: 1 for name in exclude}
     while True:
-        live = cluster._serving_nodes(fingerprint)
+        live = [n for n in cluster.replica_set(fingerprint) if not cluster.is_down(n)]
         candidates = [n for n in live if attempts.get(n, 0) < cluster.MAX_NODE_ATTEMPTS]
         if not candidates:
             raise RuntimeError(
@@ -163,16 +164,15 @@ def reference_handler(cluster: SHHCCluster, node):
 
 
 class PerReplyCluster(SHHCCluster):
-    """An ``SHHCCluster`` whose single-key replica writes go through :func:`resolve_reply`.
+    """An ``SHHCCluster`` whose single lookups resolve each reply through :func:`resolve_reply`.
 
-    Its batch core is the tree's; the failover loop (``lookup_reply`` and a
-    refused bucket's per-key retries) is :func:`lookup_reply_reference` and
-    its RPC handler is :func:`reference_handler`, so a twin of the plain
-    cluster differs from it only in how one new verdict is replicated.
+    ``lookup_reply`` is :func:`lookup_reply_reference` and the RPC handler
+    is :func:`reference_handler`.  Its batch methods are the tree's: a
+    batch twin drives :func:`lookup_batch_replies_reference` instead.
     """
 
-    def _lookup_with_failover(self, fingerprint, exclude=()):
-        return lookup_reply_reference(self, fingerprint, exclude)
+    def lookup_reply(self, fingerprint):
+        return lookup_reply_reference(self, fingerprint)
 
     def _make_handler(self, node):
         return reference_handler(self, node)
