@@ -13,17 +13,16 @@ offers the combined fingerprint store/lookup service of the paper:
 
 Lookup paths
 ------------
-:meth:`SHHCCluster.lookup` / :meth:`SHHCCluster.lookup_reply` serve one
-fingerprint at a time through the node's one-key view and a failover loop
-(:meth:`SHHCCluster._lookup_with_failover`).  Batches have one
-routed core, :meth:`SHHCCluster._serve_routed` -- bucket by serving node,
-the node's batch contract, failover, ledger charge, batched replica
-propagation -- and thin views over it:
-:meth:`SHHCCluster.lookup_batch` (``LookupResult``),
+Every lookup goes through one routed core, :meth:`SHHCCluster._serve_routed`
+-- bucket by serving node, the node's batch contract, failover, ledger
+charge, batched replica propagation.  The public methods are views over
+it: :meth:`SHHCCluster.lookup_batch` (``LookupResult``),
 :meth:`SHHCCluster.lookup_batch_columns` (tier / service-time / node
-columns) and :meth:`SHHCCluster.lookup_batch_replies` (``LookupReply``).
-The same code runs with and without a cost model; the model only adds
-charges.
+columns), :meth:`SHHCCluster.lookup_batch_replies` (``LookupReply``), and
+:meth:`SHHCCluster.lookup` / :meth:`SHHCCluster.lookup_reply`, their
+one-key views.  The same code runs with and without a cost model; the
+model only adds charges.  The per-key failover loop and per-reply
+replication it replaced are ``tests/oracles/cluster_reference.py``.
 
 Replication and failover semantics
 ----------------------------------
@@ -46,7 +45,7 @@ maintains three invariants, failures included:
   :meth:`SHHCCluster._propagate_new_groups` (one batched store write per
   destination, settled by
   :meth:`~repro.core.hash_node.HybridHashNode.finish_replica_inserts`;
-  single-key paths pass it one pair per new verdict), that does not touch
+  the RPC handler passes it one pair per new verdict), that does not touch
   the replicas' lookup counters or lookup times, so per-node load
   statistics and ``duplicate_ratio`` reflect client traffic only.  Its
   per-reply reference model is ``tests/oracles/cluster_reference.py``.
@@ -56,10 +55,11 @@ maintains three invariants, failures included:
   (``ServedFrom.REPAIR``), the serving node keeps the copy it just wrote,
   and any other live replica missing the fingerprint is backfilled.
 
-Transient failures are handled too: a node raising
-:class:`~repro.core.fault_injection.NodeUnavailableError` (e.g. a
-:class:`~repro.core.fault_injection.FlakyNode` wrapper) causes the affected
-lookups to fail over to the next live replica.  Background machinery for
+Transient failures are handled too: a bucket refused with
+:class:`~repro.core.fault_injection.NodeUnavailableError` (e.g. by a
+:class:`~repro.core.fault_injection.FlakyNode` wrapper) is routed again as
+a batch, each key to its live replica with the fewest refusals in the
+request.  Background machinery for
 re-replication after permanent failures lives in
 :mod:`repro.core.replication`; scripted crash/recovery scenarios in
 :mod:`repro.core.fault_injection`.
@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dedup.fingerprint import Fingerprint, column_builder
@@ -234,76 +233,22 @@ class SHHCCluster(ChunkIndex):
         """Owner plus successors, per the configured replication factor."""
         return self.partitioner.owners(fingerprint, self.config.replication_factor)
 
-    def _serving_nodes(self, fingerprint: Fingerprint) -> List[str]:
-        """Replica set with failed nodes filtered out (primary first)."""
-        candidates = [n for n in self.replica_set(fingerprint) if n not in self._down]
-        if not candidates:
-            raise RuntimeError("no live replica available for fingerprint")
-        return candidates
-
     # ------------------------------------------------------------------ ChunkIndex API
     def lookup(self, fingerprint: Fingerprint) -> LookupResult:
-        """Combined lookup/insert through the cluster (immediate mode)."""
-        reply = self.lookup_reply(fingerprint)
-        self.lookups += 1
-        if reply.is_duplicate:
-            self.duplicates += 1
-        return LookupResult(
-            fingerprint=fingerprint,
-            is_duplicate=reply.is_duplicate,
-            location=_EMPTY_LOCATION,
-            latency=reply.service_time,
-            served_by=reply.node_id,
-        )
+        """Combined lookup/insert through the cluster: a one-key :meth:`lookup_batch`."""
+        return self.lookup_batch([fingerprint])[0]
 
     def lookup_reply(self, fingerprint: Fingerprint) -> LookupReply:
-        """Protocol-level single lookup (exposes tier information)."""
-        return self._lookup_with_failover(fingerprint)
+        """Protocol-level single lookup: a one-key :meth:`lookup_batch_replies`."""
+        return self.lookup_batch_replies([fingerprint])[0]
 
-    #: Attempts per replica before a transiently failing node is given up on.
-    #: Sized so realistic grey-failure rates (<~10% drops) practically never
-    #: abort even with a single replica; a node refusing this many attempts
-    #: is effectively dead and the lookup errors loudly.
+    #: Refusals a node may give one request before the request stops routing
+    #: to it.  Attempts are counted per node per request (one ``lookup_batch``
+    #: call, its retries included), not per key.  Sized so realistic
+    #: grey-failure rates (<~10% drops) practically never abort even with a
+    #: single replica; a node refusing this many attempts is effectively dead
+    #: and the request errors loudly.
     MAX_NODE_ATTEMPTS = 5
-
-    def _lookup_with_failover(
-        self, fingerprint: Fingerprint, exclude: Tuple[str, ...] = ()
-    ) -> LookupReply:
-        """Serve one fingerprint from its replica set, retrying flaky nodes.
-
-        Marked-down nodes are skipped outright.  A node that raises
-        :class:`NodeUnavailableError` mid-request is a *transient* failure:
-        the lookup moves to the least-recently-failed live replica first but
-        may come back and retry the same node (up to ``MAX_NODE_ATTEMPTS``
-        times each), so a single dropped request never aborts a run that
-        still has a responsive replica.  ``exclude`` pre-charges one failed
-        attempt (used when a whole sub-batch was refused).  A new verdict
-        is replicated as a one-pair :meth:`_propagate_new_groups` call and
-        answered ``REPAIR`` when another live replica already held it.
-        """
-        attempts = {name: 1 for name in exclude}
-        while True:
-            live = self._serving_nodes(fingerprint)
-            candidates = [n for n in live if attempts.get(n, 0) < self.MAX_NODE_ATTEMPTS]
-            if not candidates:
-                raise RuntimeError(
-                    "no live replica available for fingerprint "
-                    f"(every replica refused {self.MAX_NODE_ATTEMPTS} attempts)"
-                )
-            # Stable sort: fewest failures first, replica-set order on ties.
-            candidates.sort(key=lambda name: attempts.get(name, 0))
-            serving = candidates[0]
-            try:
-                reply = self.nodes[serving].lookup(fingerprint)
-            except NodeUnavailableError:
-                attempts[serving] = attempts.get(serving, 0) + 1
-                self.failovers += 1
-                continue
-            if (not reply.is_duplicate and self.config.replication_factor > 1
-                    and self._propagate_new_groups(
-                        [(fingerprint.digest, fingerprint.chunk_size)], serving)):
-                return replace(reply, is_duplicate=True, served_from=ServedFrom.REPAIR)
-            return reply
 
     def lookup_batch(self, fingerprints: Iterable[Fingerprint]) -> List[LookupResult]:
         """Batch lookup preserving input order (immediate mode).
@@ -311,8 +256,8 @@ class SHHCCluster(ChunkIndex):
         The :class:`~repro.dedup.index.LookupResult` view over
         :meth:`_serve_routed`: one result per key, written straight into
         its input position.  Verdicts, latencies, counters and replica
-        writes are those of :meth:`lookup_batch_replies` (and of looping
-        over :meth:`lookup`), with or without a cost model.
+        writes are those of :meth:`lookup_batch_replies`, with or without a
+        cost model.
         """
         fingerprints = list(fingerprints)
         merged: List[Optional[LookupResult]] = [None] * len(fingerprints)
@@ -336,10 +281,8 @@ class SHHCCluster(ChunkIndex):
         (exposes tier information).  Each fingerprint is grouped under the
         first live node of *its own* replica set, so a downed node's share
         of the batch fans out to the correct per-fingerprint successors
-        instead of one blanket failover target, and the per-fingerprint
-        replication semantics are exactly those of :meth:`lookup_reply` --
-        which is what keeps batch verdicts identical to the sequential
-        path under failures (pinned against the per-reply oracle in
+        instead of one blanket failover target -- which is what keeps batch
+        verdicts identical to the per-key oracle's under failures (pinned in
         tests/test_routed_batch_equivalence.py).
         """
         fingerprints = list(fingerprints)
@@ -360,7 +303,9 @@ class SHHCCluster(ChunkIndex):
             in self._serve_routed(fingerprints)
         ))
 
-    def _serve_routed(self, fingerprints: List[Fingerprint]):
+    def _serve_routed(
+        self, fingerprints: List[Fingerprint], attempts: Optional[Dict[str, int]] = None
+    ):
         """The one routed batch core: bucket, serve, fail over, charge, propagate.
 
         The batch is bucketed per serving node in one pass
@@ -373,60 +318,60 @@ class SHHCCluster(ChunkIndex):
         serves exactly as in the per-reply flow, which keeps write-buffer
         flush boundaries, and so individual service times, identical to it.
 
+        A refused bucket (:class:`NodeUnavailableError`) is one failover:
+        its node's count in ``attempts`` (the request's refusals per node)
+        goes up by one and the bucket is routed again and served through
+        this core, in place, before the next bucket.
+
         Yields one ``(positions, fingerprints, tiers, service_times,
-        node_ids)`` column group per bucket, in first-occurrence bucket
-        order; ``tiers`` index :data:`~repro.core.protocol.SERVED_FROM_TIER`
-        and already carry the read repairs.  Callers merge the columns into
-        their own result shape, so the batch is walked exactly once.
+        node_ids)`` column group per served bucket, in first-occurrence
+        bucket order; ``tiers`` index
+        :data:`~repro.core.protocol.SERVED_FROM_TIER` and already carry the
+        read repairs.  Callers merge the columns into their own result
+        shape, so the batch is walked exactly once.
         """
         if not fingerprints:
             return
-        self.last_batch_id = next(self._batch_ids)
+        if attempts is None:
+            self.last_batch_id = next(self._batch_ids)
+            attempts = {}
         replication_on = self.config.replication_factor > 1
         ledger = self.ledger
         nodes = self.nodes
-        for serving, (positions, bucket, digests) in self._bucket_routed(fingerprints).items():
+        for serving, (positions, bucket, digests) in self._bucket_routed(
+            fingerprints, attempts
+        ).items():
             node = nodes[serving]
             try:
                 tiers, service_times, new_pairs = node.serve_bucket_verdicts(
                     DigestBatch.from_fingerprints(bucket, digests)
                 )
             except NodeUnavailableError:
-                # The whole sub-batch was refused (flaky node): retry each
-                # fingerprint individually on its remaining replicas, which
-                # also applies the replication semantics per reply.
                 self.failovers += 1
-                replies = [self._lookup_with_failover(fp, exclude=(serving,)) for fp in bucket]
-                tiers = [SERVED_FROM_TIER.index(reply.served_from) for reply in replies]
-                service_times = [reply.service_time for reply in replies]
-                node_ids = [reply.node_id for reply in replies]
-                if ledger is not None:
-                    # Failed-over replies were served by whichever replica
-                    # answered; charge each to the node that did the work.
-                    for node_id, service_time in zip(node_ids, service_times):
-                        ledger.charge_bucket(node_id, (service_time,))
-            else:
-                node.lookup_latency.add_many(service_times)
-                node_ids = itertools.repeat(serving)
-                if ledger is not None:
-                    # Queue the bucket on the serving node's timeline first:
-                    # replica propagation below leaves at the bucket's
-                    # completion instant, not at dispatch.
-                    ledger.charge_bucket(serving, service_times)
-                # A bucket that answered only duplicates has nothing to
-                # propagate or repair.
-                if replication_on and new_pairs:
-                    repaired = self._propagate_new_groups(new_pairs, serving)
-                    if repaired:
-                        # One flip per repaired digest: its later occurrences
-                        # in the bucket were already served as duplicates.
-                        for index, digest in enumerate(digests):
-                            if digest in repaired and not tiers[index]:
-                                tiers[index] = _REPAIR_TIER
-            yield positions, bucket, tiers, service_times, node_ids
+                attempts[serving] = attempts.get(serving, 0) + 1
+                for retried, *columns in self._serve_routed(bucket, attempts):
+                    yield [positions[index] for index in retried], *columns
+                continue
+            node.lookup_latency.add_many(service_times)
+            if ledger is not None:
+                # Queue the bucket on the serving node's timeline first:
+                # replica propagation below leaves at the bucket's
+                # completion instant, not at dispatch.
+                ledger.charge_bucket(serving, service_times)
+            # A bucket that answered only duplicates has nothing to
+            # propagate or repair.
+            if replication_on and new_pairs:
+                repaired = self._propagate_new_groups(new_pairs, serving)
+                if repaired:
+                    # One flip per repaired digest: its later occurrences
+                    # in the bucket were already served as duplicates.
+                    for index, digest in enumerate(digests):
+                        if digest in repaired and not tiers[index]:
+                            tiers[index] = _REPAIR_TIER
+            yield positions, bucket, tiers, service_times, itertools.repeat(serving)
 
     def _bucket_routed(
-        self, fingerprints: Sequence[Fingerprint]
+        self, fingerprints: Sequence[Fingerprint], attempts: Optional[Dict[str, int]] = None
     ) -> Dict[str, Tuple[List[int], List[Fingerprint], List[bytes]]]:
         """Group a batch by serving node: ``{node: (positions, fps, digests)}``.
 
@@ -435,12 +380,18 @@ class SHHCCluster(ChunkIndex):
         ``split_batch_by_replica_set`` in ``tests/oracles/batch_routing.py``).
         A digest's replica set is its first byte's prefix-table entry, or,
         on a prefix a partition boundary cuts, the boundary table's slot
-        (:meth:`~repro.core.partition.Partitioner.routing_table`); it is
-        served by the set's first member, or by its first live one when
-        that member is down.
+        (:meth:`~repro.core.partition.Partitioner.routing_table`).  It is
+        served by the set's first member unless that member is down or has
+        refused this request (``attempts``: refusals per node); then by the
+        live member with the fewest refusals, set order on ties, leaving out
+        members at :attr:`MAX_NODE_ATTEMPTS`.
         """
         bounds, sets, prefix = self.partitioner.routing_table(self.config.replication_factor)
         down = self._down
+        attempts = attempts or {}
+        refusals = attempts.get
+        limit = self.MAX_NODE_ATTEMPTS
+        skip = down.union(attempts) if attempts else down
         # Route over a flat digest list and bucket positions only; the
         # per-bucket fingerprint/digest lists (the digests ride along so the
         # serve step can hand the node a packed DigestBatch) are gathered
@@ -456,14 +407,16 @@ class SHHCCluster(ChunkIndex):
             if replicas is None:
                 replicas = sets[bisect_right(bounds, digest)]
             serving = replicas[0]
-            if serving in down:
-                for serving in replicas:
-                    if serving not in down:
-                        break
-                else:
+            if serving in skip:
+                live = [name for name in replicas
+                        if name not in down and refusals(name, 0) < limit]
+                if not live:
                     raise RuntimeError(
-                        f"no live replica available for fingerprint at position {position}"
+                        f"no live replica available for fingerprint {digest.hex()} "
+                        f"(down, or refused {limit} attempts)"
                     )
+                # min() keeps the first of equals: replica-set order on ties.
+                serving = min(live, key=lambda name: refusals(name, 0))
             append = appends_get(serving)
             if append is None:
                 by_position[serving] = positions = []
@@ -482,11 +435,11 @@ class SHHCCluster(ChunkIndex):
         """Ship new ``(digest, chunk_size)`` pairs served by ``serving`` to their replicas.
 
         The cluster's one replica write: the routed core hands it a bucket's
-        new pairs, the failover loop and the RPC handler one pair per new
-        verdict.  The pairs are grouped per destination node and written
-        with one batched store call each; returns the set of digests some
-        other replica already held (the read repairs).  The store write
-        doubles as the holder check:
+        new pairs, the RPC handler one pair per new verdict.  The pairs are
+        grouped per destination node and written with one batched store
+        call each; returns the set of digests some other replica already
+        held (the read repairs).  The store write doubles as the holder
+        check:
         :meth:`~repro.storage.hashstore.SSDHashStore.put_many_verdicts`
         returns which keys were absent, which *is* the propagation/repair
         verdict, and an already-present digest is overwritten with the

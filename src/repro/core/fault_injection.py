@@ -20,8 +20,8 @@ Three pieces compose the harness:
   :class:`~repro.core.hash_node.HybridHashNode` that makes individual
   lookups fail with :class:`NodeUnavailableError` at a configured
   probability, modelling grey failures (timeouts, packet loss) rather than
-  clean crashes.  The cluster's routing layer treats such failures as a
-  signal to fail the lookup over to the next live replica.
+  clean crashes.  The cluster's routing layer routes a refused bucket
+  again, each key to its live replica with the fewest refusals.
 
 The injector only needs ``mark_down`` / ``mark_up`` / node-name lookup from
 its target, so it works on :class:`~repro.core.cluster.SHHCCluster` without

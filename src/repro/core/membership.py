@@ -108,6 +108,9 @@ class MembershipManager:
         #: What each node of an open ``"remove"`` intent held when it was
         #: detached, and whether its store could be read: ``(entries, readable)``.
         self.departed: Dict[str, Tuple[Dict[bytes, object], bool]] = {}
+        # The detached node objects of those intents, closed once their
+        # rebuild has succeeded.
+        self._detached: Dict[str, HybridHashNode] = {}
         self.controller = ReplicationController(cluster)
         self.reports: List[MigrationReport] = []
 
@@ -138,7 +141,7 @@ class MembershipManager:
         report = self._rebuild("remove", node_id, entries_before, self._uninstall_node(node_id))
         self.reports.append(report)
         self.intents.remove(("remove", node_id))
-        del self.departed[node_id]
+        self._release_departed(node_id)
         return report
 
     # -- crash recovery ----------------------------------------------------------------
@@ -167,12 +170,13 @@ class MembershipManager:
                     self.cluster.partitioner.remove_node(node_id)
                 departed = self.departed.get(node_id, ({}, True))
                 report = self._rebuild("remove", node_id, entries_before, departed)
-                # Dropped only now: a rebuild that raises leaves the entries
-                # for the next recovery.
-                self.departed.pop(node_id, None)
             report.recovered = True
             self.reports.append(report)
             self.intents.remove((action, node_id))
+            if action == "remove":
+                # Released only now: a rebuild that raises leaves the
+                # entries for the next recovery.
+                self._release_departed(node_id)
             reports.append(report)
         return reports
 
@@ -204,6 +208,7 @@ class MembershipManager:
         cluster = self.cluster
         departing = cluster.nodes[node_id]
         self.departed[node_id] = (dict(departing.store.items()), not cluster.is_down(node_id))
+        self._detached[node_id] = departing
         if node_id in cluster.partitioner.nodes():
             # May already be gone when recover() replays a crash that landed
             # between the partitioner update and the node-dict removal.
@@ -211,6 +216,17 @@ class MembershipManager:
         del cluster.nodes[node_id]
         cluster.mark_up(node_id)  # clear any stale down-marker
         return self.departed[node_id]
+
+    def _release_departed(self, node_id: str) -> None:
+        """Forget a removed node once its rebuild has succeeded.
+
+        Closes the node's persistence, which joins an image write still in
+        flight and raises that write's error.  The node's directory stays.
+        """
+        self.departed.pop(node_id, None)
+        node = self._detached.pop(node_id, None)
+        if node is not None and node.persistence is not None:
+            node.persistence.close()
 
     def _rebuild(
         self,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from oracles.placement_reference import as_fingerprint
@@ -183,6 +185,42 @@ class TestReplicaAwareMembership:
         assert cluster.restart_node("hashnode-4").entries == len(joined.store) > 0
         assert len(cluster) == 400
         cluster.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("interrupted", [False, True], ids=["remove", "recovered-remove"])
+    def test_a_removed_node_keeps_no_file_open(self, tmp_path, monkeypatch, interrupted):
+        config = ClusterConfig(
+            num_nodes=4,
+            node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000, ssd_buckets=1 << 10),
+            replication_factor=1,
+        )
+        cluster = SHHCCluster(config, persistence=PersistencePolicy(str(tmp_path), snapshot_every=16))
+        cluster.lookup_batch([synthetic_fingerprint(i) for i in range(400)])
+        manager = MembershipManager(cluster)
+        # A caller may still hold the node object: the files must not wait
+        # for it to be collected.
+        departing = cluster.nodes["hashnode-1"]
+        if interrupted:
+            monkeypatch.setattr(manager, "_rebuild", _interrupted_rebuild)
+            with pytest.raises(_Interrupted):
+                manager.remove_node("hashnode-1")
+            monkeypatch.undo()
+            manager.recover()
+        else:
+            manager.remove_node("hashnode-1")
+        cluster.close()
+        departed = str(tmp_path / "hashnode-1")
+        held = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:  # the directory's own descriptor, closed by now
+                continue
+            if target.startswith(departed + os.sep):
+                held.append(target)
+        assert held == []
+        assert len(cluster) == 400
+        assert departing.persistence.snapshots_taken > 0
 
     def test_unreplicated_join_has_no_replica_traffic(self):
         cluster = loaded_cluster(num_nodes=4, replication=1, virtual_nodes=64, entries=500)

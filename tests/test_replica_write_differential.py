@@ -18,14 +18,18 @@ read-repaired.  The tree serves through ``lookup_reply`` or
 oracle's own per-key loop.  Replies, node counters, stores, read repairs
 and failovers must agree, at replication 1 (the flaky node only: with a
 node down a key has no live replica), 2 and 3, on the range partitioner
-and a 16-vnode ring, with and without a cost model.  The oracle charges no
-served lookup to the ledger, so the ledgers agree on their replica writes.
+and a 16-vnode ring, with and without a cost model.  Two differences are
+by design: the oracle charges no served lookup to the ledger (the ledgers
+agree on their replica writes), and at replication 1 the tree's batch
+retries draw fewer refusals from the flaky node than the oracle's per-key
+ones.
 """
 
 from __future__ import annotations
 
 import pytest
 from oracles.cluster_reference import PerReplyCluster, lookup_batch_replies_reference
+from oracles.set_model import set_verdicts
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
@@ -144,10 +148,15 @@ def test_single_key_replica_writes_match_the_per_reply_oracle(serve, replication
     tree_replies, oracle_replies = _run(tree, serve), _run(oracle, serve)
     assert _replies(tree_replies) == _replies(oracle_replies)
     tree_state, oracle_state = _state(tree), _state(oracle)
+    # The oracle charges no served lookup; the tree charges each one once.
+    tree_state.pop("ledger"), oracle_state.pop("ledger")
     assert _replica_writes(tree) == _replica_writes(oracle)
-    if serve is _batched:
-        # The oracle's batch path charges no served bucket.
-        tree_state.pop("ledger"), oracle_state.pop("ledger")
+    if cost:
+        assert tree.ledger.counters["lookups"] == len(tree_replies)
+    if serve is _batched and replication == 1:
+        # The tree retries a refused bucket as one batch, the oracle key by
+        # key: back on the one flaky node, that is fewer draws to refuse.
+        assert 0 < tree_state.pop("failovers") < oracle_state.pop("failovers")
     assert tree_state == oracle_state
     # The scenario reaches what it is there for.
     assert tree.failovers > 0
@@ -155,6 +164,71 @@ def test_single_key_replica_writes_match_the_per_reply_oracle(serve, replication
         assert tree.read_repairs > 0
         assert any(r.served_from is ServedFrom.REPAIR for r in tree_replies)
         assert sum(node.counters["replica_inserts"] for node in tree.nodes.values()) > 0
+
+
+@pytest.mark.parametrize("virtual_nodes", [0, 16], ids=["range", "ring16"])
+@pytest.mark.parametrize("replication", [2, 3])
+@pytest.mark.parametrize("serve", [_per_key, _batched],
+                         ids=["lookup_reply", "lookup_batch_replies"])
+def test_two_flaky_nodes_keep_verdicts_stores_and_repairs(serve, replication, virtual_nodes):
+    """Rate 0.4 on two nodes, which share some replica sets: a retry can be
+    refused again and go back to the first refuser.  The two paths then draw
+    different refusals and may serve a key from different replicas, so a
+    RAM hit on one side can be an SSD hit on the other; verdicts, stores
+    and read repairs still agree, and the verdicts are the set model's."""
+    tree, oracle = _twins(replication, virtual_nodes, False)
+    warm, while_down, after = _phases()
+    stream = warm + while_down + after
+    for cluster in (tree, oracle):
+        for seed, name in enumerate((_FLAKY, "hashnode-2")):
+            make_flaky(cluster, name, failure_rate=0.4, seed=3 + seed)
+    tree_replies, oracle_replies = serve(tree, stream), serve(oracle, stream)
+    verdicts = [reply.is_duplicate for reply in tree_replies]
+    assert verdicts == [reply.is_duplicate for reply in oracle_replies]
+    assert verdicts == set_verdicts([fingerprint.digest for fingerprint in stream], set())
+    tree_state, oracle_state = _state(tree), _state(oracle)
+    assert tree_state["read_repairs"] == oracle_state["read_repairs"]
+    assert ({name: state[1] for name, state in tree_state["nodes"].items()}
+            == {name: state[1] for name, state in oracle_state["nodes"].items()})
+    assert tree.failovers > 0
+
+
+@pytest.mark.parametrize("virtual_nodes", [0, 16], ids=["range", "ring16"])
+def test_a_refused_bucket_at_replication_1_is_retried_as_one_batch(virtual_nodes):
+    """At k = 1 every retry goes back to the one flaky node.  Retried key by
+    key, each key of a refused bucket draws afresh, so at rate 0.4 a bucket
+    of dozens of keys almost surely holds one refused ``MAX_NODE_ATTEMPTS``
+    times and the request aborts; retried as a batch, the bucket draws once
+    per retry."""
+    cluster = SHHCCluster(_config(1, virtual_nodes))
+    make_flaky(cluster, _FLAKY, failure_rate=0.4, seed=3)
+    warm, _while_down, after = _phases()
+    replies = _batched(cluster, warm) + _batched(cluster, after)
+    assert [reply.is_duplicate for reply in replies] == set_verdicts(
+        [fingerprint.digest for fingerprint in warm + after], set())
+    assert cluster.failovers > 0
+
+
+def _ledger(cluster) -> tuple:
+    ledger = cluster.ledger
+    return (dict(ledger.counters), dict(ledger.busy_until), ledger.control_plane_cpu_seconds,
+            ledger.last_completion,
+            {phase: (tally.counts, tally.count, tally.total)
+             for phase, tally in ledger.phases.items()})
+
+
+@pytest.mark.parametrize("virtual_nodes", [0, 16], ids=["range", "ring16"])
+def test_a_single_lookup_is_charged_as_a_one_key_batch(virtual_nodes):
+    """A cost model charges every served key: a loop of ``lookup_reply``
+    leaves the ledger a loop of one-key ``lookup_batch_replies`` leaves."""
+    single, batched = (SHHCCluster(_config(2, virtual_nodes), cost_model=CostModel())
+                       for _ in range(2))
+    fingerprints = [synthetic_fingerprint(i % 400) for i in range(600)]
+    singles = [single.lookup_reply(fingerprint) for fingerprint in fingerprints]
+    batches = [batched.lookup_batch_replies([fingerprint])[0] for fingerprint in fingerprints]
+    assert _replies(singles) == _replies(batches)
+    assert _ledger(single) == _ledger(batched)
+    assert single.ledger.counters["lookups"] == len(fingerprints)
 
 
 def _rpc_run(cluster) -> list:
