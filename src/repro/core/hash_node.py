@@ -75,6 +75,9 @@ _NODE_COUNTERS = (
     "bloom_negative_shortcuts", "bloom_false_positives", "replica_inserts",
 )
 
+#: Lookups the node serves before it re-decides its RAM-probe spelling.
+_PROBE_WINDOW = 128
+
 
 @dataclass
 class NodeSnapshot:
@@ -165,6 +168,12 @@ class HybridHashNode:
         # cache/bloom/store replacement).
         self._fused_args: Optional[list] = None
         self._kernel = None
+        # The kernel's RAM-probe spelling (see repro.core.bucket_kernel):
+        # optimistic while at least 90% of the most recent window of
+        # >= _PROBE_WINDOW lookups were RAM hits.  The window is kept as
+        # the (lookups, ram_hits) counters at its start.
+        self._optimistic_probe = False
+        self._probe_window = (0, 0)
         self._cpu: Optional[Resource] = (
             Resource(sim, capacity=self.config.service_concurrency, name=f"{node_id}.cpu")
             if sim is not None
@@ -261,7 +270,7 @@ class HybridHashNode:
         bits = bloom.raw_bits()
         args = self._fused_args
         if args is None or args[3] is not cached or args[7] is not bits or args[8] is not table:
-            # (Re)build the constant argument block.  Slots 0-2 and 18-20
+            # (Re)build the constant argument block.  Slots 0-2 and 18-21
             # are per-batch; everything else is fixed for the lifetime of
             # the node's cache/bloom/store objects (device costs are pure
             # functions of the spec), so the identity guard above is the
@@ -278,7 +287,7 @@ class HybridHashNode:
                 self.ssd_device.read_cost(store.page_size),
                 self.ssd_device.write_cost(store.page_size),
                 self.ssd_device.write_cost(store.page_size, False),
-                None, None, None,
+                None, None, None, False,
             ]
         digests = batch.digests
         # Every key starts as a RAM hit (tier 1 at slot 14's RAM-hit time);
@@ -295,6 +304,7 @@ class HybridHashNode:
         args[18] = tiers
         args[19] = service_times
         args[20] = new_pairs.append
+        args[21] = self._optimistic_probe
         (
             ram_hits, ssd_hits, new_entries, bloom_negative_shortcuts,
             bloom_false_positives, total_ssd_time, page_reads, page_writes,
@@ -320,6 +330,14 @@ class HybridHashNode:
         counters["new_entries"] += new_entries
         counters["bloom_negative_shortcuts"] += bloom_negative_shortcuts
         counters["bloom_false_positives"] += bloom_false_positives
+        start_lookups, start_ram_hits = self._probe_window
+        window = counters["lookups"] - start_lookups
+        if window >= _PROBE_WINDOW:
+            # The optimistic spelling breaks even at 55-82% hits, depending
+            # on the table's size; 90% keeps every miss-heavy workload on
+            # the checked spelling.
+            self._optimistic_probe = (counters["ram_hits"] - start_ram_hits) * 10 >= window * 9
+            self._probe_window = (counters["lookups"], counters["ram_hits"])
         if new_pairs and self.persistence is not None:
             self._persist_new(new_pairs)
         return tiers, service_times, new_pairs, total_ssd_time

@@ -16,7 +16,8 @@ Every packed/fused fast path must be byte-identical to its reference:
   bloom bits, LRU order -- and vs the dict-and-set model in
   ``tests/oracles/set_model.py`` (tiers, new pairs, per-tier counts), for
   an unrolled and a looped-probe bloom shape, scalar and per-digest chunk
-  sizes, and the persistence log across kill/restart;
+  sizes, both spellings of the kernel's RAM probe (and the node's choice
+  between them), and the persistence log across kill/restart;
 * shared-memory segment lifecycle (create/attach/close/unlink, geometry
   validation, leaked-segment cleanup);
 * the packed trace cache vs running the generator directly.
@@ -301,6 +302,21 @@ def _twin_nodes(capacity=32, shape="unrolled"):
     return _node(capacity, shape), _node(capacity, shape)
 
 
+#: The kernel's two RAM-probe spellings, as ``optimistic`` flags.
+SPELLINGS = pytest.mark.parametrize("optimistic", [False, True], ids=["checked", "optimistic"])
+
+
+def _pin_probe(node, optimistic):
+    """Make ``node`` serve every batch with one RAM-probe spelling.
+
+    A node re-decides its spelling each time a window of lookups closes; a
+    window that starts past any reachable lookup count never closes.
+    """
+    node._optimistic_probe = optimistic
+    node._probe_window = (sys.maxsize, 0)
+    return node
+
+
 def _node_state(node):
     """Everything a serve leaves behind on the node itself.
 
@@ -343,11 +359,13 @@ lru_capacities = st.integers(1, 8)
 class TestFusedNodeKernelDifferential:
     """The kernel behind ``serve_bucket_verdicts`` vs the per-fingerprint oracle."""
 
+    @SPELLINGS
     @SLOWER
     @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
-    def test_serve_bucket_batch_matches_scalar_loop(self, batches, capacity, shape):
+    def test_serve_bucket_batch_matches_scalar_loop(self, optimistic, batches, capacity, shape):
         """``lookup_batch`` replies equal the oracle's replies, field for field."""
         scalar, fused = _twin_nodes(capacity, shape)
+        _pin_probe(fused, optimistic)
         model = NodeModel(capacity)
         for items in batches:
             pairs = _pairs_of(items)
@@ -370,11 +388,13 @@ class TestFusedNodeKernelDifferential:
         assert fused.lookup_latency.count == sum(len(items) for items in map(_pairs_of, batches))
         _assert_model_agrees(model, fused)
 
+    @SPELLINGS
     @SLOWER
     @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
-    def test_serve_digest_batch_matches_scalar_loop(self, batches, capacity, shape):
+    def test_serve_digest_batch_matches_scalar_loop(self, optimistic, batches, capacity, shape):
         """The contract over a wire blob with per-digest chunk sizes."""
         scalar, fused = _twin_nodes(capacity, shape)
+        _pin_probe(fused, optimistic)
         model = NodeModel(capacity)
         for items in batches:
             pairs = _pairs_of(items)
@@ -398,11 +418,13 @@ class TestFusedNodeKernelDifferential:
         assert fused.lookup_latency.count == 0 < scalar.lookup_latency.count
         _assert_model_agrees(model, fused)
 
+    @SPELLINGS
     @SLOWER
     @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
-    def test_one_key_view_matches_scalar_loop(self, batches, capacity, shape):
+    def test_one_key_view_matches_scalar_loop(self, optimistic, batches, capacity, shape):
         """``lookup``, the one-key view over the contract, key by key."""
         scalar, fused = _twin_nodes(capacity, shape)
+        _pin_probe(fused, optimistic)
         for items in batches:
             for digest, size in _pairs_of(items):
                 fingerprint = Fingerprint(digest=digest, chunk_size=size)
@@ -410,9 +432,11 @@ class TestFusedNodeKernelDifferential:
         assert _node_state(scalar) == _node_state(fused)
         assert fused.lookup_latency == scalar.lookup_latency
 
-    def test_scalar_chunk_size_blob_matches(self):
+    @SPELLINGS
+    def test_scalar_chunk_size_blob_matches(self, optimistic):
         """One ``int`` chunk size for the whole blob == the same size per digest."""
-        scalar_sized, listed, sequential = _node(), _node(), _node()
+        scalar_sized, listed = (_pin_probe(_node(), optimistic) for _ in range(2))
+        sequential = _node()
         rng = random.Random(7)
         digest_pool = [rng.randbytes(20) for _ in range(120)]
         for _ in range(6):
@@ -442,7 +466,8 @@ class TestFusedNodeKernelDifferential:
         node.serve_bucket_verdicts(DigestBatch.from_blob(os.urandom(20), 1))
         assert node._kernel is kernel
 
-    def test_every_branch_in_one_batch_matches_scalar_loop(self):
+    @SPELLINGS
+    def test_every_branch_in_one_batch_matches_scalar_loop(self, optimistic):
         """RAM hits, stored duplicates past a tiny LRU (their bloom verdict
         comes from the table), bloom false positives and new keys, mixed."""
         config = HashNodeConfig(ram_cache_entries=4, ssd_buckets=4, ssd_write_buffer_pages=2)
@@ -450,6 +475,7 @@ class TestFusedNodeKernelDifferential:
             HybridHashNode("twin", config=config, bloom=BloomFilter(num_bits=64, num_hashes=2))
             for _ in range(2)
         )
+        _pin_probe(fused, optimistic)
         rng = random.Random(24)
         batches = [[rng.randbytes(20) for _ in range(12)]]
         for _ in range(3):
@@ -466,12 +492,67 @@ class TestFusedNodeKernelDifferential:
         for name in ("ram_hits", "ssd_hits", "bloom_false_positives", "bloom_negative_shortcuts"):
             assert counters[name] > 0, name
 
-    def test_new_pairs_are_logged_before_the_contract_returns(self, tmp_path):
+    @pytest.mark.parametrize("shape", sorted(BLOOM_SHAPES))
+    def test_an_all_miss_batch_served_optimistically_matches_scalar_loop(self, shape):
+        """The optimistic spelling's worst case: no key is in the RAM tier.
+        New keys and stored duplicates evicted from the LRU, in one batch."""
+        scalar, fused = _twin_nodes(capacity=4, shape=shape)
+        _pin_probe(fused, True)
+        rng = random.Random(47)
+        first = [rng.randbytes(20) for _ in range(60)]
+        # The LRU holds the first batch's last four keys; none of these.
+        second = first[:40] + [rng.randbytes(20) for _ in range(40)]
+        for batch in (first, second):
+            fingerprints = [Fingerprint(digest=d, chunk_size=1 + d[1]) for d in batch]
+            assert fused.lookup_batch(fingerprints) == [
+                node_reference.lookup(scalar, f) for f in fingerprints
+            ]
+        assert _node_state(scalar) == _node_state(fused)
+        assert fused.counters["ram_hits"] == 0
+        assert fused.counters["ssd_hits"] > 0 and fused.counters["new_entries"] > 0
+
+    def test_the_probe_spelling_follows_the_recent_ram_hit_share(self):
+        """Optimistic from the first batch after a window of >= 128 lookups
+        with at least 90% RAM hits, checked after one below it."""
+        node = _node(capacity=1024)
+        node.serve_bucket_verdicts(DigestBatch.from_blob(b"", 1))
+        kernel, served = node._kernel, []
+
+        def recording(*args):
+            served.append("optimistic" if args[-1] else "checked")
+            return kernel(*args)
+
+        node._kernel = recording
+        rng = random.Random(11)
+        known = []
+
+        def serve(hits, misses):
+            fresh = [rng.randbytes(20) for _ in range(misses)]
+            tiers, _times, _new = node.serve_bucket_verdicts(
+                DigestBatch.from_blob(b"".join(rng.sample(known, hits) + fresh), 1)
+            )
+            assert tiers.count(1) == hits  # every known key is in the RAM tier
+            known.extend(fresh)
+
+        serve(0, 128)  # closes a window of 0% hits
+        serve(64, 0)
+        serve(64, 0)  # closes a window of 128 lookups over two batches, 100% hits
+        serve(115, 13)  # 89.8%
+        serve(117, 13)  # exactly 90%
+        serve(116, 14)  # 89.2%
+        serve(10, 0)
+        assert served == [
+            "checked", "checked", "checked", "optimistic", "checked", "optimistic", "checked",
+        ]
+
+    @SPELLINGS
+    def test_new_pairs_are_logged_before_the_contract_returns(self, tmp_path, optimistic):
         """Persistence pairs across kill/restart: what the contract
         acknowledged as new is exactly what recovery replays."""
         rng = random.Random(3)
         pool = [rng.randbytes(20) for _ in range(90)]
         node = _node(capacity=4, persistence=NodePersistence(str(tmp_path / "node")))
+        _pin_probe(node, optimistic)
         model = NodeModel(4)
         acknowledged = []
         for round_index in range(5):
