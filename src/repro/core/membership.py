@@ -49,6 +49,7 @@ materializes against a concrete run horizon.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -221,12 +222,19 @@ class MembershipManager:
         """Forget a removed node once its rebuild has succeeded.
 
         Closes the node's persistence, which joins an image write still in
-        flight and raises that write's error.  The node's directory stays.
+        flight and raises that write's error, then deletes the node's
+        directory: the rebuild has placed every entry it held elsewhere, so
+        a later join of the same id starts empty and takes its range from
+        the sweep instead of warm-starting from stale entries.  A node that
+        was down at removal keeps its directory, because nothing was read
+        from it and it may hold the only copy of some entries.
         """
-        self.departed.pop(node_id, None)
+        _entries, readable = self.departed.pop(node_id, ({}, True))
         node = self._detached.pop(node_id, None)
         if node is not None and node.persistence is not None:
             node.persistence.close()
+            if readable:
+                shutil.rmtree(node.persistence.directory)
 
     def _rebuild(
         self,

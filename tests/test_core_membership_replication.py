@@ -222,6 +222,44 @@ class TestReplicaAwareMembership:
         assert len(cluster) == 400
         assert departing.persistence.snapshots_taken > 0
 
+    def test_a_rejoin_starts_empty_and_takes_its_range_from_the_sweep(self, tmp_path):
+        config = ClusterConfig(
+            num_nodes=4,
+            node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000, ssd_buckets=1 << 10),
+            replication_factor=1,
+        )
+        cluster = SHHCCluster(config, persistence=PersistencePolicy(str(tmp_path)))
+        cluster.lookup_batch([synthetic_fingerprint(i) for i in range(400)])
+        manager = MembershipManager(cluster)
+        manager.remove_node("hashnode-1")
+        assert not (tmp_path / "hashnode-1").exists()
+        report = manager.add_node("hashnode-1")
+        rejoined = cluster.nodes["hashnode-1"]
+        # No stale entries to warm-start from: all it holds came from the sweep.
+        assert rejoined.last_recovery is None
+        assert report.entries_moved > 0
+        assert rejoined.persistence.records == len(rejoined.store) > 0
+        assert len(cluster) == 400
+        self.assert_placement_matches_map(cluster)
+        cluster.close()
+
+    def test_removing_a_down_node_keeps_its_directory(self, tmp_path):
+        config = ClusterConfig(
+            num_nodes=4,
+            node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000, ssd_buckets=1 << 10),
+            replication_factor=1,
+        )
+        cluster = SHHCCluster(config, persistence=PersistencePolicy(str(tmp_path)))
+        cluster.lookup_batch([synthetic_fingerprint(i) for i in range(400)])
+        on_victim = len(cluster.nodes["hashnode-1"])
+        cluster.mark_down("hashnode-1")
+        # Nothing was read from it, so its log is the only copy of its entries.
+        assert MembershipManager(cluster).remove_node("hashnode-1").unreachable == on_victim > 0
+        log = FingerprintLog(str(tmp_path / "hashnode-1" / "containers.log"))
+        assert sum(len(keys) for _op, keys, _values in log.replay()) == on_victim
+        log.close()
+        cluster.close()
+
     def test_unreplicated_join_has_no_replica_traffic(self):
         cluster = loaded_cluster(num_nodes=4, replication=1, virtual_nodes=64, entries=500)
         report = MembershipManager(cluster).add_node("hashnode-4")
