@@ -50,12 +50,14 @@ It calls public names only, so it runs on any commit since PR 7
 ``serve`` is the serving worker's batch path, in-process and with cProfile
 off: :class:`~repro.serving.worker.WorkerCore` over one persistence-backed
 node at ``bench/``'s ``node_config``, fed 128-digest batch frames one per
-``on_bytes`` call, once per live mix (``svc_dup_hot``: 50k keys
-pre-populated, 95% of every batch known; ``svc_unique``: 95% new): us per
+``on_bytes`` call, once per live mix (``svc_dup_hot``: 300k keys
+pre-populated, the size a bench shard reaches in a 10 s run, 95% of every
+batch known; ``svc_unique``: 95% new): us per
 fingerprint for framing, frame decode, ``DigestBatch.from_blob``, the
 fused kernel, the rest of the node's serve, ``log_insert_many`` and mask +
 encode, with the unattributed remainder (the payload copy, the histogram,
-the loop), rows summing to the total.  Each stage is the name the core
+the loop), rows summing to the total, then the share of batches the
+kernel served with each RAM-probe spelling.  Each stage is the name the core
 calls, wrapped, so the rows time the worker's own code.  No socket, no
 gateway, no checkpoints (``snapshot_every=0``).  It needs ``WorkerCore``
 and the node's private ``_kernel`` slot: older checkouts need their own
@@ -407,12 +409,14 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
     from repro.serving import worker
     from repro.serving.wire import JsonCodec, encode_batch_frame
 
-    # bench/spec.py: node_config() and CHUNK_SIZE; one of svc_dup_hot's two
-    # shards holds half of its 100k pre-populated identities.
+    # bench/spec.py: node_config() and CHUNK_SIZE.  One of svc_dup_hot's two
+    # shards starts with half of its 100k pre-populated identities and grows
+    # to about 300k over a 10 s run; the RAM probe's cost depends on that
+    # size, so the mix starts at the size the shard reaches.
     config = HashNodeConfig.from_dict(
         {"bloom_expected_items": 2_000_000, "ram_cache_entries": 1_000_000})
     now = time.perf_counter_ns
-    for mix, prepopulate, dup_fraction in (("svc_dup_hot", 50_000, 0.95), ("svc_unique", 0, 0.05)):
+    for mix, prepopulate, dup_fraction in (("svc_dup_hot", 300_000, 0.95), ("svc_unique", 0, 0.05)):
         rng = random.Random(7).random
         known = prepopulate
         frames = []
@@ -427,6 +431,16 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
             blob = b"".join(hashlib.sha1(b"%d" % identity).digest() for identity in identities)
             frames.append(encode_batch_frame(blob, 8192))
         spent = dict.fromkeys(_SERVE_STAGES, 0)
+        # Batches the kernel served with each RAM-probe spelling: its last
+        # argument is True when the node chose the optimistic one (a commit
+        # without the choice passes the new-pairs append there).
+        spellings = {"checked": 0, "optimistic": 0}
+
+        def count_spelling(kernel):
+            def wrapper(*args):
+                spellings["optimistic" if args[-1] is True else "checked"] += 1
+                return kernel(*args)
+            return wrapper
 
         def timed(stage, function):
             def wrapper(*args):
@@ -456,7 +470,7 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
             # The node resolves its kernel on the first serve; an empty batch
             # is enough, and nothing replaces cache, bloom or store below.
             node.serve_bucket_verdicts(DigestBatch.from_blob(b"", 8192))
-            node._kernel = timed("fused kernel", node._kernel)
+            node._kernel = timed("fused kernel", count_spelling(node._kernel))
             node.persistence.log_insert_many = timed(
                 "log_insert_many", node.persistence.log_insert_many)
             node.serve_bucket_verdicts = timed("node serve, rest", node.serve_bucket_verdicts)
@@ -486,6 +500,7 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
         rest = total - sum(spent.values())
         print(f"  {'unattributed':<26} {rest / keys / 1e3:7.3f} us/fp  {rest / total:6.1%}")
         print(f"  {'total':<26} {total / keys / 1e3:7.3f} us/fp")
+        print(f"  RAM probe spelling: {', '.join(f'{name} {count / len(frames):.1%}' for name, count in spellings.items())} of batches")
 
 
 _GATEWAY_STAGES = ("client decode", "route + split", "merge", "reply encode")
