@@ -29,16 +29,23 @@ imported here would be paid again by every worker process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     from .dedup.archive import DirectoryArchiver
     from .scenarios import ScenarioSpec
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "NODE_BLOOM_ITEMS"]
+
+#: Items each node's bloom filter is sized for, in ``repro serve``'s workers
+#: and in ``repro backup``'s cluster (``bench/`` sizes its nodes the same).
+#: The 50 M-item ``HashNodeConfig`` default would make every worker write a
+#: ~60 MB image per checkpoint whatever its shard holds.
+NODE_BLOOM_ITEMS = 2_000_000
 
 
 # --------------------------------------------------------------------------- scenarios
@@ -147,6 +154,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         report_interval=args.report_interval,
         codec=args.codec,
+        node_config={"bloom_expected_items": NODE_BLOOM_ITEMS},
     )
 
     async def _serve() -> None:
@@ -313,7 +321,9 @@ def _catalog_chunking(catalog_path: str) -> dict:
     return recorded if isinstance(recorded, dict) else {}
 
 
-def _make_archiver(args: argparse.Namespace) -> DirectoryArchiver:
+@contextlib.contextmanager
+def _make_archiver(args: argparse.Namespace) -> Iterator[DirectoryArchiver]:
+    """The archiver over ``--store``'s chunk store, closed on the way out."""
     from .core.cluster import SHHCCluster
     from .core.config import ClusterConfig, HashNodeConfig
     from .dedup.archive import DirectoryArchiver
@@ -322,10 +332,9 @@ def _make_archiver(args: argparse.Namespace) -> DirectoryArchiver:
     cluster = SHHCCluster(
         ClusterConfig(
             num_nodes=args.nodes,
-            node=HashNodeConfig(ram_cache_entries=200_000, bloom_expected_items=2_000_000),
+            node=HashNodeConfig(ram_cache_entries=200_000, bloom_expected_items=NODE_BLOOM_ITEMS),
         )
     )
-    store = _persistent_object_store(args.store)
     recorded = _catalog_chunking(args.catalog)
     engine = args.chunk_engine or recorded.get("engine")
     if engine not in ("gear", "rabin"):
@@ -341,18 +350,20 @@ def _make_archiver(args: argparse.Namespace) -> DirectoryArchiver:
             chunk_size = recorded_size
         else:
             chunk_size = 8192
-    return DirectoryArchiver(
-        index=cluster,
-        object_store=store,
-        chunker=ContentDefinedChunker(average_size=chunk_size, engine=engine),
-        catalog_path=args.catalog,
-    )
+    chunker = ContentDefinedChunker(average_size=chunk_size, engine=engine)
+    store = _persistent_object_store(args.store)
+    try:
+        yield DirectoryArchiver(
+            index=cluster, object_store=store, chunker=chunker, catalog_path=args.catalog
+        )
+    finally:
+        store.close()
 
 
 def _cmd_backup(args: argparse.Namespace) -> int:
-    archiver = _make_archiver(args)
-    snapshot_id = args.snapshot or f"snap-{len(archiver.snapshots) + 1}"
-    stats = archiver.backup_directory(args.root, snapshot_id)
+    with _make_archiver(args) as archiver:
+        snapshot_id = args.snapshot or f"snap-{len(archiver.snapshots) + 1}"
+        stats = archiver.backup_directory(args.root, snapshot_id)
     print(f"snapshot {snapshot_id}: {stats.files_scanned} files, "
           f"{stats.chunks_seen} chunks, {stats.chunks_uploaded} uploaded "
           f"({stats.dedup_savings:.0%} deduplicated)")
@@ -360,24 +371,24 @@ def _cmd_backup(args: argparse.Namespace) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    archiver = _make_archiver(args)
-    if args.snapshot not in archiver.snapshots:
-        print(f"error: unknown snapshot {args.snapshot!r}; "
-              f"available: {archiver.list_snapshots()}", file=sys.stderr)
-        return 1
-    written = archiver.restore_directory(args.snapshot, args.target)
+    with _make_archiver(args) as archiver:
+        if args.snapshot not in archiver.snapshots:
+            print(f"error: unknown snapshot {args.snapshot!r}; "
+                  f"available: {archiver.list_snapshots()}", file=sys.stderr)
+            return 1
+        written = archiver.restore_directory(args.snapshot, args.target)
     print(f"restored {written} files from {args.snapshot} into {args.target}")
     return 0
 
 
 def _cmd_snapshots(args: argparse.Namespace) -> int:
-    archiver = _make_archiver(args)
-    if not archiver.snapshots:
-        print("no snapshots")
-        return 0
-    for snapshot_id in archiver.list_snapshots():
-        snapshot = archiver.snapshots[snapshot_id]
-        print(f"{snapshot_id}: {snapshot.file_count} files, {snapshot.logical_bytes:,} bytes")
+    with _make_archiver(args) as archiver:
+        if not archiver.snapshots:
+            print("no snapshots")
+            return 0
+        for snapshot_id in archiver.list_snapshots():
+            snapshot = archiver.snapshots[snapshot_id]
+            print(f"{snapshot_id}: {snapshot.file_count} files, {snapshot.logical_bytes:,} bytes")
     return 0
 
 

@@ -21,14 +21,12 @@ does not understand.
 
 from __future__ import annotations
 
-import os
 import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from ..core.fault_injection import FaultPlan
 from ..core.membership import ChurnPlan
-from ..workloads.trace_cache import TRACE_CACHE_ENV, cleanup_shared_traces
 from .result import Claim, ScenarioResult, SweepResult, SweepRun
 from .spec import (
     CHURN_KEYS,
@@ -365,46 +363,31 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         points = list(grid.points())
-        # Publish generated traces in shared memory for the pool's lifetime:
-        # grid points vary cluster knobs far more often than workload knobs,
-        # so without this every worker regenerates identical traces.  The
-        # prefix is pid-scoped (unique across concurrent sweeps on a host)
-        # and cleaned up below even if workers were killed mid-point.
-        trace_prefix = f"repro-sweep-{os.getpid()}"
-        previous_prefix = os.environ.get(TRACE_CACHE_ENV)
-        os.environ[TRACE_CACHE_ENV] = trace_prefix
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_sweep_point, (spec, point, not strict))
-                    for point in points
-                ]
-                try:
-                    for point, future in zip(points, futures):
-                        if progress is not None:
-                            progress(point, None)
-                        ok, outcome = future.result()  # strict: re-raises the original
-                        run = (
-                            SweepRun(point=point, metrics=outcome)
-                            if ok
-                            else SweepRun(point=point, error=outcome)
-                        )
-                        sweep.runs.append(run)
-                        if progress is not None:
-                            progress(point, run)
-                except BaseException:
-                    # Strict abort (or interrupt): drop every not-yet-started
-                    # point instead of letting the pool drain the whole grid
-                    # before the failure reaches the caller.
-                    for pending in futures:
-                        pending.cancel()
-                    raise
-        finally:
-            if previous_prefix is None:
-                os.environ.pop(TRACE_CACHE_ENV, None)
-            else:
-                os.environ[TRACE_CACHE_ENV] = previous_prefix
-            cleanup_shared_traces(trace_prefix)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_run_sweep_point, (spec, point, not strict))
+                for point in points
+            ]
+            try:
+                for point, future in zip(points, futures):
+                    if progress is not None:
+                        progress(point, None)
+                    ok, outcome = future.result()  # strict: re-raises the original
+                    run = (
+                        SweepRun(point=point, metrics=outcome)
+                        if ok
+                        else SweepRun(point=point, error=outcome)
+                    )
+                    sweep.runs.append(run)
+                    if progress is not None:
+                        progress(point, run)
+            except BaseException:
+                # Strict abort (or interrupt): drop every not-yet-started
+                # point instead of letting the pool drain the whole grid
+                # before the failure reaches the caller.
+                for pending in futures:
+                    pending.cancel()
+                raise
         return sweep
     for point in grid.points():
         if progress is not None:

@@ -298,5 +298,8 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
             if replies and replies[-1] is None:
                 break
     # As ``shutdown`` does (idempotent): teardown must not find a shared
-    # filter's segment still exporting views.
+    # filter's segment still exporting views, and the log is closed here,
+    # not left to teardown (an image write's error is raised, not lost).
     node.bloom.close_shared()
+    if node.persistence is not None:
+        node.persistence.close()

@@ -42,10 +42,9 @@ Shared-memory backing (opt-in)
 ``BloomFilter(..., shared=True)`` places the bit vector in a
 ``multiprocessing.shared_memory`` segment (16-byte geometry header +
 bits); ``shared_name=...`` attaches to an existing segment -- that is how
-a respawned serving worker re-adopts its predecessor's filter and how
-sweep workers can share one read-mostly filter.  The default remains a
-private ``bytearray``, and platforms without shared memory degrade to it
-silently (see :mod:`repro.storage.shm`).
+a respawned serving worker re-adopts its predecessor's filter.  The
+default remains a private ``bytearray``, and platforms without shared
+memory degrade to it silently (see :mod:`repro.storage.shm`).
 """
 
 from __future__ import annotations

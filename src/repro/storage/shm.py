@@ -1,13 +1,11 @@
 """Shared-memory byte buffers with a plain-``bytearray`` fallback.
 
-The vectorized data plane can back its flat byte buffers (the bloom
-filter's bit vector, the parallel-sweep trace cache) with
-``multiprocessing.shared_memory`` segments so several
-processes -- ``run_sweep(workers=N)`` pool workers, the serving stack's
-per-node worker processes -- attach to *one* copy instead of each
-rebuilding its own.  Sharing is strictly opt-in: the default everywhere
-remains a private ``bytearray``, and :class:`SharedBuffer` exposes the
-same buffer protocol for both backings so callers never branch.
+A bloom filter can back its bit vector with a
+``multiprocessing.shared_memory`` segment so that a serving node's worker
+process and its respawn attach to *one* copy instead of each rebuilding
+its own.  Sharing is strictly opt-in: the default everywhere remains a
+private ``bytearray``, and :class:`SharedBuffer` exposes the same buffer
+protocol for both backings so callers never branch.
 
 Lifecycle rules (the part shared memory makes easy to get wrong):
 
@@ -16,11 +14,10 @@ Lifecycle rules (the part shared memory makes easy to get wrong):
 * ``close()`` unmaps the segment from this process (idempotent); a GC
   finalizer closes leaked handles so dropping the last reference never
   warns.  ``unlink()`` additionally removes the segment from the system.
-* A crashed worker cannot run its own cleanup, so creators should be
-  paired with :func:`cleanup_segments` in the supervising process (the
-  sweep parent, the serving gateway), which unlinks every segment this
-  process created plus any explicitly adopted names.  Unlinking a
-  segment that is already gone is not an error.
+* A crashed worker cannot run its own cleanup, so the supervising process
+  (the serving gateway) unlinks its workers' segments by name with
+  :func:`unlink_segment`.  Unlinking a segment that is already gone is not
+  an error.
 
 When ``multiprocessing.shared_memory`` is unavailable (or creation fails,
 e.g. ``/dev/shm`` is not writable in a locked-down container) the buffer
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 import atexit
 import weakref
-from typing import Dict, Iterable, List, Optional
+from typing import Optional, Set
 
 try:  # pragma: no cover - import probe
     from multiprocessing import shared_memory as _shared_memory
@@ -41,31 +38,23 @@ except ImportError:  # pragma: no cover - minimal builds
 
 __all__ = [
     "SharedBuffer",
-    "shared_memory_available",
-    "cleanup_segments",
     "unlink_segment",
-    "created_segment_names",
     "disown_segment",
 ]
 
-#: Names of segments created by this process (for crash-safe cleanup by a
-#: supervisor or the atexit hook below).  Maps name -> still-registered.
-_CREATED_SEGMENTS: Dict[str, bool] = {}
-
-
-def shared_memory_available() -> bool:
-    """Whether real cross-process segments can be allocated here."""
-    return _shared_memory is not None
+#: Names of segments created and still owned by this process, unlinked by
+#: the atexit hook below.
+_CREATED_SEGMENTS: Set[str] = set()
 
 
 def _untrack(shm) -> None:
     """Stop the resource tracker from unlinking ``shm`` at process exit.
 
-    Worker processes publish segments that must outlive them (the sweep
-    trace cache, a serving node's bloom bits surviving a respawn).  The
-    stdlib resource tracker would unlink those when the *creating* process
-    exits; explicit supervision (``cleanup_segments`` in the parent) owns
-    deletion instead.  Best-effort: a tracker that cannot be unregistered
+    Worker processes publish segments that must outlive them (a serving
+    node's bloom bits surviving a respawn).  The stdlib resource tracker
+    would unlink those when the *creating* process exits; explicit
+    supervision (the gateway's :func:`unlink_segment`) owns deletion
+    instead.  Best-effort: a tracker that cannot be unregistered
     merely restores the default eager cleanup.
     """
     try:  # pragma: no cover - tracker internals vary across versions
@@ -136,7 +125,7 @@ class SharedBuffer:
                 raise
             except OSError:
                 return cls(bytearray(size), None)
-            _CREATED_SEGMENTS[shm.name] = True
+            _CREATED_SEGMENTS.add(shm.name)
             _untrack(shm)
             view = shm.buf[:size]
             view[:] = bytes(size)  # /dev/shm hands back zero pages, but be explicit
@@ -144,7 +133,7 @@ class SharedBuffer:
         return cls(bytearray(size), None)
 
     @classmethod
-    def attach(cls, name: str, size: Optional[int] = None) -> "SharedBuffer":
+    def attach(cls, name: str, size: int) -> "SharedBuffer":
         """Map an existing segment by name (``FileNotFoundError`` if absent).
 
         ``size`` trims the view to the payload length the creator used
@@ -154,8 +143,7 @@ class SharedBuffer:
             raise FileNotFoundError(f"shared memory unavailable; cannot attach {name!r}")
         shm = _shared_memory.SharedMemory(name=name, create=False)
         _untrack(shm)
-        view = shm.buf if size is None else shm.buf[:size]
-        return cls(view, shm.name, shm)
+        return cls(shm.buf[:size], shm.name, shm)
 
     # -- lifecycle --------------------------------------------------------------
     @property
@@ -186,7 +174,7 @@ class SharedBuffer:
                 shm.unlink()
             except FileNotFoundError:
                 pass
-            _CREATED_SEGMENTS.pop(name, None)
+            _CREATED_SEGMENTS.discard(name)
 
 
 def _close_quietly(shm) -> None:
@@ -208,7 +196,7 @@ def unlink_segment(name: str) -> bool:
     try:
         shm = _shared_memory.SharedMemory(name=name, create=False)
     except FileNotFoundError:
-        _CREATED_SEGMENTS.pop(name, None)
+        _CREATED_SEGMENTS.discard(name)
         return False
     except ValueError:
         # Created but never sized (its creator died in between): an empty
@@ -219,7 +207,7 @@ def unlink_segment(name: str) -> bool:
             _posixshmem.shm_unlink("/" + name)
         except FileNotFoundError:  # pragma: no cover - unlink race
             return False
-        _CREATED_SEGMENTS.pop(name, None)
+        _CREATED_SEGMENTS.discard(name)
         return True
     # Attaching registered the segment with the tracker; unlink() below
     # sends the matching unregister, so no _untrack dance is needed here.
@@ -229,43 +217,23 @@ def unlink_segment(name: str) -> bool:
         pass
     finally:
         _close_quietly(shm)
-    _CREATED_SEGMENTS.pop(name, None)
+    _CREATED_SEGMENTS.discard(name)
     return True
 
 
-def created_segment_names() -> List[str]:
-    """Names of segments this process created and has not yet unlinked."""
-    return [name for name, live in _CREATED_SEGMENTS.items() if live]
-
-
-def cleanup_segments(extra_names: Optional[Iterable[str]] = None) -> int:
-    """Unlink every segment this process created (+ any adopted names).
-
-    Returns how many segments were actually removed.  Safe to call
-    multiple times and with names that never existed -- which is exactly
-    what a supervisor needs after a worker crash left segments behind.
-    """
-    removed = 0
-    for name in list(_CREATED_SEGMENTS):
-        removed += unlink_segment(name)
-    for name in extra_names or ():
-        removed += unlink_segment(name)
-    return removed
-
-
 # A process that exits normally should not leave segments behind unless a
-# supervisor explicitly adopted them (workers publishing for a parent call
-# _untrack + rely on the parent's cleanup_segments; they also clear the
-# local registry via ``disown_segment``).
+# supervisor explicitly adopted them (a serving worker disowns its bloom
+# segment, which the gateway unlinks by name).
 def disown_segment(name: str) -> None:
     """Hand ownership of a created segment to another process.
 
     After this, the local atexit sweep will not unlink it; whoever adopted
-    the name (usually via :func:`cleanup_segments`'s ``extra_names``) must.
+    the name must.
     """
-    _CREATED_SEGMENTS.pop(name, None)
+    _CREATED_SEGMENTS.discard(name)
 
 
 @atexit.register
 def _cleanup_at_exit() -> None:  # pragma: no cover - interpreter teardown
-    cleanup_segments()
+    for name in list(_CREATED_SEGMENTS):
+        unlink_segment(name)

@@ -10,13 +10,12 @@ backup streams would) or by concatenation.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence
 
 from ..dedup.fingerprint import Fingerprint
 from ..dedup.segment import interleave_streams
 from .profiles import TABLE_I_PROFILES, WorkloadProfile
-from .trace_cache import TRACE_CACHE_ENV, generate_trace
+from .trace_cache import generate_trace
 
 __all__ = ["WorkloadMix", "table_i_mix"]
 
@@ -36,22 +35,13 @@ class WorkloadMix:
 
         Traces come through the packed trace cache
         (:mod:`repro.workloads.trace_cache`): byte-identical to running the
-        generator directly, but repeated generations -- including across
-        ``run_sweep`` pool workers, via its shared-memory leg -- rehydrate
-        instead of regenerating.
+        generator directly, but repeated generations in one process
+        rehydrate instead of regenerating.
         """
-        shared_prefix = os.environ.get(TRACE_CACHE_ENV) or None
         streams: List[List[Fingerprint]] = []
         for profile in self.profiles:
             scaled = profile.scaled(scale) if scale != 1.0 else profile
-            streams.append(
-                generate_trace(
-                    scaled,
-                    seed=self.seed,
-                    identity_space=profile.name,
-                    shared_prefix=shared_prefix,
-                )
-            )
+            streams.append(generate_trace(scaled, seed=self.seed, identity_space=profile.name))
         return streams
 
     def interleaved(self, scale: float = 1.0, granularity: int = 64) -> List[Fingerprint]:

@@ -118,7 +118,8 @@ class TestCatalogChunkingResolution:
         # ROADMAP item, so dedup stats are not asserted here).
         assert cli(["backup", "--root", str(source), "--catalog", catalog,
                     "--store", store, "--snapshot", "snap-2"]) == 0
-        payload = json.load(open(catalog))
+        with open(catalog) as handle:
+            payload = json.load(handle)
         recorded = payload["chunking"]
         assert recorded["engine"] == "rabin" and recorded["average_size"] == 1024
         chunks = {
@@ -154,7 +155,8 @@ class TestCli:
             ["trace", "--workload", "web-server", "--scale", "0.0002", "--output", output_path]
         )
         assert exit_code == 0
-        lines = open(output_path, encoding="utf-8").read().splitlines()
+        with open(output_path, encoding="utf-8") as trace:
+            lines = trace.read().splitlines()
         assert len(lines) > 100
         assert all(len(line) == 40 for line in lines[:10])  # hex SHA-1
 
@@ -190,3 +192,60 @@ class TestCli:
             "--catalog", catalog, "--store", store,
         ])
         assert exit_code == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_archive_commands_close_the_chunk_store(self, tmp_path, capsys, monkeypatch):
+        from repro.storage.hashstore import FileHashStore
+
+        # Keep every store alive past the command: only a close releases its fd.
+        opened = []
+        init = FileHashStore.__init__
+
+        def keep(store, *args, **kwargs):
+            opened.append(store)
+            init(store, *args, **kwargs)
+
+        monkeypatch.setattr(FileHashStore, "__init__", keep)
+        source = tmp_path / "data"
+        source.mkdir()
+        (source / "file.bin").write_bytes(os.urandom(30_000))
+        archive = ["--catalog", str(tmp_path / "catalog.json"), "--store", str(tmp_path / "store")]
+        for argv in (
+            ["backup", "--root", str(source), "--snapshot", "snap-1", *archive],
+            ["snapshots", *archive],
+            ["restore", "--snapshot", "snap-1", "--target", str(tmp_path / "out"), *archive],
+            ["restore", "--snapshot", "ghost", "--target", str(tmp_path / "out"), *archive],
+        ):
+            before = len(os.listdir("/proc/self/fd"))
+            cli_main(argv)
+            assert len(os.listdir("/proc/self/fd")) == before, argv
+        assert len(opened) == 4
+
+    def test_serve_sizes_each_worker_bloom_like_the_archiver(self, monkeypatch, tmp_path):
+        import repro.serving
+        from repro.cli import NODE_BLOOM_ITEMS
+        from repro.storage.bloom import optimal_parameters
+
+        configs = []
+
+        class Gateway:  # records the config, then refuses to start
+            def __init__(self, config, verbose=True):
+                configs.append(config)
+
+            async def start(self):
+                raise repro.serving.ServingError("not started")
+
+        monkeypatch.setattr(repro.serving, "ServiceGateway", Gateway)
+        assert cli_main(["serve", "--nodes", "2", "--port", "0",
+                         "--data-dir", str(tmp_path), "--quiet"]) == 2
+        (config,) = configs
+        bits, hashes = optimal_parameters(
+            NODE_BLOOM_ITEMS, HashNodeConfig().bloom_false_positive_rate)
+        for index in range(2):
+            node = config.worker_spec(index).build_node()
+            try:
+                assert (node.bloom.num_bits, node.bloom.num_hashes) == (bits, hashes)
+                # Each checkpoint writes these bits: ~2.4 MB, not the default's ~60 MB.
+                assert bits // 8 < 3_000_000
+            finally:
+                node.persistence.close()

@@ -6,6 +6,7 @@ import errno
 import os
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -65,9 +66,9 @@ class TestSnapshotFile:
     def test_bad_magic_raises(self, tmp_path):
         path = str(tmp_path / "state.snap")
         write_snapshot(path, b"payload", {})
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[0] ^= 0xFF
-        open(path, "wb").write(bytes(data))
+        Path(path).write_bytes(bytes(data))
         with pytest.raises(SnapshotError):
             read_snapshot(path)
 
@@ -83,9 +84,9 @@ class TestSnapshotFile:
     def test_corrupt_payload_byte_raises(self, tmp_path):
         path = str(tmp_path / "state.snap")
         write_snapshot(path, b"0123456789", {})
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[-1] ^= 0x01  # last payload byte: CRC must catch it
-        open(path, "wb").write(bytes(data))
+        Path(path).write_bytes(bytes(data))
         with pytest.raises(SnapshotError):
             read_snapshot(path)
 
@@ -149,29 +150,29 @@ class TestFingerprintLogFile:
         path = str(tmp_path / "containers.log")
         with FileHashStore(path) as legacy:
             legacy.put(b"k" * 20, b"\x00" * 8)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         with pytest.raises(LogFormatError, match="per-record FileHashStore container"):
             NodePersistence(str(tmp_path))
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
 
     def test_foreign_file_is_refused_untouched(self, tmp_path):
         path = str(tmp_path / "containers.log")
-        open(path, "wb").write(b"not ours at all")
+        Path(path).write_bytes(b"not ours at all")
         with pytest.raises(LogFormatError, match="foreign file starting b'not ours'"):
             FingerprintLog(path)
-        assert open(path, "rb").read() == b"not ours at all"
+        assert Path(path).read_bytes() == b"not ours at all"
 
     def test_newer_version_is_refused_untouched(self, tmp_path):
         path = str(tmp_path / "containers.log")
         log = FingerprintLog(path)
         _append_puts(log, [b"k" * 20])
         log.close()
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[7] = 3
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(LogFormatError, match="version 3 .this build reads 2"):
             FingerprintLog(path)
-        assert open(path, "rb").read() == bytes(blob)
+        assert Path(path).read_bytes() == bytes(blob)
 
     def test_version_1_log_is_refused_untouched(self, tmp_path):
         # A PR 19 log: put frames carry a third column (placement hashes),
@@ -185,10 +186,10 @@ class TestFingerprintLogFile:
         crc = struct.pack("<I", zlib.crc32(body, zlib.crc32(fields)))
         blob = b"SHHCFPL\x01" + fields + crc + body
         path = str(tmp_path / "containers.log")
-        open(path, "wb").write(blob)
+        Path(path).write_bytes(blob)
         with pytest.raises(LogFormatError, match="version 1 .this build reads 2"):
             NodePersistence(str(tmp_path))
-        assert open(path, "rb").read() == blob
+        assert Path(path).read_bytes() == blob
 
     def test_mixed_key_lengths_and_removes_roundtrip(self, tmp_path):
         path = str(tmp_path / "containers.log")
@@ -217,13 +218,13 @@ class TestFingerprintLogFile:
         boundary = log.size
         _append_puts(log, [bytes([i]) * 20 for i in range(10, 14)])
         log.close()
-        whole = open(source, "rb").read()
+        whole = Path(source).read_bytes()
         log = FingerprintLog(source)
         survivors = _replayed(log)[:-1]
         log.close()
         path = str(tmp_path / "cut.log")
         for cut in range(boundary, len(whole)):
-            open(path, "wb").write(whole[:cut])
+            Path(path).write_bytes(whole[:cut])
             torn = FingerprintLog(path)
             assert torn.truncated_bytes == cut - boundary
             assert torn.records == 4 and _replayed(torn) == survivors

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -479,15 +481,15 @@ class TestCrashRecoveryProperties:
             assert size == boundaries[-1]
 
             offset = data.draw(st.integers(0, size - 1), label="damaged byte")
-            blob = bytearray(open(path, "rb").read())
+            blob = bytearray(Path(path).read_bytes())
             blob[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-            open(path, "wb").write(bytes(blob))
+            Path(path).write_bytes(bytes(blob))
 
             if offset < header:
                 # Not (this version of) our file any more: refused, untouched.
                 with pytest.raises(LogFormatError):
                     NodePersistence(directory)
-                assert open(path, "rb").read() == bytes(blob)
+                assert Path(path).read_bytes() == bytes(blob)
                 return
             damaged = next(i for i, end in enumerate(boundaries) if offset < end)
             good_end = boundaries[damaged - 1] if damaged else header

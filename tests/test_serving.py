@@ -597,7 +597,9 @@ def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
     # A later connection shuts the node down (the checkpoint the restart loads).
     assert WorkerCore(node, JsonCodec).on_bytes(encode_frame({"t": "shutdown"}))[-1] is None
     # A second start is warm and its stats say what the recovery replayed.
-    (reply,) = WorkerCore(spec.build_node(), JsonCodec).on_bytes(encode_frame({"t": "stats"}))
+    restarted = spec.build_node()
+    (reply,) = WorkerCore(restarted, JsonCodec).on_bytes(encode_frame({"t": "stats"}))
+    restarted.persistence.close()
     gauges = decode_payload(_payload(reply))["stats"]["gauges"]
     assert (gauges["recovery_records"], gauges["recovery_replayed"],
             gauges["recovery_truncated_bytes"]) == (48, 0, 0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -269,7 +270,7 @@ class TestFileHashStore:
             store.put(b"third", b"after-corruption")
         # Flip one bit inside the second record's value: its CRC32 no longer
         # matches, so recovery must drop it AND everything after it.
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[first_size + 20] ^= 0x01
         with open(path, "wb") as log:
             log.write(data)

@@ -163,7 +163,9 @@ def test_ping_stats_and_shutdown_are_answered_and_shutdown_checkpoints_first(
     assert decode_payload(replies[0][4:], JsonCodec) == {"t": "reply", "id": 9, "ok": True}
     assert node.counters["lookups"] == 6
     # The next start is warm with nothing to replay: the image covers the log.
-    recovery = spec.build_node().last_recovery
+    restarted = spec.build_node()
+    restarted.persistence.close()
+    recovery = restarted.last_recovery
     assert recovery.records == 6 and recovery.replayed == 0
 
 

@@ -16,8 +16,8 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py sweep --top 30
     PYTHONPATH=src python tools/profile_hotpath.py cluster --gc --requests 800000 --batch 2048
     PYTHONPATH=src python tools/profile_hotpath.py persist --entries 240000
-    PYTHONPATH=src python tools/profile_hotpath.py serve --requests 512000
-    PYTHONPATH=src python tools/profile_hotpath.py gateway --requests 1024000
+    PYTHONPATH=src python tools/profile_hotpath.py serve --requests 512000 --runs 5
+    PYTHONPATH=src python tools/profile_hotpath.py gateway --requests 1024000 --runs 5
     PYTHONPATH=src python tools/profile_hotpath.py sim
     PYTHONPATH=src python tools/profile_hotpath.py startup --runs 10
 
@@ -50,18 +50,20 @@ It calls public names only, so it runs on any commit since PR 7
 ``serve`` is the serving worker's batch path, in-process and with cProfile
 off: :class:`~repro.serving.worker.WorkerCore` over one persistence-backed
 node at ``bench/``'s ``node_config``, fed 128-digest batch frames one per
-``on_bytes`` call, once per live mix (``svc_dup_hot``: 300k keys
+``on_bytes`` call, per live mix (``svc_dup_hot``: 300k keys
 pre-populated, the size a bench shard reaches in a 10 s run, 95% of every
-batch known; ``svc_unique``: 95% new): us per
-fingerprint for framing, frame decode, ``DigestBatch.from_blob``, the
-fused kernel, the rest of the node's serve, ``log_insert_many`` and mask +
-encode, with the unattributed remainder (the payload copy, the histogram,
-the loop), rows summing to the total, then the share of batches the
-kernel served with each RAM-probe spelling.  Each stage is the name the core
-calls, wrapped, so the rows time the worker's own code.  No socket, no
-gateway, no checkpoints (``snapshot_every=0``).  It needs ``WorkerCore``
-and the node's private ``_kernel`` slot: older checkouts need their own
-copy of this file.
+batch known; ``svc_unique``: 95% new), each mix ``--runs`` times (default
+5) on a fresh node fed the same frames.  Per stage it prints the median us
+per fingerprint over the runs and its quartiles: framing, frame decode,
+``DigestBatch.from_blob``, the fused kernel, the rest of the node's serve,
+``log_insert_many`` and mask + encode, with the unattributed remainder
+(the payload copy, the histogram, the loop; in each run the rows sum to
+the total), then the share of batches the kernel served with each
+RAM-probe spelling.  Each stage is the name the core calls, wrapped, so
+the rows time the worker's own code.  No socket, no gateway, no
+checkpoints (``snapshot_every=0``).  It needs ``WorkerCore`` and the
+node's private ``_kernel`` slot: older checkouts need their own copy of
+this file.
 
 ``gateway`` is the gateway's row next to ``serve``'s worker row:
 :class:`~repro.serving.gateway_core.GatewayCore` driven in-process (no
@@ -70,8 +72,10 @@ JSON batches over 2 workers, whose packed replies mark 95% of digests
 duplicate -- and us per batch in client decode (``json.loads``), route +
 split (hex decode, ``owner_indexes``, the packed split, admission), merge
 (FIFO match, re-interleave, counters) and reply encode (``json.dumps``),
-with framing and the rest as the remainder, rows summing to the total.
-It needs a checkout that has ``serving/gateway_core.py``.
+with framing and the rest as the remainder, rows summing to the total
+in each run.  Like ``serve``, it runs the same traffic ``--runs`` times
+(default 5), each through a fresh core, and prints each row's median and
+quartiles.  It needs a checkout that has ``serving/gateway_core.py``.
 
 ``sim`` is ``bench/``'s ``sim_figure5`` cycle leg by leg (no cProfile):
 ``run_scenario("figure5")`` on 4 nodes at each of the three legs, cold
@@ -393,12 +397,33 @@ _SERVE_STAGES = (
 )
 
 
-def serve_report(requests: int, batch_size: int = 128) -> None:
+def _spread(values) -> tuple:
+    """``(median, lower quartile, upper quartile)`` of one stage's per-run values."""
+    import statistics
+
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    lower, _, upper = statistics.quantiles(values, n=4, method="inclusive")
+    return statistics.median(values), lower, upper
+
+
+def _print_rows(rows: dict, total_label: str, unit: str, digits: int) -> None:
+    """One line per stage: median, quartiles and the median's share of the total's."""
+    total = _spread(rows[total_label])[0]
+    for label, values in rows.items():
+        median, lower, upper = _spread(values)
+        share = "" if label == total_label else f"  {median / total:6.1%}"
+        print(f"  {label:<26} {median:8.{digits}f} {unit}  "
+              f"[{lower:.{digits}f}, {upper:.{digits}f}]{share}")
+
+
+def serve_report(requests: int, runs: int, batch_size: int = 128) -> None:
     """Stage budget of the worker's batch path on one node, per live mix.
 
     The frames go through :meth:`WorkerCore.on_bytes`, one per call as a
     closed-loop gateway sends them; a stage is timed by wrapping the name
-    the core calls, so the rows measure the code the worker runs.
+    the core calls, so the rows measure the code the worker runs.  Each mix
+    runs ``runs`` times, each on a fresh node fed the same frames.
     """
     from types import SimpleNamespace
 
@@ -430,10 +455,11 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
                     known += 1
             blob = b"".join(hashlib.sha1(b"%d" % identity).digest() for identity in identities)
             frames.append(encode_batch_frame(blob, 8192))
-        spent = dict.fromkeys(_SERVE_STAGES, 0)
-        # Batches the kernel served with each RAM-probe spelling: its last
-        # argument is True when the node chose the optimistic one (a commit
-        # without the choice passes the new-pairs append there).
+        keys = len(frames) * batch_size
+        rows = {stage: [] for stage in (*_SERVE_STAGES, "unattributed", "total")}
+        # Batches the kernel served with each RAM-probe spelling, over all
+        # runs: its last argument is True when the node chose the optimistic
+        # one (a commit without the choice passes the new-pairs append there).
         spellings = {"checked": 0, "optimistic": 0}
 
         def count_spelling(kernel):
@@ -441,6 +467,92 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
                 spellings["optimistic" if args[-1] is True else "checked"] += 1
                 return kernel(*args)
             return wrapper
+
+        for _ in range(runs):
+            spent = dict.fromkeys(_SERVE_STAGES, 0)
+
+            def timed(stage, function):
+                def wrapper(*args):
+                    started = now()
+                    try:
+                        return function(*args)
+                    finally:
+                        spent[stage] += now() - started
+                return wrapper
+
+            wrapped = {
+                "frame_payloads": timed("framing", worker.frame_payloads),
+                "decode_payload": timed("frame decode", worker.decode_payload),
+                "DigestBatch": SimpleNamespace(
+                    from_blob=timed("DigestBatch.from_blob", DigestBatch.from_blob)),
+                "verdict_mask": timed("mask + encode", worker.verdict_mask),
+                "encode_verdict_frame": timed("mask + encode", worker.encode_verdict_frame),
+            }
+            originals = {name: getattr(worker, name) for name in wrapped}
+            with tempfile.TemporaryDirectory(prefix="profile-serve-") as directory:
+                node = HybridHashNode("node0", config,
+                                      persistence=NodePersistence(directory, fsync=False))
+                for start in range(0, prepopulate, 2048):
+                    node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(
+                        hashlib.sha1(b"%d" % identity).digest()
+                        for identity in range(start, min(start + 2048, prepopulate))), 8192))
+                # The node resolves its kernel on the first serve; an empty batch
+                # is enough, and nothing replaces cache, bloom or store below.
+                node.serve_bucket_verdicts(DigestBatch.from_blob(b"", 8192))
+                node._kernel = timed("fused kernel", count_spelling(node._kernel))
+                node.persistence.log_insert_many = timed(
+                    "log_insert_many", node.persistence.log_insert_many)
+                node.serve_bucket_verdicts = timed("node serve, rest", node.serve_bucket_verdicts)
+                core = worker.WorkerCore(node, JsonCodec)
+                before = node.snapshot()
+                vars(worker).update(wrapped)
+                try:
+                    began = now()
+                    for frame in frames:
+                        core.on_bytes(frame)
+                    total = now() - began
+                finally:
+                    vars(worker).update(originals)
+                node.persistence.close()
+            spent["node serve, rest"] -= spent["fused kernel"] + spent["log_insert_many"]
+            assert core.registry.histogram("serve_batch").count == len(frames), "every batch served"
+            spent["unattributed"] = total - sum(spent.values())
+            spent["total"] = total
+            for stage, value in spent.items():
+                rows[stage].append(value / keys / 1e3)
+        after = node.snapshot()
+        moved = {name: getattr(after, name) - getattr(before, name)
+                 for name in ("ram_hits", "ssd_hits", "new_entries")}
+        print(f"=== serve: {mix} mix, {len(frames)} batches x {batch_size}, "
+              f"{runs} runs on fresh nodes: median us/fp [quartiles] "
+              f"({', '.join(f'{name} {value / keys:.1%}' for name, value in moved.items())}) ===")
+        _print_rows(rows, "total", "us/fp", 3)
+        served = runs * len(frames)
+        print(f"  RAM probe spelling: {', '.join(f'{name} {count / served:.1%}' for name, count in spellings.items())} of batches")
+
+
+_GATEWAY_STAGES = ("client decode", "route + split", "merge", "reply encode")
+
+
+def gateway_report(batches: int, runs: int, batch_size: int = 256, workers: int = 2) -> None:
+    """Stage budget of the gateway's batch path: the socket-free core, in-process.
+
+    The same traffic runs ``runs`` times, each through a fresh core.
+    """
+    from repro.serving.gateway_core import GatewayCore
+    from repro.serving.wire import JsonCodec, encode_frame, encode_verdict_frame
+
+    now = time.perf_counter_ns
+    rng = random.Random(7)
+    frames = [encode_frame({"t": "batch", "id": number, "s": 8192, "d": "".join(
+        hashlib.sha1(b"%d" % rng.getrandbits(40)).hexdigest() for _ in range(batch_size))})
+        for number in range(batches)]
+    # The workers' packed replies, one per (batch, worker), drawn once: 95%
+    # of every batch's digests duplicate.
+    masks = {}
+    rows = {stage: [] for stage in (*_GATEWAY_STAGES, "framing and the rest", "total")}
+    for _ in range(runs):
+        spent = dict.fromkeys(_GATEWAY_STAGES, 0)
 
         def timed(stage, function):
             def wrapper(*args):
@@ -451,122 +563,47 @@ def serve_report(requests: int, batch_size: int = 128) -> None:
                     spent[stage] += now() - started
             return wrapper
 
-        wrapped = {
-            "frame_payloads": timed("framing", worker.frame_payloads),
-            "decode_payload": timed("frame decode", worker.decode_payload),
-            "DigestBatch": SimpleNamespace(
-                from_blob=timed("DigestBatch.from_blob", DigestBatch.from_blob)),
-            "verdict_mask": timed("mask + encode", worker.verdict_mask),
-            "encode_verdict_frame": timed("mask + encode", worker.encode_verdict_frame),
-        }
-        originals = {name: getattr(worker, name) for name in wrapped}
-        with tempfile.TemporaryDirectory(prefix="profile-serve-") as directory:
-            node = HybridHashNode("node0", config,
-                                  persistence=NodePersistence(directory, fsync=False))
-            for start in range(0, prepopulate, 2048):
-                node.serve_bucket_verdicts(DigestBatch.from_blob(b"".join(
-                    hashlib.sha1(b"%d" % identity).digest()
-                    for identity in range(start, min(start + 2048, prepopulate))), 8192))
-            # The node resolves its kernel on the first serve; an empty batch
-            # is enough, and nothing replaces cache, bloom or store below.
-            node.serve_bucket_verdicts(DigestBatch.from_blob(b"", 8192))
-            node._kernel = timed("fused kernel", count_spelling(node._kernel))
-            node.persistence.log_insert_many = timed(
-                "log_insert_many", node.persistence.log_insert_many)
-            node.serve_bucket_verdicts = timed("node serve, rest", node.serve_bucket_verdicts)
-            core = worker.WorkerCore(node, JsonCodec)
-            before = node.snapshot()
-            vars(worker).update(wrapped)
-            try:
-                began = now()
-                for frame in frames:
-                    core.on_bytes(frame)
-                total = now() - began
-            finally:
-                vars(worker).update(originals)
-            node.persistence.close()
-        spent["node serve, rest"] -= sum(
-            spent[stage] for stage in
-            ("fused kernel", "log_insert_many"))
-        keys = len(frames) * batch_size
-        assert core.registry.histogram("serve_batch").count == len(frames), "every batch served"
-        after = node.snapshot()
-        moved = {name: getattr(after, name) - getattr(before, name)
-                 for name in ("ram_hits", "ssd_hits", "new_entries")}
-        print(f"=== serve: {mix} mix, {len(frames)} batches x {batch_size} "
-              f"({', '.join(f'{name} {value / keys:.1%}' for name, value in moved.items())}) ===")
-        for stage in _SERVE_STAGES:
-            print(f"  {stage:<26} {spent[stage] / keys / 1e3:7.3f} us/fp  {spent[stage] / total:6.1%}")
-        rest = total - sum(spent.values())
-        print(f"  {'unattributed':<26} {rest / keys / 1e3:7.3f} us/fp  {rest / total:6.1%}")
-        print(f"  {'total':<26} {total / keys / 1e3:7.3f} us/fp")
-        print(f"  RAM probe spelling: {', '.join(f'{name} {count / len(frames):.1%}' for name, count in spellings.items())} of batches")
+        class Codec:  # JSON, with the client-side decode and the reply encode timed
+            name = JsonCodec.name
+            decode = staticmethod(timed("client decode", JsonCodec.decode))
+            encode = staticmethod(timed("reply encode", JsonCodec.encode))
 
-
-_GATEWAY_STAGES = ("client decode", "route + split", "merge", "reply encode")
-
-
-def gateway_report(batches: int, batch_size: int = 256, workers: int = 2) -> None:
-    """Stage budget of the gateway's batch path: the socket-free core, in-process."""
-    from repro.serving.gateway_core import GatewayCore
-    from repro.serving.wire import JsonCodec, encode_frame, encode_verdict_frame
-
-    spent = dict.fromkeys(_GATEWAY_STAGES, 0)
-    now = time.perf_counter_ns
-
-    def timed(stage, function):
-        def wrapper(*args):
+        # bench/spec.py's SERVE_CONFIG and svc_dup_hot: two workers, 256-digest
+        # batches, 95% of every batch a duplicate.
+        core = GatewayCore([f"node{i}" for i in range(workers)], max_queue=64,
+                           max_inflight=512, codec=Codec)
+        for link in core.workers:
+            link.ready.set()
+        core._admit = timed("route + split", core._admit)
+        core._on_part = timed("merge", core._on_part)
+        client = object()
+        total = 0
+        for number, frame in enumerate(frames):
             started = now()
-            try:
-                return function(*args)
-            finally:
-                spent[stage] += now() - started
-        return wrapper
-
-    class Codec:  # JSON, with the client-side decode and the reply encode timed
-        name = JsonCodec.name
-        decode = staticmethod(timed("client decode", JsonCodec.decode))
-        encode = staticmethod(timed("reply encode", JsonCodec.encode))
-
-    # bench/spec.py's SERVE_CONFIG and svc_dup_hot: two workers, 256-digest
-    # batches, 95% of every batch a duplicate.
-    core = GatewayCore([f"node{i}" for i in range(workers)], max_queue=64,
-                       max_inflight=512, codec=Codec)
-    for link in core.workers:
-        link.ready.set()
-    core._admit = timed("route + split", core._admit)
-    core._on_part = timed("merge", core._on_part)
-    rng = random.Random(7)
-    frames = [encode_frame({"t": "batch", "id": number, "s": 8192, "d": "".join(
-        hashlib.sha1(b"%d" % rng.getrandbits(40)).hexdigest() for _ in range(batch_size))})
-        for number in range(batches)]
-    client = object()
-    total = 0
-    for frame in frames:
-        started = now()
-        out = core.on_client_bytes(client, frame)
-        total += now() - started
-        for index, sub_batch in out:
-            count = (len(sub_batch) - 9) // 20  # length prefix, tag, chunk size
-            duplicates = [rng.random() < 0.95 for _ in range(count)]
-            mask = sum(1 << bit for bit, duplicate in enumerate(duplicates) if duplicate)
-            verdicts = encode_verdict_frame(count, duplicates.count(False), mask)
-            started = now()
-            replies = core.on_worker_bytes(index, verdicts)
+            out = core.on_client_bytes(client, frame)
             total += now() - started
-        assert replies and core.inflight == 0, "every batch is answered"
-    # The merge wraps the reply encode it ends with.
-    spent["merge"] -= spent["reply encode"]
+            for index, sub_batch in out:
+                if (number, index) not in masks:
+                    count = (len(sub_batch) - 9) // 20  # length prefix, tag, chunk size
+                    duplicates = [rng.random() < 0.95 for _ in range(count)]
+                    mask = sum(1 << bit for bit, duplicate in enumerate(duplicates) if duplicate)
+                    masks[number, index] = encode_verdict_frame(
+                        count, duplicates.count(False), mask)
+                started = now()
+                replies = core.on_worker_bytes(index, masks[number, index])
+                total += now() - started
+            assert replies and core.inflight == 0, "every batch is answered"
+        # The merge wraps the reply encode it ends with.
+        spent["merge"] -= spent["reply encode"]
+        spent["framing and the rest"] = total - sum(spent.values())
+        spent["total"] = total
+        for stage, value in spent.items():
+            rows[stage].append(value / batches / 1e3)
     print(f"=== gateway: {batches} batches x {batch_size} digests over {workers} workers, "
-          f"95% duplicates, in-process (no sockets) ===")
-    for stage in _GATEWAY_STAGES:
-        print(f"  {stage:<26} {spent[stage] / batches / 1e3:8.2f} us/batch  "
-              f"{spent[stage] / total:6.1%}")
-    rest = total - sum(spent.values())
-    print(f"  {'framing and the rest':<26} {rest / batches / 1e3:8.2f} us/batch  "
-          f"{rest / total:6.1%}")
-    print(f"  {'total':<26} {total / batches / 1e3:8.2f} us/batch  "
-          f"({total / batches / batch_size / 1e3:.3f} us/fp)")
+          f"95% duplicates, in-process (no sockets), {runs} runs on fresh cores: "
+          f"median us/batch [quartiles] ===")
+    _print_rows(rows, "total", "us/batch", 2)
+    print(f"  ({_spread(rows['total'])[0] / batch_size:.3f} us/fp)")
 
 
 #: bench/spec.py's sim_figure5 legs (batch size, trace scale) on bench/sim.py's 4 nodes.
@@ -810,23 +847,24 @@ def main(argv=None) -> int:
                         help="cluster target: also report the cyclic collector's share")
     parser.add_argument("--entries", type=int, default=240_000,
                         help="persist target: new fingerprints on the node (default 240000)")
-    parser.add_argument("--runs", type=int, default=10,
-                        help="startup target: fresh interpreters per entry point (default 10)")
+    parser.add_argument("--runs", type=int, default=None,
+                        help="startup: fresh interpreters per entry point (default 10); "
+                             "serve, gateway: fresh nodes or cores per mix (default 5)")
     args = parser.parse_args(argv)
     if args.target == "persist":
         persist_report(args.entries)
         return 0
     if args.target == "serve":
-        serve_report(args.requests)
+        serve_report(args.requests, args.runs or 5)
         return 0
     if args.target == "gateway":
-        gateway_report(max(1, args.requests // 256))
+        gateway_report(max(1, args.requests // 256), args.runs or 5)
         return 0
     if args.target == "sim":
         sim_report()
         return 0
     if args.target == "startup":
-        startup_report(args.runs)
+        startup_report(args.runs or 10)
         return 0
     if args.target in ("all", "cluster"):
         profile_cluster(args.top, args.requests, args.batch)
