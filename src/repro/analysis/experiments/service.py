@@ -17,6 +17,7 @@ import dataclasses
 import tempfile
 from typing import Any, Dict, Optional
 
+from ...core.config import NODE_BLOOM_ITEMS
 from ...serving.gateway import ServeConfig, ServiceGateway
 from ...serving.loadgen import LoadtestConfig, run_loadtest_async
 
@@ -79,6 +80,8 @@ def run_service(
 ) -> Dict[str, Any]:
     """Boot the service, load it, audit it, tear it down.
 
+    Each worker's bloom filter is sized for ``NODE_BLOOM_ITEMS``, as
+    ``repro serve`` sizes it; ``node_config`` overrides apply on top.
     Returns the ``service`` preset's metrics.
     """
 
@@ -86,7 +89,7 @@ def run_service(
         serve_config = ServeConfig(
             port=0,
             num_nodes=num_nodes,
-            node_config=dict(node_config or {}),
+            node_config={"bloom_expected_items": NODE_BLOOM_ITEMS, **(node_config or {})},
             data_dir=directory,
             fsync=fsync,
             snapshot_every=snapshot_every,

@@ -20,8 +20,9 @@ emits a machine-readable JSON grid of the uniform metrics.
 ``backup``/``restore`` exercise the library as a real file-level
 deduplicating archiver backed by an on-disk chunk store.
 
-Only the standard library is imported at module level; each subcommand
-imports what it runs.  A ``spawn``ed worker re-runs its parent's
+Only the standard library and :mod:`repro.core.config` (which every worker
+imports to build its node anyway) are imported at module level; each
+subcommand imports what it runs.  A ``spawn``ed worker re-runs its parent's
 ``__main__`` imports, so under ``python -m repro.cli serve`` anything
 imported here would be paid again by every worker process.
 """
@@ -39,13 +40,9 @@ if TYPE_CHECKING:
     from .dedup.archive import DirectoryArchiver
     from .scenarios import ScenarioSpec
 
-__all__ = ["main", "build_parser", "NODE_BLOOM_ITEMS"]
+from .core.config import NODE_BLOOM_ITEMS
 
-#: Items each node's bloom filter is sized for, in ``repro serve``'s workers
-#: and in ``repro backup``'s cluster (``bench/`` sizes its nodes the same).
-#: The 50 M-item ``HashNodeConfig`` default would make every worker write a
-#: ~60 MB image per checkpoint whatever its shard holds.
-NODE_BLOOM_ITEMS = 2_000_000
+__all__ = ["main", "build_parser", "NODE_BLOOM_ITEMS"]
 
 
 # --------------------------------------------------------------------------- scenarios

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict
 
-__all__ = ["HashNodeConfig", "ClusterConfig"]
+__all__ = ["HashNodeConfig", "ClusterConfig", "NODE_BLOOM_ITEMS"]
+
+#: Items each node's bloom filter is sized for wherever a node serves a
+#: live shard: ``repro serve``'s workers, the ``service`` preset's workers and
+#: ``repro backup``'s cluster (``bench/`` sizes its nodes the same).  The
+#: 50 M-item ``HashNodeConfig`` default would make every worker write a
+#: ~60 MB image per checkpoint whatever its shard holds.
+NODE_BLOOM_ITEMS = 2_000_000
 
 
 def _dataclass_overrides(instance, overrides: Dict[str, Any]):

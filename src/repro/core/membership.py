@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import shutil
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .cluster import SHHCCluster
-from .hash_node import HybridHashNode
-from .replication import ReplicationController
+if TYPE_CHECKING:
+    from .cluster import SHHCCluster
+    from .hash_node import HybridHashNode
 
 __all__ = ["MigrationReport", "MembershipManager", "ChurnEvent", "ChurnPlan"]
 
@@ -102,6 +102,10 @@ class MembershipManager:
     """Coordinates node join/leave and the resulting replica-aware migration."""
 
     def __init__(self, cluster: SHHCCluster) -> None:
+        # Imported here, not at module level: a spec carrying a ChurnPlan
+        # must not load the cluster stack before anything runs.
+        from .replication import ReplicationController
+
         self.cluster = cluster
         #: Changes begun and not yet finished, as ``(action, node)`` with
         #: action ``"add"`` or ``"remove"``.
@@ -183,6 +187,8 @@ class MembershipManager:
 
     # -- the migration core -------------------------------------------------------------
     def _install_node(self, node_id: str) -> None:
+        from .hash_node import HybridHashNode
+
         cluster = self.cluster
         persistence = cluster.persistence
         cluster.nodes[node_id] = HybridHashNode(

@@ -62,7 +62,9 @@ class NetworkLink:
         self.name = name
         self.messages_sent = 0
         self.bytes_sent = 0
-        self._busy = False
+        # Where the port's release sits in the calendar: reserved when a
+        # message starts serialising, pushed only once a message waits.
+        self._release_at = Simulator.ORIGIN
         self._waiting: Deque[Tuple[Message, Optional[Callable[[Message], None]]]] = deque()
 
     # -- cost model -----------------------------------------------------------------
@@ -83,28 +85,31 @@ class NetworkLink:
         """
         self.messages_sent += 1
         self.bytes_sent += message.wire_bytes
-        if self._busy:
+        if self._waiting:
             self._waiting.append((message, on_delivery))
+        elif self.sim.is_pending(self._release_at):
+            self._waiting.append((message, on_delivery))
+            self.sim.schedule_reserved(self._release_at, self._release)
         else:
-            self._busy = True
             self._transmit(message, on_delivery)
 
     def _transmit(self, message: Message, on_delivery) -> None:
         # The port is held for the serialisation time only; propagation
-        # overlaps with the next message's serialisation.  Two calendar
-        # entries per message, release first: equal-time events run in push
-        # order, and a port without the release event (a busy-until clock)
-        # reorders equal-time deliveries.
+        # overlaps with the next message's serialisation.  The release keeps
+        # the calendar position it would have as an event pushed now, just
+        # before the delivery, but is pushed only when a message waits for
+        # it: an idle port's release changes nothing.  Equal-time events run
+        # in push order, and a port read from a bare busy-until time would
+        # reorder a send at the instant the port frees.
         transmission = self.transmission_time(message.wire_bytes)
-        self.sim.schedule(transmission, self._release)
+        self._release_at = self.sim.reserve(transmission)
+        if self._waiting:
+            self.sim.schedule_reserved(self._release_at, self._release)
         self.sim.schedule(self.latency + transmission,
                           _discard if on_delivery is None else on_delivery, message)
 
     def _release(self) -> None:
-        if self._waiting:
-            self._transmit(*self._waiting.popleft())
-        else:
-            self._busy = False
+        self._transmit(*self._waiting.popleft())
 
     # -- reporting -----------------------------------------------------------------------
     def stats(self) -> dict:

@@ -43,7 +43,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..analysis.reporting import Bars, Columns, If, Named, Pivot, Round, Rows, Section, Timeline
 from ..core.config import HashNodeConfig
-from ..workloads.mixer import table_i_mix
 from ..workloads.profiles import TABLE_I_PROFILES, WorkloadProfile, profile_by_name
 from .engine import Preset, register_preset
 from .result import FAILS, HOLDS, NOT_APPLICABLE, Claim, ScenarioResult
@@ -98,6 +97,8 @@ def _call(runner: Callable[..., Dict[str, Any]], spec: ScenarioSpec) -> Dict[str
         profiles = [_profile(name) for name in _as_list(kwargs.pop("profiles"))]
         parameters = inspect.signature(runner).parameters
         if "mix" in parameters:
+            from ..workloads.mixer import table_i_mix  # loads the trace generator
+
             seed = kwargs.get("seed", parameters["seed"].default)
             kwargs["mix"] = table_i_mix(seed=seed, profiles=profiles)
         else:

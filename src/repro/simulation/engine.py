@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 __all__ = [
     "Simulator",
@@ -56,6 +56,9 @@ class Simulator:
         how many consumers each one has.
     """
 
+    #: A reserved position every calendar has reached, for one not yet made.
+    ORIGIN: Tuple[float, int, int] = (float("-inf"), 0, -1)
+
     def __init__(self, start_time: float = 0.0, seed: int = 0) -> None:
         from .rng import RandomStreams  # local import: rng has no engine dependency
 
@@ -67,6 +70,10 @@ class Simulator:
         # a comparison never reaches the callback or its arguments.
         self._calendar: list[tuple[float, int, int, Callable[..., Any], tuple]] = []
         self._sequence = itertools.count()
+        # The calendar key the loop has reached: the entry it popped last,
+        # or ``(until, inf)`` once ``run(until=...)`` has run everything up
+        # to ``until``.  Reserved positions are compared with it.
+        self._reached: tuple = self.ORIGIN
         self._events_processed = 0
         self._running = False
 
@@ -110,6 +117,28 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         self.schedule(time - self._now, callback, *args, priority=priority)
 
+    # -- reserved positions -------------------------------------------------
+    def reserve(self, delay: float) -> Tuple[float, int, int]:
+        """A calendar position ``delay`` from now for an event that may never be pushed.
+
+        The position takes its sequence number now, as :meth:`schedule`
+        would, so an event pushed there later by :meth:`schedule_reserved`
+        runs exactly where it would have had it been scheduled at this
+        instant, and leaving the position empty moves no other event.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        return (self._now + delay, 0, next(self._sequence))
+
+    def is_pending(self, position: Tuple[float, int, int]) -> bool:
+        """Whether the calendar has not yet reached a reserved ``position``."""
+        return position > self._reached
+
+    def schedule_reserved(self, position: Tuple[float, int, int],
+                          callback: Callable[..., Any], *args: Any) -> None:
+        """Push ``callback(*args)`` at a pending reserved ``position``."""
+        heapq.heappush(self._calendar, (*position, callback, args))
+
     # -- execution ----------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the simulation.
@@ -126,8 +155,9 @@ class Simulator:
 
         This is the simulation's hottest loop (a figure-5 run pops millions
         of events), so the heap and ``heappop`` are bound to locals.
-        Callbacks add to the calendar only through ``schedule``, which
-        pushes onto the same list object -- the local alias stays valid.
+        Callbacks add to the calendar only through ``schedule`` and
+        ``schedule_reserved``, which push onto the same list object -- the
+        local alias stays valid.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -137,9 +167,10 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while calendar:
-                time, _priority, _sequence, callback, args = calendar[0]
+                entry = calendar[0]
+                time = entry[0]
                 if until is not None and time > until:
-                    self._now = max(self._now, until)
+                    self._advance_to(until)
                     break
                 if max_events is not None and executed >= max_events:
                     break
@@ -147,14 +178,21 @@ class Simulator:
                 if time < self._now:
                     raise SimulationError("event calendar corrupted: time went backwards")
                 self._now = time
+                self._reached = entry
                 self._events_processed += 1
-                callback(*args)
+                entry[3](*entry[4])
                 executed += 1
         finally:
             self._running = False
         if until is not None and not calendar:
-            self._now = max(self._now, until)
+            self._advance_to(until)
         return self._now
+
+    def _advance_to(self, until: float) -> None:
+        """Move the clock to ``until``: every position up to it is reached."""
+        if until >= self._now:
+            self._now = until
+            self._reached = (until, float("inf"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:.6f} pending={len(self._calendar)}>"

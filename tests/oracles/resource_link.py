@@ -6,10 +6,12 @@ grant ``Event``, and the grant's callback scheduled the port release and the
 delivery, whose ``Event`` succeeded with the message after ``on_delivery``
 ran.  The switch chained the source's uplink to the destination's downlink
 through those events and returned one of its own.
-``repro.network.link.NetworkLink`` now keeps a busy flag and a FIFO queue
-and pushes the same two calendar entries per message with no ``Event`` in
-between; the differential suite (``tests/test_link_differential.py``) holds
-the two to the same delivery order, times and engine event count.
+``repro.network.link.NetworkLink`` now keeps the time its port frees and a
+FIFO queue, with no ``Event`` in between, and pushes a release only when a
+message waits for it; the differential suite
+(``tests/test_link_differential.py``) holds the two to the same delivery
+order and times, and the engine's event count to this model's less its
+releases that found no message waiting (:attr:`ResourceLink.idle_releases`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ class ResourceLink:
         self.name = name
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: Port releases that found no message waiting for the port.
+        self.idle_releases = 0
         self._port = Resource(sim, capacity=1, name=f"{name}.port")
 
     def transmission_time(self, wire_bytes: int) -> float:
@@ -52,6 +56,7 @@ class ResourceLink:
             # The port is held for the serialisation time only; propagation
             # overlaps with the next message's serialisation.
             def _release_port() -> None:
+                self.idle_releases += not self._port._queue
                 self._port.release()
 
             def _deliver() -> None:
@@ -100,3 +105,9 @@ class ResourceSwitch:
 
         uplink.send(message).add_callback(_at_switch)
         return done
+
+    @property
+    def idle_releases(self) -> int:
+        """:attr:`ResourceLink.idle_releases` summed over every link."""
+        return sum(link.idle_releases
+                   for links in (self._uplinks, self._downlinks) for link in links.values())

@@ -26,7 +26,14 @@ FOREIGN_PACKAGES = ("scenarios", "analysis", "frontend", "network", "workloads",
 FOREIGN_MODULES = ("repro.core.cluster", "repro.dedup.archive")
 
 LAZY_ROOTS = ("repro", "repro.core", "repro.storage", "repro.dedup",
-              "repro.simulation", "repro.serving")
+              "repro.simulation", "repro.serving", "repro.workloads")
+
+#: Resolving or listing a preset builds spec data only: none of the node and
+#: cluster stack, the substrate packages or the trace generator is loaded.
+SPEC_ONLY_ABSENT = ("repro.core.cluster", "repro.core.hash_node", "repro.core.replication",
+                    "repro.workloads.mixer", "repro.workloads.traces",
+                    "repro.workloads.trace_cache")
+SPEC_ONLY_ABSENT_PACKAGES = ("repro.storage", "repro.network", "repro.simulation", "repro.dedup")
 
 #: No entry point below loads the live service's event loop, the sweep's
 #: process pool or shared-memory support: none of them runs any of it.
@@ -122,6 +129,15 @@ def test_an_entry_point_imports_only_what_it_runs(statement, experiments):
 
         assert output == [f"{name}: {get_preset(name).description}"
                           for name in available_presets()]
+
+
+@pytest.mark.parametrize("statement", [RESOLVE_FIGURE5, CLI_PRESETS],
+                         ids=["resolve-figure5", "cli-presets"])
+def test_resolving_a_preset_loads_spec_data_only(statement):
+    loaded = _loaded_after(statement)
+    heavy = [module for module in loaded if module in SPEC_ONLY_ABSENT
+             or ".".join(module.split(".")[:2]) in SPEC_ONLY_ABSENT_PACKAGES]
+    assert not heavy, heavy
 
 
 def test_a_parallel_sweep_of_a_lazily_resolved_preset_matches_the_sequential_one():

@@ -6,7 +6,9 @@ equal-time calendar entries the common case: releases, deliveries, a
 handler answering at the instant it is called, and foreign events scheduled
 at the same instants.  The two rigs must pop the same entries in the same
 order, so the delivery log -- ``(now, what)`` in execution order, foreign
-events included -- and the engine's event count must agree exactly.
+events included -- must agree exactly.  The product link pushes no release
+for a port nothing waits on, so its engine count must be exactly the
+model's less the model's releases that found no message waiting.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _replay(switch_class, latency, schedule, foreign_instants):
     for index, at in enumerate(foreign_instants):
         sim.schedule(at, lambda index=index: log.append((sim.now, "foreign", index)))
     sim.run()
-    return log, sim.events_processed
+    return log, sim.events_processed - getattr(switch, "idle_releases", 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -88,6 +90,7 @@ def test_link_matches_resource_port_model(schedule, latency):
             sim.schedule(at, link.send, Message("a", "b", tag, size), hook)
             sim.schedule(at, lambda tag=tag: log.append((sim.now, "foreign", tag)))
         sim.run()
-        return log, sim.events_processed, link.messages_sent, link.bytes_sent
+        return (log, sim.events_processed - getattr(link, "idle_releases", 0),
+                link.messages_sent, link.bytes_sent)
 
     assert replay(NetworkLink) == replay(ResourceLink)

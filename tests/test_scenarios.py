@@ -480,3 +480,17 @@ def test_service_preset_acknowledges_every_fingerprint_and_loses_none():
     assert metrics["acknowledged"] == metrics["fingerprints"] == 4000
     assert metrics["lost_acknowledged"] == 0
     assert metrics["audit_checked"] > 0
+
+
+def test_service_preset_sizes_each_worker_bloom_like_repro_serve(tmp_path):
+    """A drain checkpoints each worker's bloom bits: at the 2 M items
+    ``repro serve`` sizes them for that is ~2.4 MB, not the 50 M-item
+    default's ~60 MB, whatever the shard holds."""
+    from repro.analysis.experiments.service import run_service
+
+    metrics = run_service(num_nodes=1, fingerprints=4000, data_dir=str(tmp_path))
+    assert metrics["acknowledged"] == 4000
+    images = sorted(tmp_path.rglob("bloom.snap"))
+    assert images
+    assert all(image.stat().st_size < 5_000_000 for image in images), [
+        (image.name, image.stat().st_size) for image in images]

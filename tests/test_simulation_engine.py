@@ -149,6 +149,43 @@ class TestRunControl:
         sim.run()
         assert fired == ["after"]
 
+class TestReservedPositions:
+    def test_an_event_pushed_late_runs_where_it_was_reserved(self, sim):
+        fired = []
+        sim.schedule(1.0, fired.append, "before")
+        position = sim.reserve(1.0)
+        sim.schedule(1.0, fired.append, "after")
+        # Pushed last, it still runs between the two it was reserved between.
+        sim.schedule(0.5, sim.schedule_reserved, position, fired.append, "reserved")
+        sim.run()
+        assert fired == ["before", "reserved", "after"]
+
+    def test_an_empty_position_moves_no_event(self, sim):
+        fired = []
+        sim.reserve(1.0)
+        sim.schedule(1.0, fired.append, "only")
+        assert sim.run() == 1.0 and fired == ["only"] and sim.events_processed == 1
+
+    def test_a_position_is_pending_until_the_loop_passes_it(self, sim):
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.is_pending(position)))
+        position = sim.reserve(1.0)
+        sim.schedule(1.0, lambda: seen.append(sim.is_pending(position)))
+        assert sim.is_pending(position) and not sim.is_pending(Simulator.ORIGIN)
+        sim.run()
+        assert seen == [True, False] and not sim.is_pending(position)
+
+    def test_running_until_a_time_reaches_every_position_up_to_it(self, sim):
+        at_bound, beyond = sim.reserve(2.0), sim.reserve(3.0)
+        sim.schedule(5.0, lambda: None)
+        sim.run(until=2.0)
+        assert not sim.is_pending(at_bound) and sim.is_pending(beyond)
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.reserve(-1.0)
+
+
 class TestPendingEventsCounter:
     """The repr reads the calendar's length, never its entries."""
 

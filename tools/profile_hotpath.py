@@ -97,11 +97,12 @@ and classifies by module only, so ``PYTHONPATH=<other checkout>/src``
 splits another commit's legs the same way.
 
 ``startup`` is what an entry point pays before it does anything, each in
-fresh interpreters: ``bench/``'s ``sim_figure5`` set-up child (resolve the
-``figure5`` preset), a tiny cold ``run_scenario("figure5")`` (batch 1,
-4 nodes), ``python -m repro.cli presets`` and ``import
-repro.serving.worker``.  Per entry point: the median wall time of
-``--runs`` interpreters (spawn to exit), the ``repro`` and stdlib modules
+fresh interpreters: a bare ``python -c pass``, ``bench/``'s ``sim_figure5``
+set-up child (resolve the ``figure5`` preset), a tiny cold
+``run_scenario("figure5")`` (batch 1, 4 nodes), ``python -m repro.cli
+presets`` and ``import repro.serving.worker``.  Per entry point: the median
+wall time of ``--runs`` interpreters (spawn to exit) with its quartiles and
+its excess over the bare interpreter's, the ``repro`` and stdlib modules
 in ``sys.modules`` at exit, and the ten largest self times of ``python -X
 importtime`` -- the modules the milliseconds went to.  It only starts
 subprocesses, so ``PYTHONPATH=<other checkout>/src`` reads another commit.
@@ -321,14 +322,14 @@ def profile_sweep(top: int) -> None:
 
 def persist_report(entries: int, batch_size: int = 128) -> None:
     """Log, checkpoint, disk and recovery cost of one persistence-backed node."""
-    from repro.core.config import HashNodeConfig
+    from repro.core.config import NODE_BLOOM_ITEMS, HashNodeConfig
     from repro.core.digest_batch import DigestBatch
     from repro.core.hash_node import HybridHashNode
     from repro.core.persistence import NodePersistence
 
     # bench/spec.py node_config(svc_unique) and CHUNK_SIZE.
     config = HashNodeConfig.from_dict(
-        {"bloom_expected_items": 2_000_000, "ram_cache_entries": 1_000_000})
+        {"bloom_expected_items": NODE_BLOOM_ITEMS, "ram_cache_entries": 1_000_000})
     blobs = [
         b"".join(hashlib.sha1(b"%d" % identity).digest()
                  for identity in range(start, min(start + batch_size, entries)))
@@ -427,7 +428,7 @@ def serve_report(requests: int, runs: int, batch_size: int = 128) -> None:
     """
     from types import SimpleNamespace
 
-    from repro.core.config import HashNodeConfig
+    from repro.core.config import NODE_BLOOM_ITEMS, HashNodeConfig
     from repro.core.digest_batch import DigestBatch
     from repro.core.hash_node import HybridHashNode
     from repro.core.persistence import NodePersistence
@@ -439,7 +440,7 @@ def serve_report(requests: int, runs: int, batch_size: int = 128) -> None:
     # to about 300k over a 10 s run; the RAM probe's cost depends on that
     # size, so the mix starts at the size the shard reaches.
     config = HashNodeConfig.from_dict(
-        {"bloom_expected_items": 2_000_000, "ram_cache_entries": 1_000_000})
+        {"bloom_expected_items": NODE_BLOOM_ITEMS, "ram_cache_entries": 1_000_000})
     now = time.perf_counter_ns
     for mix, prepopulate, dup_fraction in (("svc_dup_hot", 300_000, 0.95), ("svc_unique", 0, 0.05)):
         rng = random.Random(7).random
@@ -736,7 +737,11 @@ def sim_report() -> None:
 
 #: ``startup``'s entry points, each a ``python -c`` statement; the listing
 #: runs ``repro.cli`` through ``runpy`` as ``python -m repro.cli presets`` does.
+#: The bare interpreter comes first: what every other row pays before
+#: ``repro`` is imported at all.
+_BARE = "bare interpreter"
 _STARTUP = (
+    (_BARE, "pass"),
     ("resolve figure5", "from repro.scenarios import spec_for; "
                         "spec_for('figure5', node_counts=[4], batch_sizes=[1], scale=0.001, seed=1)"),
     ("run figure5", "from repro.scenarios import run_scenario; "
@@ -752,11 +757,12 @@ _MODULES_AT_EXIT = ("import atexit, sys; atexit.register(lambda: print("
 def startup_report(runs: int, top: int = 10) -> None:
     """Wall time, modules loaded and the largest import self times per entry point.
 
-    ``-X importtime`` logs the ``import`` statement only, not
-    ``importlib.import_module`` (the lazy roots and presets load through
-    it), so the module counts come from ``sys.modules`` at exit.
+    Each row's wall time is the median of ``runs`` interpreters with its
+    quartiles, and what the median adds over the bare interpreter's: the
+    share ``repro`` costs.  ``-X importtime`` logs the ``import`` statement
+    only, not ``importlib.import_module`` (the lazy roots and presets load
+    through it), so the module counts come from ``sys.modules`` at exit.
     """
-    import statistics
     import subprocess
 
     def run(statement, *flags):
@@ -766,10 +772,12 @@ def startup_report(runs: int, top: int = 10) -> None:
                               stderr=subprocess.PIPE, text=True)
         return time.perf_counter() - started, done.stderr.splitlines()
 
-    print(f"=== startup: median of {runs} fresh interpreters; modules and self times "
-          "from one more under `-X importtime` ===")
+    print(f"=== startup: median ms [quartiles] of {runs} fresh interpreters, and its excess "
+          "over the bare one's; modules and self times from one more under `-X importtime` ===")
+    bare = None
     for label, statement in _STARTUP:
-        wall = statistics.median(run(statement)[0] for _ in range(runs))
+        wall, lower, upper = _spread([run(statement)[0] * 1e3 for _ in range(runs)])
+        bare = wall if bare is None else bare
         self_us = {}  # module -> self us; a circular import is logged twice
         for line in run(_MODULES_AT_EXIT + statement, "-X", "importtime")[1]:
             fields = line.removeprefix("import time:").split("|")
@@ -780,7 +788,9 @@ def startup_report(runs: int, top: int = 10) -> None:
                 packages = [name.split(".")[0] for name in line.split()[1:]]
         repro = packages.count("repro")
         stdlib = sum(package in sys.stdlib_module_names for package in packages)
-        print(f"{label:<16} {wall * 1e3:7.1f} ms   {repro:3d} repro + {stdlib:3d} stdlib modules, "
+        excess = "" if label == _BARE else f" +{wall - bare:6.1f}"
+        print(f"{label:<16} {wall:7.1f} ms [{lower:.1f}, {upper:.1f}]{excess:>8}   "
+              f"{repro:3d} repro + {stdlib:3d} stdlib modules, "
               f"imports {sum(self_us.values()) / 1e3:.1f} ms self")
         for name, us in sorted(self_us.items(), key=lambda item: -item[1])[:top]:
             print(f"    {us / 1e3:7.2f} ms  {name}")
