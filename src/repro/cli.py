@@ -150,7 +150,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         max_inflight=args.max_inflight,
         report_interval=args.report_interval,
-        codec=args.codec,
         node_config={"bloom_expected_items": NODE_BLOOM_ITEMS},
     )
 
@@ -198,7 +197,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         duplicate_fraction=args.duplicate_fraction,
         arrival_rate_fps=args.rate,
         seed=args.seed,
-        codec=args.codec,
         max_retries=args.max_retries,
         kill_node=args.kill_node,
         kill_after_fraction=args.kill_after,
@@ -454,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="global in-flight batch cap")
     serve.add_argument("--report-interval", type=float, default=2.0,
                        help="seconds between console stats lines (0 = off)")
-    serve.add_argument("--codec", default="json", help="wire codec (json, msgpack, auto)")
     serve.add_argument("--quiet", action="store_true")
     serve.set_defaults(handler=_cmd_serve)
 
@@ -474,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--rate", type=float, default=0.0,
                           help="open-loop arrival rate in fp/s (0 = closed loop)")
     loadtest.add_argument("--seed", type=int, default=17)
-    loadtest.add_argument("--codec", default="json")
     loadtest.add_argument("--max-retries", type=int, default=8)
     loadtest.add_argument("--kill-node", default=None, metavar="NODE",
                           help="SIGKILL this worker mid-run (e.g. node1)")

@@ -10,9 +10,9 @@ with a single ``struct.unpack`` call: bytes ``[0:8)`` of each digest are
 the bloom ``h1`` word and bytes ``[8:16)`` the raw ``h2`` word, the words
 the filter's per-key functions unpack, so verdicts stay bit-identical.
 
-The buffer layout is also what the shared-memory trace cache stores, so a
-sweep worker can rehydrate a workload from a segment without re-running
-the generator.
+The buffer layout is also the worker hop's packed batch payload (see
+:mod:`repro.serving.wire`), so a worker wraps a frame's digests with
+:meth:`DigestBatch.from_blob` as they arrive.
 """
 
 from __future__ import annotations

@@ -148,9 +148,8 @@ class HybridHashNode:
         self.ram_device = ram_device if ram_device is not None else make_ram(sim, f"{node_id}.ram")
         self.ssd_device = ssd_device if ssd_device is not None else make_ssd(sim, f"{node_id}.ssd")
         self.cache = LRUCache(self.config.ram_cache_entries)
-        # An injected filter (e.g. a shared-memory-backed one from a serving
-        # worker spec) must be in place *before* recovery below restores the
-        # snapshot bits into it.
+        # An injected filter (a test's chosen geometry) must be in place
+        # *before* recovery below restores the snapshot bits into it.
         self.bloom = bloom if bloom is not None else BloomFilter(
             expected_items=self.config.bloom_expected_items,
             false_positive_rate=self.config.bloom_false_positive_rate,
@@ -393,10 +392,6 @@ class HybridHashNode:
                 self.persistence.finish_snapshot()
         config = self.config
         self.cache = LRUCache(config.ram_cache_entries)
-        # A kill models losing *this process's* memory: a shared-memory-backed
-        # filter is detached (not unlinked -- other attachments keep their
-        # copy) and the replacement is always private.
-        self.bloom.close_shared()
         self.bloom = BloomFilter(
             expected_items=config.bloom_expected_items,
             false_positive_rate=config.bloom_false_positive_rate,

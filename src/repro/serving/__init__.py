@@ -3,7 +3,7 @@
 This package promotes the simulated ``frontend/`` + ``network/rpc`` shapes
 into an actual deployable service (the ROADMAP's "millions of users" item):
 
-* :mod:`~repro.serving.wire` -- length-prefixed msgpack-or-JSON framing
+* :mod:`~repro.serving.wire` -- length-prefixed JSON framing
   shared by every peer (clients, gateway, workers).
 * :mod:`~repro.serving.worker` -- one OS process per hash node.  Each worker
   owns a :class:`~repro.core.hash_node.HybridHashNode`, warm-starts its

@@ -82,15 +82,15 @@ class ServeConfig:
     max_inflight: int = 512
     #: Seconds between console stats lines (0 disables the reporter).
     report_interval: float = 0.0
+    #: The wire codec: ``"json"`` is the only one (any other name raises at
+    #: gateway construction).  Kept, like ``shared_bloom``, because the pinned
+    #: benchmark's service config names it.
     codec: str = "json"
     #: Seconds to wait for a worker to report readiness after spawn.
     spawn_timeout: float = 60.0
     #: Seconds close() waits for in-flight batches before forcing shutdown.
     drain_timeout: float = 10.0
-    #: Back each worker's bloom bits with a named shared-memory segment that
-    #: outlives the process: a respawn adopts the bits instead of replaying
-    #: them, and the gateway unlinks the segments on close.  Falls back to
-    #: private filters where shared memory is unavailable.
+    #: Must be ``False``: every worker keeps its bloom bits private.
     shared_bloom: bool = False
 
     def __post_init__(self) -> None:
@@ -98,19 +98,11 @@ class ServeConfig:
             raise ValueError("num_nodes must be in 1..254 (routing names an owner in one byte)")
         if self.max_queue < 1 or self.max_inflight < 1:
             raise ValueError("max_queue and max_inflight must be >= 1")
+        if self.shared_bloom:
+            raise ValueError("shared_bloom is not supported: each worker's bloom bits are private")
 
     def node_id(self, index: int) -> str:
         return f"node{index}"
-
-    def shared_bloom_name(self, index: int) -> Optional[str]:
-        """Segment name for one worker's bloom bits (``None`` when off).
-
-        Scoped by the gateway's pid: unique across concurrent gateways on
-        one host, stable across that gateway's worker respawns.
-        """
-        if not self.shared_bloom:
-            return None
-        return f"repro-{os.getpid()}-{self.node_id(index)}-bloom"
 
     def worker_spec(self, index: int) -> WorkerSpec:
         directory = None
@@ -119,7 +111,7 @@ class ServeConfig:
         return WorkerSpec(
             node_id=self.node_id(index), node_config=dict(self.node_config),
             persistence_dir=directory, fsync=self.fsync, snapshot_every=self.snapshot_every,
-            codec=self.codec, host=self.host, shared_bloom_name=self.shared_bloom_name(index))
+            host=self.host)
 
 
 class _Worker(WorkerLink):
@@ -339,7 +331,6 @@ class ServiceGateway(GatewayCore):
                 worker.transport.close()
         for worker in self.workers:
             await self._reap(worker)
-        self._cleanup_shared_segments()
 
     @staticmethod
     async def _reap(worker: _Worker) -> None:
@@ -351,18 +342,6 @@ class ServiceGateway(GatewayCore):
             if process.is_alive():
                 process.kill()
                 await loop.run_in_executor(None, process.join, 2.0)
-
-    def _cleanup_shared_segments(self) -> None:
-        """Unlink the workers' shared bloom segments, ``kill -9`` leftovers
-        included: workers disown them so that respawns can adopt them."""
-        if not self.config.shared_bloom:
-            return
-        from ..storage.shm import unlink_segment
-
-        for worker in self.workers:
-            name = self.config.shared_bloom_name(worker.index)
-            if name is not None:
-                unlink_segment(name)
 
     # ------------------------------------------------------------- worker fleet
     async def _spawn(self, worker: _Worker) -> None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..telemetry import Histogram
-from .wire import WireError, encode_frame, get_codec, read_frame
+from .wire import WireError, encode_frame, read_frame
 
 __all__ = ["LoadtestConfig", "LoadtestReport", "run_loadtest", "run_loadtest_async"]
 
@@ -71,7 +71,6 @@ class LoadtestConfig:
     #: loop firing at this many fingerprints per second regardless.
     arrival_rate_fps: float = 0.0
     seed: int = 17
-    codec: str = "json"
     max_retries: int = 8
     retry_backoff: float = 0.02
     #: Worker to SIGKILL mid-run via the gateway admin frame (``None`` = off).
@@ -176,8 +175,7 @@ def _build_batches(config: LoadtestConfig) -> Tuple[List[List[int]], int]:
 class _Connection:
     """One TCP connection with id-matched request/reply multiplexing."""
 
-    def __init__(self, codec) -> None:
-        self.codec = codec
+    def __init__(self) -> None:
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
         self.futures: Dict[int, asyncio.Future] = {}
@@ -198,7 +196,7 @@ class _Connection:
     async def _read_loop(self) -> None:
         try:
             while True:
-                message = await read_frame(self.reader, self.codec)
+                message = await read_frame(self.reader)
                 if message is None:
                     break
                 future = self.futures.pop(message.get("id"), None)
@@ -216,7 +214,7 @@ class _Connection:
         message_id = message["id"] = self._next_id
         future = asyncio.get_event_loop().create_future()
         self.futures[message_id] = future
-        frame = encode_frame(message, self.codec)
+        frame = encode_frame(message)
         async with self.write_lock:
             self.writer.write(frame)
             await self.writer.drain()
@@ -240,7 +238,6 @@ class _Run:
         self.latency = Histogram()
         self.acked_identities: Set[int] = set()
         self.halfway = asyncio.Event()
-        self.codec = get_codec(config.codec)
         self._halfway_threshold = 0
 
     def blob_of(self, identities: Sequence[int]) -> str:
@@ -300,7 +297,7 @@ async def _client(run: _Run, batches: List[List[int]], start_at: float,
                   interval: float) -> None:
     """One client connection working through its share of the batches."""
     config = run.config
-    conn = _Connection(run.codec)
+    conn = _Connection()
     await conn.open(config.host, config.port)
     try:
         if interval > 0.0:
@@ -343,7 +340,7 @@ async def _burst(run: _Run) -> None:
     await run.halfway.wait()
     rng = random.Random(config.seed + 1)
     universe = len(run.digests)
-    conn = _Connection(run.codec)
+    conn = _Connection()
     await conn.open(config.host, config.port)
     run.report.burst_batches = config.burst_batches
     run.report.offered_batches += config.burst_batches
@@ -366,7 +363,7 @@ async def _killer(run: _Run) -> None:
     threshold = int(config.fingerprints * config.kill_after_fraction)
     while run.report.acked_fingerprints < threshold:
         await asyncio.sleep(0.005)
-    conn = _Connection(run.codec)
+    conn = _Connection()
     await conn.open(config.host, config.port)
     try:
         reply = await conn.request({"t": "kill_worker", "node": config.kill_node})
@@ -391,7 +388,7 @@ async def _audit(run: _Run) -> None:
     report = run.report
     identities = sorted(run.acked_identities)
     report.audit_checked = len(identities)
-    conn = _Connection(run.codec)
+    conn = _Connection()
     await conn.open(config.host, config.port)
     audit_batch = max(config.batch_size, 256)
     try:
@@ -416,7 +413,7 @@ async def _audit(run: _Run) -> None:
 
 
 async def _fetch_restarts(run: _Run) -> None:
-    conn = _Connection(run.codec)
+    conn = _Connection()
     try:
         await conn.open(run.config.host, run.config.port)
         reply = await conn.request({"t": "stats"})

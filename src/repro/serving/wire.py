@@ -2,15 +2,13 @@
 
 Every peer (loadgen client, gateway, node worker) speaks the same frame
 format: a 4-byte big-endian payload length followed by the encoded message.
-Messages are dicts; the payload encoding is msgpack when the ``msgpack``
-module is importable and JSON (UTF-8) otherwise -- the container image here
-has no msgpack, so JSON is the tested default and msgpack stays an
-optional fast path rather than a dependency.
+Messages are dicts, encoded as UTF-8 JSON (:class:`JsonCodec`, the one
+codec).
 
 Client <-> gateway (pinned): digest batches are carried as one concatenated
-hex string (hex survives both codecs), and per-batch duplicate verdicts
-travel as a little-endian bitmask in hex -- bit *i* set means fingerprint
-*i* of the batch was a duplicate.
+hex string, and per-batch duplicate verdicts travel as a little-endian
+bitmask in hex -- bit *i* set means fingerprint *i* of the batch was a
+duplicate.
 
 Message vocabulary (``t`` field):
 
@@ -28,13 +26,15 @@ Message vocabulary (``t`` field):
 ======================  =======================================================
 
 Gateway <-> worker (internal): ``stats``/``ping``/``shutdown`` are the same
-codec dicts, but a batch and its verdicts are *packed* payloads, told apart
-by a first byte no codec emits for a dict (layouts in ``docs/serving.md``):
+JSON dicts, but a batch and its verdicts are *packed* payloads, told apart
+by a first byte JSON never emits for a dict (layouts in ``docs/serving.md``):
 ``0x01`` + ``!I`` chunk size + n raw 20-byte digests; ``0x02`` + n ``!I``
 chunk sizes + n digests; ``0x03`` + ``!I`` count + ``!I`` new + the
 duplicate mask as ``ceil(count / 8)`` little-endian bytes.  The frame
-readers decode a packed payload into the dict its codec twin would carry
+readers decode a packed payload into the dict its JSON twin would carry
 (``d`` as ``bytes``, ``v`` as an ``int``), so each end has one dispatch.
+The codec stays a parameter of the cores and the frame functions so that a
+caller can pass a wrapped :class:`JsonCodec` (a metered or timed one).
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ __all__ = [
     "WireError",
     "MAX_FRAME_BYTES",
     "LENGTH_PREFIX",
+    "JsonCodec",
     "get_codec",
-    "codec_names",
     "encode_frame",
     "encode_batch_frame",
     "encode_verdict_frame",
@@ -73,7 +73,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 LENGTH_PREFIX = struct.Struct("!I")
 
 # Packed-payload tags (gateway <-> worker hop).  A JSON dict starts with
-# ``{`` and a msgpack map with 0x80-0x8f/0xde/0xdf, so these never collide.
+# ``{``, so these never collide.
 _TAG_BATCH = b"\x01"
 _TAG_BATCH_SIZED = b"\x02"
 _TAG_VERDICTS = b"\x03"
@@ -83,11 +83,6 @@ _VERDICT_HEAD = struct.Struct("!II")
 #: duplicate code -- ``True``, or a node tier code (1 RAM, 2 SSD, 3 repair,
 #: see ``core.protocol.SERVED_FROM_TIER``).  Map them to ASCII binary digits.
 _FLAG_DIGITS = b"0111" + bytes(252)
-
-try:  # pragma: no cover - absent in the pinned environment
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - the tested default
-    msgpack = None
 
 
 class WireError(Exception):
@@ -114,45 +109,11 @@ class JsonCodec:
         return message
 
 
-class MsgpackCodec:  # pragma: no cover - requires the optional msgpack module
-    """msgpack payloads (optional fast path when the module is installed)."""
-
-    name = "msgpack"
-
-    @staticmethod
-    def encode(message: Dict[str, Any]) -> bytes:
-        return msgpack.packb(message, use_bin_type=True)
-
-    @staticmethod
-    def decode(payload: bytes) -> Dict[str, Any]:
-        try:
-            message = msgpack.unpackb(payload, raw=False)
-        except Exception as error:
-            raise WireError(f"undecodable msgpack frame: {error}") from None
-        if not isinstance(message, dict):
-            raise WireError(f"frame must decode to a dict, got {type(message).__name__}")
-        return message
-
-
-def codec_names() -> List[str]:
-    """Codec names accepted by :func:`get_codec` in preference order."""
-    names = ["auto", "json"]
-    if msgpack is not None:  # pragma: no cover
-        names.append("msgpack")
-    return names
-
-
-def get_codec(name: str = "auto"):
-    """Resolve a codec by name; ``auto`` prefers msgpack when available."""
-    if name == "auto":
-        return MsgpackCodec if msgpack is not None else JsonCodec
+def get_codec(name: str):
+    """Resolve a codec by name: ``"json"`` is the only one."""
     if name == "json":
         return JsonCodec
-    if name == "msgpack":
-        if msgpack is None:
-            raise WireError("msgpack codec requested but the msgpack module is not installed")
-        return MsgpackCodec  # pragma: no cover
-    raise WireError(f"unknown codec {name!r}; available: {', '.join(codec_names())}")
+    raise WireError(f"unknown codec {name!r}; the wire speaks json only")
 
 
 # ---------------------------------------------------------------------- framing

@@ -34,12 +34,12 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from ..core.digest_batch import DigestBatch
 from ..telemetry import Registry, event
 from .wire import (
+    JsonCodec,
     WireError,
     decode_payload,
     encode_frame,
     encode_verdict_frame,
     frame_payloads,
-    get_codec,
     verdict_mask,
 )
 
@@ -65,14 +65,7 @@ class WorkerSpec:
     persistence_dir: Optional[str] = None
     fsync: bool = False
     snapshot_every: int = 0
-    codec: str = "json"
     host: str = "127.0.0.1"
-    #: Name of a shared-memory segment to back the node's bloom bits with
-    #: (``None`` keeps the filter private).  The first spawn creates the
-    #: segment; a respawn after ``kill -9`` adopts it, so the bloom bits
-    #: survive the crash and recovery only replays the count.  The gateway
-    #: owns the segment's lifetime (it unlinks on close).
-    shared_bloom_name: Optional[str] = None
 
     def build_node(self) -> HybridHashNode:
         """Construct the node (warm-starts from ``persistence_dir`` if it exists)."""
@@ -80,7 +73,6 @@ class WorkerSpec:
         from ..core.config import HashNodeConfig
         from ..core.hash_node import HybridHashNode
         from ..core.persistence import NodePersistence
-        from ..storage.bloom import BloomFilter
 
         config = HashNodeConfig.from_dict(self.node_config) if self.node_config else HashNodeConfig()
         persistence = None
@@ -88,23 +80,7 @@ class WorkerSpec:
             persistence = NodePersistence(
                 self.persistence_dir, fsync=self.fsync, snapshot_every=self.snapshot_every
             )
-        bloom = None
-        if self.shared_bloom_name is not None:
-            bloom = BloomFilter(
-                expected_items=config.bloom_expected_items,
-                false_positive_rate=config.bloom_false_positive_rate,
-                shared=True,
-                shared_name=self.shared_bloom_name,
-            )
-            if bloom.shared_segment_name is not None:
-                from ..storage.shm import disown_segment
-
-                # The gateway supervises segment cleanup; keep this worker's
-                # atexit sweep from unlinking the bits a respawn will adopt.
-                disown_segment(bloom.shared_segment_name)
-        return HybridHashNode(
-            self.node_id, config=config, persistence=persistence, bloom=bloom
-        )
+        return HybridHashNode(self.node_id, config=config, persistence=persistence)
 
 
 class WorkerCore:
@@ -221,11 +197,6 @@ class WorkerCore:
             if persistence.records:
                 persistence.take_snapshot(node.bloom, entries=len(node.store))
             persistence.close()
-        # Detach from a shared-memory-backed filter while its views can still be
-        # released in order (interpreter teardown would close the segment with
-        # exported memoryviews alive and warn).  The segment itself survives for
-        # the gateway to unlink.
-        node.bloom.close_shared()
 
 
 def worker_main(spec: WorkerSpec, ready_conn) -> None:
@@ -246,7 +217,6 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     try:
         node = spec.build_node()
         built = monotonic()
-        codec = get_codec(spec.codec)
         listener = socket.create_server((spec.host, 0))
     except Exception as error:  # noqa: BLE001 - anything here must reach the gateway
         try:
@@ -275,7 +245,7 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
     ready_conn.send(ready)
     ready_conn.close()
 
-    core = WorkerCore(node, codec)
+    core = WorkerCore(node, JsonCodec)
     with listener:
         conn, _peer = listener.accept()
     with conn:
@@ -297,9 +267,7 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
                 break
             if replies and replies[-1] is None:
                 break
-    # As ``shutdown`` does (idempotent): teardown must not find a shared
-    # filter's segment still exporting views, and the log is closed here,
-    # not left to teardown (an image write's error is raised, not lost).
-    node.bloom.close_shared()
+    # As ``shutdown`` does (idempotent): the log is closed here, not left
+    # to teardown (an image write's error is raised, not lost).
     if node.persistence is not None:
         node.persistence.close()

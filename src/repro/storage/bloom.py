@@ -36,15 +36,6 @@ unroll, is a loop over the per-key function, which is the reference: both
 routes leave the same bits, count and verdicts
 (tests/test_vectorized_kernels.py, against the per-key functions and an
 independent model in tests/oracles/bloom_model.py).
-
-Shared-memory backing (opt-in)
-------------------------------
-``BloomFilter(..., shared=True)`` places the bit vector in a
-``multiprocessing.shared_memory`` segment (16-byte geometry header +
-bits); ``shared_name=...`` attaches to an existing segment -- that is how
-a respawned serving worker re-adopts its predecessor's filter.  The
-default remains a private ``bytearray``, and platforms without shared
-memory degrade to it silently (see :mod:`repro.storage.shm`).
 """
 
 from __future__ import annotations
@@ -52,22 +43,15 @@ from __future__ import annotations
 import math
 import struct
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .packing import DIGEST_BYTES, digest_hash_words, digest_words
-
-if TYPE_CHECKING:  # imported where a segment is mapped: no workload shares one
-    from .shm import SharedBuffer
 
 __all__ = ["BloomFilter", "optimal_parameters"]
 
 #: Byte-value -> popcount lookup table (satellite fix: ``fill_ratio`` used
 #: to materialize the whole bit vector as one Python big-int per call).
 _POPCOUNT_TABLE = bytes(bin(value).count("1") for value in range(256))
-
-#: Shared-segment layout: magic, num_bits, num_hashes -- then the bits.
-_SHM_MAGIC = b"RBF1"
-_SHM_HEADER = struct.Struct(">4sQI")
 
 #: The walk is unrolled for hash counts up to this; larger (unusual)
 #: configurations get the same walk as a loop, per key only.
@@ -199,17 +183,6 @@ class BloomFilter:
         Target false-positive probability at ``expected_items`` insertions.
     num_bits / num_hashes:
         Explicit sizing; overrides the derived parameters when given.
-    shared / shared_name:
-        Opt-in shared-memory backing for the bit vector.  ``shared=True``
-        creates a segment (anonymous unless ``shared_name`` is given, in
-        which case an existing segment with matching geometry is adopted
-        instead -- the respawned-worker case); ``shared_name`` alone
-        attaches to an existing segment and raises ``FileNotFoundError``
-        if it is missing.  Only the *bits* are shared; ``count`` stays
-        process-local (recovery/replay restores it per process).  When the
-        platform cannot allocate segments, ``shared=True`` silently falls
-        back to a private ``bytearray`` (``shared_segment_name`` is then
-        ``None``).
     """
 
     def __init__(
@@ -218,8 +191,6 @@ class BloomFilter:
         false_positive_rate: float = 0.01,
         num_bits: Optional[int] = None,
         num_hashes: Optional[int] = None,
-        shared: bool = False,
-        shared_name: Optional[str] = None,
     ) -> None:
         derived_bits, derived_hashes = optimal_parameters(expected_items, false_positive_rate)
         self.num_bits = int(num_bits) if num_bits is not None else derived_bits
@@ -228,12 +199,7 @@ class BloomFilter:
             raise ValueError("num_bits and num_hashes must be positive")
         self.expected_items = expected_items
         self.false_positive_rate = false_positive_rate
-        num_bytes = (self.num_bits + 7) // 8
-        self._buffer: Optional[SharedBuffer] = None
-        if shared or shared_name is not None:
-            self._bits = self._map_shared_bits(num_bytes, shared, shared_name)
-        else:
-            self._bits = bytearray(num_bytes)
+        self._bits = bytearray((self.num_bits + 7) // 8)
         self._count = 0
         contains_one, add_one, self._contains_words, self._add_words = _shape_kernels(
             self.num_bits, self.num_hashes
@@ -253,83 +219,6 @@ class BloomFilter:
     def count_inserts(self, amount: int) -> None:
         """Advance the insert count for keys added via :attr:`add_one`."""
         self._count += amount
-
-    # -- shared-memory backing ---------------------------------------------------
-    def _map_shared_bits(self, num_bytes: int, shared: bool, shared_name: Optional[str]):
-        """Map the bit vector into a shared segment (or fall back privately).
-
-        Segment layout: :data:`_SHM_HEADER` (magic, num_bits, num_hashes)
-        followed by the bit bytes.  The header is written after the payload
-        region exists zeroed, and attachers validate it, so adopting a
-        segment with mismatched geometry fails loudly instead of silently
-        corrupting probes.
-        """
-        from .shm import SharedBuffer
-
-        total = _SHM_HEADER.size + num_bytes
-        buffer: Optional[SharedBuffer] = None
-        if shared_name is not None:
-            if shared:
-                try:
-                    buffer = SharedBuffer.create(total, name=shared_name, shared=True)
-                except FileExistsError:
-                    buffer = SharedBuffer.attach(shared_name, total)
-            else:
-                buffer = SharedBuffer.attach(shared_name, total)
-        else:
-            buffer = SharedBuffer.create(total, shared=True)
-        if buffer.name is None:
-            # Platform without shared memory: keep the plain private backing.
-            return bytearray(num_bytes)
-        view = memoryview(buffer.buf)
-        if bytes(view[:4]) == b"\x00\x00\x00\x00":
-            # Freshly created (create zeroes the payload): stamp geometry.
-            _SHM_HEADER.pack_into(view, 0, _SHM_MAGIC, self.num_bits, self.num_hashes)
-        else:
-            magic, seg_bits, seg_hashes = _SHM_HEADER.unpack_from(view, 0)
-            if magic != _SHM_MAGIC or seg_bits != self.num_bits or seg_hashes != self.num_hashes:
-                name = buffer.name
-                view.release()
-                buffer.close()
-                raise ValueError(
-                    f"shared segment {name!r} holds a filter with "
-                    f"bits={seg_bits} hashes={seg_hashes}; "
-                    f"this filter needs bits={self.num_bits} hashes={self.num_hashes}"
-                )
-        self._buffer = buffer
-        return view[_SHM_HEADER.size:]
-
-    @property
-    def shared_segment_name(self) -> Optional[str]:
-        """Name of the backing shared segment (``None`` when private)."""
-        buffer = self._buffer
-        return buffer.name if buffer is not None else None
-
-    def _detach_shared(self) -> Optional[SharedBuffer]:
-        """Release this filter's mapping; returns the buffer to close or unlink."""
-        buffer, self._buffer = self._buffer, None
-        if buffer is not None:
-            bits, self._bits = self._bits, bytearray(0)
-            if isinstance(bits, memoryview):
-                bits.release()
-        return buffer
-
-    def close_shared(self) -> None:
-        """Detach from the shared segment.  Terminal: do not use the filter after.
-
-        The per-key functions stay bound to the released view, so any
-        probe after this raises -- closing is for teardown paths only.
-        Idempotent; a no-op for private backings.
-        """
-        buffer = self._detach_shared()
-        if buffer is not None:
-            buffer.close()
-
-    def unlink_shared(self) -> None:
-        """Detach *and* remove the backing segment from the system."""
-        buffer = self._detach_shared()
-        if buffer is not None:
-            buffer.unlink()
 
     # -- internals -------------------------------------------------------------
     def _batch_words(self, keys):

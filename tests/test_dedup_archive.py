@@ -175,7 +175,8 @@ class TestSnapshotsAndDiff:
             InMemoryChunkIndex(), store, ContentDefinedChunker(average_size=1024), catalog
         )
         first.backup_files({"a.bin": os.urandom(5000)}, "snap-1")
-        recorded = json.load(open(catalog))["chunking"]
+        with open(catalog) as handle:
+            recorded = json.load(handle)["chunking"]
         assert recorded["strategy"] == "cdc" and recorded["engine"] == "gear"
 
         # Matching chunker: silent.
@@ -235,7 +236,8 @@ class TestSnapshotsAndDiff:
 
         catalog = str(tmp_path / "catalog.json")
         # Simulate a pre-pinning catalogue (no "chunking" key).
-        json.dump({"snapshots": []}, open(catalog, "w"))
+        with open(catalog, "w") as handle:
+            json.dump({"snapshots": []}, handle)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             archiver = make_archiver(catalog_path=catalog)

@@ -36,9 +36,9 @@ SPEC_ONLY_ABSENT = ("repro.core.cluster", "repro.core.hash_node", "repro.core.re
 SPEC_ONLY_ABSENT_PACKAGES = ("repro.storage", "repro.network", "repro.simulation", "repro.dedup")
 
 #: No entry point below loads the live service's event loop, the sweep's
-#: process pool or shared-memory support: none of them runs any of it.
-NEVER_LOADED = ("asyncio", "concurrent.futures.process", "multiprocessing.shared_memory",
-                "repro.storage.shm")
+#: process pool or shared-memory support: none of them runs any of it (and
+#: nothing maps shared memory: every bloom filter's bits are private).
+NEVER_LOADED = ("asyncio", "concurrent.futures.process", "multiprocessing.shared_memory")
 
 EXPERIMENTS = "repro.analysis.experiments."
 
@@ -56,6 +56,20 @@ try:
 except SystemExit as stop:
     assert stop.code == 0, stop.code
 """
+
+#: A spawned worker's work before it serves: a persistent node built from its
+#: spec, and the core that serves it (here, to EOF).
+BUILD_WORKER = """
+import tempfile
+from repro.serving.wire import JsonCodec
+from repro.serving.worker import WorkerCore, WorkerSpec
+with tempfile.TemporaryDirectory() as directory:
+    node = WorkerSpec("node0", {"bloom_expected_items": 1000}, persistence_dir=directory).build_node()
+    assert WorkerCore(node, JsonCodec).on_bytes(b"") == [None]
+    node.persistence.close()
+"""
+BUILD_GATEWAY = ("from repro.serving import ServeConfig, ServiceGateway\n"
+                 "ServiceGateway(ServeConfig(port=0))")
 
 _MARKER = "--- modules ---"
 
@@ -114,7 +128,9 @@ def test_a_live_service_process_imports_only_what_it_runs(statement, also_absent
     (CLI_PRESETS, set()),
     ("import repro.serving.worker", None),
     ("import repro.serving.gateway_core", None),
-], ids=["resolve-figure5", "run-figure5", "cli-presets", "serving-worker", "gateway-core"])
+    (BUILD_WORKER, None),
+], ids=["resolve-figure5", "run-figure5", "cli-presets", "serving-worker", "gateway-core",
+        "build-worker"])
 def test_an_entry_point_imports_only_what_it_runs(statement, experiments):
     output, loaded = _run_fresh(statement)
     assert not set(NEVER_LOADED) & set(loaded), sorted(set(NEVER_LOADED) & set(loaded))
@@ -129,6 +145,12 @@ def test_an_entry_point_imports_only_what_it_runs(statement, experiments):
 
         assert output == [f"{name}: {get_preset(name).description}"
                           for name in available_presets()]
+
+
+def test_a_gateway_loads_its_event_loop_and_nothing_else_never_loaded():
+    _output, loaded = _run_fresh(BUILD_GATEWAY)
+    assert "asyncio" in loaded
+    assert not (set(NEVER_LOADED) - {"asyncio"}) & set(loaded)
 
 
 @pytest.mark.parametrize("statement", [RESOLVE_FIGURE5, CLI_PRESETS],

@@ -41,20 +41,30 @@ FACTORS = (1, 2, 3)
 VNODES = (0, 16, 64)
 
 
-def build_cluster(replication, virtual_nodes, costed, directory) -> SHHCCluster:
-    config = ClusterConfig(
-        num_nodes=4,
-        node=HashNodeConfig(
-            ram_cache_entries=128, bloom_expected_items=20_000, ssd_buckets=1 << 8
-        ),
-        replication_factor=replication,
-        virtual_nodes=virtual_nodes,
-    )
-    if not costed:
-        return SHHCCluster(config)
-    return SHHCCluster(
-        config, cost_model=CostModel(), persistence=PersistencePolicy(str(directory))
-    )
+@pytest.fixture
+def build_cluster():
+    """``build_cluster(replication, virtual_nodes, costed, directory)``: a
+    cluster closed (its members' logs with it) when the test ends."""
+    built = []
+
+    def build(replication, virtual_nodes, costed, directory) -> SHHCCluster:
+        config = ClusterConfig(
+            num_nodes=4,
+            node=HashNodeConfig(
+                ram_cache_entries=128, bloom_expected_items=20_000, ssd_buckets=1 << 8
+            ),
+            replication_factor=replication,
+            virtual_nodes=virtual_nodes,
+        )
+        persistence = PersistencePolicy(str(directory)) if costed else None
+        cost_model = CostModel() if costed else None
+        cluster = SHHCCluster(config, cost_model=cost_model, persistence=persistence)
+        built.append(cluster)
+        return cluster
+
+    yield build
+    for cluster in built:
+        cluster.close()
 
 
 def fingerprints(start, stop):
@@ -125,7 +135,7 @@ CHANGES = {
 @pytest.mark.parametrize("replication", FACTORS)
 @pytest.mark.parametrize("change", sorted(CHANGES))
 def test_a_membership_change_matches_the_reference_walk(
-    change, replication, virtual_nodes, costed, tmp_path
+    change, replication, virtual_nodes, costed, tmp_path, build_cluster
 ):
     tree = build_cluster(replication, virtual_nodes, costed, tmp_path / "tree")
     reference = build_cluster(replication, virtual_nodes, costed, tmp_path / "reference")
@@ -145,7 +155,7 @@ def test_a_membership_change_matches_the_reference_walk(
     assert state(tree) == state(reference)
 
 
-def _repaired_twins(replication, virtual_nodes, costed, directory):
+def _repaired_twins(build_cluster, replication, virtual_nodes, costed, directory):
     """Crash hashnode-1, write degraded, recover it; repair after each flip."""
     tree = build_cluster(replication, virtual_nodes, costed, directory / "tree")
     reference = build_cluster(replication, virtual_nodes, costed, directory / "reference")
@@ -164,9 +174,11 @@ def _repaired_twins(replication, virtual_nodes, costed, directory):
 @pytest.mark.parametrize("virtual_nodes", VNODES)
 @pytest.mark.parametrize("replication", FACTORS)
 def test_repair_creates_as_many_copies_as_the_reference_and_stays_uncharged(
-    replication, virtual_nodes, costed, tmp_path
+    replication, virtual_nodes, costed, tmp_path, build_cluster
 ):
-    (tree, reference), created = _repaired_twins(replication, virtual_nodes, costed, tmp_path)
+    (tree, reference), created = _repaired_twins(
+        build_cluster, replication, virtual_nodes, costed, tmp_path
+    )
     assert created[0] == created[1]
     if replication >= 2:
         assert created[0][0] > 0 and created[0][1] > 0
@@ -181,10 +193,10 @@ def _live_desired(controller: ReplicationController, digest: bytes, value) -> li
 @pytest.mark.parametrize("virtual_nodes", VNODES)
 @pytest.mark.parametrize("replication", FACTORS)
 def test_repair_keeps_the_reference_copies_on_the_live_set_and_drops_the_rest(
-    replication, virtual_nodes, costed, tmp_path
+    replication, virtual_nodes, costed, tmp_path, build_cluster
 ):
     (tree, reference), _created = _repaired_twins(
-        replication, virtual_nodes, costed, tmp_path
+        build_cluster, replication, virtual_nodes, costed, tmp_path
     )
     tree_state, reference_state = state(tree.cluster), state(reference.cluster)
     expected, drops = {}, {}

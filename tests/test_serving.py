@@ -84,9 +84,9 @@ def test_encode_frame_rejects_oversized():
 
 def test_codec_resolution():
     assert get_codec("json") is JsonCodec
-    assert get_codec("auto") is not None
-    with pytest.raises(WireError):
-        get_codec("carrier-pigeon")
+    for name in ("auto", "msgpack", "carrier-pigeon"):
+        with pytest.raises(WireError):
+            get_codec(name)
 
 
 def test_json_codec_rejects_non_dict():
@@ -296,6 +296,20 @@ def test_num_nodes_must_fit_one_owner_byte():
     assert ServeConfig(num_nodes=254).num_nodes == 254
 
 
+def test_shared_bloom_bits_are_refused():
+    """Every worker's bloom bits are private: the pinned config's
+    ``shared_bloom=False`` is the only value a config accepts."""
+    assert ServeConfig(shared_bloom=False).shared_bloom is False
+    with pytest.raises(ValueError, match="shared_bloom"):
+        ServeConfig(shared_bloom=True)
+
+
+def test_a_gateway_speaks_json_only():
+    with pytest.raises(WireError, match="json only"):
+        ServiceGateway(ServeConfig(port=0, codec="auto"))
+    assert ServiceGateway(ServeConfig(port=0, codec="json")).codec is JsonCodec
+
+
 # ------------------------------------------------------------ gateway lifecycle
 def _serve_config(tmp_path=None, **overrides) -> ServeConfig:
     defaults = dict(
@@ -408,10 +422,10 @@ def test_a_dropped_worker_is_gone_before_its_successor_serves_its_shard(tmp_path
     """The gateway drops a worker's connection on garbage and spawns a
     successor on the same directory; the dropped process must not live on
     beside it with the shard's log open, nor outlive ``close()``.  It exits
-    without a traceback (its bloom bits in shared memory included), and one
-    that cannot exit (stopped) is killed before the successor starts."""
+    without a traceback, and one that cannot exit (stopped) is killed before
+    the successor starts."""
     async def _go():
-        gateway = ServiceGateway(_serve_config(tmp_path, shared_bloom=True))
+        gateway = ServiceGateway(_serve_config(tmp_path))
         await gateway.start()
         try:
             worker = gateway.workers[0]

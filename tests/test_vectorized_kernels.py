@@ -5,7 +5,7 @@ Every packed/fused fast path must be byte-identical to its reference:
 * bloom ``add_many``/``contains_many`` -- by the packed route and the
   key-by-key route -- vs per-key ``add``/``in`` **and** the
   closed-form model in ``tests/oracles/bloom_model.py``, over unrolled and
-  looped shapes, a shm-backed filter, and every way a batch is handed
+  looped shapes, and every way a batch is handed
   over (list, tuple, generator, ``DigestBatch``); keys that are not all
   20 bytes are refused on every route, and by a ``DigestBatch`` built
   directly from them;
@@ -18,8 +18,6 @@ Every packed/fused fast path must be byte-identical to its reference:
   an unrolled and a looped-probe bloom shape, scalar and per-digest chunk
   sizes, both spellings of the kernel's RAM probe (and the node's choice
   between them), and the persistence log across kill/restart;
-* shared-memory segment lifecycle (create/attach/close/unlink, geometry
-  validation, leaked-segment cleanup);
 * the packed trace cache vs running the generator directly.
 
 Plus the named satellite regression test (fill_ratio big-int
@@ -29,7 +27,6 @@ numpy.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import random
 import subprocess
@@ -52,7 +49,6 @@ from repro.core.persistence import NodePersistence
 from repro.core.protocol import SERVED_FROM_TIER, LookupReply
 from repro.dedup.fingerprint import Fingerprint
 from repro.storage.bloom import BloomFilter
-from repro.storage.shm import SharedBuffer, unlink_segment
 from repro.workloads import trace_cache
 from repro.workloads.profiles import TABLE_I_PROFILES
 from repro.workloads.traces import TraceGenerator
@@ -70,11 +66,6 @@ mixed_key_lists = st.lists(
 geometries = st.tuples(st.integers(64, 4096), st.integers(1, 8))
 # Shapes past the unroll bound get the walk as a loop, per key only.
 wide_geometries = st.tuples(st.integers(64, 1024), st.integers(17, 20))
-
-needs_shm = pytest.mark.skipif(
-    importlib.util.find_spec("multiprocessing.shared_memory") is None,
-    reason="multiprocessing.shared_memory unavailable",
-)
 
 
 def _with_duplicates(keys):
@@ -217,71 +208,6 @@ class TestBloomSatelliteRegressions:
         assert bloom.fill_ratio() == 12 / 256
         bloom.raw_bits()[:] = bytes([0xFF]) * 32
         assert bloom.fill_ratio() == 1.0
-
-# ------------------------------------------------------------- shared-memory lifecycle
-@needs_shm
-class TestSharedMemoryLifecycle:
-    def test_bloom_attach_sees_writer_bits(self):
-        name = f"repro-test-bloom-{os.getpid()}"
-        writer = BloomFilter(num_bits=4096, num_hashes=4, shared=True, shared_name=name)
-        assert writer.shared_segment_name == name
-        try:
-            keys = [os.urandom(20) for _ in range(64)]
-            writer.add_many(keys)
-            reader = BloomFilter(num_bits=4096, num_hashes=4, shared_name=name)
-            try:
-                assert reader.contains_many(keys) == [True] * len(keys)
-                assert bytes(reader.raw_bits()) == bytes(writer.raw_bits())
-            finally:
-                reader.close_shared()
-        finally:
-            writer.unlink_shared()
-        with pytest.raises(FileNotFoundError):
-            BloomFilter(num_bits=4096, num_hashes=4, shared_name=name)
-
-    def test_bloom_geometry_mismatch_raises(self):
-        name = f"repro-test-geom-{os.getpid()}"
-        writer = BloomFilter(num_bits=4096, num_hashes=4, shared=True, shared_name=name)
-        try:
-            with pytest.raises(ValueError, match="bits=4096"):
-                BloomFilter(num_bits=2048, num_hashes=4, shared_name=name)
-        finally:
-            writer.unlink_shared()
-
-    def test_leaked_segment_cleanup(self):
-        name = f"repro-test-leak-{os.getpid()}"
-        leaked = SharedBuffer.create(128, name=name)
-        assert leaked.name == name
-        leaked.close()  # detached but never unlinked: the "crashed owner" case
-        assert unlink_segment(name) is True
-        assert unlink_segment(name) is False  # idempotent on missing segments
-
-    def test_a_segment_created_but_never_sized_is_unlinked(self):
-        """A creator killed between ``shm_open`` and ``ftruncate`` leaves a
-        name that cannot be mapped; the crash cleanup removes it anyway."""
-        import _posixshmem
-
-        name = f"repro-test-unsized-{os.getpid()}"
-        os.close(_posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600))
-        assert unlink_segment(name) is True
-        assert unlink_segment(name) is False
-
-    def test_kill_detaches_shared_bloom_and_keeps_segment(self):
-        name = f"repro-test-kill-{os.getpid()}"
-        config = HashNodeConfig(bloom_expected_items=512, ssd_buckets=16)
-        bloom = BloomFilter(
-            expected_items=config.bloom_expected_items,
-            false_positive_rate=config.bloom_false_positive_rate,
-            shared=True,
-            shared_name=name,
-        )
-        node = HybridHashNode("shm-node", config=config, bloom=bloom)
-        try:
-            node.lookup(Fingerprint(digest=os.urandom(20), chunk_size=4096))
-            node.kill()
-            assert node.bloom.shared_segment_name is None  # private replacement
-        finally:
-            assert unlink_segment(name) is True  # kill detached, not unlinked
 
 
 # ------------------------------------------------------------------- fused node kernel
