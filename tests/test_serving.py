@@ -620,6 +620,36 @@ def test_worker_stats_report_log_size_and_last_checkpoint(tmp_path):
     assert gauges["recovery_ms"] > 0
 
 
+@pytest.mark.parametrize("persistent", [False, True], ids=["in-memory", "persistent"])
+def test_a_rebuilt_worker_node_knows_only_what_its_store_holds(tmp_path, persistent):
+    """A worker's bloom bits are its own: a node built again from the same
+    spec starts from what its store recovers.  Without persistence that is
+    nothing, so every key its predecessor saw is a bloom-negative shortcut
+    (no SSD probe); with persistence every key is a duplicate again."""
+    from repro.serving.worker import WorkerCore, WorkerSpec
+
+    spec = WorkerSpec("node0", {"bloom_expected_items": 4_096, "ssd_buckets": 256},
+                      persistence_dir=str(tmp_path / "node0") if persistent else None)
+    batch = encode_batch_frame(os.urandom(20 * 64), 4096)
+    first = WorkerCore(spec.build_node(), JsonCodec)
+    (reply,) = first.on_bytes(batch)
+    assert decode_payload(_payload(reply))["new"] == 64
+    assert first.on_bytes(encode_frame({"t": "shutdown"}))[-1] is None
+
+    rebuilt = spec.build_node()
+    (reply, stats) = WorkerCore(rebuilt, JsonCodec).on_bytes(batch + encode_frame({"t": "stats"}))
+    if rebuilt.persistence is not None:
+        rebuilt.persistence.close()
+    counters = decode_payload(_payload(stats))["stats"]["counters"]
+    assert counters["bloom_false_positives"] == 0
+    if persistent:
+        assert decode_payload(_payload(reply))["new"] == 0
+        assert counters["bloom_negative_shortcuts"] == 0
+    else:
+        assert decode_payload(_payload(reply))["new"] == 64
+        assert counters["bloom_negative_shortcuts"] == 64
+
+
 def test_graceful_drain_completes_inflight_and_leaves_warm_state(tmp_path):
     # Spread the digests across the whole keyspace (routing shards on the
     # top 64 bits) so *both* workers persist entries and warm-start.
