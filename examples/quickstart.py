@@ -1,8 +1,9 @@
 """Quickstart: use SHHC as a deduplicating backup library.
 
-Builds the full backup service (web front-ends, a 4-node hybrid hash
-cluster and a cloud object store) in-process, backs up two clients' data and
-shows how deduplication cuts both upload traffic and stored bytes.
+Builds a 4-node hybrid hash cluster and a cloud object store in-process,
+backs up two clients' data through one directory archiver (one dedup
+domain) and shows how deduplication cuts both upload traffic and stored
+bytes.
 
 Run with::
 
@@ -14,7 +15,9 @@ from __future__ import annotations
 import os
 import random
 
-from repro import BackupService, ClusterConfig, HashNodeConfig
+from repro import ClusterConfig, HashNodeConfig, SHHCCluster
+from repro.dedup import DirectoryArchiver
+from repro.storage import CloudObjectStore
 
 
 def make_laptop_image(seed: int, size_chunks: int = 512, chunk_size: int = 8192) -> bytes:
@@ -29,47 +32,45 @@ def make_laptop_image(seed: int, size_chunks: int = 512, chunk_size: int = 8192)
 
 
 def main() -> None:
-    service = BackupService(
-        cluster_config=ClusterConfig(
-            num_nodes=4,
-            node=HashNodeConfig(ram_cache_entries=100_000, bloom_expected_items=1_000_000),
-        ),
-        num_web_servers=2,
-        batch_size=128,
-    )
+    cluster = SHHCCluster(ClusterConfig(
+        num_nodes=4,
+        node=HashNodeConfig(ram_cache_entries=100_000, bloom_expected_items=1_000_000),
+    ))
+    store = CloudObjectStore()
+    archiver = DirectoryArchiver(cluster, store)
 
     print("SHHC quickstart: backing up two laptops that share most of their data\n")
 
     alice_image = make_laptop_image(seed=1)
     bob_image = make_laptop_image(seed=2)
 
-    plan_alice = service.backup("alice-laptop", alice_image)
-    print(f"alice: {plan_alice.total_chunks} chunks, "
-          f"{len(plan_alice.to_upload)} uploaded, "
-          f"bandwidth savings {plan_alice.bandwidth_savings:.0%}")
+    alice = archiver.backup_files({"alice-laptop/disk.img": alice_image}, "alice-day-1")
+    print(f"alice: {alice.chunks_seen} chunks, "
+          f"{alice.chunks_uploaded} uploaded, "
+          f"bandwidth savings {alice.dedup_savings:.0%}")
 
-    plan_bob = service.backup("bob-laptop", bob_image)
-    print(f"bob:   {plan_bob.total_chunks} chunks, "
-          f"{len(plan_bob.to_upload)} uploaded, "
-          f"bandwidth savings {plan_bob.bandwidth_savings:.0%}  "
+    bob = archiver.backup_files({"bob-laptop/disk.img": bob_image}, "bob-day-1")
+    print(f"bob:   {bob.chunks_seen} chunks, "
+          f"{bob.chunks_uploaded} uploaded, "
+          f"bandwidth savings {bob.dedup_savings:.0%}  "
           f"(the shared OS chunks were already in the cloud)")
 
     # A second, nearly unchanged backup of alice's laptop.
     alice_image_v2 = alice_image[:-8192 * 8] + os.urandom(8192 * 8)
-    plan_v2 = service.backup("alice-laptop", alice_image_v2)
-    print(f"alice (day 2): {len(plan_v2.to_upload)} of {plan_v2.total_chunks} chunks uploaded")
+    day2 = archiver.backup_files({"alice-laptop/disk.img": alice_image_v2}, "alice-day-2")
+    print(f"alice (day 2): {day2.chunks_uploaded} of {day2.chunks_seen} chunks uploaded")
 
-    stats = service.stats()
-    logical = plan_alice.logical_bytes + plan_bob.logical_bytes + plan_v2.logical_bytes
-    physical = service.physical_bytes()
+    logical = alice.bytes_scanned + bob.bytes_scanned + day2.bytes_scanned
+    physical = store.total_bytes()
     print("\ncluster state")
-    print(f"  distinct fingerprints stored : {service.stored_fingerprints():,}")
+    print(f"  distinct fingerprints stored : {len(cluster):,}")
     print(f"  logical bytes backed up      : {logical:,}")
     print(f"  physical bytes in the cloud  : {physical:,}")
     print(f"  dedup ratio                  : {logical / physical:.2f}x")
     print("  hash entries per node        :")
-    for node, share in sorted(stats["storage_distribution"].items()):
+    for node, share in sorted(cluster.storage_distribution().fractions().items()):
         print(f"    {node}: {share:.1%}")
+    assert archiver.restore_file("alice-day-2", "alice-laptop/disk.img") == alice_image_v2
 
 
 if __name__ == "__main__":

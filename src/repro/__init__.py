@@ -23,8 +23,8 @@ The package is organised in layers:
     The paper's contribution: hybrid hash nodes, partitioners, the SHHC
     cluster, membership/rebalancing and replication.
 ``repro.frontend``
-    Backup clients, web front-end servers, upload plans and the one-call
-    :class:`~repro.frontend.gateway.BackupService` facade.
+    The simulated deployment's clients, web front-end servers and
+    :func:`~repro.frontend.gateway.build_simulated_service`.
 ``repro.baselines``
     Centralized comparison points (disk index, DDFS-style, ChunkStash-style,
     single hybrid node).
@@ -41,11 +41,19 @@ The package is organised in layers:
 
 Quickstart
 ----------
->>> from repro import BackupService
->>> service = BackupService()
->>> plan = service.backup("alice", b"some data" * 1024)
->>> plan.total_chunks >= 1
-True
+Back up in-memory files through a small cluster; the second copy of the
+data uploads nothing:
+
+>>> from repro import ClusterConfig, HashNodeConfig, SHHCCluster
+>>> from repro.dedup.archive import DirectoryArchiver
+>>> from repro.storage.object_store import CloudObjectStore
+>>> node = HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000)
+>>> cluster = SHHCCluster(ClusterConfig(num_nodes=2, node=node))
+>>> archiver = DirectoryArchiver(cluster, CloudObjectStore())
+>>> archiver.backup_files({"a": b"some data" * 1024}, "day-1").chunks_uploaded
+2
+>>> archiver.backup_files({"b": b"some data" * 1024}, "day-2").chunks_uploaded
+0
 """
 
 from ._lazy import lazy_exports
@@ -56,7 +64,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".core.cluster": ("SHHCCluster",),
     ".core.config": ("ClusterConfig", "HashNodeConfig"),
     ".core.hash_node": ("HybridHashNode",),
-    ".frontend.gateway": ("BackupService", "build_simulated_service"),
+    ".frontend.gateway": ("build_simulated_service",),
     ".scenarios": ("ScenarioSpec", "SweepGrid", "run_scenario", "run_sweep", "spec_for"),
     ".workloads.profiles": ("TABLE_I_PROFILES", "WorkloadProfile"),
     ".workloads.traces": ("TraceGenerator",),

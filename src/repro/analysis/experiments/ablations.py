@@ -146,7 +146,7 @@ def _loaded_cluster(num_nodes: int, fingerprints, virtual_nodes: int, replicatio
         replication_factor=replication,
     )
     cluster = SHHCCluster(config)
-    cluster.lookup_batch_replies(list(fingerprints))
+    cluster.lookup_batch_columns(fingerprints)
     return cluster
 
 

@@ -42,7 +42,7 @@ def run_figure6(
     cluster = SHHCCluster(
         ClusterConfig(num_nodes=num_nodes, node=config, virtual_nodes=virtual_nodes)
     )
-    cluster.lookup_batch_replies(list(fingerprints))
+    cluster.lookup_batch_columns(fingerprints)
 
     snapshots = {name: node.snapshot() for name, node in cluster.nodes.items()}
     storage = LoadBalanceReport({name: snap.entries for name, snap in snapshots.items()})

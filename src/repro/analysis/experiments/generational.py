@@ -62,9 +62,9 @@ def run_generational_backup(
     for generation in workload.generations:
         ram_hits_before = cluster.metrics().ram_hits
         fingerprints = list(generation.fingerprints(workload_config.chunk_size))
-        replies = cluster.lookup_batch_replies(fingerprints)
+        tiers, _service_times, _node_ids = cluster.lookup_batch_columns(fingerprints)
         chunks = len(fingerprints)
-        duplicates = sum(1 for reply in replies if reply.is_duplicate)
+        duplicates = chunks - tiers.count(0)
         ram_hits = cluster.metrics().ram_hits - ram_hits_before
         logical_chunks += chunks
         duplicates_total += duplicates

@@ -12,6 +12,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".persistence": ("NodePersistence", "PersistencePolicy", "RecoveryReport"),
     ".metrics": ("ClusterMetrics", "LoadBalanceReport"),
     ".partition": ("ConsistentHashRing", "Partitioner", "RangePartitioner"),
-    ".protocol": ("BatchLookupReply", "BatchLookupRequest", "LookupReply", "ServedFrom"),
+    ".protocol": ("BatchLookupReply", "BatchLookupRequest", "ServedFrom"),
     ".replication": ("ReplicaConsistencyReport", "ReplicationController"),
 })

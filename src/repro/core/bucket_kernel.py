@@ -29,9 +29,9 @@ One contract, one kernel
 The kernel emits three per-batch outputs: a **tier code** per key
 (:data:`~repro.core.protocol.SERVED_FROM_TIER` index: ``0`` new, ``1``
 RAM, ``2`` SSD -- truthiness is the duplicate verdict), a service time per
-key, and the new ``(digest, chunk_size)`` pairs.  ``LookupReply`` /
-``LookupResult`` objects are views built outside the kernel by whoever
-needs them.  One kernel exists per shape.
+key, and the new ``(digest, chunk_size)`` pairs.  ``LookupResult``
+objects are a view the cluster builds outside the kernel.  One kernel
+exists per shape.
 
 Two spellings of the RAM probe, chosen per call
 -----------------------------------------------

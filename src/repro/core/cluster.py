@@ -16,13 +16,13 @@ Lookup paths
 Every lookup goes through one routed core, :meth:`SHHCCluster._serve_routed`
 -- bucket by serving node, the node's batch contract, failover, ledger
 charge, batched replica propagation.  The public methods are views over
-it: :meth:`SHHCCluster.lookup_batch` (``LookupResult``),
-:meth:`SHHCCluster.lookup_batch_columns` (tier / service-time / node
-columns), :meth:`SHHCCluster.lookup_batch_replies` (``LookupReply``), and
-:meth:`SHHCCluster.lookup` / :meth:`SHHCCluster.lookup_reply`, their
-one-key views.  The same code runs with and without a cost model; the
-model only adds charges.  The per-key failover loop and per-reply
-replication it replaced are ``tests/oracles/cluster_reference.py``.
+it: :meth:`SHHCCluster.lookup_batch` (the
+:class:`~repro.dedup.index.ChunkIndex` contract, one ``LookupResult`` per
+key; the only per-key objects the cluster builds), its one-key view
+:meth:`SHHCCluster.lookup`, and :meth:`SHHCCluster.lookup_batch_columns`
+(tier / service-time / node columns).  The same code runs with and without
+a cost model; the model only adds charges.  The per-key failover loop and
+per-reply replication it replaced are ``tests/oracles/cluster_reference.py``.
 
 Replication and failover semantics
 ----------------------------------
@@ -92,10 +92,8 @@ from .protocol import (
     SERVED_FROM_TIER,
     BatchLookupReply,
     BatchLookupRequest,
-    LookupReply,
     ServedFrom,
     merge_by_position,
-    replies_from_tiers,
 )
 
 __all__ = ["SHHCCluster"]
@@ -238,10 +236,6 @@ class SHHCCluster(ChunkIndex):
         """Combined lookup/insert through the cluster: a one-key :meth:`lookup_batch`."""
         return self.lookup_batch([fingerprint])[0]
 
-    def lookup_reply(self, fingerprint: Fingerprint) -> LookupReply:
-        """Protocol-level single lookup: a one-key :meth:`lookup_batch_replies`."""
-        return self.lookup_batch_replies([fingerprint])[0]
-
     #: Refusals a node may give one request before the request stops routing
     #: to it.  Attempts are counted per node per request (one ``lookup_batch``
     #: call, its retries included), not per key.  Sized so realistic
@@ -255,9 +249,9 @@ class SHHCCluster(ChunkIndex):
 
         The :class:`~repro.dedup.index.LookupResult` view over
         :meth:`_serve_routed`: one result per key, written straight into
-        its input position.  Verdicts, latencies, counters and replica
-        writes are those of :meth:`lookup_batch_replies`, with or without a
-        cost model.
+        its input position.  Verdicts, latencies and replica writes are
+        those of :meth:`lookup_batch_columns`, with or without a cost model;
+        only this view counts :attr:`lookups` and :attr:`duplicates`.
         """
         fingerprints = list(fingerprints)
         merged: List[Optional[LookupResult]] = [None] * len(fingerprints)
@@ -274,27 +268,18 @@ class SHHCCluster(ChunkIndex):
         self.duplicates += duplicates
         return merged
 
-    def lookup_batch_replies(self, fingerprints: Sequence[Fingerprint]) -> List[LookupReply]:
-        """Protocol-level batch lookup: bucket by serving node, query, merge.
-
-        The :class:`LookupReply` view over :meth:`lookup_batch_columns`
-        (exposes tier information).  Each fingerprint is grouped under the
-        first live node of *its own* replica set, so a downed node's share
-        of the batch fans out to the correct per-fingerprint successors
-        instead of one blanket failover target -- which is what keeps batch
-        verdicts identical to the per-key oracle's under failures (pinned in
-        tests/test_routed_batch_equivalence.py).
-        """
-        fingerprints = list(fingerprints)
-        return replies_from_tiers(fingerprints, *self.lookup_batch_columns(fingerprints))
-
     def lookup_batch_columns(
         self, fingerprints: Sequence[Fingerprint]
     ) -> Tuple[List[int], List[float], List[str]]:
         """Batch lookup as ``(tiers, service_times, node_ids)`` columns in input order.
 
         :meth:`_serve_routed`'s per-bucket columns merged by position once;
-        ``tiers`` index :data:`~repro.core.protocol.SERVED_FROM_TIER`.
+        ``tiers`` index :data:`~repro.core.protocol.SERVED_FROM_TIER`.  Each
+        fingerprint is grouped under the first live node of *its own*
+        replica set, so a downed node's share of the batch fans out to the
+        correct per-fingerprint successors instead of one blanket failover
+        target -- which is what keeps batch verdicts identical to the
+        per-key oracle's under failures (tests/test_routed_batch_equivalence.py).
         """
         fingerprints = list(fingerprints)
         return merge_by_position(len(fingerprints), (

@@ -460,9 +460,9 @@ class FaultInjector:
 class FlakyNode:
     """Wrap a hash node so individual lookups fail with a given probability.
 
-    Only the serving entry points (:meth:`lookup`, :meth:`lookup_batch`,
-    :meth:`serve_bucket_verdicts`, :meth:`serve_batch`) are intercepted --
-    every public ``lookup*``/``serve*`` callable of the node, which
+    Only the serving entry points (:meth:`serve_bucket_verdicts`,
+    :meth:`serve_batch`) are intercepted -- every public ``serve*``
+    callable of the node, which
     tests/test_fault_injection.py enumerates so a new one cannot slip past
     the wrapper.  State inspection and maintenance paths pass straight
     through -- ``store`` and ``finish_replica_inserts``, which the
@@ -489,17 +489,8 @@ class FlakyNode:
             raise NodeUnavailableError(f"node {self._node.node_id!r} dropped the request")
 
     # -- intercepted serving paths ----------------------------------------------------
-    def lookup(self, fingerprint):
-        self._maybe_fail()
-        return self._node.lookup(fingerprint)
-
-    def lookup_batch(self, fingerprints):
-        self._maybe_fail()
-        return self._node.lookup_batch(fingerprints)
-
     def serve_bucket_verdicts(self, batch):
-        # One failure draw per batch, exactly like lookup_batch -- the
-        # routed dispatch path must see the same failure sequence.
+        # One failure draw per batch, whatever its size.
         self._maybe_fail()
         return self._node.serve_bucket_verdicts(batch)
 

@@ -21,19 +21,19 @@ Entry points
 Every key, alone or in a batch, goes through one serve contract,
 :meth:`HybridHashNode.serve_bucket_verdicts` -- a
 :class:`~repro.core.digest_batch.DigestBatch` in, ``(tiers, service_times,
-new_pairs)`` out -- run by one private core over the exec-generated kernels
-of :mod:`repro.core.bucket_kernel`.  :meth:`HybridHashNode.lookup_batch`
-is the :class:`~repro.core.protocol.LookupReply` view over that core and
-:meth:`HybridHashNode.lookup` its one-key view; the simulated
-:meth:`HybridHashNode.serve_batch` answers with its columns.  The readable
-per-fingerprint flow above is kept as the kernel's oracle in
-``tests/oracles/node_reference.py``.
+new_pairs)`` columns out -- run by one private core over the exec-generated
+kernels of :mod:`repro.core.bucket_kernel`.  The node builds no per-key
+objects: the cluster (``SHHCCluster._serve_routed``) and the live worker
+call the contract directly, and the simulated :meth:`HybridHashNode.serve_batch`
+answers with its columns.  The readable per-fingerprint flow above is kept
+as the kernel's oracle in ``tests/oracles/node_reference.py``.
 
 Two execution modes
 -------------------
-* **Immediate mode** (``sim is None``): lookups update the data structures and
-  return analytic service times from the device cost models.  This is the mode
-  library users get when they use the cluster as a real dedup index.
+* **Immediate mode** (``sim is None``): :meth:`serve_bucket_verdicts`
+  updates the data structures and returns analytic service times from the
+  device cost models.  This is the mode library users get when they use the
+  cluster as a real dedup index.
 * **Simulated mode**: :meth:`serve_batch` hands its
   :class:`~repro.core.protocol.BatchLookupReply` to a callback once the
   node's CPU worker pool and SSD device have actually been held for the
@@ -45,7 +45,6 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..dedup.fingerprint import Fingerprint
@@ -59,12 +58,7 @@ from .bucket_kernel import fused_kernel
 from .config import HashNodeConfig
 from .digest_batch import DigestBatch
 from .persistence import NodePersistence, RecoveryReport
-from .protocol import (
-    BatchLookupReply,
-    BatchLookupRequest,
-    LookupReply,
-    replies_from_tiers,
-)
+from .protocol import BatchLookupReply, BatchLookupRequest
 
 __all__ = ["HybridHashNode", "LookupTime", "NodeSnapshot"]
 
@@ -199,30 +193,6 @@ class HybridHashNode:
         return fingerprint.digest in self.store
 
     # --------------------------------------------------------- immediate mode
-    def lookup(self, fingerprint: Fingerprint) -> LookupReply:
-        """Process one fingerprint through the Figure-4 flow (immediate mode).
-
-        A one-key view over :meth:`lookup_batch`, so it runs the same batch
-        contract (:meth:`serve_bucket_verdicts`) as every other caller.
-        The per-fingerprint flow the kernel is held to -- verdicts, tiers,
-        service times, counters and store/bloom/cache state -- is the
-        oracle in ``tests/oracles/node_reference.py``
-        (tests/test_vectorized_kernels.py).
-        """
-        return self.lookup_batch([fingerprint])[0]
-
-    def lookup_batch(self, fingerprints: Sequence[Fingerprint]) -> List[LookupReply]:
-        """Process a batch of fingerprints in order (immediate mode).
-
-        The :class:`LookupReply` view over :meth:`serve_bucket_verdicts`.
-        """
-        fingerprints = list(fingerprints)
-        tiers, service_times, _new_pairs = self.serve_bucket_verdicts(
-            DigestBatch.from_fingerprints(fingerprints)
-        )
-        self.lookup_latency.add_many(service_times)
-        return replies_from_tiers(fingerprints, tiers, service_times, repeat(self.node_id))
-
     def serve_bucket_verdicts(
         self, batch: DigestBatch
     ) -> Tuple[List[int], List[float], List[Tuple[bytes, int]]]:
@@ -238,14 +208,12 @@ class HybridHashNode:
         pairs are durably logged before this returns, so a caller that
         acknowledges the batch acknowledges nothing that a kill can lose.
 
-        No ``Fingerprint``, ``LookupReply`` or ``LookupResult`` exists on
-        this path; callers that want those build them as views
-        (:func:`~repro.core.protocol.replies_from_tiers`, the cluster's
-        result merge).  Nor is anything recorded per key: ``service_times``
-        is the *modelled* cost, and a caller that publishes the model
-        (:meth:`lookup_batch`, ``SHHCCluster._serve_routed``) feeds it to
-        :attr:`lookup_latency` itself -- a live worker measures its batches
-        instead and never pays for the model's bookkeeping.
+        No ``Fingerprint`` or ``LookupResult`` exists on this path; the
+        cluster builds results as a view over the columns.  Nor is anything
+        recorded per key: ``service_times`` is the *modelled* cost, and a
+        caller that publishes the model (``SHHCCluster._serve_routed``)
+        feeds it to :attr:`lookup_latency` itself -- a live worker measures
+        its batches instead and never pays for the model's bookkeeping.
         """
         return self._serve_core(batch)[:3]
 

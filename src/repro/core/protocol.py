@@ -12,17 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
-from operator import not_
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint, column_builder
+from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
 
 __all__ = [
     "ServedFrom",
-    "LookupReply",
     "SERVED_FROM_TIER",
-    "replies_from_tiers",
     "merge_by_position",
     "BatchLookupRequest",
     "BatchLookupReply",
@@ -46,21 +42,6 @@ class ServedFrom(str, Enum):
     REPAIR = "repair"  # serving node missed, but a replica held the fingerprint (read repair)
 
 
-@dataclass(frozen=True, slots=True)
-class LookupReply:
-    """Verdict for a single fingerprint."""
-
-    fingerprint: Fingerprint
-    is_duplicate: bool
-    served_from: ServedFrom
-    node_id: str = ""
-    service_time: float = 0.0
-
-    @property
-    def payload_bytes(self) -> int:
-        return REQUEST_OVERHEAD_BYTES + REPLY_BYTES_PER_FINGERPRINT
-
-
 #: Tier codes of the batch serve contract
 #: (:meth:`~repro.core.hash_node.HybridHashNode.serve_bucket_verdicts`), as
 #: an index into :class:`ServedFrom`.  ``0`` is the only falsy code, so a
@@ -68,25 +49,6 @@ class LookupReply:
 #: cluster rewrites a ``0`` to ``3`` when another replica already held the
 #: fingerprint.
 SERVED_FROM_TIER = (ServedFrom.NEW, ServedFrom.RAM, ServedFrom.SSD, ServedFrom.REPAIR)
-
-_build_replies = column_builder(LookupReply)
-
-
-def replies_from_tiers(
-    fingerprints: Sequence[Fingerprint],
-    tiers: Sequence[int],
-    service_times: Iterable[float],
-    node_ids: Iterable[str],
-) -> List[LookupReply]:
-    """The :class:`LookupReply` view over a served batch's parallel columns."""
-    return _build_replies(
-        len(tiers),
-        fingerprints,
-        map(bool, tiers),
-        map(SERVED_FROM_TIER.__getitem__, tiers),
-        node_ids,
-        service_times,
-    )
 
 
 def merge_by_position(
@@ -151,8 +113,7 @@ class BatchLookupReply:
 
     The node's batch contract as columns: ``tiers`` index
     :data:`SERVED_FROM_TIER` (truthy = duplicate), ``service_times`` is
-    parallel to it.  :attr:`replies` is the :class:`LookupReply` view,
-    built only when asked for.
+    parallel to it.
     """
 
     fingerprints: Sequence[Fingerprint]
@@ -165,23 +126,5 @@ class BatchLookupReply:
         return len(self.tiers)
 
     @property
-    def replies(self) -> List[LookupReply]:
-        return replies_from_tiers(
-            self.fingerprints, self.tiers, self.service_times, repeat(self.node_id)
-        )
-
-    @property
     def payload_bytes(self) -> int:
         return REQUEST_OVERHEAD_BYTES + REPLY_BYTES_PER_FINGERPRINT * len(self.tiers)
-
-    @property
-    def duplicates(self) -> int:
-        return len(self.tiers) - self.tiers.count(0)
-
-    @property
-    def uniques(self) -> int:
-        return self.tiers.count(0)
-
-    def unique_fingerprints(self) -> List[Fingerprint]:
-        """Fingerprints the client must upload (not yet in the cloud)."""
-        return list(compress(self.fingerprints, map(not_, self.tiers)))

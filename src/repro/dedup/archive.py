@@ -203,19 +203,31 @@ class DirectoryArchiver:
         return stats
 
     def _store_file(self, path: str, data: bytes, stats: ArchiveStats) -> FileEntry:
-        entry = FileEntry(path=path, size=len(data))
-        stats.bytes_scanned += len(data)
+        """Chunk one file and look its chunks up in one index batch.
+
+        The batch is in chunk order, so a chunk repeated within the file is
+        new only at its first occurrence, as with one lookup per chunk.
+        """
+        offsets: List[int] = []
+        fingerprints: List[Fingerprint] = []
         for chunk in self.chunker.chunk(data):
-            fingerprint = fingerprint_data(chunk.data)
-            entry.fingerprints.append(fingerprint)
-            stats.chunks_seen += 1
-            result = self.index.lookup(fingerprint)
+            offsets.append(chunk.offset)
+            fingerprints.append(fingerprint_data(chunk.data))
+        entry = FileEntry(path=path, size=len(data), fingerprints=fingerprints)
+        stats.bytes_scanned += len(data)
+        stats.chunks_seen += len(fingerprints)
+        store = self.object_store
+        for fingerprint, offset, result in zip(
+            fingerprints, offsets, self.index.lookup_batch(fingerprints)
+        ):
             if result.is_duplicate:
-                self.object_store.add_reference(fingerprint.digest)
+                store.add_reference(fingerprint.digest)
             else:
+                size = fingerprint.chunk_size
                 stats.chunks_uploaded += 1
-                stats.bytes_uploaded += fingerprint.chunk_size
-                self.object_store.put(fingerprint.digest, chunk.data)
+                stats.bytes_uploaded += size
+                # Only a new chunk's payload is copied out of the file.
+                store.put(fingerprint.digest, data[offset:offset + size])
         return entry
 
     # ------------------------------------------------------------------ restore

@@ -1,18 +1,14 @@
-"""Front-end tier: backup clients, web servers, upload plans, service gateway."""
+"""Front-end tier of the simulated deployment: clients, web servers, gateway."""
 
-from .client import BackupClient, ClientRunStats, SimulatedClient
-from .gateway import BackupService, SimulatedDeployment, build_simulated_service
-from .upload_plan import UploadPlan
+from .client import ClientRunStats, SimulatedClient
+from .gateway import SimulatedDeployment, build_simulated_service
 from .webserver import ClientBatchRequest, ClientBatchResponse, WebFrontEnd
 
 __all__ = [
-    "BackupClient",
     "ClientRunStats",
     "SimulatedClient",
-    "BackupService",
     "SimulatedDeployment",
     "build_simulated_service",
-    "UploadPlan",
     "ClientBatchRequest",
     "ClientBatchResponse",
     "WebFrontEnd",

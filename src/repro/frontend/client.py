@@ -1,16 +1,12 @@
-"""Backup clients.
+"""The simulated backup client.
 
-Two flavours:
-
-* :class:`BackupClient` -- the *library* client: chunks and fingerprints real
-  data, asks a web front-end for an upload plan and ships unique chunks to
-  the cloud store (the paper's Client Application, §III.A).
-* :class:`SimulatedClient` -- the *load generator* used by the evaluation:
-  it replays a fingerprint trace against the simulated deployment in
-  closed-loop fashion (a fixed number of outstanding batched requests),
-  which is how the paper's two client machines drive Figure 5.  Every
-  request is answered (the deployment schedules no faults), so a lane is
-  one send and one wait per batch.
+:class:`SimulatedClient` is the *load generator* used by the evaluation:
+it replays a fingerprint trace against the simulated deployment in
+closed-loop fashion (a fixed number of outstanding batched requests), which
+is how the paper's two client machines drive Figure 5.  Every request is
+answered (the deployment schedules no faults), so a lane is one send and one
+wait per batch.  The library client -- chunk real data, look it up, upload
+what is new -- is :class:`~repro.dedup.archive.DirectoryArchiver`.
 """
 
 from __future__ import annotations
@@ -20,68 +16,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, List, Optional, Sequence
 
-from ..dedup.chunking import Chunker, FixedSizeChunker
-from ..dedup.fingerprint import Fingerprint, fingerprint_data
+from ..dedup.fingerprint import Fingerprint
 from ..network.loadbalancer import LoadBalancer
 from ..network.rpc import RpcLayer
 from ..simulation.engine import Simulator
 from ..simulation.stats import LatencyTally
-from ..storage.object_store import CloudObjectStore
-from .upload_plan import UploadPlan
-from .webserver import ClientBatchRequest, ClientBatchResponse, WebFrontEnd
+from .webserver import ClientBatchRequest, ClientBatchResponse
 
-__all__ = ["BackupClient", "SimulatedClient", "ClientRunStats"]
-
-
-class BackupClient:
-    """Library-mode client: backs up real byte streams through the front end."""
-
-    def __init__(
-        self,
-        client_id: str,
-        frontend: WebFrontEnd,
-        object_store: Optional[CloudObjectStore] = None,
-        chunker: Optional[Chunker] = None,
-        batch_size: int = 128,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.client_id = client_id
-        self.frontend = frontend
-        self.object_store = object_store
-        self.chunker = chunker if chunker is not None else FixedSizeChunker(8192)
-        self.batch_size = batch_size
-        self._request_ids = itertools.count(1)
-        self.plans: List[UploadPlan] = []
-
-    def backup(self, data: bytes) -> UploadPlan:
-        """Back up one object; returns the merged upload plan for it."""
-        chunks = list(self.chunker.chunk(data))
-        fingerprints = [fingerprint_data(chunk.data) for chunk in chunks]
-        chunk_by_digest = {fp.digest: chunk.data for fp, chunk in zip(fingerprints, chunks)}
-        merged = UploadPlan(client_id=self.client_id)
-        for start in range(0, len(fingerprints), self.batch_size):
-            batch = fingerprints[start:start + self.batch_size]
-            request = ClientBatchRequest(
-                client_id=self.client_id,
-                fingerprints=batch,
-                request_id=next(self._request_ids),
-            )
-            response = self.frontend.handle_batch(request)
-            merged.extend(response.plan)
-            self._apply_plan(response.plan, chunk_by_digest)
-        self.plans.append(merged)
-        return merged
-
-    def _apply_plan(self, plan: UploadPlan, chunk_by_digest: dict) -> None:
-        if self.object_store is None:
-            return
-        for fingerprint in plan.to_upload:
-            data = chunk_by_digest.get(fingerprint.digest)
-            if data is not None:
-                self.object_store.put(fingerprint.digest, data)
-        for fingerprint in plan.already_stored:
-            self.object_store.add_reference(fingerprint.digest)
+__all__ = ["SimulatedClient", "ClientRunStats"]
 
 
 @dataclass

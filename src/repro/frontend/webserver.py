@@ -3,27 +3,31 @@
 A web front-end server (paper §III.A, Figure 2) receives backup requests
 from clients, queries the hash cluster for the existence of each submitted
 fingerprint -- batching the queries per hash node to exploit chunk locality --
-and returns an upload plan.  In the simulated deployment each web server is
-an RPC service; client requests and node queries all travel over the
-simulated fabric, so front-end fan-out latency and node queueing compose the
-end-to-end response time.
+and answers with one verdict per fingerprint, from which the client's upload
+plan follows.  Each web server is an RPC service of the simulated
+deployment; client requests and node queries all travel over the simulated
+fabric, so front-end fan-out latency and node queueing compose the
+end-to-end response time.  The library backup path is
+:class:`~repro.dedup.archive.DirectoryArchiver` over the cluster.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.cluster import SHHCCluster
-from ..core.protocol import BatchLookupReply, LookupReply, merge_by_position, replies_from_tiers
+from ..core.protocol import BatchLookupReply, merge_by_position
 from ..dedup.fingerprint import FINGERPRINT_BYTES, Fingerprint
 from ..network.rpc import Respond, RpcLayer
-from .upload_plan import UploadPlan
 
 __all__ = ["ClientBatchRequest", "ClientBatchResponse", "WebFrontEnd"]
+
+#: The web server's own processing time per client request, spent before
+#: the fan-out (seconds).
+PER_REQUEST_OVERHEAD = 30e-6
 
 
 @dataclass(frozen=True)
@@ -45,11 +49,12 @@ class ClientBatchRequest:
 
 @dataclass(frozen=True)
 class ClientBatchResponse:
-    """The front-end's answer: per-fingerprint verdict columns plus the upload plan.
+    """The front-end's answer: per-fingerprint verdict columns.
 
     ``tiers``, ``service_times`` and ``node_ids`` are parallel to the
-    request's ``fingerprints``; :attr:`replies` is the
-    :class:`~repro.core.protocol.LookupReply` view, built only when asked for.
+    request's ``fingerprints``; ``tiers`` index
+    :data:`~repro.core.protocol.SERVED_FROM_TIER`, so a falsy tier is a
+    chunk the client must upload.
     """
 
     client_id: str
@@ -57,12 +62,7 @@ class ClientBatchResponse:
     tiers: List[int]
     service_times: Sequence[float]
     node_ids: Sequence[str]
-    plan: UploadPlan
     request_id: int = 0
-
-    @property
-    def replies(self) -> List[LookupReply]:
-        return replies_from_tiers(self.fingerprints, self.tiers, self.service_times, self.node_ids)
 
     @property
     def duplicates(self) -> int:
@@ -74,61 +74,22 @@ class ClientBatchResponse:
 
 
 class WebFrontEnd:
-    """One web server of the front-end cluster."""
+    """One web server of the front-end cluster, an RPC service on ``rpc``."""
 
-    def __init__(
-        self,
-        server_id: str,
-        cluster: SHHCCluster,
-        rpc: Optional[RpcLayer] = None,
-        per_request_overhead: float = 30e-6,
-    ) -> None:
+    def __init__(self, server_id: str, cluster: SHHCCluster, rpc: RpcLayer) -> None:
         self.server_id = server_id
         self.cluster = cluster
         self.rpc = rpc
-        self.per_request_overhead = per_request_overhead
-        self.counters = Counter()
         self._request_ids = itertools.count(1)
 
-    # -- service registration ------------------------------------------------------------
     def register(self) -> None:
         """Expose this web server as an RPC service on the fabric."""
-        if self.rpc is None:
-            raise RuntimeError("register() requires an RpcLayer")
-        self.rpc.register(self.server_id, self._handle_async)
+        self.rpc.register(self.server_id, self._handle)
 
-    def _response(
-        self,
-        request: ClientBatchRequest,
-        tiers: List[int],
-        service_times: Sequence[float],
-        node_ids: Sequence[str],
-    ) -> ClientBatchResponse:
-        return ClientBatchResponse(
-            client_id=request.client_id,
-            fingerprints=request.fingerprints,
-            tiers=tiers,
-            service_times=service_times,
-            node_ids=node_ids,
-            plan=UploadPlan.from_tiers(request.client_id, request.fingerprints, tiers),
-            request_id=request.request_id,
-        )
-
-    # -- immediate mode --------------------------------------------------------------------
-    def handle_batch(self, request: ClientBatchRequest) -> ClientBatchResponse:
-        """Process a client batch synchronously (library mode)."""
-        self.counters["requests"] += 1
-        self.counters["fingerprints"] += len(request.fingerprints)
-        return self._response(request, *self.cluster.lookup_batch_columns(request.fingerprints))
-
-    # -- simulated mode ----------------------------------------------------------------------
-    def _handle_async(self, request: ClientBatchRequest, respond: Respond) -> None:
+    def _handle(self, request: ClientBatchRequest, respond: Respond) -> None:
         """Fan the batch out to the owning hash nodes and gather the replies."""
-        sim = self.rpc.sim
-        self.counters["requests"] += 1
-        self.counters["fingerprints"] += len(request.fingerprints)
         # Model the web server's own per-request processing before fan-out.
-        sim.schedule(self.per_request_overhead, self._dispatch, request, respond)
+        self.rpc.sim.schedule(PER_REQUEST_OVERHEAD, self._dispatch, request, respond)
 
     def _dispatch(self, request: ClientBatchRequest, respond: Respond) -> None:
         # Route each fingerprint to the first live node of its own replica
@@ -153,18 +114,15 @@ class WebFrontEnd:
                            itertools.repeat(reply.node_id)))
             if len(groups) == len(per_node):
                 # Every node has answered: merge the columns by position once.
-                response = self._response(
-                    request, *merge_by_position(len(request.fingerprints), groups)
+                tiers, service_times, node_ids = merge_by_position(
+                    len(request.fingerprints), groups
+                )
+                response = ClientBatchResponse(
+                    request.client_id, request.fingerprints, tiers, service_times, node_ids,
+                    request.request_id,
                 )
                 respond(response, response.payload_bytes)
 
         for node_name, (node_request, positions) in per_node.items():
             self.rpc.call(self.server_id, node_name, node_request, node_request.payload_bytes,
                           partial(_gather, positions))
-
-    # -- reporting ------------------------------------------------------------------------------
-    def stats(self) -> dict:
-        return {
-            "requests": self.counters["requests"],
-            "fingerprints": self.counters["fingerprints"],
-        }

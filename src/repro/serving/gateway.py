@@ -333,15 +333,28 @@ class ServiceGateway(GatewayCore):
             await self._reap(worker)
 
     @staticmethod
-    async def _reap(worker: _Worker) -> None:
-        """Join ``worker``'s process for 2 s, then kill it (and join again)."""
+    async def _reap(worker: _Worker) -> Optional[int]:
+        """Join ``worker``'s process for 2 s, then kill it (and join again).
+
+        An exited process is closed, releasing its handle's pipe and
+        ``Popen`` at once rather than at collection, and ``worker.process``
+        is cleared; returns its exit code (``None``: no process, or one that
+        would not die).
+        """
         process = worker.process
-        if process is not None and process.is_alive():
+        if process is None:
+            return None
+        if process.is_alive():
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, process.join, 2.0)
             if process.is_alive():
                 process.kill()
                 await loop.run_in_executor(None, process.join, 2.0)
+        exitcode = process.exitcode
+        if exitcode is not None:
+            process.close()
+            worker.process = None
+        return exitcode
 
     # ------------------------------------------------------------- worker fleet
     async def _spawn(self, worker: _Worker) -> None:
@@ -363,6 +376,9 @@ class ServiceGateway(GatewayCore):
             parent_conn.close()
         if not ready or "error" in ready:
             process.kill()
+            await loop.run_in_executor(None, process.join, 2.0)
+            if process.exitcode is not None:
+                process.close()
             error = ready["error"] if ready else f"no ready report within {timeout:.0f}s"
             raise ServingError(f"worker {spec.node_id} failed to start: {error}")
         worker.process = process
@@ -420,10 +436,10 @@ class ServiceGateway(GatewayCore):
                 return
             # It died under us or was dropped (its batches are answered): a
             # fresh one on the same shard once this one cannot hold the log.
-            await self._reap(worker)
+            exitcode = await self._reap(worker)
             worker.restarts += 1
             self._event("worker_died", node=worker.node_id, pid=worker.pid,
-                        failed_frames=failed, restarts=worker.restarts)
+                        exitcode=exitcode, failed_frames=failed, restarts=worker.restarts)
             while True:
                 try:
                     await self._spawn(worker)

@@ -146,7 +146,7 @@ class WorkerCore:
         """Answer one packed digest batch; the hot path of the whole serving stack.
 
         The wire blob goes straight into a :class:`DigestBatch` and through the
-        node's batch contract: no ``Fingerprint`` or ``LookupReply`` objects
+        node's batch contract: no ``Fingerprint`` or per-key verdict objects
         exist on this path at all -- per-key Python object construction is
         what capped the worker's throughput before.
         """

@@ -29,5 +29,8 @@ carries one implementation per job.
   ``Resource``, with an ``Event`` per grant and per delivery;
 * :mod:`oracles.event_path` -- the simulated request path as it waited on
   ``Event``s (generator processes, ``all_of``, event-returning RPC) and
-  carried ``LookupReply`` lists, with the process helper it needs.
+  carried ``LookupReply`` lists, with the process helper it needs;
+* :mod:`oracles.replies` -- ``LookupReply``, the per-key verdict the
+  models above answer with, and the helpers that lift a node's or the
+  cluster's verdict columns into the same shape.
 """

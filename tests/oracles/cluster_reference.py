@@ -8,19 +8,21 @@ read-repair when one holds the fingerprint, otherwise copy it to each with
 the per-key ``oracles.node_reference.insert_replica`` -- and that flow is
 kept here:
 
-* :func:`lookup_reply_reference` -- ``SHHCCluster.lookup_reply`` as a
+* :func:`lookup_reply_reference` -- a one-key cluster lookup as a
   per-key failover loop (retry the live replica with the fewest refusals
   of *this key*, then :func:`resolve_reply`);
 * :func:`lookup_batch_replies_reference` -- the pre-cache batch path:
   every fingerprint's replica set resolved through the partitioner
   (:func:`oracles.batch_routing.split_batch_by_replica_set`), each
-  sub-batch served with the node's reply view, replies resolved one at a
+  sub-batch served through the node's batch contract
+  (``oracles.replies.node_lookup_batch``), replies resolved one at a
   time, and a refused sub-batch retried key by key through
   :func:`lookup_reply_reference`;
 * :func:`reference_handler` -- ``SHHCCluster._make_handler`` as it was:
   :func:`resolve_reply` on every new verdict of an RPC-served batch;
-* :class:`PerReplyCluster` -- the cluster with ``lookup_reply`` and the RPC
-  handler swapped for those.
+* :class:`PerReplyCluster` -- the cluster with the RPC handler swapped for
+  :func:`reference_handler`; tests drive its lookups through the two
+  functions above.
 
 Verdicts, tiers, stores and read repairs of the tree's paths must equal
 these; the equivalence tests build twin clusters and drive one through
@@ -34,11 +36,12 @@ from typing import List, Sequence, Tuple
 
 from repro.core.cluster import SHHCCluster
 from repro.core.fault_injection import NodeUnavailableError
-from repro.core.protocol import SERVED_FROM_TIER, BatchLookupReply, LookupReply, ServedFrom
+from repro.core.protocol import SERVED_FROM_TIER, BatchLookupReply, ServedFrom
 from repro.dedup.fingerprint import Fingerprint
 
 from .batch_routing import split_batch_by_replica_set
 from .node_reference import insert_replica
+from .replies import LookupReply, node_lookup, node_lookup_batch
 
 _REPAIR_TIER = SERVED_FROM_TIER.index(ServedFrom.REPAIR)
 
@@ -97,7 +100,7 @@ def lookup_reply_reference(
         candidates.sort(key=lambda name: attempts.get(name, 0))
         serving = candidates[0]
         try:
-            reply = cluster.nodes[serving].lookup(fingerprint)
+            reply = node_lookup(cluster.nodes[serving], fingerprint)
         except NodeUnavailableError:
             attempts[serving] = attempts.get(serving, 0) + 1
             cluster.failovers += 1
@@ -126,7 +129,7 @@ def lookup_batch_replies_reference(
     for serving, (request, positions) in per_node.items():
         batch = list(request.fingerprints)
         try:
-            raw_replies = cluster.nodes[serving].lookup_batch(batch)
+            raw_replies = node_lookup_batch(cluster.nodes[serving], batch)
         except NodeUnavailableError:
             # The whole sub-batch was refused (flaky node): retry each
             # fingerprint individually on its remaining replicas.
@@ -164,15 +167,12 @@ def reference_handler(cluster: SHHCCluster, node):
 
 
 class PerReplyCluster(SHHCCluster):
-    """An ``SHHCCluster`` whose single lookups resolve each reply through :func:`resolve_reply`.
+    """An ``SHHCCluster`` whose RPC handler is :func:`reference_handler`.
 
-    ``lookup_reply`` is :func:`lookup_reply_reference` and the RPC handler
-    is :func:`reference_handler`.  Its batch methods are the tree's: a
-    batch twin drives :func:`lookup_batch_replies_reference` instead.
+    Its lookup methods are the tree's: a twin drives
+    :func:`lookup_reply_reference` or :func:`lookup_batch_replies_reference`
+    instead.
     """
-
-    def lookup_reply(self, fingerprint):
-        return lookup_reply_reference(self, fingerprint)
 
     def _make_handler(self, node):
         return reference_handler(self, node)

@@ -6,7 +6,7 @@ everywhere: ``RpcLayer.call`` returned an event, a handler could return one
 node's serve was a generator :class:`Process` yielding its CPU
 grant, CPU time and SSD hold, the web front-end gathered node events and
 the client ran one process per lane under ``all_of``.  Replies were
-per-fingerprint :class:`~repro.core.protocol.LookupReply` lists.
+per-fingerprint :class:`~oracles.replies.LookupReply` lists.
 
 The product path now completes by callback and carries verdict columns;
 ``tests/test_sim_request_differential.py`` holds it to this model's
@@ -31,13 +31,10 @@ from repro.core.protocol import (
     REPLY_BYTES_PER_FINGERPRINT,
     REQUEST_OVERHEAD_BYTES,
     BatchLookupRequest,
-    LookupReply,
-    replies_from_tiers,
 )
 from repro.frontend.client import SimulatedClient
 from repro.frontend.gateway import SimulatedDeployment
-from repro.frontend.upload_plan import UploadPlan
-from repro.frontend.webserver import ClientBatchRequest, WebFrontEnd
+from repro.frontend.webserver import PER_REQUEST_OVERHEAD, ClientBatchRequest, WebFrontEnd
 from repro.network.loadbalancer import LoadBalancer, RoundRobinPolicy
 from repro.network.message import Message
 from repro.network.switch import NetworkSwitch
@@ -45,9 +42,9 @@ from repro.network.topology import BuiltNetwork, ClusterTopology
 from repro.simulation.engine import SimulationError, Simulator
 from repro.simulation.resources import Resource
 from repro.storage.devices import StorageDevice
-from repro.storage.object_store import CloudObjectStore
 
 from .cluster_reference import resolve_reply
+from .replies import LookupReply, replies_from_tiers
 
 
 # ------------------------------------------------------- events, processes
@@ -325,11 +322,10 @@ class ReplyBatch:
 
 @dataclass(frozen=True)
 class ReplyResponse:
-    """A front-end's answer as a list of ``LookupReply`` objects plus the plan."""
+    """A front-end's answer as a list of ``LookupReply`` objects."""
 
     client_id: str
     replies: Sequence[LookupReply]
-    plan: UploadPlan
     request_id: int = 0
 
     @property
@@ -351,16 +347,6 @@ def reassemble_replies(
     if missing:
         raise ValueError(f"missing replies for positions {missing[:5]}")
     return [entry for entry in merged if entry is not None]
-
-
-def plan_from_replies(client_id: str, replies: Sequence[LookupReply]) -> UploadPlan:
-    plan = UploadPlan(client_id=client_id)
-    for reply in replies:
-        if reply.is_duplicate:
-            plan.already_stored.append(reply.fingerprint)
-        else:
-            plan.to_upload.append(reply.fingerprint)
-    return plan
 
 
 # --------------------------------------------------------------------- node
@@ -418,10 +404,8 @@ def cluster_handler(cluster: SHHCCluster, node):
 class EventWebFrontEnd(WebFrontEnd):
     """A web server whose simulated handler returns an event."""
 
-    def _handle_async(self, request: ClientBatchRequest) -> Event:
+    def _handle(self, request: ClientBatchRequest) -> Event:
         sim = self.rpc.sim
-        self.counters["requests"] += 1
-        self.counters["fingerprints"] += len(request.fingerprints)
         done = Event(sim, f"{self.server_id}.response")
         fingerprints = list(request.fingerprints)
 
@@ -439,11 +423,9 @@ class EventWebFrontEnd(WebFrontEnd):
 
         def _finish() -> None:
             replies = reassemble_replies(len(fingerprints), gathered)
-            plan = plan_from_replies(request.client_id, replies)
             response = ReplyResponse(
                 client_id=request.client_id,
                 replies=replies,
-                plan=plan,
                 request_id=request.request_id,
             )
             done.succeed((response, response.payload_bytes))
@@ -464,7 +446,7 @@ class EventWebFrontEnd(WebFrontEnd):
                 )
                 call.add_callback(_on_node_reply(positions))
 
-        sim.schedule(self.per_request_overhead, _dispatch)
+        sim.schedule(PER_REQUEST_OVERHEAD, _dispatch)
         return done
 
 
@@ -545,5 +527,4 @@ def build_event_service(
         cluster=cluster,
         web_servers=web_servers,
         load_balancer=load_balancer,
-        object_store=CloudObjectStore(),
     )

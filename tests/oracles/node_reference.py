@@ -2,14 +2,15 @@
 
 ``HybridHashNode`` serves every key through one batch contract
 (``serve_bucket_verdicts`` over the generated kernel of
-``repro.core.bucket_kernel``); its ``lookup`` is a one-key view over that
-contract.  This module keeps the readable per-fingerprint flow the kernel
-was written from -- RAM LRU probe, bloom guard, SSD bucket probe, insert
-on a miss -- with its costs spelled one page operation at a time through
-``SSDHashStore.lookup_io`` / ``insert_io`` and the node's device models.
-It drives a real node's cache, bloom filter, store and counters, so a twin
-node served through the kernel must end in the same state with the same
-replies (``tests/test_vectorized_kernels.py``).
+``repro.core.bucket_kernel``) and builds no per-key reply.  This module
+keeps the readable per-fingerprint flow the kernel was written from -- RAM
+LRU probe, bloom guard, SSD bucket probe, insert on a miss -- with its costs
+spelled one page operation at a time through ``SSDHashStore.lookup_io`` /
+``insert_io`` and the node's device models.  It drives a real node's cache,
+bloom filter, store and counters, so a twin node served through the kernel
+must end in the same state with the same replies, lifted from its columns by
+``oracles.replies.node_lookup_batch``
+(``tests/test_vectorized_kernels.py``).
 
 :func:`insert_replica` is the per-key replica write the cluster's batched
 propagation replaced (``SSDHashStore.put_many_verdicts`` +
@@ -21,8 +22,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.protocol import LookupReply, ServedFrom
+from repro.core.protocol import ServedFrom
 from repro.dedup.fingerprint import Fingerprint
+
+from .replies import LookupReply
 
 
 def lookup(node, fingerprint: Fingerprint) -> LookupReply:

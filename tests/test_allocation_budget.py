@@ -16,7 +16,6 @@ new-pair tuples it returns).
 """
 
 import gc
-from itertools import repeat
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.digest_batch import DigestBatch
 from repro.core.hash_node import HybridHashNode
-from repro.core.protocol import replies_from_tiers
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.serving.wire import JsonCodec, decode_payload, encode_batch_frame
 from repro.serving.worker import WorkerCore
@@ -112,13 +110,3 @@ def test_worker_shaped_serve_grows_nothing_per_batch(collector_off):
     assert histogram.count == 1_202 and len(histogram.counts) == buckets
     assert list(registry.histograms) == ["serve_batch"] and node.lookup_latency.count == 0
 
-
-def test_replies_from_tiers_allocates_one_object_per_key(collector_off):
-    batch = half_new_batch(0)
-    tiers = [index % 4 for index in range(KEYS)]
-    service_times = [1e-6] * KEYS
-    start = collector_off()
-    replies = replies_from_tiers(batch, tiers, service_times, repeat("n0"))
-    grown = collector_off() - start
-    assert len(replies) == KEYS
-    assert grown <= 1.05 * KEYS, f"{grown / KEYS:.2f} tracked allocations per key"

@@ -155,7 +155,7 @@ class TestDisabledPathIdentity:
         charged = SHHCCluster(_small_config(), cost_model=CostModel())
         for start in range(0, len(fingerprints), 256):
             batch = fingerprints[start:start + 256]
-            assert charged.lookup_batch_replies(batch) == plain.lookup_batch_replies(batch)
+            assert charged.lookup_batch_columns(batch) == plain.lookup_batch_columns(batch)
         assert charged.read_repairs == plain.read_repairs
         assert charged.failovers == plain.failovers
         assert charged.total_stored == plain.total_stored

@@ -159,6 +159,6 @@ class TestSimulatedService:
         sim.run()
         finish_time, reply = responses[0]
         assert finish_time > 0
-        assert len(reply.replies) == len(owned)
-        assert all(not r.is_duplicate for r in reply.replies)
+        assert len(reply.tiers) == len(owned)
+        assert not any(reply.tiers)
         assert len(cluster) == len(owned)

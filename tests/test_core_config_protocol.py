@@ -8,7 +8,6 @@ from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.protocol import (
     BatchLookupReply,
     BatchLookupRequest,
-    LookupReply,
     REPLY_BYTES_PER_FINGERPRINT,
     REQUEST_OVERHEAD_BYTES,
     ServedFrom,
@@ -67,8 +66,8 @@ class TestProtocolMessages:
     def test_single_lookup_sizes(self):
         request = BatchLookupRequest([synthetic_fingerprint(1)])
         assert request.payload_bytes == REQUEST_OVERHEAD_BYTES + FINGERPRINT_BYTES
-        reply = LookupReply(synthetic_fingerprint(1), True, ServedFrom.RAM)
-        assert reply.payload_bytes > 0
+        reply = BatchLookupReply(request.fingerprints, [1], [0.0])
+        assert reply.payload_bytes == REQUEST_OVERHEAD_BYTES + REPLY_BYTES_PER_FINGERPRINT
 
     def test_batch_request_size_scales_with_fingerprints(self):
         small = BatchLookupRequest([synthetic_fingerprint(1)])
@@ -85,16 +84,7 @@ class TestProtocolMessages:
         tiers = [1 if i % 2 == 0 else 0 for i in range(10)]
         batch = BatchLookupReply(fingerprints, tiers, [0.5] * 10, node_id="n0")
         assert len(batch) == 10
-        assert batch.duplicates == 5
-        assert batch.uniques == 5
-        assert batch.unique_fingerprints() == fingerprints[1::2]
         assert batch.payload_bytes == REQUEST_OVERHEAD_BYTES + 10 * REPLY_BYTES_PER_FINGERPRINT
-        # The LookupReply view, built on demand.
-        replies = batch.replies
-        assert [reply.fingerprint for reply in replies] == fingerprints
-        assert [reply.is_duplicate for reply in replies] == [bool(tier) for tier in tiers]
-        assert {reply.served_from for reply in replies} == {ServedFrom.RAM, ServedFrom.NEW}
-        assert {reply.node_id for reply in replies} == {"n0"}
 
     def test_served_from_values(self):
         assert {ServedFrom.RAM.value, ServedFrom.SSD.value, ServedFrom.NEW.value} == {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from oracles import node_reference
+from oracles.replies import node_lookup, node_lookup_batch
 
 from repro.core.config import HashNodeConfig
 from repro.core.hash_node import HybridHashNode
@@ -22,7 +23,7 @@ class TestLookupFlow:
     def test_unknown_fingerprint_is_unique_and_inserted(self):
         node = make_node()
         fingerprint = synthetic_fingerprint(1)
-        reply = node.lookup(fingerprint)
+        reply = node_lookup(node, fingerprint)
         assert reply.is_duplicate is False
         assert reply.served_from is ServedFrom.NEW
         assert len(node) == 1
@@ -31,20 +32,20 @@ class TestLookupFlow:
     def test_repeat_lookup_is_ram_hit(self):
         node = make_node()
         fingerprint = synthetic_fingerprint(1)
-        node.lookup(fingerprint)
-        reply = node.lookup(fingerprint)
+        node_lookup(node, fingerprint)
+        reply = node_lookup(node, fingerprint)
         assert reply.is_duplicate is True
         assert reply.served_from is ServedFrom.RAM
 
     def test_evicted_fingerprint_served_from_ssd(self):
         node = make_node(ram_cache_entries=4)
         target = synthetic_fingerprint(0)
-        node.lookup(target)
+        node_lookup(node, target)
         # Push enough other fingerprints through to evict the target from RAM.
         for index in range(1, 50):
-            node.lookup(synthetic_fingerprint(index))
+            node_lookup(node, synthetic_fingerprint(index))
         assert target.digest not in node.cache
-        reply = node.lookup(target)
+        reply = node_lookup(node, target)
         assert reply.is_duplicate is True
         assert reply.served_from is ServedFrom.SSD
         # The SSD hit promotes it back into RAM.
@@ -56,8 +57,8 @@ class TestLookupFlow:
         node, batched = make_node(ram_cache_entries=4), make_node(ram_cache_entries=4)
         fingerprints = [synthetic_fingerprint(index) for index in range(20)]
         for fingerprint in fingerprints:
-            node.lookup(fingerprint)
-        batched.lookup_batch(fingerprints)
+            node_lookup(node, fingerprint)
+        node_lookup_batch(batched, fingerprints)
         assert node.snapshot().destages == batched.snapshot().destages == 16
         assert node.cache.evictions == batched.cache.evictions == 16
         for target in (node, batched):
@@ -65,32 +66,32 @@ class TestLookupFlow:
             target.restart()
             assert target.cache.evictions == 0 and target.snapshot().destages == 16
         for fingerprint in fingerprints[:6]:
-            node.lookup(fingerprint)
-        batched.lookup_batch(fingerprints[:6])
+            node_lookup(node, fingerprint)
+        node_lookup_batch(batched, fingerprints[:6])
         assert node.snapshot().destages == batched.snapshot().destages == 18
 
     def test_bloom_negative_shortcut_avoids_ssd_read(self):
         node = make_node()
         before = node.store.page_reads
-        node.lookup(synthetic_fingerprint(123))
+        node_lookup(node, synthetic_fingerprint(123))
         assert node.store.page_reads == before  # no SSD probe for a definite miss
         assert node.snapshot().bloom_negative_shortcuts == 1
 
     def test_ram_hit_is_cheaper_than_ssd_hit(self):
         node = make_node(ram_cache_entries=4)
         target = synthetic_fingerprint(0)
-        node.lookup(target)
-        ram_hit = node.lookup(target)
+        node_lookup(node, target)
+        ram_hit = node_lookup(node, target)
         for index in range(1, 50):
-            node.lookup(synthetic_fingerprint(index))
-        ssd_hit = node.lookup(target)
+            node_lookup(node, synthetic_fingerprint(index))
+        ssd_hit = node_lookup(node, target)
         assert ssd_hit.served_from is ServedFrom.SSD
         assert ram_hit.service_time < ssd_hit.service_time
 
     def test_lookup_batch_preserves_order_and_counts(self):
         node = make_node()
         fingerprints = [synthetic_fingerprint(i % 10) for i in range(30)]
-        replies = node.lookup_batch(fingerprints)
+        replies = node_lookup_batch(node, fingerprints)
         assert [r.fingerprint for r in replies] == fingerprints
         assert sum(1 for r in replies if not r.is_duplicate) == 10
         assert len(node) == 10
@@ -98,7 +99,7 @@ class TestLookupFlow:
     def test_counters_consistency(self):
         node = make_node()
         for index in range(40):
-            node.lookup(synthetic_fingerprint(index % 8))
+            node_lookup(node, synthetic_fingerprint(index % 8))
         snapshot = node.snapshot()
         assert snapshot.lookups == 40
         assert snapshot.new_entries == 8
@@ -117,7 +118,7 @@ class TestLookupTime:
 
     def test_lookup_adds_its_reply_service_time(self):
         node = make_node()
-        replies = [node.lookup(synthetic_fingerprint(i % 4)) for i in range(12)]
+        replies = [node_lookup(node, synthetic_fingerprint(i % 4)) for i in range(12)]
         assert node.lookup_latency.count == 12
         assert node.lookup_latency.total == pytest.approx(sum(r.service_time for r in replies))
 
@@ -125,8 +126,8 @@ class TestLookupTime:
         looped, batched = make_node(), make_node()
         fingerprints = [synthetic_fingerprint(i % 10) for i in range(30)]
         for fingerprint in fingerprints:
-            looped.lookup(fingerprint)
-        replies = batched.lookup_batch(fingerprints)
+            node_lookup(looped, fingerprint)
+        replies = node_lookup_batch(batched, fingerprints)
         # Both add the per-key service times left to right: the totals are equal.
         assert batched.lookup_latency == looped.lookup_latency
         assert batched.lookup_latency.count == len(replies) == 30
@@ -134,9 +135,9 @@ class TestLookupTime:
     def test_counters_start_at_zero_and_add_like_collections_counters(self):
         node = make_node()
         assert node.counters["lookups"] == node.counters.get("ssd_hits") == 0
-        node.lookup_batch([synthetic_fingerprint(i % 5) for i in range(20)])
+        node_lookup_batch(node, [synthetic_fingerprint(i % 5) for i in range(20)])
         other = make_node()
-        other.lookup(synthetic_fingerprint(99))
+        node_lookup(other, synthetic_fingerprint(99))
         merged = node.counters + other.counters
         assert merged["lookups"] == 21
         assert merged["new_entries"] == 6
@@ -160,7 +161,7 @@ class TestBatchEquivalence:
         sequential_replies = [node_reference.lookup(sequential, fp) for fp in fingerprints]
         batched_replies = []
         for start in range(0, len(fingerprints), 97):
-            batched_replies.extend(batched.lookup_batch(fingerprints[start:start + 97]))
+            batched_replies.extend(node_lookup_batch(batched, fingerprints[start:start + 97]))
         assert [
             (r.is_duplicate, r.served_from, r.service_time) for r in sequential_replies
         ] == [(r.is_duplicate, r.served_from, r.service_time) for r in batched_replies]
@@ -181,7 +182,7 @@ class TestBatchEquivalence:
         sequential_replies = [node_reference.lookup(sequential, fp) for fp in fingerprints]
         batched_replies = []
         for start in range(0, len(fingerprints), 128):
-            batched_replies.extend(batched.lookup_batch(fingerprints[start:start + 128]))
+            batched_replies.extend(node_lookup_batch(batched, fingerprints[start:start + 128]))
         assert [
             (r.is_duplicate, r.served_from, r.service_time) for r in sequential_replies
         ] == [(r.is_duplicate, r.served_from, r.service_time) for r in batched_replies]
@@ -192,14 +193,14 @@ class TestBatchEquivalence:
     def test_batch_with_intra_batch_duplicates(self):
         node = make_node()
         fingerprint = synthetic_fingerprint(1)
-        replies = node.lookup_batch([fingerprint, fingerprint, fingerprint])
+        replies = node_lookup_batch(node, [fingerprint, fingerprint, fingerprint])
         assert [r.is_duplicate for r in replies] == [False, True, True]
         assert replies[0].served_from is ServedFrom.NEW
         assert replies[1].served_from is ServedFrom.RAM
 
     def test_empty_batch(self):
         node = make_node()
-        assert node.lookup_batch([]) == []
+        assert node_lookup_batch(node, []) == []
         assert node.counters["lookups"] == 0
 
 
@@ -207,7 +208,7 @@ class TestImportExport:
     def test_export_import_roundtrip(self):
         source = make_node()
         for index in range(25):
-            source.lookup(synthetic_fingerprint(index))
+            node_lookup(source, synthetic_fingerprint(index))
         target = make_node()
         added = target.import_entries(source.export_entries())
         assert added == 25
@@ -217,22 +218,22 @@ class TestImportExport:
 
     def test_import_is_idempotent(self):
         node = make_node()
-        node.lookup(synthetic_fingerprint(1))
+        node_lookup(node, synthetic_fingerprint(1))
         entries = node.export_entries()
         assert node.import_entries(entries) == 0
 
     def test_imported_entries_pass_bloom_filter(self):
         source = make_node()
-        source.lookup(synthetic_fingerprint(7))
+        node_lookup(source, synthetic_fingerprint(7))
         target = make_node()
         target.import_entries(source.export_entries())
-        reply = target.lookup(synthetic_fingerprint(7))
+        reply = node_lookup(target, synthetic_fingerprint(7))
         assert reply.is_duplicate is True
 
     def test_remove_entries(self):
         node = make_node()
         held, absent = synthetic_fingerprint(3), synthetic_fingerprint(4)
-        node.lookup(held)
+        node_lookup(node, held)
         assert node.remove_entries([held.digest, absent.digest]) == 1
         assert node.remove_entries([held.digest]) == 0
         assert held not in node
@@ -251,7 +252,7 @@ class TestSimulatedServing:
         node.serve_batch(request, lambda reply: results.append((sim.now, reply)))
         sim.run()
         finish_time, reply = results[0]
-        assert len(reply.replies) == 16
+        assert len(reply.tiers) == 16
         assert reply.node_id == "node-0"
         # At least the per-request plus per-fingerprint CPU time must elapse.
         expected_cpu = node.config.cpu_per_request + 16 * node.config.cpu_per_lookup
@@ -283,13 +284,13 @@ class TestSimulatedServing:
     def test_simulated_and_immediate_agree_on_verdicts(self, sim):
         fingerprints = [synthetic_fingerprint(i % 6) for i in range(24)]
         immediate_node = make_node()
-        immediate = [r.is_duplicate for r in immediate_node.lookup_batch(fingerprints)]
+        immediate = [r.is_duplicate for r in node_lookup_batch(immediate_node, fingerprints)]
 
         simulated_node = make_node(sim)
         collected = []
         simulated_node.serve_batch(
             BatchLookupRequest(fingerprints),
-            lambda reply: collected.extend(r.is_duplicate for r in reply.replies),
+            lambda reply: collected.extend(map(bool, reply.tiers)),
         )
         sim.run()
         assert collected == immediate

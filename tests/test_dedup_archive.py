@@ -8,9 +8,10 @@ import pytest
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
-from repro.dedup.archive import DirectoryArchiver, Snapshot
+from repro.dedup.archive import ArchiveStats, DirectoryArchiver, Snapshot
 from repro.dedup.chunking import ContentDefinedChunker, FixedSizeChunker
-from repro.dedup.index import InMemoryChunkIndex
+from repro.dedup.fingerprint import fingerprint_data
+from repro.dedup.index import ChunkIndex, InMemoryChunkIndex
 from repro.storage.object_store import CloudObjectStore
 
 
@@ -118,6 +119,149 @@ class TestBackupRestore:
         archiver.backup_files({"disk.img": data}, "laptop-day2")
         assert archiver.restore_file("laptop-day2", "disk.img") == data
         assert len(cluster) == 32
+
+
+def small_cluster(num_nodes=2, replication=1) -> SHHCCluster:
+    return SHHCCluster(ClusterConfig(
+        num_nodes=num_nodes,
+        replication_factor=replication,
+        node=HashNodeConfig(ram_cache_entries=512, bloom_expected_items=50_000, ssd_buckets=1 << 10),
+    ))
+
+
+class CountingIndex(ChunkIndex):
+    """A chunk index that records every call the archiver makes to it."""
+
+    def __init__(self, index: ChunkIndex) -> None:
+        self.index = index
+        self.calls = []
+
+    def lookup(self, fingerprint):
+        self.calls.append(("lookup", [fingerprint]))
+        return self.index.lookup(fingerprint)
+
+    def lookup_batch(self, fingerprints):
+        fingerprints = list(fingerprints)
+        self.calls.append(("lookup_batch", fingerprints))
+        return self.index.lookup_batch(fingerprints)
+
+    def __len__(self):
+        return len(self.index)
+
+    def __contains__(self, fingerprint):
+        return fingerprint in self.index
+
+
+class RecordingStore(CloudObjectStore):
+    """An object store that logs its ``put`` / ``add_reference`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log = []
+
+    def put(self, key, data):
+        self.log.append(("put", key, bytes(data)))
+        return super().put(key, data)
+
+    def add_reference(self, key):
+        self.log.append(("ref", key))
+        return super().add_reference(key)
+
+
+def per_chunk_backup(index, store, chunker, files):
+    """The archiver's backup as one index lookup per chunk, for reference."""
+    stats, entries = ArchiveStats(), {}
+    for path in sorted(files):
+        data = files[path]
+        stats.bytes_scanned += len(data)
+        entries[path] = []
+        for chunk in chunker.chunk(data):
+            fingerprint = fingerprint_data(chunk.data)
+            entries[path].append(fingerprint)
+            stats.chunks_seen += 1
+            if index.lookup(fingerprint).is_duplicate:
+                store.add_reference(fingerprint.digest)
+            else:
+                stats.chunks_uploaded += 1
+                stats.bytes_uploaded += fingerprint.chunk_size
+                store.put(fingerprint.digest, chunk.data)
+        stats.files_scanned += 1
+    return stats, entries
+
+
+class TestArchiverOverTheCluster:
+    """The archiver is the library's backup path: chunk, look up, upload
+    what is new, over an ``SHHCCluster``."""
+
+    def test_only_unique_chunks_are_uploaded(self):
+        store = CloudObjectStore()
+        archiver = DirectoryArchiver(small_cluster(), store, FixedSizeChunker(128))
+        data = os.urandom(128 * 20)
+        first = archiver.backup_files({"a": data}, "day-1")
+        second = archiver.backup_files({"a": data}, "day-2")
+        assert (first.chunks_seen, first.chunks_uploaded) == (20, 20)
+        assert (second.chunks_seen, second.chunks_uploaded) == (20, 0)
+        assert store.total_bytes() == len(data)
+
+    def test_uploaded_chunks_match_their_fingerprints(self):
+        store = CloudObjectStore(verify_content=True)
+        archiver = DirectoryArchiver(small_cluster(), store, FixedSizeChunker(64))
+        data = os.urandom(640) + os.urandom(64) * 3  # 13 chunks, 11 distinct
+        assert archiver.backup_files({"a": data}, "day-1").chunks_uploaded == 11
+        for chunk_start in range(0, len(data), 64):
+            digest = fingerprint_data(data[chunk_start:chunk_start + 64]).digest
+            assert store.get(digest) == data[chunk_start:chunk_start + 64]
+
+    def test_two_sources_share_one_dedup_domain(self):
+        cluster = small_cluster(num_nodes=4)
+        store = CloudObjectStore()
+        archiver = DirectoryArchiver(cluster, store)
+        data = os.urandom(8192 * 8)
+        alice = archiver.backup_files({"alice/disk": data}, "alice")
+        bob = archiver.backup_files({"bob/disk": data}, "bob")
+        assert (alice.chunks_uploaded, bob.chunks_uploaded) == (8, 0)
+        assert bob.dedup_savings == pytest.approx(1.0)
+        assert len(cluster) == 8
+        assert store.total_bytes() == len(data)
+
+    def test_each_file_is_one_index_batch(self):
+        """One ``lookup_batch`` per file, in chunk order, and no per-chunk
+        ``lookup``: a file repeating its own chunk still uploads it once."""
+        index = CountingIndex(InMemoryChunkIndex())
+        archiver = DirectoryArchiver(index, CloudObjectStore(), FixedSizeChunker(256))
+        block = os.urandom(256)
+        files = {"a": block * 3 + os.urandom(100), "b": os.urandom(1000), "empty": b""}
+        stats = archiver.backup_files(files, "snap")
+        snapshot = archiver.snapshots["snap"]
+        assert index.calls == [("lookup_batch", snapshot.files[path].fingerprints)
+                               for path in sorted(files)]
+        assert [len(fingerprints) for _kind, fingerprints in index.calls] == [4, 4, 0]
+        assert (stats.chunks_seen, stats.chunks_uploaded) == (8, 6)
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_batched_files_store_what_per_chunk_lookups_store(self, replication):
+        """Verdicts, object-store calls, snapshot entries and stats equal a
+        per-chunk loop's over a twin cluster, repeats across and within
+        files included."""
+        shared, rng_block = os.urandom(4096), os.urandom(512)
+        days = [
+            {"a": shared + os.urandom(3000), "b": rng_block * 4 + shared, "c": b""},
+            {"a": shared + os.urandom(3000), "b": rng_block * 2, "d": shared[:2048]},
+        ]
+        chunker = FixedSizeChunker(512)
+        batched, looped = small_cluster(3, replication), small_cluster(3, replication)
+        store, reference_store = RecordingStore(), RecordingStore()
+        archiver = DirectoryArchiver(batched, store, chunker)
+        for day, files in enumerate(days):
+            stats = archiver.backup_files(files, f"day-{day}")
+            expected_stats, expected_entries = per_chunk_backup(
+                looped, reference_store, chunker, files)
+            assert stats == expected_stats
+            assert {path: entry.fingerprints
+                    for path, entry in archiver.snapshots[f"day-{day}"].files.items()
+                    } == expected_entries
+        assert store.log == reference_store.log
+        assert len(batched) == len(looped)
 
 
 class TestSnapshotsAndDiff:

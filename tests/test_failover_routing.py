@@ -1,6 +1,6 @@
 """Failover correctness of the replica-aware batch routing.
 
-Pins the historical bug where ``lookup_batch_replies`` failed over an entire
+Pins the historical bug where the cluster's batch lookup failed over an entire
 per-owner batch to the replica set of its *first* fingerprint, which served
 fingerprints from nodes outside their own replica sets under consistent
 hashing (duplicates misreported as new, replicas polluted).
@@ -16,6 +16,7 @@ from repro.core.protocol import ServedFrom
 from repro.dedup.fingerprint import synthetic_fingerprint
 
 from oracles.batch_routing import split_batch_by_replica_set
+from oracles.replies import cluster_lookup, cluster_lookup_batch
 
 
 def make_cluster(num_nodes=5, replication=1, virtual_nodes=0) -> SHHCCluster:
@@ -93,7 +94,7 @@ class TestBatchMatchesSequentialUnderFailures:
         assert len(failover_targets) > 1, "ring must spread successors for this regression"
 
         cluster.mark_down(victim)
-        replies = cluster.lookup_batch_replies(fingerprints)
+        replies = cluster_lookup_batch(cluster, fingerprints)
         for fingerprint, reply in zip(fingerprints, replies):
             assert reply.is_duplicate is True
             assert reply.node_id in cluster.replica_set(fingerprint)
@@ -111,14 +112,14 @@ class TestBatchMatchesSequentialUnderFailures:
         assert fingerprint not in cluster.nodes[primary]
 
         cluster.mark_up(primary)
-        reply = cluster.lookup_reply(fingerprint)
+        reply = cluster_lookup(cluster, fingerprint)
         assert reply.is_duplicate is True
         assert reply.served_from is ServedFrom.REPAIR
         assert cluster.read_repairs == 1
         # The recovered primary now holds the copy it missed.
         assert fingerprint in cluster.nodes[primary]
         # And the verdict stays an ordinary duplicate afterwards.
-        assert cluster.lookup_reply(fingerprint).served_from in (ServedFrom.RAM, ServedFrom.SSD)
+        assert cluster_lookup(cluster, fingerprint).served_from in (ServedFrom.RAM, ServedFrom.SSD)
 
 
 class TestReplicaWriteStats:
@@ -158,9 +159,9 @@ class TestBatchIdThreading:
         cluster = make_cluster()
         fingerprints = [synthetic_fingerprint(i) for i in range(10)]
         assert cluster.last_batch_id == 0
-        cluster.lookup_batch_replies(fingerprints)
+        cluster.lookup_batch_columns(fingerprints)
         assert cluster.last_batch_id == 1
-        cluster.lookup_batch_replies(fingerprints)
+        cluster.lookup_batch(fingerprints)
         assert cluster.last_batch_id == 2
 
     def test_split_by_replica_set_stamps_batch_id(self):

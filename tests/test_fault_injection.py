@@ -11,6 +11,7 @@ from repro.analysis.experiments.failover import run_failover
 from repro.cli import main as cli_main
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
+from repro.core.digest_batch import DigestBatch
 from repro.core.fault_injection import (
     FaultEvent,
     FaultInjector,
@@ -146,7 +147,7 @@ class TestFlakyNode:
         cluster = make_cluster()
         flaky = make_flaky(cluster, "hashnode-0", failure_rate=1.0)
         with pytest.raises(NodeUnavailableError):
-            flaky.lookup(synthetic_fingerprint(1))
+            flaky.serve_bucket_verdicts(DigestBatch.from_fingerprints([synthetic_fingerprint(1)]))
         assert flaky.injected_failures == 1
 
     def test_wrapper_intercepts_every_public_serving_entry_point(self):

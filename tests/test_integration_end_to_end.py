@@ -13,7 +13,7 @@ from repro.core.membership import MembershipManager
 from repro.dedup.chunking import ContentDefinedChunker
 from repro.dedup.archive import DirectoryArchiver
 from repro.frontend.client import SimulatedClient
-from repro.frontend.gateway import BackupService, build_simulated_service
+from repro.frontend.gateway import build_simulated_service
 from repro.simulation.engine import Simulator
 from repro.storage.object_store import CloudObjectStore
 from repro.workloads.mixer import table_i_mix
@@ -51,8 +51,9 @@ class TestLibraryEndToEnd:
         # The cluster spread the fingerprints over all four nodes.
         assert cluster.storage_distribution().max_over_mean < 1.6
 
-    def test_backup_service_full_week_cycle(self):
-        service = BackupService(small_config(), num_web_servers=2, batch_size=64)
+    def test_archiver_full_week_cycle(self):
+        cluster = SHHCCluster(small_config())
+        archiver = DirectoryArchiver(cluster, CloudObjectStore())
         base = os.urandom(8192 * 16)
         total_upload = 0
         for day in range(5):
@@ -61,13 +62,13 @@ class TestLibraryEndToEnd:
             changed = bytearray(base)
             start = (day % 4) * 8192 * 4
             changed[start:start + 8192 * 4] = os.urandom(8192 * 4)
-            plan = service.backup("laptop-1", bytes(changed))
-            total_upload += plan.upload_bytes
+            stats = archiver.backup_files({"laptop-1/disk": bytes(changed)}, f"day-{day}")
+            total_upload += stats.bytes_uploaded
         # Five full backups of 128 KiB each, but far less actually uploaded.
         logical = 5 * len(base)
         assert total_upload < logical * 0.6
-        stats = service.stats()
-        assert stats["cluster"]["lookups"] == 5 * 16
+        assert cluster.metrics().total_lookups == 5 * 16
+        assert archiver.restore_file("day-4", "laptop-1/disk") == bytes(changed)
 
     def test_membership_change_with_live_data(self):
         cluster = SHHCCluster(small_config())

@@ -9,6 +9,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from oracles.replies import node_lookup, node_lookup_batch
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
@@ -318,7 +319,7 @@ class TestNodePersistence:
     def test_take_snapshot_is_constant_in_shard_size(self, tmp_path, entries):
         directory = str(tmp_path / "node-0")
         node = _fresh_node(NodePersistence(directory))
-        node.lookup_batch([synthetic_fingerprint(i) for i in range(entries)])
+        node_lookup_batch(node, [synthetic_fingerprint(i) for i in range(entries)])
         assert len(node.store) == entries
         persistence = node.persistence
         sizes_before = {name: os.path.getsize(os.path.join(directory, name))
@@ -368,13 +369,13 @@ class TestNodePersistence:
         twin = _fresh_node()  # never crashes, no persistence
         first = [synthetic_fingerprint(i) for i in range(30)]
         second = [synthetic_fingerprint(100 + i) for i in range(20)]
-        node.lookup_batch(first)
+        node_lookup_batch(node, first)
         persistence.take_snapshot(node.bloom, entries=len(node.store))
         covered = persistence.snapshot_records
         with open(persistence.snapshot_path, "rb") as image:
             previous = image.read()
-        node.lookup_batch(second)
-        twin.lookup_batch(first + second)
+        node_lookup_batch(node, second)
+        node_lookup_batch(twin, first + second)
 
         def disk_full(fd):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -605,7 +606,7 @@ class TestNodeKillRestart:
     def test_kill_destroys_in_memory_state(self):
         node = _fresh_node()
         fingerprint = synthetic_fingerprint(1)
-        assert not node.lookup(fingerprint).is_duplicate
+        assert not node_lookup(node, fingerprint).is_duplicate
         assert fingerprint in node
         node.kill()
         assert len(node.store) == 0
@@ -615,7 +616,7 @@ class TestNodeKillRestart:
 
     def test_restart_without_persistence_is_honest_data_loss(self):
         node = _fresh_node()
-        node.lookup(synthetic_fingerprint(1))
+        node_lookup(node, synthetic_fingerprint(1))
         node.kill()
         assert node.restart() is None
         assert len(node.store) == 0
@@ -626,34 +627,34 @@ class TestNodeKillRestart:
         node = _fresh_node(persistence)
         fingerprints = [synthetic_fingerprint(i) for i in range(30)]
         for batch_start in range(0, 30, 10):
-            node.lookup_batch(fingerprints[batch_start:batch_start + 10])
+            node_lookup_batch(node, fingerprints[batch_start:batch_start + 10])
         node.kill()
         report = node.restart()
         assert report is not None and report.entries == 30
         assert node.last_recovery is report
         assert all(f in node for f in fingerprints)
         # Verdicts after recovery: every recovered fingerprint is a duplicate.
-        assert all(reply.is_duplicate for reply in node.lookup_batch(fingerprints))
+        assert all(reply.is_duplicate for reply in node_lookup_batch(node, fingerprints))
         persistence.close()
 
     def test_construction_warm_start_from_prior_state(self, tmp_path):
         directory = str(tmp_path / "node-0")
         first = _fresh_node(NodePersistence(directory))
         fingerprints = [synthetic_fingerprint(i) for i in range(25)]
-        first.lookup_batch(fingerprints)
+        node_lookup_batch(first, fingerprints)
         assert first.last_recovery is None  # no prior state existed
         first.persistence.close()
         # A new process: same directory, fresh node object.
         second = _fresh_node(NodePersistence(directory))
         assert second.last_recovery is not None
         assert second.last_recovery.entries == 25
-        assert all(reply.is_duplicate for reply in second.lookup_batch(fingerprints))
+        assert all(reply.is_duplicate for reply in node_lookup_batch(second, fingerprints))
         second.persistence.close()
 
     def test_snapshot_cadence_triggers_during_serving(self, tmp_path):
         persistence = NodePersistence(str(tmp_path / "node-0"), snapshot_every=16)
         node = _fresh_node(persistence)
-        node.lookup_batch([synthetic_fingerprint(i) for i in range(64)])
+        node_lookup_batch(node, [synthetic_fingerprint(i) for i in range(64)])
         assert persistence.snapshots_taken >= 1
         assert node.counters["snapshots"] >= 1
         persistence.close()

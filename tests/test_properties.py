@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.replies import node_lookup
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
@@ -176,7 +177,8 @@ class TestDedupProperties:
         )
         for identity in identities:
             fingerprint = synthetic_fingerprint(identity)
-            assert node.lookup(fingerprint).is_duplicate == reference.lookup(fingerprint).is_duplicate
+            assert (node_lookup(node, fingerprint).is_duplicate
+                    == node_lookup(reference, fingerprint).is_duplicate)
 
     @FAST
     @given(st.lists(st.binary(min_size=1, max_size=600), min_size=1, max_size=12))
@@ -279,7 +281,7 @@ class TestStoreIsASubsetOfBloom:
                     blob = b"".join(digest for digest, _size in pairs(argument))
                     node.serve_bucket_verdicts(DigestBatch.from_blob(blob, 8192))
                 elif kind == "lookup":
-                    node.lookup(synthetic_fingerprint(argument))
+                    node_lookup(node, synthetic_fingerprint(argument))
                 elif kind in ("replica", "propagate"):
                     # SHHCCluster._propagate_new_groups, per node: one pair
                     # per new verdict on the single-key paths, a bucket's
@@ -424,9 +426,9 @@ class TestCrashRecoveryProperties:
                     crash_and_restart()
                 if kind == "lookup":
                     fingerprint = synthetic_fingerprint(argument)
-                    reply = node.lookup(fingerprint)
+                    reply = node_lookup(node, fingerprint)
                     # Verdicts keep matching a node that never crashed.
-                    assert reply.is_duplicate == twin.lookup(fingerprint).is_duplicate
+                    assert reply.is_duplicate == node_lookup(twin, fingerprint).is_duplicate
                 elif kind == "import":
                     # (A key lookups see carries the chunk size a lookup of the
                     # same identity stores: a put of a held key is not re-logged.)

@@ -10,25 +10,31 @@ replicas, read-repair on a holder, otherwise copy with the per-key
 
 Twin clusters -- the tree's ``SHHCCluster`` and the oracle's
 ``PerReplyCluster``, same config, same stream -- run the same scenario: a
-grey-failing node (``FlakyNode`` at rate 0.1), a node marked down while
-new fingerprints arrive, then marked up again so its missed writes are
-read-repaired.  The tree serves through ``lookup_reply`` or
-``lookup_batch_replies``; the oracle through ``lookup_reply_reference`` or
-``lookup_batch_replies_reference``, so a refused bucket is retried by the
-oracle's own per-key loop.  Replies, node counters, stores, read repairs
-and failovers must agree, at replication 1 (the flaky node only: with a
-node down a key has no live replica), 2 and 3, on the range partitioner
-and a 16-vnode ring, with and without a cost model.  Two differences are
-by design: the oracle charges no served lookup to the ledger (the ledgers
-agree on their replica writes), and at replication 1 the tree's batch
-retries draw fewer refusals from the flaky node than the oracle's per-key
-ones.
+grey-failing node (``FlakyNode`` at rate 0.1), a node marked down while new
+fingerprints arrive, then marked up again so its missed writes are
+read-repaired.  The tree serves through ``lookup_batch_columns``, one key or
+97 at a time (its columns lifted to replies by
+``oracles.replies.cluster_lookup_batch``); the oracle through
+``lookup_reply_reference`` or ``lookup_batch_replies_reference``, so a
+refused bucket is retried by the oracle's own per-key loop.  Replies, node
+counters, stores, read repairs and failovers must agree, at replication 1
+(the flaky node only: with a node down a key has no live replica), 2 and 3,
+on the range partitioner and a 16-vnode ring, with and without a cost model.
+Two differences are by design: the oracle charges no served lookup to the
+ledger (the ledgers agree on their replica writes), and at replication 1 the
+tree's batch retries draw fewer refusals from the flaky node than the
+oracle's per-key ones.
 """
 
 from __future__ import annotations
 
 import pytest
-from oracles.cluster_reference import PerReplyCluster, lookup_batch_replies_reference
+from oracles.cluster_reference import (
+    PerReplyCluster,
+    lookup_batch_replies_reference,
+    lookup_reply_reference,
+)
+from oracles.replies import cluster_lookup, cluster_lookup_batch
 from oracles.set_model import set_verdicts
 
 from repro.core.cluster import SHHCCluster
@@ -113,19 +119,18 @@ def _run(cluster, serve) -> list:
 
 
 def _per_key(cluster, fingerprints):
-    return [cluster.lookup_reply(fingerprint) for fingerprint in fingerprints]
+    """One-key lookups: the routed core, or the oracle's per-key failover loop."""
+    lookup = lookup_reply_reference if isinstance(cluster, PerReplyCluster) else cluster_lookup
+    return [lookup(cluster, fingerprint) for fingerprint in fingerprints]
 
 
 def _batched(cluster, fingerprints, size=97):
     """97-key batches: the routed core, or the oracle's per-reply batch path."""
-    if isinstance(cluster, PerReplyCluster):
-        def lookup(batch):
-            return lookup_batch_replies_reference(cluster, batch)
-    else:
-        lookup = cluster.lookup_batch_replies
+    lookup = (lookup_batch_replies_reference if isinstance(cluster, PerReplyCluster)
+              else cluster_lookup_batch)
     out = []
     for start in range(0, len(fingerprints), size):
-        out += lookup(fingerprints[start:start + size])
+        out += lookup(cluster, fingerprints[start:start + size])
     return out
 
 
@@ -141,7 +146,7 @@ def test_the_oracle_overrides_only_methods_the_cluster_has():
 @pytest.mark.parametrize("virtual_nodes", [0, 16], ids=["range", "ring16"])
 @pytest.mark.parametrize("replication", [1, 2, 3])
 @pytest.mark.parametrize("serve", [_per_key, _batched],
-                         ids=["lookup_reply", "lookup_batch_replies"])
+                         ids=["per_key", "batched"])
 def test_single_key_replica_writes_match_the_per_reply_oracle(serve, replication, virtual_nodes,
                                                               cost):
     tree, oracle = _twins(replication, virtual_nodes, cost)
@@ -169,7 +174,7 @@ def test_single_key_replica_writes_match_the_per_reply_oracle(serve, replication
 @pytest.mark.parametrize("virtual_nodes", [0, 16], ids=["range", "ring16"])
 @pytest.mark.parametrize("replication", [2, 3])
 @pytest.mark.parametrize("serve", [_per_key, _batched],
-                         ids=["lookup_reply", "lookup_batch_replies"])
+                         ids=["per_key", "batched"])
 def test_two_flaky_nodes_keep_verdicts_stores_and_repairs(serve, replication, virtual_nodes):
     """Rate 0.4 on two nodes, which share some replica sets: a retry can be
     refused again and go back to the first refuser.  The two paths then draw
@@ -219,14 +224,15 @@ def _ledger(cluster) -> tuple:
 
 @pytest.mark.parametrize("virtual_nodes", [0, 16], ids=["range", "ring16"])
 def test_a_single_lookup_is_charged_as_a_one_key_batch(virtual_nodes):
-    """A cost model charges every served key: a loop of ``lookup_reply``
-    leaves the ledger a loop of one-key ``lookup_batch_replies`` leaves."""
+    """A cost model charges every served key: a loop of ``lookup`` leaves
+    the ledger a loop of one-key ``lookup_batch_columns`` leaves."""
     single, batched = (SHHCCluster(_config(2, virtual_nodes), cost_model=CostModel())
                        for _ in range(2))
     fingerprints = [synthetic_fingerprint(i % 400) for i in range(600)]
-    singles = [single.lookup_reply(fingerprint) for fingerprint in fingerprints]
-    batches = [batched.lookup_batch_replies([fingerprint])[0] for fingerprint in fingerprints]
-    assert _replies(singles) == _replies(batches)
+    singles = [single.lookup(fingerprint) for fingerprint in fingerprints]
+    batches = [cluster_lookup_batch(batched, [fingerprint])[0] for fingerprint in fingerprints]
+    assert [(r.fingerprint, r.is_duplicate, r.served_by, r.latency) for r in singles] == [
+        (r.fingerprint, r.is_duplicate, r.node_id, r.service_time) for r in batches]
     assert _ledger(single) == _ledger(batched)
     assert single.ledger.counters["lookups"] == len(fingerprints)
 

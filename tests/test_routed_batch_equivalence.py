@@ -1,30 +1,32 @@
 """Equivalence pins for the cluster's routed batch core.
 
-``SHHCCluster._serve_routed`` -- routing through the partitioner's
-boundary table, one-pass bucket dispatch through the node's batch
-contract, and batched replica propagation -- is the only batch path;
-``lookup_batch_replies`` and ``lookup_batch`` are views over it.  The per-reply implementation it
-replaced lives on as an oracle in ``tests/oracles/cluster_reference.py``;
-these tests drive **twin clusters** -- identical config, identical
-workload, one through each -- and require identical verdicts,
-``ServedFrom`` tiers, service times, per-node counters and replica-write
-counts, under clean runs, downed nodes, grey failures and membership
-churn, with and without a cost model.  Clean runs are additionally held to
-the plain set model (duplicate <=> seen before) and to sequential
-``lookup_reply``.
+``SHHCCluster._serve_routed`` -- routing through the partitioner's boundary
+table, one-pass bucket dispatch through the node's batch contract, and
+batched replica propagation -- is the only batch path;
+``lookup_batch_columns`` and ``lookup_batch`` are views over it (the columns
+lifted to replies by ``oracles.replies.cluster_lookup_batch`` for
+comparison).  The per-reply implementation it replaced lives on as an oracle
+in ``tests/oracles/cluster_reference.py``; these tests drive **twin
+clusters** -- identical config, identical workload, one through each -- and
+require identical verdicts, ``ServedFrom`` tiers, service times, per-node
+counters and replica-write counts, under clean runs, downed nodes, grey
+failures and membership churn, with and without a cost model.  Clean runs
+are additionally held to the plain set model (duplicate <=> seen before) and
+to sequential one-key lookups.
 """
 
 from __future__ import annotations
 
 import pytest
 from oracles.cluster_reference import lookup_batch_replies_reference
+from oracles.replies import cluster_lookup, cluster_lookup_batch
 from oracles.set_model import set_verdicts
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.fault_injection import make_flaky
 from repro.core.membership import MembershipManager
-from repro.core.protocol import SERVED_FROM_TIER, LookupReply, ServedFrom, replies_from_tiers
+from repro.core.protocol import ServedFrom
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.dedup.index import ChunkLocation, LookupResult
 from repro.simulation.costmodel import CostModel
@@ -53,6 +55,9 @@ def drive(cluster, fingerprints, path, batch_size=64):
     if path == "lookup_batch_replies_reference":
         def lookup(batch):
             return lookup_batch_replies_reference(cluster, batch)
+    elif path == "lookup_batch_columns":
+        def lookup(batch):
+            return cluster_lookup_batch(cluster, batch)
     else:
         lookup = getattr(cluster, path)
     replies = []
@@ -99,7 +104,7 @@ class TestRoutedBatchEquivalence:
         fast = make_cluster(replication=replication, virtual_nodes=virtual_nodes)
         reference = make_cluster(replication=replication, virtual_nodes=virtual_nodes)
         fingerprints = workload(900)
-        fast_replies = drive(fast, fingerprints, "lookup_batch_replies")
+        fast_replies = drive(fast, fingerprints, "lookup_batch_columns")
         reference_replies = drive(reference, fingerprints, "lookup_batch_replies_reference")
         assert_equivalent(fast, fast_replies, reference, reference_replies)
         assert replica_writes(fast) == replica_writes(reference)
@@ -114,18 +119,18 @@ class TestRoutedBatchEquivalence:
         # Distinct fingerprints first seen while a node is down: their
         # primaries may miss the write, setting up post-recovery repair.
         while_down = workload(200, distinct=200, salt=10_000)
-        fast_replies = drive(fast, warm, "lookup_batch_replies")
+        fast_replies = drive(fast, warm, "lookup_batch_columns")
         reference_replies = drive(reference, warm, "lookup_batch_replies_reference")
         victim = fast.node_names[1]
         fast.mark_down(victim)
         reference.mark_down(victim)
-        fast_replies += drive(fast, while_down, "lookup_batch_replies")
+        fast_replies += drive(fast, while_down, "lookup_batch_columns")
         reference_replies += drive(reference, while_down, "lookup_batch_replies_reference")
         fast.mark_up(victim)
         reference.mark_up(victim)
         # Read repair: the recovered node missed writes and must be
         # backfilled identically on both paths.
-        fast_replies += drive(fast, while_down, "lookup_batch_replies")
+        fast_replies += drive(fast, while_down, "lookup_batch_columns")
         reference_replies += drive(reference, while_down, "lookup_batch_replies_reference")
         assert any(r.served_from is ServedFrom.REPAIR for r in fast_replies)
         assert_equivalent(fast, fast_replies, reference, reference_replies)
@@ -135,12 +140,12 @@ class TestRoutedBatchEquivalence:
         fast = make_cluster(num_nodes=3, replication=2)
         reference = make_cluster(num_nodes=3, replication=2)
         fingerprints = workload(400)
-        drive(fast, fingerprints, "lookup_batch_replies")
+        drive(fast, fingerprints, "lookup_batch_columns")
         drive(reference, fingerprints, "lookup_batch_replies_reference")
         victim = fast.node_names[0]
         make_flaky(fast, victim, failure_rate=0.4, seed=11)
         make_flaky(reference, victim, failure_rate=0.4, seed=11)
-        fast_replies = drive(fast, fingerprints, "lookup_batch_replies")
+        fast_replies = drive(fast, fingerprints, "lookup_batch_columns")
         reference_replies = drive(reference, fingerprints, "lookup_batch_replies_reference")
         assert fast.failovers > 0
         assert_equivalent(fast, fast_replies, reference, reference_replies)
@@ -149,13 +154,13 @@ class TestRoutedBatchEquivalence:
         fast = make_cluster(virtual_nodes=16)
         reference = make_cluster(virtual_nodes=16)
         fingerprints = workload(600, salt=50_000)
-        fast_replies = drive(fast, fingerprints[:300], "lookup_batch_replies")
+        fast_replies = drive(fast, fingerprints[:300], "lookup_batch_columns")
         reference_replies = drive(reference, fingerprints[:300], "lookup_batch_replies_reference")
         for cluster in (fast, reference):
             manager = MembershipManager(cluster)
             manager.add_node("hashnode-9")
             manager.remove_node(cluster.config.node_names[0])
-        fast_replies += drive(fast, fingerprints[300:], "lookup_batch_replies")
+        fast_replies += drive(fast, fingerprints[300:], "lookup_batch_columns")
         reference_replies += drive(
             reference, fingerprints[300:], "lookup_batch_replies_reference"
         )
@@ -168,8 +173,8 @@ class TestRoutedBatchEquivalence:
         batched = make_cluster()
         sequential = make_cluster()
         fingerprints = workload(500)
-        batched_replies = drive(batched, fingerprints, "lookup_batch_replies")
-        sequential_replies = [sequential.lookup_reply(fp) for fp in fingerprints]
+        batched_replies = drive(batched, fingerprints, "lookup_batch_columns")
+        sequential_replies = [cluster_lookup(sequential, fp) for fp in fingerprints]
         assert [r.is_duplicate for r in batched_replies] == [
             r.is_duplicate for r in sequential_replies
         ]
@@ -184,8 +189,8 @@ class TestRoutedBatchEquivalence:
         batched = make_cluster(replication=1, virtual_nodes=virtual_nodes)
         sequential = make_cluster(replication=1, virtual_nodes=virtual_nodes)
         fingerprints = workload(700, distinct=400)
-        batched_replies = drive(batched, fingerprints, "lookup_batch_replies")
-        sequential_replies = [sequential.lookup_reply(fp) for fp in fingerprints]
+        batched_replies = drive(batched, fingerprints, "lookup_batch_columns")
+        sequential_replies = [cluster_lookup(sequential, fp) for fp in fingerprints]
         assert batched_replies == sequential_replies
         assert_equivalent(batched, batched_replies, sequential, sequential_replies)
 
@@ -208,14 +213,14 @@ class TestRoutingCacheInvalidation:
     def test_add_node_between_batches(self, virtual_nodes, down):
         cluster = make_cluster(virtual_nodes=virtual_nodes)
         fingerprints = workload(200, salt=9_000)
-        drive(cluster, fingerprints, "lookup_batch_replies")
+        drive(cluster, fingerprints, "lookup_batch_columns")
         cluster.partitioner.add_node("hashnode-7")
         cluster.nodes["hashnode-7"] = type(cluster.nodes["hashnode-0"])(
             "hashnode-7", cluster.config.node, None
         )
         if down is not None:
             cluster.mark_down(down)
-        replies = drive(cluster, fingerprints, "lookup_batch_replies")
+        replies = drive(cluster, fingerprints, "lookup_batch_columns")
         self.assert_served_by_first_live(cluster, fingerprints, replies)
         assert any(reply.node_id == "hashnode-7" for reply in replies)
 
@@ -226,7 +231,7 @@ class TestRoutingCacheInvalidation:
 
         cluster = make_cluster(virtual_nodes=virtual_nodes)
         fingerprints = workload(200, salt=1_000)
-        drive(cluster, fingerprints, "lookup_batch_replies")
+        drive(cluster, fingerprints, "lookup_batch_columns")
         before = [cluster.partitioner.owner(fingerprint) for fingerprint in fingerprints]
         if virtual_nodes:
             cluster.partitioner = RangePartitioner(cluster.node_names)
@@ -234,38 +239,12 @@ class TestRoutingCacheInvalidation:
             cluster.partitioner = ConsistentHashRing(cluster.node_names, virtual_nodes=16)
         if down is not None:
             cluster.mark_down(down)
-        replies = drive(cluster, fingerprints, "lookup_batch_replies")
+        replies = drive(cluster, fingerprints, "lookup_batch_columns")
         self.assert_served_by_first_live(cluster, fingerprints, replies)
         assert before != [cluster.partitioner.owner(fingerprint) for fingerprint in fingerprints]
 
 
 class TestHotPathConstructors:
-    def test_column_built_replies_match_init(self):
-        """``replies_from_tiers`` fills slots without running ``__init__``;
-        what it builds must be indistinguishable from constructor-built
-        replies, for every tier code."""
-        fingerprints = [synthetic_fingerprint(index) for index in range(4)]
-        tiers, times = [0, 1, 2, 3], [1.5e-6, 2.5e-6, 0.0, 7.0]
-        fast = replies_from_tiers(fingerprints, tiers, times, ["n0", "n1", "n0", "n2"])
-        regular = [
-            LookupReply(
-                fingerprint=fingerprint,
-                is_duplicate=tier != 0,
-                served_from=SERVED_FROM_TIER[tier],
-                node_id=node_id,
-                service_time=service_time,
-            )
-            for fingerprint, tier, service_time, node_id in zip(
-                fingerprints, tiers, times, ["n0", "n1", "n0", "n2"]
-            )
-        ]
-        assert fast == regular
-        assert [hash(reply) for reply in fast] == [hash(reply) for reply in regular]
-        assert [repr(reply) for reply in fast] == [repr(reply) for reply in regular]
-        assert [reply.payload_bytes for reply in fast] == [r.payload_bytes for r in regular]
-        assert all(type(reply.is_duplicate) is bool for reply in fast)
-        assert fast[3].served_from is ServedFrom.REPAIR
-
     def test_column_built_results_match_init(self):
         cluster = make_cluster()
         fingerprints = workload(120)
@@ -289,7 +268,7 @@ class TestHotPathConstructors:
         cluster = make_cluster()
         fingerprints = workload(120)
         twin = make_cluster()
-        replies = drive(twin, fingerprints, "lookup_batch_replies")
+        replies = drive(twin, fingerprints, "lookup_batch_columns")
         results = drive(cluster, fingerprints, "lookup_batch")
         for result, reply in zip(results, replies):
             assert result.fingerprint == reply.fingerprint

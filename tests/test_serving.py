@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import random
+import re
 import signal
 import socket
 import struct
@@ -423,15 +424,17 @@ def test_a_dropped_worker_is_gone_before_its_successor_serves_its_shard(tmp_path
     successor on the same directory; the dropped process must not live on
     beside it with the shard's log open, nor outlive ``close()``.  It exits
     without a traceback, and one that cannot exit (stopped) is killed before
-    the successor starts."""
+    the successor starts.  The gateway closes the reaped process's handle,
+    so its exit code is read from the ``worker_died`` event."""
     async def _go():
-        gateway = ServiceGateway(_serve_config(tmp_path))
+        gateway = ServiceGateway(_serve_config(tmp_path), verbose=True)
         await gateway.start()
         try:
             worker = gateway.workers[0]
             dropped = worker.process
+            pid = dropped.pid
             if hung:
-                os.kill(dropped.pid, signal.SIGSTOP)
+                os.kill(pid, signal.SIGSTOP)
             # A frame no codec decodes: the core closes the worker's connection.
             gateway._write(gateway.on_worker_bytes(0, struct.pack("!I", 1) + b"\xff"))
             for _ in range(3_000):
@@ -439,20 +442,44 @@ def test_a_dropped_worker_is_gone_before_its_successor_serves_its_shard(tmp_path
                     break
                 await asyncio.sleep(0.01)
             assert worker.restarts == 1 and worker.ready.is_set()
-            alive_beside_successor = dropped.is_alive()
+            alive_beside_successor = _pid_exists(pid)
         finally:
             await gateway.close()
-        return dropped, alive_beside_successor
+        return pid, alive_beside_successor
 
-    dropped, alive_beside_successor = asyncio.run(_go())
-    try:
-        assert not alive_beside_successor
-        assert not dropped.is_alive()
-        assert dropped.exitcode == (-signal.SIGKILL if hung else 0)
-    finally:
-        dropped.kill()
+    pid, alive_beside_successor = asyncio.run(_go())
+    assert not alive_beside_successor
     err = capfd.readouterr().err
     assert "Traceback" not in err and "Exception ignored" not in err, err
+    died = [record for record in map(json.loads, re.findall(r"^\{.*\}$", err, re.M))
+            if record["event"] == "worker_died"]
+    assert [(record["pid"], record["exitcode"]) for record in died] == [
+        (pid, -signal.SIGKILL if hung else 0)]
+
+
+def _pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_close_releases_every_worker_process_handle(tmp_path):
+    """A started and closed gateway holds no descriptor it did not hold
+    before: each reaped worker's ``Process`` is closed (its sentinel pipe
+    and ``Popen`` released), not left for the collector."""
+    before = set(os.listdir("/proc/self/fd"))
+
+    async def _go():
+        gateway = ServiceGateway(_serve_config(tmp_path))
+        await gateway.start()
+        await gateway.close()
+        return [worker.process for worker in gateway.workers]
+
+    assert asyncio.run(_go()) == [None, None]
+    assert set(os.listdir("/proc/self/fd")) <= before
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")

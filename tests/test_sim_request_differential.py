@@ -13,18 +13,22 @@ hold at all).
 The product rig (``build_simulated_service``) must pop the same calendar
 entries in the same order as the model (``tests/oracles/event_path.py``),
 so every message must arrive at the same instant and endpoint with the same
-content, and the engine's event count, client stats, node counters,
-latency tallies and front-end counters must agree exactly.
+content, and the engine's event count, client stats, node counters and
+latency tallies must agree exactly.  Verdicts are compared as tier columns:
+the product's replies carry them, the model's are lifted from its
+``LookupReply`` lists.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.event_path import EventSimulatedClient, build_event_service
 
 from repro.core.config import ClusterConfig, HashNodeConfig
-from repro.core.protocol import BatchLookupRequest
+from repro.core.protocol import SERVED_FROM_TIER, BatchLookupRequest
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.frontend.client import SimulatedClient
 from repro.frontend.gateway import build_simulated_service
@@ -32,11 +36,21 @@ from repro.frontend.webserver import ClientBatchRequest
 from repro.simulation.engine import Simulator
 
 
-def _replies(replies) -> tuple:
+def _columns(payload) -> tuple:
+    """A reply's verdicts as ``(digest, tier, node, service time)`` rows.
+
+    The product's replies are columns (a node reply names one node, a
+    front-end response one per key); the model's carry ``LookupReply``
+    lists, whose ``served_from`` maps back to its tier code.
+    """
+    if hasattr(payload, "tiers"):
+        node_ids = getattr(payload, "node_ids", None) or repeat(payload.node_id)
+        return tuple(zip((fingerprint.digest for fingerprint in payload.fingerprints),
+                         payload.tiers, node_ids, payload.service_times))
     return tuple(
-        (reply.fingerprint.digest, reply.is_duplicate, reply.served_from, reply.node_id,
+        (reply.fingerprint.digest, SERVED_FROM_TIER.index(reply.served_from), reply.node_id,
          reply.service_time)
-        for reply in replies
+        for reply in payload.replies
     )
 
 
@@ -48,12 +62,9 @@ def _content(payload) -> tuple:
     if isinstance(payload, ClientBatchRequest):
         return ("backup", payload.client_id, payload.request_id,
                 tuple(fingerprint.digest for fingerprint in payload.fingerprints))
-    if hasattr(payload, "plan"):
-        plan = payload.plan
-        return ("plan", payload.client_id, payload.request_id, _replies(payload.replies),
-                tuple(fingerprint.digest for fingerprint in plan.to_upload),
-                tuple(fingerprint.digest for fingerprint in plan.already_stored))
-    return ("verdicts", payload.node_id, payload.batch_id, _replies(payload.replies))
+    if hasattr(payload, "request_id"):
+        return ("response", payload.client_id, payload.request_id, _columns(payload))
+    return ("verdicts", payload.node_id, payload.batch_id, _columns(payload))
 
 
 def _tally(tally) -> tuple:
@@ -110,7 +121,7 @@ def _replay(build, client_class, params) -> dict:
             request = BatchLookupRequest([fingerprint], client_id="driver")
 
             def answered(reply, tag=tag):
-                log.append((sim.now, "single", tag, _replies(reply.replies)))
+                log.append((sim.now, "single", tag, _columns(reply)))
 
             if client_class is SimulatedClient:
                 rpc.call("client-0", owner, request, request.payload_bytes, answered)
@@ -132,10 +143,6 @@ def _replay(build, client_class, params) -> dict:
         "nodes": {
             name: (dict(node.counters), node.lookup_latency, len(node.store))
             for name, node in cluster.nodes.items()
-        },
-        "web": {
-            name: dict(server.counters)
-            for name, server in deployment.web_servers.items()
         },
         "cluster": (cluster.read_repairs, cluster.failovers),
         "balancer": deployment.load_balancer.assignments(),

@@ -40,13 +40,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import node_reference
 from oracles.bloom_model import BloomModel
+from oracles.replies import LookupReply, node_lookup, node_lookup_batch
 from oracles.set_model import NodeModel
 
 from repro.core.config import HashNodeConfig
 from repro.core.digest_batch import DigestBatch
 from repro.core.hash_node import HybridHashNode
 from repro.core.persistence import NodePersistence
-from repro.core.protocol import SERVED_FROM_TIER, LookupReply
+from repro.core.protocol import SERVED_FROM_TIER
 from repro.dedup.fingerprint import Fingerprint
 from repro.storage.bloom import BloomFilter
 from repro.workloads import trace_cache
@@ -297,7 +298,7 @@ class TestFusedNodeKernelDifferential:
     @SLOWER
     @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
     def test_serve_bucket_batch_matches_scalar_loop(self, optimistic, batches, capacity, shape):
-        """``lookup_batch`` replies equal the oracle's replies, field for field."""
+        """The batch contract's replies equal the oracle's, field for field."""
         scalar, fused = _twin_nodes(capacity, shape)
         _pin_probe(fused, optimistic)
         model = NodeModel(capacity)
@@ -305,7 +306,7 @@ class TestFusedNodeKernelDifferential:
             pairs = _pairs_of(items)
             fingerprints = [Fingerprint(digest=d, chunk_size=size) for d, size in pairs]
             scalar_replies = [node_reference.lookup(scalar, fp) for fp in fingerprints]
-            fused_replies = fused.lookup_batch(fingerprints)
+            fused_replies = node_lookup_batch(fused, fingerprints)
             # Dataclass equality covers fingerprint, is_duplicate,
             # served_from, node_id and the float service_time.
             assert fused_replies == scalar_replies
@@ -362,7 +363,7 @@ class TestFusedNodeKernelDifferential:
         for items in batches:
             for digest, size in _pairs_of(items):
                 fingerprint = Fingerprint(digest=digest, chunk_size=size)
-                assert fused.lookup(fingerprint) == node_reference.lookup(scalar, fingerprint)
+                assert node_lookup(fused, fingerprint) == node_reference.lookup(scalar, fingerprint)
         assert _node_state(scalar) == _node_state(fused)
         assert fused.lookup_latency == scalar.lookup_latency
 
@@ -418,7 +419,7 @@ class TestFusedNodeKernelDifferential:
             batches.append(last[-2:] + last[:6] + fresh + last[:2])
         for batch in batches:
             fingerprints = [Fingerprint(digest=d, chunk_size=1 + d[0]) for d in batch]
-            assert fused.lookup_batch(fingerprints) == [
+            assert node_lookup_batch(fused, fingerprints) == [
                 node_reference.lookup(scalar, f) for f in fingerprints
             ]
         assert _node_state(scalar) == _node_state(fused)
@@ -438,7 +439,7 @@ class TestFusedNodeKernelDifferential:
         second = first[:40] + [rng.randbytes(20) for _ in range(40)]
         for batch in (first, second):
             fingerprints = [Fingerprint(digest=d, chunk_size=1 + d[1]) for d in batch]
-            assert fused.lookup_batch(fingerprints) == [
+            assert node_lookup_batch(fused, fingerprints) == [
                 node_reference.lookup(scalar, f) for f in fingerprints
             ]
         assert _node_state(scalar) == _node_state(fused)
@@ -499,7 +500,7 @@ class TestFusedNodeKernelDifferential:
                 )
                 tiers, new_pairs = served[0], served[2]
             else:
-                replies = node.lookup_batch(
+                replies = node_lookup_batch(node, 
                     [Fingerprint(digest=d, chunk_size=size) for d, size in pairs]
                 )
                 tiers = [SERVED_FROM_TIER.index(reply.served_from) for reply in replies]

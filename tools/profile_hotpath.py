@@ -88,7 +88,8 @@ sample inside ``Simulator.run`` to the module of its innermost ``repro``
 frame -- links (``network.link`` / ``switch``), RPC + front end (the rest
 of ``network``, ``frontend``), node serve (``core``, ``storage``, the
 CPU/SSD ``Resource``) with the exec-generated fused kernel apart, reply
-assembly (``core.protocol``, ``frontend.upload_plan``), the engine (the
+assembly (``core.protocol``, and ``frontend.upload_plan`` on a commit
+that still has it), the engine (the
 rest of ``simulation``: calendar, events and, on a commit that still has
 ``simulation/process.py``, generator processes) -- and a sample taken while the cyclic collector runs to the
 collector; ``dedup.fingerprint`` (the column builder) and
@@ -620,7 +621,7 @@ _SIM_LAYERS = (
     ("repro.network.link", "links"),
     ("repro.network.switch", "links"),
     ("repro.network", "RPC + front end"),
-    ("repro.frontend.upload_plan", "reply assembly"),
+    ("repro.frontend.upload_plan", "reply assembly"),  # on commits that still have it
     ("repro.frontend", "RPC + front end"),
     ("repro.core.protocol", "reply assembly"),
     ("repro.core", "node serve"),
