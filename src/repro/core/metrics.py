@@ -111,10 +111,6 @@ class ClusterMetrics:
     def ssd_hits(self) -> int:
         return sum(s.ssd_hits for s in self.snapshots)
 
-    @property
-    def destages(self) -> int:
-        return sum(s.destages for s in self.snapshots)
-
     def duplicate_ratio(self) -> float:
         """Fraction of lookups answered as duplicates."""
         return self.total_duplicates / self.total_lookups if self.total_lookups else 0.0
@@ -138,25 +134,4 @@ class ClusterMetrics:
             "ram": self.ram_hits,
             "ssd": self.ssd_hits,
             "new": self.total_new_entries,
-        }
-
-    def as_dict(self) -> dict:
-        """Flat dictionary for report rendering."""
-        storage = self.storage_distribution()
-        return {
-            "nodes": len(self.snapshots),
-            "lookups": self.total_lookups,
-            # "entries" is the legacy name for the copies count; "distinct" /
-            # "total_stored" are the canonical replication-aware pair.
-            "entries": self.total_entries,
-            "distinct": self.distinct,
-            "total_stored": self.total_stored,
-            "duplicates": self.total_duplicates,
-            "duplicate_ratio": self.duplicate_ratio(),
-            "ram_hits": self.ram_hits,
-            "ssd_hits": self.ssd_hits,
-            "new_entries": self.total_new_entries,
-            "destages": self.destages,
-            "storage_cv": storage.coefficient_of_variation,
-            "storage_max_over_mean": storage.max_over_mean,
         }

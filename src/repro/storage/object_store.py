@@ -123,9 +123,3 @@ class CloudObjectStore:
     def transfer_time(self, size_bytes: int) -> float:
         """Modelled WAN time to move ``size_bytes`` to/from the store."""
         return self.base_latency + size_bytes / self.bandwidth
-
-    def stats(self) -> dict:
-        """Counter snapshot plus current footprint."""
-        result = dict(self.counters)
-        result.update(objects=len(self._objects), physical_bytes=self.total_bytes())
-        return result

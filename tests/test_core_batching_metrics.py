@@ -112,10 +112,6 @@ class TestClusterMetrics:
         assert metrics.lookup_distribution().counts == {"n0": 1, "n1": 3}
         assert set(metrics.tier_breakdown()) == {"ram", "ssd", "new"}
 
-    def test_as_dict_keys(self):
-        metrics = ClusterMetrics(snapshots=[snapshot("n0", 10, 10)])
-        assert {"nodes", "lookups", "entries", "storage_cv"} <= set(metrics.as_dict())
-
     def test_empty_metrics(self):
         metrics = ClusterMetrics()
         assert metrics.duplicate_ratio() == 0.0

@@ -149,9 +149,9 @@ class TestReplicaWriteStats:
         assert len(cluster) == 50
         assert cluster.distinct_fingerprints() == 50
         assert cluster.total_stored == 100
-        as_dict = cluster.metrics().as_dict()
-        assert as_dict["distinct"] == 50
-        assert as_dict["total_stored"] == 100
+        metrics = cluster.metrics()
+        assert metrics.distinct == 50
+        assert metrics.total_stored == 100
 
 
 class TestBatchIdThreading:

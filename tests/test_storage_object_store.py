@@ -56,14 +56,6 @@ class TestCloudObjectStore:
     def test_get_missing_returns_none(self):
         assert CloudObjectStore().get(b"missing") is None
 
-    def test_stats_keys(self):
-        store = CloudObjectStore()
-        store.put(b"a", b"data")
-        stats = store.stats()
-        assert stats["objects"] == 1
-        assert stats["puts"] == 1
-        assert stats["physical_bytes"] == 4
-
     def test_transfer_time_scales_with_size(self):
         store = CloudObjectStore(base_latency=0.01, bandwidth=1e6)
         assert store.transfer_time(0) == pytest.approx(0.01)
