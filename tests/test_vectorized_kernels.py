@@ -9,9 +9,10 @@ Every packed/fused fast path must be byte-identical to its reference:
   over (list, tuple, generator, ``DigestBatch``); keys that are not all
   20 bytes are refused on every route, and by a ``DigestBatch`` built
   directly from them;
-* the node's one batch contract (``serve_bucket_verdicts``) and its reply
-  view (``lookup_batch``) vs the per-fingerprint Figure-4 flow of
-  ``tests/oracles/node_reference.py`` on a twin node --
+* the node's one batch contract (``serve_bucket_verdicts``), also lifted
+  to replies (``oracles.replies.node_lookup_batch``), vs the
+  per-fingerprint Figure-4 flow of ``tests/oracles/node_reference.py`` on a
+  twin node --
   replies field for field, float service times, counters, store stats,
   bloom bits, LRU order -- and vs the dict-and-set model in
   ``tests/oracles/set_model.py`` (tiers, new pairs, per-tier counts), for
@@ -257,8 +258,8 @@ def _node_state(node):
 
     The modelled-latency recorder is not in here: the bare contract does
     not feed it (its callers that publish the model do), so it is compared
-    through those callers -- ``lookup_batch`` against the looped oracle --
-    and pinned at zero wherever the contract is called directly.
+    through those callers -- ``node_lookup_batch`` against the looped
+    oracle -- and pinned at zero wherever the contract is called directly.
     """
     return (
         dict(node.counters),
@@ -357,13 +358,14 @@ class TestFusedNodeKernelDifferential:
     @SLOWER
     @given(batch_lists, lru_capacities, st.sampled_from(sorted(BLOOM_SHAPES)))
     def test_one_key_view_matches_scalar_loop(self, optimistic, batches, capacity, shape):
-        """``lookup``, the one-key view over the contract, key by key."""
+        """One-key batches through the contract, key by key."""
         scalar, fused = _twin_nodes(capacity, shape)
         _pin_probe(fused, optimistic)
         for items in batches:
             for digest, size in _pairs_of(items):
                 fingerprint = Fingerprint(digest=digest, chunk_size=size)
-                assert node_lookup(fused, fingerprint) == node_reference.lookup(scalar, fingerprint)
+                assert (node_lookup(fused, fingerprint)
+                        == node_reference.lookup(scalar, fingerprint))
         assert _node_state(scalar) == _node_state(fused)
         assert fused.lookup_latency == scalar.lookup_latency
 
