@@ -2,43 +2,16 @@
 
 from __future__ import annotations
 
-import glob
-import multiprocessing
-import os
-import threading
-import time
 from multiprocessing import resource_tracker
 
 import pytest
+from resource_probe import Baseline
 
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.simulation.engine import Simulator
 from repro.workloads.profiles import MAIL_SERVER, WEB_SERVER
 from repro.workloads.traces import TraceGenerator
-
-
-def _open_fds() -> set:
-    """``(fd, target)`` of every open descriptor, when ``/proc`` lists them."""
-    if not os.path.isdir("/proc/self/fd"):
-        return set()
-    fds = set()
-    for name in os.listdir("/proc/self/fd"):
-        try:
-            fds.add((name, os.readlink(f"/proc/self/fd/{name}")))
-        except OSError:  # the listing's own descriptor, closed by now
-            pass
-    return fds
-
-
-def _leaks(threads: set, fds: set, shm: set) -> list:
-    """What the process holds now that it did not hold at the baseline."""
-    leaks = [f"thread {thread.name}" for thread in threading.enumerate()
-             if not thread.daemon and thread not in threads]
-    leaks += [f"child process {child.pid}" for child in multiprocessing.active_children()]
-    leaks += [f"fd {fd} -> {target}" for fd, target in sorted(_open_fds() - fds)]
-    leaks += [f"shared memory {path}" for path in sorted(set(glob.glob("/dev/shm/repro-*")) - shm)]
-    return leaks
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -60,13 +33,9 @@ def _no_leaked_resources(_resource_tracker_started):
     executor thread, a reaped child), so the check waits up to 2 s for the
     process to settle before it fails the test.
     """
-    threads = set(threading.enumerate())
-    fds = _open_fds()
-    shm = set(glob.glob("/dev/shm/repro-*"))
+    baseline = Baseline.take()
     yield
-    deadline = time.monotonic() + 2.0
-    while (leaks := _leaks(threads, fds, shm)) and time.monotonic() < deadline:
-        time.sleep(0.01)
+    leaks = baseline.settled_leaks(timeout=2.0)
     if leaks:
         pytest.fail("the test leaked " + "; ".join(leaks), pytrace=False)
 

@@ -238,21 +238,18 @@ class TestArchiverOverTheCluster:
         assert [len(fingerprints) for _kind, fingerprints in index.calls] == [4, 4, 0]
         assert (stats.chunks_seen, stats.chunks_uploaded) == (8, 6)
 
-    @pytest.mark.parametrize("replication", [1, 2])
-    def test_batched_files_store_what_per_chunk_lookups_store(self, replication):
-        """Verdicts, object-store calls, snapshot entries and stats equal a
-        per-chunk loop's over a twin cluster, repeats across and within
-        files included."""
-        shared, rng_block = os.urandom(4096), os.urandom(512)
-        days = [
-            {"a": shared + os.urandom(3000), "b": rng_block * 4 + shared, "c": b""},
-            {"a": shared + os.urandom(3000), "b": rng_block * 2, "d": shared[:2048]},
-        ]
-        chunker = FixedSizeChunker(512)
-        batched, looped = small_cluster(3, replication), small_cluster(3, replication)
+    @staticmethod
+    def assert_batched_matches_per_chunk(days, chunker, batched, looped, between_days=None):
+        """Back ``days`` up through the archiver over ``batched`` and through
+        :func:`per_chunk_backup` over its twin ``looped``; stats, snapshot
+        entries, object-store calls and index sizes must be equal.
+        ``between_days(day, cluster)`` runs on both twins before each day."""
         store, reference_store = RecordingStore(), RecordingStore()
         archiver = DirectoryArchiver(batched, store, chunker)
         for day, files in enumerate(days):
+            if between_days is not None:
+                between_days(day, batched)
+                between_days(day, looped)
             stats = archiver.backup_files(files, f"day-{day}")
             expected_stats, expected_entries = per_chunk_backup(
                 looped, reference_store, chunker, files)
@@ -262,6 +259,42 @@ class TestArchiverOverTheCluster:
                     } == expected_entries
         assert store.log == reference_store.log
         assert len(batched) == len(looped)
+
+    @pytest.mark.parametrize("chunker", [FixedSizeChunker(512), ContentDefinedChunker(256)],
+                             ids=["fixed", "content-defined"])
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_batched_files_store_what_per_chunk_lookups_store(self, replication, chunker):
+        """Verdicts, object-store calls, snapshot entries and stats equal a
+        per-chunk loop's over a twin cluster, repeats across and within
+        files included."""
+        shared, rng_block = os.urandom(4096), os.urandom(512)
+        days = [
+            {"a": shared + os.urandom(3000), "b": rng_block * 4 + shared, "c": b""},
+            {"a": shared + os.urandom(3000), "b": rng_block * 2, "d": shared[:2048]},
+        ]
+        self.assert_batched_matches_per_chunk(
+            days, chunker, small_cluster(3, replication), small_cluster(3, replication))
+
+    @pytest.mark.parametrize("replication", [2, 3])
+    def test_batched_files_match_per_chunk_lookups_across_a_node_outage(self, replication):
+        """A node down for one day and back the next: the batched backup
+        fails over and read-repairs exactly as per-chunk lookups do, so the
+        same chunks are uploaded and the twin indexes end the same size."""
+        shared = os.urandom(4096)
+        day_1 = {"a": shared + os.urandom(4096), "b": os.urandom(2048)}
+        days = [{"a": shared}, day_1, dict(day_1, c=os.urandom(1024))]
+
+        def outage(day, cluster):
+            victim = cluster.node_names[1]
+            if day == 1:
+                cluster.mark_down(victim)
+            elif day == 2:
+                cluster.mark_up(victim)
+
+        batched, looped = small_cluster(3, replication), small_cluster(3, replication)
+        self.assert_batched_matches_per_chunk(
+            days, FixedSizeChunker(512), batched, looped, outage)
+        assert batched.read_repairs == looped.read_repairs > 0
 
 
 class TestSnapshotsAndDiff:

@@ -8,7 +8,7 @@ from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.frontend.client import SimulatedClient
 from repro.frontend.gateway import build_simulated_service
-from repro.frontend.webserver import ClientBatchRequest
+from repro.frontend.webserver import PER_REQUEST_OVERHEAD, ClientBatchRequest, ClientBatchResponse
 from repro.simulation.engine import Simulator
 
 
@@ -52,6 +52,48 @@ class TestWebFrontEnd:
         assert len(set(owners)) == 4
         assert list(response.node_ids) == owners
         assert len(response.tiers) == len(response.service_times) == 64
+
+
+    def test_the_fan_out_leaves_one_request_overhead_after_arrival(self, sim):
+        """The web server spends ``PER_REQUEST_OVERHEAD`` on a request before
+        it calls the owning nodes, all at one instant, one call per node."""
+        config = ClusterConfig(num_nodes=3, node=HashNodeConfig(
+            ram_cache_entries=512, bloom_expected_items=50_000, ssd_buckets=1 << 10))
+        deployment = build_simulated_service(sim, config, num_clients=1, num_web_servers=1)
+        rpc, web = deployment.network.rpc, deployment.web_servers["web-0"]
+        arrivals, node_calls = [], []
+
+        def arrive(request, respond):
+            arrivals.append(sim.now)
+            web._handle(request, respond)
+
+        def call(source, destination, *args, _call=rpc.call, **kwargs):
+            if source == "web-0":
+                node_calls.append((sim.now, destination))
+            return _call(source, destination, *args, **kwargs)
+
+        rpc.register("web-0", arrive)
+        rpc.call = call
+        fingerprints = [synthetic_fingerprint(i) for i in range(48)]
+        request = ClientBatchRequest("client-0", fingerprints)
+        responses = []
+        rpc.call("client-0", "web-0", request, request.payload_bytes, responses.append)
+        sim.run()
+        assert len(arrivals) == 1 and arrivals[0] > 0
+        owners = {deployment.cluster.owner_of(fingerprint) for fingerprint in fingerprints}
+        assert sorted(node for _at, node in node_calls) == sorted(owners)
+        assert [at for at, _node in node_calls] == pytest.approx(
+            [arrivals[0] + PER_REQUEST_OVERHEAD] * len(owners))
+        assert len(responses) == 1 and list(responses[0].fingerprints) == fingerprints
+
+    def test_every_nonzero_tier_is_a_duplicate(self):
+        """A falsy tier is a chunk to upload; RAM, SSD and read-repair
+        verdicts (tiers 1-3) are all duplicates."""
+        fingerprints = [synthetic_fingerprint(i) for i in range(5)]
+        response = ClientBatchResponse("alice", fingerprints, [0, 1, 2, 3, 0],
+                                       [1e-6] * 5, ["n0"] * 5)
+        assert response.duplicates == 3
+        assert response.payload_bytes == 32 + 9 * 5
 
 
 class TestSimulatedClient:

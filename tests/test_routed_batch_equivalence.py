@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import pytest
 from oracles.cluster_reference import lookup_batch_replies_reference
-from oracles.replies import cluster_lookup, cluster_lookup_batch
+from oracles.replies import LookupReply, cluster_lookup, cluster_lookup_batch, replies_from_tiers
 from oracles.set_model import set_verdicts
 
 from repro.core.cluster import SHHCCluster
 from repro.core.config import ClusterConfig, HashNodeConfig
 from repro.core.fault_injection import make_flaky
 from repro.core.membership import MembershipManager
-from repro.core.protocol import ServedFrom
+from repro.core.protocol import SERVED_FROM_TIER, ServedFrom
 from repro.dedup.fingerprint import synthetic_fingerprint
 from repro.dedup.index import ChunkLocation, LookupResult
 from repro.simulation.costmodel import CostModel
@@ -245,6 +245,33 @@ class TestRoutingCacheInvalidation:
 
 
 class TestHotPathConstructors:
+    def test_column_built_replies_match_init(self):
+        """``replies_from_tiers`` fills slots without running ``__init__``;
+        what it builds from the cluster's columns must be indistinguishable
+        from the replies the reference models construct, for every tier
+        code."""
+        fingerprints = [synthetic_fingerprint(index) for index in range(4)]
+        tiers, times = [0, 1, 2, 3], [1.5e-6, 2.5e-6, 0.0, 7.0]
+        fast = replies_from_tiers(fingerprints, tiers, times, ["n0", "n1", "n0", "n2"])
+        regular = [
+            LookupReply(
+                fingerprint=fingerprint,
+                is_duplicate=tier != 0,
+                served_from=SERVED_FROM_TIER[tier],
+                node_id=node_id,
+                service_time=service_time,
+            )
+            for fingerprint, tier, service_time, node_id in zip(
+                fingerprints, tiers, times, ["n0", "n1", "n0", "n2"]
+            )
+        ]
+        assert fast == regular
+        assert [hash(reply) for reply in fast] == [hash(reply) for reply in regular]
+        assert [repr(reply) for reply in fast] == [repr(reply) for reply in regular]
+        assert [reply.payload_bytes for reply in fast] == [r.payload_bytes for r in regular]
+        assert all(type(reply.is_duplicate) is bool for reply in fast)
+        assert fast[3].served_from is ServedFrom.REPAIR
+
     def test_column_built_results_match_init(self):
         cluster = make_cluster()
         fingerprints = workload(120)

@@ -17,6 +17,7 @@ import functools
 import importlib.util
 import json
 import logging
+import multiprocessing
 import os
 import random
 import re
@@ -479,6 +480,28 @@ def test_close_releases_every_worker_process_handle(tmp_path):
         return [worker.process for worker in gateway.workers]
 
     assert asyncio.run(_go()) == [None, None]
+    assert set(os.listdir("/proc/self/fd")) <= before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_a_worker_that_fails_to_start_is_joined_and_closed(tmp_path):
+    """A worker whose store cannot open reports the error and exits; the
+    gateway raises it, and the failed process is neither alive nor holding
+    a descriptor once ``start`` has raised -- even while the caller still
+    holds the error, whose traceback keeps ``_spawn``'s frame alive."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_bytes(b"")
+    before = set(os.listdir("/proc/self/fd"))
+
+    async def _go():
+        gateway = ServiceGateway(_serve_config(blocker, num_nodes=1))
+        with pytest.raises(ServingError, match="failed to start: NotADirectoryError") as raised:
+            await gateway.start()
+        return gateway.workers[0].process, raised
+
+    process, raised = asyncio.run(_go())
+    assert process is None and raised.value.__traceback__ is not None
+    assert multiprocessing.active_children() == []
     assert set(os.listdir("/proc/self/fd")) <= before
 
 

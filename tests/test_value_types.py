@@ -5,7 +5,10 @@ dataclasses: one allocation each, no ``__dict__``.  Everything the rest of
 the program does with them -- compare, hash, print, ``dataclasses.replace``,
 pickle (the ``run_sweep --workers`` pool), deep copy -- must work on
 instances from the regular constructor *and* on instances bulk-built by
-``column_builder``, and the two must be indistinguishable.
+``column_builder``, and the two must be indistinguishable.  The reference
+models' ``LookupReply`` (``tests/oracles/replies.py``) is held to the same
+contract: the differential tests compare the replies the oracles construct
+with replies column-built from the product's tier columns.
 """
 
 import copy
@@ -14,7 +17,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 from itertools import repeat
 
 import pytest
+from oracles.replies import LookupReply
 
+from repro.core.protocol import SERVED_FROM_TIER, ServedFrom
 from repro.dedup.fingerprint import Fingerprint, column_builder, synthetic_fingerprint
 from repro.dedup.index import ChunkLocation, LookupResult
 from repro.network.message import Message
@@ -30,6 +35,7 @@ def _regular():
         FP,
         ChunkLocation(3, 9),
         LookupResult(FP, True, ChunkLocation(), 1.5e-6, "n0"),
+        LookupReply(FP, False, ServedFrom.NEW, "n1", 2.5e-6),
     ]
 
 
@@ -39,6 +45,9 @@ def _column_built():
         column_builder(ChunkLocation)(1, [3], [9])[0],
         column_builder(LookupResult)(
             1, [FP], [True], repeat(ChunkLocation()), [1.5e-6], repeat("n0")
+        )[0],
+        column_builder(LookupReply)(
+            1, [FP], map(bool, [0]), map(SERVED_FROM_TIER.__getitem__, [0]), ["n1"], [2.5e-6]
         )[0],
     ]
 
@@ -76,7 +85,7 @@ class TestValueTypeContract:
         assert copy.copy(value) == value
 
 
-@pytest.mark.parametrize("regular,built", list(zip(_regular(), _column_built())), ids=IDS[:3])
+@pytest.mark.parametrize("regular,built", list(zip(_regular(), _column_built())), ids=IDS[:4])
 def test_column_built_is_indistinguishable_from_constructor_built(regular, built):
     assert built == regular
     assert hash(built) == hash(regular)
@@ -97,6 +106,12 @@ def test_public_fingerprint_constructor_still_validates():
         Fingerprint(b"\x00" * 20, -1)
     with pytest.raises(ValueError, match="invalid IO kind"):
         IOOperation("seek", 4096)
+
+
+def test_read_repair_replaces_fields_on_a_slotted_reply():
+    reply = LookupReply(FP, False, ServedFrom.NEW, "n0", 1e-6)
+    repaired = replace(reply, is_duplicate=True, served_from=ServedFrom.REPAIR)
+    assert repaired == LookupReply(FP, True, ServedFrom.REPAIR, "n0", 1e-6)
 
 
 def test_per_message_types_are_slotted_too():
